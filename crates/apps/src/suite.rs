@@ -223,7 +223,7 @@ impl Benchmark {
     /// chosen event-queue backend. Backend choice can never change
     /// results (the wheel and the heap reference are pop-for-pop
     /// identical); this entry point exists so differential tests can
-    /// pin exactly that, race-free, without touching `RSDSM_QUEUE`.
+    /// pin exactly that.
     ///
     /// # Errors
     ///

@@ -363,31 +363,15 @@ impl DsmProgram for WaterNsqApp {
     fn verify(&self, mem: &VerifyCtx, h: &Self::Handles) -> bool {
         let (expect_pos, expect_e) = self.reference();
         let strided = mem.read_vec(&h.pos, 0, STRIDE * self.n);
-        let mut worst = 0.0f64;
         let pos_ok = (0..self.n).all(|i| {
             (0..3).all(|a| {
                 let got = strided[i * STRIDE + a];
                 let want = expect_pos[3 * i + a];
-                worst = worst.max((got - want).abs());
                 (got - want).abs() <= 1e-6 * want.abs().max(1.0)
             })
         });
         let e = mem.read(&h.energy, 0);
         let e_ok = (e - expect_e).abs() <= 1e-6 * expect_e.abs().max(1e-12);
-        if std::env::var_os("RSDSM_TRACE").is_some() {
-            eprintln!(
-                "WATER-NSQ verify: worst pos delta {worst:e}, energy {e} vs {expect_e} (delta {:e})",
-                (e - expect_e).abs()
-            );
-            for i in 0..self.n {
-                for a in 0..3 {
-                    let d = (strided[i * STRIDE + a] - expect_pos[3 * i + a]).abs();
-                    if d > 1e-9 {
-                        eprintln!("  molecule {i} axis {a}: delta {d:e}");
-                    }
-                }
-            }
-        }
         pos_ok && e_ok
     }
 }

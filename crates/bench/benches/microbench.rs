@@ -34,11 +34,6 @@ fn bench_diffs(c: &mut Criterion) {
         group.bench_function(format!("create_{label}_reference"), |b| {
             b.iter(|| Diff::between_reference(black_box(&twin), black_box(&current)))
         });
-        // Snapshot-delta variant (gap coalescing; not used on
-        // coherence paths — see DESIGN.md §6g).
-        group.bench_function(format!("create_{label}_coalesced"), |b| {
-            b.iter(|| Diff::between_coalesced(black_box(&twin), black_box(&current)))
-        });
         let diff = Diff::between(&twin, &current);
         group.bench_function(format!("apply_{label}"), |b| {
             b.iter_batched(

@@ -204,16 +204,15 @@ impl ExpOpts {
         if !apps.is_empty() {
             opts.apps = apps;
         }
-        // Flag combinations that would silently do nothing are
-        // rejected up front (the engine asserts the same invariants).
-        if !opts.crashes.is_empty() && opts.checkpoint_every == 0 {
-            usage("--fault-crash needs --checkpoint-every N: without a checkpoint cadence a crashed node would recover from nothing");
-        }
-        if opts.persist && opts.checkpoint_every == 0 {
-            usage("--persist needs --checkpoint-every N: without a checkpoint cadence there is nothing to persist");
-        }
         if (opts.persist_bw > 0 || opts.fence_us > 0) && !opts.persist {
             usage("--persist-bw/--fence-us need --persist");
+        }
+        // Flag combinations the engine would refuse (a crash or
+        // --persist without a checkpoint cadence, a cut that strands
+        // the manager, a node outside the cluster, ...) are usage
+        // errors here, in the engine's own words.
+        if let Err(err) = opts.base_config().validate() {
+            usage(&err.to_string());
         }
         opts
     }

@@ -58,14 +58,6 @@ pub(crate) struct Charges {
     pub prefetch: SimDuration,
 }
 
-impl Charges {
-    /// Total charged time.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn total(&self) -> SimDuration {
-        self.busy + self.dsm + self.prefetch
-    }
-}
-
 /// What a thread sends when it yields to the engine.
 #[derive(Debug)]
 pub(crate) struct CallMsg {
@@ -73,6 +65,19 @@ pub(crate) struct CallMsg {
     pub syscall: Syscall,
     /// Time accumulated since the last resume.
     pub charges: Charges,
+}
+
+/// Unwind payload of an application thread whose engine is gone: the
+/// run ended in a [`SimError`](crate::SimError) and dropped the
+/// channels this thread was parked on. Raised with `resume_unwind`,
+/// which bypasses the panic hook, and recognised by the engine's
+/// thread shim — so the thread ends silently and the one error of the
+/// run is the one the main thread returns.
+pub(crate) struct EngineGone;
+
+/// Ends this application thread because the engine is gone.
+fn engine_gone() -> ! {
+    std::panic::resume_unwind(Box::new(EngineGone))
 }
 
 /// Limit on fault retries for a single access, to turn protocol
@@ -126,9 +131,9 @@ impl DsmCtx {
     /// Blocks until the engine first resumes this thread. Called once
     /// by the thread shim before entering application code.
     pub(crate) fn wait_start(&self) {
-        self.resume_rx
-            .recv()
-            .expect("engine dropped before thread start");
+        if self.resume_rx.recv().is_err() {
+            engine_gone();
+        }
     }
 
     /// This thread's global index, `0..num_threads`.
@@ -369,24 +374,10 @@ impl DsmCtx {
     /// engine resumes this thread.
     fn syscall(&mut self, syscall: Syscall) {
         let charges = std::mem::take(&mut self.pending);
-        self.call_tx
-            .send(CallMsg { syscall, charges })
-            .expect("engine dropped mid-run");
-        self.resume_rx.recv().expect("engine dropped mid-run");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn charges_total() {
-        let c = Charges {
-            busy: SimDuration::from_micros(3),
-            dsm: SimDuration::from_micros(2),
-            prefetch: SimDuration::from_micros(1),
-        };
-        assert_eq!(c.total(), SimDuration::from_micros(6));
+        if self.call_tx.send(CallMsg { syscall, charges }).is_err()
+            || self.resume_rx.recv().is_err()
+        {
+            engine_gone();
+        }
     }
 }

@@ -333,6 +333,102 @@ impl ThreadConfig {
     }
 }
 
+/// The node hosting the barrier manager, the recovery coordinator and
+/// the failure-confirmation authority (node 0, as in TreadMarks).
+pub(crate) const MANAGER: NodeId = 0;
+
+/// A configuration the engine cannot run, found by
+/// [`DsmConfig::validate`] before any thread is spawned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A crash schedule with recovery enabled but no checkpoint
+    /// cadence: the victim would recover from nothing.
+    CrashWithoutCadence,
+    /// Persistence enabled without a checkpoint cadence: there is
+    /// nothing to persist.
+    PersistWithoutCadence,
+    /// A crash or partition plan names a node outside the cluster.
+    NodeOutOfRange {
+        /// The node the plan names.
+        node: NodeId,
+        /// The cluster size.
+        nodes: usize,
+    },
+    /// The crash plan names node 0, which hosts the lock/barrier
+    /// managers and the recovery coordinator.
+    CrashesManager,
+    /// A partition schedule without recovery enabled (freeze,
+    /// suspicion gating and checkpoint-based rejoin all live there).
+    PartitionWithoutRecovery,
+    /// Crash and partition schedules in the same run.
+    CrashWithPartition,
+    /// A partition with a zero heal window.
+    ZeroHealWindow,
+    /// A node listed in two groups of one partition.
+    NodeInTwoGroups {
+        /// The node listed twice.
+        node: NodeId,
+    },
+    /// A cut that leaves the manager-side component without a strict
+    /// majority of the cluster.
+    ManagerWithoutMajority {
+        /// Nodes on the manager's side of the cut.
+        side: usize,
+        /// The cluster size.
+        nodes: usize,
+    },
+    /// Two partition windows overlap in time.
+    OverlappingPartitions,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::CrashWithoutCadence => write!(
+                f,
+                "--fault-crash needs --checkpoint-every N: without a checkpoint \
+                 cadence (checkpoint_every == 0) a crashed node would recover from nothing"
+            ),
+            ConfigError::PersistWithoutCadence => write!(
+                f,
+                "--persist needs --checkpoint-every N: without a checkpoint \
+                 cadence (checkpoint_every == 0) there is nothing to persist"
+            ),
+            ConfigError::NodeOutOfRange { node, nodes } => {
+                write!(f, "fault plan names node {node} in a {nodes}-node cluster")
+            }
+            ConfigError::CrashesManager => write!(
+                f,
+                "node 0 hosts the lock/barrier managers and the recovery \
+                 coordinator; crashing it is not supported"
+            ),
+            ConfigError::PartitionWithoutRecovery => write!(
+                f,
+                "partition schedules need recovery enabled: freeze, suspicion \
+                 gating, and checkpoint-based rejoin all live there"
+            ),
+            ConfigError::CrashWithPartition => {
+                write!(
+                    f,
+                    "combined crash and partition schedules are not supported"
+                )
+            }
+            ConfigError::ZeroHealWindow => write!(f, "a partition needs a nonzero heal window"),
+            ConfigError::NodeInTwoGroups { node } => {
+                write!(f, "node {node} listed in two partition groups")
+            }
+            ConfigError::ManagerWithoutMajority { side, nodes } => write!(
+                f,
+                "the manager-side component holds {side} of {nodes} nodes; the \
+                 quorum rule requires it to keep a strict majority"
+            ),
+            ConfigError::OverlappingPartitions => write!(f, "partition windows must not overlap"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Complete configuration of one simulated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DsmConfig {
@@ -460,6 +556,78 @@ impl DsmConfig {
     pub fn with_directory(mut self, directory: DirectoryConfig) -> Self {
         self.directory = directory;
         self
+    }
+
+    /// Checks the fault plan and recovery settings against each other
+    /// and the cluster size. [`Simulation::run`](crate::Simulation::run)
+    /// calls this before spawning any thread; front ends call it to
+    /// reject a bad flag combination with the same message.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found, in plan order.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let faults = &self.faults;
+        if self.recovery.enabled
+            && self.recovery.checkpoint_every == 0
+            && !faults.crashes.is_empty()
+        {
+            return Err(ConfigError::CrashWithoutCadence);
+        }
+        if self.recovery.persist.enabled && self.recovery.checkpoint_every == 0 {
+            return Err(ConfigError::PersistWithoutCadence);
+        }
+        let in_range = |node: NodeId| {
+            if node < self.nodes {
+                Ok(())
+            } else {
+                Err(ConfigError::NodeOutOfRange {
+                    node,
+                    nodes: self.nodes,
+                })
+            }
+        };
+        for crash in &faults.crashes {
+            in_range(crash.node)?;
+            if crash.node == MANAGER {
+                return Err(ConfigError::CrashesManager);
+            }
+        }
+        for (i, p) in faults.partitions.iter().enumerate() {
+            if !self.recovery.enabled {
+                return Err(ConfigError::PartitionWithoutRecovery);
+            }
+            if !faults.crashes.is_empty() {
+                return Err(ConfigError::CrashWithPartition);
+            }
+            if p.heal_after.is_zero() {
+                return Err(ConfigError::ZeroHealWindow);
+            }
+            let mut listed = vec![false; self.nodes];
+            for &node in p.groups.iter().flatten() {
+                in_range(node)?;
+                if std::mem::replace(&mut listed[node], true) {
+                    return Err(ConfigError::NodeInTwoGroups { node });
+                }
+            }
+            let mgr_group = p.group_of(MANAGER);
+            let side = (0..self.nodes)
+                .filter(|&n| p.group_of(n) == mgr_group)
+                .count();
+            if side * 2 <= self.nodes {
+                return Err(ConfigError::ManagerWithoutMajority {
+                    side,
+                    nodes: self.nodes,
+                });
+            }
+            if faults.partitions[..i]
+                .iter()
+                .any(|q| p.at < q.heal_at() && q.at < p.heal_at())
+            {
+                return Err(ConfigError::OverlappingPartitions);
+            }
+        }
+        Ok(())
     }
 
     /// Total application threads in the run.

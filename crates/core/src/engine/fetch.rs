@@ -1,0 +1,1067 @@
+//! Page faults and the data they move: fetches, diff service,
+//! interval close/record, and — with the directory layer on — the
+//! first-touch home window.
+//!
+//! Invariants: a page is validated only once every write notice the
+//! node holds for it is applied (or provably incorporated in an
+//! applied base copy); a diff is never applied twice, nor over a base
+//! that already contains it; and each (node, page) has at most one
+//! fetch in flight, which later faults join instead of duplicating.
+
+use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use rsdsm_protocol::{CachedDiff, Diff, Page, PageId, VectorClock, WriteNotice};
+use rsdsm_simnet::{NodeId, SimDuration, SimTime};
+
+use super::Core;
+use crate::accounting::Category;
+use crate::config::{DirectoryPolicy, DsmConfig};
+use crate::heap::Heap;
+use crate::msg::{BasePayload, DiffPayload, IntervalRecord, MsgBody};
+use crate::node::{Fetch, MissClass, NodeMem, NodeState};
+use crate::report::SimError;
+use crate::thread::{BlockReason, ThreadId};
+use crate::trace::{class, TraceEvent, NO_CAUSE, NO_THREAD};
+
+/// Directory-layer state: which pages some node has touched (faulted
+/// on or been served). A page's first-touch migration window closes
+/// when its flag sets.
+pub(super) struct Directory {
+    claimed: Vec<bool>,
+}
+
+impl Directory {
+    /// `Some` (nothing claimed yet) when `cfg` turns the directory
+    /// layer on.
+    pub(super) fn for_config(cfg: &DsmConfig, heap: &Heap) -> Option<Self> {
+        cfg.directory.enabled.then(|| Directory {
+            claimed: vec![false; heap.page_count()],
+        })
+    }
+}
+
+/// A total order on interval stamps that extends happens-before-1:
+/// component sum first (a dominated stamp has a strictly smaller
+/// sum), then lexicographic. Concurrent diffs are disjoint, so any
+/// such order applies them correctly.
+fn hb_order(a: &VectorClock, b: &VectorClock) -> Ordering {
+    let sum = |vc: &VectorClock| -> u64 { (0..vc.len()).map(|i| vc.get(i) as u64).sum() };
+    sum(a).cmp(&sum(b)).then_with(|| {
+        (0..a.len())
+            .map(|i| a.get(i))
+            .cmp((0..b.len()).map(|i| b.get(i)))
+    })
+}
+
+/// Keeps reply diffs in the node's prefetch cache for use at access
+/// time, dropping any a faster fault path already applied — replaying
+/// those later would corrupt the page.
+fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: Vec<DiffPayload>) {
+    for d in diffs {
+        if !node.board.is_applied(page, d.origin, &d.stamp) {
+            node.cache.insert(
+                page,
+                CachedDiff {
+                    origin: d.origin,
+                    stamp: d.stamp,
+                    diff: d.diff,
+                },
+            );
+        }
+    }
+}
+
+/// Trace code of a §3.3 fault class.
+fn class_code(class: MissClass) -> u8 {
+    match class {
+        MissClass::Hit => class::HIT,
+        MissClass::NoPf => class::NO_PF,
+        MissClass::TooLate => class::TOO_LATE,
+        MissClass::Invalidated => class::INVALIDATED,
+    }
+}
+
+/// One outgoing fetch request: who is asked, for which of its diffs,
+/// and whether the base copy rides along.
+struct Request {
+    to: NodeId,
+    stamps: Vec<VectorClock>,
+    want_base: bool,
+}
+
+impl Core<'_> {
+    // ------------------------------------------------------------------
+    // Page faults and fetches
+    // ------------------------------------------------------------------
+
+    pub(super) fn handle_fault(
+        &mut self,
+        tid: ThreadId,
+        n: NodeId,
+        page: PageId,
+        _write: bool,
+        now: SimTime,
+    ) -> Result<(), SimError> {
+        let end = self.charge(
+            n,
+            now,
+            self.cfg.costs.fault_entry,
+            Category::DsmOverhead,
+            None,
+        );
+        self.nodes[n].counters.faults += 1;
+        let begin_id = self.tracer.emit(
+            now,
+            n as u32,
+            tid.0 as u32,
+            NO_CAUSE,
+            TraceEvent::FaultBegin {
+                page: page.index() as u32,
+                write: _write,
+            },
+        );
+
+        // Request combining: join an in-flight fetch.
+        if let Some(f) = self.nodes[n].fetches.get_mut(&page) {
+            f.waiters.push(tid);
+            return self.block(tid, n, BlockReason::Memory, end);
+        }
+
+        self.first_touch(n, page);
+
+        let (missing, need_base) = self.missing_for(n, page);
+        if missing.is_empty() && !need_base {
+            // Everything needed is already local (prefetched).
+            let had_pf = self.nodes[n].pf_meta.contains_key(&page);
+            let apply_end = self.apply_with(n, page, Vec::new(), None, end);
+            self.validate_page(n, page);
+            let cls = if had_pf {
+                MissClass::Hit
+            } else {
+                MissClass::NoPf
+            };
+            self.nodes[n].counters.classify(cls);
+            self.tracer.emit(
+                apply_end,
+                n as u32,
+                tid.0 as u32,
+                begin_id,
+                TraceEvent::FaultEnd {
+                    page: page.index() as u32,
+                    class: class_code(cls),
+                },
+            );
+            let apply_end = self.adaptive_fault(tid, n, page, cls, begin_id, apply_end);
+            return self.run_thread(tid, apply_end, None);
+        }
+
+        // A real remote miss.
+        self.nodes[n].counters.misses += 1;
+        if self.cfg.prefetch.enabled && self.cfg.prefetch.automatic {
+            self.nodes[n].current_faults.push(page);
+        }
+        let class = match self.nodes[n].pf_meta.get(&page) {
+            None => MissClass::NoPf,
+            Some(meta) => {
+                let all_requested = missing.iter().all(|(origin, stamps)| {
+                    stamps
+                        .iter()
+                        .all(|s| meta.requested.contains(&(*origin, s.get(*origin))))
+                }) && (!need_base || meta.wanted_base);
+                if all_requested {
+                    MissClass::TooLate
+                } else {
+                    MissClass::Invalidated
+                }
+            }
+        };
+        self.nodes[n].counters.classify(class);
+        self.tracer
+            .note_fault(n as u32, page.index() as u32, begin_id, class_code(class));
+
+        // Too-late join: when every missing piece was already
+        // requested by an adaptive prefetch (reliable traffic — it
+        // retransmits through loss and parks across a crash like any
+        // demand message), re-requesting it would push a duplicate
+        // round through the very server whose queue made the
+        // prefetch late. Wait for the in-flight replies instead.
+        if class == MissClass::TooLate
+            && self.nodes[n]
+                .pf_meta
+                .get(&page)
+                .is_some_and(|m| m.all_adaptive)
+        {
+            let inflight = {
+                let mem = self.mem.lock().expect("mem mutex");
+                mem[n].prefetch_inflight.get(&page).copied().unwrap_or(0)
+            };
+            if inflight > 0 {
+                let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
+                self.nodes[n].fetches.insert(
+                    page,
+                    Fetch {
+                        outstanding: inflight as usize,
+                        waiters: vec![tid],
+                        collected: Vec::new(),
+                        base: None,
+                        started: now,
+                        joined: true,
+                    },
+                );
+                return self.block(tid, n, BlockReason::Memory, end);
+            }
+        }
+
+        // Demand requests launch first; the adaptive engine then
+        // observes the fault and issues lookahead requests while the
+        // thread is already blocked on the reply, so issue overhead
+        // overlaps the memory stall instead of extending it.
+        let (end, outstanding) =
+            self.send_fetch_requests(n, page, &missing, need_base, end, false, false);
+        let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
+        self.nodes[n].fetches.insert(
+            page,
+            Fetch {
+                outstanding,
+                waiters: vec![tid],
+                collected: Vec::new(),
+                base: None,
+                started: now,
+                joined: false,
+            },
+        );
+        self.block(tid, n, BlockReason::Memory, end)
+    }
+
+    /// First-touch accounting: the first node to fault on (or be
+    /// served) a page claims it. Under the `FirstTouch` policy an
+    /// unclaimed page that is still pristine at its static home
+    /// migrates its home to the first toucher, turning the fault
+    /// into a local hit and homing the page where it is used.
+    fn first_touch(&mut self, n: NodeId, page: PageId) {
+        let p = page.index();
+        let Some(dir) = self.directory.as_mut() else {
+            return;
+        };
+        if std::mem::replace(&mut dir.claimed[p], true) {
+            return;
+        }
+        if self.cfg.directory.policy != DirectoryPolicy::FirstTouch {
+            return;
+        }
+        let home = self.heap.home(page);
+        if home == n {
+            return;
+        }
+        // Migrate only while the page is pristine at its static home:
+        // the home never wrote it (no open twin, no dirty mark, no
+        // closed diffs). Non-home writers claim pages via their own
+        // faults before writing, so an unclaimed page can only have
+        // been written by the home itself.
+        let home_wrote = self.nodes[home].own_diffs.keys().any(|&(dp, _)| dp == p);
+        let mut mem = self.mem.lock().expect("mem mutex");
+        if home_wrote || mem[home].pages[p].twin.is_some() || mem[home].dirty.contains(&page) {
+            return;
+        }
+        mem[home].pages[p].valid = false;
+        mem[home].pages[p].ever_valid = false;
+        mem[n].pages[p].valid = true;
+        mem[n].pages[p].ever_valid = true;
+        drop(mem);
+        self.heap.set_home(page, n);
+        self.nodes[n].counters.dir_migrations += 1;
+    }
+
+    /// The (origin → stamps) diffs node `n` still needs for `page`
+    /// (pending notices minus the prefetch cache), plus whether a
+    /// base copy is needed.
+    pub(super) fn missing_for(
+        &self,
+        n: NodeId,
+        page: PageId,
+    ) -> (Vec<(NodeId, Vec<VectorClock>)>, bool) {
+        let node = &self.nodes[n];
+        let missing: Vec<(NodeId, Vec<VectorClock>)> = node
+            .board
+            .pending_by_origin(page)
+            .into_iter()
+            .filter_map(|(origin, stamps)| {
+                let remaining: Vec<VectorClock> = stamps
+                    .into_iter()
+                    .filter(|s| !node.cache.has_diff(page, origin, s))
+                    .collect();
+                if remaining.is_empty() {
+                    None
+                } else {
+                    Some((origin, remaining))
+                }
+            })
+            .collect();
+        let mem = self.mem.lock().expect("mem mutex");
+        let need_base =
+            !mem[n].pages[page.index()].ever_valid && !node.base_cache.contains_key(&page);
+        (missing, need_base)
+    }
+
+    /// Sends diff/base requests; returns the CPU end time and the
+    /// number of requests sent — the replies to wait for. (A droppable
+    /// prefetch request the network loses is counted as a send drop.)
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn send_fetch_requests(
+        &mut self,
+        n: NodeId,
+        page: PageId,
+        missing: &[(NodeId, Vec<VectorClock>)],
+        need_base: bool,
+        mut end: SimTime,
+        prefetch: bool,
+        adaptive: bool,
+    ) -> (SimTime, usize) {
+        let home = self.heap.home(page);
+        let send_cost = if adaptive {
+            self.cfg.costs.adaptive_issue()
+        } else if prefetch {
+            self.cfg.costs.prefetch_issue
+        } else {
+            self.cfg.costs.msg_send
+        };
+        let send_cat = if prefetch {
+            Category::PrefetchOverhead
+        } else {
+            Category::DsmOverhead
+        };
+        // One request per origin with missing diffs; the base rides on
+        // the home's request when the home is among them, and gets a
+        // request of its own otherwise.
+        let mut requests: Vec<Request> = missing
+            .iter()
+            .map(|(origin, stamps)| Request {
+                to: *origin,
+                stamps: stamps.clone(),
+                want_base: need_base && *origin == home,
+            })
+            .collect();
+        if need_base && !requests.iter().any(|r| r.want_base) {
+            assert_ne!(home, n, "home node never needs a base copy");
+            requests.push(Request {
+                to: home,
+                stamps: Vec::new(),
+                want_base: true,
+            });
+        }
+        let sent = requests.len();
+        for req in requests {
+            end = self.charge(n, end, send_cost, send_cat, None);
+            let body = MsgBody::DiffRequest {
+                page,
+                stamps: req.stamps,
+                want_base: req.want_base,
+                prefetch,
+                adaptive,
+                droppable: prefetch && !adaptive && !self.cfg.prefetch.reliable,
+                vc: self.nodes[n].vc.clone(),
+            };
+            if !self.post(end, n, req.to, body) {
+                self.nodes[n].counters.pf_send_drops += 1;
+                self.tracer.emit(
+                    end,
+                    n as u32,
+                    NO_THREAD,
+                    NO_CAUSE,
+                    TraceEvent::PrefetchDrop {
+                        page: page.index() as u32,
+                        reply: false,
+                    },
+                );
+            }
+            if prefetch {
+                self.nodes[n].counters.pf_messages += 1;
+            }
+        }
+        (end, sent)
+    }
+
+    /// Applies everything locally available for `page` (cached base,
+    /// cached prefetch diffs, collected fetch diffs), marking notices
+    /// applied. Does not validate the page.
+    fn apply_with(
+        &mut self,
+        n: NodeId,
+        page: PageId,
+        extra: Vec<DiffPayload>,
+        base: Option<BasePayload>,
+        mut end: SimTime,
+    ) -> SimTime {
+        let node = &mut self.nodes[n];
+        let base = base.or_else(|| node.base_cache.remove(&page));
+        let mut diffs: Vec<CachedDiff> = node
+            .cache
+            .take(page)
+            .into_iter()
+            .chain(extra.into_iter().map(|p| CachedDiff {
+                origin: p.origin,
+                stamp: p.stamp,
+                diff: p.diff,
+            }))
+            .collect();
+        diffs.sort_by(|a, b| hb_order(&a.stamp, &b.stamp));
+
+        let mut mem = self.mem.lock().expect("mem mutex");
+        let entry = &mut mem[n].pages[page.index()];
+        let mut apply_cost = SimDuration::ZERO;
+        // Diffs already incorporated in an applied base copy must NOT
+        // be re-applied: the base may also contain *newer* intervals
+        // (the home can be ahead of this node), and replaying an older
+        // diff over it would roll those bytes back.
+        let mut skip: HashSet<(NodeId, u32)> = HashSet::new();
+        if let Some(b) = base {
+            if !entry.ever_valid {
+                entry.data.copy_from(&b.page);
+                entry.ever_valid = true;
+                for (origin, stamp) in &b.incorporated {
+                    node.board.mark_applied(page, *origin, stamp);
+                    skip.insert((*origin, stamp.get(*origin)));
+                }
+                apply_cost += self.cfg.costs.diff_apply(rsdsm_protocol::PAGE_SIZE);
+            }
+        }
+        for cached in &diffs {
+            if skip.contains(&(cached.origin, cached.stamp.get(cached.origin)))
+                || node.board.is_applied(page, cached.origin, &cached.stamp)
+            {
+                // Already incorporated (via the base or an earlier
+                // fetch); re-applying a byte-sparse diff over newer
+                // data would roll those bytes back.
+                node.board.mark_applied(page, cached.origin, &cached.stamp);
+                continue;
+            }
+            if self.oracle.cfg.invariants {
+                let covered = node
+                    .known_set
+                    .contains(&(cached.origin, cached.stamp.get(cached.origin)));
+                self.oracle
+                    .check_coverage(covered, n, page, cached.origin, &cached.stamp, end);
+            }
+            cached.diff.apply(&mut entry.data);
+            // Keep the twin consistent so our own diff stays minimal
+            // (incoming concurrent diffs touch disjoint bytes).
+            // `make_mut` un-shares a frame still referenced by an
+            // in-flight base reply (copy-on-write).
+            if let Some(twin) = &mut entry.twin {
+                cached.diff.apply(Arc::make_mut(twin));
+            }
+            node.board.mark_applied(page, cached.origin, &cached.stamp);
+            let seq = cached.stamp.get(cached.origin);
+            let cause =
+                self.tracer
+                    .notice_id(n as u32, page.index() as u32, cached.origin as u32, seq);
+            self.tracer.emit(
+                end,
+                n as u32,
+                NO_THREAD,
+                cause,
+                TraceEvent::DiffApply {
+                    page: page.index() as u32,
+                    origin: cached.origin as u32,
+                    seq,
+                },
+            );
+            apply_cost += self.cfg.costs.diff_apply(cached.diff.payload_bytes());
+        }
+        drop(mem);
+        if !apply_cost.is_zero() {
+            end = self.charge(n, end, apply_cost, Category::DsmOverhead, None);
+        }
+        end
+    }
+
+    /// Marks `page` valid and clears its prefetch bookkeeping.
+    fn validate_page(&mut self, n: NodeId, page: PageId) {
+        let mut mem = self.mem.lock().expect("mem mutex");
+        mem[n].pages[page.index()].valid = true;
+        mem[n].prefetch_inflight.remove(&page);
+        drop(mem);
+        self.nodes[n].pf_meta.remove(&page);
+    }
+
+    // ------------------------------------------------------------------
+    // Interval management
+    // ------------------------------------------------------------------
+
+    /// Closes node `n`'s open interval: encodes a diff for every dirty
+    /// page, logs the interval, and advances the vector clock. No-op
+    /// when nothing is dirty.
+    pub(super) fn close_interval(&mut self, n: NodeId, at: SimTime) -> SimTime {
+        let mut mem = self.mem.lock().expect("mem mutex");
+        let m = &mut mem[n];
+        let dirty: Vec<PageId> = std::mem::take(&mut m.dirty)
+            .into_iter()
+            .filter(|p| m.pages[p.index()].twin.is_some())
+            .collect();
+        if dirty.is_empty() {
+            return at;
+        }
+        let node = &mut self.nodes[n];
+        node.vc.tick(n);
+        let stamp = node.vc.clone();
+        let seq = stamp.get(n);
+        let mut cost = SimDuration::ZERO;
+        let mut seen = HashSet::new();
+        let mut pages_list = Vec::new();
+        for page in dirty {
+            if !seen.insert(page) {
+                continue;
+            }
+            let entry = &mut m.pages[page.index()];
+            let twin = entry.twin.take().expect("twin present");
+            let diff = Diff::between(&twin, &entry.data);
+            if self.oracle.cfg.invariants {
+                self.oracle
+                    .check_roundtrip(&twin, &entry.data, &diff, n, page, at);
+            }
+            cost += self.cfg.costs.diff_create(diff.payload_bytes());
+            self.tracer.emit(
+                at,
+                n as u32,
+                NO_THREAD,
+                NO_CAUSE,
+                TraceEvent::DiffCreate {
+                    page: page.index() as u32,
+                    seq,
+                    bytes: diff.encoded_bytes() as u32,
+                },
+            );
+            node.own_diff_bytes += diff.encoded_bytes();
+            node.own_diffs.insert((page.index(), seq), Arc::new(diff));
+            pages_list.push(page);
+            m.pool.put_arc(twin);
+        }
+        drop(mem);
+        let rec = IntervalRecord {
+            origin: n,
+            stamp,
+            pages: pages_list,
+        };
+        self.nodes[n].learn_interval(&rec);
+        self.charge(n, at, cost, Category::DsmOverhead, None)
+    }
+
+    /// Records the write notices of `rec` at node `n`, invalidating
+    /// affected pages (skipping the node's own intervals).
+    pub(super) fn record_interval(&mut self, n: NodeId, rec: &IntervalRecord, at: SimTime) {
+        self.nodes[n].learn_interval(rec);
+        if rec.origin == n {
+            return;
+        }
+        for &page in &rec.pages {
+            // Directory sharding: interval *knowledge* (the vector
+            // clocks above) is always full, but per-page write
+            // notices are only tracked for pages this node has an
+            // interest in. A pruned page's first touch is a base
+            // fetch from its home, which re-serves the history.
+            if self.cfg.directory.enabled && !self.interested(n, page) {
+                self.nodes[n].counters.dir_pruned += 1;
+                continue;
+            }
+            let is_new = self.nodes[n].board.record(WriteNotice {
+                page,
+                origin: rec.origin,
+                stamp: rec.stamp.clone(),
+            });
+            if is_new {
+                if self.tracer.is_on() {
+                    let seq = rec.stamp.get(rec.origin);
+                    let id = self.tracer.emit(
+                        at,
+                        n as u32,
+                        NO_THREAD,
+                        NO_CAUSE,
+                        TraceEvent::WriteNotice {
+                            page: page.index() as u32,
+                            origin: rec.origin as u32,
+                            seq,
+                        },
+                    );
+                    self.tracer.note_notice(
+                        n as u32,
+                        page.index() as u32,
+                        rec.origin as u32,
+                        seq,
+                        id,
+                    );
+                }
+                let mut mem = self.mem.lock().expect("mem mutex");
+                mem[n].pages[page.index()].valid = false;
+            }
+        }
+    }
+
+    /// Whether node `n` must track write notices for `page`: it
+    /// homes the page, has (ever) held a copy, holds prefetched
+    /// state for it, or has a fetch in flight. Anything else may
+    /// drop the notice.
+    fn interested(&self, n: NodeId, page: PageId) -> bool {
+        if self.heap.home(page) == n {
+            return true;
+        }
+        let node = &self.nodes[n];
+        if node.base_cache.contains_key(&page)
+            || node.cache.contains_page(page)
+            || node.pf_meta.contains_key(&page)
+            || node.fetches.contains_key(&page)
+        {
+            return true;
+        }
+        let mem = self.mem.lock().expect("mem mutex");
+        mem[n].pages[page.index()].ever_valid
+    }
+
+    /// Services a diff (or prefetch) request at node `m`.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn serve_diff_request(
+        &mut self,
+        m: NodeId,
+        requester: NodeId,
+        page: PageId,
+        stamps: &[VectorClock],
+        want_base: bool,
+        prefetch: bool,
+        adaptive: bool,
+        droppable: bool,
+        requester_vc: &VectorClock,
+        at: SimTime,
+    ) {
+        let mut end = at;
+        let mut reply_diffs = Vec::new();
+
+        if let Some(dir) = self.directory.as_mut() {
+            // Any served copy closes the page's first-touch window.
+            dir.claimed[page.index()] = true;
+            if self.heap.home(page) == m {
+                self.nodes[m].counters.dir_home_hits += 1;
+            }
+        }
+
+        if prefetch {
+            // §3.1: servicing a prefetch for a dirty page splits the
+            // open interval so later writes are distinguishable, and
+            // the fresh diff rides along in the reply.
+            let split = {
+                let mem = self.mem.lock().expect("mem mutex");
+                mem[m].pages[page.index()].twin.is_some()
+            };
+            if split {
+                let node = &mut self.nodes[m];
+                node.vc.tick(m);
+                let stamp = node.vc.clone();
+                let seq = stamp.get(m);
+                let mut mem = self.mem.lock().expect("mem mutex");
+                let entry = &mut mem[m].pages[page.index()];
+                let twin = entry.twin.take().expect("twin present");
+                let diff = Diff::between(&twin, &entry.data);
+                if self.oracle.cfg.invariants {
+                    self.oracle
+                        .check_roundtrip(&twin, &entry.data, &diff, m, page, end);
+                }
+                mem[m].pool.put_arc(twin);
+                drop(mem);
+                end = self.charge(
+                    m,
+                    end,
+                    self.cfg.costs.diff_create(diff.payload_bytes())
+                        + self.cfg.costs.prefetch_service_extra,
+                    Category::DsmOverhead,
+                    None,
+                );
+                self.tracer.emit(
+                    end,
+                    m as u32,
+                    NO_THREAD,
+                    NO_CAUSE,
+                    TraceEvent::DiffCreate {
+                        page: page.index() as u32,
+                        seq,
+                        bytes: diff.encoded_bytes() as u32,
+                    },
+                );
+                let diff = Arc::new(diff);
+                let node = &mut self.nodes[m];
+                node.own_diff_bytes += diff.encoded_bytes();
+                node.own_diffs
+                    .insert((page.index(), seq), Arc::clone(&diff));
+                let rec = IntervalRecord {
+                    origin: m,
+                    stamp: stamp.clone(),
+                    pages: vec![page],
+                };
+                self.nodes[m].learn_interval(&rec);
+                reply_diffs.push(DiffPayload {
+                    origin: m,
+                    stamp,
+                    diff,
+                });
+            }
+        }
+
+        for stamp in stamps {
+            let seq = stamp.get(m);
+            let diff = self.nodes[m]
+                .own_diffs
+                .get(&(page.index(), seq))
+                .unwrap_or_else(|| panic!("requested diff ({page}, seq {seq}) missing at node {m}"))
+                .clone();
+            reply_diffs.push(DiffPayload {
+                origin: m,
+                stamp: stamp.clone(),
+                diff,
+            });
+        }
+
+        let base = if want_base {
+            let mem = self.mem.lock().expect("mem mutex");
+            let entry = &mem[m].pages[page.index()];
+            // Serve from the twin when the page is dirty: the base
+            // must not leak this node's *open-interval* writes.
+            // Closed diffs are byte-sparse relative to the writer's
+            // twin, so a requester holding uncommitted mid-interval
+            // bytes would end up with a mix of two values once the
+            // interval's diff arrives.
+            let data = match &entry.twin {
+                // Zero-copy: the reply shares the twin frame. If this
+                // node writes the page again before the frame drains,
+                // `Arc::make_mut` in the write path un-shares it.
+                Some(twin) => Arc::clone(twin),
+                None => Arc::new(entry.data.clone()),
+            };
+            drop(mem);
+            let mut incorporated = self.nodes[m].board.applied_for(page);
+            for rec in &self.nodes[m].known_intervals {
+                if rec.origin == m && rec.pages.contains(&page) {
+                    incorporated.push((m, rec.stamp.clone()));
+                }
+            }
+            Some(BasePayload {
+                page: data,
+                incorporated,
+            })
+        } else {
+            None
+        };
+
+        let mut intervals = self.nodes[m].intervals_unknown_to(requester_vc);
+        if want_base && self.cfg.directory.enabled {
+            // Heal a pruned requester: a first touch needs the page's
+            // full notice history, including intervals the
+            // requester's clock already covers (knowledge it learned
+            // but whose notices it pruned). Records are re-served
+            // whole — never synthesized per-page slices — so a
+            // requester that genuinely never saw one learns every
+            // page it names.
+            let healed: Vec<IntervalRecord> = self.nodes[m]
+                .known_intervals
+                .iter()
+                .filter(|rec| {
+                    rec.origin != requester
+                        && rec.pages.contains(&page)
+                        && requester_vc.dominates(&rec.stamp)
+                })
+                .cloned()
+                .collect();
+            self.nodes[m].counters.dir_forwards += healed.len() as u64;
+            intervals.extend(healed);
+        }
+        end = self.charge(m, end, self.cfg.costs.msg_send, Category::DsmOverhead, None);
+        let sent = self.post(
+            end,
+            m,
+            requester,
+            MsgBody::DiffReply {
+                page,
+                diffs: reply_diffs,
+                base,
+                prefetch,
+                adaptive,
+                droppable,
+                intervals,
+            },
+        );
+        if !sent {
+            // Only droppable prefetch replies can be lost; the
+            // requester's demand-fault path recovers, and the loss
+            // shows up as a too-late or no-pf fault there.
+            self.nodes[m].counters.pf_reply_drops += 1;
+            self.tracer.emit(
+                end,
+                m as u32,
+                NO_THREAD,
+                NO_CAUSE,
+                TraceEvent::PrefetchDrop {
+                    page: page.index() as u32,
+                    reply: true,
+                },
+            );
+        }
+    }
+
+    /// Absorbs a diff reply at node `n`: prefetch replies fill the
+    /// caches for use at access time, demand replies accumulate in the
+    /// page's fetch, and the reply that completes a fetch applies and
+    /// finishes it.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn handle_diff_reply(
+        &mut self,
+        n: NodeId,
+        page: PageId,
+        diffs: Vec<DiffPayload>,
+        base: Option<BasePayload>,
+        prefetch: bool,
+        intervals: &[IntervalRecord],
+        end: SimTime,
+    ) -> Result<(), SimError> {
+        // Learn the piggybacked notices FIRST: the diffs may come from
+        // intervals causally after ones we have not heard about yet.
+        for rec in intervals {
+            self.record_interval(n, rec, end);
+        }
+        let node = &mut self.nodes[n];
+        if prefetch {
+            cache_unapplied(node, page, diffs);
+            if let Some(b) = base {
+                node.base_cache.insert(page, b);
+            }
+            let mut mem = self.mem.lock().expect("mem mutex");
+            if let Some(count) = mem[n].prefetch_inflight.get_mut(&page) {
+                *count = count.saturating_sub(1);
+                if *count == 0 {
+                    mem[n].prefetch_inflight.remove(&page);
+                }
+            }
+            drop(mem);
+            // A too-late join rides on this reply stream: the
+            // faulting thread is blocked waiting for exactly these
+            // frames (the data itself sits in the caches above).
+            if !node.fetches.get(&page).is_some_and(|f| f.joined) {
+                return Ok(());
+            }
+        } else {
+            let Some(fetch) = node.fetches.get_mut(&page) else {
+                // A straggler reply for a fetch that already completed
+                // (e.g. a duplicate path).
+                cache_unapplied(node, page, diffs);
+                return Ok(());
+            };
+            fetch.collected.extend(diffs);
+            if base.is_some() {
+                fetch.base = base;
+            }
+        }
+        let fetch = node.fetches.get_mut(&page).expect("fetch exists");
+        fetch.outstanding -= 1;
+        if fetch.outstanding > 0 {
+            return Ok(());
+        }
+        let fetch = node.fetches.remove(&page).expect("fetch exists");
+        let end = self.apply_with(n, page, fetch.collected, fetch.base, end);
+        self.finish_fetch(n, page, fetch.waiters, fetch.started, end)
+    }
+
+    /// Final leg of a completed fetch (demand or too-late join):
+    /// re-drives anything that went missing while the replies were in
+    /// flight, then validates the page and wakes the waiters.
+    fn finish_fetch(
+        &mut self,
+        n: NodeId,
+        page: PageId,
+        waiters: Vec<ThreadId>,
+        started: SimTime,
+        end: SimTime,
+    ) -> Result<(), SimError> {
+        // New notices may have arrived while fetching; keep going.
+        let (missing, need_base) = self.missing_for(n, page);
+        if !missing.is_empty() || need_base {
+            let (_, outstanding) =
+                self.send_fetch_requests(n, page, &missing, need_base, end, false, false);
+            self.nodes[n].fetches.insert(
+                page,
+                Fetch {
+                    outstanding,
+                    waiters,
+                    collected: Vec::new(),
+                    base: None,
+                    started,
+                    joined: false,
+                },
+            );
+            return Ok(());
+        }
+
+        self.validate_page(n, page);
+        self.nodes[n].counters.miss_latency_sum += end.saturating_since(started);
+        if let Some((begin, cls)) = self.tracer.take_fault(n as u32, page.index() as u32) {
+            let thread = waiters.first().map_or(NO_THREAD, |t| t.0 as u32);
+            self.tracer.emit(
+                end,
+                n as u32,
+                thread,
+                begin,
+                TraceEvent::FaultEnd {
+                    page: page.index() as u32,
+                    class: cls,
+                },
+            );
+        }
+        for tid in waiters {
+            self.wake(tid, end)?;
+        }
+        Ok(())
+    }
+}
+
+/// Builds the authoritative final memory image: for every page, the
+/// home node's copy plus every diff it has not incorporated (in
+/// happens-before order), plus any still-open modifications.
+pub(super) fn materialize(heap: &Heap, nodes: &[NodeState], mem: &[NodeMem]) -> Vec<Page> {
+    let total_pages = heap.page_count();
+    let mut out = Vec::with_capacity(total_pages);
+    for p in 0..total_pages {
+        let page = PageId::new(p as u32);
+        let home = heap.home(page);
+        let mut data = mem[home].pages[p].data.clone();
+
+        let applied: HashSet<(usize, u32)> = nodes[home]
+            .board
+            .applied_for(page)
+            .into_iter()
+            .map(|(o, s)| (o, s.get(o)))
+            .collect();
+
+        // Closed intervals not yet incorporated at the home.
+        let mut pendings: Vec<(&VectorClock, &Diff)> = Vec::new();
+        for node in nodes {
+            for rec in &node.known_intervals {
+                if rec.origin != node.id || !rec.pages.contains(&page) {
+                    continue;
+                }
+                let seq = rec.stamp.get(node.id);
+                if node.id == home || applied.contains(&(node.id, seq)) {
+                    continue;
+                }
+                if let Some(diff) = node.own_diffs.get(&(p, seq)) {
+                    pendings.push((&rec.stamp, &**diff));
+                }
+            }
+        }
+        pendings.sort_by(|(a, _), (b, _)| hb_order(a, b));
+        for (_, diff) in pendings {
+            diff.apply(&mut data);
+        }
+
+        // Open (never-closed) modifications are the latest by program
+        // order; apply them last.
+        for (m, node_mem) in mem.iter().enumerate() {
+            if m == home {
+                continue;
+            }
+            let entry = &node_mem.pages[p];
+            if let Some(twin) = &entry.twin {
+                Diff::between(twin, &entry.data).apply(&mut data);
+            }
+        }
+        // The home's own open modifications are already in its data.
+        out.push(data);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::heap::HomePolicy;
+
+    /// Builds a minimal cluster state for materialize(): 2 nodes, one
+    /// page homed on node 0.
+    fn tiny_cluster() -> (Heap, Vec<NodeState>, Vec<NodeMem>) {
+        let mut heap = Heap::new(2);
+        let _v: crate::heap::SharedVec<u64> = heap.alloc(512, HomePolicy::Single(0));
+        let nodes = vec![NodeState::new(0, 2, 1), NodeState::new(1, 2, 1)];
+        let mem = vec![NodeMem::new(1, |_| true), NodeMem::new(1, |_| false)];
+        (heap, nodes, mem)
+    }
+
+    #[test]
+    fn materialize_uses_home_copy() {
+        let (heap, nodes, mut mem) = tiny_cluster();
+        mem[0].pages[0].data.write_u64(0, 77);
+        let pages = materialize(&heap, &nodes, &mem);
+        assert_eq!(pages[0].read_u64(0), 77);
+    }
+
+    #[test]
+    fn materialize_applies_unincorporated_closed_diffs() {
+        let (heap, mut nodes, mut mem) = tiny_cluster();
+        mem[0].pages[0].data.write_u64(0, 1);
+
+        // Node 1 closed an interval writing offset 8 = 42.
+        let mut twin = Page::new();
+        twin.write_u64(0, 1);
+        let mut data = twin.clone();
+        data.write_u64(8, 42);
+        let diff = Diff::between(&twin, &data);
+        nodes[1].vc.tick(1);
+        let stamp = nodes[1].vc.clone();
+        nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
+        nodes[1].learn_interval(&IntervalRecord {
+            origin: 1,
+            stamp,
+            pages: vec![PageId::new(0)],
+        });
+
+        let pages = materialize(&heap, &nodes, &mem);
+        assert_eq!(pages[0].read_u64(0), 1, "home bytes preserved");
+        assert_eq!(pages[0].read_u64(8), 42, "closed diff applied");
+    }
+
+    #[test]
+    fn materialize_skips_diffs_already_incorporated_at_home() {
+        let (heap, mut nodes, mut mem) = tiny_cluster();
+        // Home already applied node 1's interval: data has the NEW
+        // value; the diff would "re-apply" an identical value, but a
+        // *later* home-local overwrite must not be clobbered.
+        mem[0].pages[0].data.write_u64(8, 99); // newer than the diff below
+
+        let twin = Page::new();
+        let mut data = Page::new();
+        data.write_u64(8, 42);
+        let diff = Diff::between(&twin, &data);
+        nodes[1].vc.tick(1);
+        let stamp = nodes[1].vc.clone();
+        nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
+        nodes[1].learn_interval(&IntervalRecord {
+            origin: 1,
+            stamp: stamp.clone(),
+            pages: vec![PageId::new(0)],
+        });
+        // Mark it applied at the home.
+        nodes[0].board.mark_applied(PageId::new(0), 1, &stamp);
+
+        let pages = materialize(&heap, &nodes, &mem);
+        assert_eq!(pages[0].read_u64(8), 99, "incorporated diff not re-applied");
+    }
+
+    #[test]
+    fn materialize_applies_open_twins_last() {
+        let (heap, nodes, mut mem) = tiny_cluster();
+        // Node 1 has an open interval: twin captures the pre-state,
+        // data has uncommitted writes.
+        let twin = Page::new();
+        let mut data = Page::new();
+        data.write_u64(16, 5);
+        mem[1].pages[0].twin = Some(Arc::new(twin));
+        mem[1].pages[0].data = data;
+
+        let pages = materialize(&heap, &nodes, &mem);
+        assert_eq!(pages[0].read_u64(16), 5, "open writes visible");
+    }
+}

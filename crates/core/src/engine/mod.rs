@@ -1,0 +1,558 @@
+//! The simulation engine: event loop, protocol handlers, and the
+//! conductor that runs application threads in deterministic lockstep.
+//!
+//! The engine is the meeting point of every substrate: it owns the
+//! event queue and network from `rsdsm-simnet`, drives the LRC
+//! machinery from `rsdsm-protocol` inside each [`NodeState`], executes
+//! application threads through the [`conductor`](crate::conductor)
+//! handshake, and charges every software cost from the
+//! [`CostModel`](crate::CostModel) to the per-node accounts that
+//! become the paper's execution-time breakdowns.
+//!
+//! This file holds the entry point ([`Simulation`]), the [`Event`]
+//! vocabulary and the run loop. Everything an event does lives in one
+//! submodule per subsystem — `sched`, `fetch`, `prefetch`, `sync`,
+//! `wire`, `outage` — each a plain `impl Core` block next to the state
+//! it owns, whose fields are private to that module. `DESIGN.md` §6m
+//! tabulates what each owns, handles and keeps invariant.
+
+mod fetch;
+mod outage;
+pub(crate) mod prefetch;
+mod sched;
+mod sync;
+mod wire;
+
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::thread;
+
+use rsdsm_protocol::PageId;
+use rsdsm_simnet::{FaultStats, NodeId, QueueBackend, SimDuration, SimTime};
+
+use crate::accounting::IdleReason;
+use crate::conductor::{DsmCtx, EngineGone};
+use crate::config::DsmConfig;
+use crate::heap::Heap;
+use crate::node::{NodeMem, NodeState};
+use crate::oracle::{digest_pages, OracleOutcome, OracleState};
+use crate::prefetch::AdaptiveStats;
+use crate::program::{DsmProgram, VerifyCtx};
+use crate::recovery::RecoveryStats;
+use crate::report::{fold_counters, NetSummary, RunReport, SimError};
+use crate::thread::ThreadId;
+use crate::trace::{Trace, Tracer};
+use crate::transport::{Packet, TransportSummary};
+
+use self::fetch::{materialize, Directory};
+use self::outage::Recovery;
+use self::prefetch::AdaptiveNode;
+use self::sched::{Sched, ThreadPeer};
+use self::sync::Barriers;
+use self::wire::Wire;
+
+/// Events processed by the engine.
+#[derive(Debug)]
+enum Event {
+    /// Initial activation of a thread.
+    Start(ThreadId),
+    /// A running thread's compute burst matured into its syscall.
+    SyscallReady(ThreadId),
+    /// A transport frame arrived at its destination.
+    Arrival(Packet),
+    /// A reliable frame's retransmission timer fired. Stale timers
+    /// (frame already acked) are lazily discarded.
+    RetryTimeout {
+        /// The frame's sender.
+        src: NodeId,
+        /// The frame's destination.
+        dst: NodeId,
+        /// The frame's per-link sequence number.
+        seq: u64,
+    },
+    /// A scheduled crash from the fault plan: the node's NIC goes
+    /// dead and its local activity freezes.
+    Crash {
+        /// The crashing node.
+        node: NodeId,
+        /// `Some(outage)` for crash-restart, `None` for crash-stop
+        /// (the node only comes back if recovery provisions a
+        /// replacement).
+        restart_after: Option<SimDuration>,
+    },
+    /// A suspended node — crashed, or frozen on the minority side of
+    /// a cut — comes back: its outage plus the modeled restore/replay
+    /// cost has elapsed.
+    Resume(NodeId),
+    /// Periodic failure-detector tick at one node: checks peers'
+    /// leases and sends explicit heartbeats on idle links. Only
+    /// scheduled when recovery is enabled.
+    HeartbeatTick(NodeId),
+    /// The manager's grace period after a suspicion expired; decide
+    /// whether the suspect is really down.
+    ConfirmFailure(NodeId),
+    /// A scheduled network cut from the fault plan activates
+    /// (index into `FaultPlan::partitions`): nodes outside the
+    /// manager-side component freeze and are marked unreachable.
+    PartitionStart(usize),
+    /// The cut heals: frozen minority nodes get their resume
+    /// (checkpoint restore + replay) scheduled.
+    PartitionHeal(usize),
+}
+
+/// A configured simulation, ready to run programs.
+///
+/// See [`DsmProgram`] for a complete end-to-end example.
+#[derive(Debug, Clone)]
+pub struct Simulation {
+    cfg: DsmConfig,
+    backend: QueueBackend,
+}
+
+impl Simulation {
+    /// Creates a simulation with the given configuration.
+    pub fn new(cfg: DsmConfig) -> Self {
+        Simulation {
+            cfg,
+            backend: QueueBackend::default(),
+        }
+    }
+
+    /// The configuration this simulation runs with.
+    pub fn config(&self) -> &DsmConfig {
+        &self.cfg
+    }
+
+    /// Selects the event-queue implementation the engine runs on.
+    ///
+    /// The timing wheel ([`QueueBackend::Wheel`]) is the default;
+    /// the binary-heap reference exists for differential testing.
+    /// Both produce identical results — same pop order, same report
+    /// and trace digests — so this only affects wall-clock throughput.
+    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
+        self.backend = backend;
+        self
+    }
+
+    /// Runs `app` to completion and reports every measurement.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the configuration fails
+    /// [`DsmConfig::validate`] (nothing is run), an application thread
+    /// panics, the simulated-time safety limit is exceeded, the
+    /// reliable transport gives up on a frame, or the protocol
+    /// deadlocks (which indicates an application synchronization bug,
+    /// e.g. mismatched barrier arrivals).
+    pub fn run<P: DsmProgram>(&self, app: &P) -> Result<RunReport, SimError> {
+        self.run_inner(app, false).map(|(report, _)| report)
+    }
+
+    /// Runs `app` like [`Simulation::run`] while recording a
+    /// structured [`Trace`] of every simulated event. Tracing is
+    /// observation only: the report (and its digest) is identical to
+    /// an untraced run, and the trace itself is deterministic — same
+    /// seed + config ⇒ same [`Trace::digest`].
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`Simulation::run`].
+    pub fn run_traced<P: DsmProgram>(&self, app: &P) -> Result<(RunReport, Trace), SimError> {
+        self.run_inner(app, true)
+            .map(|(report, trace)| (report, trace.expect("traced run yields a trace")))
+    }
+
+    fn run_inner<P: DsmProgram>(
+        &self,
+        app: &P,
+        traced: bool,
+    ) -> Result<(RunReport, Option<Trace>), SimError> {
+        let cfg = &self.cfg;
+        cfg.validate().map_err(SimError::Config)?;
+        let mut heap = Heap::new(cfg.nodes);
+        let handles = app.allocate(&mut heap);
+        if cfg.directory.enabled {
+            // Directory-sharded homes: override the application's
+            // layout with the configured static partition of the page
+            // space (first-touch starts from the hash partition and
+            // migrates at run time).
+            let total = heap.page_count();
+            for p in 0..total {
+                let page = PageId::new(p as u32);
+                heap.set_home(page, cfg.directory.policy.static_home(p, total, cfg.nodes));
+            }
+        }
+        let total_pages = heap.page_count();
+        let tpn = cfg.threads.threads_per_node;
+        let total_threads = cfg.total_threads();
+
+        let mem: Arc<Mutex<Vec<NodeMem>>> = Arc::new(Mutex::new(
+            (0..cfg.nodes)
+                .map(|n| {
+                    let mut m =
+                        NodeMem::new(total_pages, |p| heap.home(PageId::new(p as u32)) == n);
+                    m.twin_log_on = traced;
+                    m
+                })
+                .collect(),
+        ));
+        let panic_note: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+
+        let mut peers = Vec::with_capacity(total_threads);
+        let mut ctxs = Vec::with_capacity(total_threads);
+        for t in 0..total_threads {
+            let (resume_tx, resume_rx) = mpsc::channel();
+            let (call_tx, call_rx) = mpsc::channel();
+            peers.push(ThreadPeer::new(resume_tx, call_rx));
+            ctxs.push(DsmCtx::new(
+                ThreadId(t),
+                t / tpn,
+                total_threads,
+                Arc::clone(&mem),
+                cfg.costs.clone(),
+                cfg.prefetch.clone(),
+                resume_rx,
+                call_tx,
+            ));
+        }
+
+        let scope_result = thread::scope(|s| {
+            for mut ctx in ctxs {
+                let note = Arc::clone(&panic_note);
+                let h = handles.clone();
+                s.spawn(move || {
+                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        ctx.wait_start();
+                        app.run(&mut ctx, &h);
+                        ctx.exit();
+                    }));
+                    let Err(payload) = res else { return };
+                    if payload.is::<EngineGone>() {
+                        // The engine ended the run first; the main
+                        // thread reports why.
+                        return;
+                    }
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_else(|| "<non-string panic>".to_string());
+                    let mut slot = note.lock().expect("panic note mutex");
+                    slot.get_or_insert(msg);
+                });
+            }
+            let mut core = Core::new(cfg, heap, Arc::clone(&mem), peers, traced, self.backend);
+            // On error, returning drops the core and with it the
+            // resume channels, which unwinds any thread still parked
+            // so the scope join completes.
+            let finish = core.run_loop()?;
+            Ok(core.into_outcome(finish))
+        });
+
+        let out = scope_result.map_err(|e| {
+            if let SimError::AppThread(_) = e {
+                let note = panic_note.lock().expect("panic note mutex").take();
+                SimError::AppThread(note.unwrap_or_else(|| "unknown panic".to_string()))
+            } else {
+                e
+            }
+        })?;
+        if let Some(msg) = panic_note.lock().expect("panic note mutex").take() {
+            return Err(SimError::AppThread(msg));
+        }
+
+        let mem_guard = mem.lock().expect("mem mutex");
+        let pages = materialize(&out.heap, &out.nodes, &mem_guard);
+        let oracle_state = out.oracle;
+        let oracle = oracle_state.cfg.enabled().then(|| OracleOutcome {
+            violations: oracle_state.violations,
+            lock_trace: oracle_state.lock_trace,
+            image_digest: digest_pages(&pages),
+            final_image: if oracle_state.cfg.capture {
+                pages.clone()
+            } else {
+                Vec::new()
+            },
+        });
+        let verified = app.verify(&VerifyCtx::new(pages), &handles);
+
+        let nodes = out.nodes;
+        let node_breakdowns: Vec<_> = nodes.iter().map(|n| *n.account.breakdown()).collect();
+        let mut breakdown = crate::accounting::Breakdown::new();
+        for b in &node_breakdowns {
+            breakdown.accumulate(b);
+        }
+        let (misses, locks, barriers, prefetch, mt, gc_passes, directory) = fold_counters(
+            nodes
+                .iter()
+                .zip(mem_guard.iter())
+                .map(|(n, m)| (n.counters, m.counters)),
+        );
+        let adaptive = cfg.prefetch.adaptive.enabled.then(|| {
+            let mut total = AdaptiveStats::default();
+            for ad in nodes.iter().filter_map(|n| n.adaptive.as_ref()) {
+                total.absorb(ad.stats());
+            }
+            total
+        });
+
+        let trace = traced.then_some(out.trace);
+        Ok((
+            RunReport {
+                app: app.name(),
+                config: cfg.clone(),
+                total_time: out.finish.saturating_since(SimTime::ZERO),
+                node_breakdowns,
+                breakdown,
+                verified,
+                net: out.net,
+                misses,
+                locks,
+                barriers,
+                prefetch,
+                mt,
+                transport: out.transport,
+                fault_injection: out.fault_injection,
+                recovery: out.recovery,
+                gc_passes,
+                directory,
+                events_processed: out.events,
+                oracle,
+                trace: trace.as_ref().map(Trace::metrics),
+                adaptive,
+            },
+            trace,
+        ))
+    }
+}
+
+/// What a completed run hands back to [`Simulation::run_inner`].
+struct Outcome {
+    finish: SimTime,
+    heap: Heap,
+    nodes: Vec<NodeState>,
+    net: NetSummary,
+    transport: TransportSummary,
+    fault_injection: FaultStats,
+    oracle: OracleState,
+    recovery: RecoveryStats,
+    events: u64,
+    trace: Trace,
+}
+
+/// The running engine. Fields are visible to the subsystem modules;
+/// each subsystem's own state keeps its fields private to its module.
+struct Core<'a> {
+    cfg: &'a DsmConfig,
+    /// Owned (not borrowed) so the directory layer can migrate page
+    /// homes at run time; returned to `run_inner` so materialization
+    /// reads the final home assignment.
+    heap: Heap,
+    /// Events popped from the queue — the scaling suite's
+    /// events-per-second numerator.
+    events_processed: u64,
+    mem: Arc<Mutex<Vec<NodeMem>>>,
+    nodes: Vec<NodeState>,
+    sched: Sched,
+    wire: Wire,
+    barriers: Barriers,
+    /// First-touch window per page; `None` unless the directory layer
+    /// is on.
+    directory: Option<Directory>,
+    /// The consistency oracle (invariant violations, lock-grant
+    /// trace); inert unless the config enables it.
+    oracle: OracleState,
+    /// Crash/partition suspension, failure detection, checkpoints and
+    /// persistence; `None` unless the fault plan schedules an outage
+    /// or the config enables recovery or a checkpoint cadence.
+    recovery: Option<Recovery>,
+    /// Structured event tracing (see [`crate::trace`]); inert unless
+    /// the run was started via [`Simulation::run_traced`].
+    tracer: Tracer,
+}
+
+impl<'a> Core<'a> {
+    /// Builds the engine for a configuration that already passed
+    /// [`DsmConfig::validate`], and schedules the run's initial
+    /// events: thread starts, the fault plan's crashes and cuts, and
+    /// the first heartbeat ticks.
+    fn new(
+        cfg: &'a DsmConfig,
+        heap: Heap,
+        mem: Arc<Mutex<Vec<NodeMem>>>,
+        threads: Vec<ThreadPeer>,
+        traced: bool,
+        backend: QueueBackend,
+    ) -> Self {
+        let tpn = cfg.threads.threads_per_node;
+        let mut sched = Sched::new(backend, threads, cfg.faults.crashes.len() + cfg.nodes + 64);
+        for crash in &cfg.faults.crashes {
+            sched.push(
+                crash.at,
+                Event::Crash {
+                    node: crash.node,
+                    restart_after: crash.restart_after,
+                },
+            );
+        }
+        for (i, p) in cfg.faults.partitions.iter().enumerate() {
+            sched.push(p.at, Event::PartitionStart(i));
+        }
+        if cfg.recovery.enabled {
+            for n in 0..cfg.nodes {
+                sched.push(
+                    SimTime::ZERO + cfg.recovery.heartbeat_every,
+                    Event::HeartbeatTick(n),
+                );
+            }
+        }
+        Core {
+            cfg,
+            directory: Directory::for_config(cfg, &heap),
+            heap,
+            events_processed: 0,
+            mem,
+            nodes: (0..cfg.nodes)
+                .map(|n| {
+                    let mut ns = NodeState::new(n, cfg.nodes, tpn);
+                    if cfg.prefetch.adaptive.enabled {
+                        ns.adaptive = Some(AdaptiveNode::new(&cfg.prefetch.adaptive, tpn));
+                    }
+                    ns
+                })
+                .collect(),
+            sched,
+            wire: Wire::new(cfg),
+            barriers: Barriers::new(cfg.nodes),
+            oracle: OracleState::new(cfg.oracle.clone(), cfg.nodes),
+            recovery: Recovery::for_config(cfg),
+            tracer: Tracer::new(traced, cfg.nodes as u32, tpn as u32),
+        }
+    }
+
+    fn tpn(&self) -> usize {
+        self.cfg.threads.threads_per_node
+    }
+
+    /// The run loop. Every iteration is the same five phases: pop the
+    /// earliest event, enforce the run's limits, let the outage layer
+    /// park or drop it, handle it, check the oracle's invariants.
+    fn run_loop(&mut self) -> Result<SimTime, SimError> {
+        let limit = SimTime::ZERO + self.cfg.max_sim_time;
+        while !self.sched.all_done() {
+            let Some((now, event)) = self.sched.pop() else {
+                return Err(SimError::Deadlock(self.describe_blocked()));
+            };
+            self.events_processed += 1;
+            if now > limit {
+                return Err(SimError::TimeLimit);
+            }
+            let Some(event) = self.outage_filter(now, event) else {
+                continue;
+            };
+            self.tracer.begin_event();
+            self.handle(event, now)?;
+            if self.oracle.cfg.invariants {
+                self.oracle.check_event(&self.nodes, now);
+            }
+        }
+        Ok(self.sched.finish())
+    }
+
+    /// Routes one event to the subsystem that handles it.
+    fn handle(&mut self, event: Event, now: SimTime) -> Result<(), SimError> {
+        match event {
+            Event::Start(tid) => return self.on_start(tid, now),
+            Event::SyscallReady(tid) => return self.on_syscall_ready(tid, now),
+            Event::Arrival(pkt) => return self.on_arrival(pkt, now),
+            Event::RetryTimeout { src, dst, seq } => {
+                return self.on_retry_timeout(src, dst, seq, now)
+            }
+            Event::HeartbeatTick(node) => return self.on_heartbeat_tick(node, now),
+            Event::Crash {
+                node,
+                restart_after,
+            } => self.on_crash(node, restart_after, now),
+            Event::Resume(node) => self.resume_node(node, now),
+            Event::ConfirmFailure(node) => self.on_confirm_failure(node, now),
+            Event::PartitionStart(idx) => self.on_partition_start(idx, now),
+            Event::PartitionHeal(idx) => self.on_partition_heal(idx, now),
+        }
+        Ok(())
+    }
+
+    /// Closes every node's account at `finish` and takes the engine
+    /// apart into what the report is built from.
+    fn into_outcome(mut self, finish: SimTime) -> Outcome {
+        for node in &mut self.nodes {
+            node.account.finish(finish, IdleReason::Sync);
+        }
+        let (net, transport, fault_injection) = self.wire.summaries();
+        Outcome {
+            finish,
+            heap: self.heap,
+            nodes: self.nodes,
+            net,
+            transport,
+            fault_injection,
+            oracle: self.oracle,
+            recovery: self.recovery.map(|r| r.into_stats()).unwrap_or_default(),
+            events: self.events_processed,
+            trace: self.tracer.finish(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn core(cfg: &DsmConfig) -> Core<'_> {
+        let mem = Arc::new(Mutex::new(Vec::new()));
+        let backend = QueueBackend::default();
+        Core::new(cfg, Heap::new(cfg.nodes), mem, Vec::new(), false, backend)
+    }
+
+    /// "Off means absent": the paper's configuration builds no
+    /// recovery, failure-detector, persistence, directory or adaptive
+    /// state at all, at any cluster size — in particular none of the
+    /// N×N lease tables a recovery-enabled run carries.
+    #[test]
+    fn paper_cluster_core_holds_no_recovery_state() {
+        let cfg = DsmConfig::paper_cluster(1024);
+        let core = core(&cfg);
+        assert!(core.recovery.is_none());
+        assert!(core.detector().is_none());
+        assert!(core.persist().is_none());
+        assert!(core.directory.is_none());
+        assert!(core.nodes.iter().all(|n| n.adaptive.is_none()));
+    }
+
+    /// The same switches, on: each piece of state appears exactly
+    /// when its config asks for it.
+    #[test]
+    fn recovery_state_follows_the_config() {
+        use crate::recovery::RecoveryConfig;
+        use rsdsm_simnet::PersistConfig;
+
+        let cadence_only = RecoveryConfig {
+            checkpoint_every: 2,
+            ..RecoveryConfig::off()
+        };
+        let durable = RecoveryConfig {
+            persist: PersistConfig::on(),
+            ..RecoveryConfig::on(2)
+        };
+        for (recovery, detector, persist) in [
+            (cadence_only, false, false),
+            (RecoveryConfig::on(2), true, false),
+            (durable, true, true),
+        ] {
+            let cfg = DsmConfig::paper_cluster(4).with_recovery(recovery);
+            let core = core(&cfg);
+            assert!(core.recovery.is_some());
+            assert_eq!(core.detector().is_some(), detector);
+            assert_eq!(core.persist().is_some(), persist);
+        }
+    }
+}

@@ -1,0 +1,426 @@
+//! Prefetch issue: the application's static annotations (§3), the
+//! Bianchini-style history replay at sync points, and the adaptive
+//! stride engine of [`crate::prefetch`].
+//!
+//! Invariant: a prefetch is never issued for a page that is valid,
+//! being fetched, or already covered by cached replies, and every
+//! request sent is counted in the page's `prefetch_inflight` until
+//! its reply (or the page's validation) retires it — the bound the
+//! adaptive engine's in-flight budget relies on.
+
+use rsdsm_protocol::PageId;
+use rsdsm_simnet::{NodeId, SimTime};
+
+use super::Core;
+use crate::accounting::Category;
+use crate::node::{MissClass, SyncKey};
+use crate::prefetch::{
+    AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleController, TrendChange,
+};
+use crate::thread::ThreadId;
+use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
+
+/// Per-node state of the adaptive prefetch engine (see
+/// [`crate::prefetch`]). Constructed only when
+/// [`AdaptiveConfig::enabled`] is set — `None` otherwise, so disabled
+/// runs carry no adaptive state at all.
+#[derive(Debug)]
+pub(crate) struct AdaptiveNode {
+    /// One stride detector per local application thread; each is
+    /// reset at the thread's lock/barrier acquisitions so every
+    /// (thread, lock-epoch) stream is scored independently.
+    detectors: Vec<StrideDetector>,
+    /// Per-thread streaming high-water mark: `(stride, furthest)` of
+    /// the pages already planned under the current trend. Successive
+    /// faults on a stride stream only extend the planned range past
+    /// `furthest` (steady state: one new issue per fault) instead of
+    /// re-issuing the whole overlapping lookahead window every fault.
+    /// Cleared whenever the trend changes and at epoch boundaries
+    /// (pages invalidated by the next interval must be re-planned).
+    planned: Vec<Option<(i64, i64)>>,
+    /// Per-thread count of trend flips: each one means a previously
+    /// confirmed majority turned out wrong. Scales the probation
+    /// below exponentially — a stream that keeps flipping (an access
+    /// pattern no stride model fits) is trusted less and less.
+    flips: Vec<u32>,
+    /// Per-thread faults remaining before the stream's current trend
+    /// is trusted enough to issue on: 1 after a fresh detection,
+    /// `2^flips` after a flip. Wrong-way windows fetched on a
+    /// short-lived majority are load the §3.3 feedback can never
+    /// attribute (pages nobody faults on are neither hits nor
+    /// misses), so they must be prevented, not corrected.
+    probation: Vec<u32>,
+    /// The node-wide feedback throttle over (degree, lead).
+    throttle: ThrottleController,
+    /// This node's share of the run-level adaptive counters.
+    stats: AdaptiveStats,
+}
+
+impl AdaptiveNode {
+    /// Fresh adaptive state for a node with `threads_on_node` local
+    /// threads.
+    pub(crate) fn new(cfg: &AdaptiveConfig, threads_on_node: usize) -> Self {
+        AdaptiveNode {
+            detectors: (0..threads_on_node)
+                .map(|_| StrideDetector::new(cfg.window))
+                .collect(),
+            planned: vec![None; threads_on_node],
+            flips: vec![0; threads_on_node],
+            probation: vec![0; threads_on_node],
+            throttle: ThrottleController::new(cfg),
+            stats: AdaptiveStats::default(),
+        }
+    }
+
+    /// This node's share of the run-level adaptive counters.
+    pub(crate) fn stats(&self) -> &AdaptiveStats {
+        &self.stats
+    }
+
+    /// A barrier release bounds the access phase on every local
+    /// thread: the detectors' delta chains break so the jump across
+    /// the barrier is never scored as a stride, but the accumulated
+    /// windows survive — iterative apps repeat the same short stride
+    /// pattern each epoch and the majority forms across epochs, not
+    /// within one. Pages the next interval invalidates must be
+    /// re-planned.
+    pub(super) fn barrier_epoch(&mut self) {
+        for d in &mut self.detectors {
+            d.break_chain();
+        }
+        self.planned.fill(None);
+    }
+
+    /// Thread `local` acquired a lock remotely: the same break, for
+    /// that thread's stream only.
+    pub(super) fn lock_epoch(&mut self, local: usize) {
+        self.detectors[local].break_chain();
+        self.planned[local] = None;
+    }
+}
+
+impl Core<'_> {
+    // ------------------------------------------------------------------
+    // Prefetching (§3)
+    // ------------------------------------------------------------------
+
+    /// Issues prefetch requests for `pages`, skipping anything valid,
+    /// in flight, or already locally available. `cause` is the trace
+    /// record the issues link to ([`NO_CAUSE`] inherits the ambient
+    /// cause, as before); `adaptive` marks stride-engine issues, which
+    /// are counted in [`AdaptiveStats`] and travel as
+    /// `adaptive_request` traffic.
+    pub(super) fn handle_prefetch(
+        &mut self,
+        n: NodeId,
+        pages: &[PageId],
+        now: SimTime,
+        cause: u64,
+        adaptive: bool,
+    ) -> SimTime {
+        let mut end = now;
+        for &page in pages {
+            let valid = {
+                let mem = self.mem.lock().expect("mem mutex");
+                mem[n].pages[page.index()].valid
+            };
+            if valid {
+                self.adaptive_cancel(n, adaptive);
+                continue;
+            }
+            if self.nodes[n].fetches.contains_key(&page) {
+                self.adaptive_cancel(n, adaptive);
+                continue;
+            }
+            let (missing, need_base) = self.missing_for(n, page);
+            if missing.is_empty() && !need_base {
+                // Diffs already cached: the data is locally available.
+                let mut mem = self.mem.lock().expect("mem mutex");
+                mem[n].counters.pf_unnecessary += 1;
+                drop(mem);
+                self.adaptive_cancel(n, adaptive);
+                continue;
+            }
+            {
+                let node = &mut self.nodes[n];
+                let meta = node.pf_meta.entry(page).or_default();
+                let fresh = meta.requested.is_empty() && !meta.wanted_base;
+                meta.all_adaptive = if fresh {
+                    adaptive
+                } else {
+                    meta.all_adaptive && adaptive
+                };
+                for (origin, stamps) in &missing {
+                    for s in stamps {
+                        meta.requested.insert((*origin, s.get(*origin)));
+                    }
+                }
+                if need_base {
+                    meta.wanted_base = true;
+                }
+            }
+            self.tracer.emit(
+                end,
+                n as u32,
+                NO_THREAD,
+                cause,
+                TraceEvent::PrefetchIssue {
+                    page: page.index() as u32,
+                },
+            );
+            let (new_end, requests) =
+                self.send_fetch_requests(n, page, &missing, need_base, end, true, adaptive);
+            end = new_end;
+            if adaptive {
+                if let Some(ad) = self.nodes[n].adaptive.as_mut() {
+                    ad.stats.issued += 1;
+                }
+            }
+            let mut mem = self.mem.lock().expect("mem mutex");
+            *mem[n].prefetch_inflight.entry(page).or_insert(0) += requests as u32;
+        }
+        end
+    }
+
+    /// Counts one adaptive candidate cancelled before issue. No-op
+    /// for non-adaptive prefetches.
+    fn adaptive_cancel(&mut self, n: NodeId, adaptive: bool) {
+        if adaptive {
+            if let Some(ad) = self.nodes[n].adaptive.as_mut() {
+                ad.stats.cancelled += 1;
+            }
+        }
+    }
+
+    /// Adaptive engine hook, run on every classified fault when the
+    /// mode is on: feeds the faulting thread's stride detector and the
+    /// node's throttle controller, emits detect/throttle trace events
+    /// linked to the fault's begin record, and issues prefetches ahead
+    /// of the current trend at the controller's (degree, lead)
+    /// operating point. All CPU time is charged here, at execution,
+    /// on the fault path.
+    pub(super) fn adaptive_fault(
+        &mut self,
+        tid: ThreadId,
+        n: NodeId,
+        page: PageId,
+        class: MissClass,
+        begin_id: u64,
+        at: SimTime,
+    ) -> SimTime {
+        if !self.cfg.prefetch.adaptive.enabled {
+            return at;
+        }
+        let end = self.charge(
+            n,
+            at,
+            self.cfg.costs.adaptive_observe(),
+            Category::PrefetchOverhead,
+            None,
+        );
+        let local = tid.local_index(self.tpn());
+        let total_pages = self.heap.page_count() as i64;
+        let ad = self.nodes[n].adaptive.as_mut().expect("adaptive state");
+        let change = ad.detectors[local].observe(page.index() as u64);
+        let trend = ad.detectors[local].trend();
+        let transition = ad.throttle.observe(class);
+        match change {
+            TrendChange::Detected(_) => ad.stats.detected_strides += 1,
+            TrendChange::Flipped(_) => ad.stats.window_flips += 1,
+            _ => {}
+        }
+        if change != TrendChange::None {
+            // Any trend movement restarts the planned-range tracking.
+            ad.planned[local] = None;
+        }
+        match change {
+            // A fresh majority gets one confirming fault before
+            // anything is issued on it.
+            TrendChange::Detected(_) => ad.probation[local] = 1,
+            // A flip means the last confirmed majority was wrong:
+            // double the stream's probation each time. Irregular
+            // patterns (2D neighborhoods, hash orders) flip
+            // endlessly and quickly stop issuing at all.
+            TrendChange::Flipped(_) => {
+                ad.flips[local] += 1;
+                ad.probation[local] = 1u32 << ad.flips[local].min(5);
+            }
+            _ => {}
+        }
+        if let Some(ch) = transition {
+            ad.stats.record(ch);
+        }
+        let degree = ad.throttle.degree();
+        let lead = ad.throttle.lead();
+        let may_issue = ad.throttle.may_issue();
+        if let TrendChange::Detected(s) | TrendChange::Flipped(s) = change {
+            self.tracer.emit(
+                end,
+                n as u32,
+                tid.0 as u32,
+                begin_id,
+                TraceEvent::AdaptiveDetect {
+                    page: page.index() as u32,
+                    stride: s as i32,
+                },
+            );
+        }
+        if let Some(ch) = transition {
+            self.tracer.emit(
+                end,
+                n as u32,
+                tid.0 as u32,
+                begin_id,
+                TraceEvent::AdaptiveThrottle {
+                    change: ch.code(),
+                    degree,
+                    lead,
+                },
+            );
+        }
+        let Some(stride) = trend else {
+            return end;
+        };
+        {
+            let ad = self.nodes[n].adaptive.as_mut().expect("adaptive state");
+            if ad.probation[local] > 0 {
+                // The stream's trend is still on probation (fresh, or
+                // recently proven wrong by a flip): hold issue until
+                // enough consecutive faults confirm it.
+                ad.probation[local] -= 1;
+                return end;
+            }
+        }
+        if !may_issue {
+            // The trend holds but the controller is cooling down:
+            // every candidate this fault would have planned is
+            // cancelled unissued.
+            if let Some(ad) = self.nodes[n].adaptive.as_mut() {
+                ad.stats.cancelled += u64::from(degree);
+            }
+            return end;
+        }
+        // The lookahead window this fault wants covered, clipped to
+        // the extent beyond the thread's previous high-water mark:
+        // successive faults on a stride stream extend the planned
+        // range by ~one page each instead of re-issuing the whole
+        // overlapping window (the burst would swamp the protocol
+        // processors and the fabric for no added coverage).
+        let planned = self.nodes[n]
+            .adaptive
+            .as_ref()
+            .expect("adaptive state")
+            .planned[local];
+        let fresh: Vec<i64> = (0..degree)
+            .map(|k| page.index() as i64 + stride * i64::from(lead + k))
+            .filter(|&p| match planned {
+                Some((ps, fur)) if ps == stride => {
+                    if stride > 0 {
+                        p > fur
+                    } else {
+                        p < fur
+                    }
+                }
+                _ => true,
+            })
+            .collect();
+        // In-flight budget: page-sized prefetch replies serialize on
+        // the same links as demand replies, so an unpaced stream of
+        // issues queues demand traffic behind megabytes of lookahead
+        // and *adds* memory stall. New issues are admitted only while
+        // fewer than `degree` replies are outstanding — the
+        // controller's ramp/backoff therefore directly sizes the
+        // pipeline the fabric carries.
+        let outstanding: u32 = {
+            let mem = self.mem.lock().expect("mem mutex");
+            mem[n].prefetch_inflight.values().sum()
+        };
+        let allowed = u64::from(degree.saturating_sub(outstanding)) as usize;
+        let mut candidates: Vec<PageId> = fresh
+            .iter()
+            .filter(|&&p| p >= 0 && p < total_pages)
+            .map(|&p| PageId::new(p as u32))
+            .collect();
+        candidates.truncate(allowed);
+        {
+            let ad = self.nodes[n].adaptive.as_mut().expect("adaptive state");
+            // Fresh candidates past the heap ends or over budget are
+            // cancelled; already-planned pages are simply not fresh.
+            ad.stats.cancelled += (fresh.len() - candidates.len()) as u64;
+            // The mark advances only over what actually issues, so
+            // budget-suppressed pages stay eligible for later faults.
+            if let Some(last) = candidates.last() {
+                let far = last.index() as i64;
+                let mark = match planned {
+                    Some((ps, fur)) if ps == stride => {
+                        if stride > 0 {
+                            far.max(fur)
+                        } else {
+                            far.min(fur)
+                        }
+                    }
+                    _ => far,
+                };
+                ad.planned[local] = Some((stride, mark));
+            }
+        }
+        if candidates.is_empty() {
+            return end;
+        }
+        // Plan and issue run on the node's protocol processor, off
+        // the faulting thread's critical path: the CPU busy time is
+        // charged (it delays later protocol work on this node) but
+        // the fault completes independently — for a remote miss the
+        // issues overlap the memory stall already in progress.
+        let issue_at = self.charge(
+            n,
+            end,
+            self.cfg.costs.adaptive_plan(candidates.len()),
+            Category::PrefetchOverhead,
+            None,
+        );
+        self.handle_prefetch(n, &candidates, issue_at, begin_id, true);
+        end
+    }
+
+    /// Automatic-prefetch mode (Bianchini-style): a synchronization
+    /// point was reached on node `n`. The pages that faulted since
+    /// the previous sync point become the history of that point's
+    /// sync object, and the history recorded for `key` is prefetched
+    /// now. Returns the CPU end time.
+    pub(super) fn auto_prefetch_at_sync(
+        &mut self,
+        n: NodeId,
+        key: SyncKey,
+        now: SimTime,
+    ) -> SimTime {
+        if !self.cfg.prefetch.enabled || !self.cfg.prefetch.automatic {
+            return now;
+        }
+        let node = &mut self.nodes[n];
+        let faults = std::mem::take(&mut node.current_faults);
+        if let Some(prev) = node.current_sync.replace(key) {
+            node.sync_history.insert(prev, faults);
+        }
+        let history = node.sync_history.get(&key).cloned().unwrap_or_default();
+        if history.is_empty() {
+            return now;
+        }
+        {
+            let mut mem = self.mem.lock().expect("mem mutex");
+            mem[n].counters.pf_calls += history.len() as u64;
+            mem[n].counters.pf_unnecessary += history
+                .iter()
+                .filter(|p| mem[n].pages[p.index()].valid)
+                .count() as u64;
+        }
+        let end = self.charge(
+            n,
+            now,
+            self.cfg.costs.prefetch_check * history.len() as u64,
+            Category::PrefetchOverhead,
+            None,
+        );
+        self.handle_prefetch(n, &history, end, NO_CAUSE, false)
+    }
+}

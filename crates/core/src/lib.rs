@@ -64,7 +64,8 @@ pub use checkpoint::{
 };
 pub use conductor::DsmCtx;
 pub use config::{
-    DirectoryConfig, DirectoryPolicy, DsmConfig, PrefetchConfig, PrefetchMode, ThreadConfig,
+    ConfigError, DirectoryConfig, DirectoryPolicy, DsmConfig, PrefetchConfig, PrefetchMode,
+    ThreadConfig,
 };
 pub use costs::CostModel;
 pub use engine::Simulation;

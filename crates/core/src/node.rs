@@ -17,9 +17,9 @@ use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use crate::accounting::NodeAccount;
 use crate::barrier::NodeBarrier;
+use crate::engine::prefetch::AdaptiveNode;
 use crate::lock::LockTable;
 use crate::msg::{BasePayload, DiffPayload, IntervalRecord};
-use crate::prefetch::{AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleController};
 use crate::thread::{Scheduler, ThreadId};
 
 /// One page slot in a node's memory.
@@ -147,59 +147,6 @@ pub enum MissClass {
     Invalidated,
 }
 
-/// Per-node state of the adaptive prefetch engine (see
-/// [`crate::prefetch`]). Constructed only when
-/// [`AdaptiveConfig::enabled`] is set — `None` otherwise, so disabled
-/// runs carry no adaptive state at all.
-#[derive(Debug)]
-pub(crate) struct AdaptiveNode {
-    /// One stride detector per local application thread; each is
-    /// reset at the thread's lock/barrier acquisitions so every
-    /// (thread, lock-epoch) stream is scored independently.
-    pub detectors: Vec<StrideDetector>,
-    /// Per-thread streaming high-water mark: `(stride, furthest)` of
-    /// the pages already planned under the current trend. Successive
-    /// faults on a stride stream only extend the planned range past
-    /// `furthest` (steady state: one new issue per fault) instead of
-    /// re-issuing the whole overlapping lookahead window every fault.
-    /// Cleared whenever the trend changes and at epoch boundaries
-    /// (pages invalidated by the next interval must be re-planned).
-    pub planned: Vec<Option<(i64, i64)>>,
-    /// Per-thread count of trend flips: each one means a previously
-    /// confirmed majority turned out wrong. Scales the probation
-    /// below exponentially — a stream that keeps flipping (an access
-    /// pattern no stride model fits) is trusted less and less.
-    pub flips: Vec<u32>,
-    /// Per-thread faults remaining before the stream's current trend
-    /// is trusted enough to issue on: 1 after a fresh detection,
-    /// `2^flips` after a flip. Wrong-way windows fetched on a
-    /// short-lived majority are load the §3.3 feedback can never
-    /// attribute (pages nobody faults on are neither hits nor
-    /// misses), so they must be prevented, not corrected.
-    pub probation: Vec<u32>,
-    /// The node-wide feedback throttle over (degree, lead).
-    pub throttle: ThrottleController,
-    /// This node's share of the run-level adaptive counters.
-    pub stats: AdaptiveStats,
-}
-
-impl AdaptiveNode {
-    /// Fresh adaptive state for a node with `threads_on_node` local
-    /// threads.
-    pub fn new(cfg: &AdaptiveConfig, threads_on_node: usize) -> Self {
-        AdaptiveNode {
-            detectors: (0..threads_on_node)
-                .map(|_| StrideDetector::new(cfg.window))
-                .collect(),
-            planned: vec![None; threads_on_node],
-            flips: vec![0; threads_on_node],
-            probation: vec![0; threads_on_node],
-            throttle: ThrottleController::new(cfg),
-            stats: AdaptiveStats::default(),
-        }
-    }
-}
-
 /// An in-progress remote page fetch (fault-driven).
 #[derive(Debug)]
 pub(crate) struct Fetch {
@@ -211,8 +158,6 @@ pub(crate) struct Fetch {
     pub collected: Vec<DiffPayload>,
     /// Base page copy, when this is a first-touch fetch.
     pub base: Option<BasePayload>,
-    /// Whether a base copy is still expected.
-    pub base_pending: bool,
     /// When the fault occurred (for miss latency accounting).
     pub started: SimTime,
     /// True for a too-late join: every missing piece is already on

@@ -5,7 +5,7 @@ use std::fmt;
 use rsdsm_simnet::{FaultStats, NetStats, SimDuration};
 
 use crate::accounting::Breakdown;
-use crate::config::DsmConfig;
+use crate::config::{ConfigError, DsmConfig};
 use crate::node::{AccessCounters, NodeCounters};
 use crate::oracle::{fnv1a, OracleOutcome};
 use crate::prefetch::AdaptiveStats;
@@ -26,6 +26,9 @@ pub enum SimError {
     /// message (persistent injected loss beyond what the retry cap
     /// can absorb).
     Transport(String),
+    /// The configuration failed [`DsmConfig::validate`]; nothing was
+    /// run.
+    Config(ConfigError),
 }
 
 impl fmt::Display for SimError {
@@ -35,6 +38,7 @@ impl fmt::Display for SimError {
             SimError::TimeLimit => write!(f, "simulated time limit exceeded"),
             SimError::Deadlock(what) => write!(f, "deadlock: {what}"),
             SimError::Transport(what) => write!(f, "reliable transport gave up: {what}"),
+            SimError::Config(err) => write!(f, "invalid configuration: {err}"),
         }
     }
 }

@@ -90,7 +90,7 @@ impl Default for TransportConfig {
 /// body once per logical message, and the retransmit buffer, every
 /// in-flight frame (fault-plan duplicates included), and the receive
 /// path all hold references to that one allocation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Frame {
     /// A sequenced reliable message.
     Data {

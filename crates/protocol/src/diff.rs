@@ -75,34 +75,9 @@ impl Diff {
     /// precision is what makes concurrent diffs mergeable — in a
     /// race-free program different writers' changed bytes are
     /// disjoint, so their diffs commute. A diff that smuggled nearby
-    /// *unchanged* twin bytes into a run (see
-    /// [`Diff::between_coalesced`]) could overwrite another writer's
-    /// concurrent modification with stale data when merged.
+    /// *unchanged* twin bytes into a run could overwrite another
+    /// writer's concurrent modification with stale data when merged.
     pub fn between(twin: &Page, current: &Page) -> Self {
-        Self::scan(twin, current, false)
-    }
-
-    /// Like [`Diff::between`], but coalesces changed runs separated
-    /// by fewer than `RUN_HEADER_BYTES` unchanged bytes into one run:
-    /// carrying up to 3 unchanged payload bytes is never larger on
-    /// the wire than paying another run header, so
-    /// [`Diff::encoded_bytes`] only shrinks or stays equal relative
-    /// to the split encoding of [`Diff::between`].
-    ///
-    /// **Single-writer / snapshot contexts only.** A coalesced run
-    /// writes back unchanged gap bytes at their twin-time values,
-    /// which is only correct when the diff is applied to the exact
-    /// base it was computed against (e.g. reconstructing a snapshot
-    /// delta). It must never be used for multiple-writer coherence
-    /// traffic: a gap byte can land inside a word a concurrent
-    /// writer modified, and merging would resurrect the stale value.
-    pub fn between_coalesced(twin: &Page, current: &Page) -> Self {
-        Self::scan(twin, current, true)
-    }
-
-    /// Shared chunked scan behind [`Diff::between`] (byte-precise
-    /// runs) and [`Diff::between_coalesced`] (small gaps folded in).
-    fn scan(twin: &Page, current: &Page, coalesce: bool) -> Self {
         let t = twin.bytes();
         let c = current.bytes();
         let mut runs = Vec::new();
@@ -135,32 +110,16 @@ impl Diff {
                 i += 1;
                 continue;
             }
-            // Changed byte at `i`: extend the run; in coalescing
-            // mode, continue across unchanged gaps shorter than one
-            // run header.
+            // Changed byte at `i`: extend the run.
             let start = i;
-            let mut end;
-            loop {
-                while i < PAGE_SIZE && t[i] != c[i] {
-                    i += 1;
-                }
-                end = i;
-                if !coalesce {
-                    break;
-                }
-                let gap = i;
-                while i < PAGE_SIZE && i - gap < RUN_HEADER_BYTES && t[i] == c[i] {
-                    i += 1;
-                }
-                if i >= PAGE_SIZE || i - gap >= RUN_HEADER_BYTES {
-                    break;
-                }
+            while i < PAGE_SIZE && t[i] != c[i] {
+                i += 1;
             }
             runs.push(DiffRun {
                 offset: start as u32,
-                len: (end - start) as u32,
+                len: (i - start) as u32,
             });
-            payload.extend_from_slice(&c[start..end]);
+            payload.extend_from_slice(&c[start..i]);
         }
         Diff { runs, payload }
     }
@@ -282,15 +241,6 @@ impl Diff {
             runs: flat,
             payload,
         }
-    }
-
-    /// True if the diff modifies any byte in `lo..hi` (diagnostics).
-    pub fn covers(&self, lo: usize, hi: usize) -> bool {
-        self.runs.iter().any(|r| {
-            let s = r.offset as usize;
-            let e = s + r.len as usize;
-            s < hi && lo < e
-        })
     }
 
     /// True if this diff's modified byte ranges overlap `other`'s.
@@ -454,53 +404,6 @@ mod tests {
         current.bytes_mut()[PAGE_SIZE - 1] = 9;
         cases.push((twin, current));
         cases
-    }
-
-    #[test]
-    fn small_gaps_coalesce_into_one_run() {
-        let twin = Page::new();
-        let mut current = Page::new();
-        // Two changed bytes 3 unchanged bytes apart: one coalesced
-        // run of 5 in snapshot mode, two byte-precise runs for
-        // coherence traffic.
-        current.bytes_mut()[100] = 1;
-        current.bytes_mut()[104] = 2;
-        let d = Diff::between_coalesced(&twin, &current);
-        assert_eq!(d.run_count(), 1);
-        assert_eq!(d.payload_bytes(), 5);
-        let d = Diff::between(&twin, &current);
-        assert_eq!(d.run_count(), 2);
-        assert_eq!(d.payload_bytes(), 2);
-        // 4 unchanged bytes apart: a header is no more expensive, so
-        // even snapshot mode keeps the runs split.
-        let mut split = Page::new();
-        split.bytes_mut()[100] = 1;
-        split.bytes_mut()[105] = 2;
-        let d = Diff::between_coalesced(&twin, &split);
-        assert_eq!(d.run_count(), 2);
-        assert_eq!(d.payload_bytes(), 2);
-    }
-
-    #[test]
-    fn coalesced_encoding_never_exceeds_the_split_reference() {
-        for (twin, current) in gap_cases() {
-            let coalesced = Diff::between_coalesced(&twin, &current);
-            let reference = Diff::between_reference(&twin, &current);
-            assert!(
-                coalesced.encoded_bytes() <= reference.encoded_bytes(),
-                "snapshot-delta sizing grew: {} > {}",
-                coalesced.encoded_bytes(),
-                reference.encoded_bytes()
-            );
-            assert!(coalesced.run_count() <= reference.run_count());
-            // Both transform the twin into the current page.
-            let mut a = twin.clone();
-            coalesced.apply(&mut a);
-            assert_eq!(a, current);
-            let mut b = twin.clone();
-            reference.apply(&mut b);
-            assert_eq!(b, current);
-        }
     }
 
     #[test]

@@ -41,9 +41,10 @@ use crate::time::SimTime;
 /// Which [`EventQueue`]-contract implementation an engine should use.
 ///
 /// The wheel is the default; the heap is the differential reference
-/// and the escape hatch (`RSDSM_QUEUE=heap` in the engine). Both are
-/// pop-for-pop identical by construction and by test, so this choice
-/// can never affect simulation results — only wall-clock throughput.
+/// (selected per run through the engine's `with_queue_backend`). Both
+/// are pop-for-pop identical by construction and by test, so this
+/// choice can never affect simulation results — only wall-clock
+/// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueBackend {
     /// Hierarchical timing wheel ([`EventQueue`]).
@@ -620,8 +621,9 @@ impl<T> Ord for Scheduled<T> {
 }
 
 /// The original `BinaryHeap`-backed queue, kept as the differential
-/// reference for [`EventQueue`] (see `tests/wheel_equivalence.rs`)
-/// and as the `RSDSM_QUEUE=heap` engine escape hatch.
+/// reference for [`EventQueue`] (see `tests/wheel_equivalence.rs`,
+/// and the engine-level `parallel_determinism` / `engine_soak`
+/// suites, which run whole simulations on it).
 ///
 /// Same contract as [`EventQueue`]: earliest time first, equal times
 /// pop in insertion order.

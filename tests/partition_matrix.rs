@@ -25,7 +25,7 @@
 //! `rsdsm_bench::pool` (override the worker count with `RSDSM_JOBS`).
 
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{DsmConfig, Partition, RecoveryConfig, TraceEvent};
+use rsdsm::core::{ConfigError, DsmConfig, Partition, RecoveryConfig, SimError, TraceEvent};
 use rsdsm::oracle::{check_technique, Technique};
 use rsdsm::simnet::{SimDuration, SimTime};
 use rsdsm_bench::pool;
@@ -208,7 +208,6 @@ fn unused_partition_schedule_is_digest_transparent() {
 /// The quorum rule's validation: a cut that strands the manager
 /// without a strict majority is rejected outright.
 #[test]
-#[should_panic(expected = "strict majority")]
 fn minority_manager_component_is_rejected() {
     let mut cfg = base(4).with_recovery(test_recovery());
     // {2, 3} vs {0, 1}: two against two — no strict majority.
@@ -217,13 +216,15 @@ fn minority_manager_component_is_rejected() {
         SimTime::from_millis(1),
         HEAL_AFTER,
     ));
-    let _ = Benchmark::Radix.run(Scale::Test, cfg);
+    assert_eq!(
+        Benchmark::Radix.run(Scale::Test, cfg).unwrap_err(),
+        SimError::Config(ConfigError::ManagerWithoutMajority { side: 2, nodes: 4 })
+    );
 }
 
 /// Partitions lean on the recovery layer (freeze, suspicion gating,
 /// checkpoint rejoin); scheduling one without it is a plan error.
 #[test]
-#[should_panic(expected = "recovery enabled")]
 fn partition_without_recovery_is_rejected() {
     let mut cfg = base(4);
     cfg.faults = cfg.faults.with_partition(Partition::cut(
@@ -231,7 +232,10 @@ fn partition_without_recovery_is_rejected() {
         SimTime::from_millis(1),
         HEAL_AFTER,
     ));
-    let _ = Benchmark::Radix.run(Scale::Test, cfg);
+    assert_eq!(
+        Benchmark::Radix.run(Scale::Test, cfg).unwrap_err(),
+        SimError::Config(ConfigError::PartitionWithoutRecovery)
+    );
 }
 
 #[test]

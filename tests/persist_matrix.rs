@@ -18,7 +18,7 @@
 //! a red CI build ships the offending timeline.
 
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{DsmConfig, RecoveryConfig, RunReport, TraceEvent};
+use rsdsm::core::{ConfigError, DsmConfig, RecoveryConfig, RunReport, SimError, TraceEvent};
 use rsdsm::oracle::{check_technique, Technique};
 use rsdsm::simnet::{NodeCrash, PersistConfig, SimDuration, SimTime};
 use rsdsm_bench::pool;
@@ -255,7 +255,6 @@ fn full_matrix_crash_at_any_point() {
 /// A crash schedule whose recovery has no checkpoint cadence is a
 /// configuration error, not a silent recover-from-nothing.
 #[test]
-#[should_panic(expected = "--fault-crash without --checkpoint-every")]
 fn crash_without_cadence_fails_fast() {
     let mut cfg = base(4).with_recovery(RecoveryConfig {
         checkpoint_every: 0,
@@ -266,19 +265,24 @@ fn crash_without_cadence_fails_fast() {
         at: SimTime::ZERO + SimDuration::from_millis(1),
         restart_after: None,
     });
-    let _ = Benchmark::Radix.run(Scale::Test, cfg);
+    assert_eq!(
+        Benchmark::Radix.run(Scale::Test, cfg).unwrap_err(),
+        SimError::Config(ConfigError::CrashWithoutCadence)
+    );
 }
 
 /// Persistence with nothing to persist is equally a configuration
 /// error.
 #[test]
-#[should_panic(expected = "--persist needs --checkpoint-every")]
 fn persist_without_cadence_fails_fast() {
     let cfg = base(4).with_recovery(RecoveryConfig {
         persist: PersistConfig::on(),
         ..RecoveryConfig::off()
     });
-    let _ = Benchmark::Radix.run(Scale::Test, cfg);
+    assert_eq!(
+        Benchmark::Radix.run(Scale::Test, cfg).unwrap_err(),
+        SimError::Config(ConfigError::PersistWithoutCadence)
+    );
 }
 
 /// The `persist:` summary segment is gated on the config switch: a
