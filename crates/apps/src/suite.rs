@@ -209,6 +209,17 @@ impl Benchmark {
         }
     }
 
+    /// The prefetch mode of the paper's combined ("nTP") bars, §5.1:
+    /// the "P" mode with redundant sibling prefetches suppressed, and
+    /// for RADIX every other prefetch throttled away.
+    pub fn combined_prefetch(self) -> PrefetchConfig {
+        PrefetchConfig {
+            suppress_redundant: true,
+            throttle: if self == Benchmark::Radix { 2 } else { 1 },
+            ..self.paper_prefetch()
+        }
+    }
+
     /// Runs the benchmark at `scale` under `cfg`.
     ///
     /// # Errors

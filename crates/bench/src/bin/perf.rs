@@ -15,20 +15,17 @@
 //! * `queue_replay` — the timing-wheel event queue vs the binary-heap
 //!   reference on a million-event RADIX-shaped schedule (interleaved
 //!   rounds, median-of-rounds ratio).
-//! * `oracle_matrix` — the oracle's fast grid at `--jobs 1` vs the
-//!   requested `--jobs`, the scheduler's headline speedup.
 //!
-//! Usage: `perf [--jobs N] [--bench-json PATH]` (plus the usual
+//! Usage: `perf [--bench-json PATH]` (plus the usual
 //! experiment flags; `--test-scale` is the default for CI budgets).
 
 use std::time::Instant;
 
 use rsdsm_apps::{Benchmark, Scale};
-use rsdsm_bench::{pool, queue_replay, ExpOpts, Variant};
+use rsdsm_bench::{queue_replay, ExpOpts, Variant};
 use rsdsm_core::{
     AdaptiveConfig, DsmConfig, FaultPlan, MissClass, StrideDetector, ThrottleController,
 };
-use rsdsm_oracle::{check_technique, Technique};
 use rsdsm_protocol::{Diff, Page, PAGE_SIZE};
 use rsdsm_simnet::{EventQueue, HeapQueue};
 
@@ -265,50 +262,10 @@ fn main() {
     events_per_sec.push(("queue_heap_events_per_sec", 1e9 / best_ns[1]));
     ratios.push(("queue_replay_speedup", median_ratio));
 
-    // --- Oracle fast grid: serial vs parallel scheduler ---
-    let cells: Vec<(Benchmark, Technique)> =
-        [Benchmark::Sor, Benchmark::Radix, Benchmark::WaterNsq]
-            .into_iter()
-            .flat_map(|b| [Technique::Base, Technique::Combined].map(|t| (b, t)))
-            .collect();
-    let oracle_sweep = |jobs: usize| {
-        let tasks: Vec<_> = cells
-            .iter()
-            .map(|&(bench, technique)| {
-                let seed = opts.seed;
-                let nodes = opts.nodes;
-                move || {
-                    let cfg = DsmConfig::paper_cluster(nodes).with_seed(seed);
-                    let verdict = check_technique(bench, Scale::Test, technique, cfg)
-                        .unwrap_or_else(|e| panic!("{bench} {}: {e:?}", technique.label()));
-                    assert!(verdict.ok(), "oracle failed: {}", verdict.summary_line());
-                }
-            })
-            .collect();
-        pool::run(jobs, tasks);
-    };
-    let serial = time(1, || oracle_sweep(1));
-    let parallel = time(1, || oracle_sweep(opts.jobs));
-    samples.push(Sample {
-        name: "oracle_fast_grid_serial_ns",
-        nanos: serial,
-        iters: 1,
-    });
-    samples.push(Sample {
-        name: "oracle_fast_grid_parallel_ns",
-        nanos: parallel,
-        iters: 1,
-    });
-    ratios.push(("oracle_fast_grid_speedup", serial / parallel));
-
     // --- Report ---
     println!(
-        "perf: {} nodes, {:?} scale, seed {}, jobs {} ({} cores)",
-        opts.nodes,
-        opts.scale,
-        opts.seed,
-        opts.jobs,
-        pool::default_jobs()
+        "perf: {} nodes, {:?} scale, seed {}",
+        opts.nodes, opts.scale, opts.seed
     );
     for s in &samples {
         println!(
@@ -326,13 +283,8 @@ fn main() {
     if let Some(path) = &opts.bench_json {
         let mut json = String::from("{\n");
         json.push_str(&format!(
-            "  \"config\": {{\"nodes\": {}, \"scale\": \"{:?}\", \"seed\": {}, \
-             \"jobs\": {}, \"cores\": {}}},\n",
-            opts.nodes,
-            opts.scale,
-            opts.seed,
-            opts.jobs,
-            pool::default_jobs()
+            "  \"config\": {{\"nodes\": {}, \"scale\": \"{:?}\", \"seed\": {}}},\n",
+            opts.nodes, opts.scale, opts.seed
         ));
         json.push_str("  \"samples_ns\": {\n");
         for (i, s) in samples.iter().enumerate() {

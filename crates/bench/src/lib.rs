@@ -418,17 +418,9 @@ impl Variant {
                 ..PrefetchConfig::adaptive_static()
             }),
             Variant::Threads(n) => base.with_threads(ThreadConfig::multithreaded(n)),
-            Variant::Combined(n) => {
-                // §5.1: suppress redundant sibling prefetches; RADIX
-                // additionally throttles every other prefetch.
-                let throttle = if bench == Benchmark::Radix { 2 } else { 1 };
-                base.with_threads(ThreadConfig::combined(n))
-                    .with_prefetch(PrefetchConfig {
-                        suppress_redundant: true,
-                        throttle,
-                        ..bench.paper_prefetch()
-                    })
-            }
+            Variant::Combined(n) => base
+                .with_threads(ThreadConfig::combined(n))
+                .with_prefetch(bench.combined_prefetch()),
         }
     }
 }
@@ -729,6 +721,29 @@ mod tests {
         assert!(fft.prefetch.compiler_style);
         assert!(!fft.threads.switch_on_memory);
         assert!(fft.threads.switch_on_sync);
+    }
+
+    /// The oracle's four techniques are the harness's four paper
+    /// variants: both build their configs from the same per-app rules.
+    #[test]
+    fn oracle_techniques_are_the_paper_variants() {
+        use rsdsm_oracle::Technique;
+        let base = ExpOpts::default().base_config();
+        for bench in Benchmark::ALL {
+            for (technique, variant) in [
+                (Technique::Base, Variant::Original),
+                (Technique::Prefetch, Variant::Prefetch),
+                (Technique::Multithread, Variant::Threads(2)),
+                (Technique::Combined, Variant::Combined(2)),
+            ] {
+                assert_eq!(
+                    technique.configure(bench, base.clone()),
+                    variant.config_on(bench, base.clone()),
+                    "{bench} {}",
+                    variant.label()
+                );
+            }
+        }
     }
 
     #[test]

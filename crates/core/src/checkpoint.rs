@@ -63,7 +63,7 @@
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock, PAGE_SIZE};
 
 use crate::msg::{IntervalRecord, LockId};
-use crate::node::{NodeMem, NodeState};
+use crate::node::NodeState;
 use crate::oracle::fnv1a;
 
 /// A node's copy of one page at checkpoint time. Only pages the node
@@ -158,8 +158,9 @@ impl Checkpoint {
     /// Must be called at a barrier release point: all local intervals
     /// are closed there, so no twins exist and the page images are
     /// exactly the post-merge state.
-    pub(crate) fn capture(node: u32, epoch: u32, state: &NodeState, mem: &NodeMem) -> Self {
-        let pages = mem
+    pub(crate) fn capture(node: u32, epoch: u32, state: &NodeState) -> Self {
+        let pages = state
+            .mem
             .pages
             .iter()
             .enumerate()

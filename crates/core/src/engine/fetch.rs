@@ -20,7 +20,7 @@ use crate::accounting::Category;
 use crate::config::{DirectoryPolicy, DsmConfig};
 use crate::heap::Heap;
 use crate::msg::{BasePayload, DiffPayload, IntervalRecord, MsgBody};
-use crate::node::{Fetch, MissClass, NodeMem, NodeState};
+use crate::node::{Fetch, MissClass, NodeState};
 use crate::report::SimError;
 use crate::thread::{BlockReason, ThreadId};
 use crate::trace::{class, TraceEvent, NO_CAUSE, NO_THREAD};
@@ -193,10 +193,12 @@ impl Core<'_> {
                 .get(&page)
                 .is_some_and(|m| m.all_adaptive)
         {
-            let inflight = {
-                let mem = self.mem.lock().expect("mem mutex");
-                mem[n].prefetch_inflight.get(&page).copied().unwrap_or(0)
-            };
+            let inflight = self.nodes[n]
+                .mem
+                .prefetch_inflight
+                .get(&page)
+                .copied()
+                .unwrap_or(0);
             if inflight > 0 {
                 let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
                 self.nodes[n].fetches.insert(
@@ -261,15 +263,15 @@ impl Core<'_> {
         // faults before writing, so an unclaimed page can only have
         // been written by the home itself.
         let home_wrote = self.nodes[home].own_diffs.keys().any(|&(dp, _)| dp == p);
-        let mut mem = self.mem.lock().expect("mem mutex");
-        if home_wrote || mem[home].pages[p].twin.is_some() || mem[home].dirty.contains(&page) {
+        let home_mem = &mut self.nodes[home].mem;
+        if home_wrote || home_mem.pages[p].twin.is_some() || home_mem.dirty.contains(&page) {
             return;
         }
-        mem[home].pages[p].valid = false;
-        mem[home].pages[p].ever_valid = false;
-        mem[n].pages[p].valid = true;
-        mem[n].pages[p].ever_valid = true;
-        drop(mem);
+        home_mem.pages[p].valid = false;
+        home_mem.pages[p].ever_valid = false;
+        let entry = &mut self.nodes[n].mem.pages[p];
+        entry.valid = true;
+        entry.ever_valid = true;
         self.heap.set_home(page, n);
         self.nodes[n].counters.dir_migrations += 1;
     }
@@ -299,9 +301,8 @@ impl Core<'_> {
                 }
             })
             .collect();
-        let mem = self.mem.lock().expect("mem mutex");
         let need_base =
-            !mem[n].pages[page.index()].ever_valid && !node.base_cache.contains_key(&page);
+            !node.mem.pages[page.index()].ever_valid && !node.base_cache.contains_key(&page);
         (missing, need_base)
     }
 
@@ -408,8 +409,7 @@ impl Core<'_> {
             .collect();
         diffs.sort_by(|a, b| hb_order(&a.stamp, &b.stamp));
 
-        let mut mem = self.mem.lock().expect("mem mutex");
-        let entry = &mut mem[n].pages[page.index()];
+        let entry = &mut node.mem.pages[page.index()];
         let mut apply_cost = SimDuration::ZERO;
         // Diffs already incorporated in an applied base copy must NOT
         // be re-applied: the base may also contain *newer* intervals
@@ -470,7 +470,6 @@ impl Core<'_> {
             );
             apply_cost += self.cfg.costs.diff_apply(cached.diff.payload_bytes());
         }
-        drop(mem);
         if !apply_cost.is_zero() {
             end = self.charge(n, end, apply_cost, Category::DsmOverhead, None);
         }
@@ -479,11 +478,10 @@ impl Core<'_> {
 
     /// Marks `page` valid and clears its prefetch bookkeeping.
     fn validate_page(&mut self, n: NodeId, page: PageId) {
-        let mut mem = self.mem.lock().expect("mem mutex");
-        mem[n].pages[page.index()].valid = true;
-        mem[n].prefetch_inflight.remove(&page);
-        drop(mem);
-        self.nodes[n].pf_meta.remove(&page);
+        let node = &mut self.nodes[n];
+        node.mem.pages[page.index()].valid = true;
+        node.mem.prefetch_inflight.remove(&page);
+        node.pf_meta.remove(&page);
     }
 
     // ------------------------------------------------------------------
@@ -494,8 +492,8 @@ impl Core<'_> {
     /// page, logs the interval, and advances the vector clock. No-op
     /// when nothing is dirty.
     pub(super) fn close_interval(&mut self, n: NodeId, at: SimTime) -> SimTime {
-        let mut mem = self.mem.lock().expect("mem mutex");
-        let m = &mut mem[n];
+        let node = &mut self.nodes[n];
+        let m = &mut node.mem;
         let dirty: Vec<PageId> = std::mem::take(&mut m.dirty)
             .into_iter()
             .filter(|p| m.pages[p.index()].twin.is_some())
@@ -503,7 +501,6 @@ impl Core<'_> {
         if dirty.is_empty() {
             return at;
         }
-        let node = &mut self.nodes[n];
         node.vc.tick(n);
         let stamp = node.vc.clone();
         let seq = stamp.get(n);
@@ -538,7 +535,6 @@ impl Core<'_> {
             pages_list.push(page);
             m.pool.put_arc(twin);
         }
-        drop(mem);
         let rec = IntervalRecord {
             origin: n,
             stamp,
@@ -592,8 +588,7 @@ impl Core<'_> {
                         id,
                     );
                 }
-                let mut mem = self.mem.lock().expect("mem mutex");
-                mem[n].pages[page.index()].valid = false;
+                self.nodes[n].mem.pages[page.index()].valid = false;
             }
         }
     }
@@ -614,8 +609,7 @@ impl Core<'_> {
         {
             return true;
         }
-        let mem = self.mem.lock().expect("mem mutex");
-        mem[n].pages[page.index()].ever_valid
+        node.mem.pages[page.index()].ever_valid
     }
 
     /// Services a diff (or prefetch) request at node `m`.
@@ -648,25 +642,18 @@ impl Core<'_> {
             // §3.1: servicing a prefetch for a dirty page splits the
             // open interval so later writes are distinguishable, and
             // the fresh diff rides along in the reply.
-            let split = {
-                let mem = self.mem.lock().expect("mem mutex");
-                mem[m].pages[page.index()].twin.is_some()
-            };
-            if split {
-                let node = &mut self.nodes[m];
+            let node = &mut self.nodes[m];
+            if let Some(twin) = node.mem.pages[page.index()].twin.take() {
                 node.vc.tick(m);
                 let stamp = node.vc.clone();
                 let seq = stamp.get(m);
-                let mut mem = self.mem.lock().expect("mem mutex");
-                let entry = &mut mem[m].pages[page.index()];
-                let twin = entry.twin.take().expect("twin present");
+                let entry = &node.mem.pages[page.index()];
                 let diff = Diff::between(&twin, &entry.data);
                 if self.oracle.cfg.invariants {
                     self.oracle
                         .check_roundtrip(&twin, &entry.data, &diff, m, page, end);
                 }
-                mem[m].pool.put_arc(twin);
-                drop(mem);
+                node.mem.pool.put_arc(twin);
                 end = self.charge(
                     m,
                     end,
@@ -720,8 +707,7 @@ impl Core<'_> {
         }
 
         let base = if want_base {
-            let mem = self.mem.lock().expect("mem mutex");
-            let entry = &mem[m].pages[page.index()];
+            let entry = &self.nodes[m].mem.pages[page.index()];
             // Serve from the twin when the page is dirty: the base
             // must not leak this node's *open-interval* writes.
             // Closed diffs are byte-sparse relative to the writer's
@@ -735,7 +721,6 @@ impl Core<'_> {
                 Some(twin) => Arc::clone(twin),
                 None => Arc::new(entry.data.clone()),
             };
-            drop(mem);
             let mut incorporated = self.nodes[m].board.applied_for(page);
             for rec in &self.nodes[m].known_intervals {
                 if rec.origin == m && rec.pages.contains(&page) {
@@ -831,14 +816,12 @@ impl Core<'_> {
             if let Some(b) = base {
                 node.base_cache.insert(page, b);
             }
-            let mut mem = self.mem.lock().expect("mem mutex");
-            if let Some(count) = mem[n].prefetch_inflight.get_mut(&page) {
+            if let Some(count) = node.mem.prefetch_inflight.get_mut(&page) {
                 *count = count.saturating_sub(1);
                 if *count == 0 {
-                    mem[n].prefetch_inflight.remove(&page);
+                    node.mem.prefetch_inflight.remove(&page);
                 }
             }
-            drop(mem);
             // A too-late join rides on this reply stream: the
             // faulting thread is blocked waiting for exactly these
             // frames (the data itself sits in the caches above).
@@ -922,13 +905,13 @@ impl Core<'_> {
 /// Builds the authoritative final memory image: for every page, the
 /// home node's copy plus every diff it has not incorporated (in
 /// happens-before order), plus any still-open modifications.
-pub(super) fn materialize(heap: &Heap, nodes: &[NodeState], mem: &[NodeMem]) -> Vec<Page> {
+pub(super) fn materialize(heap: &Heap, nodes: &[NodeState]) -> Vec<Page> {
     let total_pages = heap.page_count();
     let mut out = Vec::with_capacity(total_pages);
     for p in 0..total_pages {
         let page = PageId::new(p as u32);
         let home = heap.home(page);
-        let mut data = mem[home].pages[p].data.clone();
+        let mut data = nodes[home].mem.pages[p].data.clone();
 
         let applied: HashSet<(usize, u32)> = nodes[home]
             .board
@@ -960,11 +943,11 @@ pub(super) fn materialize(heap: &Heap, nodes: &[NodeState], mem: &[NodeMem]) -> 
 
         // Open (never-closed) modifications are the latest by program
         // order; apply them last.
-        for (m, node_mem) in mem.iter().enumerate() {
-            if m == home {
+        for node in nodes {
+            if node.id == home {
                 continue;
             }
-            let entry = &node_mem.pages[p];
+            let entry = &node.mem.pages[p];
             if let Some(twin) = &entry.twin {
                 Diff::between(twin, &entry.data).apply(&mut data);
             }
@@ -979,29 +962,32 @@ pub(super) fn materialize(heap: &Heap, nodes: &[NodeState], mem: &[NodeMem]) -> 
 mod tests {
     use super::*;
     use crate::heap::HomePolicy;
+    use crate::node::NodeMem;
 
     /// Builds a minimal cluster state for materialize(): 2 nodes, one
     /// page homed on node 0.
-    fn tiny_cluster() -> (Heap, Vec<NodeState>, Vec<NodeMem>) {
+    fn tiny_cluster() -> (Heap, Vec<NodeState>) {
         let mut heap = Heap::new(2);
         let _v: crate::heap::SharedVec<u64> = heap.alloc(512, HomePolicy::Single(0));
-        let nodes = vec![NodeState::new(0, 2, 1), NodeState::new(1, 2, 1)];
-        let mem = vec![NodeMem::new(1, |_| true), NodeMem::new(1, |_| false)];
-        (heap, nodes, mem)
+        let nodes = vec![
+            NodeState::new(0, 2, 1, NodeMem::new(1, |_| true)),
+            NodeState::new(1, 2, 1, NodeMem::new(1, |_| false)),
+        ];
+        (heap, nodes)
     }
 
     #[test]
     fn materialize_uses_home_copy() {
-        let (heap, nodes, mut mem) = tiny_cluster();
-        mem[0].pages[0].data.write_u64(0, 77);
-        let pages = materialize(&heap, &nodes, &mem);
+        let (heap, mut nodes) = tiny_cluster();
+        nodes[0].mem.pages[0].data.write_u64(0, 77);
+        let pages = materialize(&heap, &nodes);
         assert_eq!(pages[0].read_u64(0), 77);
     }
 
     #[test]
     fn materialize_applies_unincorporated_closed_diffs() {
-        let (heap, mut nodes, mut mem) = tiny_cluster();
-        mem[0].pages[0].data.write_u64(0, 1);
+        let (heap, mut nodes) = tiny_cluster();
+        nodes[0].mem.pages[0].data.write_u64(0, 1);
 
         // Node 1 closed an interval writing offset 8 = 42.
         let mut twin = Page::new();
@@ -1018,18 +1004,18 @@ mod tests {
             pages: vec![PageId::new(0)],
         });
 
-        let pages = materialize(&heap, &nodes, &mem);
+        let pages = materialize(&heap, &nodes);
         assert_eq!(pages[0].read_u64(0), 1, "home bytes preserved");
         assert_eq!(pages[0].read_u64(8), 42, "closed diff applied");
     }
 
     #[test]
     fn materialize_skips_diffs_already_incorporated_at_home() {
-        let (heap, mut nodes, mut mem) = tiny_cluster();
+        let (heap, mut nodes) = tiny_cluster();
         // Home already applied node 1's interval: data has the NEW
         // value; the diff would "re-apply" an identical value, but a
         // *later* home-local overwrite must not be clobbered.
-        mem[0].pages[0].data.write_u64(8, 99); // newer than the diff below
+        nodes[0].mem.pages[0].data.write_u64(8, 99); // newer than the diff below
 
         let twin = Page::new();
         let mut data = Page::new();
@@ -1046,22 +1032,22 @@ mod tests {
         // Mark it applied at the home.
         nodes[0].board.mark_applied(PageId::new(0), 1, &stamp);
 
-        let pages = materialize(&heap, &nodes, &mem);
+        let pages = materialize(&heap, &nodes);
         assert_eq!(pages[0].read_u64(8), 99, "incorporated diff not re-applied");
     }
 
     #[test]
     fn materialize_applies_open_twins_last() {
-        let (heap, nodes, mut mem) = tiny_cluster();
+        let (heap, mut nodes) = tiny_cluster();
         // Node 1 has an open interval: twin captures the pre-state,
         // data has uncommitted writes.
         let twin = Page::new();
         let mut data = Page::new();
         data.write_u64(16, 5);
-        mem[1].pages[0].twin = Some(Arc::new(twin));
-        mem[1].pages[0].data = data;
+        nodes[1].mem.pages[0].twin = Some(Arc::new(twin));
+        nodes[1].mem.pages[0].data = data;
 
-        let pages = materialize(&heap, &nodes, &mem);
+        let pages = materialize(&heap, &nodes);
         assert_eq!(pages[0].read_u64(16), 5, "open writes visible");
     }
 }

@@ -1,13 +1,14 @@
-//! The simulation engine: event loop, protocol handlers, and the
-//! conductor that runs application threads in deterministic lockstep.
+//! The simulation engine: the event loop and protocol handlers that
+//! drive the application threads in deterministic lockstep.
 //!
 //! The engine is the meeting point of every substrate: it owns the
 //! event queue and network from `rsdsm-simnet`, drives the LRC
 //! machinery from `rsdsm-protocol` inside each [`NodeState`], executes
-//! application threads through the [`conductor`](crate::conductor)
-//! handshake, and charges every software cost from the
-//! [`CostModel`](crate::CostModel) to the per-node accounts that
-//! become the paper's execution-time breakdowns.
+//! application threads as the driver of the
+//! [`conductor`](crate::conductor)'s lockstep harness, and charges
+//! every software cost from the [`CostModel`](crate::CostModel) to the
+//! per-node accounts that become the paper's execution-time
+//! breakdowns.
 //!
 //! This file holds the entry point ([`Simulation`]), the [`Event`]
 //! vocabulary and the run loop. Everything an event does lives in one
@@ -23,15 +24,11 @@ mod sched;
 mod sync;
 mod wire;
 
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
-
 use rsdsm_protocol::PageId;
 use rsdsm_simnet::{FaultStats, NodeId, QueueBackend, SimDuration, SimTime};
 
 use crate::accounting::IdleReason;
-use crate::conductor::{DsmCtx, EngineGone};
+use crate::conductor::{lockstep, ThreadLink};
 use crate::config::DsmConfig;
 use crate::heap::Heap;
 use crate::node::{NodeMem, NodeState};
@@ -182,87 +179,25 @@ impl Simulation {
                 heap.set_home(page, cfg.directory.policy.static_home(p, total, cfg.nodes));
             }
         }
-        let total_pages = heap.page_count();
         let tpn = cfg.threads.threads_per_node;
-        let total_threads = cfg.total_threads();
+        let out = lockstep(
+            app,
+            &handles,
+            &cfg.costs,
+            &cfg.prefetch,
+            cfg.total_threads(),
+            |t| t / tpn,
+            |links| {
+                let mut core = Core::new(cfg, heap, links, traced, self.backend);
+                // On error, returning drops the core and with it the
+                // links, which unwinds any thread still parked.
+                let finish = core.run_loop()?;
+                Ok(core.into_outcome(finish))
+            },
+        )
+        .map_err(SimError::AppThread)??;
 
-        let mem: Arc<Mutex<Vec<NodeMem>>> = Arc::new(Mutex::new(
-            (0..cfg.nodes)
-                .map(|n| {
-                    let mut m =
-                        NodeMem::new(total_pages, |p| heap.home(PageId::new(p as u32)) == n);
-                    m.twin_log_on = traced;
-                    m
-                })
-                .collect(),
-        ));
-        let panic_note: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-
-        let mut peers = Vec::with_capacity(total_threads);
-        let mut ctxs = Vec::with_capacity(total_threads);
-        for t in 0..total_threads {
-            let (resume_tx, resume_rx) = mpsc::channel();
-            let (call_tx, call_rx) = mpsc::channel();
-            peers.push(ThreadPeer::new(resume_tx, call_rx));
-            ctxs.push(DsmCtx::new(
-                ThreadId(t),
-                t / tpn,
-                total_threads,
-                Arc::clone(&mem),
-                cfg.costs.clone(),
-                cfg.prefetch.clone(),
-                resume_rx,
-                call_tx,
-            ));
-        }
-
-        let scope_result = thread::scope(|s| {
-            for mut ctx in ctxs {
-                let note = Arc::clone(&panic_note);
-                let h = handles.clone();
-                s.spawn(move || {
-                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        ctx.wait_start();
-                        app.run(&mut ctx, &h);
-                        ctx.exit();
-                    }));
-                    let Err(payload) = res else { return };
-                    if payload.is::<EngineGone>() {
-                        // The engine ended the run first; the main
-                        // thread reports why.
-                        return;
-                    }
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "<non-string panic>".to_string());
-                    let mut slot = note.lock().expect("panic note mutex");
-                    slot.get_or_insert(msg);
-                });
-            }
-            let mut core = Core::new(cfg, heap, Arc::clone(&mem), peers, traced, self.backend);
-            // On error, returning drops the core and with it the
-            // resume channels, which unwinds any thread still parked
-            // so the scope join completes.
-            let finish = core.run_loop()?;
-            Ok(core.into_outcome(finish))
-        });
-
-        let out = scope_result.map_err(|e| {
-            if let SimError::AppThread(_) = e {
-                let note = panic_note.lock().expect("panic note mutex").take();
-                SimError::AppThread(note.unwrap_or_else(|| "unknown panic".to_string()))
-            } else {
-                e
-            }
-        })?;
-        if let Some(msg) = panic_note.lock().expect("panic note mutex").take() {
-            return Err(SimError::AppThread(msg));
-        }
-
-        let mem_guard = mem.lock().expect("mem mutex");
-        let pages = materialize(&out.heap, &out.nodes, &mem_guard);
+        let pages = materialize(&out.heap, &out.nodes);
         let oracle_state = out.oracle;
         let oracle = oracle_state.cfg.enabled().then(|| OracleOutcome {
             violations: oracle_state.violations,
@@ -282,12 +217,7 @@ impl Simulation {
         for b in &node_breakdowns {
             breakdown.accumulate(b);
         }
-        let (misses, locks, barriers, prefetch, mt, gc_passes, directory) = fold_counters(
-            nodes
-                .iter()
-                .zip(mem_guard.iter())
-                .map(|(n, m)| (n.counters, m.counters)),
-        );
+        let (misses, locks, barriers, prefetch, mt, gc_passes, directory) = fold_counters(&nodes);
         let adaptive = cfg.prefetch.adaptive.enabled.then(|| {
             let mut total = AdaptiveStats::default();
             for ad in nodes.iter().filter_map(|n| n.adaptive.as_ref()) {
@@ -351,7 +281,6 @@ struct Core<'a> {
     /// Events popped from the queue — the scaling suite's
     /// events-per-second numerator.
     events_processed: u64,
-    mem: Arc<Mutex<Vec<NodeMem>>>,
     nodes: Vec<NodeState>,
     sched: Sched,
     wire: Wire,
@@ -379,12 +308,12 @@ impl<'a> Core<'a> {
     fn new(
         cfg: &'a DsmConfig,
         heap: Heap,
-        mem: Arc<Mutex<Vec<NodeMem>>>,
-        threads: Vec<ThreadPeer>,
+        threads: Vec<ThreadLink>,
         traced: bool,
         backend: QueueBackend,
     ) -> Self {
         let tpn = cfg.threads.threads_per_node;
+        let threads = threads.into_iter().map(ThreadPeer::new).collect();
         let mut sched = Sched::new(backend, threads, cfg.faults.crashes.len() + cfg.nodes + 64);
         for crash in &cfg.faults.crashes {
             sched.push(
@@ -406,21 +335,24 @@ impl<'a> Core<'a> {
                 );
             }
         }
+        let total_pages = heap.page_count();
+        let nodes = (0..cfg.nodes)
+            .map(|n| {
+                let mut mem = NodeMem::new(total_pages, |p| heap.home(PageId::new(p as u32)) == n);
+                mem.twin_log_on = traced;
+                let mut ns = NodeState::new(n, cfg.nodes, tpn, mem);
+                if cfg.prefetch.adaptive.enabled {
+                    ns.adaptive = Some(AdaptiveNode::new(&cfg.prefetch.adaptive, tpn));
+                }
+                ns
+            })
+            .collect();
         Core {
             cfg,
             directory: Directory::for_config(cfg, &heap),
             heap,
             events_processed: 0,
-            mem,
-            nodes: (0..cfg.nodes)
-                .map(|n| {
-                    let mut ns = NodeState::new(n, cfg.nodes, tpn);
-                    if cfg.prefetch.adaptive.enabled {
-                        ns.adaptive = Some(AdaptiveNode::new(&cfg.prefetch.adaptive, tpn));
-                    }
-                    ns
-                })
-                .collect(),
+            nodes,
             sched,
             wire: Wire::new(cfg),
             barriers: Barriers::new(cfg.nodes),
@@ -508,9 +440,8 @@ mod tests {
     use super::*;
 
     fn core(cfg: &DsmConfig) -> Core<'_> {
-        let mem = Arc::new(Mutex::new(Vec::new()));
         let backend = QueueBackend::default();
-        Core::new(cfg, Heap::new(cfg.nodes), mem, Vec::new(), false, backend)
+        Core::new(cfg, Heap::new(cfg.nodes), Vec::new(), false, backend)
     }
 
     /// "Off means absent": the paper's configuration builds no

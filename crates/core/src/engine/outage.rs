@@ -735,10 +735,7 @@ impl Core<'_> {
     /// protocol and the node stalls for the modeled persist cost.
     pub(super) fn take_checkpoint(&mut self, n: NodeId, at: SimTime) -> SimTime {
         let epoch = self.barriers.epochs_done(n);
-        let ckpt = {
-            let mem = self.mem.lock().expect("mem mutex");
-            Checkpoint::capture(n as u32, epoch, &self.nodes[n], &mem[n])
-        };
+        let ckpt = Checkpoint::capture(n as u32, epoch, &self.nodes[n]);
         let bytes = ckpt.encode().len() as u64;
         self.tracer.emit(
             at,

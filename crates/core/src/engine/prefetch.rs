@@ -120,11 +120,7 @@ impl Core<'_> {
     ) -> SimTime {
         let mut end = now;
         for &page in pages {
-            let valid = {
-                let mem = self.mem.lock().expect("mem mutex");
-                mem[n].pages[page.index()].valid
-            };
-            if valid {
+            if self.nodes[n].mem.pages[page.index()].valid {
                 self.adaptive_cancel(n, adaptive);
                 continue;
             }
@@ -135,9 +131,7 @@ impl Core<'_> {
             let (missing, need_base) = self.missing_for(n, page);
             if missing.is_empty() && !need_base {
                 // Diffs already cached: the data is locally available.
-                let mut mem = self.mem.lock().expect("mem mutex");
-                mem[n].counters.pf_unnecessary += 1;
-                drop(mem);
+                self.nodes[n].mem.counters.pf_unnecessary += 1;
                 self.adaptive_cancel(n, adaptive);
                 continue;
             }
@@ -176,8 +170,7 @@ impl Core<'_> {
                     ad.stats.issued += 1;
                 }
             }
-            let mut mem = self.mem.lock().expect("mem mutex");
-            *mem[n].prefetch_inflight.entry(page).or_insert(0) += requests as u32;
+            *self.nodes[n].mem.prefetch_inflight.entry(page).or_insert(0) += requests as u32;
         }
         end
     }
@@ -331,10 +324,7 @@ impl Core<'_> {
         // fewer than `degree` replies are outstanding — the
         // controller's ramp/backoff therefore directly sizes the
         // pipeline the fabric carries.
-        let outstanding: u32 = {
-            let mem = self.mem.lock().expect("mem mutex");
-            mem[n].prefetch_inflight.values().sum()
-        };
+        let outstanding: u32 = self.nodes[n].mem.prefetch_inflight.values().sum();
         let allowed = u64::from(degree.saturating_sub(outstanding)) as usize;
         let mut candidates: Vec<PageId> = fresh
             .iter()
@@ -406,14 +396,12 @@ impl Core<'_> {
         if history.is_empty() {
             return now;
         }
-        {
-            let mut mem = self.mem.lock().expect("mem mutex");
-            mem[n].counters.pf_calls += history.len() as u64;
-            mem[n].counters.pf_unnecessary += history
-                .iter()
-                .filter(|p| mem[n].pages[p.index()].valid)
-                .count() as u64;
-        }
+        let mem = &mut node.mem;
+        mem.counters.pf_calls += history.len() as u64;
+        mem.counters.pf_unnecessary += history
+            .iter()
+            .filter(|p| mem.pages[p.index()].valid)
+            .count() as u64;
         let end = self.charge(
             n,
             now,

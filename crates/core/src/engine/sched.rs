@@ -3,17 +3,16 @@
 //! that moves a thread between its compute bursts and its syscalls.
 //!
 //! Invariant: at most one application thread runs at any instant —
-//! the engine resumes a thread only from [`Core::run_thread`] and
-//! blocks on its next syscall before touching anything else — and a
-//! node's CPU holds at most one burst at a time.
-
-use std::sync::mpsc::{Receiver, Sender};
+//! the engine resumes a thread only from [`Core::run_thread`], lending
+//! it its node's memory, and blocks on its next syscall (which brings
+//! the memory back) before touching anything else — and a node's CPU
+//! holds at most one burst at a time.
 
 use rsdsm_simnet::{EventQueue, HeapQueue, NodeId, QueueBackend, SimDuration, SimTime};
 
 use super::{Core, Event};
 use crate::accounting::{Category, IdleReason};
-use crate::conductor::{CallMsg, Charges, Syscall};
+use crate::conductor::{Charges, Syscall, ThreadLink};
 use crate::node::Burst;
 use crate::report::SimError;
 use crate::thread::{BlockReason, ThreadId, ThreadState};
@@ -21,8 +20,7 @@ use crate::trace::{TraceEvent, NO_CAUSE};
 
 /// Engine-side handle to one application thread.
 pub(super) struct ThreadPeer {
-    resume_tx: Sender<()>,
-    call_rx: Receiver<CallMsg>,
+    link: ThreadLink,
     state: ThreadState,
     pending_syscall: Option<Syscall>,
     run_busy: SimDuration,
@@ -31,10 +29,9 @@ pub(super) struct ThreadPeer {
 
 impl ThreadPeer {
     /// A handle to a thread that has not started yet.
-    pub(super) fn new(resume_tx: Sender<()>, call_rx: Receiver<CallMsg>) -> Self {
+    pub(super) fn new(link: ThreadLink) -> Self {
         ThreadPeer {
-            resume_tx,
-            call_rx,
+            link,
             state: ThreadState::Ready,
             pending_syscall: None,
             run_busy: SimDuration::ZERO,
@@ -261,24 +258,15 @@ impl Core<'_> {
         idle: Option<IdleReason>,
     ) -> Result<(), SimError> {
         let n = tid.node(self.tpn());
-        let call = {
-            let peer = &mut self.sched.threads[tid.0];
-            peer.resume_tx
-                .send(())
-                .map_err(|_| SimError::AppThread(String::new()))?;
-            peer.call_rx
-                .recv()
-                .map_err(|_| SimError::AppThread(String::new()))?
-        };
+        let (syscall, charges) = self.sched.threads[tid.0]
+            .link
+            .run_burst(&mut self.nodes[n].mem)
+            .map_err(|_| SimError::AppThread("thread ended without a syscall".into()))?;
         if self.tracer.is_on() {
             // Twins are created inside the conductor while the app
             // thread runs its burst; the log is drained here so their
             // records land in the engine's deterministic event order.
-            let twins = {
-                let mut mem = self.mem.lock().expect("mem mutex");
-                std::mem::take(&mut mem[n].twin_log)
-            };
-            for page in twins {
+            for page in std::mem::take(&mut self.nodes[n].mem.twin_log) {
                 self.tracer.emit(
                     at,
                     n as u32,
@@ -294,7 +282,7 @@ impl Core<'_> {
             busy,
             dsm,
             prefetch,
-        } = call.charges;
+        } = charges;
         let mut end = self.charge(n, at, busy, Category::Busy, idle);
         if !dsm.is_zero() {
             end = self.charge(n, end, dsm, Category::DsmOverhead, None);
@@ -304,7 +292,7 @@ impl Core<'_> {
         }
         let peer = &mut self.sched.threads[tid.0];
         peer.run_busy += busy;
-        peer.pending_syscall = Some(call.syscall);
+        peer.pending_syscall = Some(syscall);
         self.nodes[n].burst = Some(Burst {
             tid,
             end,

@@ -486,10 +486,7 @@ impl Core<'_> {
             self.nodes[n].counters.gc_passes += 1;
             self.nodes[n].own_diff_bytes = 0;
         }
-        {
-            let mut mem = self.mem.lock().expect("mem mutex");
-            mem[n].epoch_prefetched.clear();
-        }
+        self.nodes[n].mem.epoch_prefetched.clear();
         if let Some(ad) = self.nodes[n].adaptive.as_mut() {
             ad.barrier_epoch();
         }

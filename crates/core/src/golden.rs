@@ -23,20 +23,16 @@
 //! realizable under the same program order.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread;
 
 use rsdsm_protocol::Page;
 
-use crate::conductor::{CallMsg, DsmCtx, Syscall};
+use crate::conductor::{lockstep, Syscall, ThreadLink};
 use crate::config::{DsmConfig, PrefetchConfig};
 use crate::heap::Heap;
 use crate::msg::{BarrierId, LockId};
 use crate::node::NodeMem;
 use crate::oracle::{digest_pages, GrantRecord};
 use crate::program::{DsmProgram, VerifyCtx};
-use crate::thread::ThreadId;
 
 /// The golden sequential executor's result.
 #[derive(Debug, Clone)]
@@ -71,11 +67,6 @@ struct GLock {
     waiters: Vec<usize>,
 }
 
-struct GPeer {
-    resume_tx: Sender<()>,
-    call_rx: Receiver<CallMsg>,
-}
-
 /// Runs `app` single-threaded (in the memory sense) to the reference
 /// final image, replaying `lock_trace` for per-lock grant order.
 ///
@@ -99,30 +90,6 @@ pub fn golden_run<P: DsmProgram>(
     let total_pages = heap.page_count();
     let total_threads = cfg.total_threads();
 
-    // One flat memory, every page valid from the start: no faults, no
-    // twins needed for correctness (writes land directly), no DSM.
-    let mem: Arc<Mutex<Vec<NodeMem>>> =
-        Arc::new(Mutex::new(vec![NodeMem::new(total_pages, |_| true)]));
-    let panic_note: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-
-    let mut peers = Vec::with_capacity(total_threads);
-    let mut ctxs = Vec::with_capacity(total_threads);
-    for t in 0..total_threads {
-        let (resume_tx, resume_rx) = mpsc::channel();
-        let (call_tx, call_rx) = mpsc::channel();
-        peers.push(GPeer { resume_tx, call_rx });
-        ctxs.push(DsmCtx::new(
-            ThreadId(t),
-            0,
-            total_threads,
-            Arc::clone(&mem),
-            cfg.costs.clone(),
-            PrefetchConfig::off(),
-            resume_rx,
-            call_tx,
-        ));
-    }
-
     // Per-lock replay queues from the captured grant order.
     let mut replay: HashMap<LockId, VecDeque<usize>> = HashMap::new();
     for rec in lock_trace {
@@ -132,41 +99,20 @@ pub fn golden_run<P: DsmProgram>(
             .push_back(rec.thread.index());
     }
 
-    let sched_result = thread::scope(|s| {
-        for mut ctx in ctxs {
-            let note = Arc::clone(&panic_note);
-            let h = handles.clone();
-            s.spawn(move || {
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    ctx.wait_start();
-                    app.run(&mut ctx, &h);
-                    ctx.exit();
-                }));
-                if let Err(payload) = res {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "<non-string panic>".to_string());
-                    let mut slot = note.lock().expect("panic note mutex");
-                    slot.get_or_insert(msg);
-                }
-            });
-        }
-        // `peers` is consumed here so the resume channels close when
-        // the schedule ends: on error any still-blocked threads
-        // unblock, panic inside catch_unwind, and the join completes.
-        run_schedule(peers, total_threads, &mut replay)
-    });
+    // Every thread is on "node 0", whose memory the schedule lends to
+    // whichever thread it resumes.
+    let mem = lockstep(
+        app,
+        &handles,
+        &cfg.costs,
+        &PrefetchConfig::off(),
+        total_threads,
+        |_| 0,
+        |links| run_schedule(&links, total_pages, &mut replay),
+    )
+    .map_err(|msg| format!("golden thread panicked: {msg}"))??;
 
-    if let Some(msg) = panic_note.lock().expect("panic note mutex").take() {
-        return Err(format!("golden thread panicked: {msg}"));
-    }
-    sched_result?;
-
-    let mem_guard = mem.lock().expect("mem mutex");
-    let pages: Vec<Page> = mem_guard[0].pages.iter().map(|e| e.data.clone()).collect();
-    drop(mem_guard);
+    let pages: Vec<Page> = mem.pages.into_iter().map(|e| e.data).collect();
     let image_digest = digest_pages(&pages);
     let verified = app.verify(&VerifyCtx::new(pages.clone()), &handles);
     Ok(GoldenRun {
@@ -177,12 +123,17 @@ pub fn golden_run<P: DsmProgram>(
 }
 
 /// The cooperative scheduler: resume the lowest-indexed ready thread,
-/// absorb its next syscall, repeat until every thread exits.
+/// absorb its next syscall, repeat until every thread exits. Returns
+/// the final memory.
 fn run_schedule(
-    peers: Vec<GPeer>,
-    total_threads: usize,
+    links: &[ThreadLink],
+    total_pages: usize,
     replay: &mut HashMap<LockId, VecDeque<usize>>,
-) -> Result<(), String> {
+) -> Result<NodeMem, String> {
+    // One flat memory, every page valid from the start: no faults, no
+    // twins needed for correctness (writes land directly), no DSM.
+    let mut mem = NodeMem::new(total_pages, |_| true);
+    let total_threads = links.len();
     let mut states = vec![GState::Ready; total_threads];
     let mut locks: HashMap<LockId, GLock> = HashMap::new();
     let mut barriers: HashMap<BarrierId, Vec<usize>> = HashMap::new();
@@ -195,15 +146,10 @@ fn run_schedule(
                  (lock-trace replay mismatch?): states {states:?}"
             ));
         };
-        peers[t]
-            .resume_tx
-            .send(())
-            .map_err(|_| format!("golden thread {t} died before resume"))?;
-        let call = peers[t]
-            .call_rx
-            .recv()
+        let (syscall, _) = links[t]
+            .run_burst(&mut mem)
             .map_err(|_| format!("golden thread {t} died mid-run"))?;
-        match call.syscall {
+        match syscall {
             Syscall::Exit => {
                 states[t] = GState::Done;
                 done += 1;
@@ -272,5 +218,5 @@ fn run_schedule(
             }
         }
     }
-    Ok(())
+    Ok(mem)
 }

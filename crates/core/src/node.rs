@@ -1,15 +1,22 @@
 //! Per-node runtime state.
 //!
-//! Node state is split in two:
+//! [`NodeState`] is everything the engine keeps for one node: vector
+//! clock, notice board, diff storage, in-flight fetches, locks,
+//! barriers, scheduler, accounting — and the node's memory,
+//! [`NodeMem`]: the part application threads touch directly on the
+//! fast path (page data, validity, twins, prefetch bookkeeping).
 //!
-//! - [`NodeMem`] is the part application threads touch directly on the
-//!   fast path (page data, validity, twins, prefetch bookkeeping); it
-//!   lives behind a mutex shared with the per-thread contexts.
-//! - [`NodeState`] is the engine-only protocol state: vector clock,
-//!   notice board, diff storage, in-flight fetches, locks, barriers,
-//!   scheduler and accounting.
+//! Invariant: a node's memory is with exactly one party. It is the
+//! `mem` field here except while one of the node's threads runs, when
+//! the engine has moved it into that thread's context for the length
+//! of the burst (see [`conductor`](crate::conductor)); the next
+//! syscall moves it back. Ownership enforces this — there is no lock,
+//! and no engine code can run while the field is away, because the
+//! engine is then blocked inside the hand-off that took it.
 
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use rsdsm_protocol::{Diff, DiffCache, NoticeBoard, Page, PageId, PagePool, VectorClock};
@@ -72,15 +79,26 @@ pub struct AccessCounters {
     pub fast_accesses: u64,
 }
 
-/// The application-visible memory of one node.
-#[derive(Debug)]
+/// Hasher of [`NodeMem`]'s page-keyed containers: fixed keys, so that
+/// the empty placeholder costs nothing to build on any thread — a
+/// `RandomState` would initialise a thread-local (and draw OS
+/// randomness) on each application thread's first hand-off. The keys
+/// are page ids of the program's own heap, never outside input, and
+/// nothing reads these containers in iteration order.
+type PageHasher = BuildHasherDefault<DefaultHasher>;
+
+/// The application-visible memory of one node. The `Default` value is
+/// the empty placeholder left behind wherever the memory was moved
+/// out of: [`NodeState::mem`] while a thread runs, the thread's
+/// context while it is parked.
+#[derive(Debug, Default)]
 pub(crate) struct NodeMem {
     /// Page slots indexed by global page id.
     pub pages: Vec<PageEntry>,
     /// Pages with outstanding prefetch requests (count per page).
-    pub prefetch_inflight: HashMap<PageId, u32>,
+    pub prefetch_inflight: HashMap<PageId, u32, PageHasher>,
     /// Pages prefetched this barrier epoch (redundant-prefetch flag).
-    pub epoch_prefetched: std::collections::HashSet<PageId>,
+    pub epoch_prefetched: HashSet<PageId, PageHasher>,
     /// Rolling sequence for prefetch throttling.
     pub throttle_seq: u64,
     /// Pages twinned since the last interval close, in twin-creation
@@ -110,14 +128,7 @@ impl NodeMem {
             pages: (0..total_pages)
                 .map(|p| PageEntry::new(is_home(p)))
                 .collect(),
-            prefetch_inflight: HashMap::new(),
-            epoch_prefetched: std::collections::HashSet::new(),
-            throttle_seq: 0,
-            dirty: Vec::new(),
-            twin_log: Vec::new(),
-            twin_log_on: false,
-            pool: PagePool::new(),
-            counters: AccessCounters::default(),
+            ..NodeMem::default()
         }
     }
 }
@@ -172,7 +183,7 @@ pub(crate) struct Fetch {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PfMeta {
     /// (origin, origin-sequence) pairs whose diffs were requested.
-    pub requested: std::collections::HashSet<(NodeId, u32)>,
+    pub requested: HashSet<(NodeId, u32)>,
     /// Whether a base copy was requested.
     pub wanted_base: bool,
     /// True while *every* request for this page was adaptive (and
@@ -260,6 +271,8 @@ impl NodeCounters {
 pub(crate) struct NodeState {
     /// This node's id.
     pub id: NodeId,
+    /// The node's memory (lent to the running thread during a burst).
+    pub mem: NodeMem,
     /// The node's vector clock.
     pub vc: VectorClock,
     /// Write notices known locally.
@@ -277,7 +290,7 @@ pub(crate) struct NodeState {
     /// Every interval this node knows about (its own and received).
     pub known_intervals: Vec<IntervalRecord>,
     /// Dedup index over `known_intervals`: (origin, origin-sequence).
-    pub known_set: std::collections::HashSet<(NodeId, u32)>,
+    pub known_set: HashSet<(NodeId, u32)>,
     /// Vector clock at the last barrier release (bounds what must be
     /// sent to the barrier manager).
     pub last_release_vc: VectorClock,
@@ -328,10 +341,11 @@ pub(crate) struct Burst {
 
 impl NodeState {
     /// Fresh state for node `id` of `nodes`, with `threads_on_node`
-    /// application threads.
-    pub fn new(id: NodeId, nodes: usize, threads_on_node: usize) -> Self {
+    /// application threads and `mem` as its memory.
+    pub fn new(id: NodeId, nodes: usize, threads_on_node: usize, mem: NodeMem) -> Self {
         NodeState {
             id,
+            mem,
             vc: VectorClock::new(nodes),
             board: NoticeBoard::new(),
             cache: DiffCache::new(),
@@ -339,7 +353,7 @@ impl NodeState {
             own_diffs: HashMap::new(),
             own_diff_bytes: 0,
             known_intervals: Vec::new(),
-            known_set: std::collections::HashSet::new(),
+            known_set: HashSet::new(),
             last_release_vc: VectorClock::new(nodes),
             fetches: HashMap::new(),
             pf_meta: HashMap::new(),
@@ -406,7 +420,7 @@ mod tests {
 
     #[test]
     fn learn_interval_dedupes() {
-        let mut n = NodeState::new(0, 2, 1);
+        let mut n = NodeState::new(0, 2, 1, NodeMem::default());
         let rec = record(1, 1, 2);
         assert!(n.learn_interval(&rec));
         assert!(!n.learn_interval(&rec));
@@ -415,7 +429,7 @@ mod tests {
 
     #[test]
     fn intervals_unknown_to_filters_by_domination() {
-        let mut n = NodeState::new(0, 2, 1);
+        let mut n = NodeState::new(0, 2, 1, NodeMem::default());
         n.learn_interval(&record(1, 1, 2));
         n.learn_interval(&record(1, 2, 2));
         let mut knows_one = VectorClock::new(2);

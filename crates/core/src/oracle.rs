@@ -334,7 +334,9 @@ mod tests {
     #[test]
     fn clock_regression_is_caught() {
         let mut st = OracleState::new(OracleConfig::full(), 2);
-        let mut nodes = vec![NodeState::new(0, 2, 1), NodeState::new(1, 2, 1)];
+        let mut nodes: Vec<NodeState> = (0..2)
+            .map(|n| NodeState::new(n, 2, 1, crate::node::NodeMem::default()))
+            .collect();
         nodes[0].vc.tick(0);
         nodes[0].vc.tick(0);
         st.check_event(&nodes, SimTime::ZERO);

@@ -6,7 +6,7 @@ use rsdsm_simnet::{FaultStats, NetStats, SimDuration};
 
 use crate::accounting::Breakdown;
 use crate::config::{ConfigError, DsmConfig};
-use crate::node::{AccessCounters, NodeCounters};
+use crate::node::NodeState;
 use crate::oracle::{fnv1a, OracleOutcome};
 use crate::prefetch::AdaptiveStats;
 use crate::recovery::RecoveryStats;
@@ -484,7 +484,7 @@ impl RunReport {
 }
 
 pub(crate) fn fold_counters(
-    counters: impl Iterator<Item = (NodeCounters, AccessCounters)>,
+    nodes: &[NodeState],
 ) -> (
     MissSummary,
     SyncSummary,
@@ -501,7 +501,8 @@ pub(crate) fn fold_counters(
     let mut mt = MtSummary::default();
     let mut gc = 0;
     let mut dir = DirectorySummary::default();
-    for (c, a) in counters {
+    for node in nodes {
+        let (c, a) = (&node.counters, &node.mem.counters);
         miss.faults += c.faults;
         miss.misses += c.misses;
         miss.latency_sum += c.miss_latency_sum;

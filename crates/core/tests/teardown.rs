@@ -1,18 +1,30 @@
 //! Teardown after a failed run: the one error comes back from the
 //! main thread and nothing else is reported — in particular, the
-//! application threads the engine abandons do not each panic through
-//! the panic hook.
+//! application threads the engine (or the golden scheduler) abandons
+//! do not each panic through the panic hook, and none of them is
+//! waited on forever.
 //!
 //! The panic hook is process-wide, so this file holds exactly one
 //! test.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use rsdsm_core::{
-    BarrierId, DsmConfig, DsmCtx, DsmProgram, FaultPlan, Heap, HomePolicy, SharedVec, SimError,
-    Simulation, ThreadConfig, VerifyCtx,
+    golden_run, BarrierId, DsmConfig, DsmCtx, DsmProgram, FaultPlan, Heap, HomePolicy, LockId,
+    SharedVec, SimError, Simulation, ThreadConfig, VerifyCtx,
 };
+
+/// Runs `f` on a helper thread and fails the test if it has not
+/// returned within a minute: a teardown that leaves a thread parked
+/// shows up as this timeout instead of a hung test binary.
+fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("the run hung or panicked instead of returning its error")
+}
 
 /// Every thread writes its block, then reads its neighbour's across a
 /// barrier — enough reliable traffic that heavy loss exhausts a retry
@@ -51,6 +63,30 @@ impl DsmProgram for Exchange {
     }
 }
 
+/// Thread 1 releases a lock nobody holds while thread 0 is parked at
+/// a barrier: the golden scheduler must say so itself.
+struct StrayRelease;
+
+impl DsmProgram for StrayRelease {
+    type Handles = SharedVec<u64>;
+
+    fn name(&self) -> String {
+        "stray-release".into()
+    }
+
+    fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+        heap.alloc(1, HomePolicy::Single(0))
+    }
+
+    fn run(&self, ctx: &mut DsmCtx, _data: &Self::Handles) {
+        if ctx.thread_id() == 0 {
+            ctx.barrier(BarrierId(0));
+        } else {
+            ctx.release(LockId(3));
+        }
+    }
+}
+
 #[test]
 fn a_failed_run_reports_once_from_the_main_thread() {
     let hook_calls = Arc::new(AtomicUsize::new(0));
@@ -64,8 +100,7 @@ fn a_failed_run_reports_once_from_the_main_thread() {
     let lossy = DsmConfig::paper_cluster(4)
         .with_threads(ThreadConfig::multithreaded(2))
         .with_faults(FaultPlan::uniform_loss(7, 0.85));
-    let err = Simulation::new(lossy)
-        .run(&Exchange { saboteur: None })
+    let err = within_a_minute(|| Simulation::new(lossy).run(&Exchange { saboteur: None }))
         .expect_err("85% loss must exhaust a retry budget");
     assert!(matches!(err, SimError::Transport(_)), "got {err:?}");
     assert_eq!(
@@ -74,12 +109,25 @@ fn a_failed_run_reports_once_from_the_main_thread() {
         "abandoned application threads went through the panic hook"
     );
 
+    // The golden scheduler abandons its threads the same way, and its
+    // own diagnostic is the error — not a note about how the parked
+    // thread 0 was unwound.
+    let err = within_a_minute(|| golden_run(&StrayRelease, &DsmConfig::paper_cluster(2), &[]))
+        .expect_err("releasing an unheld lock fails the schedule");
+    assert!(
+        err.contains("thread 1 released unowned LockId(3)"),
+        "got {err:?}"
+    );
+    assert_eq!(hook_calls.load(Ordering::SeqCst), 0);
+
     // A genuine application panic is the opposite case: it does reach
     // the hook — once, for the thread that panicked, not once per
-    // abandoned sibling — and surfaces with its message.
+    // abandoned sibling — and surfaces with its message. The saboteur
+    // panics mid-burst, so its node's memory (lent to it for the
+    // burst, its sibling parked) is lost with it; the run must still
+    // end in that one error rather than wait for the memory to return.
     let clean = DsmConfig::paper_cluster(4).with_threads(ThreadConfig::multithreaded(2));
-    let err = Simulation::new(clean)
-        .run(&Exchange { saboteur: Some(3) })
+    let err = within_a_minute(|| Simulation::new(clean).run(&Exchange { saboteur: Some(3) }))
         .expect_err("the saboteur panics");
     match err {
         SimError::AppThread(msg) => assert!(msg.contains("deliberate failure"), "msg: {msg}"),

@@ -33,7 +33,7 @@
 //! default.
 
 use rsdsm_apps::{Benchmark, Scale};
-use rsdsm_core::{DsmConfig, OracleConfig, PrefetchConfig, SimError, ThreadConfig};
+use rsdsm_core::{DsmConfig, OracleConfig, SimError, ThreadConfig};
 
 /// The paper's four technique configurations, in figure order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,24 +72,19 @@ impl Technique {
         }
     }
 
-    /// Applies this technique to a base config for `bench`, mirroring
-    /// the experiment harness (`rsdsm-bench`): hand vs compiler
-    /// prefetch insertion per application, suppression and RADIX
-    /// throttling in combined mode.
+    /// Applies this technique to a base config for `bench`, with the
+    /// paper's per-application prefetch modes
+    /// ([`Benchmark::paper_prefetch`], [`Benchmark::combined_prefetch`])
+    /// — the same configurations the experiment harness
+    /// (`rsdsm-bench`) runs.
     pub fn configure(self, bench: Benchmark, base: DsmConfig) -> DsmConfig {
         match self {
             Technique::Base => base,
             Technique::Prefetch => base.with_prefetch(bench.paper_prefetch()),
             Technique::Multithread => base.with_threads(ThreadConfig::multithreaded(2)),
-            Technique::Combined => {
-                let throttle = if bench == Benchmark::Radix { 2 } else { 1 };
-                base.with_threads(ThreadConfig::combined(2))
-                    .with_prefetch(PrefetchConfig {
-                        suppress_redundant: true,
-                        throttle,
-                        ..bench.paper_prefetch()
-                    })
-            }
+            Technique::Combined => base
+                .with_threads(ThreadConfig::combined(2))
+                .with_prefetch(bench.combined_prefetch()),
         }
     }
 }
