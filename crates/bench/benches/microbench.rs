@@ -5,11 +5,15 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use rsdsm_apps::{Benchmark, Scale};
 use rsdsm_bench::queue_replay;
 use rsdsm_core::DsmConfig;
-use rsdsm_protocol::{Diff, NoticeBoard, Page, PageId, PagePool, VectorClock, WriteNotice};
+use rsdsm_protocol::{
+    Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, PagePool, VectorClock,
+    WriteNotice,
+};
 use rsdsm_simnet::{EventQueue, HeapQueue, NetConfig, Network, Reliability, SimTime};
 
 fn page_pair(stride: usize) -> (Page, Page) {
@@ -242,6 +246,36 @@ fn bench_notice_board(c: &mut Criterion) {
     });
 }
 
+/// The piggyback query of every grant, barrier message and diff
+/// reply, late in a run: a 2 000-record log asked by a peer that
+/// lacks only the last four. The answer is four records whatever the
+/// log's length.
+fn bench_interval_log(c: &mut Criterion) {
+    let mut group = c.benchmark_group("interval_log");
+    for nodes in [8usize, 64] {
+        let mut log = IntervalLog::new();
+        let mut clock = VectorClock::new(nodes);
+        let mut peer = clock.clone();
+        for i in 0..2000 {
+            if i == 1996 {
+                peer = clock.clone();
+            }
+            let origin = i % nodes;
+            clock.tick(origin);
+            log.learn(&Arc::new(IntervalRecord {
+                origin,
+                stamp: Arc::new(clock.clone()),
+                pages: vec![PageId::new(i as u32 % 64)],
+            }));
+        }
+        assert_eq!(log.unknown_to(&peer).len(), 4);
+        group.bench_function(format!("unknown_to/n{nodes}"), |b| {
+            b.iter(|| log.unknown_to(black_box(&peer)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_diffs,
@@ -251,6 +285,7 @@ criterion_group!(
     bench_event_queue,
     bench_prefetch_detect,
     bench_network,
-    bench_notice_board
+    bench_notice_board,
+    bench_interval_log
 );
 criterion_main!(benches);

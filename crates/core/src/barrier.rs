@@ -7,6 +7,7 @@
 //! *last* local thread to arrive generates the remote arrival message.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rsdsm_simnet::NodeId;
 
@@ -72,7 +73,7 @@ pub struct BarrierManager {
 #[derive(Debug, Clone, Default)]
 struct Episode {
     arrived: Vec<NodeId>,
-    intervals: Vec<IntervalRecord>,
+    intervals: Vec<Arc<IntervalRecord>>,
 }
 
 impl BarrierManager {
@@ -100,16 +101,17 @@ impl BarrierManager {
         &mut self,
         id: BarrierId,
         from: NodeId,
-        intervals: Vec<IntervalRecord>,
-    ) -> Option<Vec<IntervalRecord>> {
+        intervals: Vec<Arc<IntervalRecord>>,
+    ) -> Option<Vec<Arc<IntervalRecord>>> {
         let ep = self.pending.entry(id).or_default();
         assert!(!ep.arrived.contains(&from), "node {from} arrived twice");
         ep.arrived.push(from);
         for rec in intervals {
+            let seq = rec.seq();
             let dup = ep
                 .intervals
                 .iter()
-                .any(|r| r.origin == rec.origin && r.stamp == rec.stamp);
+                .any(|r| r.origin == rec.origin && r.seq() == seq);
             if !dup {
                 ep.intervals.push(rec);
             }
@@ -134,16 +136,16 @@ mod tests {
     use super::*;
     use rsdsm_protocol::{PageId, VectorClock};
 
-    fn rec(origin: NodeId, tick: usize) -> IntervalRecord {
+    fn rec(origin: NodeId, tick: usize) -> Arc<IntervalRecord> {
         let mut stamp = VectorClock::new(4);
         for _ in 0..tick {
             stamp.tick(origin);
         }
-        IntervalRecord {
+        Arc::new(IntervalRecord {
             origin,
-            stamp,
+            stamp: Arc::new(stamp),
             pages: vec![PageId::new(0)],
-        }
+        })
     }
 
     #[test]

@@ -60,6 +60,8 @@
 //! assert_eq!(back.digest(), ckpt.digest());
 //! ```
 
+use std::sync::Arc;
+
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock, PAGE_SIZE};
 
 use crate::msg::{IntervalRecord, LockId};
@@ -108,8 +110,9 @@ pub struct Checkpoint {
     pub pages: Vec<PageImage>,
     /// Locally-created diffs, ascending by (page, seq).
     pub diffs: Vec<DiffRecord>,
-    /// The node's interval log (its own and received write notices).
-    pub intervals: Vec<IntervalRecord>,
+    /// The node's interval log (its own and received write notices),
+    /// sharing the live log's records.
+    pub intervals: Vec<Arc<IntervalRecord>>,
     /// Lock tokens the node held, ascending.
     pub tokens: Vec<LockId>,
 }
@@ -192,7 +195,7 @@ impl Checkpoint {
             vc: state.vc.clone(),
             pages,
             diffs,
-            intervals: state.known_intervals.clone(),
+            intervals: state.interval_log().records().to_vec(),
             tokens,
         }
     }
@@ -284,11 +287,11 @@ impl Checkpoint {
             for _ in 0..c.u32()? {
                 ivpages.push(PageId::new(c.u32()?));
             }
-            intervals.push(IntervalRecord {
+            intervals.push(Arc::new(IntervalRecord {
                 origin,
-                stamp,
+                stamp: Arc::new(stamp),
                 pages: ivpages,
-            });
+            }));
         }
         let mut tokens = Vec::new();
         for _ in 0..c.u32()? {
@@ -601,11 +604,11 @@ mod tests {
                 seq: 4,
                 diff: Diff::between(&twin, &page),
             }],
-            intervals: vec![IntervalRecord {
+            intervals: vec![Arc::new(IntervalRecord {
                 origin: 2,
-                stamp: VectorClock::from_entries(&[4, 0, 8, 1]),
+                stamp: Arc::new(VectorClock::from_entries(&[4, 0, 8, 1])),
                 pages: vec![PageId::new(0), PageId::new(3)],
-            }],
+            })],
             tokens: vec![LockId(1), LockId(7)],
         }
     }

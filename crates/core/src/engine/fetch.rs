@@ -8,11 +8,10 @@
 //! that already contains it; and each (node, page) has at most one
 //! fetch in flight, which later faults join instead of duplicating.
 
-use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use rsdsm_protocol::{CachedDiff, Diff, Page, PageId, VectorClock, WriteNotice};
+use rsdsm_protocol::{CachedDiff, Diff, HbKey, Page, PageId, Stamp, VectorClock};
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use super::Core;
@@ -42,25 +41,12 @@ impl Directory {
     }
 }
 
-/// A total order on interval stamps that extends happens-before-1:
-/// component sum first (a dominated stamp has a strictly smaller
-/// sum), then lexicographic. Concurrent diffs are disjoint, so any
-/// such order applies them correctly.
-fn hb_order(a: &VectorClock, b: &VectorClock) -> Ordering {
-    let sum = |vc: &VectorClock| -> u64 { (0..vc.len()).map(|i| vc.get(i) as u64).sum() };
-    sum(a).cmp(&sum(b)).then_with(|| {
-        (0..a.len())
-            .map(|i| a.get(i))
-            .cmp((0..b.len()).map(|i| b.get(i)))
-    })
-}
-
 /// Keeps reply diffs in the node's prefetch cache for use at access
 /// time, dropping any a faster fault path already applied — replaying
 /// those later would corrupt the page.
 fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: Vec<DiffPayload>) {
     for d in diffs {
-        if !node.board.is_applied(page, d.origin, &d.stamp) {
+        if !node.board.is_applied(page, d.origin, d.stamp.get(d.origin)) {
             node.cache.insert(
                 page,
                 CachedDiff {
@@ -87,7 +73,7 @@ fn class_code(class: MissClass) -> u8 {
 /// and whether the base copy rides along.
 struct Request {
     to: NodeId,
-    stamps: Vec<VectorClock>,
+    stamps: Vec<Stamp>,
     want_base: bool,
 }
 
@@ -262,7 +248,9 @@ impl Core<'_> {
         // closed diffs). Non-home writers claim pages via their own
         // faults before writing, so an unclaimed page can only have
         // been written by the home itself.
-        let home_wrote = self.nodes[home].own_diffs.keys().any(|&(dp, _)| dp == p);
+        let home_wrote = self.nodes[home]
+            .intervals_naming(page)
+            .any(|rec| rec.origin == home);
         let home_mem = &mut self.nodes[home].mem;
         if home_wrote || home_mem.pages[p].twin.is_some() || home_mem.dirty.contains(&page) {
             return;
@@ -279,20 +267,16 @@ impl Core<'_> {
     /// The (origin → stamps) diffs node `n` still needs for `page`
     /// (pending notices minus the prefetch cache), plus whether a
     /// base copy is needed.
-    pub(super) fn missing_for(
-        &self,
-        n: NodeId,
-        page: PageId,
-    ) -> (Vec<(NodeId, Vec<VectorClock>)>, bool) {
+    pub(super) fn missing_for(&self, n: NodeId, page: PageId) -> (Vec<(NodeId, Vec<Stamp>)>, bool) {
         let node = &self.nodes[n];
-        let missing: Vec<(NodeId, Vec<VectorClock>)> = node
+        let missing: Vec<(NodeId, Vec<Stamp>)> = node
             .board
             .pending_by_origin(page)
             .into_iter()
             .filter_map(|(origin, stamps)| {
-                let remaining: Vec<VectorClock> = stamps
+                let remaining: Vec<Stamp> = stamps
                     .into_iter()
-                    .filter(|s| !node.cache.has_diff(page, origin, s))
+                    .filter(|s| !node.cache.has_diff(page, origin, s.get(origin)))
                     .collect();
                 if remaining.is_empty() {
                     None
@@ -314,7 +298,7 @@ impl Core<'_> {
         &mut self,
         n: NodeId,
         page: PageId,
-        missing: &[(NodeId, Vec<VectorClock>)],
+        missing: &[(NodeId, Vec<Stamp>)],
         need_base: bool,
         mut end: SimTime,
         prefetch: bool,
@@ -397,7 +381,7 @@ impl Core<'_> {
     ) -> SimTime {
         let node = &mut self.nodes[n];
         let base = base.or_else(|| node.base_cache.remove(&page));
-        let mut diffs: Vec<CachedDiff> = node
+        let diffs: Vec<CachedDiff> = node
             .cache
             .take(page)
             .into_iter()
@@ -407,9 +391,11 @@ impl Core<'_> {
                 diff: p.diff,
             }))
             .collect();
-        diffs.sort_by(|a, b| hb_order(&a.stamp, &b.stamp));
+        // Happens-before order, each stamp keyed once.
+        let mut ordered: Vec<(HbKey<'_>, &CachedDiff)> =
+            diffs.iter().map(|d| (d.stamp.hb_key(), d)).collect();
+        ordered.sort_by_key(|&(key, _)| key);
 
-        let entry = &mut node.mem.pages[page.index()];
         let mut apply_cost = SimDuration::ZERO;
         // Diffs already incorporated in an applied base copy must NOT
         // be re-applied: the base may also contain *newer* intervals
@@ -417,6 +403,7 @@ impl Core<'_> {
         // diff over it would roll those bytes back.
         let mut skip: HashSet<(NodeId, u32)> = HashSet::new();
         if let Some(b) = base {
+            let entry = &mut node.mem.pages[page.index()];
             if !entry.ever_valid {
                 entry.data.copy_from(&b.page);
                 entry.ever_valid = true;
@@ -427,9 +414,10 @@ impl Core<'_> {
                 apply_cost += self.cfg.costs.diff_apply(rsdsm_protocol::PAGE_SIZE);
             }
         }
-        for cached in &diffs {
-            if skip.contains(&(cached.origin, cached.stamp.get(cached.origin)))
-                || node.board.is_applied(page, cached.origin, &cached.stamp)
+        for (_, cached) in ordered {
+            let seq = cached.stamp.get(cached.origin);
+            if skip.contains(&(cached.origin, seq))
+                || node.board.is_applied(page, cached.origin, seq)
             {
                 // Already incorporated (via the base or an earlier
                 // fetch); re-applying a byte-sparse diff over newer
@@ -438,12 +426,11 @@ impl Core<'_> {
                 continue;
             }
             if self.oracle.cfg.invariants {
-                let covered = node
-                    .known_set
-                    .contains(&(cached.origin, cached.stamp.get(cached.origin)));
+                let covered = node.knows_interval(cached.origin, seq);
                 self.oracle
                     .check_coverage(covered, n, page, cached.origin, &cached.stamp, end);
             }
+            let entry = &mut node.mem.pages[page.index()];
             cached.diff.apply(&mut entry.data);
             // Keep the twin consistent so our own diff stays minimal
             // (incoming concurrent diffs touch disjoint bytes).
@@ -453,7 +440,6 @@ impl Core<'_> {
                 cached.diff.apply(Arc::make_mut(twin));
             }
             node.board.mark_applied(page, cached.origin, &cached.stamp);
-            let seq = cached.stamp.get(cached.origin);
             let cause =
                 self.tracer
                     .notice_id(n as u32, page.index() as u32, cached.origin as u32, seq);
@@ -501,9 +487,8 @@ impl Core<'_> {
         if dirty.is_empty() {
             return at;
         }
-        node.vc.tick(n);
-        let stamp = node.vc.clone();
-        let seq = stamp.get(n);
+        let seq = node.vc.tick(n);
+        let stamp = Arc::new(node.vc.clone());
         let mut cost = SimDuration::ZERO;
         let mut seen = HashSet::new();
         let mut pages_list = Vec::new();
@@ -535,18 +520,17 @@ impl Core<'_> {
             pages_list.push(page);
             m.pool.put_arc(twin);
         }
-        let rec = IntervalRecord {
+        self.nodes[n].learn_interval(&Arc::new(IntervalRecord {
             origin: n,
             stamp,
             pages: pages_list,
-        };
-        self.nodes[n].learn_interval(&rec);
+        }));
         self.charge(n, at, cost, Category::DsmOverhead, None)
     }
 
     /// Records the write notices of `rec` at node `n`, invalidating
     /// affected pages (skipping the node's own intervals).
-    pub(super) fn record_interval(&mut self, n: NodeId, rec: &IntervalRecord, at: SimTime) {
+    pub(super) fn record_interval(&mut self, n: NodeId, rec: &Arc<IntervalRecord>, at: SimTime) {
         self.nodes[n].learn_interval(rec);
         if rec.origin == n {
             return;
@@ -561,14 +545,12 @@ impl Core<'_> {
                 self.nodes[n].counters.dir_pruned += 1;
                 continue;
             }
-            let is_new = self.nodes[n].board.record(WriteNotice {
-                page,
-                origin: rec.origin,
-                stamp: rec.stamp.clone(),
-            });
-            if is_new {
+            if self.nodes[n]
+                .board
+                .record_stamp(page, rec.origin, &rec.stamp)
+            {
                 if self.tracer.is_on() {
-                    let seq = rec.stamp.get(rec.origin);
+                    let seq = rec.seq();
                     let id = self.tracer.emit(
                         at,
                         n as u32,
@@ -619,7 +601,7 @@ impl Core<'_> {
         m: NodeId,
         requester: NodeId,
         page: PageId,
-        stamps: &[VectorClock],
+        stamps: &[Stamp],
         want_base: bool,
         prefetch: bool,
         adaptive: bool,
@@ -644,9 +626,8 @@ impl Core<'_> {
             // the fresh diff rides along in the reply.
             let node = &mut self.nodes[m];
             if let Some(twin) = node.mem.pages[page.index()].twin.take() {
-                node.vc.tick(m);
-                let stamp = node.vc.clone();
-                let seq = stamp.get(m);
+                let seq = node.vc.tick(m);
+                let stamp = Arc::new(node.vc.clone());
                 let entry = &node.mem.pages[page.index()];
                 let diff = Diff::between(&twin, &entry.data);
                 if self.oracle.cfg.invariants {
@@ -678,12 +659,11 @@ impl Core<'_> {
                 node.own_diff_bytes += diff.encoded_bytes();
                 node.own_diffs
                     .insert((page.index(), seq), Arc::clone(&diff));
-                let rec = IntervalRecord {
+                node.learn_interval(&Arc::new(IntervalRecord {
                     origin: m,
-                    stamp: stamp.clone(),
+                    stamp: Arc::clone(&stamp),
                     pages: vec![page],
-                };
-                self.nodes[m].learn_interval(&rec);
+                }));
                 reply_diffs.push(DiffPayload {
                     origin: m,
                     stamp,
@@ -701,7 +681,7 @@ impl Core<'_> {
                 .clone();
             reply_diffs.push(DiffPayload {
                 origin: m,
-                stamp: stamp.clone(),
+                stamp: Arc::clone(stamp),
                 diff,
             });
         }
@@ -721,12 +701,13 @@ impl Core<'_> {
                 Some(twin) => Arc::clone(twin),
                 None => Arc::new(entry.data.clone()),
             };
-            let mut incorporated = self.nodes[m].board.applied_for(page);
-            for rec in &self.nodes[m].known_intervals {
-                if rec.origin == m && rec.pages.contains(&page) {
-                    incorporated.push((m, rec.stamp.clone()));
-                }
-            }
+            let node = &self.nodes[m];
+            let mut incorporated = node.board.applied_for(page);
+            incorporated.extend(
+                node.intervals_naming(page)
+                    .filter(|rec| rec.origin == m)
+                    .map(|rec| (m, Arc::clone(&rec.stamp))),
+            );
             Some(BasePayload {
                 page: data,
                 incorporated,
@@ -744,18 +725,14 @@ impl Core<'_> {
             // whole — never synthesized per-page slices — so a
             // requester that genuinely never saw one learns every
             // page it names.
-            let healed: Vec<IntervalRecord> = self.nodes[m]
-                .known_intervals
-                .iter()
-                .filter(|rec| {
-                    rec.origin != requester
-                        && rec.pages.contains(&page)
-                        && requester_vc.dominates(&rec.stamp)
-                })
-                .cloned()
-                .collect();
-            self.nodes[m].counters.dir_forwards += healed.len() as u64;
-            intervals.extend(healed);
+            let before = intervals.len();
+            intervals.extend(
+                self.nodes[m]
+                    .intervals_naming(page)
+                    .filter(|rec| rec.origin != requester && requester_vc.dominates(&rec.stamp))
+                    .cloned(),
+            );
+            self.nodes[m].counters.dir_forwards += (intervals.len() - before) as u64;
         }
         end = self.charge(m, end, self.cfg.costs.msg_send, Category::DsmOverhead, None);
         let sent = self.post(
@@ -802,7 +779,7 @@ impl Core<'_> {
         diffs: Vec<DiffPayload>,
         base: Option<BasePayload>,
         prefetch: bool,
-        intervals: &[IntervalRecord],
+        intervals: &[Arc<IntervalRecord>],
         end: SimTime,
     ) -> Result<(), SimError> {
         // Learn the piggybacked notices FIRST: the diffs may come from
@@ -907,38 +884,44 @@ impl Core<'_> {
 /// happens-before order), plus any still-open modifications.
 pub(super) fn materialize(heap: &Heap, nodes: &[NodeState]) -> Vec<Page> {
     let total_pages = heap.page_count();
+    // Closed intervals' diffs per page, away from the page's home:
+    // one walk over each node's own intervals.
+    let mut closed: Vec<Vec<(&IntervalRecord, &Diff)>> = vec![Vec::new(); total_pages];
+    for node in nodes {
+        for rec in node.own_intervals() {
+            for page in &rec.pages {
+                if heap.home(*page) == node.id {
+                    continue;
+                }
+                if let Some(diff) = node.own_diffs.get(&(page.index(), rec.seq())) {
+                    closed[page.index()].push((rec, diff));
+                }
+            }
+        }
+    }
     let mut out = Vec::with_capacity(total_pages);
-    for p in 0..total_pages {
+    for (p, mut pendings) in closed.into_iter().enumerate() {
         let page = PageId::new(p as u32);
         let home = heap.home(page);
         let mut data = nodes[home].mem.pages[p].data.clone();
 
-        let applied: HashSet<(usize, u32)> = nodes[home]
-            .board
-            .applied_for(page)
-            .into_iter()
-            .map(|(o, s)| (o, s.get(o)))
-            .collect();
-
-        // Closed intervals not yet incorporated at the home.
-        let mut pendings: Vec<(&VectorClock, &Diff)> = Vec::new();
-        for node in nodes {
-            for rec in &node.known_intervals {
-                if rec.origin != node.id || !rec.pages.contains(&page) {
-                    continue;
-                }
-                let seq = rec.stamp.get(node.id);
-                if node.id == home || applied.contains(&(node.id, seq)) {
-                    continue;
-                }
-                if let Some(diff) = node.own_diffs.get(&(p, seq)) {
-                    pendings.push((&rec.stamp, &**diff));
-                }
+        // Those not yet incorporated at the home.
+        if !pendings.is_empty() {
+            let applied: HashSet<(usize, u32)> = nodes[home]
+                .board
+                .applied_for(page)
+                .into_iter()
+                .map(|(o, s)| (o, s.get(o)))
+                .collect();
+            pendings.retain(|(rec, _)| !applied.contains(&(rec.origin, rec.seq())));
+            let mut ordered: Vec<(HbKey<'_>, &Diff)> = pendings
+                .iter()
+                .map(|&(rec, diff)| (rec.stamp.hb_key(), diff))
+                .collect();
+            ordered.sort_by_key(|&(key, _)| key);
+            for (_, diff) in ordered {
+                diff.apply(&mut data);
             }
-        }
-        pendings.sort_by(|(a, _), (b, _)| hb_order(a, b));
-        for (_, diff) in pendings {
-            diff.apply(&mut data);
         }
 
         // Open (never-closed) modifications are the latest by program
@@ -996,13 +979,13 @@ mod tests {
         data.write_u64(8, 42);
         let diff = Diff::between(&twin, &data);
         nodes[1].vc.tick(1);
-        let stamp = nodes[1].vc.clone();
+        let stamp = Arc::new(nodes[1].vc.clone());
         nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
-        nodes[1].learn_interval(&IntervalRecord {
+        nodes[1].learn_interval(&Arc::new(IntervalRecord {
             origin: 1,
             stamp,
             pages: vec![PageId::new(0)],
-        });
+        }));
 
         let pages = materialize(&heap, &nodes);
         assert_eq!(pages[0].read_u64(0), 1, "home bytes preserved");
@@ -1022,13 +1005,13 @@ mod tests {
         data.write_u64(8, 42);
         let diff = Diff::between(&twin, &data);
         nodes[1].vc.tick(1);
-        let stamp = nodes[1].vc.clone();
+        let stamp = Arc::new(nodes[1].vc.clone());
         nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
-        nodes[1].learn_interval(&IntervalRecord {
+        nodes[1].learn_interval(&Arc::new(IntervalRecord {
             origin: 1,
-            stamp: stamp.clone(),
+            stamp: Arc::clone(&stamp),
             pages: vec![PageId::new(0)],
-        });
+        }));
         // Mark it applied at the home.
         nodes[0].board.mark_applied(PageId::new(0), 1, &stamp);
 

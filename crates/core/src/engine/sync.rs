@@ -9,6 +9,7 @@
 //! epoch by exactly one.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rsdsm_protocol::VectorClock;
 use rsdsm_simnet::{NodeId, SimTime};
@@ -308,7 +309,7 @@ impl Core<'_> {
         &mut self,
         n: NodeId,
         lock: LockId,
-        intervals: &[IntervalRecord],
+        intervals: &[Arc<IntervalRecord>],
         vc: &VectorClock,
         at: SimTime,
     ) -> Result<(), SimError> {
@@ -366,9 +367,9 @@ impl Core<'_> {
             NO_CAUSE,
             TraceEvent::BarrierArrive { barrier: id.0 },
         );
-        let horizon = self.nodes[n].last_release_vc.clone();
-        let intervals = self.nodes[n].intervals_unknown_to(&horizon);
-        let vc = self.nodes[n].vc.clone();
+        let node = &self.nodes[n];
+        let intervals = node.intervals_unknown_to(&node.last_release_vc);
+        let vc = node.vc.clone();
         if n == MANAGER {
             end = self.charge_sync(n, end);
             // Block first: when this is the last arrival cluster-wide,
@@ -400,7 +401,7 @@ impl Core<'_> {
         id: BarrierId,
         from: NodeId,
         vc: VectorClock,
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
         at: SimTime,
     ) -> Result<(), SimError> {
         let end = self.charge_sync(n, at);
@@ -414,7 +415,7 @@ impl Core<'_> {
         id: BarrierId,
         from: NodeId,
         vc: VectorClock,
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
         at: SimTime,
     ) -> Result<(), SimError> {
         let joined = self
@@ -461,7 +462,7 @@ impl Core<'_> {
         n: NodeId,
         id: BarrierId,
         vc: &VectorClock,
-        intervals: &[IntervalRecord],
+        intervals: &[Arc<IntervalRecord>],
         at: SimTime,
     ) -> Result<(), SimError> {
         let mut end = self.charge_sync(n, at);

@@ -4,10 +4,17 @@
 //! Wire sizes are estimated from the logical content so the network
 //! model charges realistic transfer times (the paper's Table 1 and
 //! Table 2 report total traffic in bytes).
+//!
+//! Interval records and interval stamps are immutable once the
+//! interval closes, so bodies carry them as `Arc`s: building, cloning
+//! and delivering a message bumps reference counts, and the sender's
+//! log, the frame and every receiver's log share one record. Wire
+//! sizes are computed from the contents, as if each were copied.
 
 use std::sync::Arc;
 
-use rsdsm_protocol::{Diff, Page, PageId, VectorClock, NOTICE_WIRE_BYTES, PAGE_SIZE};
+pub use rsdsm_protocol::IntervalRecord;
+use rsdsm_protocol::{Diff, Page, PageId, Stamp, VectorClock, PAGE_SIZE};
 use rsdsm_simnet::NodeId;
 
 /// Identifies an application-level lock. The lock's manager node is
@@ -20,25 +27,6 @@ pub struct LockId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BarrierId(pub u32);
 
-/// A closed interval: `origin` modified `pages` during the interval
-/// stamped `stamp`. This is the unit of write-notice propagation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalRecord {
-    /// The writing processor.
-    pub origin: NodeId,
-    /// Vector timestamp at the interval's close.
-    pub stamp: VectorClock,
-    /// Pages dirtied during the interval.
-    pub pages: Vec<PageId>,
-}
-
-impl IntervalRecord {
-    /// Wire size of the encoded record.
-    pub fn wire_bytes(&self) -> usize {
-        8 + 4 * self.stamp.len() + NOTICE_WIRE_BYTES * self.pages.len()
-    }
-}
-
 /// One diff payload in a reply: the writer's interval stamp plus the
 /// encoded modifications.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +34,7 @@ pub struct DiffPayload {
     /// The processor whose interval produced the diff.
     pub origin: NodeId,
     /// The interval's timestamp.
-    pub stamp: VectorClock,
+    pub stamp: Stamp,
     /// The run-length-encoded modifications, shared zero-copy with
     /// the sender's own diff record (cloning a payload bumps a
     /// refcount, never copies the encoded bytes).
@@ -68,7 +56,7 @@ pub struct BasePayload {
     /// that later mutates its twin un-shares it first).
     pub page: Arc<Page>,
     /// Modifications already applied into `page` by the sender.
-    pub incorporated: Vec<(NodeId, VectorClock)>,
+    pub incorporated: Vec<(NodeId, Stamp)>,
 }
 
 impl BasePayload {
@@ -87,7 +75,7 @@ pub enum MsgBody {
         /// The faulted/prefetched page.
         page: PageId,
         /// Interval stamps whose diffs are wanted from the recipient.
-        stamps: Vec<VectorClock>,
+        stamps: Vec<Stamp>,
         /// Also send a full page copy (first-touch fetch).
         want_base: bool,
         /// This is a prefetch request (servicing may split an open
@@ -123,7 +111,7 @@ pub enum MsgBody {
         /// learn of every causally-prior interval before applying it,
         /// or a later fetch of an older overlapping diff would roll
         /// the page back.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
     },
     /// Acquire request sent to the lock's manager node.
     LockRequest {
@@ -151,7 +139,7 @@ pub enum MsgBody {
         /// The lock.
         lock: LockId,
         /// Intervals the acquirer did not know about.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
         /// The granter's vector clock.
         vc: VectorClock,
     },
@@ -164,7 +152,7 @@ pub enum MsgBody {
         /// The arriver's vector clock.
         vc: VectorClock,
         /// Intervals the manager may not know about.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
     },
     /// The manager releases all nodes from the barrier, redistributing
     /// every interval gathered from the arrivals.
@@ -174,7 +162,7 @@ pub enum MsgBody {
         /// Joined vector clock of all participants.
         vc: VectorClock,
         /// Union of intervals from all arrivals.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
     },
     /// A node's lease on a peer expired, or a reliable frame to it
     /// exhausted its retries; reported to the manager, which owns
@@ -212,6 +200,9 @@ const BODY_HEADER_BYTES: usize = 16;
 impl MsgBody {
     /// Estimated wire size of the encoded body in bytes.
     pub fn wire_bytes(&self) -> usize {
+        let records = |intervals: &[Arc<IntervalRecord>]| -> usize {
+            intervals.iter().map(|rec| rec.wire_bytes()).sum()
+        };
         BODY_HEADER_BYTES
             + match self {
                 MsgBody::DiffRequest { stamps, vc, .. } => {
@@ -225,26 +216,13 @@ impl MsgBody {
                 } => {
                     diffs.iter().map(DiffPayload::wire_bytes).sum::<usize>()
                         + base.as_ref().map_or(0, BasePayload::wire_bytes)
-                        + intervals
-                            .iter()
-                            .map(IntervalRecord::wire_bytes)
-                            .sum::<usize>()
+                        + records(intervals)
                 }
                 MsgBody::LockRequest { vc, .. } | MsgBody::LockForward { vc, .. } => 4 * vc.len(),
-                MsgBody::LockGrant { intervals, vc, .. } => {
-                    4 * vc.len()
-                        + intervals
-                            .iter()
-                            .map(IntervalRecord::wire_bytes)
-                            .sum::<usize>()
-                }
-                MsgBody::BarrierArrive { intervals, vc, .. }
+                MsgBody::LockGrant { intervals, vc, .. }
+                | MsgBody::BarrierArrive { intervals, vc, .. }
                 | MsgBody::BarrierRelease { intervals, vc, .. } => {
-                    4 * vc.len()
-                        + intervals
-                            .iter()
-                            .map(IntervalRecord::wire_bytes)
-                            .sum::<usize>()
+                    4 * vc.len() + records(intervals)
                 }
                 // Node id / epoch fit inside the fixed header.
                 MsgBody::SuspectReport { .. } | MsgBody::RecoveryStart { .. } => 0,
@@ -294,11 +272,15 @@ mod tests {
         VectorClock::new(4)
     }
 
+    fn stamp() -> Stamp {
+        Arc::new(vc())
+    }
+
     #[test]
     fn wire_sizes_scale_with_content() {
         let small = MsgBody::DiffRequest {
             page: PageId::new(0),
-            stamps: vec![vc()],
+            stamps: vec![stamp()],
             want_base: false,
             prefetch: false,
             adaptive: false,
@@ -307,7 +289,7 @@ mod tests {
         };
         let large = MsgBody::DiffRequest {
             page: PageId::new(0),
-            stamps: vec![vc(); 4],
+            stamps: vec![stamp(); 4],
             want_base: false,
             prefetch: false,
             adaptive: false,
@@ -354,15 +336,5 @@ mod tests {
         };
         assert!(!normal.droppable());
         assert_eq!(normal.kind(), "lock_request");
-    }
-
-    #[test]
-    fn interval_record_wire_bytes() {
-        let rec = IntervalRecord {
-            origin: 0,
-            stamp: vc(),
-            pages: vec![PageId::new(0), PageId::new(1)],
-        };
-        assert_eq!(rec.wire_bytes(), 8 + 16 + 2 * NOTICE_WIRE_BYTES);
     }
 }

@@ -19,7 +19,9 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use rsdsm_protocol::{Diff, DiffCache, NoticeBoard, Page, PageId, PagePool, VectorClock};
+use rsdsm_protocol::{
+    Diff, DiffCache, IntervalLog, NoticeBoard, Page, PageId, PagePool, VectorClock,
+};
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use crate::accounting::NodeAccount;
@@ -287,10 +289,12 @@ pub(crate) struct NodeState {
     pub own_diffs: HashMap<(usize, u32), Arc<Diff>>,
     /// Encoded bytes held in `own_diffs` (GC trigger).
     pub own_diff_bytes: usize,
-    /// Every interval this node knows about (its own and received).
-    pub known_intervals: Vec<IntervalRecord>,
-    /// Dedup index over `known_intervals`: (origin, origin-sequence).
-    pub known_set: HashSet<(NodeId, u32)>,
+    /// Every interval this node knows about (its own and received),
+    /// never pruned. Private: the engine asks through the methods
+    /// below, each of which is an index lookup — nothing outside this
+    /// module can scan the log. Records are immutable and shared with
+    /// the messages that carried them and every other node's log.
+    known_intervals: IntervalLog,
     /// Vector clock at the last barrier release (bounds what must be
     /// sent to the barrier manager).
     pub last_release_vc: VectorClock,
@@ -352,8 +356,7 @@ impl NodeState {
             base_cache: HashMap::new(),
             own_diffs: HashMap::new(),
             own_diff_bytes: 0,
-            known_intervals: Vec::new(),
-            known_set: HashSet::new(),
+            known_intervals: IntervalLog::new(),
             last_release_vc: VectorClock::new(nodes),
             fetches: HashMap::new(),
             pf_meta: HashMap::new(),
@@ -371,26 +374,39 @@ impl NodeState {
         }
     }
 
-    /// Intervals this node knows that `vc` does not dominate —
-    /// the write notices to piggyback on a grant or barrier message.
-    pub fn intervals_unknown_to(&self, vc: &VectorClock) -> Vec<IntervalRecord> {
-        self.known_intervals
-            .iter()
-            .filter(|rec| !vc.dominates(&rec.stamp))
-            .cloned()
-            .collect()
+    /// Intervals this node knows that `vc` does not dominate, in the
+    /// order learned — the write notices to piggyback on a grant,
+    /// barrier message or diff reply. `vc` must be a node's clock (or
+    /// a copy of one): see [`IntervalLog::unknown_to`].
+    pub fn intervals_unknown_to(&self, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
+        self.known_intervals.unknown_to(vc)
     }
 
-    /// Records an interval in the knowledge log (deduplicated).
-    /// Returns true if it was new.
-    pub fn learn_interval(&mut self, rec: &IntervalRecord) -> bool {
-        let key = (rec.origin, rec.stamp.get(rec.origin));
-        if self.known_set.contains(&key) {
-            return false;
-        }
-        self.known_set.insert(key);
-        self.known_intervals.push(rec.clone());
-        true
+    /// Records an interval in the knowledge log (deduplicated by
+    /// `(origin, seq)`). Returns true if it was new.
+    pub fn learn_interval(&mut self, rec: &Arc<IntervalRecord>) -> bool {
+        self.known_intervals.learn(rec)
+    }
+
+    /// Whether `origin`'s interval `seq` is in the knowledge log.
+    pub fn knows_interval(&self, origin: NodeId, seq: u32) -> bool {
+        self.known_intervals.knows(origin, seq)
+    }
+
+    /// The known intervals (any origin) that dirtied `page`, in the
+    /// order learned.
+    pub fn intervals_naming(&self, page: PageId) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+        self.known_intervals.naming(page)
+    }
+
+    /// The intervals this node itself closed, oldest first.
+    pub fn own_intervals(&self) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+        self.known_intervals.of_origin(self.id)
+    }
+
+    /// The whole knowledge log, for checkpoint capture.
+    pub fn interval_log(&self) -> &IntervalLog {
+        &self.known_intervals
     }
 }
 
@@ -398,16 +414,16 @@ impl NodeState {
 mod tests {
     use super::*;
 
-    fn record(origin: NodeId, ticks: u32, nodes: usize) -> IntervalRecord {
+    fn record(origin: NodeId, ticks: u32, nodes: usize) -> Arc<IntervalRecord> {
         let mut stamp = VectorClock::new(nodes);
         for _ in 0..ticks {
             stamp.tick(origin);
         }
-        IntervalRecord {
+        Arc::new(IntervalRecord {
             origin,
-            stamp,
+            stamp: Arc::new(stamp),
             pages: vec![PageId::new(0)],
-        }
+        })
     }
 
     #[test]
@@ -424,7 +440,9 @@ mod tests {
         let rec = record(1, 1, 2);
         assert!(n.learn_interval(&rec));
         assert!(!n.learn_interval(&rec));
-        assert_eq!(n.known_intervals.len(), 1);
+        assert_eq!(n.interval_log().records().len(), 1);
+        assert!(n.knows_interval(1, 1));
+        assert!(!n.knows_interval(1, 2));
     }
 
     #[test]
@@ -439,6 +457,23 @@ mod tests {
         assert_eq!(unknown[0].stamp.get(1), 2);
         let knows_none = VectorClock::new(2);
         assert_eq!(n.intervals_unknown_to(&knows_none).len(), 2);
+    }
+
+    #[test]
+    fn own_and_per_page_views_of_the_log() {
+        let mut n = NodeState::new(1, 2, 1, NodeMem::default());
+        n.learn_interval(&record(0, 1, 2));
+        n.learn_interval(&record(1, 1, 2));
+        n.learn_interval(&record(1, 2, 2));
+        let seqs = |it: &mut dyn Iterator<Item = &Arc<IntervalRecord>>| -> Vec<(NodeId, u32)> {
+            it.map(|r| (r.origin, r.seq())).collect()
+        };
+        assert_eq!(seqs(&mut n.own_intervals()), [(1, 1), (1, 2)]);
+        assert_eq!(
+            seqs(&mut n.intervals_naming(PageId::new(0))),
+            [(0, 1), (1, 1), (1, 2)]
+        );
+        assert_eq!(n.intervals_naming(PageId::new(1)).count(), 0);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! coverage: a slot truncated at any byte classifies as `Torn` or
 //! falls back cleanly, and classification never panics.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rsdsm_core::{
     classify_slot, Checkpoint, CommitRecord, DiffRecord, IntervalRecord, LockId, PageImage,
@@ -74,10 +76,12 @@ fn build_checkpoint(
             .collect(),
         intervals: intervals
             .iter()
-            .map(|(origin, stamp, pages)| IntervalRecord {
-                origin: *origin,
-                stamp: VectorClock::from_entries(stamp),
-                pages: pages.iter().copied().map(PageId::new).collect(),
+            .map(|(origin, stamp, pages)| {
+                Arc::new(IntervalRecord {
+                    origin: *origin,
+                    stamp: Arc::new(VectorClock::from_entries(stamp)),
+                    pages: pages.iter().copied().map(PageId::new).collect(),
+                })
             })
             .collect(),
         tokens: tokens.iter().copied().map(LockId).collect(),

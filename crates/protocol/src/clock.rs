@@ -24,12 +24,18 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A per-processor vector timestamp.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     elems: Vec<u32>,
 }
+
+/// The timestamp of a closed interval. It never changes once the
+/// interval closes, so the interval's record and every notice,
+/// request and payload naming the interval share one allocation.
+pub type Stamp = Arc<VectorClock>;
 
 impl VectorClock {
     /// A clock for `n` processors, all elements zero.
@@ -129,21 +135,27 @@ impl VectorClock {
         }
     }
 
-    /// Sorts stamps into an order consistent with happens-before-1
-    /// (a topological order): earlier-or-concurrent stamps first.
-    ///
-    /// Concurrent stamps are ordered by their element sum then
-    /// lexicographically, which is deterministic and consistent with
-    /// the partial order because a dominated clock always has a
-    /// smaller or equal sum (and equal sums with domination implies
-    /// equality).
-    pub fn sort_hb(stamps: &mut [VectorClock]) {
-        stamps.sort_by(|a, b| {
-            let sa: u64 = a.elems.iter().map(|&x| x as u64).sum();
-            let sb: u64 = b.elems.iter().map(|&x| x as u64).sum();
-            sa.cmp(&sb).then_with(|| a.elems.cmp(&b.elems))
-        });
+    /// This clock's place in [`HbKey`]'s total order. Costs one pass
+    /// over the elements: sort a list of stamps by keys taken once
+    /// per stamp, not by comparing clocks pairwise.
+    pub fn hb_key(&self) -> HbKey<'_> {
+        HbKey {
+            sum: self.elems.iter().map(|&e| u64::from(e)).sum(),
+            elems: &self.elems,
+        }
     }
+}
+
+/// Sort key of the one total order that extends happens-before-1:
+/// component sum first (a strictly dominated clock has a strictly
+/// smaller sum), then lexicographic — the derived ordering of the
+/// fields below. Concurrent intervals' diffs touch disjoint bytes, so
+/// applying diffs in any such order is correct; every consumer uses
+/// this one, which keeps runs deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct HbKey<'a> {
+    sum: u64,
+    elems: &'a [u32],
 }
 
 impl fmt::Display for VectorClock {
@@ -218,21 +230,22 @@ mod tests {
     }
 
     #[test]
-    fn sort_hb_respects_partial_order() {
+    fn hb_key_extends_the_partial_order() {
         let mut a = VectorClock::new(2); // <1,0>
         a.tick(0);
         let mut b = a.clone(); // <2,0>
         b.tick(0);
         let mut c = VectorClock::new(2); // <0,1>
         c.tick(1);
-        let mut v = vec![b.clone(), c.clone(), a.clone()];
-        VectorClock::sort_hb(&mut v);
-        let pos = |x: &VectorClock| v.iter().position(|y| y == x).unwrap();
-        assert!(pos(&a) < pos(&b), "a happens before b");
-        // c concurrent with both: only requirement is determinism.
-        let mut v2 = vec![a, c, b];
-        VectorClock::sort_hb(&mut v2);
-        assert_eq!(v, v2);
+        assert!(a.hb_key() < b.hb_key(), "a happens before b");
+        assert_eq!(a.hb_key(), a.clone().hb_key());
+        // c is concurrent with both: equal sums fall back to the
+        // lexicographic order, the same from either side.
+        assert!(c.hb_key() < a.hb_key());
+        assert!(c.hb_key() < b.hb_key());
+        let mut sorted = [&b, &a, &c];
+        sorted.sort_by_key(|vc| vc.hb_key());
+        assert_eq!(sorted, [&c, &a, &b]);
     }
 
     #[test]

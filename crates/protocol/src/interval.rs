@@ -1,0 +1,245 @@
+//! Interval records and a node's indexed log of them.
+//!
+//! Every release closes an *interval*; the [`IntervalRecord`] naming
+//! the pages it dirtied is the unit of write-notice propagation. A
+//! node keeps every record it ever learns — its own and received — in
+//! an [`IntervalLog`], and answers three questions from it on every
+//! grant, barrier message and diff reply: which records a peer's
+//! clock does not cover, whether a given interval is known, and which
+//! records name a given page. The log is never pruned, so each answer
+//! comes from an index and costs in proportion to its size, not to
+//! the length of the run.
+//!
+//! An interval's identity is `(origin, seq)`: the writer and the
+//! writer's own component of the stamp, which it ticked to close the
+//! interval. Records are immutable and shared — the log, the messages
+//! that carry a record and every other node's log hold one allocation.
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+use crate::clock::{Stamp, VectorClock};
+use crate::notice::NOTICE_WIRE_BYTES;
+use crate::page::PageId;
+
+/// A closed interval: `origin` modified `pages` during the interval
+/// stamped `stamp`. This is the unit of write-notice propagation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IntervalRecord {
+    /// The writing processor.
+    pub origin: usize,
+    /// Vector timestamp at the interval's close.
+    pub stamp: Stamp,
+    /// Pages dirtied during the interval.
+    pub pages: Vec<PageId>,
+}
+
+impl IntervalRecord {
+    /// The origin's own component of the stamp: with `origin`, the
+    /// interval's identity.
+    pub fn seq(&self) -> u32 {
+        self.stamp.get(self.origin)
+    }
+
+    /// Wire size of the encoded record.
+    pub fn wire_bytes(&self) -> usize {
+        8 + 4 * self.stamp.len() + NOTICE_WIRE_BYTES * self.pages.len()
+    }
+}
+
+/// Every interval a node has learned, in the order learned, with an
+/// index per question asked of it.
+///
+/// Invariants: at most one record per `(origin, seq)`; the indexes
+/// cover exactly the records in the log; and nothing is held for an
+/// origin or page no record names — a 1024-node cluster that never
+/// closes an interval carries 1024 empty logs, not 1024² empty lists.
+#[derive(Debug, Clone, Default)]
+pub struct IntervalLog {
+    records: Vec<Arc<IntervalRecord>>,
+    /// Per origin with at least one record: `(seq, position in
+    /// records)`, ascending by `seq`.
+    by_origin: BTreeMap<usize, Vec<(u32, u32)>>,
+    /// Per page some record names: positions in `records`, ascending.
+    by_page: HashMap<PageId, Vec<u32>>,
+}
+
+impl IntervalLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        IntervalLog::default()
+    }
+
+    /// Appends `rec` unless an interval with its `(origin, seq)` is
+    /// already logged. Returns true if it was new.
+    pub fn learn(&mut self, rec: &Arc<IntervalRecord>) -> bool {
+        let seq = rec.seq();
+        let of_origin = self.by_origin.entry(rec.origin).or_default();
+        // Sequences mostly arrive ascending, but a record relayed by
+        // a third node can overtake an older one of the same origin.
+        let at = of_origin.partition_point(|&(s, _)| s < seq);
+        if of_origin.get(at).is_some_and(|&(s, _)| s == seq) {
+            return false;
+        }
+        let pos = u32::try_from(self.records.len()).expect("interval log fits u32 positions");
+        of_origin.insert(at, (seq, pos));
+        for &page in &rec.pages {
+            let naming = self.by_page.entry(page).or_default();
+            // A record listing a page twice still names it once.
+            if naming.last() != Some(&pos) {
+                naming.push(pos);
+            }
+        }
+        self.records.push(Arc::clone(rec));
+        true
+    }
+
+    /// Whether `origin`'s interval `seq` is in the log.
+    pub fn knows(&self, origin: usize, seq: u32) -> bool {
+        self.by_origin
+            .get(&origin)
+            .is_some_and(|of_origin| of_origin.binary_search_by_key(&seq, |&(s, _)| s).is_ok())
+    }
+
+    /// The records `vc` does not cover, in log order: the write
+    /// notices to piggyback for a peer whose clock is `vc`.
+    ///
+    /// Takes, per origin, the records with `seq > vc[origin]`. That
+    /// is the set `vc` does not dominate because every clock in the
+    /// system is *causally closed*: `vc[o] ≥ s` implies `vc`
+    /// dominates the stamp of `o`'s interval `s`. Clocks change only
+    /// by `tick` (closing an interval, whose stamp is the clock) and
+    /// by `join` with another node's closed clock, and nothing ever
+    /// rolls a clock back. Debug builds check the result against the
+    /// definition.
+    pub fn unknown_to(&self, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
+        let mut positions: Vec<u32> = Vec::new();
+        for (&origin, of_origin) in &self.by_origin {
+            let covered = vc.get(origin);
+            let from = of_origin.partition_point(|&(s, _)| s <= covered);
+            positions.extend(of_origin[from..].iter().map(|&(_, pos)| pos));
+        }
+        positions.sort_unstable();
+        let unknown: Vec<Arc<IntervalRecord>> = positions
+            .into_iter()
+            .map(|pos| Arc::clone(&self.records[pos as usize]))
+            .collect();
+        debug_assert!(
+            unknown.iter().map(Arc::as_ptr).eq(self
+                .records
+                .iter()
+                .filter(|rec| !vc.dominates(&rec.stamp))
+                .map(Arc::as_ptr)),
+            "clock {vc} is not causally closed over the interval log"
+        );
+        unknown
+    }
+
+    /// The records that name `page`, in log order.
+    pub fn naming(&self, page: PageId) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+        let positions = self.by_page.get(&page).map_or(&[][..], Vec::as_slice);
+        positions.iter().map(|&pos| &self.records[pos as usize])
+    }
+
+    /// `origin`'s records, ascending by `seq`.
+    pub fn of_origin(&self, origin: usize) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+        let of_origin = self.by_origin.get(&origin).map_or(&[][..], Vec::as_slice);
+        of_origin
+            .iter()
+            .map(|&(_, pos)| &self.records[pos as usize])
+    }
+
+    /// Every record, in the order learned.
+    pub fn records(&self) -> &[Arc<IntervalRecord>] {
+        &self.records
+    }
+
+    /// Number of origins and pages the indexes hold a list for — zero
+    /// for a log that never learned a record.
+    pub fn indexed_keys(&self) -> usize {
+        self.by_origin.len() + self.by_page.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(origin: usize, ticks: u32, nodes: usize, pages: &[u32]) -> Arc<IntervalRecord> {
+        let mut stamp = VectorClock::new(nodes);
+        for _ in 0..ticks {
+            stamp.tick(origin);
+        }
+        Arc::new(IntervalRecord {
+            origin,
+            stamp: Arc::new(stamp),
+            pages: pages.iter().map(|&p| PageId::new(p)).collect(),
+        })
+    }
+
+    #[test]
+    fn learn_dedupes_and_shares() {
+        let mut log = IntervalLog::new();
+        let rec = record(1, 1, 2, &[0]);
+        assert!(log.learn(&rec));
+        assert!(!log.learn(&rec));
+        assert!(!log.learn(&record(1, 1, 2, &[0])), "same identity");
+        assert_eq!(log.records().len(), 1);
+        assert!(Arc::ptr_eq(&log.records()[0], &rec));
+        assert!(log.knows(1, 1));
+        assert!(!log.knows(1, 2));
+        assert!(!log.knows(0, 1));
+    }
+
+    #[test]
+    fn unknown_to_cuts_each_origin_at_the_clock() {
+        let mut log = IntervalLog::new();
+        // Learned out of sequence order for origin 1.
+        log.learn(&record(1, 2, 2, &[0]));
+        log.learn(&record(1, 1, 2, &[0]));
+        let mut knows_one = VectorClock::new(2);
+        knows_one.tick(1);
+        let unknown = log.unknown_to(&knows_one);
+        assert_eq!(unknown.len(), 1);
+        assert_eq!(unknown[0].seq(), 2);
+        // Log order, not sequence order.
+        let all = log.unknown_to(&VectorClock::new(2));
+        assert_eq!(all.iter().map(|r| r.seq()).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(
+            log.of_origin(1).map(|r| r.seq()).collect::<Vec<_>>(),
+            [1, 2]
+        );
+    }
+
+    #[test]
+    fn naming_lists_a_pages_records_in_log_order() {
+        let mut log = IntervalLog::new();
+        log.learn(&record(0, 1, 3, &[4, 7]));
+        log.learn(&record(2, 1, 3, &[7]));
+        log.learn(&record(0, 2, 3, &[4, 4]));
+        let ids = |page| -> Vec<(usize, u32)> {
+            log.naming(PageId::new(page))
+                .map(|r| (r.origin, r.seq()))
+                .collect()
+        };
+        assert_eq!(ids(4), [(0, 1), (0, 2)]);
+        assert_eq!(ids(7), [(0, 1), (2, 1)]);
+        assert!(ids(5).is_empty());
+    }
+
+    #[test]
+    fn an_empty_log_indexes_nothing() {
+        let log = IntervalLog::new();
+        assert_eq!(log.indexed_keys(), 0);
+        assert!(log.unknown_to(&VectorClock::new(1024)).is_empty());
+        assert_eq!(log.naming(PageId::new(0)).count(), 0);
+        assert_eq!(log.of_origin(3).count(), 0);
+        assert_eq!(log.indexed_keys(), 0, "queries build nothing");
+    }
+
+    #[test]
+    fn record_wire_bytes() {
+        let rec = record(0, 1, 4, &[0, 1]);
+        assert_eq!(rec.wire_bytes(), 8 + 16 + 2 * NOTICE_WIRE_BYTES);
+    }
+}

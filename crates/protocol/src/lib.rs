@@ -5,6 +5,8 @@
 //!
 //! - [`VectorClock`]: distributed timestamps and the happens-before-1
 //!   partial order that orders intervals.
+//! - [`IntervalRecord`] / [`IntervalLog`]: closed intervals and a
+//!   node's indexed, never-pruned log of the ones it has learned.
 //! - [`Page`] / [`PageId`]: 4 KB coherence units.
 //! - [`Diff`]: run-length-encoded modification records produced by the
 //!   multiple-writer twin/diff mechanism.
@@ -42,10 +44,12 @@
 
 mod clock;
 mod diff;
+mod interval;
 mod notice;
 mod page;
 
-pub use clock::VectorClock;
+pub use clock::{HbKey, Stamp, VectorClock};
 pub use diff::Diff;
+pub use interval::{IntervalLog, IntervalRecord};
 pub use notice::{CachedDiff, DiffCache, NoticeBoard, WriteNotice, NOTICE_WIRE_BYTES};
 pub use page::{Page, PageId, PagePool, PAGE_SIZE};

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::clock::VectorClock;
+use crate::clock::{Stamp, VectorClock};
 use crate::diff::Diff;
 use crate::page::PageId;
 
@@ -35,16 +35,20 @@ pub struct WriteNotice {
 /// Wire-size estimate of one encoded write notice, for message sizing.
 pub const NOTICE_WIRE_BYTES: usize = 24;
 
+/// One notice on the board. Its identity is `(origin, seq)` — the
+/// writer and the writer's own component of the interval's stamp —
+/// so lookups compare two integers, never whole clocks.
 #[derive(Debug, Clone)]
 struct NoticeEntry {
     origin: usize,
-    stamp: VectorClock,
+    seq: u32,
+    stamp: Stamp,
     applied: bool,
 }
 
 /// A node's record of known write notices, per page.
 ///
-/// Invariant: at most one entry per (page, origin, stamp).
+/// Invariant: at most one entry per (page, origin, seq).
 #[derive(Debug, Clone, Default)]
 pub struct NoticeBoard {
     by_page: HashMap<PageId, Vec<NoticeEntry>>,
@@ -60,16 +64,22 @@ impl NoticeBoard {
     /// reply). Duplicates are ignored. Returns true if the notice was
     /// new — the caller should then invalidate the page.
     pub fn record(&mut self, notice: WriteNotice) -> bool {
-        let entries = self.by_page.entry(notice.page).or_default();
-        if entries
-            .iter()
-            .any(|e| e.origin == notice.origin && e.stamp == notice.stamp)
-        {
+        self.record_stamp(notice.page, notice.origin, &Arc::new(notice.stamp))
+    }
+
+    /// [`NoticeBoard::record`] for a stamp that is already shared
+    /// (an interval record's): a new entry takes a reference to it
+    /// instead of copying the clock.
+    pub fn record_stamp(&mut self, page: PageId, origin: usize, stamp: &Stamp) -> bool {
+        let seq = stamp.get(origin);
+        let entries = self.by_page.entry(page).or_default();
+        if entries.iter().any(|e| e.origin == origin && e.seq == seq) {
             return false;
         }
         entries.push(NoticeEntry {
-            origin: notice.origin,
-            stamp: notice.stamp,
+            origin,
+            seq,
+            stamp: Arc::clone(stamp),
             applied: false,
         });
         true
@@ -77,13 +87,13 @@ impl NoticeBoard {
 
     /// The distinct origins that have pending (unapplied)
     /// modifications to `page`, with the stamps pending per origin.
-    pub fn pending_by_origin(&self, page: PageId) -> Vec<(usize, Vec<VectorClock>)> {
-        let mut out: Vec<(usize, Vec<VectorClock>)> = Vec::new();
+    pub fn pending_by_origin(&self, page: PageId) -> Vec<(usize, Vec<Stamp>)> {
+        let mut out: Vec<(usize, Vec<Stamp>)> = Vec::new();
         if let Some(entries) = self.by_page.get(&page) {
             for e in entries.iter().filter(|e| !e.applied) {
                 match out.iter_mut().find(|(o, _)| *o == e.origin) {
-                    Some((_, stamps)) => stamps.push(e.stamp.clone()),
-                    None => out.push((e.origin, vec![e.stamp.clone()])),
+                    Some((_, stamps)) => stamps.push(Arc::clone(&e.stamp)),
+                    None => out.push((e.origin, vec![Arc::clone(&e.stamp)])),
                 }
             }
         }
@@ -91,79 +101,48 @@ impl NoticeBoard {
         out
     }
 
-    /// True if any notice for `page` lacks an applied diff.
-    pub fn has_pending(&self, page: PageId) -> bool {
-        self.by_page
-            .get(&page)
-            .is_some_and(|es| es.iter().any(|e| !e.applied))
-    }
-
-    /// Count of pending notices for `page`.
-    pub fn pending_count(&self, page: PageId) -> usize {
-        self.by_page
-            .get(&page)
-            .map_or(0, |es| es.iter().filter(|e| !e.applied).count())
-    }
-
-    /// Marks the notice (page, origin, stamp) as satisfied by an
-    /// applied diff. Unknown notices are recorded as applied, which
-    /// happens when a diff arrives (e.g. via prefetch) before its
-    /// notice propagates.
-    pub fn mark_applied(&mut self, page: PageId, origin: usize, stamp: &VectorClock) {
+    /// Marks the notice for `origin`'s interval stamped `stamp` as
+    /// satisfied by an applied diff. Unknown notices are recorded as
+    /// applied, which happens when a diff arrives (e.g. via prefetch)
+    /// before its notice propagates.
+    pub fn mark_applied(&mut self, page: PageId, origin: usize, stamp: &Stamp) {
+        let seq = stamp.get(origin);
         let entries = self.by_page.entry(page).or_default();
         match entries
             .iter_mut()
-            .find(|e| e.origin == origin && e.stamp == *stamp)
+            .find(|e| e.origin == origin && e.seq == seq)
         {
             Some(e) => e.applied = true,
             None => entries.push(NoticeEntry {
                 origin,
-                stamp: stamp.clone(),
+                seq,
+                stamp: Arc::clone(stamp),
                 applied: true,
             }),
         }
     }
 
-    /// Total notices recorded for `page` (applied or not).
-    pub fn total_count(&self, page: PageId) -> usize {
-        self.by_page.get(&page).map_or(0, Vec::len)
-    }
-
-    /// Whether the diff for (page, origin, stamp) has already been
-    /// applied locally. Re-applying an old diff after newer ones is
-    /// unsound (diffs are byte-sparse), so consumers check this before
-    /// applying cached data.
-    pub fn is_applied(&self, page: PageId, origin: usize, stamp: &VectorClock) -> bool {
+    /// Whether the diff of `origin`'s interval `seq` has already been
+    /// applied to the local copy of `page`. Re-applying an old diff
+    /// after newer ones is unsound (diffs are byte-sparse), so
+    /// consumers check this before applying cached data.
+    pub fn is_applied(&self, page: PageId, origin: usize, seq: u32) -> bool {
         self.by_page.get(&page).is_some_and(|es| {
             es.iter()
-                .any(|e| e.applied && e.origin == origin && e.stamp == *stamp)
+                .any(|e| e.applied && e.origin == origin && e.seq == seq)
         })
     }
 
     /// The (origin, stamp) pairs whose diffs have been applied into
     /// the local copy of `page` — sent along with base copies so a
     /// first-touch fetcher knows what the copy already incorporates.
-    pub fn applied_for(&self, page: PageId) -> Vec<(usize, VectorClock)> {
+    pub fn applied_for(&self, page: PageId) -> Vec<(usize, Stamp)> {
         self.by_page.get(&page).map_or_else(Vec::new, |es| {
             es.iter()
                 .filter(|e| e.applied)
-                .map(|e| (e.origin, e.stamp.clone()))
+                .map(|e| (e.origin, Arc::clone(&e.stamp)))
                 .collect()
         })
-    }
-
-    /// Drops applied entries older than `horizon` on every page —
-    /// the bookkeeping side of TreadMarks garbage collection.
-    /// Returns the number of entries discarded.
-    pub fn garbage_collect(&mut self, horizon: &VectorClock) -> usize {
-        let mut freed = 0;
-        for entries in self.by_page.values_mut() {
-            let before = entries.len();
-            entries.retain(|e| !(e.applied && horizon.dominates(&e.stamp)));
-            freed += before - entries.len();
-        }
-        self.by_page.retain(|_, es| !es.is_empty());
-        freed
     }
 }
 
@@ -173,7 +152,7 @@ pub struct CachedDiff {
     /// The writer the diff came from.
     pub origin: usize,
     /// Timestamp of the writer's interval.
-    pub stamp: VectorClock,
+    pub stamp: Stamp,
     /// The modifications, shared zero-copy with the transport frame
     /// that carried them (and possibly the writer's own record).
     pub diff: Arc<Diff>,
@@ -193,13 +172,14 @@ impl DiffCache {
         DiffCache::default()
     }
 
-    /// Stores a prefetched diff for `page`. Duplicate (origin, stamp)
-    /// entries are ignored.
+    /// Stores a prefetched diff for `page`. A second diff of the same
+    /// interval — same (origin, seq) — is ignored.
     pub fn insert(&mut self, page: PageId, cached: CachedDiff) {
+        let seq = cached.stamp.get(cached.origin);
         let entry = self.by_page.entry(page).or_default();
         if entry
             .iter()
-            .any(|c| c.origin == cached.origin && c.stamp == cached.stamp)
+            .any(|c| c.origin == cached.origin && c.stamp.get(c.origin) == seq)
         {
             return;
         }
@@ -207,23 +187,12 @@ impl DiffCache {
         entry.push(cached);
     }
 
-    /// Removes and returns all cached diffs for `page`, ordered
-    /// consistently with happens-before-1 so they can be applied
-    /// directly.
+    /// Removes and returns all cached diffs for `page`, in insertion
+    /// order. The caller sorts them (with whatever else it applies)
+    /// by [`VectorClock::hb_key`] before applying.
     pub fn take(&mut self, page: PageId) -> Vec<CachedDiff> {
-        let mut diffs = self.by_page.remove(&page).unwrap_or_default();
+        let diffs = self.by_page.remove(&page).unwrap_or_default();
         self.bytes -= diffs.iter().map(|c| c.diff.encoded_bytes()).sum::<usize>();
-        // Order by the same deterministic topological key as
-        // VectorClock::sort_hb.
-        diffs.sort_by(|a, b| {
-            let sa: u64 = (0..a.stamp.len()).map(|i| a.stamp.get(i) as u64).sum();
-            let sb: u64 = (0..b.stamp.len()).map(|i| b.stamp.get(i) as u64).sum();
-            sa.cmp(&sb).then_with(|| {
-                (0..a.stamp.len())
-                    .map(|i| a.stamp.get(i))
-                    .cmp((0..b.stamp.len()).map(|i| b.stamp.get(i)))
-            })
-        });
         diffs
     }
 
@@ -232,11 +201,13 @@ impl DiffCache {
         self.by_page.contains_key(&page)
     }
 
-    /// Whether the diff for (page, origin, stamp) is cached.
-    pub fn has_diff(&self, page: PageId, origin: usize, stamp: &VectorClock) -> bool {
-        self.by_page
-            .get(&page)
-            .is_some_and(|cs| cs.iter().any(|c| c.origin == origin && c.stamp == *stamp))
+    /// Whether the diff of `origin`'s interval `seq` for `page` is
+    /// cached.
+    pub fn has_diff(&self, page: PageId, origin: usize, seq: u32) -> bool {
+        self.by_page.get(&page).is_some_and(|cs| {
+            cs.iter()
+                .any(|c| c.origin == origin && c.stamp.get(origin) == seq)
+        })
     }
 
     /// Number of cached diffs across all pages.
@@ -267,37 +238,54 @@ mod tests {
     use super::*;
     use crate::page::Page;
 
-    fn stamp(n: usize, ticks: &[usize]) -> VectorClock {
+    fn stamp(n: usize, ticks: &[usize]) -> Stamp {
         let mut vc = VectorClock::new(n);
         for &p in ticks {
             vc.tick(p);
         }
-        vc
+        Arc::new(vc)
     }
 
-    fn notice(page: u32, origin: usize, s: &VectorClock) -> WriteNotice {
-        WriteNotice {
-            page: PageId::new(page),
-            origin,
-            stamp: s.clone(),
-        }
+    fn pending(board: &NoticeBoard, page: u32) -> usize {
+        board
+            .pending_by_origin(PageId::new(page))
+            .iter()
+            .map(|(_, stamps)| stamps.len())
+            .sum()
     }
 
     #[test]
     fn record_dedupes() {
         let mut board = NoticeBoard::new();
         let s = stamp(2, &[0]);
-        assert!(board.record(notice(1, 0, &s)));
-        assert!(!board.record(notice(1, 0, &s)));
-        assert_eq!(board.total_count(PageId::new(1)), 1);
+        assert!(board.record_stamp(PageId::new(1), 0, &s));
+        assert!(!board.record_stamp(PageId::new(1), 0, &s));
+        // The owned-notice entry point is the same operation.
+        assert!(!board.record(WriteNotice {
+            page: PageId::new(1),
+            origin: 0,
+            stamp: VectorClock::clone(&s),
+        }));
+        assert_eq!(pending(&board, 1), 1);
+    }
+
+    #[test]
+    fn recorded_entries_share_the_stamp() {
+        let mut board = NoticeBoard::new();
+        let s = stamp(2, &[0]);
+        board.record_stamp(PageId::new(1), 0, &s);
+        board.record_stamp(PageId::new(2), 0, &s);
+        assert_eq!(Arc::strong_count(&s), 3, "one clock, three holders");
+        let pending = board.pending_by_origin(PageId::new(1));
+        assert!(Arc::ptr_eq(&pending[0].1[0], &s));
     }
 
     #[test]
     fn pending_grouped_by_origin() {
         let mut board = NoticeBoard::new();
-        board.record(notice(1, 0, &stamp(2, &[0])));
-        board.record(notice(1, 0, &stamp(2, &[0, 0])));
-        board.record(notice(1, 1, &stamp(2, &[1])));
+        board.record_stamp(PageId::new(1), 0, &stamp(2, &[0]));
+        board.record_stamp(PageId::new(1), 0, &stamp(2, &[0, 0]));
+        board.record_stamp(PageId::new(1), 1, &stamp(2, &[1]));
         let pending = board.pending_by_origin(PageId::new(1));
         assert_eq!(pending.len(), 2);
         assert_eq!(pending[0].0, 0);
@@ -309,11 +297,13 @@ mod tests {
     fn mark_applied_clears_pending() {
         let mut board = NoticeBoard::new();
         let s = stamp(2, &[0]);
-        board.record(notice(3, 0, &s));
-        assert!(board.has_pending(PageId::new(3)));
+        board.record_stamp(PageId::new(3), 0, &s);
+        assert_eq!(pending(&board, 3), 1);
+        assert!(!board.is_applied(PageId::new(3), 0, 1));
         board.mark_applied(PageId::new(3), 0, &s);
-        assert!(!board.has_pending(PageId::new(3)));
-        assert_eq!(board.pending_count(PageId::new(3)), 0);
+        assert_eq!(pending(&board, 3), 0);
+        assert!(board.is_applied(PageId::new(3), 0, 1));
+        assert_eq!(board.applied_for(PageId::new(3)), vec![(0, s)]);
     }
 
     #[test]
@@ -322,23 +312,16 @@ mod tests {
         let s = stamp(2, &[1]);
         board.mark_applied(PageId::new(9), 1, &s);
         // The notice arriving later is a duplicate of an applied entry.
-        assert!(!board.record(notice(9, 1, &s)));
-        assert!(!board.has_pending(PageId::new(9)));
+        assert!(!board.record_stamp(PageId::new(9), 1, &s));
+        assert_eq!(pending(&board, 9), 0);
     }
 
-    #[test]
-    fn garbage_collect_drops_old_applied_entries() {
-        let mut board = NoticeBoard::new();
-        let old = stamp(2, &[0]);
-        let newer = stamp(2, &[0, 0, 1]);
-        board.record(notice(1, 0, &old));
-        board.record(notice(1, 0, &newer));
-        board.mark_applied(PageId::new(1), 0, &old);
-        let mut horizon = stamp(2, &[0, 0]);
-        horizon.join(&stamp(2, &[1]));
-        let freed = board.garbage_collect(&horizon);
-        assert_eq!(freed, 1);
-        assert_eq!(board.total_count(PageId::new(1)), 1);
+    fn cached(origin: usize, stamp: &Stamp, diff: &Arc<Diff>) -> CachedDiff {
+        CachedDiff {
+            origin,
+            stamp: Arc::clone(stamp),
+            diff: Arc::clone(diff),
+        }
     }
 
     #[test]
@@ -347,15 +330,10 @@ mod tests {
         let mut page = Page::new();
         page.write_u64(0, 7);
         let d = Arc::new(Diff::full_page(&page));
-        cache.insert(
-            PageId::new(2),
-            CachedDiff {
-                origin: 1,
-                stamp: stamp(2, &[1]),
-                diff: Arc::clone(&d),
-            },
-        );
+        cache.insert(PageId::new(2), cached(1, &stamp(2, &[1]), &d));
         assert!(cache.contains_page(PageId::new(2)));
+        assert!(cache.has_diff(PageId::new(2), 1, 1));
+        assert!(!cache.has_diff(PageId::new(2), 1, 2));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.encoded_bytes(), d.encoded_bytes());
         let taken = cache.take(PageId::new(2));
@@ -365,45 +343,25 @@ mod tests {
     }
 
     #[test]
-    fn diff_cache_orders_by_happens_before() {
+    fn diff_cache_takes_in_insertion_order() {
         let mut cache = DiffCache::new();
         let early = stamp(2, &[0]);
         let late = stamp(2, &[0, 0]);
         let d = Arc::new(Diff::default());
-        cache.insert(
-            PageId::new(1),
-            CachedDiff {
-                origin: 0,
-                stamp: late.clone(),
-                diff: Arc::clone(&d),
-            },
-        );
-        cache.insert(
-            PageId::new(1),
-            CachedDiff {
-                origin: 0,
-                stamp: early.clone(),
-                diff: d,
-            },
-        );
+        cache.insert(PageId::new(1), cached(0, &late, &d));
+        cache.insert(PageId::new(1), cached(0, &early, &d));
         let taken = cache.take(PageId::new(1));
-        assert_eq!(taken[0].stamp, early);
-        assert_eq!(taken[1].stamp, late);
+        assert_eq!(taken[0].stamp, late);
+        assert_eq!(taken[1].stamp, early);
     }
 
     #[test]
     fn diff_cache_dedupes() {
         let mut cache = DiffCache::new();
         let s = stamp(2, &[0]);
+        let d = Arc::new(Diff::default());
         for _ in 0..2 {
-            cache.insert(
-                PageId::new(1),
-                CachedDiff {
-                    origin: 0,
-                    stamp: s.clone(),
-                    diff: Arc::new(Diff::default()),
-                },
-            );
+            cache.insert(PageId::new(1), cached(0, &s, &d));
         }
         assert_eq!(cache.len(), 1);
     }

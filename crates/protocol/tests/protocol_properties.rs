@@ -1,7 +1,12 @@
 //! Property-based tests of the LRC protocol invariants.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use rsdsm_protocol::{Diff, NoticeBoard, Page, PageId, VectorClock, WriteNotice, PAGE_SIZE};
+use rsdsm_protocol::{
+    Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, VectorClock, WriteNotice,
+    PAGE_SIZE,
+};
 
 /// Arbitrary page contents described sparsely as (offset, value) byte writes.
 fn sparse_writes() -> impl Strategy<Value = Vec<(usize, u8)>> {
@@ -160,41 +165,19 @@ proptest! {
         }
     }
 
-    /// sort_hb produces a valid topological order of the partial order.
+    /// Sorting by `hb_key` is a topological order of the partial
+    /// order: no element strictly happens-before an earlier one.
     #[test]
-    fn sort_hb_is_topological(
+    fn hb_key_sort_is_topological(
         clocks in prop::collection::vec(prop::collection::vec(0u32..8, 3), 1..12),
     ) {
-        let mut stamps: Vec<VectorClock> = clocks
-            .iter()
-            .map(|v| {
-                let mut vc = VectorClock::new(3);
-                for (i, &n) in v.iter().enumerate() {
-                    for _ in 0..n {
-                        vc.tick(i);
-                    }
-                }
-                vc
-            })
-            .collect();
-        VectorClock::sort_hb(&mut stamps);
+        let mut stamps: Vec<VectorClock> =
+            clocks.iter().map(|v| VectorClock::from_entries(v)).collect();
+        stamps.sort_by(|a, b| a.hb_key().cmp(&b.hb_key()));
         for i in 0..stamps.len() {
             for j in (i + 1)..stamps.len() {
-                // A later element must never strictly precede an earlier one.
                 prop_assert!(
-                    !(stamps[j].dominates(&stamps[i]) && stamps[j] != stamps[i])
-                        || stamps[i].hb_cmp(&stamps[j]).is_none()
-                        || stamps[i] == stamps[j]
-                        || !stamps[i].dominates(&stamps[j])
-                );
-                let strictly_before_j =
-                    stamps[j].dominates(&stamps[i]) && stamps[i] != stamps[j];
-                let strictly_before_i =
-                    stamps[i].dominates(&stamps[j]) && stamps[i] != stamps[j];
-                // i comes first, so j must not strictly precede i.
-                prop_assert!(!strictly_before_i || !strictly_before_j);
-                prop_assert!(
-                    !strictly_before_i,
+                    !(stamps[i].dominates(&stamps[j]) && stamps[i] != stamps[j]),
                     "element {} strictly precedes element {} but sorted after it",
                     j,
                     i
@@ -292,13 +275,122 @@ proptest! {
                 origin,
                 stamp: stamp.clone(),
             });
-            recorded.push((PageId::new(page), origin, stamp));
+            recorded.push((PageId::new(page), origin, Arc::new(stamp)));
         }
         for (page, origin, stamp) in &recorded {
             board.mark_applied(*page, *origin, stamp);
         }
-        for &(page, ..) in &ops {
-            prop_assert!(!board.has_pending(PageId::new(page)));
+        for &(page, origin, ticks) in &ops {
+            prop_assert!(board.pending_by_origin(PageId::new(page)).is_empty());
+            prop_assert!(board.is_applied(PageId::new(page), origin, ticks));
+        }
+    }
+
+    /// IntervalLog against the definitions it indexes. A small cluster
+    /// closes intervals, relays arbitrary subsets of its logs in
+    /// arbitrary order without joining clocks (a diff reply), grants
+    /// (learn everything unknown, then join) and snapshots clocks (a
+    /// request in flight, a barrier horizon). Clocks therefore change
+    /// only by tick and join — every one is causally closed — while
+    /// logs fill out of sequence order, with duplicates offered, and
+    /// the last node never closes an interval. Every log must then
+    /// answer `unknown_to` for every clock exactly as the linear
+    /// filter over its records does (same records, same order), and
+    /// `naming` / `knows` as the scans do.
+    #[test]
+    fn interval_log_matches_linear_scans(
+        ops in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, any::<u64>()), 1..120),
+    ) {
+        const NODES: usize = 5;
+        const PAGES: u32 = 6;
+        let mut clocks: Vec<VectorClock> = (0..NODES).map(|_| VectorClock::new(NODES)).collect();
+        let mut snapshots: Vec<VectorClock> = Vec::new();
+        let mut logs: Vec<IntervalLog> = (0..NODES).map(|_| IntervalLog::new()).collect();
+        // The reference: a plain list per node, deduplicated by scan.
+        let mut lists: Vec<Vec<Arc<IntervalRecord>>> = vec![Vec::new(); NODES];
+        let learn = |logs: &mut Vec<IntervalLog>,
+                     lists: &mut Vec<Vec<Arc<IntervalRecord>>>,
+                     n: usize,
+                     rec: &Arc<IntervalRecord>| {
+            let known = lists[n]
+                .iter()
+                .any(|r| r.origin == rec.origin && r.seq() == rec.seq());
+            assert_eq!(logs[n].learn(rec), !known);
+            if !known {
+                lists[n].push(Arc::clone(rec));
+            }
+        };
+        for &(kind, a, b, bits) in &ops {
+            match kind {
+                0 if a < NODES - 1 => {
+                    clocks[a].tick(a);
+                    let pages = (0..PAGES)
+                        .filter(|p| bits >> p & 1 == 1)
+                        .map(PageId::new)
+                        .collect();
+                    let rec = Arc::new(IntervalRecord {
+                        origin: a,
+                        stamp: Arc::new(clocks[a].clone()),
+                        pages,
+                    });
+                    learn(&mut logs, &mut lists, a, &rec);
+                }
+                1 => {
+                    let mut relayed: Vec<Arc<IntervalRecord>> = lists[a]
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| bits >> (i % 63) & 1 == 1)
+                        .map(|(_, r)| Arc::clone(r))
+                        .collect();
+                    if bits >> 63 == 1 {
+                        relayed.reverse();
+                    }
+                    for rec in &relayed {
+                        learn(&mut logs, &mut lists, b, rec);
+                    }
+                }
+                2 => {
+                    for rec in logs[a].unknown_to(&clocks[b]) {
+                        learn(&mut logs, &mut lists, b, &rec);
+                    }
+                    let granter = clocks[a].clone();
+                    clocks[b].join(&granter);
+                }
+                _ => snapshots.push(clocks[a].clone()),
+            }
+        }
+        for (log, list) in logs.iter().zip(&lists) {
+            prop_assert!(log.records().iter().map(Arc::as_ptr).eq(list.iter().map(Arc::as_ptr)));
+            for vc in clocks.iter().chain(&snapshots) {
+                let linear = list.iter().filter(|r| !vc.dominates(&r.stamp));
+                prop_assert!(
+                    log.unknown_to(vc).iter().map(Arc::as_ptr).eq(linear.map(Arc::as_ptr)),
+                    "unknown_to({}) differs from the linear filter",
+                    vc
+                );
+            }
+            for page in (0..PAGES).map(PageId::new) {
+                let scan = list.iter().filter(|r| r.pages.contains(&page));
+                prop_assert!(log.naming(page).map(Arc::as_ptr).eq(scan.map(Arc::as_ptr)));
+            }
+            for (origin, clock) in clocks.iter().enumerate() {
+                let scan = list.iter().filter(|r| r.origin == origin);
+                let mut by_seq: Vec<_> = scan.map(|r| (r.seq(), Arc::as_ptr(r))).collect();
+                by_seq.sort();
+                prop_assert!(log
+                    .of_origin(origin)
+                    .map(|r| (r.seq(), Arc::as_ptr(r)))
+                    .eq(by_seq.iter().copied()));
+                for seq in 0..=clock.get(origin) + 1 {
+                    prop_assert_eq!(
+                        log.knows(origin, seq),
+                        by_seq.iter().any(|&(s, _)| s == seq)
+                    );
+                }
+            }
+            if list.is_empty() {
+                prop_assert_eq!(log.indexed_keys(), 0);
+            }
         }
     }
 }
