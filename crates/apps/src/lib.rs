@@ -25,6 +25,7 @@
 
 mod fft;
 mod lu;
+mod micro;
 mod ocean;
 mod radix;
 mod sor;
@@ -35,6 +36,7 @@ mod water_sp;
 
 pub use fft::{FftApp, FftHandles};
 pub use lu::{LuApp, LuLayout};
+pub use micro::{HotSpot, Incast};
 pub use ocean::{OceanApp, OceanHandles};
 pub use radix::{RadixApp, RadixHandles};
 pub use sor::SorApp;

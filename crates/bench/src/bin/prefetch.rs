@@ -19,13 +19,12 @@
 //! [--bench-json PATH]`
 //!
 //! With no arguments the fast subset runs (clean tier, RADIX + FFT) —
-//! the CI experiments budget. `--full` (or
-//! `RSDSM_PREFETCH_MATRIX=full`) runs all eight applications plus the
-//! fault and fabric tiers and writes the numbers behind the committed
-//! `BENCH_prefetch.json`.
+//! the CI experiments budget. `--full` runs all eight applications
+//! plus the fault and fabric tiers and writes the numbers behind the
+//! committed `BENCH_prefetch.json`.
 
 use rsdsm_apps::{Benchmark, Scale};
-use rsdsm_bench::{pool, Variant};
+use rsdsm_bench::{pool, ExpOpts, Variant};
 use rsdsm_core::{
     DirectoryConfig, DirectoryPolicy, DsmConfig, FaultPlan, NodeCrash, Partition, RecoveryConfig,
     RunReport, Topology,
@@ -45,6 +44,8 @@ const VARIANTS: [Variant; 5] = [
 /// The fault-tier fault shapes, by label.
 const FAULT_TIERS: [&str; 3] = ["loss", "crash", "partition"];
 
+const USAGE: &str = "prefetch [--seed S] [--jobs N] [--app NAME]... [--full] [--bench-json PATH]";
+
 struct Opts {
     seed: u64,
     jobs: usize,
@@ -53,66 +54,30 @@ struct Opts {
     bench_json: Option<String>,
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: prefetch [--seed S] [--jobs N] [--app NAME]... \
-         [--full] [--bench-json PATH]"
-    );
-    std::process::exit(2)
-}
-
 fn parse_args() -> Opts {
-    let mut seed = 1998u64;
-    let mut jobs = pool::default_jobs();
-    let mut apps = Vec::new();
-    let mut full = std::env::var("RSDSM_PREFETCH_MATRIX").as_deref() == Ok("full");
-    let mut bench_json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .map(|n: usize| if n == 0 { pool::default_jobs() } else { n })
-                    .unwrap_or_else(|| usage("--jobs needs a number"));
-            }
-            "--app" => {
-                let name = args.next().unwrap_or_else(|| usage("--app needs a name"));
-                match Benchmark::from_name(&name) {
-                    Some(b) => apps.push(b),
-                    None => usage(&format!("unknown app {name}")),
-                }
-            }
-            "--full" => full = true,
-            "--bench-json" => {
-                bench_json = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-json needs a path")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
-    }
-    if apps.is_empty() {
-        apps = if full {
-            Benchmark::ALL.to_vec()
-        } else {
-            vec![Benchmark::Radix, Benchmark::Fft]
-        };
-    }
+    let mut full = false;
+    // No `--app` means the tier's own selection, chosen below.
+    let start = ExpOpts {
+        apps: Vec::new(),
+        ..ExpOpts::default()
+    };
+    let shared = ExpOpts::parse(start, USAGE, |flag, _| {
+        full |= flag == "--full";
+        Ok(flag == "--full")
+    });
+    let apps = if !shared.apps.is_empty() {
+        shared.apps
+    } else if full {
+        Benchmark::ALL.to_vec()
+    } else {
+        vec![Benchmark::Radix, Benchmark::Fft]
+    };
     Opts {
-        seed,
-        jobs,
+        seed: shared.seed,
+        jobs: shared.jobs,
         apps,
         full,
-        bench_json,
+        bench_json: shared.bench_json,
     }
 }
 
@@ -122,30 +87,6 @@ struct Cell {
     bench: Benchmark,
     label: String,
     report: RunReport,
-}
-
-/// §3.3 accuracy: fraction of covered faults the prefetch actually
-/// served in time.
-fn accuracy(r: &RunReport) -> f64 {
-    let p = &r.prefetch;
-    let covered = p.hits + p.too_late + p.invalidated;
-    if covered == 0 {
-        0.0
-    } else {
-        p.hits as f64 / covered as f64
-    }
-}
-
-/// §3.3 lateness: fraction of covered faults whose reply lost the
-/// race with the demand access.
-fn lateness(r: &RunReport) -> f64 {
-    let p = &r.prefetch;
-    let covered = p.hits + p.too_late + p.invalidated;
-    if covered == 0 {
-        0.0
-    } else {
-        p.too_late as f64 / covered as f64
-    }
 }
 
 /// The clean-tier base config.
@@ -354,8 +295,8 @@ fn main() {
                     orig.as_nanos() as f64 / r.total_time.as_nanos() as f64
                 ),
                 format!("{:.1}%", r.prefetch.coverage() * 100.0),
-                format!("{:.1}%", accuracy(r) * 100.0),
-                format!("{:.1}%", lateness(r) * 100.0),
+                format!("{:.1}%", r.prefetch.accuracy() * 100.0),
+                format!("{:.1}%", r.prefetch.lateness() * 100.0),
                 a.map_or_else(|| r.prefetch.messages.to_string(), |a| a.issued.to_string()),
                 a.map_or_else(String::new, |a| a.detected_strides.to_string()),
             ]);
@@ -401,8 +342,8 @@ fn main() {
                 c.label.clone(),
                 r.total_time.to_string(),
                 format!("{:.1}%", r.prefetch.coverage() * 100.0),
-                format!("{:.1}%", accuracy(r) * 100.0),
-                format!("{:.1}%", lateness(r) * 100.0),
+                format!("{:.1}%", r.prefetch.accuracy() * 100.0),
+                format!("{:.1}%", r.prefetch.lateness() * 100.0),
                 (r.prefetch.send_drops + r.prefetch.reply_drops).to_string(),
                 r.transport.retransmissions.to_string(),
             ]);
@@ -458,8 +399,8 @@ fn main() {
                 r.total_time.as_micros(),
                 speedup,
                 p.coverage(),
-                accuracy(r),
-                lateness(r),
+                r.prefetch.accuracy(),
+                r.prefetch.lateness(),
                 p.hits,
                 p.too_late,
                 p.invalidated,

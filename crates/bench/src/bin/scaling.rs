@@ -15,23 +15,17 @@
 //! [--bench-json PATH]`
 //!
 //! With no arguments the fast subset (8 and 64 nodes) runs — the CI
-//! experiments budget. `--full` (or `RSDSM_SCALING_MATRIX=full`) adds
-//! the 256- and 1024-node tiers and writes the numbers behind the
-//! committed `BENCH_scaling.json`.
+//! experiments budget. `--full` adds the 256- and 1024-node tiers
+//! and writes the numbers behind the committed `BENCH_scaling.json`.
 
 use std::time::Instant;
 
-use rsdsm_apps::{Benchmark, Scale};
+use rsdsm_apps::{Benchmark, HotSpot, Incast, Scale};
+use rsdsm_bench::ExpOpts;
 use rsdsm_core::{
-    BarrierId, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy,
-    PrefetchConfig, RunReport, SharedVec, Simulation, Topology, PAGE_SIZE,
+    DirectoryConfig, DirectoryPolicy, DsmConfig, DsmProgram, PrefetchConfig, RunReport, Simulation,
+    Topology,
 };
-
-/// Shared-array words per page.
-const WORDS: usize = PAGE_SIZE / 8;
-
-/// Hot pages every node reads in the hot-spot micro-study.
-const HOT_PAGES: usize = 8;
 
 /// Upper bound on incast fan-in (memory guard: every node holds a
 /// slot for every allocated page, so the page count must stay fixed
@@ -41,59 +35,8 @@ const INCAST_MAX: usize = 64;
 /// Wall-clock samples per gate value; the CI gate compares medians.
 const GATE_SAMPLES: usize = 5;
 
-/// Every node reads the same few pages, all homed on node 0 — the
-/// directory hot-spot in its purest form. Read-only, so no write
-/// intervals: the 1024-node tier stays memory-feasible.
-struct HotSpot;
-
-impl DsmProgram for HotSpot {
-    type Handles = SharedVec<u64>;
-
-    fn name(&self) -> String {
-        "hotspot".into()
-    }
-
-    fn allocate(&self, heap: &mut Heap) -> Self::Handles {
-        heap.alloc(HOT_PAGES * WORDS, HomePolicy::Single(0))
-    }
-
-    fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
-        for p in 0..HOT_PAGES {
-            let _ = ctx.read(v, p * WORDS);
-        }
-        ctx.barrier(BarrierId(0));
-    }
-}
-
-/// Node 0 prefetches one page homed on each of many peers at once:
-/// the replies converge on its ingress link, congestion drops the
-/// droppable ones, and the demand faults that follow measure the
-/// retry storm.
-struct Incast {
-    pages: usize,
-}
-
-impl DsmProgram for Incast {
-    type Handles = SharedVec<u64>;
-
-    fn name(&self) -> String {
-        "incast".into()
-    }
-
-    fn allocate(&self, heap: &mut Heap) -> Self::Handles {
-        heap.alloc(self.pages * WORDS, HomePolicy::RoundRobin)
-    }
-
-    fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
-        if ctx.node() == 0 {
-            ctx.prefetch(v, 0, v.len());
-            for p in 0..self.pages {
-                let _ = ctx.read(v, p * WORDS);
-            }
-        }
-        ctx.barrier(BarrierId(0));
-    }
-}
+const USAGE: &str = "scaling [--nodes N] [--tiers A,B,..] [--full] \
+     [--topology rack:R,spine:S] [--oversub K] [--seed S] [--bench-json PATH]";
 
 struct Opts {
     seed: u64,
@@ -103,85 +46,55 @@ struct Opts {
     bench_json: Option<String>,
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: scaling [--nodes N] [--tiers A,B,..] [--full] \
-         [--topology rack:R,spine:S] [--oversub K] [--seed S] [--bench-json PATH]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_topology(spec: &str, oversub: u32) -> Topology {
+/// Parses `rack:R,spine:S` into `(R, S)`.
+fn parse_rack_spine(spec: &str) -> Option<(usize, usize)> {
     let mut rack = None;
     let mut spine = None;
     for part in spec.split(',') {
-        match part.split_once(':') {
-            Some(("rack", v)) => rack = v.parse().ok(),
-            Some(("spine", v)) => spine = v.parse().ok(),
-            _ => usage("--topology expects rack:R,spine:S"),
+        match part.split_once(':')? {
+            ("rack", v) => rack = Some(v.parse().ok()?),
+            ("spine", v) => spine = Some(v.parse().ok()?),
+            _ => return None,
         }
     }
-    match (rack, spine) {
-        (Some(r), Some(s)) => Topology::rack_spine(r, s, oversub),
-        _ => usage("--topology expects rack:R,spine:S"),
-    }
+    Some((rack?, spine?))
 }
 
 fn parse_args() -> Opts {
-    let mut seed = 1998u64;
     let mut tiers: Option<Vec<usize>> = None;
-    let mut nodes: Option<usize> = None;
-    let mut full = std::env::var("RSDSM_SCALING_MATRIX").as_deref() == Ok("full");
-    let mut topology_spec: Option<String> = None;
+    let mut full = false;
+    let mut rack_spine = None;
     let mut oversub = 4u32;
-    let mut bench_json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--nodes" => {
-                nodes = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--nodes needs a number")),
-                );
-            }
+    // `--nodes N` is a one-tier sweep; 0 stands for "not given".
+    let start = ExpOpts {
+        nodes: 0,
+        ..ExpOpts::default()
+    };
+    let shared = ExpOpts::parse(start, USAGE, |flag, args| {
+        match flag {
             "--tiers" => {
-                let spec = args.next().unwrap_or_else(|| usage("--tiers needs a list"));
-                tiers = Some(
-                    spec.split(',')
-                        .map(|t| t.parse().unwrap_or_else(|_| usage("bad tier")))
-                        .collect(),
-                );
+                let spec = args.next().ok_or("--tiers needs a list")?;
+                let list: Result<Vec<usize>, _> = spec.split(',').map(str::parse).collect();
+                tiers = Some(list.map_err(|_| "bad tier")?);
             }
             "--full" => full = true,
             "--topology" => {
-                topology_spec = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--topology needs a spec")),
-                );
+                let spec = args.next().ok_or("--topology needs a spec")?;
+                rack_spine =
+                    Some(parse_rack_spine(&spec).ok_or("--topology expects rack:R,spine:S")?);
             }
             "--oversub" => {
                 oversub = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--oversub needs a number"));
+                    .ok_or("--oversub needs a number")?;
             }
-            "--bench-json" => {
-                bench_json = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-json needs a path")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
+            _ => return Ok(false),
         }
-    }
-    let tiers = tiers.or(nodes.map(|n| vec![n])).unwrap_or_else(|| {
+        Ok(true)
+    });
+    let one_tier = (shared.nodes > 0).then(|| vec![shared.nodes]);
+    let tiers = tiers.or(one_tier).unwrap_or_else(|| {
         if full {
             vec![8, 64, 256, 1024]
         } else {
@@ -189,11 +102,11 @@ fn parse_args() -> Opts {
         }
     });
     Opts {
-        seed,
+        seed: shared.seed,
         tiers,
-        topology: topology_spec.map(|s| parse_topology(&s, oversub)),
+        topology: rack_spine.map(|(rack, spines)| Topology::rack_spine(rack, spines, oversub)),
         oversub,
-        bench_json,
+        bench_json: shared.bench_json,
     }
 }
 
@@ -278,10 +191,7 @@ fn main() {
             .topology
             .unwrap_or_else(|| default_fabric(nodes, opts.oversub));
         let base = || DsmConfig::paper_cluster(nodes).with_seed(opts.seed);
-        let pf = PrefetchConfig {
-            enabled: true,
-            ..PrefetchConfig::off()
-        };
+        let pf = PrefetchConfig::hand();
         let incast = Incast {
             pages: nodes.min(INCAST_MAX),
         };
@@ -303,17 +213,13 @@ fn main() {
             nodes,
             "incast_flat",
             base().with_prefetch(pf.clone()),
-            &Micro(Incast {
-                pages: incast.pages,
-            }),
+            &Micro(incast),
         ));
         cells.push(run_cell(
             nodes,
             "incast_fabric",
             base().with_prefetch(pf.clone()).with_topology(fabric),
-            &Micro(Incast {
-                pages: incast.pages,
-            }),
+            &Micro(incast),
         ));
 
         // The kernels write, and every write interval carries an

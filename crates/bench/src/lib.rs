@@ -100,12 +100,53 @@ impl Default for ExpOpts {
 }
 
 impl ExpOpts {
-    /// Parses `std::env::args`, exiting with a usage message on error.
+    /// Parses `std::env::args` for a figure or table binary, exiting
+    /// with a usage message on error.
     pub fn from_args() -> Self {
-        let mut opts = ExpOpts::default();
+        let opts = ExpOpts::parse(ExpOpts::default(), USAGE, |_, _| Ok(false));
+        if (opts.persist_bw > 0 || opts.fence_us > 0) && !opts.persist {
+            usage_exit(USAGE, "--persist-bw/--fence-us need --persist");
+        }
+        // Flag combinations the engine would refuse (a crash or
+        // --persist without a checkpoint cadence, a cut that strands
+        // the manager, a node outside the cluster, ...) are usage
+        // errors here, in the engine's own words.
+        if let Err(err) = opts.base_config().validate() {
+            usage_exit(USAGE, &err.to_string());
+        }
+        opts
+    }
+
+    /// Parses `std::env::args` on top of `start`, the binary's own
+    /// defaults: the one parser of the shared flags, for every binary.
+    /// `usage` is the binary's usage text (what follows `usage: `) and
+    /// is also what it accepts: a flag the text does not mention is
+    /// rejected, so a binary takes exactly the shared flags it
+    /// documents. Flags that are not shared go to `extra` with the
+    /// argument stream, which returns whether the flag was its own
+    /// (`Ok(false)` and `Err` are usage errors). Exits with `usage` on
+    /// error and on `--help`.
+    pub fn parse(
+        start: ExpOpts,
+        usage: &str,
+        mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+    ) -> Self {
+        let mut opts = start;
         let mut apps = Vec::new();
         let mut args = std::env::args().skip(1);
+        let fail = |err: &str| -> ! { usage_exit(usage, err) };
+        let documented = |flag: &str| {
+            usage
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .any(|word| word == flag)
+        };
         while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                fail("");
+            }
+            if !documented(&arg) {
+                fail(&format!("unknown option {arg}"));
+            }
             match arg.as_str() {
                 "--paper-scale" => opts.scale = Scale::Paper,
                 "--test-scale" => opts.scale = Scale::Test,
@@ -113,39 +154,39 @@ impl ExpOpts {
                     opts.nodes = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--nodes needs a number"));
+                        .unwrap_or_else(|| fail("--nodes needs a number"));
                 }
                 "--seed" => {
                     opts.seed = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a number"));
+                        .unwrap_or_else(|| fail("--seed needs a number"));
                 }
                 "--fault-loss" => {
                     opts.fault_loss = args
                         .next()
                         .and_then(|v| v.parse().ok())
                         .filter(|p: &f64| (0.0..1.0).contains(p))
-                        .unwrap_or_else(|| usage("--fault-loss needs a probability in [0, 1)"));
+                        .unwrap_or_else(|| fail("--fault-loss needs a probability in [0, 1)"));
                 }
                 "--fault-crash" => {
                     let spec = args
                         .next()
-                        .unwrap_or_else(|| usage("--fault-crash needs NODE@MS[:restart=MS]"));
+                        .unwrap_or_else(|| fail("--fault-crash needs NODE@MS[:restart=MS]"));
                     match parse_crash(&spec) {
                         Some(crash) => opts.crashes.push(crash),
-                        None => usage(&format!(
+                        None => fail(&format!(
                             "bad crash spec {spec:?}; expected NODE@MS[:restart=MS]"
                         )),
                     }
                 }
                 "--fault-partition" => {
                     let spec = args.next().unwrap_or_else(|| {
-                        usage("--fault-partition needs GROUPS@MS:heal=MS[:asym]")
+                        fail("--fault-partition needs GROUPS@MS:heal=MS[:asym]")
                     });
                     match parse_partition(&spec) {
                         Some(p) => opts.partitions.push(p),
-                        None => usage(&format!(
+                        None => fail(&format!(
                             "bad partition spec {spec:?}; expected GROUPS@MS:heal=MS[:asym] \
                              (groups `|`-separated, nodes comma-separated, e.g. 2@5:heal=10)"
                         )),
@@ -155,7 +196,7 @@ impl ExpOpts {
                     opts.checkpoint_every = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--checkpoint-every needs a number of epochs"));
+                        .unwrap_or_else(|| fail("--checkpoint-every needs a number of epochs"));
                 }
                 "--persist" => opts.persist = true,
                 "--persist-bw" => {
@@ -163,18 +204,18 @@ impl ExpOpts {
                         .next()
                         .and_then(|v| v.parse().ok())
                         .filter(|&bw: &u64| bw > 0)
-                        .unwrap_or_else(|| usage("--persist-bw needs a bandwidth in MB/s"));
+                        .unwrap_or_else(|| fail("--persist-bw needs a bandwidth in MB/s"));
                 }
                 "--fence-us" => {
                     opts.fence_us = args
                         .next()
                         .and_then(|v| v.parse().ok())
                         .filter(|&us: &u64| us > 0)
-                        .unwrap_or_else(|| usage("--fence-us needs a latency in microseconds"));
+                        .unwrap_or_else(|| fail("--fence-us needs a latency in microseconds"));
                 }
                 "--trace" => {
                     opts.trace_out =
-                        Some(args.next().unwrap_or_else(|| usage("--trace needs a path")));
+                        Some(args.next().unwrap_or_else(|| fail("--trace needs a path")));
                 }
                 "--trace-metrics" => opts.trace_metrics = true,
                 "--jobs" => {
@@ -182,37 +223,30 @@ impl ExpOpts {
                         .next()
                         .and_then(|v| v.parse().ok())
                         .map(|n: usize| if n == 0 { pool::default_jobs() } else { n })
-                        .unwrap_or_else(|| usage("--jobs needs a number"));
+                        .unwrap_or_else(|| fail("--jobs needs a number"));
                 }
                 "--bench-json" => {
                     opts.bench_json = Some(
                         args.next()
-                            .unwrap_or_else(|| usage("--bench-json needs a path")),
+                            .unwrap_or_else(|| fail("--bench-json needs a path")),
                     );
                 }
                 "--app" => {
-                    let name = args.next().unwrap_or_else(|| usage("--app needs a name"));
+                    let name = args.next().unwrap_or_else(|| fail("--app needs a name"));
                     match Benchmark::from_name(&name) {
                         Some(b) => apps.push(b),
-                        None => usage(&format!("unknown app {name}")),
+                        None => fail(&format!("unknown app {name}")),
                     }
                 }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown option {other}")),
+                other => match extra(other, &mut args) {
+                    Ok(true) => {}
+                    Ok(false) => fail(&format!("unknown option {other}")),
+                    Err(err) => fail(&err),
+                },
             }
         }
         if !apps.is_empty() {
             opts.apps = apps;
-        }
-        if (opts.persist_bw > 0 || opts.fence_us > 0) && !opts.persist {
-            usage("--persist-bw/--fence-us need --persist");
-        }
-        // Flag combinations the engine would refuse (a crash or
-        // --persist without a checkpoint cadence, a cut that strands
-        // the manager, a node outside the cluster, ...) are usage
-        // errors here, in the engine's own words.
-        if let Err(err) = opts.base_config().validate() {
-            usage(&err.to_string());
         }
         opts
     }
@@ -324,12 +358,9 @@ fn parse_partition(spec: &str) -> Option<Partition> {
     })
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: <experiment> [--paper-scale|--test-scale] [--nodes N] [--app NAME]... [--seed S] \
+/// Usage text of the figure and table binaries.
+const USAGE: &str =
+    "<experiment> [--paper-scale|--test-scale] [--nodes N] [--app NAME]... [--seed S] \
          [--fault-loss P] [--fault-crash NODE@MS[:restart=MS]]... [--checkpoint-every N]\n\
          \x20             [--fault-partition GROUPS@MS:heal=MS[:asym]]...\n\
          \x20             [--persist] [--persist-bw MBPS] [--fence-us US]\n\
@@ -360,8 +391,15 @@ fn usage(err: &str) -> ! {
          \x20               run itself (same events, same digest)\n\
          --trace-metrics   print trace-derived metrics per run (per-class message\n\
          \x20               latency, fault service time, retry timelines, prefetch\n\
-         \x20               coverage/accuracy/lateness)"
-    );
+         \x20               coverage/accuracy/lateness)";
+
+/// Prints `err` (when there is one) and the usage text, then exits:
+/// status 2 for an error, 0 for a plain `--help`.
+fn usage_exit(usage: &str, err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("error: {err}");
+    }
+    eprintln!("usage: {usage}");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
@@ -694,12 +732,12 @@ mod tests {
         use rsdsm_core::PrefetchMode;
         let opts = ExpOpts::default();
         let h = Variant::History.config(Benchmark::Radix, &opts);
-        assert_eq!(h.prefetch.mode(), PrefetchMode::History);
+        assert_eq!(h.prefetch.mode, PrefetchMode::History);
         let a = Variant::Adaptive.config(Benchmark::Fft, &opts);
-        assert_eq!(a.prefetch.mode(), PrefetchMode::Adaptive);
+        assert_eq!(a.prefetch.mode, PrefetchMode::Adaptive);
         assert!(!a.prefetch.compiler_style, "adaptive ignores annotations");
         let ap = Variant::AdaptiveStatic.config(Benchmark::Fft, &opts);
-        assert_eq!(ap.prefetch.mode(), PrefetchMode::AdaptiveStatic);
+        assert_eq!(ap.prefetch.mode, PrefetchMode::AdaptiveStatic);
         assert!(
             ap.prefetch.compiler_style,
             "FFT's static half is compiler-inserted"

@@ -322,19 +322,7 @@ impl Checkpoint {
     /// by up-to-4 KB segments, each framed with its
     /// length and FNV-1a check.
     pub fn encode_segmented(&self) -> Vec<u8> {
-        let inner = self.encode();
-        let segs = inner.len().div_ceil(SEGMENT_BYTES).max(1);
-        let mut out = Vec::with_capacity(16 + inner.len() + segs * 12);
-        put_u32(&mut out, SEG_MAGIC);
-        put_u32(&mut out, self.epoch);
-        put_u32(&mut out, segs as u32);
-        put_u32(&mut out, inner.len() as u32);
-        for chunk in inner.chunks(SEGMENT_BYTES) {
-            put_u32(&mut out, chunk.len() as u32);
-            put_u64(&mut out, fnv1a(chunk));
-            out.extend_from_slice(chunk);
-        }
-        out
+        segment(self.epoch, &self.encode())
     }
 
     /// Parses a segmented image back into a checkpoint, verifying
@@ -378,6 +366,23 @@ impl Checkpoint {
         }
         Ok(ckpt)
     }
+}
+
+/// Frames `inner`, the `RCK1` bytes of a checkpoint taken at `epoch`,
+/// as the segmented persistence image.
+pub(crate) fn segment(epoch: u32, inner: &[u8]) -> Vec<u8> {
+    let segs = inner.len().div_ceil(SEGMENT_BYTES).max(1);
+    let mut out = Vec::with_capacity(16 + inner.len() + segs * 12);
+    put_u32(&mut out, SEG_MAGIC);
+    put_u32(&mut out, epoch);
+    put_u32(&mut out, segs as u32);
+    put_u32(&mut out, inner.len() as u32);
+    for chunk in inner.chunks(SEGMENT_BYTES) {
+        put_u32(&mut out, chunk.len() as u32);
+        put_u64(&mut out, fnv1a(chunk));
+        out.extend_from_slice(chunk);
+    }
+    out
 }
 
 /// The fixed-size record that commits one slot of the A/B protocol.

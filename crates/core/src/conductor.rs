@@ -344,7 +344,7 @@ impl DsmCtx {
     ///
     /// Panics if the range is out of bounds.
     pub fn prefetch<T: Pod>(&mut self, v: &SharedVec<T>, start: usize, end: usize) {
-        if !self.prefetch_cfg.honors_annotations() {
+        if !self.prefetch_cfg.mode.honors_annotations() {
             return;
         }
         let pages = v.pages_for_range(start, end);
@@ -389,7 +389,7 @@ impl DsmCtx {
     /// no-op unless the run uses compiler-style prefetching; see
     /// Table 1's FFT and LU-NCONT rows.
     pub fn prefetch_private(&mut self, count: usize) {
-        if !self.prefetch_cfg.honors_annotations() || !self.prefetch_cfg.compiler_style {
+        if !self.prefetch_cfg.mode.honors_annotations() || !self.prefetch_cfg.compiler_style {
             return;
         }
         self.pending.prefetch += self.costs.prefetch_check * count as u64;

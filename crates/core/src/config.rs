@@ -18,10 +18,11 @@ use crate::transport::TransportConfig;
 /// How prefetching is enabled for a run (§3, §5.1).
 #[derive(Clone, PartialEq)]
 pub struct PrefetchConfig {
-    /// Whether `DsmCtx::prefetch` calls issue messages at all.
-    /// When false, prefetch calls are free no-ops, giving the
-    /// "original" bars of the figures.
-    pub enabled: bool,
+    /// The prefetch technique. [`PrefetchMode::Off`] makes
+    /// `DsmCtx::prefetch` calls free no-ops, giving the "original"
+    /// bars of the figures; every other field below only tunes a mode
+    /// that issues prefetches.
+    pub mode: PrefetchMode,
     /// Issue only every k-th message-generating prefetch (the RADIX
     /// throttling optimization, §5.1). `1` means no throttling.
     pub throttle: u32,
@@ -29,14 +30,6 @@ pub struct PrefetchConfig {
     /// node has already prefetched this barrier epoch — the dynamic
     /// flag optimization of §5.1.
     pub suppress_redundant: bool,
-    /// Fully runtime-driven prefetching: instead of the
-    /// application's explicit annotations, the DSM records which
-    /// pages fault after each synchronization point and automatically
-    /// prefetches that history at the next acquisition of the same
-    /// object — the alternative design of Bianchini et al. that the
-    /// paper argues hand insertion beats (§3, §6). When set,
-    /// application prefetch calls are ignored.
-    pub automatic: bool,
     /// Send prefetch requests and replies reliably instead of
     /// droppable — the design alternative the paper rejects in §3.1
     /// footnote 3 (retrying under congestion worsens congestion).
@@ -47,44 +40,70 @@ pub struct PrefetchConfig {
     /// cannot classify (inflates unnecessary-prefetch counts the way
     /// Table 1 shows for FFT and LU-NCONT).
     pub compiler_style: bool,
-    /// The online majority-trend stride engine (`core::prefetch`):
-    /// detector window, degree/lead controller, and feedback
-    /// thresholds. Off ([`AdaptiveConfig::off`]) by default.
+    /// Tuning of the online majority-trend stride engine
+    /// (`core::prefetch`): detector window, degree/lead controller,
+    /// and feedback thresholds. Read only in the adaptive modes.
     pub adaptive: AdaptiveConfig,
 }
 
-/// Replicates the pre-adaptive derived output exactly while the
-/// adaptive engine is off, so every pinned report digest (the config
-/// is embedded in [`RunReport`](crate::RunReport)'s debug form) stays
-/// byte-identical; the `adaptive` field only appears once the mode is
-/// actually on.
+/// Renders the field list this struct had when the mode was spelled as
+/// booleans (`enabled`, `automatic`, and `enabled` / `combine_static`
+/// inside the adaptive tuning, which only appears in the adaptive
+/// modes): the config is embedded in
+/// [`RunReport`](crate::RunReport)'s debug form, so every pinned
+/// report digest depends on this text byte for byte.
 impl fmt::Debug for PrefetchConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct LegacyAdaptive<'a>(&'a AdaptiveConfig, bool);
+        impl fmt::Debug for LegacyAdaptive<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let LegacyAdaptive(a, combine_static) = self;
+                f.debug_struct("AdaptiveConfig")
+                    .field("enabled", &true)
+                    .field("combine_static", combine_static)
+                    .field("window", &a.window)
+                    .field("base_degree", &a.base_degree)
+                    .field("max_degree", &a.max_degree)
+                    .field("base_lead", &a.base_lead)
+                    .field("max_lead", &a.max_lead)
+                    .field("eval_period", &a.eval_period)
+                    .field("min_sample", &a.min_sample)
+                    .field("ramp_coverage", &a.ramp_coverage)
+                    .field("backoff_accuracy", &a.backoff_accuracy)
+                    .field("late_threshold", &a.late_threshold)
+                    .field("suppress_periods", &a.suppress_periods)
+                    .finish()
+            }
+        }
         let mut s = f.debug_struct("PrefetchConfig");
-        s.field("enabled", &self.enabled)
+        s.field("enabled", &(self.mode != PrefetchMode::Off))
             .field("throttle", &self.throttle)
             .field("suppress_redundant", &self.suppress_redundant)
-            .field("automatic", &self.automatic)
+            .field("automatic", &(self.mode == PrefetchMode::History))
             .field("reliable", &self.reliable)
             .field("compiler_style", &self.compiler_style);
-        if self.adaptive.enabled {
-            s.field("adaptive", &self.adaptive);
+        if self.mode.is_adaptive() {
+            let combine_static = self.mode == PrefetchMode::AdaptiveStatic;
+            s.field("adaptive", &LegacyAdaptive(&self.adaptive, combine_static));
         }
         s.finish()
     }
 }
 
-/// The prefetch technique a [`PrefetchConfig`] describes, for labels
-/// and dispatch: the paper's static modes, the Bianchini-style
-/// history replay, and the adaptive engine (alone or combined with
-/// static annotations).
+/// The prefetch technique of a run: the paper's static modes, the
+/// Bianchini-style history replay, and the adaptive engine (alone or
+/// combined with static annotations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchMode {
     /// No prefetching (the "O" bars).
     Off,
     /// Hand- or compiler-inserted annotations (the "P" bars).
     Static,
-    /// History replay at sync points ([`PrefetchConfig::automatic`]).
+    /// Fully runtime-driven: the DSM records which pages fault after
+    /// each synchronization point and prefetches that history at the
+    /// next acquisition of the same object — the alternative design of
+    /// Bianchini et al. that the paper argues hand insertion beats
+    /// (§3, §6). Application annotations are ignored.
     History,
     /// Online stride detection, annotations ignored.
     Adaptive,
@@ -103,28 +122,40 @@ impl PrefetchMode {
             PrefetchMode::AdaptiveStatic => "A+P",
         }
     }
+
+    /// Whether the adaptive stride engine runs.
+    pub fn is_adaptive(self) -> bool {
+        matches!(self, PrefetchMode::Adaptive | PrefetchMode::AdaptiveStatic)
+    }
+
+    /// Whether application/compiler-inserted prefetch annotations are
+    /// honored: static modes always, adaptive only in the combined
+    /// mode, history never (it replaces them entirely).
+    pub fn honors_annotations(self) -> bool {
+        matches!(self, PrefetchMode::Static | PrefetchMode::AdaptiveStatic)
+    }
 }
 
 impl PrefetchConfig {
-    /// Prefetching disabled (the "O" bars).
-    pub fn off() -> Self {
+    fn in_mode(mode: PrefetchMode) -> Self {
         PrefetchConfig {
-            enabled: false,
+            mode,
             throttle: 1,
             suppress_redundant: false,
-            automatic: false,
             reliable: false,
             compiler_style: false,
-            adaptive: AdaptiveConfig::off(),
+            adaptive: AdaptiveConfig::on(),
         }
+    }
+
+    /// Prefetching disabled (the "O" bars).
+    pub fn off() -> Self {
+        PrefetchConfig::in_mode(PrefetchMode::Off)
     }
 
     /// Hand-inserted prefetching as in §3.2 (the "P" bars).
     pub fn hand() -> Self {
-        PrefetchConfig {
-            enabled: true,
-            ..PrefetchConfig::off()
-        }
+        PrefetchConfig::in_mode(PrefetchMode::Static)
     }
 
     /// Compiler-style prefetching (FFT, LU-NCONT in the paper).
@@ -138,20 +169,14 @@ impl PrefetchConfig {
     /// History-based automatic runtime prefetching (the Bianchini
     /// et al. style the paper compares against).
     pub fn automatic() -> Self {
-        PrefetchConfig {
-            automatic: true,
-            ..PrefetchConfig::hand()
-        }
+        PrefetchConfig::in_mode(PrefetchMode::History)
     }
 
     /// Online adaptive prefetching ([`PrefetchMode::Adaptive`]):
     /// majority-trend stride detection with feedback throttling,
     /// application annotations ignored.
     pub fn adaptive() -> Self {
-        PrefetchConfig {
-            adaptive: AdaptiveConfig::on(),
-            ..PrefetchConfig::hand()
-        }
+        PrefetchConfig::in_mode(PrefetchMode::Adaptive)
     }
 
     /// Adaptive detection *plus* the application's static annotations
@@ -159,34 +184,7 @@ impl PrefetchConfig {
     /// `compiler_style` for the apps the paper compiles prefetches
     /// into.
     pub fn adaptive_static() -> Self {
-        PrefetchConfig {
-            adaptive: AdaptiveConfig::combined(),
-            ..PrefetchConfig::hand()
-        }
-    }
-
-    /// The technique this configuration describes.
-    pub fn mode(&self) -> PrefetchMode {
-        if !self.enabled {
-            PrefetchMode::Off
-        } else if self.adaptive.enabled {
-            if self.adaptive.combine_static {
-                PrefetchMode::AdaptiveStatic
-            } else {
-                PrefetchMode::Adaptive
-            }
-        } else if self.automatic {
-            PrefetchMode::History
-        } else {
-            PrefetchMode::Static
-        }
-    }
-
-    /// Whether application/compiler-inserted prefetch annotations are
-    /// honored: static modes always, adaptive only in the combined
-    /// mode, history never (it replaces them entirely).
-    pub fn honors_annotations(&self) -> bool {
-        self.enabled && !self.automatic && (!self.adaptive.enabled || self.adaptive.combine_static)
+        PrefetchConfig::in_mode(PrefetchMode::AdaptiveStatic)
     }
 }
 
@@ -645,7 +643,7 @@ mod tests {
         let c = DsmConfig::paper_cluster(8);
         assert_eq!(c.nodes, 8);
         assert_eq!(c.total_threads(), 8);
-        assert!(!c.prefetch.enabled);
+        assert_eq!(c.prefetch.mode, PrefetchMode::Off);
         assert!(!c.threads.is_multithreaded());
     }
 
@@ -657,7 +655,7 @@ mod tests {
             .with_threads(ThreadConfig::multithreaded(4));
         assert_eq!(c.seed, 9);
         assert_eq!(c.net.seed, 9);
-        assert!(c.prefetch.enabled);
+        assert_eq!(c.prefetch.mode, PrefetchMode::Static);
         assert_eq!(c.total_threads(), 16);
         assert!(c.threads.switch_on_memory);
     }
@@ -693,13 +691,13 @@ mod tests {
 
     #[test]
     fn prefetch_modes_classify_their_constructors() {
-        assert_eq!(PrefetchConfig::off().mode(), PrefetchMode::Off);
-        assert_eq!(PrefetchConfig::hand().mode(), PrefetchMode::Static);
-        assert_eq!(PrefetchConfig::compiler().mode(), PrefetchMode::Static);
-        assert_eq!(PrefetchConfig::automatic().mode(), PrefetchMode::History);
-        assert_eq!(PrefetchConfig::adaptive().mode(), PrefetchMode::Adaptive);
+        assert_eq!(PrefetchConfig::off().mode, PrefetchMode::Off);
+        assert_eq!(PrefetchConfig::hand().mode, PrefetchMode::Static);
+        assert_eq!(PrefetchConfig::compiler().mode, PrefetchMode::Static);
+        assert_eq!(PrefetchConfig::automatic().mode, PrefetchMode::History);
+        assert_eq!(PrefetchConfig::adaptive().mode, PrefetchMode::Adaptive);
         assert_eq!(
-            PrefetchConfig::adaptive_static().mode(),
+            PrefetchConfig::adaptive_static().mode,
             PrefetchMode::AdaptiveStatic
         );
         let labels: Vec<_> = [
@@ -717,12 +715,12 @@ mod tests {
 
     #[test]
     fn annotation_honoring_per_mode() {
-        assert!(!PrefetchConfig::off().honors_annotations());
-        assert!(PrefetchConfig::hand().honors_annotations());
-        assert!(PrefetchConfig::compiler().honors_annotations());
-        assert!(!PrefetchConfig::automatic().honors_annotations());
-        assert!(!PrefetchConfig::adaptive().honors_annotations());
-        assert!(PrefetchConfig::adaptive_static().honors_annotations());
+        assert!(!PrefetchConfig::off().mode.honors_annotations());
+        assert!(PrefetchConfig::hand().mode.honors_annotations());
+        assert!(PrefetchConfig::compiler().mode.honors_annotations());
+        assert!(!PrefetchConfig::automatic().mode.honors_annotations());
+        assert!(!PrefetchConfig::adaptive().mode.honors_annotations());
+        assert!(PrefetchConfig::adaptive_static().mode.honors_annotations());
     }
 
     /// The custom `Debug` must be byte-identical to the pre-adaptive
@@ -739,5 +737,80 @@ mod tests {
         );
         let on = format!("{:?}", PrefetchConfig::adaptive());
         assert!(on.contains("adaptive: AdaptiveConfig"));
+    }
+
+    /// The rendering of every constructor, captured from the build
+    /// that still stored the mode as booleans. Report digests hash
+    /// this text, so it may never drift.
+    #[test]
+    fn prefetch_debug_renders_the_legacy_field_list() {
+        let compiler_adaptive_static = PrefetchConfig {
+            compiler_style: true,
+            ..PrefetchConfig::adaptive_static()
+        };
+        let reliable_hand = PrefetchConfig {
+            reliable: true,
+            ..PrefetchConfig::hand()
+        };
+        let cases = [
+            (
+                PrefetchConfig::off(),
+                "PrefetchConfig { enabled: false, throttle: 1, suppress_redundant: \
+                 false, automatic: false, reliable: false, compiler_style: false }",
+            ),
+            (
+                PrefetchConfig::hand(),
+                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
+                 false, automatic: false, reliable: false, compiler_style: false }",
+            ),
+            (
+                PrefetchConfig::compiler(),
+                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
+                 false, automatic: false, reliable: false, compiler_style: true }",
+            ),
+            (
+                PrefetchConfig::automatic(),
+                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
+                 false, automatic: true, reliable: false, compiler_style: false }",
+            ),
+            (
+                PrefetchConfig::adaptive(),
+                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
+                 false, automatic: false, reliable: false, compiler_style: false, \
+                 adaptive: AdaptiveConfig { enabled: true, combine_static: false, \
+                 window: 8, base_degree: 2, max_degree: 8, base_lead: 1, max_lead: \
+                 4, eval_period: 16, min_sample: 4, ramp_coverage: 0.6, \
+                 backoff_accuracy: 0.2, late_threshold: 0.25, suppress_periods: 2 } \
+                 }",
+            ),
+            (
+                PrefetchConfig::adaptive_static(),
+                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
+                 false, automatic: false, reliable: false, compiler_style: false, \
+                 adaptive: AdaptiveConfig { enabled: true, combine_static: true, \
+                 window: 8, base_degree: 2, max_degree: 8, base_lead: 1, max_lead: \
+                 4, eval_period: 16, min_sample: 4, ramp_coverage: 0.6, \
+                 backoff_accuracy: 0.2, late_threshold: 0.25, suppress_periods: 2 } \
+                 }",
+            ),
+            (
+                compiler_adaptive_static,
+                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
+                 false, automatic: false, reliable: false, compiler_style: true, \
+                 adaptive: AdaptiveConfig { enabled: true, combine_static: true, \
+                 window: 8, base_degree: 2, max_degree: 8, base_lead: 1, max_lead: \
+                 4, eval_period: 16, min_sample: 4, ramp_coverage: 0.6, \
+                 backoff_accuracy: 0.2, late_threshold: 0.25, suppress_periods: 2 } \
+                 }",
+            ),
+            (
+                reliable_hand,
+                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
+                 false, automatic: false, reliable: true, compiler_style: false }",
+            ),
+        ];
+        for (cfg, pinned) in cases {
+            assert_eq!(format!("{cfg:?}"), pinned);
+        }
     }
 }

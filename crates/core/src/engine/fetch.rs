@@ -18,11 +18,11 @@ use super::Core;
 use crate::accounting::Category;
 use crate::config::{DirectoryPolicy, DsmConfig};
 use crate::heap::Heap;
-use crate::msg::{BasePayload, DiffPayload, IntervalRecord, MsgBody};
+use crate::msg::{BasePayload, DiffPayload, FetchClass, IntervalRecord, MsgBody};
 use crate::node::{Fetch, MissClass, NodeState};
 use crate::report::SimError;
 use crate::thread::{BlockReason, ThreadId};
-use crate::trace::{class, TraceEvent, NO_CAUSE, NO_THREAD};
+use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
 
 /// Directory-layer state: which pages some node has touched (faulted
 /// on or been served). A page's first-touch migration window closes
@@ -56,16 +56,6 @@ fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: Vec<DiffPayload>) 
                 },
             );
         }
-    }
-}
-
-/// Trace code of a §3.3 fault class.
-fn class_code(class: MissClass) -> u8 {
-    match class {
-        MissClass::Hit => class::HIT,
-        MissClass::NoPf => class::NO_PF,
-        MissClass::TooLate => class::TOO_LATE,
-        MissClass::Invalidated => class::INVALIDATED,
     }
 }
 
@@ -136,7 +126,7 @@ impl Core<'_> {
                 begin_id,
                 TraceEvent::FaultEnd {
                     page: page.index() as u32,
-                    class: class_code(cls),
+                    class: cls.code(),
                 },
             );
             let apply_end = self.adaptive_fault(tid, n, page, cls, begin_id, apply_end);
@@ -145,9 +135,7 @@ impl Core<'_> {
 
         // A real remote miss.
         self.nodes[n].counters.misses += 1;
-        if self.cfg.prefetch.enabled && self.cfg.prefetch.automatic {
-            self.nodes[n].current_faults.push(page);
-        }
+        self.note_remote_miss(n, page);
         let class = match self.nodes[n].pf_meta.get(&page) {
             None => MissClass::NoPf,
             Some(meta) => {
@@ -165,7 +153,7 @@ impl Core<'_> {
         };
         self.nodes[n].counters.classify(class);
         self.tracer
-            .note_fault(n as u32, page.index() as u32, begin_id, class_code(class));
+            .note_fault(n as u32, page.index() as u32, begin_id, class.code());
 
         // Too-late join: when every missing piece was already
         // requested by an adaptive prefetch (reliable traffic — it
@@ -174,10 +162,7 @@ impl Core<'_> {
         // round through the very server whose queue made the
         // prefetch late. Wait for the in-flight replies instead.
         if class == MissClass::TooLate
-            && self.nodes[n]
-                .pf_meta
-                .get(&page)
-                .is_some_and(|m| m.all_adaptive)
+            && self.nodes[n].pf_meta.get(&page).is_some_and(|m| m.joinable)
         {
             let inflight = self.nodes[n]
                 .mem
@@ -207,7 +192,7 @@ impl Core<'_> {
         // thread is already blocked on the reply, so issue overhead
         // overlaps the memory stall instead of extending it.
         let (end, outstanding) =
-            self.send_fetch_requests(n, page, &missing, need_base, end, false, false);
+            self.send_fetch_requests(n, page, &missing, need_base, end, FetchClass::Demand);
         let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
         self.nodes[n].fetches.insert(
             page,
@@ -293,7 +278,6 @@ impl Core<'_> {
     /// Sends diff/base requests; returns the CPU end time and the
     /// number of requests sent — the replies to wait for. (A droppable
     /// prefetch request the network loses is counted as a send drop.)
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn send_fetch_requests(
         &mut self,
         n: NodeId,
@@ -301,22 +285,11 @@ impl Core<'_> {
         missing: &[(NodeId, Vec<Stamp>)],
         need_base: bool,
         mut end: SimTime,
-        prefetch: bool,
-        adaptive: bool,
+        class: FetchClass,
     ) -> (SimTime, usize) {
         let home = self.heap.home(page);
-        let send_cost = if adaptive {
-            self.cfg.costs.adaptive_issue()
-        } else if prefetch {
-            self.cfg.costs.prefetch_issue
-        } else {
-            self.cfg.costs.msg_send
-        };
-        let send_cat = if prefetch {
-            Category::PrefetchOverhead
-        } else {
-            Category::DsmOverhead
-        };
+        let send_cost = class.send_cost(&self.cfg.costs);
+        let send_cat = class.send_category();
         // One request per origin with missing diffs; the base rides on
         // the home's request when the home is among them, and gets a
         // request of its own otherwise.
@@ -343,9 +316,7 @@ impl Core<'_> {
                 page,
                 stamps: req.stamps,
                 want_base: req.want_base,
-                prefetch,
-                adaptive,
-                droppable: prefetch && !adaptive && !self.cfg.prefetch.reliable,
+                class,
                 vc: self.nodes[n].vc.clone(),
             };
             if !self.post(end, n, req.to, body) {
@@ -361,7 +332,7 @@ impl Core<'_> {
                     },
                 );
             }
-            if prefetch {
+            if class.is_prefetch() {
                 self.nodes[n].counters.pf_messages += 1;
             }
         }
@@ -603,9 +574,7 @@ impl Core<'_> {
         page: PageId,
         stamps: &[Stamp],
         want_base: bool,
-        prefetch: bool,
-        adaptive: bool,
-        droppable: bool,
+        class: FetchClass,
         requester_vc: &VectorClock,
         at: SimTime,
     ) {
@@ -620,7 +589,7 @@ impl Core<'_> {
             }
         }
 
-        if prefetch {
+        if class.splits_interval() {
             // §3.1: servicing a prefetch for a dirty page splits the
             // open interval so later writes are distinguishable, and
             // the fresh diff rides along in the reply.
@@ -743,9 +712,7 @@ impl Core<'_> {
                 page,
                 diffs: reply_diffs,
                 base,
-                prefetch,
-                adaptive,
-                droppable,
+                class,
                 intervals,
             },
         );
@@ -778,7 +745,7 @@ impl Core<'_> {
         page: PageId,
         diffs: Vec<DiffPayload>,
         base: Option<BasePayload>,
-        prefetch: bool,
+        class: FetchClass,
         intervals: &[Arc<IntervalRecord>],
         end: SimTime,
     ) -> Result<(), SimError> {
@@ -788,7 +755,7 @@ impl Core<'_> {
             self.record_interval(n, rec, end);
         }
         let node = &mut self.nodes[n];
-        if prefetch {
+        if class.is_prefetch() {
             cache_unapplied(node, page, diffs);
             if let Some(b) = base {
                 node.base_cache.insert(page, b);
@@ -842,7 +809,7 @@ impl Core<'_> {
         let (missing, need_base) = self.missing_for(n, page);
         if !missing.is_empty() || need_base {
             let (_, outstanding) =
-                self.send_fetch_requests(n, page, &missing, need_base, end, false, false);
+                self.send_fetch_requests(n, page, &missing, need_base, end, FetchClass::Demand);
             self.nodes[n].fetches.insert(
                 page,
                 Fetch {

@@ -43,7 +43,7 @@ use crate::transport::{Packet, TransportSummary};
 
 use self::fetch::{materialize, Directory};
 use self::outage::Recovery;
-use self::prefetch::AdaptiveNode;
+use self::prefetch::Prefetcher;
 use self::sched::{Sched, ThreadPeer};
 use self::sync::Barriers;
 use self::wire::Wire;
@@ -188,9 +188,9 @@ impl Simulation {
             breakdown.accumulate(b);
         }
         let (misses, locks, barriers, prefetch, mt, gc_passes, directory) = fold_counters(&nodes);
-        let adaptive = cfg.prefetch.adaptive.enabled.then(|| {
+        let adaptive = cfg.prefetch.mode.is_adaptive().then(|| {
             let mut total = AdaptiveStats::default();
-            for ad in nodes.iter().filter_map(|n| n.adaptive.as_ref()) {
+            for ad in nodes.iter().filter_map(|n| n.prefetcher.adaptive()) {
                 total.absorb(ad.stats());
             }
             total
@@ -353,9 +353,7 @@ impl<'a> Core<'a> {
                 let mut mem = NodeMem::new(total_pages, |p| heap.home(PageId::new(p as u32)) == n);
                 mem.twin_log_on = traced;
                 let mut ns = NodeState::new(n, cfg.nodes, tpn, mem);
-                if cfg.prefetch.adaptive.enabled {
-                    ns.adaptive = Some(AdaptiveNode::new(&cfg.prefetch.adaptive, tpn));
-                }
+                ns.prefetcher = Prefetcher::for_config(&cfg.prefetch, tpn);
                 ns
             })
             .collect();
@@ -450,6 +448,7 @@ impl<'a> Core<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{PrefetchConfig, PrefetchMode};
 
     fn core(cfg: &DsmConfig) -> Core<'_> {
         let backend = QueueBackend::default();
@@ -463,24 +462,56 @@ mod tests {
     #[test]
     fn paper_cluster_core_holds_no_recovery_state() {
         let cfg = DsmConfig::paper_cluster(1024);
-        let core = core(&cfg);
-        assert!(core.recovery.is_none());
-        assert!(core.detector().is_none());
-        assert!(core.persist().is_none());
-        assert!(core.directory.is_none());
-        assert!(core.nodes.iter().all(|n| n.adaptive.is_none()));
+        let paper = core(&cfg);
+        assert!(paper.recovery.is_none());
+        assert!(paper.detector().is_none());
+        assert!(paper.persist().is_none());
+        assert!(paper.directory.is_none());
+        assert!(paper
+            .nodes
+            .iter()
+            .all(|n| matches!(n.prefetcher, Prefetcher::Off)));
         // Nor any of the N×N empty per-origin lists a dense interval
         // index would hold (measured: +9 % peak RSS at this size).
-        assert!(core
+        assert!(paper
             .nodes
             .iter()
             .all(|n| n.interval_log().indexed_keys() == 0));
+        // The prefetcher slot holds its mode's state and no other:
+        // history only in history runs, the stride engine only in the
+        // adaptive ones.
+        for pf in [
+            PrefetchConfig::off(),
+            PrefetchConfig::hand(),
+            PrefetchConfig::compiler(),
+            PrefetchConfig::automatic(),
+            PrefetchConfig::adaptive(),
+            PrefetchConfig::adaptive_static(),
+        ] {
+            let mode = pf.mode;
+            let cfg = DsmConfig::paper_cluster(4).with_prefetch(pf);
+            for node in &core(&cfg).nodes {
+                assert_eq!(
+                    matches!(node.prefetcher, Prefetcher::History(_)),
+                    mode == PrefetchMode::History,
+                    "{mode:?}"
+                );
+                assert_eq!(
+                    node.prefetcher.adaptive().is_some(),
+                    mode.is_adaptive(),
+                    "{mode:?}"
+                );
+            }
+        }
     }
 
     /// A read-only run closes no interval, so at any cluster size
     /// every node's interval log and its indexes stay empty, and the
     /// piggyback query answers from nothing. The shape is the scaling
-    /// suite's hot spot: every node reads pages homed on node 0.
+    /// suite's hot spot (`rsdsm_apps::HotSpot`): every node reads pages
+    /// homed on node 0. It is restated here because this crate's unit
+    /// tests cannot link `rsdsm-apps`, whose programs implement the
+    /// `DsmProgram` of the non-test build of this crate.
     #[test]
     fn read_only_run_grows_no_interval_state() {
         use crate::heap::{HomePolicy, SharedVec};

@@ -21,7 +21,7 @@ use rsdsm_simnet::{NodeId, PersistDevice, SimDuration, SimTime, Topology};
 use super::{Core, Event};
 use crate::accounting::Category;
 use crate::checkpoint::{
-    classify_slot, commit_region, payload_region, slot_for_seq, Checkpoint, CommitRecord,
+    classify_slot, commit_region, payload_region, segment, slot_for_seq, Checkpoint, CommitRecord,
     SlotState, COMMIT_LEN, SLOT_COUNT, SLOT_REGIONS,
 };
 use crate::config::{DsmConfig, MANAGER};
@@ -736,7 +736,8 @@ impl Core<'_> {
     pub(super) fn take_checkpoint(&mut self, n: NodeId, at: SimTime) -> SimTime {
         let epoch = self.barriers.epochs_done(n);
         let ckpt = Checkpoint::capture(n as u32, epoch, &self.nodes[n]);
-        let bytes = ckpt.encode().len() as u64;
+        let encoded = ckpt.encode();
+        let bytes = encoded.len() as u64;
         self.tracer.emit(
             at,
             n as u32,
@@ -753,7 +754,7 @@ impl Core<'_> {
         rec.stats.checkpoint_bytes += bytes;
         rec.busy_at_ckpt[n] = busy;
         let end = if rec.persist.is_some() {
-            self.persist_checkpoint(n, &ckpt, at)
+            self.persist_checkpoint(n, epoch, encoded, at)
         } else {
             at
         };
@@ -761,7 +762,8 @@ impl Core<'_> {
         end
     }
 
-    /// Writes `ckpt` to node `n`'s persistent device through the
+    /// Writes a checkpoint of `epoch` (`encoded`, its `RCK1` bytes) to
+    /// node `n`'s persistent device through the
     /// detectably recoverable A/B protocol: segmented payload into
     /// the epoch's slot, flush, fence; then the commit record, flush,
     /// fence. The drain runs at the device's write bandwidth in the
@@ -769,14 +771,22 @@ impl Core<'_> {
     /// the node stalls until the commit fence completes, which is
     /// exactly the durability overhead the model is after. Returns
     /// the stall end.
-    fn persist_checkpoint(&mut self, n: NodeId, ckpt: &Checkpoint, at: SimTime) -> SimTime {
-        let payload = ckpt.encode_segmented();
+    fn persist_checkpoint(
+        &mut self,
+        n: NodeId,
+        epoch: u32,
+        encoded: Vec<u8>,
+        at: SimTime,
+    ) -> SimTime {
+        let payload = segment(epoch, &encoded);
+        // Not held across the device writes, which copy the image.
+        drop(encoded);
         let rec = self.rec();
         let per = rec.persist.as_mut().expect("persist state");
         per.seq[n] += 1;
         let seq = per.seq[n];
         let slot = slot_for_seq(seq);
-        let commit = CommitRecord::for_payload(ckpt.epoch, seq, &payload).encode();
+        let commit = CommitRecord::for_payload(epoch, seq, &payload).encode();
         let image_bytes = (payload.len() + commit.len()) as u64;
         let committed = {
             let dev = &mut per.devices[n];
@@ -801,7 +811,7 @@ impl Core<'_> {
             NO_THREAD,
             NO_CAUSE,
             TraceEvent::PersistCommit {
-                epoch: ckpt.epoch,
+                epoch,
                 bytes: image_bytes as u32,
             },
         );
@@ -845,7 +855,12 @@ impl Core<'_> {
                 if seq < per.seq[x] {
                     rec.stats.slot_fallbacks += 1;
                 }
-                per.restore_bytes[x] = (ckpt.encode_segmented().len() + COMMIT_LEN) as u64;
+                // The slot classified as committed, so its commit
+                // record decodes and names the image's length.
+                let image = CommitRecord::decode(per.devices[x].read(commit_region(slot)))
+                    .expect("committed slot has an intact commit record")
+                    .payload_len as usize;
+                per.restore_bytes[x] = (image + COMMIT_LEN) as u64;
                 rec.busy_at_ckpt[x] = per.busy_at_slot[x][slot];
                 rec.ckpts[x] = Some(*ckpt);
             }

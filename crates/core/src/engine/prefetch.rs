@@ -8,11 +8,15 @@
 //! its reply (or the page's validation) retires it — the bound the
 //! adaptive engine's in-flight budget relies on.
 
+use std::collections::HashMap;
+
 use rsdsm_protocol::PageId;
 use rsdsm_simnet::{NodeId, SimTime};
 
 use super::Core;
 use crate::accounting::Category;
+use crate::config::{PrefetchConfig, PrefetchMode};
+use crate::msg::FetchClass;
 use crate::node::{MissClass, SyncKey};
 use crate::prefetch::{
     AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleController, TrendChange,
@@ -20,10 +24,67 @@ use crate::prefetch::{
 use crate::thread::ThreadId;
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
 
+/// A node's prefetcher: the state its run's [`PrefetchMode`] needs and
+/// nothing else. The engine's fault and sync hooks match on it, so a
+/// mode that is off is a variant that is absent.
+#[derive(Debug)]
+pub(crate) enum Prefetcher {
+    /// No prefetching.
+    Off,
+    /// Application annotations only; they arrive as syscalls and need
+    /// no engine-side state.
+    Static,
+    /// Bianchini-style history replay at sync points.
+    History(HistoryNode),
+    /// The adaptive stride engine (with or without annotations).
+    Adaptive(AdaptiveNode),
+}
+
+impl Prefetcher {
+    /// The prefetcher `cfg`'s mode calls for, on a node with
+    /// `threads_on_node` local threads.
+    pub(crate) fn for_config(cfg: &PrefetchConfig, threads_on_node: usize) -> Self {
+        match cfg.mode {
+            PrefetchMode::Off => Prefetcher::Off,
+            PrefetchMode::Static => Prefetcher::Static,
+            PrefetchMode::History => Prefetcher::History(HistoryNode::default()),
+            PrefetchMode::Adaptive | PrefetchMode::AdaptiveStatic => {
+                Prefetcher::Adaptive(AdaptiveNode::new(&cfg.adaptive, threads_on_node))
+            }
+        }
+    }
+
+    /// The adaptive engine's state, in the adaptive modes.
+    pub(crate) fn adaptive(&self) -> Option<&AdaptiveNode> {
+        match self {
+            Prefetcher::Adaptive(ad) => Some(ad),
+            _ => None,
+        }
+    }
+
+    fn adaptive_mut(&mut self) -> Option<&mut AdaptiveNode> {
+        match self {
+            Prefetcher::Adaptive(ad) => Some(ad),
+            _ => None,
+        }
+    }
+}
+
+/// Per-node access-pattern history of the Bianchini-style runtime
+/// prefetcher ([`PrefetchMode::History`]).
+#[derive(Debug, Default)]
+pub(crate) struct HistoryNode {
+    /// Pages that faulted after each synchronization point, keyed by
+    /// the sync object.
+    sync_history: HashMap<SyncKey, Vec<PageId>>,
+    /// The sync object whose epoch is currently being recorded.
+    current_sync: Option<SyncKey>,
+    /// Pages faulted in the current epoch.
+    current_faults: Vec<PageId>,
+}
+
 /// Per-node state of the adaptive prefetch engine (see
-/// [`crate::prefetch`]). Constructed only when
-/// [`AdaptiveConfig::enabled`] is set — `None` otherwise, so disabled
-/// runs carry no adaptive state at all.
+/// [`crate::prefetch`]).
 #[derive(Debug)]
 pub(crate) struct AdaptiveNode {
     /// One stride detector per local application thread; each is
@@ -59,7 +120,7 @@ pub(crate) struct AdaptiveNode {
 impl AdaptiveNode {
     /// Fresh adaptive state for a node with `threads_on_node` local
     /// threads.
-    pub(crate) fn new(cfg: &AdaptiveConfig, threads_on_node: usize) -> Self {
+    fn new(cfg: &AdaptiveConfig, threads_on_node: usize) -> Self {
         AdaptiveNode {
             detectors: (0..threads_on_node)
                 .map(|_| StrideDetector::new(cfg.window))
@@ -84,7 +145,7 @@ impl AdaptiveNode {
     /// pattern each epoch and the majority forms across epochs, not
     /// within one. Pages the next interval invalidates must be
     /// re-planned.
-    pub(super) fn barrier_epoch(&mut self) {
+    fn barrier_epoch(&mut self) {
         for d in &mut self.detectors {
             d.break_chain();
         }
@@ -92,8 +153,10 @@ impl AdaptiveNode {
     }
 
     /// Thread `local` acquired a lock remotely: the same break, for
-    /// that thread's stream only.
-    pub(super) fn lock_epoch(&mut self, local: usize) {
+    /// that thread's stream only — its delta chain breaks so the jump
+    /// to the critical section's pages is not scored, but the window
+    /// survives.
+    fn lock_epoch(&mut self, local: usize) {
         self.detectors[local].break_chain();
         self.planned[local] = None;
     }
@@ -107,42 +170,44 @@ impl Core<'_> {
     /// Issues prefetch requests for `pages`, skipping anything valid,
     /// in flight, or already locally available. `cause` is the trace
     /// record the issues link to ([`NO_CAUSE`] inherits the ambient
-    /// cause, as before); `adaptive` marks stride-engine issues, which
-    /// are counted in [`AdaptiveStats`] and travel as
-    /// `adaptive_request` traffic.
+    /// cause, as before); `class` is [`FetchClass::Static`] or, for
+    /// stride-engine issues, [`FetchClass::Adaptive`] — those are
+    /// counted in [`AdaptiveStats`] and travel as `adaptive_request`
+    /// traffic.
     pub(super) fn handle_prefetch(
         &mut self,
         n: NodeId,
         pages: &[PageId],
         now: SimTime,
         cause: u64,
-        adaptive: bool,
+        class: FetchClass,
     ) -> SimTime {
+        let adaptive = class == FetchClass::Adaptive;
         let mut end = now;
         for &page in pages {
             if self.nodes[n].mem.pages[page.index()].valid {
-                self.adaptive_cancel(n, adaptive);
+                self.adaptive_cancel(n, class);
                 continue;
             }
             if self.nodes[n].fetches.contains_key(&page) {
-                self.adaptive_cancel(n, adaptive);
+                self.adaptive_cancel(n, class);
                 continue;
             }
             let (missing, need_base) = self.missing_for(n, page);
             if missing.is_empty() && !need_base {
                 // Diffs already cached: the data is locally available.
                 self.nodes[n].mem.counters.pf_unnecessary += 1;
-                self.adaptive_cancel(n, adaptive);
+                self.adaptive_cancel(n, class);
                 continue;
             }
             {
                 let node = &mut self.nodes[n];
                 let meta = node.pf_meta.entry(page).or_default();
                 let fresh = meta.requested.is_empty() && !meta.wanted_base;
-                meta.all_adaptive = if fresh {
+                meta.joinable = if fresh {
                     adaptive
                 } else {
-                    meta.all_adaptive && adaptive
+                    meta.joinable && adaptive
                 };
                 for (origin, stamps) in &missing {
                     for s in stamps {
@@ -163,10 +228,10 @@ impl Core<'_> {
                 },
             );
             let (new_end, requests) =
-                self.send_fetch_requests(n, page, &missing, need_base, end, true, adaptive);
+                self.send_fetch_requests(n, page, &missing, need_base, end, class);
             end = new_end;
             if adaptive {
-                if let Some(ad) = self.nodes[n].adaptive.as_mut() {
+                if let Some(ad) = self.nodes[n].prefetcher.adaptive_mut() {
                     ad.stats.issued += 1;
                 }
             }
@@ -176,17 +241,18 @@ impl Core<'_> {
     }
 
     /// Counts one adaptive candidate cancelled before issue. No-op
-    /// for non-adaptive prefetches.
-    fn adaptive_cancel(&mut self, n: NodeId, adaptive: bool) {
-        if adaptive {
-            if let Some(ad) = self.nodes[n].adaptive.as_mut() {
+    /// for static prefetches.
+    fn adaptive_cancel(&mut self, n: NodeId, class: FetchClass) {
+        if class == FetchClass::Adaptive {
+            if let Some(ad) = self.nodes[n].prefetcher.adaptive_mut() {
                 ad.stats.cancelled += 1;
             }
         }
     }
 
-    /// Adaptive engine hook, run on every classified fault when the
-    /// mode is on: feeds the faulting thread's stride detector and the
+    /// Adaptive engine hook, run on every classified fault; a no-op
+    /// unless the node's prefetcher is the adaptive engine. Feeds the
+    /// faulting thread's stride detector and the
     /// node's throttle controller, emits detect/throttle trace events
     /// linked to the fault's begin record, and issues prefetches ahead
     /// of the current trend at the controller's (degree, lead)
@@ -201,7 +267,7 @@ impl Core<'_> {
         begin_id: u64,
         at: SimTime,
     ) -> SimTime {
-        if !self.cfg.prefetch.adaptive.enabled {
+        if self.nodes[n].prefetcher.adaptive().is_none() {
             return at;
         }
         let end = self.charge(
@@ -213,7 +279,7 @@ impl Core<'_> {
         );
         let local = tid.local_index(self.tpn());
         let total_pages = self.heap.page_count() as i64;
-        let ad = self.nodes[n].adaptive.as_mut().expect("adaptive state");
+        let ad = self.adaptive_node(n);
         let change = ad.detectors[local].observe(page.index() as u64);
         let trend = ad.detectors[local].trend();
         let transition = ad.throttle.observe(class);
@@ -275,7 +341,7 @@ impl Core<'_> {
             return end;
         };
         {
-            let ad = self.nodes[n].adaptive.as_mut().expect("adaptive state");
+            let ad = self.adaptive_node(n);
             if ad.probation[local] > 0 {
                 // The stream's trend is still on probation (fresh, or
                 // recently proven wrong by a flip): hold issue until
@@ -288,9 +354,7 @@ impl Core<'_> {
             // The trend holds but the controller is cooling down:
             // every candidate this fault would have planned is
             // cancelled unissued.
-            if let Some(ad) = self.nodes[n].adaptive.as_mut() {
-                ad.stats.cancelled += u64::from(degree);
-            }
+            self.adaptive_node(n).stats.cancelled += u64::from(degree);
             return end;
         }
         // The lookahead window this fault wants covered, clipped to
@@ -299,11 +363,7 @@ impl Core<'_> {
         // range by ~one page each instead of re-issuing the whole
         // overlapping window (the burst would swamp the protocol
         // processors and the fabric for no added coverage).
-        let planned = self.nodes[n]
-            .adaptive
-            .as_ref()
-            .expect("adaptive state")
-            .planned[local];
+        let planned = self.adaptive_node(n).planned[local];
         let fresh: Vec<i64> = (0..degree)
             .map(|k| page.index() as i64 + stride * i64::from(lead + k))
             .filter(|&p| match planned {
@@ -333,7 +393,7 @@ impl Core<'_> {
             .collect();
         candidates.truncate(allowed);
         {
-            let ad = self.nodes[n].adaptive.as_mut().expect("adaptive state");
+            let ad = self.adaptive_node(n);
             // Fresh candidates past the heap ends or over budget are
             // cancelled; already-planned pages are simply not fresh.
             ad.stats.cancelled += (fresh.len() - candidates.len()) as u64;
@@ -369,30 +429,59 @@ impl Core<'_> {
             Category::PrefetchOverhead,
             None,
         );
-        self.handle_prefetch(n, &candidates, issue_at, begin_id, true);
+        self.handle_prefetch(n, &candidates, issue_at, begin_id, FetchClass::Adaptive);
         end
     }
 
-    /// Automatic-prefetch mode (Bianchini-style): a synchronization
-    /// point was reached on node `n`. The pages that faulted since
-    /// the previous sync point become the history of that point's
-    /// sync object, and the history recorded for `key` is prefetched
-    /// now. Returns the CPU end time.
-    pub(super) fn auto_prefetch_at_sync(
+    /// Node `n`'s adaptive engine, inside [`Core::adaptive_fault`].
+    fn adaptive_node(&mut self, n: NodeId) -> &mut AdaptiveNode {
+        self.nodes[n]
+            .prefetcher
+            .adaptive_mut()
+            .expect("checked on entry")
+    }
+
+    /// History mode: records a remote miss on `page` in the epoch of
+    /// the sync point node `n` last passed. No-op in any other mode.
+    pub(super) fn note_remote_miss(&mut self, n: NodeId, page: PageId) {
+        if let Prefetcher::History(h) = &mut self.nodes[n].prefetcher {
+            h.current_faults.push(page);
+        }
+    }
+
+    /// A synchronization point was reached on node `n`: `tid` was
+    /// granted lock `key` remotely, or (`None`) the node passed
+    /// barrier `key`. The adaptive engine breaks its delta chains
+    /// there. The history prefetcher closes its epoch — the pages that
+    /// faulted since the previous sync point become the history of
+    /// that point's sync object — and prefetches the history recorded
+    /// for `key`. Returns the CPU end time.
+    pub(super) fn prefetch_at_sync(
         &mut self,
         n: NodeId,
         key: SyncKey,
+        tid: Option<ThreadId>,
         now: SimTime,
     ) -> SimTime {
-        if !self.cfg.prefetch.enabled || !self.cfg.prefetch.automatic {
-            return now;
-        }
+        let tpn = self.tpn();
         let node = &mut self.nodes[n];
-        let faults = std::mem::take(&mut node.current_faults);
-        if let Some(prev) = node.current_sync.replace(key) {
-            node.sync_history.insert(prev, faults);
-        }
-        let history = node.sync_history.get(&key).cloned().unwrap_or_default();
+        let history = match &mut node.prefetcher {
+            Prefetcher::Off | Prefetcher::Static => return now,
+            Prefetcher::Adaptive(ad) => {
+                match tid {
+                    Some(tid) => ad.lock_epoch(tid.local_index(tpn)),
+                    None => ad.barrier_epoch(),
+                }
+                return now;
+            }
+            Prefetcher::History(h) => {
+                let faults = std::mem::take(&mut h.current_faults);
+                if let Some(prev) = h.current_sync.replace(key) {
+                    h.sync_history.insert(prev, faults);
+                }
+                h.sync_history.get(&key).cloned().unwrap_or_default()
+            }
+        };
         if history.is_empty() {
             return now;
         }
@@ -409,6 +498,6 @@ impl Core<'_> {
             Category::PrefetchOverhead,
             None,
         );
-        self.handle_prefetch(n, &history, end, NO_CAUSE, false)
+        self.handle_prefetch(n, &history, end, NO_CAUSE, FetchClass::Static)
     }
 }

@@ -13,6 +13,7 @@ use rsdsm_simnet::{EventQueue, HeapQueue, NodeId, QueueBackend, SimDuration, Sim
 use super::{Core, Event};
 use crate::accounting::{Category, IdleReason};
 use crate::conductor::{Charges, Syscall, ThreadLink};
+use crate::msg::FetchClass;
 use crate::node::Burst;
 use crate::report::SimError;
 use crate::thread::{BlockReason, ThreadId, ThreadState};
@@ -413,7 +414,7 @@ impl Core<'_> {
             Syscall::Release(lock) => self.handle_release(tid, n, lock, now),
             Syscall::Barrier(id) => self.handle_barrier_arrive(tid, n, id, now),
             Syscall::Prefetch(pages) => {
-                let end = self.handle_prefetch(n, &pages, now, NO_CAUSE, false);
+                let end = self.handle_prefetch(n, &pages, now, NO_CAUSE, FetchClass::Static);
                 self.run_thread(tid, end, None)
             }
         }

@@ -322,14 +322,8 @@ impl Core<'_> {
             GrantOutcome::WakeLocal(tid) => {
                 self.oracle.record_grant(lock, tid);
                 // A remote grant opens a new lock epoch for the
-                // acquirer: its delta chain breaks so the jump to the
-                // critical section's pages is not scored, but the
-                // window survives.
-                let local = tid.local_index(self.tpn());
-                if let Some(ad) = self.nodes[n].adaptive.as_mut() {
-                    ad.lock_epoch(local);
-                }
-                let end = self.auto_prefetch_at_sync(n, SyncKey::Lock(lock), end);
+                // acquirer.
+                let end = self.prefetch_at_sync(n, SyncKey::Lock(lock), Some(tid), end);
                 self.wake(tid, end)
             }
             GrantOutcome::TokenParked => {
@@ -488,9 +482,6 @@ impl Core<'_> {
             self.nodes[n].own_diff_bytes = 0;
         }
         self.nodes[n].mem.epoch_prefetched.clear();
-        if let Some(ad) = self.nodes[n].adaptive.as_mut() {
-            ad.barrier_epoch();
-        }
         // Barrier-aligned checkpoint: every local interval is closed
         // here (no twins), making this the natural recovery line.
         self.barriers.epochs_done[n] += 1;
@@ -509,7 +500,7 @@ impl Core<'_> {
         if every > 0 && epoch.is_multiple_of(every) {
             end = self.take_checkpoint(n, end);
         }
-        let end = self.auto_prefetch_at_sync(n, SyncKey::Barrier(id), end);
+        let end = self.prefetch_at_sync(n, SyncKey::Barrier(id), None, end);
         let woken = self.nodes[n].barrier.release(id);
         for tid in woken {
             self.wake(tid, end)?;

@@ -17,7 +17,7 @@ use crate::config::{DsmConfig, MANAGER};
 use crate::lock::RemoteWaiter;
 use crate::msg::{Msg, MsgBody};
 use crate::report::{NetSummary, SimError};
-use crate::trace::{kind, TraceEvent, NO_CAUSE, NO_THREAD};
+use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
 use crate::transport::{Frame, Packet, Recv, TimeoutAction, Transport, TransportSummary};
 
 /// The network and the transport state riding on it.
@@ -44,7 +44,7 @@ impl Wire {
 
     /// Counts `frame` as dropped at a dead NIC.
     pub(super) fn note_crash_drop(&mut self, frame: &Frame) {
-        self.net.note_crash_drop(net_label(frame));
+        self.net.note_crash_drop(frame.class().net_label());
     }
 
     /// The run's network, transport and fault-injection totals.
@@ -57,25 +57,6 @@ impl Wire {
     }
 }
 
-/// Network-statistics label of a frame.
-fn net_label(frame: &Frame) -> &'static str {
-    match frame {
-        Frame::Data { body, .. } | Frame::Datagram { body } => body.kind(),
-        Frame::Ack { .. } => "ack",
-        Frame::Heartbeat => "hb",
-    }
-}
-
-/// Trace message-class code and sequence number of a frame.
-fn trace_tag(frame: &Frame) -> (u8, u64) {
-    match frame {
-        Frame::Heartbeat => (kind::HEARTBEAT, 0),
-        Frame::Ack { seq } => (kind::ACK, *seq),
-        Frame::Datagram { body } => (kind_code(body), 0),
-        Frame::Data { seq, body } => (kind_code(body), *seq),
-    }
-}
-
 /// Takes a delivered body out of its shared frame: by move when this
 /// was the last reference (the common unicast case once the sender's
 /// retransmit buffer released it), by structural clone otherwise —
@@ -83,25 +64,6 @@ fn trace_tag(frame: &Frame) -> (u8, u64) {
 /// themselves `Arc`-shared.
 fn unshare(body: Arc<MsgBody>) -> MsgBody {
     Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
-}
-
-/// Trace message-class code for a protocol body.
-fn kind_code(body: &MsgBody) -> u8 {
-    match body.kind() {
-        "diff_request" => kind::DIFF_REQUEST,
-        "diff_reply" => kind::DIFF_REPLY,
-        "prefetch_request" => kind::PREFETCH_REQUEST,
-        "prefetch_reply" => kind::PREFETCH_REPLY,
-        "adaptive_request" => kind::ADAPTIVE_REQUEST,
-        "adaptive_reply" => kind::ADAPTIVE_REPLY,
-        "lock_request" => kind::LOCK_REQUEST,
-        "lock_forward" => kind::LOCK_FORWARD,
-        "lock_grant" => kind::LOCK_GRANT,
-        "barrier_arrive" => kind::BARRIER_ARRIVE,
-        "barrier_release" => kind::BARRIER_RELEASE,
-        "suspect_report" => kind::SUSPECT_REPORT,
-        _ => kind::RECOVERY_START,
-    }
 }
 
 impl Core<'_> {
@@ -133,11 +95,12 @@ impl Core<'_> {
             Frame::Ack { .. } => (self.cfg.transport.ack_bytes, Reliability::Reliable),
             Frame::Heartbeat => (self.cfg.transport.ack_bytes, Reliability::Droppable),
         };
+        let class = frame.class();
         let outcome = self
             .wire
             .net
-            .send(at, src, dst, bytes, reliability, net_label(&frame));
-        let (kind, seq) = trace_tag(&frame);
+            .send(at, src, dst, bytes, reliability, class.net_label());
+        let seq = frame.seq();
         let cause = if retransmit {
             self.tracer.first_send(src as u32, dst as u32, seq)
         } else {
@@ -149,7 +112,7 @@ impl Core<'_> {
             NO_THREAD,
             cause,
             TraceEvent::MsgSend {
-                kind,
+                kind: class.code(),
                 peer: dst as u32,
                 seq,
                 bytes,
@@ -181,7 +144,7 @@ impl Core<'_> {
         // retransmit buffer, every wire frame (including fault-plan
         // duplicates), and the receive path all share this Arc.
         let body = Arc::new(body);
-        if body.droppable() {
+        if body.droppable(&self.cfg.prefetch) {
             self.put_on_wire(at, src, dst, Frame::Datagram { body }, false)
                 .1
         } else {
@@ -327,16 +290,15 @@ impl Core<'_> {
         // the peer refreshes its lease.
         self.note_heard(n, pkt.src, now);
         if self.tracer.is_on() {
-            let (kind, seq) = trace_tag(&pkt.frame);
             let id = self.tracer.emit(
                 now,
                 n as u32,
                 NO_THREAD,
                 pkt.cause,
                 TraceEvent::MsgRecv {
-                    kind,
+                    kind: pkt.frame.class().code(),
                     peer: pkt.src as u32,
-                    seq,
+                    seq: pkt.frame.seq(),
                 },
             );
             // Everything this frame triggers inherits it as cause.
@@ -422,21 +384,16 @@ impl Core<'_> {
                 page,
                 stamps,
                 want_base,
-                prefetch,
-                adaptive,
-                droppable,
+                class,
                 vc,
-            } => self.serve_diff_request(
-                n, msg.src, page, &stamps, want_base, prefetch, adaptive, droppable, &vc, end,
-            ),
+            } => self.serve_diff_request(n, msg.src, page, &stamps, want_base, class, &vc, end),
             MsgBody::DiffReply {
                 page,
                 diffs,
                 base,
-                prefetch,
+                class,
                 intervals,
-                ..
-            } => return self.handle_diff_reply(n, page, diffs, base, prefetch, &intervals, end),
+            } => return self.handle_diff_reply(n, page, diffs, base, class, &intervals, end),
             MsgBody::LockRequest {
                 lock,
                 requester,

@@ -71,7 +71,7 @@ pub use costs::CostModel;
 pub use engine::Simulation;
 pub use golden::{golden_run, GoldenRun};
 pub use heap::{Heap, HomePolicy, Pod, SharedVec};
-pub use msg::{BarrierId, IntervalRecord, LockId};
+pub use msg::{BarrierId, IntervalRecord, LockId, MsgClass};
 pub use node::{AccessCounters, MissClass, NodeCounters};
 pub use oracle::{
     digest_pages, fnv1a, fnv1a_extend, GrantRecord, InvariantKind, OracleConfig, OracleOutcome,
@@ -93,8 +93,7 @@ pub use rsdsm_simnet::{
 };
 pub use thread::ThreadId;
 pub use trace::{
-    class as trace_class, kind as trace_kind, kind_label, Histogram, PrefetchTraceSummary,
-    RetryTimeline, Trace, TraceError, TraceEvent, TraceMetrics, TraceRecord, Tracer, NO_CAUSE,
-    NO_THREAD,
+    Histogram, PrefetchTraceSummary, RetryTimeline, Trace, TraceError, TraceEvent, TraceMetrics,
+    TraceRecord, Tracer, NO_CAUSE, NO_THREAD,
 };
 pub use transport::{Recv, TimeoutAction, Transport, TransportConfig, TransportSummary};

@@ -15,7 +15,11 @@ use std::sync::Arc;
 
 pub use rsdsm_protocol::IntervalRecord;
 use rsdsm_protocol::{Diff, Page, PageId, Stamp, VectorClock, PAGE_SIZE};
-use rsdsm_simnet::NodeId;
+use rsdsm_simnet::{NodeId, SimDuration};
+
+use crate::accounting::Category;
+use crate::config::PrefetchConfig;
+use crate::costs::CostModel;
 
 /// Identifies an application-level lock. The lock's manager node is
 /// `id % nodes`.
@@ -65,12 +69,168 @@ impl BasePayload {
     }
 }
 
+/// Why a page's diffs are being fetched — the one distinction the
+/// paper's protocol turns on. Carried by [`MsgBody::DiffRequest`] and
+/// mirrored in its [`MsgBody::DiffReply`]; everything that differs
+/// between the three is a method here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FetchClass {
+    /// A page fault: the thread waits for the reply.
+    Demand,
+    /// A non-binding prefetch (§3.1) from an application annotation
+    /// or the history replay: droppable unless configured reliable.
+    Static,
+    /// A prefetch issued by the adaptive stride engine: always
+    /// reliable, so a too-late fault can wait for its reply.
+    Adaptive,
+}
+
+impl FetchClass {
+    /// True for both prefetch classes: the request counts as prefetch
+    /// traffic and the reply fills the caches instead of a fetch.
+    pub fn is_prefetch(self) -> bool {
+        self != FetchClass::Demand
+    }
+
+    /// Whether servicing the request splits the server's open interval
+    /// on a dirty page (§3.1), so later writes stay distinguishable
+    /// from the ones the prefetched copy already holds.
+    pub fn splits_interval(self) -> bool {
+        self.is_prefetch()
+    }
+
+    /// Whether the network may drop the request and its reply. Derived
+    /// at both ends from the run's configuration, never carried.
+    pub fn droppable(self, cfg: &PrefetchConfig) -> bool {
+        self == FetchClass::Static && !cfg.reliable
+    }
+
+    /// CPU cost of sending one request.
+    pub fn send_cost(self, costs: &CostModel) -> SimDuration {
+        match self {
+            FetchClass::Demand => costs.msg_send,
+            FetchClass::Static => costs.prefetch_issue,
+            FetchClass::Adaptive => costs.adaptive_issue(),
+        }
+    }
+
+    /// The account that send cost is booked to.
+    pub fn send_category(self) -> Category {
+        if self.is_prefetch() {
+            Category::PrefetchOverhead
+        } else {
+            Category::DsmOverhead
+        }
+    }
+
+    /// Statistics/trace class of the request and of its reply.
+    pub fn msg_classes(self) -> (MsgClass, MsgClass) {
+        match self {
+            FetchClass::Demand => (MsgClass::DiffRequest, MsgClass::DiffReply),
+            FetchClass::Static => (MsgClass::PrefetchRequest, MsgClass::PrefetchReply),
+            FetchClass::Adaptive => (MsgClass::AdaptiveRequest, MsgClass::AdaptiveReply),
+        }
+    }
+}
+
+/// Declares an enum whose variants travel in `RTR1` traces as a code
+/// and are shown to people as a label: variant, code and label are
+/// written once, here, and `code`, `from_code`, `label` and `ALL`
+/// follow. Codes must count up from 0 in declaration order.
+macro_rules! wire_enum {
+    (
+        $(#[$attr:meta])*
+        pub enum $ty:ident {
+            $($(#[$doc:meta])* $name:ident = $code:literal, $label:literal;)*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$doc])* $name = $code,)*
+        }
+
+        impl $ty {
+            /// Every variant, in code order.
+            pub const ALL: [$ty; [$($code),*].len()] = [$($ty::$name),*];
+
+            /// The variant's `RTR1` code.
+            pub fn code(self) -> u8 {
+                self as u8
+            }
+
+            /// The variant with `RTR1` code `code`, if there is one.
+            pub fn from_code(code: u8) -> Option<$ty> {
+                $ty::ALL.get(usize::from(code)).copied()
+            }
+
+            /// Human-readable name, as in trace metrics and exports.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($ty::$name => $label,)*
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+wire_enum! {
+    /// The class of a frame on the wire: the thirteen protocol body
+    /// classes plus the transport's own ack and heartbeat. Network
+    /// statistics are keyed by its label, and `TraceEvent::MsgSend` /
+    /// `TraceEvent::MsgRecv` carry its code.
+    pub enum MsgClass {
+        /// Demand diff/page request.
+        DiffRequest = 0, "diff_request";
+        /// Demand diff/page reply.
+        DiffReply = 1, "diff_reply";
+        /// Non-binding prefetch request.
+        PrefetchRequest = 2, "prefetch_request";
+        /// Prefetch reply.
+        PrefetchReply = 3, "prefetch_reply";
+        /// Lock token request to the manager.
+        LockRequest = 4, "lock_request";
+        /// Manager-forwarded lock request chasing the token.
+        LockForward = 5, "lock_forward";
+        /// Lock token grant.
+        LockGrant = 6, "lock_grant";
+        /// Barrier arrival at the manager.
+        BarrierArrive = 7, "barrier_arrive";
+        /// Barrier release fan-out.
+        BarrierRelease = 8, "barrier_release";
+        /// Failure suspicion report to the manager.
+        SuspectReport = 9, "suspect_report";
+        /// Manager-confirmed recovery broadcast.
+        RecoveryStart = 10, "recovery_start";
+        /// Transport-level acknowledgement frame.
+        Ack = 11, "ack";
+        /// Idle-link heartbeat frame.
+        Heartbeat = 12, "heartbeat";
+        /// Prefetch request issued by the adaptive stride engine.
+        AdaptiveRequest = 13, "adaptive_request";
+        /// Reply to an adaptive prefetch request.
+        AdaptiveReply = 14, "adaptive_reply";
+    }
+}
+
+impl MsgClass {
+    /// The key this class's traffic is counted under in the network
+    /// statistics: its label, except that heartbeats have always been
+    /// counted as `"hb"` (the report digests pin that row).
+    pub fn net_label(self) -> &'static str {
+        match self {
+            MsgClass::Heartbeat => "hb",
+            class => class.label(),
+        }
+    }
+}
+
 /// Message bodies of the DSM protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MsgBody {
     /// Request diffs (and possibly a base copy) for a page. Sent on a
-    /// page fault, or — with `prefetch` set — by the prefetch engine,
-    /// in which case it travels unreliably.
+    /// page fault or by a prefetcher, as `class` says.
     DiffRequest {
         /// The faulted/prefetched page.
         page: PageId,
@@ -78,15 +238,8 @@ pub enum MsgBody {
         stamps: Vec<Stamp>,
         /// Also send a full page copy (first-touch fetch).
         want_base: bool,
-        /// This is a prefetch request (servicing may split an open
-        /// interval).
-        prefetch: bool,
-        /// The prefetch was issued by the adaptive stride engine
-        /// (distinguished in traffic statistics; implies `prefetch`).
-        adaptive: bool,
-        /// Whether the network may drop this message (prefetch
-        /// traffic is droppable unless configured reliable).
-        droppable: bool,
+        /// Demand fetch, static prefetch or adaptive prefetch.
+        class: FetchClass,
         /// The requester's vector clock, so the reply can piggyback
         /// the write notices the requester lacks.
         vc: VectorClock,
@@ -99,12 +252,8 @@ pub enum MsgBody {
         diffs: Vec<DiffPayload>,
         /// Full page copy when requested.
         base: Option<BasePayload>,
-        /// Mirrors the request's prefetch flag.
-        prefetch: bool,
-        /// Mirrors the request's adaptive flag.
-        adaptive: bool,
-        /// Mirrors the request's droppable flag.
-        droppable: bool,
+        /// The request's class.
+        class: FetchClass,
         /// Write notices the requester did not have. Piggybacking
         /// them preserves happens-before: a reply may carry a diff
         /// from a freshly split interval, and the requester must
@@ -229,38 +378,30 @@ impl MsgBody {
             }
     }
 
-    /// Statistics label for the network layer.
-    pub fn kind(&self) -> &'static str {
+    /// The body's wire class.
+    pub fn class(&self) -> MsgClass {
         match self {
-            MsgBody::DiffRequest { adaptive: true, .. } => "adaptive_request",
-            MsgBody::DiffRequest { prefetch: true, .. } => "prefetch_request",
-            MsgBody::DiffRequest { .. } => "diff_request",
-            MsgBody::DiffReply { adaptive: true, .. } => "adaptive_reply",
-            MsgBody::DiffReply { prefetch: true, .. } => "prefetch_reply",
-            MsgBody::DiffReply { .. } => "diff_reply",
-            MsgBody::LockRequest { .. } => "lock_request",
-            MsgBody::LockForward { .. } => "lock_forward",
-            MsgBody::LockGrant { .. } => "lock_grant",
-            MsgBody::BarrierArrive { .. } => "barrier_arrive",
-            MsgBody::BarrierRelease { .. } => "barrier_release",
-            MsgBody::SuspectReport { .. } => "suspect_report",
-            MsgBody::RecoveryStart { .. } => "recovery_start",
+            MsgBody::DiffRequest { class, .. } => class.msg_classes().0,
+            MsgBody::DiffReply { class, .. } => class.msg_classes().1,
+            MsgBody::LockRequest { .. } => MsgClass::LockRequest,
+            MsgBody::LockForward { .. } => MsgClass::LockForward,
+            MsgBody::LockGrant { .. } => MsgClass::LockGrant,
+            MsgBody::BarrierArrive { .. } => MsgClass::BarrierArrive,
+            MsgBody::BarrierRelease { .. } => MsgClass::BarrierRelease,
+            MsgBody::SuspectReport { .. } => MsgClass::SuspectReport,
+            MsgBody::RecoveryStart { .. } => MsgClass::RecoveryStart,
         }
     }
 
-    /// True for messages the network may drop (prefetch traffic,
-    /// unless the run configures reliable prefetches).
-    pub fn droppable(&self) -> bool {
-        matches!(
-            self,
-            MsgBody::DiffRequest {
-                droppable: true,
-                ..
-            } | MsgBody::DiffReply {
-                droppable: true,
-                ..
+    /// True for messages the network may drop: static prefetch
+    /// traffic, unless the run configures reliable prefetches.
+    pub fn droppable(&self, cfg: &PrefetchConfig) -> bool {
+        match self {
+            MsgBody::DiffRequest { class, .. } | MsgBody::DiffReply { class, .. } => {
+                class.droppable(cfg)
             }
-        )
+            _ => false,
+        }
     }
 }
 
@@ -282,18 +423,14 @@ mod tests {
             page: PageId::new(0),
             stamps: vec![stamp()],
             want_base: false,
-            prefetch: false,
-            adaptive: false,
-            droppable: false,
+            class: FetchClass::Demand,
             vc: vc(),
         };
         let large = MsgBody::DiffRequest {
             page: PageId::new(0),
             stamps: vec![stamp(); 4],
             want_base: false,
-            prefetch: false,
-            adaptive: false,
-            droppable: false,
+            class: FetchClass::Demand,
             vc: vc(),
         };
         assert!(large.wire_bytes() > small.wire_bytes());
@@ -308,9 +445,7 @@ mod tests {
                 page: Arc::new(Page::new()),
                 incorporated: vec![],
             }),
-            prefetch: false,
-            adaptive: false,
-            droppable: false,
+            class: FetchClass::Demand,
             intervals: vec![],
         };
         assert!(body.wire_bytes() >= PAGE_SIZE);
@@ -322,19 +457,101 @@ mod tests {
             page: PageId::new(0),
             stamps: vec![],
             want_base: false,
-            prefetch: true,
-            adaptive: false,
-            droppable: true,
+            class: FetchClass::Static,
             vc: vc(),
         };
-        assert!(pf.droppable());
-        assert_eq!(pf.kind(), "prefetch_request");
+        let cfg = PrefetchConfig::hand();
+        assert!(pf.droppable(&cfg));
+        assert_eq!(pf.class().label(), "prefetch_request");
         let normal = MsgBody::LockRequest {
             lock: LockId(0),
             requester: 1,
             vc: vc(),
         };
-        assert!(!normal.droppable());
-        assert_eq!(normal.kind(), "lock_request");
+        assert!(!normal.droppable(&cfg));
+        assert_eq!(normal.class().label(), "lock_request");
+    }
+
+    /// Codes and labels are `RTR1` wire format and report text: pinned
+    /// literally, not against the declaration they come from.
+    #[test]
+    fn msg_class_codes_and_labels_are_pinned() {
+        let pinned = [
+            (0, "diff_request"),
+            (1, "diff_reply"),
+            (2, "prefetch_request"),
+            (3, "prefetch_reply"),
+            (4, "lock_request"),
+            (5, "lock_forward"),
+            (6, "lock_grant"),
+            (7, "barrier_arrive"),
+            (8, "barrier_release"),
+            (9, "suspect_report"),
+            (10, "recovery_start"),
+            (11, "ack"),
+            (12, "heartbeat"),
+            (13, "adaptive_request"),
+            (14, "adaptive_reply"),
+        ];
+        assert_eq!(MsgClass::ALL.len(), pinned.len());
+        for (class, (code, label)) in MsgClass::ALL.into_iter().zip(pinned) {
+            assert_eq!((class.code(), class.label()), (code, label));
+            assert_eq!(MsgClass::from_code(code), Some(class));
+            let net = if label == "heartbeat" { "hb" } else { label };
+            assert_eq!(class.net_label(), net);
+        }
+        assert_eq!(MsgClass::from_code(15), None);
+    }
+
+    #[test]
+    fn fetch_class_table() {
+        let costs = CostModel::paper_1998();
+        let droppable = PrefetchConfig::hand();
+        let reliable = PrefetchConfig {
+            reliable: true,
+            ..PrefetchConfig::hand()
+        };
+        // (class, prefetch, droppable by default, request, reply, cost)
+        let table = [
+            (
+                FetchClass::Demand,
+                false,
+                false,
+                "diff_request",
+                "diff_reply",
+                costs.msg_send,
+            ),
+            (
+                FetchClass::Static,
+                true,
+                true,
+                "prefetch_request",
+                "prefetch_reply",
+                costs.prefetch_issue,
+            ),
+            (
+                FetchClass::Adaptive,
+                true,
+                false,
+                "adaptive_request",
+                "adaptive_reply",
+                costs.adaptive_issue(),
+            ),
+        ];
+        for (class, prefetch, drops, request, reply, cost) in table {
+            assert_eq!(class.is_prefetch(), prefetch, "{class:?}");
+            assert_eq!(class.splits_interval(), prefetch, "{class:?}");
+            assert_eq!(class.droppable(&droppable), drops, "{class:?}");
+            assert!(!class.droppable(&reliable), "{class:?}");
+            let (req, rep) = class.msg_classes();
+            assert_eq!((req.label(), rep.label()), (request, reply));
+            assert_eq!(class.send_cost(&costs), cost, "{class:?}");
+            let category = if prefetch {
+                Category::PrefetchOverhead
+            } else {
+                Category::DsmOverhead
+            };
+            assert_eq!(class.send_category(), category, "{class:?}");
+        }
     }
 }

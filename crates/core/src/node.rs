@@ -26,9 +26,9 @@ use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use crate::accounting::NodeAccount;
 use crate::barrier::NodeBarrier;
-use crate::engine::prefetch::AdaptiveNode;
+use crate::engine::prefetch::Prefetcher;
 use crate::lock::LockTable;
-use crate::msg::{BasePayload, DiffPayload, IntervalRecord};
+use crate::msg::{wire_enum, BasePayload, DiffPayload, IntervalRecord};
 use crate::thread::{Scheduler, ThreadId};
 
 /// One page slot in a node's memory.
@@ -145,19 +145,22 @@ pub enum SyncKey {
     Barrier(crate::msg::BarrierId),
 }
 
-/// How a page fault relates to prefetching — the categories of
-/// Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissClass {
-    /// The page had not been prefetched.
-    NoPf,
-    /// Prefetched data fully covered the fault (no messages needed).
-    Hit,
-    /// Prefetch issued but replies had not arrived (or were dropped).
-    TooLate,
-    /// Prefetched data was invalidated by notices that arrived after
-    /// the prefetch was issued.
-    Invalidated,
+wire_enum! {
+    /// How a page fault relates to prefetching — the categories of
+    /// Figure 3 (§3.3). `TraceEvent::FaultEnd` carries the code.
+    pub enum MissClass {
+        /// Prefetched data fully covered the fault (no messages
+        /// needed).
+        Hit = 0, "hit";
+        /// The page had not been prefetched.
+        NoPf = 1, "no_pf";
+        /// Prefetch issued but replies had not arrived (or were
+        /// dropped).
+        TooLate = 2, "too_late";
+        /// Prefetched data was invalidated by notices that arrived
+        /// after the prefetch was issued.
+        Invalidated = 3, "invalidated";
+    }
 }
 
 /// An in-progress remote page fetch (fault-driven).
@@ -188,11 +191,11 @@ pub(crate) struct PfMeta {
     pub requested: HashSet<(NodeId, u32)>,
     /// Whether a base copy was requested.
     pub wanted_base: bool,
-    /// True while *every* request for this page was adaptive (and
-    /// therefore reliable). Only then may a too-late fault join the
-    /// in-flight replies instead of re-requesting: joining a
+    /// Whether a too-late fault may join the in-flight replies
+    /// instead of re-requesting: true while *every* request for this
+    /// page was adaptive (and therefore reliable) — joining a
     /// droppable static prefetch could wait forever.
-    pub all_adaptive: bool,
+    pub joinable: bool,
 }
 
 /// Engine-side statistics counters for one node.
@@ -302,18 +305,8 @@ pub(crate) struct NodeState {
     pub fetches: HashMap<PageId, Fetch>,
     /// Per-page prefetch bookkeeping.
     pub pf_meta: HashMap<PageId, PfMeta>,
-    /// Automatic-prefetch mode: pages that faulted after each
-    /// synchronization point, keyed by the sync object — the access
-    /// pattern history of the Bianchini-style runtime prefetcher.
-    pub sync_history: HashMap<SyncKey, Vec<PageId>>,
-    /// Automatic-prefetch mode: the sync object whose epoch is
-    /// currently being recorded.
-    pub current_sync: Option<SyncKey>,
-    /// Automatic-prefetch mode: pages faulted in the current epoch.
-    pub current_faults: Vec<PageId>,
-    /// Adaptive prefetch engine state; `None` unless the run enables
-    /// `PrefetchConfig::adaptive`.
-    pub adaptive: Option<AdaptiveNode>,
+    /// The engine-side state of the run's prefetch mode.
+    pub prefetcher: Prefetcher,
     /// Lock state.
     pub locks: LockTable,
     /// Barrier local-combining state.
@@ -360,10 +353,7 @@ impl NodeState {
             last_release_vc: VectorClock::new(nodes),
             fetches: HashMap::new(),
             pf_meta: HashMap::new(),
-            sync_history: HashMap::new(),
-            current_sync: None,
-            current_faults: Vec::new(),
-            adaptive: None,
+            prefetcher: Prefetcher::Off,
             locks: LockTable::new(id, nodes),
             barrier: NodeBarrier::new(threads_on_node),
             sched: Scheduler::new(),
@@ -474,6 +464,22 @@ mod tests {
             [(0, 1), (1, 1), (1, 2)]
         );
         assert_eq!(n.intervals_naming(PageId::new(1)).count(), 0);
+    }
+
+    /// `RTR1` wire codes and exporter labels: pinned literally.
+    #[test]
+    fn miss_class_codes_and_labels_are_pinned() {
+        let pinned = [
+            (MissClass::Hit, 0, "hit"),
+            (MissClass::NoPf, 1, "no_pf"),
+            (MissClass::TooLate, 2, "too_late"),
+            (MissClass::Invalidated, 3, "invalidated"),
+        ];
+        for (class, code, label) in pinned {
+            assert_eq!((class.code(), class.label()), (code, label));
+            assert_eq!(MissClass::from_code(code), Some(class));
+        }
+        assert_eq!(MissClass::from_code(4), None);
     }
 
     #[test]

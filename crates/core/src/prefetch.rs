@@ -2,7 +2,7 @@
 //! feedback-driven throttling.
 //!
 //! The paper's §3 prefetching is static — programmer- or
-//! compiler-inserted — and `PrefetchConfig::automatic` only replays
+//! compiler-inserted — and `PrefetchMode::History` only replays
 //! last-epoch faults at sync points (Bianchini-style history). This
 //! module adds the third design point, in the mold of Leap (PAPERS.md):
 //! watch the per-thread remote-fault stream through a sliding window,
@@ -29,27 +29,22 @@
 //! Everything here is pure bookkeeping over observations the engine
 //! hands in; simulated cost is charged by the engine at execution time
 //! (`CostModel::prefetch_check` per observation, `prefetch_issue` per
-//! message), never pre-queried. When [`AdaptiveConfig::enabled`] is
-//! false no detector or controller is ever constructed, no trace event
-//! or report field is emitted, and runs are byte-identical to builds
-//! without this module (pinned by `tests/parallel_determinism.rs`).
+//! message), never pre-queried. Outside the adaptive
+//! [`PrefetchMode`](crate::PrefetchMode)s no detector or controller is
+//! ever constructed, no trace event or report field is emitted, and
+//! runs are byte-identical to builds without this module (pinned by
+//! `tests/parallel_determinism.rs`).
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::node::MissClass;
 
 /// Tuning for the adaptive engine. Carried inside
-/// [`PrefetchConfig`](crate::PrefetchConfig); invisible in config
-/// debug output (and hence in report digests) while `enabled` is
-/// false.
+/// [`PrefetchConfig`](crate::PrefetchConfig), whose `mode` decides
+/// whether the engine runs at all; invisible in config debug output
+/// (and hence in report digests) in every other mode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Master switch. Off: zero state, zero observer effect.
-    pub enabled: bool,
-    /// Also honor application/compiler prefetch annotations (the
-    /// `Adaptive+Static` combination mode). Plain adaptive ignores
-    /// them — the point is needing no annotations at all.
-    pub combine_static: bool,
     /// Sliding-window length `W` (in faults) per thread stream.
     pub window: usize,
     /// Degree (pages issued per detecting fault) at start and after a
@@ -82,19 +77,9 @@ pub struct AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Adaptive machinery disabled (the default everywhere).
-    pub fn off() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            ..AdaptiveConfig::on()
-        }
-    }
-
-    /// The default operating point for `PrefetchMode::Adaptive`.
+    /// The default operating point of the adaptive modes.
     pub fn on() -> Self {
         AdaptiveConfig {
-            enabled: true,
-            combine_static: false,
             window: 8,
             base_degree: 2,
             max_degree: 8,
@@ -107,20 +92,6 @@ impl AdaptiveConfig {
             late_threshold: 0.25,
             suppress_periods: 2,
         }
-    }
-
-    /// Adaptive plus static annotations (`Adaptive+Static`).
-    pub fn combined() -> Self {
-        AdaptiveConfig {
-            combine_static: true,
-            ..AdaptiveConfig::on()
-        }
-    }
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig::off()
     }
 }
 

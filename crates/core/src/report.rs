@@ -175,15 +175,42 @@ pub struct PrefetchSummary {
 }
 
 impl PrefetchSummary {
+    /// Faults a prefetch at least tried to cover.
+    fn covered(&self) -> u64 {
+        self.hits + self.too_late + self.invalidated
+    }
+
     /// The coverage factor: the fraction of original misses that were
     /// prefetched at all (Table 1).
     pub fn coverage(&self) -> f64 {
-        let covered = self.hits + self.too_late + self.invalidated;
+        let covered = self.covered();
         let total = covered + self.no_pf;
         if total == 0 {
             0.0
         } else {
             covered as f64 / total as f64
+        }
+    }
+
+    /// §3.3 accuracy: the fraction of covered faults the prefetch
+    /// actually served in time (0.0 when nothing was covered).
+    pub fn accuracy(&self) -> f64 {
+        let covered = self.covered();
+        if covered == 0 {
+            0.0
+        } else {
+            self.hits as f64 / covered as f64
+        }
+    }
+
+    /// §3.3 lateness: the fraction of covered faults whose reply lost
+    /// the race with the demand access (0.0 when nothing was covered).
+    pub fn lateness(&self) -> f64 {
+        let covered = self.covered();
+        if covered == 0 {
+            0.0
+        } else {
+            self.too_late as f64 / covered as f64
         }
     }
 
@@ -310,12 +337,29 @@ pub struct RunReport {
     pub adaptive: Option<AdaptiveStats>,
 }
 
-// Hand-written to replicate the derive exactly, except that the
-// `adaptive` field only renders when present: the digest is FNV over
-// the Debug text, and disabled-adaptive runs must stay byte-identical
-// to reports from before the field existed.
 impl fmt::Debug for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.render(f, &self.trace)
+    }
+}
+
+/// A report rendered as if its run had not been traced — what
+/// [`RunReport::digest`] hashes.
+struct TraceMasked<'a>(&'a RunReport);
+
+impl fmt::Debug for TraceMasked<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.render(f, &None)
+    }
+}
+
+impl RunReport {
+    /// The `Debug` rendering, with `trace` in place of the trace
+    /// field. Replicates the derive exactly, except that the
+    /// `adaptive` field only renders when present: the digest is FNV
+    /// over this text, and disabled-adaptive runs must stay
+    /// byte-identical to reports from before the field existed.
+    fn render(&self, f: &mut fmt::Formatter<'_>, trace: &Option<TraceMetrics>) -> fmt::Result {
         let mut s = f.debug_struct("RunReport");
         s.field("app", &self.app)
             .field("config", &self.config)
@@ -336,29 +380,21 @@ impl fmt::Debug for RunReport {
             .field("directory", &self.directory)
             .field("events_processed", &self.events_processed)
             .field("oracle", &self.oracle)
-            .field("trace", &self.trace);
+            .field("trace", trace);
         if self.adaptive.is_some() {
             s.field("adaptive", &self.adaptive);
         }
         s.finish()
     }
-}
 
-impl RunReport {
     /// FNV-1a digest of the whole report (every counter, breakdown,
     /// and oracle observation). Two runs with identical (seed,
     /// config) must produce identical digests — the determinism
     /// harness in `rsdsm-oracle` asserts exactly that. The
-    /// trace-metrics field is masked out first so a traced and an
+    /// trace-metrics field is rendered as absent so a traced and an
     /// untraced run of the same (seed, config) digest identically.
     pub fn digest(&self) -> u64 {
-        if self.trace.is_some() {
-            let mut masked = self.clone();
-            masked.trace = None;
-            fnv1a(format!("{masked:?}").as_bytes())
-        } else {
-            fnv1a(format!("{self:?}").as_bytes())
-        }
+        fnv1a(format!("{:?}", TraceMasked(self)).as_bytes())
     }
 
     /// Speedup of this run relative to a baseline total time
@@ -391,7 +427,7 @@ impl RunReport {
             && r.suspicions == 0
             && r.partitions == 0
             && !dir_active
-            && !self.config.prefetch.adaptive.enabled;
+            && !self.config.prefetch.mode.is_adaptive();
         if quiet {
             return None;
         }
@@ -465,7 +501,7 @@ impl RunReport {
         }
         // Gated on the config switch, not the counters: runs without
         // the adaptive engine must emit the exact pre-adaptive line.
-        if self.config.prefetch.adaptive.enabled {
+        if self.config.prefetch.mode.is_adaptive() {
             let a = self.adaptive.unwrap_or_default();
             write!(
                 line,

@@ -36,6 +36,8 @@ use std::fmt;
 
 use rsdsm_simnet::{SimDuration, SimTime};
 
+use crate::msg::MsgClass;
+use crate::node::MissClass;
 use crate::oracle::fnv1a;
 
 /// `thread` value for records emitted by the engine itself rather
@@ -45,91 +47,184 @@ pub const NO_THREAD: u32 = u32::MAX;
 /// `cause` value for records with no recorded cause.
 pub const NO_CAUSE: u64 = 0;
 
-/// Message-class codes used in [`TraceEvent::MsgSend`] /
-/// [`TraceEvent::MsgRecv`]. The first eleven match
-/// `MsgBody::kind()`; `ACK` and `HEARTBEAT` cover transport-level
-/// frames that carry no protocol body.
-pub mod kind {
-    /// Demand diff/page request.
-    pub const DIFF_REQUEST: u8 = 0;
-    /// Demand diff/page reply.
-    pub const DIFF_REPLY: u8 = 1;
-    /// Non-binding prefetch request.
-    pub const PREFETCH_REQUEST: u8 = 2;
-    /// Prefetch reply.
-    pub const PREFETCH_REPLY: u8 = 3;
-    /// Lock token request to the manager.
-    pub const LOCK_REQUEST: u8 = 4;
-    /// Manager-forwarded lock request chasing the token.
-    pub const LOCK_FORWARD: u8 = 5;
-    /// Lock token grant.
-    pub const LOCK_GRANT: u8 = 6;
-    /// Barrier arrival at the manager.
-    pub const BARRIER_ARRIVE: u8 = 7;
-    /// Barrier release fan-out.
-    pub const BARRIER_RELEASE: u8 = 8;
-    /// Failure suspicion report to the manager.
-    pub const SUSPECT_REPORT: u8 = 9;
-    /// Manager-confirmed recovery broadcast.
-    pub const RECOVERY_START: u8 = 10;
-    /// Transport-level acknowledgement frame.
-    pub const ACK: u8 = 11;
-    /// Idle-link heartbeat frame.
-    pub const HEARTBEAT: u8 = 12;
-    /// Prefetch request issued by the adaptive stride engine.
-    pub const ADAPTIVE_REQUEST: u8 = 13;
-    /// Reply to an adaptive prefetch request.
-    pub const ADAPTIVE_REPLY: u8 = 14;
+/// Decode failure for the `RTR1` format.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// The byte stream ended mid-field.
+    Truncated,
+    /// The stream does not start with the `RTR1` magic.
+    BadMagic,
+    /// A structural invariant failed while decoding.
+    Corrupt(&'static str),
 }
 
-/// Human-readable label for a message-class code.
-pub fn kind_label(code: u8) -> &'static str {
-    match code {
-        kind::DIFF_REQUEST => "diff_request",
-        kind::DIFF_REPLY => "diff_reply",
-        kind::PREFETCH_REQUEST => "prefetch_request",
-        kind::PREFETCH_REPLY => "prefetch_reply",
-        kind::LOCK_REQUEST => "lock_request",
-        kind::LOCK_FORWARD => "lock_forward",
-        kind::LOCK_GRANT => "lock_grant",
-        kind::BARRIER_ARRIVE => "barrier_arrive",
-        kind::BARRIER_RELEASE => "barrier_release",
-        kind::SUSPECT_REPORT => "suspect_report",
-        kind::RECOVERY_START => "recovery_start",
-        kind::ACK => "ack",
-        kind::HEARTBEAT => "heartbeat",
-        kind::ADAPTIVE_REQUEST => "adaptive_request",
-        kind::ADAPTIVE_REPLY => "adaptive_reply",
-        _ => "unknown",
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Truncated => write!(f, "trace truncated"),
+            TraceError::BadMagic => write!(f, "not an RTR1 trace"),
+            TraceError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
+        }
     }
 }
 
-/// Page-fault outcome classes in [`TraceEvent::FaultEnd`], matching
-/// the paper's §3.3 prefetch-effectiveness taxonomy
-/// (`MissClass` in the engine).
-pub mod class {
-    /// Served locally: a prefetch covered the fault in time.
-    pub const HIT: u8 = 0;
-    /// No prefetch was issued for the page (uncovered miss).
-    pub const NO_PF: u8 = 1;
-    /// A prefetch was in flight but had not completed (late).
-    pub const TOO_LATE: u8 = 2;
-    /// A completed prefetch was invalidated before use.
-    pub const INVALIDATED: u8 = 3;
+impl std::error::Error for TraceError {}
+
+const MAGIC: u32 = 0x5254_5231; // "RTR1"
+
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
 }
 
-/// One structured simulated event.
-///
-/// Field conventions: `page` is the shared-page index, `peer` the
-/// remote node of a message or suspicion, `origin`/`seq` identify an
-/// interval by its writer and the writer's own vector-clock
-/// component — the scalar name every write notice and diff carries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+impl<'a> Cursor<'a> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
+        let s = self
+            .bytes
+            .get(self.at..self.at + N)
+            .ok_or(TraceError::Truncated)?;
+        self.at += N;
+        Ok(s.try_into().expect("slice of length N"))
+    }
+}
+
+/// A field type of the `RTR1` format: little-endian, fixed width.
+trait Wire: Copy {
+    /// Encoded size in bytes.
+    const LEN: usize;
+    fn put(self, out: &mut Vec<u8>);
+    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError>;
+}
+
+impl Wire for u8 {
+    const LEN: usize = 1;
+    fn put(self, out: &mut Vec<u8>) {
+        out.push(self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(c.take::<1>()?[0])
+    }
+}
+
+impl Wire for bool {
+    const LEN: usize = 1;
+    fn put(self, out: &mut Vec<u8>) {
+        out.push(u8::from(self));
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        match u8::get(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(TraceError::Corrupt("bool out of range")),
+        }
+    }
+}
+
+impl Wire for u32 {
+    const LEN: usize = 4;
+    fn put(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(u32::from_le_bytes(c.take()?))
+    }
+}
+
+/// Travels as its two's-complement `u32`.
+impl Wire for i32 {
+    const LEN: usize = 4;
+    fn put(self, out: &mut Vec<u8>) {
+        (self as u32).put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(u32::get(c)? as i32)
+    }
+}
+
+impl Wire for u64 {
+    const LEN: usize = 8;
+    fn put(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(u64::from_le_bytes(c.take()?))
+    }
+}
+
+/// Declares [`TraceEvent`]. Each row is one variant — its `RTR1` tag,
+/// name, exporter label and fields in wire order — and is the only
+/// place the variant is described: the enum, [`TraceEvent::tag`],
+/// [`TraceEvent::label`], [`TraceEvent::encoded_body_len`] and the
+/// body encoder and decoder are all generated from it. Adding an event
+/// is adding a row (with the next free tag); field types are the
+/// [`Wire`] types.
+macro_rules! trace_events {
+    ($(
+        $(#[$doc:meta])*
+        $tag:literal $name:ident $label:literal
+        $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)? })?
+    )*) => {
+        /// One structured simulated event.
+        ///
+        /// Field conventions: `page` is the shared-page index, `peer`
+        /// the remote node of a message or suspicion, `origin`/`seq`
+        /// identify an interval by its writer and the writer's own
+        /// vector-clock component — the scalar name every write notice
+        /// and diff carries.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $($(#[$doc])* $name $({ $($(#[$fdoc])* $field: $ty),* })?,)*
+        }
+
+        impl TraceEvent {
+            /// Wire tag of this event variant.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $(TraceEvent::$name { .. } => $tag,)*
+                }
+            }
+
+            /// Short human-readable name for exporters.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$name { .. } => $label,)*
+                }
+            }
+
+            /// Exact `RTR1` body size of this event (excluding the
+            /// shared record header), so encoding can size its buffer
+            /// precisely.
+            pub fn encoded_body_len(&self) -> usize {
+                match self {
+                    $(TraceEvent::$name { .. } => 0 $($(+ <$ty as Wire>::LEN)*)?,)*
+                }
+            }
+
+            /// Appends the event's fields in wire order.
+            fn encode_body(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(TraceEvent::$name $({ $($field),* })? => {
+                        $($($field.put(out);)*)?
+                    })*
+                }
+            }
+
+            /// Reads the fields of the event with wire tag `tag`.
+            fn decode_body(tag: u8, c: &mut Cursor<'_>) -> Result<TraceEvent, TraceError> {
+                Ok(match tag {
+                    $($tag => TraceEvent::$name $({ $($field: Wire::get(c)?),* })?,)*
+                    _ => return Err(TraceError::Corrupt("unknown event tag")),
+                })
+            }
+        }
+    };
+}
+
+trace_events! {
     /// A frame handed to the network (includes retransmissions and
     /// frames the fault plan then drops).
-    MsgSend {
-        /// Message class (see [`kind`]).
+    0 MsgSend "msg_send" {
+        /// Message class ([`MsgClass::code`]).
         kind: u8,
         /// Destination node.
         peer: u32,
@@ -139,180 +234,180 @@ pub enum TraceEvent {
         bytes: u32,
         /// True for a timeout-driven retransmission.
         retransmit: bool,
-    },
+    }
     /// A frame arriving at a live NIC.
-    MsgRecv {
-        /// Message class (see [`kind`]).
+    1 MsgRecv "msg_recv" {
+        /// Message class ([`MsgClass::code`]).
         kind: u8,
         /// Source node.
         peer: u32,
         /// Per-link transport sequence number (0 for datagrams).
         seq: u64,
-    },
+    }
     /// An application thread faulted on a page.
-    FaultBegin {
+    2 FaultBegin "fault_begin" {
         /// Faulting page.
         page: u32,
         /// True for a write fault (twin will be needed).
         write: bool,
-    },
+    }
     /// The fault's page became valid again; `cause` links the
     /// matching [`TraceEvent::FaultBegin`].
-    FaultEnd {
+    3 FaultEnd "fault_end" {
         /// The page that was made valid.
         page: u32,
-        /// §3.3 outcome class (see [`class`]).
+        /// §3.3 outcome class ([`MissClass::code`]).
         class: u8,
-    },
+    }
     /// A diff was encoded from a twin (interval close or prefetch
     /// interval split).
-    DiffCreate {
+    4 DiffCreate "diff_create" {
         /// Modified page.
         page: u32,
         /// Writer's interval sequence number.
         seq: u32,
         /// Encoded diff bytes.
         bytes: u32,
-    },
+    }
     /// A remote diff was applied to the local copy; `cause` links
     /// the [`TraceEvent::WriteNotice`] that announced it.
-    DiffApply {
+    5 DiffApply "diff_apply" {
         /// Patched page.
         page: u32,
         /// Writing node.
         origin: u32,
         /// Writer's interval sequence number.
         seq: u32,
-    },
+    }
     /// A twin (pristine copy) was created on first write.
-    TwinCreate {
+    6 TwinCreate "twin_create" {
         /// Twinned page.
         page: u32,
-    },
+    }
     /// A write notice became known at this node.
-    WriteNotice {
+    7 WriteNotice "write_notice" {
         /// Invalidated page.
         page: u32,
         /// Writing node.
         origin: u32,
         /// Writer's interval sequence number.
         seq: u32,
-    },
+    }
     /// A thread asked for a lock.
-    LockRequest {
+    8 LockRequest "lock_request" {
         /// Lock id.
         lock: u32,
-    },
+    }
     /// The lock token was granted (at the granting node).
-    LockGrant {
+    9 LockGrant "lock_grant" {
         /// Lock id.
         lock: u32,
-    },
+    }
     /// The token passed to a local waiter without leaving the node.
-    LockLocalPass {
+    10 LockLocalPass "lock_local_pass" {
         /// Lock id.
         lock: u32,
-    },
+    }
     /// The last local thread arrived at a barrier (node-level
     /// arrival, after request combining).
-    BarrierArrive {
+    11 BarrierArrive "barrier_arrive" {
         /// Barrier id.
         barrier: u32,
-    },
+    }
     /// A node processed a barrier release.
-    BarrierRelease {
+    12 BarrierRelease "barrier_release" {
         /// Barrier id.
         barrier: u32,
         /// The node's barrier epoch after this release (1-based).
         epoch: u32,
-    },
+    }
     /// The node's scheduler switched to another ready thread.
-    ThreadSwitch {
+    13 ThreadSwitch "thread_switch" {
         /// Incoming thread id.
         to: u32,
-    },
+    }
     /// A non-binding prefetch request was issued for a page.
-    PrefetchIssue {
+    14 PrefetchIssue "prefetch_issue" {
         /// Requested page.
         page: u32,
-    },
+    }
     /// A prefetch frame was dropped by the fault plan.
-    PrefetchDrop {
+    15 PrefetchDrop "prefetch_drop" {
         /// The page whose request or reply was lost.
         page: u32,
         /// False: the request was lost; true: the reply was lost.
         reply: bool,
-    },
+    }
     /// The retransmission timer fired and the frame was re-sent;
     /// `cause` links the first transmission.
-    TransportRetry {
+    16 TransportRetry "transport_retry" {
         /// Destination node.
         peer: u32,
         /// Per-link sequence number.
         seq: u64,
         /// The *next* timeout armed after this retry, in ns.
         rto_ns: u64,
-    },
+    }
     /// Retries were exhausted and the frame was parked for recovery.
-    FrameParked {
+    17 FrameParked "frame_parked" {
         /// Unreachable destination.
         peer: u32,
         /// Per-link sequence number.
         seq: u64,
-    },
+    }
     /// The node crash-stopped.
-    Crash {
+    18 Crash "crash" {
         /// True when a restart is scheduled (crash-restart).
         restarts: bool,
-    },
+    }
     /// The node rejoined after a crash-restart.
-    Restart,
+    19 Restart "restart"
     /// This node reported `peer` as suspected down.
-    Suspect {
+    20 Suspect "suspect" {
         /// Suspected node.
         peer: u32,
-    },
+    }
     /// The manager confirmed `peer` down and started recovery.
-    ConfirmDown {
+    21 ConfirmDown "confirm_down" {
         /// Confirmed-down node.
         peer: u32,
-    },
+    }
     /// A barrier-aligned checkpoint was captured.
-    CheckpointTaken {
+    22 CheckpointTaken "checkpoint" {
         /// Barrier epoch the checkpoint is aligned to.
         epoch: u32,
         /// Encoded `RCK1` bytes.
         bytes: u32,
-    },
+    }
     /// A network cut isolated this node from the manager-side
     /// majority; it froze local progress (quorum rule).
-    PartitionFreeze,
+    23 PartitionFreeze "partition_freeze"
     /// The active network cut healed (emitted at the manager).
-    PartitionHeal,
+    24 PartitionHeal "partition_heal"
     /// This node reconciled back into the run after a heal
     /// (checkpoint restore + deterministic replay).
-    PartitionRejoin,
+    25 PartitionRejoin "partition_rejoin"
     /// A checkpoint's persisted image committed on the node's
     /// durable device (two-slot A/B protocol; see `core::checkpoint`).
-    PersistCommit {
+    26 PersistCommit "persist_commit" {
         /// Barrier epoch of the committed image.
         epoch: u32,
         /// Persisted bytes (segmented payload plus commit record).
         bytes: u32,
-    },
+    }
     /// The adaptive engine's detector found (or flipped to) a
     /// majority stride on this thread's fault stream; `cause` links
     /// the [`TraceEvent::FaultBegin`] that completed the majority.
-    AdaptiveDetect {
+    27 AdaptiveDetect "adaptive_detect" {
         /// The faulting page that triggered the detection.
         page: u32,
         /// The detected stride, in pages (may be negative).
         stride: i32,
-    },
+    }
     /// The adaptive throttle controller changed its operating point;
     /// `cause` links the [`TraceEvent::FaultBegin`] whose
     /// classification closed the evaluation window.
-    AdaptiveThrottle {
+    28 AdaptiveThrottle "adaptive_throttle" {
         /// Transition code (`ThrottleChange::code`): 0 ramp, 1
         /// deepen, 2 backoff, 3 suppress, 4 resume.
         change: u8,
@@ -320,113 +415,6 @@ pub enum TraceEvent {
         degree: u32,
         /// Lead (look-ahead multiplier) after the transition.
         lead: u32,
-    },
-}
-
-impl TraceEvent {
-    /// Wire tag of this event variant.
-    pub fn tag(&self) -> u8 {
-        match self {
-            TraceEvent::MsgSend { .. } => 0,
-            TraceEvent::MsgRecv { .. } => 1,
-            TraceEvent::FaultBegin { .. } => 2,
-            TraceEvent::FaultEnd { .. } => 3,
-            TraceEvent::DiffCreate { .. } => 4,
-            TraceEvent::DiffApply { .. } => 5,
-            TraceEvent::TwinCreate { .. } => 6,
-            TraceEvent::WriteNotice { .. } => 7,
-            TraceEvent::LockRequest { .. } => 8,
-            TraceEvent::LockGrant { .. } => 9,
-            TraceEvent::LockLocalPass { .. } => 10,
-            TraceEvent::BarrierArrive { .. } => 11,
-            TraceEvent::BarrierRelease { .. } => 12,
-            TraceEvent::ThreadSwitch { .. } => 13,
-            TraceEvent::PrefetchIssue { .. } => 14,
-            TraceEvent::PrefetchDrop { .. } => 15,
-            TraceEvent::TransportRetry { .. } => 16,
-            TraceEvent::FrameParked { .. } => 17,
-            TraceEvent::Crash { .. } => 18,
-            TraceEvent::Restart => 19,
-            TraceEvent::Suspect { .. } => 20,
-            TraceEvent::ConfirmDown { .. } => 21,
-            TraceEvent::CheckpointTaken { .. } => 22,
-            TraceEvent::PartitionFreeze => 23,
-            TraceEvent::PartitionHeal => 24,
-            TraceEvent::PartitionRejoin => 25,
-            TraceEvent::PersistCommit { .. } => 26,
-            TraceEvent::AdaptiveDetect { .. } => 27,
-            TraceEvent::AdaptiveThrottle { .. } => 28,
-        }
-    }
-
-    /// Exact `RTR1` body size of this event (excluding the shared
-    /// record header), so encoding can size its buffer precisely.
-    pub fn encoded_body_len(&self) -> usize {
-        match self {
-            TraceEvent::MsgSend { .. } => 18,
-            TraceEvent::MsgRecv { .. } => 13,
-            TraceEvent::FaultBegin { .. } | TraceEvent::FaultEnd { .. } => 5,
-            TraceEvent::DiffCreate { .. }
-            | TraceEvent::DiffApply { .. }
-            | TraceEvent::WriteNotice { .. }
-            | TraceEvent::FrameParked { .. } => 12,
-            TraceEvent::TwinCreate { .. }
-            | TraceEvent::LockRequest { .. }
-            | TraceEvent::LockGrant { .. }
-            | TraceEvent::LockLocalPass { .. }
-            | TraceEvent::BarrierArrive { .. }
-            | TraceEvent::ThreadSwitch { .. }
-            | TraceEvent::PrefetchIssue { .. }
-            | TraceEvent::Suspect { .. }
-            | TraceEvent::ConfirmDown { .. } => 4,
-            TraceEvent::BarrierRelease { .. }
-            | TraceEvent::CheckpointTaken { .. }
-            | TraceEvent::PersistCommit { .. }
-            | TraceEvent::AdaptiveDetect { .. } => 8,
-            TraceEvent::PrefetchDrop { .. } => 5,
-            TraceEvent::AdaptiveThrottle { .. } => 9,
-            TraceEvent::TransportRetry { .. } => 20,
-            TraceEvent::Crash { .. } => 1,
-            TraceEvent::Restart
-            | TraceEvent::PartitionFreeze
-            | TraceEvent::PartitionHeal
-            | TraceEvent::PartitionRejoin => 0,
-        }
-    }
-
-    /// Short human-readable name for exporters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEvent::MsgSend { .. } => "msg_send",
-            TraceEvent::MsgRecv { .. } => "msg_recv",
-            TraceEvent::FaultBegin { .. } => "fault_begin",
-            TraceEvent::FaultEnd { .. } => "fault_end",
-            TraceEvent::DiffCreate { .. } => "diff_create",
-            TraceEvent::DiffApply { .. } => "diff_apply",
-            TraceEvent::TwinCreate { .. } => "twin_create",
-            TraceEvent::WriteNotice { .. } => "write_notice",
-            TraceEvent::LockRequest { .. } => "lock_request",
-            TraceEvent::LockGrant { .. } => "lock_grant",
-            TraceEvent::LockLocalPass { .. } => "lock_local_pass",
-            TraceEvent::BarrierArrive { .. } => "barrier_arrive",
-            TraceEvent::BarrierRelease { .. } => "barrier_release",
-            TraceEvent::ThreadSwitch { .. } => "thread_switch",
-            TraceEvent::PrefetchIssue { .. } => "prefetch_issue",
-            TraceEvent::PrefetchDrop { .. } => "prefetch_drop",
-            TraceEvent::TransportRetry { .. } => "transport_retry",
-            TraceEvent::FrameParked { .. } => "frame_parked",
-            TraceEvent::Crash { .. } => "crash",
-            TraceEvent::Restart => "restart",
-            TraceEvent::Suspect { .. } => "suspect",
-            TraceEvent::ConfirmDown { .. } => "confirm_down",
-            TraceEvent::CheckpointTaken { .. } => "checkpoint",
-            TraceEvent::PartitionFreeze => "partition_freeze",
-            TraceEvent::PartitionHeal => "partition_heal",
-            TraceEvent::PartitionRejoin => "partition_rejoin",
-            TraceEvent::PersistCommit { .. } => "persist_commit",
-            TraceEvent::AdaptiveDetect { .. } => "adaptive_detect",
-            TraceEvent::AdaptiveThrottle { .. } => "adaptive_throttle",
-        }
     }
 }
 
@@ -459,87 +447,6 @@ pub struct Trace {
     pub records: Vec<TraceRecord>,
 }
 
-/// Decode failure for the `RTR1` format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The byte stream ended mid-field.
-    Truncated,
-    /// The stream does not start with the `RTR1` magic.
-    BadMagic,
-    /// A structural invariant failed while decoding.
-    Corrupt(&'static str),
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::Truncated => write!(f, "trace truncated"),
-            TraceError::BadMagic => write!(f, "not an RTR1 trace"),
-            TraceError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-const MAGIC: u32 = 0x5254_5231; // "RTR1"
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        if self.at + n > self.bytes.len() {
-            return Err(TraceError::Truncated);
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, TraceError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(TraceError::Corrupt("bool out of range")),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-}
-
 impl Trace {
     /// Number of records.
     pub fn len(&self) -> usize {
@@ -564,109 +471,17 @@ impl Trace {
     /// Encodes the trace into the deterministic `RTR1` byte format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        put_u32(&mut out, MAGIC);
-        put_u32(&mut out, self.nodes);
-        put_u32(&mut out, self.threads_per_node);
-        put_u64(&mut out, self.records.len() as u64);
+        MAGIC.put(&mut out);
+        self.nodes.put(&mut out);
+        self.threads_per_node.put(&mut out);
+        (self.records.len() as u64).put(&mut out);
         for r in &self.records {
-            put_u64(&mut out, r.at.as_nanos());
-            put_u32(&mut out, r.node);
-            put_u32(&mut out, r.thread);
-            put_u64(&mut out, r.cause);
-            put_u8(&mut out, r.event.tag());
-            match &r.event {
-                TraceEvent::MsgSend {
-                    kind,
-                    peer,
-                    seq,
-                    bytes,
-                    retransmit,
-                } => {
-                    put_u8(&mut out, *kind);
-                    put_u32(&mut out, *peer);
-                    put_u64(&mut out, *seq);
-                    put_u32(&mut out, *bytes);
-                    put_bool(&mut out, *retransmit);
-                }
-                TraceEvent::MsgRecv { kind, peer, seq } => {
-                    put_u8(&mut out, *kind);
-                    put_u32(&mut out, *peer);
-                    put_u64(&mut out, *seq);
-                }
-                TraceEvent::FaultBegin { page, write } => {
-                    put_u32(&mut out, *page);
-                    put_bool(&mut out, *write);
-                }
-                TraceEvent::FaultEnd { page, class } => {
-                    put_u32(&mut out, *page);
-                    put_u8(&mut out, *class);
-                }
-                TraceEvent::DiffCreate { page, seq, bytes } => {
-                    put_u32(&mut out, *page);
-                    put_u32(&mut out, *seq);
-                    put_u32(&mut out, *bytes);
-                }
-                TraceEvent::DiffApply { page, origin, seq } => {
-                    put_u32(&mut out, *page);
-                    put_u32(&mut out, *origin);
-                    put_u32(&mut out, *seq);
-                }
-                TraceEvent::TwinCreate { page } => put_u32(&mut out, *page),
-                TraceEvent::WriteNotice { page, origin, seq } => {
-                    put_u32(&mut out, *page);
-                    put_u32(&mut out, *origin);
-                    put_u32(&mut out, *seq);
-                }
-                TraceEvent::LockRequest { lock }
-                | TraceEvent::LockGrant { lock }
-                | TraceEvent::LockLocalPass { lock } => put_u32(&mut out, *lock),
-                TraceEvent::BarrierArrive { barrier } => put_u32(&mut out, *barrier),
-                TraceEvent::BarrierRelease { barrier, epoch } => {
-                    put_u32(&mut out, *barrier);
-                    put_u32(&mut out, *epoch);
-                }
-                TraceEvent::ThreadSwitch { to } => put_u32(&mut out, *to),
-                TraceEvent::PrefetchIssue { page } => put_u32(&mut out, *page),
-                TraceEvent::PrefetchDrop { page, reply } => {
-                    put_u32(&mut out, *page);
-                    put_bool(&mut out, *reply);
-                }
-                TraceEvent::TransportRetry { peer, seq, rto_ns } => {
-                    put_u32(&mut out, *peer);
-                    put_u64(&mut out, *seq);
-                    put_u64(&mut out, *rto_ns);
-                }
-                TraceEvent::FrameParked { peer, seq } => {
-                    put_u32(&mut out, *peer);
-                    put_u64(&mut out, *seq);
-                }
-                TraceEvent::Crash { restarts } => put_bool(&mut out, *restarts),
-                TraceEvent::Restart
-                | TraceEvent::PartitionFreeze
-                | TraceEvent::PartitionHeal
-                | TraceEvent::PartitionRejoin => {}
-                TraceEvent::Suspect { peer } | TraceEvent::ConfirmDown { peer } => {
-                    put_u32(&mut out, *peer)
-                }
-                TraceEvent::CheckpointTaken { epoch, bytes }
-                | TraceEvent::PersistCommit { epoch, bytes } => {
-                    put_u32(&mut out, *epoch);
-                    put_u32(&mut out, *bytes);
-                }
-                TraceEvent::AdaptiveDetect { page, stride } => {
-                    put_u32(&mut out, *page);
-                    put_u32(&mut out, *stride as u32);
-                }
-                TraceEvent::AdaptiveThrottle {
-                    change,
-                    degree,
-                    lead,
-                } => {
-                    put_u8(&mut out, *change);
-                    put_u32(&mut out, *degree);
-                    put_u32(&mut out, *lead);
-                }
-            }
+            r.at.as_nanos().put(&mut out);
+            r.node.put(&mut out);
+            r.thread.put(&mut out);
+            r.cause.put(&mut out);
+            r.event.tag().put(&mut out);
+            r.event.encode_body(&mut out);
         }
         out
     }
@@ -679,12 +494,12 @@ impl Trace {
     /// event tags, out-of-range causes, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         let mut c = Cursor { bytes, at: 0 };
-        if c.u32()? != MAGIC {
+        if u32::get(&mut c)? != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let nodes = c.u32()?;
-        let threads_per_node = c.u32()?;
-        let count = c.u64()?;
+        let nodes = u32::get(&mut c)?;
+        let threads_per_node = u32::get(&mut c)?;
+        let count = u64::get(&mut c)?;
         if count > bytes.len() as u64 {
             // Each record occupies well over one byte; a count larger
             // than the stream is corrupt, not merely truncated.
@@ -692,101 +507,15 @@ impl Trace {
         }
         let mut records = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let at = SimTime::from_nanos(c.u64()?);
-            let node = c.u32()?;
-            let thread = c.u32()?;
-            let cause = c.u64()?;
+            let at = SimTime::from_nanos(u64::get(&mut c)?);
+            let node = u32::get(&mut c)?;
+            let thread = u32::get(&mut c)?;
+            let cause = u64::get(&mut c)?;
             if cause > i {
                 return Err(TraceError::Corrupt("cause is not a prior record"));
             }
-            let event = match c.u8()? {
-                0 => TraceEvent::MsgSend {
-                    kind: c.u8()?,
-                    peer: c.u32()?,
-                    seq: c.u64()?,
-                    bytes: c.u32()?,
-                    retransmit: c.bool()?,
-                },
-                1 => TraceEvent::MsgRecv {
-                    kind: c.u8()?,
-                    peer: c.u32()?,
-                    seq: c.u64()?,
-                },
-                2 => TraceEvent::FaultBegin {
-                    page: c.u32()?,
-                    write: c.bool()?,
-                },
-                3 => TraceEvent::FaultEnd {
-                    page: c.u32()?,
-                    class: c.u8()?,
-                },
-                4 => TraceEvent::DiffCreate {
-                    page: c.u32()?,
-                    seq: c.u32()?,
-                    bytes: c.u32()?,
-                },
-                5 => TraceEvent::DiffApply {
-                    page: c.u32()?,
-                    origin: c.u32()?,
-                    seq: c.u32()?,
-                },
-                6 => TraceEvent::TwinCreate { page: c.u32()? },
-                7 => TraceEvent::WriteNotice {
-                    page: c.u32()?,
-                    origin: c.u32()?,
-                    seq: c.u32()?,
-                },
-                8 => TraceEvent::LockRequest { lock: c.u32()? },
-                9 => TraceEvent::LockGrant { lock: c.u32()? },
-                10 => TraceEvent::LockLocalPass { lock: c.u32()? },
-                11 => TraceEvent::BarrierArrive { barrier: c.u32()? },
-                12 => TraceEvent::BarrierRelease {
-                    barrier: c.u32()?,
-                    epoch: c.u32()?,
-                },
-                13 => TraceEvent::ThreadSwitch { to: c.u32()? },
-                14 => TraceEvent::PrefetchIssue { page: c.u32()? },
-                15 => TraceEvent::PrefetchDrop {
-                    page: c.u32()?,
-                    reply: c.bool()?,
-                },
-                16 => TraceEvent::TransportRetry {
-                    peer: c.u32()?,
-                    seq: c.u64()?,
-                    rto_ns: c.u64()?,
-                },
-                17 => TraceEvent::FrameParked {
-                    peer: c.u32()?,
-                    seq: c.u64()?,
-                },
-                18 => TraceEvent::Crash {
-                    restarts: c.bool()?,
-                },
-                19 => TraceEvent::Restart,
-                20 => TraceEvent::Suspect { peer: c.u32()? },
-                21 => TraceEvent::ConfirmDown { peer: c.u32()? },
-                22 => TraceEvent::CheckpointTaken {
-                    epoch: c.u32()?,
-                    bytes: c.u32()?,
-                },
-                23 => TraceEvent::PartitionFreeze,
-                24 => TraceEvent::PartitionHeal,
-                25 => TraceEvent::PartitionRejoin,
-                26 => TraceEvent::PersistCommit {
-                    epoch: c.u32()?,
-                    bytes: c.u32()?,
-                },
-                27 => TraceEvent::AdaptiveDetect {
-                    page: c.u32()?,
-                    stride: c.u32()? as i32,
-                },
-                28 => TraceEvent::AdaptiveThrottle {
-                    change: c.u8()?,
-                    degree: c.u32()?,
-                    lead: c.u32()?,
-                },
-                _ => return Err(TraceError::Corrupt("unknown event tag")),
-            };
+            let tag = u8::get(&mut c)?;
+            let event = TraceEvent::decode_body(tag, &mut c)?;
             records.push(TraceRecord {
                 at,
                 node,
@@ -822,8 +551,10 @@ impl Trace {
                 TraceEvent::MsgRecv { kind, .. } => {
                     if let Some(send) = self.resolve(r.cause) {
                         if matches!(send.event, TraceEvent::MsgSend { .. }) {
+                            let label =
+                                MsgClass::from_code(*kind).map_or("unknown", MsgClass::label);
                             msg_latency
-                                .entry(kind_label(*kind).to_string())
+                                .entry(label.to_string())
                                 .or_default()
                                 .insert(r.at.saturating_since(send.at).as_nanos());
                         }
@@ -835,11 +566,11 @@ impl Trace {
                             fault_service.insert(r.at.saturating_since(begin.at).as_nanos());
                         }
                     }
-                    match *class {
-                        class::HIT => prefetch.hits += 1,
-                        class::TOO_LATE => prefetch.too_late += 1,
-                        class::INVALIDATED => prefetch.invalidated += 1,
-                        _ => prefetch.no_pf += 1,
+                    match MissClass::from_code(*class) {
+                        Some(MissClass::Hit) => prefetch.hits += 1,
+                        Some(MissClass::TooLate) => prefetch.too_late += 1,
+                        Some(MissClass::Invalidated) => prefetch.invalidated += 1,
+                        Some(MissClass::NoPf) | None => prefetch.no_pf += 1,
                     }
                 }
                 TraceEvent::TransportRetry { peer, rto_ns, .. } => {
@@ -1250,7 +981,7 @@ mod tests {
             NO_THREAD,
             NO_CAUSE,
             TraceEvent::MsgSend {
-                kind: kind::DIFF_REQUEST,
+                kind: MsgClass::DiffRequest.code(),
                 peer: 1,
                 seq: 1,
                 bytes: 64,
@@ -1263,7 +994,7 @@ mod tests {
             NO_THREAD,
             send,
             TraceEvent::MsgRecv {
-                kind: kind::DIFF_REQUEST,
+                kind: MsgClass::DiffRequest.code(),
                 peer: 0,
                 seq: 1,
             },
@@ -1298,7 +1029,7 @@ mod tests {
             begin,
             TraceEvent::FaultEnd {
                 page: 7,
-                class: class::HIT,
+                class: MissClass::Hit.code(),
             },
         );
         t.emit(
@@ -1430,6 +1161,43 @@ mod tests {
                 t.records[0].event.label()
             );
         }
+    }
+
+    /// Every tag decodes to the variant that reports that tag, and
+    /// consumes exactly the bytes that variant says its body has.
+    #[test]
+    fn every_tag_decodes_to_its_own_variant_and_length() {
+        let zeros = [0u8; 64];
+        for tag in 0..=28u8 {
+            let mut c = Cursor {
+                bytes: &zeros,
+                at: 0,
+            };
+            let event = TraceEvent::decode_body(tag, &mut c).expect("known tag");
+            assert_eq!(event.tag(), tag);
+            assert_eq!(event.encoded_body_len(), c.at, "{}", event.label());
+            // And through the stream decoder, which rejects any slack.
+            let t = Trace {
+                nodes: 1,
+                threads_per_node: 1,
+                records: vec![TraceRecord {
+                    at: SimTime::ZERO,
+                    node: 0,
+                    thread: NO_THREAD,
+                    cause: NO_CAUSE,
+                    event,
+                }],
+            };
+            assert_eq!(Trace::decode(&t.encode()), Ok(t));
+        }
+        let mut c = Cursor {
+            bytes: &zeros,
+            at: 0,
+        };
+        assert_eq!(
+            TraceEvent::decode_body(29, &mut c),
+            Err(TraceError::Corrupt("unknown event tag"))
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use std::sync::Arc;
 
-use crate::msg::MsgBody;
+use crate::msg::{MsgBody, MsgClass};
 
 /// Parameters of the reliable transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,6 +114,27 @@ pub(crate) enum Frame {
     /// lease, so data and acks act as implicit heartbeats).
     /// Unsequenced and droppable, like a datagram.
     Heartbeat,
+}
+
+impl Frame {
+    /// The frame's wire class: its body's, or the transport's own for
+    /// acks and heartbeats.
+    pub(crate) fn class(&self) -> MsgClass {
+        match self {
+            Frame::Data { body, .. } | Frame::Datagram { body } => body.class(),
+            Frame::Ack { .. } => MsgClass::Ack,
+            Frame::Heartbeat => MsgClass::Heartbeat,
+        }
+    }
+
+    /// The per-link sequence number the frame names (0 for the
+    /// unsequenced datagrams and heartbeats).
+    pub(crate) fn seq(&self) -> u64 {
+        match self {
+            Frame::Data { seq, .. } | Frame::Ack { seq } => *seq,
+            Frame::Datagram { .. } | Frame::Heartbeat => 0,
+        }
+    }
 }
 
 /// A frame in flight between two nodes.

@@ -225,12 +225,13 @@ pub fn check_technique(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsdsm_core::PrefetchMode;
 
     #[test]
     fn techniques_configure_like_the_harness() {
         let base = DsmConfig::paper_cluster(4);
         let p = Technique::Prefetch.configure(Benchmark::Fft, base.clone());
-        assert!(p.prefetch.enabled && p.prefetch.compiler_style);
+        assert!(p.prefetch.mode == PrefetchMode::Static && p.prefetch.compiler_style);
         let t = Technique::Multithread.configure(Benchmark::Sor, base.clone());
         assert!(t.threads.switch_on_memory && t.threads.switch_on_sync);
         let c = Technique::Combined.configure(Benchmark::Radix, base.clone());

@@ -306,6 +306,19 @@ impl Hop {
     }
 }
 
+/// One link of a route, by the slot that holds its busy-until time.
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    /// A host's link into its switch.
+    Egress(NodeId),
+    /// A rack's trunk up to a spine (`rack * spines + spine`).
+    Up(usize),
+    /// A spine's trunk down to a rack (`rack * spines + spine`).
+    Down(usize),
+    /// A switch's link into a host.
+    Ingress(NodeId),
+}
+
 impl Network {
     /// Creates a network of `nodes` workstations around one switch.
     ///
@@ -464,15 +477,8 @@ impl Network {
             return self.record_drop(kind);
         }
 
-        // Route per topology: one switch inside a rack (or on the flat
-        // bus), ToR -> spine -> ToR across racks.
-        self.last_route.clear();
-        let routed = if self.cfg.topology.same_rack(src, dst) {
-            self.route_single_switch(now, src, dst, tx, reliability)
-        } else {
-            self.route_fabric(now, src, dst, tx, wire_bytes, reliability)
-        };
-        let Some((arrival, queue_delay)) = routed else {
+        let Some((arrival, queue_delay)) = self.route(now, src, dst, tx, wire_bytes, reliability)
+        else {
             return self.record_drop(kind);
         };
 
@@ -506,67 +512,17 @@ impl Network {
         }
     }
 
-    /// The original single-switch path: host egress, one switch, host
-    /// ingress. Used for every flat-bus frame and for intra-rack
-    /// frames under [`Topology::RackSpine`] (the ToR plays the
-    /// switch). Arithmetic and randomness are exactly the
-    /// pre-topology model's, so flat-bus runs are bit-identical.
-    fn route_single_switch(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        tx: SimDuration,
-        reliability: Reliability,
-    ) -> Option<(SimTime, SimDuration)> {
-        // Egress: queue behind whatever src is already transmitting.
-        let egress_start = now.max(self.egress_free[src]);
-        let egress_delay = egress_start.saturating_since(now);
-        if self.should_drop(reliability, egress_delay) {
-            return None;
-        }
-        let egress_done = egress_start + tx;
-
-        // Through the switch.
-        let at_switch = egress_done + self.cfg.wire_latency + self.cfg.switch_latency;
-
-        // Ingress: queue behind traffic already heading into dst
-        // (hot-spotting shows up here).
-        let ingress_start = at_switch.max(self.ingress_free[dst]);
-        let ingress_delay = ingress_start.saturating_since(at_switch);
-        if self.should_drop(reliability, ingress_delay) {
-            // The message did consume src's egress link before being
-            // discarded at the congested switch output port.
-            self.egress_free[src] = egress_done;
-            return None;
-        }
-        let arrival = ingress_start + tx + self.cfg.wire_latency;
-
-        self.egress_free[src] = egress_done;
-        self.ingress_free[dst] = arrival;
-        self.last_route.push(Hop {
-            link: "egress",
-            queue: egress_delay,
-            tx,
-            fixed: self.cfg.wire_latency + self.cfg.switch_latency,
-        });
-        self.last_route.push(Hop {
-            link: "ingress",
-            queue: ingress_delay,
-            tx,
-            fixed: self.cfg.wire_latency,
-        });
-        Some((arrival, egress_delay + ingress_delay))
-    }
-
-    /// The cross-rack path: host egress, source ToR, a spine trunk up,
-    /// the spine switch, a trunk down, the destination ToR, host
-    /// ingress. Trunks are shared per-rack-per-spine FIFO resources
-    /// sized by the oversubscription ratio, so rack-level incast and
-    /// oversubscribed uplinks show up as queueing exactly like host
-    /// links do. Each queue applies the same congestion-drop rule as
-    /// the base model.
-    fn route_fabric(
+    /// Picks the frame's route — a list of links — and carries the
+    /// frame across it: host egress and host ingress around one switch
+    /// inside a rack (or on the flat bus, where the arithmetic and
+    /// randomness are exactly the pre-topology model's), with a spine
+    /// trunk up and a trunk down between them across racks. Trunks are
+    /// shared per-rack-per-spine FIFO resources sized by the
+    /// oversubscription ratio, so rack-level incast and oversubscribed
+    /// uplinks show up as queueing exactly like host links do. Returns
+    /// the arrival time and the total queueing delay, or `None` for a
+    /// drop.
+    fn route(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -576,103 +532,85 @@ impl Network {
         reliability: Reliability,
     ) -> Option<(SimTime, SimDuration)> {
         let topo = self.cfg.topology;
+        let (egress, ingress) = ((Link::Egress(src), tx), (Link::Ingress(dst), tx));
+        if topo.same_rack(src, dst) {
+            return self.cross(now, [egress, ingress], reliability);
+        }
         let spines = topo.spines();
         let (rs, rd) = (topo.rack_of(src), topo.rack_of(dst));
-
-        // Host egress onto the source ToR.
-        let egress_start = now.max(self.egress_free[src]);
-        let egress_delay = egress_start.saturating_since(now);
-        if self.should_drop(reliability, egress_delay) {
-            return None;
-        }
-        let egress_done = egress_start + tx;
-        let at_tor = egress_done + self.cfg.wire_latency + self.cfg.switch_latency;
-
         // Deterministic, symmetric spine choice; dead spines are
-        // routed around in preference order. With every spine dead the
-        // frame leaves the host and dies at the ToR, which has nowhere
-        // to forward it.
+        // routed around in preference order.
         let preferred = topo.spine_for(rs, rd).expect("fabric routes cross a spine");
         let Some(spine) = (0..spines)
             .map(|i| (preferred + i) % spines)
             .find(|&s| !self.spine_down[s])
         else {
-            self.egress_free[src] = egress_done;
+            // With every spine dead the frame leaves the host and dies
+            // at the ToR, which has nowhere to forward it.
+            self.cross(now, [egress], reliability);
+            self.last_route.clear();
             return None;
         };
-
         let trunk_tx = topo.trunk_tx_time(self.cfg.bandwidth_bps, wire_bytes * 8);
-        let up = rs * spines + spine;
-        let up_start = at_tor.max(self.up_free[up]);
-        let up_delay = up_start.saturating_since(at_tor);
-        if self.should_drop(reliability, up_delay) {
-            self.egress_free[src] = egress_done;
-            return None;
-        }
-        let up_done = up_start + trunk_tx;
-        let at_spine = up_done + self.cfg.wire_latency + self.cfg.switch_latency;
-
-        let dn = rd * spines + spine;
-        let down_start = at_spine.max(self.down_free[dn]);
-        let down_delay = down_start.saturating_since(at_spine);
-        if self.should_drop(reliability, down_delay) {
-            self.egress_free[src] = egress_done;
-            self.up_free[up] = up_done;
-            return None;
-        }
-        let down_done = down_start + trunk_tx;
-        let at_dst_tor = down_done + self.cfg.wire_latency + self.cfg.switch_latency;
-
-        // Host ingress off the destination ToR.
-        let ingress_start = at_dst_tor.max(self.ingress_free[dst]);
-        let ingress_delay = ingress_start.saturating_since(at_dst_tor);
-        if self.should_drop(reliability, ingress_delay) {
-            self.egress_free[src] = egress_done;
-            self.up_free[up] = up_done;
-            self.down_free[dn] = down_done;
-            return None;
-        }
-        let arrival = ingress_start + tx + self.cfg.wire_latency;
-
-        self.egress_free[src] = egress_done;
-        self.up_free[up] = up_done;
-        self.down_free[dn] = down_done;
-        self.ingress_free[dst] = arrival;
-        let hop_fixed = self.cfg.wire_latency + self.cfg.switch_latency;
-        self.last_route.push(Hop {
-            link: "egress",
-            queue: egress_delay,
-            tx,
-            fixed: hop_fixed,
-        });
-        self.last_route.push(Hop {
-            link: "uplink",
-            queue: up_delay,
-            tx: trunk_tx,
-            fixed: hop_fixed,
-        });
-        self.last_route.push(Hop {
-            link: "downlink",
-            queue: down_delay,
-            tx: trunk_tx,
-            fixed: hop_fixed,
-        });
-        self.last_route.push(Hop {
-            link: "ingress",
-            queue: ingress_delay,
-            tx,
-            fixed: self.cfg.wire_latency,
-        });
-        Some((
-            arrival,
-            egress_delay + up_delay + down_delay + ingress_delay,
-        ))
+        let up = (Link::Up(rs * spines + spine), trunk_tx);
+        let down = (Link::Down(rd * spines + spine), trunk_tx);
+        self.cross(now, [egress, up, down, ingress], reliability)
     }
 
-    fn should_drop(&mut self, reliability: Reliability, queue_delay: SimDuration) -> bool {
-        reliability == Reliability::Droppable
-            && queue_delay > self.cfg.congestion_threshold
-            && self.rng.chance(self.cfg.drop_probability)
+    /// Carries a frame across `hops` (each a link and the frame's
+    /// serialization time onto it), starting at `now`: the one rule
+    /// every link of every route applies. The frame queues until the
+    /// link is free, may be congestion-dropped for the wait, then
+    /// serializes onto the link and holds it until done — the ingress
+    /// link until the frame has arrived. A frame dropped at a later
+    /// link has consumed the links it already crossed. Records the
+    /// hops of a frame that crossed them all in `last_route`.
+    #[inline]
+    fn cross<const N: usize>(
+        &mut self,
+        now: SimTime,
+        hops: [(Link, SimDuration); N],
+        reliability: Reliability,
+    ) -> Option<(SimTime, SimDuration)> {
+        self.last_route.clear();
+        let mut at = now;
+        let mut queued = SimDuration::ZERO;
+        for (link, tx) in hops {
+            let (free, name) = match link {
+                Link::Egress(n) => (&mut self.egress_free[n], "egress"),
+                Link::Up(t) => (&mut self.up_free[t], "uplink"),
+                Link::Down(t) => (&mut self.down_free[t], "downlink"),
+                Link::Ingress(n) => (&mut self.ingress_free[n], "ingress"),
+            };
+            let start = at.max(*free);
+            let queue = start.saturating_since(at);
+            if reliability == Reliability::Droppable
+                && queue > self.cfg.congestion_threshold
+                && self.rng.chance(self.cfg.drop_probability)
+            {
+                self.last_route.clear();
+                return None;
+            }
+            let done = start + tx;
+            // Every link but the last feeds a switch, and frees once
+            // the frame is on it; the last holds until arrival.
+            let last = matches!(link, Link::Ingress(_));
+            let fixed = if last {
+                self.cfg.wire_latency
+            } else {
+                self.cfg.wire_latency + self.cfg.switch_latency
+            };
+            at = done + fixed;
+            *free = if last { at } else { done };
+            queued += queue;
+            self.last_route.push(Hop {
+                link: name,
+                queue,
+                tx,
+                fixed,
+            });
+        }
+        Some((at, queued))
     }
 
     fn record_drop(&mut self, kind: &'static str) -> SendOutcome {

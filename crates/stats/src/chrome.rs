@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use rsdsm_core::{kind_label, trace_class, Trace, TraceEvent, NO_THREAD};
+use rsdsm_core::{MissClass, MsgClass, Trace, TraceEvent, NO_THREAD};
 
 /// Track id used for engine-side records (no owning app thread).
 const ENGINE_TID: u32 = 0;
@@ -36,14 +36,12 @@ fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn class_name(c: u8) -> &'static str {
-    match c {
-        trace_class::HIT => "hit",
-        trace_class::NO_PF => "no_pf",
-        trace_class::TOO_LATE => "too_late",
-        trace_class::INVALIDATED => "invalidated",
-        _ => "unknown",
-    }
+fn kind_label(code: u8) -> &'static str {
+    MsgClass::from_code(code).map_or("unknown", MsgClass::label)
+}
+
+fn class_name(code: u8) -> &'static str {
+    MissClass::from_code(code).map_or("unknown", MissClass::label)
 }
 
 /// Event-specific `args` entries (already JSON, appended after the
@@ -247,7 +245,6 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsdsm_core::trace_kind;
     use rsdsm_simnet::SimTime;
 
     fn sample() -> Trace {
@@ -279,7 +276,7 @@ mod tests {
                     NO_THREAD,
                     NO_CAUSE,
                     TraceEvent::MsgSend {
-                        kind: trace_kind::DIFF_REPLY,
+                        kind: MsgClass::DiffReply.code(),
                         peer: 0,
                         seq: 3,
                         bytes: 512,
@@ -293,7 +290,7 @@ mod tests {
                     1,
                     TraceEvent::FaultEnd {
                         page: 7,
-                        class: trace_class::NO_PF,
+                        class: MissClass::NoPf.code(),
                     },
                 ),
             ],

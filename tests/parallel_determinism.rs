@@ -186,10 +186,10 @@ fn digests_on(backend: QueueBackend) -> Vec<(String, u64, u64, usize)> {
 }
 
 /// Observer-freedom of the adaptive machinery, pinned at the byte
-/// level: a run whose `AdaptiveConfig` is disabled must produce a
-/// report that is textually identical — and therefore
-/// digest-identical — to one from a build that never had the adaptive
-/// module, no matter how the disabled config was arrived at. The
+/// level: a run outside the adaptive modes must produce a report
+/// that is textually identical — and therefore digest-identical — to
+/// one from a build that never had the adaptive module, whatever
+/// adaptive tuning its config happens to carry. The
 /// absolute digest below anchors that to the pre-adaptive history;
 /// the Debug-text check catches the field ever leaking into the
 /// rendering while `None`.
@@ -198,13 +198,16 @@ fn disabled_adaptive_is_byte_transparent() {
     let plain = Benchmark::Radix
         .run(Scale::Test, base(4))
         .expect("plain RADIX");
-    // Same run, but with the adaptive knob explicitly constructed and
-    // switched off rather than defaulted.
+    // Same run, but carrying a non-default adaptive tuning that the
+    // mode never reads.
     let toggled = Benchmark::Radix
         .run(
             Scale::Test,
             base(4).with_prefetch(PrefetchConfig {
-                adaptive: AdaptiveConfig::off(),
+                adaptive: AdaptiveConfig {
+                    window: 32,
+                    ..AdaptiveConfig::on()
+                },
                 ..PrefetchConfig::off()
             }),
         )

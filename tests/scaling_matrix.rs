@@ -8,7 +8,7 @@
 //! stays fast; set `RSDSM_SCALING_MATRIX=full` for the 256- and
 //! 1024-node tiers.
 
-use rsdsm::apps::{Benchmark, Scale};
+use rsdsm::apps::{Benchmark, HotSpot, Scale};
 use rsdsm::core::{
     BarrierId, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy,
     RecoveryConfig, SharedVec, Simulation, Topology, PAGE_SIZE,
@@ -31,31 +31,6 @@ fn fabric() -> Topology {
 
 fn full_matrix_enabled() -> bool {
     std::env::var("RSDSM_SCALING_MATRIX").as_deref() == Ok("full")
-}
-
-/// Every node reads a few pages homed on node 0, then meets at a
-/// barrier — the hot-spot micro-study from the scaling bench,
-/// restated here so the big tiers have a memory-feasible (read-only,
-/// no write intervals) workload.
-struct HotSpot;
-
-impl DsmProgram for HotSpot {
-    type Handles = SharedVec<u64>;
-
-    fn name(&self) -> String {
-        "hotspot".into()
-    }
-
-    fn allocate(&self, heap: &mut Heap) -> Self::Handles {
-        heap.alloc(8 * WORDS, HomePolicy::Single(0))
-    }
-
-    fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
-        for p in 0..8 {
-            let _ = ctx.read(v, p * WORDS);
-        }
-        ctx.barrier(BarrierId(0));
-    }
 }
 
 /// One full-oracle cell: DSM run + golden sequential replay +
