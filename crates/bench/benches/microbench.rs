@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use rsdsm_apps::{Benchmark, Scale};
 use rsdsm_bench::queue_replay;
-use rsdsm_core::DsmConfig;
+use rsdsm_core::{DsmConfig, DsmCtx, DsmProgram, Heap, LockId, Simulation};
 use rsdsm_protocol::{
     Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, PagePool, VectorClock,
     WriteNotice,
@@ -41,7 +41,13 @@ fn bench_diffs(c: &mut Criterion) {
         let diff = Diff::between(&twin, &current);
         group.bench_function(format!("apply_{label}"), |b| {
             b.iter_batched(
-                || twin.clone(),
+                // Into a page that owns its buffer: the row times the
+                // copy, not the first write's allocation.
+                || {
+                    let mut page = twin.clone();
+                    page.bytes_mut();
+                    page
+                },
                 |mut page| diff.apply(&mut page),
                 BatchSize::SmallInput,
             )
@@ -65,6 +71,44 @@ fn bench_page_pool(c: &mut Criterion) {
     // The pre-pool path: fresh allocation + clone per twin.
     group.bench_function("boxed_clone_reference", |b| {
         b.iter(|| black_box(Box::new(src.clone())))
+    });
+    group.finish();
+
+    // One node's slots for a 1024-page heap: what `NodeMem::new` pays
+    // per node before anything is touched (no buffer, no zeroing).
+    c.bench_function("page/new_zero_x1024", |b| {
+        b.iter(|| black_box((0..1024).map(|_| Page::new()).collect::<Vec<_>>()))
+    });
+}
+
+/// Node 0's only thread runs local acquire/release pairs: every
+/// syscall is one engine ↔ application-thread round trip and nothing
+/// else — the shape of rsbench's `core.conductor.syscall_ns`, which is
+/// this row divided by the run's 20 001 syscalls.
+fn bench_conductor(c: &mut Criterion) {
+    struct LockPairs;
+    impl DsmProgram for LockPairs {
+        type Handles = ();
+        fn name(&self) -> String {
+            "lock-pairs".into()
+        }
+        fn allocate(&self, _heap: &mut Heap) -> Self::Handles {}
+        fn run(&self, ctx: &mut DsmCtx, _: &Self::Handles) {
+            for _ in 0..10_000 {
+                ctx.acquire(LockId(0));
+                ctx.release(LockId(0));
+            }
+        }
+    }
+    let sim = Simulation::new(DsmConfig::paper_cluster(1));
+    let mut group = c.benchmark_group("conductor");
+    group.sample_size(10);
+    group.bench_function("handoff_roundtrip", |b| {
+        b.iter(|| {
+            sim.run(&LockPairs)
+                .expect("lock pairs run")
+                .events_processed
+        })
     });
     group.finish();
 }
@@ -280,6 +324,7 @@ criterion_group!(
     benches,
     bench_diffs,
     bench_page_pool,
+    bench_conductor,
     bench_trace_and_report,
     bench_vector_clocks,
     bench_event_queue,

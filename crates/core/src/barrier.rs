@@ -101,7 +101,7 @@ impl BarrierManager {
         &mut self,
         id: BarrierId,
         from: NodeId,
-        intervals: Vec<Arc<IntervalRecord>>,
+        intervals: &[Arc<IntervalRecord>],
     ) -> Option<Vec<Arc<IntervalRecord>>> {
         let ep = self.pending.entry(id).or_default();
         assert!(!ep.arrived.contains(&from), "node {from} arrived twice");
@@ -113,7 +113,7 @@ impl BarrierManager {
                 .iter()
                 .any(|r| r.origin == rec.origin && r.seq() == seq);
             if !dup {
-                ep.intervals.push(rec);
+                ep.intervals.push(Arc::clone(rec));
             }
         }
         if ep.arrived.len() == self.nodes {
@@ -180,11 +180,11 @@ mod tests {
     #[test]
     fn manager_releases_when_all_nodes_arrive() {
         let mut m = BarrierManager::new(3);
-        assert!(m.node_arrived(BarrierId(0), 0, vec![rec(0, 1)]).is_none());
-        assert!(m.node_arrived(BarrierId(0), 2, vec![rec(2, 1)]).is_none());
+        assert!(m.node_arrived(BarrierId(0), 0, &[rec(0, 1)]).is_none());
+        assert!(m.node_arrived(BarrierId(0), 2, &[rec(2, 1)]).is_none());
         assert_eq!(m.arrived_count(BarrierId(0)), 2);
         let released = m
-            .node_arrived(BarrierId(0), 1, vec![rec(1, 1)])
+            .node_arrived(BarrierId(0), 1, &[rec(1, 1)])
             .expect("all arrived");
         assert_eq!(released.len(), 3);
         assert_eq!(m.arrived_count(BarrierId(0)), 0);
@@ -196,10 +196,10 @@ mod tests {
         // Both nodes report the same interval (origin 0, tick 1) —
         // possible when it propagated through a lock first.
         assert!(m
-            .node_arrived(BarrierId(0), 0, vec![rec(0, 1), rec(0, 2)])
+            .node_arrived(BarrierId(0), 0, &[rec(0, 1), rec(0, 2)])
             .is_none());
         let released = m
-            .node_arrived(BarrierId(0), 1, vec![rec(0, 1)])
+            .node_arrived(BarrierId(0), 1, &[rec(0, 1)])
             .expect("all arrived");
         assert_eq!(released.len(), 2);
     }
@@ -207,9 +207,9 @@ mod tests {
     #[test]
     fn distinct_barrier_ids_are_independent_episodes() {
         let mut m = BarrierManager::new(2);
-        assert!(m.node_arrived(BarrierId(0), 0, vec![]).is_none());
-        assert!(m.node_arrived(BarrierId(1), 0, vec![]).is_none());
-        assert!(m.node_arrived(BarrierId(1), 1, vec![]).is_some());
-        assert!(m.node_arrived(BarrierId(0), 1, vec![]).is_some());
+        assert!(m.node_arrived(BarrierId(0), 0, &[]).is_none());
+        assert!(m.node_arrived(BarrierId(1), 0, &[]).is_none());
+        assert!(m.node_arrived(BarrierId(1), 1, &[]).is_some());
+        assert!(m.node_arrived(BarrierId(0), 1, &[]).is_some());
     }
 }

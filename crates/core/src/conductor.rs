@@ -7,7 +7,7 @@
 //! one thread at a time ([`ThreadLink::run_burst`]); the thread
 //! computes (accumulating charged time locally) until it needs the
 //! DSM — a page fault, a synchronization operation, a prefetch — then
-//! sends a [`Syscall`] and blocks until it is resumed again. This
+//! hands over a [`Syscall`] and blocks until it is resumed again. This
 //! keeps the whole simulation deterministic while letting application
 //! code be ordinary Rust.
 //!
@@ -16,8 +16,41 @@
 //! [`NodeMem`], moved to the thread; the thread's next [`CallMsg`]
 //! moves it back. A [`DsmCtx`] therefore reads and writes pages as
 //! plain owned data between its resume and its next syscall, the
-//! driver does the same between bursts, and the channel send/recv
-//! that orders the two is the only synchronisation there is.
+//! driver does the same between bursts, and the hand-off that orders
+//! the two is the only synchronisation there is.
+//!
+//! # The hand-off
+//!
+//! Driver and thread share one [`Slot`] — the baton. Exactly one of
+//! them runs at a time, so one slot carries both directions: the
+//! driver fills it with `Resume(mem)` and waits for the thread's
+//! `Call`; the thread takes the `Resume`, runs, fills it with its
+//! `Call` and waits for the next `Resume`. Three rules make it correct
+//! and keep it cheap:
+//!
+//! 1. **State before wake.** A side writes the slot, releases the
+//!    slot's lock, and only then `unpark`s the other. The token
+//!    `unpark` leaves makes the order of "peer parks" and "we wake it"
+//!    irrelevant: a wake that comes first turns the peer's next `park`
+//!    into a no-op, and the peer finds the slot already filled.
+//! 2. **No lock across a wake or a page access.** The lock is held for
+//!    the move of one `Slot` value in or out and nothing else, so the
+//!    woken side can never find it taken, and node memory is only ever
+//!    touched by the party that owns it outright — there is no lock
+//!    around a `NodeMem`, only around the slot it passes through.
+//! 3. **Loop on a spurious wake.** A waiter looks at the slot, takes
+//!    only what is addressed to it, and `park`s otherwise — its own
+//!    message still waiting for the peer, or a token left over from an
+//!    earlier hand-off or from anyone else who parks on this thread's
+//!    token (the sweep pool's channels do), just sends it round again.
+//!
+//! Why not a pair of std's bounded channels per thread, which this
+//! once was: a channel wakes its receiver *while holding* its
+//! waker-list mutex, so with both threads pinned to one CPU the woken
+//! thread preempts the waker, runs into that mutex, spins (~100
+//! `pause`) and goes back to sleep — a hand-off cost 6–14 µs in situ
+//! against the one futex wait and one futex wake per side that a
+//! blocking hand-off cannot avoid.
 //!
 //! [`DsmCtx`] is the API visible to applications: typed reads/writes
 //! on [`SharedVec`] handles, locks, barriers, prefetches, and explicit
@@ -25,8 +58,8 @@
 //! spawns the threads and tears them down.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::thread;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
 use rsdsm_protocol::PageId;
 use rsdsm_simnet::SimDuration;
@@ -99,10 +132,69 @@ fn engine_gone() -> ! {
 /// panicked, and [`lockstep`] will report the message.
 pub(crate) struct ThreadGone;
 
+/// What the one slot between a driver and its thread holds.
+#[derive(Debug, Default)]
+enum Slot {
+    /// Nothing: the last message was taken and its taker is running.
+    #[default]
+    Empty,
+    /// Driver → thread: run, with the node's memory.
+    Resume(NodeMem),
+    /// Thread → driver: the next syscall, with the memory back. The
+    /// fire-and-forget `Exit` waits here until the driver takes it.
+    Call(CallMsg),
+    /// The driver dropped its [`ThreadLink`]: the run is over.
+    DriverGone,
+    /// The thread panicked: no `Call` will ever come.
+    ThreadGone,
+}
+
+/// The state a driver and one application thread share.
+#[derive(Debug)]
+struct Baton {
+    slot: Mutex<Slot>,
+    /// The driver's thread, which the application thread wakes.
+    driver: Thread,
+}
+
+impl Baton {
+    /// Locks the slot for one move in or out (rule 2). Nothing can
+    /// panic while holding this lock, and a single assignment leaves
+    /// the slot valid at every step, so a poisoned lock is recovered.
+    fn slot(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Puts `next` in the slot and wakes `peer` (rule 1). Returns what
+    /// was there, for the caller to drop — the lock is released.
+    fn pass(&self, next: Slot, peer: &Thread) -> Slot {
+        let previous = std::mem::replace(&mut *self.slot(), next);
+        peer.unpark();
+        previous
+    }
+
+    /// Waits until the slot holds something `mine` accepts, and takes
+    /// it (rule 3): anything else — the waiter's own message not yet
+    /// taken by its peer, or nothing on a stray wake — means park
+    /// again.
+    fn take_when(&self, mine: fn(&Slot) -> bool) -> Slot {
+        loop {
+            {
+                let mut slot = self.slot();
+                if mine(&slot) {
+                    return std::mem::take(&mut *slot);
+                }
+            }
+            thread::park();
+        }
+    }
+}
+
 /// The driver's end of one application thread's handshake.
 pub(crate) struct ThreadLink {
-    resume_tx: SyncSender<NodeMem>,
-    call_rx: Receiver<CallMsg>,
+    baton: Arc<Baton>,
+    /// The application thread, which the driver wakes.
+    thread: Thread,
 }
 
 impl ThreadLink {
@@ -111,12 +203,24 @@ impl ThreadLink {
     /// syscall carries back. `mem` is an empty placeholder in between,
     /// which nothing can observe — the caller is blocked here.
     pub(crate) fn run_burst(&self, mem: &mut NodeMem) -> Result<(Syscall, Charges), ThreadGone> {
-        self.resume_tx
-            .send(std::mem::take(mem))
-            .map_err(|_| ThreadGone)?;
-        let call = self.call_rx.recv().map_err(|_| ThreadGone)?;
-        *mem = call.mem;
-        Ok((call.syscall, call.charges))
+        self.baton
+            .pass(Slot::Resume(std::mem::take(mem)), &self.thread);
+        let theirs = |slot: &Slot| matches!(slot, Slot::Call(_) | Slot::ThreadGone);
+        match self.baton.take_when(theirs) {
+            Slot::Call(call) => {
+                *mem = call.mem;
+                Ok((call.syscall, call.charges))
+            }
+            _ => Err(ThreadGone),
+        }
+    }
+}
+
+impl Drop for ThreadLink {
+    /// Ends the thread if it is still parked: it finds the driver gone
+    /// and unwinds silently (see [`EngineGone`]).
+    fn drop(&mut self) {
+        self.baton.pass(Slot::DriverGone, &self.thread);
     }
 }
 
@@ -143,12 +247,12 @@ pub(crate) fn lockstep<P: DsmProgram, R>(
     thread::scope(|s| {
         let mut links = Vec::with_capacity(threads);
         let mut shims = Vec::with_capacity(threads);
+        let driver = thread::current();
         for t in 0..threads {
-            // Lockstep keeps at most one message in flight each way, so
-            // one slot is enough and a send never blocks.
-            let (resume_tx, resume_rx) = mpsc::sync_channel(1);
-            let (call_tx, call_rx) = mpsc::sync_channel(1);
-            links.push(ThreadLink { resume_tx, call_rx });
+            let baton = Arc::new(Baton {
+                slot: Mutex::new(Slot::Empty),
+                driver: driver.clone(),
+            });
             let mut ctx = DsmCtx {
                 tid: ThreadId(t),
                 node: node_of(t),
@@ -156,12 +260,11 @@ pub(crate) fn lockstep<P: DsmProgram, R>(
                 mem: NodeMem::default(),
                 costs: costs.clone(),
                 prefetch_cfg: prefetch_cfg.clone(),
-                resume_rx,
-                call_tx,
+                baton: Arc::clone(&baton),
                 pending: Charges::default(),
             };
             let h = handles.clone();
-            shims.push(s.spawn(move || {
+            let shim = s.spawn(move || {
                 let payload = catch_unwind(AssertUnwindSafe(|| {
                     ctx.wait_resume();
                     app.run(&mut ctx, &h);
@@ -171,6 +274,9 @@ pub(crate) fn lockstep<P: DsmProgram, R>(
                 if payload.is::<EngineGone>() {
                     return None;
                 }
+                // A real panic: the driver is waiting for a call that
+                // will not come.
+                ctx.baton.pass(Slot::ThreadGone, &ctx.baton.driver);
                 Some(
                     payload
                         .downcast_ref::<String>()
@@ -178,7 +284,12 @@ pub(crate) fn lockstep<P: DsmProgram, R>(
                         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                         .unwrap_or_else(|| "<non-string panic>".to_string()),
                 )
-            }));
+            });
+            links.push(ThreadLink {
+                baton,
+                thread: shim.thread().clone(),
+            });
+            shims.push(shim);
         }
         let out = drive(links);
         let panicked = shims
@@ -208,8 +319,7 @@ pub struct DsmCtx {
     mem: NodeMem,
     costs: CostModel,
     prefetch_cfg: PrefetchConfig,
-    resume_rx: Receiver<NodeMem>,
-    call_tx: SyncSender<CallMsg>,
+    baton: Arc<Baton>,
     pending: Charges,
 }
 
@@ -217,9 +327,10 @@ impl DsmCtx {
     /// Blocks until the driver resumes this thread, and takes the
     /// node's memory it sends along.
     fn wait_resume(&mut self) {
-        match self.resume_rx.recv() {
-            Ok(mem) => self.mem = mem,
-            Err(_) => engine_gone(),
+        let theirs = |slot: &Slot| matches!(slot, Slot::Resume(_) | Slot::DriverGone);
+        match self.baton.take_when(theirs) {
+            Slot::Resume(mem) => self.mem = mem,
+            _ => engine_gone(),
         }
     }
 
@@ -424,7 +535,7 @@ impl DsmCtx {
                 self.pending.busy += self.costs.access_check;
                 if write && entry.twin.is_none() {
                     // The twin buffer comes from the node's page pool,
-                    // not a fresh zeroing allocation.
+                    // not a fresh allocation.
                     entry.twin = Some(m.pool.take_arc_copy_of(&entry.data));
                     self.pending.dsm += self.costs.twin_create;
                     m.dirty.push(page);
@@ -452,7 +563,8 @@ impl DsmCtx {
             charges: std::mem::take(&mut self.pending),
             mem: std::mem::take(&mut self.mem),
         };
-        self.call_tx.send(msg).is_ok()
+        let previous = self.baton.pass(Slot::Call(msg), &self.baton.driver);
+        !matches!(previous, Slot::DriverGone)
     }
 
     /// Yields with `syscall` and blocks until the driver resumes this
@@ -462,5 +574,206 @@ impl DsmCtx {
             engine_gone();
         }
         self.wait_resume();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread::ThreadId as OsThreadId;
+    use std::time::{Duration, Instant};
+
+    use rsdsm_simnet::DetRng;
+
+    use super::*;
+    use crate::heap::{Heap, HomePolicy};
+
+    const THREADS: usize = 64;
+    const ROUNDS: u64 = 1_000;
+
+    /// Every thread bumps its own word of one shared page once per
+    /// round and then makes a syscall; thread `saboteur` panics
+    /// instead, before any syscall.
+    struct Rounds {
+        saboteur: Option<usize>,
+    }
+
+    impl DsmProgram for Rounds {
+        type Handles = SharedVec<u64>;
+
+        fn name(&self) -> String {
+            "rounds".into()
+        }
+
+        fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+            heap.alloc(THREADS, HomePolicy::Single(0))
+        }
+
+        fn run(&self, ctx: &mut DsmCtx, words: &Self::Handles) {
+            let t = ctx.thread_id();
+            if self.saboteur == Some(t) {
+                panic!("thread {t} fails before its first syscall");
+            }
+            for round in 1..=ROUNDS {
+                assert_eq!(ctx.read(words, t), round - 1, "memory came back intact");
+                ctx.write(words, t, round);
+                ctx.acquire(LockId(0));
+            }
+        }
+    }
+
+    /// Runs `app` on [`THREADS`] threads of one node under `drive`,
+    /// which also gets one flat, all-valid memory to lend out (the
+    /// golden model's arrangement: no faults, every syscall a no-op).
+    fn run<R>(
+        app: &Rounds,
+        drive: impl FnOnce(Vec<ThreadLink>, NodeMem) -> R,
+    ) -> Result<R, String> {
+        let mut heap = Heap::new(1);
+        let handles = app.allocate(&mut heap);
+        let mem = NodeMem::new(heap.page_count(), |_| true);
+        lockstep(
+            app,
+            &handles,
+            &CostModel::default(),
+            &PrefetchConfig::off(),
+            THREADS,
+            |_| 0,
+            |links| drive(links, mem),
+        )
+    }
+
+    /// Resumes live threads in a seeded random order until all exit;
+    /// returns the syscalls seen. `before_burst` runs ahead of every
+    /// resume.
+    fn drive_randomly(
+        links: &[ThreadLink],
+        mem: &mut NodeMem,
+        mut before_burst: impl FnMut(),
+    ) -> u64 {
+        let mut rng = DetRng::new(1998);
+        let mut live: Vec<usize> = (0..links.len()).collect();
+        let mut syscalls = 0;
+        while !live.is_empty() {
+            let pick = rng.next_below(live.len() as u64) as usize;
+            before_burst();
+            let Ok((syscall, _)) = links[live[pick]].run_burst(mem) else {
+                panic!("thread {} vanished", live[pick]);
+            };
+            syscalls += 1;
+            if syscall == Syscall::Exit {
+                live.swap_remove(pick);
+            }
+        }
+        syscalls
+    }
+
+    fn assert_all_rounds_landed(mem: &NodeMem, syscalls: u64) {
+        assert_eq!(syscalls, THREADS as u64 * (ROUNDS + 1));
+        for t in 0..THREADS {
+            assert_eq!(mem.pages[0].data.read_u64(t * 8), ROUNDS, "thread {t}");
+        }
+        // One read and one write per round.
+        assert_eq!(mem.counters.fast_accesses, 2 * THREADS as u64 * ROUNDS);
+    }
+
+    #[test]
+    fn random_resume_order_completes_with_memory_intact() {
+        let (mem, syscalls) = run(&Rounds { saboteur: None }, |links, mut mem| {
+            let syscalls = drive_randomly(&links, &mut mem, || {});
+            (mem, syscalls)
+        })
+        .expect("no thread panics");
+        assert_all_rounds_landed(&mem, syscalls);
+    }
+
+    /// Rule 3. The driver leaves itself a wake token before every
+    /// burst, so its first `park` returns with its own resume still in
+    /// the slot; and a helper wakes the driver and every application
+    /// thread — parked on a call not taken yet, or never resumed — in
+    /// a tight loop for the whole run.
+    #[test]
+    fn spurious_wakeups_change_nothing() {
+        let (mem, syscalls) = run(&Rounds { saboteur: None }, |links, mut mem| {
+            let driver = thread::current();
+            let stop = AtomicBool::new(false);
+            let syscalls = thread::scope(|s| {
+                s.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        driver.unpark();
+                        links.iter().for_each(|link| link.thread.unpark());
+                    }
+                });
+                let syscalls = drive_randomly(&links, &mut mem, || thread::current().unpark());
+                stop.store(true, Ordering::SeqCst);
+                syscalls
+            });
+            (mem, syscalls)
+        })
+        .expect("no thread panics");
+        assert_all_rounds_landed(&mem, syscalls);
+    }
+
+    /// Threads that panicked since [`record_panicking_threads`].
+    static PANICKED: Mutex<Vec<OsThreadId>> = Mutex::new(Vec::new());
+
+    /// Chains a panic hook that records which thread panicked. The
+    /// hook is process-wide and other tests of this binary panic on
+    /// purpose, hence ids and not a count.
+    fn record_panicking_threads() {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICKED
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(thread::current().id());
+            previous(info);
+        }));
+    }
+
+    #[test]
+    fn dropping_the_links_ends_parked_and_unstarted_threads_silently() {
+        record_panicking_threads();
+        let ids = run(&Rounds { saboteur: None }, |links, mut mem| {
+            // Half the threads run one burst and park on their call's
+            // answer; the other half never get a first resume.
+            for link in &links[..THREADS / 2] {
+                assert!(link.run_burst(&mut mem).is_ok());
+            }
+            links
+                .iter()
+                .map(|link| link.thread.id())
+                .collect::<Vec<_>>()
+            // `links` drops here.
+        })
+        .expect("an abandoned thread is not a panicked thread");
+        // `run` returning means every thread was joined.
+        let panicked = PANICKED.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(
+            ids.iter().all(|id| !panicked.contains(id)),
+            "an abandoned thread went through the panic hook"
+        );
+    }
+
+    #[test]
+    fn a_panic_before_the_first_syscall_is_an_error_not_a_hang() {
+        let driver = thread::spawn(|| {
+            run(&Rounds { saboteur: Some(5) }, |links, mut mem| {
+                links[5].run_burst(&mut mem).is_err()
+            })
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !driver.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "the driver hung waiting for a call that never comes"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        let msg = driver
+            .join()
+            .expect("the driver itself does not panic")
+            .expect_err("the panic is the run's error");
+        assert!(msg.contains("fails before its first syscall"), "{msg}");
     }
 }

@@ -44,15 +44,15 @@ impl Directory {
 /// Keeps reply diffs in the node's prefetch cache for use at access
 /// time, dropping any a faster fault path already applied — replaying
 /// those later would corrupt the page.
-fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: Vec<DiffPayload>) {
+fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: &[DiffPayload]) {
     for d in diffs {
         if !node.board.is_applied(page, d.origin, d.stamp.get(d.origin)) {
             node.cache.insert(
                 page,
                 CachedDiff {
                     origin: d.origin,
-                    stamp: d.stamp,
-                    diff: d.diff,
+                    stamp: Arc::clone(&d.stamp),
+                    diff: Arc::clone(&d.diff),
                 },
             );
         }
@@ -743,8 +743,8 @@ impl Core<'_> {
         &mut self,
         n: NodeId,
         page: PageId,
-        diffs: Vec<DiffPayload>,
-        base: Option<BasePayload>,
+        diffs: &[DiffPayload],
+        base: Option<&BasePayload>,
         class: FetchClass,
         intervals: &[Arc<IntervalRecord>],
         end: SimTime,
@@ -758,7 +758,7 @@ impl Core<'_> {
         if class.is_prefetch() {
             cache_unapplied(node, page, diffs);
             if let Some(b) = base {
-                node.base_cache.insert(page, b);
+                node.base_cache.insert(page, b.clone());
             }
             if let Some(count) = node.mem.prefetch_inflight.get_mut(&page) {
                 *count = count.saturating_sub(1);
@@ -779,9 +779,9 @@ impl Core<'_> {
                 cache_unapplied(node, page, diffs);
                 return Ok(());
             };
-            fetch.collected.extend(diffs);
+            fetch.collected.extend_from_slice(diffs);
             if base.is_some() {
-                fetch.base = base;
+                fetch.base = base.cloned();
             }
         }
         let fetch = node.fetches.get_mut(&page).expect("fetch exists");

@@ -552,6 +552,69 @@ mod tests {
         }
     }
 
+    /// Pages cost nothing until touched: every node holds a slot for
+    /// every page of the heap, but a fresh 1024-node engine over a
+    /// 64-page heap owns no page buffer at all, and after the incast
+    /// run (`rsdsm_apps::Incast`, restated here for the reason above,
+    /// plus one write so that something does materialize) only slots
+    /// that became valid somewhere along the way can own one.
+    #[test]
+    fn page_buffers_follow_what_a_node_touches() {
+        use crate::heap::{HomePolicy, SharedVec};
+        use crate::msg::BarrierId;
+        use crate::DsmCtx;
+        use rsdsm_protocol::PAGE_SIZE;
+
+        const WORDS: usize = PAGE_SIZE / 8;
+        const PAGES: usize = 64;
+        struct Incast;
+        impl DsmProgram for Incast {
+            type Handles = SharedVec<u64>;
+            fn name(&self) -> String {
+                "incast".into()
+            }
+            fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+                heap.alloc(PAGES * WORDS, HomePolicy::RoundRobin)
+            }
+            fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
+                if ctx.node() == 0 {
+                    ctx.prefetch(v, 0, v.len());
+                    for p in 0..PAGES {
+                        let _ = ctx.read(v, p * WORDS);
+                    }
+                    ctx.write(v, WORDS, 7);
+                }
+                ctx.barrier(BarrierId(0));
+            }
+        }
+        let materialized = |nodes: &[NodeState]| -> usize {
+            nodes
+                .iter()
+                .flat_map(|n| &n.mem.pages)
+                .filter(|e| e.data.is_materialized())
+                .count()
+        };
+
+        let nodes = 1024;
+        let cfg = DsmConfig::paper_cluster(nodes).with_prefetch(PrefetchConfig::hand());
+        let mut heap = Heap::new(nodes);
+        Incast.allocate(&mut heap);
+        let fresh = Core::new(&cfg, heap, Vec::new(), false, QueueBackend::default());
+        assert_eq!(fresh.nodes.len() * fresh.nodes[0].mem.pages.len(), 65_536);
+        assert_eq!(materialized(&fresh.nodes), 0);
+
+        let sim = Simulation::new(cfg);
+        let (out, _) = sim.run_engine(&Incast, false).expect("incast runs");
+        let slots = || out.nodes.iter().flat_map(|n| &n.mem.pages);
+        assert!(out.nodes[0].mem.pages.iter().all(|e| e.valid));
+        assert_eq!(slots().filter(|e| e.ever_valid).count(), 2 * PAGES - 1);
+        assert!(slots().all(|e| e.ever_valid || !e.data.is_materialized()));
+        // Node 0's written copy; every page it merely read arrived as
+        // its home's unmaterialized copy and stayed that way.
+        assert_eq!(materialized(&out.nodes), 1);
+        assert_eq!(out.nodes[0].mem.pages[1].data.read_u64(0), 7);
+    }
+
     /// The same switches, on: each piece of state appears exactly
     /// when its config asks for it.
     #[test]

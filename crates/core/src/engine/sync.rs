@@ -369,7 +369,7 @@ impl Core<'_> {
             // Block first: when this is the last arrival cluster-wide,
             // the release below wakes this very thread.
             self.block(tid, n, BlockReason::Barrier, end)?;
-            self.manager_collect(id, n, vc, intervals, end)
+            self.manager_collect(id, n, &vc, &intervals, end)
         } else {
             end = self.charge(n, end, self.cfg.costs.msg_send, Category::DsmOverhead, None);
             self.post(
@@ -394,8 +394,8 @@ impl Core<'_> {
         n: NodeId,
         id: BarrierId,
         from: NodeId,
-        vc: VectorClock,
-        intervals: Vec<Arc<IntervalRecord>>,
+        vc: &VectorClock,
+        intervals: &[Arc<IntervalRecord>],
         at: SimTime,
     ) -> Result<(), SimError> {
         let end = self.charge_sync(n, at);
@@ -408,8 +408,8 @@ impl Core<'_> {
         &mut self,
         id: BarrierId,
         from: NodeId,
-        vc: VectorClock,
-        intervals: Vec<Arc<IntervalRecord>>,
+        vc: &VectorClock,
+        intervals: &[Arc<IntervalRecord>],
         at: SimTime,
     ) -> Result<(), SimError> {
         let joined = self
@@ -417,7 +417,7 @@ impl Core<'_> {
             .vcs
             .entry(id)
             .or_insert_with(|| VectorClock::new(self.cfg.nodes));
-        joined.join(&vc);
+        joined.join(vc);
         if self.oracle.cfg.invariants {
             self.oracle.barrier_arrival(id, from, at);
         }

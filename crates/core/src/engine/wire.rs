@@ -15,7 +15,7 @@ use super::{Core, Event};
 use crate::accounting::Category;
 use crate::config::{DsmConfig, MANAGER};
 use crate::lock::RemoteWaiter;
-use crate::msg::{Msg, MsgBody};
+use crate::msg::MsgBody;
 use crate::report::{NetSummary, SimError};
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
 use crate::transport::{Frame, Packet, Recv, TimeoutAction, Transport, TransportSummary};
@@ -55,15 +55,6 @@ impl Wire {
             self.net.fault_stats(),
         )
     }
-}
-
-/// Takes a delivered body out of its shared frame: by move when this
-/// was the last reference (the common unicast case once the sender's
-/// retransmit buffer released it), by structural clone otherwise —
-/// which is still cheap, because the page/diff payloads inside are
-/// themselves `Arc`-shared.
-fn unshare(body: Arc<MsgBody>) -> MsgBody {
-    Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
 }
 
 impl Core<'_> {
@@ -322,14 +313,7 @@ impl Core<'_> {
             }
             Frame::Datagram { body } => {
                 let end = self.charge_recv(n, now);
-                self.dispatch(
-                    Msg {
-                        src: pkt.src,
-                        dst: n,
-                        body: unshare(body),
-                    },
-                    end,
-                )
+                self.dispatch(pkt.src, n, &body, end)
             }
             Frame::Data { seq, body } => {
                 // Ack every data frame, duplicates included: a
@@ -345,14 +329,7 @@ impl Core<'_> {
                 match self.wire.transport.receive(pkt.src, n, seq, body) {
                     Recv::Deliver(run) => {
                         for body in run {
-                            self.dispatch(
-                                Msg {
-                                    src: pkt.src,
-                                    dst: n,
-                                    body: unshare(body),
-                                },
-                                end,
-                            )?;
+                            self.dispatch(pkt.src, n, &body, end)?;
                         }
                         Ok(())
                     }
@@ -374,36 +351,58 @@ impl Core<'_> {
         self.charge(n, now, recv, Category::DsmOverhead, idle)
     }
 
-    /// Dispatches one protocol message to its subsystem's handler.
-    /// The caller has already charged the receive overhead; `end` is
-    /// when the CPU finished absorbing the frame.
-    fn dispatch(&mut self, msg: Msg, end: SimTime) -> Result<(), SimError> {
-        let n = msg.dst;
-        match msg.body {
+    /// Dispatches one protocol message, sent by `src` to `n`, to its
+    /// subsystem's handler. The caller has already charged the receive
+    /// overhead; `end` is when the CPU finished absorbing the frame.
+    ///
+    /// The body is borrowed from the frame it arrived in, which is
+    /// never the last reference — the sender's retransmit buffer holds
+    /// a reliable body until the ack this very arrival sends — so a
+    /// handler clones exactly what it keeps (a waiter's clock, the
+    /// payloads a fetch collects), not the whole body with its N-entry
+    /// clock.
+    fn dispatch(
+        &mut self,
+        src: NodeId,
+        n: NodeId,
+        body: &MsgBody,
+        end: SimTime,
+    ) -> Result<(), SimError> {
+        match body {
             MsgBody::DiffRequest {
                 page,
                 stamps,
                 want_base,
                 class,
                 vc,
-            } => self.serve_diff_request(n, msg.src, page, &stamps, want_base, class, &vc, end),
+            } => self.serve_diff_request(n, src, *page, stamps, *want_base, *class, vc, end),
             MsgBody::DiffReply {
                 page,
                 diffs,
                 base,
                 class,
                 intervals,
-            } => return self.handle_diff_reply(n, page, diffs, base, class, &intervals, end),
+            } => {
+                return self.handle_diff_reply(
+                    n,
+                    *page,
+                    diffs,
+                    base.as_ref(),
+                    *class,
+                    intervals,
+                    end,
+                )
+            }
             MsgBody::LockRequest {
                 lock,
                 requester,
                 vc,
             } => self.on_lock_request(
                 n,
-                lock,
+                *lock,
                 RemoteWaiter {
-                    node: requester,
-                    vc,
+                    node: *requester,
+                    vc: vc.clone(),
                 },
                 end,
             ),
@@ -413,10 +412,10 @@ impl Core<'_> {
                 vc,
             } => self.on_lock_forward(
                 n,
-                lock,
+                *lock,
                 RemoteWaiter {
-                    node: requester,
-                    vc,
+                    node: *requester,
+                    vc: vc.clone(),
                 },
                 end,
             ),
@@ -424,18 +423,18 @@ impl Core<'_> {
                 lock,
                 intervals,
                 vc,
-            } => return self.on_lock_grant(n, lock, &intervals, &vc, end),
+            } => return self.on_lock_grant(n, *lock, intervals, vc, end),
             MsgBody::BarrierArrive {
                 id,
                 from,
                 vc,
                 intervals,
-            } => return self.on_barrier_arrive(n, id, from, vc, intervals, end),
+            } => return self.on_barrier_arrive(n, *id, *from, vc, intervals, end),
             MsgBody::BarrierRelease { id, vc, intervals } => {
-                return self.process_barrier_release(n, id, &vc, &intervals, end)
+                return self.process_barrier_release(n, *id, vc, intervals, end)
             }
-            MsgBody::SuspectReport { suspect } => self.on_suspect_report(n, suspect, end),
-            MsgBody::RecoveryStart { victim, .. } => self.on_recovery_start(n, victim, end),
+            MsgBody::SuspectReport { suspect } => self.on_suspect_report(n, *suspect, end),
+            MsgBody::RecoveryStart { victim, .. } => self.on_recovery_start(n, *victim, end),
         }
         Ok(())
     }

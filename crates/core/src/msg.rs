@@ -332,17 +332,6 @@ pub enum MsgBody {
     },
 }
 
-/// A protocol message in flight.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Msg {
-    /// Sender node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Payload.
-    pub body: MsgBody,
-}
-
 /// Fixed per-message body framing (op code, page/lock ids, flags).
 const BODY_HEADER_BYTES: usize = 16;
 

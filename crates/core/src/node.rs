@@ -10,9 +10,11 @@
 //! `mem` field here except while one of the node's threads runs, when
 //! the engine has moved it into that thread's context for the length
 //! of the burst (see [`conductor`](crate::conductor)); the next
-//! syscall moves it back. Ownership enforces this — there is no lock,
-//! and no engine code can run while the field is away, because the
-//! engine is then blocked inside the hand-off that took it.
+//! syscall moves it back. Ownership enforces this — there is no lock
+//! around the memory (the hand-off slot it passes through is locked
+//! for the move alone), and no engine code can run while the field is
+//! away, because the engine is then blocked inside the hand-off that
+//! took it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -115,7 +117,7 @@ pub(crate) struct NodeMem {
     /// Whether twin creations should be logged for tracing.
     pub twin_log_on: bool,
     /// Free list recycling twin/checkpoint page buffers so the hot
-    /// write-fault path avoids a zero-initializing allocation.
+    /// write-fault path avoids an allocation.
     pub pool: PagePool,
     /// Fast-path counters.
     pub counters: AccessCounters,
@@ -124,7 +126,8 @@ pub(crate) struct NodeMem {
 impl NodeMem {
     /// Memory for a node in a heap of `total_pages`, where
     /// `is_home(p)` says whether the node homes page `p` (homed pages
-    /// start valid and zero-filled).
+    /// start valid and zero-filled). No slot owns a page buffer yet:
+    /// a page materializes when it is first written.
     pub fn new(total_pages: usize, is_home: impl Fn(usize) -> bool) -> Self {
         NodeMem {
             pages: (0..total_pages)

@@ -38,10 +38,10 @@
 //! frames on the simulated network.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
-
-use std::sync::Arc;
 
 use crate::msg::{MsgBody, MsgClass};
 
@@ -223,6 +223,30 @@ impl<B> LinkState<B> {
     }
 }
 
+/// Hasher of the link table: one rotate-xor-multiply per key word in
+/// place of SipHash over the 16-byte `(src, dst)` key, which every
+/// reliable message looks up four times (register, receive, ack,
+/// timer). The keys are node ids of the run's own cluster, never
+/// outside input, and nothing depends on the table's iteration order.
+#[derive(Debug, Default)]
+struct LinkHasher(u64);
+
+impl Hasher for LinkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(b as usize);
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// What the sender should do when a retry timer fires.
 #[derive(Debug)]
 pub enum TimeoutAction<B> {
@@ -263,7 +287,7 @@ pub enum Recv<B> {
 #[derive(Debug)]
 pub struct Transport<B> {
     cfg: TransportConfig,
-    links: HashMap<(NodeId, NodeId), LinkState<B>>,
+    links: HashMap<(NodeId, NodeId), LinkState<B>, BuildHasherDefault<LinkHasher>>,
     summary: TransportSummary,
 }
 
@@ -272,7 +296,7 @@ impl<B: Clone> Transport<B> {
     pub fn new(cfg: TransportConfig) -> Self {
         Transport {
             cfg,
-            links: HashMap::new(),
+            links: HashMap::default(),
             summary: TransportSummary::default(),
         }
     }
@@ -438,6 +462,29 @@ mod tests {
             max_retries: 2,
             ack_bytes: 28,
         }
+    }
+
+    /// The link table's hasher must tell apart the keys real clusters
+    /// produce: a 64-node full mesh and a 1024-node star, in both the
+    /// bucket bits (low) and the tag bits (top 7) hashbrown reads.
+    #[test]
+    fn link_hasher_spreads_mesh_and_star_keys() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<LinkHasher>::default();
+        let mesh = (0..64usize).flat_map(|s| (0..64usize).map(move |d| (s, d)));
+        let star = (64..1024usize).flat_map(|i| [(i, 0), (0, i)]);
+        let hashes: Vec<u64> = mesh.chain(star).map(|key| build.hash_one(key)).collect();
+        let distinct: HashSet<u64> = hashes.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            hashes.len(),
+            "no two links collide outright"
+        );
+        let buckets: HashSet<u64> = hashes.iter().map(|h| h & 0xfff).collect();
+        assert!(buckets.len() > 2500, "low bits spread: {}", buckets.len());
+        let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert_eq!(tags.len(), 128, "every tag value occurs");
     }
 
     #[test]

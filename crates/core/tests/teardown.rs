@@ -109,6 +109,18 @@ fn a_failed_run_reports_once_from_the_main_thread() {
         "abandoned application threads went through the panic hook"
     );
 
+    // The same at 256 threads: the abandoned ones — parked on a call's
+    // answer, or not yet resumed a first time — are each ended through
+    // their hand-off slot, and every one must be joined within the
+    // guard.
+    let lossy_wide = DsmConfig::paper_cluster(128)
+        .with_threads(ThreadConfig::multithreaded(2))
+        .with_faults(FaultPlan::uniform_loss(7, 0.85));
+    let err = within_a_minute(|| Simulation::new(lossy_wide).run(&Exchange { saboteur: None }))
+        .expect_err("85% loss must exhaust a retry budget");
+    assert!(matches!(err, SimError::Transport(_)), "got {err:?}");
+    assert_eq!(hook_calls.load(Ordering::SeqCst), 0);
+
     // The golden scheduler abandons its threads the same way, and its
     // own diagnostic is the error — not a note about how the parked
     // thread 0 was unwound.

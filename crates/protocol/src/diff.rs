@@ -168,6 +168,10 @@ impl Diff {
     ///
     /// Panics if a run extends past the page (corrupt diff).
     pub fn apply(&self, page: &mut Page) {
+        if self.runs.is_empty() {
+            // Nothing to write: leave an unmaterialized page as it is.
+            return;
+        }
         let bytes = page.bytes_mut();
         let mut pos = 0;
         for run in &self.runs {

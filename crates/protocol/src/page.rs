@@ -4,6 +4,16 @@
 //! paper's PowerPC 604 machines). [`Page`] is a plain byte container;
 //! typed access is layered on top by the runtime's shared-array
 //! handles. [`PageId`] numbers pages within the global shared heap.
+//!
+//! A page that was never written costs nothing: it is *unmaterialized*
+//! — no buffer, reading as one shared static page of zeros — until the
+//! first mutable access gives it a buffer of its own. Every node holds
+//! a slot for every page of the heap, so this is what keeps a node's
+//! memory proportional to the pages it touches rather than to the
+//! heap (1024 nodes over a 64-page heap are 65 536 slots, of which a
+//! read-mostly run writes a handful). The distinction is invisible
+//! outside this module: pages compare, hash into digests, print and
+//! encode by content.
 
 use std::fmt;
 use std::sync::Arc;
@@ -43,33 +53,55 @@ impl fmt::Display for PageId {
     }
 }
 
+/// What every unmaterialized page reads as.
+static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 /// One page of shared data as held by a node.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Page {
-    bytes: Box<[u8]>,
+    /// The page's own buffer, `PAGE_SIZE` long; `None` while the page
+    /// is unmaterialized (all zeros, never mutably accessed).
+    bytes: Option<Box<[u8]>>,
 }
 
 impl Page {
-    /// A zero-filled page.
+    /// A zero-filled page. Allocates nothing: the page materializes on
+    /// its first mutable access.
     pub fn new() -> Self {
-        Page {
-            bytes: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-        }
+        Page { bytes: None }
+    }
+
+    /// Whether the page owns a buffer. An unmaterialized page is all
+    /// zeros; a materialized one may be too (written, then re-zeroed)
+    /// and still equals it.
+    pub fn is_materialized(&self) -> bool {
+        self.bytes.is_some()
     }
 
     /// The page contents.
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        match &self.bytes {
+            Some(bytes) => bytes,
+            None => &ZEROS,
+        }
     }
 
-    /// Mutable page contents.
+    /// Mutable page contents (materializes the page).
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
+        self.bytes
+            .get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice())
     }
 
-    /// Copies the entire contents of `other` into this page.
+    /// Copies the entire contents of `other` into this page. A buffer
+    /// this page already owns is reused (zeroed when `other` is
+    /// unmaterialized); it gains one only when `other` has one.
     pub fn copy_from(&mut self, other: &Page) {
-        self.bytes.copy_from_slice(&other.bytes);
+        match (&mut self.bytes, &other.bytes) {
+            (Some(dst), Some(src)) => dst.copy_from_slice(src),
+            (Some(dst), None) => dst.fill(0),
+            (None, Some(src)) => self.bytes = Some(src.clone()),
+            (None, None) => {}
+        }
     }
 
     /// Reads a little-endian `u64` at byte offset `off`.
@@ -80,7 +112,7 @@ impl Page {
     pub fn read_u64(&self, off: usize) -> u64 {
         // `get` + array conversion: one range check, then a fixed
         // 8-byte load with no per-byte bounds checks.
-        match self.bytes.get(off..off + 8) {
+        match self.bytes().get(off..off + 8) {
             Some(chunk) => u64::from_le_bytes(chunk.try_into().expect("8 bytes")),
             None => panic!("u64 read at {off} exceeds the page"),
         }
@@ -92,7 +124,7 @@ impl Page {
     ///
     /// Panics if `off + 8` exceeds the page.
     pub fn write_u64(&mut self, off: usize, v: u64) {
-        match self.bytes.get_mut(off..off + 8) {
+        match self.bytes_mut().get_mut(off..off + 8) {
             Some(chunk) => {
                 let chunk: &mut [u8; 8] = chunk.try_into().expect("8 bytes");
                 *chunk = v.to_le_bytes();
@@ -102,9 +134,9 @@ impl Page {
     }
 }
 
-/// A free list of page buffers, reused to avoid the zero-initializing
-/// allocation `Page::new` pays on every twin, checkpoint image, and
-/// base copy. Each node keeps its own pool, so no synchronization is
+/// A free list of page buffers, reused to avoid the allocation a
+/// materializing page pays on every twin, checkpoint image, and base
+/// copy. Each node keeps its own pool, so no synchronization is
 /// involved; the pool is bounded so a burst of twins cannot pin
 /// memory forever.
 ///
@@ -154,7 +186,7 @@ impl PagePool {
     pub fn take_zeroed(&mut self) -> Box<Page> {
         match self.free.pop() {
             Some(mut page) => {
-                page.bytes.fill(0);
+                page.copy_from(&Page::new());
                 page
             }
             None => Box::new(Page::new()),
@@ -209,9 +241,23 @@ impl Default for Page {
     }
 }
 
+/// Pages are equal when their contents are: an unmaterialized page
+/// equals a materialized page of zeros (the oracle compares the golden
+/// image against the DSM's, and either side may have written zeros).
+impl PartialEq for Page {
+    fn eq(&self, other: &Page) -> bool {
+        match (&self.bytes, &other.bytes) {
+            (None, None) => true,
+            _ => self.bytes() == other.bytes(),
+        }
+    }
+}
+
+impl Eq for Page {}
+
 impl fmt::Debug for Page {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let nonzero = self.bytes.iter().filter(|&&b| b != 0).count();
+        let nonzero = self.bytes().iter().filter(|&&b| b != 0).count();
         write!(f, "Page({nonzero}/{PAGE_SIZE} nonzero bytes)")
     }
 }
@@ -230,10 +276,77 @@ mod tests {
     }
 
     #[test]
-    fn new_page_is_zeroed() {
+    fn new_page_is_unmaterialized_and_reads_zeros() {
         let p = Page::new();
-        assert!(p.bytes().iter().all(|&b| b == 0));
+        assert!(!p.is_materialized());
+        assert_eq!(p.bytes(), &[0u8; PAGE_SIZE][..]);
+        assert_eq!(p.read_u64(PAGE_SIZE - 8), 0);
+        assert!(!p.is_materialized(), "reading allocates nothing");
+        assert!(!p.clone().is_materialized(), "nor does cloning");
+        assert!(!Page::default().is_materialized());
+    }
+
+    #[test]
+    fn first_mutable_access_materializes() {
+        let mut p = Page::new();
+        p.write_u64(8, 5);
+        assert!(p.is_materialized());
+        assert_eq!(p.read_u64(8), 5);
         assert_eq!(p.bytes().len(), PAGE_SIZE);
+        assert!(p.clone().is_materialized());
+    }
+
+    /// Equality is by content: however a page of zeros came about, it
+    /// equals a fresh one.
+    #[test]
+    fn zero_pages_are_equal_in_either_representation() {
+        let mut rezeroed = Page::new();
+        rezeroed.write_u64(0, 9);
+        rezeroed.write_u64(0, 0);
+        assert!(rezeroed.is_materialized());
+        assert_eq!(rezeroed, Page::new());
+        assert_eq!(Page::new(), rezeroed);
+
+        let mut pool = PagePool::new();
+        let mut dirty = Box::new(Page::new());
+        dirty.write_u64(64, 7);
+        pool.put(dirty);
+        let recycled = pool.take_zeroed();
+        assert!(recycled.is_materialized(), "the buffer was reused");
+        assert_eq!(*recycled, Page::new());
+        assert!(!pool.take_zeroed().is_materialized(), "pool empty: fresh");
+
+        let mut written = Page::new();
+        written.write_u64(0, 1);
+        assert_ne!(written, Page::new());
+        assert_ne!(Page::new(), written);
+    }
+
+    #[test]
+    fn copy_from_handles_every_pairing() {
+        let mut data = Page::new();
+        data.write_u64(0, 42);
+
+        // A zero source clears a dirty buffer in place.
+        let mut dirty = data.clone();
+        dirty.copy_from(&Page::new());
+        assert!(dirty.is_materialized());
+        assert_eq!(dirty, Page::new());
+
+        // Zero onto zero stays free; data onto zero materializes.
+        let mut fresh = Page::new();
+        fresh.copy_from(&Page::new());
+        assert!(!fresh.is_materialized());
+        fresh.copy_from(&data);
+        assert_eq!(fresh, data);
+
+        // A pooled buffer takes either kind of source.
+        let mut pool = PagePool::new();
+        pool.put(Box::new(data.clone()));
+        assert_eq!(*pool.take_copy_of(&Page::new()), Page::new());
+        pool.put_arc(Arc::new(data.clone()));
+        assert_eq!(*pool.take_arc_copy_of(&Page::new()), Page::new());
+        assert!(!pool.take_arc_copy_of(&Page::new()).is_materialized());
     }
 
     #[test]
@@ -253,8 +366,14 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The text is what it was when every page owned a buffer.
     #[test]
-    fn debug_is_nonempty() {
-        assert!(!format!("{:?}", Page::new()).is_empty());
+    fn debug_text_is_pinned() {
+        assert_eq!(format!("{:?}", Page::new()), "Page(0/4096 nonzero bytes)");
+        let mut p = Page::new();
+        p.write_u64(0, 0x0100_0001);
+        assert_eq!(format!("{p:?}"), "Page(2/4096 nonzero bytes)");
+        p.write_u64(0, 0);
+        assert_eq!(format!("{p:?}"), "Page(0/4096 nonzero bytes)");
     }
 }

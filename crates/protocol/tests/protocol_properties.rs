@@ -22,6 +22,42 @@ fn page_from(writes: &[(usize, u8)]) -> Page {
 }
 
 proptest! {
+    /// Whether a page owns a buffer is unobservable: a page built
+    /// lazily (unmaterialized when nothing was written) and the same
+    /// content in a buffer allocated up front agree in every
+    /// operation, and writing a page back to zeros makes it equal to
+    /// a fresh one again.
+    #[test]
+    fn page_representation_is_unobservable(writes in sparse_writes(), other_w in sparse_writes()) {
+        let lazy = page_from(&writes);
+        let mut eager = Page::new();
+        eager.bytes_mut().fill(0);
+        prop_assert!(eager.is_materialized());
+        for &(off, v) in &writes {
+            eager.bytes_mut()[off] = v;
+        }
+        prop_assert_eq!(lazy.is_materialized(), !writes.is_empty());
+        prop_assert_eq!(&lazy, &eager);
+        prop_assert_eq!(lazy.bytes(), eager.bytes());
+        prop_assert_eq!(format!("{lazy:?}"), format!("{eager:?}"));
+
+        let other = page_from(&other_w);
+        prop_assert_eq!(Diff::between(&lazy, &other), Diff::between(&eager, &other));
+        prop_assert_eq!(Diff::between(&other, &lazy), Diff::between(&other, &eager));
+        let (mut onto_fresh, mut onto_other) = (Page::new(), other.clone());
+        onto_fresh.copy_from(&lazy);
+        onto_other.copy_from(&lazy);
+        prop_assert_eq!(&onto_fresh, &eager);
+        prop_assert_eq!(&onto_other, &eager);
+
+        let mut rezeroed = lazy.clone();
+        for &(off, _) in &writes {
+            rezeroed.bytes_mut()[off] = 0;
+        }
+        prop_assert_eq!(&rezeroed, &Page::new());
+        prop_assert!(Diff::between(&Page::new(), &rezeroed).is_empty());
+    }
+
     /// apply(between(twin, current), twin) == current — always.
     #[test]
     fn diff_round_trip(twin_w in sparse_writes(), cur_w in sparse_writes()) {

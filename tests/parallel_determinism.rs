@@ -138,6 +138,14 @@ fn digests_at(jobs: usize) -> Vec<(String, u64, u64, usize)> {
 
 /// The whole grid digests identically at `--jobs 1` and `--jobs 8`:
 /// parallel scheduling is invisible in the results.
+///
+/// This thread first drives every cell itself (`jobs = 1`: it parks in
+/// the conductor's hand-off and its application threads `unpark` it),
+/// then blocks on the pool's `mpsc` receiver, which parks on the same
+/// per-thread token. The two cannot confuse each other: both re-check
+/// their own state after every `park`, so a wake-up that arrives late
+/// from the other mechanism costs one spurious turn of the loop and
+/// can never be a lost one.
 #[test]
 fn parallel_and_serial_cells_are_digest_identical() {
     let serial = digests_at(1);
