@@ -320,8 +320,77 @@ fn bench_interval_log(c: &mut Criterion) {
     group.finish();
 }
 
+/// The run loop's fifth phase on its own: what the oracle's per-event
+/// check costs after an event that moved nothing (most events — the
+/// cost is O(nodes) word compares whatever the lock tables hold), and
+/// after one that moved a token (one sweep of the held tokens).
+fn bench_oracle(c: &mut Criterion) {
+    use rsdsm_core::bench_hooks::OracleProbe;
+
+    let mut group = c.benchmark_group("oracle");
+    let mut small = OracleProbe::new(8, 256);
+    group.bench_function("check_event_quiet_8n_256tokens", |b| {
+        b.iter(|| small.quiet_event())
+    });
+    let mut wide = OracleProbe::new(256, 256);
+    group.bench_function("check_event_quiet_256n", |b| b.iter(|| wide.quiet_event()));
+    group.bench_function("check_event_token_move_8n_256tokens", |b| {
+        b.iter(|| small.token_move_event())
+    });
+    group.finish();
+    assert_eq!(small.violations() + wide.violations(), 0);
+}
+
+/// A 64-page checkpoint made durable: the segmented image plus the
+/// record committing it. The public path hashes every byte twice (the
+/// segment checks, then the whole image); `persist_checkpoint`'s walks
+/// the two hashes together.
+fn bench_checkpoint_persist(c: &mut Criterion) {
+    use rsdsm_core::{Checkpoint, CommitRecord, PageImage};
+
+    let ckpt = Checkpoint {
+        node: 0,
+        epoch: 4,
+        vc: VectorClock::new(8),
+        pages: (0..64)
+            .map(|index| PageImage {
+                index,
+                valid: true,
+                data: page_pair(8).1,
+            })
+            .collect(),
+        diffs: vec![],
+        intervals: vec![],
+        tokens: vec![],
+    };
+    let mut group = c.benchmark_group("checkpoint");
+    group.bench_function("segment_commit_64pages_two_pass", |b| {
+        b.iter(|| {
+            let image = black_box(&ckpt).encode_segmented();
+            let commit = CommitRecord::for_payload(ckpt.epoch, 1, &image);
+            (image, commit)
+        })
+    });
+    group.bench_function("segment_commit_64pages", |b| {
+        b.iter(|| {
+            let inner = black_box(&ckpt).encode();
+            let (image, payload_fnv) = rsdsm_core::bench_hooks::segment_hashed(ckpt.epoch, &inner);
+            let commit = CommitRecord {
+                epoch: ckpt.epoch,
+                seq: 1,
+                payload_len: image.len() as u32,
+                payload_fnv,
+            };
+            (image, commit)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_oracle,
+    bench_checkpoint_persist,
     bench_diffs,
     bench_page_pool,
     bench_conductor,

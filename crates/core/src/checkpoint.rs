@@ -66,7 +66,7 @@ use rsdsm_protocol::{Diff, Page, PageId, VectorClock, PAGE_SIZE};
 
 use crate::msg::{IntervalRecord, LockId};
 use crate::node::NodeState;
-use crate::oracle::fnv1a;
+use crate::oracle::{fnv1a, fnv1a_extend, fnv1a_pair};
 
 /// A node's copy of one page at checkpoint time. Only pages the node
 /// ever held a valid copy of are captured (others would be fetched
@@ -187,12 +187,12 @@ impl Checkpoint {
             })
             .collect();
         diffs.sort_by_key(|d| (d.page, d.seq));
-        let mut tokens = state.locks.tokens_held();
-        tokens.sort();
+        let mut tokens: Vec<LockId> = state.locks.held_tokens().collect();
+        tokens.sort_unstable();
         Checkpoint {
             node,
             epoch,
-            vc: state.vc.clone(),
+            vc: state.vc().clone(),
             pages,
             diffs,
             intervals: state.interval_log().records().to_vec(),
@@ -371,17 +371,45 @@ impl Checkpoint {
 /// Frames `inner`, the `RCK1` bytes of a checkpoint taken at `epoch`,
 /// as the segmented persistence image.
 pub(crate) fn segment(epoch: u32, inner: &[u8]) -> Vec<u8> {
-    let segs = inner.len().div_ceil(SEGMENT_BYTES).max(1);
-    let mut out = Vec::with_capacity(16 + inner.len() + segs * 12);
-    put_u32(&mut out, SEG_MAGIC);
-    put_u32(&mut out, epoch);
-    put_u32(&mut out, segs as u32);
-    put_u32(&mut out, inner.len() as u32);
+    let mut out = segmented_header(epoch, inner.len());
     for chunk in inner.chunks(SEGMENT_BYTES) {
         put_u32(&mut out, chunk.len() as u32);
         put_u64(&mut out, fnv1a(chunk));
         out.extend_from_slice(chunk);
     }
+    out
+}
+
+/// [`segment`]'s image together with the FNV-1a of that image (what
+/// its [`CommitRecord`] certifies), every payload byte walked once
+/// instead of twice: while the image hash runs over segment *i*, the
+/// check of segment *i + 1* runs beside it (see [`fnv1a_pair`]).
+pub(crate) fn segment_hashed(epoch: u32, inner: &[u8]) -> (Vec<u8>, u64) {
+    let mut out = segmented_header(epoch, inner.len());
+    let mut image = fnv1a(&out);
+    let mut chunks = inner.chunks(SEGMENT_BYTES).peekable();
+    let mut check = chunks.peek().map_or(0, |first| fnv1a(first));
+    while let Some(chunk) = chunks.next() {
+        let frame = out.len();
+        put_u32(&mut out, chunk.len() as u32);
+        put_u64(&mut out, check);
+        image = fnv1a_extend(image, &out[frame..]);
+        let next = chunks.peek().copied().unwrap_or_default();
+        (image, check) = fnv1a_pair(image, chunk, next);
+        out.extend_from_slice(chunk);
+    }
+    (out, image)
+}
+
+/// The segmented image's header, in a buffer sized for the whole
+/// image of an `inner_len`-byte checkpoint.
+fn segmented_header(epoch: u32, inner_len: usize) -> Vec<u8> {
+    let segs = inner_len.div_ceil(SEGMENT_BYTES).max(1);
+    let mut out = Vec::with_capacity(16 + inner_len + segs * 12);
+    put_u32(&mut out, SEG_MAGIC);
+    put_u32(&mut out, epoch);
+    put_u32(&mut out, segs as u32);
+    put_u32(&mut out, inner_len as u32);
     out
 }
 
@@ -583,6 +611,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Checkpoint {
         let mut page = Page::new();
@@ -751,6 +780,33 @@ mod tests {
                 matches!(state, SlotState::Torn),
                 "commit cut at {cut}: {state:?}"
             );
+        }
+    }
+
+    proptest! {
+        /// The one-walk image and hash are the two-pass ones, byte for
+        /// byte, at every length around a segment boundary.
+        #[test]
+        fn one_walk_image_equals_two_pass(
+            shape in 0usize..8,
+            k in 1usize..6,
+            epoch in any::<u32>(),
+            bytes in prop::collection::vec(any::<u8>(), 5 * SEGMENT_BYTES + 1),
+        ) {
+            let len = match shape {
+                0 => 0,
+                1 => 1,
+                2 => SEGMENT_BYTES - 1,
+                3 => SEGMENT_BYTES,
+                4 => SEGMENT_BYTES + 1,
+                5 => k * SEGMENT_BYTES - 1,
+                6 => k * SEGMENT_BYTES,
+                _ => k * SEGMENT_BYTES + 1,
+            };
+            let inner = &bytes[..len];
+            let (image, hash) = segment_hashed(epoch, inner);
+            prop_assert_eq!(&image, &segment(epoch, inner));
+            prop_assert_eq!(hash, CommitRecord::for_payload(epoch, 1, &image).payload_fnv);
         }
     }
 

@@ -317,7 +317,7 @@ impl Core<'_> {
                 stamps: req.stamps,
                 want_base: req.want_base,
                 class,
-                vc: self.nodes[n].vc.clone(),
+                vc: self.nodes[n].vc().clone(),
             };
             if !self.post(end, n, req.to, body) {
                 self.nodes[n].counters.pf_send_drops += 1;
@@ -450,16 +450,16 @@ impl Core<'_> {
     /// when nothing is dirty.
     pub(super) fn close_interval(&mut self, n: NodeId, at: SimTime) -> SimTime {
         let node = &mut self.nodes[n];
-        let m = &mut node.mem;
-        let dirty: Vec<PageId> = std::mem::take(&mut m.dirty)
+        let dirty: Vec<PageId> = std::mem::take(&mut node.mem.dirty)
             .into_iter()
-            .filter(|p| m.pages[p.index()].twin.is_some())
+            .filter(|p| node.mem.pages[p.index()].twin.is_some())
             .collect();
         if dirty.is_empty() {
             return at;
         }
-        let seq = node.vc.tick(n);
-        let stamp = Arc::new(node.vc.clone());
+        let seq = node.tick_clock();
+        let stamp = Arc::new(node.vc().clone());
+        let m = &mut node.mem;
         let mut cost = SimDuration::ZERO;
         let mut seen = HashSet::new();
         let mut pages_list = Vec::new();
@@ -595,8 +595,8 @@ impl Core<'_> {
             // the fresh diff rides along in the reply.
             let node = &mut self.nodes[m];
             if let Some(twin) = node.mem.pages[page.index()].twin.take() {
-                let seq = node.vc.tick(m);
-                let stamp = Arc::new(node.vc.clone());
+                let seq = node.tick_clock();
+                let stamp = Arc::new(node.vc().clone());
                 let entry = &node.mem.pages[page.index()];
                 let diff = Diff::between(&twin, &entry.data);
                 if self.oracle.cfg.invariants {
@@ -945,8 +945,8 @@ mod tests {
         let mut data = twin.clone();
         data.write_u64(8, 42);
         let diff = Diff::between(&twin, &data);
-        nodes[1].vc.tick(1);
-        let stamp = Arc::new(nodes[1].vc.clone());
+        nodes[1].tick_clock();
+        let stamp = Arc::new(nodes[1].vc().clone());
         nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
         nodes[1].learn_interval(&Arc::new(IntervalRecord {
             origin: 1,
@@ -971,8 +971,8 @@ mod tests {
         let mut data = Page::new();
         data.write_u64(8, 42);
         let diff = Diff::between(&twin, &data);
-        nodes[1].vc.tick(1);
-        let stamp = Arc::new(nodes[1].vc.clone());
+        nodes[1].tick_clock();
+        let stamp = Arc::new(nodes[1].vc().clone());
         nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
         nodes[1].learn_interval(&Arc::new(IntervalRecord {
             origin: 1,

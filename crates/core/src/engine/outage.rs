@@ -21,8 +21,8 @@ use rsdsm_simnet::{NodeId, PersistDevice, SimDuration, SimTime, Topology};
 use super::{Core, Event};
 use crate::accounting::Category;
 use crate::checkpoint::{
-    classify_slot, commit_region, payload_region, segment, slot_for_seq, Checkpoint, CommitRecord,
-    SlotState, COMMIT_LEN, SLOT_COUNT, SLOT_REGIONS,
+    classify_slot, commit_region, payload_region, segment, segment_hashed, slot_for_seq,
+    Checkpoint, CommitRecord, SlotState, COMMIT_LEN, SLOT_COUNT, SLOT_REGIONS,
 };
 use crate::config::{DsmConfig, MANAGER};
 use crate::msg::MsgBody;
@@ -778,7 +778,8 @@ impl Core<'_> {
         encoded: Vec<u8>,
         at: SimTime,
     ) -> SimTime {
-        let payload = segment(epoch, &encoded);
+        let (payload, payload_fnv) = segment_hashed(epoch, &encoded);
+        debug_assert_eq!(payload, segment(epoch, &encoded));
         // Not held across the device writes, which copy the image.
         drop(encoded);
         let rec = self.rec();
@@ -786,7 +787,14 @@ impl Core<'_> {
         per.seq[n] += 1;
         let seq = per.seq[n];
         let slot = slot_for_seq(seq);
-        let commit = CommitRecord::for_payload(epoch, seq, &payload).encode();
+        let commit = CommitRecord {
+            epoch,
+            seq,
+            payload_len: payload.len() as u32,
+            payload_fnv,
+        };
+        debug_assert_eq!(commit, CommitRecord::for_payload(epoch, seq, &payload));
+        let commit = commit.encode();
         let image_bytes = (payload.len() + commit.len()) as u64;
         let committed = {
             let dev = &mut per.devices[n];

@@ -95,7 +95,7 @@ impl Core<'_> {
                 self.nodes[n].counters.lock_events += 1;
                 let end = self.charge(n, now, self.cfg.costs.msg_send, Category::DsmOverhead, None);
                 let manager = self.nodes[n].locks.manager(lock);
-                let vc = self.nodes[n].vc.clone();
+                let vc = self.nodes[n].vc().clone();
                 if manager == n {
                     // We manage the lock but do not hold the token.
                     self.route_as_manager(n, lock, RemoteWaiter { node: n, vc }, end);
@@ -188,7 +188,7 @@ impl Core<'_> {
             NO_CAUSE,
             TraceEvent::LockGrant { lock: lock.0 },
         );
-        let vc = self.nodes[n].vc.clone();
+        let vc = self.nodes[n].vc().clone();
         let new_owner = waiter.node;
         self.post(
             end,
@@ -317,7 +317,7 @@ impl Core<'_> {
         for rec in intervals {
             self.record_interval(n, rec, end);
         }
-        self.nodes[n].vc.join(vc);
+        self.nodes[n].join_clock(vc);
         match self.nodes[n].locks.handle_grant(lock) {
             GrantOutcome::WakeLocal(tid) => {
                 self.oracle.record_grant(lock, tid);
@@ -363,7 +363,7 @@ impl Core<'_> {
         );
         let node = &self.nodes[n];
         let intervals = node.intervals_unknown_to(&node.last_release_vc);
-        let vc = node.vc.clone();
+        let vc = node.vc().clone();
         if n == MANAGER {
             end = self.charge_sync(n, end);
             // Block first: when this is the last arrival cluster-wide,
@@ -463,8 +463,8 @@ impl Core<'_> {
         for rec in intervals {
             self.record_interval(n, rec, end);
         }
-        self.nodes[n].vc.join(vc);
-        self.nodes[n].last_release_vc = self.nodes[n].vc.clone();
+        self.nodes[n].join_clock(vc);
+        self.nodes[n].last_release_vc = self.nodes[n].vc().clone();
 
         // Garbage collection point: charge the pass's CPU time (the
         // cost TreadMarks pays to validate and reclaim diff storage).

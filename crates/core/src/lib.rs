@@ -38,6 +38,8 @@
 
 mod accounting;
 mod barrier;
+#[doc(hidden)]
+pub mod bench_hooks;
 mod checkpoint;
 mod conductor;
 mod config;

@@ -13,6 +13,7 @@
 //! This module is the pure per-node state machine; the engine performs
 //! the messaging and cost accounting its decisions call for.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use rsdsm_protocol::VectorClock;
@@ -97,6 +98,13 @@ impl LockLocal {
             passed_to: None,
         }
     }
+
+    /// The one writer of `has_token` on a live entry; `moves` is the
+    /// owning table's [`LockTable::token_moves`].
+    fn set_token(&mut self, held: bool, moves: &mut u64) {
+        self.has_token = held;
+        *moves += 1;
+    }
 }
 
 /// Per-node lock state for every lock the node has touched, plus the
@@ -108,6 +116,11 @@ pub struct LockTable {
     locks: HashMap<LockId, LockLocal>,
     /// For locks managed here: the probable current owner.
     managed_owner: HashMap<LockId, NodeId>,
+    /// Bumped by every change to what [`LockTable::held_tokens`]
+    /// yields: each write of a `has_token`, and each entry that
+    /// materializes already holding its manager's token. The oracle
+    /// re-checks token uniqueness only when some table's count moved.
+    token_moves: u64,
 }
 
 impl LockTable {
@@ -118,6 +131,7 @@ impl LockTable {
             nodes,
             locks: HashMap::new(),
             managed_owner: HashMap::new(),
+            token_moves: 0,
         }
     }
 
@@ -126,16 +140,24 @@ impl LockTable {
         lock.0 as usize % self.nodes
     }
 
-    fn entry(&mut self, lock: LockId) -> &mut LockLocal {
+    /// The state of `lock` here (created on first touch: the token
+    /// starts at the lock's manager), with the move counter a token
+    /// write must bump.
+    fn entry(&mut self, lock: LockId) -> (&mut LockLocal, &mut u64) {
         let starts_here = self.manager(lock) == self.node;
-        self.locks
-            .entry(lock)
-            .or_insert_with(|| LockLocal::new(starts_here))
+        let e = match self.locks.entry(lock) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                self.token_moves += u64::from(starts_here);
+                v.insert(LockLocal::new(starts_here))
+            }
+        };
+        (e, &mut self.token_moves)
     }
 
     /// Thread `tid` wants `lock`.
     pub fn acquire(&mut self, lock: LockId, tid: ThreadId) -> AcquireOutcome {
-        let e = self.entry(lock);
+        let (e, _) = self.entry(lock);
         if e.has_token && e.held_by.is_none() && e.local_queue.is_empty() {
             e.held_by = Some(tid);
             return AcquireOutcome::Granted;
@@ -155,7 +177,7 @@ impl LockTable {
     ///
     /// Panics if `tid` does not hold the lock.
     pub fn release(&mut self, lock: LockId, tid: ThreadId) -> ReleaseOutcome {
-        let e = self.entry(lock);
+        let (e, moves) = self.entry(lock);
         assert_eq!(e.held_by, Some(tid), "release by non-holder");
         if let Some(next) = e.local_queue.pop_front() {
             e.held_by = Some(next);
@@ -163,7 +185,7 @@ impl LockTable {
         }
         e.held_by = None;
         if let Some(waiter) = e.remote_queue.pop_front() {
-            e.has_token = false;
+            e.set_token(false, moves);
             e.passed_to = Some(waiter.node);
             return ReleaseOutcome::GrantRemote(waiter);
         }
@@ -173,10 +195,10 @@ impl LockTable {
     /// A request for `lock` was forwarded to this node (it is, or
     /// recently was, the owner).
     pub fn handle_forward(&mut self, lock: LockId, waiter: RemoteWaiter) -> ForwardOutcome {
-        let e = self.entry(lock);
+        let (e, moves) = self.entry(lock);
         if e.has_token {
             if e.held_by.is_none() && e.local_queue.is_empty() && !e.token_requested {
-                e.has_token = false;
+                e.set_token(false, moves);
                 e.passed_to = Some(waiter.node);
                 return ForwardOutcome::Grant(waiter);
             }
@@ -193,9 +215,9 @@ impl LockTable {
 
     /// The token for `lock` arrived (a grant from the previous owner).
     pub fn handle_grant(&mut self, lock: LockId) -> GrantOutcome {
-        let e = self.entry(lock);
+        let (e, moves) = self.entry(lock);
         debug_assert!(!e.has_token, "grant while already holding token");
-        e.has_token = true;
+        e.set_token(true, moves);
         e.token_requested = false;
         e.passed_to = None;
         match e.local_queue.pop_front() {
@@ -213,10 +235,10 @@ impl LockTable {
     /// [`GrantOutcome::TokenParked`] so a parked token never strands
     /// remote requesters.
     pub fn take_remote_if_free(&mut self, lock: LockId) -> Option<RemoteWaiter> {
-        let e = self.entry(lock);
+        let (e, moves) = self.entry(lock);
         if e.has_token && e.held_by.is_none() && e.local_queue.is_empty() {
             if let Some(w) = e.remote_queue.pop_front() {
-                e.has_token = false;
+                e.set_token(false, moves);
                 e.passed_to = Some(w.node);
                 return Some(w);
             }
@@ -230,7 +252,7 @@ impl LockTable {
     /// they would be stranded at a node that will never hold the
     /// token again.
     pub fn drain_remote_queue(&mut self, lock: LockId) -> Vec<RemoteWaiter> {
-        let e = self.entry(lock);
+        let (e, _) = self.entry(lock);
         debug_assert!(!e.has_token, "draining while still holding the token");
         e.remote_queue.drain(..).collect()
     }
@@ -263,17 +285,20 @@ impl LockTable {
             || (!self.locks.contains_key(&lock) && self.manager(lock) == self.node)
     }
 
-    /// Every lock whose token is currently at this node (for the
-    /// engine's debug invariant checks).
-    pub fn tokens_held(&self) -> Vec<LockId> {
-        let mut held: Vec<LockId> = self
-            .locks
+    /// Every touched lock whose token is currently at this node, in
+    /// no particular order (a lock this node manages and nobody has
+    /// touched yet has no entry and is not listed).
+    pub fn held_tokens(&self) -> impl Iterator<Item = LockId> + '_ {
+        self.locks
             .iter()
             .filter(|(_, e)| e.has_token)
             .map(|(l, _)| *l)
-            .collect();
-        held.sort();
-        held
+    }
+
+    /// How often [`LockTable::held_tokens`]' answer may have changed
+    /// since the table was built; never decreases.
+    pub fn token_moves(&self) -> u64 {
+        self.token_moves
     }
 
     /// The local thread currently holding `lock`, if any.
@@ -414,6 +439,40 @@ mod tests {
         assert_eq!(leftovers.len(), 1);
         assert_eq!(leftovers[0].node, 2);
         assert!(t.drain_remote_queue(LockId(0)).is_empty());
+    }
+
+    /// `token_moves` counts what `held_tokens` can see change — a
+    /// token arriving, leaving, or materializing with its manager's
+    /// first touch — and nothing else.
+    #[test]
+    fn token_moves_counts_exactly_the_token_flips() {
+        let held = |t: &LockTable| {
+            let mut held: Vec<LockId> = t.held_tokens().collect();
+            held.sort();
+            held
+        };
+        let mut t = LockTable::new(0, 2);
+        assert_eq!(t.token_moves(), 0);
+        // Lock 1 is managed elsewhere: touching it moves no token.
+        t.acquire(LockId(1), ThreadId(0));
+        assert_eq!((t.token_moves(), held(&t)), (0, vec![]));
+        // Lock 0 is managed here: its first touch materializes the
+        // token.
+        t.acquire(LockId(0), ThreadId(1));
+        assert_eq!((t.token_moves(), held(&t)), (1, vec![LockId(0)]));
+        // Local traffic under a held token moves nothing.
+        t.acquire(LockId(0), ThreadId(2));
+        t.release(LockId(0), ThreadId(1));
+        t.release(LockId(0), ThreadId(2));
+        assert_eq!(t.take_remote_if_free(LockId(0)), None);
+        assert_eq!(t.token_moves(), 1);
+        // Granting it away is one move, lock 1's token arriving
+        // another.
+        let w = RemoteWaiter { node: 1, vc: vc() };
+        t.handle_forward(LockId(0), w);
+        assert_eq!((t.token_moves(), held(&t)), (2, vec![]));
+        t.handle_grant(LockId(1));
+        assert_eq!((t.token_moves(), held(&t)), (3, vec![LockId(1)]));
     }
 
     #[test]

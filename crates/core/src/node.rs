@@ -281,8 +281,13 @@ pub(crate) struct NodeState {
     pub id: NodeId,
     /// The node's memory (lent to the running thread during a burst).
     pub mem: NodeMem,
-    /// The node's vector clock.
-    pub vc: VectorClock,
+    /// The node's vector clock. Private, with `clock_version`: every
+    /// write goes through [`NodeState::tick_clock`] or
+    /// [`NodeState::join_clock`] and bumps the version, so the oracle
+    /// re-checks a clock exactly when it may have moved.
+    vc: VectorClock,
+    /// Writes of `vc` so far; never decreases.
+    clock_version: u64,
     /// Write notices known locally.
     pub board: NoticeBoard,
     /// Prefetched diff replies awaiting use.
@@ -347,6 +352,7 @@ impl NodeState {
             id,
             mem,
             vc: VectorClock::new(nodes),
+            clock_version: 0,
             board: NoticeBoard::new(),
             cache: DiffCache::new(),
             base_cache: HashMap::new(),
@@ -365,6 +371,38 @@ impl NodeState {
             counters: NodeCounters::default(),
             burst: None,
         }
+    }
+
+    /// The node's vector clock.
+    pub fn vc(&self) -> &VectorClock {
+        &self.vc
+    }
+
+    /// How many times the clock has been written; never decreases.
+    pub fn clock_version(&self) -> u64 {
+        self.clock_version
+    }
+
+    /// Opens the node's next interval: advances its own component and
+    /// returns the new value (the interval's sequence number).
+    pub fn tick_clock(&mut self) -> u32 {
+        self.clock_version += 1;
+        self.vc.tick(self.id)
+    }
+
+    /// Merges `other` into the clock (a grant's or a barrier
+    /// release's knowledge).
+    pub fn join_clock(&mut self, other: &VectorClock) {
+        self.clock_version += 1;
+        self.vc.join(other);
+    }
+
+    /// Overwrites the clock with an arbitrary value — a write the
+    /// protocol never makes, for tests that forge a regression.
+    #[cfg(test)]
+    pub fn forge_clock(&mut self, forged: VectorClock) {
+        self.clock_version += 1;
+        self.vc = forged;
     }
 
     /// Intervals this node knows that `vc` does not dominate, in the

@@ -24,8 +24,30 @@
 //! The oracle is off by default ([`OracleConfig::off`]) and costs
 //! nothing; paper-scale benches keep it off, tests switch it on with
 //! [`DsmConfig::with_oracle`](crate::DsmConfig::with_oracle).
+//!
+//! # What the per-event check costs
+//!
+//! The run loop calls the per-event check after *every* event, so it
+//! is version-driven: it re-checks only what the event moved. A
+//! quiet event costs one `u64` compare per node (the clock versions)
+//! plus one sum over the nodes' token-move counts; a clock that moved
+//! costs one dominance check and one copy; a token that moved costs
+//! one sweep of the held tokens into a reused, sorted scratch list.
+//! Nothing is hashed and, on a coherent run, nothing is allocated.
+//!
+//! This is exact, not sampled, because of one rule: **a lock's
+//! `has_token` is writable only inside `lock.rs` and a node's clock
+//! only inside `node.rs`, and every such write bumps a counter**
+//! ([`LockTable::token_moves`](crate::lock::LockTable::token_moves),
+//! [`NodeState::clock_version`]). A state the counters call unchanged
+//! *is* unchanged, so skipping its re-check loses no violation. While
+//! a duplicate token persists the sweep repeats on every event, so a
+//! broken run records what a full per-event sweep would. The full
+//! sweep survives as the test-only reference the version-driven check
+//! is differentially tested against.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock};
 use rsdsm_simnet::{NodeId, SimTime};
@@ -145,6 +167,38 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// `(fnv1a_extend(h, a), fnv1a(b))` in one walk. The FNV loop is bound
+/// by the latency of its multiply, not the throughput, so the two
+/// independent chains interleave and the pair costs about what the
+/// longer one costs alone.
+pub(crate) fn fnv1a_pair(mut h: u64, a: &[u8], b: &[u8]) -> (u64, u64) {
+    let mut g = FNV_OFFSET;
+    let both = a.len().min(b.len());
+    for (&x, &y) in a[..both].iter().zip(&b[..both]) {
+        h = (h ^ x as u64).wrapping_mul(FNV_PRIME);
+        g = (g ^ y as u64).wrapping_mul(FNV_PRIME);
+    }
+    (fnv1a_extend(h, &a[both..]), fnv1a_extend(g, &b[both..]))
+}
+
+/// A [`fmt::Write`] sink that folds what is written into an FNV-1a
+/// hash: the digest of a rendering that is never built.
+pub(crate) struct FnvWriter(pub u64);
+
+impl FnvWriter {
+    /// A sink whose hash so far is that of the empty string.
+    pub fn new() -> Self {
+        FnvWriter(FNV_OFFSET)
+    }
+}
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
 /// FNV-1a digest of a whole memory image, page order significant.
 pub fn digest_pages(pages: &[Page]) -> u64 {
     let mut h = FNV_OFFSET;
@@ -168,9 +222,28 @@ pub(crate) struct OracleState {
     pub cfg: OracleConfig,
     pub violations: Vec<Violation>,
     pub lock_trace: Vec<GrantRecord>,
-    /// Last observed vector clock per node (monotonicity check).
-    prev_vcs: Vec<VectorClock>,
+    /// Per node: the clock last observed and the
+    /// [`NodeState::clock_version`] it was observed at.
+    seen_clocks: Vec<(u64, VectorClock)>,
+    /// Sum of every node's
+    /// [`token_moves`](crate::lock::LockTable::token_moves) at the
+    /// last token sweep.
+    swept_at_moves: u64,
+    /// Whether the last sweep found a token held twice; the sweep
+    /// then repeats on every event until it no longer does.
+    duplicate_token: bool,
+    /// Scratch of the token sweep: every held token with its holder.
+    held: Vec<(LockId, NodeId)>,
+    /// Scratch of the round-trip check: the twin with the diff
+    /// applied.
+    replayed: Page,
     barriers: HashMap<BarrierId, BarrierEpoch>,
+    /// Token sweeps performed.
+    #[cfg(test)]
+    pub token_sweeps: u64,
+    /// Clocks compared against their last observed value.
+    #[cfg(test)]
+    pub clock_compares: u64,
 }
 
 impl OracleState {
@@ -179,8 +252,16 @@ impl OracleState {
             cfg,
             violations: Vec::new(),
             lock_trace: Vec::new(),
-            prev_vcs: (0..nodes).map(|_| VectorClock::new(nodes)).collect(),
+            seen_clocks: (0..nodes).map(|_| (0, VectorClock::new(nodes))).collect(),
+            swept_at_moves: 0,
+            duplicate_token: false,
+            held: Vec::new(),
+            replayed: Page::new(),
             barriers: HashMap::new(),
+            #[cfg(test)]
+            token_sweeps: 0,
+            #[cfg(test)]
+            clock_compares: 0,
         }
     }
 
@@ -192,30 +273,53 @@ impl OracleState {
         }
     }
 
-    /// Per-event sweep: vector clocks never regress, and no lock's
-    /// token is held by two nodes at once.
+    /// Per-event check: vector clocks never regress, and no lock's
+    /// token is held by two nodes at once. Looks only at what moved
+    /// since the last call (see the module header for why that is
+    /// exact); several duplicate tokens found after one event are
+    /// reported in `LockId` order.
     pub fn check_event(&mut self, nodes: &[NodeState], at: SimTime) {
+        let mut moves = 0;
         for node in nodes {
-            let prev = &mut self.prev_vcs[node.id];
-            if node.vc != *prev {
-                if !node.vc.dominates(prev) {
-                    self.violations.push(Violation {
-                        kind: InvariantKind::ClockMonotonicity,
-                        at,
-                        detail: format!("node {} clock went from {} to {}", node.id, prev, node.vc),
-                    });
-                }
-                prev.clone_from(&node.vc);
+            moves += node.locks.token_moves();
+            let (seen, prev) = &mut self.seen_clocks[node.id];
+            if *seen == node.clock_version() {
+                continue;
             }
+            *seen = node.clock_version();
+            #[cfg(test)]
+            {
+                self.clock_compares += 1;
+            }
+            if !node.vc().dominates(prev) {
+                self.violations.push(Violation {
+                    kind: InvariantKind::ClockMonotonicity,
+                    at,
+                    detail: format!("node {} clock went from {} to {}", node.id, prev, node.vc()),
+                });
+            }
+            prev.clone_from(node.vc());
         }
-        let mut holders: HashMap<LockId, Vec<NodeId>> = HashMap::new();
+
+        if moves == self.swept_at_moves && !self.duplicate_token {
+            return;
+        }
+        self.swept_at_moves = moves;
+        #[cfg(test)]
+        {
+            self.token_sweeps += 1;
+        }
+        self.held.clear();
         for node in nodes {
-            for lock in node.locks.tokens_held() {
-                holders.entry(lock).or_default().push(node.id);
-            }
+            self.held
+                .extend(node.locks.held_tokens().map(|lock| (lock, node.id)));
         }
-        for (lock, held_by) in holders {
-            if held_by.len() > 1 {
+        self.held.sort_unstable();
+        self.duplicate_token = false;
+        for holders in self.held.chunk_by(|a, b| a.0 == b.0) {
+            if let [(lock, _), _, ..] = holders {
+                self.duplicate_token = true;
+                let held_by: Vec<NodeId> = holders.iter().map(|&(_, n)| n).collect();
                 self.violations.push(Violation {
                     kind: InvariantKind::TokenUniqueness,
                     at,
@@ -259,9 +363,9 @@ impl OracleState {
         page: PageId,
         at: SimTime,
     ) {
-        let mut replayed = twin.clone();
-        diff.apply(&mut replayed);
-        if &replayed != data {
+        self.replayed.copy_from(twin);
+        diff.apply(&mut self.replayed);
+        if &self.replayed != data {
             self.violations.push(Violation {
                 kind: InvariantKind::DiffRoundTrip,
                 at,
@@ -309,6 +413,9 @@ impl OracleState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::{ForwardOutcome, ReleaseOutcome, RemoteWaiter};
+    use crate::node::NodeMem;
+    use proptest::prelude::*;
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
@@ -316,6 +423,25 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn paired_walk_equals_two_walks() {
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 31 + 7) as u8).collect();
+        for (a, b) in [(0, 0), (0, 9), (9, 0), (64, 64), (300, 17), (17, 300)] {
+            let (a, b) = (&bytes[..a], &bytes[300 - b..]);
+            let h = fnv1a(b"prefix");
+            assert_eq!(fnv1a_pair(h, a, b), (fnv1a_extend(h, a), fnv1a(b)));
+        }
+    }
+
+    #[test]
+    fn hashing_sink_equals_hashing_the_rendering() {
+        use fmt::Write as _;
+        let value = (vec![Some(3u8), None], "text", 0.5f64);
+        let mut sink = FnvWriter::new();
+        write!(sink, "{value:#?}").expect("the sink never fails");
+        assert_eq!(sink.0, fnv1a(format!("{value:#?}").as_bytes()));
     }
 
     #[test]
@@ -331,22 +457,307 @@ mod tests {
         assert_eq!(digest_pages(&[a.clone(), b.clone()]), digest_pages(&[a, b]));
     }
 
+    fn cluster(n: usize) -> Vec<NodeState> {
+        (0..n)
+            .map(|id| NodeState::new(id, n, 1, NodeMem::default()))
+            .collect()
+    }
+
+    /// The per-event check as it was before it became version-driven,
+    /// kept as the reference the differential tests hold the real one
+    /// to: after every event, compare every node's whole clock and
+    /// regroup every held token by lock. Several duplicates found
+    /// after one event come out in the hash map's order.
+    struct FullSweep {
+        prev_vcs: Vec<VectorClock>,
+    }
+
+    impl FullSweep {
+        fn new(nodes: usize) -> Self {
+            FullSweep {
+                prev_vcs: vec![VectorClock::new(nodes); nodes],
+            }
+        }
+
+        fn check_event(&mut self, nodes: &[NodeState], at: SimTime) -> Vec<Violation> {
+            let mut found = Vec::new();
+            for node in nodes {
+                let prev = &mut self.prev_vcs[node.id];
+                if node.vc() != prev {
+                    if !node.vc().dominates(prev) {
+                        found.push(Violation {
+                            kind: InvariantKind::ClockMonotonicity,
+                            at,
+                            detail: format!(
+                                "node {} clock went from {} to {}",
+                                node.id,
+                                prev,
+                                node.vc()
+                            ),
+                        });
+                    }
+                    prev.clone_from(node.vc());
+                }
+            }
+            let mut holders = HashMap::<LockId, Vec<NodeId>>::new();
+            for node in nodes {
+                for lock in node.locks.held_tokens() {
+                    holders.entry(lock).or_default().push(node.id);
+                }
+            }
+            for (lock, held_by) in holders {
+                if held_by.len() > 1 {
+                    found.push(Violation {
+                        kind: InvariantKind::TokenUniqueness,
+                        at,
+                        detail: format!("{lock:?} token held by nodes {held_by:?}"),
+                    });
+                }
+            }
+            found
+        }
+    }
+
+    /// What one event added, as an order-free multiset.
+    fn multiset(violations: &[Violation]) -> Vec<(String, SimTime, &str)> {
+        let mut set: Vec<_> = violations
+            .iter()
+            .map(|v| (format!("{:?}", v.kind), v.at, v.detail.as_str()))
+            .collect();
+        set.sort();
+        set
+    }
+
     #[test]
     fn clock_regression_is_caught() {
         let mut st = OracleState::new(OracleConfig::full(), 2);
-        let mut nodes: Vec<NodeState> = (0..2)
-            .map(|n| NodeState::new(n, 2, 1, crate::node::NodeMem::default()))
-            .collect();
-        nodes[0].vc.tick(0);
-        nodes[0].vc.tick(0);
+        let mut nodes = cluster(2);
+        nodes[0].tick_clock();
+        nodes[0].tick_clock();
         st.check_event(&nodes, SimTime::ZERO);
         assert!(st.violations.is_empty());
-        // Forge a regression: replace node 0's clock with a fresh one.
-        nodes[0].vc = VectorClock::new(2);
-        nodes[0].vc.tick(0);
+        // Forge a regression: replace node 0's clock with an older one.
+        nodes[0].forge_clock(VectorClock::from_entries(&[1, 0]));
         st.check_event(&nodes, SimTime::ZERO);
         assert_eq!(st.violations.len(), 1);
         assert_eq!(st.violations[0].kind, InvariantKind::ClockMonotonicity);
+        assert_eq!(
+            st.violations[0].detail,
+            "node 0 clock went from <2,0> to <1,0>"
+        );
+    }
+
+    /// Grants `lock`'s token to `to` although nobody gave it up.
+    fn forge_grant(nodes: &mut [NodeState], to: NodeId, lock: LockId) {
+        nodes[to].locks.handle_grant(lock);
+    }
+
+    #[test]
+    fn duplicate_token_is_caught_when_made_and_while_it_lasts() {
+        let mut st = OracleState::new(OracleConfig::full(), 2);
+        let mut nodes = cluster(2);
+        let lock = LockId(0);
+        let at = SimTime::from_nanos;
+        // Node 0 manages the lock and takes it: one token, one holder.
+        nodes[0].locks.acquire(lock, ThreadId(0));
+        st.check_event(&nodes, at(1));
+        assert!(st.violations.is_empty());
+        // The event that forges a second token is the one reported...
+        forge_grant(&mut nodes, 1, lock);
+        st.check_event(&nodes, at(2));
+        assert_eq!(st.violations.len(), 1);
+        assert_eq!(st.violations[0].kind, InvariantKind::TokenUniqueness);
+        assert_eq!(
+            st.violations[0].detail,
+            "LockId(0) token held by nodes [0, 1]"
+        );
+        // ...and so is every later event, whether or not it touches a
+        // lock, for as long as the duplicate lasts.
+        st.check_event(&nodes, at(3));
+        nodes[1].tick_clock();
+        st.check_event(&nodes, at(4));
+        assert_eq!(st.violations.len(), 3);
+        assert_eq!(st.violations[2].at, at(4));
+        // Node 0 passes its token on: one holder again, nothing more
+        // to report, and the sweeps stop.
+        nodes[0].locks.release(lock, ThreadId(0));
+        let waiter = RemoteWaiter {
+            node: 1,
+            vc: VectorClock::new(2),
+        };
+        assert!(matches!(
+            nodes[0].locks.handle_forward(lock, waiter),
+            ForwardOutcome::Grant(_)
+        ));
+        st.check_event(&nodes, at(5));
+        let sweeps = st.token_sweeps;
+        st.check_event(&nodes, at(6));
+        assert_eq!(st.violations.len(), 3);
+        assert_eq!(st.token_sweeps, sweeps);
+    }
+
+    /// Several violations found after one event are reported in
+    /// `LockId` order, so a broken run's report — `violations` is part
+    /// of `RunReport::digest()` — is as deterministic as a coherent
+    /// one's and the finding is not buried under `deterministic:
+    /// false`.
+    #[test]
+    fn a_broken_runs_report_is_deterministic() {
+        use crate::{DsmConfig, DsmCtx, DsmProgram, Heap, Simulation};
+
+        struct Idle;
+        impl DsmProgram for Idle {
+            type Handles = ();
+            fn name(&self) -> String {
+                "idle".into()
+            }
+            fn allocate(&self, _: &mut Heap) {}
+            fn run(&self, _: &mut DsmCtx, _: &()) {}
+        }
+        let cfg = DsmConfig::paper_cluster(2).with_oracle(OracleConfig::full());
+        let mut report = Simulation::new(cfg).run(&Idle).expect("idle runs");
+
+        let mut seen = HashSet::new();
+        for _ in 0..20 {
+            let mut st = OracleState::new(OracleConfig::full(), 2);
+            let mut nodes = cluster(2);
+            // Six locks managed by node 0, each forged onto node 1.
+            for lock in [10, 2, 8, 0, 6, 4].map(LockId) {
+                nodes[0].locks.acquire(lock, ThreadId(0));
+                forge_grant(&mut nodes, 1, lock);
+            }
+            st.check_event(&nodes, SimTime::ZERO);
+            let order: Vec<&str> = st.violations.iter().map(|v| v.detail.as_str()).collect();
+            let expected: Vec<String> = [0, 2, 4, 6, 8, 10]
+                .map(|l| format!("LockId({l}) token held by nodes [0, 1]"))
+                .into();
+            assert_eq!(order, expected);
+            report.oracle.as_mut().expect("oracle on").violations = st.violations;
+            seen.insert(report.digest());
+        }
+        assert_eq!(seen.len(), 1, "one digest across 20 oracle states");
+    }
+
+    /// One step of the differential test below.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Acquire,
+        Release,
+        Forward,
+        TakeRemote,
+        ForgeGrant,
+        Tick,
+        Join,
+        ForgeClock,
+        Quiet,
+    }
+
+    const STEPS: [Step; 16] = [
+        Step::Acquire,
+        Step::Acquire,
+        Step::Acquire,
+        Step::Release,
+        Step::Release,
+        Step::Release,
+        Step::Forward,
+        Step::Forward,
+        Step::Forward,
+        Step::TakeRemote,
+        Step::Tick,
+        Step::Join,
+        Step::Quiet,
+        Step::Quiet,
+        // The salt: rare enough that stretches of the sequence are
+        // coherent, frequent enough that most sequences break.
+        Step::ForgeGrant,
+        Step::ForgeClock,
+    ];
+
+    /// Delivers a token a lock table decided to pass on (the engine
+    /// would send a `LockGrant`), unless a forgery already put one
+    /// there.
+    fn deliver(nodes: &mut [NodeState], lock: LockId, to: NodeId) {
+        if !nodes[to].locks.has_token(lock) {
+            nodes[to].locks.handle_grant(lock);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The version-driven check against the full sweep, event by
+        /// event, over lock-table and clock traffic that is coherent
+        /// in stretches and forged-broken in others: the same
+        /// violations (kind, time, text) in the same number, including
+        /// the repeat on every event while a duplicate token lasts.
+        /// Only the order within one event may differ — the
+        /// reference's is its hash map's.
+        #[test]
+        fn version_driven_check_equals_the_full_sweep(
+            n in 2usize..=8,
+            locks in 1u32..=12,
+            steps in prop::collection::vec((0usize..STEPS.len(), any::<u32>(), any::<u32>()), 1..200),
+        ) {
+            let mut nodes = cluster(n);
+            let mut st = OracleState::new(OracleConfig::full(), n);
+            let mut reference = FullSweep::new(n);
+            for (i, (step, a, b)) in steps.into_iter().enumerate() {
+                let at = SimTime::from_nanos(i as u64);
+                let (node, peer) = (a as usize % n, b as usize % n);
+                let lock = LockId(b % locks);
+                let tid = ThreadId(node);
+                match STEPS[step] {
+                    Step::Acquire => {
+                        nodes[node].locks.acquire(lock, tid);
+                    }
+                    Step::Release => {
+                        if nodes[node].locks.holder(lock) == Some(tid) {
+                            if let ReleaseOutcome::GrantRemote(w) =
+                                nodes[node].locks.release(lock, tid)
+                            {
+                                deliver(&mut nodes, lock, w.node);
+                            }
+                        }
+                    }
+                    Step::Forward => {
+                        let waiter = RemoteWaiter { node: peer, vc: nodes[peer].vc().clone() };
+                        let lock = LockId(a % locks);
+                        if let ForwardOutcome::Grant(w) =
+                            nodes[node].locks.handle_forward(lock, waiter)
+                        {
+                            deliver(&mut nodes, lock, w.node);
+                        }
+                    }
+                    Step::TakeRemote => {
+                        if let Some(w) = nodes[node].locks.take_remote_if_free(lock) {
+                            deliver(&mut nodes, lock, w.node);
+                        }
+                    }
+                    Step::ForgeGrant => {
+                        if !nodes[node].locks.has_token(lock) {
+                            forge_grant(&mut nodes, node, lock);
+                        }
+                    }
+                    Step::Tick => {
+                        nodes[node].tick_clock();
+                    }
+                    Step::Join => {
+                        let other = nodes[peer].vc().clone();
+                        nodes[node].join_clock(&other);
+                    }
+                    Step::ForgeClock => nodes[node].forge_clock(VectorClock::new(n)),
+                    Step::Quiet => {}
+                }
+                let before = st.violations.len();
+                st.check_event(&nodes, at);
+                let expected = reference.check_event(&nodes, at);
+                prop_assert_eq!(
+                    multiset(&st.violations[before..]),
+                    multiset(&expected),
+                    "step {} ({:?})", i, STEPS[step]
+                );
+            }
+        }
     }
 
     #[test]

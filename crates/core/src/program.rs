@@ -98,6 +98,11 @@ impl VerifyCtx {
         VerifyCtx { pages }
     }
 
+    /// Gives the image back once verification is done.
+    pub(crate) fn into_pages(self) -> Vec<Page> {
+        self.pages
+    }
+
     /// Reads element `i` of a shared array from the final image.
     ///
     /// # Panics

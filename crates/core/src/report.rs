@@ -7,7 +7,7 @@ use rsdsm_simnet::{FaultStats, NetStats, SimDuration};
 use crate::accounting::Breakdown;
 use crate::config::{ConfigError, DsmConfig};
 use crate::node::NodeState;
-use crate::oracle::{fnv1a, OracleOutcome};
+use crate::oracle::{FnvWriter, OracleOutcome};
 use crate::prefetch::AdaptiveStats;
 use crate::recovery::RecoveryStats;
 use crate::trace::TraceMetrics;
@@ -394,7 +394,12 @@ impl RunReport {
     /// trace-metrics field is rendered as absent so a traced and an
     /// untraced run of the same (seed, config) digest identically.
     pub fn digest(&self) -> u64 {
-        fnv1a(format!("{:?}", TraceMasked(self)).as_bytes())
+        use fmt::Write as _;
+        // Hashed as it is rendered: the text (every grant record and
+        // page of a captured outcome) is never held in memory.
+        let mut sink = FnvWriter::new();
+        write!(sink, "{:?}", TraceMasked(self)).expect("the sink never fails");
+        sink.0
     }
 
     /// Speedup of this run relative to a baseline total time

@@ -27,9 +27,26 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A per-processor vector timestamp.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     elems: Vec<u32>,
+}
+
+/// By hand for `clone_from`, which the derive leaves at "drop, then
+/// clone": overwriting a clock with another of the cluster's reuses
+/// its buffer.
+impl Clone for VectorClock {
+    #[inline]
+    fn clone(&self) -> Self {
+        VectorClock {
+            elems: self.elems.clone(),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.elems.clone_from(&source.elems);
+    }
 }
 
 /// The timestamp of a closed interval. It never changes once the
@@ -180,6 +197,16 @@ mod tests {
         let a = VectorClock::new(3);
         let b = VectorClock::new(3);
         assert_eq!(a.hb_cmp(&b), Some(Ordering::Equal));
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let mut a = VectorClock::new(3);
+        let b = VectorClock::from_entries(&[4, 0, 9]);
+        let buffer = a.elems.as_ptr();
+        a.clone_from(&b);
+        assert_eq!(a, b);
+        assert_eq!(a.elems.as_ptr(), buffer);
     }
 
     #[test]

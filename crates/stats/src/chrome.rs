@@ -13,7 +13,7 @@
 //! trace alone.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use rsdsm_core::{MissClass, MsgClass, Trace, TraceEvent, NO_THREAD};
 
@@ -30,10 +30,16 @@ fn track(thread: u32, tpn: u32) -> u32 {
     }
 }
 
-/// `ts` in fractional microseconds from sim-time nanoseconds, fixed
-/// to 3 decimals so formatting is deterministic.
-fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Sim-time nanoseconds displayed as `ts` wants them: fractional
+/// microseconds, fixed to 3 decimals so formatting is deterministic.
+/// A `Display` value, so each timestamp is written straight into the
+/// output buffer.
+struct TsUs(u64);
+
+impl fmt::Display for TsUs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+    }
 }
 
 fn kind_label(code: u8) -> &'static str {
@@ -214,8 +220,8 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                      \"name\":\"fault p{page}\",\"args\":{{\"id\":{id},\"cause\":{},\
                      \"page\":{page},\"write\":{write},\"class\":\"{}\"}}}}",
                     rec.node,
-                    ts_us(ns),
-                    ts_us(end_ns.saturating_sub(ns)),
+                    TsUs(ns),
+                    TsUs(end_ns.saturating_sub(ns)),
                     rec.cause,
                     class_name(class)
                 );
@@ -229,7 +235,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                     "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{tid},\"ts\":{},\
                      \"name\":\"{}\",\"args\":{{\"id\":{id},\"cause\":{}",
                     rec.node,
-                    ts_us(ns),
+                    TsUs(ns),
                     event.label(),
                     rec.cause
                 );
