@@ -58,20 +58,24 @@ impl SorApp {
     }
 
     /// Sequential reference with the same update order per color.
+    ///
+    /// Updated in place: a cell's four neighbours are all of the other
+    /// color (`i + j` differs by one), which this sweep never writes,
+    /// so every read sees the grid as it stood when the sweep began —
+    /// bit for bit what a copy taken before the sweep would give.
     fn reference(&self) -> Vec<f64> {
         let mut g: Vec<f64> = (0..self.rows).flat_map(|i| self.initial_row(i)).collect();
         let cols = self.cols;
         for _ in 0..self.iters {
             for color in 0..2usize {
-                let prev = g.clone();
                 for i in 1..self.rows - 1 {
                     for j in 1..cols - 1 {
                         if (i + j) % 2 == color {
                             g[i * cols + j] = 0.25
-                                * (prev[(i - 1) * cols + j]
-                                    + prev[(i + 1) * cols + j]
-                                    + prev[i * cols + j - 1]
-                                    + prev[i * cols + j + 1]);
+                                * (g[(i - 1) * cols + j]
+                                    + g[(i + 1) * cols + j]
+                                    + g[i * cols + j - 1]
+                                    + g[i * cols + j + 1]);
                         }
                     }
                 }

@@ -8,33 +8,30 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use rsdsm_apps::{Benchmark, Scale};
-use rsdsm_bench::queue_replay;
-use rsdsm_core::{DsmConfig, DsmCtx, DsmProgram, Heap, LockId, Simulation};
+use rsdsm_bench::{diff_shapes, queue_replay};
+use rsdsm_core::{DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, LockId, SharedVec, Simulation};
 use rsdsm_protocol::{
     Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, PagePool, VectorClock,
     WriteNotice,
 };
 use rsdsm_simnet::{EventQueue, HeapQueue, NetConfig, Network, Reliability, SimTime};
 
-fn page_pair(stride: usize) -> (Page, Page) {
-    let twin = Page::new();
-    let mut current = twin.clone();
-    for off in (0..rsdsm_protocol::PAGE_SIZE - 8).step_by(stride) {
-        current.write_u64(off, off as u64 + 1);
-    }
-    (twin, current)
-}
-
 fn bench_diffs(c: &mut Criterion) {
     let mut group = c.benchmark_group("diff");
-    for (label, stride) in [("dense", 8), ("sparse", 256)] {
-        let (twin, current) = page_pair(stride);
+    // Isolated counters, the applications' two shapes — an `f64` a
+    // word, and nothing changed at all — see `diff_shapes`.
+    for (label, (twin, current)) in [
+        ("dense", diff_shapes::strided(8)),
+        ("sparse", diff_shapes::strided(256)),
+        ("f64_words", diff_shapes::f64_words()),
+        ("clean", diff_shapes::clean()),
+    ] {
         group.bench_function(format!("create_{label}"), |b| {
             b.iter(|| Diff::between(black_box(&twin), black_box(&current)))
         });
-        // The pre-optimization scan (byte-at-a-time, one allocation
-        // per run): the denominator for the hot-path pass's speedup
-        // claims, measured in the same process.
+        // The byte-at-a-time scan with one allocation per run: the
+        // denominator for the hot-path pass's speedup claims, measured
+        // in the same process.
         group.bench_function(format!("create_{label}_reference"), |b| {
             b.iter(|| Diff::between_reference(black_box(&twin), black_box(&current)))
         });
@@ -58,7 +55,7 @@ fn bench_diffs(c: &mut Criterion) {
 
 fn bench_page_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("page_pool");
-    let (_, src) = page_pair(64);
+    let (_, src) = diff_shapes::strided(64);
     // Twin creation through a warm pool: one memcpy, no zero-init.
     group.bench_function("take_copy_of_warm", |b| {
         let mut pool = PagePool::new();
@@ -110,6 +107,53 @@ fn bench_conductor(c: &mut Criterion) {
                 .events_processed
         })
     });
+    group.finish();
+}
+
+/// Node 0's only thread moves one page of `f64`s through the slice
+/// accessors 100 000 times a run — its own pages, so nothing faults
+/// and the run is the copies plus one spawn. A row's milliseconds
+/// times ten are nanoseconds a slice.
+fn bench_slices(c: &mut Criterion) {
+    const SLICES: usize = 100_000;
+    const F64_PER_PAGE: usize = rsdsm_protocol::PAGE_SIZE / 8;
+    struct PageSlices {
+        write: bool,
+    }
+    impl DsmProgram for PageSlices {
+        type Handles = SharedVec<f64>;
+        fn name(&self) -> String {
+            "page-slices".into()
+        }
+        fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+            heap.alloc(4 * F64_PER_PAGE, HomePolicy::Single(0))
+        }
+        fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
+            let mut buf = vec![1.5; F64_PER_PAGE];
+            ctx.write_slice(v, 0, &buf);
+            for i in 0..SLICES {
+                let start = i % 4 * F64_PER_PAGE;
+                if self.write {
+                    ctx.write_slice(v, start, &buf);
+                } else {
+                    ctx.read_slice(v, start, &mut buf);
+                }
+            }
+            black_box(&buf);
+        }
+    }
+    let sim = Simulation::new(DsmConfig::paper_cluster(1));
+    let mut group = c.benchmark_group("slice");
+    group.sample_size(10);
+    for (label, write) in [("read_4k_f64", false), ("write_4k_f64", true)] {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                sim.run(&PageSlices { write })
+                    .expect("page slices run")
+                    .events_processed
+            })
+        });
+    }
     group.finish();
 }
 
@@ -356,7 +400,7 @@ fn bench_checkpoint_persist(c: &mut Criterion) {
             .map(|index| PageImage {
                 index,
                 valid: true,
-                data: page_pair(8).1,
+                data: diff_shapes::strided(8).1,
             })
             .collect(),
         diffs: vec![],
@@ -394,6 +438,7 @@ criterion_group!(
     bench_diffs,
     bench_page_pool,
     bench_conductor,
+    bench_slices,
     bench_trace_and_report,
     bench_vector_clocks,
     bench_event_queue,

@@ -7,8 +7,9 @@
 //! measures *ratios* on the same machine in the same process — the
 //! only form in which cross-machine perf claims are honest:
 //!
-//! * `diff_between` — chunked u64 page scan vs the byte-at-a-time
-//!   reference, on sparse and dense pages.
+//! * `diff_between` — the word-at-a-time bitmap scan vs the
+//!   byte-at-a-time reference, on sparse, dense and `f64`-per-word
+//!   pages (interleaved rounds, median-of-rounds ratio).
 //! * `trace_encode` — RTR1 encoding with exact pre-sizing, per event.
 //! * `fault_summary` — the single-buffer summary-line formatter.
 //! * `radix_end_to_end` — a full RADIX 2TP simulation cell.
@@ -22,11 +23,11 @@
 use std::time::Instant;
 
 use rsdsm_apps::{Benchmark, Scale};
-use rsdsm_bench::{queue_replay, ExpOpts, Variant};
+use rsdsm_bench::{diff_shapes, queue_replay, ExpOpts, Variant};
 use rsdsm_core::{
     AdaptiveConfig, DsmConfig, FaultPlan, MissClass, StrideDetector, ThrottleController,
 };
-use rsdsm_protocol::{Diff, Page, PAGE_SIZE};
+use rsdsm_protocol::Diff;
 use rsdsm_simnet::{EventQueue, HeapQueue};
 
 /// One measured quantity, reported in nanoseconds.
@@ -49,13 +50,11 @@ fn time<O>(iters: u64, mut f: impl FnMut() -> O) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn dirty_page(stride: usize) -> (Page, Page) {
-    let twin = Page::new();
-    let mut current = twin.clone();
-    for off in (0..PAGE_SIZE - 8).step_by(stride) {
-        current.write_u64(off, off as u64 + 1);
-    }
-    (twin, current)
+/// The median of per-round ratios — the form of a ratio a regression
+/// gate can trust: one disturbed round moves a mean, not this.
+fn median(mut ratios: Vec<f64>) -> f64 {
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
+    ratios[ratios.len() / 2]
 }
 
 fn main() {
@@ -63,36 +62,52 @@ fn main() {
     let mut samples: Vec<Sample> = Vec::new();
     let mut ratios: Vec<(&'static str, f64)> = Vec::new();
 
-    // --- Diff::between: chunked scan vs byte-at-a-time reference ---
-    for (label_new, label_ref, label_ratio, stride) in [
+    // --- Diff::between: bitmap scan vs byte-at-a-time reference ---
+    // Both scans run interleaved, round by round, so whatever disturbs
+    // the machine disturbs both: the best round is each side's time,
+    // the median of the per-round ratios the speedup CI gates.
+    for (label_new, label_ref, label_ratio, (twin, current)) in [
         (
             "diff_between_sparse_ns",
             "diff_between_sparse_reference_ns",
             "diff_between_sparse_speedup",
-            256,
+            diff_shapes::strided(256),
         ),
         (
             "diff_between_dense_ns",
             "diff_between_dense_reference_ns",
             "diff_between_dense_speedup",
-            8,
+            diff_shapes::strided(8),
+        ),
+        (
+            "diff_between_f64_ns",
+            "diff_between_f64_reference_ns",
+            "diff_between_f64_speedup",
+            diff_shapes::f64_words(),
         ),
     ] {
-        let (twin, current) = dirty_page(stride);
-        let iters = 2_000;
-        let fast = time(iters, || Diff::between(&twin, &current));
-        let slow = time(iters, || Diff::between_reference(&twin, &current));
+        let iters = 1_000;
+        let rounds = 9;
+        let (mut fast, mut slow) = (f64::INFINITY, f64::INFINITY);
+        let mut round_ratios = Vec::with_capacity(rounds);
+        for _ in 0..rounds {
+            let new = time(iters, || Diff::between(&twin, &current));
+            let reference = time(iters, || Diff::between_reference(&twin, &current));
+            fast = fast.min(new);
+            slow = slow.min(reference);
+            round_ratios.push(reference / new);
+        }
         samples.push(Sample {
             name: label_new,
             nanos: fast,
-            iters,
+            iters: iters * rounds as u64,
         });
         samples.push(Sample {
             name: label_ref,
             nanos: slow,
-            iters,
+            iters: iters * rounds as u64,
         });
-        ratios.push((label_ratio, slow / fast));
+        ratios.push((label_ratio, median(round_ratios)));
     }
 
     // --- RTR1 trace encoding (exact pre-sizing) ---
@@ -243,8 +258,7 @@ fn main() {
         );
         round_ratios.push(pair[1] / pair[0]);
     }
-    round_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let median_ratio = round_ratios[rounds / 2];
+    let median_ratio = median(round_ratios);
     for (i, name) in [
         "queue_wheel_replay_ns_per_event",
         "queue_heap_replay_ns_per_event",

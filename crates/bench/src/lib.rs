@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod diff_shapes;
 pub mod pool;
 pub mod queue_replay;
 

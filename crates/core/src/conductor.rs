@@ -54,8 +54,13 @@
 //!
 //! [`DsmCtx`] is the API visible to applications: typed reads/writes
 //! on [`SharedVec`] handles, locks, barriers, prefetches, and explicit
-//! compute-time charging. [`lockstep`] builds the contexts and links,
-//! spawns the threads and tears them down.
+//! compute-time charging. An element access checks its page, charges
+//! and (writing) twins per element; a slice access does each of those
+//! once per page it touches and copies that page's elements out of
+//! one borrow of its bytes. The two are different simulated costs, so
+//! which one a kernel calls is part of its model, not a host-side
+//! detail. [`lockstep`] builds the contexts and links, spawns the
+//! threads and tears them down.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -66,7 +71,7 @@ use rsdsm_simnet::SimDuration;
 
 use crate::config::PrefetchConfig;
 use crate::costs::CostModel;
-use crate::heap::{Pod, SharedVec};
+use crate::heap::{page_bytes, Pod, SharedVec};
 use crate::msg::{BarrierId, LockId};
 use crate::node::{NodeMem, PageEntry};
 use crate::program::DsmProgram;
@@ -385,33 +390,39 @@ impl DsmCtx {
     /// Reads elements `start..start + out.len()` into `out`.
     ///
     /// One page-validity check is performed per page touched, which is
-    /// how the real system behaves (a fault per page, not per element).
+    /// how the real system behaves (a fault per page, not per element)
+    /// — and the page's state is touched once per page too: its bytes
+    /// are borrowed once and the elements copied out of that slice.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn read_slice<T: Pod>(&mut self, v: &SharedVec<T>, start: usize, out: &mut [T]) {
         for (page, range) in v.locate_range(start, start + out.len()) {
+            let out = &mut out[range.start - start..range.end - start];
             self.with_valid_page(page, false, |entry| {
-                for i in range.clone() {
-                    let off = i * T::BYTES % rsdsm_protocol::PAGE_SIZE;
-                    out[i - start] = T::read_le(&entry.data.bytes()[off..off + T::BYTES]);
+                let bytes = &entry.data.bytes()[page_bytes::<T>(&range)];
+                for (slot, le) in out.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
+                    *slot = T::read_le(le);
                 }
             });
         }
     }
 
-    /// Writes `values` to elements `start..start + values.len()`.
+    /// Writes `values` to elements `start..start + values.len()`. Like
+    /// [`DsmCtx::read_slice`], one check — and one twin, one borrow of
+    /// the page's bytes — per page touched.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn write_slice<T: Pod>(&mut self, v: &SharedVec<T>, start: usize, values: &[T]) {
         for (page, range) in v.locate_range(start, start + values.len()) {
+            let values = &values[range.start - start..range.end - start];
             self.with_valid_page(page, true, |entry| {
-                for i in range.clone() {
-                    let off = i * T::BYTES % rsdsm_protocol::PAGE_SIZE;
-                    values[i - start].write_le(&mut entry.data.bytes_mut()[off..off + T::BYTES]);
+                let bytes = &mut entry.data.bytes_mut()[page_bytes::<T>(&range)];
+                for (value, le) in values.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
+                    value.write_le(le);
                 }
             });
         }
@@ -622,11 +633,12 @@ mod tests {
         }
     }
 
-    /// Runs `app` on [`THREADS`] threads of one node under `drive`,
+    /// Runs `app` on `threads` threads of one node under `drive`,
     /// which also gets one flat, all-valid memory to lend out (the
     /// golden model's arrangement: no faults, every syscall a no-op).
-    fn run<R>(
-        app: &Rounds,
+    fn run_on<P: DsmProgram, R>(
+        app: &P,
+        threads: usize,
         drive: impl FnOnce(Vec<ThreadLink>, NodeMem) -> R,
     ) -> Result<R, String> {
         let mut heap = Heap::new(1);
@@ -637,10 +649,18 @@ mod tests {
             &handles,
             &CostModel::default(),
             &PrefetchConfig::off(),
-            THREADS,
+            threads,
             |_| 0,
             |links| drive(links, mem),
         )
+    }
+
+    /// [`run_on`] with [`THREADS`] threads.
+    fn run<R>(
+        app: &Rounds,
+        drive: impl FnOnce(Vec<ThreadLink>, NodeMem) -> R,
+    ) -> Result<R, String> {
+        run_on(app, THREADS, drive)
     }
 
     /// Resumes live threads in a seeded random order until all exit;
@@ -775,5 +795,145 @@ mod tests {
             .expect("the driver itself does not panic")
             .expect_err("the panic is the run's error");
         assert!(msg.contains("fails before its first syscall"), "{msg}");
+    }
+
+    /// One thread writes seeded ranges of one array and reads each back
+    /// twice — through the slice accessors, or element by element —
+    /// keeping what it read.
+    struct Ranges<T> {
+        by_slice: bool,
+        /// An element's value from a number.
+        make: fn(usize) -> T,
+        read_back: Mutex<Vec<T>>,
+    }
+
+    impl<T: Pod> Ranges<T> {
+        const PER_PAGE: usize = rsdsm_protocol::PAGE_SIZE / T::BYTES;
+        /// Four pages, the last barely used.
+        const LEN: usize = 3 * Self::PER_PAGE + 5;
+
+        /// `(start, len)`: the edge cases by hand — empty at either
+        /// end, one element, straddling one page boundary and two,
+        /// exactly a page, everything — then seeded ranges of up to a
+        /// page and a half.
+        fn ranges() -> Vec<(usize, usize)> {
+            let page = Self::PER_PAGE;
+            let mut ranges = vec![
+                (0, 0),
+                (Self::LEN, 0),
+                (5, 1),
+                (page - 1, 2),
+                (page - 1, page + 2),
+                (page, page),
+                (0, Self::LEN),
+            ];
+            let mut rng = DetRng::new(1998);
+            for _ in 0..24 {
+                let start = rng.next_below(Self::LEN as u64 + 1) as usize;
+                let most = (Self::LEN - start).min(page * 3 / 2);
+                ranges.push((start, rng.next_below(most as u64 + 1) as usize));
+            }
+            ranges
+        }
+    }
+
+    impl<T: Pod> DsmProgram for Ranges<T> {
+        type Handles = SharedVec<T>;
+
+        fn name(&self) -> String {
+            "ranges".into()
+        }
+
+        fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+            heap.alloc(Self::LEN, HomePolicy::Single(0))
+        }
+
+        fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
+            let mut read = Vec::new();
+            for (k, (start, len)) in Self::ranges().into_iter().enumerate() {
+                let values: Vec<T> = (start..start + len)
+                    .map(|i| (self.make)(i * 7 + k))
+                    .collect();
+                if self.by_slice {
+                    ctx.write_slice(v, start, &values);
+                    let mut out = vec![T::default(); len];
+                    ctx.read_slice(v, start, &mut out);
+                    read.extend(out);
+                    read.extend(ctx.read_vec(v, start, len));
+                } else {
+                    for (i, &value) in (start..).zip(&values) {
+                        ctx.write(v, i, value);
+                    }
+                    for _ in 0..2 {
+                        read.extend((start..start + len).map(|i| ctx.read(v, i)));
+                    }
+                }
+            }
+            *self.read_back.lock().expect("one thread") = read;
+        }
+    }
+
+    /// The slice accessors move the same data as element-by-element
+    /// access and touch page state — validity check, charge, twin —
+    /// once per page, not once per element.
+    fn slices_equal_elements<T: Pod + PartialEq + std::fmt::Debug>(make: fn(usize) -> T) {
+        let run_ranges = |by_slice| {
+            let app = Ranges {
+                by_slice,
+                make,
+                read_back: Mutex::new(Vec::new()),
+            };
+            let (mem, charges) = run_on(&app, 1, |links, mut mem| {
+                let Ok((syscall, charges)) = links[0].run_burst(&mut mem) else {
+                    panic!("the thread vanished");
+                };
+                assert_eq!(syscall, Syscall::Exit, "all-valid memory: no fault");
+                (mem, charges)
+            })
+            .expect("no thread panics");
+            (mem, charges, app.read_back.into_inner().expect("joined"))
+        };
+        let (by_slice, slice_charges, slice_read) = run_ranges(true);
+        let (by_element, _, element_read) = run_ranges(false);
+        assert_eq!(slice_read, element_read);
+        let image = |mem: &NodeMem| mem.pages.iter().map(|e| e.data.clone()).collect::<Vec<_>>();
+        assert_eq!(image(&by_slice), image(&by_element));
+
+        // What the element-at-a-time slice loops of PR 18 counted and
+        // charged for these ranges (the same for every element width:
+        // the ranges scale with the page): 144 accesses at 60 ns, four
+        // twins at 20 µs.
+        const ACCESSES: u64 = 144;
+        const TWINS: usize = 4;
+        assert_eq!(by_slice.counters.fast_accesses, ACCESSES);
+        assert_eq!(
+            slice_charges,
+            Charges {
+                busy: SimDuration::from_nanos(8_640),
+                dsm: SimDuration::from_micros(80),
+                prefetch: SimDuration::ZERO,
+            }
+        );
+        for mem in [&by_slice, &by_element] {
+            assert_eq!(mem.pages.iter().filter(|e| e.twin.is_some()).count(), TWINS);
+            assert_eq!(mem.dirty.len(), TWINS);
+        }
+        // Which is one write and two reads of every page of every
+        // range, where the element path pays per element.
+        let ranges = Ranges::<T>::ranges();
+        let pages = |&(start, len): &(usize, usize)| match len {
+            0 => 0,
+            _ => (start + len - 1) / Ranges::<T>::PER_PAGE - start / Ranges::<T>::PER_PAGE + 1,
+        };
+        assert_eq!(3 * ranges.iter().map(pages).sum::<usize>() as u64, ACCESSES);
+        let elements = 3 * ranges.iter().map(|&(_, len)| len).sum::<usize>() as u64;
+        assert_eq!(by_element.counters.fast_accesses, elements);
+    }
+
+    #[test]
+    fn slices_move_what_elements_move_at_one_access_per_page() {
+        slices_equal_elements::<u8>(|n| n as u8);
+        slices_equal_elements::<u32>(|n| (n as u32).wrapping_mul(0x0101_0101));
+        slices_equal_elements::<f64>(|n| n as f64 * 0.25 - 3.0);
     }
 }

@@ -448,27 +448,31 @@ impl Core<'_> {
     /// Closes node `n`'s open interval: encodes a diff for every dirty
     /// page, logs the interval, and advances the vector clock. No-op
     /// when nothing is dirty.
+    ///
+    /// A page is in `mem.dirty` once per twin it got, and a prefetch
+    /// served mid-interval takes a twin early (`serve_diff_request`
+    /// splits the interval): such a page is listed with its twin gone,
+    /// or twice if it was written again. The twin is the truth — a
+    /// page is diffed when its twin is taken, and only then.
     pub(super) fn close_interval(&mut self, n: NodeId, at: SimTime) -> SimTime {
         let node = &mut self.nodes[n];
-        let dirty: Vec<PageId> = std::mem::take(&mut node.mem.dirty)
-            .into_iter()
-            .filter(|p| node.mem.pages[p.index()].twin.is_some())
-            .collect();
-        if dirty.is_empty() {
+        let dirty = std::mem::take(&mut node.mem.dirty);
+        if !dirty
+            .iter()
+            .any(|p| node.mem.pages[p.index()].twin.is_some())
+        {
             return at;
         }
         let seq = node.tick_clock();
         let stamp = Arc::new(node.vc().clone());
         let m = &mut node.mem;
         let mut cost = SimDuration::ZERO;
-        let mut seen = HashSet::new();
-        let mut pages_list = Vec::new();
+        let mut pages_list = Vec::with_capacity(dirty.len());
         for page in dirty {
-            if !seen.insert(page) {
-                continue;
-            }
             let entry = &mut m.pages[page.index()];
-            let twin = entry.twin.take().expect("twin present");
+            let Some(twin) = entry.twin.take() else {
+                continue;
+            };
             let diff = Diff::between(&twin, &entry.data);
             if self.oracle.cfg.invariants {
                 self.oracle

@@ -38,9 +38,11 @@ macro_rules! impl_pod {
     ($($t:ty),*) => {$(
         impl Pod for $t {
             const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
             fn write_le(self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn read_le(input: &[u8]) -> Self {
                 <$t>::from_le_bytes(input.try_into().expect("element byte width"))
             }
@@ -147,6 +149,14 @@ impl<T: Pod> SharedVec<T> {
     pub fn pages_for_range(&self, start: usize, end: usize) -> Vec<PageId> {
         self.locate_range(start, end).map(|(p, _)| p).collect()
     }
+}
+
+/// The in-page byte range of the elements `range`, which must lie in
+/// one page — as every range [`SharedVec::locate_range`] yields does.
+/// The slice accessors index a page's bytes with it once per page.
+pub(crate) fn page_bytes<T: Pod>(range: &std::ops::Range<usize>) -> std::ops::Range<usize> {
+    let first = range.start * T::BYTES % PAGE_SIZE;
+    first..first + range.len() * T::BYTES
 }
 
 /// The global shared heap: a bump allocator over pages with per-page

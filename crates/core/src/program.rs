@@ -10,7 +10,7 @@
 use rsdsm_protocol::Page;
 
 use crate::conductor::DsmCtx;
-use crate::heap::{Heap, Pod, SharedVec};
+use crate::heap::{page_bytes, Heap, Pod, SharedVec};
 
 /// A parallel application runnable on the simulated DSM.
 ///
@@ -113,8 +113,76 @@ impl VerifyCtx {
         T::read_le(&self.pages[page.index()].bytes()[off..off + T::BYTES])
     }
 
-    /// Reads a range of elements from the final image.
+    /// Reads a range of elements from the final image, a page's worth
+    /// at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
     pub fn read_vec<T: Pod>(&self, v: &SharedVec<T>, start: usize, len: usize) -> Vec<T> {
-        (start..start + len).map(|i| self.read(v, i)).collect()
+        let mut out = Vec::with_capacity(len);
+        for (page, range) in v.locate_range(start, start + len) {
+            let bytes = &self.pages[page.index()].bytes()[page_bytes::<T>(&range)];
+            out.extend(bytes.chunks_exact(T::BYTES).map(T::read_le));
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::heap::HomePolicy;
+
+    /// An image of three arrays of three pages each, every element
+    /// set to a function of its index; `read_vec` must agree with
+    /// `read` element for element on ranges inside a page, across one
+    /// page boundary, across two, empty, and whole.
+    #[test]
+    fn read_vec_equals_per_element_reads_across_pages() {
+        fn check<T: Pod + PartialEq + std::fmt::Debug>(mem: &VerifyCtx, v: &SharedVec<T>) {
+            let per_page = rsdsm_protocol::PAGE_SIZE / T::BYTES;
+            for (start, len) in [
+                (3, 5),
+                (per_page - 2, 4),
+                (per_page - 1, per_page + 2),
+                (per_page, per_page),
+                (per_page, 0),
+                (v.len(), 0),
+                (0, v.len()),
+            ] {
+                let each: Vec<T> = (start..start + len).map(|i| mem.read(v, i)).collect();
+                assert_eq!(mem.read_vec(v, start, len), each, "{start}+{len}");
+            }
+        }
+        let mut heap = Heap::new(1);
+        let bytes: SharedVec<u8> = heap.alloc(2 * 4096 + 7, HomePolicy::Single(0));
+        let words: SharedVec<u32> = heap.alloc(2 * 1024 + 9, HomePolicy::Single(0));
+        let reals: SharedVec<f64> = heap.alloc(2 * 512 + 3, HomePolicy::Single(0));
+        let mut pages = vec![Page::new(); heap.page_count()];
+        let mut put = |page: rsdsm_protocol::PageId, off: usize, le: &[u8]| {
+            pages[page.index()].bytes_mut()[off..off + le.len()].copy_from_slice(le);
+        };
+        for i in 0..bytes.len() {
+            let (page, off) = bytes.locate(i);
+            put(page, off, &[i as u8 ^ 0x5A]);
+        }
+        for i in 0..words.len() {
+            let (page, off) = words.locate(i);
+            put(
+                page,
+                off,
+                &(i as u32).wrapping_mul(0x0101_0101).to_le_bytes(),
+            );
+        }
+        for i in 0..reals.len() {
+            let (page, off) = reals.locate(i);
+            put(page, off, &(i as f64 * 0.25 - 3.0).to_le_bytes());
+        }
+        let mem = VerifyCtx::new(pages);
+        check(&mem, &bytes);
+        check(&mem, &words);
+        check(&mem, &reals);
+        assert_eq!(mem.read(&reals, 513), 513.0 * 0.25 - 3.0);
     }
 }

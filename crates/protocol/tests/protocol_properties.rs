@@ -21,6 +21,127 @@ fn page_from(writes: &[(usize, u8)]) -> Page {
     p
 }
 
+/// A page holding `bytes` — drawn noise, so it owns a buffer and
+/// zero bytes occur too.
+fn noise_page(bytes: &[u8]) -> Page {
+    let mut page = Page::new();
+    page.bytes_mut().copy_from_slice(bytes);
+    page
+}
+
+/// Changes every byte of `range` (clipped to the page) to a value it
+/// does not hold — so two changes of one byte may cancel.
+fn change(page: &mut Page, range: std::ops::Range<usize>, salt: u8) {
+    for byte in &mut page.bytes_mut()[range.start..range.end.min(PAGE_SIZE)] {
+        *byte ^= salt | 1;
+    }
+}
+
+/// `between` equals the byte-at-a-time reference run for run, and
+/// applying it to the twin gives `current`.
+fn assert_reference_runs_and_round_trip(twin: &Page, current: &Page) -> Diff {
+    let diff = Diff::between(twin, current);
+    assert_eq!(diff, Diff::between_reference(twin, current));
+    let mut restored = twin.clone();
+    diff.apply(&mut restored);
+    assert_eq!(&restored, current);
+    diff
+}
+
+// The shapes the applications' diffs have (DESIGN §6g): `sparse_writes`
+// above is at most 64 isolated bytes, which almost never makes a run
+// longer than a byte or two, a dense page, or a run at a page edge.
+proptest! {
+    /// Element-shaped runs: some words of the page change in 1–7
+    /// bytes at any in-word offset — an `f64` that kept its exponent,
+    /// a `u32` counter. Runs that reach a word's end merge with a
+    /// neighbour's that starts at offset 0.
+    #[test]
+    fn element_shaped_runs_match_reference(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+        edits in prop::collection::vec((0..PAGE_SIZE / 8, 0usize..8, 1usize..=7, any::<u8>()), 0..=512),
+    ) {
+        let twin = noise_page(&noise);
+        let mut current = twin.clone();
+        for &(word, off, len, salt) in &edits {
+            change(&mut current, word * 8 + off..word * 8 + (off + len).min(8), salt);
+        }
+        assert_reference_runs_and_round_trip(&twin, &current);
+    }
+
+    /// A dense page: every word changes, each in its own 1–8 bytes
+    /// (the LU / OCEAN shape: hundreds of short runs in one diff).
+    #[test]
+    fn dense_pages_match_reference(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+        shape in prop::collection::vec((0usize..8, 1usize..=8), PAGE_SIZE / 8),
+    ) {
+        let twin = noise_page(&noise);
+        let mut current = twin.clone();
+        for (word, &(off, len)) in shape.iter().enumerate() {
+            change(&mut current, word * 8 + off..word * 8 + (off + len).min(8), 0);
+        }
+        let diff = assert_reference_runs_and_round_trip(&twin, &current);
+        prop_assert!(diff.run_count() >= PAGE_SIZE / 16, "{diff}");
+    }
+
+    /// Runs across the scan's internal boundaries: straddling a
+    /// 64-byte line (one word of the changed-byte map), spanning
+    /// several lines, and ending exactly at `PAGE_SIZE`.
+    #[test]
+    fn boundary_runs_match_reference(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+        straddles in prop::collection::vec((1usize..64, 1usize..=9, 1usize..=9), 0..8),
+        long in prop::collection::vec((0..PAGE_SIZE, 1usize..=300), 0..4),
+        tail in 0usize..=130,
+        from_zeros in any::<bool>(),
+    ) {
+        let twin = if from_zeros { Page::new() } else { noise_page(&noise) };
+        let mut current = twin.clone();
+        for &(line, before, after) in &straddles {
+            change(&mut current, line * 64 - before..line * 64 + after, 0);
+        }
+        for &(start, len) in &long {
+            change(&mut current, start..start + len, 0);
+        }
+        change(&mut current, PAGE_SIZE - tail..PAGE_SIZE, 0);
+        let diff = assert_reference_runs_and_round_trip(&twin, &current);
+        if tail > 0 && long.is_empty() {
+            let (offset, bytes) = diff.runs().last().expect("the tail run");
+            prop_assert_eq!(offset + bytes.len(), PAGE_SIZE);
+        }
+    }
+
+    /// The extremes: a page changed in every byte, an unchanged page,
+    /// and either side never written (no buffer of its own).
+    #[test]
+    fn full_empty_and_unmaterialized_pages_match_reference(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+    ) {
+        let noise = noise_page(&noise);
+        let mut inverse = noise.clone();
+        change(&mut inverse, 0..PAGE_SIZE, 0);
+        let full = assert_reference_runs_and_round_trip(&noise, &inverse);
+        prop_assert_eq!((full.run_count(), full.payload_bytes()), (1, PAGE_SIZE));
+
+        let mut zeroed = Page::new();
+        zeroed.bytes_mut();
+        for same in [&noise, &zeroed, &Page::new()] {
+            prop_assert!(assert_reference_runs_and_round_trip(same, &same.clone()).is_empty());
+        }
+        prop_assert!(assert_reference_runs_and_round_trip(&zeroed, &Page::new()).is_empty());
+        prop_assert!(assert_reference_runs_and_round_trip(&Page::new(), &zeroed).is_empty());
+
+        let fresh = Page::new();
+        prop_assert!(!fresh.is_materialized());
+        let written = assert_reference_runs_and_round_trip(&fresh, &noise);
+        let erased = assert_reference_runs_and_round_trip(&noise, &fresh);
+        let nonzero = noise.bytes().iter().filter(|&&b| b != 0).count();
+        prop_assert_eq!(written.payload_bytes(), nonzero);
+        prop_assert_eq!(erased.payload_bytes(), nonzero);
+    }
+}
+
 proptest! {
     /// Whether a page owns a buffer is unobservable: a page built
     /// lazily (unmaterialized when nothing was written) and the same
