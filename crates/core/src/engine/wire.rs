@@ -44,7 +44,7 @@ impl Wire {
 
     /// Counts `frame` as dropped at a dead NIC.
     pub(super) fn note_crash_drop(&mut self, frame: &Frame) {
-        self.net.note_crash_drop(frame.class().net_label());
+        self.net.note_crash_drop(frame.class().label());
     }
 
     /// The run's network, transport and fault-injection totals.
@@ -90,7 +90,7 @@ impl Core<'_> {
         let outcome = self
             .wire
             .net
-            .send(at, src, dst, bytes, reliability, class.net_label());
+            .send(at, src, dst, bytes, reliability, class.label());
         let seq = frame.seq();
         let cause = if retransmit {
             self.tracer.first_send(src as u32, dst as u32, seq)
@@ -369,30 +369,8 @@ impl Core<'_> {
         end: SimTime,
     ) -> Result<(), SimError> {
         match body {
-            MsgBody::DiffRequest {
-                page,
-                stamps,
-                want_base,
-                class,
-                vc,
-            } => self.serve_diff_request(n, src, *page, stamps, *want_base, *class, vc, end),
-            MsgBody::DiffReply {
-                page,
-                diffs,
-                base,
-                class,
-                intervals,
-            } => {
-                return self.handle_diff_reply(
-                    n,
-                    *page,
-                    diffs,
-                    base.as_ref(),
-                    *class,
-                    intervals,
-                    end,
-                )
-            }
+            MsgBody::DiffRequest(req) => self.serve_diff_request(n, src, req, end),
+            MsgBody::DiffReply(reply) => return self.handle_diff_reply(n, reply, end),
             MsgBody::LockRequest {
                 lock,
                 requester,

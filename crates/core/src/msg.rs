@@ -70,8 +70,8 @@ impl BasePayload {
 }
 
 /// Why a page's diffs are being fetched — the one distinction the
-/// paper's protocol turns on. Carried by [`MsgBody::DiffRequest`] and
-/// mirrored in its [`MsgBody::DiffReply`]; everything that differs
+/// paper's protocol turns on. Carried by a [`DiffRequest`] and
+/// mirrored in its [`DiffReply`]; everything that differs
 /// between the three is a method here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchClass {
@@ -214,54 +214,50 @@ wire_enum! {
     }
 }
 
-impl MsgClass {
-    /// The key this class's traffic is counted under in the network
-    /// statistics: its label, except that heartbeats have always been
-    /// counted as `"hb"` (the report digests pin that row).
-    pub fn net_label(self) -> &'static str {
-        match self {
-            MsgClass::Heartbeat => "hb",
-            class => class.label(),
-        }
-    }
+/// Request for a page's diffs (and possibly a base copy). Sent on a
+/// page fault or by a prefetcher, as `class` says.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiffRequest {
+    /// The faulted/prefetched page.
+    pub page: PageId,
+    /// Interval stamps whose diffs are wanted from the recipient.
+    pub stamps: Vec<Stamp>,
+    /// Also send a full page copy (first-touch fetch).
+    pub want_base: bool,
+    /// Demand fetch, static prefetch or adaptive prefetch.
+    pub class: FetchClass,
+    /// The requester's vector clock, so the reply can piggyback
+    /// the write notices the requester lacks.
+    pub vc: VectorClock,
+}
+
+/// Response to a [`DiffRequest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiffReply {
+    /// The page in question.
+    pub page: PageId,
+    /// Requested (and possibly interval-split) diffs.
+    pub diffs: Vec<DiffPayload>,
+    /// Full page copy when requested.
+    pub base: Option<BasePayload>,
+    /// The request's class.
+    pub class: FetchClass,
+    /// Write notices the requester did not have. Piggybacking
+    /// them preserves happens-before: a reply may carry a diff
+    /// from a freshly split interval, and the requester must
+    /// learn of every causally-prior interval before applying it,
+    /// or a later fetch of an older overlapping diff would roll
+    /// the page back.
+    pub intervals: Vec<Arc<IntervalRecord>>,
 }
 
 /// Message bodies of the DSM protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MsgBody {
-    /// Request diffs (and possibly a base copy) for a page. Sent on a
-    /// page fault or by a prefetcher, as `class` says.
-    DiffRequest {
-        /// The faulted/prefetched page.
-        page: PageId,
-        /// Interval stamps whose diffs are wanted from the recipient.
-        stamps: Vec<Stamp>,
-        /// Also send a full page copy (first-touch fetch).
-        want_base: bool,
-        /// Demand fetch, static prefetch or adaptive prefetch.
-        class: FetchClass,
-        /// The requester's vector clock, so the reply can piggyback
-        /// the write notices the requester lacks.
-        vc: VectorClock,
-    },
+    /// Request diffs (and possibly a base copy) for a page.
+    DiffRequest(DiffRequest),
     /// Response to a [`MsgBody::DiffRequest`].
-    DiffReply {
-        /// The page in question.
-        page: PageId,
-        /// Requested (and possibly interval-split) diffs.
-        diffs: Vec<DiffPayload>,
-        /// Full page copy when requested.
-        base: Option<BasePayload>,
-        /// The request's class.
-        class: FetchClass,
-        /// Write notices the requester did not have. Piggybacking
-        /// them preserves happens-before: a reply may carry a diff
-        /// from a freshly split interval, and the requester must
-        /// learn of every causally-prior interval before applying it,
-        /// or a later fetch of an older overlapping diff would roll
-        /// the page back.
-        intervals: Vec<Arc<IntervalRecord>>,
-    },
+    DiffReply(DiffReply),
     /// Acquire request sent to the lock's manager node.
     LockRequest {
         /// The lock.
@@ -343,15 +339,15 @@ impl MsgBody {
         };
         BODY_HEADER_BYTES
             + match self {
-                MsgBody::DiffRequest { stamps, vc, .. } => {
+                MsgBody::DiffRequest(DiffRequest { stamps, vc, .. }) => {
                     4 * vc.len() + stamps.iter().map(|s| 4 * s.len()).sum::<usize>()
                 }
-                MsgBody::DiffReply {
+                MsgBody::DiffReply(DiffReply {
                     diffs,
                     base,
                     intervals,
                     ..
-                } => {
+                }) => {
                     diffs.iter().map(DiffPayload::wire_bytes).sum::<usize>()
                         + base.as_ref().map_or(0, BasePayload::wire_bytes)
                         + records(intervals)
@@ -370,8 +366,8 @@ impl MsgBody {
     /// The body's wire class.
     pub fn class(&self) -> MsgClass {
         match self {
-            MsgBody::DiffRequest { class, .. } => class.msg_classes().0,
-            MsgBody::DiffReply { class, .. } => class.msg_classes().1,
+            MsgBody::DiffRequest(req) => req.class.msg_classes().0,
+            MsgBody::DiffReply(reply) => reply.class.msg_classes().1,
             MsgBody::LockRequest { .. } => MsgClass::LockRequest,
             MsgBody::LockForward { .. } => MsgClass::LockForward,
             MsgBody::LockGrant { .. } => MsgClass::LockGrant,
@@ -386,9 +382,8 @@ impl MsgBody {
     /// traffic, unless the run configures reliable prefetches.
     pub fn droppable(&self, cfg: &PrefetchConfig) -> bool {
         match self {
-            MsgBody::DiffRequest { class, .. } | MsgBody::DiffReply { class, .. } => {
-                class.droppable(cfg)
-            }
+            MsgBody::DiffRequest(DiffRequest { class, .. })
+            | MsgBody::DiffReply(DiffReply { class, .. }) => class.droppable(cfg),
             _ => false,
         }
     }
@@ -408,26 +403,26 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_content() {
-        let small = MsgBody::DiffRequest {
+        let small = MsgBody::DiffRequest(DiffRequest {
             page: PageId::new(0),
             stamps: vec![stamp()],
             want_base: false,
             class: FetchClass::Demand,
             vc: vc(),
-        };
-        let large = MsgBody::DiffRequest {
+        });
+        let large = MsgBody::DiffRequest(DiffRequest {
             page: PageId::new(0),
             stamps: vec![stamp(); 4],
             want_base: false,
             class: FetchClass::Demand,
             vc: vc(),
-        };
+        });
         assert!(large.wire_bytes() > small.wire_bytes());
     }
 
     #[test]
     fn reply_with_base_is_page_sized() {
-        let body = MsgBody::DiffReply {
+        let body = MsgBody::DiffReply(DiffReply {
             page: PageId::new(1),
             diffs: vec![],
             base: Some(BasePayload {
@@ -436,19 +431,19 @@ mod tests {
             }),
             class: FetchClass::Demand,
             intervals: vec![],
-        };
+        });
         assert!(body.wire_bytes() >= PAGE_SIZE);
     }
 
     #[test]
     fn only_prefetch_traffic_is_droppable() {
-        let pf = MsgBody::DiffRequest {
+        let pf = MsgBody::DiffRequest(DiffRequest {
             page: PageId::new(0),
             stamps: vec![],
             want_base: false,
             class: FetchClass::Static,
             vc: vc(),
-        };
+        });
         let cfg = PrefetchConfig::hand();
         assert!(pf.droppable(&cfg));
         assert_eq!(pf.class().label(), "prefetch_request");
@@ -486,8 +481,6 @@ mod tests {
         for (class, (code, label)) in MsgClass::ALL.into_iter().zip(pinned) {
             assert_eq!((class.code(), class.label()), (code, label));
             assert_eq!(MsgClass::from_code(code), Some(class));
-            let net = if label == "heartbeat" { "hb" } else { label };
-            assert_eq!(class.net_label(), net);
         }
         assert_eq!(MsgClass::from_code(15), None);
     }

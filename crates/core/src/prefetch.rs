@@ -31,8 +31,8 @@
 //! (`CostModel::prefetch_check` per observation, `prefetch_issue` per
 //! message), never pre-queried. Outside the adaptive
 //! [`PrefetchMode`](crate::PrefetchMode)s no detector or controller is
-//! ever constructed, no trace event or report field is emitted, and
-//! runs are byte-identical to builds without this module (pinned by
+//! ever constructed and no trace event is emitted: whatever tuning the
+//! config carries, the run is the same run (pinned by
 //! `tests/parallel_determinism.rs`).
 
 use std::collections::{HashMap, VecDeque};
@@ -41,8 +41,7 @@ use crate::node::MissClass;
 
 /// Tuning for the adaptive engine. Carried inside
 /// [`PrefetchConfig`](crate::PrefetchConfig), whose `mode` decides
-/// whether the engine runs at all; invisible in config debug output
-/// (and hence in report digests) in every other mode.
+/// whether the engine runs at all; never read in any other mode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
     /// Sliding-window length `W` (in faults) per thread stream.

@@ -60,17 +60,10 @@ pub struct RecoveryConfig {
     pub checkpoint_every: u32,
     /// Period of per-node heartbeat ticks. Each tick checks leases
     /// and sends an explicit heartbeat frame on links with no
-    /// outbound traffic within the last period.
+    /// outbound traffic within the last period. Who monitors whom
+    /// follows the topology: every peer on the flat bus, the rack
+    /// hierarchy on a rack-and-spine fabric.
     pub heartbeat_every: SimDuration,
-    /// Hierarchical heartbeating for large clusters: instead of every
-    /// node monitoring every peer (O(N²) frames per idle round), each
-    /// node monitors only its rack leader, leaders monitor their rack
-    /// members plus the manager, and the manager monitors the leaders
-    /// (plus its own rack). O(N) frames per idle round; safe because
-    /// failure confirmation still resolves against ground truth at
-    /// the manager. Off by default — the paper-scale full mesh is
-    /// kept bit-identical.
-    pub hierarchical: bool,
     /// A peer is suspected when nothing has been heard from it for
     /// this long.
     pub lease_timeout: SimDuration,
@@ -102,7 +95,6 @@ impl RecoveryConfig {
             enabled: false,
             checkpoint_every: 0,
             heartbeat_every: SimDuration::from_micros(10_000),
-            hierarchical: false,
             lease_timeout: SimDuration::from_micros(50_000),
             confirm_grace: SimDuration::from_micros(10_000),
             restart_base: SimDuration::from_micros(500_000),

@@ -276,7 +276,7 @@ impl MtSummary {
 }
 
 /// Everything measured in one simulated run.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Benchmark name.
     pub app: String,
@@ -326,79 +326,81 @@ pub struct RunReport {
     /// service times, retry timelines, §3.3 prefetch taxonomy);
     /// `None` unless the run was started with
     /// [`Simulation::run_traced`](crate::Simulation::run_traced).
-    /// Excluded from [`digest`](RunReport::digest) so tracing has
-    /// zero observer effect on the determinism fingerprint.
+    /// Outside [`digest`](RunReport::digest): tracing observes a run,
+    /// it is not part of what the run computed.
     pub trace: Option<TraceMetrics>,
     /// Adaptive prefetch engine tallies; `None` unless the run's
-    /// [`AdaptiveConfig`](crate::AdaptiveConfig) is enabled, and
-    /// hidden from the Debug rendering (hence from
-    /// [`digest`](RunReport::digest)) while `None`, so pre-adaptive
-    /// pinned digests are untouched.
+    /// [`PrefetchMode`](crate::PrefetchMode) is adaptive.
     pub adaptive: Option<AdaptiveStats>,
 }
 
-impl fmt::Debug for RunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.render(f, &self.trace)
-    }
-}
-
-/// A report rendered as if its run had not been traced — what
-/// [`RunReport::digest`] hashes.
-struct TraceMasked<'a>(&'a RunReport);
-
-impl fmt::Debug for TraceMasked<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.render(f, &None)
-    }
-}
-
 impl RunReport {
-    /// The `Debug` rendering, with `trace` in place of the trace
-    /// field. Replicates the derive exactly, except that the
-    /// `adaptive` field only renders when present: the digest is FNV
-    /// over this text, and disabled-adaptive runs must stay
-    /// byte-identical to reports from before the field existed.
-    fn render(&self, f: &mut fmt::Formatter<'_>, trace: &Option<TraceMetrics>) -> fmt::Result {
-        let mut s = f.debug_struct("RunReport");
-        s.field("app", &self.app)
-            .field("config", &self.config)
-            .field("total_time", &self.total_time)
-            .field("node_breakdowns", &self.node_breakdowns)
-            .field("breakdown", &self.breakdown)
-            .field("verified", &self.verified)
-            .field("net", &self.net)
-            .field("misses", &self.misses)
-            .field("locks", &self.locks)
-            .field("barriers", &self.barriers)
-            .field("prefetch", &self.prefetch)
-            .field("mt", &self.mt)
-            .field("transport", &self.transport)
-            .field("fault_injection", &self.fault_injection)
-            .field("recovery", &self.recovery)
-            .field("gc_passes", &self.gc_passes)
-            .field("directory", &self.directory)
-            .field("events_processed", &self.events_processed)
-            .field("oracle", &self.oracle)
-            .field("trace", trace);
-        if self.adaptive.is_some() {
-            s.field("adaptive", &self.adaptive);
-        }
-        s.finish()
-    }
-
-    /// FNV-1a digest of the whole report (every counter, breakdown,
-    /// and oracle observation). Two runs with identical (seed,
-    /// config) must produce identical digests — the determinism
-    /// harness in `rsdsm-oracle` asserts exactly that. The
-    /// trace-metrics field is rendered as absent so a traced and an
-    /// untraced run of the same (seed, config) digest identically.
+    /// FNV-1a digest of what the run *computed*: the `Debug` text of
+    /// every result field — each counter, breakdown and oracle
+    /// observation, so a counter added to any of them is covered
+    /// without touching this function. Two runs with identical (seed,
+    /// config) must produce identical digests; the determinism harness
+    /// in `rsdsm-oracle` asserts exactly that.
+    ///
+    /// Two fields are outside it. `config` is the run's input, not a
+    /// result: hashing it would make every pinned digest depend on how
+    /// the configuration types are spelled, and two configs that
+    /// differ only in fields the run never reads would digest apart.
+    /// `trace` is an observer: a traced and an untraced run of the
+    /// same (seed, config) digest identically.
     pub fn digest(&self) -> u64 {
         use fmt::Write as _;
+        // Exhaustive, so a new field has to be placed in or out.
+        let RunReport {
+            app,
+            config: _,
+            total_time,
+            node_breakdowns,
+            breakdown,
+            verified,
+            net,
+            misses,
+            locks,
+            barriers,
+            prefetch,
+            mt,
+            transport,
+            fault_injection,
+            recovery,
+            gc_passes,
+            directory,
+            events_processed,
+            oracle,
+            trace: _,
+            adaptive,
+        } = self;
+        let results: [&dyn fmt::Debug; 19] = [
+            app,
+            total_time,
+            node_breakdowns,
+            breakdown,
+            verified,
+            net,
+            misses,
+            locks,
+            barriers,
+            prefetch,
+            mt,
+            transport,
+            fault_injection,
+            recovery,
+            gc_passes,
+            directory,
+            events_processed,
+            oracle,
+            adaptive,
+        ];
         // Hashed as it is rendered: the text (every grant record and
         // page of a captured outcome) is never held in memory.
         let mut sink = FnvWriter::new();
-        write!(sink, "{:?}", TraceMasked(self)).expect("the sink never fails");
+        for field in results {
+            write!(sink, "{field:?};").expect("the sink never fails");
+        }
         sink.0
     }
 

@@ -7,9 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rsdsm_core::{
     ConfigError, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, NodeCrash, Partition,
-    PersistConfig, RecoveryConfig, SharedVec, SimError, Simulation, VerifyCtx,
+    PersistConfig, RecoveryConfig, SharedVec, SimError, Simulation, ThreadConfig, VerifyCtx,
 };
-use rsdsm_simnet::{SimDuration, SimTime};
+use rsdsm_simnet::{NetConfig, SimDuration, SimTime};
 
 const NODES: usize = 4;
 
@@ -46,7 +46,43 @@ fn with_cut(mut cfg: DsmConfig, p: Partition) -> DsmConfig {
 /// Every way a configuration can be wrong, each reduced to the one
 /// setting that makes it so.
 fn rejected() -> Vec<(&'static str, DsmConfig, ConfigError)> {
+    let paper = || DsmConfig::paper_cluster(NODES);
     vec![
+        (
+            "no nodes",
+            DsmConfig {
+                nodes: 0,
+                ..paper()
+            },
+            ConfigError::NoNodes,
+        ),
+        (
+            "no threads on a node",
+            paper().with_threads(ThreadConfig {
+                threads_per_node: 0,
+                ..ThreadConfig::single()
+            }),
+            ConfigError::NoThreads,
+        ),
+        (
+            "zero link bandwidth",
+            DsmConfig {
+                net: NetConfig {
+                    bandwidth_bps: 0,
+                    ..paper().net
+                },
+                ..paper()
+            },
+            ConfigError::ZeroBandwidth,
+        ),
+        (
+            "recovery with a zero heartbeat period",
+            paper().with_recovery(RecoveryConfig {
+                heartbeat_every: SimDuration::ZERO,
+                ..RecoveryConfig::on(2)
+            }),
+            ConfigError::ZeroHeartbeatPeriod,
+        ),
         (
             "crash with recovery on but no checkpoint cadence",
             with_crash(

@@ -10,9 +10,9 @@
 //!
 //! Per-PR CI runs a fast subset (three representative applications —
 //! including the lock-order-sensitive WATER-NSQ — under the base and
-//! combined techniques). Set `RSDSM_ORACLE=full` for the full
-//! 8 apps × 4 techniques × {no-fault, loss} grid, which the scheduled
-//! CI job runs in release mode. Cells fan out across cores via
+//! combined techniques). `RSDSM_MATRIX=oracle` (or `full`) runs the full
+//! 8 apps × 4 techniques × {no-fault, loss} grid, which CI runs in
+//! release mode. Cells fan out across cores via
 //! `rsdsm_bench::pool` (override the worker count with `RSDSM_JOBS`).
 
 use rsdsm_apps::{Benchmark, Scale};
@@ -26,10 +26,6 @@ fn base(nodes: usize) -> DsmConfig {
 
 fn loss() -> FaultPlan {
     FaultPlan::uniform_loss(0xFA11, 0.05)
-}
-
-fn full_grid() -> bool {
-    std::env::var("RSDSM_ORACLE").as_deref() == Ok("full")
 }
 
 /// Fans independent oracle cells across cores; each cell panics on
@@ -78,8 +74,8 @@ fn fast_subset_under_message_loss() {
 
 #[test]
 fn full_matrix() {
-    if !full_grid() {
-        eprintln!("skipping full oracle matrix (set RSDSM_ORACLE=full)");
+    if !pool::full_grid("oracle") {
+        eprintln!("skipping full oracle matrix (set RSDSM_MATRIX=oracle)");
         return;
     }
     let mut cells = Vec::new();

@@ -12,57 +12,31 @@
 //! without per-cell hand tuning.
 //!
 //! The default run covers a smoke-sized subset so `cargo test` stays
-//! fast; set `RSDSM_CRASH_MATRIX=full` for the full 8 apps ×
-//! {O, P, 2T, 2TP} × {crash-stop, crash-restart} grid. Cells are
-//! independent simulations and fan out across cores via
-//! `rsdsm_bench::pool` (override the worker count with `RSDSM_JOBS`).
+//! fast; `RSDSM_MATRIX=crash` (or `full`) runs the full 8 apps ×
+//! {O, P, 2T, 2TP} × {crash-stop, crash-restart} grid.
 
+mod common;
+
+use common::{base, for_each_cell, test_recovery};
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{DsmConfig, RecoveryConfig};
+use rsdsm::core::RecoveryConfig;
 use rsdsm::oracle::{check_technique, Technique};
 use rsdsm::simnet::{NodeCrash, SimDuration, SimTime};
-use rsdsm_bench::pool;
+use rsdsm_bench::pool::full_grid;
 
 /// The victim. Node 0 hosts the managers and the recovery
 /// coordinator and is assumed stable; any other node may die.
 const VICTIM: usize = 2;
 
-fn base(nodes: usize) -> DsmConfig {
-    DsmConfig::paper_cluster(nodes).with_seed(1998)
-}
-
-/// Lease parameters sized for `Scale::Test` runs: detection settles
-/// well before the run ends without drowning it in heartbeats.
-fn test_recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        heartbeat_every: SimDuration::from_micros(200),
-        lease_timeout: SimDuration::from_micros(1_000),
-        confirm_grace: SimDuration::from_micros(200),
-        restart_base: SimDuration::from_micros(1_000),
-        restore_per_page: SimDuration::from_micros(5),
-        ..RecoveryConfig::on(2)
-    }
-}
-
-fn full_grid() -> bool {
-    std::env::var("RSDSM_CRASH_MATRIX").as_deref() == Ok("full")
-}
-
-/// Fans independent crash cells across cores; a panicking cell fails
-/// the test via [`pool::run`]'s panic propagation.
-fn assert_cells(cells: Vec<(Benchmark, Technique, Option<SimDuration>)>) {
-    let tasks: Vec<_> = cells
-        .into_iter()
-        .map(|(bench, technique, restart)| move || assert_cell(bench, technique, restart))
-        .collect();
-    pool::run(pool::matrix_jobs(), tasks);
-}
+/// A cell: the app, the technique, and the outage length (`None` for
+/// crash-stop).
+type Cell = (Benchmark, Technique, Option<SimDuration>);
 
 /// One cell: dry-run for timing, crash the victim halfway, then run
 /// the full oracle check (DSM run + golden model + repeat run) on the
 /// crashing configuration.
-fn assert_cell(bench: Benchmark, technique: Technique, restart_after: Option<SimDuration>) {
-    let cfg = base(4).with_recovery(test_recovery());
+fn assert_cell((bench, technique, restart_after): Cell) {
+    let cfg = base(4).with_recovery(test_recovery(2));
     let dry = bench
         .run(Scale::Test, technique.configure(bench, cfg.clone()))
         .unwrap_or_else(|e| panic!("{bench} {} dry run: {e}", technique.label()));
@@ -111,7 +85,7 @@ fn fast_subset_crash_stop() {
             cells.push((bench, technique, None));
         }
     }
-    assert_cells(cells);
+    for_each_cell(cells, assert_cell);
 }
 
 #[test]
@@ -122,15 +96,15 @@ fn fast_subset_crash_restart() {
             cells.push((bench, technique, Some(SimDuration::from_millis(5))));
         }
     }
-    assert_cells(cells);
+    for_each_cell(cells, assert_cell);
 }
 
 /// Checkpoint capture stays off the critical path: a crash-free run
 /// with barrier-aligned checkpointing enabled is digest-identical to
 /// the same seed without it, once the explicitly-accounted checkpoint
-/// fields (the recovery counters and the config that enables them)
-/// are factored out. Capture charges no CPU, draws no randomness, and
-/// schedules no events — it must not perturb the run it protects.
+/// counters are factored out. Capture charges no CPU, draws no
+/// randomness, and schedules no events — it must not perturb the run
+/// it protects.
 #[test]
 fn checkpointing_is_digest_transparent() {
     use rsdsm::core::RecoveryStats;
@@ -151,7 +125,6 @@ fn checkpointing_is_digest_transparent() {
     assert_eq!(ckpt.recovery.crashes, 0);
 
     ckpt.recovery = RecoveryStats::default();
-    ckpt.config.recovery = RecoveryConfig::off();
     assert_eq!(
         plain.digest(),
         ckpt.digest(),
@@ -161,8 +134,8 @@ fn checkpointing_is_digest_transparent() {
 
 #[test]
 fn full_matrix() {
-    if !full_grid() {
-        eprintln!("skipping full crash matrix (set RSDSM_CRASH_MATRIX=full)");
+    if !full_grid("crash") {
+        eprintln!("skipping full crash matrix (set RSDSM_MATRIX=crash)");
         return;
     }
     let mut cells = Vec::new();
@@ -173,5 +146,5 @@ fn full_matrix() {
             }
         }
     }
-    assert_cells(cells);
+    for_each_cell(cells, assert_cell);
 }

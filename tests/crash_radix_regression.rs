@@ -18,30 +18,17 @@
 //! get suspected, and the manager's confirmation grace resolves them
 //! without disturbing the run.
 
-use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{DsmConfig, RecoveryConfig, RunReport, TransportConfig};
-use rsdsm::simnet::{NodeCrash, SimDuration, SimTime};
+mod common;
 
-/// Fast lease parameters sized for `Scale::Test` runs (tens of
-/// milliseconds of simulated time): detection settles well before the
-/// run ends, without drowning the run in heartbeat traffic.
-fn test_recovery(checkpoint_every: u32) -> RecoveryConfig {
-    RecoveryConfig {
-        heartbeat_every: SimDuration::from_micros(200),
-        lease_timeout: SimDuration::from_micros(1_000),
-        confirm_grace: SimDuration::from_micros(200),
-        restart_base: SimDuration::from_micros(1_000),
-        restore_per_page: SimDuration::from_micros(5),
-        ..RecoveryConfig::on(checkpoint_every)
-    }
-}
+use common::{base, test_recovery};
+use rsdsm::apps::{Benchmark, Scale};
+use rsdsm::core::{RunReport, TransportConfig};
+use rsdsm::simnet::{NodeCrash, SimDuration, SimTime};
 
 /// Crash-stop at 2 ms: node 2 dies, the detector notices, and a
 /// replacement rejoins from its checkpoint.
 fn crashed_radix() -> RunReport {
-    let mut cfg = DsmConfig::paper_cluster(4)
-        .with_seed(1998)
-        .with_recovery(test_recovery(2));
+    let mut cfg = base(4).with_recovery(test_recovery(2));
     cfg.faults = cfg.faults.with_node_crash(NodeCrash {
         node: 2,
         at: SimTime::from_millis(2),
@@ -56,8 +43,7 @@ fn crashed_radix() -> RunReport {
 /// budget, so reliable frames toward the victim exhaust their retries
 /// and take the park-and-resume path instead of aborting the run.
 fn outage_radix() -> RunReport {
-    let mut cfg = DsmConfig::paper_cluster(4)
-        .with_seed(1998)
+    let mut cfg = base(4)
         .with_recovery(test_recovery(2))
         .with_transport(TransportConfig {
             initial_rto: SimDuration::from_millis(1),

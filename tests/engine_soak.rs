@@ -3,11 +3,11 @@
 //! obligation (golden-model differential check, invariants, same-seed
 //! determinism) — not just "it didn't crash".
 //!
-//! Two tiers, following the repo's env-gated matrix convention:
+//! Two tiers, following the repo's `RSDSM_MATRIX` convention:
 //!
 //! - Default: an 8-node RADIX soak at the default problem scale.
 //!   Fast enough for every `cargo test` run.
-//! - `RSDSM_SOAK=full`: the 64-node paper-scale RADIX soak — over two
+//! - `RSDSM_MATRIX=soak`: the 64-node paper-scale RADIX soak — over two
 //!   million delivered messages per run — with the same oracle
 //!   obligation, a wheel-vs-heap digest cross-check at that scale,
 //!   and a wall-clock budget so CI catches an event-engine slowdown
@@ -20,10 +20,6 @@ use rsdsm::apps::{Benchmark, Scale};
 use rsdsm::core::{DsmConfig, QueueBackend, TransportConfig};
 use rsdsm::oracle::check;
 use rsdsm::simnet::SimDuration;
-
-fn full_soak() -> bool {
-    std::env::var("RSDSM_SOAK").as_deref() == Ok("full")
-}
 
 /// Soak cluster config. At 64 nodes the manager (node 0) serializes
 /// barrier arrivals from every peer, so its ingress link can hold
@@ -75,8 +71,8 @@ fn radix_soak_8_nodes() {
 /// coverage).
 #[test]
 fn radix_soak_64_nodes_full() {
-    if !full_soak() {
-        eprintln!("skipping 64-node soak (set RSDSM_SOAK=full)");
+    if !rsdsm_bench::pool::full_grid("soak") {
+        eprintln!("skipping 64-node soak (set RSDSM_MATRIX=soak)");
         return;
     }
     let nodes = 64;

@@ -9,23 +9,17 @@
 //! reports: fault injection is deterministic, not flaky.
 //!
 //! The default grid is a smoke-sized subset so `cargo test` stays
-//! fast; set `RSDSM_FAULT_MATRIX=full` for the full grid (loss 0–20%,
-//! duplication, reordering, degraded windows) over all applications.
-//! Grid cells are independent simulations, so they fan out across
-//! cores via `rsdsm_bench::pool` (override with `RSDSM_JOBS`).
+//! fast; `RSDSM_MATRIX=fault` (or `full`) runs the full grid (loss
+//! 0–20%, duplication, reordering, degraded windows) over all
+//! applications.
 
+mod common;
+
+use common::{base, for_each_cell};
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{DegradedWindow, DsmConfig, FaultPlan, NodeStall};
+use rsdsm::core::{DegradedWindow, FaultPlan, NodeStall};
 use rsdsm::simnet::{SimDuration, SimTime};
-use rsdsm_bench::pool;
-
-fn base(nodes: usize) -> DsmConfig {
-    DsmConfig::paper_cluster(nodes).with_seed(1998)
-}
-
-fn full_grid() -> bool {
-    std::env::var("RSDSM_FAULT_MATRIX").is_ok_and(|v| v == "full")
-}
+use rsdsm_bench::pool::full_grid;
 
 /// A plan mixing every fault class the injector supports.
 fn chaos_plan(seed: u64) -> FaultPlan {
@@ -55,7 +49,7 @@ fn grid() -> Vec<(&'static str, FaultPlan)> {
         ("loss20", FaultPlan::uniform_loss(0xFA11, 0.20)),
         ("chaos", chaos_plan(0xC4A5)),
     ];
-    if full_grid() {
+    if full_grid("fault") {
         plans.push(("loss05", FaultPlan::uniform_loss(0x105, 0.05)));
         plans.push(("loss10", FaultPlan::uniform_loss(0x10A, 0.10)));
         plans.push((
@@ -82,40 +76,34 @@ fn all_apps_survive_the_fault_grid() {
             cells.push((bench, name, plan));
         }
     }
-    let tasks: Vec<_> = cells
-        .into_iter()
-        .map(|(bench, name, plan)| {
-            move || {
-                let lossy = !plan.drop.control.is_nan() && plan.drop.control > 0.0;
-                let r = bench
-                    .run(Scale::Test, base(4).with_faults(plan))
-                    .unwrap_or_else(|e| panic!("{bench} under plan {name}: {e}"));
-                assert!(r.verified, "{bench} result corrupted under plan {name}");
-                if name == "none" {
-                    assert_eq!(
-                        r.transport.retransmissions, 0,
-                        "{bench}: fault-free runs must never retransmit"
-                    );
-                    assert_eq!(r.fault_injection.injected_drops, 0);
-                }
-                if lossy {
-                    assert!(
-                        r.fault_injection.injected_drops > 0,
-                        "{bench} under {name}: plan injected nothing"
-                    );
-                    assert!(
-                        r.transport.retransmissions > 0,
-                        "{bench} under {name}: losses must provoke retransmissions"
-                    );
-                    assert!(
-                        r.fault_summary_line().is_some(),
-                        "{bench} under {name}: summary line must report the faults"
-                    );
-                }
-            }
-        })
-        .collect();
-    pool::run(pool::matrix_jobs(), tasks);
+    for_each_cell(cells, |(bench, name, plan)| {
+        let lossy = !plan.drop.control.is_nan() && plan.drop.control > 0.0;
+        let r = bench
+            .run(Scale::Test, base(4).with_faults(plan))
+            .unwrap_or_else(|e| panic!("{bench} under plan {name}: {e}"));
+        assert!(r.verified, "{bench} result corrupted under plan {name}");
+        if name == "none" {
+            assert_eq!(
+                r.transport.retransmissions, 0,
+                "{bench}: fault-free runs must never retransmit"
+            );
+            assert_eq!(r.fault_injection.injected_drops, 0);
+        }
+        if lossy {
+            assert!(
+                r.fault_injection.injected_drops > 0,
+                "{bench} under {name}: plan injected nothing"
+            );
+            assert!(
+                r.transport.retransmissions > 0,
+                "{bench} under {name}: losses must provoke retransmissions"
+            );
+            assert!(
+                r.fault_summary_line().is_some(),
+                "{bench} under {name}: summary line must report the faults"
+            );
+        }
+    });
 }
 
 /// Same seed, same plan ⇒ byte-identical report, twice over.

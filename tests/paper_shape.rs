@@ -1,11 +1,14 @@
 //! Cross-crate integration tests asserting the paper's qualitative
 //! results ("shape") hold in the reproduction, via the facade crate.
 
+mod common;
+
 use rsdsm::apps::{Benchmark, Scale};
 use rsdsm::core::{Category, DsmConfig, PrefetchConfig, ThreadConfig};
 
+/// The paper's eight-node cluster.
 fn base() -> DsmConfig {
-    DsmConfig::paper_cluster(8).with_seed(1998)
+    common::base(8)
 }
 
 /// §1.1 / Figure 1: communication latency dominates — most apps spend

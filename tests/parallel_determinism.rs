@@ -11,10 +11,13 @@
 //! and a partition+heal run (quorum freeze and checkpoint rejoin), on
 //! top of the standard RADIX/FFT × O/P/2T/2TP matrix.
 
+mod common;
+
+use common::{base, test_recovery};
 use rsdsm::apps::{Benchmark, Scale};
 use rsdsm::core::{
     AdaptiveConfig, DsmConfig, FaultPlan, NodeCrash, Partition, PrefetchConfig, QueueBackend,
-    RecoveryConfig, TransportConfig,
+    TransportConfig,
 };
 use rsdsm::oracle::Technique;
 use rsdsm::simnet::{SimDuration, SimTime};
@@ -27,23 +30,6 @@ struct Cell {
     label: String,
     bench: Benchmark,
     cfg: DsmConfig,
-}
-
-fn base(nodes: usize) -> DsmConfig {
-    DsmConfig::paper_cluster(nodes).with_seed(1998)
-}
-
-/// Lease parameters sized for `Scale::Test` runs (mirrors the crash
-/// matrix's).
-fn test_recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        heartbeat_every: SimDuration::from_micros(200),
-        lease_timeout: SimDuration::from_micros(1_000),
-        confirm_grace: SimDuration::from_micros(200),
-        restart_base: SimDuration::from_micros(1_000),
-        restore_per_page: SimDuration::from_micros(5),
-        ..RecoveryConfig::on(2)
-    }
 }
 
 fn grid() -> Vec<Cell> {
@@ -66,7 +52,7 @@ fn grid() -> Vec<Cell> {
     });
     // A crash-restart cell: checkpoints, suspicion, park-and-resume.
     let mut outage = base(4)
-        .with_recovery(test_recovery())
+        .with_recovery(test_recovery(2))
         .with_transport(TransportConfig {
             initial_rto: SimDuration::from_millis(1),
             max_retries: 3,
@@ -84,7 +70,7 @@ fn grid() -> Vec<Cell> {
     });
     // A partition+heal cell: quorum freeze, parked suspicions, and the
     // time-shifted checkpoint rejoin must all be worker-count-blind.
-    let mut cut = base(4).with_recovery(test_recovery());
+    let mut cut = base(4).with_recovery(test_recovery(2));
     cut.faults = cut.faults.with_partition(Partition::cut(
         vec![vec![2]],
         SimTime::from_millis(2),
@@ -193,14 +179,10 @@ fn digests_on(backend: QueueBackend) -> Vec<(String, u64, u64, usize)> {
     pool::run(4, tasks)
 }
 
-/// Observer-freedom of the adaptive machinery, pinned at the byte
-/// level: a run outside the adaptive modes must produce a report
-/// that is textually identical — and therefore digest-identical — to
-/// one from a build that never had the adaptive module, whatever
-/// adaptive tuning its config happens to carry. The
-/// absolute digest below anchors that to the pre-adaptive history;
-/// the Debug-text check catches the field ever leaking into the
-/// rendering while `None`.
+/// Observer-freedom of the adaptive machinery: a run outside the
+/// adaptive modes computes the same thing — digest for digest —
+/// whatever adaptive tuning its config happens to carry, and reports
+/// no adaptive tallies.
 #[test]
 fn disabled_adaptive_is_byte_transparent() {
     let plain = Benchmark::Radix
@@ -221,13 +203,8 @@ fn disabled_adaptive_is_byte_transparent() {
         )
         .expect("toggled RADIX");
     assert_eq!(plain.digest(), toggled.digest());
-    let text = format!("{plain:?}");
-    assert!(
-        !text.contains("adaptive"),
-        "disabled adaptive state leaked into the report rendering"
-    );
-    assert!(plain.adaptive.is_none());
-    // And an enabled run renders it, so the gate is the config, not a
+    assert!(plain.adaptive.is_none() && toggled.adaptive.is_none());
+    // And an enabled run reports them, so the gate is the mode, not a
     // dead field.
     let on = Benchmark::Radix
         .run(
@@ -235,7 +212,7 @@ fn disabled_adaptive_is_byte_transparent() {
             base(4).with_prefetch(PrefetchConfig::adaptive()),
         )
         .expect("adaptive RADIX");
-    assert!(format!("{on:?}").contains("adaptive"));
+    assert!(on.adaptive.is_some());
     assert_ne!(on.digest(), plain.digest());
 }
 

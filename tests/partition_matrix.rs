@@ -19,16 +19,17 @@
 //! dry-run checkpoint capture) and heals 5 ms later.
 //!
 //! The default run covers a smoke-sized subset so `cargo test` stays
-//! fast; set `RSDSM_PARTITION_MATRIX=full` for the full 8 apps ×
-//! {O, P, 2T, 2TP} × {clean, asym, during-checkpoint} grid. Cells are
-//! independent simulations and fan out across cores via
-//! `rsdsm_bench::pool` (override the worker count with `RSDSM_JOBS`).
+//! fast; `RSDSM_MATRIX=partition` (or `full`) runs the full 8 apps ×
+//! {O, P, 2T, 2TP} × {clean, asym, during-checkpoint} grid.
 
+mod common;
+
+use common::{base, for_each_cell, test_recovery};
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{ConfigError, DsmConfig, Partition, RecoveryConfig, SimError, TraceEvent};
+use rsdsm::core::{ConfigError, DsmConfig, Partition, SimError, TraceEvent};
 use rsdsm::oracle::{check_technique, Technique};
 use rsdsm::simnet::{SimDuration, SimTime};
-use rsdsm_bench::pool;
+use rsdsm_bench::pool::full_grid;
 
 /// The minority node. Node 0 hosts the managers and must keep its
 /// majority; cutting any single other node away satisfies the quorum
@@ -37,27 +38,6 @@ const MINORITY: usize = 2;
 
 /// How long every cut stays open before healing.
 const HEAL_AFTER: SimDuration = SimDuration::from_millis(5);
-
-fn base(nodes: usize) -> DsmConfig {
-    DsmConfig::paper_cluster(nodes).with_seed(1998)
-}
-
-/// Lease parameters sized for `Scale::Test` runs (mirrors the crash
-/// matrix's).
-fn test_recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        heartbeat_every: SimDuration::from_micros(200),
-        lease_timeout: SimDuration::from_micros(1_000),
-        confirm_grace: SimDuration::from_micros(200),
-        restart_base: SimDuration::from_micros(1_000),
-        restore_per_page: SimDuration::from_micros(5),
-        ..RecoveryConfig::on(2)
-    }
-}
-
-fn full_grid() -> bool {
-    std::env::var("RSDSM_PARTITION_MATRIX").as_deref() == Ok("full")
-}
 
 /// The three cut shapes each cell can run under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,16 +50,6 @@ enum Mode {
     /// Symmetric cut timed to the exact instant of a dry-run
     /// checkpoint capture.
     DuringCheckpoint,
-}
-
-/// Fans independent partition cells across cores; a panicking cell
-/// fails the test via [`pool::run`]'s panic propagation.
-fn assert_cells(cells: Vec<(Benchmark, Technique, Mode)>) {
-    let tasks: Vec<_> = cells
-        .into_iter()
-        .map(|(bench, technique, mode)| move || assert_cell(bench, technique, mode))
-        .collect();
-    pool::run(pool::matrix_jobs(), tasks);
 }
 
 /// Picks the cut instant for one cell from a partition-free dry run.
@@ -111,8 +81,8 @@ fn cut_instant(bench: Benchmark, technique: Technique, cfg: &DsmConfig, mode: Mo
 /// One cell: dry-run for timing, cut the minority away mid-run, heal,
 /// assert the quorum rule held, then run the full oracle check
 /// (DSM run + golden model + repeat run) on the cut configuration.
-fn assert_cell(bench: Benchmark, technique: Technique, mode: Mode) {
-    let cfg = base(4).with_recovery(test_recovery());
+fn assert_cell((bench, technique, mode): (Benchmark, Technique, Mode)) {
+    let cfg = base(4).with_recovery(test_recovery(2));
     let at = cut_instant(bench, technique, &cfg, mode);
 
     let mut cfg = cfg;
@@ -160,7 +130,7 @@ fn fast_subset_clean_cut() {
             cells.push((bench, technique, Mode::Clean));
         }
     }
-    assert_cells(cells);
+    for_each_cell(cells, assert_cell);
 }
 
 #[test]
@@ -172,16 +142,15 @@ fn fast_subset_asym_and_checkpoint_cuts() {
             cells.push((bench, technique, Mode::DuringCheckpoint));
         }
     }
-    assert_cells(cells);
+    for_each_cell(cells, assert_cell);
 }
 
 /// The partition machinery is observer-free when unused: scheduling a
 /// cut the run never reaches changes nothing about the simulation —
-/// same events, same timings, same digest — once the config field
-/// carrying the (inert) schedule is factored out.
+/// same events, same timings, same digest.
 #[test]
 fn unused_partition_schedule_is_digest_transparent() {
-    let cfg = base(4).with_recovery(test_recovery());
+    let cfg = base(4).with_recovery(test_recovery(2));
     let plain = Benchmark::Radix
         .run(Scale::Test, cfg.clone())
         .expect("plain run");
@@ -191,13 +160,12 @@ fn unused_partition_schedule_is_digest_transparent() {
         SimTime::from_millis(10_000),
         HEAL_AFTER,
     ));
-    let mut armed = Benchmark::Radix
+    let armed = Benchmark::Radix
         .run(Scale::Test, cfg_armed)
         .expect("armed run");
     assert_eq!(armed.recovery.partitions, 0, "the far-future cut fired");
     assert_eq!(armed.fault_injection.partition_drops, 0);
 
-    armed.config.faults.partitions.clear();
     assert_eq!(
         plain.digest(),
         armed.digest(),
@@ -209,7 +177,7 @@ fn unused_partition_schedule_is_digest_transparent() {
 /// without a strict majority is rejected outright.
 #[test]
 fn minority_manager_component_is_rejected() {
-    let mut cfg = base(4).with_recovery(test_recovery());
+    let mut cfg = base(4).with_recovery(test_recovery(2));
     // {2, 3} vs {0, 1}: two against two — no strict majority.
     cfg.faults = cfg.faults.with_partition(Partition::cut(
         vec![vec![2, 3]],
@@ -240,8 +208,8 @@ fn partition_without_recovery_is_rejected() {
 
 #[test]
 fn full_matrix() {
-    if !full_grid() {
-        eprintln!("skipping full partition matrix (set RSDSM_PARTITION_MATRIX=full)");
+    if !full_grid("partition") {
+        eprintln!("skipping full partition matrix (set RSDSM_MATRIX=partition)");
         return;
     }
     let mut cells = Vec::new();
@@ -252,5 +220,5 @@ fn full_matrix() {
             }
         }
     }
-    assert_cells(cells);
+    for_each_cell(cells, assert_cell);
 }

@@ -18,30 +18,18 @@
 //! them escalate to a false `RecoveryStart` — the split-brain
 //! guarantee, held as an exact counter, not just a property.
 
-use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{DsmConfig, Partition, RecoveryConfig, RunReport};
-use rsdsm::simnet::{SimDuration, SimTime};
+mod common;
 
-/// Fast lease parameters sized for `Scale::Test` runs (mirrors the
-/// crash regression's).
-fn test_recovery(checkpoint_every: u32) -> RecoveryConfig {
-    RecoveryConfig {
-        heartbeat_every: SimDuration::from_micros(200),
-        lease_timeout: SimDuration::from_micros(1_000),
-        confirm_grace: SimDuration::from_micros(200),
-        restart_base: SimDuration::from_micros(1_000),
-        restore_per_page: SimDuration::from_micros(5),
-        ..RecoveryConfig::on(checkpoint_every)
-    }
-}
+use common::{base, test_recovery};
+use rsdsm::apps::{Benchmark, Scale};
+use rsdsm::core::{Partition, RunReport};
+use rsdsm::simnet::{SimDuration, SimTime};
 
 /// Symmetric cut at 2 ms, healing at 7 ms: node 2 is severed from
 /// {0, 1, 3} both ways, freezes under the quorum rule, and rejoins
 /// through the checkpoint path after the heal.
 fn cut_radix() -> RunReport {
-    let mut cfg = DsmConfig::paper_cluster(4)
-        .with_seed(1998)
-        .with_recovery(test_recovery(2));
+    let mut cfg = base(4).with_recovery(test_recovery(2));
     cfg.faults = cfg.faults.with_partition(Partition::cut(
         vec![vec![2]],
         SimTime::from_millis(2),
@@ -57,9 +45,7 @@ fn cut_radix() -> RunReport {
 /// (the majority's leases on node 2 expire while node 2's own leases
 /// stay fresh).
 fn asym_cut_radix() -> RunReport {
-    let mut cfg = DsmConfig::paper_cluster(4)
-        .with_seed(1998)
-        .with_recovery(test_recovery(2));
+    let mut cfg = base(4).with_recovery(test_recovery(2));
     cfg.faults = cfg.faults.with_partition(Partition {
         groups: vec![vec![2]],
         at: SimTime::from_millis(2),

@@ -9,27 +9,25 @@
 //! (app, technique) cell with a deliberately slow device so the
 //! persist windows dominate the timeline; at least one instant must
 //! land mid-persist and exercise the torn-discard + slot-fallback
-//! path. Set `RSDSM_PERSIST_MATRIX=full` for the crash-at-any-point
-//! sweep over RADIX/FFT × {O, P, 2T, 2TP}; cells fan out across cores
-//! via `rsdsm_bench::pool`.
+//! path. `RSDSM_MATRIX=persist` (or `full`) runs the crash-at-any-point
+//! sweep over RADIX/FFT × {O, P, 2T, 2TP}.
 //!
 //! A failing cell writes its run report (summary line plus the full
 //! debug dump) under `target/persist-artifacts/` before panicking, so
 //! a red CI build ships the offending timeline.
 
+mod common;
+
+use common::{base, for_each_cell, test_recovery};
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{ConfigError, DsmConfig, RecoveryConfig, RunReport, SimError, TraceEvent};
+use rsdsm::core::{ConfigError, RecoveryConfig, RunReport, SimError, TraceEvent};
 use rsdsm::oracle::{check_technique, Technique};
 use rsdsm::simnet::{NodeCrash, PersistConfig, SimDuration, SimTime};
-use rsdsm_bench::pool;
+use rsdsm_bench::pool::full_grid;
 
 /// The victim. Node 0 hosts the managers and the recovery
 /// coordinator and is assumed stable; any other node may die.
 const VICTIM: usize = 2;
-
-fn base(nodes: usize) -> DsmConfig {
-    DsmConfig::paper_cluster(nodes).with_seed(1998)
-}
 
 /// Recovery sized for `Scale::Test` runs (the crash-matrix numbers)
 /// plus a slow persistent device: at 2 bytes/us a per-node checkpoint
@@ -38,40 +36,25 @@ fn base(nodes: usize) -> DsmConfig {
 /// reliably lands inside one.
 fn persist_recovery() -> RecoveryConfig {
     RecoveryConfig {
-        heartbeat_every: SimDuration::from_micros(200),
-        lease_timeout: SimDuration::from_micros(1_000),
-        confirm_grace: SimDuration::from_micros(200),
-        restart_base: SimDuration::from_micros(1_000),
-        restore_per_page: SimDuration::from_micros(5),
         persist: PersistConfig {
             enabled: true,
             write_bw: 2,
             read_bw: 4,
             ..PersistConfig::off()
         },
-        ..RecoveryConfig::on(2)
+        ..test_recovery(2)
     }
-}
-
-fn full_grid() -> bool {
-    std::env::var("RSDSM_PERSIST_MATRIX").as_deref() == Ok("full")
 }
 
 /// Writes the run's summary line and full report under
 /// `target/persist-artifacts/` and panics with `msg`, so a failing
 /// cell ships its evidence (the CI job uploads the directory).
 fn fail_with_artifact(name: &str, report: &RunReport, msg: String) -> ! {
-    let dir = std::path::Path::new("target").join("persist-artifacts");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.txt"));
     let body = format!(
         "{msg}\n\nsummary: {}\n\n{report:#?}\n",
         report.fault_summary_line().unwrap_or_default()
     );
-    match std::fs::write(&path, body) {
-        Ok(()) => panic!("{msg}\n(report artifact written to {})", path.display()),
-        Err(e) => panic!("{msg}\n(artifact write to {} failed: {e})", path.display()),
-    }
+    common::fail_with_artifact("persist-artifacts", &format!("{name}.txt"), &body, &msg)
 }
 
 /// One crash run of `bench`/`technique` with persistence on and the
@@ -237,19 +220,20 @@ fn seeded_crash_mid_persist_falls_back() {
 /// technique, eight instants per cell, fanned across cores.
 #[test]
 fn full_matrix_crash_at_any_point() {
-    if !full_grid() {
-        eprintln!("skipping full persist matrix (set RSDSM_PERSIST_MATRIX=full)");
+    if !full_grid("persist") {
+        eprintln!("skipping full persist matrix (set RSDSM_MATRIX=persist)");
         return;
     }
     let offsets: Vec<(u64, u64)> = (2..10).map(|k| (k, 10)).collect();
-    let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+    let mut cells = Vec::new();
     for bench in [Benchmark::Radix, Benchmark::Fft] {
         for technique in Technique::ALL {
-            let offsets = offsets.clone();
-            tasks.push(Box::new(move || sweep_cell(bench, technique, &offsets)));
+            cells.push((bench, technique));
         }
     }
-    pool::run(pool::matrix_jobs(), tasks);
+    for_each_cell(cells, |(bench, technique)| {
+        sweep_cell(bench, technique, &offsets)
+    });
 }
 
 /// A crash schedule whose recovery has no checkpoint cadence is a
@@ -297,14 +281,7 @@ fn summary_segment_gated_on_config() {
         restart_after: None,
     };
 
-    let mut off = base(4).with_recovery(RecoveryConfig {
-        heartbeat_every: SimDuration::from_micros(200),
-        lease_timeout: SimDuration::from_micros(1_000),
-        confirm_grace: SimDuration::from_micros(200),
-        restart_base: SimDuration::from_micros(1_000),
-        restore_per_page: SimDuration::from_micros(5),
-        ..RecoveryConfig::on(2)
-    });
+    let mut off = base(4).with_recovery(test_recovery(2));
     off.faults = off.faults.with_node_crash(crash);
     let line = Benchmark::Radix
         .run(Scale::Test, off)
@@ -331,9 +308,9 @@ fn summary_segment_gated_on_config() {
 
 /// Device parameters are inert while `enabled` is off: a run carrying
 /// non-default bandwidth/fence numbers (but persistence disabled) is
-/// digest-identical to the stock run once the explicitly-inert config
-/// field is factored out — the persistence plumbing charges nothing,
-/// draws nothing, and schedules nothing unless switched on.
+/// digest-identical to the stock run — the persistence plumbing
+/// charges nothing, draws nothing, and schedules nothing unless
+/// switched on.
 #[test]
 fn disabled_persistence_is_digest_transparent() {
     let plain = Benchmark::Radix
@@ -348,11 +325,9 @@ fn disabled_persistence_is_digest_transparent() {
         fence_latency: SimDuration::from_micros(123),
         sector_bytes: 64,
     };
-    let mut tweaked = Benchmark::Radix.run(Scale::Test, cfg).expect("tweaked run");
+    let tweaked = Benchmark::Radix.run(Scale::Test, cfg).expect("tweaked run");
     assert_eq!(tweaked.recovery.torn_discards, 0);
     assert_eq!(tweaked.recovery.slot_fallbacks, 0);
-
-    tweaked.config.recovery.persist = PersistConfig::off();
     assert_eq!(
         plain.digest(),
         tweaked.digest(),

@@ -1,13 +1,16 @@
 //! The scale-out matrix: switched topologies and directory-sharded
 //! homes carry the full oracle obligation at 64 nodes, the flat-bus
-//! default provably changes nothing, hierarchical failure monitoring
+//! default provably changes nothing, failure monitoring on the fabric
 //! sends O(N) heartbeats per idle round instead of O(N²), and the
 //! 256/1024-node tiers complete under the wheel engine.
 //!
 //! The default run covers the 64-node fast subset so `cargo test`
-//! stays fast; set `RSDSM_SCALING_MATRIX=full` for the 256- and
+//! stays fast; `RSDSM_MATRIX=scaling` (or `full`) adds the 256- and
 //! 1024-node tiers.
 
+mod common;
+
+use common::{base, for_each_cell};
 use rsdsm::apps::{Benchmark, HotSpot, Scale};
 use rsdsm::core::{
     BarrierId, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy,
@@ -15,22 +18,14 @@ use rsdsm::core::{
 };
 use rsdsm::oracle::{check_technique, Technique};
 use rsdsm::simnet::SimDuration;
-use rsdsm_bench::pool;
+use rsdsm_bench::pool::full_grid;
 
 const WORDS: usize = PAGE_SIZE / 8;
-
-fn base(nodes: usize) -> DsmConfig {
-    DsmConfig::paper_cluster(nodes).with_seed(1998)
-}
 
 /// The scaling suite's default fabric: racks of 8, two spines, 4:1
 /// oversubscription.
 fn fabric() -> Topology {
     Topology::rack_spine(8, 2, 4)
-}
-
-fn full_matrix_enabled() -> bool {
-    std::env::var("RSDSM_SCALING_MATRIX").as_deref() == Ok("full")
 }
 
 /// One full-oracle cell: DSM run + golden sequential replay +
@@ -67,22 +62,16 @@ fn oracle_holds_at_64_nodes_on_the_fabric() {
             DirectoryPolicy::Hash,
         ),
     ];
-    let tasks: Vec<_> = cells
-        .into_iter()
-        .map(|(nodes, bench, technique, policy)| {
-            move || {
-                let cfg = base(nodes)
-                    .with_topology(fabric())
-                    .with_directory(DirectoryConfig::on(policy));
-                let label = format!(
-                    "{bench} {} fabric+{policy:?} at {nodes} nodes",
-                    technique.label()
-                );
-                assert_oracle_cell(bench, technique, cfg, &label);
-            }
-        })
-        .collect();
-    pool::run(pool::matrix_jobs(), tasks);
+    for_each_cell(cells, |(nodes, bench, technique, policy)| {
+        let cfg = base(nodes)
+            .with_topology(fabric())
+            .with_directory(DirectoryConfig::on(policy));
+        let label = format!(
+            "{bench} {} fabric+{policy:?} at {nodes} nodes",
+            technique.label()
+        );
+        assert_oracle_cell(bench, technique, cfg, &label);
+    });
 }
 
 /// Digest transparency: the topology and directory knobs at their
@@ -134,32 +123,32 @@ impl DsmProgram for IdleRounds {
     }
 }
 
-/// Heartbeat cadence a 4:1-oversubscribed fabric can actually carry
-/// under the full mesh: at 64 nodes the mesh pushes N·(N−1) frames
-/// per round through the rack trunks, and a sub-millisecond period
-/// saturates them — lease expiries then feed a reliable-transport
-/// suspicion storm. 5 ms rounds keep the mesh baseline itself
-/// terminating so the counts can be compared.
-fn monitored_run(nodes: usize, hierarchical: bool) -> rsdsm::core::RunReport {
+/// A monitored idle run of `nodes` on `topology`. Who monitors whom
+/// follows the topology: the full mesh on the flat bus, the rack
+/// hierarchy on the fabric. At 64 nodes the mesh pushes N·(N−1)
+/// frames per round; 5 ms rounds are a cadence it sustains without
+/// lease expiries feeding a suspicion storm, so both runs terminate
+/// and their counts can be compared.
+fn monitored_run(nodes: usize, topology: Topology) -> rsdsm::core::RunReport {
     let recovery = RecoveryConfig {
         heartbeat_every: SimDuration::from_millis(5),
         lease_timeout: SimDuration::from_millis(25),
         confirm_grace: SimDuration::from_millis(5),
-        hierarchical,
         ..RecoveryConfig::on(2)
     };
-    let cfg = base(nodes).with_topology(fabric()).with_recovery(recovery);
+    let cfg = base(nodes).with_topology(topology).with_recovery(recovery);
     Simulation::new(cfg).run(&IdleRounds).expect("idle run")
 }
 
-/// The O(N²) fix: with hierarchical monitoring each idle heartbeat
-/// round sends O(N) heartbeats (members → rack leader, leaders ↔
-/// manager) instead of the all-to-all mesh's N·(N−1).
+/// The O(N²) fix: on the fabric each idle heartbeat round sends O(N)
+/// heartbeats (members → rack leader, leaders ↔ manager) instead of
+/// the N·(N−1) of the all-to-all mesh the same cluster runs on the
+/// flat bus.
 #[test]
 fn hierarchical_monitoring_sends_linear_heartbeats_per_round() {
     let nodes = 64;
-    let mesh = monitored_run(nodes, false);
-    let hier = monitored_run(nodes, true);
+    let mesh = monitored_run(nodes, Topology::FlatBus);
+    let hier = monitored_run(nodes, fabric());
     assert!(mesh.verified && hier.verified);
 
     let rounds = |r: &rsdsm::core::RunReport| {
@@ -211,13 +200,13 @@ fn directory_counters_engage_at_64_nodes() {
     );
 }
 
-/// The 256- and 1024-node tiers, behind `RSDSM_SCALING_MATRIX=full`:
+/// The 256- and 1024-node tiers, behind `RSDSM_MATRIX=scaling`:
 /// the oracle obligation at 256 nodes, and the 1024-node hot-spot —
 /// the issue's scaling ceiling — completing under the wheel engine.
 #[test]
 fn full_matrix_big_tiers() {
-    if !full_matrix_enabled() {
-        eprintln!("skipping 256/1024-node tiers (set RSDSM_SCALING_MATRIX=full)");
+    if !full_grid("scaling") {
+        eprintln!("skipping 256/1024-node tiers (set RSDSM_MATRIX=scaling)");
         return;
     }
     let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
@@ -248,5 +237,5 @@ fn full_matrix_big_tiers() {
             }
         }),
     ];
-    pool::run(pool::matrix_jobs(), tasks);
+    for_each_cell(tasks, |task| task());
 }

@@ -14,53 +14,44 @@
 //!    express over aggregates.
 //!
 //! The default grid is RADIX and FFT × O/P/2T/2TP so `cargo test`
-//! stays fast; `RSDSM_TRACE_MATRIX=full` widens it to all eight
-//! applications, fanned across cores via `rsdsm_bench::pool`
-//! (override the worker count with `RSDSM_JOBS`). On any failure the offending run's Chrome trace
+//! stays fast; `RSDSM_MATRIX=trace` (or `full`) widens it to all eight
+//! applications. On any failure the offending run's Chrome trace
 //! JSON is written under `target/trace-artifacts/` so the regression
 //! arrives with its own timeline attached.
 
+mod common;
+
+use common::base;
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{DsmConfig, Trace, TraceEvent};
+use rsdsm::core::{Trace, TraceEvent};
 use rsdsm::oracle::Technique;
 use rsdsm::stats::chrome_trace_json;
-use rsdsm_bench::pool;
+use rsdsm_bench::pool::full_grid;
 
-fn base(nodes: usize) -> DsmConfig {
-    DsmConfig::paper_cluster(nodes).with_seed(1998)
-}
-
-/// Runs `check` once per (app, technique) grid cell, fanned across
-/// cores; cell panics propagate through [`pool::run`].
-fn for_each_cell(check: impl Fn(Benchmark, Technique) + Send + Sync) {
-    let mut tasks = Vec::new();
+/// Runs `check` once per (app, technique) grid cell.
+fn for_each_cell(check: impl Fn(Benchmark, Technique) + Sync) {
+    let mut cells = Vec::new();
     for bench in grid_apps() {
         for tech in Technique::ALL {
-            let check = &check;
-            tasks.push(move || check(bench, tech));
+            cells.push((bench, tech));
         }
     }
-    pool::run(pool::matrix_jobs(), tasks);
+    common::for_each_cell(cells, |(bench, tech)| check(bench, tech));
 }
 
 fn grid_apps() -> Vec<Benchmark> {
-    if std::env::var("RSDSM_TRACE_MATRIX").is_ok_and(|v| v == "full") {
+    if full_grid("trace") {
         Benchmark::ALL.to_vec()
     } else {
         vec![Benchmark::Radix, Benchmark::Fft]
     }
 }
 
-/// Writes the run's Chrome trace next to the test binary and panics
-/// with `msg`, so a failing ordering check ships its timeline.
+/// Writes the run's Chrome trace under `target/trace-artifacts/` and
+/// panics with `msg`, so a failing ordering check ships its timeline.
 fn fail_with_artifact(bench: Benchmark, tech: Technique, trace: &Trace, msg: String) -> ! {
-    let dir = std::path::Path::new("target").join("trace-artifacts");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{}-{}.json", bench.name(), tech.label()));
-    match std::fs::write(&path, chrome_trace_json(trace)) {
-        Ok(()) => panic!("{msg}\n(trace artifact written to {})", path.display()),
-        Err(e) => panic!("{msg}\n(artifact write to {} failed: {e})", path.display()),
-    }
+    let file = format!("{}-{}.json", bench.name(), tech.label());
+    common::fail_with_artifact("trace-artifacts", &file, &chrome_trace_json(trace), &msg)
 }
 
 /// (1) Same seed ⇒ the same events in the same order, bit for bit.
