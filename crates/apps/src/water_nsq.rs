@@ -108,35 +108,6 @@ impl WaterNsqApp {
         })
     }
 
-    /// The reference force field of the final step (diagnostics).
-    pub fn reference_forces_last_step(&self) -> Vec<f64> {
-        let n = self.n;
-        let mut pos: Vec<f64> = (0..3 * n).map(|x| self.initial_pos(x / 3, x % 3)).collect();
-        let mut vel: Vec<f64> = (0..3 * n).map(|x| self.initial_vel(x / 3, x % 3)).collect();
-        let mut f = vec![0.0f64; 3 * n];
-        for _ in 0..self.steps {
-            f = vec![0.0f64; 3 * n];
-            for i in 0..n {
-                for j in self.partners(i) {
-                    let fv = pair_force(
-                        pos[3 * i] - pos[3 * j],
-                        pos[3 * i + 1] - pos[3 * j + 1],
-                        pos[3 * i + 2] - pos[3 * j + 2],
-                    );
-                    for a in 0..3 {
-                        f[3 * i + a] += fv[a];
-                        f[3 * j + a] -= fv[a];
-                    }
-                }
-            }
-            for k in 0..3 * n {
-                vel[k] += f[k];
-                pos[k] += vel[k];
-            }
-        }
-        f
-    }
-
     /// Sequential reference (same force law, deterministic order).
     fn reference(&self) -> (Vec<f64>, f64) {
         let n = self.n;
@@ -178,13 +149,6 @@ pub struct WaterNsqHandles {
     vel: SharedVec<f64>,
     force: SharedVec<f64>,
     energy: SharedVec<f64>,
-}
-
-impl WaterNsqHandles {
-    /// The strided shared force array (exposed for diagnostics).
-    pub fn force_handle(&self) -> &SharedVec<f64> {
-        &self.force
-    }
 }
 
 impl DsmProgram for WaterNsqApp {

@@ -589,19 +589,6 @@ fn emit_variant(
     }
 }
 
-/// Runs `bench` under `variant`, panicking with context on failure
-/// (experiments must not silently drop bars).
-///
-/// With `--fault-loss` active, each run also prints its injected-fault
-/// and retry counters so figures produced under loss say so. With
-/// `--trace`/`--trace-metrics` the run records its full event trace
-/// (same events, same digest as the untraced run) and exports it.
-pub fn run_variant(bench: Benchmark, variant: Variant, opts: &ExpOpts) -> RunReport {
-    let (report, trace) = compute_variant(bench, variant, opts);
-    emit_variant(bench, variant, opts, &report, trace.as_ref());
-    report
-}
-
 /// Precomputing cell runner shared by the experiment binaries.
 ///
 /// [`Runner::precompute`] fans a whole sweep's cells across
@@ -759,7 +746,7 @@ mod tests {
         assert_eq!(fft.prefetch.throttle, 1);
         assert!(fft.prefetch.compiler_style);
         assert!(!fft.threads.switch_on_memory);
-        assert!(fft.threads.switch_on_sync);
+        assert!(fft.threads.is_multithreaded());
     }
 
     /// The oracle's four techniques are the harness's four paper

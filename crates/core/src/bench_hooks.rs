@@ -9,7 +9,7 @@ use rsdsm_simnet::SimTime;
 use crate::lock::{ForwardOutcome, RemoteWaiter};
 use crate::msg::LockId;
 use crate::node::{NodeMem, NodeState};
-use crate::oracle::{OracleConfig, OracleState};
+use crate::oracle::OracleState;
 use crate::thread::ThreadId;
 
 /// A cluster's lock tables and clocks under the oracle's per-event
@@ -28,7 +28,7 @@ impl OracleProbe {
     /// manager, already swept once.
     pub fn new(nodes: usize, tokens: u32) -> Self {
         let mut probe = OracleProbe {
-            oracle: OracleState::new(OracleConfig::full(), nodes),
+            oracle: OracleState::new(nodes),
             nodes: (0..nodes)
                 .map(|id| NodeState::new(id, nodes, 1, NodeMem::default()))
                 .collect(),

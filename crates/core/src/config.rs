@@ -144,7 +144,7 @@ impl PrefetchConfig {
     }
 }
 
-/// How page homes are assigned when directory sharding is enabled.
+/// How page homes are assigned when directory sharding is on.
 ///
 /// With the directory off (the default), homes come from each
 /// application's [`HomePolicy`](crate::HomePolicy) allocation layout,
@@ -193,47 +193,41 @@ impl DirectoryPolicy {
     }
 }
 
-/// Directory-style metadata sharding (scale-out mode).
+/// Directory-style metadata sharding (scale-out mode): off, or on
+/// under one [`DirectoryPolicy`] — there is no policy to carry while
+/// it is off.
 ///
 /// Off by default: every node tracks every write notice, exactly the
-/// paper's protocol, and runs are bit-identical to pre-directory
-/// builds. Enabled, each node records write notices only for pages it
-/// is *interested* in — pages it homes, caches, or is fetching — and
-/// page homes serve first-fetch requesters the pruned history along
-/// with the base copy, so a cold reader recovers exactly the notices
-/// it skipped. Lock management is already home-distributed (manager =
-/// lock id modulo cluster size) and unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirectoryConfig {
-    /// Master switch for interest-based notice pruning and home-served
-    /// history healing.
-    pub enabled: bool,
-    /// How page homes are assigned across the cluster.
-    pub policy: DirectoryPolicy,
-}
+/// paper's protocol. On, each node records write notices only for
+/// pages it is *interested* in — pages it homes, caches, or is
+/// fetching — and page homes serve first-fetch requesters the pruned
+/// history along with the base copy, so a cold reader recovers exactly
+/// the notices it skipped. Lock management is already home-distributed
+/// (manager = lock id modulo cluster size) and unaffected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DirectoryConfig(Option<DirectoryPolicy>);
 
 impl DirectoryConfig {
-    /// Directory sharding disabled: the paper's all-to-all metadata
-    /// protocol, bit-identical to pre-directory builds.
+    /// Directory sharding off: the paper's all-to-all metadata
+    /// protocol.
     pub fn off() -> Self {
-        DirectoryConfig {
-            enabled: false,
-            policy: DirectoryPolicy::Hash,
-        }
+        DirectoryConfig(None)
     }
 
-    /// Sharding enabled with the given home-assignment policy.
+    /// Sharding on with the given home-assignment policy.
     pub fn on(policy: DirectoryPolicy) -> Self {
-        DirectoryConfig {
-            enabled: true,
-            policy,
-        }
+        DirectoryConfig(Some(policy))
     }
-}
 
-impl Default for DirectoryConfig {
-    fn default() -> Self {
-        DirectoryConfig::off()
+    /// The home-assignment policy, `None` while sharding is off.
+    pub fn policy(self) -> Option<DirectoryPolicy> {
+        self.0
+    }
+
+    /// Whether interest-based notice pruning and home-served history
+    /// healing run.
+    pub fn enabled(self) -> bool {
+        self.0.is_some()
     }
 }
 
@@ -246,8 +240,6 @@ pub struct ThreadConfig {
     /// multithreading (§4); false in the combined approach (§5),
     /// where prefetching owns memory latency and a miss simply stalls.
     pub switch_on_memory: bool,
-    /// Switch threads on a remote synchronization stall.
-    pub switch_on_sync: bool,
 }
 
 impl ThreadConfig {
@@ -256,7 +248,6 @@ impl ThreadConfig {
         ThreadConfig {
             threads_per_node: 1,
             switch_on_memory: false,
-            switch_on_sync: false,
         }
     }
 
@@ -266,7 +257,6 @@ impl ThreadConfig {
         ThreadConfig {
             threads_per_node: n,
             switch_on_memory: true,
-            switch_on_sync: true,
         }
     }
 
@@ -276,12 +266,13 @@ impl ThreadConfig {
         ThreadConfig {
             threads_per_node: n,
             switch_on_memory: false,
-            switch_on_sync: true,
         }
     }
 
     /// True when more than one thread runs per node, which activates
-    /// asynchronous message handling and its fixed overhead (§4.3).
+    /// asynchronous message handling and its fixed overhead (§4.3)
+    /// and switching on a remote synchronization stall (every mode
+    /// with a second thread to switch to does that).
     pub fn is_multithreaded(&self) -> bool {
         self.threads_per_node > 1
     }
@@ -422,21 +413,20 @@ pub struct DsmConfig {
     /// Diff/interval storage (in encoded bytes) that triggers a
     /// garbage-collection pass at the next barrier.
     pub gc_threshold_bytes: usize,
-    /// Seed for all deterministic randomness (network drops).
-    pub seed: u64,
     /// Injected network faults: message drops, duplicates,
     /// reordering, jitter, link-degradation windows, and node stalls.
     /// Empty ([`FaultPlan::none`]) by default.
     pub faults: FaultPlan,
     /// Reliable-transport parameters: retransmission timeout,
-    /// backoff cap, retry budget, ack size.
+    /// backoff cap, retry budget.
     pub transport: TransportConfig,
     /// Safety limit on simulated time; a run exceeding it aborts with
     /// an error rather than looping forever.
     pub max_sim_time: SimDuration,
     /// Consistency-oracle mode: runtime LRC invariant checking and
     /// final-image/lock-trace capture for differential testing.
-    /// Off ([`OracleConfig::off`]) by default — zero overhead.
+    /// Off ([`OracleConfig::off`]) by default: the engine then builds
+    /// no oracle state at all.
     pub oracle: OracleConfig,
     /// Failure detection, barrier-aligned checkpointing, and
     /// crash recovery. Off ([`RecoveryConfig::off`]) by default —
@@ -460,7 +450,6 @@ impl DsmConfig {
             prefetch: PrefetchConfig::off(),
             threads: ThreadConfig::single(),
             gc_threshold_bytes: 8 << 20,
-            seed: 0x5D5,
             faults: FaultPlan::none(),
             transport: TransportConfig::default(),
             max_sim_time: SimDuration::from_secs(36_000),
@@ -471,8 +460,8 @@ impl DsmConfig {
     }
 
     /// Installs a fault-injection plan (builder style). The plan's
-    /// own seed governs fault decisions; the config seed governs
-    /// everything else.
+    /// own seed governs fault decisions; the network's seed
+    /// ([`DsmConfig::with_seed`]) governs congestion drops.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -484,9 +473,9 @@ impl DsmConfig {
         self
     }
 
-    /// Replaces the seed (builder style).
+    /// Replaces the seed of the run's one random stream, the
+    /// network's congestion drops (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self.net.seed = seed;
         self
     }
@@ -640,7 +629,6 @@ mod tests {
             .with_seed(9)
             .with_prefetch(PrefetchConfig::hand())
             .with_threads(ThreadConfig::multithreaded(4));
-        assert_eq!(c.seed, 9);
         assert_eq!(c.net.seed, 9);
         assert_eq!(c.prefetch.mode, PrefetchMode::Static);
         assert_eq!(c.total_threads(), 16);
@@ -666,7 +654,6 @@ mod tests {
     fn combined_mode_switches_only_on_sync() {
         let t = ThreadConfig::combined(4);
         assert!(!t.switch_on_memory);
-        assert!(t.switch_on_sync);
         assert!(t.is_multithreaded());
     }
 

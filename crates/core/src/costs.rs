@@ -59,8 +59,6 @@ pub struct CostModel {
     /// the fast path; models the instrumentation the paper's inline
     /// checks would cost).
     pub access_check: SimDuration,
-    /// Busy-time cost per byte of shared data touched (memory system).
-    pub shared_byte: SimDuration,
 }
 
 impl CostModel {
@@ -86,7 +84,6 @@ impl CostModel {
             ack_process: SimDuration::from_micros(5),
             gc_per_diff: SimDuration::from_micros(2),
             access_check: SimDuration::from_nanos(60),
-            shared_byte: SimDuration::from_nanos(8),
         }
     }
 
@@ -112,7 +109,6 @@ impl CostModel {
             ack_process: SimDuration::ZERO,
             gc_per_diff: SimDuration::ZERO,
             access_check: SimDuration::ZERO,
-            shared_byte: SimDuration::ZERO,
         }
     }
 

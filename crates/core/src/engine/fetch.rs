@@ -37,7 +37,7 @@ impl Directory {
     /// `Some` (nothing claimed yet) when `cfg` turns the directory
     /// layer on.
     pub(super) fn for_config(cfg: &DsmConfig, heap: &Heap) -> Option<Self> {
-        cfg.directory.enabled.then(|| Directory {
+        cfg.directory.enabled().then(|| Directory {
             claimed: vec![false; heap.page_count()],
         })
     }
@@ -247,7 +247,7 @@ impl Core<'_> {
         if std::mem::replace(&mut dir.claimed[p], true) {
             return;
         }
-        if self.cfg.directory.policy != DirectoryPolicy::FirstTouch {
+        if self.cfg.directory.policy() != Some(DirectoryPolicy::FirstTouch) {
             return;
         }
         let home = self.heap.home(page);
@@ -422,10 +422,9 @@ impl Core<'_> {
                 node.board.mark_applied(page, cached.origin, &cached.stamp);
                 continue;
             }
-            if self.oracle.cfg.invariants {
+            if let Some(oracle) = &mut self.oracle {
                 let covered = node.knows_interval(cached.origin, seq);
-                self.oracle
-                    .check_coverage(covered, n, page, cached.origin, &cached.stamp, end);
+                oracle.check_coverage(covered, n, page, cached.origin, &cached.stamp, end);
             }
             let entry = &mut node.mem.pages[page.index()];
             cached.diff.apply(&mut entry.data);
@@ -504,9 +503,8 @@ impl Core<'_> {
                 continue;
             };
             let diff = Arc::new(Diff::between(&twin, &entry.data));
-            if self.oracle.cfg.invariants {
-                self.oracle
-                    .check_roundtrip(&twin, &entry.data, &diff, n, page, at);
+            if let Some(oracle) = &mut self.oracle {
+                oracle.check_roundtrip(&twin, &entry.data, &diff, n, page, at);
             }
             m.pool.put_arc(twin);
             cost += self.cfg.costs.diff_create(diff.payload_bytes());
@@ -552,7 +550,7 @@ impl Core<'_> {
             // notices are only tracked for pages this node has an
             // interest in. A pruned page's first touch is a base
             // fetch from its home, which re-serves the history.
-            if self.cfg.directory.enabled && !self.interested(n, page) {
+            if self.cfg.directory.enabled() && !self.interested(n, page) {
                 self.nodes[n].counters.dir_pruned += 1;
                 continue;
             }
@@ -698,7 +696,7 @@ impl Core<'_> {
         };
 
         let mut intervals = self.nodes[m].intervals_unknown_to(&req.vc);
-        if want_base && self.cfg.directory.enabled {
+        if want_base && self.cfg.directory.enabled() {
             // Heal a pruned requester: a first touch needs the page's
             // full notice history, including intervals the
             // requester's clock already covers (knowledge it learned

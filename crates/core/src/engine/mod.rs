@@ -172,16 +172,11 @@ impl Simulation {
         let image = VerifyCtx::new(materialize(&out.heap, &out.nodes));
         let verified = app.verify(&image, &handles);
         let pages = image.into_pages();
-        let oracle_state = out.oracle;
-        let oracle = oracle_state.cfg.enabled().then(|| OracleOutcome {
-            violations: oracle_state.violations,
-            lock_trace: oracle_state.lock_trace,
+        let oracle = out.oracle.map(|state| OracleOutcome {
+            violations: state.violations,
+            lock_trace: state.lock_trace,
             image_digest: digest_pages(&pages),
-            final_image: if oracle_state.cfg.capture {
-                pages
-            } else {
-                Vec::new()
-            },
+            final_image: pages,
         });
 
         let nodes = out.nodes;
@@ -239,7 +234,7 @@ impl Simulation {
         cfg.validate().map_err(SimError::Config)?;
         let mut heap = Heap::new(cfg.nodes);
         let handles = app.allocate(&mut heap);
-        if cfg.directory.enabled {
+        if let Some(policy) = cfg.directory.policy() {
             // Directory-sharded homes: override the application's
             // layout with the configured static partition of the page
             // space (first-touch starts from the hash partition and
@@ -247,7 +242,7 @@ impl Simulation {
             let total = heap.page_count();
             for p in 0..total {
                 let page = PageId::new(p as u32);
-                heap.set_home(page, cfg.directory.policy.static_home(p, total, cfg.nodes));
+                heap.set_home(page, policy.static_home(p, total, cfg.nodes));
             }
         }
         let tpn = cfg.threads.threads_per_node;
@@ -279,7 +274,7 @@ struct Outcome {
     net: NetSummary,
     transport: TransportSummary,
     fault_injection: FaultStats,
-    oracle: OracleState,
+    oracle: Option<OracleState>,
     recovery: RecoveryStats,
     events: u64,
     trace: Trace,
@@ -304,8 +299,8 @@ struct Core<'a> {
     /// is on.
     directory: Option<Directory>,
     /// The consistency oracle (invariant violations, lock-grant
-    /// trace); inert unless the config enables it.
-    oracle: OracleState,
+    /// trace); `None` unless the config turns it on.
+    oracle: Option<OracleState>,
     /// Crash/partition suspension, failure detection, checkpoints and
     /// persistence; `None` unless the fault plan schedules an outage
     /// or the config enables recovery or a checkpoint cadence.
@@ -369,7 +364,7 @@ impl<'a> Core<'a> {
             sched,
             wire: Wire::new(cfg),
             barriers: Barriers::new(cfg.nodes),
-            oracle: OracleState::new(cfg.oracle.clone(), cfg.nodes),
+            oracle: cfg.oracle.enabled().then(|| OracleState::new(cfg.nodes)),
             recovery: Recovery::for_config(cfg),
             tracer: Tracer::new(traced, cfg.nodes as u32, tpn as u32),
         }
@@ -397,8 +392,8 @@ impl<'a> Core<'a> {
             };
             self.tracer.begin_event();
             self.handle(event, now)?;
-            if self.oracle.cfg.invariants {
-                self.oracle.check_event(&self.nodes, now);
+            if let Some(oracle) = &mut self.oracle {
+                oracle.check_event(&self.nodes, now);
             }
         }
         Ok(self.sched.finish())
@@ -459,17 +454,23 @@ mod tests {
     }
 
     /// "Off means absent": the paper's configuration builds no
-    /// recovery, failure-detector, persistence, directory or adaptive
-    /// state at all, at any cluster size — in particular none of the
-    /// N×N lease tables a recovery-enabled run carries.
+    /// recovery, failure-detector, persistence, directory, oracle or
+    /// adaptive state at all, at any cluster size — in particular none
+    /// of the N×N lease tables a recovery-enabled run carries, nor the
+    /// oracle's N clocks of N entries.
     #[test]
     fn paper_cluster_core_holds_no_recovery_state() {
+        use crate::oracle::OracleConfig;
+
         let cfg = DsmConfig::paper_cluster(1024);
         let paper = core(&cfg);
         assert!(paper.recovery.is_none());
         assert!(paper.detector().is_none());
         assert!(paper.persist().is_none());
         assert!(paper.directory.is_none());
+        assert!(paper.oracle.is_none());
+        let checked = cfg.clone().with_oracle(OracleConfig::full());
+        assert!(core(&checked).oracle.is_some());
         assert!(paper
             .nodes
             .iter()
@@ -603,16 +604,17 @@ mod tests {
         let cfg = DsmConfig::paper_cluster(8).with_oracle(OracleConfig::full());
         let sim = Simulation::new(cfg);
         let (out, _) = sim.run_engine(&Accumulate, false).expect("accumulate runs");
-        assert_eq!(out.oracle.violations, []);
+        let oracle = out.oracle.expect("oracle on");
+        assert_eq!(oracle.violations, []);
         let token_moves: u64 = out.nodes.iter().map(|n| n.locks.token_moves()).sum();
         let clock_writes: u64 = out.nodes.iter().map(|n| n.clock_version()).sum();
         // Every token left seven nodes and arrived at seven.
         assert!(token_moves >= 2 * 7 * BLOCKS as u64);
-        assert!(out.oracle.token_sweeps <= token_moves);
-        assert!(out.oracle.token_sweeps * 4 < out.events);
+        assert!(oracle.token_sweeps <= token_moves);
+        assert!(oracle.token_sweeps * 4 < out.events);
         // Ticks plus joins: no event of this program writes one clock
         // twice, so each write is one compare.
-        assert_eq!(out.oracle.clock_compares, clock_writes);
+        assert_eq!(oracle.clock_compares, clock_writes);
     }
 
     /// Pages cost nothing until touched: every node holds a slot for

@@ -75,8 +75,10 @@ pub(super) struct Recovery {
     /// Each node's accumulated busy time at its last checkpoint; the
     /// difference at crash time is the modeled replay cost.
     busy_at_ckpt: Vec<SimDuration>,
-    /// Latest checkpoint per node.
-    ckpts: Vec<Option<Checkpoint>>,
+    /// Barrier epoch and page count of each node's latest checkpoint
+    /// (zeros before the first): what failure confirmation reports
+    /// and the flat restore cost scales with.
+    last_ckpt: Vec<(u32, u64)>,
     /// Counters surfaced in [`RunReport`](crate::RunReport).
     stats: RecoveryStats,
     /// Failure detection; `Some` iff `recovery.enabled`.
@@ -134,7 +136,7 @@ impl Recovery {
             suspended: 0,
             parked_events: Vec::new(),
             busy_at_ckpt: vec![SimDuration::ZERO; n],
-            ckpts: vec![None; n],
+            last_ckpt: vec![(0, 0); n],
             stats: RecoveryStats::default(),
             detector: rc.enabled.then(|| Detector {
                 leases: FailureDetector::new(n, rc.lease_timeout),
@@ -606,7 +608,7 @@ impl Core<'_> {
             return;
         }
         self.det().leases.mark_down(MANAGER, victim);
-        let epoch = self.rec().ckpts[victim].as_ref().map_or(0, |c| c.epoch);
+        let (epoch, _) = self.rec().last_ckpt[victim];
         self.tracer.emit(
             now,
             MANAGER as u32,
@@ -714,7 +716,7 @@ impl Core<'_> {
         let restore = match &rec.persist {
             Some(per) => rc.persist.read_time(per.restore_bytes[x] as usize),
             None => {
-                let pages = rec.ckpts[x].as_ref().map_or(0, |c| c.pages.len() as u64);
+                let (_, pages) = rec.last_ckpt[x];
                 rc.restore_per_page * pages
             }
         };
@@ -750,13 +752,12 @@ impl Core<'_> {
         rec.stats.checkpoints_taken += 1;
         rec.stats.checkpoint_bytes += bytes;
         rec.busy_at_ckpt[n] = busy;
-        let end = if rec.persist.is_some() {
+        rec.last_ckpt[n] = (epoch, ckpt.pages.len() as u64);
+        if rec.persist.is_some() {
             self.persist_checkpoint(n, epoch, encoded, at)
         } else {
             at
-        };
-        self.rec().ckpts[n] = Some(ckpt);
-        end
+        }
     }
 
     /// Writes a checkpoint of `epoch` (`encoded`, its `RCK1` bytes) to
@@ -867,14 +868,14 @@ impl Core<'_> {
                     .payload_len as usize;
                 per.restore_bytes[x] = (image + COMMIT_LEN) as u64;
                 rec.busy_at_ckpt[x] = per.busy_at_slot[x][slot];
-                rec.ckpts[x] = Some(*ckpt);
+                rec.last_ckpt[x] = (ckpt.epoch, ckpt.pages.len() as u64);
             }
             None => {
                 // Nothing committed yet (the crash predates the first
                 // durable checkpoint): recovery restarts from scratch.
                 per.restore_bytes[x] = 0;
                 rec.busy_at_ckpt[x] = SimDuration::ZERO;
-                rec.ckpts[x] = None;
+                rec.last_ckpt[x] = (0, 0);
             }
         }
     }

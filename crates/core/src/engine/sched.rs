@@ -347,7 +347,7 @@ impl Core<'_> {
         let switch_allowed = if reason == BlockReason::Memory {
             self.cfg.threads.switch_on_memory
         } else {
-            self.cfg.threads.switch_on_sync
+            self.cfg.threads.is_multithreaded()
         };
         if switch_allowed {
             self.maybe_dispatch(n, now)?;

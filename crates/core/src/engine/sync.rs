@@ -57,6 +57,14 @@ impl Core<'_> {
     // Locks (§4.1 request combining, distributed token passing)
     // ------------------------------------------------------------------
 
+    /// Adds `tid` entering `lock`'s critical section to the oracle's
+    /// grant trace, when the oracle runs.
+    fn record_grant(&mut self, lock: LockId, tid: ThreadId) {
+        if let Some(oracle) = &mut self.oracle {
+            oracle.record_grant(lock, tid);
+        }
+    }
+
     pub(super) fn handle_acquire(
         &mut self,
         tid: ThreadId,
@@ -73,7 +81,7 @@ impl Core<'_> {
         );
         match self.nodes[n].locks.acquire(lock, tid) {
             AcquireOutcome::Granted => {
-                self.oracle.record_grant(lock, tid);
+                self.record_grant(lock, tid);
                 let end = self.charge(
                     n,
                     now,
@@ -125,7 +133,7 @@ impl Core<'_> {
     ) -> Result<(), SimError> {
         match self.nodes[n].locks.release(lock, tid) {
             ReleaseOutcome::PassedLocal(next) => {
-                self.oracle.record_grant(lock, next);
+                self.record_grant(lock, next);
                 let end = self.charge(
                     n,
                     now,
@@ -164,7 +172,7 @@ impl Core<'_> {
             // Degenerate self-grant (the manager routed our own
             // request back to us): no messaging, no new notices.
             if let GrantOutcome::WakeLocal(tid) = self.nodes[n].locks.handle_grant(lock) {
-                self.oracle.record_grant(lock, tid);
+                self.record_grant(lock, tid);
                 self.tracer.emit(
                     at,
                     n as u32,
@@ -320,7 +328,7 @@ impl Core<'_> {
         self.nodes[n].join_clock(vc);
         match self.nodes[n].locks.handle_grant(lock) {
             GrantOutcome::WakeLocal(tid) => {
-                self.oracle.record_grant(lock, tid);
+                self.record_grant(lock, tid);
                 // A remote grant opens a new lock epoch for the
                 // acquirer.
                 let end = self.prefetch_at_sync(n, SyncKey::Lock(lock), Some(tid), end);
@@ -418,12 +426,12 @@ impl Core<'_> {
             .entry(id)
             .or_insert_with(|| VectorClock::new(self.cfg.nodes));
         joined.join(vc);
-        if self.oracle.cfg.invariants {
-            self.oracle.barrier_arrival(id, from, at);
+        if let Some(oracle) = &mut self.oracle {
+            oracle.barrier_arrival(id, from, at);
         }
         if let Some(union) = self.barriers.mgr.node_arrived(id, from, intervals) {
-            if self.oracle.cfg.invariants {
-                self.oracle.barrier_release(id, self.cfg.nodes, at);
+            if let Some(oracle) = &mut self.oracle {
+                oracle.barrier_release(id, self.cfg.nodes, at);
             }
             let joined = self.barriers.vcs.remove(&id).expect("joined clock");
             let mut end = at;

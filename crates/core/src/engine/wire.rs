@@ -18,7 +18,9 @@ use crate::lock::RemoteWaiter;
 use crate::msg::MsgBody;
 use crate::report::{NetSummary, SimError};
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
-use crate::transport::{Frame, Packet, Recv, TimeoutAction, Transport, TransportSummary};
+use crate::transport::{
+    Frame, Packet, Recv, TimeoutAction, Transport, TransportSummary, ACK_BYTES,
+};
 
 /// The network and the transport state riding on it.
 pub(super) struct Wire {
@@ -83,8 +85,8 @@ impl Core<'_> {
         let (bytes, reliability) = match &frame {
             Frame::Datagram { body } => (body.wire_bytes() as u32, Reliability::Droppable),
             Frame::Data { body, .. } => (body.wire_bytes() as u32, Reliability::Reliable),
-            Frame::Ack { .. } => (self.cfg.transport.ack_bytes, Reliability::Reliable),
-            Frame::Heartbeat => (self.cfg.transport.ack_bytes, Reliability::Droppable),
+            Frame::Ack { .. } => (ACK_BYTES, Reliability::Reliable),
+            Frame::Heartbeat => (ACK_BYTES, Reliability::Droppable),
         };
         let class = frame.class();
         let outcome = self

@@ -16,7 +16,7 @@
 //! associative. The golden executor therefore *replays* the DSM run's
 //! own lock-grant order, captured as
 //! [`GrantRecord`](crate::GrantRecord)s by the oracle
-//! ([`OracleConfig::capture`](crate::OracleConfig)): a lock is
+//! ([`OracleConfig::full`](crate::OracleConfig::full)): a lock is
 //! granted to the thread the trace names next, and only falls back to
 //! FIFO order when the trace is exhausted or absent. Replay cannot
 //! deadlock on a trace the engine actually produced — that order was

@@ -5,25 +5,26 @@
 //! actually coherent, so this module gives every run a cheap,
 //! always-available proof hierarchy (see `DESIGN.md`):
 //!
-//! 1. **Runtime invariants** ([`OracleConfig::invariants`]): checked
-//!    inside the engine as the protocol executes — vector-clock
-//!    monotonicity, interval/write-notice coverage of every applied
-//!    diff, twin/diff round-trip identity, single lock-token
-//!    holdership, and barrier-epoch agreement. Violations are
-//!    *recorded*, not panicked, so a broken run still produces a
-//!    report that names every broken invariant.
-//! 2. **Differential checking** ([`OracleConfig::capture`]): the final
-//!    merged memory image and the per-lock grant order are captured in
-//!    the [`RunReport`](crate::RunReport), so the `rsdsm-oracle` crate
-//!    can replay the program through the golden sequential executor
+//! 1. **Runtime invariants**: checked inside the engine as the
+//!    protocol executes — vector-clock monotonicity,
+//!    interval/write-notice coverage of every applied diff, twin/diff
+//!    round-trip identity, single lock-token holdership, and
+//!    barrier-epoch agreement. Violations are *recorded*, not
+//!    panicked, so a broken run still produces a report that names
+//!    every broken invariant.
+//! 2. **Differential checking**: the final merged memory image and
+//!    the per-lock grant order are captured in the
+//!    [`RunReport`](crate::RunReport), so the `rsdsm-oracle` crate can
+//!    replay the program through the golden sequential executor
 //!    ([`golden_run`](crate::golden_run)) and compare byte for byte.
 //! 3. **Determinism**: [`digest_pages`] / [`fnv1a`] hash the image and
 //!    report so identical (seed, config) runs can be asserted
 //!    digest-identical.
 //!
-//! The oracle is off by default ([`OracleConfig::off`]) and costs
-//! nothing; paper-scale benches keep it off, tests switch it on with
-//! [`DsmConfig::with_oracle`](crate::DsmConfig::with_oracle).
+//! The first two run under [`OracleConfig::full`]. The oracle is off
+//! by default ([`OracleConfig::off`]) and the engine then holds no
+//! oracle state; paper-scale benches keep it off, tests switch it on
+//! with [`DsmConfig::with_oracle`](crate::DsmConfig::with_oracle).
 //!
 //! # What the per-event check costs
 //!
@@ -56,38 +57,31 @@ use crate::msg::{BarrierId, LockId};
 use crate::node::NodeState;
 use crate::thread::ThreadId;
 
-/// What the consistency oracle checks during a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Whether the consistency oracle runs: off, or everything — LRC
+/// invariants (clock monotonicity, notice coverage, diff round trips,
+/// token uniqueness, barrier epochs) checked as the protocol executes
+/// with violations recorded, and the final memory image and
+/// lock-grant trace captured for golden-model differential checking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleConfig {
-    /// Check LRC invariants as the protocol executes (clock
-    /// monotonicity, notice coverage, diff round trips, token
-    /// uniqueness, barrier epochs) and record violations.
-    pub invariants: bool,
-    /// Capture the final memory image and the lock-grant trace in the
-    /// report, enabling golden-model differential checking.
-    pub capture: bool,
+    full: bool,
 }
 
 impl OracleConfig {
-    /// Oracle disabled (the default; zero overhead).
+    /// Oracle off (the default): the engine builds no oracle state
+    /// and the report carries no [`OracleOutcome`].
     pub fn off() -> Self {
-        OracleConfig {
-            invariants: false,
-            capture: false,
-        }
+        OracleConfig { full: false }
     }
 
     /// Everything on: invariants checked, image and trace captured.
     pub fn full() -> Self {
-        OracleConfig {
-            invariants: true,
-            capture: true,
-        }
+        OracleConfig { full: true }
     }
 
-    /// Whether any oracle machinery is active.
-    pub fn enabled(&self) -> bool {
-        self.invariants || self.capture
+    /// Whether the oracle runs.
+    pub fn enabled(self) -> bool {
+        self.full
     }
 }
 
@@ -134,19 +128,17 @@ pub struct GrantRecord {
 
 /// What the oracle observed in one run; present in
 /// [`RunReport::oracle`](crate::RunReport::oracle) when the run's
-/// [`OracleConfig`] enabled anything.
+/// [`OracleConfig`] is [`full`](OracleConfig::full).
 #[derive(Debug, Clone)]
 pub struct OracleOutcome {
     /// Invariant violations, in observation order (empty on a
     /// coherent run).
     pub violations: Vec<Violation>,
-    /// Every lock grant, in global grant order (captured runs only).
+    /// Every lock grant, in global grant order.
     pub lock_trace: Vec<GrantRecord>,
-    /// The merged final memory image (captured runs only; empty
-    /// otherwise).
+    /// The merged final memory image.
     pub final_image: Vec<Page>,
-    /// FNV-1a digest of the final memory image (computed whenever the
-    /// oracle is enabled, even without capture).
+    /// FNV-1a digest of the final memory image.
     pub image_digest: u64,
 }
 
@@ -217,9 +209,9 @@ struct BarrierEpoch {
 
 /// The engine-side oracle state: recorded violations, the lock-grant
 /// trace, and the snapshots the per-event checks compare against.
+/// Built only for a run whose [`OracleConfig`] is on.
 #[derive(Debug)]
 pub(crate) struct OracleState {
-    pub cfg: OracleConfig,
     pub violations: Vec<Violation>,
     pub lock_trace: Vec<GrantRecord>,
     /// Per node: the clock last observed and the
@@ -247,9 +239,8 @@ pub(crate) struct OracleState {
 }
 
 impl OracleState {
-    pub fn new(cfg: OracleConfig, nodes: usize) -> Self {
+    pub fn new(nodes: usize) -> Self {
         OracleState {
-            cfg,
             violations: Vec::new(),
             lock_trace: Vec::new(),
             seen_clocks: (0..nodes).map(|_| (0, VectorClock::new(nodes))).collect(),
@@ -265,12 +256,9 @@ impl OracleState {
         }
     }
 
-    /// Records a lock grant (captured runs only — the trace exists to
-    /// drive golden replay).
+    /// Records a lock grant; the trace drives golden replay.
     pub fn record_grant(&mut self, lock: LockId, thread: ThreadId) {
-        if self.cfg.capture {
-            self.lock_trace.push(GrantRecord { lock, thread });
-        }
+        self.lock_trace.push(GrantRecord { lock, thread });
     }
 
     /// Per-event check: vector clocks never regress, and no lock's
@@ -530,7 +518,7 @@ mod tests {
 
     #[test]
     fn clock_regression_is_caught() {
-        let mut st = OracleState::new(OracleConfig::full(), 2);
+        let mut st = OracleState::new(2);
         let mut nodes = cluster(2);
         nodes[0].tick_clock();
         nodes[0].tick_clock();
@@ -554,7 +542,7 @@ mod tests {
 
     #[test]
     fn duplicate_token_is_caught_when_made_and_while_it_lasts() {
-        let mut st = OracleState::new(OracleConfig::full(), 2);
+        let mut st = OracleState::new(2);
         let mut nodes = cluster(2);
         let lock = LockId(0);
         let at = SimTime::from_nanos;
@@ -619,7 +607,7 @@ mod tests {
 
         let mut seen = HashSet::new();
         for _ in 0..20 {
-            let mut st = OracleState::new(OracleConfig::full(), 2);
+            let mut st = OracleState::new(2);
             let mut nodes = cluster(2);
             // Six locks managed by node 0, each forged onto node 1.
             for lock in [10, 2, 8, 0, 6, 4].map(LockId) {
@@ -699,7 +687,7 @@ mod tests {
             steps in prop::collection::vec((0usize..STEPS.len(), any::<u32>(), any::<u32>()), 1..200),
         ) {
             let mut nodes = cluster(n);
-            let mut st = OracleState::new(OracleConfig::full(), n);
+            let mut st = OracleState::new(n);
             let mut reference = FullSweep::new(n);
             for (i, (step, a, b)) in steps.into_iter().enumerate() {
                 let at = SimTime::from_nanos(i as u64);
@@ -762,7 +750,7 @@ mod tests {
 
     #[test]
     fn barrier_epoch_checks() {
-        let mut st = OracleState::new(OracleConfig::full(), 2);
+        let mut st = OracleState::new(2);
         let id = BarrierId(3);
         st.barrier_arrival(id, 0, SimTime::ZERO);
         st.barrier_arrival(id, 1, SimTime::ZERO);
@@ -785,7 +773,7 @@ mod tests {
         let mut data = Page::new();
         data.write_u64(16, 99);
         let diff = Diff::between(&twin, &data);
-        let mut st = OracleState::new(OracleConfig::full(), 1);
+        let mut st = OracleState::new(1);
         st.check_roundtrip(&twin, &data, &diff, 0, PageId::new(0), SimTime::ZERO);
         assert!(st.violations.is_empty());
         // A forged (wrong) diff is rejected.
@@ -797,10 +785,7 @@ mod tests {
 
     #[test]
     fn grant_trace_only_recorded_when_capturing() {
-        let mut st = OracleState::new(OracleConfig::off(), 1);
-        st.record_grant(LockId(1), ThreadId(0));
-        assert!(st.lock_trace.is_empty());
-        let mut st = OracleState::new(OracleConfig::full(), 1);
+        let mut st = OracleState::new(1);
         st.record_grant(LockId(1), ThreadId(0));
         assert_eq!(st.lock_trace.len(), 1);
     }

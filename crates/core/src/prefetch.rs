@@ -46,14 +46,6 @@ use crate::node::MissClass;
 pub struct AdaptiveConfig {
     /// Sliding-window length `W` (in faults) per thread stream.
     pub window: usize,
-    /// Degree (pages issued per detecting fault) at start and after a
-    /// resume.
-    pub base_degree: u32,
-    /// Ramp ceiling for the degree.
-    pub max_degree: u32,
-    /// Look-ahead multiplier at start: the first candidate is
-    /// `stride * lead` pages ahead of the faulting page.
-    pub base_lead: u32,
     /// Ceiling for the lead when lateness keeps pushing it deeper.
     pub max_lead: u32,
     /// Classified faults per controller evaluation window.
@@ -61,18 +53,6 @@ pub struct AdaptiveConfig {
     /// Minimum covered faults in a window before accuracy/lateness
     /// are trusted (below it the controller holds still).
     pub min_sample: u32,
-    /// Windowed coverage at or above which the degree ramps (provided
-    /// lateness is at or below `late_threshold`).
-    pub ramp_coverage: f64,
-    /// Windowed accuracy below which the degree is halved.
-    pub backoff_accuracy: f64,
-    /// Windowed lateness above which the lead deepens. Past twice
-    /// this value — or once the lead is maxed — the degree backs off
-    /// instead: the serving nodes are saturated and earlier issue
-    /// only lengthens their queues.
-    pub late_threshold: f64,
-    /// Evaluation windows to sit out after a suppression.
-    pub suppress_periods: u32,
 }
 
 impl AdaptiveConfig {
@@ -80,16 +60,9 @@ impl AdaptiveConfig {
     pub fn on() -> Self {
         AdaptiveConfig {
             window: 8,
-            base_degree: 2,
-            max_degree: 8,
-            base_lead: 1,
             max_lead: 4,
             eval_period: 16,
             min_sample: 4,
-            ramp_coverage: 0.6,
-            backoff_accuracy: 0.2,
-            late_threshold: 0.25,
-            suppress_periods: 2,
         }
     }
 }
@@ -287,11 +260,32 @@ pub struct ThrottleController {
 }
 
 impl ThrottleController {
-    /// A controller at the configuration's base operating point.
+    /// Degree (pages issued per detecting fault) at start and after a
+    /// resume.
+    pub const BASE_DEGREE: u32 = 2;
+    /// Ramp ceiling for the degree.
+    pub const MAX_DEGREE: u32 = 8;
+    /// Look-ahead multiplier at start: the first candidate is
+    /// `stride * lead` pages ahead of the faulting page.
+    pub const BASE_LEAD: u32 = 1;
+    /// Windowed coverage at or above which the degree ramps (provided
+    /// lateness is at or below half of `LATE_THRESHOLD`).
+    const RAMP_COVERAGE: f64 = 0.6;
+    /// Windowed accuracy below which the degree is halved.
+    const BACKOFF_ACCURACY: f64 = 0.2;
+    /// Windowed lateness above which the lead deepens. Past twice
+    /// this value — or once the lead is maxed — the degree backs off
+    /// instead: the serving nodes are saturated and earlier issue
+    /// only lengthens their queues.
+    const LATE_THRESHOLD: f64 = 0.25;
+    /// Evaluation windows to sit out after a suppression.
+    const SUPPRESS_PERIODS: u32 = 2;
+
+    /// A controller at the base operating point.
     pub fn new(cfg: &AdaptiveConfig) -> Self {
         ThrottleController {
-            degree: cfg.base_degree,
-            lead: cfg.base_lead,
+            degree: Self::BASE_DEGREE,
+            lead: Self::BASE_LEAD,
             cfg: cfg.clone(),
             suppressed_for: 0,
             faults: 0,
@@ -347,8 +341,8 @@ impl ThrottleController {
         if self.suppressed_for > 0 {
             self.suppressed_for -= 1;
             if self.suppressed_for == 0 {
-                self.degree = self.cfg.base_degree;
-                self.lead = self.cfg.base_lead;
+                self.degree = Self::BASE_DEGREE;
+                self.lead = Self::BASE_LEAD;
                 return Some(ThrottleChange::Resume);
             }
             return None;
@@ -360,13 +354,13 @@ impl ThrottleController {
         let coverage = f64::from(covered) / f64::from(covered + self.no_pf);
         let accuracy = f64::from(self.hits) / f64::from(covered);
         let lateness = f64::from(self.too_late) / f64::from(covered);
-        if accuracy < self.cfg.backoff_accuracy && lateness <= self.cfg.late_threshold {
+        if accuracy < Self::BACKOFF_ACCURACY && lateness <= Self::LATE_THRESHOLD {
             // Covered but neither served nor merely late: the window
             // is dominated by invalidations — wasted traffic.
             return Some(self.back_off());
         }
-        if lateness > self.cfg.late_threshold {
-            if lateness > 2.0 * self.cfg.late_threshold || self.lead >= self.cfg.max_lead {
+        if lateness > Self::LATE_THRESHOLD {
+            if lateness > 2.0 * Self::LATE_THRESHOLD || self.lead >= self.cfg.max_lead {
                 // Most covered faults arrive before their reply (or
                 // the lead is already maxed): the serving nodes are
                 // saturated, and issuing earlier only lengthens their
@@ -376,14 +370,14 @@ impl ThrottleController {
             self.lead += 1;
             return Some(ThrottleChange::Deepen);
         }
-        if coverage >= self.cfg.ramp_coverage
-            && lateness <= self.cfg.late_threshold / 2.0
-            && self.degree < self.cfg.max_degree
+        if coverage >= Self::RAMP_COVERAGE
+            && lateness <= Self::LATE_THRESHOLD / 2.0
+            && self.degree < Self::MAX_DEGREE
         {
             // Ramp only while replies also arrive comfortably early:
             // high coverage with creeping lateness means the current
             // depth is already at the fabric's capacity.
-            self.degree = (self.degree * 2).min(self.cfg.max_degree);
+            self.degree = (self.degree * 2).min(Self::MAX_DEGREE);
             return Some(ThrottleChange::Ramp);
         }
         None
@@ -394,7 +388,7 @@ impl ThrottleController {
             self.degree /= 2;
             ThrottleChange::Backoff
         } else {
-            self.suppressed_for = self.cfg.suppress_periods;
+            self.suppressed_for = Self::SUPPRESS_PERIODS;
             ThrottleChange::Suppress
         }
     }
@@ -570,7 +564,7 @@ mod tests {
             ..AdaptiveConfig::on()
         };
         let mut c = ThrottleController::new(&cfg);
-        assert_eq!(c.degree(), cfg.base_degree);
+        assert_eq!(c.degree(), ThrottleController::BASE_DEGREE);
         let mut changes = Vec::new();
         for _ in 0..8 {
             if let Some(ch) = c.observe(MissClass::Hit) {
@@ -578,7 +572,7 @@ mod tests {
             }
         }
         assert_eq!(changes, vec![ThrottleChange::Ramp]);
-        assert_eq!(c.degree(), cfg.base_degree * 2);
+        assert_eq!(c.degree(), ThrottleController::BASE_DEGREE * 2);
     }
 
     #[test]
@@ -634,7 +628,11 @@ mod tests {
             changes,
             vec![ThrottleChange::Backoff, ThrottleChange::Suppress]
         );
-        assert_eq!(c.lead(), cfg.base_lead, "lead never deepened");
+        assert_eq!(
+            c.lead(),
+            ThrottleController::BASE_LEAD,
+            "lead never deepened"
+        );
     }
 
     #[test]
@@ -642,11 +640,10 @@ mod tests {
         let cfg = AdaptiveConfig {
             eval_period: 4,
             max_lead: 1,
-            suppress_periods: 2,
             ..AdaptiveConfig::on()
         };
         let mut c = ThrottleController::new(&cfg);
-        // base_degree 2 → one backoff to 1, then suppress.
+        // BASE_DEGREE 2 → one backoff to 1, then suppress.
         for _ in 0..8 {
             c.observe(MissClass::Invalidated);
         }
@@ -659,8 +656,8 @@ mod tests {
         }
         assert_eq!(changes, vec![ThrottleChange::Resume]);
         assert!(c.may_issue());
-        assert_eq!(c.degree(), cfg.base_degree);
-        assert_eq!(c.lead(), cfg.base_lead);
+        assert_eq!(c.degree(), ThrottleController::BASE_DEGREE);
+        assert_eq!(c.lead(), ThrottleController::BASE_LEAD);
     }
 
     #[test]
@@ -673,7 +670,7 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(c.observe(MissClass::NoPf), None);
         }
-        assert_eq!(c.degree(), cfg.base_degree);
+        assert_eq!(c.degree(), ThrottleController::BASE_DEGREE);
         assert!(c.may_issue());
     }
 

@@ -313,14 +313,14 @@ pub struct RunReport {
     pub gc_passes: u64,
     /// Directory-layer tallies (home hits, heal forwards, pruned
     /// notices, first-touch migrations); all zero unless the run's
-    /// [`DirectoryConfig`](crate::DirectoryConfig) is enabled.
+    /// [`DirectoryConfig`](crate::DirectoryConfig) is on.
     pub directory: DirectorySummary,
     /// Simulation events the engine loop processed — the scaling
     /// suite's events-per-second numerator.
     pub events_processed: u64,
     /// Consistency-oracle observations (invariant violations, lock
     /// trace, final image); `None` unless the run's
-    /// [`OracleConfig`](crate::OracleConfig) enabled something.
+    /// [`OracleConfig`](crate::OracleConfig) is on.
     pub oracle: Option<OracleOutcome>,
     /// Trace-derived metrics (per-class latency histograms, fault
     /// service times, retry timelines, §3.3 prefetch taxonomy);
@@ -422,8 +422,8 @@ impl RunReport {
         let t = &self.transport;
         let r = &self.recovery;
         let d = &self.directory;
-        let dir_active =
-            self.config.directory.enabled && d.home_hits + d.forwards + d.pruned + d.migrations > 0;
+        let dir_active = self.config.directory.enabled()
+            && d.home_hits + d.forwards + d.pruned + d.migrations > 0;
         let quiet = f.injected_drops == 0
             && f.duplicates == 0
             && f.reordered == 0
@@ -486,7 +486,7 @@ impl RunReport {
         }
         // Gated on the config switch, not the counters: a run without
         // the directory layer must emit the exact pre-directory line.
-        if self.config.directory.enabled {
+        if self.config.directory.enabled() {
             write!(
                 line,
                 "; directory: {} home hits, {} heal forwards, \

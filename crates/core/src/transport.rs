@@ -59,9 +59,10 @@ pub struct TransportConfig {
     /// Retransmissions allowed per frame before the transport gives
     /// up and the run aborts.
     pub max_retries: u32,
-    /// Wire size of an acknowledgement frame.
-    pub ack_bytes: u32,
 }
+
+/// Wire size of a body-less frame: an acknowledgement or a heartbeat.
+pub(crate) const ACK_BYTES: u32 = 28;
 
 impl Default for TransportConfig {
     /// Defaults sized for the simulated 155 Mbps ATM LAN: the initial
@@ -79,7 +80,6 @@ impl Default for TransportConfig {
             initial_rto: SimDuration::from_millis(4),
             max_rto: SimDuration::from_secs(2),
             max_retries: 12,
-            ack_bytes: 28,
         }
     }
 }
@@ -460,7 +460,6 @@ mod tests {
             initial_rto: SimDuration::from_millis(1),
             max_rto: SimDuration::from_millis(4),
             max_retries: 2,
-            ack_bytes: 28,
         }
     }
 

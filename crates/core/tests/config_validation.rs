@@ -1,13 +1,16 @@
 //! Up-front configuration validation: one minimal configuration per
-//! [`ConfigError`] variant, and the guarantee that a rejected
+//! [`ConfigError`] variant, the guarantee that a rejected
 //! configuration never reaches the application (no allocation, no
-//! thread, no panic).
+//! thread, no panic), and — for the two settings whose every value is
+//! legal — a run under each.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use rsdsm_apps::{Benchmark, Scale};
 use rsdsm_core::{
-    ConfigError, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, NodeCrash, Partition,
-    PersistConfig, RecoveryConfig, SharedVec, SimError, Simulation, ThreadConfig, VerifyCtx,
+    ConfigError, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy,
+    NodeCrash, OracleConfig, Partition, PersistConfig, RecoveryConfig, SharedVec, SimError,
+    Simulation, ThreadConfig, VerifyCtx,
 };
 use rsdsm_simnet::{NetConfig, SimDuration, SimTime};
 
@@ -226,5 +229,33 @@ fn valid_plans_pass() {
         adjacent_windows,
     ] {
         assert_eq!(cfg.validate(), Ok(()));
+    }
+}
+
+/// The directory and the oracle are one value each — off, or what
+/// they do — so the whole space can be listed: 4 × 2 configurations,
+/// none of which carries a part the engine ignores. Every one is
+/// legal, and RADIX verifies under it.
+#[test]
+fn every_directory_and_oracle_value_is_legal() {
+    let directories = [
+        DirectoryConfig::off(),
+        DirectoryConfig::on(DirectoryPolicy::Hash),
+        DirectoryConfig::on(DirectoryPolicy::Block),
+        DirectoryConfig::on(DirectoryPolicy::FirstTouch),
+    ];
+    for directory in directories {
+        for oracle in [OracleConfig::off(), OracleConfig::full()] {
+            let cfg = DsmConfig::paper_cluster(NODES)
+                .with_directory(directory)
+                .with_oracle(oracle);
+            assert_eq!(cfg.validate(), Ok(()), "{directory:?} {oracle:?}");
+            let report = Benchmark::Radix
+                .run(Scale::Test, cfg)
+                .unwrap_or_else(|e| panic!("{directory:?} {oracle:?}: {e}"));
+            assert!(report.verified, "{directory:?} {oracle:?}");
+            assert_eq!(report.oracle.is_some(), oracle.enabled());
+            assert!(report.oracle.is_none_or(|o| o.violations.is_empty()));
+        }
     }
 }

@@ -129,8 +129,8 @@ proptest! {
                 if change == Some(ThrottleChange::Resume) {
                     suppressed = false;
                     prop_assert!(c.may_issue());
-                    prop_assert_eq!(c.degree(), cfg.base_degree);
-                    prop_assert_eq!(c.lead(), cfg.base_lead);
+                    prop_assert_eq!(c.degree(), ThrottleController::BASE_DEGREE);
+                    prop_assert_eq!(c.lead(), ThrottleController::BASE_LEAD);
                 } else {
                     prop_assert!(!c.may_issue(), "cooldown ended without a Resume");
                     prop_assert_eq!((c.degree(), c.lead()), before);
@@ -141,8 +141,8 @@ proptest! {
                 prop_assert!(!c.may_issue());
             }
             // Global operating-point sanity, suppressed or not.
-            prop_assert!(c.degree() >= 1 && c.degree() <= cfg.max_degree);
-            prop_assert!(c.lead() >= cfg.base_lead && c.lead() <= cfg.max_lead);
+            prop_assert!(c.degree() >= 1 && c.degree() <= ThrottleController::MAX_DEGREE);
+            prop_assert!(c.lead() >= ThrottleController::BASE_LEAD && c.lead() <= cfg.max_lead);
         }
     }
 }

@@ -233,11 +233,11 @@ mod tests {
         let p = Technique::Prefetch.configure(Benchmark::Fft, base.clone());
         assert!(p.prefetch.mode == PrefetchMode::Static && p.prefetch.compiler_style);
         let t = Technique::Multithread.configure(Benchmark::Sor, base.clone());
-        assert!(t.threads.switch_on_memory && t.threads.switch_on_sync);
+        assert!(t.threads.switch_on_memory && t.threads.is_multithreaded());
         let c = Technique::Combined.configure(Benchmark::Radix, base.clone());
         assert_eq!(c.prefetch.throttle, 2);
         assert!(c.prefetch.suppress_redundant);
-        assert!(!c.threads.switch_on_memory && c.threads.switch_on_sync);
+        assert!(!c.threads.switch_on_memory && c.threads.is_multithreaded());
         let c2 = Technique::Combined.configure(Benchmark::Sor, base);
         assert_eq!(c2.prefetch.throttle, 1);
     }

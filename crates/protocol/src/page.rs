@@ -228,11 +228,6 @@ impl PagePool {
             self.free_arcs.push(frame);
         }
     }
-
-    /// Free pages currently held (both flavors).
-    pub fn free_pages(&self) -> usize {
-        self.free.len() + self.free_arcs.len()
-    }
 }
 
 impl Default for Page {

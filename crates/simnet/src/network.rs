@@ -370,11 +370,6 @@ impl Network {
         self.faults = FaultInjector::new(plan);
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
     /// Counters of faults injected so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.stats()

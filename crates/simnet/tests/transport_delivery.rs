@@ -47,7 +47,6 @@ fn cfg() -> TransportConfig {
         // Effectively unbounded: the schedule may drop the same frame
         // many times and exhaustion is not what is under test.
         max_retries: 100_000,
-        ack_bytes: 28,
     }
 }
 

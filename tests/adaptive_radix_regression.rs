@@ -13,9 +13,7 @@
 
 use proptest::prelude::*;
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{
-    AdaptiveConfig, DirectoryPolicy, DsmConfig, PersistConfig, PrefetchConfig, RunReport,
-};
+use rsdsm::core::{AdaptiveConfig, DsmConfig, PersistConfig, PrefetchConfig, RunReport};
 use rsdsm::simnet::SimDuration;
 
 fn adaptive_radix() -> RunReport {
@@ -100,14 +98,13 @@ proptest! {
 
     /// The digest follows what a run computed, not how its config is
     /// spelled. Tuning the run never reads — adaptive knobs with
-    /// prefetching off, device bandwidths with persistence off, a home
-    /// policy with the directory off — leaves it alone, traced or not;
-    /// one simulated nanosecond on any cost every run pays moves it.
+    /// prefetching off, device bandwidths with persistence off —
+    /// leaves it alone, traced or not; one simulated nanosecond on any
+    /// cost every run pays moves it.
     #[test]
     fn digest_follows_behaviour_not_configuration(
         window in 9usize..64,
         write_bw in 1u64..1_000,
-        policy in 0usize..3,
         cost in 0usize..4,
     ) {
         let base = || DsmConfig::paper_cluster(4).with_seed(1998);
@@ -119,8 +116,6 @@ proptest! {
             ..PrefetchConfig::off()
         });
         unread.recovery.persist = PersistConfig { write_bw, ..PersistConfig::off() };
-        unread.directory.policy =
-            [DirectoryPolicy::Hash, DirectoryPolicy::Block, DirectoryPolicy::FirstTouch][policy];
         prop_assert!(unread != base());
         prop_assert_eq!(run(unread.clone()).digest(), plain);
         let (traced, _) = Benchmark::Radix

@@ -169,6 +169,23 @@ fn seeds_never_affect_correctness() {
     }
 }
 
+/// The seed reaches the run by one path, the network's drop lottery:
+/// the same seed reproduces the run, and on a cell that loses
+/// prefetches to congestion (RADIX "P") another seed loses others.
+#[test]
+fn seed_drives_the_drop_lottery() {
+    let run = |seed| {
+        let cfg = DsmConfig::paper_cluster(8)
+            .with_seed(seed)
+            .with_prefetch(Benchmark::Radix.paper_prefetch());
+        Benchmark::Radix.run(Scale::Default, cfg).expect("RADIX P")
+    };
+    let (a, again, b) = (run(1998), run(1998), run(8));
+    assert!(a.net.drops > 0, "the cell must drop under congestion");
+    assert_eq!(a.digest(), again.digest());
+    assert_ne!(a.net.drops, b.net.drops);
+}
+
 /// The compiler-style prefetch emulation (FFT, LU-NCONT) wastes
 /// prefetches on private data, inflating the unnecessary rate as in
 /// Table 1.
