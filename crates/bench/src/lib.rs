@@ -8,6 +8,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod diff_shapes;
 pub mod pool;

@@ -17,7 +17,7 @@ use crate::thread::ThreadId;
 /// Per-node barrier state: counts local arrivals so only the last
 /// thread triggers the remote message.
 #[derive(Debug, Clone)]
-pub struct NodeBarrier {
+pub(crate) struct NodeBarrier {
     threads_on_node: usize,
     arrived: HashMap<BarrierId, Vec<ThreadId>>,
 }
@@ -28,7 +28,7 @@ impl NodeBarrier {
     /// # Panics
     ///
     /// Panics if `threads_on_node` is zero.
-    pub fn new(threads_on_node: usize) -> Self {
+    pub(crate) fn new(threads_on_node: usize) -> Self {
         assert!(threads_on_node > 0, "a node runs at least one thread");
         NodeBarrier {
             threads_on_node,
@@ -43,7 +43,7 @@ impl NodeBarrier {
     /// # Panics
     ///
     /// Panics if the thread arrives twice at the same barrier episode.
-    pub fn arrive(&mut self, id: BarrierId, tid: ThreadId) -> bool {
+    pub(crate) fn arrive(&mut self, id: BarrierId, tid: ThreadId) -> bool {
         let list = self.arrived.entry(id).or_default();
         assert!(!list.contains(&tid), "double arrival at {id:?}");
         list.push(tid);
@@ -52,20 +52,20 @@ impl NodeBarrier {
 
     /// Consumes the arrival list on release; the returned threads are
     /// woken.
-    pub fn release(&mut self, id: BarrierId) -> Vec<ThreadId> {
+    pub(crate) fn release(&mut self, id: BarrierId) -> Vec<ThreadId> {
         self.arrived.remove(&id).unwrap_or_default()
     }
 
     /// Local threads currently waiting at `id`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn waiting(&self, id: BarrierId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn waiting(&self, id: BarrierId) -> usize {
         self.arrived.get(&id).map_or(0, Vec::len)
     }
 }
 
 /// Manager-side barrier state (lives on node 0).
 #[derive(Debug, Clone)]
-pub struct BarrierManager {
+pub(crate) struct BarrierManager {
     nodes: usize,
     pending: HashMap<BarrierId, Episode>,
 }
@@ -82,7 +82,7 @@ impl BarrierManager {
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         assert!(nodes > 0, "cluster needs at least one node");
         BarrierManager {
             nodes,
@@ -97,7 +97,7 @@ impl BarrierManager {
     /// # Panics
     ///
     /// Panics if a node arrives twice in one episode.
-    pub fn node_arrived(
+    pub(crate) fn node_arrived(
         &mut self,
         id: BarrierId,
         from: NodeId,
@@ -125,8 +125,8 @@ impl BarrierManager {
     }
 
     /// Nodes currently arrived at `id`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn arrived_count(&self, id: BarrierId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn arrived_count(&self, id: BarrierId) -> usize {
         self.pending.get(&id).map_or(0, |e| e.arrived.len())
     }
 }

@@ -125,21 +125,21 @@ const COMMIT_MAGIC: u32 = 0x5243_4d31; // "RCM1"
 const SEGMENT_BYTES: usize = 4096;
 
 /// Slots of the A/B commit protocol.
-pub const SLOT_COUNT: usize = 2;
+pub(crate) const SLOT_COUNT: usize = 2;
 
 /// Device regions per node: payload and commit region per slot.
 pub const SLOT_REGIONS: usize = 2 * SLOT_COUNT;
 
 /// Encoded size of a [`CommitRecord`].
-pub const COMMIT_LEN: usize = 36;
+pub(crate) const COMMIT_LEN: usize = 36;
 
 /// Device region holding `slot`'s segmented payload image.
-pub const fn payload_region(slot: usize) -> usize {
+pub(crate) const fn payload_region(slot: usize) -> usize {
     2 * slot
 }
 
 /// Device region holding `slot`'s commit record.
-pub const fn commit_region(slot: usize) -> usize {
+pub(crate) const fn commit_region(slot: usize) -> usize {
     2 * slot + 1
 }
 
@@ -151,7 +151,7 @@ pub const fn commit_region(slot: usize) -> usize {
 /// would overwrite the one slot — a crash mid-persist would then tear
 /// the only committed image, which is exactly what A/B exists to
 /// prevent.
-pub const fn slot_for_seq(seq: u64) -> usize {
+pub(crate) const fn slot_for_seq(seq: u64) -> usize {
     (seq as usize) % SLOT_COUNT
 }
 
@@ -441,7 +441,7 @@ impl CommitRecord {
         }
     }
 
-    /// Serializes to the fixed [`COMMIT_LEN`]-byte format, ending in
+    /// Serializes to the fixed `COMMIT_LEN`-byte format, ending in
     /// an FNV-1a self-check over the preceding fields.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(COMMIT_LEN);

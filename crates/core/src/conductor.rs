@@ -475,15 +475,16 @@ impl DsmCtx {
         for page in pages {
             m.counters.pf_calls += 1;
             self.pending.prefetch += self.costs.prefetch_check;
-            if m.pages[page.index()].valid {
+            let entry = &m.pages[page.index()];
+            if entry.valid {
                 m.counters.pf_unnecessary += 1;
                 continue;
             }
-            if m.prefetch_inflight.contains_key(&page) {
+            if entry.pf_inflight() > 0 {
                 m.counters.pf_suppressed_inflight += 1;
                 continue;
             }
-            if self.prefetch_cfg.suppress_redundant && m.epoch_prefetched.contains(&page) {
+            if self.prefetch_cfg.suppress_redundant && entry.epoch_prefetched() {
                 m.counters.pf_suppressed_flag += 1;
                 continue;
             }
@@ -497,7 +498,7 @@ impl DsmCtx {
                 continue;
             }
             if self.prefetch_cfg.suppress_redundant {
-                m.epoch_prefetched.insert(page);
+                m.mark_epoch_prefetched(page);
             }
             to_issue.push(page);
         }
@@ -550,9 +551,6 @@ impl DsmCtx {
                     entry.twin = Some(m.pool.take_arc_copy_of(&entry.data));
                     self.pending.dsm += self.costs.twin_create;
                     m.dirty.push(page);
-                    if m.twin_log_on {
-                        m.twin_log.push(page);
-                    }
                 }
                 return body(entry);
             }

@@ -7,11 +7,16 @@
 //! applied base copy); a diff is never applied twice, nor over a base
 //! that already contains it; and each (node, page) has at most one
 //! fetch in flight, which later faults join instead of duplicating.
+//! Whatever the node holds for a page ahead of its validation — that
+//! fetch, what prefetches asked for, prefetched base and diffs — is
+//! the page's one [`PageRecord`](crate::node::PageRecord), whose entry
+//! exists exactly while it holds something: validating the page
+//! retires it.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use rsdsm_protocol::{CachedDiff, Diff, HbKey, Page, PageId, Stamp};
+use rsdsm_protocol::{Diff, HbKey, Page, PageId, Stamp};
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use super::Core;
@@ -43,20 +48,14 @@ impl Directory {
     }
 }
 
-/// Keeps reply diffs in the node's prefetch cache for use at access
-/// time, dropping any a faster fault path already applied — replaying
-/// those later would corrupt the page.
+/// Keeps reply diffs in the page's record for use at access time,
+/// dropping any a faster fault path already applied — replaying those
+/// later would corrupt the page. The page may already be valid (a
+/// straggler reply): the diffs are kept all the same.
 fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: &[DiffPayload]) {
     for d in diffs {
         if !node.board.is_applied(page, d.origin, d.stamp.get(d.origin)) {
-            node.cache.insert(
-                page,
-                CachedDiff {
-                    origin: d.origin,
-                    stamp: Arc::clone(&d.stamp),
-                    diff: Arc::clone(&d.diff),
-                },
-            );
+            node.records.entry(page).or_default().cache_diff(d.clone());
         }
     }
 }
@@ -126,7 +125,8 @@ impl Core<'_> {
         );
 
         // Request combining: join an in-flight fetch.
-        if let Some(f) = self.nodes[n].fetches.get_mut(&page) {
+        let record = self.nodes[n].records.get_mut(&page);
+        if let Some(f) = record.and_then(|r| r.fetch.as_mut()) {
             f.waiters.push(tid);
             return self.block(tid, n, BlockReason::Memory, end);
         }
@@ -134,9 +134,11 @@ impl Core<'_> {
         self.first_touch(n, page);
 
         let (missing, need_base) = self.missing_for(n, page);
+        let node = &mut self.nodes[n];
+        let asked = node.records.get(&page).and_then(|r| r.asked.as_ref());
         if missing.is_empty() && !need_base {
             // Everything needed is already local (prefetched).
-            let had_pf = self.nodes[n].pf_meta.contains_key(&page);
+            let had_pf = asked.is_some();
             let apply_end = self.apply_with(n, page, Vec::new(), None, end);
             self.validate_page(n, page);
             let cls = if had_pf {
@@ -160,9 +162,7 @@ impl Core<'_> {
         }
 
         // A real remote miss.
-        self.nodes[n].counters.misses += 1;
-        self.note_remote_miss(n, page);
-        let class = match self.nodes[n].pf_meta.get(&page) {
+        let class = match asked {
             None => MissClass::NoPf,
             Some(meta) => {
                 let all_requested = missing.iter().all(|(origin, stamps)| {
@@ -177,7 +177,10 @@ impl Core<'_> {
                 }
             }
         };
-        self.nodes[n].counters.classify(class);
+        let joinable = asked.is_some_and(|meta| meta.joinable);
+        node.counters.misses += 1;
+        node.counters.classify(class);
+        self.note_remote_miss(n, page);
         self.tracer
             .note_fault(n as u32, page.index() as u32, begin_id, class.code());
 
@@ -187,30 +190,11 @@ impl Core<'_> {
         // demand message), re-requesting it would push a duplicate
         // round through the very server whose queue made the
         // prefetch late. Wait for the in-flight replies instead.
-        if class == MissClass::TooLate
-            && self.nodes[n].pf_meta.get(&page).is_some_and(|m| m.joinable)
-        {
-            let inflight = self.nodes[n]
-                .mem
-                .prefetch_inflight
-                .get(&page)
-                .copied()
-                .unwrap_or(0);
-            if inflight > 0 {
-                let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
-                self.nodes[n].fetches.insert(
-                    page,
-                    Fetch {
-                        outstanding: inflight as usize,
-                        waiters: vec![tid],
-                        collected: Vec::new(),
-                        base: None,
-                        started: now,
-                        joined: true,
-                    },
-                );
-                return self.block(tid, n, BlockReason::Memory, end);
-            }
+        let inflight = self.nodes[n].mem.pages[page.index()].pf_inflight();
+        if class == MissClass::TooLate && joinable && inflight > 0 {
+            let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
+            self.start_fetch(n, page, inflight as usize, vec![tid], now, true);
+            return self.block(tid, n, BlockReason::Memory, end);
         }
 
         // Demand requests launch first; the adaptive engine then
@@ -220,18 +204,32 @@ impl Core<'_> {
         let (end, outstanding) =
             self.send_fetch_requests(n, page, &missing, need_base, end, FetchClass::Demand);
         let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
-        self.nodes[n].fetches.insert(
-            page,
-            Fetch {
-                outstanding,
-                waiters: vec![tid],
-                collected: Vec::new(),
-                base: None,
-                started: now,
-                joined: false,
-            },
-        );
+        self.start_fetch(n, page, outstanding, vec![tid], now, false);
         self.block(tid, n, BlockReason::Memory, end)
+    }
+
+    /// Puts a fetch awaiting `outstanding` replies in `page`'s record:
+    /// a demand fetch, or (`joined`) a too-late fault riding on the
+    /// prefetch replies already in flight.
+    fn start_fetch(
+        &mut self,
+        n: NodeId,
+        page: PageId,
+        outstanding: usize,
+        waiters: Vec<ThreadId>,
+        started: SimTime,
+        joined: bool,
+    ) {
+        let record = self.nodes[n].records.entry(page).or_default();
+        debug_assert!(record.fetch.is_none(), "one fetch per page");
+        record.fetch = Some(Fetch {
+            outstanding,
+            waiters,
+            collected: Vec::new(),
+            base: None,
+            started,
+            joined,
+        });
     }
 
     /// First-touch accounting: the first node to fault on (or be
@@ -276,10 +274,11 @@ impl Core<'_> {
     }
 
     /// The (origin → stamps) diffs node `n` still needs for `page`
-    /// (pending notices minus the prefetch cache), plus whether a
-    /// base copy is needed.
+    /// (pending notices minus the diffs its record caches), plus
+    /// whether a base copy is needed.
     pub(super) fn missing_for(&self, n: NodeId, page: PageId) -> (Vec<(NodeId, Vec<Stamp>)>, bool) {
         let node = &self.nodes[n];
+        let record = node.records.get(&page);
         let missing: Vec<(NodeId, Vec<Stamp>)> = node
             .board
             .pending_by_origin(page)
@@ -287,7 +286,7 @@ impl Core<'_> {
             .filter_map(|(origin, stamps)| {
                 let remaining: Vec<Stamp> = stamps
                     .into_iter()
-                    .filter(|s| !node.cache.has_diff(page, origin, s.get(origin)))
+                    .filter(|s| record.is_none_or(|r| !r.has_diff(origin, s.get(origin))))
                     .collect();
                 if remaining.is_empty() {
                     None
@@ -297,7 +296,7 @@ impl Core<'_> {
             })
             .collect();
         let need_base =
-            !node.mem.pages[page.index()].ever_valid && !node.base_cache.contains_key(&page);
+            !node.mem.pages[page.index()].ever_valid && record.is_none_or(|r| r.base.is_none());
         (missing, need_base)
     }
 
@@ -365,9 +364,10 @@ impl Core<'_> {
         (end, sent)
     }
 
-    /// Applies everything locally available for `page` (cached base,
-    /// cached prefetch diffs, collected fetch diffs), marking notices
-    /// applied. Does not validate the page.
+    /// Applies everything locally available for `page` (the record's
+    /// prefetched base and diffs, then `base` and `extra` as collected
+    /// by a fetch), marking notices applied. Takes what it applies out
+    /// of the record; does not validate the page.
     fn apply_with(
         &mut self,
         n: NodeId,
@@ -377,19 +377,16 @@ impl Core<'_> {
         mut end: SimTime,
     ) -> SimTime {
         let node = &mut self.nodes[n];
-        let base = base.or_else(|| node.base_cache.remove(&page));
-        let diffs: Vec<CachedDiff> = node
-            .cache
-            .take(page)
-            .into_iter()
-            .chain(extra.into_iter().map(|p| CachedDiff {
-                origin: p.origin,
-                stamp: p.stamp,
-                diff: p.diff,
-            }))
-            .collect();
+        let (cached_base, mut diffs) = match node.records.get_mut(&page) {
+            Some(record) => (record.base.take(), record.take_diffs()),
+            None => (None, Vec::new()),
+        };
+        // A fetch's own base wins; a prefetched one beside it could
+        // only ever be skipped, the page having been valid once.
+        let base = base.or(cached_base);
+        diffs.extend(extra);
         // Happens-before order, each stamp keyed once.
-        let mut ordered: Vec<(HbKey<'_>, &CachedDiff)> =
+        let mut ordered: Vec<(HbKey<'_>, &DiffPayload)> =
             diffs.iter().map(|d| (d.stamp.hb_key(), d)).collect();
         ordered.sort_by_key(|&(key, _)| key);
 
@@ -458,12 +455,15 @@ impl Core<'_> {
         end
     }
 
-    /// Marks `page` valid and clears its prefetch bookkeeping.
+    /// Marks `page` valid and retires its record: what prefetches
+    /// asked for is history, and [`Core::apply_with`] took the rest.
     fn validate_page(&mut self, n: NodeId, page: PageId) {
         let node = &mut self.nodes[n];
-        node.mem.pages[page.index()].valid = true;
-        node.mem.prefetch_inflight.remove(&page);
-        node.pf_meta.remove(&page);
+        node.mem.validate(page);
+        if let Some(mut record) = node.records.remove(&page) {
+            record.asked = None;
+            debug_assert!(record.is_empty(), "validating {page} drops {record:?}");
+        }
     }
 
     // ------------------------------------------------------------------
@@ -585,22 +585,14 @@ impl Core<'_> {
     }
 
     /// Whether node `n` must track write notices for `page`: it
-    /// homes the page, has (ever) held a copy, holds prefetched
-    /// state for it, or has a fetch in flight. Anything else may
-    /// drop the notice.
+    /// homes the page, has (ever) held a copy, or has a record for it
+    /// (a fetch in flight, prefetched state). Anything else may drop
+    /// the notice.
     fn interested(&self, n: NodeId, page: PageId) -> bool {
-        if self.heap.home(page) == n {
-            return true;
-        }
         let node = &self.nodes[n];
-        if node.base_cache.contains_key(&page)
-            || node.cache.contains_page(page)
-            || node.pf_meta.contains_key(&page)
-            || node.fetches.contains_key(&page)
-        {
-            return true;
-        }
-        node.mem.pages[page.index()].ever_valid
+        self.heap.home(page) == n
+            || node.mem.pages[page.index()].ever_valid
+            || node.records.contains_key(&page)
     }
 
     /// Services a diff (or prefetch) request at node `m`.
@@ -745,8 +737,8 @@ impl Core<'_> {
     }
 
     /// Absorbs a diff reply at node `n`: prefetch replies fill the
-    /// caches for use at access time, demand replies accumulate in the
-    /// page's fetch, and the reply that completes a fetch applies and
+    /// page's record for use at access time, demand replies accumulate
+    /// in its fetch, and the reply that completes a fetch applies and
     /// finishes it.
     pub(super) fn handle_diff_reply(
         &mut self,
@@ -761,41 +753,40 @@ impl Core<'_> {
             self.record_interval(n, rec, end);
         }
         let node = &mut self.nodes[n];
-        if reply.class.is_prefetch() {
+        let prefetch = reply.class.is_prefetch();
+        if prefetch {
+            node.mem.prefetch_replied(page);
             cache_unapplied(node, page, &reply.diffs);
             if let Some(b) = &reply.base {
-                node.base_cache.insert(page, b.clone());
+                node.records.entry(page).or_default().base = Some(b.clone());
             }
-            if let Some(count) = node.mem.prefetch_inflight.get_mut(&page) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    node.mem.prefetch_inflight.remove(&page);
-                }
-            }
-            // A too-late join rides on this reply stream: the
-            // faulting thread is blocked waiting for exactly these
-            // frames (the data itself sits in the caches above).
-            if !node.fetches.get(&page).is_some_and(|f| f.joined) {
-                return Ok(());
-            }
-        } else {
-            let Some(fetch) = node.fetches.get_mut(&page) else {
+        }
+        // The fetch this reply counts toward. A prefetch reply counts
+        // toward a too-late join only: the faulting thread is blocked
+        // waiting for exactly these frames (the data itself went into
+        // the record above).
+        let counted = |f: &Fetch| !prefetch || f.joined;
+        let slot = node.records.get_mut(&page).map(|r| &mut r.fetch);
+        let Some(slot) = slot.filter(|s| s.as_ref().is_some_and(counted)) else {
+            if !prefetch {
                 // A straggler reply for a fetch that already completed
                 // (e.g. a duplicate path).
                 cache_unapplied(node, page, &reply.diffs);
-                return Ok(());
-            };
+            }
+            return Ok(());
+        };
+        let fetch = slot.as_mut().expect("counted above");
+        if !prefetch {
             fetch.collected.extend_from_slice(&reply.diffs);
             if reply.base.is_some() {
                 fetch.base = reply.base.clone();
             }
         }
-        let fetch = node.fetches.get_mut(&page).expect("fetch exists");
         fetch.outstanding -= 1;
         if fetch.outstanding > 0 {
             return Ok(());
         }
-        let fetch = node.fetches.remove(&page).expect("fetch exists");
+        let fetch = slot.take().expect("counted above");
         let end = self.apply_with(n, page, fetch.collected, fetch.base, end);
         self.finish_fetch(n, page, fetch.waiters, fetch.started, end)
     }
@@ -816,17 +807,7 @@ impl Core<'_> {
         if !missing.is_empty() || need_base {
             let (_, outstanding) =
                 self.send_fetch_requests(n, page, &missing, need_base, end, FetchClass::Demand);
-            self.nodes[n].fetches.insert(
-                page,
-                Fetch {
-                    outstanding,
-                    waiters,
-                    collected: Vec::new(),
-                    base: None,
-                    started,
-                    joined: false,
-                },
-            );
+            self.start_fetch(n, page, outstanding, waiters, started, false);
             return Ok(());
         }
 

@@ -348,8 +348,7 @@ impl<'a> Core<'a> {
         let total_pages = heap.page_count();
         let nodes = (0..cfg.nodes)
             .map(|n| {
-                let mut mem = NodeMem::new(total_pages, |p| heap.home(PageId::new(p as u32)) == n);
-                mem.twin_log_on = traced;
+                let mem = NodeMem::new(total_pages, |p| heap.home(PageId::new(p as u32)) == n);
                 let mut ns = NodeState::new(n, cfg.nodes, tpn, mem);
                 ns.prefetcher = Prefetcher::for_config(&cfg.prefetch, tpn);
                 ns
@@ -426,6 +425,17 @@ impl<'a> Core<'a> {
     fn into_outcome(mut self, finish: SimTime) -> Outcome {
         for node in &mut self.nodes {
             node.account.finish(finish, IdleReason::Sync);
+            debug_assert!(
+                node.records.values().all(|record| !record.is_empty()),
+                "node {} keeps a record that holds nothing",
+                node.id
+            );
+            debug_assert_eq!(
+                node.mem.prefetch_outstanding(),
+                node.mem.pages.iter().map(|e| e.pf_inflight()).sum::<u32>(),
+                "node {}'s prefetch total drifted from its slots",
+                node.id
+            );
         }
         let (net, transport, fault_injection) = self.wire.summaries();
         Outcome {
@@ -469,6 +479,7 @@ mod tests {
         assert!(paper.persist().is_none());
         assert!(paper.directory.is_none());
         assert!(paper.oracle.is_none());
+        assert!(paper.nodes.iter().all(|n| n.records.is_empty()));
         let checked = cfg.clone().with_oracle(OracleConfig::full());
         assert!(core(&checked).oracle.is_some());
         assert!(paper
@@ -666,6 +677,15 @@ mod tests {
         Incast.allocate(&mut heap);
         let fresh = Core::new(&cfg, heap, Vec::new(), false, QueueBackend::default());
         assert_eq!(fresh.nodes.len() * fresh.nodes[0].mem.pages.len(), 65_536);
+        // A slot is 32 bytes however much the node knows about the
+        // page, and the memory that changes hands twice per syscall
+        // carries no hash table.
+        #[cfg(target_pointer_width = "64")]
+        {
+            use crate::node::{NodeMem, PageEntry};
+            assert_eq!(std::mem::size_of::<PageEntry>(), 32);
+            assert!(std::mem::size_of::<NodeMem>() < 256);
+        }
         assert_eq!(materialized(&fresh.nodes), 0);
 
         let sim = Simulation::new(cfg);

@@ -4,9 +4,9 @@
 //!
 //! Invariant: a prefetch is never issued for a page that is valid,
 //! being fetched, or already covered by cached replies, and every
-//! request sent is counted in the page's `prefetch_inflight` until
-//! its reply (or the page's validation) retires it — the bound the
-//! adaptive engine's in-flight budget relies on.
+//! request sent is counted on the page's slot (and in its node's
+//! running total) until its reply, or the page's validation, retires
+//! it — the bound the adaptive engine's in-flight budget relies on.
 
 use std::collections::HashMap;
 
@@ -189,7 +189,8 @@ impl Core<'_> {
                 self.adaptive_cancel(n, class);
                 continue;
             }
-            if self.nodes[n].fetches.contains_key(&page) {
+            let record = self.nodes[n].records.get(&page);
+            if record.is_some_and(|r| r.fetch.is_some()) {
                 self.adaptive_cancel(n, class);
                 continue;
             }
@@ -201,14 +202,9 @@ impl Core<'_> {
                 continue;
             }
             {
-                let node = &mut self.nodes[n];
-                let meta = node.pf_meta.entry(page).or_default();
-                let fresh = meta.requested.is_empty() && !meta.wanted_base;
-                meta.joinable = if fresh {
-                    adaptive
-                } else {
-                    meta.joinable && adaptive
-                };
+                let record = self.nodes[n].records.entry(page).or_default();
+                let meta = record.asked.get_or_insert_with(Default::default);
+                meta.joinable &= adaptive;
                 for (origin, stamps) in &missing {
                     for s in stamps {
                         meta.requested.insert((*origin, s.get(*origin)));
@@ -235,7 +231,7 @@ impl Core<'_> {
                     ad.stats.issued += 1;
                 }
             }
-            *self.nodes[n].mem.prefetch_inflight.entry(page).or_insert(0) += requests as u32;
+            self.nodes[n].mem.prefetch_sent(page, requests as u32);
         }
         end
     }
@@ -384,7 +380,7 @@ impl Core<'_> {
         // fewer than `degree` replies are outstanding — the
         // controller's ramp/backoff therefore directly sizes the
         // pipeline the fabric carries.
-        let outstanding: u32 = self.nodes[n].mem.prefetch_inflight.values().sum();
+        let outstanding = self.nodes[n].mem.prefetch_outstanding();
         let allowed = u64::from(degree.saturating_sub(outstanding)) as usize;
         let mut candidates: Vec<PageId> = fresh
             .iter()

@@ -259,15 +259,18 @@ impl Core<'_> {
         idle: Option<IdleReason>,
     ) -> Result<(), SimError> {
         let n = tid.node(self.tpn());
+        let twinned = self.nodes[n].mem.dirty.len();
         let (syscall, charges) = self.sched.threads[tid.0]
             .link
             .run_burst(&mut self.nodes[n].mem)
             .map_err(|_| SimError::AppThread("thread ended without a syscall".into()))?;
         if self.tracer.is_on() {
             // Twins are created inside the conductor while the app
-            // thread runs its burst; the log is drained here so their
-            // records land in the engine's deterministic event order.
-            for page in std::mem::take(&mut self.nodes[n].mem.twin_log) {
+            // thread runs its burst — each one lengthens the dirty
+            // list, which nothing else touches meanwhile — and are
+            // traced here so their records land in the engine's
+            // deterministic event order.
+            for page in &self.nodes[n].mem.dirty[twinned..] {
                 self.tracer.emit(
                     at,
                     n as u32,

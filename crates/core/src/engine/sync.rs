@@ -489,7 +489,7 @@ impl Core<'_> {
             self.nodes[n].counters.gc_passes += 1;
             self.nodes[n].own_diff_bytes = 0;
         }
-        self.nodes[n].mem.epoch_prefetched.clear();
+        self.nodes[n].mem.end_epoch();
         // Barrier-aligned checkpoint: every local interval is closed
         // here (no twins), making this the natural recovery line.
         self.barriers.epochs_done[n] += 1;

@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod accounting;
 mod barrier;
@@ -61,8 +62,8 @@ mod transport;
 
 pub use accounting::{Breakdown, Category, IdleReason, NodeAccount, NormalizedBreakdown};
 pub use checkpoint::{
-    classify_slot, commit_region, payload_region, slot_for_seq, Checkpoint, CheckpointError,
-    CommitRecord, DiffRecord, PageImage, SlotState, COMMIT_LEN, SLOT_COUNT, SLOT_REGIONS,
+    classify_slot, Checkpoint, CheckpointError, CommitRecord, DiffRecord, PageImage, SlotState,
+    SLOT_REGIONS,
 };
 pub use conductor::DsmCtx;
 pub use config::{
@@ -74,16 +75,15 @@ pub use engine::Simulation;
 pub use golden::{golden_run, GoldenRun};
 pub use heap::{Heap, HomePolicy, Pod, SharedVec};
 pub use msg::{BarrierId, IntervalRecord, LockId, MsgClass};
-pub use node::{AccessCounters, MissClass, NodeCounters};
+pub use node::MissClass;
 pub use oracle::{
-    digest_pages, fnv1a, fnv1a_extend, GrantRecord, InvariantKind, OracleConfig, OracleOutcome,
-    Violation,
+    fnv1a, fnv1a_extend, GrantRecord, InvariantKind, OracleConfig, OracleOutcome, Violation,
 };
 pub use prefetch::{
     AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleChange, ThrottleController, TrendChange,
 };
 pub use program::{DsmProgram, VerifyCtx};
-pub use recovery::{FailureDetector, PeerStatus, RecoveryConfig, RecoveryStats};
+pub use recovery::{RecoveryConfig, RecoveryStats};
 pub use report::{
     DirectorySummary, MissSummary, MtSummary, NetSummary, PrefetchSummary, RunReport, SimError,
     SyncSummary, TrafficRow,
@@ -96,6 +96,6 @@ pub use rsdsm_simnet::{
 pub use thread::ThreadId;
 pub use trace::{
     Histogram, PrefetchTraceSummary, RetryTimeline, Trace, TraceError, TraceEvent, TraceMetrics,
-    TraceRecord, Tracer, NO_CAUSE, NO_THREAD,
+    TraceRecord, NO_CAUSE, NO_THREAD,
 };
 pub use transport::{Recv, TimeoutAction, Transport, TransportConfig, TransportSummary};

@@ -24,7 +24,7 @@ use crate::thread::ThreadId;
 
 /// A remote acquire request queued at the token holder.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RemoteWaiter {
+pub(crate) struct RemoteWaiter {
     /// The requesting node.
     pub node: NodeId,
     /// The requester's vector clock (selects the notices to piggyback).
@@ -33,7 +33,7 @@ pub struct RemoteWaiter {
 
 /// Decision returned by [`LockTable::acquire`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcquireOutcome {
+pub(crate) enum AcquireOutcome {
     /// The thread holds the lock; continue immediately.
     Granted,
     /// The thread must block; the token is local or already requested.
@@ -45,7 +45,7 @@ pub enum AcquireOutcome {
 
 /// Decision returned by [`LockTable::release`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReleaseOutcome {
+pub(crate) enum ReleaseOutcome {
     /// The lock was handed to another local thread; wake it.
     PassedLocal(ThreadId),
     /// The token must be granted to a queued remote requester.
@@ -56,7 +56,7 @@ pub enum ReleaseOutcome {
 
 /// Decision returned by [`LockTable::handle_forward`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum ForwardOutcome {
+pub(crate) enum ForwardOutcome {
     /// Grant the token to the requester now.
     Grant(RemoteWaiter),
     /// The lock is busy here; the request is queued.
@@ -68,7 +68,7 @@ pub enum ForwardOutcome {
 
 /// Decision returned by [`LockTable::handle_grant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrantOutcome {
+pub(crate) enum GrantOutcome {
     /// The token arrived and this local thread now holds the lock.
     WakeLocal(ThreadId),
     /// The token arrived but no local thread wants it anymore (can
@@ -110,7 +110,7 @@ impl LockLocal {
 /// Per-node lock state for every lock the node has touched, plus the
 /// manager-side owner table for locks this node manages.
 #[derive(Debug, Clone)]
-pub struct LockTable {
+pub(crate) struct LockTable {
     node: NodeId,
     nodes: usize,
     locks: HashMap<LockId, LockLocal>,
@@ -125,7 +125,7 @@ pub struct LockTable {
 
 impl LockTable {
     /// Lock state for `node` in a cluster of `nodes`.
-    pub fn new(node: NodeId, nodes: usize) -> Self {
+    pub(crate) fn new(node: NodeId, nodes: usize) -> Self {
         LockTable {
             node,
             nodes,
@@ -136,7 +136,7 @@ impl LockTable {
     }
 
     /// The manager node of `lock`.
-    pub fn manager(&self, lock: LockId) -> NodeId {
+    pub(crate) fn manager(&self, lock: LockId) -> NodeId {
         lock.0 as usize % self.nodes
     }
 
@@ -156,7 +156,7 @@ impl LockTable {
     }
 
     /// Thread `tid` wants `lock`.
-    pub fn acquire(&mut self, lock: LockId, tid: ThreadId) -> AcquireOutcome {
+    pub(crate) fn acquire(&mut self, lock: LockId, tid: ThreadId) -> AcquireOutcome {
         let (e, _) = self.entry(lock);
         if e.has_token && e.held_by.is_none() && e.local_queue.is_empty() {
             e.held_by = Some(tid);
@@ -176,7 +176,7 @@ impl LockTable {
     /// # Panics
     ///
     /// Panics if `tid` does not hold the lock.
-    pub fn release(&mut self, lock: LockId, tid: ThreadId) -> ReleaseOutcome {
+    pub(crate) fn release(&mut self, lock: LockId, tid: ThreadId) -> ReleaseOutcome {
         let (e, moves) = self.entry(lock);
         assert_eq!(e.held_by, Some(tid), "release by non-holder");
         if let Some(next) = e.local_queue.pop_front() {
@@ -194,7 +194,7 @@ impl LockTable {
 
     /// A request for `lock` was forwarded to this node (it is, or
     /// recently was, the owner).
-    pub fn handle_forward(&mut self, lock: LockId, waiter: RemoteWaiter) -> ForwardOutcome {
+    pub(crate) fn handle_forward(&mut self, lock: LockId, waiter: RemoteWaiter) -> ForwardOutcome {
         let (e, moves) = self.entry(lock);
         if e.has_token {
             if e.held_by.is_none() && e.local_queue.is_empty() && !e.token_requested {
@@ -214,7 +214,7 @@ impl LockTable {
     }
 
     /// The token for `lock` arrived (a grant from the previous owner).
-    pub fn handle_grant(&mut self, lock: LockId) -> GrantOutcome {
+    pub(crate) fn handle_grant(&mut self, lock: LockId) -> GrantOutcome {
         let (e, moves) = self.entry(lock);
         debug_assert!(!e.has_token, "grant while already holding token");
         e.set_token(true, moves);
@@ -234,7 +234,7 @@ impl LockTable {
     /// [`LockTable::handle_grant`] returns
     /// [`GrantOutcome::TokenParked`] so a parked token never strands
     /// remote requesters.
-    pub fn take_remote_if_free(&mut self, lock: LockId) -> Option<RemoteWaiter> {
+    pub(crate) fn take_remote_if_free(&mut self, lock: LockId) -> Option<RemoteWaiter> {
         let (e, moves) = self.entry(lock);
         if e.has_token && e.held_by.is_none() && e.local_queue.is_empty() {
             if let Some(w) = e.remote_queue.pop_front() {
@@ -251,7 +251,7 @@ impl LockTable {
     /// leftover requests must chase the token to its new holder, or
     /// they would be stranded at a node that will never hold the
     /// token again.
-    pub fn drain_remote_queue(&mut self, lock: LockId) -> Vec<RemoteWaiter> {
+    pub(crate) fn drain_remote_queue(&mut self, lock: LockId) -> Vec<RemoteWaiter> {
         let (e, _) = self.entry(lock);
         debug_assert!(!e.has_token, "draining while still holding the token");
         e.remote_queue.drain(..).collect()
@@ -266,7 +266,7 @@ impl LockTable {
     /// # Panics
     ///
     /// Panics if this node does not manage `lock`.
-    pub fn manager_route(&mut self, lock: LockId, requester: NodeId) -> Option<NodeId> {
+    pub(crate) fn manager_route(&mut self, lock: LockId, requester: NodeId) -> Option<NodeId> {
         assert_eq!(self.manager(lock), self.node, "not the manager");
         let owner = *self.managed_owner.entry(lock).or_insert(self.node);
         self.managed_owner.insert(lock, requester);
@@ -279,8 +279,8 @@ impl LockTable {
 
     /// True if the node currently holds the token for `lock` (for
     /// tests and assertions).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn has_token(&self, lock: LockId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_token(&self, lock: LockId) -> bool {
         self.locks.get(&lock).is_some_and(|e| e.has_token)
             || (!self.locks.contains_key(&lock) && self.manager(lock) == self.node)
     }
@@ -288,7 +288,7 @@ impl LockTable {
     /// Every touched lock whose token is currently at this node, in
     /// no particular order (a lock this node manages and nobody has
     /// touched yet has no entry and is not listed).
-    pub fn held_tokens(&self) -> impl Iterator<Item = LockId> + '_ {
+    pub(crate) fn held_tokens(&self) -> impl Iterator<Item = LockId> + '_ {
         self.locks
             .iter()
             .filter(|(_, e)| e.has_token)
@@ -297,13 +297,13 @@ impl LockTable {
 
     /// How often [`LockTable::held_tokens`]' answer may have changed
     /// since the table was built; never decreases.
-    pub fn token_moves(&self) -> u64 {
+    pub(crate) fn token_moves(&self) -> u64 {
         self.token_moves
     }
 
     /// The local thread currently holding `lock`, if any.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn holder(&self, lock: LockId) -> Option<ThreadId> {
+    #[cfg(test)]
+    pub(crate) fn holder(&self, lock: LockId) -> Option<ThreadId> {
         self.locks.get(&lock).and_then(|e| e.held_by)
     }
 }

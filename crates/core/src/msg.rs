@@ -34,7 +34,7 @@ pub struct BarrierId(pub u32);
 /// One diff payload in a reply: the writer's interval stamp plus the
 /// encoded modifications.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiffPayload {
+pub(crate) struct DiffPayload {
     /// The processor whose interval produced the diff.
     pub origin: NodeId,
     /// The interval's timestamp.
@@ -54,7 +54,7 @@ impl DiffPayload {
 /// A full page copy sent on first-touch fetches, along with the set
 /// of (origin, stamp) modifications already incorporated in it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BasePayload {
+pub(crate) struct BasePayload {
     /// The page contents at the sender, shared zero-copy with the
     /// sender's twin frame when one exists (copy-on-write: a sender
     /// that later mutates its twin un-shares it first).
@@ -74,7 +74,7 @@ impl BasePayload {
 /// mirrored in its [`DiffReply`]; everything that differs
 /// between the three is a method here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchClass {
+pub(crate) enum FetchClass {
     /// A page fault: the thread waits for the reply.
     Demand,
     /// A non-binding prefetch (§3.1) from an application annotation
@@ -88,25 +88,25 @@ pub enum FetchClass {
 impl FetchClass {
     /// True for both prefetch classes: the request counts as prefetch
     /// traffic and the reply fills the caches instead of a fetch.
-    pub fn is_prefetch(self) -> bool {
+    pub(crate) fn is_prefetch(self) -> bool {
         self != FetchClass::Demand
     }
 
     /// Whether servicing the request splits the server's open interval
     /// on a dirty page (§3.1), so later writes stay distinguishable
     /// from the ones the prefetched copy already holds.
-    pub fn splits_interval(self) -> bool {
+    pub(crate) fn splits_interval(self) -> bool {
         self.is_prefetch()
     }
 
     /// Whether the network may drop the request and its reply. Derived
     /// at both ends from the run's configuration, never carried.
-    pub fn droppable(self, cfg: &PrefetchConfig) -> bool {
+    pub(crate) fn droppable(self, cfg: &PrefetchConfig) -> bool {
         self == FetchClass::Static && !cfg.reliable
     }
 
     /// CPU cost of sending one request.
-    pub fn send_cost(self, costs: &CostModel) -> SimDuration {
+    pub(crate) fn send_cost(self, costs: &CostModel) -> SimDuration {
         match self {
             FetchClass::Demand => costs.msg_send,
             FetchClass::Static => costs.prefetch_issue,
@@ -115,7 +115,7 @@ impl FetchClass {
     }
 
     /// The account that send cost is booked to.
-    pub fn send_category(self) -> Category {
+    pub(crate) fn send_category(self) -> Category {
         if self.is_prefetch() {
             Category::PrefetchOverhead
         } else {
@@ -124,7 +124,7 @@ impl FetchClass {
     }
 
     /// Statistics/trace class of the request and of its reply.
-    pub fn msg_classes(self) -> (MsgClass, MsgClass) {
+    pub(crate) fn msg_classes(self) -> (MsgClass, MsgClass) {
         match self {
             FetchClass::Demand => (MsgClass::DiffRequest, MsgClass::DiffReply),
             FetchClass::Static => (MsgClass::PrefetchRequest, MsgClass::PrefetchReply),
@@ -217,7 +217,7 @@ wire_enum! {
 /// Request for a page's diffs (and possibly a base copy). Sent on a
 /// page fault or by a prefetcher, as `class` says.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiffRequest {
+pub(crate) struct DiffRequest {
     /// The faulted/prefetched page.
     pub page: PageId,
     /// Interval stamps whose diffs are wanted from the recipient.
@@ -233,7 +233,7 @@ pub struct DiffRequest {
 
 /// Response to a [`DiffRequest`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiffReply {
+pub(crate) struct DiffReply {
     /// The page in question.
     pub page: PageId,
     /// Requested (and possibly interval-split) diffs.
@@ -253,7 +253,7 @@ pub struct DiffReply {
 
 /// Message bodies of the DSM protocol.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MsgBody {
+pub(crate) enum MsgBody {
     /// Request diffs (and possibly a base copy) for a page.
     DiffRequest(DiffRequest),
     /// Response to a [`MsgBody::DiffRequest`].
@@ -333,7 +333,7 @@ const BODY_HEADER_BYTES: usize = 16;
 
 impl MsgBody {
     /// Estimated wire size of the encoded body in bytes.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         let records = |intervals: &[Arc<IntervalRecord>]| -> usize {
             intervals.iter().map(|rec| rec.wire_bytes()).sum()
         };
@@ -364,7 +364,7 @@ impl MsgBody {
     }
 
     /// The body's wire class.
-    pub fn class(&self) -> MsgClass {
+    pub(crate) fn class(&self) -> MsgClass {
         match self {
             MsgBody::DiffRequest(req) => req.class.msg_classes().0,
             MsgBody::DiffReply(reply) => reply.class.msg_classes().1,
@@ -380,7 +380,7 @@ impl MsgBody {
 
     /// True for messages the network may drop: static prefetch
     /// traffic, unless the run configures reliable prefetches.
-    pub fn droppable(&self, cfg: &PrefetchConfig) -> bool {
+    pub(crate) fn droppable(&self, cfg: &PrefetchConfig) -> bool {
         match self {
             MsgBody::DiffRequest(DiffRequest { class, .. })
             | MsgBody::DiffReply(DiffReply { class, .. }) => class.droppable(cfg),

@@ -1,10 +1,12 @@
 //! Per-node runtime state.
 //!
 //! [`NodeState`] is everything the engine keeps for one node: vector
-//! clock, notice board, diff storage, in-flight fetches, locks,
-//! barriers, scheduler, accounting — and the node's memory,
-//! [`NodeMem`]: the part application threads touch directly on the
-//! fast path (page data, validity, twins, prefetch bookkeeping).
+//! clock, notice board, diff storage, one [`PageRecord`] per page with
+//! something in flight or cached ahead, locks, barriers, scheduler,
+//! accounting — and the node's memory, [`NodeMem`]: the part
+//! application threads touch directly on the fast path (page data,
+//! validity, twins, and the two prefetch facts a thread checks before
+//! it bothers the engine).
 //!
 //! Invariant: a node's memory is with exactly one party. It is the
 //! `mem` field here except while one of the node's threads runs, when
@@ -16,14 +18,10 @@
 //! away, because the engine is then blocked inside the hand-off that
 //! took it.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use rsdsm_protocol::{
-    Diff, DiffCache, IntervalLog, NoticeBoard, Page, PageId, PagePool, VectorClock,
-};
+use rsdsm_protocol::{Diff, IntervalLog, NoticeBoard, Page, PageId, PagePool, VectorClock};
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use crate::accounting::NodeAccount;
@@ -49,6 +47,14 @@ pub(crate) struct PageEntry {
     /// reply built from the twin shares it zero-copy; mutation goes
     /// through `Arc::make_mut`, which un-shares first (copy-on-write).
     pub twin: Option<Arc<Page>>,
+    /// Prefetch replies still outstanding for the page: every request
+    /// sent counts until its reply, or the page's validation, retires
+    /// it. Only [`NodeMem`]'s methods write it, so the node-wide total
+    /// cannot drift from the slots.
+    pf_inflight: u32,
+    /// The §5.1 redundant-prefetch flag: a thread of this node already
+    /// prefetched the page this barrier epoch.
+    epoch_prefetched: bool,
 }
 
 impl PageEntry {
@@ -58,13 +64,25 @@ impl PageEntry {
             valid,
             ever_valid: valid,
             twin: None,
+            pf_inflight: 0,
+            epoch_prefetched: false,
         }
+    }
+
+    /// Prefetch replies still outstanding for the page.
+    pub(crate) fn pf_inflight(&self) -> u32 {
+        self.pf_inflight
+    }
+
+    /// Whether the page was prefetched this barrier epoch (§5.1).
+    pub(crate) fn epoch_prefetched(&self) -> bool {
+        self.epoch_prefetched
     }
 }
 
 /// Fast-path counters incremented by application threads.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AccessCounters {
+pub(crate) struct AccessCounters {
     /// Prefetch operations executed (per page named).
     pub pf_calls: u64,
     /// Prefetches that found their data locally (Table 1
@@ -83,39 +101,33 @@ pub struct AccessCounters {
     pub fast_accesses: u64,
 }
 
-/// Hasher of [`NodeMem`]'s page-keyed containers: fixed keys, so that
-/// the empty placeholder costs nothing to build on any thread — a
-/// `RandomState` would initialise a thread-local (and draw OS
-/// randomness) on each application thread's first hand-off. The keys
-/// are page ids of the program's own heap, never outside input, and
-/// nothing reads these containers in iteration order.
-type PageHasher = BuildHasherDefault<DefaultHasher>;
-
 /// The application-visible memory of one node. The `Default` value is
 /// the empty placeholder left behind wherever the memory was moved
 /// out of: [`NodeState::mem`] while a thread runs, the thread's
 /// context while it is parked.
+///
+/// What is here is what an application thread reads or writes between
+/// two syscalls, and nothing else: the memory is moved by value twice
+/// per syscall. The two prefetch facts on each slot qualify because
+/// [`DsmCtx::prefetch`](crate::DsmCtx::prefetch) filters on them
+/// before it makes a syscall at all; everything else the node knows
+/// about a page is the engine's, in [`NodeState::records`].
 #[derive(Debug, Default)]
 pub(crate) struct NodeMem {
     /// Page slots indexed by global page id.
     pub pages: Vec<PageEntry>,
-    /// Pages with outstanding prefetch requests (count per page).
-    pub prefetch_inflight: HashMap<PageId, u32, PageHasher>,
-    /// Pages prefetched this barrier epoch (redundant-prefetch flag).
-    pub epoch_prefetched: HashSet<PageId, PageHasher>,
+    /// Prefetch replies outstanding over all pages: the sum of the
+    /// slots' counts, which the adaptive engine budgets against.
+    pf_outstanding: u32,
+    /// The pages whose slot carries the §5.1 flag, for the barrier
+    /// release to clear.
+    epoch_marked: Vec<PageId>,
     /// Rolling sequence for prefetch throttling.
     pub throttle_seq: u64,
     /// Pages twinned since the last interval close, in twin-creation
     /// order (may contain stale entries whose twin was already
     /// dropped by a prefetch-induced interval split).
     pub dirty: Vec<PageId>,
-    /// Twin creations since the engine last drained them into the
-    /// event trace, in creation order. Only populated when
-    /// `twin_log_on` — kept empty otherwise so untraced runs do no
-    /// extra work.
-    pub twin_log: Vec<PageId>,
-    /// Whether twin creations should be logged for tracing.
-    pub twin_log_on: bool,
     /// Free list recycling twin/checkpoint page buffers so the hot
     /// write-fault path avoids an allocation.
     pub pool: PagePool,
@@ -128,7 +140,7 @@ impl NodeMem {
     /// `is_home(p)` says whether the node homes page `p` (homed pages
     /// start valid and zero-filled). No slot owns a page buffer yet:
     /// a page materializes when it is first written.
-    pub fn new(total_pages: usize, is_home: impl Fn(usize) -> bool) -> Self {
+    pub(crate) fn new(total_pages: usize, is_home: impl Fn(usize) -> bool) -> Self {
         NodeMem {
             pages: (0..total_pages)
                 .map(|p| PageEntry::new(is_home(p)))
@@ -136,12 +148,54 @@ impl NodeMem {
             ..NodeMem::default()
         }
     }
+
+    /// Counts `requests` prefetch requests just sent for `page`.
+    pub(crate) fn prefetch_sent(&mut self, page: PageId, requests: u32) {
+        self.pages[page.index()].pf_inflight += requests;
+        self.pf_outstanding += requests;
+    }
+
+    /// A prefetch reply for `page` arrived: retires one outstanding
+    /// request, unless the page's validation already retired them all.
+    pub(crate) fn prefetch_replied(&mut self, page: PageId) {
+        let entry = &mut self.pages[page.index()];
+        if entry.pf_inflight > 0 {
+            entry.pf_inflight -= 1;
+            self.pf_outstanding -= 1;
+        }
+    }
+
+    /// Prefetch replies outstanding over all pages.
+    pub(crate) fn prefetch_outstanding(&self) -> u32 {
+        self.pf_outstanding
+    }
+
+    /// Marks `page` valid, which retires whatever prefetch replies it
+    /// still had outstanding.
+    pub(crate) fn validate(&mut self, page: PageId) {
+        let entry = &mut self.pages[page.index()];
+        entry.valid = true;
+        self.pf_outstanding -= std::mem::take(&mut entry.pf_inflight);
+    }
+
+    /// Sets `page`'s §5.1 flag for the rest of the barrier epoch.
+    pub(crate) fn mark_epoch_prefetched(&mut self, page: PageId) {
+        self.pages[page.index()].epoch_prefetched = true;
+        self.epoch_marked.push(page);
+    }
+
+    /// A barrier release ends the epoch: every §5.1 flag clears.
+    pub(crate) fn end_epoch(&mut self) {
+        for page in self.epoch_marked.drain(..) {
+            self.pages[page.index()].epoch_prefetched = false;
+        }
+    }
 }
 
 /// A synchronization object, as the key of the automatic
 /// prefetcher's access-pattern history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SyncKey {
+pub(crate) enum SyncKey {
     /// A lock acquisition point.
     Lock(crate::msg::LockId),
     /// A barrier release point.
@@ -187,8 +241,9 @@ pub(crate) struct Fetch {
     pub joined: bool,
 }
 
-/// Prefetch bookkeeping for one page (engine side).
-#[derive(Debug, Clone, Default)]
+/// What prefetches have asked for, for one page, since it was last
+/// valid.
+#[derive(Debug)]
 pub(crate) struct PfMeta {
     /// (origin, origin-sequence) pairs whose diffs were requested.
     pub requested: HashSet<(NodeId, u32)>,
@@ -201,9 +256,74 @@ pub(crate) struct PfMeta {
     pub joinable: bool,
 }
 
+impl Default for PfMeta {
+    /// Nothing asked yet — so, vacuously, everything asked was
+    /// adaptive.
+    fn default() -> Self {
+        PfMeta {
+            requested: HashSet::new(),
+            wanted_base: false,
+            joinable: true,
+        }
+    }
+}
+
+/// What a node holds for one page beyond its slot in [`NodeMem`]: the
+/// paper's three per-page mechanisms in one place.
+///
+/// Invariant: [`NodeState::records`] has an entry for a page exactly
+/// while this holds something for it ([`PageRecord::is_empty`] is
+/// false) — so "does the node have anything in flight or cached ahead
+/// for the page" is whether the entry exists.
+#[derive(Debug, Default)]
+pub(crate) struct PageRecord {
+    /// The fetch in flight, which later faulting threads join instead
+    /// of duplicating (§4.1 request combining).
+    pub fetch: Option<Fetch>,
+    /// What prefetches asked for; present from the first prefetch
+    /// issued for the page until the page is validated.
+    pub asked: Option<PfMeta>,
+    /// A prefetched base copy awaiting use.
+    pub base: Option<BasePayload>,
+    /// Prefetched diff replies awaiting use at access time — the
+    /// paper's separate heap, "a cache of remote diff replies" (§3.1)
+    /// — in arrival order, at most one per (origin, seq).
+    diffs: Vec<DiffPayload>,
+}
+
+impl PageRecord {
+    /// Keeps a prefetched diff. A second diff of the same interval —
+    /// same (origin, seq) — is ignored.
+    pub(crate) fn cache_diff(&mut self, diff: DiffPayload) {
+        if !self.has_diff(diff.origin, diff.stamp.get(diff.origin)) {
+            self.diffs.push(diff);
+        }
+    }
+
+    /// Whether the diff of `origin`'s interval `seq` is cached.
+    pub(crate) fn has_diff(&self, origin: NodeId, seq: u32) -> bool {
+        self.diffs
+            .iter()
+            .any(|d| d.origin == origin && d.stamp.get(origin) == seq)
+    }
+
+    /// Removes and returns the cached diffs, in arrival order. The
+    /// caller sorts them (with whatever else it applies) into
+    /// happens-before order before applying.
+    pub(crate) fn take_diffs(&mut self) -> Vec<DiffPayload> {
+        std::mem::take(&mut self.diffs)
+    }
+
+    /// Whether the record holds nothing: no fetch, no prefetch request
+    /// set, no base, no diff.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.fetch.is_none() && self.asked.is_none() && self.base.is_none() && self.diffs.is_empty()
+    }
+}
+
 /// Engine-side statistics counters for one node.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NodeCounters {
+pub(crate) struct NodeCounters {
     /// Page faults entering the protocol (any class).
     pub faults: u64,
     /// Faults requiring remote messages ("remote misses").
@@ -264,7 +384,7 @@ pub struct NodeCounters {
 
 impl NodeCounters {
     /// Records a fault classification.
-    pub fn classify(&mut self, class: MissClass) {
+    pub(crate) fn classify(&mut self, class: MissClass) {
         match class {
             MissClass::NoPf => self.pf_no_pf += 1,
             MissClass::Hit => self.pf_hit += 1,
@@ -290,10 +410,6 @@ pub(crate) struct NodeState {
     clock_version: u64,
     /// Write notices known locally.
     pub board: NoticeBoard,
-    /// Prefetched diff replies awaiting use.
-    pub cache: DiffCache,
-    /// Prefetched base copies awaiting use.
-    pub base_cache: HashMap<PageId, BasePayload>,
     /// Diffs this node created, keyed by (page index, own sequence).
     /// `Arc`-shared with every reply payload serving them, so a hot
     /// diff requested by many readers is encoded and stored once.
@@ -309,10 +425,9 @@ pub(crate) struct NodeState {
     /// Vector clock at the last barrier release (bounds what must be
     /// sent to the barrier manager).
     pub last_release_vc: VectorClock,
-    /// In-flight fault-driven fetches.
-    pub fetches: HashMap<PageId, Fetch>,
-    /// Per-page prefetch bookkeeping.
-    pub pf_meta: HashMap<PageId, PfMeta>,
+    /// One record per page with something in flight or cached ahead;
+    /// see [`PageRecord`] for when an entry exists.
+    pub records: HashMap<PageId, PageRecord>,
     /// The engine-side state of the run's prefetch mode.
     pub prefetcher: Prefetcher,
     /// Lock state.
@@ -347,21 +462,18 @@ pub(crate) struct Burst {
 impl NodeState {
     /// Fresh state for node `id` of `nodes`, with `threads_on_node`
     /// application threads and `mem` as its memory.
-    pub fn new(id: NodeId, nodes: usize, threads_on_node: usize, mem: NodeMem) -> Self {
+    pub(crate) fn new(id: NodeId, nodes: usize, threads_on_node: usize, mem: NodeMem) -> Self {
         NodeState {
             id,
             mem,
             vc: VectorClock::new(nodes),
             clock_version: 0,
             board: NoticeBoard::new(),
-            cache: DiffCache::new(),
-            base_cache: HashMap::new(),
             own_diffs: HashMap::new(),
             own_diff_bytes: 0,
             known_intervals: IntervalLog::new(),
             last_release_vc: VectorClock::new(nodes),
-            fetches: HashMap::new(),
-            pf_meta: HashMap::new(),
+            records: HashMap::new(),
             prefetcher: Prefetcher::Off,
             locks: LockTable::new(id, nodes),
             barrier: NodeBarrier::new(threads_on_node),
@@ -374,25 +486,25 @@ impl NodeState {
     }
 
     /// The node's vector clock.
-    pub fn vc(&self) -> &VectorClock {
+    pub(crate) fn vc(&self) -> &VectorClock {
         &self.vc
     }
 
     /// How many times the clock has been written; never decreases.
-    pub fn clock_version(&self) -> u64 {
+    pub(crate) fn clock_version(&self) -> u64 {
         self.clock_version
     }
 
     /// Opens the node's next interval: advances its own component and
     /// returns the new value (the interval's sequence number).
-    pub fn tick_clock(&mut self) -> u32 {
+    pub(crate) fn tick_clock(&mut self) -> u32 {
         self.clock_version += 1;
         self.vc.tick(self.id)
     }
 
     /// Merges `other` into the clock (a grant's or a barrier
     /// release's knowledge).
-    pub fn join_clock(&mut self, other: &VectorClock) {
+    pub(crate) fn join_clock(&mut self, other: &VectorClock) {
         self.clock_version += 1;
         self.vc.join(other);
     }
@@ -400,7 +512,7 @@ impl NodeState {
     /// Overwrites the clock with an arbitrary value — a write the
     /// protocol never makes, for tests that forge a regression.
     #[cfg(test)]
-    pub fn forge_clock(&mut self, forged: VectorClock) {
+    pub(crate) fn forge_clock(&mut self, forged: VectorClock) {
         self.clock_version += 1;
         self.vc = forged;
     }
@@ -409,34 +521,37 @@ impl NodeState {
     /// order learned — the write notices to piggyback on a grant,
     /// barrier message or diff reply. `vc` must be a node's clock (or
     /// a copy of one): see [`IntervalLog::unknown_to`].
-    pub fn intervals_unknown_to(&self, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
+    pub(crate) fn intervals_unknown_to(&self, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
         self.known_intervals.unknown_to(vc)
     }
 
     /// Records an interval in the knowledge log (deduplicated by
     /// `(origin, seq)`). Returns true if it was new.
-    pub fn learn_interval(&mut self, rec: &Arc<IntervalRecord>) -> bool {
+    pub(crate) fn learn_interval(&mut self, rec: &Arc<IntervalRecord>) -> bool {
         self.known_intervals.learn(rec)
     }
 
     /// Whether `origin`'s interval `seq` is in the knowledge log.
-    pub fn knows_interval(&self, origin: NodeId, seq: u32) -> bool {
+    pub(crate) fn knows_interval(&self, origin: NodeId, seq: u32) -> bool {
         self.known_intervals.knows(origin, seq)
     }
 
     /// The known intervals (any origin) that dirtied `page`, in the
     /// order learned.
-    pub fn intervals_naming(&self, page: PageId) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+    pub(crate) fn intervals_naming(
+        &self,
+        page: PageId,
+    ) -> impl Iterator<Item = &Arc<IntervalRecord>> {
         self.known_intervals.naming(page)
     }
 
     /// The intervals this node itself closed, oldest first.
-    pub fn own_intervals(&self) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+    pub(crate) fn own_intervals(&self) -> impl Iterator<Item = &Arc<IntervalRecord>> {
         self.known_intervals.of_origin(self.id)
     }
 
     /// The whole knowledge log, for checkpoint capture.
-    pub fn interval_log(&self) -> &IntervalLog {
+    pub(crate) fn interval_log(&self) -> &IntervalLog {
         &self.known_intervals
     }
 }
@@ -463,6 +578,98 @@ mod tests {
         assert!(mem.pages[0].valid && mem.pages[0].ever_valid);
         assert!(!mem.pages[1].valid && !mem.pages[1].ever_valid);
         assert!(mem.pages[2].twin.is_none());
+    }
+
+    #[test]
+    fn slot_counts_and_node_total_move_together() {
+        let (a, b) = (PageId::new(1), PageId::new(3));
+        let mut mem = NodeMem::new(4, |_| false);
+        mem.prefetch_sent(a, 2);
+        mem.prefetch_sent(b, 1);
+        mem.prefetch_sent(a, 1);
+        assert_eq!(
+            (mem.pages[1].pf_inflight(), mem.pages[3].pf_inflight()),
+            (3, 1)
+        );
+        assert_eq!(mem.prefetch_outstanding(), 4);
+        mem.prefetch_replied(a);
+        assert_eq!(mem.prefetch_outstanding(), 3);
+        // Validation retires whatever was still out; a straggler reply
+        // after it has nothing left to retire.
+        mem.validate(a);
+        assert!(mem.pages[1].valid);
+        assert_eq!(
+            (mem.pages[1].pf_inflight(), mem.prefetch_outstanding()),
+            (0, 1)
+        );
+        mem.prefetch_replied(a);
+        assert_eq!(mem.prefetch_outstanding(), 1);
+    }
+
+    #[test]
+    fn epoch_flags_clear_at_the_barrier() {
+        let mut mem = NodeMem::new(4, |_| false);
+        mem.mark_epoch_prefetched(PageId::new(2));
+        assert!(mem.pages[2].epoch_prefetched() && !mem.pages[1].epoch_prefetched());
+        mem.end_epoch();
+        assert!(mem.pages.iter().all(|e| !e.epoch_prefetched()));
+        assert!(mem.epoch_marked.is_empty());
+    }
+
+    fn payload(origin: NodeId, ticks: u32, diff: &Arc<Diff>) -> DiffPayload {
+        DiffPayload {
+            origin,
+            stamp: Arc::clone(&record(origin, ticks, 2).stamp),
+            diff: Arc::clone(diff),
+        }
+    }
+
+    #[test]
+    fn record_caches_one_diff_per_interval_in_arrival_order() {
+        let mut rec = PageRecord::default();
+        assert!(rec.is_empty());
+        let d = Arc::new(Diff::default());
+        let (late, early) = (payload(0, 2, &d), payload(0, 1, &d));
+        rec.cache_diff(late.clone());
+        rec.cache_diff(early.clone());
+        // A second diff of the same interval is ignored.
+        rec.cache_diff(late.clone());
+        assert!(!rec.is_empty());
+        assert!(rec.has_diff(0, 1) && rec.has_diff(0, 2));
+        assert!(!rec.has_diff(0, 3) && !rec.has_diff(1, 1));
+        assert_eq!(rec.take_diffs(), [late, early]);
+        assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn record_is_empty_only_when_it_holds_nothing() {
+        let holds = |fill: fn(&mut PageRecord)| {
+            let mut rec = PageRecord::default();
+            fill(&mut rec);
+            !rec.is_empty()
+        };
+        assert!(holds(|r| r.asked = Some(PfMeta::default())));
+        assert!(holds(|r| {
+            r.base = Some(BasePayload {
+                page: Arc::new(Page::new()),
+                incorporated: Vec::new(),
+            })
+        }));
+        assert!(holds(|r| {
+            r.fetch = Some(Fetch {
+                outstanding: 1,
+                waiters: Vec::new(),
+                collected: Vec::new(),
+                base: None,
+                started: SimTime::ZERO,
+                joined: false,
+            })
+        }));
+        assert!(holds(|r| r.cache_diff(payload(
+            1,
+            1,
+            &Arc::new(Diff::default())
+        ))));
     }
 
     #[test]

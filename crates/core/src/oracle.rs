@@ -179,7 +179,7 @@ pub(crate) struct FnvWriter(pub u64);
 
 impl FnvWriter {
     /// A sink whose hash so far is that of the empty string.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FnvWriter(FNV_OFFSET)
     }
 }
@@ -192,7 +192,7 @@ impl fmt::Write for FnvWriter {
 }
 
 /// FNV-1a digest of a whole memory image, page order significant.
-pub fn digest_pages(pages: &[Page]) -> u64 {
+pub(crate) fn digest_pages(pages: &[Page]) -> u64 {
     let mut h = FNV_OFFSET;
     for p in pages {
         h = fnv1a_extend(h, p.bytes());
@@ -239,7 +239,7 @@ pub(crate) struct OracleState {
 }
 
 impl OracleState {
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         OracleState {
             violations: Vec::new(),
             lock_trace: Vec::new(),
@@ -257,7 +257,7 @@ impl OracleState {
     }
 
     /// Records a lock grant; the trace drives golden replay.
-    pub fn record_grant(&mut self, lock: LockId, thread: ThreadId) {
+    pub(crate) fn record_grant(&mut self, lock: LockId, thread: ThreadId) {
         self.lock_trace.push(GrantRecord { lock, thread });
     }
 
@@ -266,7 +266,7 @@ impl OracleState {
     /// since the last call (see the module header for why that is
     /// exact); several duplicate tokens found after one event are
     /// reported in `LockId` order.
-    pub fn check_event(&mut self, nodes: &[NodeState], at: SimTime) {
+    pub(crate) fn check_event(&mut self, nodes: &[NodeState], at: SimTime) {
         let mut moves = 0;
         for node in nodes {
             moves += node.locks.token_moves();
@@ -319,7 +319,7 @@ impl OracleState {
 
     /// A diff is about to be applied at node `n`; `covered` says
     /// whether the node knows an interval record for it.
-    pub fn check_coverage(
+    pub(crate) fn check_coverage(
         &mut self,
         covered: bool,
         n: NodeId,
@@ -342,7 +342,7 @@ impl OracleState {
 
     /// An interval close produced `diff = between(twin, data)`;
     /// verify `apply(diff, twin) == data`.
-    pub fn check_roundtrip(
+    pub(crate) fn check_roundtrip(
         &mut self,
         twin: &Page,
         data: &Page,
@@ -367,7 +367,7 @@ impl OracleState {
     }
 
     /// Node `from` arrived at barrier `id`.
-    pub fn barrier_arrival(&mut self, id: BarrierId, from: NodeId, at: SimTime) {
+    pub(crate) fn barrier_arrival(&mut self, id: BarrierId, from: NodeId, at: SimTime) {
         let ep = self.barriers.entry(id).or_default();
         if !ep.arrived.insert(from) {
             let (epoch, kind) = (ep.epoch, InvariantKind::BarrierEpoch);
@@ -381,7 +381,7 @@ impl OracleState {
 
     /// Barrier `id` released; every one of `expected` nodes must have
     /// arrived exactly once this episode.
-    pub fn barrier_release(&mut self, id: BarrierId, expected: usize, at: SimTime) {
+    pub(crate) fn barrier_release(&mut self, id: BarrierId, expected: usize, at: SimTime) {
         let ep = self.barriers.entry(id).or_default();
         if ep.arrived.len() != expected {
             let (seen, epoch) = (ep.arrived.len(), ep.epoch);

@@ -23,7 +23,7 @@ use rsdsm_simnet::{NodeId, PersistConfig, SimDuration, SimTime};
 
 /// What a node currently believes about a peer's liveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PeerStatus {
+pub(crate) enum PeerStatus {
     /// The lease is fresh; the peer is assumed up.
     #[default]
     Alive,
@@ -170,7 +170,7 @@ pub struct RecoveryStats {
 /// Per-link lease bookkeeping: when each node last heard from each
 /// peer, and what it currently believes about the peer.
 #[derive(Debug)]
-pub struct FailureDetector {
+pub(crate) struct FailureDetector {
     lease: SimDuration,
     last_heard: Vec<Vec<SimTime>>,
     status: Vec<Vec<PeerStatus>>,
@@ -179,7 +179,7 @@ pub struct FailureDetector {
 impl FailureDetector {
     /// A detector for `nodes` nodes with the given lease timeout; all
     /// leases start fresh at time zero.
-    pub fn new(nodes: usize, lease: SimDuration) -> Self {
+    pub(crate) fn new(nodes: usize, lease: SimDuration) -> Self {
         FailureDetector {
             lease,
             last_heard: vec![vec![SimTime::ZERO; nodes]; nodes],
@@ -191,7 +191,7 @@ impl FailureDetector {
     /// counts — this is the ack/data piggyback path). A suspected
     /// peer that is heard from again is cleared back to alive; a
     /// confirmed-down peer is not, until recovery completes.
-    pub fn heard(&mut self, observer: NodeId, peer: NodeId, now: SimTime) {
+    pub(crate) fn heard(&mut self, observer: NodeId, peer: NodeId, now: SimTime) {
         self.last_heard[observer][peer] = now;
         if self.status[observer][peer] == PeerStatus::Suspected {
             self.status[observer][peer] = PeerStatus::Alive;
@@ -200,18 +200,18 @@ impl FailureDetector {
 
     /// True when `observer` has heard nothing from `peer` for longer
     /// than the lease timeout.
-    pub fn lease_expired(&self, observer: NodeId, peer: NodeId, now: SimTime) -> bool {
+    pub(crate) fn lease_expired(&self, observer: NodeId, peer: NodeId, now: SimTime) -> bool {
         now > self.last_heard[observer][peer] + self.lease
     }
 
     /// `observer`'s current belief about `peer`.
-    pub fn status(&self, observer: NodeId, peer: NodeId) -> PeerStatus {
+    pub(crate) fn status(&self, observer: NodeId, peer: NodeId) -> PeerStatus {
         self.status[observer][peer]
     }
 
     /// Marks `peer` suspected at `observer`. Returns `true` when this
     /// starts a new suspicion episode (the peer was believed alive).
-    pub fn suspect(&mut self, observer: NodeId, peer: NodeId) -> bool {
+    pub(crate) fn suspect(&mut self, observer: NodeId, peer: NodeId) -> bool {
         if self.status[observer][peer] == PeerStatus::Alive {
             self.status[observer][peer] = PeerStatus::Suspected;
             true
@@ -221,21 +221,21 @@ impl FailureDetector {
     }
 
     /// Marks `peer` confirmed down at `observer`.
-    pub fn mark_down(&mut self, observer: NodeId, peer: NodeId) {
+    pub(crate) fn mark_down(&mut self, observer: NodeId, peer: NodeId) {
         self.status[observer][peer] = PeerStatus::Down;
     }
 
     /// Marks `peer` unreachable at `observer` (on the far side of a
     /// known cut). Sticky like `Down`: only [`FailureDetector::clear`]
     /// resets it, at rejoin.
-    pub fn mark_unreachable(&mut self, observer: NodeId, peer: NodeId) {
+    pub(crate) fn mark_unreachable(&mut self, observer: NodeId, peer: NodeId) {
         self.status[observer][peer] = PeerStatus::Unreachable;
     }
 
     /// Clears all state about `peer` (it rejoined, or a suspicion was
     /// resolved as false): every observer believes it alive with a
     /// fresh lease, and `peer` itself gets fresh leases on everyone.
-    pub fn clear(&mut self, peer: NodeId, now: SimTime) {
+    pub(crate) fn clear(&mut self, peer: NodeId, now: SimTime) {
         let nodes = self.status.len();
         for observer in 0..nodes {
             self.status[observer][peer] = PeerStatus::Alive;

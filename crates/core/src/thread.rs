@@ -40,7 +40,7 @@ impl ThreadId {
 /// Why a thread is blocked; determines idle attribution and whether a
 /// switch is taken (combined mode switches only on sync, §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockReason {
+pub(crate) enum BlockReason {
     /// Waiting for a remote page fetch.
     Memory,
     /// Waiting for a lock.
@@ -49,17 +49,9 @@ pub enum BlockReason {
     Barrier,
 }
 
-impl BlockReason {
-    /// Whether this is a synchronization stall.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_sync(self) -> bool {
-        matches!(self, BlockReason::Lock | BlockReason::Barrier)
-    }
-}
-
 /// Lifecycle state of one application thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadState {
+pub(crate) enum ThreadState {
     /// Currently dispatched on its node's CPU.
     Running,
     /// Runnable, waiting in the node's ready queue.
@@ -73,7 +65,7 @@ pub enum ThreadState {
 /// Per-node scheduler: FIFO ready queue plus the identity of the
 /// thread currently on the CPU.
 #[derive(Debug, Clone, Default)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     ready: VecDeque<ThreadId>,
     running: Option<ThreadId>,
     last_run: Option<ThreadId>,
@@ -81,26 +73,18 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// A scheduler with nothing to run.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Scheduler::default()
     }
 
     /// The thread currently on the CPU, if any.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn running(&self) -> Option<ThreadId> {
+    #[cfg(test)]
+    pub(crate) fn running(&self) -> Option<ThreadId> {
         self.running
     }
 
-    /// The thread most recently on the CPU (used to decide whether a
-    /// dispatch is a context *switch*); part of the scheduler's
-    /// public surface for diagnostics.
-    #[allow(dead_code)]
-    pub fn last_run(&self) -> Option<ThreadId> {
-        self.last_run
-    }
-
     /// Appends a thread to the ready queue.
-    pub fn make_ready(&mut self, tid: ThreadId) {
+    pub(crate) fn make_ready(&mut self, tid: ThreadId) {
         debug_assert!(self.running != Some(tid), "running thread made ready");
         debug_assert!(!self.ready.contains(&tid), "thread already ready");
         self.ready.push_back(tid);
@@ -109,14 +93,14 @@ impl Scheduler {
     /// Puts a thread at the *front* of the ready queue — used when a
     /// pinned (no-switch) stall completes and the stalled thread must
     /// resume before any sibling.
-    pub fn make_ready_front(&mut self, tid: ThreadId) {
+    pub(crate) fn make_ready_front(&mut self, tid: ThreadId) {
         debug_assert!(self.running != Some(tid), "running thread made ready");
         debug_assert!(!self.ready.contains(&tid), "thread already ready");
         self.ready.push_front(tid);
     }
 
     /// True when a thread is waiting to run and the CPU is free.
-    pub fn can_dispatch(&self) -> bool {
+    pub(crate) fn can_dispatch(&self) -> bool {
         self.running.is_none() && !self.ready.is_empty()
     }
 
@@ -127,7 +111,7 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if the CPU is occupied or no thread is ready.
-    pub fn dispatch(&mut self) -> (ThreadId, bool) {
+    pub(crate) fn dispatch(&mut self) -> (ThreadId, bool) {
         assert!(self.running.is_none(), "CPU already occupied");
         let tid = self.ready.pop_front().expect("a ready thread");
         let is_switch = self.last_run.is_some_and(|last| last != tid);
@@ -141,14 +125,14 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `tid` is not the running thread.
-    pub fn yield_cpu(&mut self, tid: ThreadId) {
+    pub(crate) fn yield_cpu(&mut self, tid: ThreadId) {
         assert_eq!(self.running, Some(tid), "only the running thread can yield");
         self.running = None;
     }
 
     /// Number of threads waiting to run.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn ready_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ready_len(&self) -> usize {
         self.ready.len()
     }
 }
@@ -167,13 +151,6 @@ mod tests {
         assert_eq!(ThreadId(0).local_index(4), 0);
         assert_eq!(ThreadId(3).local_index(4), 3);
         assert_eq!(ThreadId(6).local_index(4), 2);
-    }
-
-    #[test]
-    fn block_reason_classification() {
-        assert!(!BlockReason::Memory.is_sync());
-        assert!(BlockReason::Lock.is_sync());
-        assert!(BlockReason::Barrier.is_sync());
     }
 
     #[test]

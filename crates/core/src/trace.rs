@@ -814,7 +814,7 @@ impl TraceMetrics {
 /// The engine-side emitter. All entry points early-return when
 /// tracing is off, so an untraced run does no tracing work at all.
 #[derive(Debug)]
-pub struct Tracer {
+pub(crate) struct Tracer {
     on: bool,
     nodes: u32,
     threads_per_node: u32,
@@ -834,7 +834,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer; emits nothing unless `on`.
-    pub fn new(on: bool, nodes: u32, threads_per_node: u32) -> Self {
+    pub(crate) fn new(on: bool, nodes: u32, threads_per_node: u32) -> Self {
         Tracer {
             on,
             nodes,
@@ -854,24 +854,24 @@ impl Tracer {
     }
 
     /// Whether tracing is enabled.
-    pub fn is_on(&self) -> bool {
+    pub(crate) fn is_on(&self) -> bool {
         self.on
     }
 
     /// Clears the ambient cause at the start of an engine event.
-    pub fn begin_event(&mut self) {
+    pub(crate) fn begin_event(&mut self) {
         self.current = NO_CAUSE;
     }
 
     /// Sets the ambient cause (the `MsgRecv` id) for records emitted
     /// while the current frame is dispatched.
-    pub fn set_current(&mut self, id: u64) {
+    pub(crate) fn set_current(&mut self, id: u64) {
         self.current = id;
     }
 
     /// Emits one record and returns its id (0 when tracing is off).
     /// A `cause` of [`NO_CAUSE`] inherits the ambient cause.
-    pub fn emit(
+    pub(crate) fn emit(
         &mut self,
         at: SimTime,
         node: u32,
@@ -898,7 +898,7 @@ impl Tracer {
     }
 
     /// Remembers the first transmission of a reliable frame.
-    pub fn note_first_send(&mut self, src: u32, dst: u32, seq: u64, id: u64) {
+    pub(crate) fn note_first_send(&mut self, src: u32, dst: u32, seq: u64, id: u64) {
         if !self.on {
             return;
         }
@@ -907,7 +907,7 @@ impl Tracer {
 
     /// Id of a reliable frame's first transmission ([`NO_CAUSE`]
     /// when unknown).
-    pub fn first_send(&self, src: u32, dst: u32, seq: u64) -> u64 {
+    pub(crate) fn first_send(&self, src: u32, dst: u32, seq: u64) -> u64 {
         if !self.on {
             return NO_CAUSE;
         }
@@ -919,7 +919,7 @@ impl Tracer {
 
     /// Forgets a delivered frame's first transmission (keeps the
     /// map bounded by in-flight frames).
-    pub fn forget_send(&mut self, src: u32, dst: u32, seq: u64) {
+    pub(crate) fn forget_send(&mut self, src: u32, dst: u32, seq: u64) {
         if self.on {
             self.first_sends.remove(&(src, dst, seq));
         }
@@ -927,14 +927,14 @@ impl Tracer {
 
     /// Remembers the begin record and outcome class of an in-flight
     /// demand fetch.
-    pub fn note_fault(&mut self, node: u32, page: u32, begin: u64, class: u8) {
+    pub(crate) fn note_fault(&mut self, node: u32, page: u32, begin: u64, class: u8) {
         if self.on {
             self.faults.insert((node, page), (begin, class));
         }
     }
 
     /// Takes the begin record and class of a completing fetch.
-    pub fn take_fault(&mut self, node: u32, page: u32) -> Option<(u64, u8)> {
+    pub(crate) fn take_fault(&mut self, node: u32, page: u32) -> Option<(u64, u8)> {
         if !self.on {
             return None;
         }
@@ -942,14 +942,14 @@ impl Tracer {
     }
 
     /// Remembers the `WriteNotice` record for an interval at a node.
-    pub fn note_notice(&mut self, node: u32, page: u32, origin: u32, seq: u32, id: u64) {
+    pub(crate) fn note_notice(&mut self, node: u32, page: u32, origin: u32, seq: u32, id: u64) {
         if self.on {
             self.notices.insert((node, page, origin, seq), id);
         }
     }
 
     /// Id of the `WriteNotice` record a `DiffApply` descends from.
-    pub fn notice_id(&self, node: u32, page: u32, origin: u32, seq: u32) -> u64 {
+    pub(crate) fn notice_id(&self, node: u32, page: u32, origin: u32, seq: u32) -> u64 {
         if !self.on {
             return NO_CAUSE;
         }
@@ -960,7 +960,7 @@ impl Tracer {
     }
 
     /// Consumes the tracer into the finished [`Trace`].
-    pub fn finish(self) -> Trace {
+    pub(crate) fn finish(self) -> Trace {
         Trace {
             nodes: self.nodes,
             threads_per_node: self.threads_per_node,

@@ -32,6 +32,8 @@
 //! tests only — paper-scale benches keep [`OracleConfig::off`], the
 //! default.
 
+#![warn(unreachable_pub)]
+
 use rsdsm_apps::{Benchmark, Scale};
 use rsdsm_core::{DsmConfig, OracleConfig, SimError, ThreadConfig};
 

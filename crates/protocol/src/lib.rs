@@ -12,8 +12,6 @@
 //!   multiple-writer twin/diff mechanism.
 //! - [`WriteNotice`] / [`NoticeBoard`]: invalidation bookkeeping
 //!   propagated at acquire time.
-//! - [`DiffCache`]: the separate heap that stores prefetched diff
-//!   replies until the access that consumes them (paper §3.1).
 //!
 //! Everything here is deterministic and simulation-free; the runtime
 //! in `rsdsm-core` drives these structures from the event loop.
@@ -41,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod clock;
 mod diff;
@@ -51,5 +50,5 @@ mod page;
 pub use clock::{HbKey, Stamp, VectorClock};
 pub use diff::Diff;
 pub use interval::{IntervalLog, IntervalRecord};
-pub use notice::{CachedDiff, DiffCache, NoticeBoard, WriteNotice, NOTICE_WIRE_BYTES};
+pub use notice::{NoticeBoard, WriteNotice};
 pub use page::{Page, PageId, PagePool, PAGE_SIZE};

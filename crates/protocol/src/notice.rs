@@ -1,4 +1,4 @@
-//! Write notices, the per-node notice board, and the prefetch diff cache.
+//! Write notices and the per-node notice board.
 //!
 //! When a processor releases a synchronization object, it piggybacks
 //! *write notices* — (page, writer, interval timestamp) triples — on
@@ -9,15 +9,11 @@
 //!
 //! [`NoticeBoard`] is a node's record of the notices it knows about
 //! and which of them have already been satisfied by an applied diff.
-//! [`DiffCache`] is the separate heap the paper's prefetch
-//! implementation stores diff replies in ("a cache of remote diff
-//! replies", §3.1) until the page is actually accessed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::clock::{Stamp, VectorClock};
-use crate::diff::Diff;
 use crate::page::PageId;
 
 /// Notification that `origin` wrote `page` during the interval
@@ -33,7 +29,7 @@ pub struct WriteNotice {
 }
 
 /// Wire-size estimate of one encoded write notice, for message sizing.
-pub const NOTICE_WIRE_BYTES: usize = 24;
+pub(crate) const NOTICE_WIRE_BYTES: usize = 24;
 
 /// One notice on the board. Its identity is `(origin, seq)` — the
 /// writer and the writer's own component of the interval's stamp —
@@ -146,97 +142,9 @@ impl NoticeBoard {
     }
 }
 
-/// A cached diff reply waiting to be applied at access time.
-#[derive(Debug, Clone)]
-pub struct CachedDiff {
-    /// The writer the diff came from.
-    pub origin: usize,
-    /// Timestamp of the writer's interval.
-    pub stamp: Stamp,
-    /// The modifications, shared zero-copy with the transport frame
-    /// that carried them (and possibly the writer's own record).
-    pub diff: Arc<Diff>,
-}
-
-/// The separate heap holding prefetched diff replies ("a cache of
-/// remote diff replies", §3.1) until the faulting access applies them.
-#[derive(Debug, Clone, Default)]
-pub struct DiffCache {
-    by_page: HashMap<PageId, Vec<CachedDiff>>,
-    bytes: usize,
-}
-
-impl DiffCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        DiffCache::default()
-    }
-
-    /// Stores a prefetched diff for `page`. A second diff of the same
-    /// interval — same (origin, seq) — is ignored.
-    pub fn insert(&mut self, page: PageId, cached: CachedDiff) {
-        let seq = cached.stamp.get(cached.origin);
-        let entry = self.by_page.entry(page).or_default();
-        if entry
-            .iter()
-            .any(|c| c.origin == cached.origin && c.stamp.get(c.origin) == seq)
-        {
-            return;
-        }
-        self.bytes += cached.diff.encoded_bytes();
-        entry.push(cached);
-    }
-
-    /// Removes and returns all cached diffs for `page`, in insertion
-    /// order. The caller sorts them (with whatever else it applies)
-    /// by [`VectorClock::hb_key`] before applying.
-    pub fn take(&mut self, page: PageId) -> Vec<CachedDiff> {
-        let diffs = self.by_page.remove(&page).unwrap_or_default();
-        self.bytes -= diffs.iter().map(|c| c.diff.encoded_bytes()).sum::<usize>();
-        diffs
-    }
-
-    /// Whether any diff for `page` is cached.
-    pub fn contains_page(&self, page: PageId) -> bool {
-        self.by_page.contains_key(&page)
-    }
-
-    /// Whether the diff of `origin`'s interval `seq` for `page` is
-    /// cached.
-    pub fn has_diff(&self, page: PageId, origin: usize, seq: u32) -> bool {
-        self.by_page.get(&page).is_some_and(|cs| {
-            cs.iter()
-                .any(|c| c.origin == origin && c.stamp.get(origin) == seq)
-        })
-    }
-
-    /// Number of cached diffs across all pages.
-    pub fn len(&self) -> usize {
-        self.by_page.values().map(Vec::len).sum()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.by_page.is_empty()
-    }
-
-    /// Total encoded bytes held (the storage the paper notes relieves
-    /// garbage-collection pressure in LU-NCONT, §3.3.2 footnote).
-    pub fn encoded_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Discards everything (e.g. at a garbage-collection point).
-    pub fn clear(&mut self) {
-        self.by_page.clear();
-        self.bytes = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::Page;
 
     fn stamp(n: usize, ticks: &[usize]) -> Stamp {
         let mut vc = VectorClock::new(n);
@@ -314,55 +222,5 @@ mod tests {
         // The notice arriving later is a duplicate of an applied entry.
         assert!(!board.record_stamp(PageId::new(9), 1, &s));
         assert_eq!(pending(&board, 9), 0);
-    }
-
-    fn cached(origin: usize, stamp: &Stamp, diff: &Arc<Diff>) -> CachedDiff {
-        CachedDiff {
-            origin,
-            stamp: Arc::clone(stamp),
-            diff: Arc::clone(diff),
-        }
-    }
-
-    #[test]
-    fn diff_cache_round_trip() {
-        let mut cache = DiffCache::new();
-        let mut page = Page::new();
-        page.write_u64(0, 7);
-        let d = Arc::new(Diff::full_page(&page));
-        cache.insert(PageId::new(2), cached(1, &stamp(2, &[1]), &d));
-        assert!(cache.contains_page(PageId::new(2)));
-        assert!(cache.has_diff(PageId::new(2), 1, 1));
-        assert!(!cache.has_diff(PageId::new(2), 1, 2));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.encoded_bytes(), d.encoded_bytes());
-        let taken = cache.take(PageId::new(2));
-        assert_eq!(taken.len(), 1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.encoded_bytes(), 0);
-    }
-
-    #[test]
-    fn diff_cache_takes_in_insertion_order() {
-        let mut cache = DiffCache::new();
-        let early = stamp(2, &[0]);
-        let late = stamp(2, &[0, 0]);
-        let d = Arc::new(Diff::default());
-        cache.insert(PageId::new(1), cached(0, &late, &d));
-        cache.insert(PageId::new(1), cached(0, &early, &d));
-        let taken = cache.take(PageId::new(1));
-        assert_eq!(taken[0].stamp, late);
-        assert_eq!(taken[1].stamp, early);
-    }
-
-    #[test]
-    fn diff_cache_dedupes() {
-        let mut cache = DiffCache::new();
-        let s = stamp(2, &[0]);
-        let d = Arc::new(Diff::default());
-        for _ in 0..2 {
-            cache.insert(PageId::new(1), cached(0, &s, &d));
-        }
-        assert_eq!(cache.len(), 1);
     }
 }

@@ -146,21 +146,6 @@ impl NetConfig {
         }
     }
 
-    /// An effectively infinite, lossless network; useful in tests that
-    /// want to isolate protocol behaviour from network timing.
-    pub fn ideal(seed: u64) -> Self {
-        NetConfig {
-            bandwidth_bps: u64::MAX / 1_000_000_000,
-            wire_latency: SimDuration::ZERO,
-            switch_latency: SimDuration::ZERO,
-            header_bytes: 0,
-            congestion_threshold: SimDuration::from_secs(3600),
-            drop_probability: 0.0,
-            seed,
-            topology: Topology::FlatBus,
-        }
-    }
-
     /// Time to serialize `payload_bytes` (plus headers) onto a link.
     pub fn tx_time(&self, payload_bytes: u32) -> SimDuration {
         let bits = (payload_bytes as u64 + self.header_bytes as u64) * 8;
@@ -386,11 +371,6 @@ impl Network {
         self.down[node] = down;
     }
 
-    /// Whether a node's NIC is currently dead.
-    pub fn node_is_down(&self, node: NodeId) -> bool {
-        self.down[node]
-    }
-
     /// Records the loss of a message that was already in flight when
     /// its destination crashed (the engine discards such arrivals at
     /// the dead NIC and reports them here).
@@ -424,12 +404,6 @@ impl Network {
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Clears statistics (e.g. after a warm-up phase) without
-    /// disturbing link state.
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::new(self.num_nodes());
     }
 
     /// Sends a message of `payload_bytes` from `src` to `dst` at `now`.
@@ -727,31 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_clears_counts_but_not_link_state() {
-        let mut net = Network::new(2, cfg());
-        net.send(SimTime::ZERO, 0, 1, 4096, Reliability::Reliable, "d");
-        net.reset_stats();
-        assert_eq!(net.stats().total_msgs(), 0);
-        // Link is still busy: a new send at t=0 queues.
-        let a = net
-            .send(SimTime::ZERO, 0, 1, 4096, Reliability::Reliable, "d")
-            .arrival_time()
-            .unwrap();
-        let base = cfg().tx_time(4096) * 2 + cfg().wire_latency * 2 + cfg().switch_latency;
-        assert!(a > SimTime::ZERO + base);
-    }
-
-    #[test]
-    fn ideal_network_has_zero_latency_for_empty_messages() {
-        let mut net = Network::new(2, NetConfig::ideal(0));
-        let a = net
-            .send(SimTime::ZERO, 0, 1, 0, Reliability::Droppable, "d")
-            .arrival_time()
-            .unwrap();
-        assert_eq!(a, SimTime::ZERO);
-    }
-
-    #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_send_panics() {
         let mut net = Network::new(2, cfg());
@@ -762,7 +711,6 @@ mod tests {
     fn messages_to_a_down_node_are_crash_dropped() {
         let mut net = Network::new(3, cfg());
         net.set_node_down(1, true);
-        assert!(net.node_is_down(1));
         assert_eq!(net.fault_stats().crashes_injected, 1);
         // To the dead node: lost, even though reliable.
         let out = net.send(SimTime::ZERO, 0, 1, 100, Reliability::Reliable, "d");

@@ -110,19 +110,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a span from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "duration must be non-negative and finite"
-        );
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Nanoseconds in this span.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -279,7 +266,6 @@ mod tests {
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimTime::from_millis(2).as_micros(), 2_000);
         assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
     }
 
     #[test]
