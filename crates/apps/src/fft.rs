@@ -8,7 +8,7 @@
 //! communication the paper's FFT numbers are dominated by, including
 //! the initialization hot-spot on the master (§3.3.2).
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, VerifyCtx};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
@@ -110,7 +110,33 @@ pub struct FftHandles {
     b: SharedVec<f64>,
 }
 
-impl DsmProgram for FftApp {
+/// Column `q` of a transposed slab from the interleaved re/im values
+/// of source row `q`: slab row `o` takes `vals`' `o`th complex.
+fn scatter_column(vals: &[f64], slab: &mut [Complex], side: usize, q: usize) {
+    for (o, pair) in vals.chunks_exact(2).enumerate() {
+        slab[o * side + q] = Complex::new(pair[0], pair[1]);
+    }
+}
+
+/// Scales slab row `r` by its twiddle factors (those of an `n`-point
+/// transform after the first phase's FFT, one afterwards) and packs it
+/// as interleaved re/im into `out`.
+fn twiddle_and_pack(row: &mut [Complex], out: &mut [f64], phase: usize, r: usize, n: usize) {
+    for (k, v) in row.iter_mut().enumerate() {
+        let w = if phase == 0 {
+            Complex::from_angle(-2.0 * std::f64::consts::PI * (r * k) as f64 / n as f64)
+        } else {
+            Complex::new(1.0, 0.0)
+        };
+        *v = *v * w;
+    }
+    for (k, v) in row.iter().enumerate() {
+        out[2 * k] = v.re;
+        out[2 * k + 1] = v.im;
+    }
+}
+
+impl DsmTask for FftApp {
     type Handles = FftHandles;
 
     fn name(&self) -> String {
@@ -124,7 +150,7 @@ impl DsmProgram for FftApp {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let nt = ctx.num_threads();
         let side = self.side();
@@ -140,21 +166,17 @@ impl DsmProgram for FftApp {
                     row[2 * s] = x.re;
                     row[2 * s + 1] = x.im;
                 }
-                ctx.write_slice(&h.a, q * 2 * side, &row);
+                ctx.write_slice(&h.a, q * 2 * side, &row).await;
             }
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
         let mut bars = BarrierCycle::new();
 
         // Three transpose+FFT phases; `src`/`dst` alternate a → b → a → b.
         let (my0, my1) = block_range(side, t, nt);
-        let twiddle = |phase: usize, row: usize, k: usize| -> Complex {
-            if phase == 0 {
-                Complex::from_angle(-2.0 * std::f64::consts::PI * (row * k) as f64 / n as f64)
-            } else {
-                Complex::new(1.0, 0.0)
-            }
-        };
+        let width = my1 - my0;
+        let mut vals = vec![0.0f64; 2 * width];
+        let mut out_row = vec![0.0f64; 2 * side];
         for phase in 0..3usize {
             let (src, dst) = if phase % 2 == 0 {
                 (h.a, h.b)
@@ -163,7 +185,6 @@ impl DsmProgram for FftApp {
             };
             // Gather my transposed slab: dst row `o` (my0..my1) takes
             // src column `o`.
-            let width = my1 - my0;
             let mut slab = vec![Complex::default(); width * side];
             // Issue all of this phase's slab prefetches up front
             // (strip-mined scheduling, §3.2): the first rows' fetches
@@ -176,38 +197,29 @@ impl DsmProgram for FftApp {
             let start = (t * side / nt) % side;
             let order = (start..side).chain(0..start);
             for q in order.clone() {
-                ctx.prefetch(&src, 2 * (q * side + my0), 2 * (q * side + my1));
+                ctx.prefetch(&src, 2 * (q * side + my0), 2 * (q * side + my1))
+                    .await;
             }
             for q in order {
                 // Compiler-style prefetching cannot classify private
                 // buffers and wastes checks on them (Table 1's 98%
                 // unnecessary rate for FFT); a no-op in hand mode.
                 ctx.prefetch_private(12);
-                let vals = ctx.read_vec(&src, 2 * (q * side + my0), 2 * width);
-                for o in 0..width {
-                    slab[o * side + q] = Complex::new(vals[2 * o], vals[2 * o + 1]);
-                }
+                ctx.read_slice(&src, 2 * (q * side + my0), &mut vals).await;
+                scatter_column(&vals, &mut slab, side, q);
                 ctx.compute(SimDuration::from_nanos(width as u64 * 12));
             }
             // Row FFTs (+ twiddle after the first phase's FFT).
-            let mut out_row = vec![0.0f64; 2 * side];
-            for o in 0..width {
-                let row = &mut slab[o * side..(o + 1) * side];
+            for (o, row) in slab.chunks_exact_mut(side).enumerate() {
                 if phase < 2 {
                     fft_in_place(row, false);
                     let flops = 5 * side as u64 * side.trailing_zeros() as u64;
                     ctx.compute(SimDuration::from_nanos(flops * NS_PER_FLOP));
                 }
-                for (k, v) in row.iter_mut().enumerate() {
-                    *v = *v * twiddle(phase, my0 + o, k);
-                }
-                for (k, v) in row.iter().enumerate() {
-                    out_row[2 * k] = v.re;
-                    out_row[2 * k + 1] = v.im;
-                }
-                ctx.write_slice(&dst, (my0 + o) * 2 * side, &out_row);
+                twiddle_and_pack(row, &mut out_row, phase, my0 + o, n);
+                ctx.write_slice(&dst, (my0 + o) * 2 * side, &out_row).await;
             }
-            bars.next(ctx);
+            bars.next(ctx).await;
         }
     }
 

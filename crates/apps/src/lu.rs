@@ -13,7 +13,7 @@
 //! block, solves the perimeter, then updates the interior, with
 //! barriers between phases.
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, VerifyCtx};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
 use crate::util::{gen_f64, BarrierCycle};
@@ -185,7 +185,7 @@ fn gemm_update(a: &mut [f64], n: usize, ri: usize, cj: usize, k: usize, b: usize
     }
 }
 
-impl DsmProgram for LuApp {
+impl DsmTask for LuApp {
     type Handles = SharedVec<f64>;
 
     fn name(&self) -> String {
@@ -199,7 +199,7 @@ impl DsmProgram for LuApp {
         heap.alloc(self.n * self.n, HomePolicy::Blocked)
     }
 
-    fn run(&self, ctx: &mut DsmCtx, mat: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, mat: &Self::Handles) {
         let t = ctx.thread_id();
         let nt = ctx.num_threads();
         let (n, b, nb) = (self.n, self.block, self.nb());
@@ -212,40 +212,41 @@ impl DsmProgram for LuApp {
                     *slot = self.initial(i, j);
                 }
                 match self.layout {
-                    LuLayout::NonContiguous => ctx.write_slice(mat, i * n, &row),
+                    LuLayout::NonContiguous => ctx.write_slice(mat, i * n, &row).await,
                     LuLayout::Contiguous => {
                         for (j, &v) in row.iter().enumerate() {
-                            ctx.write(mat, self.idx(i, j), v);
+                            ctx.write(mat, self.idx(i, j), v).await;
                         }
                     }
                 }
             }
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
 
         // Block I/O through the DSM: rows of a block are contiguous
         // runs in both layouts.
-        let read_block = |ctx: &mut DsmCtx, bi: usize, bj: usize| -> Vec<f64> {
+        let read_block = async |ctx: &mut TaskCtx, bi: usize, bj: usize| -> Vec<f64> {
             // Compiler-style prefetching also issues checks for the
             // private block buffer (Table 1's LU-NCONT rate).
             ctx.prefetch_private(2);
             let mut out = vec![0.0f64; b * b];
             for i in 0..b {
                 let start = self.idx(bi * b + i, bj * b);
-                ctx.read_slice(mat, start, &mut out[i * b..(i + 1) * b]);
+                ctx.read_slice(mat, start, &mut out[i * b..(i + 1) * b])
+                    .await;
             }
             out
         };
-        let write_block = |ctx: &mut DsmCtx, bi: usize, bj: usize, data: &[f64]| {
+        let write_block = async |ctx: &mut TaskCtx, bi: usize, bj: usize, data: &[f64]| {
             for i in 0..b {
                 let start = self.idx(bi * b + i, bj * b);
-                ctx.write_slice(mat, start, &data[i * b..(i + 1) * b]);
+                ctx.write_slice(mat, start, &data[i * b..(i + 1) * b]).await;
             }
         };
-        let prefetch_block = |ctx: &mut DsmCtx, bi: usize, bj: usize| {
+        let prefetch_block = async |ctx: &mut TaskCtx, bi: usize, bj: usize| {
             for i in 0..b {
                 let start = self.idx(bi * b + i, bj * b);
-                ctx.prefetch(mat, start, start + b);
+                ctx.prefetch(mat, start, start + b).await;
             }
         };
 
@@ -254,7 +255,7 @@ impl DsmProgram for LuApp {
         for bi in 0..nb {
             for bj in 0..nb {
                 if LuApp::owner(bi, bj, nt) == t {
-                    prefetch_block(ctx, bi, bj);
+                    prefetch_block(ctx, bi, bj).await;
                 }
             }
         }
@@ -263,47 +264,47 @@ impl DsmProgram for LuApp {
         for k in 0..nb {
             // Diagonal factorization by its owner.
             if LuApp::owner(k, k, nt) == t {
-                let mut d = read_block(ctx, k, k);
+                let mut d = read_block(ctx, k, k).await;
                 factor_diag(&mut d, b, 0, b);
                 ctx.compute(SimDuration::from_nanos(
                     2 * (b as u64).pow(3) / 3 * NS_PER_FLOP,
                 ));
-                write_block(ctx, k, k, &d);
+                write_block(ctx, k, k, &d).await;
             }
-            bars.next(ctx);
+            bars.next(ctx).await;
 
             // Perimeter: prefetch the (remote) diagonal block first.
             let mine_in_perimeter =
                 (k + 1..nb).any(|x| LuApp::owner(k, x, nt) == t || LuApp::owner(x, k, nt) == t);
             if mine_in_perimeter {
-                prefetch_block(ctx, k, k);
-                let diag = read_block(ctx, k, k);
+                prefetch_block(ctx, k, k).await;
+                let diag = read_block(ctx, k, k).await;
                 for bj in k + 1..nb {
                     if LuApp::owner(k, bj, nt) == t {
-                        let mut blk = read_block(ctx, k, bj);
+                        let mut blk = read_block(ctx, k, bj).await;
                         solve_with_diag(&diag, &mut blk, b, true);
                         ctx.compute(SimDuration::from_nanos((b as u64).pow(3) * NS_PER_FLOP));
-                        write_block(ctx, k, bj, &blk);
+                        write_block(ctx, k, bj, &blk).await;
                     }
                 }
                 for bi in k + 1..nb {
                     if LuApp::owner(bi, k, nt) == t {
-                        let mut blk = read_block(ctx, bi, k);
+                        let mut blk = read_block(ctx, bi, k).await;
                         solve_with_diag(&diag, &mut blk, b, false);
                         ctx.compute(SimDuration::from_nanos((b as u64).pow(3) * NS_PER_FLOP));
-                        write_block(ctx, bi, k, &blk);
+                        write_block(ctx, bi, k, &blk).await;
                     }
                 }
             }
-            bars.next(ctx);
+            bars.next(ctx).await;
 
             // Interior updates: prefetch perimeter blocks we will read.
             for bi in k + 1..nb {
                 for bj in k + 1..nb {
                     if LuApp::owner(bi, bj, nt) == t {
-                        prefetch_block(ctx, bi, k);
-                        prefetch_block(ctx, k, bj);
-                        prefetch_block(ctx, bi, bj);
+                        prefetch_block(ctx, bi, k).await;
+                        prefetch_block(ctx, k, bj).await;
+                        prefetch_block(ctx, bi, bj).await;
                     }
                 }
             }
@@ -312,22 +313,15 @@ impl DsmProgram for LuApp {
                     if LuApp::owner(bi, bj, nt) != t {
                         continue;
                     }
-                    let left = read_block(ctx, bi, k);
-                    let up = read_block(ctx, k, bj);
-                    let mut blk = read_block(ctx, bi, bj);
-                    for i in 0..b {
-                        for kk in 0..b {
-                            let l = left[i * b + kk];
-                            for j in 0..b {
-                                blk[i * b + j] -= l * up[kk * b + j];
-                            }
-                        }
-                    }
+                    let left = read_block(ctx, bi, k).await;
+                    let up = read_block(ctx, k, bj).await;
+                    let mut blk = read_block(ctx, bi, bj).await;
+                    block_gemm(&left, &up, &mut blk, b);
                     ctx.compute(SimDuration::from_nanos(2 * (b as u64).pow(3) * NS_PER_FLOP));
-                    write_block(ctx, bi, bj, &blk);
+                    write_block(ctx, bi, bj, &blk).await;
                 }
             }
-            bars.next(ctx);
+            bars.next(ctx).await;
         }
     }
 
@@ -344,6 +338,18 @@ impl DsmProgram for LuApp {
             }
         }
         true
+    }
+}
+
+/// `blk -= left * up`, all three b x b blocks held in private memory.
+fn block_gemm(left: &[f64], up: &[f64], blk: &mut [f64], b: usize) {
+    for i in 0..b {
+        for kk in 0..b {
+            let l = left[i * b + kk];
+            for j in 0..b {
+                blk[i * b + j] -= l * up[kk * b + j];
+            }
+        }
     }
 }
 

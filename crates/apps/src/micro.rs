@@ -1,7 +1,7 @@
 //! Micro-programs of the scale-out study: a few events per thread, so
 //! that what they measure is the cluster, not the kernel.
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, PAGE_SIZE};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, PAGE_SIZE};
 
 /// Shared-array words per page.
 const WORDS: usize = PAGE_SIZE / 8;
@@ -15,7 +15,7 @@ const HOT_PAGES: usize = 8;
 #[derive(Debug, Clone, Copy)]
 pub struct HotSpot;
 
-impl DsmProgram for HotSpot {
+impl DsmTask for HotSpot {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -26,11 +26,11 @@ impl DsmProgram for HotSpot {
         heap.alloc(HOT_PAGES * WORDS, HomePolicy::Single(0))
     }
 
-    fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, v: &Self::Handles) {
         for p in 0..HOT_PAGES {
-            let _ = ctx.read(v, p * WORDS);
+            let _ = ctx.read(v, p * WORDS).await;
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
     }
 }
 
@@ -44,7 +44,7 @@ pub struct Incast {
     pub pages: usize,
 }
 
-impl DsmProgram for Incast {
+impl DsmTask for Incast {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -55,13 +55,13 @@ impl DsmProgram for Incast {
         heap.alloc(self.pages * WORDS, HomePolicy::RoundRobin)
     }
 
-    fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, v: &Self::Handles) {
         if ctx.node() == 0 {
-            ctx.prefetch(v, 0, v.len());
+            ctx.prefetch(v, 0, v.len()).await;
             for p in 0..self.pages {
-                let _ = ctx.read(v, p * WORDS);
+                let _ = ctx.read(v, p * WORDS).await;
             }
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
     }
 }

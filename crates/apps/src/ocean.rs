@@ -11,11 +11,11 @@
 //! false-sharing regime the paper notes for OCEAN under
 //! multithreading, §4.3).
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, VerifyCtx};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, BarrierCycle};
+use crate::util::{gen_f64, BarrierCycle, StencilRows};
 
 /// Simulated cost per 5-point stencil evaluation.
 const NS_PER_STENCIL: u64 = 1200;
@@ -142,16 +142,54 @@ pub struct OceanHandles {
     coarse: SharedVec<f64>,
 }
 
+/// One row of a grid phase into `rows.out`: a Jacobi update (boundary
+/// cells keep their value) or the residual (boundary cells are zero).
+fn stencil_row(rows: &mut StencilRows, jacobi: bool) {
+    let StencilRows {
+        above,
+        here,
+        below,
+        out,
+    } = rows;
+    let n = here.len();
+    if jacobi {
+        out.copy_from_slice(here);
+        for j in 1..n - 1 {
+            out[j] = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
+        }
+    } else {
+        (out[0], out[n - 1]) = (0.0, 0.0);
+        for j in 1..n - 1 {
+            out[j] = above[j] + below[j] + here[j - 1] + here[j + 1] - 4.0 * here[j];
+        }
+    }
+}
+
+/// One coarse row: the mean of each 2 x 2 cell of two fine rows.
+fn restrict_row(top: &[f64], bot: &[f64], out: &mut [f64]) {
+    for (j, cell) in out.iter_mut().enumerate() {
+        *cell = 0.25 * (top[2 * j] + bot[2 * j] + top[2 * j + 1] + bot[2 * j + 1]);
+    }
+}
+
+/// Adds a coarse row's correction to one of the two fine rows over it.
+fn correct_row(coarse: &[f64], fine: &mut [f64]) {
+    for (j, c) in coarse.iter().enumerate() {
+        let v = 0.1 * c;
+        fine[2 * j] += v;
+        fine[2 * j + 1] += v;
+    }
+}
+
 impl OceanApp {
     /// Runs one distributed grid phase: rows `[r0, r1)` of an `n x n`
     /// operation that reads `src` rows `r-1..=r+1` and writes `dst`
     /// row `r`.
-    #[allow(clippy::too_many_arguments)]
-    fn stencil_phase(
-        ctx: &mut DsmCtx,
+    async fn stencil_phase(
+        ctx: &mut TaskCtx,
+        rows: &mut StencilRows,
         src: &SharedVec<f64>,
         dst: &SharedVec<f64>,
-        n: usize,
         r0: usize,
         r1: usize,
         jacobi: bool,
@@ -159,37 +197,29 @@ impl OceanApp {
         if r0 >= r1 {
             return;
         }
+        let n = rows.here.len();
         // Prefetch the whole input slab (halo rows plus own rows —
         // the prolongation phase writes across block boundaries, so
         // own rows may be invalid too); edge rows are processed last
         // so the fetches overlap the interior compute (§3.2).
-        ctx.prefetch(src, (r0 - 1) * n, (r1 + 1).min(n) * n);
-        let one_row = |ctx: &mut DsmCtx, i: usize| {
-            let above = ctx.read_vec(src, (i - 1) * n, n);
-            let here = ctx.read_vec(src, i * n, n);
-            let below = ctx.read_vec(src, (i + 1) * n, n);
-            let mut out = if jacobi { here.clone() } else { vec![0.0; n] };
-            for j in 1..n - 1 {
-                out[j] = if jacobi {
-                    0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1])
-                } else {
-                    above[j] + below[j] + here[j - 1] + here[j + 1] - 4.0 * here[j]
-                };
-            }
+        ctx.prefetch(src, (r0 - 1) * n, (r1 + 1).min(n) * n).await;
+        let mut one_row = async |ctx: &mut TaskCtx, i: usize| {
+            rows.read_around(ctx, src, i).await;
+            stencil_row(rows, jacobi);
             ctx.compute(SimDuration::from_nanos(NS_PER_STENCIL * n as u64));
-            ctx.write_slice(dst, i * n, &out);
+            ctx.write_slice(dst, i * n, &rows.out).await;
         };
         for i in r0 + 1..r1.saturating_sub(1) {
-            one_row(ctx, i);
+            one_row(ctx, i).await;
         }
-        one_row(ctx, r0);
+        one_row(ctx, r0).await;
         if r1 - r0 > 1 {
-            one_row(ctx, r1 - 1);
+            one_row(ctx, r1 - 1).await;
         }
     }
 }
 
-impl DsmProgram for OceanApp {
+impl DsmTask for OceanApp {
     type Handles = OceanHandles;
 
     fn name(&self) -> String {
@@ -206,7 +236,7 @@ impl DsmProgram for OceanApp {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let nt = ctx.num_threads();
         let n = self.n;
@@ -225,57 +255,55 @@ impl DsmProgram for OceanApp {
                 for (j, slot) in row.iter_mut().enumerate() {
                     *slot = self.initial(i, j);
                 }
-                ctx.write_slice(&h.u, i * n, &row);
+                ctx.write_slice(&h.u, i * n, &row).await;
             }
-            let zero_c = vec![0.0f64; nc];
+            let (zero_c, zero) = (vec![0.0f64; nc], vec![0.0f64; n]);
             for i in 0..nc {
-                ctx.write_slice(&h.coarse, i * nc, &zero_c);
-                ctx.write_slice(&h.res, 2 * i * n, &vec![0.0f64; n]);
-                ctx.write_slice(&h.res, (2 * i + 1) * n, &vec![0.0f64; n]);
+                ctx.write_slice(&h.coarse, i * nc, &zero_c).await;
+                ctx.write_slice(&h.res, 2 * i * n, &zero).await;
+                ctx.write_slice(&h.res, (2 * i + 1) * n, &zero).await;
             }
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
         // First-touch prefetch of the rows this thread will smooth.
         if fr0 < fr1 {
-            ctx.prefetch(&h.u, (fr0 - 1) * n, (fr1 + 1) * n);
+            ctx.prefetch(&h.u, (fr0 - 1) * n, (fr1 + 1) * n).await;
         }
 
         let mut bar = BarrierCycle::new();
-        let next_bar = |ctx: &mut DsmCtx, bar: &mut BarrierCycle| {
-            bar.next(ctx);
-        };
+        // Row buffers for the fine and the coarse grid.
+        let mut fine = StencilRows::new(n);
+        let mut coarse = StencilRows::new(nc);
 
         for _ in 0..self.steps {
             // Jacobi smoothing needs a snapshot semantics: write to
             // res as scratch, then copy back — split into two phases.
-            OceanApp::stencil_phase(ctx, &h.u, &h.res, n, fr0, fr1, true);
-            next_bar(ctx, &mut bar);
+            OceanApp::stencil_phase(ctx, &mut fine, &h.u, &h.res, fr0, fr1, true).await;
+            bar.next(ctx).await;
             for i in fr0..fr1 {
-                let row = ctx.read_vec(&h.res, i * n, n);
-                ctx.write_slice(&h.u, i * n, &row);
+                ctx.read_slice(&h.res, i * n, &mut fine.out).await;
+                ctx.write_slice(&h.u, i * n, &fine.out).await;
             }
-            next_bar(ctx, &mut bar);
+            bar.next(ctx).await;
 
             // Residual into res.
-            OceanApp::stencil_phase(ctx, &h.u, &h.res, n, fr0, fr1, false);
-            next_bar(ctx, &mut bar);
+            OceanApp::stencil_phase(ctx, &mut fine, &h.u, &h.res, fr0, fr1, false).await;
+            bar.next(ctx).await;
 
             // Restrict res → coarse; the whole input slab is
             // prefetched before the loop so later rows overlap.
             if ar0 < ar1 {
-                ctx.prefetch(&h.res, (2 * ar0) * n, (2 * ar1) * n);
+                ctx.prefetch(&h.res, (2 * ar0) * n, (2 * ar1) * n).await;
             }
             for i in ar0..ar1 {
-                let top = ctx.read_vec(&h.res, (2 * i) * n, n);
-                let bot = ctx.read_vec(&h.res, (2 * i + 1) * n, n);
-                let mut out = vec![0.0f64; nc];
-                for j in 0..nc {
-                    out[j] = 0.25 * (top[2 * j] + bot[2 * j] + top[2 * j + 1] + bot[2 * j + 1]);
-                }
+                ctx.read_slice(&h.res, (2 * i) * n, &mut fine.above).await;
+                ctx.read_slice(&h.res, (2 * i + 1) * n, &mut fine.below)
+                    .await;
+                restrict_row(&fine.above, &fine.below, &mut coarse.out);
                 ctx.compute(SimDuration::from_nanos(NS_PER_STENCIL * nc as u64 / 2));
-                ctx.write_slice(&h.coarse, i * nc, &out);
+                ctx.write_slice(&h.coarse, i * nc, &coarse.out).await;
             }
-            next_bar(ctx, &mut bar);
+            bar.next(ctx).await;
 
             // Coarse smoothing sweeps (scratch in the upper half of
             // res, reusing fine rows 0..nc as a private-ish region
@@ -285,63 +313,59 @@ impl DsmProgram for OceanApp {
                 // Write scratch into res rows 0..nc (cols 0..nc).
                 if cr0 < cr1 {
                     if cr0 > 1 {
-                        ctx.prefetch(&h.coarse, (cr0 - 1) * nc, cr0 * nc);
+                        ctx.prefetch(&h.coarse, (cr0 - 1) * nc, cr0 * nc).await;
                     }
                     if cr1 < nc - 1 {
-                        ctx.prefetch(&h.coarse, cr1 * nc, (cr1 + 1) * nc);
+                        ctx.prefetch(&h.coarse, cr1 * nc, (cr1 + 1) * nc).await;
                     }
-                    let mut above = ctx.read_vec(&h.coarse, (cr0 - 1) * nc, nc);
+                    ctx.read_slice(&h.coarse, (cr0 - 1) * nc, &mut coarse.above)
+                        .await;
                     for i in cr0..cr1 {
-                        let here = ctx.read_vec(&h.coarse, i * nc, nc);
-                        let below = ctx.read_vec(&h.coarse, (i + 1) * nc, nc);
-                        let mut out = here.clone();
-                        for j in 1..nc - 1 {
-                            out[j] = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-                        }
+                        ctx.read_slice(&h.coarse, i * nc, &mut coarse.here).await;
+                        ctx.read_slice(&h.coarse, (i + 1) * nc, &mut coarse.below)
+                            .await;
+                        stencil_row(&mut coarse, true);
                         ctx.compute(SimDuration::from_nanos(NS_PER_STENCIL * nc as u64));
-                        ctx.write_slice(&h.res, i * n, &out);
-                        above = here;
+                        ctx.write_slice(&h.res, i * n, &coarse.out).await;
+                        // This row is the next one's upper neighbour.
+                        std::mem::swap(&mut coarse.above, &mut coarse.here);
                     }
                 }
-                next_bar(ctx, &mut bar);
+                bar.next(ctx).await;
                 for i in cr0..cr1 {
-                    let row = ctx.read_vec(&h.res, i * n, nc);
-                    ctx.write_slice(&h.coarse, i * nc, &row);
+                    ctx.read_slice(&h.res, i * n, &mut coarse.out).await;
+                    ctx.write_slice(&h.coarse, i * nc, &coarse.out).await;
                 }
-                next_bar(ctx, &mut bar);
+                bar.next(ctx).await;
             }
 
             // Prolongate + correct my fine rows (inputs prefetched
             // up front: the coarse rows were written by the coarse
             // sweep owners, the fine rows by the smoothing owners).
             if ar0 < ar1 {
-                ctx.prefetch(&h.coarse, ar0 * nc, ar1 * nc);
-                ctx.prefetch(&h.u, (2 * ar0) * n, (2 * ar1) * n);
+                ctx.prefetch(&h.coarse, ar0 * nc, ar1 * nc).await;
+                ctx.prefetch(&h.u, (2 * ar0) * n, (2 * ar1) * n).await;
             }
             for i in ar0..ar1 {
-                let crow = ctx.read_vec(&h.coarse, i * nc, nc);
+                ctx.read_slice(&h.coarse, i * nc, &mut coarse.here).await;
                 for half in 0..2 {
                     let fi = 2 * i + half;
-                    let mut row = ctx.read_vec(&h.u, fi * n, n);
-                    for j in 0..nc {
-                        let v = 0.1 * crow[j];
-                        row[2 * j] += v;
-                        row[2 * j + 1] += v;
-                    }
-                    ctx.write_slice(&h.u, fi * n, &row);
+                    ctx.read_slice(&h.u, fi * n, &mut fine.out).await;
+                    correct_row(&coarse.here, &mut fine.out);
+                    ctx.write_slice(&h.u, fi * n, &fine.out).await;
                 }
                 ctx.compute(SimDuration::from_nanos(NS_PER_STENCIL * nc as u64));
             }
-            next_bar(ctx, &mut bar);
+            bar.next(ctx).await;
 
             // Final smoothing phase.
-            OceanApp::stencil_phase(ctx, &h.u, &h.res, n, fr0, fr1, true);
-            next_bar(ctx, &mut bar);
+            OceanApp::stencil_phase(ctx, &mut fine, &h.u, &h.res, fr0, fr1, true).await;
+            bar.next(ctx).await;
             for i in fr0..fr1 {
-                let row = ctx.read_vec(&h.res, i * n, n);
-                ctx.write_slice(&h.u, i * n, &row);
+                ctx.read_slice(&h.res, i * n, &mut fine.out).await;
+                ctx.write_slice(&h.u, i * n, &fine.out).await;
             }
-            next_bar(ctx, &mut bar);
+            bar.next(ctx).await;
         }
     }
 

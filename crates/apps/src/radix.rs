@@ -7,7 +7,7 @@
 //! paper finds RADIX prefetches hard to schedule early enough (§5.2)
 //! and throttles them in the combined mode (§5.1).
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, VerifyCtx};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
@@ -75,7 +75,53 @@ pub struct RadixHandles {
     hist: SharedVec<u32>,
 }
 
-impl DsmProgram for RadixApp {
+/// The digit of `key` a pass at `shift` sorts by.
+fn digit(key: u32, shift: u32, radix: usize) -> usize {
+    ((key >> shift) as usize) & (radix - 1)
+}
+
+/// How many of `keys` have each digit.
+fn histogram(keys: &[u32], shift: u32, radix: usize) -> Vec<u32> {
+    let mut counts = vec![0u32; radix];
+    for &key in keys {
+        counts[digit(key, shift, radix)] += 1;
+    }
+    counts
+}
+
+/// Global ranks from the histogram matrix `all` (one row per thread):
+/// thread `t`'s write offset for digit `d` is the total of smaller
+/// digits plus earlier threads' counts of `d`.
+fn write_offsets(all: &[u32], t: usize, radix: usize) -> Vec<usize> {
+    let mut digit_total = vec![0u64; radix];
+    for row in all.chunks_exact(radix) {
+        for (total, &count) in digit_total.iter_mut().zip(row) {
+            *total += count as u64;
+        }
+    }
+    let mut offsets = vec![0usize; radix];
+    let mut running = 0usize;
+    for d in 0..radix {
+        let mut mine_off = running;
+        for row in 0..t {
+            mine_off += all[row * radix + d] as usize;
+        }
+        offsets[d] = mine_off;
+        running += digit_total[d] as usize;
+    }
+    offsets
+}
+
+/// `keys` gathered per digit (stable within the block).
+fn buckets(keys: &[u32], shift: u32, radix: usize) -> Vec<Vec<u32>> {
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); radix];
+    for &key in keys {
+        buckets[digit(key, shift, radix)].push(key);
+    }
+    buckets
+}
+
+impl DsmTask for RadixApp {
     type Handles = RadixHandles;
 
     fn name(&self) -> String {
@@ -94,7 +140,7 @@ impl DsmProgram for RadixApp {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let nt = ctx.num_threads();
         assert!(nt <= 64, "histogram sized for at most 64 threads");
@@ -103,9 +149,9 @@ impl DsmProgram for RadixApp {
 
         if t == 0 {
             let init: Vec<u32> = (0..self.n).map(|i| self.key(i)).collect();
-            ctx.write_slice(&h.keys[0], 0, &init);
+            ctx.write_slice(&h.keys[0], 0, &init).await;
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
 
         let mut bars = BarrierCycle::new();
         for pass in 0..self.passes() {
@@ -113,57 +159,36 @@ impl DsmProgram for RadixApp {
             let (src, dst) = (h.keys[pass % 2], h.keys[(pass + 1) % 2]);
 
             // Local histogram of my block.
-            let mine = ctx.read_vec(&src, k0, k1 - k0);
-            let mut counts = vec![0u32; radix];
-            for &key in &mine {
-                counts[((key >> shift) as usize) & (radix - 1)] += 1;
-            }
+            let mine = ctx.read_vec(&src, k0, k1 - k0).await;
+            let counts = histogram(&mine, shift, radix);
             ctx.compute(SimDuration::from_nanos(mine.len() as u64 * NS_PER_COUNT));
-            ctx.write_slice(&h.hist, t * radix, &counts);
-            bars.next(ctx);
+            ctx.write_slice(&h.hist, t * radix, &counts).await;
+            bars.next(ctx).await;
 
-            // Global ranks: my write offset for digit d is the total
-            // of smaller digits plus earlier threads' counts of d.
-            ctx.prefetch(&h.hist, 0, nt * radix);
-            let all = ctx.read_vec(&h.hist, 0, nt * radix);
+            // Global ranks from everybody's histogram.
+            ctx.prefetch(&h.hist, 0, nt * radix).await;
+            let all = ctx.read_vec(&h.hist, 0, nt * radix).await;
             ctx.compute(SimDuration::from_nanos((nt * radix) as u64 * 8));
-            let mut digit_total = vec![0u64; radix];
-            for row in 0..nt {
-                for d in 0..radix {
-                    digit_total[d] += all[row * radix + d] as u64;
-                }
-            }
-            let mut offsets = vec![0usize; radix];
-            let mut running = 0usize;
-            for d in 0..radix {
-                let mut mine_off = running;
-                for row in 0..t {
-                    mine_off += all[row * radix + d] as usize;
-                }
-                offsets[d] = mine_off;
-                running += digit_total[d] as usize;
-            }
+            let offsets = write_offsets(&all, t, radix);
 
-            // Gather my keys per digit (stable within the block)...
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); radix];
-            for &key in &mine {
-                buckets[((key >> shift) as usize) & (radix - 1)].push(key);
-            }
+            // Gather my keys per digit...
+            let buckets = buckets(&mine, shift, radix);
             // ...prefetch the destination runs (often too late — the
             // addresses were just computed, as the paper observes)...
             for d in 0..radix {
                 if !buckets[d].is_empty() {
-                    ctx.prefetch(&dst, offsets[d], offsets[d] + buckets[d].len());
+                    ctx.prefetch(&dst, offsets[d], offsets[d] + buckets[d].len())
+                        .await;
                 }
             }
             // ...and permute.
             ctx.compute(SimDuration::from_nanos(mine.len() as u64 * NS_PER_MOVE));
             for d in 0..radix {
                 if !buckets[d].is_empty() {
-                    ctx.write_slice(&dst, offsets[d], &buckets[d]);
+                    ctx.write_slice(&dst, offsets[d], &buckets[d]).await;
                 }
             }
-            bars.next(ctx);
+            bars.next(ctx).await;
         }
     }
 

@@ -8,11 +8,11 @@
 //! whole grid, so every other node's first read storms node 0, the
 //! effect the paper calls out for SOR in §4.3).
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, VerifyCtx};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::BarrierCycle;
+use crate::util::{BarrierCycle, StencilRows};
 
 /// Simulated compute cost per cell update (a few flops plus index
 /// arithmetic on a 133 MHz PowerPC 604).
@@ -85,7 +85,24 @@ impl SorApp {
     }
 }
 
-impl DsmProgram for SorApp {
+/// Relaxes row `i` into `rows.out`: only cells of `color` change, and
+/// they read only the other color, so in-place updates are order-free.
+fn relax_row(rows: &mut StencilRows, i: usize, color: usize) {
+    let StencilRows {
+        above,
+        here,
+        below,
+        out,
+    } = rows;
+    out.copy_from_slice(here);
+    for j in 1..here.len() - 1 {
+        if (i + j) % 2 == color {
+            out[j] = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
+        }
+    }
+}
+
+impl DsmTask for SorApp {
     type Handles = SharedVec<f64>;
 
     fn name(&self) -> String {
@@ -97,7 +114,7 @@ impl DsmProgram for SorApp {
         heap.alloc(self.rows * self.cols, HomePolicy::Single(0))
     }
 
-    fn run(&self, ctx: &mut DsmCtx, grid: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, grid: &Self::Handles) {
         let t = ctx.thread_id();
         let n = ctx.num_threads();
         let cols = self.cols;
@@ -111,57 +128,48 @@ impl DsmProgram for SorApp {
 
         if t == 0 {
             for i in 0..self.rows {
-                ctx.write_slice(grid, i * cols, &self.initial_row(i));
+                ctx.write_slice(grid, i * cols, &self.initial_row(i)).await;
             }
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
         // First-touch prefetch: the whole grid lives on the master
         // after initialization.
         if has_rows {
-            ctx.prefetch(grid, (r0 - 1) * cols, (r1 + 1) * cols);
+            ctx.prefetch(grid, (r0 - 1) * cols, (r1 + 1) * cols).await;
         }
 
         let mut bars = BarrierCycle::new();
-        for it in 0..self.iters {
+        let mut rows = StencilRows::new(cols);
+        for _ in 0..self.iters {
             for color in 0..2usize {
                 // Prefetch the halo rows owned by our neighbors; they
                 // were invalidated by the previous phase's writes.
                 if has_rows && r0 > 1 {
-                    ctx.prefetch(grid, (r0 - 1) * cols, r0 * cols);
+                    ctx.prefetch(grid, (r0 - 1) * cols, r0 * cols).await;
                 }
                 if has_rows && r1 < self.rows - 1 {
-                    ctx.prefetch(grid, r1 * cols, (r1 + 1) * cols);
+                    ctx.prefetch(grid, r1 * cols, (r1 + 1) * cols).await;
                 }
-                // Update one row: reads rows i-1, i, i+1; only cells
-                // of the current color change, and they read only the
-                // other color, so in-place updates are order-free.
-                let update_row = |ctx: &mut DsmCtx, i: usize| {
-                    let above = ctx.read_vec(grid, (i - 1) * cols, cols);
-                    let here = ctx.read_vec(grid, i * cols, cols);
-                    let below = ctx.read_vec(grid, (i + 1) * cols, cols);
-                    let mut new_row = here.clone();
-                    for j in 1..cols - 1 {
-                        if (i + j) % 2 == color {
-                            new_row[j] = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-                        }
-                    }
+                // Update one row: reads rows i-1, i, i+1, writes row i.
+                let mut update_row = async |ctx: &mut TaskCtx, i: usize| {
+                    rows.read_around(ctx, grid, i).await;
+                    relax_row(&mut rows, i, color);
                     ctx.compute(SimDuration::from_nanos(NS_PER_CELL * (cols as u64 / 2)));
-                    ctx.write_slice(grid, i * cols, &new_row);
+                    ctx.write_slice(grid, i * cols, &rows.out).await;
                 };
                 // Interior rows first so the halo prefetches have the
                 // whole block's compute time to complete (§3.2's
                 // scheduling); the halo-dependent edge rows run last.
                 for i in r0 + 1..r1.saturating_sub(1) {
-                    update_row(ctx, i);
+                    update_row(ctx, i).await;
                 }
                 if has_rows {
-                    update_row(ctx, r0);
+                    update_row(ctx, r0).await;
                     if r1 - r0 > 1 {
-                        update_row(ctx, r1 - 1);
+                        update_row(ctx, r1 - 1).await;
                     }
                 }
-                let _ = it;
-                bars.next(ctx);
+                bars.next(ctx).await;
             }
         }
     }

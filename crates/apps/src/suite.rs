@@ -31,8 +31,8 @@ pub enum Scale {
 }
 
 /// Dispatches a `(Benchmark, Scale)` pair to the concrete application
-/// value, binding it to `$app` inside `$body`. [`DsmProgram`]
-/// (rsdsm_core::DsmProgram) has an associated `Handles` type, so it is
+/// value, binding it to `$app` inside `$body`. [`DsmTask`]
+/// (rsdsm_core::DsmTask) has an associated `Handles` type, so it is
 /// not object-safe; this macro is how [`Benchmark::run`],
 /// [`Benchmark::run_traced`], and [`Benchmark::golden`] share the
 /// 24-arm problem-size table without trait objects.

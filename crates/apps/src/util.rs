@@ -2,7 +2,7 @@
 //! partitioning, complex arithmetic for FFT, and deterministic data
 //! generation.
 
-use rsdsm_core::{BarrierId, DsmCtx};
+use rsdsm_core::{BarrierId, SharedVec, TaskCtx};
 use rsdsm_simnet::DetRng;
 
 /// The elements `[start, end)` assigned to worker `t` of `n` under
@@ -257,8 +257,51 @@ impl BarrierCycle {
     }
 
     /// Arrives at the next barrier in the cycle.
-    pub fn next(&mut self, ctx: &mut DsmCtx) {
-        ctx.barrier(BarrierId(1 + self.count % 4));
+    pub async fn next(&mut self, ctx: &mut TaskCtx) {
+        ctx.barrier(BarrierId(1 + self.count % 4)).await;
         self.count += 1;
+    }
+}
+
+/// The buffers of a row-at-a-time stencil sweep: the three grid rows
+/// an update reads and the row it writes, allocated once per thread
+/// and reused for every row.
+#[derive(Debug)]
+pub(crate) struct StencilRows {
+    pub(crate) above: Vec<f64>,
+    pub(crate) here: Vec<f64>,
+    pub(crate) below: Vec<f64>,
+    pub(crate) out: Vec<f64>,
+}
+
+impl StencilRows {
+    /// Buffers for rows of `cols` cells.
+    pub(crate) fn new(cols: usize) -> Self {
+        let row = || vec![0.0; cols];
+        StencilRows {
+            above: row(),
+            here: row(),
+            below: row(),
+            out: row(),
+        }
+    }
+
+    /// Reads rows `i - 1`, `i` and `i + 1` of `grid`, in that order.
+    pub(crate) async fn read_around(&mut self, ctx: &mut TaskCtx, grid: &SharedVec<f64>, i: usize) {
+        let cols = self.here.len();
+        ctx.read_slice(grid, (i - 1) * cols, &mut self.above).await;
+        ctx.read_slice(grid, i * cols, &mut self.here).await;
+        ctx.read_slice(grid, (i + 1) * cols, &mut self.below).await;
+    }
+}
+
+/// One leapfrog step of a run of molecules stored `stride` elements
+/// apart, coordinates first: `vel += force; pos += vel`.
+pub(crate) fn leapfrog(stride: usize, force: &[f64], vel: &mut [f64], pos: &mut [f64]) {
+    for mol in (0..force.len()).step_by(stride) {
+        for k in mol..mol + 3 {
+            vel[k] += force[k];
+            pos[k] += vel[k];
+        }
     }
 }

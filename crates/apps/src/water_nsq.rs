@@ -16,11 +16,11 @@
 //! synchronization structure — which is what the paper measures — is
 //! preserved.
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, LockId, SharedVec, VerifyCtx};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, LockId, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, BarrierCycle};
+use crate::util::{gen_f64, leapfrog, BarrierCycle};
 
 /// Simulated cost per pair-force evaluation (the real water potential
 /// is expensive — dozens of flops).
@@ -151,7 +151,62 @@ pub struct WaterNsqHandles {
     energy: SharedVec<f64>,
 }
 
-impl DsmProgram for WaterNsqApp {
+/// The three coordinates of every molecule, packed, from the strided
+/// shared layout.
+fn unstride(strided: &[f64]) -> Vec<f64> {
+    strided
+        .chunks_exact(STRIDE)
+        .flat_map(|mol| [mol[0], mol[1], mol[2]])
+        .collect()
+}
+
+/// Adds packed per-molecule triples to a strided run of molecules.
+fn add_strided(strided: &mut [f64], packed: &[f64]) {
+    for (mol, add) in strided.chunks_exact_mut(STRIDE).zip(packed.chunks_exact(3)) {
+        for a in 0..3 {
+            mol[a] += add[a];
+        }
+    }
+}
+
+impl WaterNsqApp {
+    /// The pair interactions of molecules `mine` with their partners
+    /// in `block`: forces on the former into `f_mine`, the reactions
+    /// into `f_block`, potential energy onto `energy`. Returns the
+    /// pairs evaluated.
+    fn block_pairs(
+        &self,
+        pos: &[f64],
+        mine: (usize, usize),
+        block: (usize, usize),
+        f_mine: &mut [f64],
+        f_block: &mut [f64],
+        energy: &mut f64,
+    ) -> u64 {
+        let ((m0, m1), (lo, hi)) = (mine, block);
+        let mut pairs = 0u64;
+        for i in m0..m1 {
+            for j in self.partners(i) {
+                if j < lo || j >= hi {
+                    continue;
+                }
+                let dx = pos[3 * i] - pos[3 * j];
+                let dy = pos[3 * i + 1] - pos[3 * j + 1];
+                let dz = pos[3 * i + 2] - pos[3 * j + 2];
+                let fv = pair_force(dx, dy, dz);
+                pairs += 1;
+                for a in 0..3 {
+                    f_mine[3 * (i - m0) + a] += fv[a];
+                    f_block[3 * (j - lo) + a] -= fv[a];
+                }
+                *energy += pair_energy(dx, dy, dz);
+            }
+        }
+        pairs
+    }
+}
+
+impl DsmTask for WaterNsqApp {
     type Handles = WaterNsqHandles;
 
     fn name(&self) -> String {
@@ -167,7 +222,7 @@ impl DsmProgram for WaterNsqApp {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let nt = ctx.num_threads();
         let n = self.n;
@@ -181,30 +236,31 @@ impl DsmProgram for WaterNsqApp {
                     init[i * STRIDE + a] = self.initial_pos(i, a);
                 }
             }
-            ctx.write_slice(&h.pos, 0, &init);
+            ctx.write_slice(&h.pos, 0, &init).await;
             for i in 0..n {
                 for a in 0..3 {
                     init[i * STRIDE + a] = self.initial_vel(i, a);
                 }
             }
-            ctx.write_slice(&h.vel, 0, &init);
-            ctx.write(&h.energy, 0, 0.0);
+            ctx.write_slice(&h.vel, 0, &init).await;
+            ctx.write(&h.energy, 0, 0.0).await;
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
 
         let mut bars = BarrierCycle::new();
+        let zeros = vec![0.0f64; STRIDE * mine];
         for _ in 0..self.steps {
             // Zero my block of the shared force array (and the energy
             // cell, by thread 0). The position prefetch is issued here
             // — before the barrier — so the fetches overlap the
             // barrier round-trip (positions were invalidated by the
             // previous integrate phase, so the notices are in hand).
-            ctx.prefetch(&h.pos, 0, STRIDE * n);
-            ctx.write_slice(&h.force, STRIDE * m0, &vec![0.0f64; STRIDE * mine]);
+            ctx.prefetch(&h.pos, 0, STRIDE * n).await;
+            ctx.write_slice(&h.force, STRIDE * m0, &zeros).await;
             if t == 0 {
-                ctx.write(&h.energy, 0, 0.0);
+                ctx.write(&h.energy, 0, 0.0).await;
             }
-            bars.next(ctx);
+            bars.next(ctx).await;
 
             // Pair forces: read all positions (prefetched), then walk
             // each owned molecule's half shell. Partner (j) force
@@ -214,17 +270,8 @@ impl DsmProgram for WaterNsqApp {
             // the compute phase, the token stays local across
             // consecutive same-block partners, and the non-binding
             // prefetch is hoisted above each acquire (§3.2).
-            ctx.prefetch(&h.pos, 0, STRIDE * n);
-            let strided = ctx.read_vec(&h.pos, 0, STRIDE * n);
-            let pos: Vec<f64> = (0..n)
-                .flat_map(|i| {
-                    [
-                        strided[i * STRIDE],
-                        strided[i * STRIDE + 1],
-                        strided[i * STRIDE + 2],
-                    ]
-                })
-                .collect();
+            ctx.prefetch(&h.pos, 0, STRIDE * n).await;
+            let pos = unstride(&ctx.read_vec(&h.pos, 0, STRIDE * n).await);
             let mut local_e = 0.0f64;
             let blocks = n.div_ceil(MOLS_PER_LOCK);
             // Sweep partner blocks block-major: all of this thread's
@@ -243,40 +290,20 @@ impl DsmProgram for WaterNsqApp {
                 let lo = blk * MOLS_PER_LOCK;
                 let hi = ((blk + 1) * MOLS_PER_LOCK).min(n);
                 let mut acc = vec![0.0f64; 3 * (hi - lo)];
-                let mut touched = false;
-                let mut pairs = 0u64;
-                for i in m0..m1 {
-                    for j in self.partners(i) {
-                        if j < lo || j >= hi {
-                            continue;
-                        }
-                        let dx = pos[3 * i] - pos[3 * j];
-                        let dy = pos[3 * i + 1] - pos[3 * j + 1];
-                        let dz = pos[3 * i + 2] - pos[3 * j + 2];
-                        let fv = pair_force(dx, dy, dz);
-                        pairs += 1;
-                        for a in 0..3 {
-                            f_i[3 * (i - m0) + a] += fv[a];
-                            acc[3 * (j - lo) + a] -= fv[a];
-                        }
-                        local_e += pair_energy(dx, dy, dz);
-                        touched = true;
-                    }
-                }
+                let pairs =
+                    self.block_pairs(&pos, (m0, m1), (lo, hi), &mut f_i, &mut acc, &mut local_e);
                 ctx.compute(SimDuration::from_nanos(pairs * NS_PER_PAIR));
-                if !touched {
+                if pairs == 0 {
                     continue;
                 }
-                ctx.prefetch(&h.force, STRIDE * lo, STRIDE * hi);
-                ctx.acquire(LockId(LOCK_BASE + blk as u32));
-                let mut cur = ctx.read_vec(&h.force, STRIDE * lo, STRIDE * (hi - lo));
-                for m in lo..hi {
-                    for a in 0..3 {
-                        cur[(m - lo) * STRIDE + a] += acc[3 * (m - lo) + a];
-                    }
-                }
-                ctx.write_slice(&h.force, STRIDE * lo, &cur);
-                ctx.release(LockId(LOCK_BASE + blk as u32));
+                ctx.prefetch(&h.force, STRIDE * lo, STRIDE * hi).await;
+                ctx.acquire(LockId(LOCK_BASE + blk as u32)).await;
+                let mut cur = ctx
+                    .read_vec(&h.force, STRIDE * lo, STRIDE * (hi - lo))
+                    .await;
+                add_strided(&mut cur, &acc);
+                ctx.write_slice(&h.force, STRIDE * lo, &cur).await;
+                ctx.release(LockId(LOCK_BASE + blk as u32)).await;
             }
             // Flush the accumulated forces of this thread's own
             // molecules, block by block.
@@ -285,42 +312,35 @@ impl DsmProgram for WaterNsqApp {
             for blk in my_first_blk..=my_last_blk {
                 let lo = (blk * MOLS_PER_LOCK).max(m0);
                 let hi = ((blk + 1) * MOLS_PER_LOCK).min(m1);
-                ctx.prefetch(&h.force, STRIDE * lo, STRIDE * hi);
-                ctx.acquire(LockId(LOCK_BASE + blk as u32));
-                let mut cur = ctx.read_vec(&h.force, STRIDE * lo, STRIDE * (hi - lo));
-                for m in lo..hi {
-                    for a in 0..3 {
-                        cur[(m - lo) * STRIDE + a] += f_i[3 * (m - m0) + a];
-                    }
-                }
-                ctx.write_slice(&h.force, STRIDE * lo, &cur);
-                ctx.release(LockId(LOCK_BASE + blk as u32));
+                ctx.prefetch(&h.force, STRIDE * lo, STRIDE * hi).await;
+                ctx.acquire(LockId(LOCK_BASE + blk as u32)).await;
+                let mut cur = ctx
+                    .read_vec(&h.force, STRIDE * lo, STRIDE * (hi - lo))
+                    .await;
+                add_strided(&mut cur, &f_i[3 * (lo - m0)..3 * (hi - m0)]);
+                ctx.write_slice(&h.force, STRIDE * lo, &cur).await;
+                ctx.release(LockId(LOCK_BASE + blk as u32)).await;
             }
 
             // Potential energy under the global lock.
-            ctx.prefetch(&h.energy, 0, 1);
-            ctx.acquire(ENERGY_LOCK);
-            let e = ctx.read(&h.energy, 0);
-            ctx.write(&h.energy, 0, e + local_e);
-            ctx.release(ENERGY_LOCK);
+            ctx.prefetch(&h.energy, 0, 1).await;
+            ctx.acquire(ENERGY_LOCK).await;
+            let e = ctx.read(&h.energy, 0).await;
+            ctx.write(&h.energy, 0, e + local_e).await;
+            ctx.release(ENERGY_LOCK).await;
 
-            bars.next(ctx);
+            bars.next(ctx).await;
 
             // Integrate my molecules.
-            ctx.prefetch(&h.force, STRIDE * m0, STRIDE * m1);
-            let f = ctx.read_vec(&h.force, STRIDE * m0, STRIDE * mine);
-            let mut vel = ctx.read_vec(&h.vel, STRIDE * m0, STRIDE * mine);
-            let mut pos_mine = ctx.read_vec(&h.pos, STRIDE * m0, STRIDE * mine);
-            for i in 0..mine {
-                for a in 0..3 {
-                    vel[i * STRIDE + a] += f[i * STRIDE + a];
-                    pos_mine[i * STRIDE + a] += vel[i * STRIDE + a];
-                }
-            }
+            ctx.prefetch(&h.force, STRIDE * m0, STRIDE * m1).await;
+            let f = ctx.read_vec(&h.force, STRIDE * m0, STRIDE * mine).await;
+            let mut vel = ctx.read_vec(&h.vel, STRIDE * m0, STRIDE * mine).await;
+            let mut pos_mine = ctx.read_vec(&h.pos, STRIDE * m0, STRIDE * mine).await;
+            leapfrog(STRIDE, &f, &mut vel, &mut pos_mine);
             ctx.compute(SimDuration::from_nanos(mine as u64 * NS_PER_INTEGRATE));
-            ctx.write_slice(&h.vel, STRIDE * m0, &vel);
-            ctx.write_slice(&h.pos, STRIDE * m0, &pos_mine);
-            bars.next(ctx);
+            ctx.write_slice(&h.vel, STRIDE * m0, &vel).await;
+            ctx.write_slice(&h.pos, STRIDE * m0, &pos_mine).await;
+            bars.next(ctx).await;
         }
     }
 

@@ -10,11 +10,11 @@
 //! in a private array, and the compute pass prefetches by
 //! dereferencing that array one molecule ahead.
 
-use rsdsm_core::{BarrierId, DsmCtx, DsmProgram, Heap, HomePolicy, LockId, SharedVec, VerifyCtx};
+use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, LockId, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, BarrierCycle};
+use crate::util::{gen_f64, leapfrog, BarrierCycle};
 
 /// Simulated cost per pair-force evaluation.
 const NS_PER_PAIR: u64 = 21000;
@@ -172,7 +172,41 @@ pub struct WaterSpHandles {
     energy: SharedVec<f64>,
 }
 
-impl DsmProgram for WaterSpApp {
+/// Molecule `j`'s force on molecule `i` if the two are within the
+/// cutoff: onto `force`, with half the pair's energy onto `energy`.
+/// Returns whether they are.
+fn accumulate_pair(pi: [f64; 3], pj: [f64; 3], force: &mut [f64], energy: &mut f64) -> bool {
+    let (dx, dy, dz) = (pi[0] - pj[0], pi[1] - pj[1], pi[2] - pj[2]);
+    let within = dx * dx + dy * dy + dz * dz <= CUTOFF * CUTOFF;
+    if within {
+        let fv = pair_force(dx, dy, dz);
+        force[0] += fv[0];
+        force[1] += fv[1];
+        force[2] += fv[2];
+        *energy += 0.5 * pair_energy(dx, dy, dz);
+    }
+    within
+}
+
+/// Packed per-molecule triples laid out in the strided shared layout.
+fn strided(packed: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0f64; STRIDE * (packed.len() / 3)];
+    for (mol, triple) in out.chunks_exact_mut(STRIDE).zip(packed.chunks_exact(3)) {
+        mol[..3].copy_from_slice(triple);
+    }
+    out
+}
+
+impl WaterSpApp {
+    /// The cell of each molecule of a strided position block.
+    fn cells_of(&self, pos: &[f64]) -> Vec<i32> {
+        pos.chunks_exact(STRIDE)
+            .map(|mol| self.cell_of(mol[0], mol[1], mol[2]) as i32)
+            .collect()
+    }
+}
+
+impl DsmTask for WaterSpApp {
     type Handles = WaterSpHandles;
 
     fn name(&self) -> String {
@@ -191,11 +225,12 @@ impl DsmProgram for WaterSpApp {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let nt = ctx.num_threads();
         let n = self.n;
         let (m0, m1) = block_range(n, t, nt);
+        let mine = m1 - m0;
         let (c0, c1) = block_range(self.num_cells(), t, nt);
 
         if t == 0 {
@@ -205,39 +240,35 @@ impl DsmProgram for WaterSpApp {
                     init[i * STRIDE + a] = self.initial_pos(i, a);
                 }
             }
-            ctx.write_slice(&h.pos, 0, &init);
+            ctx.write_slice(&h.pos, 0, &init).await;
             for i in 0..n {
                 for a in 0..3 {
                     init[i * STRIDE + a] = self.initial_vel(i, a);
                 }
             }
-            ctx.write_slice(&h.vel, 0, &init);
-            ctx.write(&h.energy, 0, 0.0);
+            ctx.write_slice(&h.vel, 0, &init).await;
+            ctx.write(&h.energy, 0, 0.0).await;
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
 
         let mut bars = BarrierCycle::new();
+        let zeros = vec![0.0f64; STRIDE * mine];
         for _ in 0..self.steps {
             // Reset my force block (cell heads are fully rewritten
             // by the list build below).
-            ctx.write_slice(&h.force, STRIDE * m0, &vec![0.0f64; STRIDE * (m1 - m0)]);
+            ctx.write_slice(&h.force, STRIDE * m0, &zeros).await;
             if t == 0 {
-                ctx.write(&h.energy, 0, 0.0);
+                ctx.write(&h.energy, 0, 0.0).await;
             }
-            bars.next(ctx);
+            bars.next(ctx).await;
 
             // Publish my molecules' cell ids (computed from my own,
             // local position block).
-            let my_pos = ctx.read_vec(&h.pos, STRIDE * m0, STRIDE * (m1 - m0));
-            let my_cells: Vec<i32> = (m0..m1)
-                .map(|i| {
-                    let k = STRIDE * (i - m0);
-                    self.cell_of(my_pos[k], my_pos[k + 1], my_pos[k + 2]) as i32
-                })
-                .collect();
-            ctx.write_slice(&h.cell_id, m0, &my_cells);
-            ctx.compute(SimDuration::from_nanos((m1 - m0) as u64 * 200));
-            bars.next(ctx);
+            let my_pos = ctx.read_vec(&h.pos, STRIDE * m0, STRIDE * mine).await;
+            let my_cells = self.cells_of(&my_pos);
+            ctx.write_slice(&h.cell_id, m0, &my_cells).await;
+            ctx.compute(SimDuration::from_nanos(mine as u64 * 200));
+            bars.next(ctx).await;
 
             // Build the lists of MY cells from the published cell ids
             // (SPLASH-2 assigns boxes to owners, so list construction
@@ -245,37 +276,35 @@ impl DsmProgram for WaterSpApp {
             // links are written by exactly one thread). Prepending in
             // descending index order leaves each list ascending, the
             // same order as the sequential reference.
-            ctx.prefetch(&h.cell_id, 0, n);
-            let all_cells = ctx.read_vec(&h.cell_id, 0, n);
+            ctx.prefetch(&h.cell_id, 0, n).await;
+            let all_cells = ctx.read_vec(&h.cell_id, 0, n).await;
             let mut heads = vec![-1i32; c1.saturating_sub(c0)];
             for i in (0..n).rev() {
                 let cell = all_cells[i] as usize;
                 if (c0..c1).contains(&cell) {
-                    ctx.write(&h.next, i, heads[cell - c0]);
+                    ctx.write(&h.next, i, heads[cell - c0]).await;
                     heads[cell - c0] = i as i32;
                 }
             }
             if c0 < c1 {
-                ctx.write_slice(&h.head, c0, &heads);
+                ctx.write_slice(&h.head, c0, &heads).await;
             }
             ctx.compute(SimDuration::from_nanos(n as u64 * 150));
-            bars.next(ctx);
+            bars.next(ctx).await;
 
             // Pass A: walk the lists once, recording each of my
             // molecules' neighbor set (the history array).
-            let mut history: Vec<Vec<usize>> = Vec::with_capacity(m1 - m0);
+            let mut history: Vec<Vec<usize>> = Vec::with_capacity(mine);
             let mut links = 0u64;
-            for i in m0..m1 {
-                let k = STRIDE * (i - m0);
-                let c = self.cell_of(my_pos[k], my_pos[k + 1], my_pos[k + 2]);
+            for (i, &cell) in (m0..m1).zip(&my_cells) {
                 let mut recorded = Vec::new();
-                for nc in self.neighbor_cells(c) {
-                    let mut j = ctx.read(&h.head, nc);
+                for nc in self.neighbor_cells(cell as usize) {
+                    let mut j = ctx.read(&h.head, nc).await;
                     while j >= 0 {
                         if j as usize != i {
                             recorded.push(j as usize);
                         }
-                        j = ctx.read(&h.next, j as usize);
+                        j = ctx.read(&h.next, j as usize).await;
                         links += 1;
                     }
                 }
@@ -286,68 +315,50 @@ impl DsmProgram for WaterSpApp {
             // Pass B: compute forces, prefetching the *next*
             // molecule's recorded neighbors (history prefetching).
             let mut local_e = 0.0f64;
-            let mut my_force = vec![0.0f64; 3 * (m1 - m0)];
+            let mut my_force = vec![0.0f64; 3 * mine];
             let mut pairs = 0u64;
             let mut last_pf_page = usize::MAX;
-            for i in m0..m1 {
-                if i + 1 < m1 {
+            for i in 0..mine {
+                if i + 1 < mine {
                     // History prefetch: dereference the recorded
                     // pointers of the *next* molecule one step ahead
                     // (issuing once per page, as Mowry's scheduling
                     // strips redundant prefetches).
-                    for &j in &history[i + 1 - m0] {
+                    for &j in &history[i + 1] {
                         let pf_page = STRIDE * j * 8 / rsdsm_protocol_page_size();
                         if pf_page != last_pf_page {
-                            ctx.prefetch(&h.pos, STRIDE * j, STRIDE * j + 3);
+                            ctx.prefetch(&h.pos, STRIDE * j, STRIDE * j + 3).await;
                             last_pf_page = pf_page;
                         }
                     }
                 }
-                let k = STRIDE * (i - m0);
-                let (xi, yi, zi) = (my_pos[k], my_pos[k + 1], my_pos[k + 2]);
-                for &j in &history[i - m0] {
-                    let pj = ctx.read_vec(&h.pos, STRIDE * j, 3);
-                    let (dx, dy, dz) = (xi - pj[0], yi - pj[1], zi - pj[2]);
-                    if dx * dx + dy * dy + dz * dz <= CUTOFF * CUTOFF {
-                        let fv = pair_force(dx, dy, dz);
-                        let kf = 3 * (i - m0);
-                        my_force[kf] += fv[0];
-                        my_force[kf + 1] += fv[1];
-                        my_force[kf + 2] += fv[2];
-                        local_e += 0.5 * pair_energy(dx, dy, dz);
-                        pairs += 1;
-                    }
+                let k = STRIDE * i;
+                let pi = [my_pos[k], my_pos[k + 1], my_pos[k + 2]];
+                for &j in &history[i] {
+                    let mut pj = [0.0f64; 3];
+                    ctx.read_slice(&h.pos, STRIDE * j, &mut pj).await;
+                    let force = &mut my_force[3 * i..3 * i + 3];
+                    pairs += u64::from(accumulate_pair(pi, pj, force, &mut local_e));
                 }
             }
             ctx.compute(SimDuration::from_nanos(pairs * NS_PER_PAIR));
-            let mut force_strided = vec![0.0f64; STRIDE * (m1 - m0)];
-            for i in 0..(m1 - m0) {
-                for a in 0..3 {
-                    force_strided[i * STRIDE + a] = my_force[3 * i + a];
-                }
-            }
-            ctx.write_slice(&h.force, STRIDE * m0, &force_strided);
-
-            ctx.acquire(ENERGY_LOCK);
-            let e = ctx.read(&h.energy, 0);
-            ctx.write(&h.energy, 0, e + local_e);
-            ctx.release(ENERGY_LOCK);
-            bars.next(ctx);
+            ctx.write_slice(&h.force, STRIDE * m0, &strided(&my_force))
+                .await;
+            ctx.acquire(ENERGY_LOCK).await;
+            let e = ctx.read(&h.energy, 0).await;
+            ctx.write(&h.energy, 0, e + local_e).await;
+            ctx.release(ENERGY_LOCK).await;
+            bars.next(ctx).await;
 
             // Integrate my molecules.
-            let f = ctx.read_vec(&h.force, STRIDE * m0, STRIDE * (m1 - m0));
-            let mut vel = ctx.read_vec(&h.vel, STRIDE * m0, STRIDE * (m1 - m0));
-            let mut pos_mine = ctx.read_vec(&h.pos, STRIDE * m0, STRIDE * (m1 - m0));
-            for i in 0..(m1 - m0) {
-                for a in 0..3 {
-                    vel[i * STRIDE + a] += f[i * STRIDE + a];
-                    pos_mine[i * STRIDE + a] += vel[i * STRIDE + a];
-                }
-            }
-            ctx.compute(SimDuration::from_nanos((m1 - m0) as u64 * NS_PER_INTEGRATE));
-            ctx.write_slice(&h.vel, STRIDE * m0, &vel);
-            ctx.write_slice(&h.pos, STRIDE * m0, &pos_mine);
-            bars.next(ctx);
+            let f = ctx.read_vec(&h.force, STRIDE * m0, STRIDE * mine).await;
+            let mut vel = ctx.read_vec(&h.vel, STRIDE * m0, STRIDE * mine).await;
+            let mut pos_mine = ctx.read_vec(&h.pos, STRIDE * m0, STRIDE * mine).await;
+            leapfrog(STRIDE, &f, &mut vel, &mut pos_mine);
+            ctx.compute(SimDuration::from_nanos(mine as u64 * NS_PER_INTEGRATE));
+            ctx.write_slice(&h.vel, STRIDE * m0, &vel).await;
+            ctx.write_slice(&h.pos, STRIDE * m0, &pos_mine).await;
+            bars.next(ctx).await;
         }
     }
 

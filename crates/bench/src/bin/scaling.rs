@@ -23,7 +23,7 @@
 use rsdsm_apps::{Benchmark, HotSpot, Incast, Scale};
 use rsdsm_bench::ExpOpts;
 use rsdsm_core::{
-    DirectoryConfig, DirectoryPolicy, DsmConfig, DsmProgram, PrefetchConfig, RunReport, Simulation,
+    DirectoryConfig, DirectoryPolicy, DsmConfig, DsmTask, PrefetchConfig, RunReport, Simulation,
     Topology,
 };
 
@@ -139,9 +139,9 @@ trait Runnable {
     fn run(&self, cfg: DsmConfig) -> Result<RunReport, rsdsm_core::SimError>;
 }
 
-struct Micro<P: DsmProgram>(P);
+struct Micro<P: DsmTask>(P);
 
-impl<P: DsmProgram> Runnable for Micro<P> {
+impl<P: DsmTask> Runnable for Micro<P> {
     fn run(&self, cfg: DsmConfig) -> Result<RunReport, rsdsm_core::SimError> {
         Simulation::new(cfg).run(&self.0)
     }

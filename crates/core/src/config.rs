@@ -19,7 +19,7 @@ use crate::transport::TransportConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchConfig {
     /// The prefetch technique. [`PrefetchMode::Off`] makes
-    /// `DsmCtx::prefetch` calls free no-ops, giving the "original"
+    /// `TaskCtx::prefetch` calls free no-ops, giving the "original"
     /// bars of the figures; every other field below only tunes a mode
     /// that issues prefetches.
     pub mode: PrefetchMode,

@@ -34,7 +34,7 @@ use crate::heap::Heap;
 use crate::node::{NodeMem, NodeState};
 use crate::oracle::{digest_pages, OracleOutcome, OracleState};
 use crate::prefetch::AdaptiveStats;
-use crate::program::{DsmProgram, VerifyCtx};
+use crate::program::{Runnable, VerifyCtx};
 use crate::recovery::RecoveryStats;
 use crate::report::{fold_counters, NetSummary, RunReport, SimError};
 use crate::thread::ThreadId;
@@ -99,7 +99,7 @@ enum Event {
 
 /// A configured simulation, ready to run programs.
 ///
-/// See [`DsmProgram`] for a complete end-to-end example.
+/// See [`DsmTask`](crate::DsmTask) for a complete end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Simulation {
     cfg: DsmConfig,
@@ -141,7 +141,7 @@ impl Simulation {
     /// reliable transport gives up on a frame, or the protocol
     /// deadlocks (which indicates an application synchronization bug,
     /// e.g. mismatched barrier arrivals).
-    pub fn run<P: DsmProgram>(&self, app: &P) -> Result<RunReport, SimError> {
+    pub fn run<B, P: Runnable<B>>(&self, app: &P) -> Result<RunReport, SimError> {
         self.run_inner(app, false).map(|(report, _)| report)
     }
 
@@ -154,12 +154,12 @@ impl Simulation {
     /// # Errors
     ///
     /// Exactly as [`Simulation::run`].
-    pub fn run_traced<P: DsmProgram>(&self, app: &P) -> Result<(RunReport, Trace), SimError> {
+    pub fn run_traced<B, P: Runnable<B>>(&self, app: &P) -> Result<(RunReport, Trace), SimError> {
         self.run_inner(app, true)
             .map(|(report, trace)| (report, trace.expect("traced run yields a trace")))
     }
 
-    fn run_inner<P: DsmProgram>(
+    fn run_inner<B, P: Runnable<B>>(
         &self,
         app: &P,
         traced: bool,
@@ -225,7 +225,7 @@ impl Simulation {
 
     /// Validates the configuration, lays out the heap and drives the
     /// engine to completion: everything of a run up to the report.
-    fn run_engine<P: DsmProgram>(
+    fn run_engine<B, P: Runnable<B>>(
         &self,
         app: &P,
         traced: bool,
@@ -260,8 +260,7 @@ impl Simulation {
                 let finish = core.run_loop()?;
                 Ok(core.into_outcome(finish))
             },
-        )
-        .map_err(SimError::AppThread)??;
+        )?;
         Ok((out, handles))
     }
 }
@@ -292,7 +291,7 @@ struct Core<'a> {
     /// events-per-second numerator.
     events_processed: u64,
     nodes: Vec<NodeState>,
-    sched: Sched,
+    sched: Sched<'a>,
     wire: Wire,
     barriers: Barriers,
     /// First-touch window per page; `None` unless the directory layer
@@ -318,7 +317,7 @@ impl<'a> Core<'a> {
     fn new(
         cfg: &'a DsmConfig,
         heap: Heap,
-        threads: Vec<ThreadLink>,
+        threads: Vec<ThreadLink<'a>>,
         traced: bool,
         backend: QueueBackend,
     ) -> Self {
@@ -526,17 +525,17 @@ mod tests {
     /// suite's hot spot (`rsdsm_apps::HotSpot`): every node reads pages
     /// homed on node 0. It is restated here because this crate's unit
     /// tests cannot link `rsdsm-apps`, whose programs implement the
-    /// `DsmProgram` of the non-test build of this crate.
+    /// `DsmTask` of the non-test build of this crate.
     #[test]
     fn read_only_run_grows_no_interval_state() {
         use crate::heap::{HomePolicy, SharedVec};
         use crate::msg::BarrierId;
-        use crate::DsmCtx;
+        use crate::{DsmTask, TaskCtx};
         use rsdsm_protocol::{VectorClock, PAGE_SIZE};
 
         const WORDS: usize = PAGE_SIZE / 8;
         struct HotSpot;
-        impl DsmProgram for HotSpot {
+        impl DsmTask for HotSpot {
             type Handles = SharedVec<u64>;
             fn name(&self) -> String {
                 "hotspot".into()
@@ -544,11 +543,11 @@ mod tests {
             fn allocate(&self, heap: &mut Heap) -> Self::Handles {
                 heap.alloc(4 * WORDS, HomePolicy::Single(0))
             }
-            fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
+            async fn run(&self, ctx: &mut TaskCtx, v: &Self::Handles) {
                 for p in 0..4 {
-                    let _ = ctx.read(v, p * WORDS);
+                    let _ = ctx.read(v, p * WORDS).await;
                 }
-                ctx.barrier(BarrierId(0));
+                ctx.barrier(BarrierId(0)).await;
             }
         }
 
@@ -581,13 +580,13 @@ mod tests {
         use crate::heap::{HomePolicy, SharedVec};
         use crate::msg::{BarrierId, LockId};
         use crate::oracle::OracleConfig;
-        use crate::DsmCtx;
+        use crate::{DsmTask, TaskCtx};
 
         const BLOCKS: usize = 64;
         /// Words between two blocks' sums: eight blocks to a page.
         const STRIDE: usize = 64;
         struct Accumulate;
-        impl DsmProgram for Accumulate {
+        impl DsmTask for Accumulate {
             type Handles = SharedVec<u64>;
             fn name(&self) -> String {
                 "accumulate".into()
@@ -595,17 +594,17 @@ mod tests {
             fn allocate(&self, heap: &mut Heap) -> Self::Handles {
                 heap.alloc(BLOCKS * STRIDE, HomePolicy::RoundRobin)
             }
-            fn run(&self, ctx: &mut DsmCtx, sums: &Self::Handles) {
+            async fn run(&self, ctx: &mut TaskCtx, sums: &Self::Handles) {
                 for i in 0..BLOCKS {
                     // Staggered, as the kernel's half-shell is: each
                     // thread starts at its own block.
                     let block = (ctx.thread_id() * 8 + i) % BLOCKS;
-                    ctx.acquire(LockId(block as u32));
-                    let sum = ctx.read(sums, block * STRIDE);
-                    ctx.write(sums, block * STRIDE, sum + 1);
-                    ctx.release(LockId(block as u32));
+                    ctx.acquire(LockId(block as u32)).await;
+                    let sum = ctx.read(sums, block * STRIDE).await;
+                    ctx.write(sums, block * STRIDE, sum + 1).await;
+                    ctx.release(LockId(block as u32)).await;
                 }
-                ctx.barrier(BarrierId(0));
+                ctx.barrier(BarrierId(0)).await;
             }
             fn verify(&self, mem: &VerifyCtx, sums: &Self::Handles) -> bool {
                 (0..BLOCKS).all(|b| mem.read(sums, b * STRIDE) == 8)
@@ -638,13 +637,13 @@ mod tests {
     fn page_buffers_follow_what_a_node_touches() {
         use crate::heap::{HomePolicy, SharedVec};
         use crate::msg::BarrierId;
-        use crate::DsmCtx;
+        use crate::{DsmTask, TaskCtx};
         use rsdsm_protocol::PAGE_SIZE;
 
         const WORDS: usize = PAGE_SIZE / 8;
         const PAGES: usize = 64;
         struct Incast;
-        impl DsmProgram for Incast {
+        impl DsmTask for Incast {
             type Handles = SharedVec<u64>;
             fn name(&self) -> String {
                 "incast".into()
@@ -652,15 +651,15 @@ mod tests {
             fn allocate(&self, heap: &mut Heap) -> Self::Handles {
                 heap.alloc(PAGES * WORDS, HomePolicy::RoundRobin)
             }
-            fn run(&self, ctx: &mut DsmCtx, v: &Self::Handles) {
+            async fn run(&self, ctx: &mut TaskCtx, v: &Self::Handles) {
                 if ctx.node() == 0 {
-                    ctx.prefetch(v, 0, v.len());
+                    ctx.prefetch(v, 0, v.len()).await;
                     for p in 0..PAGES {
-                        let _ = ctx.read(v, p * WORDS);
+                        let _ = ctx.read(v, p * WORDS).await;
                     }
-                    ctx.write(v, WORDS, 7);
+                    ctx.write(v, WORDS, 7).await;
                 }
-                ctx.barrier(BarrierId(0));
+                ctx.barrier(BarrierId(0)).await;
             }
         }
         let materialized = |nodes: &[NodeState]| -> usize {
@@ -674,7 +673,7 @@ mod tests {
         let nodes = 1024;
         let cfg = DsmConfig::paper_cluster(nodes).with_prefetch(PrefetchConfig::hand());
         let mut heap = Heap::new(nodes);
-        Incast.allocate(&mut heap);
+        DsmTask::allocate(&Incast, &mut heap);
         let fresh = Core::new(&cfg, heap, Vec::new(), false, QueueBackend::default());
         assert_eq!(fresh.nodes.len() * fresh.nodes[0].mem.pages.len(), 65_536);
         // A slot is 32 bytes however much the node knows about the
@@ -687,6 +686,7 @@ mod tests {
             assert!(std::mem::size_of::<NodeMem>() < 256);
         }
         assert_eq!(materialized(&fresh.nodes), 0);
+        drop(fresh);
 
         let sim = Simulation::new(cfg);
         let (out, _) = sim.run_engine(&Incast, false).expect("incast runs");

@@ -4,7 +4,7 @@
 //!
 //! Invariant: at most one application thread runs at any instant —
 //! the engine resumes a thread only from [`Core::run_thread`], lending
-//! it its node's memory, and blocks on its next syscall (which brings
+//! it its node's memory, and runs it to its next syscall (which brings
 //! the memory back) before touching anything else — and a node's CPU
 //! holds at most one burst at a time.
 
@@ -20,17 +20,17 @@ use crate::thread::{BlockReason, ThreadId, ThreadState};
 use crate::trace::{TraceEvent, NO_CAUSE};
 
 /// Engine-side handle to one application thread.
-pub(super) struct ThreadPeer {
-    link: ThreadLink,
+pub(super) struct ThreadPeer<'a> {
+    link: ThreadLink<'a>,
     state: ThreadState,
     pending_syscall: Option<Syscall>,
     run_busy: SimDuration,
     last_block: Option<BlockReason>,
 }
 
-impl ThreadPeer {
+impl<'a> ThreadPeer<'a> {
     /// A handle to a thread that has not started yet.
-    pub(super) fn new(link: ThreadLink) -> Self {
+    pub(super) fn new(link: ThreadLink<'a>) -> Self {
         ThreadPeer {
             link,
             state: ThreadState::Ready,
@@ -87,22 +87,22 @@ impl Queue {
 }
 
 /// The event queue plus the application threads it drives.
-pub(super) struct Sched {
+pub(super) struct Sched<'a> {
     queue: Queue,
-    threads: Vec<ThreadPeer>,
+    threads: Vec<ThreadPeer<'a>>,
     /// Threads that have exited.
     done: usize,
     /// Latest exit time so far: the run's finish once all are done.
     finish: SimTime,
 }
 
-impl Sched {
+impl<'a> Sched<'a> {
     /// A scheduler over `threads`, each with its start event queued at
     /// time zero; `extra_capacity` sizes the queue for what the caller
     /// is about to push.
     pub(super) fn new(
         backend: QueueBackend,
-        threads: Vec<ThreadPeer>,
+        threads: Vec<ThreadPeer<'a>>,
         extra_capacity: usize,
     ) -> Self {
         let mut queue = Queue::with_capacity(backend, threads.len() + extra_capacity);
@@ -263,7 +263,7 @@ impl Core<'_> {
         let (syscall, charges) = self.sched.threads[tid.0]
             .link
             .run_burst(&mut self.nodes[n].mem)
-            .map_err(|_| SimError::AppThread("thread ended without a syscall".into()))?;
+            .map_err(|gone| SimError::AppThread(gone.0))?;
         if self.tracer.is_on() {
             // Twins are created inside the conductor while the app
             // thread runs its burst — each one lengthens the dirty

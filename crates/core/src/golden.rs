@@ -1,7 +1,7 @@
 //! The golden sequential executor: the differential-checking
 //! reference model.
 //!
-//! [`golden_run`] executes a [`DsmProgram`] with no DSM at all — one
+//! [`golden_run`] executes a program ([`Runnable`]) with no DSM at all — one
 //! flat memory, every page always valid, no messages, no faults, no
 //! prefetching — under a cooperative scheduler that runs exactly one
 //! thread at a time. For a data-race-free program (which every
@@ -32,7 +32,7 @@ use crate::heap::Heap;
 use crate::msg::{BarrierId, LockId};
 use crate::node::NodeMem;
 use crate::oracle::{digest_pages, GrantRecord};
-use crate::program::{DsmProgram, VerifyCtx};
+use crate::program::{Runnable, VerifyCtx};
 
 /// The golden sequential executor's result.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ struct GLock {
 /// Returns a description when an application thread panics, a thread
 /// releases a lock it does not hold, or the schedule wedges (which,
 /// for a trace the engine produced, indicates an engine bug).
-pub fn golden_run<P: DsmProgram>(
+pub fn golden_run<B, P: Runnable<B>>(
     app: &P,
     cfg: &DsmConfig,
     lock_trace: &[GrantRecord],
@@ -108,9 +108,8 @@ pub fn golden_run<P: DsmProgram>(
         &PrefetchConfig::off(),
         total_threads,
         |_| 0,
-        |links| run_schedule(&links, total_pages, &mut replay),
-    )
-    .map_err(|msg| format!("golden thread panicked: {msg}"))??;
+        |links| run_schedule(links, total_pages, &mut replay),
+    )?;
 
     let pages: Vec<Page> = mem.pages.into_iter().map(|e| e.data).collect();
     let image_digest = digest_pages(&pages);
@@ -126,7 +125,7 @@ pub fn golden_run<P: DsmProgram>(
 /// absorb its next syscall, repeat until every thread exits. Returns
 /// the final memory.
 fn run_schedule(
-    links: &[ThreadLink],
+    mut links: Vec<ThreadLink<'_>>,
     total_pages: usize,
     replay: &mut HashMap<LockId, VecDeque<usize>>,
 ) -> Result<NodeMem, String> {
@@ -148,7 +147,7 @@ fn run_schedule(
         };
         let (syscall, _) = links[t]
             .run_burst(&mut mem)
-            .map_err(|_| format!("golden thread {t} died mid-run"))?;
+            .map_err(|gone| format!("golden thread panicked: {}", gone.0))?;
         match syscall {
             Syscall::Exit => {
                 states[t] = GState::Done;

@@ -68,7 +68,7 @@ pub enum HomePolicy {
 /// A typed handle to a shared array.
 ///
 /// Handles are small and `Copy`; they carry no data — all accesses go
-/// through the per-thread [`DsmCtx`](crate::DsmCtx).
+/// through the per-thread [`TaskCtx`](crate::TaskCtx).
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct SharedVec<T: Pod> {
     first_page: u32,

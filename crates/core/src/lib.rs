@@ -7,7 +7,7 @@
 //! 1998):
 //!
 //! - **Non-binding software-controlled prefetching** (§3): explicit
-//!   [`DsmCtx::prefetch`] calls consult local write notices, send
+//!   [`TaskCtx::prefetch`] calls consult local write notices, send
 //!   unreliable prefetch requests, cache diff replies in a separate
 //!   heap, and apply them at access time — never violating coherence.
 //! - **Multithreading** (§4): several user-level threads per node,
@@ -30,7 +30,7 @@
 //!
 //! # Examples
 //!
-//! See [`DsmProgram`] for a complete program, and the `examples/`
+//! See [`DsmTask`] for a complete program, and the `examples/`
 //! directory of the repository for realistic applications.
 
 #![forbid(unsafe_code)]
@@ -65,7 +65,7 @@ pub use checkpoint::{
     classify_slot, Checkpoint, CheckpointError, CommitRecord, DiffRecord, PageImage, SlotState,
     SLOT_REGIONS,
 };
-pub use conductor::DsmCtx;
+pub use conductor::{DsmCtx, TaskCtx};
 pub use config::{
     ConfigError, DirectoryConfig, DirectoryPolicy, DsmConfig, PrefetchConfig, PrefetchMode,
     ThreadConfig,
@@ -82,7 +82,7 @@ pub use oracle::{
 pub use prefetch::{
     AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleChange, ThrottleController, TrendChange,
 };
-pub use program::{DsmProgram, VerifyCtx};
+pub use program::{AsTask, AsThread, DsmProgram, DsmTask, Runnable, VerifyCtx};
 pub use recovery::{RecoveryConfig, RecoveryStats};
 pub use report::{
     DirectorySummary, MissSummary, MtSummary, NetSummary, PrefetchSummary, RunReport, SimError,

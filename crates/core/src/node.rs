@@ -15,8 +15,8 @@
 //! syscall moves it back. Ownership enforces this — there is no lock
 //! around the memory (the hand-off slot it passes through is locked
 //! for the move alone), and no engine code can run while the field is
-//! away, because the engine is then blocked inside the hand-off that
-//! took it.
+//! away, because the engine is then inside the hand-off that took it
+//! — polling the thread's task, or blocked on its OS thread.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -109,7 +109,7 @@ pub(crate) struct AccessCounters {
 /// What is here is what an application thread reads or writes between
 /// two syscalls, and nothing else: the memory is moved by value twice
 /// per syscall. The two prefetch facts on each slot qualify because
-/// [`DsmCtx::prefetch`](crate::DsmCtx::prefetch) filters on them
+/// [`TaskCtx::prefetch`](crate::TaskCtx::prefetch) filters on them
 /// before it makes a syscall at all; everything else the node knows
 /// about a page is the engine's, in [`NodeState::records`].
 #[derive(Debug, Default)]

@@ -1,18 +1,123 @@
 //! The application programming model.
 //!
-//! A benchmark is a type implementing [`DsmProgram`]: it allocates its
-//! shared arrays up front, then every simulated thread executes
-//! [`DsmProgram::run`] with its own [`DsmCtx`]. After the run the
-//! engine materializes the authoritative final memory image and calls
-//! [`DsmProgram::verify`] so every experiment double-checks its
+//! A benchmark is a type implementing [`DsmTask`] (or its synchronous
+//! twin, [`DsmProgram`]): it allocates its shared arrays up front, then
+//! every simulated thread executes `run` with its own context. After
+//! the run the engine materializes the authoritative final memory
+//! image and calls `verify` so every experiment double-checks its
 //! numeric result.
+//!
+//! Which of the two traits a program implements decides what its
+//! simulated threads are on the host — and nothing else does: there is
+//! no switch. A [`DsmTask`]'s `run` is a future, stepped on the
+//! engine's own thread; a [`DsmProgram`]'s is synchronous code, which
+//! needs (and gets) a parked OS thread per simulated thread. The
+//! simulation is the same either way — same syscalls in the same
+//! order with the same charges, so the same report and trace digests
+//! — but a task's hand-off costs no context switch, so new programs
+//! should be tasks. [`Runnable`] is what [`Simulation::run`] and
+//! [`golden_run`] accept: either.
+//!
+//! [`Simulation::run`]: crate::Simulation::run
+//! [`golden_run`]: crate::golden_run
+
+use std::future::Future;
 
 use rsdsm_protocol::Page;
 
-use crate::conductor::DsmCtx;
+use crate::conductor::{DsmCtx, TaskCtx, ThreadBody};
 use crate::heap::{page_bytes, Heap, Pod, SharedVec};
 
-/// A parallel application runnable on the simulated DSM.
+/// A parallel application runnable on the simulated DSM, written as a
+/// task: every simulated thread is a future the engine polls on its
+/// own thread.
+///
+/// Every [`TaskCtx`] operation that can reach the engine is awaited;
+/// arithmetic on private data is ordinary Rust between the awaits.
+/// Keep loops that matter in plain `fn`s: a local that lives across an
+/// `.await` is a field of the future, and a loop over fields is not a
+/// loop over registers.
+///
+/// # Examples
+///
+/// A two-thread program that sums a shared array:
+///
+/// ```
+/// use rsdsm_core::{
+///     BarrierId, DsmConfig, DsmTask, Heap, HomePolicy, SharedVec, Simulation, TaskCtx,
+///     VerifyCtx,
+/// };
+///
+/// struct Sum;
+///
+/// impl DsmTask for Sum {
+///     type Handles = (SharedVec<f64>, SharedVec<f64>);
+///
+///     fn name(&self) -> String {
+///         "sum".into()
+///     }
+///
+///     fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+///         (
+///             heap.alloc(1024, HomePolicy::Single(0)),
+///             heap.alloc(2, HomePolicy::Single(0)),
+///         )
+///     }
+///
+///     async fn run(&self, ctx: &mut TaskCtx, (data, partial): &Self::Handles) {
+///         let t = ctx.thread_id();
+///         let n = ctx.num_threads();
+///         let chunk = data.len() / n;
+///         if t == 0 {
+///             for i in 0..data.len() {
+///                 ctx.write(data, i, 1.0).await;
+///             }
+///         }
+///         ctx.barrier(BarrierId(0)).await;
+///         let mine: f64 = ctx.read_vec(data, t * chunk, chunk).await.iter().sum();
+///         ctx.write(partial, t, mine).await;
+///         ctx.barrier(BarrierId(1)).await;
+///     }
+///
+///     fn verify(&self, mem: &VerifyCtx, (_, partial): &Self::Handles) -> bool {
+///         (mem.read(partial, 0) + mem.read(partial, 1) - 1024.0).abs() < 1e-9
+///     }
+/// }
+///
+/// let report = Simulation::new(DsmConfig::paper_cluster(2))
+///     .run(&Sum)
+///     .expect("run succeeds");
+/// assert!(report.verified);
+/// ```
+pub trait DsmTask {
+    /// Handles to the program's shared allocations, lent to every
+    /// thread.
+    type Handles;
+
+    /// Human-readable benchmark name.
+    fn name(&self) -> String;
+
+    /// Allocates the program's shared arrays.
+    fn allocate(&self, heap: &mut Heap) -> Self::Handles;
+
+    /// The body executed by every application thread (implement it as
+    /// an `async fn`). It may await the operations of `ctx` and
+    /// nothing else: it is polled when the engine resumes the thread,
+    /// not when some waker fires.
+    fn run(&self, ctx: &mut TaskCtx, handles: &Self::Handles) -> impl Future<Output = ()>;
+
+    /// Checks the final memory image. The default accepts anything.
+    fn verify(&self, mem: &VerifyCtx, handles: &Self::Handles) -> bool {
+        let _ = (mem, handles);
+        true
+    }
+}
+
+/// A parallel application runnable on the simulated DSM, written as
+/// synchronous code: every simulated thread is an OS thread, parked
+/// except while the engine runs its burst. The twin of [`DsmTask`]
+/// for code that cannot be `async`; a run costs two context switches
+/// per syscall more than the task's.
 ///
 /// # Examples
 ///
@@ -66,7 +171,7 @@ use crate::heap::{page_bytes, Heap, Pod, SharedVec};
 /// assert!(report.verified);
 /// ```
 pub trait DsmProgram: Sync {
-    /// Handles to the program's shared allocations, cloned into every
+    /// Handles to the program's shared allocations, lent to every
     /// thread.
     type Handles: Clone + Send + Sync;
 
@@ -84,6 +189,43 @@ pub trait DsmProgram: Sync {
         let _ = (mem, handles);
         true
     }
+}
+
+/// [`Runnable`] by way of [`DsmTask`]: simulated threads are futures
+/// polled on the engine's thread.
+#[derive(Debug)]
+pub enum AsTask {}
+
+/// [`Runnable`] by way of [`DsmProgram`]: simulated threads are parked
+/// OS threads.
+#[derive(Debug)]
+pub enum AsThread {}
+
+/// What the engine and the golden executor run: a [`DsmTask`] or a
+/// [`DsmProgram`]. Implemented for every type that implements one of
+/// the two (`Backing` is then [`AsTask`] or [`AsThread`], inferred at
+/// the call) and sealed: its methods are the program's own, plus one
+/// that nothing outside this crate can write.
+pub trait Runnable<Backing> {
+    /// The program's `Handles`.
+    type Handles;
+
+    /// The program's `name`.
+    #[doc(hidden)]
+    fn name(&self) -> String;
+
+    /// The program's `allocate`.
+    #[doc(hidden)]
+    fn allocate(&self, heap: &mut Heap) -> Self::Handles;
+
+    /// The program's `verify`.
+    #[doc(hidden)]
+    fn verify(&self, mem: &VerifyCtx, handles: &Self::Handles) -> bool;
+
+    /// One simulated thread's `run`, over `ctx`, in the form its
+    /// backing executes.
+    #[doc(hidden)]
+    fn body<'a>(&'a self, ctx: TaskCtx, handles: &'a Self::Handles) -> ThreadBody<'a>;
 }
 
 /// Zero-cost read access to the authoritative final memory image,
