@@ -224,19 +224,18 @@ impl DsmTask for LuApp {
         ctx.barrier(BarrierId(0)).await;
 
         // Block I/O through the DSM: rows of a block are contiguous
-        // runs in both layouts.
-        let read_block = async |ctx: &mut TaskCtx, bi: usize, bj: usize| -> Vec<f64> {
+        // runs in both layouts. A block is read into one of four
+        // private b x b buffers this thread owns for the whole run.
+        let read_block = async |ctx: &mut TaskCtx, bi: usize, bj: usize, out: &mut [f64]| {
             // Compiler-style prefetching also issues checks for the
             // private block buffer (Table 1's LU-NCONT rate).
             ctx.prefetch_private(2);
-            let mut out = vec![0.0f64; b * b];
-            for i in 0..b {
+            for (i, row) in out.chunks_exact_mut(b).enumerate() {
                 let start = self.idx(bi * b + i, bj * b);
-                ctx.read_slice(mat, start, &mut out[i * b..(i + 1) * b])
-                    .await;
+                ctx.read_slice(mat, start, row).await;
             }
-            out
         };
+        let [mut diag, mut left, mut up, mut blk] = std::array::from_fn(|_| vec![0.0f64; b * b]);
         let write_block = async |ctx: &mut TaskCtx, bi: usize, bj: usize, data: &[f64]| {
             for i in 0..b {
                 let start = self.idx(bi * b + i, bj * b);
@@ -264,12 +263,12 @@ impl DsmTask for LuApp {
         for k in 0..nb {
             // Diagonal factorization by its owner.
             if LuApp::owner(k, k, nt) == t {
-                let mut d = read_block(ctx, k, k).await;
-                factor_diag(&mut d, b, 0, b);
+                read_block(ctx, k, k, &mut diag).await;
+                factor_diag(&mut diag, b, 0, b);
                 ctx.compute(SimDuration::from_nanos(
                     2 * (b as u64).pow(3) / 3 * NS_PER_FLOP,
                 ));
-                write_block(ctx, k, k, &d).await;
+                write_block(ctx, k, k, &diag).await;
             }
             bars.next(ctx).await;
 
@@ -278,10 +277,10 @@ impl DsmTask for LuApp {
                 (k + 1..nb).any(|x| LuApp::owner(k, x, nt) == t || LuApp::owner(x, k, nt) == t);
             if mine_in_perimeter {
                 prefetch_block(ctx, k, k).await;
-                let diag = read_block(ctx, k, k).await;
+                read_block(ctx, k, k, &mut diag).await;
                 for bj in k + 1..nb {
                     if LuApp::owner(k, bj, nt) == t {
-                        let mut blk = read_block(ctx, k, bj).await;
+                        read_block(ctx, k, bj, &mut blk).await;
                         solve_with_diag(&diag, &mut blk, b, true);
                         ctx.compute(SimDuration::from_nanos((b as u64).pow(3) * NS_PER_FLOP));
                         write_block(ctx, k, bj, &blk).await;
@@ -289,7 +288,7 @@ impl DsmTask for LuApp {
                 }
                 for bi in k + 1..nb {
                     if LuApp::owner(bi, k, nt) == t {
-                        let mut blk = read_block(ctx, bi, k).await;
+                        read_block(ctx, bi, k, &mut blk).await;
                         solve_with_diag(&diag, &mut blk, b, false);
                         ctx.compute(SimDuration::from_nanos((b as u64).pow(3) * NS_PER_FLOP));
                         write_block(ctx, bi, k, &blk).await;
@@ -313,9 +312,9 @@ impl DsmTask for LuApp {
                     if LuApp::owner(bi, bj, nt) != t {
                         continue;
                     }
-                    let left = read_block(ctx, bi, k).await;
-                    let up = read_block(ctx, k, bj).await;
-                    let mut blk = read_block(ctx, bi, bj).await;
+                    read_block(ctx, bi, k, &mut left).await;
+                    read_block(ctx, k, bj, &mut up).await;
+                    read_block(ctx, bi, bj, &mut blk).await;
                     block_gemm(&left, &up, &mut blk, b);
                     ctx.compute(SimDuration::from_nanos(2 * (b as u64).pow(3) * NS_PER_FLOP));
                     write_block(ctx, bi, bj, &blk).await;

@@ -112,13 +112,45 @@ fn write_offsets(all: &[u32], t: usize, radix: usize) -> Vec<usize> {
     offsets
 }
 
-/// `keys` gathered per digit (stable within the block).
-fn buckets(keys: &[u32], shift: u32, radix: usize) -> Vec<Vec<u32>> {
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); radix];
+/// `keys` gathered by digit into `out` — one stable counting-sort
+/// permute: digit 0's keys first, each digit's in block order — given
+/// each digit's count. `cursor` is scratch; both buffers are reused
+/// from pass to pass.
+fn gather_by_digit(
+    keys: &[u32],
+    shift: u32,
+    counts: &[u32],
+    cursor: &mut Vec<usize>,
+    out: &mut Vec<u32>,
+) {
+    let mut start = 0;
+    cursor.clear();
+    cursor.extend(counts.iter().map(|&count| {
+        let at = start;
+        start += count as usize;
+        at
+    }));
+    out.clear();
+    out.resize(keys.len(), 0);
     for &key in keys {
-        buckets[digit(key, shift, radix)].push(key);
+        let d = digit(key, shift, counts.len());
+        out[cursor[d]] = key;
+        cursor[d] += 1;
     }
-    buckets
+}
+
+/// The digits present in a block gathered by [`gather_by_digit`], each
+/// with its run of keys.
+fn digit_runs<'a>(
+    gathered: &'a [u32],
+    counts: &'a [u32],
+) -> impl Iterator<Item = (usize, &'a [u32])> + 'a {
+    let mut start = 0;
+    counts.iter().enumerate().filter_map(move |(d, &count)| {
+        let run = &gathered[start..start + count as usize];
+        start += run.len();
+        (!run.is_empty()).then_some((d, run))
+    })
 }
 
 impl DsmTask for RadixApp {
@@ -154,6 +186,7 @@ impl DsmTask for RadixApp {
         ctx.barrier(BarrierId(0)).await;
 
         let mut bars = BarrierCycle::new();
+        let (mut gathered, mut cursor) = (Vec::new(), Vec::with_capacity(radix));
         for pass in 0..self.passes() {
             let shift = pass as u32 * self.radix_bits;
             let (src, dst) = (h.keys[pass % 2], h.keys[(pass + 1) % 2]);
@@ -172,21 +205,16 @@ impl DsmTask for RadixApp {
             let offsets = write_offsets(&all, t, radix);
 
             // Gather my keys per digit...
-            let buckets = buckets(&mine, shift, radix);
+            gather_by_digit(&mine, shift, &counts, &mut cursor, &mut gathered);
             // ...prefetch the destination runs (often too late — the
             // addresses were just computed, as the paper observes)...
-            for d in 0..radix {
-                if !buckets[d].is_empty() {
-                    ctx.prefetch(&dst, offsets[d], offsets[d] + buckets[d].len())
-                        .await;
-                }
+            for (d, run) in digit_runs(&gathered, &counts) {
+                ctx.prefetch(&dst, offsets[d], offsets[d] + run.len()).await;
             }
             // ...and permute.
             ctx.compute(SimDuration::from_nanos(mine.len() as u64 * NS_PER_MOVE));
-            for d in 0..radix {
-                if !buckets[d].is_empty() {
-                    ctx.write_slice(&dst, offsets[d], &buckets[d]).await;
-                }
+            for (d, run) in digit_runs(&gathered, &counts) {
+                ctx.write_slice(&dst, offsets[d], run).await;
             }
             bars.next(ctx).await;
         }
@@ -231,6 +259,21 @@ mod tests {
             assert!(app.key(i) < 1024);
             assert_eq!(app.key(i), app.key(i));
         }
+    }
+
+    #[test]
+    fn gathering_is_a_stable_sort_by_digit() {
+        let keys = [0x31, 0x12, 0x21, 0x02, 0x33, 0x11];
+        let counts = histogram(&keys, 0, 4);
+        let (mut cursor, mut out) = (Vec::new(), vec![9; 2]);
+        gather_by_digit(&keys, 0, &counts, &mut cursor, &mut out);
+        assert_eq!(out, [0x31, 0x21, 0x11, 0x12, 0x02, 0x33]);
+        let runs: Vec<(usize, &[u32])> = digit_runs(&out, &counts).collect();
+        assert_eq!(
+            runs,
+            [(1, &out[..3]), (2, &out[3..5]), (3, &out[5..])],
+            "digit 0 is absent"
+        );
     }
 
     #[test]

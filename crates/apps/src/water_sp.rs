@@ -101,23 +101,26 @@ impl WaterSpApp {
         (clamp(x) * ncs + clamp(y)) * ncs + clamp(z)
     }
 
-    fn neighbor_cells(&self, cell: usize) -> Vec<usize> {
+    /// The cells around `cell`, itself included, in ascending order:
+    /// the first `len` of the returned array.
+    fn neighbor_cells(&self, cell: usize) -> ([usize; 27], usize) {
         let ncs = self.cells_per_side as isize;
         let z = (cell % ncs as usize) as isize;
         let y = ((cell / ncs as usize) % ncs as usize) as isize;
         let x = (cell / (ncs * ncs) as usize) as isize;
-        let mut out = Vec::with_capacity(27);
+        let (mut out, mut len) = ([0; 27], 0);
         for dx in -1..=1 {
             for dy in -1..=1 {
                 for dz in -1..=1 {
                     let (nx, ny, nz) = (x + dx, y + dy, z + dz);
                     if (0..ncs).contains(&nx) && (0..ncs).contains(&ny) && (0..ncs).contains(&nz) {
-                        out.push(((nx * ncs + ny) * ncs + nz) as usize);
+                        out[len] = ((nx * ncs + ny) * ncs + nz) as usize;
+                        len += 1;
                     }
                 }
             }
         }
-        out
+        (out, len)
     }
 
     /// Sequential reference with the same cell structure. List
@@ -134,7 +137,8 @@ impl WaterSpApp {
             let mut f = vec![0.0f64; 3 * n];
             for i in 0..n {
                 let c = self.cell_of(pos[3 * i], pos[3 * i + 1], pos[3 * i + 2]);
-                for nc in self.neighbor_cells(c) {
+                let (around, len) = self.neighbor_cells(c);
+                for &nc in &around[..len] {
                     for &j in &cells[nc] {
                         if j == i {
                             continue;
@@ -253,6 +257,11 @@ impl DsmTask for WaterSpApp {
 
         let mut bars = BarrierCycle::new();
         let zeros = vec![0.0f64; STRIDE * mine];
+        // Pass A's history array, reused every step: the recorded
+        // neighbours of all my molecules back to back, molecule `i`'s
+        // at `history[history_at[i]..history_at[i + 1]]`.
+        let mut history: Vec<usize> = Vec::new();
+        let mut history_at: Vec<usize> = Vec::with_capacity(mine + 1);
         for _ in 0..self.steps {
             // Reset my force block (cell heads are fully rewritten
             // by the list build below).
@@ -294,22 +303,25 @@ impl DsmTask for WaterSpApp {
 
             // Pass A: walk the lists once, recording each of my
             // molecules' neighbor set (the history array).
-            let mut history: Vec<Vec<usize>> = Vec::with_capacity(mine);
+            history.clear();
+            history_at.clear();
+            history_at.push(0);
             let mut links = 0u64;
             for (i, &cell) in (m0..m1).zip(&my_cells) {
-                let mut recorded = Vec::new();
-                for nc in self.neighbor_cells(cell as usize) {
+                let (around, len) = self.neighbor_cells(cell as usize);
+                for &nc in &around[..len] {
                     let mut j = ctx.read(&h.head, nc).await;
                     while j >= 0 {
                         if j as usize != i {
-                            recorded.push(j as usize);
+                            history.push(j as usize);
                         }
                         j = ctx.read(&h.next, j as usize).await;
                         links += 1;
                     }
                 }
-                history.push(recorded);
+                history_at.push(history.len());
             }
+            let recorded = |i: usize| &history[history_at[i]..history_at[i + 1]];
             ctx.compute(SimDuration::from_nanos(links * NS_PER_LINK));
 
             // Pass B: compute forces, prefetching the *next*
@@ -324,7 +336,7 @@ impl DsmTask for WaterSpApp {
                     // pointers of the *next* molecule one step ahead
                     // (issuing once per page, as Mowry's scheduling
                     // strips redundant prefetches).
-                    for &j in &history[i + 1] {
+                    for &j in recorded(i + 1) {
                         let pf_page = STRIDE * j * 8 / rsdsm_protocol_page_size();
                         if pf_page != last_pf_page {
                             ctx.prefetch(&h.pos, STRIDE * j, STRIDE * j + 3).await;
@@ -334,7 +346,7 @@ impl DsmTask for WaterSpApp {
                 }
                 let k = STRIDE * i;
                 let pi = [my_pos[k], my_pos[k + 1], my_pos[k + 2]];
-                for &j in &history[i] {
+                for &j in recorded(i) {
                     let mut pj = [0.0f64; 3];
                     ctx.read_slice(&h.pos, STRIDE * j, &mut pj).await;
                     let force = &mut my_force[3 * i..3 * i + 3];
@@ -392,11 +404,12 @@ mod tests {
     #[test]
     fn neighbor_cells_include_self_and_respect_bounds() {
         let app = WaterSpApp::new(64, 1);
-        let corner = app.neighbor_cells(0);
-        assert!(corner.contains(&0));
-        assert_eq!(corner.len(), 8, "corner cell has 8 neighbors (incl self)");
+        let (corner, len) = app.neighbor_cells(0);
+        assert!(corner[..len].contains(&0));
+        assert_eq!(len, 8, "corner cell has 8 neighbors (incl self)");
+        assert!(corner[..len].is_sorted());
         let center = app.cell_of(2.5, 2.5, 2.5);
-        assert_eq!(app.neighbor_cells(center).len(), 27);
+        assert_eq!(app.neighbor_cells(center).1, 27);
     }
 
     #[test]

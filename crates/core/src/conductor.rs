@@ -612,48 +612,52 @@ impl TaskCtx {
         if !self.prefetch_cfg.mode.honors_annotations() {
             return;
         }
-        let to_issue = self.prefetch_filter(v.pages_for_range(start, end));
+        // Filtered page by page as the range is walked: only the pages
+        // worth a message are collected, so a range that is already
+        // local (the common case) allocates nothing.
+        let to_issue: Vec<PageId> = v
+            .locate_range(start, end)
+            .filter(|&(page, _)| self.worth_prefetching(page))
+            .map(|(page, _)| page)
+            .collect();
         if !to_issue.is_empty() {
             self.syscall(Syscall::Prefetch(to_issue)).await;
         }
     }
 
-    /// The local filters of [`TaskCtx::prefetch`]: counts and charges
-    /// a check per page, and keeps the pages worth a message — not
+    /// The local filter of [`TaskCtx::prefetch`]: counts and charges a
+    /// check of `page`, and says whether it is worth a message — not
     /// valid, not already asked for, not throttled away.
-    fn prefetch_filter(&mut self, mut pages: Vec<PageId>) -> Vec<PageId> {
+    fn worth_prefetching(&mut self, page: PageId) -> bool {
         let m = &mut self.mem;
-        pages.retain(|&page| {
-            m.counters.pf_calls += 1;
-            self.pending.prefetch += self.costs.prefetch_check;
-            let entry = &m.pages[page.index()];
-            if entry.valid {
-                m.counters.pf_unnecessary += 1;
-                return false;
-            }
-            if entry.pf_inflight() > 0 {
-                m.counters.pf_suppressed_inflight += 1;
-                return false;
-            }
-            if self.prefetch_cfg.suppress_redundant && entry.epoch_prefetched() {
-                m.counters.pf_suppressed_flag += 1;
-                return false;
-            }
-            m.throttle_seq += 1;
-            if self.prefetch_cfg.throttle > 1
-                && !m
-                    .throttle_seq
-                    .is_multiple_of(self.prefetch_cfg.throttle as u64)
-            {
-                m.counters.pf_throttled += 1;
-                return false;
-            }
-            if self.prefetch_cfg.suppress_redundant {
-                m.mark_epoch_prefetched(page);
-            }
-            true
-        });
-        pages
+        m.counters.pf_calls += 1;
+        self.pending.prefetch += self.costs.prefetch_check;
+        let entry = &m.pages[page.index()];
+        if entry.valid {
+            m.counters.pf_unnecessary += 1;
+            return false;
+        }
+        if entry.pf_inflight() > 0 {
+            m.counters.pf_suppressed_inflight += 1;
+            return false;
+        }
+        if self.prefetch_cfg.suppress_redundant && entry.epoch_prefetched() {
+            m.counters.pf_suppressed_flag += 1;
+            return false;
+        }
+        m.throttle_seq += 1;
+        if self.prefetch_cfg.throttle > 1
+            && !m
+                .throttle_seq
+                .is_multiple_of(self.prefetch_cfg.throttle as u64)
+        {
+            m.counters.pf_throttled += 1;
+            return false;
+        }
+        if self.prefetch_cfg.suppress_redundant {
+            m.mark_epoch_prefetched(page);
+        }
+        true
     }
 
     /// Emulates compiler-issued prefetch checks on private data

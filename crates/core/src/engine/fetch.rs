@@ -60,14 +60,6 @@ fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: &[DiffPayload]) {
     }
 }
 
-/// One outgoing fetch request: who is asked, for which of its diffs,
-/// and whether the base copy rides along.
-struct Request {
-    to: NodeId,
-    stamps: Vec<Stamp>,
-    want_base: bool,
-}
-
 /// A freshly sealed interval: its record, the diff of each page the
 /// record names (in the record's order), and what creating them costs.
 struct Sealed {
@@ -165,11 +157,10 @@ impl Core<'_> {
         let class = match asked {
             None => MissClass::NoPf,
             Some(meta) => {
-                let all_requested = missing.iter().all(|(origin, stamps)| {
-                    stamps
-                        .iter()
-                        .all(|s| meta.requested.contains(&(*origin, s.get(*origin))))
-                }) && (!need_base || meta.wanted_base);
+                let all_requested = missing
+                    .iter()
+                    .all(|(origin, s)| meta.requested.contains(&(*origin, s.get(*origin))))
+                    && (!need_base || meta.wanted_base);
                 if all_requested {
                     MissClass::TooLate
                 } else {
@@ -202,7 +193,7 @@ impl Core<'_> {
         // thread is already blocked on the reply, so issue overhead
         // overlaps the memory stall instead of extending it.
         let (end, outstanding) =
-            self.send_fetch_requests(n, page, &missing, need_base, end, FetchClass::Demand);
+            self.send_fetch_requests(n, page, missing, need_base, end, FetchClass::Demand);
         let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
         self.start_fetch(n, page, outstanding, vec![tid], now, false);
         self.block(tid, n, BlockReason::Memory, end)
@@ -273,28 +264,16 @@ impl Core<'_> {
         self.nodes[n].counters.dir_migrations += 1;
     }
 
-    /// The (origin → stamps) diffs node `n` still needs for `page`
-    /// (pending notices minus the diffs its record caches), plus
-    /// whether a base copy is needed.
-    pub(super) fn missing_for(&self, n: NodeId, page: PageId) -> (Vec<(NodeId, Vec<Stamp>)>, bool) {
+    /// The diffs node `n` still needs for `page` — its pending notices
+    /// minus the diffs its record caches, as `(origin, stamp)` pairs
+    /// ascending by origin — plus whether a base copy is needed.
+    pub(super) fn missing_for(&self, n: NodeId, page: PageId) -> (Vec<(NodeId, Stamp)>, bool) {
         let node = &self.nodes[n];
         let record = node.records.get(&page);
-        let missing: Vec<(NodeId, Vec<Stamp>)> = node
-            .board
-            .pending_by_origin(page)
-            .into_iter()
-            .filter_map(|(origin, stamps)| {
-                let remaining: Vec<Stamp> = stamps
-                    .into_iter()
-                    .filter(|s| record.is_none_or(|r| !r.has_diff(origin, s.get(origin))))
-                    .collect();
-                if remaining.is_empty() {
-                    None
-                } else {
-                    Some((origin, remaining))
-                }
-            })
-            .collect();
+        let mut missing = node.board.pending_by_origin(page);
+        if let Some(record) = record {
+            missing.retain(|(origin, s)| !record.has_diff(*origin, s.get(*origin)));
+        }
         let need_base =
             !node.mem.pages[page.index()].ever_valid && record.is_none_or(|r| r.base.is_none());
         (missing, need_base)
@@ -303,50 +282,35 @@ impl Core<'_> {
     /// Sends diff/base requests; returns the CPU end time and the
     /// number of requests sent — the replies to wait for. (A droppable
     /// prefetch request the network loses is counted as a send drop.)
+    ///
+    /// One request per origin with missing diffs, carrying that
+    /// origin's run of `missing` (which is ascending by origin); the
+    /// base rides on the home's request when the home is among them,
+    /// and gets a request of its own otherwise.
     pub(super) fn send_fetch_requests(
         &mut self,
         n: NodeId,
         page: PageId,
-        missing: &[(NodeId, Vec<Stamp>)],
+        missing: Vec<(NodeId, Stamp)>,
         need_base: bool,
-        mut end: SimTime,
+        end: SimTime,
         class: FetchClass,
     ) -> (SimTime, usize) {
         let home = self.heap.home(page);
         let send_cost = class.send_cost(&self.cfg.costs);
         let send_cat = class.send_category();
-        // One request per origin with missing diffs; the base rides on
-        // the home's request when the home is among them, and gets a
-        // request of its own otherwise.
-        let mut requests: Vec<Request> = missing
-            .iter()
-            .map(|(origin, stamps)| Request {
-                to: *origin,
-                stamps: stamps.clone(),
-                want_base: need_base && *origin == home,
-            })
-            .collect();
-        if need_base && !requests.iter().any(|r| r.want_base) {
-            assert_ne!(home, n, "home node never needs a base copy");
-            requests.push(Request {
-                to: home,
-                stamps: Vec::new(),
-                want_base: true,
-            });
-        }
-        let sent = requests.len();
-        for req in requests {
-            end = self.charge(n, end, send_cost, send_cat, None);
+        let send = |core: &mut Self, end: SimTime, to: NodeId, stamps: Vec<Stamp>, want_base| {
+            let end = core.charge(n, end, send_cost, send_cat, None);
             let body = MsgBody::DiffRequest(DiffRequest {
                 page,
-                stamps: req.stamps,
-                want_base: req.want_base,
+                stamps,
+                want_base,
                 class,
-                vc: self.nodes[n].vc().clone(),
+                vc: core.nodes[n].vc().clone(),
             });
-            if !self.post(end, n, req.to, body) {
-                self.nodes[n].counters.pf_send_drops += 1;
-                self.tracer.emit(
+            if !core.post(end, n, to, body) {
+                core.nodes[n].counters.pf_send_drops += 1;
+                core.tracer.emit(
                     end,
                     n as u32,
                     NO_THREAD,
@@ -358,8 +322,25 @@ impl Core<'_> {
                 );
             }
             if class.is_prefetch() {
-                self.nodes[n].counters.pf_messages += 1;
+                core.nodes[n].counters.pf_messages += 1;
             }
+            end
+        };
+        let (mut end, mut sent, mut base_asked) = (end, 0, false);
+        let mut missing = missing.into_iter().peekable();
+        while let Some(&(to, _)) = missing.peek() {
+            let stamps = std::iter::from_fn(|| missing.next_if(|&(origin, _)| origin == to))
+                .map(|(_, stamp)| stamp)
+                .collect();
+            let want_base = need_base && to == home;
+            base_asked |= want_base;
+            end = send(self, end, to, stamps, want_base);
+            sent += 1;
+        }
+        if need_base && !base_asked {
+            assert_ne!(home, n, "home node never needs a base copy");
+            end = send(self, end, home, Vec::new(), true);
+            sent += 1;
         }
         (end, sent)
     }
@@ -806,7 +787,7 @@ impl Core<'_> {
         let (missing, need_base) = self.missing_for(n, page);
         if !missing.is_empty() || need_base {
             let (_, outstanding) =
-                self.send_fetch_requests(n, page, &missing, need_base, end, FetchClass::Demand);
+                self.send_fetch_requests(n, page, missing, need_base, end, FetchClass::Demand);
             self.start_fetch(n, page, outstanding, waiters, started, false);
             return Ok(());
         }

@@ -205,10 +205,8 @@ impl Core<'_> {
                 let record = self.nodes[n].records.entry(page).or_default();
                 let meta = record.asked.get_or_insert_with(Default::default);
                 meta.joinable &= adaptive;
-                for (origin, stamps) in &missing {
-                    for s in stamps {
-                        meta.requested.insert((*origin, s.get(*origin)));
-                    }
+                for (origin, s) in &missing {
+                    meta.requested.insert((*origin, s.get(*origin)));
                 }
                 if need_base {
                     meta.wanted_base = true;
@@ -224,7 +222,7 @@ impl Core<'_> {
                 },
             );
             let (new_end, requests) =
-                self.send_fetch_requests(n, page, &missing, need_base, end, class);
+                self.send_fetch_requests(n, page, missing, need_base, end, class);
             end = new_end;
             if adaptive {
                 if let Some(ad) = self.nodes[n].prefetcher.adaptive_mut() {

@@ -329,8 +329,9 @@ impl Core<'_> {
                 self.send_ack(n, pkt.src, seq, now);
                 let end = self.charge_recv(n, now);
                 match self.wire.transport.receive(pkt.src, n, seq, body) {
-                    Recv::Deliver(run) => {
-                        for body in run {
+                    Recv::Deliver(body) => {
+                        self.dispatch(pkt.src, n, &body, end)?;
+                        while let Some(body) = self.wire.transport.next_parked(pkt.src, n) {
                             self.dispatch(pkt.src, n, &body, end)?;
                         }
                         Ok(())

@@ -144,11 +144,6 @@ impl<T: Pod> SharedVec<T> {
             Some((PageId::new(self.first_page + page_index as u32), range))
         })
     }
-
-    /// The pages touched by elements `start..end` (no element ranges).
-    pub fn pages_for_range(&self, start: usize, end: usize) -> Vec<PageId> {
-        self.locate_range(start, end).map(|(p, _)| p).collect()
-    }
 }
 
 /// The in-page byte range of the elements `range`, which must lie in
@@ -303,7 +298,8 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0], (PageId::new(0), 500..512));
         assert_eq!(spans[1], (PageId::new(1), 512..600));
-        assert_eq!(v.pages_for_range(0, 512), vec![PageId::new(0)]);
+        let whole_page: Vec<_> = v.locate_range(0, 512).collect();
+        assert_eq!(whole_page, [(PageId::new(0), 0..512)]);
         assert!(v.locate_range(5, 5).next().is_none());
     }
 

@@ -271,8 +271,10 @@ pub enum TimeoutAction<B> {
 /// What the receiver should do with an arriving data frame.
 #[derive(Debug)]
 pub enum Recv<B> {
-    /// Deliver this in-order run of messages to the protocol.
-    Deliver(Vec<B>),
+    /// Deliver this message to the protocol: it is the link's next in
+    /// order. Frames parked behind the gap it filled may follow; take
+    /// them, in order, with [`Transport::next_parked`].
+    Deliver(B),
     /// Out of order; parked until the gap fills.
     Buffered,
     /// Already delivered or already parked; suppressed.
@@ -409,7 +411,10 @@ impl<B: Clone> Transport<B> {
     }
 
     /// Handles a data frame arriving at `dst` from `src`, restoring
-    /// per-link FIFO order and suppressing duplicates.
+    /// per-link FIFO order and suppressing duplicates. A delivered
+    /// frame may have filled a gap: the caller then drains the frames
+    /// parked behind it with [`Transport::next_parked`] before
+    /// receiving anything else on the link.
     pub fn receive(&mut self, src: NodeId, dst: NodeId, seq: u64, body: B) -> Recv<B> {
         let link = self.links.entry((src, dst)).or_default();
         if seq < link.recv_next || link.recv_buf.contains_key(&seq) {
@@ -421,13 +426,17 @@ impl<B: Clone> Transport<B> {
             self.summary.buffered_out_of_order += 1;
             return Recv::Buffered;
         }
-        let mut run = vec![body];
         link.recv_next += 1;
-        while let Some(next) = link.recv_buf.remove(&link.recv_next) {
-            run.push(next);
-            link.recv_next += 1;
-        }
-        Recv::Deliver(run)
+        Recv::Deliver(body)
+    }
+
+    /// The next frame parked on (src, dst) whose turn has come, now
+    /// delivered; `None` once the link's next in order has not arrived.
+    pub fn next_parked(&mut self, src: NodeId, dst: NodeId) -> Option<B> {
+        let link = self.links.get_mut(&(src, dst))?;
+        let body = link.recv_buf.remove(&link.recv_next)?;
+        link.recv_next += 1;
+        Some(body)
     }
 
     /// Frames currently awaiting acknowledgement across all links.
@@ -501,11 +510,19 @@ mod tests {
         assert_eq!(t.inflight_frames(), 4);
     }
 
+    fn tag(body: &MsgBody) -> u32 {
+        match body {
+            MsgBody::LockRequest { lock, .. } => lock.0,
+            _ => unreachable!(),
+        }
+    }
+
     #[test]
     fn in_order_frames_deliver_immediately() {
         let mut t = Transport::new(cfg());
-        assert!(matches!(t.receive(0, 1, 0, body(0)), Recv::Deliver(run) if run.len() == 1));
-        assert!(matches!(t.receive(0, 1, 1, body(1)), Recv::Deliver(run) if run.len() == 1));
+        assert!(matches!(t.receive(0, 1, 0, body(0)), Recv::Deliver(b) if tag(&b) == 0));
+        assert!(t.next_parked(0, 1).is_none(), "nothing parked");
+        assert!(matches!(t.receive(0, 1, 1, body(1)), Recv::Deliver(b) if tag(&b) == 1));
     }
 
     #[test]
@@ -513,20 +530,20 @@ mod tests {
         let mut t = Transport::new(cfg());
         assert!(matches!(t.receive(0, 1, 2, body(2)), Recv::Buffered));
         assert!(matches!(t.receive(0, 1, 1, body(1)), Recv::Buffered));
+        assert!(t.next_parked(0, 1).is_none(), "the gap is still open");
         match t.receive(0, 1, 0, body(0)) {
-            Recv::Deliver(run) => {
-                let tags: Vec<_> = run
-                    .iter()
-                    .map(|b| match b {
-                        MsgBody::LockRequest { lock, .. } => lock.0,
-                        _ => unreachable!(),
-                    })
+            Recv::Deliver(first) => {
+                let parked = std::iter::from_fn(|| t.next_parked(0, 1));
+                let tags: Vec<_> = std::iter::once(first)
+                    .chain(parked)
+                    .map(|b| tag(&b))
                     .collect();
                 assert_eq!(tags, vec![0, 1, 2], "gap fill releases the full run");
             }
             other => panic!("expected delivery, got {other:?}"),
         }
         assert_eq!(t.summary().buffered_out_of_order, 2);
+        assert!(matches!(t.receive(0, 1, 2, body(2)), Recv::Duplicate));
     }
 
     #[test]

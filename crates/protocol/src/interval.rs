@@ -14,13 +14,30 @@
 //! writer's own component of the stamp, which it ticked to close the
 //! interval. Records are immutable and shared — the log, the messages
 //! that carry a record and every other node's log hold one allocation.
+//!
+//! # Index and costs
+//!
+//! Two indexes, each a slot table (4 bytes per key up to the highest
+//! key a record names) into a compact list of per-key lists, so an
+//! origin or page no record names holds no list:
+//!
+//! * per origin, `(seq, position)` pairs ascending by `seq` —
+//!   [`learn`](IntervalLog::learn) appends (a relay that overtook an
+//!   older record inserts), [`knows`](IntervalLog::knows) is a binary
+//!   search, [`of_origin`](IntervalLog::of_origin) a walk of the list,
+//!   and [`unknown_to`](IntervalLog::unknown_to) takes each named
+//!   origin's tail above the clock and sorts the positions;
+//! * per page, the positions of the records naming it, ascending —
+//!   [`naming`](IntervalLog::naming) walks it.
+//!
+//! Nothing is hashed, and no query allocates unless it returns records.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::clock::{Stamp, VectorClock};
 use crate::notice::NOTICE_WIRE_BYTES;
 use crate::page::PageId;
+use crate::slots::SlotIndex;
 
 /// A closed interval: `origin` modified `pages` during the interval
 /// stamped `stamp`. This is the unit of write-notice propagation.
@@ -57,11 +74,11 @@ impl IntervalRecord {
 #[derive(Debug, Clone, Default)]
 pub struct IntervalLog {
     records: Vec<Arc<IntervalRecord>>,
-    /// Per origin with at least one record: `(seq, position in
-    /// records)`, ascending by `seq`.
-    by_origin: BTreeMap<usize, Vec<(u32, u32)>>,
+    /// Per origin with at least one record: the origin, and its
+    /// `(seq, position in records)` pairs ascending by `seq`.
+    by_origin: SlotIndex<(usize, Vec<(u32, u32)>)>,
     /// Per page some record names: positions in `records`, ascending.
-    by_page: HashMap<PageId, Vec<u32>>,
+    by_page: SlotIndex<Vec<u32>>,
 }
 
 impl IntervalLog {
@@ -70,21 +87,31 @@ impl IntervalLog {
         IntervalLog::default()
     }
 
+    /// `origin`'s `(seq, position)` pairs (none if it has no record).
+    fn seqs_of(&self, origin: usize) -> &[(u32, u32)] {
+        self.by_origin.get(origin).map_or(&[], |(_, seqs)| seqs)
+    }
+
     /// Appends `rec` unless an interval with its `(origin, seq)` is
     /// already logged. Returns true if it was new.
     pub fn learn(&mut self, rec: &Arc<IntervalRecord>) -> bool {
         let seq = rec.seq();
-        let of_origin = self.by_origin.entry(rec.origin).or_default();
+        let (_, of_origin) = self
+            .by_origin
+            .get_or_insert_with(rec.origin, || (rec.origin, Vec::new()));
         // Sequences mostly arrive ascending, but a record relayed by
         // a third node can overtake an older one of the same origin.
-        let at = of_origin.partition_point(|&(s, _)| s < seq);
+        let at = match of_origin.last() {
+            Some(&(last, _)) if last < seq => of_origin.len(),
+            _ => of_origin.partition_point(|&(s, _)| s < seq),
+        };
         if of_origin.get(at).is_some_and(|&(s, _)| s == seq) {
             return false;
         }
         let pos = u32::try_from(self.records.len()).expect("interval log fits u32 positions");
         of_origin.insert(at, (seq, pos));
         for &page in &rec.pages {
-            let naming = self.by_page.entry(page).or_default();
+            let naming = self.by_page.get_or_insert_with(page.index(), Vec::new);
             // A record listing a page twice still names it once.
             if naming.last() != Some(&pos) {
                 naming.push(pos);
@@ -96,9 +123,9 @@ impl IntervalLog {
 
     /// Whether `origin`'s interval `seq` is in the log.
     pub fn knows(&self, origin: usize, seq: u32) -> bool {
-        self.by_origin
-            .get(&origin)
-            .is_some_and(|of_origin| of_origin.binary_search_by_key(&seq, |&(s, _)| s).is_ok())
+        self.seqs_of(origin)
+            .binary_search_by_key(&seq, |&(s, _)| s)
+            .is_ok()
     }
 
     /// The records `vc` does not cover, in log order: the write
@@ -114,8 +141,8 @@ impl IntervalLog {
     /// definition.
     pub fn unknown_to(&self, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
         let mut positions: Vec<u32> = Vec::new();
-        for (&origin, of_origin) in &self.by_origin {
-            let covered = vc.get(origin);
+        for (origin, of_origin) in self.by_origin.values() {
+            let covered = vc.get(*origin);
             let from = of_origin.partition_point(|&(s, _)| s <= covered);
             positions.extend(of_origin[from..].iter().map(|&(_, pos)| pos));
         }
@@ -137,14 +164,16 @@ impl IntervalLog {
 
     /// The records that name `page`, in log order.
     pub fn naming(&self, page: PageId) -> impl Iterator<Item = &Arc<IntervalRecord>> {
-        let positions = self.by_page.get(&page).map_or(&[][..], Vec::as_slice);
+        let positions = self
+            .by_page
+            .get(page.index())
+            .map_or(&[][..], Vec::as_slice);
         positions.iter().map(|&pos| &self.records[pos as usize])
     }
 
     /// `origin`'s records, ascending by `seq`.
     pub fn of_origin(&self, origin: usize) -> impl Iterator<Item = &Arc<IntervalRecord>> {
-        let of_origin = self.by_origin.get(&origin).map_or(&[][..], Vec::as_slice);
-        of_origin
+        self.seqs_of(origin)
             .iter()
             .map(|&(_, pos)| &self.records[pos as usize])
     }

@@ -46,6 +46,7 @@ mod diff;
 mod interval;
 mod notice;
 mod page;
+mod slots;
 
 pub use clock::{HbKey, Stamp, VectorClock};
 pub use diff::Diff;

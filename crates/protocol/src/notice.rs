@@ -9,12 +9,39 @@
 //!
 //! [`NoticeBoard`] is a node's record of the notices it knows about
 //! and which of them have already been satisfied by an applied diff.
+//!
+//! # Index and costs
+//!
+//! The board is indexed by [`PageId::index`]: a slot table (4 bytes
+//! per page up to the highest page any notice names) points into a
+//! compact list of per-page records, so a page no notice names costs
+//! its slot and nothing else. A page's record keeps every notice in
+//! arrival order, and beside it
+//!
+//! * the highest `seq` per origin that named the page (a short list
+//!   sorted by origin), so a fresh notice — one above its origin's
+//!   high-water mark, which is how intervals almost always arrive —
+//!   is recognised without scanning the page's history;
+//! * the count of unapplied notices and the position of the oldest,
+//!   so a page with nothing pending answers at once and one with
+//!   something pending scans only from there.
+//!
+//! Costs: [`record_stamp`](NoticeBoard::record_stamp) and
+//! [`mark_applied`](NoticeBoard::mark_applied) of a fresh notice are a
+//! slot lookup and a binary search over the page's origins; a
+//! duplicate, an out-of-order relay and
+//! [`is_applied`](NoticeBoard::is_applied) scan the page's notices
+//! newest first; [`pending_by_origin`](NoticeBoard::pending_by_origin)
+//! walks the pending tail; [`applied_for`](NoticeBoard::applied_for)
+//! walks the whole history (it serves base copies, once per first
+//! touch). No query hashes, and none allocates unless it has
+//! something to hand out.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::clock::{Stamp, VectorClock};
 use crate::page::PageId;
+use crate::slots::SlotIndex;
 
 /// Notification that `origin` wrote `page` during the interval
 /// stamped `stamp`.
@@ -36,10 +63,85 @@ pub(crate) const NOTICE_WIRE_BYTES: usize = 24;
 /// so lookups compare two integers, never whole clocks.
 #[derive(Debug, Clone)]
 struct NoticeEntry {
-    origin: usize,
+    origin: u32,
     seq: u32,
     stamp: Stamp,
     applied: bool,
+}
+
+/// Everything the board holds for one page.
+#[derive(Debug, Clone, Default)]
+struct PageNotices {
+    /// Every notice for the page, in arrival order.
+    entries: Vec<NoticeEntry>,
+    /// Per origin with a notice for the page, ascending by origin:
+    /// the highest `seq` among them. No entry of that origin has a
+    /// larger one, so a notice above it is new without a scan.
+    high: Vec<(u32, u32)>,
+    /// Unapplied entries.
+    pending: u32,
+    /// No entry before this position is unapplied.
+    first_pending: u32,
+}
+
+impl PageNotices {
+    /// Where `origin`'s notice `seq` sits in `entries`.
+    fn find(&self, origin: u32, seq: u32) -> Option<usize> {
+        let below_high = match self.high.binary_search_by_key(&origin, |&(o, _)| o) {
+            Ok(at) => seq <= self.high[at].1,
+            Err(_) => false,
+        };
+        if !below_high {
+            return None;
+        }
+        // Notices are looked up soon after they arrive: newest first.
+        self.entries
+            .iter()
+            .rposition(|e| e.origin == origin && e.seq == seq)
+    }
+
+    /// Appends a notice known not to be on the page.
+    fn push(&mut self, origin: u32, seq: u32, stamp: &Stamp, applied: bool) {
+        match self.high.binary_search_by_key(&origin, |&(o, _)| o) {
+            Ok(at) => self.high[at].1 = self.high[at].1.max(seq),
+            Err(at) => self.high.insert(at, (origin, seq)),
+        }
+        self.entries.push(NoticeEntry {
+            origin,
+            seq,
+            stamp: Arc::clone(stamp),
+            applied,
+        });
+        if applied {
+            self.skip_applied();
+        } else {
+            self.pending += 1;
+        }
+    }
+
+    /// Marks the entry at `at` applied.
+    fn apply(&mut self, at: usize) {
+        let e = &mut self.entries[at];
+        if !std::mem::replace(&mut e.applied, true) {
+            self.pending -= 1;
+            self.skip_applied();
+        }
+    }
+
+    /// Advances `first_pending` past applied entries.
+    fn skip_applied(&mut self) {
+        let from = self.first_pending as usize;
+        let skipped = self.entries[from..]
+            .iter()
+            .take_while(|e| e.applied)
+            .count();
+        self.first_pending += skipped as u32;
+    }
+
+    /// The entries that may be unapplied.
+    fn pending_tail(&self) -> &[NoticeEntry] {
+        &self.entries[self.first_pending as usize..]
+    }
 }
 
 /// A node's record of known write notices, per page.
@@ -47,13 +149,25 @@ struct NoticeEntry {
 /// Invariant: at most one entry per (page, origin, seq).
 #[derive(Debug, Clone, Default)]
 pub struct NoticeBoard {
-    by_page: HashMap<PageId, Vec<NoticeEntry>>,
+    /// One record per page some notice names, by page index.
+    pages: SlotIndex<PageNotices>,
 }
 
 impl NoticeBoard {
     /// An empty board.
     pub fn new() -> Self {
         NoticeBoard::default()
+    }
+
+    /// The record of `page`, if any notice names it.
+    fn page(&self, page: PageId) -> Option<&PageNotices> {
+        self.pages.get(page.index())
+    }
+
+    /// The record of `page`, created empty if no notice named it yet.
+    fn page_mut(&mut self, page: PageId) -> &mut PageNotices {
+        self.pages
+            .get_or_insert_with(page.index(), PageNotices::default)
     }
 
     /// Records a notice received at acquire time (or piggybacked on a
@@ -67,33 +181,32 @@ impl NoticeBoard {
     /// (an interval record's): a new entry takes a reference to it
     /// instead of copying the clock.
     pub fn record_stamp(&mut self, page: PageId, origin: usize, stamp: &Stamp) -> bool {
-        let seq = stamp.get(origin);
-        let entries = self.by_page.entry(page).or_default();
-        if entries.iter().any(|e| e.origin == origin && e.seq == seq) {
+        let (origin, seq) = (origin as u32, stamp.get(origin));
+        let notices = self.page_mut(page);
+        if notices.find(origin, seq).is_some() {
             return false;
         }
-        entries.push(NoticeEntry {
-            origin,
-            seq,
-            stamp: Arc::clone(stamp),
-            applied: false,
-        });
+        notices.push(origin, seq, stamp, false);
         true
     }
 
-    /// The distinct origins that have pending (unapplied)
-    /// modifications to `page`, with the stamps pending per origin.
-    pub fn pending_by_origin(&self, page: PageId) -> Vec<(usize, Vec<Stamp>)> {
-        let mut out: Vec<(usize, Vec<Stamp>)> = Vec::new();
-        if let Some(entries) = self.by_page.get(&page) {
-            for e in entries.iter().filter(|e| !e.applied) {
-                match out.iter_mut().find(|(o, _)| *o == e.origin) {
-                    Some((_, stamps)) => stamps.push(Arc::clone(&e.stamp)),
-                    None => out.push((e.origin, vec![Arc::clone(&e.stamp)])),
-                }
-            }
-        }
-        out.sort_by_key(|(o, _)| *o);
+    /// The pending (unapplied) notices of `page` as `(origin, stamp)`
+    /// pairs, ascending by origin and, within an origin, in arrival
+    /// order. Empty — without allocating — when nothing is pending.
+    pub fn pending_by_origin(&self, page: PageId) -> Vec<(usize, Stamp)> {
+        let Some(notices) = self.page(page).filter(|n| n.pending > 0) else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(notices.pending as usize);
+        out.extend(
+            notices
+                .pending_tail()
+                .iter()
+                .filter(|e| !e.applied)
+                .map(|e| (e.origin as usize, Arc::clone(&e.stamp))),
+        );
+        // Stable: each origin's notices keep their arrival order.
+        out.sort_by_key(|&(origin, _)| origin);
         out
     }
 
@@ -102,19 +215,11 @@ impl NoticeBoard {
     /// applied, which happens when a diff arrives (e.g. via prefetch)
     /// before its notice propagates.
     pub fn mark_applied(&mut self, page: PageId, origin: usize, stamp: &Stamp) {
-        let seq = stamp.get(origin);
-        let entries = self.by_page.entry(page).or_default();
-        match entries
-            .iter_mut()
-            .find(|e| e.origin == origin && e.seq == seq)
-        {
-            Some(e) => e.applied = true,
-            None => entries.push(NoticeEntry {
-                origin,
-                seq,
-                stamp: Arc::clone(stamp),
-                applied: true,
-            }),
+        let (origin, seq) = (origin as u32, stamp.get(origin));
+        let notices = self.page_mut(page);
+        match notices.find(origin, seq) {
+            Some(at) => notices.apply(at),
+            None => notices.push(origin, seq, stamp, true),
         }
     }
 
@@ -123,20 +228,24 @@ impl NoticeBoard {
     /// after newer ones is unsound (diffs are byte-sparse), so
     /// consumers check this before applying cached data.
     pub fn is_applied(&self, page: PageId, origin: usize, seq: u32) -> bool {
-        self.by_page.get(&page).is_some_and(|es| {
-            es.iter()
-                .any(|e| e.applied && e.origin == origin && e.seq == seq)
+        self.page(page).is_some_and(|notices| {
+            notices
+                .find(origin as u32, seq)
+                .is_some_and(|at| notices.entries[at].applied)
         })
     }
 
     /// The (origin, stamp) pairs whose diffs have been applied into
-    /// the local copy of `page` — sent along with base copies so a
-    /// first-touch fetcher knows what the copy already incorporates.
+    /// the local copy of `page`, in arrival order — sent along with
+    /// base copies so a first-touch fetcher knows what the copy
+    /// already incorporates.
     pub fn applied_for(&self, page: PageId) -> Vec<(usize, Stamp)> {
-        self.by_page.get(&page).map_or_else(Vec::new, |es| {
-            es.iter()
+        self.page(page).map_or_else(Vec::new, |notices| {
+            notices
+                .entries
+                .iter()
                 .filter(|e| e.applied)
-                .map(|e| (e.origin, Arc::clone(&e.stamp)))
+                .map(|e| (e.origin as usize, Arc::clone(&e.stamp)))
                 .collect()
         })
     }
@@ -155,11 +264,7 @@ mod tests {
     }
 
     fn pending(board: &NoticeBoard, page: u32) -> usize {
-        board
-            .pending_by_origin(PageId::new(page))
-            .iter()
-            .map(|(_, stamps)| stamps.len())
-            .sum()
+        board.pending_by_origin(PageId::new(page)).len()
     }
 
     #[test]
@@ -185,20 +290,60 @@ mod tests {
         board.record_stamp(PageId::new(2), 0, &s);
         assert_eq!(Arc::strong_count(&s), 3, "one clock, three holders");
         let pending = board.pending_by_origin(PageId::new(1));
-        assert!(Arc::ptr_eq(&pending[0].1[0], &s));
+        assert!(Arc::ptr_eq(&pending[0].1, &s));
     }
 
     #[test]
     fn pending_grouped_by_origin() {
         let mut board = NoticeBoard::new();
-        board.record_stamp(PageId::new(1), 0, &stamp(2, &[0]));
-        board.record_stamp(PageId::new(1), 0, &stamp(2, &[0, 0]));
         board.record_stamp(PageId::new(1), 1, &stamp(2, &[1]));
-        let pending = board.pending_by_origin(PageId::new(1));
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].0, 0);
-        assert_eq!(pending[0].1.len(), 2);
-        assert_eq!(pending[1].0, 1);
+        board.record_stamp(PageId::new(1), 0, &stamp(2, &[0, 0]));
+        board.record_stamp(PageId::new(1), 0, &stamp(2, &[0]));
+        let ids: Vec<(usize, u32)> = board
+            .pending_by_origin(PageId::new(1))
+            .iter()
+            .map(|(o, s)| (*o, s.get(*o)))
+            .collect();
+        // Ascending by origin; within one, arrival order (seq 2 came
+        // first, relayed ahead of seq 1).
+        assert_eq!(ids, [(0, 2), (0, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn out_of_order_and_duplicate_notices_are_found_below_the_high_water() {
+        let mut board = NoticeBoard::new();
+        let (one, two) = (stamp(2, &[0]), stamp(2, &[0, 0]));
+        assert!(board.record_stamp(PageId::new(4), 0, &two));
+        assert!(board.record_stamp(PageId::new(4), 0, &one), "relayed late");
+        assert!(!board.record_stamp(PageId::new(4), 0, &one));
+        assert!(!board.record_stamp(PageId::new(4), 0, &two));
+        board.mark_applied(PageId::new(4), 0, &one);
+        assert!(board.is_applied(PageId::new(4), 0, 1));
+        assert!(!board.is_applied(PageId::new(4), 0, 2));
+        assert_eq!(pending(&board, 4), 1);
+        board.mark_applied(PageId::new(4), 0, &two);
+        assert_eq!(pending(&board, 4), 0);
+        assert_eq!(
+            board
+                .applied_for(PageId::new(4))
+                .iter()
+                .map(|(_, s)| s.get(0))
+                .collect::<Vec<_>>(),
+            [2, 1],
+            "arrival order"
+        );
+    }
+
+    #[test]
+    fn a_page_without_notices_answers_from_its_slot() {
+        let mut board = NoticeBoard::new();
+        board.record_stamp(PageId::new(7), 0, &stamp(1, &[0]));
+        assert_eq!(board.pages.len(), 1, "one record, for the one named page");
+        assert!(board.pending_by_origin(PageId::new(3)).is_empty());
+        assert!(board.pending_by_origin(PageId::new(70)).is_empty());
+        assert!(board.applied_for(PageId::new(3)).is_empty());
+        assert!(!board.is_applied(PageId::new(70), 0, 1));
+        assert_eq!(board.pages.len(), 1, "queries create nothing");
     }
 
     #[test]

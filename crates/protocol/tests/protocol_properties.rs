@@ -1,10 +1,11 @@
 //! Property-based tests of the LRC protocol invariants.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rsdsm_protocol::{
-    Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, VectorClock, WriteNotice,
+    Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, Stamp, VectorClock, WriteNotice,
     PAGE_SIZE,
 };
 
@@ -547,6 +548,299 @@ proptest! {
             }
             if list.is_empty() {
                 prop_assert_eq!(log.indexed_keys(), 0);
+            }
+        }
+    }
+}
+
+/// The notice board as it was before its index: per page, every
+/// notice in arrival order behind a `HashMap`, each question answered
+/// by a scan. The differential reference of [`NoticeBoard`].
+#[derive(Default)]
+struct MapBoard {
+    by_page: HashMap<PageId, Vec<(usize, u32, Stamp, bool)>>,
+}
+
+impl MapBoard {
+    fn record_stamp(&mut self, page: PageId, origin: usize, stamp: &Stamp) -> bool {
+        let seq = stamp.get(origin);
+        let entries = self.by_page.entry(page).or_default();
+        if entries.iter().any(|e| e.0 == origin && e.1 == seq) {
+            return false;
+        }
+        entries.push((origin, seq, Arc::clone(stamp), false));
+        true
+    }
+
+    fn pending_by_origin(&self, page: PageId) -> Vec<(usize, Vec<Stamp>)> {
+        let mut out: Vec<(usize, Vec<Stamp>)> = Vec::new();
+        for e in self.by_page.get(&page).into_iter().flatten() {
+            if e.3 {
+                continue;
+            }
+            match out.iter_mut().find(|(o, _)| *o == e.0) {
+                Some((_, stamps)) => stamps.push(Arc::clone(&e.2)),
+                None => out.push((e.0, vec![Arc::clone(&e.2)])),
+            }
+        }
+        out.sort_by_key(|(o, _)| *o);
+        out
+    }
+
+    fn mark_applied(&mut self, page: PageId, origin: usize, stamp: &Stamp) {
+        let seq = stamp.get(origin);
+        let entries = self.by_page.entry(page).or_default();
+        match entries.iter_mut().find(|e| e.0 == origin && e.1 == seq) {
+            Some(e) => e.3 = true,
+            None => entries.push((origin, seq, Arc::clone(stamp), true)),
+        }
+    }
+
+    fn is_applied(&self, page: PageId, origin: usize, seq: u32) -> bool {
+        self.by_page
+            .get(&page)
+            .is_some_and(|es| es.iter().any(|e| e.3 && e.0 == origin && e.1 == seq))
+    }
+
+    fn applied_for(&self, page: PageId) -> Vec<(usize, Stamp)> {
+        self.by_page.get(&page).map_or_else(Vec::new, |es| {
+            es.iter()
+                .filter(|e| e.3)
+                .map(|e| (e.0, Arc::clone(&e.2)))
+                .collect()
+        })
+    }
+}
+
+/// The interval log as it was before its index: a `BTreeMap` of
+/// per-origin `(seq, position)` lists and a `HashMap` of per-page
+/// position lists. The differential reference of [`IntervalLog`].
+#[derive(Default)]
+struct MapLog {
+    records: Vec<Arc<IntervalRecord>>,
+    by_origin: BTreeMap<usize, Vec<(u32, u32)>>,
+    by_page: HashMap<PageId, Vec<u32>>,
+}
+
+impl MapLog {
+    fn learn(&mut self, rec: &Arc<IntervalRecord>) -> bool {
+        let seq = rec.seq();
+        let of_origin = self.by_origin.entry(rec.origin).or_default();
+        let at = of_origin.partition_point(|&(s, _)| s < seq);
+        if of_origin.get(at).is_some_and(|&(s, _)| s == seq) {
+            return false;
+        }
+        let pos = self.records.len() as u32;
+        of_origin.insert(at, (seq, pos));
+        for &page in &rec.pages {
+            let naming = self.by_page.entry(page).or_default();
+            if naming.last() != Some(&pos) {
+                naming.push(pos);
+            }
+        }
+        self.records.push(Arc::clone(rec));
+        true
+    }
+
+    fn knows(&self, origin: usize, seq: u32) -> bool {
+        self.by_origin
+            .get(&origin)
+            .is_some_and(|l| l.binary_search_by_key(&seq, |&(s, _)| s).is_ok())
+    }
+
+    fn unknown_to(&self, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
+        let mut positions: Vec<u32> = Vec::new();
+        for (&origin, of_origin) in &self.by_origin {
+            let from = of_origin.partition_point(|&(s, _)| s <= vc.get(origin));
+            positions.extend(of_origin[from..].iter().map(|&(_, pos)| pos));
+        }
+        positions.sort_unstable();
+        positions
+            .into_iter()
+            .map(|pos| Arc::clone(&self.records[pos as usize]))
+            .collect()
+    }
+
+    fn naming(&self, page: PageId) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+        let positions = self.by_page.get(&page).map_or(&[][..], Vec::as_slice);
+        positions.iter().map(|&pos| &self.records[pos as usize])
+    }
+
+    fn of_origin(&self, origin: usize) -> impl Iterator<Item = &Arc<IntervalRecord>> {
+        let of_origin = self.by_origin.get(&origin).map_or(&[][..], Vec::as_slice);
+        of_origin
+            .iter()
+            .map(|&(_, pos)| &self.records[pos as usize])
+    }
+
+    fn indexed_keys(&self) -> usize {
+        self.by_origin.len() + self.by_page.len()
+    }
+}
+
+/// The identity and allocation of a handed-out stamp: two answers
+/// agree only if they hand out the very same `Arc`s in the same order.
+fn stamp_ids<'a>(
+    pairs: impl IntoIterator<Item = (usize, &'a Stamp)>,
+) -> Vec<(usize, u32, *const VectorClock)> {
+    pairs
+        .into_iter()
+        .map(|(origin, s)| (origin, s.get(origin), Arc::as_ptr(s)))
+        .collect()
+}
+
+proptest! {
+    /// [`NoticeBoard`] answers every question exactly as the
+    /// `HashMap` board it replaced, in the same order and with the
+    /// same shared stamps. Notices arrive with their sequence numbers
+    /// in any order (a relay can overtake), duplicated (the same
+    /// interval piggybacked twice, sometimes in a fresh copy of its
+    /// stamp), and after their diff was already applied; pages are
+    /// scattered over a range the board has to grow into.
+    #[test]
+    fn notice_board_matches_the_hash_map_reference(
+        ops in prop::collection::vec((0u8..6, 0usize..5, 0usize..4, 1u32..7, any::<bool>()), 1..200),
+    ) {
+        const PAGES: [u32; 5] = [0, 3, 4, 17, 300];
+        let shared: HashMap<(usize, u32), Stamp> = (0..4)
+            .flat_map(|o| (1..7).map(move |seq| (o, seq)))
+            .map(|(o, seq)| {
+                let mut elems = [0; 4];
+                elems[o] = seq;
+                ((o, seq), Arc::new(VectorClock::from_entries(&elems)))
+            })
+            .collect();
+        let mut board = NoticeBoard::new();
+        let mut reference = MapBoard::default();
+        for &(kind, page, origin, seq, fresh_copy) in &ops {
+            let page = PageId::new(PAGES[page]);
+            let stamp = if fresh_copy {
+                Arc::new(VectorClock::clone(&shared[&(origin, seq)]))
+            } else {
+                Arc::clone(&shared[&(origin, seq)])
+            };
+            match kind {
+                0 | 1 => prop_assert_eq!(
+                    board.record_stamp(page, origin, &stamp),
+                    reference.record_stamp(page, origin, &stamp)
+                ),
+                2 => {
+                    board.mark_applied(page, origin, &stamp);
+                    reference.mark_applied(page, origin, &stamp);
+                }
+                3 => prop_assert_eq!(
+                    board.is_applied(page, origin, seq),
+                    reference.is_applied(page, origin, seq)
+                ),
+                _ => {}
+            }
+            for page in PAGES.map(PageId::new) {
+                let nested = reference.pending_by_origin(page);
+                prop_assert_eq!(
+                    stamp_ids(board.pending_by_origin(page).iter().map(|(o, s)| (*o, s))),
+                    stamp_ids(nested.iter().flat_map(|(o, ss)| ss.iter().map(move |s| (*o, s))))
+                );
+                prop_assert_eq!(
+                    stamp_ids(board.applied_for(page).iter().map(|(o, s)| (*o, s))),
+                    stamp_ids(reference.applied_for(page).iter().map(|(o, s)| (*o, s)))
+                );
+            }
+        }
+        for page in PAGES.map(PageId::new) {
+            for origin in 0..4 {
+                for seq in 0..8 {
+                    prop_assert_eq!(
+                        board.is_applied(page, origin, seq),
+                        reference.is_applied(page, origin, seq)
+                    );
+                }
+            }
+        }
+    }
+
+    /// [`IntervalLog`] answers every question exactly as the
+    /// `BTreeMap` / `HashMap` log it replaced — `learn`, `knows`,
+    /// `unknown_to`, `naming`, `of_origin` and `indexed_keys`, after
+    /// every operation. The cluster below closes intervals, relays
+    /// arbitrary subsets of its logs in arbitrary order (sequence
+    /// numbers out of order, duplicates, fresh copies of a record)
+    /// and grants, so every clock stays causally closed.
+    #[test]
+    fn interval_log_matches_the_map_reference(
+        ops in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, any::<u64>()), 1..120),
+    ) {
+        const NODES: usize = 5;
+        const PAGES: [u32; 6] = [0, 1, 2, 9, 10, 200];
+        let mut clocks: Vec<VectorClock> = (0..NODES).map(|_| VectorClock::new(NODES)).collect();
+        let mut logs: Vec<IntervalLog> = (0..NODES).map(|_| IntervalLog::new()).collect();
+        let mut refs: Vec<MapLog> = (0..NODES).map(|_| MapLog::default()).collect();
+        for &(kind, a, b, bits) in &ops {
+            match kind {
+                0 if a < NODES - 1 => {
+                    clocks[a].tick(a);
+                    let rec = Arc::new(IntervalRecord {
+                        origin: a,
+                        stamp: Arc::new(clocks[a].clone()),
+                        pages: PAGES
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, _)| bits >> i & 1 == 1)
+                            .map(|(_, &p)| PageId::new(p))
+                            .collect(),
+                    });
+                    prop_assert_eq!(logs[a].learn(&rec), refs[a].learn(&rec));
+                }
+                1 => {
+                    let mut relayed: Vec<Arc<IntervalRecord>> = refs[a]
+                        .records
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| bits >> (i % 62) & 1 == 1)
+                        .map(|(_, r)| if bits >> 62 & 1 == 1 { Arc::new(IntervalRecord::clone(r)) } else { Arc::clone(r) })
+                        .collect();
+                    if bits >> 63 == 1 {
+                        relayed.reverse();
+                    }
+                    for rec in &relayed {
+                        prop_assert_eq!(logs[b].learn(rec), refs[b].learn(rec));
+                    }
+                }
+                2 => {
+                    let unknown = logs[a].unknown_to(&clocks[b]);
+                    prop_assert!(unknown
+                        .iter()
+                        .map(Arc::as_ptr)
+                        .eq(refs[a].unknown_to(&clocks[b]).iter().map(Arc::as_ptr)));
+                    for rec in &unknown {
+                        prop_assert_eq!(logs[b].learn(rec), refs[b].learn(rec));
+                    }
+                    let granter = clocks[a].clone();
+                    clocks[b].join(&granter);
+                }
+                _ => {}
+            }
+            for (log, reference) in logs.iter().zip(&refs) {
+                prop_assert_eq!(log.indexed_keys(), reference.indexed_keys());
+                prop_assert!(log.records().iter().map(Arc::as_ptr).eq(reference.records.iter().map(Arc::as_ptr)));
+                for vc in &clocks {
+                    prop_assert!(log
+                        .unknown_to(vc)
+                        .iter()
+                        .map(Arc::as_ptr)
+                        .eq(reference.unknown_to(vc).iter().map(Arc::as_ptr)));
+                }
+                for page in PAGES.map(PageId::new) {
+                    prop_assert!(log.naming(page).map(Arc::as_ptr).eq(reference.naming(page).map(Arc::as_ptr)));
+                }
+                for (origin, clock) in clocks.iter().enumerate() {
+                    prop_assert!(log
+                        .of_origin(origin)
+                        .map(Arc::as_ptr)
+                        .eq(reference.of_origin(origin).map(Arc::as_ptr)));
+                    for seq in 0..=clock.get(origin) + 1 {
+                        prop_assert_eq!(log.knows(origin, seq), reference.knows(origin, seq));
+                    }
+                }
             }
         }
     }

@@ -14,7 +14,9 @@
 //!   differs from the queue's cursor, cascades toward level 0 as the
 //!   cursor advances (at most once per level), and slot storage is
 //!   recycled through an internal arena so steady-state operation
-//!   allocates nothing.
+//!   allocates nothing. A slot is one `Vec` header (24 bytes) and
+//!   nothing inline, so the wheel's own footprint — 8 576 slots,
+//!   ≈ 0.2 MB — is independent of the payload type.
 //! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept
 //!   as the differential reference. The equivalence suite drives both
 //!   with identical schedules and demands identical pop sequences.
@@ -34,7 +36,6 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::num::NonZeroU64;
 
 use crate::time::SimTime;
 
@@ -116,75 +117,24 @@ pub const WHEEL_TIER_BOUNDARIES_NS: [u64; 8] = [
     1 << (BOTTOM_BITS + L0_BITS + 5 * LEVEL_BITS),
     WHEEL_HORIZON_NS,
 ];
-/// Cap on recycled slot vectors kept in the arena.
-const SPARE_MAX: usize = 64;
 
 /// One scheduled event inside the wheel.
 #[derive(Debug)]
 struct Entry<T> {
     time: u64,
-    /// Insertion sequence number, from 1. Non-zero so that
-    /// `Option<Entry<T>>` is entry-sized (see [`Bucket`]).
-    seq: NonZeroU64,
+    /// Insertion sequence number: the FIFO tie-break.
+    seq: u64,
     payload: T,
 }
 
-/// Inline entries per wheel slot, sized so a typical tick's batch
-/// fits without touching the heap.
-const BUCKET_INLINE: usize = 4;
-
-/// One wheel slot. The first few entries live inline in the slot
-/// array — which is small enough to stay cache-resident — so the
-/// common push (a thinly populated tick) touches no heap memory at
-/// all; crowded ticks spill into an arena-recycled vector. Entry
-/// order within a bucket is arbitrary: pop order is established by
-/// the drain-time sort (level 0) or by re-placement (upper levels).
-/// Field order is fixed (`repr(C)`) so the header and the first
-/// inline entry share a cache line: the common one-event push
-/// touches a single line. The inline slots are `Option`s, but the
-/// entry's `NonZeroU64` sequence number gives the `Option` a niche:
-/// a slot is exactly `size_of::<Entry<T>>()` bytes, carrying no
-/// separate discriminant, so for a word-sized payload the whole
-/// bucket is two cache lines (see `bucket_layout_is_niche_packed`).
-#[derive(Debug)]
-#[repr(C)]
-struct Bucket<T> {
-    /// Number of occupied `inline` slots (they fill front to back).
-    inline_len: u8,
-    spill: Vec<Entry<T>>,
-    inline: [Option<Entry<T>>; BUCKET_INLINE],
-}
-
-impl<T> Bucket<T> {
-    /// The occupied inline prefix.
-    fn inline_entries(&self) -> impl Iterator<Item = &Entry<T>> {
-        self.inline[..self.inline_len as usize]
-            .iter()
-            .map(|slot| slot.as_ref().expect("tracked inline entry"))
-    }
-
-    /// Moves the occupied inline prefix out, leaving the bucket's
-    /// inline storage empty.
-    fn drain_inline_into(&mut self, out: &mut Vec<Entry<T>>) {
-        let len = self.inline_len as usize;
-        self.inline_len = 0;
-        out.extend(
-            self.inline[..len]
-                .iter_mut()
-                .map(|slot| slot.take().expect("tracked inline entry")),
-        );
-    }
-}
-
-impl<T> Default for Bucket<T> {
-    fn default() -> Self {
-        Bucket {
-            inline_len: 0,
-            spill: Vec::new(),
-            inline: std::array::from_fn(|_| None),
-        }
-    }
-}
+/// One wheel slot: the events routed to it, in arbitrary order — pop
+/// order is established by the drain-time sort (level 0) or by
+/// re-placement (upper levels). An empty slot holds no allocation;
+/// the first push into one draws a vector from its level's arena, and
+/// draining it hands the vector back. Nothing is inline: a slot is a
+/// 24-byte header whatever the payload, so the slot array is
+/// ≈ 0.2 MB for every `T` (see `a_slot_is_one_vec_header`).
+type Bucket<T> = Vec<Entry<T>>;
 
 /// A deterministic min-priority queue of timestamped events, backed
 /// by a hierarchical timing wheel.
@@ -214,15 +164,24 @@ impl<T> Default for Bucket<T> {
 ///   wheel's [`WHEEL_HORIZON_NS`] (lease expiries, partition heals).
 ///   When the wheel drains completely, the next calendar epoch is
 ///   migrated in one batch.
-/// * `spare` — an arena of drained slot vectors, recycled so
-///   steady-state push/pop cycles allocate nothing.
+/// * `spare` — arenas of drained slot vectors, one per level, so
+///   steady-state push/pop cycles allocate nothing. A level's drained
+///   vectors serve that level's next pushes: the bottom level's hold
+///   a tick's handful of events, while an upper bucket can collect a
+///   large share of the population (far-future leases) — handed to
+///   the bottom level, its buffer would leave the next upper bucket
+///   to grow from scratch. The arenas are uncapped: every vector is
+///   in an occupied slot, in `ready` or in an arena, so an arena
+///   never holds more than its level's peak of occupied slots (+1),
+///   and a cap below that would free and re-allocate vectors on every
+///   swing of it.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     /// Time floor: no pending event is earlier than `cursor` except
     /// those already ordered in `ready`.
     cursor: u64,
     len: usize,
-    next_seq: NonZeroU64,
+    next_seq: u64,
     /// Occupancy bitmap of the wide bottom level.
     occupied0: [u64; L0_WORDS],
     /// Per-upper-level bitmap of non-empty buckets.
@@ -236,9 +195,10 @@ pub struct EventQueue<T> {
     /// in wholesale without copying.
     ready: Vec<Entry<T>>,
     /// Far-future calendar, keyed by `(time, seq)`.
-    overflow: BTreeMap<(u64, NonZeroU64), T>,
-    /// Recycled bucket storage.
-    spare: Vec<Vec<Entry<T>>>,
+    overflow: BTreeMap<(u64, u64), T>,
+    /// Recycled bucket storage: the bottom level's, then each upper
+    /// level's.
+    spare: [Vec<Bucket<T>>; 1 + UPPER_LEVELS],
 }
 
 impl<T> EventQueue<T> {
@@ -247,15 +207,15 @@ impl<T> EventQueue<T> {
         EventQueue {
             cursor: 0,
             len: 0,
-            next_seq: NonZeroU64::MIN,
+            next_seq: 0,
             occupied0: [0; L0_WORDS],
             occupied: [0; UPPER_LEVELS],
-            slots: std::iter::repeat_with(Bucket::default)
+            slots: std::iter::repeat_with(Vec::new)
                 .take(L0_SLOTS + UPPER_LEVELS * SLOTS)
                 .collect(),
             ready: Vec::new(),
             overflow: BTreeMap::new(),
-            spare: Vec::new(),
+            spare: std::array::from_fn(|_| Vec::new()),
         }
     }
 
@@ -275,7 +235,7 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, time: SimTime, payload: T) {
         let t = time.as_nanos();
         let seq = self.next_seq;
-        self.next_seq = seq.checked_add(1).expect("sequence counter overflow");
+        self.next_seq += 1;
         if self.len == 0 {
             // An empty queue has no ordering constraints: re-anchor
             // the cursor so the event lands in `ready` directly and a
@@ -334,10 +294,8 @@ impl<T> EventQueue<T> {
                     .map(|l| L0_SLOTS + l * SLOTS + self.occupied[l].trailing_zeros() as usize)
             });
         if let Some(idx) = earliest_bucket {
-            let bucket = &self.slots[idx];
-            let min = bucket
-                .inline_entries()
-                .chain(bucket.spill.iter())
+            let min = self.slots[idx]
+                .iter()
                 .map(|e| e.time)
                 .min()
                 .expect("occupied bucket is non-empty");
@@ -362,9 +320,7 @@ impl<T> EventQueue<T> {
     /// Removes all pending events.
     pub fn clear(&mut self) {
         for bucket in &mut self.slots {
-            bucket.inline = std::array::from_fn(|_| None);
-            bucket.inline_len = 0;
-            bucket.spill.clear();
+            bucket.clear();
         }
         self.occupied0 = [0; L0_WORDS];
         self.occupied = [0; UPPER_LEVELS];
@@ -384,7 +340,7 @@ impl<T> EventQueue<T> {
     ///   and its bucket index at its level is strictly above the
     ///   cursor's digit there, so "lowest occupied level, lowest
     ///   occupied bucket" is always the wheel's global minimum.
-    fn place(&mut self, t: u64, seq: NonZeroU64, payload: T) {
+    fn place(&mut self, t: u64, seq: u64, payload: T) {
         // Wheel routing happens on coarse ticks; `ready` absorbs
         // everything at or before the cursor AND everything sharing
         // the cursor's coarse tick (that tick's bucket has already
@@ -416,12 +372,12 @@ impl<T> EventQueue<T> {
             }
             return;
         }
-        let idx = if diff < L0_SLOTS as u64 {
+        let (idx, arena) = if diff < L0_SLOTS as u64 {
             // Agrees with the cursor above the bottom digit: the
             // dominant case, one bucket write and no cascades ever.
             let slot = (coarse & (L0_SLOTS as u64 - 1)) as usize;
             self.occupied0[slot >> 6] |= 1 << (slot & 63);
-            slot
+            (slot, 0)
         } else {
             let upper = diff >> L0_BITS;
             let level = ((63 - upper.leading_zeros()) / LEVEL_BITS) as usize;
@@ -432,25 +388,19 @@ impl<T> EventQueue<T> {
             let slot =
                 ((coarse >> (L0_BITS + level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
             self.occupied[level] |= 1 << slot;
-            L0_SLOTS + level * SLOTS + slot
+            (L0_SLOTS + level * SLOTS + slot, 1 + level)
         };
         let bucket = &mut self.slots[idx];
-        let e = Entry {
+        if bucket.capacity() == 0 {
+            if let Some(recycled) = self.spare[arena].pop() {
+                *bucket = recycled;
+            }
+        }
+        bucket.push(Entry {
             time: t,
             seq,
             payload,
-        };
-        if (bucket.inline_len as usize) < BUCKET_INLINE {
-            bucket.inline[bucket.inline_len as usize] = Some(e);
-            bucket.inline_len += 1;
-        } else {
-            if bucket.spill.capacity() == 0 {
-                if let Some(recycled) = self.spare.pop() {
-                    bucket.spill = recycled;
-                }
-            }
-            bucket.spill.push(e);
-        }
+        });
     }
 
     /// Advances the cursor to the next pending deadline: drains the
@@ -468,20 +418,13 @@ impl<T> EventQueue<T> {
             if bits != 0 {
                 let slot = (w << 6) | bits.trailing_zeros() as usize;
                 self.occupied0[w] = bits & (bits - 1);
-                let bucket = &mut self.slots[slot];
-                let mut drained = std::mem::take(&mut bucket.spill);
-                if drained.capacity() == 0 {
-                    // Nothing spilled: recycle an arena vector so the
-                    // drain itself never allocates. (Recycling beats
-                    // parking capacity per slot: the arena's buffers
-                    // were touched a tick ago and are cache-hot,
-                    // where a slot's own buffer went cold a full
-                    // wheel revolution ago.)
-                    if let Some(recycled) = self.spare.pop() {
-                        drained = recycled;
-                    }
-                }
-                bucket.drain_inline_into(&mut drained);
+                // The slot's vector leaves with its events and the
+                // slot holds no allocation until its next push draws
+                // one from the arena. (Recycling beats parking
+                // capacity per slot: the arena's buffers were touched
+                // a tick ago and are cache-hot, where a slot's own
+                // buffer would go cold a full wheel revolution ago.)
+                let mut drained = std::mem::take(&mut self.slots[slot]);
                 // A level-0 bucket is one coarse tick; deliver it
                 // whole. The sort is required twice over: the tick
                 // spans `2^BOTTOM_BITS` distinct timestamps, and
@@ -496,13 +439,11 @@ impl<T> EventQueue<T> {
                 // so the sorted batch swaps in without copying and
                 // the old `ready` allocation recycles via the arena.
                 drained.sort_unstable_by_key(|e| {
-                    std::cmp::Reverse(((e.time as u128) << 64) | e.seq.get() as u128)
+                    std::cmp::Reverse(((e.time as u128) << 64) | e.seq as u128)
                 });
                 debug_assert!(self.ready.is_empty());
                 std::mem::swap(&mut self.ready, &mut drained);
-                if drained.capacity() > 0 && self.spare.len() < SPARE_MAX {
-                    self.spare.push(drained);
-                }
+                self.recycle(0, drained);
                 return;
             }
         }
@@ -510,16 +451,7 @@ impl<T> EventQueue<T> {
             if self.occupied[level] != 0 {
                 let slot = self.occupied[level].trailing_zeros() as usize;
                 self.occupied[level] &= !(1 << slot);
-                let bucket = &mut self.slots[L0_SLOTS + level * SLOTS + slot];
-                let mut drained = std::mem::take(&mut bucket.spill);
-                if drained.capacity() == 0 {
-                    // Nothing spilled: recycle an arena vector so the
-                    // drain itself never allocates.
-                    if let Some(recycled) = self.spare.pop() {
-                        drained = recycled;
-                    }
-                }
-                bucket.drain_inline_into(&mut drained);
+                let mut drained = std::mem::take(&mut self.slots[L0_SLOTS + level * SLOTS + slot]);
                 // Step into the bucket's range and redistribute:
                 // every entry now agrees with the cursor at this
                 // level and above, so it re-places strictly below
@@ -531,13 +463,20 @@ impl<T> EventQueue<T> {
                 for e in drained.drain(..) {
                     self.place(e.time, e.seq, e.payload);
                 }
-                if drained.capacity() > 0 && self.spare.len() < SPARE_MAX {
-                    self.spare.push(drained);
-                }
+                self.recycle(1 + level, drained);
                 return;
             }
         }
         self.migrate_overflow();
+    }
+
+    /// Returns an emptied vector to `arena` (one that never held
+    /// anything has no buffer worth keeping).
+    fn recycle(&mut self, arena: usize, emptied: Bucket<T>) {
+        debug_assert!(emptied.is_empty());
+        if emptied.capacity() > 0 {
+            self.spare[arena].push(emptied);
+        }
     }
 
     /// Re-anchors the wheel at the calendar's first deadline and pulls
@@ -554,7 +493,7 @@ impl<T> EventQueue<T> {
             // The epoch reaches the top of the u64 range: take it all.
             std::mem::take(&mut self.overflow)
         } else {
-            let rest = self.overflow.split_off(&(bound, NonZeroU64::MIN));
+            let rest = self.overflow.split_off(&(bound, 0));
             std::mem::replace(&mut self.overflow, rest)
         };
         for ((t, seq), payload) in batch {
@@ -915,23 +854,35 @@ mod tests {
             }
             while q.pop().is_some() {}
         }
-        assert!(!q.spare.is_empty(), "drained buckets return to the arena");
-        assert!(q.spare.len() <= SPARE_MAX);
+        let spare = |q: &EventQueue<u64>| q.spare.iter().map(Vec::len).sum::<usize>();
+        assert!(spare(&q) > 0, "drained buckets return to the arena");
+        assert!(
+            q.slots.iter().all(|b| b.capacity() == 0),
+            "an empty slot holds no buffer"
+        );
+        // Vectors circulate: the arenas hold what one round occupied
+        // at most (its slots, plus the outgoing `ready`), and a second
+        // identical round allocates no new ones.
+        let circulating = spare(&q);
+        assert!(circulating <= 32 + 1);
+        for i in 0..32u64 {
+            q.push(SimTime::from_nanos(90_000 + i * 100), i);
+        }
+        while q.pop().is_some() {}
+        assert_eq!(spare(&q), circulating);
     }
 
-    /// The claim in [`Bucket`]'s doc: the `NonZeroU64` sequence
-    /// number gives `Option<Entry<T>>` a niche, so an inline slot
-    /// costs no discriminant and a word-payload bucket is exactly
-    /// two cache lines.
+    /// The claim in [`Bucket`]'s doc: a slot is one `Vec` header
+    /// whatever the payload — the engine's 48-byte `Event` included —
+    /// so the slot array is the same ≈ 0.2 MB for every queue.
     #[test]
-    fn bucket_layout_is_niche_packed() {
+    fn a_slot_is_one_vec_header() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Option<Entry<u64>>>(), size_of::<Entry<u64>>());
-        assert_eq!(
-            size_of::<Bucket<u64>>(),
-            8 + size_of::<Vec<Entry<u64>>>() + BUCKET_INLINE * size_of::<Entry<u64>>()
-        );
-        assert_eq!(size_of::<Bucket<u64>>(), 128);
+        assert_eq!(size_of::<Bucket<u64>>(), 24);
+        assert_eq!(size_of::<Bucket<[u64; 6]>>(), 24);
+        let q: EventQueue<[u64; 6]> = EventQueue::new();
+        assert_eq!(q.slots.len(), 8_576);
+        assert!(q.slots.len() * size_of::<Bucket<[u64; 6]>>() < 210_000);
     }
 
     #[test]

@@ -69,9 +69,9 @@ fn run_schedule(n: usize, schedule: &[(u8, u8)]) {
         // The receiver acks every data frame it sees, duplicates
         // included (the previous ack may have been lost).
         t.note_ack_sent();
-        match t.receive(0, 1, seq, tag) {
-            Recv::Deliver(run) => delivered.extend(run),
-            Recv::Buffered | Recv::Duplicate => {}
+        if let Recv::Deliver(tag) = t.receive(0, 1, seq, tag) {
+            delivered.push(tag);
+            delivered.extend(std::iter::from_fn(|| t.next_parked(0, 1)));
         }
         // The ack travels back faultlessly here; ack loss is
         // equivalent to a later Drop of the retransmitted frame, which
@@ -141,6 +141,34 @@ proptest! {
     ) {
         run_schedule(n, &schedule);
     }
+}
+
+/// A burst that arrives back to front parks every frame but the
+/// first; the first fills the gap and the rest drain, in order, one
+/// `next_parked` at a time — with duplicates of parked and of drained
+/// frames suppressed on the way.
+#[test]
+fn an_out_of_order_burst_drains_in_order() {
+    const BURST: u64 = 64;
+    let mut t: Transport<u64> = Transport::new(cfg());
+    for tag in 0..BURST {
+        t.register(0, 1, tag, SimTime::ZERO);
+    }
+    for seq in (1..BURST).rev() {
+        assert!(matches!(t.receive(0, 1, seq, seq), Recv::Buffered));
+        assert!(t.next_parked(0, 1).is_none(), "the gap at 0 holds them");
+    }
+    assert!(matches!(t.receive(0, 1, 7, 7), Recv::Duplicate));
+    let Recv::Deliver(first) = t.receive(0, 1, 0, 0) else {
+        panic!("the gap-filling frame is delivered");
+    };
+    let mut delivered = vec![first];
+    delivered.extend(std::iter::from_fn(|| t.next_parked(0, 1)));
+    assert_eq!(delivered, (0..BURST).collect::<Vec<_>>());
+    assert!(matches!(t.receive(0, 1, 7, 7), Recv::Duplicate));
+    let s = t.summary();
+    assert_eq!(s.buffered_out_of_order, BURST - 1);
+    assert_eq!(s.dup_frames_suppressed, 2);
 }
 
 /// Directed worst cases the random schedules may undersample.

@@ -1,0 +1,130 @@
+//! The steady state stays off the allocator: a warmed event queue
+//! pops and pushes without allocating at all, and every suite kernel
+//! runs within a budget of allocator calls per simulated event.
+//!
+//! Counting needs a `#[global_allocator]`, and implementing
+//! `GlobalAlloc` is `unsafe`: the impl below is the repository's one
+//! `unsafe impl` (DESIGN §7). It forwards every call to `System` and
+//! counts per thread, so tests running side by side do not see each
+//! other's calls — and a suite kernel, a task, runs entirely on the
+//! thread that calls it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+mod common;
+
+use common::base;
+use rsdsm::apps::{Benchmark, Scale};
+use rsdsm::oracle::Technique;
+use rsdsm::simnet::{DetRng, EventQueue, SimDuration, SimTime};
+
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) this thread
+/// has made so far.
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+/// The engine's delta mix (`rsdsm_bench::queue_replay`): arrivals,
+/// ~4 ms retry timers, same-instant wakeups, far-future leases.
+fn delta(rng: &mut DetRng) -> SimDuration {
+    SimDuration::from_nanos(match rng.next_below(100) {
+        0..=64 => 20_000 + rng.next_below(2_000_000),
+        65..=84 => 4_000_000 + rng.next_below(500_000),
+        85..=94 => rng.next_below(5_000),
+        _ => 200_000_000 + rng.next_below(1_800_000_000),
+    })
+}
+
+#[test]
+fn a_warm_event_queue_pops_and_pushes_without_allocating() {
+    // As large as the engine's `Event`.
+    type Payload = [u64; 6];
+    let mut rng = DetRng::new(0x5EED);
+    let mut queue: EventQueue<Payload> = EventQueue::with_capacity(4_096);
+    let mut t = SimTime::ZERO;
+    for i in 0..4_096 {
+        t += SimDuration::from_nanos(rng.next_below(1_000));
+        queue.push(t + delta(&mut rng), [i; 6]);
+    }
+    let deltas: Vec<SimDuration> = (0..65_536).map(|_| delta(&mut rng)).collect();
+    let mut steps = deltas.iter().cycle();
+    let mut cycle = |queue: &mut EventQueue<Payload>| {
+        let (t, payload) = queue.pop().expect("the population stays constant");
+        queue.push(t + *steps.next().expect("cycled"), payload);
+    };
+    for _ in 0..500_000 {
+        cycle(&mut queue);
+    }
+    let before = calls();
+    for _ in 0..100_000 {
+        cycle(&mut queue);
+    }
+    assert_eq!(calls() - before, 0, "a warm wheel allocates nothing");
+}
+
+/// Allocator calls per simulated event of each suite kernel at
+/// `Scale::Test` on 8 nodes, under O and under 2TP, as measured when
+/// the gate was set (debug and release builds count alike). A kernel
+/// may not exceed its figure by more than 10 %.
+const CALLS_PER_EVENT: [(Benchmark, f64, f64); 8] = [
+    (Benchmark::Fft, 2.205, 3.016),
+    (Benchmark::LuNcont, 1.818, 2.568),
+    (Benchmark::LuCont, 1.965, 2.273),
+    (Benchmark::Ocean, 1.427, 2.141),
+    (Benchmark::Radix, 1.965, 2.368),
+    (Benchmark::Sor, 3.100, 3.408),
+    (Benchmark::WaterNsq, 1.792, 2.113),
+    (Benchmark::WaterSp, 1.734, 2.268),
+];
+
+#[test]
+fn suite_kernels_stay_within_their_allocation_budget() {
+    let mut over = Vec::new();
+    for (bench, base_figure, combined_figure) in CALLS_PER_EVENT {
+        for (technique, figure) in [
+            (Technique::Base, base_figure),
+            (Technique::Combined, combined_figure),
+        ] {
+            let cfg = technique.configure(bench, base(8));
+            let before = calls();
+            let report = bench.run(Scale::Test, cfg).expect("the run completes");
+            let per_event = (calls() - before) as f64 / report.events_processed as f64;
+            if per_event > figure * 1.1 {
+                over.push(format!(
+                    "{} {}: {per_event:.3} allocator calls per event, budget {figure:.3} + 10 %",
+                    bench.name(),
+                    technique.label()
+                ));
+            }
+        }
+    }
+    assert!(over.is_empty(), "{}", over.join("\n"));
+}
