@@ -92,20 +92,21 @@ impl WaterNsqApp {
         (gen_f64(0xBEE5 | (axis as u64) << 32, i) - 0.5) * 0.01
     }
 
-    /// The half-shell partner range of molecule `i`: `i+1 ..= i+n/2`
-    /// (mod n), as in SPLASH-2 WATER.
-    fn partners(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    /// Whether `j` is in molecule `i`'s half shell: `j = i + d`
+    /// (mod n) for `d` in `1..=n/2`, as in SPLASH-2 WATER.
+    fn is_partner(&self, i: usize, j: usize) -> bool {
         let n = self.n;
-        (1..=n / 2).filter_map(move |d| {
-            let j = (i + d) % n;
-            // For even n, the d = n/2 pair would be visited twice
-            // (once from each side); keep only the lower index's view.
-            if d == n / 2 && n.is_multiple_of(2) && i >= j {
-                None
-            } else {
-                Some(j)
-            }
-        })
+        let d = (j + n - i) % n;
+        // For even n, the d = n/2 pair would be visited twice (once
+        // from each side); keep only the lower index's view.
+        (1..=n / 2).contains(&d) && !(d == n / 2 && n.is_multiple_of(2) && i >= j)
+    }
+
+    /// Molecule `i`'s half-shell partners, nearest first.
+    fn partners(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        (1..=self.n / 2)
+            .map(move |d| (i + d) % self.n)
+            .filter(move |&j| self.is_partner(i, j))
     }
 
     /// Sequential reference (same force law, deterministic order).
@@ -174,6 +175,12 @@ impl WaterNsqApp {
     /// in `block`: forces on the former into `f_mine`, the reactions
     /// into `f_block`, potential energy onto `energy`. Returns the
     /// pairs evaluated.
+    ///
+    /// Walking the block instead of each half shell visits the pairs
+    /// in the order `partners` gives them, so every sum is bit-for-bit
+    /// the same: `d = j - i (mod n)` grows with `j` across a block that
+    /// does not hold `i`, and in one that does, every `j < i` has
+    /// `d >= n - 3 > n/2` (blocks hold 4 molecules, `n >= 8`).
     fn block_pairs(
         &self,
         pos: &[f64],
@@ -186,10 +193,7 @@ impl WaterNsqApp {
         let ((m0, m1), (lo, hi)) = (mine, block);
         let mut pairs = 0u64;
         for i in m0..m1 {
-            for j in self.partners(i) {
-                if j < lo || j >= hi {
-                    continue;
-                }
+            for j in (lo..hi).filter(|&j| self.is_partner(i, j)) {
                 let dx = pos[3 * i] - pos[3 * j];
                 let dy = pos[3 * i + 1] - pos[3 * j + 1];
                 let dz = pos[3 * i + 2] - pos[3 * j + 2];
@@ -420,6 +424,81 @@ mod tests {
         }
         let final_p: f64 = vel.iter().sum();
         assert!((final_p - init_p).abs() < 1e-9, "momentum drifted");
+    }
+
+    /// `block_pairs` against the half-shell walk it replaced, kept
+    /// here as the reference: forces, energy and pair count agree bit
+    /// for bit for every thread's molecules against every block.
+    #[test]
+    fn block_walk_matches_the_half_shell_walk() {
+        #[allow(clippy::too_many_arguments)]
+        fn reference(
+            app: &WaterNsqApp,
+            pos: &[f64],
+            (m0, m1): (usize, usize),
+            (lo, hi): (usize, usize),
+            f_mine: &mut [f64],
+            f_block: &mut [f64],
+            energy: &mut f64,
+        ) -> u64 {
+            let mut pairs = 0u64;
+            for i in m0..m1 {
+                for j in app.partners(i) {
+                    if j < lo || j >= hi {
+                        continue;
+                    }
+                    let dx = pos[3 * i] - pos[3 * j];
+                    let dy = pos[3 * i + 1] - pos[3 * j + 1];
+                    let dz = pos[3 * i + 2] - pos[3 * j + 2];
+                    let fv = pair_force(dx, dy, dz);
+                    pairs += 1;
+                    for a in 0..3 {
+                        f_mine[3 * (i - m0) + a] += fv[a];
+                        f_block[3 * (j - lo) + a] -= fv[a];
+                    }
+                    *energy += pair_energy(dx, dy, dz);
+                }
+            }
+            pairs
+        }
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [8usize, 9, 12, 13, 64, 256] {
+            let app = WaterNsqApp::new(n, 1);
+            let pos: Vec<f64> = (0..3 * n).map(|x| app.initial_pos(x / 3, x % 3)).collect();
+            for nt in [1usize, 2, 3, 8] {
+                for t in 0..nt {
+                    let (m0, m1) = block_range(n, t, nt);
+                    for blk in 0..n.div_ceil(MOLS_PER_LOCK) {
+                        let (lo, hi) = (blk * MOLS_PER_LOCK, ((blk + 1) * MOLS_PER_LOCK).min(n));
+                        let mut got = (vec![0.1; 3 * (m1 - m0)], vec![0.2; 3 * (hi - lo)], 0.3);
+                        let mut want = got.clone();
+                        let pairs = app.block_pairs(
+                            &pos,
+                            (m0, m1),
+                            (lo, hi),
+                            &mut got.0,
+                            &mut got.1,
+                            &mut got.2,
+                        );
+                        let expect = reference(
+                            &app,
+                            &pos,
+                            (m0, m1),
+                            (lo, hi),
+                            &mut want.0,
+                            &mut want.1,
+                            &mut want.2,
+                        );
+                        let at = format!("n={n} nt={nt} t={t} block {blk}");
+                        assert_eq!(pairs, expect, "{at}");
+                        assert_eq!(bits(&got.0), bits(&want.0), "{at}");
+                        assert_eq!(bits(&got.1), bits(&want.1), "{at}");
+                        assert_eq!(got.2.to_bits(), want.2.to_bits(), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -386,9 +386,7 @@ fn bench_oracle(c: &mut Criterion) {
 }
 
 /// A 64-page checkpoint made durable: the segmented image plus the
-/// record committing it. The public path hashes every byte twice (the
-/// segment checks, then the whole image); `persist_checkpoint`'s walks
-/// the two hashes together.
+/// record committing it, as the engine persists one.
 fn bench_checkpoint_persist(c: &mut Criterion) {
     use rsdsm_core::{Checkpoint, CommitRecord, PageImage};
 
@@ -408,23 +406,10 @@ fn bench_checkpoint_persist(c: &mut Criterion) {
         tokens: vec![],
     };
     let mut group = c.benchmark_group("checkpoint");
-    group.bench_function("segment_commit_64pages_two_pass", |b| {
+    group.bench_function("persist_64pages", |b| {
         b.iter(|| {
             let image = black_box(&ckpt).encode_segmented();
             let commit = CommitRecord::for_payload(ckpt.epoch, 1, &image);
-            (image, commit)
-        })
-    });
-    group.bench_function("segment_commit_64pages", |b| {
-        b.iter(|| {
-            let inner = black_box(&ckpt).encode();
-            let (image, payload_fnv) = rsdsm_core::bench_hooks::segment_hashed(ckpt.epoch, &inner);
-            let commit = CommitRecord {
-                epoch: ckpt.epoch,
-                seq: 1,
-                payload_len: image.len() as u32,
-                payload_fnv,
-            };
             (image, commit)
         })
     });

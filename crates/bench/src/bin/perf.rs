@@ -16,6 +16,10 @@
 //! * `queue_replay` — the timing-wheel event queue vs the binary-heap
 //!   reference on a million-event RADIX-shaped schedule (interleaved
 //!   rounds, median-of-rounds ratio).
+//! * `checkpoint_check` — the persistence device's word-wise check
+//!   (what `CommitRecord::for_payload` computes) vs byte FNV-1a over
+//!   one 64-page segmented image (interleaved rounds,
+//!   median-of-rounds ratio).
 //!
 //! Usage: `perf [--bench-json PATH]` (plus the usual
 //! experiment flags; `--test-scale` is the default for CI budgets).
@@ -25,9 +29,10 @@ use std::time::Instant;
 use rsdsm_apps::{Benchmark, Scale};
 use rsdsm_bench::{diff_shapes, queue_replay, ExpOpts, Variant};
 use rsdsm_core::{
-    AdaptiveConfig, DsmConfig, FaultPlan, MissClass, StrideDetector, ThrottleController,
+    fnv1a, AdaptiveConfig, Checkpoint, CommitRecord, DsmConfig, FaultPlan, MissClass, PageImage,
+    StrideDetector, ThrottleController,
 };
-use rsdsm_protocol::Diff;
+use rsdsm_protocol::{Diff, VectorClock};
 use rsdsm_simnet::{EventQueue, HeapQueue};
 
 /// One measured quantity, reported in nanoseconds.
@@ -109,6 +114,45 @@ fn main() {
         });
         ratios.push((label_ratio, median(round_ratios)));
     }
+
+    // --- The device check vs byte FNV-1a, over a persisted image ---
+    let image = Checkpoint {
+        node: 0,
+        epoch: 4,
+        vc: VectorClock::new(8),
+        pages: (0..64)
+            .map(|index| PageImage {
+                index,
+                valid: true,
+                data: diff_shapes::strided(8).1,
+            })
+            .collect(),
+        diffs: Vec::new(),
+        intervals: Vec::new(),
+        tokens: Vec::new(),
+    }
+    .encode_segmented();
+    let (iters, rounds) = (200, 9);
+    let (mut fast, mut slow) = (f64::INFINITY, f64::INFINITY);
+    let mut round_ratios = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let new = time(iters, || CommitRecord::for_payload(4, 1, &image));
+        let reference = time(iters, || fnv1a(&image));
+        fast = fast.min(new);
+        slow = slow.min(reference);
+        round_ratios.push(reference / new);
+    }
+    for (name, nanos) in [
+        ("checkpoint_check_64pages_ns", fast),
+        ("checkpoint_fnv1a_64pages_ns", slow),
+    ] {
+        samples.push(Sample {
+            name,
+            nanos,
+            iters: iters * rounds as u64,
+        });
+    }
+    ratios.push(("checkpoint_check_speedup", median(round_ratios)));
 
     // --- RTR1 trace encoding (exact pre-sizing) ---
     let (_, trace) = Benchmark::Radix

@@ -69,10 +69,3 @@ impl OracleProbe {
         self.oracle.violations.len()
     }
 }
-
-/// The segmented persistence image of a checkpoint's `RCK1` bytes
-/// and that image's FNV-1a, as `persist_checkpoint` computes them:
-/// every payload byte hashed in one walk.
-pub fn segment_hashed(epoch: u32, inner: &[u8]) -> (Vec<u8>, u64) {
-    crate::checkpoint::segment_hashed(epoch, inner)
-}

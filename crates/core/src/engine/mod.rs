@@ -727,4 +727,102 @@ mod tests {
             assert_eq!(core.persist().is_some(), persist);
         }
     }
+
+    /// The engine persists a node's live state through the encoder a
+    /// `Checkpoint` value runs: after a crash-free durable run, both
+    /// slots of every node classify `Committed`, and re-encoding each
+    /// restored checkpoint reproduces the bytes on its device. The
+    /// program is restated here for the reason above.
+    #[test]
+    fn persisted_images_are_the_checkpoints_they_restore() {
+        use crate::checkpoint::{
+            classify_slot, commit_region, payload_region, CommitRecord, DiffRecord, SlotState,
+            SLOT_COUNT,
+        };
+        use crate::heap::{HomePolicy, SharedVec};
+        use crate::msg::BarrierId;
+        use crate::recovery::RecoveryConfig;
+        use crate::{DsmTask, TaskCtx};
+        use rsdsm_protocol::PAGE_SIZE;
+        use rsdsm_simnet::PersistConfig;
+
+        const WORDS: usize = PAGE_SIZE / 8;
+        const NODES: usize = 4;
+        /// Six barrier phases; in each, every thread reads its
+        /// neighbour's page and writes one word of a page that moves
+        /// round the heap.
+        struct Phases;
+        impl DsmTask for Phases {
+            type Handles = SharedVec<u64>;
+            fn name(&self) -> String {
+                "phases".into()
+            }
+            fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+                heap.alloc(2 * NODES * WORDS, HomePolicy::RoundRobin)
+            }
+            async fn run(&self, ctx: &mut TaskCtx, v: &Self::Handles) {
+                let me = ctx.thread_id();
+                for phase in 0..6 {
+                    let _ = ctx.read(v, (me + 1) % NODES * WORDS).await;
+                    let page = (me + phase) % (2 * NODES);
+                    ctx.write(v, page * WORDS + me, phase as u64 + 1).await;
+                    ctx.barrier(BarrierId(0)).await;
+                }
+            }
+        }
+
+        let cfg = DsmConfig::paper_cluster(NODES).with_recovery(RecoveryConfig {
+            persist: PersistConfig::on(),
+            ..RecoveryConfig::on(2)
+        });
+        let mut heap = Heap::new(NODES);
+        let handles = DsmTask::allocate(&Phases, &mut heap);
+        let tpn = cfg.threads.threads_per_node;
+        let devices = lockstep(
+            &Phases,
+            &handles,
+            &cfg.costs,
+            &cfg.prefetch,
+            cfg.total_threads(),
+            |t| t / tpn,
+            |links| {
+                let mut core = Core::new(&cfg, heap, links, false, QueueBackend::default());
+                let finish = core.run_loop().expect("the run completes");
+                let devices = core.persist_devices();
+                for dev in devices.iter_mut() {
+                    dev.settle(finish);
+                }
+                devices.to_vec()
+            },
+        );
+        let (mut diffs, mut intervals) = (0, 0);
+        for (node, dev) in devices.iter().enumerate() {
+            for slot in 0..SLOT_COUNT {
+                let (payload, commit) = (
+                    dev.read(payload_region(slot)),
+                    dev.read(commit_region(slot)),
+                );
+                let SlotState::Committed { ckpt, .. } = classify_slot(payload, commit) else {
+                    panic!("node {node} slot {slot} is not committed");
+                };
+                assert_eq!(ckpt.node as usize, node);
+                let len = CommitRecord::decode(commit)
+                    .expect("a committed slot's record decodes")
+                    .payload_len as usize;
+                assert_eq!(
+                    ckpt.encode_segmented(),
+                    &payload[..len],
+                    "node {node} slot {slot}"
+                );
+                // The node keeps its diffs in a hash map; the image
+                // lists them in (page, seq) order, so equal state is
+                // equal bytes.
+                let order = |d: &DiffRecord| (d.page, d.seq);
+                assert!(ckpt.diffs.windows(2).all(|w| order(&w[0]) < order(&w[1])));
+                diffs = diffs.max(ckpt.diffs.len());
+                intervals += ckpt.intervals.len();
+            }
+        }
+        assert!(diffs > 1 && intervals > 0, "the images hold protocol state");
+    }
 }

@@ -21,8 +21,8 @@ use rsdsm_simnet::{NodeId, PersistDevice, SimDuration, SimTime, Topology};
 use super::{Core, Event};
 use crate::accounting::Category;
 use crate::checkpoint::{
-    classify_slot, commit_region, payload_region, segment, segment_hashed, slot_for_seq,
-    Checkpoint, CommitRecord, SlotState, COMMIT_LEN, SLOT_COUNT, SLOT_REGIONS,
+    classify_slot, commit_region, payload_region, slot_for_seq, CommitRecord, NodeCheckpoint,
+    SlotState, COMMIT_LEN, SLOT_COUNT, SLOT_REGIONS,
 };
 use crate::config::{DsmConfig, MANAGER};
 use crate::msg::MsgBody;
@@ -203,6 +203,14 @@ impl Core<'_> {
     /// The persistence layer, if this run has one.
     pub(super) fn persist(&self) -> Option<&Persist> {
         self.recovery.as_ref()?.persist.as_ref()
+    }
+
+    /// Every node's persistent device, for tests that read a run's
+    /// slots back.
+    #[cfg(test)]
+    pub(super) fn persist_devices(&mut self) -> &mut [PersistDevice] {
+        let rec = self.recovery.as_mut().expect("recovery state");
+        &mut rec.persist.as_mut().expect("persist state").devices
     }
 
     // ------------------------------------------------------------------
@@ -723,20 +731,21 @@ impl Core<'_> {
         restore + busy.saturating_sub(rec.busy_at_ckpt[x])
     }
 
-    /// Captures node `n`'s barrier-aligned checkpoint and returns the
-    /// time the node resumes. Without persistence the capture
-    /// deliberately charges no CPU time and consumes no randomness:
-    /// the model treats the snapshot as copy-on-write work off the
-    /// critical path, so a crash-free run's event timeline — and its
-    /// `RunReport` digest, recovery fields aside — is identical with
-    /// checkpointing on or off. With persistence on, the snapshot is
-    /// additionally written through the durable two-slot commit
-    /// protocol and the node stalls for the modeled persist cost.
+    /// Takes node `n`'s barrier-aligned checkpoint and returns the
+    /// time the node resumes. Without persistence the checkpoint is
+    /// only measured, and deliberately charges no CPU time and
+    /// consumes no randomness: the model treats the snapshot as
+    /// copy-on-write work off the critical path, so a crash-free run's
+    /// event timeline — and its `RunReport` digest, recovery fields
+    /// aside — is identical with checkpointing on or off. With
+    /// persistence on, the node's state is laid straight into its
+    /// segmented image, written through the durable two-slot commit
+    /// protocol, and the node stalls for the modeled persist cost.
     pub(super) fn take_checkpoint(&mut self, n: NodeId, at: SimTime) -> SimTime {
         let epoch = self.barriers.epochs_done(n);
-        let ckpt = Checkpoint::capture(n as u32, epoch, &self.nodes[n]);
-        let encoded = ckpt.encode();
-        let bytes = encoded.len() as u64;
+        let ckpt = NodeCheckpoint::new(n as u32, epoch, &self.nodes[n]);
+        let (bytes, pages) = (ckpt.len() as u64, ckpt.pages() as u64);
+        let image = self.persist().is_some().then(|| ckpt.segmented());
         self.tracer.emit(
             at,
             n as u32,
@@ -752,59 +761,48 @@ impl Core<'_> {
         rec.stats.checkpoints_taken += 1;
         rec.stats.checkpoint_bytes += bytes;
         rec.busy_at_ckpt[n] = busy;
-        rec.last_ckpt[n] = (epoch, ckpt.pages.len() as u64);
-        if rec.persist.is_some() {
-            self.persist_checkpoint(n, epoch, encoded, at)
-        } else {
-            at
+        rec.last_ckpt[n] = (epoch, pages);
+        match image {
+            Some(image) => self.persist_checkpoint(n, epoch, image, at),
+            None => at,
         }
     }
 
-    /// Writes a checkpoint of `epoch` (`encoded`, its `RCK1` bytes) to
-    /// node `n`'s persistent device through the
-    /// detectably recoverable A/B protocol: segmented payload into
-    /// the epoch's slot, flush, fence; then the commit record, flush,
-    /// fence. The drain runs at the device's write bandwidth in the
-    /// background, but the protocol is synchronous at the barrier:
-    /// the node stalls until the commit fence completes, which is
-    /// exactly the durability overhead the model is after. Returns
-    /// the stall end.
+    /// Writes a checkpoint of `epoch` (`payload`, its segmented image)
+    /// to node `n`'s persistent device through the detectably
+    /// recoverable A/B protocol: payload into the persist's slot,
+    /// flush, fence; then the commit record, flush, fence. The drain
+    /// runs at the device's write bandwidth in the background, but the
+    /// protocol is synchronous at the barrier: the node stalls until
+    /// the commit fence completes, which is exactly the durability
+    /// overhead the model is after. Returns the stall end.
     fn persist_checkpoint(
         &mut self,
         n: NodeId,
         epoch: u32,
-        encoded: Vec<u8>,
+        payload: Vec<u8>,
         at: SimTime,
     ) -> SimTime {
-        let (payload, payload_fnv) = segment_hashed(epoch, &encoded);
-        debug_assert_eq!(payload, segment(epoch, &encoded));
-        // Not held across the device writes, which copy the image.
-        drop(encoded);
         let rec = self.rec();
         let per = rec.persist.as_mut().expect("persist state");
         per.seq[n] += 1;
         let seq = per.seq[n];
         let slot = slot_for_seq(seq);
-        let commit = CommitRecord {
-            epoch,
-            seq,
-            payload_len: payload.len() as u32,
-            payload_fnv,
-        };
-        debug_assert_eq!(commit, CommitRecord::for_payload(epoch, seq, &payload));
-        let commit = commit.encode();
+        let commit = CommitRecord::for_payload(epoch, seq, &payload).encode();
         let image_bytes = (payload.len() + commit.len()) as u64;
+        // Every call is made at the node's present; the payload's fence
+        // holds the commit's drain back until the payload is durable.
         let committed = {
             let dev = &mut per.devices[n];
-            dev.write(payload_region(slot), 0, &payload);
-            let drained = dev.flush(at);
-            let durable = dev.fence(drained);
+            dev.write_owned(payload_region(slot), 0, payload);
+            dev.flush(at);
+            dev.fence(at);
             // The commit record is ordered strictly after the payload
             // fence: a crash can tear one or the other, never leave a
             // fresh commit over a half-written payload.
-            dev.write(commit_region(slot), 0, &commit);
-            let drained = dev.flush(durable);
-            dev.fence(drained)
+            dev.write_owned(commit_region(slot), 0, commit);
+            dev.flush(at);
+            dev.fence(at)
         };
         per.busy_at_slot[n][slot] = rec.busy_at_ckpt[n];
         per.restore_bytes[n] = image_bytes;

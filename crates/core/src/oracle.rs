@@ -142,8 +142,8 @@ pub struct OracleOutcome {
     pub image_digest: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a hash of `bytes` (64-bit).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -157,20 +157,6 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// `(fnv1a_extend(h, a), fnv1a(b))` in one walk. The FNV loop is bound
-/// by the latency of its multiply, not the throughput, so the two
-/// independent chains interleave and the pair costs about what the
-/// longer one costs alone.
-pub(crate) fn fnv1a_pair(mut h: u64, a: &[u8], b: &[u8]) -> (u64, u64) {
-    let mut g = FNV_OFFSET;
-    let both = a.len().min(b.len());
-    for (&x, &y) in a[..both].iter().zip(&b[..both]) {
-        h = (h ^ x as u64).wrapping_mul(FNV_PRIME);
-        g = (g ^ y as u64).wrapping_mul(FNV_PRIME);
-    }
-    (fnv1a_extend(h, &a[both..]), fnv1a_extend(g, &b[both..]))
 }
 
 /// A [`fmt::Write`] sink that folds what is written into an FNV-1a
@@ -411,16 +397,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn paired_walk_equals_two_walks() {
-        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 31 + 7) as u8).collect();
-        for (a, b) in [(0, 0), (0, 9), (9, 0), (64, 64), (300, 17), (17, 300)] {
-            let (a, b) = (&bytes[..a], &bytes[300 - b..]);
-            let h = fnv1a(b"prefix");
-            assert_eq!(fnv1a_pair(h, a, b), (fnv1a_extend(h, a), fnv1a(b)));
-        }
     }
 
     #[test]

@@ -117,6 +117,11 @@ proptest! {
     ) {
         let ckpt = build_checkpoint(node, epoch, &vc, &pages, &diffs, &intervals, &tokens);
         let bytes = ckpt.encode();
+        // The counter measures what the encoder writes, and the
+        // segmented image frames it as it always has.
+        prop_assert_eq!(ckpt.encoded_len(), bytes.len());
+        let segs = bytes.len().div_ceil(4096).max(1);
+        prop_assert_eq!(ckpt.encode_segmented().len(), 16 + bytes.len() + 12 * segs);
         let back = Checkpoint::decode(&bytes).expect("decode");
         prop_assert_eq!(&back, &ckpt);
         prop_assert_eq!(back.digest(), ckpt.digest());
@@ -175,27 +180,49 @@ proptest! {
         }
     }
 
-    /// A corrupted byte anywhere in the payload is caught: the
-    /// per-segment FNV (or the commit's whole-payload FNV) flags the
-    /// slot Torn instead of restoring silently-wrong state.
+    /// A changed byte anywhere in the image, or a sector overwritten
+    /// with arbitrary bytes, is caught: the per-segment checks (or the
+    /// commit's whole-image check) flag the slot Torn instead of
+    /// restoring silently-wrong state.
     #[test]
     fn segmented_corruption_is_detected(
         vc in prop::collection::vec(0u32..1000, 1..8),
+        pages in prop::collection::vec(
+            (0u32..256, any::<bool>(),
+             prop::collection::vec((0usize..PAGE_SIZE / 8, any::<u64>()), 0..8)),
+            0..4),
         tokens in prop::collection::vec(0u32..64, 0..6),
-        flip_seed in any::<u64>(),
+        at_seed in any::<u64>(),
+        xor in 1u8..=255,
+        sector in prop::collection::vec(any::<u8>(), 512),
     ) {
-        let ckpt = build_checkpoint(3, 7, &vc, &[], &[], &[], &tokens);
+        let ckpt = build_checkpoint(3, 7, &vc, &pages, &[], &[], &tokens);
         let seg = ckpt.encode_segmented();
         let commit = CommitRecord::for_payload(7, 9, &seg).encode();
+        let at = (at_seed % seg.len() as u64) as usize;
         let mut bad = seg.clone();
-        let at = (flip_seed % bad.len() as u64) as usize;
-        bad[at] ^= 0x40;
+        bad[at] ^= xor;
         prop_assert_eq!(
             classify_slot(&bad, &commit),
             SlotState::Torn,
-            "bit flip at byte {} survived classification",
-            at
+            "byte {} changed by {:#04x} survived classification",
+            at,
+            xor
         );
+
+        let lo = at / 512 * 512;
+        let hi = (lo + 512).min(seg.len());
+        let mut torn = seg.clone();
+        torn[lo..hi].copy_from_slice(&sector[..hi - lo]);
+        if torn != seg {
+            prop_assert_eq!(
+                classify_slot(&torn, &commit),
+                SlotState::Torn,
+                "sector [{}, {}) overwritten survived classification",
+                lo,
+                hi
+            );
+        }
     }
 }
 

@@ -20,11 +20,20 @@
 //!   precisely the case a checksum must catch.
 //!
 //! A **fence** orders writes: it completes at the flush-drain
-//! completion plus the configured fence latency, and the caller must
-//! not issue dependent writes before that instant. The device itself
-//! never advances time — every operation takes and returns
-//! [`SimTime`]s so the caller charges the cost through its own cost
-//! model.
+//! completion plus the configured fence latency, and holds the drain
+//! engine until then, so a write flushed after it drains after it.
+//! The device itself never advances time — every operation takes and
+//! returns [`SimTime`]s so the caller charges the cost through its own
+//! cost model — but the caller issues operations in time order: none
+//! at an instant before an earlier one's.
+//!
+//! A flush first **retires** every write whose drain has completed
+//! onto the media. Drains finish in issue order, so those are a prefix
+//! of the in-flight list, and since no later call can land before the
+//! flush's instant, no crash can observe them half-drained. A retired
+//! write that covers its whole region becomes the region's buffer
+//! rather than being copied into it. The device therefore holds one
+//! image per region, plus whatever is still draining.
 //!
 //! The address space is a set of independent byte *regions* (the
 //! checkpoint layer uses four per node: two payload slots and their
@@ -51,8 +60,8 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistConfig {
     /// Whether checkpoints persist to the device at all. Off by
-    /// default: capture stays the free in-memory snapshot and every
-    /// pre-existing digest is untouched.
+    /// default: a checkpoint is only measured, free in simulated time,
+    /// and every pre-existing digest is untouched.
     pub enabled: bool,
     /// Sustained write bandwidth of the media in bytes per
     /// microsecond (1 byte/us = 1 MB/s).
@@ -183,6 +192,12 @@ impl PersistDevice {
     /// store buffer. Takes no time; durability starts at the next
     /// flush.
     pub fn write(&mut self, region: usize, offset: usize, bytes: &[u8]) {
+        self.write_owned(region, offset, bytes.to_vec());
+    }
+
+    /// [`PersistDevice::write`] of a buffer the caller gives up: the
+    /// store buffer keeps it rather than a copy of it.
+    pub fn write_owned(&mut self, region: usize, offset: usize, bytes: Vec<u8>) {
         assert!(region < self.media.len(), "write to unknown region");
         if bytes.is_empty() {
             return;
@@ -191,17 +206,19 @@ impl PersistDevice {
         self.buffer.push(Buffered {
             region,
             offset,
-            bytes: bytes.to_vec(),
+            bytes,
         });
     }
 
-    /// Starts draining every buffered write toward the media, in
-    /// issue order, at the write bandwidth. Returns the drain
-    /// completion time. Drained bytes become durable as the frontier
-    /// passes them — a fence is still required before issuing writes
-    /// that must be ordered after these.
+    /// Retires the writes that finished draining by `now`, then
+    /// starts draining every buffered write toward the media, in issue
+    /// order, at the write bandwidth. Returns the drain completion
+    /// time. Drained bytes become durable as the frontier passes them
+    /// — a fence is still required before issuing writes that must be
+    /// ordered after these.
     pub fn flush(&mut self, now: SimTime) -> SimTime {
         self.stats.flushes += 1;
+        self.settle(now);
         let mut at = self.drain_free.max(now);
         for w in self.buffer.drain(..) {
             let end = at + self.cfg.write_time(w.bytes.len());
@@ -220,26 +237,28 @@ impl PersistDevice {
 
     /// A fence issued at `now`: returns the instant after which every
     /// previously flushed write is guaranteed durable (drain
-    /// completion plus the fence latency).
+    /// completion plus the fence latency). Writes flushed after it
+    /// start draining no earlier than that instant.
     pub fn fence(&mut self, now: SimTime) -> SimTime {
         self.stats.fences += 1;
-        self.drain_free.max(now) + self.cfg.fence_latency
+        self.drain_free = self.drain_free.max(now) + self.cfg.fence_latency;
+        self.drain_free
     }
 
     /// Retires in-flight writes whose drain completed by `now` onto
     /// the media. Call before reading in normal (crash-free)
-    /// operation.
+    /// operation; every flush does it first.
     pub fn settle(&mut self, now: SimTime) {
-        let done: Vec<Draining> = {
-            let (done, rest) = std::mem::take(&mut self.inflight)
-                .into_iter()
-                .partition(|w| w.end <= now);
-            self.inflight = rest;
-            done
-        };
-        for w in done {
-            let len = w.bytes.len();
-            apply(&mut self.media[w.region], w.offset, &w.bytes[..len]);
+        // Drains finish in issue order: the completed writes are a
+        // prefix.
+        let done = self.inflight.partition_point(|w| w.end <= now);
+        for w in self.inflight.drain(..done) {
+            let media = &mut self.media[w.region];
+            if w.offset == 0 && w.bytes.len() >= media.len() {
+                *media = w.bytes;
+            } else {
+                apply(media, w.offset, &w.bytes);
+            }
         }
     }
 

@@ -1,34 +1,42 @@
 //! The steady state stays off the allocator: a warmed event queue
-//! pops and pushes without allocating at all, and every suite kernel
-//! runs within a budget of allocator calls per simulated event.
+//! pops and pushes without allocating at all, every suite kernel
+//! runs within a budget of allocator calls per simulated event, and a
+//! checkpoint allocates its bytes at most once.
 //!
 //! Counting needs a `#[global_allocator]`, and implementing
 //! `GlobalAlloc` is `unsafe`: the impl below is the repository's one
 //! `unsafe impl` (DESIGN §7). It forwards every call to `System` and
-//! counts per thread, so tests running side by side do not see each
-//! other's calls — and a suite kernel, a task, runs entirely on the
-//! thread that calls it.
+//! counts calls and bytes per thread, so tests running side by side do
+//! not see each other's — and a suite kernel, a task, runs entirely on
+//! the thread that calls it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocator call that hands out `bytes` bytes.
+fn count(bytes: usize) {
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
 struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -43,6 +51,7 @@ mod common;
 
 use common::base;
 use rsdsm::apps::{Benchmark, Scale};
+use rsdsm::core::{PersistConfig, RecoveryConfig, RecoveryStats};
 use rsdsm::oracle::Technique;
 use rsdsm::simnet::{DetRng, EventQueue, SimDuration, SimTime};
 
@@ -50,6 +59,11 @@ use rsdsm::simnet::{DetRng, EventQueue, SimDuration, SimTime};
 /// has made so far.
 fn calls() -> u64 {
     CALLS.with(Cell::get)
+}
+
+/// Bytes those calls handed out (a `realloc` counts its new size).
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// The engine's delta mix (`rsdsm_bench::queue_replay`): arrivals,
@@ -124,6 +138,58 @@ fn suite_kernels_stay_within_their_allocation_budget() {
                     technique.label()
                 ));
             }
+        }
+    }
+    assert!(over.is_empty(), "{}", over.join("\n"));
+}
+
+/// What a checkpoint adds to a run's allocations, per byte it writes.
+/// Measured: the bytes a run allocates beyond the same run without
+/// checkpoints, over its checkpoint bytes (`RCK1` bodies) or, with
+/// persistence, over its persisted bytes (images and commit records).
+/// A measured checkpoint builds nothing; a persisted one builds its
+/// image once, and the device keeps that buffer rather than a copy.
+#[test]
+fn checkpoints_allocate_their_bytes_at_most_once() {
+    let run = |bench: Benchmark, recovery: RecoveryConfig| -> (u64, RecoveryStats) {
+        let before = bytes();
+        let report = bench
+            .run(Scale::Test, base(8).with_recovery(recovery))
+            .expect("the run completes");
+        (bytes() - before, report.recovery)
+    };
+    let cadence = RecoveryConfig {
+        checkpoint_every: 2,
+        ..RecoveryConfig::off()
+    };
+    let durable = RecoveryConfig {
+        persist: PersistConfig::on(),
+        ..cadence
+    };
+    let mut over = Vec::new();
+    for bench in [Benchmark::Radix, Benchmark::Fft, Benchmark::Sor] {
+        let (plain, _) = run(bench, RecoveryConfig::off());
+        let (measured, stats) = run(bench, cadence);
+        let (persisted, durable_stats) = run(bench, durable);
+        assert!(stats.checkpoints_taken > 0 && durable_stats.persist_bytes > 0);
+        let per_ckpt = measured.saturating_sub(plain) as f64 / stats.checkpoint_bytes as f64;
+        let per_persist =
+            persisted.saturating_sub(plain) as f64 / durable_stats.persist_bytes as f64;
+        println!(
+            "{}: {per_ckpt:.3} B per checkpoint byte, {per_persist:.3} B per persisted byte",
+            bench.name()
+        );
+        if per_ckpt > 0.05 {
+            over.push(format!(
+                "{}: {per_ckpt:.3} allocated bytes per checkpoint byte, budget 0.05",
+                bench.name()
+            ));
+        }
+        if per_persist > 1.1 {
+            over.push(format!(
+                "{}: {per_persist:.3} allocated bytes per persisted byte, budget 1.1",
+                bench.name()
+            ));
         }
     }
     assert!(over.is_empty(), "{}", over.join("\n"));
