@@ -14,8 +14,8 @@
 use rsdsm_apps::{Benchmark, Scale};
 use rsdsm_bench::{fig1_row, table1_row, ExpOpts, Runner};
 use rsdsm_core::fnv1a_extend;
+use rsdsm_simnet::FNV_OFFSET;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FIG1_DIGEST: u64 = 0x46bc_ac07_1090_ad66;
 const TABLE1_DIGEST: u64 = 0xbb13_541c_cc2e_4453;
 

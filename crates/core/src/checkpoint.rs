@@ -81,10 +81,10 @@
 use std::sync::Arc;
 
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock, PAGE_SIZE};
+use rsdsm_simnet::{fnv1a, fnv1a_extend, FNV_OFFSET, FNV_PRIME};
 
 use crate::msg::{IntervalRecord, LockId};
 use crate::node::NodeState;
-use crate::oracle::{fnv1a, fnv1a_extend, FNV_OFFSET, FNV_PRIME};
 
 /// A node's copy of one page at checkpoint time. Only pages the node
 /// ever held a valid copy of are captured (others would be fetched

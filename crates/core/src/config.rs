@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use rsdsm_simnet::{FaultPlan, NetConfig, NodeId, SimDuration, Topology};
+use rsdsm_simnet::{fnv1a, FaultPlan, NetConfig, NodeId, SimDuration, Topology};
 
 use crate::costs::CostModel;
 use crate::oracle::OracleConfig;
@@ -180,13 +180,7 @@ impl DirectoryPolicy {
         assert!(page < total_pages, "page outside the heap");
         match self {
             DirectoryPolicy::Hash | DirectoryPolicy::FirstTouch => {
-                // FNV-1a over the page index's little-endian bytes.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in (page as u64).to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (h % nodes as u64) as NodeId
+                (fnv1a(&(page as u64).to_le_bytes()) % nodes as u64) as NodeId
             }
             DirectoryPolicy::Block => (page * nodes / total_pages).min(nodes - 1),
         }

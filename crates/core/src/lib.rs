@@ -76,9 +76,7 @@ pub use golden::{golden_run, GoldenRun};
 pub use heap::{Heap, HomePolicy, Pod, SharedVec};
 pub use msg::{BarrierId, IntervalRecord, LockId, MsgClass};
 pub use node::MissClass;
-pub use oracle::{
-    fnv1a, fnv1a_extend, GrantRecord, InvariantKind, OracleConfig, OracleOutcome, Violation,
-};
+pub use oracle::{GrantRecord, InvariantKind, OracleConfig, OracleOutcome, Violation};
 pub use prefetch::{
     AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleChange, ThrottleController, TrendChange,
 };
@@ -90,8 +88,8 @@ pub use report::{
 };
 pub use rsdsm_protocol::{Page, PAGE_SIZE};
 pub use rsdsm_simnet::{
-    ClassProbs, DegradedWindow, FaultPlan, FaultStats, NodeCrash, NodeStall, Partition,
-    PersistConfig, PersistDevice, PersistStats, QueueBackend, Topology,
+    fnv1a, fnv1a_extend, ClassProbs, DegradedWindow, FaultPlan, FaultStats, NodeCrash, NodeStall,
+    Partition, PersistConfig, PersistDevice, PersistStats, QueueBackend, Topology,
 };
 pub use thread::ThreadId;
 pub use trace::{

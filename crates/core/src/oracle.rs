@@ -17,9 +17,9 @@
 //!    [`RunReport`](crate::RunReport), so the `rsdsm-oracle` crate can
 //!    replay the program through the golden sequential executor
 //!    ([`golden_run`](crate::golden_run)) and compare byte for byte.
-//! 3. **Determinism**: [`digest_pages`] / [`fnv1a`] hash the image and
-//!    report so identical (seed, config) runs can be asserted
-//!    digest-identical.
+//! 3. **Determinism**: [`digest_pages`] /
+//!    [`fnv1a`](rsdsm_simnet::fnv1a) hash the image and report so
+//!    identical (seed, config) runs can be asserted digest-identical.
 //!
 //! The first two run under [`OracleConfig::full`]. The oracle is off
 //! by default ([`OracleConfig::off`]) and the engine then holds no
@@ -51,7 +51,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock};
-use rsdsm_simnet::{NodeId, SimTime};
+use rsdsm_simnet::{fnv1a_extend, NodeId, SimTime, FNV_OFFSET};
 
 use crate::msg::{BarrierId, LockId};
 use crate::node::NodeState;
@@ -140,23 +140,6 @@ pub struct OracleOutcome {
     pub final_image: Vec<Page>,
     /// FNV-1a digest of the final memory image.
     pub image_digest: u64,
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a hash of `bytes` (64-bit).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a hash `h` over `bytes`, for chained digests.
-pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// A [`fmt::Write`] sink that folds what is written into an FNV-1a
@@ -390,14 +373,7 @@ mod tests {
     use crate::lock::{ForwardOutcome, ReleaseOutcome, RemoteWaiter};
     use crate::node::NodeMem;
     use proptest::prelude::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
+    use rsdsm_simnet::fnv1a;
 
     #[test]
     fn hashing_sink_equals_hashing_the_rendering() {

@@ -34,11 +34,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use rsdsm_simnet::{SimDuration, SimTime};
+use rsdsm_simnet::{fnv1a, SimDuration, SimTime};
 
 use crate::msg::MsgClass;
 use crate::node::MissClass;
-use crate::oracle::fnv1a;
 
 /// `thread` value for records emitted by the engine itself rather
 /// than on behalf of an application thread.

@@ -22,6 +22,7 @@
 //!   store-buffer, flush/fence, and crash-tearing semantics for
 //!   durable checkpoints.
 //! - [`DetRng`]: seedable generator so every run is reproducible.
+//! - [`fnv1a`]: the FNV-1a hash every digest in the workspace uses.
 //!
 //! # Examples
 //!
@@ -52,6 +53,7 @@
 
 mod event;
 mod faults;
+mod fnv;
 mod network;
 mod persist;
 mod rng;
@@ -63,6 +65,7 @@ pub use faults::{
     ClassProbs, DegradedWindow, Delivery, FaultClass, FaultPlan, FaultStats, NodeCrash, NodeStall,
     Partition,
 };
+pub use fnv::{fnv1a, fnv1a_extend, FNV_OFFSET, FNV_PRIME};
 pub use network::{
     Hop, KindStats, NetConfig, NetStats, Network, NodeId, NodeTraffic, Reliability, SendOutcome,
 };

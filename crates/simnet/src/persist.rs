@@ -54,6 +54,7 @@
 //! assert_eq!(dev.read(0), b"hello");
 //! ```
 
+use crate::fnv::{fnv1a_extend, FNV_OFFSET};
 use crate::time::{SimDuration, SimTime};
 
 /// Parameters of the modeled persistent device.
@@ -327,14 +328,9 @@ fn apply(media: &mut Vec<u8>, offset: usize, bytes: &[u8]) {
 /// Deterministic seed for tear garbage: a function of where and when
 /// the tear happened, so same-seed runs reproduce bit-identically.
 fn tear_seed(region: usize, offset: usize, now: SimTime) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [region as u64, offset as u64, now.as_nanos()] {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    [region as u64, offset as u64, now.as_nanos()]
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a_extend(h, &v.to_le_bytes()))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Scaffolding the facade's matrices and regression anchors share: the
-//! seeded base config, the `Scale::Test` lease numbers, the cell
-//! fan-out and the failure-artifact writer (the full-grid selector is
+//! Scaffolding the facade's test crates share: the seeded base config,
+//! the `Scale::Test` lease numbers, the cell fan-out and the
+//! failure-artifact writer (the full-grid selector is
 //! `rsdsm_bench::pool::full_grid`, which the oracle crate shares).
 //! Every test crate uses its own subset, hence the `dead_code` allow.
 #![allow(dead_code)]
@@ -42,10 +42,7 @@ pub fn for_each_cell<C: Send>(cells: Vec<C>, check: impl Fn(C) + Sync) {
 /// failing cell ships its evidence (the CI job uploads the directory).
 pub fn fail_with_artifact(dir: &str, file: &str, body: &str, msg: &str) -> ! {
     let dir = std::path::Path::new("target").join(dir);
-    let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(file);
-    match std::fs::write(&path, body) {
-        Ok(()) => panic!("{msg}\n(artifact written to {})", path.display()),
-        Err(e) => panic!("{msg}\n(artifact write to {} failed: {e})", path.display()),
-    }
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body));
+    panic!("{msg}\n(artifact {}: {written:?})", path.display())
 }

@@ -1,125 +1,97 @@
-//! Seeded regression anchors for crash injection + lease-based
-//! recovery: RADIX runs with mid-run node failures and every recovery
-//! counter pinned, mirroring `lossy_radix_regression.rs` for the
-//! fault/transport stack.
+//! Pinned rows for crash injection and lease-based recovery (DESIGN
+//! §8): RADIX with node 2 crashing at 2 ms, every recovery counter and
+//! the summary line pinned.
 //!
-//! The whole simulation is deterministic for a given (seed, config),
-//! so these exact values must reproduce on every machine and every
-//! run. If a legitimate change to the engine's message schedule or
-//! recovery protocol moves them (e.g. a new message type, different
-//! lease parameters), re-derive the constants by printing
-//! `report.recovery` from these exact configs — but treat any
-//! unexplained drift as a determinism bug first.
+//! The 1 ms lease is tight against RADIX's bursts, so the crash-stop
+//! run also takes the false-suspicion path: congestion delays
+//! droppable heartbeats past the lease, live peers get suspected, and
+//! the manager's confirmation grace clears them.
 //!
-//! The lease parameters are deliberately tight for `Scale::Test` runs
-//! (1 ms lease against RADIX's bursty permutation traffic), so the
-//! crash-stop scenario also exercises the false-suspicion path:
-//! congestion delays droppable heartbeats past the lease, live peers
-//! get suspected, and the manager's confirmation grace resolves them
-//! without disturbing the run.
+//! The simulation is deterministic for a (seed, config), so these
+//! values reproduce on every machine. Treat a moved pin as a
+//! determinism bug first, and re-pin only by DESIGN §8's rule. The
+//! crash-stop tests pin one run's views each; it runs once, and once
+//! more for the repeat.
 
+mod cells;
 mod common;
 
-use common::{base, test_recovery};
-use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{RunReport, TransportConfig};
-use rsdsm::simnet::{NodeCrash, SimDuration, SimTime};
+use cells::{recovering, Aim, Fault, Row};
+use rsdsm::apps::Benchmark::Radix;
+use rsdsm::core::TransportConfig;
+use rsdsm::simnet::{SimDuration, SimTime};
 
-/// Crash-stop at 2 ms: node 2 dies, the detector notices, and a
-/// replacement rejoins from its checkpoint.
-fn crashed_radix() -> RunReport {
-    let mut cfg = base(4).with_recovery(test_recovery(2));
-    cfg.faults = cfg.faults.with_node_crash(NodeCrash {
-        node: 2,
-        at: SimTime::from_millis(2),
-        restart_after: None,
-    });
-    Benchmark::Radix
-        .run(Scale::Test, cfg)
-        .expect("crashed RADIX run")
-}
+const TWO_MS: Aim = Aim::At(SimTime::from_millis(2));
 
-/// Crash-restart with a 20 ms outage and a deliberately small retry
-/// budget, so reliable frames toward the victim exhaust their retries
-/// and take the park-and-resume path instead of aborting the run.
-fn outage_radix() -> RunReport {
-    let mut cfg = base(4)
-        .with_recovery(test_recovery(2))
-        .with_transport(TransportConfig {
-            initial_rto: SimDuration::from_millis(1),
-            max_retries: 3,
-            ..TransportConfig::default()
-        });
-    cfg.faults = cfg.faults.with_node_crash(NodeCrash {
-        node: 2,
-        at: SimTime::from_millis(2),
-        restart_after: Some(SimDuration::from_millis(20)),
-    });
-    Benchmark::Radix
-        .run(Scale::Test, cfg)
-        .expect("outage RADIX run")
+const CRASH_STOP_RECOVERY: &str = "
+    recovery: crashes: 1, heartbeats_sent: 802, suspicions: 8, false_suspicions: 6, \
+      checkpoints_taken: 8, checkpoint_bytes: 210279, recoveries: 1, \
+      recovery_time: SimDuration(1777844)";
+
+/// Node 2 crashes at 2 ms for good; a replacement rejoins from its
+/// checkpoint. Held to `pins`.
+fn crash_stop(name: &str, pins: &'static str) -> Row {
+    Row {
+        fault: Some((Fault::Crash(None), TWO_MS)),
+        pins,
+        ..Row::app(name, Radix, recovering())
+    }
 }
 
 #[test]
 fn crash_stop_counters_are_pinned() {
-    let r = crashed_radix();
-    assert!(r.verified, "RADIX must verify across a node-2 crash");
-
-    let v = r.recovery;
-    assert_eq!(v.crashes, 1);
-    assert_eq!(v.heartbeats_sent, 802);
-    assert_eq!(v.suspicions, 8);
-    assert_eq!(v.false_suspicions, 6);
-    assert_eq!(v.frames_parked, 0);
-    assert_eq!(v.checkpoints_taken, 8);
-    assert_eq!(v.checkpoint_bytes, 210_279);
-    assert_eq!(v.recoveries, 1);
-    assert_eq!(v.recovery_time, SimDuration::from_nanos(1_777_844));
+    crash_stop("crash_stop_counters_are_pinned", CRASH_STOP_RECOVERY).check()
 }
 
 #[test]
 fn fault_summary_line_is_pinned() {
-    let r = crashed_radix();
-    assert_eq!(
-        r.fault_summary_line().as_deref(),
-        Some(
-            "faults: 0 msgs dropped, 0 duplicated, 0 reordered; \
-             transport: 2 retransmissions (max 2 attempts/frame), \
-             1 duplicate frames suppressed; \
-             prefetch: 0 requests lost, 0 replies lost; \
-             recovery: 1 crashes, 8 suspicions (6 false), \
-             8 checkpoints (210279 bytes), 1 recoveries (1777 us down)"
-        )
-    );
-}
-
-#[test]
-fn crash_restart_parks_and_resumes() {
-    let r = outage_radix();
-    assert!(r.verified, "RADIX must verify across a 20 ms outage");
-
-    let v = r.recovery;
-    assert_eq!(v.crashes, 1);
-    assert_eq!(v.heartbeats_sent, 1240);
-    assert_eq!(v.suspicions, 8);
-    assert_eq!(v.false_suspicions, 6);
-    assert_eq!(
-        v.frames_parked, 1,
-        "the shrunken retry budget must exhaust into the park path"
-    );
-    assert_eq!(v.checkpoints_taken, 8);
-    assert_eq!(v.recoveries, 1);
-    // Crash-restart rejoins exactly when the plan says: the outage is
-    // the whole downtime (restore/replay costs were charged when the
-    // restart was scheduled).
-    assert_eq!(v.recovery_time, SimDuration::from_millis(20));
-
-    let t = r.transport;
-    assert_eq!(t.retransmissions, 18);
-    assert_eq!(t.max_attempts, 4);
+    let pins = "
+        summary: faults: 0 msgs dropped, 0 duplicated, 0 reordered; \
+          transport: 2 retransmissions (max 2 attempts/frame), \
+          1 duplicate frames suppressed; prefetch: 0 requests lost, 0 replies lost; \
+          recovery: 1 crashes, 8 suspicions (6 false), 8 checkpoints (210279 bytes), \
+          1 recoveries (1777 us down)";
+    crash_stop("fault_summary_line_is_pinned", pins).check()
 }
 
 #[test]
 fn repeat_runs_are_digest_identical() {
-    assert_eq!(crashed_radix().digest(), crashed_radix().digest());
+    crash_stop("repeat_runs_are_digest_identical", "")
+        .repeated()
+        .check()
+}
+
+/// A 20 ms outage of node 2 under a small retry budget: frames toward
+/// it exhaust their retries and park instead of aborting the run, and
+/// the outage is the whole downtime.
+#[test]
+fn crash_restart_parks_and_resumes() {
+    let name = "crash_restart_parks_and_resumes";
+    let retry_budget = TransportConfig {
+        initial_rto: SimDuration::from_millis(1),
+        max_retries: 3,
+        ..TransportConfig::default()
+    };
+    let outage = Fault::Crash(Some(SimDuration::from_millis(20)));
+    Row {
+        fault: Some((outage, TWO_MS)),
+        pins: "
+            transport: data_frames: 146, retransmissions: 18, acks_sent: 159, \
+              dup_frames_suppressed: 13, spurious_timeouts: 133, max_attempts: 4
+            recovery: crashes: 1, heartbeats_sent: 1240, suspicions: 8, false_suspicions: 6, \
+              frames_parked: 1, checkpoints_taken: 8, checkpoint_bytes: 210279, \
+              recoveries: 1, recovery_time: SimDuration(20000000)",
+        repeat: true,
+        ..Row::app(name, Radix, recovering().with_transport(retry_budget))
+    }
+    .check()
+}
+
+/// The harness compares: a copy of a pinned row with one counter off
+/// by one fails, naming the row and the counter.
+#[test]
+#[should_panic(expected = "a_moved_pin: pinned recovery.heartbeats_sent moved")]
+fn a_moved_pin_names_its_row_and_counter() {
+    let moved = CRASH_STOP_RECOVERY.replace("sent: 802", "sent: 803");
+    crash_stop("a_moved_pin", moved.leak()).check()
 }

@@ -1,109 +1,76 @@
-//! The scale-out matrix: switched topologies and directory-sharded
-//! homes carry the full oracle obligation at 64 nodes, the flat-bus
-//! default provably changes nothing, failure monitoring on the fabric
-//! sends O(N) heartbeats per idle round instead of O(N²), and the
-//! 256/1024-node tiers complete under the wheel engine.
+//! The scale-out rows (DESIGN §8). Switched topologies and
+//! directory-sharded homes carry the full oracle obligation at 64
+//! nodes, the flat-bus default changes nothing, failure monitoring on
+//! the fabric sends O(N) heartbeats per idle round instead of O(N²),
+//! and the 256/1024-node tiers complete under the wheel engine.
 //!
-//! The default run covers the 64-node fast subset so `cargo test`
-//! stays fast; `RSDSM_MATRIX=scaling` (or `full`) adds the 256- and
-//! 1024-node tiers.
+//! `cargo test` runs the 64-node cells; `RSDSM_MATRIX=scaling` (or
+//! `full`) adds the 256- and 1024-node tiers.
 
+#[macro_use]
+mod cells;
 mod common;
 
+use cells::{digest, fabric, on_fabric, summary, Prog, Row};
 use common::{base, for_each_cell};
-use rsdsm::apps::{Benchmark, HotSpot, Scale};
+use rsdsm::apps::Benchmark::{self, Fft, Radix};
+use rsdsm::apps::Scale;
 use rsdsm::core::{
-    BarrierId, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy,
+    BarrierId, DirectoryConfig, DirectoryPolicy, DsmCtx, DsmProgram, Heap, HomePolicy,
     RecoveryConfig, SharedVec, Simulation, Topology, PAGE_SIZE,
 };
-use rsdsm::oracle::{check_technique, Technique};
+use rsdsm::oracle::Technique::{self, Base, Combined, Prefetch};
 use rsdsm::simnet::SimDuration;
 use rsdsm_bench::pool::full_grid;
+use DirectoryPolicy::{Block, FirstTouch, Hash};
 
-const WORDS: usize = PAGE_SIZE / 8;
-
-/// The scaling suite's default fabric: racks of 8, two spines, 4:1
-/// oversubscription.
-fn fabric() -> Topology {
-    Topology::rack_spine(8, 2, 4)
+/// A fabric cell under the full oracle obligation. The golden executor
+/// knows nothing of topologies or directories, so a pass means the
+/// scaled-out cluster computes what a sequential machine would.
+fn fabric_row(nodes: usize, bench: Benchmark, tech: Technique, policy: DirectoryPolicy) -> Row {
+    let name = format!("fabric_{bench}_{}_{policy:?}_{nodes}", tech.label());
+    let prog = Prog::App(bench, Scale::Test, tech);
+    Row {
+        oracle: true,
+        ..Row::new(name, prog, on_fabric(nodes, policy))
+    }
 }
 
-/// One full-oracle cell: DSM run + golden sequential replay +
-/// byte-for-byte image comparison + same-seed repeat determinism.
-fn assert_oracle_cell(bench: Benchmark, technique: Technique, cfg: DsmConfig, label: &str) {
-    let verdict = check_technique(bench, Scale::Test, technique, cfg)
-        .unwrap_or_else(|e| panic!("{label}: {e:?}"));
-    assert!(verdict.ok(), "{label}: {}", verdict.summary_line());
-}
-
-/// 64 nodes on the rack-and-spine fabric, homes sharded by every
-/// policy, under the complete oracle obligation. The golden executor
-/// knows nothing about topologies or directories, so a pass means the
-/// scaled-out cluster still computes exactly what a sequential
-/// machine would.
 #[test]
 fn oracle_holds_at_64_nodes_on_the_fabric() {
-    // RADIX's shared histogram caps the run at 64 threads, so the
-    // two-threads-per-node Combined technique gets its fabric +
-    // directory coverage at 32 nodes instead.
-    let cells: Vec<(usize, Benchmark, Technique, DirectoryPolicy)> = vec![
-        (64, Benchmark::Radix, Technique::Base, DirectoryPolicy::Hash),
-        (
-            64,
-            Benchmark::Radix,
-            Technique::Prefetch,
-            DirectoryPolicy::FirstTouch,
-        ),
-        (64, Benchmark::Fft, Technique::Base, DirectoryPolicy::Block),
-        (
-            32,
-            Benchmark::Radix,
-            Technique::Combined,
-            DirectoryPolicy::Hash,
-        ),
+    // RADIX's shared histogram caps a run at 64 threads, so 2TP gets
+    // its fabric and directory coverage at 32 nodes.
+    let rows = vec![
+        fabric_row(64, Radix, Base, Hash),
+        fabric_row(64, Radix, Prefetch, FirstTouch),
+        fabric_row(64, Fft, Base, Block),
+        fabric_row(32, Radix, Combined, Hash),
     ];
-    for_each_cell(cells, |(nodes, bench, technique, policy)| {
-        let cfg = base(nodes)
-            .with_topology(fabric())
-            .with_directory(DirectoryConfig::on(policy));
-        let label = format!(
-            "{bench} {} fabric+{policy:?} at {nodes} nodes",
-            technique.label()
-        );
-        assert_oracle_cell(bench, technique, cfg, &label);
-    });
+    for_each_cell(rows, Row::check);
 }
 
-/// Digest transparency: the topology and directory knobs at their
-/// defaults are not merely "probably inert" — a run with both spelled
-/// out explicitly reproduces the pre-existing pinned trace digest
-/// from `trace_snapshots.rs` bit for bit, and the full report digest
-/// of an untouched run.
+/// The 256- and 1024-node tiers: the oracle at 256 nodes (FFT's
+/// six-step blocks go empty on surplus nodes, so it is the kernel that
+/// scales past RADIX's 64-thread cap) and the 1024-node hot-spot
+/// completing under the wheel engine.
 #[test]
-fn flat_bus_default_reproduces_pinned_digests() {
-    let explicit = base(4)
-        .with_topology(Topology::FlatBus)
-        .with_directory(DirectoryConfig::off());
-    let (report, trace) = Benchmark::Radix
-        .run_traced(Scale::Test, explicit)
-        .expect("explicit flat-bus run");
-    // The pinned RADIX/Base cell from tests/trace_snapshots.rs.
-    assert_eq!(
-        trace.digest(),
-        0x249303d259b67b8e,
-        "explicit FlatBus + directory-off perturbed the pinned trace"
-    );
-    let plain = Benchmark::Radix
-        .run(Scale::Test, base(4))
-        .expect("default run");
-    assert_eq!(
-        plain.digest(),
-        report.digest(),
-        "spelling out the defaults changed the report"
-    );
+fn full_matrix_big_tiers() {
+    if full_grid("scaling") {
+        let hot_spot = |policy| Row {
+            holds: holds!(|r| r.events_processed > 0),
+            ..Row::new(
+                format!("hot_spot_{policy:?}_1024"),
+                Prog::HotSpot,
+                on_fabric(1024, policy),
+            )
+        };
+        let mut rows = Vec::from([Hash, FirstTouch].map(hot_spot));
+        rows.push(fabric_row(256, Fft, Base, Hash));
+        for_each_cell(rows, Row::check);
+    }
 }
 
-/// An idle-ish program long enough to cover many heartbeat rounds.
+/// An idle program long enough to cover many heartbeat rounds.
 struct IdleRounds;
 
 impl DsmProgram for IdleRounds {
@@ -114,7 +81,7 @@ impl DsmProgram for IdleRounds {
     }
 
     fn allocate(&self, heap: &mut Heap) -> Self::Handles {
-        heap.alloc(WORDS, HomePolicy::Single(0))
+        heap.alloc(PAGE_SIZE / 8, HomePolicy::Single(0))
     }
 
     fn run(&self, ctx: &mut DsmCtx, _v: &Self::Handles) {
@@ -123,119 +90,63 @@ impl DsmProgram for IdleRounds {
     }
 }
 
-/// A monitored idle run of `nodes` on `topology`. Who monitors whom
-/// follows the topology: the full mesh on the flat bus, the rack
-/// hierarchy on the fabric. At 64 nodes the mesh pushes N·(N−1)
-/// frames per round; 5 ms rounds are a cadence it sustains without
-/// lease expiries feeding a suspicion storm, so both runs terminate
-/// and their counts can be compared.
-fn monitored_run(nodes: usize, topology: Topology) -> rsdsm::core::RunReport {
-    let recovery = RecoveryConfig {
-        heartbeat_every: SimDuration::from_millis(5),
-        lease_timeout: SimDuration::from_millis(25),
-        confirm_grace: SimDuration::from_millis(5),
-        ..RecoveryConfig::on(2)
-    };
-    let cfg = base(nodes).with_topology(topology).with_recovery(recovery);
-    Simulation::new(cfg).run(&IdleRounds).expect("idle run")
-}
-
-/// The O(N²) fix: on the fabric each idle heartbeat round sends O(N)
-/// heartbeats (members → rack leader, leaders ↔ manager) instead of
-/// the N·(N−1) of the all-to-all mesh the same cluster runs on the
-/// flat bus.
+/// On the fabric each idle heartbeat round sends O(N) heartbeats
+/// (members → rack leader, leaders ↔ manager) where the flat bus's
+/// all-to-all mesh sends N·(N−1). 5 ms rounds are a cadence the 64-node
+/// mesh sustains without a suspicion storm, so both runs end.
 #[test]
 fn hierarchical_monitoring_sends_linear_heartbeats_per_round() {
-    let nodes = 64;
-    let mesh = monitored_run(nodes, Topology::FlatBus);
-    let hier = monitored_run(nodes, fabric());
-    assert!(mesh.verified && hier.verified);
-
-    let rounds = |r: &rsdsm::core::RunReport| {
-        (r.total_time.as_nanos() / SimDuration::from_millis(5).as_nanos()).max(1)
+    let (n, round) = (64, SimDuration::from_millis(5));
+    let recovery = RecoveryConfig {
+        heartbeat_every: round,
+        lease_timeout: SimDuration::from_millis(25),
+        confirm_grace: round,
+        ..RecoveryConfig::on(2)
     };
-    let mesh_per_round = mesh.recovery.heartbeats_sent / rounds(&mesh);
-    let hier_per_round = hier.recovery.heartbeats_sent / rounds(&hier);
-    let n = nodes as u64;
-
-    // The mesh really is quadratic-shaped (sanity check on the test
-    // itself)…
-    assert!(
-        mesh_per_round > n * (n - 1) / 2,
-        "mesh sent only {mesh_per_round} heartbeats/round at {n} nodes"
-    );
-    // …and the hierarchy is linear: every member sends 1, every rack
-    // leader ≤ rack_size + 1, the manager ≤ racks + rack_size.
-    assert!(
-        hier_per_round <= 4 * n,
-        "hierarchical monitoring sent {hier_per_round} heartbeats/round \
-         at {n} nodes — not O(N)"
-    );
-    assert!(
-        hier.recovery.heartbeats_sent * 8 < mesh.recovery.heartbeats_sent,
-        "hierarchy ({}) barely improved on the mesh ({})",
-        hier.recovery.heartbeats_sent,
-        mesh.recovery.heartbeats_sent
-    );
+    let [mesh, hier] = [Topology::FlatBus, fabric()].map(|topology| {
+        let cfg = base(n as usize).with_topology(topology);
+        let r = Simulation::new(cfg.with_recovery(recovery)).run(&IdleRounds);
+        let r = r.expect("idle run");
+        assert!(r.verified, "the idle run verifies");
+        let rounds = r.total_time.as_nanos() / round.as_nanos();
+        let sent = r.recovery.heartbeats_sent;
+        (sent, sent / rounds.max(1))
+    });
+    // The mesh really is quadratic-shaped (a check on the test itself)…
+    assert!(mesh.1 > n * (n - 1) / 2, "mesh: {mesh:?} at {n} nodes");
+    // …and the hierarchy linear: a member sends 1, a rack leader at most
+    // rack_size + 1, the manager at most racks + rack_size.
+    assert!(hier.1 <= 4 * n, "not O(N): {hier:?} at {n} nodes");
+    assert!(hier.0 * 8 < mesh.0, "{hier:?} barely beats {mesh:?}");
 }
 
-/// Directory sharding prunes notices at uninterested nodes without
-/// breaking anything the oracle can see; the counters prove the
-/// machinery actually engaged at 64 nodes.
+/// Directory sharding engages at 64 nodes: fetches reach sharded homes,
+/// and the summary line says so.
 #[test]
 fn directory_counters_engage_at_64_nodes() {
-    let cfg = base(64)
-        .with_topology(fabric())
-        .with_directory(DirectoryConfig::on(DirectoryPolicy::Hash));
-    let report = Simulation::new(cfg).run(&HotSpot).expect("hot-spot run");
-    assert!(report.verified);
-    assert!(
-        report.directory.home_hits > 0,
-        "no fetch ever reached a sharded home"
-    );
-    let line = report.fault_summary_line().expect("directory section");
-    assert!(
-        line.contains("directory:"),
-        "summary line lost the directory section: {line}"
-    );
+    let name = "directory_counters_engage_at_64_nodes";
+    Row {
+        holds: holds!(
+            |r| r.directory.home_hits > 0,
+            summary(r).contains("directory:")
+        ),
+        ..Row::new(name, Prog::HotSpot, on_fabric(64, Hash))
+    }
+    .check()
 }
 
-/// The 256- and 1024-node tiers, behind `RSDSM_MATRIX=scaling`:
-/// the oracle obligation at 256 nodes, and the 1024-node hot-spot —
-/// the issue's scaling ceiling — completing under the wheel engine.
+/// The topology and directory defaults spelled out reproduce the
+/// pinned RADIX/O trace of `trace_snapshots.rs` and an untouched run's
+/// report.
 #[test]
-fn full_matrix_big_tiers() {
-    if !full_grid("scaling") {
-        eprintln!("skipping 256/1024-node tiers (set RSDSM_MATRIX=scaling)");
-        return;
+fn flat_bus_default_reproduces_pinned_digests() {
+    let name = "flat_bus_default_reproduces_pinned_digests";
+    let explicit = base(4).with_topology(Topology::FlatBus);
+    Row {
+        traced: true,
+        pins: "trace: 0x249303d259b67b8e, 811 records",
+        same_as: Some((base(4), digest)),
+        ..Row::app(name, Radix, explicit.with_directory(DirectoryConfig::off()))
     }
-    let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
-        Box::new(|| {
-            // RADIX's histogram caps at 64 threads; FFT's six-step
-            // blocks simply go empty on surplus nodes, so it is the
-            // kernel that scales to the 256-node oracle cell.
-            let cfg = base(256)
-                .with_topology(fabric())
-                .with_directory(DirectoryConfig::on(DirectoryPolicy::Hash));
-            assert_oracle_cell(
-                Benchmark::Fft,
-                Technique::Base,
-                cfg,
-                "FFT O fabric+Hash at 256 nodes",
-            );
-        }),
-        Box::new(|| {
-            for policy in [DirectoryPolicy::Hash, DirectoryPolicy::FirstTouch] {
-                let cfg = base(1024)
-                    .with_topology(fabric())
-                    .with_directory(DirectoryConfig::on(policy));
-                let report = Simulation::new(cfg)
-                    .run(&HotSpot)
-                    .unwrap_or_else(|e| panic!("1024-node hot-spot ({policy:?}): {e}"));
-                assert!(report.verified, "1024-node hot-spot ({policy:?}) corrupted");
-                assert!(report.events_processed > 0);
-            }
-        }),
-    ];
-    for_each_cell(tasks, |task| task());
+    .check()
 }
