@@ -113,7 +113,10 @@ impl LuApp {
         let n = self.n;
         let b = self.block;
         let nb = self.nb();
-        let mut a: Vec<f64> = (0..n * n).map(|x| self.initial(x / n, x % n)).collect();
+        let mut a = Vec::with_capacity(n * n);
+        for i in 0..n {
+            a.extend((0..n).map(|j| self.initial(i, j)));
+        }
         for k in 0..nb {
             factor_diag(&mut a, n, k * b, b);
             for bj in k + 1..nb {
@@ -130,58 +133,109 @@ impl LuApp {
         }
         a
     }
+
+    /// Whether a final image (in the layout's order) is the
+    /// reference's, element by element within a relative 1e-6 (a NaN
+    /// is never within). Both layouts store a block's rows as runs of
+    /// `block` elements.
+    fn matches(&self, got: &[f64]) -> bool {
+        let expect = self.reference();
+        let (n, b) = (self.n, self.block);
+        got.len() == n * n
+            && expect.chunks_exact(b).enumerate().all(|(run, want)| {
+                let at = self.idx(run * b / n, run * b % n);
+                got[at..at + b]
+                    .iter()
+                    .zip(want)
+                    .all(|(g, e)| (g - e).abs() <= 1e-6 * e.abs().max(1.0))
+            })
+    }
 }
 
 // Dense helpers on row-major n x n storage, operating on one block.
+// Each brings a row up to date from rows already final, through split
+// slices; every element still takes its operations in the order of
+// the kk-outer textbook loops (kept as `tests::oracle`), so each
+// result is bit for bit theirs.
 
+/// `x -= l[0]·row(0) + l[1]·row(1) + …` over `x.len()` columns, four
+/// rows per pass: each element subtracts its products one at a time,
+/// in ascending row order.
+fn sub_rows<'a>(x: &mut [f64], l: &[f64], row: impl Fn(usize) -> &'a [f64]) {
+    let w = x.len();
+    let mut quads = l.chunks_exact(4);
+    for (q, c) in (&mut quads).enumerate() {
+        let [l0, l1, l2, l3] = [c[0], c[1], c[2], c[3]];
+        let [u0, u1, u2, u3] = std::array::from_fn(|r| &row(4 * q + r)[..w]);
+        for j in 0..w {
+            x[j] = x[j] - l0 * u0[j] - l1 * u1[j] - l2 * u2[j] - l3 * u3[j];
+        }
+    }
+    let done = l.len() - quads.remainder().len();
+    for (kk, &lk) in quads.remainder().iter().enumerate() {
+        for (xj, &uj) in x.iter_mut().zip(&row(done + kk)[..w]) {
+            *xj -= lk * uj;
+        }
+    }
+}
+
+/// Takes row `x` through pivots `k0..k1` (at most four) of the upper
+/// triangle `u`: pivot `kk` divides `x[kk]` by `u(kk)[kk]`, which then
+/// scales `u(kk)` out of the columns after it. The triangle among the
+/// pivots goes in order, the rest of the row through [`sub_rows`].
+/// Callers take every row through one group of pivots before the
+/// next, so the divisions of different rows overlap.
+fn eliminate<'a>(x: &mut [f64], k0: usize, k1: usize, u: impl Fn(usize) -> &'a [f64]) {
+    for kk in k0..k1 {
+        let ukk = u(kk);
+        x[kk] /= ukk[kk];
+        let l = x[kk];
+        for j in kk + 1..k1 {
+            x[j] -= l * ukk[j];
+        }
+    }
+    let (done, rest) = x.split_at_mut(k1);
+    sub_rows(rest, &done[k0..k1], |kk| &u(k0 + kk)[k1..]);
+}
+
+/// Factors the diagonal block at `(d, d)` in place. Row `i` takes the
+/// pivots above it, and is itself final before the rows below use it.
 fn factor_diag(a: &mut [f64], n: usize, d: usize, b: usize) {
-    for kk in 0..b {
-        let pivot = a[(d + kk) * n + d + kk];
-        for i in kk + 1..b {
-            a[(d + i) * n + d + kk] /= pivot;
-            let l = a[(d + i) * n + d + kk];
-            for j in kk + 1..b {
-                a[(d + i) * n + d + j] -= l * a[(d + kk) * n + d + j];
-            }
+    for k0 in (0..b).step_by(4) {
+        for i in k0 + 1..b {
+            let (done, rest) = a.split_at_mut((d + i) * n);
+            let k1 = (k0 + 4).min(i);
+            eliminate(&mut rest[d..d + b], k0, k1, |kk| &done[(d + kk) * n + d..]);
         }
     }
 }
 
 /// A(k, bj) := L(k,k)^-1 A(k, bj) (unit lower triangular solve).
 fn solve_row_block(a: &mut [f64], n: usize, k: usize, cj: usize, b: usize) {
-    for kk in 0..b {
-        for i in kk + 1..b {
-            let l = a[(k + i) * n + k + kk];
-            for j in 0..b {
-                a[(k + i) * n + cj + j] -= l * a[(k + kk) * n + cj + j];
-            }
-        }
+    for i in 1..b {
+        let (done, rest) = a.split_at_mut((k + i) * n);
+        let (l, x) = rest.split_at_mut(cj);
+        sub_rows(&mut x[..b], &l[k..k + i], |kk| &done[(k + kk) * n + cj..]);
     }
 }
 
 /// A(bi, k) := A(bi, k) U(k,k)^-1.
 fn solve_col_block(a: &mut [f64], n: usize, ri: usize, k: usize, b: usize) {
-    for kk in 0..b {
-        let pivot = a[(k + kk) * n + k + kk];
-        for i in 0..b {
-            a[(ri + i) * n + k + kk] /= pivot;
-            let l = a[(ri + i) * n + k + kk];
-            for j in kk + 1..b {
-                a[(ri + i) * n + k + j] -= l * a[(k + kk) * n + k + j];
-            }
+    let (diag, rows) = a.split_at_mut(ri * n);
+    for k0 in (0..b).step_by(4) {
+        let k1 = (k0 + 4).min(b);
+        for row in rows[..b * n].chunks_exact_mut(n) {
+            eliminate(&mut row[k..k + b], k0, k1, |kk| &diag[(k + kk) * n + k..]);
         }
     }
 }
 
 /// A(bi, bj) -= A(bi, k) * A(k, bj).
 fn gemm_update(a: &mut [f64], n: usize, ri: usize, cj: usize, k: usize, b: usize) {
-    for i in 0..b {
-        for kk in 0..b {
-            let l = a[(ri + i) * n + k + kk];
-            for j in 0..b {
-                a[(ri + i) * n + cj + j] -= l * a[(k + kk) * n + cj + j];
-            }
-        }
+    let (up, rows) = a.split_at_mut(ri * n);
+    for row in rows[..b * n].chunks_exact_mut(n) {
+        let (l, x) = row.split_at_mut(cj);
+        sub_rows(&mut x[..b], &l[k..k + b], |kk| &up[(k + kk) * n + cj..]);
     }
 }
 
@@ -325,30 +379,14 @@ impl DsmTask for LuApp {
     }
 
     fn verify(&self, mem: &VerifyCtx, mat: &Self::Handles) -> bool {
-        let expect = self.reference();
-        let n = self.n;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in 0..n {
-                let got = mem.read(mat, self.idx(i, j));
-                if (got - expect[i * n + j]).abs() > 1e-6 * expect[i * n + j].abs().max(1.0) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.matches(&mem.read_vec(mat, 0, mat.len()))
     }
 }
 
 /// `blk -= left * up`, all three b x b blocks held in private memory.
 fn block_gemm(left: &[f64], up: &[f64], blk: &mut [f64], b: usize) {
-    for i in 0..b {
-        for kk in 0..b {
-            let l = left[i * b + kk];
-            for j in 0..b {
-                blk[i * b + j] -= l * up[kk * b + j];
-            }
-        }
+    for (x, l) in blk.chunks_exact_mut(b).zip(left.chunks_exact(b)) {
+        sub_rows(x, l, |kk| &up[kk * b..]);
     }
 }
 
@@ -356,23 +394,16 @@ fn block_gemm(left: &[f64], up: &[f64], blk: &mut [f64], b: usize) {
 /// held in private memory (`row_solve` picks L^-1·B vs B·U^-1).
 fn solve_with_diag(diag: &[f64], blk: &mut [f64], b: usize, row_solve: bool) {
     if row_solve {
-        for kk in 0..b {
-            for i in kk + 1..b {
-                let l = diag[i * b + kk];
-                for j in 0..b {
-                    blk[i * b + j] -= l * blk[kk * b + j];
-                }
-            }
+        for i in 1..b {
+            let (done, rest) = blk.split_at_mut(i * b);
+            sub_rows(&mut rest[..b], &diag[i * b..i * b + i], |kk| {
+                &done[kk * b..]
+            });
         }
     } else {
-        for kk in 0..b {
-            let pivot = diag[kk * b + kk];
-            for i in 0..b {
-                blk[i * b + kk] /= pivot;
-                let l = blk[i * b + kk];
-                for j in kk + 1..b {
-                    blk[i * b + j] -= l * diag[kk * b + j];
-                }
+        for k0 in (0..b).step_by(4) {
+            for x in blk.chunks_exact_mut(b) {
+                eliminate(x, k0, (k0 + 4).min(b), |kk| &diag[kk * b..]);
             }
         }
     }
@@ -381,6 +412,238 @@ fn solve_with_diag(diag: &[f64], blk: &mut [f64], b: usize, row_solve: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{bits, bits_digest};
+
+    /// The kk-outer loops the helpers replaced, one element at a time.
+    mod oracle {
+        use super::LuApp;
+
+        /// `LuApp::reference` on these loops.
+        pub(super) fn reference(app: &LuApp) -> Vec<f64> {
+            let (n, b) = (app.n, app.block);
+            let mut a: Vec<f64> = (0..n * n).map(|x| app.initial(x / n, x % n)).collect();
+            for k in 0..app.nb() {
+                factor_diag(&mut a, n, k * b, b);
+                for bj in k + 1..app.nb() {
+                    solve_row_block(&mut a, n, k * b, bj * b, b);
+                }
+                for bi in k + 1..app.nb() {
+                    solve_col_block(&mut a, n, bi * b, k * b, b);
+                }
+                for bi in k + 1..app.nb() {
+                    for bj in k + 1..app.nb() {
+                        gemm_update(&mut a, n, bi * b, bj * b, k * b, b);
+                    }
+                }
+            }
+            a
+        }
+
+        pub(super) fn factor_diag(a: &mut [f64], n: usize, d: usize, b: usize) {
+            for kk in 0..b {
+                let pivot = a[(d + kk) * n + d + kk];
+                for i in kk + 1..b {
+                    a[(d + i) * n + d + kk] /= pivot;
+                    let l = a[(d + i) * n + d + kk];
+                    for j in kk + 1..b {
+                        a[(d + i) * n + d + j] -= l * a[(d + kk) * n + d + j];
+                    }
+                }
+            }
+        }
+
+        pub(super) fn solve_row_block(a: &mut [f64], n: usize, k: usize, cj: usize, b: usize) {
+            for kk in 0..b {
+                for i in kk + 1..b {
+                    let l = a[(k + i) * n + k + kk];
+                    for j in 0..b {
+                        a[(k + i) * n + cj + j] -= l * a[(k + kk) * n + cj + j];
+                    }
+                }
+            }
+        }
+
+        pub(super) fn solve_col_block(a: &mut [f64], n: usize, ri: usize, k: usize, b: usize) {
+            for kk in 0..b {
+                let pivot = a[(k + kk) * n + k + kk];
+                for i in 0..b {
+                    a[(ri + i) * n + k + kk] /= pivot;
+                    let l = a[(ri + i) * n + k + kk];
+                    for j in kk + 1..b {
+                        a[(ri + i) * n + k + j] -= l * a[(k + kk) * n + k + j];
+                    }
+                }
+            }
+        }
+
+        pub(super) fn gemm_update(
+            a: &mut [f64],
+            n: usize,
+            ri: usize,
+            cj: usize,
+            k: usize,
+            b: usize,
+        ) {
+            for i in 0..b {
+                for kk in 0..b {
+                    let l = a[(ri + i) * n + k + kk];
+                    for j in 0..b {
+                        a[(ri + i) * n + cj + j] -= l * a[(k + kk) * n + cj + j];
+                    }
+                }
+            }
+        }
+
+        pub(super) fn block_gemm(left: &[f64], up: &[f64], blk: &mut [f64], b: usize) {
+            for i in 0..b {
+                for kk in 0..b {
+                    let l = left[i * b + kk];
+                    for j in 0..b {
+                        blk[i * b + j] -= l * up[kk * b + j];
+                    }
+                }
+            }
+        }
+
+        pub(super) fn solve_with_diag(diag: &[f64], blk: &mut [f64], b: usize, row_solve: bool) {
+            if row_solve {
+                for kk in 0..b {
+                    for i in kk + 1..b {
+                        let l = diag[i * b + kk];
+                        for j in 0..b {
+                            blk[i * b + j] -= l * blk[kk * b + j];
+                        }
+                    }
+                }
+            } else {
+                for kk in 0..b {
+                    let pivot = diag[kk * b + kk];
+                    for i in 0..b {
+                        blk[i * b + kk] /= pivot;
+                        let l = blk[i * b + kk];
+                        for j in kk + 1..b {
+                            blk[i * b + j] -= l * diag[kk * b + j];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The shapes the helpers are held to: block sizes 2, 32 and 48
+    /// (2 is below one four-row pass, 48 is not a power of two), both
+    /// layouts, and `n / b` of 2 and 12.
+    fn shapes() -> Vec<LuApp> {
+        let mut apps = Vec::new();
+        for (n, b) in [(4, 2), (24, 2), (64, 32), (384, 32), (96, 48)] {
+            for layout in [LuLayout::Contiguous, LuLayout::NonContiguous] {
+                apps.push(LuApp::new(n, b, layout));
+            }
+        }
+        apps
+    }
+
+    /// Runs the sequential blocked factorization with either set of
+    /// helpers, checking the image after every call.
+    #[test]
+    fn helpers_are_the_old_loops_bit_for_bit() {
+        for app in shapes() {
+            let (n, b) = (app.n, app.block);
+            let mut new: Vec<f64> = (0..n * n).map(|x| app.initial(x / n, x % n)).collect();
+            let mut old = new.clone();
+            let check = |new: &[f64], old: &[f64], what: &str| {
+                assert_eq!(bits(new), bits(old), "{what} at n={n} b={b}");
+            };
+            for k in 0..app.nb() {
+                factor_diag(&mut new, n, k * b, b);
+                oracle::factor_diag(&mut old, n, k * b, b);
+                check(&new, &old, "factor_diag");
+                for bj in k + 1..app.nb() {
+                    solve_row_block(&mut new, n, k * b, bj * b, b);
+                    oracle::solve_row_block(&mut old, n, k * b, bj * b, b);
+                    check(&new, &old, "solve_row_block");
+                }
+                for bi in k + 1..app.nb() {
+                    solve_col_block(&mut new, n, bi * b, k * b, b);
+                    oracle::solve_col_block(&mut old, n, bi * b, k * b, b);
+                    check(&new, &old, "solve_col_block");
+                }
+                for bi in k + 1..app.nb() {
+                    for bj in k + 1..app.nb() {
+                        gemm_update(&mut new, n, bi * b, bj * b, k * b, b);
+                        oracle::gemm_update(&mut old, n, bi * b, bj * b, k * b, b);
+                    }
+                }
+                check(&new, &old, "gemm_update");
+            }
+            check(&app.reference(), &oracle::reference(&app), "reference");
+        }
+    }
+
+    /// The private-block kernels `run` uses, on blocks cut from the
+    /// same factorization steps as the shared-matrix ones.
+    #[test]
+    fn private_block_kernels_are_the_old_loops_bit_for_bit() {
+        for app in shapes() {
+            let (n, b) = (app.n, app.block);
+            let a: Vec<f64> = (0..n * n).map(|x| app.initial(x / n, x % n)).collect();
+            let block = |bi: usize, bj: usize| -> Vec<f64> {
+                (0..b)
+                    .flat_map(|i| &a[(bi * b + i) * n + bj * b..][..b])
+                    .copied()
+                    .collect()
+            };
+            let mut diag = block(0, 0);
+            factor_diag(&mut diag, b, 0, b);
+            for row_solve in [true, false] {
+                let mut new = block(1, 0);
+                let mut old = new.clone();
+                solve_with_diag(&diag, &mut new, b, row_solve);
+                oracle::solve_with_diag(&diag, &mut old, b, row_solve);
+                assert_eq!(bits(&new), bits(&old), "solve {row_solve} at n={n} b={b}");
+            }
+            let (left, up) = (block(1, 0), block(0, 1));
+            let mut new = block(1, 1);
+            let mut old = new.clone();
+            block_gemm(&left, &up, &mut new, b);
+            oracle::block_gemm(&left, &up, &mut old, b);
+            assert_eq!(bits(&new), bits(&old), "block_gemm at n={n} b={b}");
+        }
+    }
+
+    /// Any later change to the reference's arithmetic or order fails
+    /// here before it can move a run. The two pins are one value: each
+    /// element takes its products in ascending k whatever the blocking.
+    #[test]
+    fn default_reference_digests_are_pinned() {
+        for app in [LuApp::default_cont(), LuApp::default_ncont()] {
+            let pin = 0x434c_7dc0_f72c_c523;
+            assert_eq!(bits_digest(&oracle::reference(&app)), pin, "{}", app.name());
+            assert_eq!(bits_digest(&app.reference()), pin, "{}", app.name());
+        }
+    }
+
+    #[test]
+    fn matches_accepts_the_reference_and_rejects_a_moved_element_or_a_nan() {
+        for layout in [LuLayout::Contiguous, LuLayout::NonContiguous] {
+            let app = LuApp::new(16, 4, layout);
+            let expect = app.reference();
+            // The image in layout order, as `verify` reads it.
+            let mut got = vec![0.0; 16 * 16];
+            for (x, &v) in expect.iter().enumerate() {
+                got[app.idx(x / 16, x % 16)] = v;
+            }
+            assert!(app.matches(&got));
+            let at = app.idx(9, 6);
+            let ok = got[at];
+            got[at] = ok + 1e-3 * ok.abs().max(1.0);
+            assert!(!app.matches(&got), "{layout:?}");
+            got[at] = f64::NAN;
+            assert!(!app.matches(&got), "{layout:?}");
+            got[at] = ok;
+            assert!(!app.matches(&got[1..]), "{layout:?}");
+        }
+    }
 
     /// Multiplies the L and U factors packed in `lu` and compares to
     /// the original matrix.

@@ -64,41 +64,41 @@ impl SorApp {
     /// so every read sees the grid as it stood when the sweep began —
     /// bit for bit what a copy taken before the sweep would give.
     fn reference(&self) -> Vec<f64> {
-        let mut g: Vec<f64> = (0..self.rows).flat_map(|i| self.initial_row(i)).collect();
         let cols = self.cols;
+        let mut g = vec![0.0; self.rows * cols];
+        g[..cols].fill(1.0);
         for _ in 0..self.iters {
-            for color in 0..2usize {
+            for color in 0..2 {
                 for i in 1..self.rows - 1 {
-                    for j in 1..cols - 1 {
-                        if (i + j) % 2 == color {
-                            g[i * cols + j] = 0.25
-                                * (g[(i - 1) * cols + j]
-                                    + g[(i + 1) * cols + j]
-                                    + g[i * cols + j - 1]
-                                    + g[i * cols + j + 1]);
-                        }
-                    }
+                    let (top, rest) = g.split_at_mut(i * cols);
+                    let (here, below) = rest.split_at_mut(cols);
+                    relax_row(&top[(i - 1) * cols..], here, below, i, color);
                 }
             }
         }
         g
     }
+
+    /// Whether a final grid is the reference's, cell by cell within
+    /// a relative 1e-12 (a NaN is never within).
+    fn matches(&self, got: &[f64]) -> bool {
+        let expect = self.reference();
+        got.len() == expect.len()
+            && got
+                .iter()
+                .zip(&expect)
+                .all(|(a, b)| (a - b).abs() <= 1e-12 * b.abs().max(1.0))
+    }
 }
 
-/// Relaxes row `i` into `rows.out`: only cells of `color` change, and
-/// they read only the other color, so in-place updates are order-free.
-fn relax_row(rows: &mut StencilRows, i: usize, color: usize) {
-    let StencilRows {
-        above,
-        here,
-        below,
-        out,
-    } = rows;
-    out.copy_from_slice(here);
-    for j in 1..here.len() - 1 {
-        if (i + j) % 2 == color {
-            out[j] = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-        }
+/// Relaxes the cells of `color` in row `i` in place, stepping over the
+/// other color's cells (the first of ours is column 1 or 2): only
+/// those are read, so the order is free.
+fn relax_row(above: &[f64], here: &mut [f64], below: &[f64], i: usize, color: usize) {
+    let cols = here.len();
+    let (above, below) = (&above[..cols], &below[..cols]);
+    for j in (1 + (i + 1 + color) % 2..cols - 1).step_by(2) {
+        here[j] = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
     }
 }
 
@@ -153,9 +153,9 @@ impl DsmTask for SorApp {
                 // Update one row: reads rows i-1, i, i+1, writes row i.
                 let mut update_row = async |ctx: &mut TaskCtx, i: usize| {
                     rows.read_around(ctx, grid, i).await;
-                    relax_row(&mut rows, i, color);
+                    relax_row(&rows.above, &mut rows.here, &rows.below, i, color);
                     ctx.compute(SimDuration::from_nanos(NS_PER_CELL * (cols as u64 / 2)));
-                    ctx.write_slice(grid, i * cols, &rows.out).await;
+                    ctx.write_slice(grid, i * cols, &rows.here).await;
                 };
                 // Interior rows first so the halo prefetches have the
                 // whole block's compute time to complete (§3.2's
@@ -175,17 +175,139 @@ impl DsmTask for SorApp {
     }
 
     fn verify(&self, mem: &VerifyCtx, grid: &Self::Handles) -> bool {
-        let expect = self.reference();
-        let got = mem.read_vec(grid, 0, grid.len());
-        got.iter()
-            .zip(&expect)
-            .all(|(a, b)| (a - b).abs() <= 1e-12 * b.abs().max(1.0))
+        self.matches(&mem.read_vec(grid, 0, grid.len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{bits, bits_digest, StencilRows};
+
+    /// The loops the kernel and the reference replaced: a color test
+    /// on every cell, the kernel writing a copy of the row.
+    mod oracle {
+        use super::*;
+
+        pub(super) fn relax_row(rows: &mut StencilRows, i: usize, color: usize) {
+            let StencilRows {
+                above,
+                here,
+                below,
+                out,
+            } = rows;
+            out.copy_from_slice(here);
+            for j in 1..here.len() - 1 {
+                if (i + j) % 2 == color {
+                    out[j] = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
+                }
+            }
+        }
+
+        pub(super) fn reference(app: &SorApp) -> Vec<f64> {
+            let mut g: Vec<f64> = (0..app.rows).flat_map(|i| app.initial_row(i)).collect();
+            let cols = app.cols;
+            for _ in 0..app.iters {
+                for color in 0..2usize {
+                    for i in 1..app.rows - 1 {
+                        for j in 1..cols - 1 {
+                            if (i + j) % 2 == color {
+                                g[i * cols + j] = 0.25
+                                    * (g[(i - 1) * cols + j]
+                                        + g[(i + 1) * cols + j]
+                                        + g[i * cols + j - 1]
+                                        + g[i * cols + j + 1]);
+                            }
+                        }
+                    }
+                }
+            }
+            g
+        }
+    }
+
+    const SHAPES: [(usize, usize, usize); 6] = [
+        (3, 3, 1),
+        (3, 3, 10),
+        (7, 9, 1),
+        (7, 10, 10),
+        (12, 11, 10),
+        (33, 64, 3),
+    ];
+
+    #[test]
+    fn reference_is_the_old_loops_bit_for_bit() {
+        for (rows, cols, iters) in SHAPES {
+            let app = SorApp::new(rows, cols, iters);
+            assert_eq!(
+                bits(&app.reference()),
+                bits(&oracle::reference(&app)),
+                "{rows}x{cols}x{iters}"
+            );
+        }
+    }
+
+    /// Sweeps the grid the way `run` does, one thread's block after
+    /// another (some empty when `rows - 2 < threads`), feeding each row
+    /// to both kernels: every cell of every written row must agree.
+    #[test]
+    fn kernel_is_the_old_loop_bit_for_bit() {
+        for (rows, cols, iters) in SHAPES {
+            for threads in [1, 3, 8] {
+                let app = SorApp::new(rows, cols, iters);
+                let mut g: Vec<f64> = (0..rows).flat_map(|i| app.initial_row(i)).collect();
+                let mut old = StencilRows::new(cols);
+                for _ in 0..iters {
+                    for color in 0..2 {
+                        let before = g.clone();
+                        for t in 0..threads {
+                            let (r0, r1) = block_range(rows - 2, t, threads);
+                            for i in r0 + 1..r1 + 1 {
+                                let row = |k: usize| &before[k * cols..(k + 1) * cols];
+                                old.above.copy_from_slice(row(i - 1));
+                                old.here.copy_from_slice(row(i));
+                                old.below.copy_from_slice(row(i + 1));
+                                oracle::relax_row(&mut old, i, color);
+                                let mut here = row(i).to_vec();
+                                relax_row(row(i - 1), &mut here, row(i + 1), i, color);
+                                assert_eq!(bits(&here), bits(&old.out), "{rows}x{cols} row {i}");
+                                g[i * cols..(i + 1) * cols].copy_from_slice(&here);
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    bits(&g),
+                    bits(&oracle::reference(&app)),
+                    "{rows}x{cols}/{threads}"
+                );
+            }
+        }
+    }
+
+    /// Any later change to the reference's arithmetic or order fails
+    /// here before it can move a run.
+    #[test]
+    fn default_reference_digest_is_pinned() {
+        let app = SorApp::default_scale();
+        assert_eq!(bits_digest(&oracle::reference(&app)), 0x368c_08b0_ff9b_8237);
+        assert_eq!(bits_digest(&app.reference()), 0x368c_08b0_ff9b_8237);
+    }
+
+    #[test]
+    fn matches_accepts_the_reference_and_rejects_a_moved_cell_or_a_nan() {
+        let app = SorApp::new(8, 9, 3);
+        let mut got = app.reference();
+        assert!(app.matches(&got));
+        let cell = 2 * 9 + 4;
+        let ok = got[cell];
+        got[cell] = ok + 1e-9;
+        assert!(!app.matches(&got));
+        got[cell] = f64::NAN;
+        assert!(!app.matches(&got));
+        got[cell] = ok;
+        assert!(!app.matches(&got[1..]));
+    }
 
     #[test]
     fn reference_diffuses_heat_downward() {

@@ -264,8 +264,9 @@ impl BarrierCycle {
 }
 
 /// The buffers of a row-at-a-time stencil sweep: the three grid rows
-/// an update reads and the row it writes, allocated once per thread
-/// and reused for every row.
+/// an update reads and, for a sweep that does not update `here` in
+/// place, the row it writes; allocated once per thread and reused for
+/// every row.
 #[derive(Debug)]
 pub(crate) struct StencilRows {
     pub(crate) above: Vec<f64>,
@@ -304,4 +305,17 @@ pub(crate) fn leapfrog(stride: usize, force: &[f64], vel: &mut [f64], pos: &mut 
             pos[k] += vel[k];
         }
     }
+}
+
+/// The bit patterns of `v`, so tests compare floats bit for bit.
+#[cfg(test)]
+pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// FNV-1a over the little-endian bit patterns of `v`.
+#[cfg(test)]
+pub(crate) fn bits_digest(v: &[f64]) -> u64 {
+    let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
+    rsdsm_simnet::fnv1a(&bytes)
 }
