@@ -1,37 +1,32 @@
-//! The performance pinner: measures the hot-path primitives this
-//! crate's optimization passes claim and emits the numbers as
-//! machine-readable JSON (committed as `BENCH_matrix.json`). Whole
-//! runs are `rsbench`'s job (`benchmark/`): warm, pinned, end to end.
-//!
-//! Unlike `cargo bench` (the criterion micro-suite, which prints
-//! per-op wall-clock for eyeballing), this binary asserts nothing and
-//! measures *ratios* on the same machine in the same process — the
-//! only form in which cross-machine perf claims are honest:
+//! The performance pinner: in-process ratios against a reference,
+//! emitted as machine-readable JSON (committed as
+//! `BENCH_matrix.json`). Every row it writes is one side of a
+//! `*_speedup` pair: the optimized path and its reference run
+//! interleaved, round by round, on the same machine in the same
+//! process, so the machine's speed divides out — the only form in
+//! which a cross-machine perf claim is honest, and the form CI holds
+//! to a floor 10 % under its pin. Whole runs and per-layer unit costs
+//! are `rsbench`'s job (`benchmark/`): warm, pinned, end to end.
 //!
 //! * `diff_between` — the word-at-a-time bitmap scan vs the
 //!   byte-at-a-time reference, on sparse, dense and `f64`-per-word
-//!   pages (interleaved rounds, median-of-rounds ratio).
-//! * `trace_encode` — RTR1 encoding with exact pre-sizing, per event.
-//! * `fault_summary` — the single-buffer summary-line formatter.
+//!   pages.
 //! * `queue_replay` — the timing-wheel event queue vs the binary-heap
-//!   reference on a million-event RADIX-shaped schedule (interleaved
-//!   rounds, median-of-rounds ratio).
+//!   reference on a million-event RADIX-shaped schedule.
 //! * `checkpoint_check` — the persistence device's word-wise check
 //!   (what `CommitRecord::for_payload` computes) vs byte FNV-1a over
-//!   one 64-page segmented image (interleaved rounds,
-//!   median-of-rounds ratio).
+//!   one 64-page segmented image.
 //!
-//! Usage: `perf [--bench-json PATH]` (plus the usual
-//! experiment flags; `--test-scale` is the default for CI budgets).
+//! Each pair reports each side's best round and the median of the
+//! per-round ratios.
+//!
+//! Usage: `perf [--bench-json PATH]`. The usual experiment flags are
+//! accepted and echoed in the report's `config`; no simulation runs.
 
 use std::time::Instant;
 
-use rsdsm_apps::{Benchmark, Scale};
-use rsdsm_bench::{diff_shapes, queue_replay, ExpOpts, Variant};
-use rsdsm_core::{
-    fnv1a, AdaptiveConfig, Checkpoint, CommitRecord, DsmConfig, FaultPlan, MissClass, PageImage,
-    StrideDetector, ThrottleController,
-};
+use rsdsm_bench::{diff_shapes, queue_replay, ExpOpts};
+use rsdsm_core::{fnv1a, Checkpoint, CommitRecord, PageImage};
 use rsdsm_protocol::{Diff, VectorClock};
 use rsdsm_simnet::{EventQueue, HeapQueue};
 
@@ -153,86 +148,6 @@ fn main() {
         });
     }
     ratios.push(("checkpoint_check_speedup", median(round_ratios)));
-
-    // --- RTR1 trace encoding (exact pre-sizing) ---
-    let (_, trace) = Benchmark::Radix
-        .run_traced(
-            Scale::Test,
-            Variant::Combined(2).config(Benchmark::Radix, &opts),
-        )
-        .expect("traced RADIX");
-    let iters = 200;
-    let encode = time(iters, || trace.encode());
-    samples.push(Sample {
-        name: "trace_encode_ns",
-        nanos: encode,
-        iters,
-    });
-    samples.push(Sample {
-        name: "trace_encode_ns_per_event",
-        nanos: encode / trace.len() as f64,
-        iters,
-    });
-
-    // --- fault_summary_line (single-buffer formatter) ---
-    let lossy = Benchmark::Fft
-        .run(
-            Scale::Test,
-            DsmConfig::paper_cluster(opts.nodes)
-                .with_seed(opts.seed)
-                .with_faults(FaultPlan::uniform_loss(0xFA11, 0.05)),
-        )
-        .expect("lossy FFT");
-    let iters = 20_000;
-    samples.push(Sample {
-        name: "fault_summary_line_ns",
-        nanos: time(iters, || lossy.fault_summary_line()),
-        iters,
-    });
-
-    // --- Adaptive-prefetch per-fault hot path ---
-    // The detector's amortized-O(1) claim, measured: one observe on a
-    // steady strided stream (ring slide + two count updates) and on a
-    // trendless stream (maximal count churn), plus the throttle's
-    // feedback fold. These run on every remote fault of an adaptive
-    // run, so they must stay in the tens of nanoseconds.
-    let iters = 1_000_000;
-    let mut detector = StrideDetector::new(8);
-    let mut page = 0u64;
-    samples.push(Sample {
-        name: "prefetch_detect_steady_ns",
-        nanos: time(iters, || {
-            page += 2;
-            detector.observe(page)
-        }),
-        iters,
-    });
-    let mut detector = StrideDetector::new(8);
-    let mut page = 0u64;
-    let mut step = 1u64;
-    samples.push(Sample {
-        name: "prefetch_detect_trendless_ns",
-        nanos: time(iters, || {
-            step = step % 97 + 1;
-            page += step;
-            detector.observe(page)
-        }),
-        iters,
-    });
-    let mut throttle = ThrottleController::new(&AdaptiveConfig::on());
-    let mut k = 0u64;
-    samples.push(Sample {
-        name: "prefetch_throttle_observe_ns",
-        nanos: time(iters, || {
-            k += 1;
-            throttle.observe(if k.is_multiple_of(3) {
-                MissClass::Hit
-            } else {
-                MissClass::NoPf
-            })
-        }),
-        iters,
-    });
 
     // --- Event-queue replay: timing wheel vs binary-heap reference ---
     // A million-step RADIX-shaped schedule (see

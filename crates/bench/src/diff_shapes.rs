@@ -1,6 +1,6 @@
-//! The twin/current page pairs the diff rows are measured on — one
-//! definition for the criterion suite and the `perf` pinner, so a row
-//! and the ratio CI gates name the same traffic.
+//! The twin/current page pairs the `perf` pinner's diff rows are
+//! measured on, so a row and the ratio CI gates name the traffic the
+//! applications make.
 //!
 //! The shapes are the applications' (DESIGN §6g has the per-app
 //! table): most diffs are hundreds of runs a few bytes long — an `f64`
@@ -36,13 +36,6 @@ pub fn f64_words() -> (Page, Page) {
     (twin, current)
 }
 
-/// A written page and an identical copy: the empty diff of a page that
-/// was rewritten with the values it held — 98 % of SOR's.
-pub fn clean() -> (Page, Page) {
-    let (_, page) = strided(8);
-    (page.clone(), page)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,6 +50,5 @@ mod tests {
         assert_eq!(runs(strided(256)), (16, 31));
         assert_eq!(runs(strided(8)), (511, 990));
         assert_eq!(runs(f64_words()), (512, 7 * 512));
-        assert_eq!(runs(clean()), (0, 0));
     }
 }

@@ -538,8 +538,14 @@ impl Checkpoint {
         for _ in 0..c.u32()? {
             let page = c.u32()?;
             let seq = c.u32()?;
-            let runs = c.u32()?;
-            let mut collected = Vec::with_capacity(runs as usize);
+            // Each run is at least its 8 header bytes: a count the rest
+            // of the image cannot hold is corrupt, and is never a
+            // buffer size.
+            let runs = c.u32()? as usize;
+            if runs > c.remaining() / 8 {
+                return Err(CheckpointError::Corrupt("more diff runs than bytes"));
+            }
+            let mut collected = Vec::with_capacity(runs);
             for _ in 0..runs {
                 let offset = c.u32()? as usize;
                 let len = c.u32()? as usize;
@@ -782,6 +788,10 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
     fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
         if self.at + n > self.bytes.len() {
             return Err(CheckpointError::Truncated);

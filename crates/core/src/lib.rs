@@ -39,8 +39,6 @@
 
 mod accounting;
 mod barrier;
-#[doc(hidden)]
-pub mod bench_hooks;
 mod checkpoint;
 mod conductor;
 mod config;

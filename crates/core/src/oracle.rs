@@ -700,6 +700,39 @@ mod tests {
         }
     }
 
+    /// Coherent lock traffic at a width the proptest above does not
+    /// reach: 256 tokens spread over an 8- and a 256-node ring, each
+    /// touched at its manager, then one free token passed node to node
+    /// one full lap and back to its start. No check after any event
+    /// reports anything.
+    #[test]
+    fn a_token_moving_round_a_wide_ring_is_coherent() {
+        for n in [8, 256] {
+            let mut nodes = cluster(n);
+            let mut st = OracleState::new(n);
+            for lock in (0..256).map(LockId) {
+                let manager = lock.0 as usize % n;
+                nodes[manager].locks.acquire(lock, ThreadId(manager));
+                nodes[manager].locks.release(lock, ThreadId(manager));
+                st.check_event(&nodes, SimTime::ZERO);
+                assert!(st.violations.is_empty(), "n {n}: touching {lock:?}");
+            }
+            let lock = LockId(0);
+            for step in 0..=n {
+                let (from, to) = (step % n, (step + 1) % n);
+                let waiter = RemoteWaiter {
+                    node: to,
+                    vc: VectorClock::new(n),
+                };
+                let granted = nodes[from].locks.handle_forward(lock, waiter);
+                assert!(matches!(granted, ForwardOutcome::Grant(_)), "token is free");
+                nodes[to].locks.handle_grant(lock);
+                st.check_event(&nodes, SimTime::from_nanos(step as u64));
+                assert!(st.violations.is_empty(), "n {n}: move {step}");
+            }
+        }
+    }
+
     #[test]
     fn barrier_epoch_checks() {
         let mut st = OracleState::new(2);

@@ -89,8 +89,8 @@ pub enum TrendChange {
 /// Holds the last `window` page-to-page deltas of the thread's remote
 /// fault stream and the exact majority element over that window, when
 /// one exists (count strictly greater than `window / 2`). All
-/// operations are O(1) amortized — `prefetch_detect` in
-/// `crates/bench/benches/microbench.rs` pins the constant.
+/// operations are O(1) amortized — rsbench's `core.prefetch.observe_ns`
+/// (`benchmark/`) measures the constant.
 #[derive(Debug, Clone)]
 pub struct StrideDetector {
     window: usize,

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rsdsm_core::{
-    classify_slot, Checkpoint, CommitRecord, DiffRecord, IntervalRecord, LockId, PageImage,
-    SlotState,
+    classify_slot, Checkpoint, CheckpointError, CommitRecord, DiffRecord, IntervalRecord, LockId,
+    PageImage, SlotState,
 };
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock, PAGE_SIZE};
 
@@ -260,4 +260,29 @@ fn every_truncation_classifies_cleanly() {
     }
     // The empty slot (nothing ever written) is Empty, not Torn.
     assert_eq!(classify_slot(&[], &[]), SlotState::Empty);
+}
+
+/// A run count the image cannot hold is an error, not an allocation:
+/// 40 bytes claiming one diff of `u32::MAX` runs must not size a
+/// buffer from that count (137 GB, and a process abort).
+#[test]
+fn an_impossible_run_count_is_rejected() {
+    let words: [u32; 10] = [
+        0x5243_4b31, // "RCK1"
+        0,           // node
+        0,           // epoch
+        1,           // clock width
+        0,           // the one clock entry
+        0,           // pages
+        1,           // diffs
+        0,           // diff page
+        0,           // diff seq
+        u32::MAX,    // runs
+    ];
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    assert_eq!(bytes.len(), 40);
+    assert!(matches!(
+        Checkpoint::decode(&bytes),
+        Err(CheckpointError::Corrupt(_))
+    ));
 }

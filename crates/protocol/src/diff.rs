@@ -204,8 +204,8 @@ impl Diff {
     }
 
     /// The original byte-at-a-time scan, kept as the differential
-    /// reference for property tests and for the speedup measurements
-    /// in the criterion suite. Produces byte-for-byte the same runs
+    /// reference for property tests and for the `perf` pinner's
+    /// `diff_between_*_speedup` ratios. Produces byte-for-byte the same runs
     /// as [`Diff::between`]. It also reproduces the original storage
     /// behavior — one buffer allocation per run — so timing it against
     /// [`Diff::between`] measures both the chunked scan and the flat
