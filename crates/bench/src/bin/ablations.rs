@@ -10,55 +10,49 @@
 //! 4. **Reliable prefetches** (§3.1 footnote 3): what happens if
 //!    prefetch messages are never dropped.
 //! 5. **Context-switch cost sensitivity** (§4.3).
+//! 6. **Automatic prefetching** (§3, §6): hand-inserted prefetches vs
+//!    a history-based runtime prefetcher.
+//!
+//! Each section sweeps its own cells; under `--trace`, `--trace-metrics`
+//! or a fault flag every cell prints its lines, the tweaked ones under
+//! labels such as `4TP-naive` or `2T-55us`.
 
 use rsdsm_apps::Benchmark;
-use rsdsm_bench::{ExpOpts, Runner, Variant};
-use rsdsm_core::{PrefetchConfig, ThreadConfig};
-use rsdsm_stats::{speedup_label, Align, AsciiTable};
+use rsdsm_bench::{ascii_table, sweep, Cell, ExpOpts, Variant};
+use rsdsm_core::RunReport;
+use rsdsm_stats::speedup_label;
 
 fn main() {
     let opts = ExpOpts::from_args();
     println!("Ablations ({} nodes, {:?} scale)\n", opts.nodes, opts.scale);
-    let mut runner = Runner::new(&opts);
-    // Every standard-variant cell each section consumes, in consumption
-    // order; the scheduler fans them across cores up front and the
-    // sections then pop their results in the usual serial order.
-    let mut cells = Vec::new();
-    for bench in [Benchmark::Fft, Benchmark::WaterNsq, Benchmark::Sor] {
-        cells.push((bench, Variant::Original));
-        cells.push((bench, Variant::Combined(4)));
-    }
-    for bench in [Benchmark::WaterNsq, Benchmark::Ocean, Benchmark::Sor] {
-        cells.push((bench, Variant::Combined(4)));
-    }
-    cells.push((Benchmark::Radix, Variant::Combined(4)));
-    for bench in [Benchmark::Fft, Benchmark::Radix, Benchmark::Sor] {
-        cells.push((bench, Variant::Prefetch));
-    }
-    for bench in [
-        Benchmark::Sor,
-        Benchmark::Fft,
-        Benchmark::WaterNsq,
-        Benchmark::Ocean,
-    ] {
-        cells.push((bench, Variant::Original));
-        cells.push((bench, Variant::Prefetch));
-    }
-    runner.precompute(&cells);
-    naive_combination(&mut runner);
-    suppression(&mut runner);
-    radix_throttle(&mut runner);
-    reliable_prefetch(&mut runner);
-    switch_cost(runner.opts());
-    automatic_prefetch(&mut runner);
+    naive_combination(&opts);
+    suppression(&opts);
+    radix_throttle(&opts);
+    reliable_prefetch(&opts);
+    switch_cost(&opts);
+    automatic_prefetch(&opts);
+}
+
+/// Sweeps `cells(key)` for every key as one sweep and hands back each
+/// key's reports (every cell's lines are printed as it is taken).
+fn per_key<K: Copy, const N: usize>(
+    opts: &ExpOpts,
+    keys: &[K],
+    cells: impl Fn(K) -> [Cell; N],
+) -> Vec<(K, [RunReport; N])> {
+    let mut runs = sweep(opts, keys.iter().flat_map(|&k| cells(k)).collect());
+    keys.iter()
+        .map(|&k| (k, std::array::from_fn(|_| runs.take())))
+        .collect()
 }
 
 /// §3 / §6: hand-inserted prefetching vs a Bianchini-style
 /// history-based runtime prefetcher (the paper's claim: explicit
 /// insertion prefetches "more intelligently and more aggressively").
-fn automatic_prefetch(runner: &mut Runner<'_>) {
+fn automatic_prefetch(opts: &ExpOpts) {
     println!("6. Hand-inserted vs automatic (history-based) prefetching");
-    let mut t = AsciiTable::new(
+    let mut t = ascii_table(
+        1,
         vec![
             "App",
             "O total",
@@ -67,29 +61,17 @@ fn automatic_prefetch(runner: &mut Runner<'_>) {
             "hand cover",
             "auto cover",
         ],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
     );
-    for bench in [
+    let benches = [
         Benchmark::Sor,
         Benchmark::Fft,
         Benchmark::WaterNsq,
         Benchmark::Ocean,
-    ] {
-        let orig = runner.run(bench, Variant::Original);
-        let hand = runner.run(bench, Variant::Prefetch);
-        let auto_cfg = runner
-            .opts()
-            .base_config()
-            .with_prefetch(PrefetchConfig::automatic());
-        let auto = bench.run(runner.opts().scale, auto_cfg).expect("auto run");
-        assert!(auto.verified);
+    ];
+    let variants = [Variant::Original, Variant::Prefetch, Variant::History];
+    for (bench, [orig, hand, auto]) in per_key(opts, &benches, |bench| {
+        variants.map(|v| Cell::variant(bench, v, opts))
+    }) {
         t.add_row(vec![
             bench.name().into(),
             orig.total_time.to_string(),
@@ -104,9 +86,10 @@ fn automatic_prefetch(runner: &mut Runner<'_>) {
 
 /// §5: "we apply both prefetching and multithreading to memory
 /// latency" — the rejected design.
-fn naive_combination(runner: &mut Runner<'_>) {
+fn naive_combination(opts: &ExpOpts) {
     println!("1. Combined approach: switch on sync only (paper) vs switch on everything (naive)");
-    let mut t = AsciiTable::new(
+    let mut t = ascii_table(
+        1,
         vec![
             "App",
             "O total",
@@ -115,27 +98,17 @@ fn naive_combination(runner: &mut Runner<'_>) {
             "paper speedup",
             "naive speedup",
         ],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
     );
-    for bench in [Benchmark::Fft, Benchmark::WaterNsq, Benchmark::Sor] {
-        let orig = runner.run(bench, Variant::Original);
-        let paper = runner.run(bench, Variant::Combined(4));
-        let mut naive_cfg = Variant::Combined(4).config(bench, runner.opts());
-        naive_cfg.threads = ThreadConfig {
-            switch_on_memory: true,
-            ..naive_cfg.threads
-        };
-        let naive = bench
-            .run(runner.opts().scale, naive_cfg)
-            .expect("naive run");
-        assert!(naive.verified);
+    let benches = [Benchmark::Fft, Benchmark::WaterNsq, Benchmark::Sor];
+    for (bench, [orig, paper, naive]) in per_key(opts, &benches, |bench| {
+        [
+            Cell::variant(bench, Variant::Original, opts),
+            Cell::variant(bench, Variant::Combined(4), opts),
+            Cell::variant(bench, Variant::Combined(4), opts).tweaked("naive", |cfg| {
+                cfg.threads.switch_on_memory = true;
+            }),
+        ]
+    }) {
         t.add_row(vec![
             bench.name().into(),
             orig.total_time.to_string(),
@@ -149,9 +122,10 @@ fn naive_combination(runner: &mut Runner<'_>) {
 }
 
 /// §5.1: value of the redundant-prefetch suppression flag.
-fn suppression(runner: &mut Runner<'_>) {
+fn suppression(opts: &ExpOpts) {
     println!("2. Redundant-prefetch suppression in combined mode (4 threads/node)");
-    let mut t = AsciiTable::new(
+    let mut t = ascii_table(
+        1,
         vec![
             "App",
             "pf msgs (on)",
@@ -159,20 +133,16 @@ fn suppression(runner: &mut Runner<'_>) {
             "total (on)",
             "total (off)",
         ],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
     );
-    for bench in [Benchmark::WaterNsq, Benchmark::Ocean, Benchmark::Sor] {
-        let on = runner.run(bench, Variant::Combined(4));
-        let mut off_cfg = Variant::Combined(4).config(bench, runner.opts());
-        off_cfg.prefetch.suppress_redundant = false;
-        let off = bench.run(runner.opts().scale, off_cfg).expect("run");
-        assert!(off.verified);
+    let benches = [Benchmark::WaterNsq, Benchmark::Ocean, Benchmark::Sor];
+    for (bench, [on, off]) in per_key(opts, &benches, |bench| {
+        [
+            Cell::variant(bench, Variant::Combined(4), opts),
+            Cell::variant(bench, Variant::Combined(4), opts).tweaked("nosuppress", |cfg| {
+                cfg.prefetch.suppress_redundant = false;
+            }),
+        ]
+    }) {
         t.add_row(vec![
             bench.name().into(),
             on.prefetch.messages.to_string(),
@@ -185,15 +155,17 @@ fn suppression(runner: &mut Runner<'_>) {
 }
 
 /// §5.1: RADIX throttling (every other prefetch dropped).
-fn radix_throttle(runner: &mut Runner<'_>) {
+fn radix_throttle(opts: &ExpOpts) {
     println!("3. RADIX prefetch throttling in combined mode (4 threads/node)");
-    let with = runner.run(Benchmark::Radix, Variant::Combined(4));
-    let mut unthrottled_cfg = Variant::Combined(4).config(Benchmark::Radix, runner.opts());
-    unthrottled_cfg.prefetch.throttle = 1;
-    let without = Benchmark::Radix
-        .run(runner.opts().scale, unthrottled_cfg)
-        .expect("run");
-    assert!(without.verified);
+    let (_, [with, without]) = per_key(opts, &[Benchmark::Radix], |bench| {
+        [
+            Cell::variant(bench, Variant::Combined(4), opts),
+            Cell::variant(bench, Variant::Combined(4), opts).tweaked("unthrottled", |cfg| {
+                cfg.prefetch.throttle = 1;
+            }),
+        ]
+    })
+    .remove(0);
     println!(
         "  throttled:   total {}  pf msgs {}  drops {}\n  unthrottled: total {}  pf msgs {}  drops {}\n",
         with.total_time,
@@ -206,25 +178,26 @@ fn radix_throttle(runner: &mut Runner<'_>) {
 }
 
 /// §3.1 footnote 3: reliable vs droppable prefetch messages.
-fn reliable_prefetch(runner: &mut Runner<'_>) {
+fn reliable_prefetch(opts: &ExpOpts) {
     println!("4. Reliable vs droppable prefetch messages (prefetch-only runs)");
-    let mut t = AsciiTable::new(
+    let mut t = ascii_table(
+        1,
         vec![
             "App",
             "droppable total",
             "reliable total",
             "drops (droppable)",
         ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right],
     );
-    for bench in [Benchmark::Fft, Benchmark::Radix, Benchmark::Sor] {
-        let droppable = runner.run(bench, Variant::Prefetch);
-        let reliable_cfg = runner.opts().base_config().with_prefetch(PrefetchConfig {
-            reliable: true,
-            ..bench.paper_prefetch()
-        });
-        let reliable = bench.run(runner.opts().scale, reliable_cfg).expect("run");
-        assert!(reliable.verified);
+    let benches = [Benchmark::Fft, Benchmark::Radix, Benchmark::Sor];
+    for (bench, [droppable, reliable]) in per_key(opts, &benches, |bench| {
+        [
+            Cell::variant(bench, Variant::Prefetch, opts),
+            Cell::variant(bench, Variant::Prefetch, opts).tweaked("reliable", |cfg| {
+                cfg.prefetch.reliable = true;
+            }),
+        ]
+    }) {
         t.add_row(vec![
             bench.name().into(),
             droppable.total_time.to_string(),
@@ -238,15 +211,15 @@ fn reliable_prefetch(runner: &mut Runner<'_>) {
 /// §4.3: sensitivity of multithreading to the context-switch cost.
 fn switch_cost(opts: &ExpOpts) {
     println!("5. Context-switch cost sensitivity (WATER-SP, 2 threads/node)");
-    let mut t = AsciiTable::new(
-        vec!["switch cost", "total", "switches"],
-        vec![Align::Right, Align::Right, Align::Right],
-    );
-    for micros in [0u64, 55, 110, 220, 440] {
-        let mut cfg = Variant::Threads(2).config(Benchmark::WaterSp, opts);
-        cfg.costs.context_switch = rsdsm_simnet::SimDuration::from_micros(micros);
-        let r = Benchmark::WaterSp.run(opts.scale, cfg).expect("run");
-        assert!(r.verified);
+    let mut t = ascii_table(0, vec!["switch cost", "total", "switches"]);
+    for (micros, [r]) in per_key(opts, &[0u64, 55, 110, 220, 440], |micros| {
+        let what = format!("{micros}us");
+        [
+            Cell::variant(Benchmark::WaterSp, Variant::Threads(2), opts).tweaked(&what, |cfg| {
+                cfg.costs.context_switch = rsdsm_simnet::SimDuration::from_micros(micros);
+            }),
+        ]
+    }) {
         t.add_row(vec![
             format!("{micros}us"),
             r.total_time.to_string(),

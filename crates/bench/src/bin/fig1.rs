@@ -4,7 +4,7 @@
 //! Prints, per application, the normalized stacked-bar percentages of
 //! the paper's four baseline categories.
 
-use rsdsm_bench::{fig1_row, ExpOpts, Runner, Variant};
+use rsdsm_bench::{fig1_row, sweep, ExpOpts, Variant};
 
 fn main() {
     let opts = ExpOpts::from_args();
@@ -12,9 +12,8 @@ fn main() {
         "Figure 1: baseline TreadMarks execution time breakdown ({} nodes, {:?} scale)\n",
         opts.nodes, opts.scale
     );
-    let mut runner = Runner::new(&opts);
-    runner.precompute_matrix(&[Variant::Original]);
-    for bench in opts.apps.clone() {
-        println!("{}", fig1_row(bench, &mut runner));
+    let mut runs = sweep(&opts, opts.matrix(&[Variant::Original]));
+    for &bench in &opts.apps {
+        println!("{}", fig1_row(bench, &runs.take()));
     }
 }

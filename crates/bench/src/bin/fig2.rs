@@ -2,7 +2,7 @@
 //! to the original execution time, with the prefetch-overhead
 //! category and the paper's speedup summary.
 
-use rsdsm_bench::{ExpOpts, Runner, Variant};
+use rsdsm_bench::{sweep, ExpOpts, Variant};
 use rsdsm_stats::{render_bars, speedup_label, Bar};
 
 fn main() {
@@ -11,11 +11,10 @@ fn main() {
         "Figure 2: impact of prefetching (O = original, P = with prefetching) — {} nodes, {:?} scale\n",
         opts.nodes, opts.scale
     );
-    let mut runner = Runner::new(&opts);
-    runner.precompute_matrix(&[Variant::Original, Variant::Prefetch]);
-    for bench in opts.apps.clone() {
-        let orig = runner.run(bench, Variant::Original);
-        let pf = runner.run(bench, Variant::Prefetch);
+    let mut runs = sweep(&opts, opts.matrix(&[Variant::Original, Variant::Prefetch]));
+    for &bench in &opts.apps {
+        let orig = runs.take();
+        let pf = runs.take();
         let bars = [Bar::new("O", orig.breakdown), Bar::new("P", pf.breakdown)];
         println!(
             "{}",

@@ -2,8 +2,8 @@
 //! prefetching — no-pf / pf-miss:invalidated / pf-miss:too-late /
 //! pf-hit, normalized to all faults.
 
-use rsdsm_bench::{ExpOpts, Runner, Variant};
-use rsdsm_stats::{percent, Align, AsciiTable};
+use rsdsm_bench::{ascii_table, sweep, ExpOpts, Variant};
+use rsdsm_stats::percent;
 
 fn main() {
     let opts = ExpOpts::from_args();
@@ -11,7 +11,8 @@ fn main() {
         "Figure 3: what happened to the original remote misses (prefetching run) — {} nodes, {:?} scale\n",
         opts.nodes, opts.scale
     );
-    let mut table = AsciiTable::new(
+    let mut table = ascii_table(
+        1,
         vec![
             "Benchmark",
             "no pf",
@@ -19,18 +20,10 @@ fn main() {
             "pf-miss: too late",
             "pf-hit",
         ],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
     );
-    let mut runner = Runner::new(&opts);
-    runner.precompute_matrix(&[Variant::Prefetch]);
-    for bench in opts.apps.clone() {
-        let pf = runner.run(bench, Variant::Prefetch);
+    let mut runs = sweep(&opts, opts.matrix(&[Variant::Prefetch]));
+    for &bench in &opts.apps {
+        let pf = runs.take();
         let p = &pf.prefetch;
         let total = p.no_pf + p.invalidated + p.too_late + p.hits;
         table.add_row(vec![

@@ -2,7 +2,7 @@
 //! and nTP bars normalized to the original run, with the paper's
 //! best-variant summary.
 
-use rsdsm_bench::{ExpOpts, Runner, Variant};
+use rsdsm_bench::{sweep, ExpOpts, Variant};
 use rsdsm_stats::{render_bars, speedup_label, Bar};
 
 fn main() {
@@ -12,8 +12,7 @@ fn main() {
          (O = original, nT = threads only, P = prefetching only, nTP = combined)\n",
         opts.nodes, opts.scale
     );
-    let mut runner = Runner::new(&opts);
-    runner.precompute_matrix(&[
+    let cells = opts.matrix(&[
         Variant::Original,
         Variant::Threads(2),
         Variant::Threads(4),
@@ -23,8 +22,9 @@ fn main() {
         Variant::Combined(4),
         Variant::Combined(8),
     ]);
-    for bench in opts.apps.clone() {
-        let orig = runner.run(bench, Variant::Original);
+    let mut runs = sweep(&opts, cells);
+    for &bench in &opts.apps {
+        let orig = runs.take();
         let mut bars = vec![Bar::new("O", orig.breakdown)];
         let mut best = (String::from("O"), orig.total_time);
         let mut track = |label: String, t: rsdsm_simnet::SimDuration| {
@@ -33,15 +33,15 @@ fn main() {
             }
         };
         for n in [2usize, 4, 8] {
-            let r = runner.run(bench, Variant::Threads(n));
+            let r = runs.take();
             track(format!("{n}T"), r.total_time);
             bars.push(Bar::new(format!("{n}T"), r.breakdown));
         }
-        let p = runner.run(bench, Variant::Prefetch);
+        let p = runs.take();
         track("P".into(), p.total_time);
         bars.push(Bar::new("P", p.breakdown));
         for n in [2usize, 4, 8] {
-            let r = runner.run(bench, Variant::Combined(n));
+            let r = runs.take();
             track(format!("{n}TP"), r.total_time);
             bars.push(Bar::new(format!("{n}TP"), r.breakdown));
         }

@@ -20,11 +20,11 @@
 //! Each pair reports each side's best round and the median of the
 //! per-round ratios.
 //!
-//! Usage: `perf [--bench-json PATH]`. The usual experiment flags are
-//! accepted and echoed in the report's `config`; no simulation runs.
+//! Usage: `perf [--bench-json PATH]`. No simulation runs.
 
 use std::time::Instant;
 
+use rsdsm_bench::json::Json;
 use rsdsm_bench::{diff_shapes, queue_replay, ExpOpts};
 use rsdsm_core::{fnv1a, Checkpoint, CommitRecord, PageImage};
 use rsdsm_protocol::{Diff, VectorClock};
@@ -58,7 +58,9 @@ fn median(mut ratios: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let opts = ExpOpts::from_args();
+    let opts = ExpOpts::parse(ExpOpts::default(), "perf [--bench-json PATH]", |_, _| {
+        Ok(false)
+    });
     let mut samples: Vec<Sample> = Vec::new();
     let mut ratios: Vec<(&'static str, f64)> = Vec::new();
 
@@ -218,10 +220,7 @@ fn main() {
     ratios.push(("queue_replay_speedup", median_ratio));
 
     // --- Report ---
-    println!(
-        "perf: {} nodes, {:?} scale, seed {}",
-        opts.nodes, opts.scale, opts.seed
-    );
+    println!("perf:");
     for s in &samples {
         println!(
             "  {:<36} {:>14.1} ns/iter  ({} iters)",
@@ -233,23 +232,17 @@ fn main() {
     }
 
     if let Some(path) = &opts.bench_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"config\": {{\"nodes\": {}, \"scale\": \"{:?}\", \"seed\": {}}},\n",
-            opts.nodes, opts.scale, opts.seed
-        ));
-        json.push_str("  \"samples_ns\": {\n");
-        for (i, s) in samples.iter().enumerate() {
-            let comma = if i + 1 < samples.len() { "," } else { "" };
-            json.push_str(&format!("    \"{}\": {:.1}{comma}\n", s.name, s.nanos));
-        }
-        json.push_str("  },\n  \"speedups\": {\n");
-        for (i, (name, ratio)) in ratios.iter().enumerate() {
-            let comma = if i + 1 < ratios.len() { "," } else { "" };
-            json.push_str(&format!("    \"{name}\": {ratio:.2}{comma}\n"));
-        }
-        json.push_str("  }\n}\n");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        let samples = samples
+            .iter()
+            .map(|s| (s.name, Json::num(format!("{:.1}", s.nanos))));
+        let ratios = ratios
+            .iter()
+            .map(|&(name, ratio)| (name, Json::num(format!("{ratio:.2}"))));
+        Json::block(vec![
+            ("samples_ns", Json::block(samples.collect())),
+            ("speedups", Json::block(ratios.collect())),
+        ])
+        .write_file(path);
         println!("  wrote {path}");
     }
 }

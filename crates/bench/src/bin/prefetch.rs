@@ -24,13 +24,14 @@
 //! committed `BENCH_prefetch.json`.
 
 use rsdsm_apps::{Benchmark, Scale};
-use rsdsm_bench::{pool, ExpOpts, Variant};
+use rsdsm_bench::json::Json;
+use rsdsm_bench::{ascii_table, sweep, Cell, ExpOpts, Program, Variant};
 use rsdsm_core::{
     DirectoryConfig, DirectoryPolicy, DsmConfig, FaultPlan, NodeCrash, Partition, RecoveryConfig,
-    RunReport, Topology,
+    Topology,
 };
 use rsdsm_simnet::{SimDuration, SimTime};
-use rsdsm_stats::{render_bars, Align, AsciiTable, Bar};
+use rsdsm_stats::{render_bars, Bar};
 
 /// The variants of the head-to-head, in figure order.
 const VARIANTS: [Variant; 5] = [
@@ -46,52 +47,27 @@ const FAULT_TIERS: [&str; 3] = ["loss", "crash", "partition"];
 
 const USAGE: &str = "prefetch [--seed S] [--jobs N] [--app NAME]... [--full] [--bench-json PATH]";
 
-struct Opts {
-    seed: u64,
-    jobs: usize,
-    apps: Vec<Benchmark>,
-    full: bool,
-    bench_json: Option<String>,
-}
-
-fn parse_args() -> Opts {
+/// The shared options (every app of the tier when no `--app` is
+/// given) and whether `--full` was.
+fn parse_args() -> (ExpOpts, bool) {
     let mut full = false;
     // No `--app` means the tier's own selection, chosen below.
     let start = ExpOpts {
         apps: Vec::new(),
         ..ExpOpts::default()
     };
-    let shared = ExpOpts::parse(start, USAGE, |flag, _| {
+    let mut opts = ExpOpts::parse(start, USAGE, |flag, _| {
         full |= flag == "--full";
         Ok(flag == "--full")
     });
-    let apps = if !shared.apps.is_empty() {
-        shared.apps
-    } else if full {
-        Benchmark::ALL.to_vec()
-    } else {
-        vec![Benchmark::Radix, Benchmark::Fft]
-    };
-    Opts {
-        seed: shared.seed,
-        jobs: shared.jobs,
-        apps,
-        full,
-        bench_json: shared.bench_json,
+    if opts.apps.is_empty() {
+        opts.apps = if full {
+            Benchmark::ALL.to_vec()
+        } else {
+            vec![Benchmark::Radix, Benchmark::Fft]
+        };
     }
-}
-
-/// One measured cell: tier, app, variant label, and the run.
-struct Cell {
-    tier: &'static str,
-    bench: Benchmark,
-    label: String,
-    report: RunReport,
-}
-
-/// The clean-tier base config.
-fn clean_base(seed: u64) -> DsmConfig {
-    DsmConfig::paper_cluster(8).with_seed(seed)
+    (opts, full)
 }
 
 /// Recovery parameters sized for `Scale::Default` runs (tens of
@@ -108,11 +84,15 @@ fn study_recovery() -> RecoveryConfig {
     }
 }
 
-/// The fault-tier config for one fault shape.
-fn faulted_base(seed: u64, fault: &str) -> DsmConfig {
-    let base = clean_base(seed);
-    match fault {
-        "loss" => base.with_faults(FaultPlan::uniform_loss(seed ^ 0xfa17, 0.05)),
+/// A tier's problem scale and base config: the clean tier is the
+/// options' own 8-node cluster at default scale, a fault tier adds
+/// its fault shape to it, and the fabric tier is 64 nodes on a
+/// 4:1-oversubscribed rack-and-spine switch with hash-sharded homes.
+fn tier_base(opts: &ExpOpts, tier: &str) -> (Scale, DsmConfig) {
+    let base = opts.base_config();
+    let cfg = match tier {
+        "clean" => base,
+        "loss" => base.with_faults(FaultPlan::uniform_loss(opts.seed ^ 0xfa17, 0.05)),
         "crash" => {
             let mut cfg = base.with_recovery(study_recovery());
             cfg.faults = cfg.faults.with_node_crash(NodeCrash {
@@ -131,48 +111,25 @@ fn faulted_base(seed: u64, fault: &str) -> DsmConfig {
             ));
             cfg
         }
-        other => unreachable!("unknown fault tier {other}"),
-    }
-}
-
-/// The 64-node fabric-tier base config.
-fn fabric_base(seed: u64) -> DsmConfig {
-    DsmConfig::paper_cluster(64)
-        .with_seed(seed)
-        .with_topology(Topology::rack_spine(8, 2, 4))
-        .with_directory(DirectoryConfig::on(DirectoryPolicy::Hash))
-}
-
-fn run_cell(
-    tier: &'static str,
-    bench: Benchmark,
-    variant: Variant,
-    scale: Scale,
-    cfg: DsmConfig,
-) -> Cell {
-    let label = variant.label();
-    let report = bench
-        .run(scale, cfg)
-        .unwrap_or_else(|e| panic!("{tier}/{bench} [{label}]: {e}"));
-    assert!(
-        report.verified,
-        "{tier}/{bench} [{label}] produced a wrong result"
-    );
-    Cell {
-        tier,
-        bench,
-        label,
-        report,
-    }
+        "fabric" => {
+            let cfg = DsmConfig::paper_cluster(64)
+                .with_seed(opts.seed)
+                .with_topology(Topology::rack_spine(8, 2, 4))
+                .with_directory(DirectoryConfig::on(DirectoryPolicy::Hash));
+            return (Scale::Test, cfg);
+        }
+        other => unreachable!("unknown tier {other}"),
+    };
+    (opts.scale, cfg)
 }
 
 fn main() {
-    let opts = parse_args();
+    let (opts, full) = parse_args();
     println!(
         "Prefetching head-to-head (seed {}): {} apps, {}{}\n",
         opts.seed,
         opts.apps.len(),
-        if opts.full {
+        if full {
             "full matrix (clean + faults + fabric)"
         } else {
             "fast subset (clean tier)"
@@ -184,77 +141,55 @@ fn main() {
         },
     );
 
-    // --- Build the whole matrix as independent cells and fan out ---
-    let mut tasks: Vec<Box<dyn FnOnce() -> Cell + Send>> = Vec::new();
+    // --- The whole matrix, one sweep: (tier, app, variant) per cell ---
+    let mut keys = Vec::new();
     for &bench in &opts.apps {
-        for variant in VARIANTS {
-            let seed = opts.seed;
-            tasks.push(Box::new(move || {
-                run_cell(
-                    "clean",
-                    bench,
-                    variant,
-                    Scale::Default,
-                    variant.config_on(bench, clean_base(seed)),
-                )
-            }));
-        }
+        keys.extend(VARIANTS.map(|v| ("clean", bench, v)));
     }
-    if opts.full {
+    if full {
         for bench in [Benchmark::Radix, Benchmark::Fft] {
             for fault in FAULT_TIERS {
-                for variant in [Variant::Prefetch, Variant::History, Variant::Adaptive] {
-                    let seed = opts.seed;
-                    tasks.push(Box::new(move || {
-                        run_cell(
-                            fault,
-                            bench,
-                            variant,
-                            Scale::Default,
-                            variant.config_on(bench, faulted_base(seed, fault)),
-                        )
-                    }));
-                }
+                let variants = [Variant::Prefetch, Variant::History, Variant::Adaptive];
+                keys.extend(variants.map(|v| (fault, bench, v)));
             }
-            for variant in [Variant::Original, Variant::History, Variant::Adaptive] {
-                let seed = opts.seed;
-                tasks.push(Box::new(move || {
-                    run_cell(
-                        "fabric",
-                        bench,
-                        variant,
-                        Scale::Test,
-                        variant.config_on(bench, fabric_base(seed)),
-                    )
-                }));
-            }
+            let variants = [Variant::Original, Variant::History, Variant::Adaptive];
+            keys.extend(variants.map(|v| ("fabric", bench, v)));
         }
     }
-    let cells = pool::run(opts.jobs, tasks);
-
-    let find = |tier: &str, bench: Benchmark, label: &str| {
-        cells
-            .iter()
-            .find(|c| c.tier == tier && c.bench == bench && c.label == label)
-    };
-    let baseline =
-        |tier: &str, bench: Benchmark| find(tier, bench, "O").map(|c| c.report.total_time);
+    let cells = keys
+        .iter()
+        .map(|&(tier, bench, variant)| {
+            let (scale, base) = tier_base(&opts, tier);
+            Cell {
+                label: variant.label(),
+                program: Program::Kernel(bench, scale),
+                config: variant.config_on(bench, base),
+            }
+        })
+        .collect();
+    let reports = sweep(&opts, cells).reports();
+    let runs = || keys.iter().zip(&reports);
+    let find = |key| runs().find(|&(&k, _)| k == key).map(|(_, r)| r);
+    let baseline = |tier, bench| find((tier, bench, Variant::Original)).map(|r| r.total_time);
 
     // --- Figure: stacked bars per app, all five variants ---
     println!("Figure: execution-time breakdown, normalized to O = 100\n");
     for &bench in &opts.apps {
         let bars: Vec<Bar> = VARIANTS
             .iter()
-            .filter_map(|v| find("clean", bench, &v.label()))
-            .map(|c| Bar::new(c.label.clone(), c.report.breakdown))
+            .filter_map(|&v| find(("clean", bench, v)).map(|r| Bar::new(v.label(), r.breakdown)))
             .collect();
-        let base = find("clean", bench, "O").expect("O cell").report.breakdown;
-        println!("{}", render_bars(bench.name(), &bars, base.total()));
+        let base = find(("clean", bench, Variant::Original)).expect("O cell");
+        println!(
+            "{}",
+            render_bars(bench.name(), &bars, base.breakdown.total())
+        );
     }
 
     // --- Table: the §3.3 taxonomy row pair per app ---
     println!("Table: §3.3 taxonomy per cell (speedup vs O, coverage/accuracy/lateness)\n");
-    let mut table = AsciiTable::new(
+    let mut table = ascii_table(
+        2,
         vec![
             "Benchmark",
             "variant",
@@ -266,48 +201,32 @@ fn main() {
             "issued",
             "strides",
         ],
-        vec![
-            Align::Left,
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
     );
-    for &bench in &opts.apps {
-        let orig = baseline("clean", bench).expect("O cell");
-        for variant in VARIANTS {
-            let Some(c) = find("clean", bench, &variant.label()) else {
-                continue;
-            };
-            let r = &c.report;
-            let a = r.adaptive.as_ref();
-            table.add_row(vec![
-                bench.name().to_string(),
-                c.label.clone(),
-                r.total_time.to_string(),
-                format!(
-                    "{:.2}x",
-                    orig.as_nanos() as f64 / r.total_time.as_nanos() as f64
-                ),
-                format!("{:.1}%", r.prefetch.coverage() * 100.0),
-                format!("{:.1}%", r.prefetch.accuracy() * 100.0),
-                format!("{:.1}%", r.prefetch.lateness() * 100.0),
-                a.map_or_else(|| r.prefetch.messages.to_string(), |a| a.issued.to_string()),
-                a.map_or_else(String::new, |a| a.detected_strides.to_string()),
-            ]);
-        }
+    for (&(tier, bench, variant), r) in runs().filter(|(k, _)| k.0 == "clean") {
+        let orig = baseline(tier, bench).expect("O cell");
+        let a = r.adaptive.as_ref();
+        table.add_row(vec![
+            bench.name().to_string(),
+            variant.label(),
+            r.total_time.to_string(),
+            format!(
+                "{:.2}x",
+                orig.as_nanos() as f64 / r.total_time.as_nanos() as f64
+            ),
+            format!("{:.1}%", r.prefetch.coverage() * 100.0),
+            format!("{:.1}%", r.prefetch.accuracy() * 100.0),
+            format!("{:.1}%", r.prefetch.lateness() * 100.0),
+            a.map_or_else(|| r.prefetch.messages.to_string(), |a| a.issued.to_string()),
+            a.map_or_else(String::new, |a| a.detected_strides.to_string()),
+        ]);
     }
     println!("{table}");
 
     // --- Fault and fabric tiers (full matrix only) ---
-    if opts.full {
+    if full {
         println!("Fault and fabric tiers (H vs A where transports diverge)\n");
-        let mut table = AsciiTable::new(
+        let mut table = ascii_table(
+            3,
             vec![
                 "tier",
                 "Benchmark",
@@ -319,27 +238,12 @@ fn main() {
                 "pf lost",
                 "retx",
             ],
-            vec![
-                Align::Left,
-                Align::Left,
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ],
         );
-        for c in &cells {
-            if c.tier == "clean" {
-                continue;
-            }
-            let r = &c.report;
+        for (&(tier, bench, variant), r) in runs().filter(|(k, _)| k.0 != "clean") {
             table.add_row(vec![
-                c.tier.to_string(),
-                c.bench.name().to_string(),
-                c.label.clone(),
+                tier.to_string(),
+                bench.name().to_string(),
+                variant.label(),
                 r.total_time.to_string(),
                 format!("{:.1}%", r.prefetch.coverage() * 100.0),
                 format!("{:.1}%", r.prefetch.accuracy() * 100.0),
@@ -355,11 +259,14 @@ fn main() {
     let mut cov_wins = 0usize;
     let mut apps_with_both = 0usize;
     for &bench in &opts.apps {
-        let (Some(h), Some(a)) = (find("clean", bench, "H"), find("clean", bench, "A")) else {
+        let (Some(h), Some(a)) = (
+            find(("clean", bench, Variant::History)),
+            find(("clean", bench, Variant::Adaptive)),
+        ) else {
             continue;
         };
         apps_with_both += 1;
-        if a.report.prefetch.coverage() > h.report.prefetch.coverage() {
+        if a.prefetch.coverage() > h.prefetch.coverage() {
             cov_wins += 1;
         }
     }
@@ -367,50 +274,45 @@ fn main() {
 
     // --- Machine-readable artifact ---
     if let Some(path) = &opts.bench_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"config\": {{\"seed\": {}, \"apps\": {}, \"full\": {}}},\n",
-            opts.seed,
-            opts.apps.len(),
-            opts.full
-        ));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            let r = &c.report;
-            let comma = if i + 1 < cells.len() { "," } else { "" };
-            let speedup = baseline(c.tier, c.bench).map_or(0.0, |orig| {
+        let cells = runs().map(|(&(tier, bench, variant), r)| {
+            let speedup = baseline(tier, bench).map_or(0.0, |orig| {
                 orig.as_nanos() as f64 / r.total_time.as_nanos() as f64
             });
             let p = &r.prefetch;
             let (strides, flips, issued, cancelled) = r.adaptive.map_or((0, 0, 0, 0), |a| {
                 (a.detected_strides, a.window_flips, a.issued, a.cancelled)
             });
-            json.push_str(&format!(
-                "    {{\"tier\": \"{}\", \"app\": \"{}\", \"variant\": \"{}\", \
-                 \"sim_us\": {}, \"speedup\": {:.4}, \
-                 \"coverage\": {:.4}, \"accuracy\": {:.4}, \"lateness\": {:.4}, \
-                 \"hits\": {}, \"too_late\": {}, \"invalidated\": {}, \"no_pf\": {}, \
-                 \"pf_messages\": {}, \"pf_lost\": {}, \
-                 \"strides\": {strides}, \"flips\": {flips}, \
-                 \"issued\": {issued}, \"cancelled\": {cancelled}}}{comma}\n",
-                c.tier,
-                c.bench.name(),
-                c.label,
-                r.total_time.as_micros(),
-                speedup,
-                p.coverage(),
-                r.prefetch.accuracy(),
-                r.prefetch.lateness(),
-                p.hits,
-                p.too_late,
-                p.invalidated,
-                p.no_pf,
-                p.messages,
-                p.send_drops + p.reply_drops,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            Json::line(vec![
+                ("tier", Json::str(tier)),
+                ("app", Json::str(bench.name())),
+                ("variant", Json::str(&variant.label())),
+                ("sim_us", Json::num(r.total_time.as_micros())),
+                ("speedup", Json::num(format!("{speedup:.4}"))),
+                ("coverage", Json::num(format!("{:.4}", p.coverage()))),
+                ("accuracy", Json::num(format!("{:.4}", p.accuracy()))),
+                ("lateness", Json::num(format!("{:.4}", p.lateness()))),
+                ("hits", Json::num(p.hits)),
+                ("too_late", Json::num(p.too_late)),
+                ("invalidated", Json::num(p.invalidated)),
+                ("no_pf", Json::num(p.no_pf)),
+                ("pf_messages", Json::num(p.messages)),
+                ("pf_lost", Json::num(p.send_drops + p.reply_drops)),
+                ("strides", Json::num(strides)),
+                ("flips", Json::num(flips)),
+                ("issued", Json::num(issued)),
+                ("cancelled", Json::num(cancelled)),
+            ])
+        });
+        let config = Json::line(vec![
+            ("seed", Json::num(opts.seed)),
+            ("apps", Json::num(opts.apps.len())),
+            ("full", Json::num(full)),
+        ]);
+        Json::block(vec![
+            ("config", config),
+            ("cells", Json::list(cells.collect())),
+        ])
+        .write_file(path);
         println!("\nwrote {path}");
     }
 }

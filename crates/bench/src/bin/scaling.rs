@@ -20,12 +20,10 @@
 //! experiments budget. `--full` adds the 256- and 1024-node tiers
 //! and writes the numbers behind the committed `BENCH_scaling.json`.
 
-use rsdsm_apps::{Benchmark, HotSpot, Incast, Scale};
-use rsdsm_bench::ExpOpts;
-use rsdsm_core::{
-    DirectoryConfig, DirectoryPolicy, DsmConfig, DsmTask, PrefetchConfig, RunReport, Simulation,
-    Topology,
-};
+use rsdsm_apps::{Benchmark, Incast, Scale};
+use rsdsm_bench::json::Json;
+use rsdsm_bench::{sweep, Cell, ExpOpts, Program};
+use rsdsm_core::{DirectoryConfig, DirectoryPolicy, DsmConfig, PrefetchConfig, Topology};
 
 /// Upper bound on incast fan-in (memory guard: every node holds a
 /// slot for every allocated page, so the page count must stay fixed
@@ -36,11 +34,10 @@ const USAGE: &str = "scaling [--nodes N] [--tiers A,B,..] [--full] \
      [--topology rack:R,spine:S] [--oversub K] [--seed S] [--bench-json PATH]";
 
 struct Opts {
-    seed: u64,
+    shared: ExpOpts,
     tiers: Vec<usize>,
     topology: Option<Topology>,
     oversub: u32,
-    bench_json: Option<String>,
 }
 
 /// Parses `rack:R,spine:S` into `(R, S)`.
@@ -62,7 +59,8 @@ fn parse_args() -> Opts {
     let mut full = false;
     let mut rack_spine = None;
     let mut oversub = 4u32;
-    // `--nodes N` is a one-tier sweep; 0 stands for "not given".
+    // `--nodes N` is a one-tier sweep. The shared parser takes only a
+    // positive count, so 0 here means "not given".
     let start = ExpOpts {
         nodes: 0,
         ..ExpOpts::default()
@@ -72,7 +70,8 @@ fn parse_args() -> Opts {
             "--tiers" => {
                 let spec = args.next().ok_or("--tiers needs a list")?;
                 let list: Result<Vec<usize>, _> = spec.split(',').map(str::parse).collect();
-                tiers = Some(list.map_err(|_| "bad tier")?);
+                let list = list.ok().filter(|list| !list.contains(&0));
+                tiers = Some(list.ok_or("--tiers needs positive node counts")?);
             }
             "--full" => full = true,
             "--topology" => {
@@ -99,11 +98,10 @@ fn parse_args() -> Opts {
         }
     });
     Opts {
-        seed: shared.seed,
+        shared,
         tiers,
         topology: rack_spine.map(|(rack, spines)| Topology::rack_spine(rack, spines, oversub)),
         oversub,
-        bench_json: shared.bench_json,
     }
 }
 
@@ -115,91 +113,40 @@ fn default_fabric(nodes: usize, oversub: u32) -> Topology {
     Topology::rack_spine(rack, 2, oversub)
 }
 
-/// One measured cell of the suite.
-struct Cell {
-    tier: usize,
-    name: &'static str,
-    report: RunReport,
-}
-
-fn run_cell(tier: usize, name: &'static str, cfg: DsmConfig, app: &dyn Runnable) -> Cell {
-    let report = app
-        .run(cfg)
-        .unwrap_or_else(|e| panic!("{name} at {tier} nodes: {e}"));
-    assert!(
-        report.verified,
-        "{name} at {tier} nodes failed verification"
-    );
-    Cell { tier, name, report }
-}
-
-/// Erases the difference between the micro-study programs and the
-/// suite kernels so one runner covers both.
-trait Runnable {
-    fn run(&self, cfg: DsmConfig) -> Result<RunReport, rsdsm_core::SimError>;
-}
-
-struct Micro<P: DsmTask>(P);
-
-impl<P: DsmTask> Runnable for Micro<P> {
-    fn run(&self, cfg: DsmConfig) -> Result<RunReport, rsdsm_core::SimError> {
-        Simulation::new(cfg).run(&self.0)
-    }
-}
-
-struct Kernel(Benchmark);
-
-impl Runnable for Kernel {
-    fn run(&self, cfg: DsmConfig) -> Result<RunReport, rsdsm_core::SimError> {
-        self.0.run(Scale::Test, cfg)
-    }
-}
-
 fn main() {
     let opts = parse_args();
+    let seed = opts.shared.seed;
     let dir_hash = DirectoryConfig::on(DirectoryPolicy::Hash);
-    let mut cells: Vec<Cell> = Vec::new();
+    // (name, program, config) per cell; a cell's tier is its config's
+    // cluster size.
+    let mut specs = Vec::new();
 
     println!(
-        "Scale-out suite (seed {}): tiers {:?}, oversub {}:1\n",
-        opts.seed, opts.tiers, opts.oversub
+        "Scale-out suite (seed {seed}): tiers {:?}, oversub {}:1\n",
+        opts.tiers, opts.oversub
     );
 
     for &nodes in &opts.tiers {
         let fabric = opts
             .topology
             .unwrap_or_else(|| default_fabric(nodes, opts.oversub));
-        let base = || DsmConfig::paper_cluster(nodes).with_seed(opts.seed);
-        let pf = PrefetchConfig::hand();
-        let incast = Incast {
+        let base = || DsmConfig::paper_cluster(nodes).with_seed(seed);
+        let pf = || base().with_prefetch(PrefetchConfig::hand());
+        let hotspot = Program::HotSpot;
+        let incast = Program::Incast(Incast {
             pages: nodes.min(INCAST_MAX),
-        };
-
-        cells.push(run_cell(nodes, "hotspot_flat", base(), &Micro(HotSpot)));
-        cells.push(run_cell(
-            nodes,
-            "hotspot_fabric",
-            base().with_topology(fabric),
-            &Micro(HotSpot),
-        ));
-        cells.push(run_cell(
-            nodes,
-            "hotspot_fabric_dir",
-            base().with_topology(fabric).with_directory(dir_hash),
-            &Micro(HotSpot),
-        ));
-        cells.push(run_cell(
-            nodes,
-            "incast_flat",
-            base().with_prefetch(pf.clone()),
-            &Micro(incast),
-        ));
-        cells.push(run_cell(
-            nodes,
-            "incast_fabric",
-            base().with_prefetch(pf.clone()).with_topology(fabric),
-            &Micro(incast),
-        ));
+        });
+        specs.extend([
+            ("hotspot_flat", hotspot, base()),
+            ("hotspot_fabric", hotspot, base().with_topology(fabric)),
+            (
+                "hotspot_fabric_dir",
+                hotspot,
+                base().with_topology(fabric).with_directory(dir_hash),
+            ),
+            ("incast_flat", incast, pf()),
+            ("incast_fabric", incast, pf().with_topology(fabric)),
+        ]);
 
         // The kernels write, and every write interval carries an
         // O(nodes) vector clock broadcast O(nodes) wide at each
@@ -211,28 +158,39 @@ fn main() {
                 (Benchmark::Radix, "radix_flat", "radix_fabric"),
                 (Benchmark::Fft, "fft_flat", "fft_fabric"),
             ] {
-                cells.push(run_cell(nodes, flat_name, base(), &Kernel(bench)));
-                cells.push(run_cell(
-                    nodes,
-                    fabric_name,
-                    base().with_topology(fabric),
-                    &Kernel(bench),
-                ));
+                let kernel = Program::Kernel(bench, Scale::Test);
+                specs.push((flat_name, kernel, base()));
+                specs.push((fabric_name, kernel, base().with_topology(fabric)));
             }
         }
     }
+    let names: Vec<&str> = specs.iter().map(|spec| spec.0).collect();
+    let cells = specs
+        .into_iter()
+        .map(|(name, program, config)| Cell {
+            label: name.into(),
+            program,
+            config,
+        })
+        .collect();
+    let reports = sweep(&opts.shared, cells).reports();
+    let runs = || {
+        names
+            .iter()
+            .zip(&reports)
+            .map(|(&name, r)| (r.config.nodes, name, r))
+    };
 
     // --- Human-readable report ---
     println!(
         "{:>5}  {:<18} {:>14} {:>10} {:>9} {:>8} {:>8}",
         "nodes", "cell", "sim time", "events", "barr us", "homehit", "pfdrops"
     );
-    for c in &cells {
-        let r = &c.report;
+    for (tier, name, r) in runs() {
         println!(
             "{:>5}  {:<18} {:>14} {:>10} {:>9} {:>8} {:>8}",
-            c.tier,
-            c.name,
+            tier,
+            name,
             r.total_time.to_string(),
             r.events_processed,
             r.barriers.stall_sum.as_micros(),
@@ -244,7 +202,11 @@ fn main() {
     // --- Breakdown analysis per tier ---
     println!("\nper-tier breakdown (hot-spot cell unless noted):");
     for &nodes in &opts.tiers {
-        let get = |name: &str| cells.iter().find(|c| c.tier == nodes && c.name == name);
+        let get = |name: &str| {
+            runs()
+                .find(|run| run.0 == nodes && run.1 == name)
+                .map(|run| run.2)
+        };
         let (Some(flat), Some(fabric), Some(dir)) = (
             get("hotspot_flat"),
             get("hotspot_fabric"),
@@ -252,67 +214,65 @@ fn main() {
         ) else {
             continue;
         };
-        let barrier_share = |c: &Cell| {
-            let total = c.report.total_time.as_nanos() as f64 * nodes as f64;
-            if total == 0.0 {
-                0.0
-            } else {
-                100.0 * c.report.barriers.stall_sum.as_nanos() as f64 / total
-            }
+        let total = flat.total_time.as_nanos() as f64 * nodes as f64;
+        let barrier_share = if total == 0.0 {
+            0.0
+        } else {
+            100.0 * flat.barriers.stall_sum.as_nanos() as f64 / total
         };
         println!(
-            "  {nodes:>5} nodes: barrier cost {:.1}% of node-time (flat), \
+            "  {nodes:>5} nodes: barrier cost {barrier_share:.1}% of node-time (flat), \
              fabric slows hot-spot {:.2}x, directory spreads {} home hits \
              and recovers to {:.2}x",
-            barrier_share(flat),
-            fabric.report.total_time.as_nanos() as f64 / flat.report.total_time.as_nanos() as f64,
-            dir.report.directory.home_hits,
-            dir.report.total_time.as_nanos() as f64 / flat.report.total_time.as_nanos() as f64,
+            fabric.total_time.as_nanos() as f64 / flat.total_time.as_nanos() as f64,
+            dir.directory.home_hits,
+            dir.total_time.as_nanos() as f64 / flat.total_time.as_nanos() as f64,
         );
         if let Some(inc) = get("incast_fabric") {
-            let p = &inc.report.prefetch;
+            let p = &inc.prefetch;
             println!(
                 "  {nodes:>5} nodes: incast storm dropped {} prefetch replies \
                  ({} requests lost), {} demand retries, max queue delay {} us",
                 p.reply_drops,
                 p.send_drops,
-                inc.report.transport.retransmissions,
-                inc.report.net.max_queue_delay.as_micros(),
+                inc.transport.retransmissions,
+                inc.net.max_queue_delay.as_micros(),
             );
         }
     }
 
     // --- Machine-readable artifact ---
-    if let Some(path) = &opts.bench_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"config\": {{\"seed\": {}, \"tiers\": {:?}, \"oversub\": {}}},\n",
-            opts.seed, opts.tiers, opts.oversub
-        ));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            let r = &c.report;
-            let comma = if i + 1 < cells.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"nodes\": {}, \"cell\": \"{}\", \"sim_us\": {}, \
-                 \"events\": {}, \
-                 \"barrier_stall_us\": {}, \"max_queue_delay_us\": {}, \
-                 \"dir_home_hits\": {}, \"dir_migrations\": {}, \
-                 \"pf_reply_drops\": {}, \"retransmissions\": {}}}{comma}\n",
-                c.tier,
-                c.name,
-                r.total_time.as_micros(),
-                r.events_processed,
-                r.barriers.stall_sum.as_micros(),
-                r.net.max_queue_delay.as_micros(),
-                r.directory.home_hits,
-                r.directory.migrations,
-                r.prefetch.reply_drops,
-                r.transport.retransmissions,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = &opts.shared.bench_json {
+        let cells = runs().map(|(tier, name, r)| {
+            Json::line(vec![
+                ("nodes", Json::num(tier)),
+                ("cell", Json::str(name)),
+                ("sim_us", Json::num(r.total_time.as_micros())),
+                ("events", Json::num(r.events_processed)),
+                (
+                    "barrier_stall_us",
+                    Json::num(r.barriers.stall_sum.as_micros()),
+                ),
+                (
+                    "max_queue_delay_us",
+                    Json::num(r.net.max_queue_delay.as_micros()),
+                ),
+                ("dir_home_hits", Json::num(r.directory.home_hits)),
+                ("dir_migrations", Json::num(r.directory.migrations)),
+                ("pf_reply_drops", Json::num(r.prefetch.reply_drops)),
+                ("retransmissions", Json::num(r.transport.retransmissions)),
+            ])
+        });
+        let config = Json::line(vec![
+            ("seed", Json::num(seed)),
+            ("tiers", Json::num(format!("{:?}", opts.tiers))),
+            ("oversub", Json::num(opts.oversub)),
+        ]);
+        Json::block(vec![
+            ("config", config),
+            ("cells", Json::list(cells.collect())),
+        ])
+        .write_file(path);
         println!("\nwrote {path}");
     }
 }

@@ -2,8 +2,7 @@
 //! factor, total traffic, total misses, and average miss latency for
 //! the original and prefetching runs.
 
-use rsdsm_bench::{table1_row, ExpOpts, Runner, Variant};
-use rsdsm_stats::{Align, AsciiTable};
+use rsdsm_bench::{ascii_table, sweep, table1_row, ExpOpts, Variant};
 
 fn main() {
     let opts = ExpOpts::from_args();
@@ -11,7 +10,8 @@ fn main() {
         "Table 1: prefetching statistics (O = original, P = with prefetching) — {} nodes, {:?} scale\n",
         opts.nodes, opts.scale
     );
-    let mut table = AsciiTable::new(
+    let mut table = ascii_table(
+        1,
         vec![
             "Benchmark",
             "Unnecessary",
@@ -23,22 +23,11 @@ fn main() {
             "Avg Lat O (us)",
             "Avg Lat P (us)",
         ],
-        vec![
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
     );
-    let mut runner = Runner::new(&opts);
-    runner.precompute_matrix(&[Variant::Original, Variant::Prefetch]);
-    for bench in opts.apps.clone() {
-        table.add_row(table1_row(bench, &mut runner));
+    let mut runs = sweep(&opts, opts.matrix(&[Variant::Original, Variant::Prefetch]));
+    for &bench in &opts.apps {
+        let (orig, pf) = (runs.take(), runs.take());
+        table.add_row(table1_row(bench, &orig, &pf));
     }
     println!("{table}");
 }

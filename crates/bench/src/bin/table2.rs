@@ -2,8 +2,7 @@
 //! run length, message counts and volume, and per-category remote
 //! event counts with their stall times.
 
-use rsdsm_bench::{ExpOpts, Runner, Variant};
-use rsdsm_stats::{Align, AsciiTable};
+use rsdsm_bench::{ascii_table, sweep, ExpOpts, Variant};
 
 fn main() {
     let opts = ExpOpts::from_args();
@@ -11,15 +10,16 @@ fn main() {
         "Table 2: multithreading statistics (O = original, nT = n threads/processor) — {} nodes, {:?} scale\n",
         opts.nodes, opts.scale
     );
-    let mut runner = Runner::new(&opts);
-    runner.precompute_matrix(&[
+    let cells = opts.matrix(&[
         Variant::Original,
         Variant::Threads(2),
         Variant::Threads(4),
         Variant::Threads(8),
     ]);
-    for bench in opts.apps.clone() {
-        let mut table = AsciiTable::new(
+    let mut runs = sweep(&opts, cells);
+    for &bench in &opts.apps {
+        let mut table = ascii_table(
+            1,
             vec![
                 "Cfg",
                 "Avg Stall (us)",
@@ -33,27 +33,9 @@ fn main() {
                 "Barriers",
                 "Barr Stall (us)",
             ],
-            vec![
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ],
         );
-        for (label, variant) in [
-            ("O", Variant::Original),
-            ("2T", Variant::Threads(2)),
-            ("4T", Variant::Threads(4)),
-            ("8T", Variant::Threads(8)),
-        ] {
-            let r = runner.run(bench, variant);
+        for label in ["O", "2T", "4T", "8T"] {
+            let r = runs.take();
             let avg_miss = if r.misses.misses == 0 {
                 0
             } else {

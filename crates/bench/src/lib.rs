@@ -1,32 +1,41 @@
 //! # rsdsm-bench
 //!
 //! The experiment harness that regenerates every figure and table of
-//! the HPCA-4 1998 paper. Each binary (`fig1` … `fig5`, `table1`,
-//! `table2`, `ablations`) sweeps the relevant configurations over the
-//! benchmark suite and prints paper-style output; this library holds
-//! the shared runner and command-line plumbing.
+//! the HPCA-4 1998 paper and the studies beyond it. Its eleven
+//! binaries: `fig1` … `fig5`, `table1` and `table2` print the paper's
+//! figures and tables; `ablations` the design choices the paper
+//! discusses but does not plot; `prefetch` the static / history /
+//! adaptive prefetching head-to-head; `scaling` the 64–1024-node
+//! scale-out suite; `perf` the in-process speedup ratios against their
+//! references.
+//!
+//! Every binary but `perf` describes its runs as [`Cell`]s — a label, a
+//! [`Program`] and a configuration — and runs them through the one
+//! [`sweep`]. This library holds that sweep, the shared command-line
+//! plumbing and the one [`json`] writer of the `BENCH_*.json` files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
 pub mod diff_shapes;
+pub mod json;
 pub mod pool;
 pub mod queue_replay;
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
-use rsdsm_apps::{Benchmark, Scale};
+use rsdsm_apps::{Benchmark, HotSpot, Incast, Scale};
 use rsdsm_core::{
-    DsmConfig, FaultPlan, NodeCrash, Partition, PersistConfig, PrefetchConfig, RecoveryConfig,
-    RunReport, ThreadConfig, Trace,
+    DsmConfig, DsmTask, FaultPlan, NodeCrash, Partition, PersistConfig, PrefetchConfig,
+    RecoveryConfig, RunReport, SimError, Simulation, ThreadConfig, Trace, TraceMetrics,
 };
 use rsdsm_simnet::{SimDuration, SimTime};
-use rsdsm_stats::{chrome_trace_json, render_bars, Bar};
+use rsdsm_stats::{chrome_trace_json, render_bars, Align, AsciiTable, Bar};
 
 /// Shared command-line options for the experiment binaries.
 ///
-/// Usage: `[--paper-scale] [--nodes N] [--app NAME]... [--seed S]
+/// Usage: `[--paper-scale|--test-scale] [--nodes N] [--app NAME]... [--seed S]
 /// [--fault-loss P] [--fault-crash NODE@MS[:restart=MS]]...
 /// [--fault-partition GROUPS@MS:heal=MS[:asym]]...
 /// [--checkpoint-every N] [--trace OUT] [--trace-metrics]`
@@ -64,7 +73,7 @@ pub struct ExpOpts {
     /// the default.
     pub fence_us: u64,
     /// Chrome trace-event JSON output path (`--trace`). Each traced
-    /// run writes a per-run `OUT-APP-VARIANT.json` next to it, plus
+    /// run writes a per-run `OUT-APP-LABEL.json` next to it, plus
     /// the exact `OUT` path (last run wins), so a single-run sweep
     /// leaves its trace exactly where asked.
     pub trace_out: Option<String>,
@@ -74,8 +83,8 @@ pub struct ExpOpts {
     /// default: all available cores). Results and printed output are
     /// bit-identical at any value — only wall-clock changes.
     pub jobs: usize,
-    /// Benchmark-JSON output path (`--bench-json`), written by the
-    /// `perf` binary with the machine-readable speedup numbers.
+    /// Benchmark-JSON output path (`--bench-json`), taken by the
+    /// `perf`, `prefetch` and `scaling` binaries only.
     pub bench_json: Option<String>,
 }
 
@@ -156,7 +165,8 @@ impl ExpOpts {
                     opts.nodes = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--nodes needs a number"));
+                        .filter(|&n: &usize| n > 0)
+                        .unwrap_or_else(|| fail("--nodes needs a positive number"));
                 }
                 "--seed" => {
                     opts.seed = args
@@ -251,6 +261,15 @@ impl ExpOpts {
             opts.apps = apps;
         }
         opts
+    }
+
+    /// The standard sweep: every app in the options × `variants`,
+    /// app-major.
+    pub fn matrix(&self, variants: &[Variant]) -> Vec<Cell> {
+        self.apps
+            .iter()
+            .flat_map(|&bench| variants.iter().map(move |&v| Cell::variant(bench, v, self)))
+            .collect()
     }
 
     /// The baseline configuration for these options.
@@ -366,11 +385,10 @@ const USAGE: &str =
          [--fault-loss P] [--fault-crash NODE@MS[:restart=MS]]... [--checkpoint-every N]\n\
          \x20             [--fault-partition GROUPS@MS:heal=MS[:asym]]...\n\
          \x20             [--persist] [--persist-bw MBPS] [--fence-us US]\n\
-         \x20             [--trace OUT] [--trace-metrics] [--jobs N] [--bench-json PATH]\n\
+         \x20             [--trace OUT] [--trace-metrics] [--jobs N]\n\
          \n\
          --jobs N        run independent simulation cells on N worker threads\n\
          \x20               (default: all cores; results are bit-identical at any N)\n\
-         --bench-json PATH   (perf binary) write machine-readable benchmark numbers\n\
          --fault-crash   crash NODE at MS simulated milliseconds; with :restart=MS the\n\
          \x20               node reboots after that outage (crash-restart), otherwise a\n\
          \x20               replacement rejoins from its last checkpoint (crash-stop).\n\
@@ -465,23 +483,204 @@ impl Variant {
     }
 }
 
-/// Per-run trace output path: `OUT-APP-VARIANT.json` (extension
-/// preserved when `OUT` has one).
-fn trace_run_path(out: &str, bench: Benchmark, variant: Variant) -> String {
-    let suffix = format!("-{}-{}", bench.name(), variant.label());
-    match out.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() => format!("{stem}{suffix}.{ext}"),
-        _ => format!("{out}{suffix}"),
+/// What a cell runs: one of the paper's applications at a problem
+/// scale, or one of the scale-out micro-programs.
+#[derive(Debug, Clone, Copy)]
+pub enum Program {
+    /// A suite kernel at a problem scale.
+    Kernel(Benchmark, Scale),
+    /// The directory hot-spot micro-program.
+    HotSpot,
+    /// The incast micro-program.
+    Incast(Incast),
+}
+
+impl Program {
+    /// The name a cell's output lines and trace files start with.
+    fn name(&self) -> &'static str {
+        match self {
+            Program::Kernel(bench, _) => bench.name(),
+            Program::HotSpot => "hotspot",
+            Program::Incast(_) => "incast",
+        }
+    }
+
+    /// Runs the program under `cfg`, recording its event trace when
+    /// `traced` (a traced run simulates exactly what an untraced one
+    /// does).
+    fn run(&self, cfg: DsmConfig, traced: bool) -> Outcome {
+        fn micro<P: DsmTask>(app: &P, cfg: DsmConfig, traced: bool) -> Outcome {
+            let sim = Simulation::new(cfg);
+            if traced {
+                sim.run_traced(app).map(|(r, t)| (r, Some(t)))
+            } else {
+                sim.run(app).map(|r| (r, None))
+            }
+        }
+        match *self {
+            Program::Kernel(bench, scale) if traced => {
+                bench.run_traced(scale, cfg).map(|(r, t)| (r, Some(t)))
+            }
+            Program::Kernel(bench, scale) => bench.run(scale, cfg).map(|r| (r, None)),
+            Program::HotSpot => micro(&HotSpot, cfg, traced),
+            Program::Incast(incast) => micro(&incast, cfg, traced),
+        }
     }
 }
 
-/// Prints the trace-derived metrics block for one traced run.
-fn print_trace_metrics(bench: Benchmark, variant: Variant, report: &RunReport) {
-    let Some(m) = &report.trace else { return };
-    let label = variant.label();
-    println!("  {bench} [{label}] trace metrics: {} events", m.events);
+/// A run's report, and its event trace when it was traced.
+type Outcome = Result<(RunReport, Option<Trace>), SimError>;
+
+/// One simulation of an experiment: a label, a program and the
+/// configuration it runs under. Its output lines read
+/// `PROGRAM [LABEL] ...` and its trace file is `OUT-PROGRAM-LABEL.json`.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The cell's label: the paper's bar label for a variant cell.
+    pub label: String,
+    /// What runs.
+    pub program: Program,
+    /// The configuration it runs under.
+    pub config: DsmConfig,
+}
+
+impl Cell {
+    /// `bench` at the options' scale under `variant` layered onto the
+    /// options' base configuration.
+    pub fn variant(bench: Benchmark, variant: Variant, opts: &ExpOpts) -> Cell {
+        Cell {
+            label: variant.label(),
+            program: Program::Kernel(bench, opts.scale),
+            config: variant.config(bench, opts),
+        }
+    }
+
+    /// This cell with one setting changed, labelled `LABEL-what`.
+    pub fn tweaked(mut self, what: &str, change: impl FnOnce(&mut DsmConfig)) -> Cell {
+        change(&mut self.config);
+        self.label = format!("{}-{what}", self.label);
+        self
+    }
+
+    /// The one place a cell runs: panics with the cell's name when the
+    /// run fails or its result is wrong.
+    fn run(self, traced: bool) -> Ran {
+        let (app, label, nodes) = (self.program.name(), self.label, self.config.nodes);
+        let (report, trace) = self
+            .program
+            .run(self.config, traced)
+            .unwrap_or_else(|e| panic!("{app} [{label}] on {nodes} nodes failed: {e}"));
+        assert!(report.verified, "{app} [{label}] produced a wrong result");
+        Ran {
+            app,
+            label,
+            report,
+            trace,
+        }
+    }
+}
+
+/// A finished cell, waiting to be consumed.
+struct Ran {
+    app: &'static str,
+    label: String,
+    report: RunReport,
+    trace: Option<Trace>,
+}
+
+/// Runs `cells` across `opts.jobs` worker threads ([`pool::run`]) —
+/// traced when the options ask for a trace file or trace metrics — and
+/// hands their reports back in list order through [`Sweep::take`].
+pub fn sweep(opts: &ExpOpts, cells: Vec<Cell>) -> Sweep<'_> {
+    let traced = opts.trace_out.is_some() || opts.trace_metrics;
+    let tasks: Vec<_> = cells
+        .into_iter()
+        .map(|cell| move || cell.run(traced))
+        .collect();
+    Sweep {
+        opts,
+        runs: pool::run(opts.jobs, tasks).into_iter(),
+    }
+}
+
+/// The finished cells of one [`sweep`], consumed in list order.
+pub struct Sweep<'a> {
+    opts: &'a ExpOpts,
+    runs: std::vec::IntoIter<Ran>,
+}
+
+impl Sweep<'_> {
+    /// The next cell's report, after printing what [`Sweep::render`]
+    /// renders for it.
+    pub fn take(&mut self) -> RunReport {
+        let mut out = String::new();
+        let report = self.render(&mut out);
+        print!("{out}");
+        report
+    }
+
+    /// The next cell's report. Its trace files are written and its
+    /// trace line, trace-metrics block and fault summary (whichever
+    /// the options ask for) rendered into `out` now, as the binary
+    /// consumes the report, so what a binary prints and writes is the
+    /// same at any `--jobs`.
+    pub fn render(&mut self, out: &mut String) -> RunReport {
+        let ran = self.runs.next().expect("one report per cell");
+        ran.emit(self.opts, out);
+        ran.report
+    }
+
+    /// Every remaining report, in list order, each taken as by
+    /// [`Sweep::take`].
+    pub fn reports(mut self) -> Vec<RunReport> {
+        (0..self.runs.len()).map(|_| self.take()).collect()
+    }
+}
+
+impl Ran {
+    /// Writes the cell's trace files and renders its lines into `out`.
+    fn emit(&self, opts: &ExpOpts, out: &mut String) {
+        let (app, label, report) = (self.app, &self.label, &self.report);
+        if let (Some(path), Some(trace)) = (&opts.trace_out, &self.trace) {
+            let json = chrome_trace_json(trace);
+            // `OUT-APP-LABEL.json` (the extension kept when `OUT` has
+            // one), then `OUT` itself: the last run wins it.
+            let suffix = format!("-{app}-{label}");
+            let per_run = match path.rsplit_once('.') {
+                Some((stem, ext)) if !stem.is_empty() => format!("{stem}{suffix}.{ext}"),
+                _ => format!("{path}{suffix}"),
+            };
+            for p in [per_run.as_str(), path.as_str()] {
+                std::fs::write(p, &json).unwrap_or_else(|e| panic!("writing trace {p}: {e}"));
+            }
+            let _ = writeln!(
+                out,
+                "  {app} [{label}] trace: {} events, digest {:016x} -> {per_run}",
+                trace.len(),
+                trace.digest(),
+            );
+        }
+        if let (true, Some(m)) = (opts.trace_metrics, &report.trace) {
+            render_trace_metrics(&format!("{app} [{label}]"), m, out);
+        }
+        if opts.fault_loss > 0.0
+            || !opts.crashes.is_empty()
+            || !opts.partitions.is_empty()
+            || opts.persist
+        {
+            let line = report.fault_summary_line();
+            let line = line.as_deref().unwrap_or("faults: none observed");
+            let _ = writeln!(out, "  {app} [{label}] {line}");
+        }
+    }
+}
+
+/// Renders the trace-derived metrics block of one traced run.
+fn render_trace_metrics(name: &str, m: &TraceMetrics, out: &mut String) {
+    let _ = writeln!(out, "  {name} trace metrics: {} events", m.events);
     for (kind, h) in &m.msg_latency {
-        println!(
+        let _ = writeln!(
+            out,
             "    msg {kind:<16} {:>6} msgs  mean {:>9.1} ns  min {} max {}",
             h.count(),
             h.mean(),
@@ -490,7 +689,8 @@ fn print_trace_metrics(bench: Benchmark, variant: Variant, report: &RunReport) {
         );
     }
     if m.fault_service.count() > 0 {
-        println!(
+        let _ = writeln!(
+            out,
             "    fault service    {:>6} faults mean {:>9.1} ns  min {} max {}",
             m.fault_service.count(),
             m.fault_service.mean(),
@@ -499,14 +699,16 @@ fn print_trace_metrics(bench: Benchmark, variant: Variant, report: &RunReport) {
         );
     }
     for l in &m.retry_links {
-        println!(
+        let _ = writeln!(
+            out,
             "    retries n{}->n{}  {} retransmissions between {} and {} (max rto {})",
             l.src, l.dst, l.retries, l.first, l.last, l.max_rto,
         );
     }
     let p = &m.prefetch;
     if p.issued > 0 || p.covered() + p.no_pf > 0 {
-        println!(
+        let _ = writeln!(
+            out,
             "    prefetch         {} issued; coverage {:.1}%  accuracy {:.1}%  lateness {:.1}%  \
              ({} hit / {} late / {} invalidated / {} no-pf; {} reqs lost, {} replies lost)",
             p.issued,
@@ -523,155 +725,25 @@ fn print_trace_metrics(bench: Benchmark, variant: Variant, report: &RunReport) {
     }
 }
 
-/// The pure half of a cell: runs the simulation and returns its
-/// report (plus the event trace when the options ask for one). Safe
-/// to call from any worker thread — no printing, no file writes.
-fn compute_variant(
-    bench: Benchmark,
-    variant: Variant,
-    opts: &ExpOpts,
-) -> (RunReport, Option<Trace>) {
-    let cfg = variant.config(bench, opts);
-    let (report, trace) = if opts.trace_out.is_some() || opts.trace_metrics {
-        let (report, trace) = bench
-            .run_traced(opts.scale, cfg)
-            .unwrap_or_else(|e| panic!("{bench} [{}] failed: {e}", variant.label()));
-        (report, Some(trace))
-    } else {
-        let report = bench
-            .run(opts.scale, cfg)
-            .unwrap_or_else(|e| panic!("{bench} [{}] failed: {e}", variant.label()));
-        (report, None)
-    };
-    assert!(
-        report.verified,
-        "{bench} [{}] produced a wrong result",
-        variant.label()
-    );
-    (report, trace)
+/// A results table whose first `labels` columns are left-aligned
+/// (names and labels) and the rest right-aligned (numbers).
+pub fn ascii_table(labels: usize, headers: Vec<&str>) -> AsciiTable {
+    let aligns = (0..headers.len())
+        .map(|i| {
+            if i < labels {
+                Align::Left
+            } else {
+                Align::Right
+            }
+        })
+        .collect();
+    AsciiTable::new(headers, aligns)
 }
 
-/// The side-effect half of a cell: trace export, trace metrics, and
-/// fault summaries. Always called on the main thread, in the same
-/// order as a serial sweep, so printed output and trace files are
-/// identical at any `--jobs` value.
-fn emit_variant(
-    bench: Benchmark,
-    variant: Variant,
-    opts: &ExpOpts,
-    report: &RunReport,
-    trace: Option<&Trace>,
-) {
-    if let (Some(out), Some(trace)) = (&opts.trace_out, trace) {
-        let json = chrome_trace_json(trace);
-        let per_run = trace_run_path(out, bench, variant);
-        for path in [per_run.as_str(), out.as_str()] {
-            std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing trace {path}: {e}"));
-        }
-        println!(
-            "  {bench} [{}] trace: {} events, digest {:016x} -> {per_run}",
-            variant.label(),
-            trace.len(),
-            trace.digest(),
-        );
-    }
-    if opts.trace_metrics {
-        print_trace_metrics(bench, variant, report);
-    }
-    if opts.fault_loss > 0.0
-        || !opts.crashes.is_empty()
-        || !opts.partitions.is_empty()
-        || opts.persist
-    {
-        match report.fault_summary_line() {
-            Some(line) => println!("  {bench} [{}] {line}", variant.label()),
-            None => println!("  {bench} [{}] faults: none observed", variant.label()),
-        }
-    }
-}
-
-/// Precomputing cell runner shared by the experiment binaries.
-///
-/// [`Runner::precompute`] fans a whole sweep's cells across
-/// `opts.jobs` worker threads ([`pool::run`]); [`Runner::run`] then
-/// hands each report back in whatever order the binary consumes them,
-/// performing the cell's printing/exporting side effects at that
-/// moment. Because the side effects run on the consuming thread in
-/// consumption order, output is byte-identical to a serial sweep.
-/// Cells never precomputed are simply run on demand.
-pub struct Runner<'a> {
-    opts: &'a ExpOpts,
-    // Key → FIFO of precomputed results, so a sweep that consumes the
-    // same cell twice may also precompute it twice.
-    cache: HashMap<(Benchmark, String), Vec<CellResult>>,
-}
-
-/// What `compute_variant` produces for one cell: the report, plus the
-/// event trace when the options ask for one.
-type CellResult = (RunReport, Option<Trace>);
-
-impl<'a> Runner<'a> {
-    /// A runner with an empty cache; cells run serially on demand.
-    pub fn new(opts: &'a ExpOpts) -> Self {
-        Runner {
-            opts,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// The experiment options every cell runs under.
-    pub fn opts(&self) -> &'a ExpOpts {
-        self.opts
-    }
-
-    /// Runs every `(bench, variant)` cell across `opts.jobs` threads
-    /// and caches the results for later [`Runner::run`] calls.
-    pub fn precompute(&mut self, cells: &[(Benchmark, Variant)]) {
-        let opts = self.opts;
-        let tasks: Vec<_> = cells
-            .iter()
-            .map(|&(bench, variant)| move || compute_variant(bench, variant, opts))
-            .collect();
-        let results = pool::run(opts.jobs, tasks);
-        for (&(bench, variant), result) in cells.iter().zip(results) {
-            self.cache
-                .entry((bench, variant.label()))
-                .or_default()
-                .push(result);
-        }
-    }
-
-    /// The standard sweep: every app in `opts` × the given variants.
-    pub fn precompute_matrix(&mut self, variants: &[Variant]) {
-        let cells: Vec<_> = self
-            .opts
-            .apps
-            .iter()
-            .flat_map(|&b| variants.iter().map(move |&v| (b, v)))
-            .collect();
-        self.precompute(&cells);
-    }
-
-    /// The cell's report, from the cache when precomputed (otherwise
-    /// computed now), with its side effects performed here and now.
-    pub fn run(&mut self, bench: Benchmark, variant: Variant) -> RunReport {
-        let cached = self
-            .cache
-            .get_mut(&(bench, variant.label()))
-            .filter(|v| !v.is_empty())
-            // FIFO: earliest precompute is consumed first.
-            .map(|v| v.remove(0));
-        let (report, trace) = cached.unwrap_or_else(|| compute_variant(bench, variant, self.opts));
-        emit_variant(bench, variant, self.opts, &report, trace.as_ref());
-        report
-    }
-}
-
-/// Renders Figure 1's per-application block for `bench` — exactly the
-/// text the `fig1` binary prints per app, so snapshot tests can pin a
-/// digest of the emitted rows.
-pub fn fig1_row(bench: Benchmark, runner: &mut Runner<'_>) -> String {
-    let report = runner.run(bench, Variant::Original);
+/// Renders Figure 1's per-application block for `bench` from its
+/// original-variant report — exactly the text the `fig1` binary prints
+/// per app, so snapshot tests can pin a digest of the emitted rows.
+pub fn fig1_row(bench: Benchmark, report: &RunReport) -> String {
     let bars = [Bar::new("O", report.breakdown)];
     format!(
         "{}\n  total {}   msgs {}   bytes {}K   misses {}\n",
@@ -683,11 +755,10 @@ pub fn fig1_row(bench: Benchmark, runner: &mut Runner<'_>) -> String {
     )
 }
 
-/// Computes Table 1's row cells for `bench` — exactly the strings the
-/// `table1` binary puts in its table, shared with the snapshot tests.
-pub fn table1_row(bench: Benchmark, runner: &mut Runner<'_>) -> Vec<String> {
-    let orig = runner.run(bench, Variant::Original);
-    let pf = runner.run(bench, Variant::Prefetch);
+/// Computes Table 1's row cells for `bench` from its original and
+/// prefetching reports — exactly the strings the `table1` binary puts
+/// in its table, shared with the snapshot tests.
+pub fn table1_row(bench: Benchmark, orig: &RunReport, pf: &RunReport) -> Vec<String> {
     vec![
         bench.name().to_string(),
         format!("{:.2}%", pf.prefetch.unnecessary_fraction() * 100.0),
