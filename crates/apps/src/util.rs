@@ -307,6 +307,21 @@ pub(crate) fn leapfrog(stride: usize, force: &[f64], vel: &mut [f64], pos: &mut 
     }
 }
 
+/// WATER's softened repulsive pair force: `f(r) = k / (r^2 + eps)^2`
+/// along the separation vector.
+pub(crate) fn pair_force(dx: f64, dy: f64, dz: f64) -> [f64; 3] {
+    let r2 = dx * dx + dy * dy + dz * dz;
+    let denom = (r2 + 0.05) * (r2 + 0.05);
+    let k = 1e-3 / denom;
+    [k * dx, k * dy, k * dz]
+}
+
+/// WATER's potential energy of one pair.
+pub(crate) fn pair_energy(dx: f64, dy: f64, dz: f64) -> f64 {
+    let r2 = dx * dx + dy * dy + dz * dz;
+    5e-4 / (r2 + 0.05)
+}
+
 /// The bit patterns of `v`, so tests compare floats bit for bit.
 #[cfg(test)]
 pub(crate) fn bits(v: &[f64]) -> Vec<u64> {

@@ -20,7 +20,7 @@ use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, LockId, SharedVec, TaskCt
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, leapfrog, BarrierCycle};
+use crate::util::{gen_f64, leapfrog, pair_energy, pair_force, BarrierCycle};
 
 /// Simulated cost per pair-force evaluation (the real water potential
 /// is expensive — dozens of flops).
@@ -40,20 +40,6 @@ const MOLS_PER_LOCK: usize = 4;
 const LOCK_BASE: u32 = 100;
 /// The global potential-energy accumulator lock.
 const ENERGY_LOCK: LockId = LockId(99);
-
-/// Softened repulsive pair force: `f(r) = k / (r^2 + eps)^2` along
-/// the separation vector.
-fn pair_force(dx: f64, dy: f64, dz: f64) -> [f64; 3] {
-    let r2 = dx * dx + dy * dy + dz * dz;
-    let denom = (r2 + 0.05) * (r2 + 0.05);
-    let k = 1e-3 / denom;
-    [k * dx, k * dy, k * dz]
-}
-
-fn pair_energy(dx: f64, dy: f64, dz: f64) -> f64 {
-    let r2 = dx * dx + dy * dy + dz * dz;
-    5e-4 / (r2 + 0.05)
-}
 
 /// O(n^2) molecular dynamics over `n` molecules for `steps` steps.
 #[derive(Debug, Clone)]

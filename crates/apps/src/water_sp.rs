@@ -10,11 +10,13 @@
 //! in a private array, and the compute pass prefetches by
 //! dereferencing that array one molecule ahead.
 
-use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, LockId, SharedVec, TaskCtx, VerifyCtx};
+use rsdsm_core::{
+    BarrierId, DsmTask, Heap, HomePolicy, LockId, SharedVec, TaskCtx, VerifyCtx, PAGE_SIZE,
+};
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, leapfrog, BarrierCycle};
+use crate::util::{gen_f64, leapfrog, pair_energy, pair_force, BarrierCycle};
 
 /// Simulated cost per pair-force evaluation.
 const NS_PER_PAIR: u64 = 21000;
@@ -31,23 +33,6 @@ const BOX: f64 = 4.0;
 const CUTOFF: f64 = 1.0;
 /// Global potential-energy lock.
 const ENERGY_LOCK: LockId = LockId(199);
-
-/// Byte size of a DSM page (for app-side prefetch deduplication).
-fn rsdsm_protocol_page_size() -> usize {
-    rsdsm_core::PAGE_SIZE
-}
-
-fn pair_force(dx: f64, dy: f64, dz: f64) -> [f64; 3] {
-    let r2 = dx * dx + dy * dy + dz * dz;
-    let denom = (r2 + 0.05) * (r2 + 0.05);
-    let k = 1e-3 / denom;
-    [k * dx, k * dy, k * dz]
-}
-
-fn pair_energy(dx: f64, dy: f64, dz: f64) -> f64 {
-    let r2 = dx * dx + dy * dy + dz * dz;
-    5e-4 / (r2 + 0.05)
-}
 
 /// Spatial O(n) molecular dynamics over `n` molecules.
 #[derive(Debug, Clone)]
@@ -337,7 +322,7 @@ impl DsmTask for WaterSpApp {
                     // (issuing once per page, as Mowry's scheduling
                     // strips redundant prefetches).
                     for &j in recorded(i + 1) {
-                        let pf_page = STRIDE * j * 8 / rsdsm_protocol_page_size();
+                        let pf_page = STRIDE * j * 8 / PAGE_SIZE;
                         if pf_page != last_pf_page {
                             ctx.prefetch(&h.pos, STRIDE * j, STRIDE * j + 3).await;
                             last_pf_page = pf_page;

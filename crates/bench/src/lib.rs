@@ -660,8 +660,8 @@ impl Ran {
                 trace.digest(),
             );
         }
-        if let (true, Some(m)) = (opts.trace_metrics, &report.trace) {
-            render_trace_metrics(&format!("{app} [{label}]"), m, out);
+        if let (true, Some(trace)) = (opts.trace_metrics, &self.trace) {
+            render_trace_metrics(&format!("{app} [{label}]"), &trace.metrics(), out);
         }
         if opts.fault_loss > 0.0
             || !opts.crashes.is_empty()
@@ -706,12 +706,12 @@ fn render_trace_metrics(name: &str, m: &TraceMetrics, out: &mut String) {
         );
     }
     let p = &m.prefetch;
-    if p.issued > 0 || p.covered() + p.no_pf > 0 {
+    if m.prefetch_issued > 0 || p.covered() + p.no_pf > 0 {
         let _ = writeln!(
             out,
             "    prefetch         {} issued; coverage {:.1}%  accuracy {:.1}%  lateness {:.1}%  \
              ({} hit / {} late / {} invalidated / {} no-pf; {} reqs lost, {} replies lost)",
-            p.issued,
+            m.prefetch_issued,
             p.coverage() * 100.0,
             p.accuracy() * 100.0,
             p.lateness() * 100.0,
@@ -719,8 +719,8 @@ fn render_trace_metrics(name: &str, m: &TraceMetrics, out: &mut String) {
             p.too_late,
             p.invalidated,
             p.no_pf,
-            p.requests_lost,
-            p.replies_lost,
+            p.send_drops,
+            p.reply_drops,
         );
     }
 }

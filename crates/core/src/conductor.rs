@@ -630,19 +630,19 @@ impl TaskCtx {
     /// valid, not already asked for, not throttled away.
     fn worth_prefetching(&mut self, page: PageId) -> bool {
         let m = &mut self.mem;
-        m.counters.pf_calls += 1;
+        m.prefetch.calls += 1;
         self.pending.prefetch += self.costs.prefetch_check;
         let entry = &m.pages[page.index()];
         if entry.valid {
-            m.counters.pf_unnecessary += 1;
+            m.prefetch.unnecessary += 1;
             return false;
         }
         if entry.pf_inflight() > 0 {
-            m.counters.pf_suppressed_inflight += 1;
+            m.prefetch.suppressed_inflight += 1;
             return false;
         }
         if self.prefetch_cfg.suppress_redundant && entry.epoch_prefetched() {
-            m.counters.pf_suppressed_flag += 1;
+            m.prefetch.suppressed_flag += 1;
             return false;
         }
         m.throttle_seq += 1;
@@ -651,7 +651,7 @@ impl TaskCtx {
                 .throttle_seq
                 .is_multiple_of(self.prefetch_cfg.throttle as u64)
         {
-            m.counters.pf_throttled += 1;
+            m.prefetch.throttled += 1;
             return false;
         }
         if self.prefetch_cfg.suppress_redundant {
@@ -669,10 +669,10 @@ impl TaskCtx {
             return;
         }
         self.pending.prefetch += self.costs.prefetch_check * count as u64;
-        let counters = &mut self.mem.counters;
-        counters.pf_calls += count as u64;
-        counters.pf_unnecessary += count as u64;
-        counters.pf_private_checks += count as u64;
+        let counts = &mut self.mem.prefetch;
+        counts.calls += count as u64;
+        counts.unnecessary += count as u64;
+        counts.private_checks += count as u64;
     }
 
     /// Tells the driver that this thread finished. Called after
@@ -697,7 +697,6 @@ impl TaskCtx {
         }
         let m = &mut self.mem;
         let entry = &mut m.pages[page.index()];
-        m.counters.fast_accesses += 1;
         self.pending.busy += self.costs.access_check;
         if write && entry.twin.is_none() {
             // The twin buffer comes from the node's page pool, not a
@@ -947,36 +946,39 @@ mod tests {
     }
 
     /// Resumes live threads in a seeded random order until all exit or
-    /// one is gone; returns the syscalls seen. `before_burst` runs
-    /// ahead of every resume.
+    /// one is gone; returns the syscalls seen and the busy time they
+    /// charged. `before_burst` runs ahead of every resume.
     fn drive_randomly(
         links: &mut [ThreadLink<'_>],
         mem: &mut NodeMem,
         mut before_burst: impl FnMut(),
-    ) -> Result<u64, ThreadGone> {
+    ) -> Result<(u64, SimDuration), ThreadGone> {
         let mut rng = DetRng::new(1998);
         let mut live: Vec<usize> = (0..links.len()).collect();
-        let mut syscalls = 0;
+        let (mut syscalls, mut busy) = (0, SimDuration::ZERO);
         while !live.is_empty() {
             let pick = rng.next_below(live.len() as u64) as usize;
             before_burst();
-            let (syscall, _) = links[live[pick]].run_burst(mem)?;
+            let (syscall, charges) = links[live[pick]].run_burst(mem)?;
             syscalls += 1;
+            busy += charges.busy;
             if syscall == Syscall::Exit {
                 live.swap_remove(pick);
             }
         }
-        Ok(syscalls)
+        Ok((syscalls, busy))
     }
 
-    fn assert_all_rounds_landed(mem: &NodeMem, syscalls: Result<u64, ThreadGone>) {
-        let syscalls = syscalls.unwrap_or_else(|gone| panic!("a thread vanished: {}", gone.0));
+    fn assert_all_rounds_landed(mem: &NodeMem, driven: Result<(u64, SimDuration), ThreadGone>) {
+        let (syscalls, busy) =
+            driven.unwrap_or_else(|gone| panic!("a thread vanished: {}", gone.0));
         assert_eq!(syscalls, THREADS as u64 * (ROUNDS + 1));
         for t in 0..THREADS {
             assert_eq!(mem.pages[0].data.read_u64(t * 8), ROUNDS, "thread {t}");
         }
-        // One read and one write per round.
-        assert_eq!(mem.counters.fast_accesses, 2 * THREADS as u64 * ROUNDS);
+        // One read and one write per round, each charged one check.
+        let accesses = 2 * THREADS as u64 * ROUNDS;
+        assert_eq!(busy, CostModel::default().access_check * accesses);
     }
 
     fn random_resume_order_completes<B>()
@@ -1360,7 +1362,7 @@ mod tests {
             (mem, charges, app.read_back.into_inner().expect("joined"))
         };
         let (by_slice, slice_charges, slice_read) = run_ranges(true);
-        let (by_element, _, element_read) = run_ranges(false);
+        let (by_element, element_charges, element_read) = run_ranges(false);
         assert_eq!(slice_read, element_read);
         let image = |mem: &NodeMem| mem.pages.iter().map(|e| e.data.clone()).collect::<Vec<_>>();
         assert_eq!(image(&by_slice), image(&by_element));
@@ -1371,7 +1373,6 @@ mod tests {
         // twins at 20 µs.
         const ACCESSES: u64 = 144;
         const TWINS: usize = 4;
-        assert_eq!(by_slice.counters.fast_accesses, ACCESSES);
         assert_eq!(
             slice_charges,
             Charges {
@@ -1393,7 +1394,9 @@ mod tests {
         };
         assert_eq!(3 * ranges.iter().map(pages).sum::<usize>() as u64, ACCESSES);
         let elements = 3 * ranges.iter().map(|&(_, len)| len).sum::<usize>() as u64;
-        assert_eq!(by_element.counters.fast_accesses, elements);
+        let access_check = CostModel::default().access_check;
+        assert_eq!(slice_charges.busy, access_check * ACCESSES);
+        assert_eq!(element_charges.busy, access_check * elements);
     }
 
     fn slices_equal_elements_at_every_width<B>()

@@ -5,7 +5,8 @@
 //! Invariants: a page is validated only once every write notice the
 //! node holds for it is applied (or provably incorporated in an
 //! applied base copy); a diff is never applied twice, nor over a base
-//! that already contains it; and each (node, page) has at most one
+//! that already contains it, nor ahead of a pending notice of the page
+//! that happens before it; and each (node, page) has at most one
 //! fetch in flight, which later faults join instead of duplicating.
 //! Whatever the node holds for a page ahead of its validation — that
 //! fetch, what prefetches asked for, prefetched base and diffs — is
@@ -104,7 +105,7 @@ impl Core<'_> {
             Category::DsmOverhead,
             None,
         );
-        self.nodes[n].counters.faults += 1;
+        self.nodes[n].misses.faults += 1;
         let begin_id = self.tracer.emit(
             now,
             n as u32,
@@ -138,7 +139,7 @@ impl Core<'_> {
             } else {
                 MissClass::NoPf
             };
-            self.nodes[n].counters.classify(cls);
+            self.nodes[n].mem.prefetch.classify(cls);
             self.tracer.emit(
                 apply_end,
                 n as u32,
@@ -169,8 +170,8 @@ impl Core<'_> {
             }
         };
         let joinable = asked.is_some_and(|meta| meta.joinable);
-        node.counters.misses += 1;
-        node.counters.classify(class);
+        node.misses.misses += 1;
+        node.mem.prefetch.classify(class);
         self.note_remote_miss(n, page);
         self.tracer
             .note_fault(n as u32, page.index() as u32, begin_id, class.code());
@@ -261,7 +262,7 @@ impl Core<'_> {
         entry.valid = true;
         entry.ever_valid = true;
         self.heap.set_home(page, n);
-        self.nodes[n].counters.dir_migrations += 1;
+        self.nodes[n].directory.migrations += 1;
     }
 
     /// The diffs node `n` still needs for `page` — its pending notices
@@ -309,7 +310,7 @@ impl Core<'_> {
                 vc: core.nodes[n].vc().clone(),
             });
             if !core.post(end, n, to, body) {
-                core.nodes[n].counters.pf_send_drops += 1;
+                core.nodes[n].mem.prefetch.send_drops += 1;
                 core.tracer.emit(
                     end,
                     n as u32,
@@ -322,7 +323,7 @@ impl Core<'_> {
                 );
             }
             if class.is_prefetch() {
-                core.nodes[n].counters.pf_messages += 1;
+                core.nodes[n].mem.prefetch.messages += 1;
             }
             end
         };
@@ -389,6 +390,22 @@ impl Core<'_> {
                 apply_cost += self.cfg.costs.diff_apply(rsdsm_protocol::PAGE_SIZE);
             }
         }
+        // Pending notices this round has no diff for. A diff that one
+        // of them happens before waits in the record: a prefetch reply
+        // carries the diff of the interval its service split off, and
+        // the server's earlier intervals of the page may not have
+        // arrived yet — applied after it, they would roll it back.
+        let held = |origin, seq| {
+            diffs
+                .iter()
+                .any(|d| d.origin == origin && d.stamp.get(origin) == seq)
+        };
+        let absent: Vec<Stamp> = node
+            .board
+            .pending(page)
+            .filter(|&(origin, stamp)| !held(origin, stamp.get(origin)))
+            .map(|(_, stamp)| Arc::clone(stamp))
+            .collect();
         for (_, cached) in ordered {
             let seq = cached.stamp.get(cached.origin);
             if skip.contains(&(cached.origin, seq))
@@ -398,6 +415,13 @@ impl Core<'_> {
                 // fetch); re-applying a byte-sparse diff over newer
                 // data would roll those bytes back.
                 node.board.mark_applied(page, cached.origin, &cached.stamp);
+                continue;
+            }
+            if absent.iter().any(|before| cached.stamp.dominates(before)) {
+                node.records
+                    .entry(page)
+                    .or_default()
+                    .cache_diff(cached.clone());
                 continue;
             }
             if let Some(oracle) = &mut self.oracle {
@@ -532,7 +556,7 @@ impl Core<'_> {
             // interest in. A pruned page's first touch is a base
             // fetch from its home, which re-serves the history.
             if self.cfg.directory.enabled() && !self.interested(n, page) {
-                self.nodes[n].counters.dir_pruned += 1;
+                self.nodes[n].directory.pruned += 1;
                 continue;
             }
             if self.nodes[n]
@@ -597,7 +621,7 @@ impl Core<'_> {
             // Any served copy closes the page's first-touch window.
             dir.claimed[page.index()] = true;
             if self.heap.home(page) == m {
-                self.nodes[m].counters.dir_home_hits += 1;
+                self.nodes[m].directory.home_hits += 1;
             }
         }
 
@@ -684,7 +708,7 @@ impl Core<'_> {
                     .filter(|rec| rec.origin != requester && req.vc.dominates(&rec.stamp))
                     .cloned(),
             );
-            self.nodes[m].counters.dir_forwards += (intervals.len() - before) as u64;
+            self.nodes[m].directory.forwards += (intervals.len() - before) as u64;
         }
         end = self.charge(m, end, self.cfg.costs.msg_send, Category::DsmOverhead, None);
         let sent = self.post(
@@ -703,7 +727,7 @@ impl Core<'_> {
             // Only droppable prefetch replies can be lost; the
             // requester's demand-fault path recovers, and the loss
             // shows up as a too-late or no-pf fault there.
-            self.nodes[m].counters.pf_reply_drops += 1;
+            self.nodes[m].mem.prefetch.reply_drops += 1;
             self.tracer.emit(
                 end,
                 m as u32,
@@ -793,7 +817,7 @@ impl Core<'_> {
         }
 
         self.validate_page(n, page);
-        self.nodes[n].counters.miss_latency_sum += end.saturating_since(started);
+        self.nodes[n].misses.latency_sum += end.saturating_since(started);
         if let Some((begin, cls)) = self.tracer.take_fault(n as u32, page.index() as u32) {
             let thread = waiters.first().map_or(NO_THREAD, |t| t.0 as u32);
             self.tracer.emit(

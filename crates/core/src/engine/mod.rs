@@ -24,6 +24,8 @@ mod sched;
 mod sync;
 mod wire;
 
+use std::ops::AddAssign;
+
 use rsdsm_protocol::PageId;
 use rsdsm_simnet::{FaultStats, NodeId, QueueBackend, SimDuration, SimTime};
 
@@ -33,10 +35,9 @@ use crate::config::DsmConfig;
 use crate::heap::Heap;
 use crate::node::{NodeMem, NodeState};
 use crate::oracle::{digest_pages, OracleOutcome, OracleState};
-use crate::prefetch::AdaptiveStats;
 use crate::program::{Runnable, VerifyCtx};
 use crate::recovery::RecoveryStats;
-use crate::report::{fold_counters, NetSummary, RunReport, SimError};
+use crate::report::{NetSummary, RunReport, SimError};
 use crate::thread::ThreadId;
 use crate::trace::{Trace, Tracer};
 use crate::transport::{Packet, TransportSummary};
@@ -185,16 +186,21 @@ impl Simulation {
         for b in &node_breakdowns {
             breakdown.accumulate(b);
         }
-        let (misses, locks, barriers, prefetch, mt, gc_passes, directory) = fold_counters(&nodes);
+        let misses = sum(&nodes, |n| n.misses);
+        let locks = sum(&nodes, |n| n.lock_stats);
+        let barriers = sum(&nodes, |n| n.barrier_stats);
+        let mut mt = sum(&nodes, |n| n.mt);
+        mt.stall_sum = misses.stall_sum + locks.stall_sum + barriers.stall_sum;
+        mt.stall_count = misses.misses + locks.waits + barriers.waits;
         let adaptive = cfg.prefetch.mode.is_adaptive().then(|| {
-            let mut total = AdaptiveStats::default();
-            for ad in nodes.iter().filter_map(|n| n.prefetcher.adaptive()) {
-                total.absorb(ad.stats());
-            }
-            total
+            sum(&nodes, |n| {
+                n.prefetcher
+                    .adaptive()
+                    .map(|ad| *ad.stats())
+                    .unwrap_or_default()
+            })
         });
 
-        let trace = traced.then_some(out.trace);
         Ok((
             RunReport {
                 app: app.name(),
@@ -207,19 +213,18 @@ impl Simulation {
                 misses,
                 locks,
                 barriers,
-                prefetch,
+                prefetch: sum(&nodes, |n| n.mem.prefetch),
                 mt,
                 transport: out.transport,
                 fault_injection: out.fault_injection,
                 recovery: out.recovery,
-                gc_passes,
-                directory,
+                gc_passes: sum(&nodes, |n| n.gc_passes),
+                directory: sum(&nodes, |n| n.directory),
                 events_processed: out.events,
                 oracle,
-                trace: trace.as_ref().map(Trace::metrics),
                 adaptive,
             },
-            trace,
+            traced.then_some(out.trace),
         ))
     }
 
@@ -263,6 +268,15 @@ impl Simulation {
         )?;
         Ok((out, handles))
     }
+}
+
+/// The run's total of one per-node count.
+fn sum<T: AddAssign + Default>(nodes: &[NodeState], count: impl Fn(&NodeState) -> T) -> T {
+    let mut total = T::default();
+    for node in nodes {
+        total += count(node);
+    }
+    total
 }
 
 /// What a completed run hands back to [`Simulation::run_engine`].

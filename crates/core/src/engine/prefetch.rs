@@ -197,7 +197,7 @@ impl Core<'_> {
             let (missing, need_base) = self.missing_for(n, page);
             if missing.is_empty() && !need_base {
                 // Diffs already cached: the data is locally available.
-                self.nodes[n].mem.counters.pf_unnecessary += 1;
+                self.nodes[n].mem.prefetch.unnecessary += 1;
                 self.adaptive_cancel(n, class);
                 continue;
             }
@@ -480,8 +480,8 @@ impl Core<'_> {
             return now;
         }
         let mem = &mut node.mem;
-        mem.counters.pf_calls += history.len() as u64;
-        mem.counters.pf_unnecessary += history
+        mem.prefetch.calls += history.len() as u64;
+        mem.prefetch.unnecessary += history
             .iter()
             .filter(|p| mem.pages[p.index()].valid)
             .count() as u64;

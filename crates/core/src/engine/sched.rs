@@ -229,7 +229,7 @@ impl Core<'_> {
         });
         let mut at = now;
         if is_switch {
-            self.nodes[n].counters.switches += 1;
+            self.nodes[n].mt.switches += 1;
             self.tracer.emit(
                 now,
                 n as u32,
@@ -341,8 +341,8 @@ impl Core<'_> {
         now: SimTime,
     ) -> Result<(), SimError> {
         let peer = &mut self.sched.threads[tid.0];
-        self.nodes[n].counters.run_length_sum += peer.run_busy;
-        self.nodes[n].counters.run_length_count += 1;
+        self.nodes[n].mt.run_length_sum += peer.run_busy;
+        self.nodes[n].mt.run_length_count += 1;
         peer.run_busy = SimDuration::ZERO;
         peer.state = ThreadState::Blocked(reason, now);
         peer.last_block = Some(reason);
@@ -368,16 +368,16 @@ impl Core<'_> {
             panic!("waking thread {tid:?} that is not blocked");
         };
         let stall = now.saturating_since(since);
-        let counters = &mut self.nodes[n].counters;
+        let node = &mut self.nodes[n];
         match reason {
-            BlockReason::Memory => counters.miss_stall += stall,
+            BlockReason::Memory => node.misses.stall_sum += stall,
             BlockReason::Lock => {
-                counters.lock_stall += stall;
-                counters.lock_waits += 1;
+                node.lock_stats.stall_sum += stall;
+                node.lock_stats.waits += 1;
             }
             BlockReason::Barrier => {
-                counters.barrier_stall += stall;
-                counters.barrier_waits += 1;
+                node.barrier_stats.stall_sum += stall;
+                node.barrier_stats.waits += 1;
             }
         }
         peer.state = ThreadState::Ready;
@@ -405,8 +405,8 @@ impl Core<'_> {
             Syscall::Exit => {
                 let peer = &mut self.sched.threads[tid.0];
                 peer.state = ThreadState::Done;
-                self.nodes[n].counters.run_length_sum += peer.run_busy;
-                self.nodes[n].counters.run_length_count += 1;
+                self.nodes[n].mt.run_length_sum += peer.run_busy;
+                self.nodes[n].mt.run_length_count += 1;
                 self.sched.done += 1;
                 self.sched.finish = self.sched.finish.max(now);
                 self.nodes[n].sched.yield_cpu(tid);

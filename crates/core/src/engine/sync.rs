@@ -100,7 +100,7 @@ impl Core<'_> {
             }
             AcquireOutcome::QueuedLocal => self.block(tid, n, BlockReason::Lock, now),
             AcquireOutcome::NeedToken => {
-                self.nodes[n].counters.lock_events += 1;
+                self.nodes[n].lock_stats.events += 1;
                 let end = self.charge(n, now, self.cfg.costs.msg_send, Category::DsmOverhead, None);
                 let manager = self.nodes[n].locks.manager(lock);
                 let vc = self.nodes[n].vc().clone();
@@ -361,7 +361,7 @@ impl Core<'_> {
         if !last_local {
             return self.block(tid, n, BlockReason::Barrier, end);
         }
-        self.nodes[n].counters.barrier_events += 1;
+        self.nodes[n].barrier_stats.events += 1;
         self.tracer.emit(
             end,
             n as u32,
@@ -486,7 +486,7 @@ impl Core<'_> {
         if self.nodes[n].own_diff_bytes > self.cfg.gc_threshold_bytes {
             let cost = self.cfg.costs.gc_per_diff * self.nodes[n].own_diffs.len() as u64;
             end = self.charge(n, end, cost, Category::DsmOverhead, None);
-            self.nodes[n].counters.gc_passes += 1;
+            self.nodes[n].gc_passes += 1;
             self.nodes[n].own_diff_bytes = 0;
         }
         self.nodes[n].mem.end_epoch();

@@ -91,7 +91,7 @@ pub use rsdsm_simnet::{
 };
 pub use thread::ThreadId;
 pub use trace::{
-    Histogram, PrefetchTraceSummary, RetryTimeline, Trace, TraceError, TraceEvent, TraceMetrics,
-    TraceRecord, NO_CAUSE, NO_THREAD,
+    Histogram, RetryTimeline, Trace, TraceError, TraceEvent, TraceMetrics, TraceRecord, NO_CAUSE,
+    NO_THREAD,
 };
 pub use transport::{Recv, TimeoutAction, Transport, TransportConfig, TransportSummary};

@@ -29,6 +29,7 @@ use crate::barrier::NodeBarrier;
 use crate::engine::prefetch::Prefetcher;
 use crate::lock::LockTable;
 use crate::msg::{wire_enum, BasePayload, DiffPayload, IntervalRecord};
+use crate::report::{DirectorySummary, MissSummary, MtSummary, PrefetchSummary, SyncSummary};
 use crate::thread::{Scheduler, ThreadId};
 
 /// One page slot in a node's memory.
@@ -80,27 +81,6 @@ impl PageEntry {
     }
 }
 
-/// Fast-path counters incremented by application threads.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AccessCounters {
-    /// Prefetch operations executed (per page named).
-    pub pf_calls: u64,
-    /// Prefetches that found their data locally (Table 1
-    /// "unnecessary prefetches").
-    pub pf_unnecessary: u64,
-    /// Prefetches dropped because a request was already in flight.
-    pub pf_suppressed_inflight: u64,
-    /// Prefetches suppressed by the §5.1 redundant-prefetch flag.
-    pub pf_suppressed_flag: u64,
-    /// Prefetches dropped by throttling (§5.1).
-    pub pf_throttled: u64,
-    /// Wasted checks emulating compiler-issued prefetches on private
-    /// data (FFT / LU-NCONT in Table 1).
-    pub pf_private_checks: u64,
-    /// Shared-memory accesses that took the fast path.
-    pub fast_accesses: u64,
-}
-
 /// The application-visible memory of one node. The `Default` value is
 /// the empty placeholder left behind wherever the memory was moved
 /// out of: [`NodeState::mem`] while a thread runs, the thread's
@@ -112,6 +92,12 @@ pub(crate) struct AccessCounters {
 /// [`TaskCtx::prefetch`](crate::TaskCtx::prefetch) filters on them
 /// before it makes a syscall at all; everything else the node knows
 /// about a page is the engine's, in [`NodeState::records`].
+///
+/// The node's prefetch counters live here too, because the thread's
+/// filter counts into them. The engine counts into the same
+/// [`PrefetchSummary`]: it holds every node's memory whenever it runs,
+/// so each count has exactly one writer at a time. The node's other
+/// counters are the engine's alone and live in [`NodeState`].
 #[derive(Debug, Default)]
 pub(crate) struct NodeMem {
     /// Page slots indexed by global page id.
@@ -131,8 +117,8 @@ pub(crate) struct NodeMem {
     /// Free list recycling twin/checkpoint page buffers so the hot
     /// write-fault path avoids an allocation.
     pub pool: PagePool,
-    /// Fast-path counters.
-    pub counters: AccessCounters,
+    /// The node's prefetch counters, the thread's and the engine's.
+    pub prefetch: PrefetchSummary,
 }
 
 impl NodeMem {
@@ -321,79 +307,6 @@ impl PageRecord {
     }
 }
 
-/// Engine-side statistics counters for one node.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NodeCounters {
-    /// Page faults entering the protocol (any class).
-    pub faults: u64,
-    /// Faults requiring remote messages ("remote misses").
-    pub misses: u64,
-    /// Sum of fault-to-completion latencies for remote misses.
-    pub miss_latency_sum: SimDuration,
-    /// Per-thread memory stall time (block to wake).
-    pub miss_stall: SimDuration,
-    /// Remote lock acquisitions (token requested over the network).
-    pub lock_events: u64,
-    /// Per-thread lock stall time.
-    pub lock_stall: SimDuration,
-    /// Lock stall occurrences (blocked acquires, local or remote).
-    pub lock_waits: u64,
-    /// Barrier episodes participated in.
-    pub barrier_events: u64,
-    /// Per-thread barrier stall time.
-    pub barrier_stall: SimDuration,
-    /// Barrier stall occurrences.
-    pub barrier_waits: u64,
-    /// Context switches taken.
-    pub switches: u64,
-    /// Sum of busy run lengths between stalls.
-    pub run_length_sum: SimDuration,
-    /// Number of runs measured.
-    pub run_length_count: u64,
-    /// Fault classification tallies (Figure 3).
-    pub pf_hit: u64,
-    /// See [`MissClass::TooLate`].
-    pub pf_too_late: u64,
-    /// See [`MissClass::Invalidated`].
-    pub pf_invalidated: u64,
-    /// See [`MissClass::NoPf`].
-    pub pf_no_pf: u64,
-    /// Prefetch request messages sent.
-    pub pf_messages: u64,
-    /// Prefetch requests dropped at send time by the network.
-    pub pf_send_drops: u64,
-    /// Prefetch replies this node served that the network dropped
-    /// (the requester falls back to a demand fault).
-    pub pf_reply_drops: u64,
-    /// Garbage collection passes performed.
-    pub gc_passes: u64,
-    /// Directory mode: fetch requests this node served for pages it
-    /// homes (directory hot-spotting shows up here).
-    pub dir_home_hits: u64,
-    /// Directory mode: full interval records the home re-served to
-    /// heal a requester whose pruned notice board lacked the page's
-    /// history.
-    pub dir_forwards: u64,
-    /// Directory mode: write notices not recorded locally because
-    /// this node holds no interest in the page (never touched it,
-    /// does not home it, has nothing cached or in flight).
-    pub dir_pruned: u64,
-    /// Directory mode: first-touch home migrations this node won.
-    pub dir_migrations: u64,
-}
-
-impl NodeCounters {
-    /// Records a fault classification.
-    pub(crate) fn classify(&mut self, class: MissClass) {
-        match class {
-            MissClass::NoPf => self.pf_no_pf += 1,
-            MissClass::Hit => self.pf_hit += 1,
-            MissClass::TooLate => self.pf_too_late += 1,
-            MissClass::Invalidated => self.pf_invalidated += 1,
-        }
-    }
-}
-
 /// Engine-side state of one node.
 #[derive(Debug)]
 pub(crate) struct NodeState {
@@ -441,8 +354,19 @@ pub(crate) struct NodeState {
     pub pinned: Option<ThreadId>,
     /// CPU time account.
     pub account: NodeAccount,
-    /// Statistics.
-    pub counters: NodeCounters,
+    /// Page faults and remote misses.
+    pub misses: MissSummary,
+    /// Lock acquisitions and stalls.
+    pub lock_stats: SyncSummary,
+    /// Barrier episodes and stalls.
+    pub barrier_stats: SyncSummary,
+    /// Context switches and run lengths; the stall totals stay zero
+    /// here and are derived for the whole run.
+    pub mt: MtSummary,
+    /// Directory-layer tallies.
+    pub directory: DirectorySummary,
+    /// Garbage collection passes performed.
+    pub gc_passes: u64,
     /// The burst of app computation currently on the CPU.
     pub burst: Option<Burst>,
 }
@@ -480,7 +404,12 @@ impl NodeState {
             sched: Scheduler::new(),
             pinned: None,
             account: NodeAccount::new(),
-            counters: NodeCounters::default(),
+            misses: MissSummary::default(),
+            lock_stats: SyncSummary::default(),
+            barrier_stats: SyncSummary::default(),
+            mt: MtSummary::default(),
+            directory: DirectorySummary::default(),
+            gc_passes: 0,
             burst: None,
         }
     }
@@ -728,19 +657,5 @@ mod tests {
             assert_eq!(MissClass::from_code(code), Some(class));
         }
         assert_eq!(MissClass::from_code(4), None);
-    }
-
-    #[test]
-    fn classify_tallies() {
-        let mut c = NodeCounters::default();
-        c.classify(MissClass::Hit);
-        c.classify(MissClass::Hit);
-        c.classify(MissClass::TooLate);
-        c.classify(MissClass::Invalidated);
-        c.classify(MissClass::NoPf);
-        assert_eq!(c.pf_hit, 2);
-        assert_eq!(c.pf_too_late, 1);
-        assert_eq!(c.pf_invalidated, 1);
-        assert_eq!(c.pf_no_pf, 1);
     }
 }

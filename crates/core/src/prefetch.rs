@@ -38,6 +38,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::node::MissClass;
+use crate::report::summary;
 
 /// Tuning for the adaptive engine. Carried inside
 /// [`PrefetchConfig`](crate::PrefetchConfig), whose `mode` decides
@@ -394,31 +395,32 @@ impl ThrottleController {
     }
 }
 
-/// Run-level counters of the adaptive engine, reported (and pinned)
-/// only when the mode is on — [`RunReport`](crate::RunReport) carries
-/// them as an `Option` that stays `None` (and invisible to the report
-/// digest) otherwise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptiveStats {
-    /// Majority strides that emerged from windows with no trend.
-    pub detected_strides: u64,
-    /// Majority strides that changed value mid-window.
-    pub window_flips: u64,
-    /// Degree ramps (coverage high, replies timely).
-    pub ramps: u64,
-    /// Lead deepenings (replies late, lead below its cap).
-    pub deepens: u64,
-    /// Degree backoffs (accuracy collapsed or lead saturated).
-    pub backoffs: u64,
-    /// Suppressions (backoff bottomed out; issuing paused).
-    pub suppressions: u64,
-    /// Resumes from suppression cooldowns.
-    pub resumes: u64,
-    /// Adaptive prefetch pages actually issued.
-    pub issued: u64,
-    /// Candidates cancelled before issue: already valid or in
-    /// flight, outside the heap, or planned while suppressed.
-    pub cancelled: u64,
+summary! {
+    /// Run-level counters of the adaptive engine, reported (and pinned)
+    /// only when the mode is on — [`RunReport`](crate::RunReport) carries
+    /// them as an `Option` that stays `None` (and invisible to the report
+    /// digest) otherwise.
+    pub struct AdaptiveStats {
+        /// Majority strides that emerged from windows with no trend.
+        pub detected_strides: u64,
+        /// Majority strides that changed value mid-window.
+        pub window_flips: u64,
+        /// Degree ramps (coverage high, replies timely).
+        pub ramps: u64,
+        /// Lead deepenings (replies late, lead below its cap).
+        pub deepens: u64,
+        /// Degree backoffs (accuracy collapsed or lead saturated).
+        pub backoffs: u64,
+        /// Suppressions (backoff bottomed out; issuing paused).
+        pub suppressions: u64,
+        /// Resumes from suppression cooldowns.
+        pub resumes: u64,
+        /// Adaptive prefetch pages actually issued.
+        pub issued: u64,
+        /// Candidates cancelled before issue: already valid or in
+        /// flight, outside the heap, or planned while suppressed.
+        pub cancelled: u64,
+    }
 }
 
 impl AdaptiveStats {
@@ -436,20 +438,6 @@ impl AdaptiveStats {
     /// Total throttle transitions of any kind.
     pub fn throttle_transitions(&self) -> u64 {
         self.ramps + self.deepens + self.backoffs + self.suppressions + self.resumes
-    }
-
-    /// Accumulates another node's counters into this one (run-level
-    /// reporting folds per-node stats).
-    pub fn absorb(&mut self, other: &AdaptiveStats) {
-        self.detected_strides += other.detected_strides;
-        self.window_flips += other.window_flips;
-        self.ramps += other.ramps;
-        self.deepens += other.deepens;
-        self.backoffs += other.backoffs;
-        self.suppressions += other.suppressions;
-        self.resumes += other.resumes;
-        self.issued += other.issued;
-        self.cancelled += other.cancelled;
     }
 }
 

@@ -6,11 +6,10 @@ use rsdsm_simnet::{FaultStats, NetStats, SimDuration};
 
 use crate::accounting::Breakdown;
 use crate::config::{ConfigError, DsmConfig};
-use crate::node::NodeState;
+use crate::node::MissClass;
 use crate::oracle::{FnvWriter, OracleOutcome};
 use crate::prefetch::AdaptiveStats;
 use crate::recovery::RecoveryStats;
-use crate::trace::TraceMetrics;
 use crate::transport::TransportSummary;
 
 /// Errors a simulation run can produce.
@@ -44,6 +43,32 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// Declares a summary of counters: the struct, with its fields written
+/// once, and its one merge, `AddAssign` field by field — so a run's
+/// summary is the sum of its nodes' and no counter can be left out of
+/// it.
+macro_rules! summary {
+    (
+        $(#[$attr:meta])*
+        pub struct $ty:ident {
+            $($(#[$doc:meta])* pub $field:ident: $field_ty:ty,)*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $ty {
+            $($(#[$doc])* pub $field: $field_ty,)*
+        }
+
+        impl std::ops::AddAssign for $ty {
+            fn add_assign(&mut self, other: Self) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+pub(crate) use summary;
 
 /// Per-kind network traffic row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,17 +121,18 @@ impl NetSummary {
     }
 }
 
-/// Remote memory miss measurements (Table 1 right-hand columns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MissSummary {
-    /// Page faults that entered the protocol.
-    pub faults: u64,
-    /// Faults that required remote messages.
-    pub misses: u64,
-    /// Sum of miss latencies.
-    pub latency_sum: SimDuration,
-    /// Per-thread memory stall time.
-    pub stall_sum: SimDuration,
+summary! {
+    /// Remote memory miss measurements (Table 1 right-hand columns).
+    pub struct MissSummary {
+        /// Page faults that entered the protocol.
+        pub faults: u64,
+        /// Faults that required remote messages.
+        pub misses: u64,
+        /// Sum of miss latencies.
+        pub latency_sum: SimDuration,
+        /// Per-thread memory stall time.
+        pub stall_sum: SimDuration,
+    }
 }
 
 impl MissSummary {
@@ -120,15 +146,16 @@ impl MissSummary {
     }
 }
 
-/// Lock or barrier stall measurements (Table 2 columns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyncSummary {
-    /// Remote events (token requests / barrier episodes).
-    pub events: u64,
-    /// Stall occurrences (threads that actually blocked).
-    pub waits: u64,
-    /// Sum of per-thread stall time.
-    pub stall_sum: SimDuration,
+summary! {
+    /// Lock or barrier stall measurements (Table 2 columns).
+    pub struct SyncSummary {
+        /// Remote events (token requests / barrier episodes).
+        pub events: u64,
+        /// Stall occurrences (threads that actually blocked).
+        pub waits: u64,
+        /// Sum of per-thread stall time.
+        pub stall_sum: SimDuration,
+    }
 }
 
 impl SyncSummary {
@@ -142,41 +169,52 @@ impl SyncSummary {
     }
 }
 
-/// Prefetch effectiveness measurements (Table 1 and Figure 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchSummary {
-    /// Prefetch operations executed (page granularity).
-    pub calls: u64,
-    /// Prefetches that found their data locally.
-    pub unnecessary: u64,
-    /// Prefetches suppressed because a request was in flight.
-    pub suppressed_inflight: u64,
-    /// Prefetches suppressed by the §5.1 redundancy flag.
-    pub suppressed_flag: u64,
-    /// Prefetches dropped by throttling.
-    pub throttled: u64,
-    /// Emulated compiler checks on private data.
-    pub private_checks: u64,
-    /// Prefetch request messages sent.
-    pub messages: u64,
-    /// Prefetch requests dropped by the network at send time.
-    pub send_drops: u64,
-    /// Prefetch replies dropped by the network (the requester fell
-    /// back to a demand fault).
-    pub reply_drops: u64,
-    /// Faults fully covered by prefetched data (Figure 3 "pf-hit").
-    pub hits: u64,
-    /// Prefetched but not arrived in time ("pf-miss: too late").
-    pub too_late: u64,
-    /// Prefetched but invalidated before use ("pf-miss: invalidated").
-    pub invalidated: u64,
-    /// Faults on pages never prefetched ("no pf").
-    pub no_pf: u64,
+summary! {
+    /// Prefetch effectiveness measurements (Table 1 and Figure 3).
+    pub struct PrefetchSummary {
+        /// Prefetch operations executed (page granularity).
+        pub calls: u64,
+        /// Prefetches that found their data locally.
+        pub unnecessary: u64,
+        /// Prefetches suppressed because a request was in flight.
+        pub suppressed_inflight: u64,
+        /// Prefetches suppressed by the §5.1 redundancy flag.
+        pub suppressed_flag: u64,
+        /// Prefetches dropped by throttling.
+        pub throttled: u64,
+        /// Emulated compiler checks on private data.
+        pub private_checks: u64,
+        /// Prefetch request messages sent.
+        pub messages: u64,
+        /// Prefetch requests dropped by the network at send time.
+        pub send_drops: u64,
+        /// Prefetch replies dropped by the network (the requester fell
+        /// back to a demand fault).
+        pub reply_drops: u64,
+        /// Faults fully covered by prefetched data (Figure 3 "pf-hit").
+        pub hits: u64,
+        /// Prefetched but not arrived in time ("pf-miss: too late").
+        pub too_late: u64,
+        /// Prefetched but invalidated before use ("pf-miss: invalidated").
+        pub invalidated: u64,
+        /// Faults on pages never prefetched ("no pf").
+        pub no_pf: u64,
+    }
 }
 
 impl PrefetchSummary {
+    /// Tallies a fault's class (Figure 3).
+    pub(crate) fn classify(&mut self, class: MissClass) {
+        match class {
+            MissClass::Hit => self.hits += 1,
+            MissClass::NoPf => self.no_pf += 1,
+            MissClass::TooLate => self.too_late += 1,
+            MissClass::Invalidated => self.invalidated += 1,
+        }
+    }
+
     /// Faults a prefetch at least tried to cover.
-    fn covered(&self) -> u64 {
+    pub fn covered(&self) -> u64 {
         self.hits + self.too_late + self.invalidated
     }
 
@@ -224,35 +262,37 @@ impl PrefetchSummary {
     }
 }
 
-/// Directory-layer measurements (the scale-out suite's hot-spot
-/// analysis). All zero when [`DirectoryConfig`](crate::DirectoryConfig)
-/// is off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirectorySummary {
-    /// Fetch requests served by the page's home node.
-    pub home_hits: u64,
-    /// Full interval records re-served by homes to heal requesters
-    /// whose pruned notice boards lacked a page's history.
-    pub forwards: u64,
-    /// Write notices dropped at nodes with no interest in the page.
-    pub pruned: u64,
-    /// First-touch home migrations performed.
-    pub migrations: u64,
+summary! {
+    /// Directory-layer measurements (the scale-out suite's hot-spot
+    /// analysis). All zero when [`DirectoryConfig`](crate::DirectoryConfig)
+    /// is off.
+    pub struct DirectorySummary {
+        /// Fetch requests served by the page's home node.
+        pub home_hits: u64,
+        /// Full interval records re-served by homes to heal requesters
+        /// whose pruned notice boards lacked a page's history.
+        pub forwards: u64,
+        /// Write notices dropped at nodes with no interest in the page.
+        pub pruned: u64,
+        /// First-touch home migrations performed.
+        pub migrations: u64,
+    }
 }
 
-/// Multithreading measurements (Table 2 left columns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MtSummary {
-    /// Context switches taken.
-    pub switches: u64,
-    /// Sum of busy run lengths between long-latency events.
-    pub run_length_sum: SimDuration,
-    /// Number of runs measured.
-    pub run_length_count: u64,
-    /// Sum of all per-thread stalls (memory + locks + barriers).
-    pub stall_sum: SimDuration,
-    /// Number of stalls.
-    pub stall_count: u64,
+summary! {
+    /// Multithreading measurements (Table 2 left columns).
+    pub struct MtSummary {
+        /// Context switches taken.
+        pub switches: u64,
+        /// Sum of busy run lengths between long-latency events.
+        pub run_length_sum: SimDuration,
+        /// Number of runs measured.
+        pub run_length_count: u64,
+        /// Sum of all per-thread stalls (memory + locks + barriers).
+        pub stall_sum: SimDuration,
+        /// Number of stalls.
+        pub stall_count: u64,
+    }
 }
 
 impl MtSummary {
@@ -322,13 +362,6 @@ pub struct RunReport {
     /// trace, final image); `None` unless the run's
     /// [`OracleConfig`](crate::OracleConfig) is on.
     pub oracle: Option<OracleOutcome>,
-    /// Trace-derived metrics (per-class latency histograms, fault
-    /// service times, retry timelines, §3.3 prefetch taxonomy);
-    /// `None` unless the run was started with
-    /// [`Simulation::run_traced`](crate::Simulation::run_traced).
-    /// Outside [`digest`](RunReport::digest): tracing observes a run,
-    /// it is not part of what the run computed.
-    pub trace: Option<TraceMetrics>,
     /// Adaptive prefetch engine tallies; `None` unless the run's
     /// [`PrefetchMode`](crate::PrefetchMode) is adaptive.
     pub adaptive: Option<AdaptiveStats>,
@@ -342,12 +375,10 @@ impl RunReport {
     /// config) must produce identical digests; the determinism harness
     /// in `rsdsm-oracle` asserts exactly that.
     ///
-    /// Two fields are outside it. `config` is the run's input, not a
+    /// One field is outside it. `config` is the run's input, not a
     /// result: hashing it would make every pinned digest depend on how
     /// the configuration types are spelled, and two configs that
     /// differ only in fields the run never reads would digest apart.
-    /// `trace` is an observer: a traced and an untraced run of the
-    /// same (seed, config) digest identically.
     pub fn digest(&self) -> u64 {
         use fmt::Write as _;
         // Exhaustive, so a new field has to be placed in or out.
@@ -371,7 +402,6 @@ impl RunReport {
             directory,
             events_processed,
             oracle,
-            trace: _,
             adaptive,
         } = self;
         let results: [&dyn fmt::Debug; 19] = [
@@ -526,65 +556,10 @@ impl RunReport {
     }
 }
 
-pub(crate) fn fold_counters(
-    nodes: &[NodeState],
-) -> (
-    MissSummary,
-    SyncSummary,
-    SyncSummary,
-    PrefetchSummary,
-    MtSummary,
-    u64,
-    DirectorySummary,
-) {
-    let mut miss = MissSummary::default();
-    let mut locks = SyncSummary::default();
-    let mut barriers = SyncSummary::default();
-    let mut pf = PrefetchSummary::default();
-    let mut mt = MtSummary::default();
-    let mut gc = 0;
-    let mut dir = DirectorySummary::default();
-    for node in nodes {
-        let (c, a) = (&node.counters, &node.mem.counters);
-        miss.faults += c.faults;
-        miss.misses += c.misses;
-        miss.latency_sum += c.miss_latency_sum;
-        miss.stall_sum += c.miss_stall;
-        locks.events += c.lock_events;
-        locks.waits += c.lock_waits;
-        locks.stall_sum += c.lock_stall;
-        barriers.events += c.barrier_events;
-        barriers.waits += c.barrier_waits;
-        barriers.stall_sum += c.barrier_stall;
-        pf.calls += a.pf_calls;
-        pf.unnecessary += a.pf_unnecessary;
-        pf.suppressed_inflight += a.pf_suppressed_inflight;
-        pf.suppressed_flag += a.pf_suppressed_flag;
-        pf.throttled += a.pf_throttled;
-        pf.private_checks += a.pf_private_checks;
-        pf.messages += c.pf_messages;
-        pf.send_drops += c.pf_send_drops;
-        pf.reply_drops += c.pf_reply_drops;
-        pf.hits += c.pf_hit;
-        pf.too_late += c.pf_too_late;
-        pf.invalidated += c.pf_invalidated;
-        pf.no_pf += c.pf_no_pf;
-        mt.switches += c.switches;
-        mt.run_length_sum += c.run_length_sum;
-        mt.run_length_count += c.run_length_count;
-        mt.stall_sum += c.miss_stall + c.lock_stall + c.barrier_stall;
-        mt.stall_count += c.misses + c.lock_waits + c.barrier_waits;
-        gc += c.gc_passes;
-        dir.home_hits += c.dir_home_hits;
-        dir.forwards += c.dir_forwards;
-        dir.pruned += c.dir_pruned;
-        dir.migrations += c.dir_migrations;
-    }
-    (miss, locks, barriers, pf, mt, gc, dir)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::ops::AddAssign;
+
     use super::*;
 
     #[test]
@@ -612,7 +587,11 @@ mod tests {
         };
         assert!((p.coverage() - 0.5).abs() < 1e-12);
         assert!((p.unnecessary_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(PrefetchSummary::default().coverage(), 0.0);
+        let empty = PrefetchSummary::default();
+        assert_eq!(
+            (empty.coverage(), empty.accuracy(), empty.lateness()),
+            (0.0, 0.0, 0.0)
+        );
     }
 
     #[test]
@@ -637,6 +616,86 @@ mod tests {
         };
         assert_eq!(m.avg_run_length(), SimDuration::from_micros(10));
         assert_eq!(m.avg_stall(), SimDuration::from_micros(10));
+    }
+
+    #[test]
+    fn classify_tallies() {
+        let mut p = PrefetchSummary::default();
+        for class in [
+            MissClass::Hit,
+            MissClass::Hit,
+            MissClass::TooLate,
+            MissClass::Invalidated,
+            MissClass::NoPf,
+        ] {
+            p.classify(class);
+        }
+        assert_eq!((p.hits, p.too_late, p.invalidated, p.no_pf), (2, 1, 1, 1));
+    }
+
+    /// Merged into an empty summary, a value comes back whole: a field
+    /// its merge left out would stay zero and show in the `Debug` text.
+    fn merges_whole<T: AddAssign + Copy + Default + fmt::Debug>(value: T) {
+        let mut total = T::default();
+        total += value;
+        assert_eq!(format!("{total:?}"), format!("{value:?}"));
+    }
+
+    /// Every field of every summary is nonzero here, and a struct
+    /// literal names every field: a new counter must be given a value.
+    #[test]
+    fn every_merge_covers_every_field() {
+        let ns = SimDuration::from_nanos;
+        merges_whole(MissSummary {
+            faults: 1,
+            misses: 2,
+            latency_sum: ns(3),
+            stall_sum: ns(4),
+        });
+        merges_whole(SyncSummary {
+            events: 1,
+            waits: 2,
+            stall_sum: ns(3),
+        });
+        merges_whole(PrefetchSummary {
+            calls: 1,
+            unnecessary: 2,
+            suppressed_inflight: 3,
+            suppressed_flag: 4,
+            throttled: 5,
+            private_checks: 6,
+            messages: 7,
+            send_drops: 8,
+            reply_drops: 9,
+            hits: 10,
+            too_late: 11,
+            invalidated: 12,
+            no_pf: 13,
+        });
+        merges_whole(DirectorySummary {
+            home_hits: 1,
+            forwards: 2,
+            pruned: 3,
+            migrations: 4,
+        });
+        merges_whole(MtSummary {
+            switches: 1,
+            run_length_sum: ns(2),
+            run_length_count: 3,
+            stall_sum: ns(4),
+            stall_count: 5,
+        });
+        merges_whole(AdaptiveStats {
+            detected_strides: 1,
+            window_flips: 2,
+            ramps: 3,
+            deepens: 4,
+            backoffs: 5,
+            suppressions: 6,
+            resumes: 7,
+            issued: 8,
+            cancelled: 9,
+        });
     }
 
     #[test]

@@ -38,6 +38,7 @@ use rsdsm_simnet::{fnv1a, SimDuration, SimTime};
 
 use crate::msg::MsgClass;
 use crate::node::MissClass;
+use crate::report::PrefetchSummary;
 
 /// `thread` value for records emitted by the engine itself rather
 /// than on behalf of an application thread.
@@ -544,7 +545,7 @@ impl Trace {
         let mut msg_latency: BTreeMap<String, Histogram> = BTreeMap::new();
         let mut fault_service = Histogram::new();
         let mut links: BTreeMap<(u32, u32), RetryTimeline> = BTreeMap::new();
-        let mut prefetch = PrefetchTraceSummary::default();
+        let (mut prefetch, mut prefetch_issued) = (PrefetchSummary::default(), 0);
         for r in &self.records {
             match &r.event {
                 TraceEvent::MsgRecv { kind, .. } => {
@@ -565,12 +566,7 @@ impl Trace {
                             fault_service.insert(r.at.saturating_since(begin.at).as_nanos());
                         }
                     }
-                    match MissClass::from_code(*class) {
-                        Some(MissClass::Hit) => prefetch.hits += 1,
-                        Some(MissClass::TooLate) => prefetch.too_late += 1,
-                        Some(MissClass::Invalidated) => prefetch.invalidated += 1,
-                        Some(MissClass::NoPf) | None => prefetch.no_pf += 1,
-                    }
+                    prefetch.classify(MissClass::from_code(*class).unwrap_or(MissClass::NoPf));
                 }
                 TraceEvent::TransportRetry { peer, rto_ns, .. } => {
                     let link = links.entry((r.node, *peer)).or_insert(RetryTimeline {
@@ -586,14 +582,9 @@ impl Trace {
                     link.last = link.last.max(r.at);
                     link.max_rto = link.max_rto.max(SimDuration::from_nanos(*rto_ns));
                 }
-                TraceEvent::PrefetchIssue { .. } => prefetch.issued += 1,
-                TraceEvent::PrefetchDrop { reply, .. } => {
-                    if *reply {
-                        prefetch.replies_lost += 1;
-                    } else {
-                        prefetch.requests_lost += 1;
-                    }
-                }
+                TraceEvent::PrefetchIssue { .. } => prefetch_issued += 1,
+                TraceEvent::PrefetchDrop { reply: true, .. } => prefetch.reply_drops += 1,
+                TraceEvent::PrefetchDrop { reply: false, .. } => prefetch.send_drops += 1,
                 _ => {}
             }
         }
@@ -603,6 +594,7 @@ impl Trace {
             fault_service,
             retry_links: links.into_values().collect(),
             prefetch,
+            prefetch_issued,
         }
     }
 
@@ -727,66 +719,6 @@ pub struct RetryTimeline {
     pub max_rto: SimDuration,
 }
 
-/// Prefetch-effectiveness counters derived from the trace,
-/// matching the paper's §3.3 taxonomy.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PrefetchTraceSummary {
-    /// Prefetch requests issued.
-    pub issued: u64,
-    /// Faults whose page a prefetch had covered in time.
-    pub hits: u64,
-    /// Faults whose covering prefetch was still in flight.
-    pub too_late: u64,
-    /// Faults whose completed prefetch had been invalidated.
-    pub invalidated: u64,
-    /// Faults with no covering prefetch at all.
-    pub no_pf: u64,
-    /// Prefetch requests lost to the fault plan.
-    pub requests_lost: u64,
-    /// Prefetch replies lost to the fault plan.
-    pub replies_lost: u64,
-}
-
-impl PrefetchTraceSummary {
-    /// Faults a prefetch at least tried to cover.
-    pub fn covered(&self) -> u64 {
-        self.hits + self.too_late + self.invalidated
-    }
-
-    /// Fraction of faults covered by some prefetch (0.0 when there
-    /// were no faults — never NaN).
-    pub fn coverage(&self) -> f64 {
-        let total = self.covered() + self.no_pf;
-        if total == 0 {
-            0.0
-        } else {
-            self.covered() as f64 / total as f64
-        }
-    }
-
-    /// Fraction of covered faults the prefetch actually served
-    /// (0.0 when nothing was covered — never NaN).
-    pub fn accuracy(&self) -> f64 {
-        let covered = self.covered();
-        if covered == 0 {
-            0.0
-        } else {
-            self.hits as f64 / covered as f64
-        }
-    }
-
-    /// Fraction of covered faults whose prefetch arrived too late
-    /// (0.0 when nothing was covered — never NaN).
-    pub fn lateness(&self) -> f64 {
-        let covered = self.covered();
-        if covered == 0 {
-            0.0
-        } else {
-            self.too_late as f64 / covered as f64
-        }
-    }
-}
-
 /// Aggregate metrics derived from a [`Trace`] post-hoc.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMetrics {
@@ -799,8 +731,12 @@ pub struct TraceMetrics {
     /// Per-directed-link retransmission timelines, sorted by
     /// (src, dst).
     pub retry_links: Vec<RetryTimeline>,
-    /// §3.3 prefetch-effectiveness counters.
-    pub prefetch: PrefetchTraceSummary,
+    /// The §3.3 fault classes and the lost prefetch requests and
+    /// replies, as the trace sees them. The counts only the engine
+    /// sees — prefetch calls, filters, request messages — stay zero.
+    pub prefetch: PrefetchSummary,
+    /// Pages prefetches were issued for.
+    pub prefetch_issued: u64,
 }
 
 impl TraceMetrics {
@@ -1298,13 +1234,5 @@ mod tests {
         assert_eq!(h.buckets()[2], 2); // 2, 3
         assert_eq!(h.buckets()[11], 1); // 1024
         assert!((h.mean() - 206.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prefetch_summary_is_nan_free_when_empty() {
-        let p = PrefetchTraceSummary::default();
-        assert_eq!(p.coverage(), 0.0);
-        assert_eq!(p.accuracy(), 0.0);
-        assert_eq!(p.lateness(), 0.0);
     }
 }

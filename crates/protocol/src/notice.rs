@@ -191,19 +191,23 @@ impl NoticeBoard {
     }
 
     /// The pending (unapplied) notices of `page` as `(origin, stamp)`
-    /// pairs, ascending by origin and, within an origin, in arrival
-    /// order. Empty — without allocating — when nothing is pending.
+    /// pairs, in arrival order.
+    pub fn pending(&self, page: PageId) -> impl Iterator<Item = (usize, &Stamp)> {
+        let notices = self.page(page).filter(|n| n.pending > 0);
+        let tail = notices.map_or(&[][..], PageNotices::pending_tail);
+        tail.iter()
+            .filter(|e| !e.applied)
+            .map(|e| (e.origin as usize, &e.stamp))
+    }
+
+    /// [`NoticeBoard::pending`], ascending by origin and, within an
+    /// origin, in arrival order. Empty — without allocating — when
+    /// nothing is pending.
     pub fn pending_by_origin(&self, page: PageId) -> Vec<(usize, Stamp)> {
-        let Some(notices) = self.page(page).filter(|n| n.pending > 0) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(notices.pending as usize);
+        let mut out = Vec::with_capacity(self.page(page).map_or(0, |n| n.pending as usize));
         out.extend(
-            notices
-                .pending_tail()
-                .iter()
-                .filter(|e| !e.applied)
-                .map(|e| (e.origin as usize, Arc::clone(&e.stamp))),
+            self.pending(page)
+                .map(|(origin, stamp)| (origin, Arc::clone(stamp))),
         );
         // Stable: each origin's notices keep their arrival order.
         out.sort_by_key(|&(origin, _)| origin);

@@ -109,17 +109,20 @@ pub fn frac(total: SimDuration, num: u64, den: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(total.as_nanos() * num / den)
 }
 
-/// Counter predicates on a run, each labelled with its own source
-/// (`#[macro_use] mod cells;` brings it into a row crate).
+/// Counter predicates on a run (`|r| ...`), or on a run and its trace
+/// when the row is traced (`|r, trace| ...`), each labelled with its
+/// own source (`#[macro_use] mod cells;` brings it into a row crate).
 macro_rules! holds {
-    (|$r:ident| $($e:expr),+ $(,)?) => {{
-        use rsdsm::core::RunReport;
-        vec![$((stringify!($e), (|$r: &RunReport| $e) as fn(&RunReport) -> bool)),+]
+    (|$r:ident| $($e:expr),+ $(,)?) => { holds!(|$r, _trace| $($e),+) };
+    (|$r:ident, $t:ident| $($e:expr),+ $(,)?) => {{
+        use rsdsm::core::{RunReport, Trace};
+        type Ran = (RunReport, Option<Trace>);
+        vec![$((stringify!($e), (|($r, $t): &Ran| $e) as fn(&Ran) -> bool)),+]
     }};
 }
 
 /// A predicate on a run and its label.
-pub type Holds = (&'static str, fn(&RunReport) -> bool);
+pub type Holds = (&'static str, fn(&Ran) -> bool);
 
 /// What a pinned `view` of a run renders as: `digest`, `events`,
 /// `summary`, `trace` (digest, records), `retries` (per traced link:
@@ -135,7 +138,8 @@ fn view((r, trace): &Ran, view: &str) -> String {
             return format!("{:#x}, {} records", t.digest(), t.len());
         }
         "retries" => {
-            let links = r.trace.iter().flat_map(|m| &m.retry_links).map(|l| {
+            let metrics = trace.as_ref().map(Trace::metrics);
+            let links = metrics.iter().flat_map(|m| &m.retry_links).map(|l| {
                 let (first, last) = (l.first.as_nanos(), l.last.as_nanos());
                 let rto = l.max_rto.as_nanos();
                 format!("{}->{} {} {first}..{last} {rto}", l.src, l.dst, l.retries)
@@ -291,7 +295,7 @@ impl Row {
             if let Some(ran @ (r, trace)) = ran {
                 assert!(r.verified, "{name}: result corrupted");
                 for (what, holds) in &self.holds {
-                    assert!(holds(r), "{name}: {what} does not hold");
+                    assert!(holds(ran), "{name}: {what} does not hold");
                 }
                 assert_pins(name, self.pins, ran);
                 if self.repeat {

@@ -15,10 +15,11 @@ mod common;
 use cells::{debug, faulty, Prog, Row};
 use common::{base, for_each_cell};
 use rsdsm::apps::{Benchmark, Scale};
+use rsdsm::core::{DsmConfig, ThreadConfig};
 use rsdsm::oracle::Technique;
 use rsdsm::simnet::{DegradedWindow, FaultPlan, NodeStall, SimDuration, SimTime};
 use rsdsm_bench::pool::full_grid;
-use Benchmark::{Fft, LuCont, Radix, Sor, WaterSp};
+use Benchmark::{Fft, LuCont, Radix, Sor, WaterNsq, WaterSp};
 
 /// A plan mixing every fault class the injector supports.
 fn chaos_plan(seed: u64) -> FaultPlan {
@@ -157,4 +158,47 @@ fn reordering_is_restored_to_fifo() {
         ..Row::app(name, Radix, faulty(plan))
     }
     .check()
+}
+
+/// A run's multithreading stalls are its memory, lock and barrier
+/// stalls together, in time and in count, under faults as without.
+#[test]
+fn mt_stalls_are_the_three_stall_classes() {
+    let name = "mt_stalls_are_the_three_stall_classes";
+    let prog = Prog::App(WaterNsq, Scale::Test, Technique::Combined);
+    let cfg = faulty(FaultPlan::uniform_loss(0x57A1, 0.05));
+    Row {
+        holds: holds!(
+            |r| r.misses.stall_sum > SimDuration::ZERO,
+            r.locks.waits > 0 && r.barriers.waits > 0,
+            r.mt.stall_sum == r.misses.stall_sum + r.locks.stall_sum + r.barriers.stall_sum,
+            r.mt.stall_count == r.misses.misses + r.locks.waits + r.barriers.waits,
+        ),
+        ..Row::new(name, prog, cfg)
+    }
+    .check()
+}
+
+/// A prefetch reply carries the diff of the interval its service split
+/// off, ahead of the server's earlier intervals of the page. These two
+/// WATER-NSQ cells (four threads a node, combined prefetching, 5 % loss)
+/// once applied that diff first and let the earlier ones roll it back:
+/// the runs finished with a wrong image, though no invariant fired and
+/// the golden replay verified.
+#[test]
+fn split_interval_diffs_wait_for_earlier_intervals() {
+    for (nodes, seed) in [(2, 3), (4, 5)] {
+        let cfg = DsmConfig::paper_cluster(nodes)
+            .with_seed(seed)
+            .with_faults(FaultPlan::uniform_loss(seed ^ 0xFA17, 0.05))
+            .with_threads(ThreadConfig::combined(4))
+            .with_prefetch(WaterNsq.combined_prefetch());
+        let prog = Prog::App(WaterNsq, Scale::Test, Technique::Base);
+        let name = format!("water_nsq_4tp_loss05_{nodes}_nodes_seed_{seed}");
+        Row {
+            oracle: true,
+            ..Row::new(name, prog, cfg)
+        }
+        .check();
+    }
 }

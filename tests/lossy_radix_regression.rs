@@ -62,7 +62,8 @@ fn retry_timelines_are_pinned_under_5pct_loss() {
     Row {
         traced: true,
         holds: holds!(
-            |r| r.trace.as_ref().map(|m| m.total_retries()) == Some(r.transport.retransmissions)
+            |r, trace| trace.as_ref().map(|t| t.metrics().total_retries())
+                == Some(r.transport.retransmissions)
         ),
         pins: "
             trace: 0xc0aafddce7c33c6f, 842 records

@@ -102,11 +102,6 @@ fn tracing_has_zero_observer_effect() {
         let (traced, trace) = bench
             .run_traced(Scale::Test, cfg())
             .unwrap_or_else(|e| panic!("{bench} [{}] traced: {e}", tech.label()));
-        assert!(
-            traced.trace.is_some(),
-            "{bench} [{}]: traced run must carry trace metrics",
-            tech.label()
-        );
         if plain.digest() != traced.digest() {
             fail_with_artifact(
                 bench,

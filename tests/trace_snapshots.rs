@@ -129,9 +129,16 @@ fn trace_digests_and_prefetch_taxonomy_are_pinned() {
             trace.len(),
         );
         assert_eq!(trace.len(), events, "{cell}: event count moved");
-        let p = &report.trace.expect("traced run carries metrics").prefetch;
+        let m = trace.metrics();
+        let p = &m.prefetch;
         assert_eq!(
-            (p.issued, p.hits, p.too_late, p.invalidated, p.no_pf),
+            (
+                m.prefetch_issued,
+                p.hits,
+                p.too_late,
+                p.invalidated,
+                p.no_pf
+            ),
             (issued, hits, too_late, invalidated, no_pf),
             "{cell}: §3.3 prefetch taxonomy moved",
         );
@@ -158,10 +165,10 @@ fn trace_digests_and_prefetch_taxonomy_are_pinned() {
 #[test]
 fn derived_prefetch_ratios_are_finite() {
     for (bench, tech, ..) in PINS {
-        let (report, _) = bench
+        let (_, trace) = bench
             .run_traced(Scale::Test, cfg(bench, tech))
             .unwrap_or_else(|e| panic!("{bench} [{}]: {e}", tech.label()));
-        let p = report.trace.expect("metrics").prefetch;
+        let p = trace.metrics().prefetch;
         for (name, v) in [
             ("coverage", p.coverage()),
             ("accuracy", p.accuracy()),
