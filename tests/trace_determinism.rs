@@ -25,6 +25,7 @@ use common::base;
 use rsdsm::apps::{Benchmark, Scale};
 use rsdsm::core::{Trace, TraceEvent};
 use rsdsm::oracle::Technique;
+use rsdsm::simnet::fnv1a;
 use rsdsm::stats::chrome_trace_json;
 use rsdsm_bench::pool::full_grid;
 
@@ -176,7 +177,7 @@ fn every_diff_apply_is_caused_by_a_matching_write_notice() {
 }
 
 /// The `RTR1` bytes round-trip through the decoder, and the exporter
-/// accepts a real trace (spot check of the end-to-end path the bench
+/// renders a real trace to pinned bytes (the end-to-end path the bench
 /// `--trace` flag uses).
 #[test]
 fn real_traces_round_trip_and_export() {
@@ -192,4 +193,9 @@ fn real_traces_round_trip_and_export() {
     let json = chrome_trace_json(&trace);
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"name\":\"node 3\""));
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        0x6f1af4c44dd42685,
+        "the Chrome export of RADIX 2TP moved"
+    );
 }
