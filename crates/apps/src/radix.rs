@@ -161,21 +161,20 @@ impl DsmTask for RadixApp {
     }
 
     fn allocate(&self, heap: &mut Heap) -> Self::Handles {
-        // The histogram rows are sized by the maximum thread count we
-        // support (threads beyond the allocation would be an app bug).
+        // One histogram row per thread, and never fewer than 64, so a
+        // run of up to 64 threads keeps one heap layout.
         RadixHandles {
             keys: [
                 heap.alloc(self.n, HomePolicy::Blocked),
                 heap.alloc(self.n, HomePolicy::Blocked),
             ],
-            hist: heap.alloc(64 * self.radix(), HomePolicy::Blocked),
+            hist: heap.alloc(heap.threads().max(64) * self.radix(), HomePolicy::Blocked),
         }
     }
 
     async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let nt = ctx.num_threads();
-        assert!(nt <= 64, "histogram sized for at most 64 threads");
         let radix = self.radix();
         let (k0, k1) = block_range(self.n, t, nt);
 

@@ -83,6 +83,7 @@ use std::sync::Arc;
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock, PAGE_SIZE};
 use rsdsm_simnet::{fnv1a, fnv1a_extend, FNV_OFFSET, FNV_PRIME};
 
+use crate::codec::{Cursor, Sink};
 use crate::msg::{IntervalRecord, LockId};
 use crate::node::NodeState;
 
@@ -215,30 +216,23 @@ fn check(bytes: &[u8]) -> u64 {
     fnv1a_extend(lanes.into_iter().fold(FNV_OFFSET, step), blocks.remainder())
 }
 
-/// Where the encoder's bytes go.
-trait Sink {
-    fn put(&mut self, bytes: &[u8]);
-
-    fn u32(&mut self, v: u32) {
-        self.put(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.put(&v.to_le_bytes());
-    }
-
-    fn clock(&mut self, vc: &VectorClock) {
-        self.u32(vc.len() as u32);
-        for p in 0..vc.len() {
-            self.u32(vc.get(p));
-        }
+/// Writes a vector clock: its width, then each entry.
+fn put_clock(out: &mut impl Sink, vc: &VectorClock) {
+    out.u32(vc.len() as u32);
+    for p in 0..vc.len() {
+        out.u32(vc.get(p));
     }
 }
 
-impl Sink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
+/// Reads a vector clock. A width the rest of the image cannot hold is
+/// corrupt, and is never a buffer size.
+fn get_clock(c: &mut Cursor<'_, CheckpointError>) -> Result<VectorClock, CheckpointError> {
+    let n = c.u32()? as usize;
+    if n == 0 || n > c.remaining() / 4 {
+        return Err(CheckpointError::Corrupt("implausible clock width"));
     }
+    let elems = (0..n).map(|_| c.u32()).collect::<Result<Vec<_>, _>>()?;
+    Ok(VectorClock::from_entries(&elems))
 }
 
 /// Counts what it is given: a checkpoint measured, not built.
@@ -342,7 +336,7 @@ where
         out.u32(MAGIC);
         out.u32(self.node);
         out.u32(self.epoch);
-        out.clock(self.vc);
+        put_clock(out, self.vc);
         out.u32(self.pages.clone().count() as u32);
         for (index, valid, bytes) in self.pages.clone() {
             out.u32(index);
@@ -363,7 +357,7 @@ where
         out.u32(self.intervals.len() as u32);
         for iv in self.intervals {
             out.u32(iv.origin as u32);
-            out.clock(&iv.stamp);
+            put_clock(out, &iv.stamp);
             out.u32(iv.pages.len() as u32);
             for page in &iv.pages {
                 out.u32(page.index() as u32);
@@ -519,13 +513,13 @@ impl Checkpoint {
     /// Parses a checkpoint from bytes produced by
     /// [`Checkpoint::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut c = Cursor { bytes, at: 0 };
+        let mut c = Cursor::new(bytes, CheckpointError::Truncated);
         if c.u32()? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
         let node = c.u32()?;
         let epoch = c.u32()?;
-        let vc = c.clock()?;
+        let vc = get_clock(&mut c)?;
         let mut pages = Vec::new();
         for _ in 0..c.u32()? {
             let index = c.u32()?;
@@ -563,7 +557,7 @@ impl Checkpoint {
         let mut intervals = Vec::new();
         for _ in 0..c.u32()? {
             let origin = c.u32()? as usize;
-            let stamp = c.clock()?;
+            let stamp = get_clock(&mut c)?;
             let mut ivpages = Vec::new();
             for _ in 0..c.u32()? {
                 ivpages.push(PageId::new(c.u32()?));
@@ -578,7 +572,7 @@ impl Checkpoint {
         for _ in 0..c.u32()? {
             tokens.push(LockId(c.u32()?));
         }
-        if c.at != bytes.len() {
+        if c.remaining() != 0 {
             return Err(CheckpointError::Corrupt("trailing bytes"));
         }
         Ok(Checkpoint {
@@ -610,7 +604,7 @@ impl Checkpoint {
     /// Never panics: arbitrary bytes (torn sectors, stale tails,
     /// truncation at any boundary) yield an error.
     pub fn decode_segmented(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut c = Cursor { bytes, at: 0 };
+        let mut c = Cursor::new(bytes, CheckpointError::Truncated);
         if c.u32()? != SEG_MAGIC {
             return Err(CheckpointError::BadMagic);
         }
@@ -693,10 +687,7 @@ impl CommitRecord {
     /// Parses a commit region's bytes; `None` for anything that is
     /// not an intact record (truncated, torn, or never written).
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < COMMIT_LEN {
-            return None;
-        }
-        let mut c = Cursor { bytes, at: 0 };
+        let mut c = Cursor::new(bytes, ());
         if c.u32().ok()? != COMMIT_MAGIC {
             return None;
         }
@@ -704,6 +695,8 @@ impl CommitRecord {
         let seq = c.u64().ok()?;
         let payload_len = c.u32().ok()?;
         let payload_check = c.u64().ok()?;
+        // Reading the self-check takes the record's last bytes, so the
+        // slice it covers is in bounds.
         if c.u64().ok()? != check(&bytes[..COMMIT_LEN - 8]) {
             return None;
         }
@@ -781,54 +774,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.at
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        if self.at + n > self.bytes.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn clock(&mut self) -> Result<VectorClock, CheckpointError> {
-        let n = self.u32()? as usize;
-        if n == 0 || n > 1024 {
-            return Err(CheckpointError::Corrupt("implausible clock width"));
-        }
-        let mut elems = Vec::with_capacity(n);
-        for _ in 0..n {
-            elems.push(self.u32()?);
-        }
-        Ok(VectorClock::from_entries(&elems))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -911,6 +856,29 @@ mod tests {
         let mut b = sample();
         b.epoch += 1;
         assert_ne!(a.digest(), b.digest());
+    }
+
+    /// A clock is as wide as the cluster, and nothing caps the cluster
+    /// at 1 024 nodes.
+    #[test]
+    fn clocks_of_1025_nodes_round_trip() {
+        let mut ckpt = sample();
+        ckpt.vc = VectorClock::from_entries(&[3; 1025]);
+        ckpt.intervals = vec![Arc::new(IntervalRecord {
+            origin: 1024,
+            stamp: Arc::new(VectorClock::from_entries(&[2; 1025])),
+            pages: vec![PageId::new(0)],
+        })];
+        assert_eq!(Checkpoint::decode(&ckpt.encode()), Ok(ckpt.clone()));
+        let payload = ckpt.encode_segmented();
+        let commit = CommitRecord::for_payload(ckpt.epoch, 1, &payload).encode();
+        assert_eq!(
+            classify_slot(&payload, &commit),
+            SlotState::Committed {
+                seq: 1,
+                ckpt: Box::new(ckpt)
+            }
+        );
     }
 
     #[test]

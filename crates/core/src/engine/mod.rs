@@ -237,7 +237,7 @@ impl Simulation {
     ) -> Result<(Outcome, P::Handles), SimError> {
         let cfg = &self.cfg;
         cfg.validate().map_err(SimError::Config)?;
-        let mut heap = Heap::new(cfg.nodes);
+        let mut heap = Heap::for_config(cfg);
         let handles = app.allocate(&mut heap);
         if let Some(policy) = cfg.directory.policy() {
             // Directory-sharded homes: override the application's

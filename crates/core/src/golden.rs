@@ -85,7 +85,7 @@ pub fn golden_run<B, P: Runnable<B>>(
     cfg: &DsmConfig,
     lock_trace: &[GrantRecord],
 ) -> Result<GoldenRun, String> {
-    let mut heap = Heap::new(cfg.nodes);
+    let mut heap = Heap::for_config(cfg);
     let handles = app.allocate(&mut heap);
     let total_pages = heap.page_count();
     let total_threads = cfg.total_threads();

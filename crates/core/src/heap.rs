@@ -13,6 +13,8 @@ use std::marker::PhantomData;
 use rsdsm_protocol::{PageId, PAGE_SIZE};
 use rsdsm_simnet::NodeId;
 
+use crate::config::DsmConfig;
+
 /// A plain-old-data element type storable in shared memory.
 ///
 /// Implementations convert to and from little-endian bytes; all
@@ -159,6 +161,8 @@ pub(crate) fn page_bytes<T: Pod>(range: &std::ops::Range<usize>) -> std::ops::Ra
 #[derive(Debug, Clone)]
 pub struct Heap {
     nodes: usize,
+    /// Application threads of the run the heap is laid out for.
+    threads: usize,
     homes: Vec<NodeId>,
     next_rr: usize,
 }
@@ -173,9 +177,24 @@ impl Heap {
         assert!(nodes > 0, "heap needs at least one node");
         Heap {
             nodes,
+            threads: nodes,
             homes: Vec::new(),
             next_rr: 0,
         }
+    }
+
+    /// An empty heap for a run of `cfg`.
+    pub(crate) fn for_config(cfg: &DsmConfig) -> Self {
+        Heap {
+            threads: cfg.total_threads(),
+            ..Heap::new(cfg.nodes)
+        }
+    }
+
+    /// Application threads of the run the heap is laid out for: one
+    /// per node for a heap from [`Heap::new`].
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Allocates a shared array of `len` elements; pages are homed

@@ -40,6 +40,7 @@
 mod accounting;
 mod barrier;
 mod checkpoint;
+mod codec;
 mod conductor;
 mod config;
 mod costs;
@@ -91,7 +92,7 @@ pub use rsdsm_simnet::{
 };
 pub use thread::ThreadId;
 pub use trace::{
-    Histogram, RetryTimeline, Trace, TraceError, TraceEvent, TraceMetrics, TraceRecord, NO_CAUSE,
-    NO_THREAD,
+    Histogram, RetryTimeline, Trace, TraceError, TraceEvent, TraceMetrics, TraceRecord, TraceValue,
+    NO_CAUSE, NO_THREAD,
 };
 pub use transport::{Recv, TimeoutAction, Transport, TransportConfig, TransportSummary};

@@ -27,15 +27,17 @@
 //!   write notice for a diff apply, the first transmission for a
 //!   retransmit). `0` means "no recorded cause".
 //!
-//! The binary format `RTR1` mirrors the `RCK1` checkpoint encoding:
-//! little-endian, self-delimiting, FNV-1a digested, with decode
-//! errors for truncation, bad magic, and trailing bytes.
+//! The binary format `RTR1` is built like the `RCK1` checkpoint
+//! encoding, from the same little-endian codec (`codec.rs`):
+//! self-delimiting, FNV-1a digested, with decode errors for
+//! truncation, bad magic, and trailing bytes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use rsdsm_simnet::{fnv1a, SimDuration, SimTime};
 
+use crate::codec::{Cursor, Sink};
 use crate::msg::MsgClass;
 use crate::node::MissClass;
 use crate::report::PrefetchSummary;
@@ -72,20 +74,19 @@ impl std::error::Error for TraceError {}
 
 const MAGIC: u32 = 0x5254_5231; // "RTR1"
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
-        let s = self
-            .bytes
-            .get(self.at..self.at + N)
-            .ok_or(TraceError::Truncated)?;
-        self.at += N;
-        Ok(s.try_into().expect("slice of length N"))
-    }
+/// One field of a [`TraceEvent`], as [`TraceEvent::for_each_field`]
+/// yields it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceValue {
+    /// An unsigned number.
+    Uint(u64),
+    /// A signed number.
+    Int(i64),
+    /// A flag.
+    Bool(bool),
+    /// A code field's label: its variant's, or `"unknown"` for a code
+    /// that does not decode.
+    Label(&'static str),
 }
 
 /// A field type of the `RTR1` format: little-endian, fixed width.
@@ -93,40 +94,44 @@ trait Wire: Copy {
     /// Encoded size in bytes.
     const LEN: usize;
     fn put(self, out: &mut Vec<u8>);
-    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError>;
+    fn get(c: &mut Cursor<'_, TraceError>) -> Result<Self, TraceError>;
+    fn value(self) -> TraceValue;
 }
 
-impl Wire for u8 {
-    const LEN: usize = 1;
-    fn put(self, out: &mut Vec<u8>) {
-        out.push(self);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        Ok(c.take::<1>()?[0])
-    }
+/// The unsigned field types: their little-endian bytes.
+macro_rules! wire_uint {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            const LEN: usize = std::mem::size_of::<$ty>();
+            fn put(self, out: &mut Vec<u8>) {
+                out.put(&self.to_le_bytes());
+            }
+            fn get(c: &mut Cursor<'_, TraceError>) -> Result<Self, TraceError> {
+                c.$ty()
+            }
+            fn value(self) -> TraceValue {
+                TraceValue::Uint(self.into())
+            }
+        }
+    )*};
 }
+
+wire_uint!(u8, u32, u64);
 
 impl Wire for bool {
     const LEN: usize = 1;
     fn put(self, out: &mut Vec<u8>) {
-        out.push(u8::from(self));
+        u8::from(self).put(out);
     }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        match u8::get(c)? {
+    fn get(c: &mut Cursor<'_, TraceError>) -> Result<Self, TraceError> {
+        match c.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(TraceError::Corrupt("bool out of range")),
         }
     }
-}
-
-impl Wire for u32 {
-    const LEN: usize = 4;
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        Ok(u32::from_le_bytes(c.take()?))
+    fn value(self) -> TraceValue {
+        TraceValue::Bool(self)
     }
 }
 
@@ -136,33 +141,38 @@ impl Wire for i32 {
     fn put(self, out: &mut Vec<u8>) {
         (self as u32).put(out);
     }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        Ok(u32::get(c)? as i32)
+    fn get(c: &mut Cursor<'_, TraceError>) -> Result<Self, TraceError> {
+        Ok(c.u32()? as i32)
+    }
+    fn value(self) -> TraceValue {
+        TraceValue::Int(self.into())
     }
 }
 
-impl Wire for u64 {
-    const LEN: usize = 8;
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        Ok(u64::from_le_bytes(c.take()?))
-    }
+/// A field's [`TraceValue`]: a code field, declared `field: u8 as
+/// Enum`, yields its `Enum` label.
+macro_rules! trace_value {
+    ($field:ident) => {
+        Wire::value(*$field)
+    };
+    ($field:ident, $code:ident) => {
+        TraceValue::Label($code::from_code(*$field).map_or("unknown", $code::label))
+    };
 }
 
 /// Declares [`TraceEvent`]. Each row is one variant — its `RTR1` tag,
 /// name, exporter label and fields in wire order — and is the only
 /// place the variant is described: the enum, [`TraceEvent::tag`],
-/// [`TraceEvent::label`], [`TraceEvent::encoded_body_len`] and the
-/// body encoder and decoder are all generated from it. Adding an event
-/// is adding a row (with the next free tag); field types are the
-/// [`Wire`] types.
+/// [`TraceEvent::label`], [`TraceEvent::encoded_body_len`],
+/// [`TraceEvent::for_each_field`] and the body encoder and decoder are
+/// all generated from it. Adding an event is adding a row (with the
+/// next free tag); field types are the [`Wire`] types, and a code
+/// field names the enum it is a code of (`kind: u8 as MsgClass`).
 macro_rules! trace_events {
     ($(
         $(#[$doc:meta])*
         $tag:literal $name:ident $label:literal
-        $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)? })?
+        $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty $(as $code:ident)?),* $(,)? })?
     )*) => {
         /// One structured simulated event.
         ///
@@ -200,6 +210,15 @@ macro_rules! trace_events {
                 }
             }
 
+            /// Hands `f` each field's name and value, in row order.
+            pub fn for_each_field(&self, mut f: impl FnMut(&'static str, TraceValue)) {
+                match self {
+                    $(TraceEvent::$name $({ $($field),* })? => {
+                        $($(f(stringify!($field), trace_value!($field $(, $code)?));)*)?
+                    })*
+                }
+            }
+
             /// Appends the event's fields in wire order.
             fn encode_body(&self, out: &mut Vec<u8>) {
                 match self {
@@ -210,7 +229,7 @@ macro_rules! trace_events {
             }
 
             /// Reads the fields of the event with wire tag `tag`.
-            fn decode_body(tag: u8, c: &mut Cursor<'_>) -> Result<TraceEvent, TraceError> {
+            fn decode_body(tag: u8, c: &mut Cursor<'_, TraceError>) -> Result<TraceEvent, TraceError> {
                 Ok(match tag {
                     $($tag => TraceEvent::$name $({ $($field: Wire::get(c)?),* })?,)*
                     _ => return Err(TraceError::Corrupt("unknown event tag")),
@@ -225,7 +244,7 @@ trace_events! {
     /// frames the fault plan then drops).
     0 MsgSend "msg_send" {
         /// Message class ([`MsgClass::code`]).
-        kind: u8,
+        kind: u8 as MsgClass,
         /// Destination node.
         peer: u32,
         /// Per-link transport sequence number (0 for datagrams).
@@ -238,7 +257,7 @@ trace_events! {
     /// A frame arriving at a live NIC.
     1 MsgRecv "msg_recv" {
         /// Message class ([`MsgClass::code`]).
-        kind: u8,
+        kind: u8 as MsgClass,
         /// Source node.
         peer: u32,
         /// Per-link transport sequence number (0 for datagrams).
@@ -257,7 +276,7 @@ trace_events! {
         /// The page that was made valid.
         page: u32,
         /// §3.3 outcome class ([`MissClass::code`]).
-        class: u8,
+        class: u8 as MissClass,
     }
     /// A diff was encoded from a twin (interval close or prefetch
     /// interval split).
@@ -471,16 +490,16 @@ impl Trace {
     /// Encodes the trace into the deterministic `RTR1` byte format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        MAGIC.put(&mut out);
-        self.nodes.put(&mut out);
-        self.threads_per_node.put(&mut out);
-        (self.records.len() as u64).put(&mut out);
+        out.u32(MAGIC);
+        out.u32(self.nodes);
+        out.u32(self.threads_per_node);
+        out.u64(self.records.len() as u64);
         for r in &self.records {
-            r.at.as_nanos().put(&mut out);
-            r.node.put(&mut out);
-            r.thread.put(&mut out);
-            r.cause.put(&mut out);
-            r.event.tag().put(&mut out);
+            out.u64(r.at.as_nanos());
+            out.u32(r.node);
+            out.u32(r.thread);
+            out.u64(r.cause);
+            out.put(&[r.event.tag()]);
             r.event.encode_body(&mut out);
         }
         out
@@ -493,13 +512,13 @@ impl Trace {
     /// Returns a [`TraceError`] on truncation, wrong magic, unknown
     /// event tags, out-of-range causes, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
-        let mut c = Cursor { bytes, at: 0 };
-        if u32::get(&mut c)? != MAGIC {
+        let mut c = Cursor::new(bytes, TraceError::Truncated);
+        if c.u32()? != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let nodes = u32::get(&mut c)?;
-        let threads_per_node = u32::get(&mut c)?;
-        let count = u64::get(&mut c)?;
+        let nodes = c.u32()?;
+        let threads_per_node = c.u32()?;
+        let count = c.u64()?;
         if count > bytes.len() as u64 {
             // Each record occupies well over one byte; a count larger
             // than the stream is corrupt, not merely truncated.
@@ -507,14 +526,14 @@ impl Trace {
         }
         let mut records = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let at = SimTime::from_nanos(u64::get(&mut c)?);
-            let node = u32::get(&mut c)?;
-            let thread = u32::get(&mut c)?;
-            let cause = u64::get(&mut c)?;
+            let at = SimTime::from_nanos(c.u64()?);
+            let node = c.u32()?;
+            let thread = c.u32()?;
+            let cause = c.u64()?;
             if cause > i {
                 return Err(TraceError::Corrupt("cause is not a prior record"));
             }
-            let tag = u8::get(&mut c)?;
+            let tag = c.u8()?;
             let event = TraceEvent::decode_body(tag, &mut c)?;
             records.push(TraceRecord {
                 at,
@@ -524,7 +543,7 @@ impl Trace {
                 event,
             });
         }
-        if c.at != bytes.len() {
+        if c.remaining() != 0 {
             return Err(TraceError::Corrupt("trailing bytes"));
         }
         Ok(Trace {
@@ -1104,13 +1123,15 @@ mod tests {
     fn every_tag_decodes_to_its_own_variant_and_length() {
         let zeros = [0u8; 64];
         for tag in 0..=28u8 {
-            let mut c = Cursor {
-                bytes: &zeros,
-                at: 0,
-            };
+            let mut c = Cursor::new(&zeros, TraceError::Truncated);
             let event = TraceEvent::decode_body(tag, &mut c).expect("known tag");
             assert_eq!(event.tag(), tag);
-            assert_eq!(event.encoded_body_len(), c.at, "{}", event.label());
+            assert_eq!(
+                event.encoded_body_len(),
+                zeros.len() - c.remaining(),
+                "{}",
+                event.label()
+            );
             // And through the stream decoder, which rejects any slack.
             let t = Trace {
                 nodes: 1,
@@ -1125,10 +1146,7 @@ mod tests {
             };
             assert_eq!(Trace::decode(&t.encode()), Ok(t));
         }
-        let mut c = Cursor {
-            bytes: &zeros,
-            at: 0,
-        };
+        let mut c = Cursor::new(&zeros, TraceError::Truncated);
         assert_eq!(
             TraceEvent::decode_body(29, &mut c),
             Err(TraceError::Corrupt("unknown event tag"))

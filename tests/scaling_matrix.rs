@@ -38,8 +38,6 @@ fn fabric_row(nodes: usize, bench: Benchmark, tech: Technique, policy: Directory
 
 #[test]
 fn oracle_holds_at_64_nodes_on_the_fabric() {
-    // RADIX's shared histogram caps a run at 64 threads, so 2TP gets
-    // its fabric and directory coverage at 32 nodes.
     let rows = vec![
         fabric_row(64, Radix, Base, Hash),
         fabric_row(64, Radix, Prefetch, FirstTouch),
@@ -49,10 +47,9 @@ fn oracle_holds_at_64_nodes_on_the_fabric() {
     for_each_cell(rows, Row::check);
 }
 
-/// The 256- and 1024-node tiers: the oracle at 256 nodes (FFT's
-/// six-step blocks go empty on surplus nodes, so it is the kernel that
-/// scales past RADIX's 64-thread cap) and the 1024-node hot-spot
-/// completing under the wheel engine.
+/// The 256- and 1024-node tiers: the oracle on FFT at 256 nodes (its
+/// six-step blocks go empty on surplus nodes) and the 1024-node
+/// hot-spot completing under the wheel engine.
 #[test]
 fn full_matrix_big_tiers() {
     if full_grid("scaling") {

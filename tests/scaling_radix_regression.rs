@@ -4,6 +4,10 @@
 //! fault-free retransmissions are real: the 4:1 oversubscribed trunks
 //! delay frames past their RTOs under RADIX's interval traffic.
 //!
+//! RADIX past 64 threads has rows of its own: its histogram has one row
+//! per thread, so 65 nodes, and 16 nodes of 8 threads, verify under
+//! the full oracle.
+//!
 //! The simulation is deterministic for a (seed, config), so these
 //! values reproduce on every machine. Treat a moved pin as a
 //! determinism bug first, and re-pin only by DESIGN §8's rule. The
@@ -14,8 +18,10 @@ mod cells;
 mod common;
 
 use cells::{on_fabric, Row};
+use common::base;
 use rsdsm::apps::Benchmark::Radix;
 use rsdsm::core::DirectoryPolicy::Hash;
+use rsdsm::core::{DsmConfig, ThreadConfig};
 
 /// 64-node fabric RADIX, held to `pins`.
 fn scaled_radix(name: &str, pins: &'static str) -> Row {
@@ -55,4 +61,23 @@ fn repeat_runs_are_digest_identical() {
     scaled_radix("repeat_runs_are_digest_identical", "")
         .repeated()
         .check()
+}
+
+/// RADIX on `cfg` under the full oracle obligation.
+fn oracle_radix(name: &str, cfg: DsmConfig) -> Row {
+    Row {
+        oracle: true,
+        ..Row::app(name, Radix, cfg)
+    }
+}
+
+#[test]
+fn sixty_five_nodes_verify() {
+    oracle_radix("sixty_five_nodes_verify", base(65)).check()
+}
+
+#[test]
+fn sixteen_nodes_of_eight_threads_verify() {
+    let cfg = base(16).with_threads(ThreadConfig::multithreaded(8));
+    oracle_radix("sixteen_nodes_of_eight_threads_verify", cfg).check()
 }

@@ -1,7 +1,8 @@
 //! The steady state stays off the allocator: a warmed event queue
 //! pops and pushes without allocating at all, every suite kernel
-//! runs within a budget of allocator calls per simulated event, and a
-//! checkpoint allocates its bytes at most once.
+//! runs within a budget of allocator calls per simulated event, a
+//! checkpoint allocates its bytes at most once, and a corrupt one is
+//! rejected before it allocates.
 //!
 //! Counting needs a `#[global_allocator]`, and implementing
 //! `GlobalAlloc` is `unsafe`: the impl below is the repository's one
@@ -51,8 +52,9 @@ mod common;
 
 use common::base;
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{PersistConfig, RecoveryConfig, RecoveryStats};
+use rsdsm::core::{Checkpoint, CheckpointError, PersistConfig, RecoveryConfig, RecoveryStats};
 use rsdsm::oracle::Technique;
+use rsdsm::protocol::VectorClock;
 use rsdsm::simnet::{DetRng, EventQueue, SimDuration, SimTime};
 
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) this thread
@@ -193,4 +195,29 @@ fn checkpoints_allocate_their_bytes_at_most_once() {
         }
     }
     assert!(over.is_empty(), "{}", over.join("\n"));
+}
+
+/// A clock width no image could hold is corrupt, and is rejected
+/// before anything is sized by it.
+#[test]
+fn an_impossible_clock_width_allocates_nothing() {
+    let ckpt = Checkpoint {
+        node: 0,
+        epoch: 2,
+        vc: VectorClock::from_entries(&[1, 2]),
+        pages: Vec::new(),
+        diffs: Vec::new(),
+        intervals: Vec::new(),
+        tokens: Vec::new(),
+    };
+    let mut image = ckpt.encode();
+    // Magic, node and epoch come first; then the clock's width.
+    image[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    let before = calls();
+    let decoded = Checkpoint::decode(&image);
+    assert_eq!(calls(), before, "decoding allocated");
+    assert_eq!(
+        decoded,
+        Err(CheckpointError::Corrupt("implausible clock width"))
+    );
 }
