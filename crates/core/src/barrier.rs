@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use rsdsm_protocol::VectorClock;
 use rsdsm_simnet::NodeId;
 
 use crate::msg::{BarrierId, IntervalRecord};
@@ -70,9 +71,12 @@ pub(crate) struct BarrierManager {
     pending: HashMap<BarrierId, Episode>,
 }
 
-#[derive(Debug, Clone, Default)]
+/// One open barrier episode: who arrived, the join of their clocks,
+/// and the union of their intervals.
+#[derive(Debug, Clone)]
 struct Episode {
     arrived: Vec<NodeId>,
+    joined: VectorClock,
     intervals: Vec<Arc<IntervalRecord>>,
 }
 
@@ -90,9 +94,10 @@ impl BarrierManager {
         }
     }
 
-    /// Records a node's arrival with its intervals. When every node
-    /// has arrived, returns the deduplicated union of intervals to
-    /// broadcast (and resets the episode).
+    /// Records a node's arrival with its clock and intervals. When
+    /// every node has arrived, returns the join of their clocks and
+    /// the deduplicated union of their intervals to broadcast (and
+    /// closes the episode).
     ///
     /// # Panics
     ///
@@ -101,11 +106,18 @@ impl BarrierManager {
         &mut self,
         id: BarrierId,
         from: NodeId,
+        vc: &VectorClock,
         intervals: &[Arc<IntervalRecord>],
-    ) -> Option<Vec<Arc<IntervalRecord>>> {
-        let ep = self.pending.entry(id).or_default();
+    ) -> Option<(VectorClock, Vec<Arc<IntervalRecord>>)> {
+        let nodes = self.nodes;
+        let ep = self.pending.entry(id).or_insert_with(|| Episode {
+            arrived: Vec::new(),
+            joined: VectorClock::new(nodes),
+            intervals: Vec::new(),
+        });
         assert!(!ep.arrived.contains(&from), "node {from} arrived twice");
         ep.arrived.push(from);
+        ep.joined.join(vc);
         for rec in intervals {
             let seq = rec.seq();
             let dup = ep
@@ -118,7 +130,7 @@ impl BarrierManager {
         }
         if ep.arrived.len() == self.nodes {
             let ep = self.pending.remove(&id).expect("episode exists");
-            Some(ep.intervals)
+            Some((ep.joined, ep.intervals))
         } else {
             None
         }
@@ -177,29 +189,46 @@ mod tests {
         nb.arrive(BarrierId(0), ThreadId(0));
     }
 
+    /// Node `origin`'s clock of a `nodes`-node cluster after `tick`
+    /// intervals of its own.
+    fn clock(nodes: usize, origin: NodeId, tick: usize) -> VectorClock {
+        let mut vc = VectorClock::new(nodes);
+        for _ in 0..tick {
+            vc.tick(origin);
+        }
+        vc
+    }
+
     #[test]
     fn manager_releases_when_all_nodes_arrive() {
         let mut m = BarrierManager::new(3);
-        assert!(m.node_arrived(BarrierId(0), 0, &[rec(0, 1)]).is_none());
-        assert!(m.node_arrived(BarrierId(0), 2, &[rec(2, 1)]).is_none());
-        assert_eq!(m.arrived_count(BarrierId(0)), 2);
-        let released = m
-            .node_arrived(BarrierId(0), 1, &[rec(1, 1)])
+        let id = BarrierId(0);
+        assert!(m
+            .node_arrived(id, 0, &clock(3, 0, 1), &[rec(0, 1)])
+            .is_none());
+        assert!(m
+            .node_arrived(id, 2, &clock(3, 2, 2), &[rec(2, 1)])
+            .is_none());
+        assert_eq!(m.arrived_count(id), 2);
+        let (joined, released) = m
+            .node_arrived(id, 1, &clock(3, 1, 3), &[rec(1, 1)])
             .expect("all arrived");
         assert_eq!(released.len(), 3);
-        assert_eq!(m.arrived_count(BarrierId(0)), 0);
+        assert_eq!((joined.get(0), joined.get(1), joined.get(2)), (1, 3, 2));
+        assert_eq!(m.arrived_count(id), 0);
     }
 
     #[test]
     fn manager_dedupes_intervals() {
         let mut m = BarrierManager::new(2);
+        let vc = VectorClock::new(2);
         // Both nodes report the same interval (origin 0, tick 1) —
         // possible when it propagated through a lock first.
         assert!(m
-            .node_arrived(BarrierId(0), 0, &[rec(0, 1), rec(0, 2)])
+            .node_arrived(BarrierId(0), 0, &vc, &[rec(0, 1), rec(0, 2)])
             .is_none());
-        let released = m
-            .node_arrived(BarrierId(0), 1, &[rec(0, 1)])
+        let (_, released) = m
+            .node_arrived(BarrierId(0), 1, &vc, &[rec(0, 1)])
             .expect("all arrived");
         assert_eq!(released.len(), 2);
     }
@@ -207,9 +236,12 @@ mod tests {
     #[test]
     fn distinct_barrier_ids_are_independent_episodes() {
         let mut m = BarrierManager::new(2);
-        assert!(m.node_arrived(BarrierId(0), 0, &[]).is_none());
-        assert!(m.node_arrived(BarrierId(1), 0, &[]).is_none());
-        assert!(m.node_arrived(BarrierId(1), 1, &[]).is_some());
-        assert!(m.node_arrived(BarrierId(0), 1, &[]).is_some());
+        let (a, b) = (BarrierId(0), BarrierId(1));
+        assert!(m.node_arrived(a, 0, &clock(2, 0, 1), &[]).is_none());
+        assert!(m.node_arrived(b, 0, &clock(2, 0, 2), &[]).is_none());
+        let (joined, _) = m.node_arrived(b, 1, &clock(2, 1, 1), &[]).expect("b");
+        assert_eq!((joined.get(0), joined.get(1)), (2, 1));
+        let (joined, _) = m.node_arrived(a, 1, &clock(2, 1, 1), &[]).expect("a");
+        assert_eq!((joined.get(0), joined.get(1)), (1, 1), "a's own clocks");
     }
 }

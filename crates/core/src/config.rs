@@ -11,7 +11,6 @@ use rsdsm_simnet::{fnv1a, FaultPlan, NetConfig, NodeId, SimDuration, Topology};
 
 use crate::costs::CostModel;
 use crate::oracle::OracleConfig;
-use crate::prefetch::AdaptiveConfig;
 use crate::recovery::RecoveryConfig;
 use crate::transport::TransportConfig;
 
@@ -40,10 +39,6 @@ pub struct PrefetchConfig {
     /// cannot classify (inflates unnecessary-prefetch counts the way
     /// Table 1 shows for FFT and LU-NCONT).
     pub compiler_style: bool,
-    /// Tuning of the online majority-trend stride engine
-    /// (`core::prefetch`): detector window, degree/lead controller,
-    /// and feedback thresholds. Read only in the adaptive modes.
-    pub adaptive: AdaptiveConfig,
 }
 
 /// The prefetch technique of a run: the paper's static modes, the
@@ -100,7 +95,6 @@ impl PrefetchConfig {
             suppress_redundant: false,
             reliable: false,
             compiler_style: false,
-            adaptive: AdaptiveConfig::on(),
         }
     }
 

@@ -27,7 +27,7 @@ use crate::heap::Heap;
 use crate::msg::{
     BasePayload, DiffPayload, DiffReply, DiffRequest, FetchClass, IntervalRecord, MsgBody,
 };
-use crate::node::{Fetch, MissClass, NodeState};
+use crate::node::{Fault, Fetch, MissClass, NodeState};
 use crate::report::SimError;
 use crate::thread::{BlockReason, ThreadId};
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
@@ -173,8 +173,11 @@ impl Core<'_> {
         node.misses.misses += 1;
         node.mem.prefetch.classify(class);
         self.note_remote_miss(n, page);
-        self.tracer
-            .note_fault(n as u32, page.index() as u32, begin_id, class.code());
+        let fault = Fault {
+            at: now,
+            begin: begin_id,
+            class,
+        };
 
         // Too-late join: when every missing piece was already
         // requested by an adaptive prefetch (reliable traffic — it
@@ -185,7 +188,7 @@ impl Core<'_> {
         let inflight = self.nodes[n].mem.pages[page.index()].pf_inflight();
         if class == MissClass::TooLate && joinable && inflight > 0 {
             let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
-            self.start_fetch(n, page, inflight as usize, vec![tid], now, true);
+            self.start_fetch(n, page, inflight as usize, vec![tid], fault, true);
             return self.block(tid, n, BlockReason::Memory, end);
         }
 
@@ -196,7 +199,7 @@ impl Core<'_> {
         let (end, outstanding) =
             self.send_fetch_requests(n, page, missing, need_base, end, FetchClass::Demand);
         let end = self.adaptive_fault(tid, n, page, class, begin_id, end);
-        self.start_fetch(n, page, outstanding, vec![tid], now, false);
+        self.start_fetch(n, page, outstanding, vec![tid], fault, false);
         self.block(tid, n, BlockReason::Memory, end)
     }
 
@@ -209,7 +212,7 @@ impl Core<'_> {
         page: PageId,
         outstanding: usize,
         waiters: Vec<ThreadId>,
-        started: SimTime,
+        fault: Fault,
         joined: bool,
     ) {
         let record = self.nodes[n].records.entry(page).or_default();
@@ -219,7 +222,7 @@ impl Core<'_> {
             waiters,
             collected: Vec::new(),
             base: None,
-            started,
+            fault,
             joined,
         });
     }
@@ -793,7 +796,7 @@ impl Core<'_> {
         }
         let fetch = slot.take().expect("counted above");
         let end = self.apply_with(n, page, fetch.collected, fetch.base, end);
-        self.finish_fetch(n, page, fetch.waiters, fetch.started, end)
+        self.finish_fetch(n, page, fetch.waiters, fetch.fault, end)
     }
 
     /// Final leg of a completed fetch (demand or too-late join):
@@ -804,7 +807,7 @@ impl Core<'_> {
         n: NodeId,
         page: PageId,
         waiters: Vec<ThreadId>,
-        started: SimTime,
+        fault: Fault,
         end: SimTime,
     ) -> Result<(), SimError> {
         // New notices may have arrived while fetching; keep going.
@@ -812,25 +815,23 @@ impl Core<'_> {
         if !missing.is_empty() || need_base {
             let (_, outstanding) =
                 self.send_fetch_requests(n, page, missing, need_base, end, FetchClass::Demand);
-            self.start_fetch(n, page, outstanding, waiters, started, false);
+            self.start_fetch(n, page, outstanding, waiters, fault, false);
             return Ok(());
         }
 
         self.validate_page(n, page);
-        self.nodes[n].misses.latency_sum += end.saturating_since(started);
-        if let Some((begin, cls)) = self.tracer.take_fault(n as u32, page.index() as u32) {
-            let thread = waiters.first().map_or(NO_THREAD, |t| t.0 as u32);
-            self.tracer.emit(
-                end,
-                n as u32,
-                thread,
-                begin,
-                TraceEvent::FaultEnd {
-                    page: page.index() as u32,
-                    class: cls,
-                },
-            );
-        }
+        self.nodes[n].misses.latency_sum += end.saturating_since(fault.at);
+        let thread = waiters.first().map_or(NO_THREAD, |t| t.0 as u32);
+        self.tracer.emit(
+            end,
+            n as u32,
+            thread,
+            fault.begin,
+            TraceEvent::FaultEnd {
+                page: page.index() as u32,
+                class: fault.class.code(),
+            },
+        );
         for tid in waiters {
             self.wake(tid, end)?;
         }

@@ -337,7 +337,8 @@ impl<'a> Core<'a> {
     ) -> Self {
         let tpn = cfg.threads.threads_per_node;
         let threads = threads.into_iter().map(ThreadPeer::new).collect();
-        let mut sched = Sched::new(backend, threads, cfg.faults.crashes.len() + cfg.nodes + 64);
+        let extra = cfg.faults.crashes.len() + cfg.nodes + 64;
+        let mut sched = Sched::new(backend, threads, cfg.nodes, extra);
         for crash in &cfg.faults.crashes {
             sched.push(
                 crash.at,

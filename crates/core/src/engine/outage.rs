@@ -380,9 +380,7 @@ impl Core<'_> {
             }
         }
         // An in-progress compute burst resumes where it stopped.
-        if let Some(burst) = &mut self.nodes[x].burst {
-            burst.end += shift;
-        }
+        self.sched.shift_burst(x, shift);
         self.unpark_frames_to(x, now);
         if let Some(det) = self.detector_mut() {
             det.leases.clear(x, now);

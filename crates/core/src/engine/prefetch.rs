@@ -19,7 +19,7 @@ use crate::config::{PrefetchConfig, PrefetchMode};
 use crate::msg::FetchClass;
 use crate::node::{MissClass, SyncKey};
 use crate::prefetch::{
-    AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleController, TrendChange,
+    AdaptiveStats, StrideDetector, ThrottleController, TrendChange, DETECTOR_WINDOW,
 };
 use crate::thread::ThreadId;
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
@@ -49,7 +49,7 @@ impl Prefetcher {
             PrefetchMode::Static => Prefetcher::Static,
             PrefetchMode::History => Prefetcher::History(HistoryNode::default()),
             PrefetchMode::Adaptive | PrefetchMode::AdaptiveStatic => {
-                Prefetcher::Adaptive(AdaptiveNode::new(&cfg.adaptive, threads_on_node))
+                Prefetcher::Adaptive(AdaptiveNode::new(threads_on_node))
             }
         }
     }
@@ -83,34 +83,62 @@ pub(crate) struct HistoryNode {
     current_faults: Vec<PageId>,
 }
 
+/// One local thread's fault stream, as the adaptive engine watches
+/// it. Lock and barrier acquisitions break its delta chain, so every
+/// (thread, lock-epoch) stream is scored independently.
+#[derive(Debug)]
+struct Stream {
+    detector: StrideDetector,
+    /// Streaming high-water mark: `(stride, furthest)` of the pages
+    /// already planned under the current trend. Successive faults on a
+    /// stride stream only extend the planned range past `furthest`
+    /// (steady state: one new issue per fault) instead of re-issuing
+    /// the whole overlapping lookahead window every fault. Cleared
+    /// whenever the trend changes and at epoch boundaries (pages
+    /// invalidated by the next interval must be re-planned).
+    planned: Option<(i64, i64)>,
+    /// Trend flips so far: each one means a previously confirmed
+    /// majority turned out wrong. Scales the probation below
+    /// exponentially — a stream that keeps flipping (an access pattern
+    /// no stride model fits) is trusted less and less.
+    flips: u32,
+    /// Faults remaining before the current trend is trusted enough to
+    /// issue on: 1 after a fresh detection, `2^flips` after a flip.
+    /// Wrong-way windows fetched on a short-lived majority are load
+    /// the §3.3 feedback can never attribute (pages nobody faults on
+    /// are neither hits nor misses), so they must be prevented, not
+    /// corrected.
+    probation: u32,
+}
+
+impl Stream {
+    /// A stream before its first fault.
+    fn new() -> Self {
+        Stream {
+            detector: StrideDetector::new(DETECTOR_WINDOW),
+            planned: None,
+            flips: 0,
+            probation: 0,
+        }
+    }
+
+    /// A sync point bounds the access phase: the delta chain breaks so
+    /// the jump across it is never scored as a stride, but the window
+    /// survives — iterative apps repeat the same short stride pattern
+    /// each epoch and the majority forms across epochs, not within
+    /// one. Pages the next interval invalidates must be re-planned.
+    fn epoch(&mut self) {
+        self.detector.break_chain();
+        self.planned = None;
+    }
+}
+
 /// Per-node state of the adaptive prefetch engine (see
 /// [`crate::prefetch`]).
 #[derive(Debug)]
 pub(crate) struct AdaptiveNode {
-    /// One stride detector per local application thread; each is
-    /// reset at the thread's lock/barrier acquisitions so every
-    /// (thread, lock-epoch) stream is scored independently.
-    detectors: Vec<StrideDetector>,
-    /// Per-thread streaming high-water mark: `(stride, furthest)` of
-    /// the pages already planned under the current trend. Successive
-    /// faults on a stride stream only extend the planned range past
-    /// `furthest` (steady state: one new issue per fault) instead of
-    /// re-issuing the whole overlapping lookahead window every fault.
-    /// Cleared whenever the trend changes and at epoch boundaries
-    /// (pages invalidated by the next interval must be re-planned).
-    planned: Vec<Option<(i64, i64)>>,
-    /// Per-thread count of trend flips: each one means a previously
-    /// confirmed majority turned out wrong. Scales the probation
-    /// below exponentially — a stream that keeps flipping (an access
-    /// pattern no stride model fits) is trusted less and less.
-    flips: Vec<u32>,
-    /// Per-thread faults remaining before the stream's current trend
-    /// is trusted enough to issue on: 1 after a fresh detection,
-    /// `2^flips` after a flip. Wrong-way windows fetched on a
-    /// short-lived majority are load the §3.3 feedback can never
-    /// attribute (pages nobody faults on are neither hits nor
-    /// misses), so they must be prevented, not corrected.
-    probation: Vec<u32>,
+    /// One stream per local application thread.
+    streams: Vec<Stream>,
     /// The node-wide feedback throttle over (degree, lead).
     throttle: ThrottleController,
     /// This node's share of the run-level adaptive counters.
@@ -120,15 +148,10 @@ pub(crate) struct AdaptiveNode {
 impl AdaptiveNode {
     /// Fresh adaptive state for a node with `threads_on_node` local
     /// threads.
-    fn new(cfg: &AdaptiveConfig, threads_on_node: usize) -> Self {
+    fn new(threads_on_node: usize) -> Self {
         AdaptiveNode {
-            detectors: (0..threads_on_node)
-                .map(|_| StrideDetector::new(cfg.window))
-                .collect(),
-            planned: vec![None; threads_on_node],
-            flips: vec![0; threads_on_node],
-            probation: vec![0; threads_on_node],
-            throttle: ThrottleController::new(cfg),
+            streams: (0..threads_on_node).map(|_| Stream::new()).collect(),
+            throttle: ThrottleController::new(),
             stats: AdaptiveStats::default(),
         }
     }
@@ -136,29 +159,6 @@ impl AdaptiveNode {
     /// This node's share of the run-level adaptive counters.
     pub(crate) fn stats(&self) -> &AdaptiveStats {
         &self.stats
-    }
-
-    /// A barrier release bounds the access phase on every local
-    /// thread: the detectors' delta chains break so the jump across
-    /// the barrier is never scored as a stride, but the accumulated
-    /// windows survive — iterative apps repeat the same short stride
-    /// pattern each epoch and the majority forms across epochs, not
-    /// within one. Pages the next interval invalidates must be
-    /// re-planned.
-    fn barrier_epoch(&mut self) {
-        for d in &mut self.detectors {
-            d.break_chain();
-        }
-        self.planned.fill(None);
-    }
-
-    /// Thread `local` acquired a lock remotely: the same break, for
-    /// that thread's stream only — its delta chain breaks so the jump
-    /// to the critical section's pages is not scored, but the window
-    /// survives.
-    fn lock_epoch(&mut self, local: usize) {
-        self.detectors[local].break_chain();
-        self.planned[local] = None;
     }
 }
 
@@ -274,32 +274,32 @@ impl Core<'_> {
         let local = tid.local_index(self.tpn());
         let total_pages = self.heap.page_count() as i64;
         let ad = self.adaptive_node(n);
-        let change = ad.detectors[local].observe(page.index() as u64);
-        let trend = ad.detectors[local].trend();
-        let transition = ad.throttle.observe(class);
-        match change {
-            TrendChange::Detected(_) => ad.stats.detected_strides += 1,
-            TrendChange::Flipped(_) => ad.stats.window_flips += 1,
-            _ => {}
-        }
+        let stream = &mut ad.streams[local];
+        let change = stream.detector.observe(page.index() as u64);
+        let trend = stream.detector.trend();
         if change != TrendChange::None {
             // Any trend movement restarts the planned-range tracking.
-            ad.planned[local] = None;
+            stream.planned = None;
         }
         match change {
             // A fresh majority gets one confirming fault before
             // anything is issued on it.
-            TrendChange::Detected(_) => ad.probation[local] = 1,
+            TrendChange::Detected(_) => {
+                stream.probation = 1;
+                ad.stats.detected_strides += 1;
+            }
             // A flip means the last confirmed majority was wrong:
             // double the stream's probation each time. Irregular
             // patterns (2D neighborhoods, hash orders) flip
             // endlessly and quickly stop issuing at all.
             TrendChange::Flipped(_) => {
-                ad.flips[local] += 1;
-                ad.probation[local] = 1u32 << ad.flips[local].min(5);
+                stream.flips += 1;
+                stream.probation = 1u32 << stream.flips.min(5);
+                ad.stats.window_flips += 1;
             }
             _ => {}
         }
+        let transition = ad.throttle.observe(class);
         if let Some(ch) = transition {
             ad.stats.record(ch);
         }
@@ -335,12 +335,12 @@ impl Core<'_> {
             return end;
         };
         {
-            let ad = self.adaptive_node(n);
-            if ad.probation[local] > 0 {
+            let stream = &mut self.adaptive_node(n).streams[local];
+            if stream.probation > 0 {
                 // The stream's trend is still on probation (fresh, or
                 // recently proven wrong by a flip): hold issue until
                 // enough consecutive faults confirm it.
-                ad.probation[local] -= 1;
+                stream.probation -= 1;
                 return end;
             }
         }
@@ -357,7 +357,7 @@ impl Core<'_> {
         // range by ~one page each instead of re-issuing the whole
         // overlapping window (the burst would swamp the protocol
         // processors and the fabric for no added coverage).
-        let planned = self.adaptive_node(n).planned[local];
+        let planned = self.adaptive_node(n).streams[local].planned;
         let fresh: Vec<i64> = (0..degree)
             .map(|k| page.index() as i64 + stride * i64::from(lead + k))
             .filter(|&p| match planned {
@@ -405,7 +405,7 @@ impl Core<'_> {
                     }
                     _ => far,
                 };
-                ad.planned[local] = Some((stride, mark));
+                ad.streams[local].planned = Some((stride, mark));
             }
         }
         if candidates.is_empty() {
@@ -462,9 +462,11 @@ impl Core<'_> {
         let history = match &mut node.prefetcher {
             Prefetcher::Off | Prefetcher::Static => return now,
             Prefetcher::Adaptive(ad) => {
+                // A remote lock grant bounds its thread's stream; a
+                // barrier release bounds every local stream.
                 match tid {
-                    Some(tid) => ad.lock_epoch(tid.local_index(tpn)),
-                    None => ad.barrier_epoch(),
+                    Some(tid) => ad.streams[tid.local_index(tpn)].epoch(),
+                    None => ad.streams.iter_mut().for_each(Stream::epoch),
                 }
                 return now;
             }

@@ -8,7 +8,6 @@
 //! their intervals, and each release advances the node's barrier
 //! epoch by exactly one.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rsdsm_protocol::VectorClock;
@@ -29,8 +28,6 @@ use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
 /// 0 only) and every node's count of releases processed.
 pub(super) struct Barriers {
     mgr: BarrierManager,
-    /// Join of the arrivals' clocks per open barrier.
-    vcs: HashMap<BarrierId, VectorClock>,
     /// Barrier releases processed per node: the epoch stamped on
     /// `BarrierRelease` records and the checkpoint cadence counter.
     epochs_done: Vec<u32>,
@@ -41,7 +38,6 @@ impl Barriers {
     pub(super) fn new(nodes: usize) -> Self {
         Barriers {
             mgr: BarrierManager::new(nodes),
-            vcs: HashMap::new(),
             epochs_done: vec![0; nodes],
         }
     }
@@ -420,20 +416,13 @@ impl Core<'_> {
         intervals: &[Arc<IntervalRecord>],
         at: SimTime,
     ) -> Result<(), SimError> {
-        let joined = self
-            .barriers
-            .vcs
-            .entry(id)
-            .or_insert_with(|| VectorClock::new(self.cfg.nodes));
-        joined.join(vc);
         if let Some(oracle) = &mut self.oracle {
             oracle.barrier_arrival(id, from, at);
         }
-        if let Some(union) = self.barriers.mgr.node_arrived(id, from, intervals) {
+        if let Some((joined, union)) = self.barriers.mgr.node_arrived(id, from, vc, intervals) {
             if let Some(oracle) = &mut self.oracle {
                 oracle.barrier_release(id, self.cfg.nodes, at);
             }
-            let joined = self.barriers.vcs.remove(&id).expect("joined clock");
             let mut end = at;
             for node in 1..self.cfg.nodes {
                 end = self.charge(

@@ -77,7 +77,7 @@ pub use msg::{BarrierId, IntervalRecord, LockId, MsgClass};
 pub use node::MissClass;
 pub use oracle::{GrantRecord, InvariantKind, OracleConfig, OracleOutcome, Violation};
 pub use prefetch::{
-    AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleChange, ThrottleController, TrendChange,
+    AdaptiveStats, StrideDetector, ThrottleChange, ThrottleController, TrendChange,
 };
 pub use program::{AsTask, AsThread, DsmProgram, DsmTask, Runnable, VerifyCtx};
 pub use recovery::{RecoveryConfig, RecoveryStats};

@@ -1,12 +1,12 @@
 //! Per-node runtime state.
 //!
-//! [`NodeState`] is everything the engine keeps for one node: vector
-//! clock, notice board, diff storage, one [`PageRecord`] per page with
-//! something in flight or cached ahead, locks, barriers, scheduler,
-//! accounting — and the node's memory, [`NodeMem`]: the part
-//! application threads touch directly on the fast path (page data,
-//! validity, twins, and the two prefetch facts a thread checks before
-//! it bothers the engine).
+//! [`NodeState`] is everything the engine keeps for one node but its
+//! CPU (whose scheduling state is `engine/sched.rs`'s): vector clock,
+//! notice board, diff storage, one [`PageRecord`] per page with
+//! something in flight or cached ahead, locks, barriers, accounting —
+//! and the node's memory, [`NodeMem`]: the part application threads
+//! touch directly on the fast path (page data, validity, twins, and the
+//! two prefetch facts a thread checks before it bothers the engine).
 //!
 //! Invariant: a node's memory is with exactly one party. It is the
 //! `mem` field here except while one of the node's threads runs, when
@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rsdsm_protocol::{Diff, IntervalLog, NoticeBoard, Page, PageId, PagePool, VectorClock};
-use rsdsm_simnet::{NodeId, SimDuration, SimTime};
+use rsdsm_simnet::{NodeId, SimTime};
 
 use crate::accounting::NodeAccount;
 use crate::barrier::NodeBarrier;
@@ -30,7 +30,7 @@ use crate::engine::prefetch::Prefetcher;
 use crate::lock::LockTable;
 use crate::msg::{wire_enum, BasePayload, DiffPayload, IntervalRecord};
 use crate::report::{DirectorySummary, MissSummary, MtSummary, PrefetchSummary, SyncSummary};
-use crate::thread::{Scheduler, ThreadId};
+use crate::thread::ThreadId;
 
 /// One page slot in a node's memory.
 #[derive(Debug, Clone)]
@@ -217,14 +217,26 @@ pub(crate) struct Fetch {
     pub collected: Vec<DiffPayload>,
     /// Base page copy, when this is a first-touch fetch.
     pub base: Option<BasePayload>,
-    /// When the fault occurred (for miss latency accounting).
-    pub started: SimTime,
+    /// The fault that opened the fetch.
+    pub fault: Fault,
     /// True for a too-late join: every missing piece is already on
     /// the wire as a *reliable* adaptive prefetch, so this fetch
     /// consumes those replies instead of duplicating the requests
     /// through an already-loaded server. `outstanding` then counts
     /// in-flight prefetch replies, not demand replies.
     pub joined: bool,
+}
+
+/// The page fault a fetch serves: what the fetch's miss latency and
+/// its closing `FaultEnd` trace record need.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fault {
+    /// When the fault occurred.
+    pub at: SimTime,
+    /// Its `FaultBegin` record (`NO_CAUSE` untraced).
+    pub begin: u64,
+    /// Its §3.3 class.
+    pub class: MissClass,
 }
 
 /// What prefetches have asked for, for one page, since it was last
@@ -347,11 +359,6 @@ pub(crate) struct NodeState {
     pub locks: LockTable,
     /// Barrier local-combining state.
     pub barrier: NodeBarrier,
-    /// Thread scheduler.
-    pub sched: Scheduler,
-    /// A thread stalled without switching pins the CPU (combined
-    /// mode memory stalls, §5).
-    pub pinned: Option<ThreadId>,
     /// CPU time account.
     pub account: NodeAccount,
     /// Page faults and remote misses.
@@ -367,20 +374,6 @@ pub(crate) struct NodeState {
     pub directory: DirectorySummary,
     /// Garbage collection passes performed.
     pub gc_passes: u64,
-    /// The burst of app computation currently on the CPU.
-    pub burst: Option<Burst>,
-}
-
-/// An application compute burst committed to the CPU.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Burst {
-    /// The running thread.
-    pub tid: ThreadId,
-    /// When the burst's syscall matures.
-    pub end: SimTime,
-    /// Extra delay accumulated from interrupt servicing during the
-    /// burst.
-    pub penalty: SimDuration,
 }
 
 impl NodeState {
@@ -401,8 +394,6 @@ impl NodeState {
             prefetcher: Prefetcher::Off,
             locks: LockTable::new(id, nodes),
             barrier: NodeBarrier::new(threads_on_node),
-            sched: Scheduler::new(),
-            pinned: None,
             account: NodeAccount::new(),
             misses: MissSummary::default(),
             lock_stats: SyncSummary::default(),
@@ -410,7 +401,6 @@ impl NodeState {
             mt: MtSummary::default(),
             directory: DirectorySummary::default(),
             gc_passes: 0,
-            burst: None,
         }
     }
 
@@ -590,7 +580,11 @@ mod tests {
                 waiters: Vec::new(),
                 collected: Vec::new(),
                 base: None,
-                started: SimTime::ZERO,
+                fault: Fault {
+                    at: SimTime::ZERO,
+                    begin: 0,
+                    class: MissClass::NoPf,
+                },
                 joined: false,
             })
         }));

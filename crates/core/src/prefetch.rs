@@ -18,7 +18,7 @@
 //!   its count exceeds `W/2`. O(1) amortized per fault: one hash-map
 //!   bump on entry, one on eviction.
 //! - **Controller** ([`ThrottleController`], one per node): every
-//!   `eval_period` classified faults it recomputes windowed §3.3
+//!   `EVAL_PERIOD` classified faults it recomputes windowed §3.3
 //!   coverage/accuracy/lateness (incrementally, from counters — never
 //!   by querying the cost model) and moves the (degree, lead) operating
 //!   point: ramp the degree when coverage is high and replies timely,
@@ -31,42 +31,14 @@
 //! (`CostModel::prefetch_check` per observation, `prefetch_issue` per
 //! message), never pre-queried. Outside the adaptive
 //! [`PrefetchMode`](crate::PrefetchMode)s no detector or controller is
-//! ever constructed and no trace event is emitted: whatever tuning the
-//! config carries, the run is the same run (pinned by
-//! `tests/parallel_determinism.rs`).
+//! ever constructed and no trace event is emitted. The engine's tuning
+//! — the detector window and the controller's operating points and
+//! thresholds — is constant: no run sets it.
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::node::MissClass;
 use crate::report::summary;
-
-/// Tuning for the adaptive engine. Carried inside
-/// [`PrefetchConfig`](crate::PrefetchConfig), whose `mode` decides
-/// whether the engine runs at all; never read in any other mode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Sliding-window length `W` (in faults) per thread stream.
-    pub window: usize,
-    /// Ceiling for the lead when lateness keeps pushing it deeper.
-    pub max_lead: u32,
-    /// Classified faults per controller evaluation window.
-    pub eval_period: u32,
-    /// Minimum covered faults in a window before accuracy/lateness
-    /// are trusted (below it the controller holds still).
-    pub min_sample: u32,
-}
-
-impl AdaptiveConfig {
-    /// The default operating point of the adaptive modes.
-    pub fn on() -> Self {
-        AdaptiveConfig {
-            window: 8,
-            max_lead: 4,
-            eval_period: 16,
-            min_sample: 4,
-        }
-    }
-}
 
 /// What [`StrideDetector::observe`] saw happen to the trend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,11 +215,16 @@ impl ThrottleChange {
     }
 }
 
+/// Sliding-window length `W` (in faults) of the engine's
+/// [`StrideDetector`]s. Like the controller's operating points and
+/// thresholds below, it is a constant of the adaptive engine: no run
+/// tunes it.
+pub(crate) const DETECTOR_WINDOW: usize = 8;
+
 /// Per-node feedback controller over the (degree, lead) operating
 /// point, driven by the engine's per-fault §3.3 classifications.
 #[derive(Debug, Clone)]
 pub struct ThrottleController {
-    cfg: AdaptiveConfig,
     degree: u32,
     lead: u32,
     /// Remaining evaluation windows of suppression (0 = issuing).
@@ -269,6 +246,13 @@ impl ThrottleController {
     /// Look-ahead multiplier at start: the first candidate is
     /// `stride * lead` pages ahead of the faulting page.
     pub const BASE_LEAD: u32 = 1;
+    /// Ceiling for the lead when lateness keeps pushing it deeper.
+    pub const MAX_LEAD: u32 = 4;
+    /// Classified faults per evaluation window.
+    pub const EVAL_PERIOD: u32 = 16;
+    /// Minimum covered faults in a window before accuracy and
+    /// lateness are trusted (below it the controller holds still).
+    const MIN_SAMPLE: u32 = 4;
     /// Windowed coverage at or above which the degree ramps (provided
     /// lateness is at or below half of `LATE_THRESHOLD`).
     const RAMP_COVERAGE: f64 = 0.6;
@@ -283,11 +267,10 @@ impl ThrottleController {
     const SUPPRESS_PERIODS: u32 = 2;
 
     /// A controller at the base operating point.
-    pub fn new(cfg: &AdaptiveConfig) -> Self {
+    pub fn new() -> Self {
         ThrottleController {
             degree: Self::BASE_DEGREE,
             lead: Self::BASE_LEAD,
-            cfg: cfg.clone(),
             suppressed_for: 0,
             faults: 0,
             hits: 0,
@@ -315,7 +298,7 @@ impl ThrottleController {
     }
 
     /// Feeds one classified remote fault. Every
-    /// [`AdaptiveConfig::eval_period`] faults the operating point is
+    /// [`EVAL_PERIOD`](Self::EVAL_PERIOD) faults the operating point is
     /// re-evaluated; the transition taken, if any, is returned.
     pub fn observe(&mut self, class: MissClass) -> Option<ThrottleChange> {
         self.faults += 1;
@@ -325,7 +308,7 @@ impl ThrottleController {
             MissClass::Invalidated => self.invalidated += 1,
             MissClass::NoPf => self.no_pf += 1,
         }
-        if self.faults < self.cfg.eval_period {
+        if self.faults < Self::EVAL_PERIOD {
             return None;
         }
         let change = self.evaluate();
@@ -349,7 +332,7 @@ impl ThrottleController {
             return None;
         }
         let covered = self.hits + self.too_late + self.invalidated;
-        if covered < self.cfg.min_sample {
+        if covered < Self::MIN_SAMPLE {
             return None;
         }
         let coverage = f64::from(covered) / f64::from(covered + self.no_pf);
@@ -361,7 +344,7 @@ impl ThrottleController {
             return Some(self.back_off());
         }
         if lateness > Self::LATE_THRESHOLD {
-            if lateness > 2.0 * Self::LATE_THRESHOLD || self.lead >= self.cfg.max_lead {
+            if lateness > 2.0 * Self::LATE_THRESHOLD || self.lead >= Self::MAX_LEAD {
                 // Most covered faults arrive before their reply (or
                 // the lead is already maxed): the serving nodes are
                 // saturated, and issuing earlier only lengthens their
@@ -392,6 +375,12 @@ impl ThrottleController {
             self.suppressed_for = Self::SUPPRESS_PERIODS;
             ThrottleChange::Suppress
         }
+    }
+}
+
+impl Default for ThrottleController {
+    fn default() -> Self {
+        ThrottleController::new()
     }
 }
 
@@ -545,16 +534,15 @@ mod tests {
         assert_eq!(d.trend(), None, "the 2s have been evicted");
     }
 
+    /// Faults per evaluation window.
+    const W: u32 = ThrottleController::EVAL_PERIOD;
+
     #[test]
     fn controller_ramps_on_high_coverage() {
-        let cfg = AdaptiveConfig {
-            eval_period: 8,
-            ..AdaptiveConfig::on()
-        };
-        let mut c = ThrottleController::new(&cfg);
+        let mut c = ThrottleController::new();
         assert_eq!(c.degree(), ThrottleController::BASE_DEGREE);
         let mut changes = Vec::new();
-        for _ in 0..8 {
+        for _ in 0..W {
             if let Some(ch) = c.observe(MissClass::Hit) {
                 changes.push(ch);
             }
@@ -565,17 +553,12 @@ mod tests {
 
     #[test]
     fn controller_deepens_then_backs_off_on_lateness() {
-        let cfg = AdaptiveConfig {
-            eval_period: 4,
-            max_lead: 2,
-            ..AdaptiveConfig::on()
-        };
-        let mut c = ThrottleController::new(&cfg);
+        let mut c = ThrottleController::new();
         let mut changes = Vec::new();
         // Half the covered faults are late: above the threshold, but
-        // not past the saturation point — deepen first, then (lead
-        // maxed) back off, then bottom out.
-        for i in 0..12 {
+        // not past the saturation point — deepen the lead to its cap
+        // first, then (lead maxed) back off, then bottom out.
+        for i in 0..5 * W {
             let class = if i % 2 == 0 {
                 MissClass::TooLate
             } else {
@@ -589,25 +572,24 @@ mod tests {
             changes,
             vec![
                 ThrottleChange::Deepen,
+                ThrottleChange::Deepen,
+                ThrottleChange::Deepen,
                 ThrottleChange::Backoff,
                 ThrottleChange::Suppress,
             ]
         );
+        assert_eq!(c.lead(), ThrottleController::MAX_LEAD);
         assert!(!c.may_issue());
     }
 
     #[test]
     fn severe_lateness_backs_off_without_deepening() {
-        let cfg = AdaptiveConfig {
-            eval_period: 4,
-            ..AdaptiveConfig::on()
-        };
-        let mut c = ThrottleController::new(&cfg);
+        let mut c = ThrottleController::new();
         // Every covered fault is late — the servers are saturated, so
         // the controller must shed load immediately, not walk the
         // lead up first.
         let mut changes = Vec::new();
-        for _ in 0..8 {
+        for _ in 0..2 * W {
             if let Some(ch) = c.observe(MissClass::TooLate) {
                 changes.push(ch);
             }
@@ -625,19 +607,14 @@ mod tests {
 
     #[test]
     fn suppression_expires_into_a_resume_at_base_point() {
-        let cfg = AdaptiveConfig {
-            eval_period: 4,
-            max_lead: 1,
-            ..AdaptiveConfig::on()
-        };
-        let mut c = ThrottleController::new(&cfg);
+        let mut c = ThrottleController::new();
         // BASE_DEGREE 2 → one backoff to 1, then suppress.
-        for _ in 0..8 {
+        for _ in 0..2 * W {
             c.observe(MissClass::Invalidated);
         }
         assert!(!c.may_issue());
         let mut changes = Vec::new();
-        for _ in 0..8 {
+        for _ in 0..2 * W {
             if let Some(ch) = c.observe(MissClass::Invalidated) {
                 changes.push(ch);
             }
@@ -650,12 +627,8 @@ mod tests {
 
     #[test]
     fn uncovered_windows_hold_still() {
-        let cfg = AdaptiveConfig {
-            eval_period: 4,
-            ..AdaptiveConfig::on()
-        };
-        let mut c = ThrottleController::new(&cfg);
-        for _ in 0..16 {
+        let mut c = ThrottleController::new();
+        for _ in 0..4 * W {
             assert_eq!(c.observe(MissClass::NoPf), None);
         }
         assert_eq!(c.degree(), ThrottleController::BASE_DEGREE);

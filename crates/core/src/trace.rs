@@ -779,9 +779,6 @@ pub(crate) struct Tracer {
     current: u64,
     /// (src, dst, seq) → id of the frame's *first* transmission.
     first_sends: HashMap<(u32, u32, u64), u64>,
-    /// (node, page) → (fault-begin id, §3.3 class) for in-flight
-    /// demand fetches.
-    faults: HashMap<(u32, u32), (u64, u8)>,
     /// (node, page, origin, seq) → id of the `WriteNotice` record.
     notices: HashMap<(u32, u32, u32, u32), u64>,
 }
@@ -802,7 +799,6 @@ impl Tracer {
             },
             current: NO_CAUSE,
             first_sends: HashMap::new(),
-            faults: HashMap::new(),
             notices: HashMap::new(),
         }
     }
@@ -877,22 +873,6 @@ impl Tracer {
         if self.on {
             self.first_sends.remove(&(src, dst, seq));
         }
-    }
-
-    /// Remembers the begin record and outcome class of an in-flight
-    /// demand fetch.
-    pub(crate) fn note_fault(&mut self, node: u32, page: u32, begin: u64, class: u8) {
-        if self.on {
-            self.faults.insert((node, page), (begin, class));
-        }
-    }
-
-    /// Takes the begin record and class of a completing fetch.
-    pub(crate) fn take_fault(&mut self, node: u32, page: u32) -> Option<(u64, u8)> {
-        if !self.on {
-            return None;
-        }
-        self.faults.remove(&(node, page))
     }
 
     /// Remembers the `WriteNotice` record for an interval at a node.

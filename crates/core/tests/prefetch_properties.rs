@@ -6,9 +6,7 @@
 //! always surfacing — over randomized streams.
 
 use proptest::prelude::*;
-use rsdsm_core::{
-    AdaptiveConfig, MissClass, StrideDetector, ThrottleChange, ThrottleController, TrendChange,
-};
+use rsdsm_core::{MissClass, StrideDetector, ThrottleChange, ThrottleController, TrendChange};
 
 /// The stride alphabet the random cases draw from (selector-indexed:
 /// the shim generates unsigned selectors, not signed ranges).
@@ -101,16 +99,11 @@ proptest! {
     /// suppresses until it resumes, `may_issue` stays false and no
     /// operating-point movement (ramp/deepen/backoff) happens — the
     /// only transition that can end the cooldown is `Resume`, which
-    /// restores the base operating point.
+    /// restores the base operating point. Streams run up to 150
+    /// evaluation windows of `EVAL_PERIOD` (16) faults.
     #[test]
-    fn throttle_never_moves_while_suppressed(classes in prop::collection::vec(0u8..4, 1..600)) {
-        let cfg = AdaptiveConfig {
-            eval_period: 4,
-            min_sample: 2,
-            max_lead: 2,
-            ..AdaptiveConfig::on()
-        };
-        let mut c = ThrottleController::new(&cfg);
+    fn throttle_never_moves_while_suppressed(classes in prop::collection::vec(0u8..4, 1..2400)) {
+        let mut c = ThrottleController::new();
         let mut suppressed = false;
         for sel in classes {
             let class = match sel {
@@ -142,7 +135,7 @@ proptest! {
             }
             // Global operating-point sanity, suppressed or not.
             prop_assert!(c.degree() >= 1 && c.degree() <= ThrottleController::MAX_DEGREE);
-            prop_assert!(c.lead() >= ThrottleController::BASE_LEAD && c.lead() <= cfg.max_lead);
+            prop_assert!(c.lead() >= ThrottleController::BASE_LEAD && c.lead() <= ThrottleController::MAX_LEAD);
         }
     }
 }

@@ -86,13 +86,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// The digest follows what a run computed, not how its config is
-    /// spelled. Tuning the run never reads — adaptive knobs with
-    /// prefetching off, device bandwidths with persistence off —
-    /// leaves it alone, traced or not; one simulated nanosecond on any
-    /// cost every run pays moves it.
+    /// spelled. Tuning the run never reads — device bandwidths with
+    /// persistence off — leaves it alone, traced or not; one simulated
+    /// nanosecond on any cost every run pays moves it.
     #[test]
     fn digest_follows_behaviour_not_configuration(
-        window in 9usize..64,
         write_bw in 1u64..1_000,
         cost in 0usize..4,
     ) {
@@ -101,7 +99,6 @@ proptest! {
         let plain = digest(&base(4), false);
 
         let mut unread = base(4);
-        unread.prefetch.adaptive.window = window;
         unread.recovery.persist.write_bw = write_bw;
         prop_assert!(unread != base(4));
         prop_assert_eq!(digest(&unread, false), plain);
