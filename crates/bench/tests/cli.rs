@@ -59,6 +59,31 @@ fn scaling_rejects_zero_nodes() {
     }
 }
 
+/// A plan that crashes one node twice is rejected before any run:
+/// whether the two outages overlap would depend on the run itself.
+#[test]
+fn a_node_crashed_twice_is_a_usage_error() {
+    let args = [
+        "--test-scale",
+        "--nodes",
+        "4",
+        "--app",
+        "sor",
+        "--checkpoint-every",
+        "1",
+        "--fault-crash",
+        "2@1:restart=8",
+        "--fault-crash",
+        "2@6",
+    ];
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_fig1"), &args);
+    assert_eq!(code, Some(2), "fig1 ran a double crash:\n{stderr}");
+    assert!(
+        stderr.contains("node 2 is named in two crashes; a node crashes at most once per run"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn perf_takes_only_bench_json() {
     for args in [

@@ -299,6 +299,17 @@ pub enum ConfigError {
     /// The crash plan names node 0, which hosts the lock/barrier
     /// managers and the recovery coordinator.
     CrashesManager,
+    /// The crash plan names one node in two crashes. A node holds one
+    /// suspension at a time, and whether two crashes of it overlap
+    /// depends on the recovery cost the run computes. A second crash
+    /// inside the first outage would replace it — its start, its
+    /// restart and the events parked during it — so the replay, the
+    /// reported outage and the device's torn-slot count would all be
+    /// wrong (DESIGN §6e).
+    NodeCrashedTwice {
+        /// The node the plan crashes twice.
+        node: NodeId,
+    },
     /// A partition schedule without recovery enabled (freeze,
     /// suspicion gating and checkpoint-based rejoin all live there).
     PartitionWithoutRecovery,
@@ -365,6 +376,10 @@ impl fmt::Display for ConfigError {
                 f,
                 "node 0 hosts the lock/barrier managers and the recovery \
                  coordinator; crashing it is not supported"
+            ),
+            ConfigError::NodeCrashedTwice { node } => write!(
+                f,
+                "node {node} is named in two crashes; a node crashes at most once per run"
             ),
             ConfigError::PartitionWithoutRecovery => write!(
                 f,
@@ -557,10 +572,13 @@ impl DsmConfig {
                 })
             }
         };
-        for crash in &faults.crashes {
+        for (i, crash) in faults.crashes.iter().enumerate() {
             in_range(crash.node)?;
             if crash.node == MANAGER {
                 return Err(ConfigError::CrashesManager);
+            }
+            if faults.crashes[..i].iter().any(|c| c.node == crash.node) {
+                return Err(ConfigError::NodeCrashedTwice { node: crash.node });
             }
         }
         for (i, p) in faults.partitions.iter().enumerate() {

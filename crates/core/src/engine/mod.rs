@@ -489,8 +489,6 @@ mod tests {
         let cfg = DsmConfig::paper_cluster(1024);
         let paper = core(&cfg);
         assert!(paper.recovery.is_none());
-        assert!(paper.detector().is_none());
-        assert!(paper.persist().is_none());
         assert!(paper.directory.is_none());
         assert!(paper.oracle.is_none());
         assert!(paper.nodes.iter().all(|n| n.records.is_empty()));
@@ -715,44 +713,18 @@ mod tests {
         assert_eq!(out.nodes[0].mem.pages[1].data.read_u64(0), 7);
     }
 
-    /// The same switches, on: each piece of state appears exactly
-    /// when its config asks for it.
-    #[test]
-    fn recovery_state_follows_the_config() {
-        use crate::recovery::RecoveryConfig;
-        use rsdsm_simnet::PersistConfig;
-
-        let cadence_only = RecoveryConfig {
-            checkpoint_every: 2,
-            ..RecoveryConfig::off()
-        };
-        let durable = RecoveryConfig {
-            persist: PersistConfig::on(),
-            ..RecoveryConfig::on(2)
-        };
-        for (recovery, detector, persist) in [
-            (cadence_only, false, false),
-            (RecoveryConfig::on(2), true, false),
-            (durable, true, true),
-        ] {
-            let cfg = DsmConfig::paper_cluster(4).with_recovery(recovery);
-            let core = core(&cfg);
-            assert!(core.recovery.is_some());
-            assert_eq!(core.detector().is_some(), detector);
-            assert_eq!(core.persist().is_some(), persist);
-        }
-    }
-
     /// The engine persists a node's live state through the encoder a
     /// `Checkpoint` value runs: after a crash-free durable run, both
-    /// slots of every node classify `Committed`, and re-encoding each
-    /// restored checkpoint reproduces the bytes on its device. The
-    /// program is restated here for the reason above.
+    /// slots of every node classify `Committed`, re-encoding each
+    /// restored checkpoint reproduces the bytes on its device, and the
+    /// restore source the engine keeps for each slot has that image's
+    /// epoch and read time. The program is restated here for the
+    /// reason above.
     #[test]
     fn persisted_images_are_the_checkpoints_they_restore() {
         use crate::checkpoint::{
             classify_slot, commit_region, payload_region, CommitRecord, DiffRecord, SlotState,
-            SLOT_COUNT,
+            COMMIT_LEN,
         };
         use crate::heap::{HomePolicy, SharedVec};
         use crate::msg::BarrierId;
@@ -803,16 +775,16 @@ mod tests {
             |links| {
                 let mut core = Core::new(&cfg, heap, links, false, QueueBackend::default());
                 let finish = core.run_loop().expect("the run completes");
-                let devices = core.persist_devices();
-                for dev in devices.iter_mut() {
+                let mut devices = core.persisted();
+                for (dev, _) in &mut devices {
                     dev.settle(finish);
                 }
-                devices.to_vec()
+                devices
             },
         );
         let (mut diffs, mut intervals) = (0, 0);
-        for (node, dev) in devices.iter().enumerate() {
-            for slot in 0..SLOT_COUNT {
+        for (node, (dev, slots)) in devices.iter().enumerate() {
+            for (slot, kept) in slots.iter().enumerate() {
                 let (payload, commit) = (
                     dev.read(payload_region(slot)),
                     dev.read(commit_region(slot)),
@@ -824,6 +796,14 @@ mod tests {
                 let len = CommitRecord::decode(commit)
                     .expect("a committed slot's record decodes")
                     .payload_len as usize;
+                // The restore source the engine keeps for the slot is
+                // the one on the device: a crash restores from it
+                // without decoding the commit record again.
+                assert_eq!(
+                    *kept,
+                    (ckpt.epoch, cfg.recovery.persist.read_time(len + COMMIT_LEN)),
+                    "node {node} slot {slot}"
+                );
                 assert_eq!(
                     ckpt.encode_segmented(),
                     &payload[..len],

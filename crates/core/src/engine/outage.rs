@@ -5,16 +5,18 @@
 //! on the minority side of a cut (NIC alive). Both follow one path:
 //! [`Core::suspend`] marks the node, [`Core::outage_filter`] parks
 //! its local events while it is out, and [`Core::resume_node`] replays
-//! them shifted by the outage. The policy types (config, detector,
-//! stats) live in [`crate::recovery`]; see `DESIGN.md` §6e.
+//! them shifted by the outage. Everything one node's outage holds is
+//! one [`NodeOutage`]; the policy types (config, stats, [`PeerStatus`])
+//! live in [`crate::recovery`]; see `DESIGN.md` §6e.
 //!
 //! Invariants: a suspended node handles no event and loses none (each
-//! is parked and replayed exactly once, in order, time-shifted); the
-//! manager never confirms a frozen node as failed; and all of this
-//! state exists only when the config or fault plan needs it —
-//! [`Recovery::for_config`] returns `None` for a plain run, the
-//! detector's N×N lease tables appear only with `recovery.enabled`,
-//! and the devices only with `recovery.persist.enabled`.
+//! is parked and replayed exactly once, in order, time-shifted); a
+//! node is suspended at most once at a time; the manager never
+//! confirms a frozen node as failed; and all of this state exists
+//! only when the config or fault plan needs it — [`Recovery::for_config`]
+//! returns `None` for a plain run, the detector's N×N link table
+//! appears only with `recovery.enabled`, and the devices only with
+//! `recovery.persist.enabled`.
 
 use rsdsm_simnet::{NodeId, PersistDevice, SimDuration, SimTime, Topology};
 
@@ -22,11 +24,11 @@ use super::{Core, Event};
 use crate::accounting::Category;
 use crate::checkpoint::{
     classify_slot, commit_region, payload_region, slot_for_seq, CommitRecord, NodeCheckpoint,
-    SlotState, COMMIT_LEN, SLOT_COUNT, SLOT_REGIONS,
+    SlotState, SLOT_COUNT, SLOT_REGIONS,
 };
 use crate::config::{DsmConfig, MANAGER};
 use crate::msg::MsgBody;
-use crate::recovery::{FailureDetector, PeerStatus, RecoveryStats};
+use crate::recovery::{PeerStatus, RecoveryStats};
 use crate::report::SimError;
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
 
@@ -41,12 +43,7 @@ const IDLE_TICK_LIMIT: u32 = 256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Suspension {
     /// Crashed: the NIC is dead, so frames reaching it are dropped.
-    Crashed {
-        /// A resume is already queued — guards against restarting a
-        /// crash-restart victim a second time when the failure
-        /// detector also confirms it.
-        restart_scheduled: bool,
-    },
+    Crashed,
     /// Frozen by the quorum rule on the minority side of a cut: alive
     /// (frames reaching it are parked, not dropped), and unreachable
     /// rather than dead in the manager's view — suspicion against it
@@ -54,70 +51,156 @@ enum Suspension {
     Frozen,
 }
 
-/// One node's outage bookkeeping.
+/// A suspended node: why, since when, and what it holds back.
+#[derive(Debug)]
+struct Suspended {
+    why: Suspension,
+    since: SimTime,
+    /// Events that fired for the node while it was out, with the time
+    /// they would have fired; replayed time-shifted at resume.
+    parked: Vec<(SimTime, Event)>,
+}
+
+/// The checkpoint a resume restores from.
+#[derive(Debug, Clone, Copy, Default)]
+struct Restore {
+    /// Its barrier epoch (zero before the first): what failure
+    /// confirmation reports.
+    epoch: u32,
+    /// The node's accumulated busy time when it was taken; busy time
+    /// since then is the modeled replay cost.
+    busy: SimDuration,
+    /// Time to read it back: the flat per-page cost, or the device
+    /// read of its persisted image.
+    read: SimDuration,
+}
+
+/// One node's outage: everything recovery knows about it.
 #[derive(Debug, Default)]
 struct NodeOutage {
-    /// Why and since when the node is suspended; `None` while it runs.
-    suspended: Option<(Suspension, SimTime)>,
+    /// `None` while the node runs.
+    suspended: Option<Suspended>,
     /// Whether an [`Event::ConfirmFailure`] is already queued for it.
     confirm_pending: bool,
+    /// Reliable frames toward the node that exhausted their retries,
+    /// as (src, seq); re-armed when it is cleared or rejoins.
+    parked_frames: Vec<(NodeId, u64)>,
+    /// What a resume restores from.
+    restore: Restore,
 }
 
 /// Outage, checkpoint and recovery state; exists only for runs that
 /// can use it (see [`Recovery::for_config`]).
 pub(super) struct Recovery {
     nodes: Vec<NodeOutage>,
-    /// Count of suspended nodes (fast path: zero almost always).
-    suspended: usize,
-    /// Events held back because their node was suspended, with the
-    /// time they would have fired; replayed time-shifted at resume.
-    parked_events: Vec<(NodeId, SimTime, Event)>,
-    /// Each node's accumulated busy time at its last checkpoint; the
-    /// difference at crash time is the modeled replay cost.
-    busy_at_ckpt: Vec<SimDuration>,
-    /// Barrier epoch and page count of each node's latest checkpoint
-    /// (zeros before the first): what failure confirmation reports
-    /// and the flat restore cost scales with.
-    last_ckpt: Vec<(u32, u64)>,
     /// Counters surfaced in [`RunReport`](crate::RunReport).
     stats: RecoveryStats,
     /// Failure detection; `Some` iff `recovery.enabled`.
     detector: Option<Detector>,
-    /// Durable checkpoints; `Some` iff `recovery.persist.enabled`.
-    persist: Option<Persist>,
+    /// One durable device per node; `Some` iff
+    /// `recovery.persist.enabled`.
+    persist: Option<Vec<Durable>>,
 }
 
-/// Heartbeats, leases and what retry exhaustion hands over to them.
-pub(super) struct Detector {
-    /// Per-link leases and peer beliefs.
-    leases: FailureDetector,
-    /// Last outbound frame per (src, dst) — explicit heartbeats are
+/// What one node knows about one peer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// When it last heard a frame from the peer.
+    heard: SimTime,
+    /// When it last sent a frame to the peer — explicit heartbeats are
     /// suppressed on links with recent traffic.
-    last_sent: Vec<Vec<SimTime>>,
-    /// Reliable frames that exhausted their retries toward a
-    /// suspected peer, as (src, dst, seq); re-armed when the peer is
-    /// cleared or rejoins.
-    parked_frames: Vec<(NodeId, NodeId, u64)>,
+    sent: SimTime,
+    /// What it believes about the peer.
+    status: PeerStatus,
+}
+
+/// Heartbeats and leases: per-link leases refreshed by any arriving
+/// frame (explicit heartbeats go only on idle links), surfacing
+/// suspicion as a typed [`PeerStatus`].
+#[derive(Debug)]
+struct Detector {
+    lease: SimDuration,
+    /// `links[observer][peer]`.
+    links: Vec<Vec<Link>>,
     /// Consecutive idle manager ticks (see [`IDLE_TICK_LIMIT`]).
     idle_tick_rounds: u32,
     /// Whether any non-tick event ran since the last manager tick.
     progressed: bool,
 }
 
-/// Per-node persistent devices and the two-slot commit bookkeeping.
-pub(super) struct Persist {
-    /// One device per node, [`SLOT_REGIONS`] regions each.
-    devices: Vec<PersistDevice>,
-    /// Monotonic persist sequence per node (stamps commit records so
-    /// slot classification can order the A/B pair).
-    seq: Vec<u64>,
-    /// Busy time at the checkpoint persisted in each slot — replay
-    /// cost must be measured from whichever slot recovery actually
-    /// restores.
-    busy_at_slot: Vec<[SimDuration; SLOT_COUNT]>,
-    /// Persisted-image size (payload + commit) backing each node's
-    /// current restore source; drives the device-read restore cost.
-    restore_bytes: Vec<u64>,
+impl Detector {
+    /// A detector for `nodes` nodes with the given lease timeout; all
+    /// leases start fresh at time zero.
+    fn new(nodes: usize, lease: SimDuration) -> Self {
+        Detector {
+            lease,
+            links: vec![vec![Link::default(); nodes]; nodes],
+            idle_tick_rounds: 0,
+            progressed: false,
+        }
+    }
+
+    /// Records that `observer` heard from `peer` (any frame arrival
+    /// counts — this is the ack/data piggyback path). A suspected
+    /// peer that is heard from again is cleared back to alive; a
+    /// confirmed-down or unreachable peer is not, until it rejoins.
+    fn heard(&mut self, observer: NodeId, peer: NodeId, now: SimTime) {
+        let link = &mut self.links[observer][peer];
+        link.heard = now;
+        if link.status == PeerStatus::Suspected {
+            link.status = PeerStatus::Alive;
+        }
+    }
+
+    /// True when `observer` has heard nothing from `peer` for longer
+    /// than the lease timeout.
+    fn lease_expired(&self, observer: NodeId, peer: NodeId, now: SimTime) -> bool {
+        now > self.links[observer][peer].heard + self.lease
+    }
+
+    /// `observer`'s current belief about `peer`.
+    fn status(&self, observer: NodeId, peer: NodeId) -> PeerStatus {
+        self.links[observer][peer].status
+    }
+
+    /// Marks `peer` suspected at `observer`. Returns `true` when this
+    /// starts a new suspicion episode (the peer was believed alive).
+    fn suspect(&mut self, observer: NodeId, peer: NodeId) -> bool {
+        let fresh = self.status(observer, peer) == PeerStatus::Alive;
+        if fresh {
+            self.mark(observer, peer, PeerStatus::Suspected);
+        }
+        fresh
+    }
+
+    /// Sets `observer`'s belief about `peer`. `Down` and `Unreachable`
+    /// are sticky: only [`Detector::clear`] resets them, at rejoin.
+    fn mark(&mut self, observer: NodeId, peer: NodeId, status: PeerStatus) {
+        self.links[observer][peer].status = status;
+    }
+
+    /// Clears all state about `peer` (it rejoined, or a suspicion was
+    /// resolved as false): every observer believes it alive with a
+    /// fresh lease, and `peer` itself gets fresh leases on everyone.
+    fn clear(&mut self, peer: NodeId, now: SimTime) {
+        for observer in 0..self.links.len() {
+            let link = &mut self.links[observer][peer];
+            link.status = PeerStatus::Alive;
+            link.heard = now;
+            self.links[peer][observer].heard = now;
+        }
+    }
+}
+
+/// One node's persistent device and its two-slot commit bookkeeping.
+struct Durable {
+    /// [`SLOT_REGIONS`] regions.
+    device: PersistDevice,
+    /// Monotonic persist sequence (stamps commit records so slot
+    /// classification can order the A/B pair).
+    seq: u64,
+    /// The checkpoint each slot holds, as a resume would restore it.
+    slots: [Restore; SLOT_COUNT],
 }
 
 impl Recovery {
@@ -133,25 +216,16 @@ impl Recovery {
             || !cfg.faults.partitions.is_empty();
         needed.then(|| Recovery {
             nodes: (0..n).map(|_| NodeOutage::default()).collect(),
-            suspended: 0,
-            parked_events: Vec::new(),
-            busy_at_ckpt: vec![SimDuration::ZERO; n],
-            last_ckpt: vec![(0, 0); n],
             stats: RecoveryStats::default(),
-            detector: rc.enabled.then(|| Detector {
-                leases: FailureDetector::new(n, rc.lease_timeout),
-                last_sent: vec![vec![SimTime::ZERO; n]; n],
-                parked_frames: Vec::new(),
-                idle_tick_rounds: 0,
-                progressed: false,
-            }),
-            persist: rc.persist.enabled.then(|| Persist {
-                devices: (0..n)
-                    .map(|_| PersistDevice::new(SLOT_REGIONS, rc.persist))
-                    .collect(),
-                seq: vec![0; n],
-                busy_at_slot: vec![[SimDuration::ZERO; SLOT_COUNT]; n],
-                restore_bytes: vec![0; n],
+            detector: rc.enabled.then(|| Detector::new(n, rc.lease_timeout)),
+            persist: rc.persist.enabled.then(|| {
+                (0..n)
+                    .map(|_| Durable {
+                        device: PersistDevice::new(SLOT_REGIONS, rc.persist),
+                        seq: 0,
+                        slots: [Restore::default(); SLOT_COUNT],
+                    })
+                    .collect()
             }),
         })
     }
@@ -162,11 +236,11 @@ impl Recovery {
     }
 
     fn suspension(&self, x: NodeId) -> Option<Suspension> {
-        self.nodes[x].suspended.map(|(why, _)| why)
+        self.nodes[x].suspended.as_ref().map(|s| s.why)
     }
 
     fn is_crashed(&self, x: NodeId) -> bool {
-        matches!(self.suspension(x), Some(Suspension::Crashed { .. }))
+        self.suspension(x) == Some(Suspension::Crashed)
     }
 
     fn is_frozen(&self, x: NodeId) -> bool {
@@ -195,22 +269,14 @@ impl Core<'_> {
             .expect("detector events are scheduled only with recovery enabled")
     }
 
-    /// The failure detector, if this run has one.
-    pub(super) fn detector(&self) -> Option<&Detector> {
-        self.recovery.as_ref()?.detector.as_ref()
-    }
-
-    /// The persistence layer, if this run has one.
-    pub(super) fn persist(&self) -> Option<&Persist> {
-        self.recovery.as_ref()?.persist.as_ref()
-    }
-
-    /// Every node's persistent device, for tests that read a run's
-    /// slots back.
+    /// Every node's persistent device, with the epoch and read time of
+    /// the restore source kept for each of its slots; for tests that
+    /// read a run's slots back.
     #[cfg(test)]
-    pub(super) fn persist_devices(&mut self) -> &mut [PersistDevice] {
-        let rec = self.recovery.as_mut().expect("recovery state");
-        &mut rec.persist.as_mut().expect("persist state").devices
+    pub(super) fn persisted(&self) -> Vec<(PersistDevice, [(u32, SimDuration); SLOT_COUNT])> {
+        let durable = self.recovery.as_ref().and_then(|r| r.persist.as_ref());
+        let kept = |d: &Durable| (d.device.clone(), d.slots.map(|r| (r.epoch, r.read)));
+        durable.expect("persist state").iter().map(kept).collect()
     }
 
     // ------------------------------------------------------------------
@@ -236,31 +302,31 @@ impl Core<'_> {
                 det.progressed = true;
             }
         }
-        if rec.suspended == 0 {
-            return Some(event);
-        }
         let node = match &event {
             Event::Start(tid) | Event::SyscallReady(tid) => tid.node(tpn),
             Event::Arrival(pkt) => pkt.dst,
             Event::RetryTimeout { src, .. } => *src,
             _ => return Some(event),
         };
-        match (rec.suspension(node), &event) {
+        match (&mut rec.nodes[node].suspended, &event) {
             (None, _) => return Some(event),
-            (Some(Suspension::Crashed { .. }), Event::Arrival(pkt)) => {
+            (Some(s), Event::Arrival(pkt)) if s.why == Suspension::Crashed => {
                 self.wire.note_crash_drop(&pkt.frame);
             }
-            (Some(_), _) => rec.parked_events.push((node, now, event)),
+            (Some(s), _) => s.parked.push((now, event)),
         }
         None
     }
 
     /// Marks `x` suspended from `now` on.
     fn suspend(&mut self, x: NodeId, why: Suspension, now: SimTime) {
-        let rec = self.rec();
-        if rec.nodes[x].suspended.replace((why, now)).is_none() {
-            rec.suspended += 1;
-        }
+        let node = &mut self.rec().nodes[x];
+        debug_assert!(node.suspended.is_none(), "node {x} suspended twice");
+        node.suspended = Some(Suspended {
+            why,
+            since: now,
+            parked: Vec::new(),
+        });
     }
 
     /// A scheduled crash fires: the NIC goes dead (subsequent frames
@@ -279,18 +345,12 @@ impl Core<'_> {
             },
         );
         self.wire.set_node_down(x, true);
-        self.suspend(
-            x,
-            Suspension::Crashed {
-                restart_scheduled: false,
-            },
-            now,
-        );
+        self.suspend(x, Suspension::Crashed, now);
         self.rec().stats.crashes += 1;
         // With persistence, the crash instant decides what survives
         // on the device — and therefore which image (and cost) the
         // restart below is scheduled against.
-        if self.persist().is_some() {
+        if self.cfg.recovery.persist.enabled {
             self.reload_from_device(x, now);
         }
         if let Some(outage) = restart_after {
@@ -301,18 +361,8 @@ impl Core<'_> {
                 // only if the retry budget outlasts it.
                 now + outage
             };
-            self.schedule_restart(x, at);
+            self.sched.push(at, Event::Resume(x));
         }
-    }
-
-    /// Queues crashed node `x`'s resume at `at`.
-    fn schedule_restart(&mut self, x: NodeId, at: SimTime) {
-        if let Some((Suspension::Crashed { restart_scheduled }, _)) =
-            &mut self.rec().nodes[x].suspended
-        {
-            *restart_scheduled = true;
-        }
-        self.sched.push(at, Event::Resume(x));
     }
 
     /// A suspended node comes back. The simulation models recovery —
@@ -327,12 +377,12 @@ impl Core<'_> {
     /// arrivals replay, parked frames toward the node re-arm, and
     /// every observer's belief about it resets to alive.
     pub(super) fn resume_node(&mut self, x: NodeId, now: SimTime) {
-        let Some((why, since)) = self.rec().nodes[x].suspended else {
+        let Some(Suspended { why, since, .. }) = self.rec().nodes[x].suspended else {
             return;
         };
         let shift = now.saturating_since(since);
         match why {
-            Suspension::Crashed { .. } => {
+            Suspension::Crashed => {
                 self.tracer
                     .emit(now, x as u32, NO_THREAD, NO_CAUSE, TraceEvent::Restart);
                 self.wire.set_node_down(x, false);
@@ -366,39 +416,23 @@ impl Core<'_> {
                 rec.stats.partition_reconcile_time += shift;
             }
         }
-        let rec = self
-            .recovery
-            .as_mut()
-            .expect("a suspended node implies recovery state");
-        rec.nodes[x].suspended = None;
-        rec.suspended -= 1;
-        for (node, at, ev) in std::mem::take(&mut rec.parked_events) {
-            if node == x {
-                self.sched.push(at + shift, ev);
-            } else {
-                rec.parked_events.push((node, at, ev));
-            }
+        let parked = self.rec().nodes[x].suspended.take().map(|s| s.parked);
+        for (at, ev) in parked.into_iter().flatten() {
+            self.sched.push(at + shift, ev);
         }
         // An in-progress compute burst resumes where it stopped.
         self.sched.shift_burst(x, shift);
         self.unpark_frames_to(x, now);
         if let Some(det) = self.detector_mut() {
-            det.leases.clear(x, now);
+            det.clear(x, now);
         }
     }
 
     /// Re-arms every parked reliable frame destined for `peer` (it
     /// resumed, or its suspicion proved false).
     fn unpark_frames_to(&mut self, peer: NodeId, now: SimTime) {
-        let Some(det) = self.detector_mut() else {
-            return;
-        };
-        let (to_peer, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut det.parked_frames)
-            .into_iter()
-            .partition(|&(_, dst, _)| dst == peer);
-        det.parked_frames = rest;
-        for (src, dst, seq) in to_peer {
-            self.rearm_frame(src, dst, seq, now);
+        for (src, seq) in std::mem::take(&mut self.rec().nodes[peer].parked_frames) {
+            self.rearm_frame(src, peer, seq, now);
         }
     }
 
@@ -410,8 +444,8 @@ impl Core<'_> {
     /// tick skips the explicit heartbeat for that link.
     pub(super) fn note_sent(&mut self, src: NodeId, dst: NodeId, at: SimTime) {
         if let Some(det) = self.detector_mut() {
-            let slot = &mut det.last_sent[src][dst];
-            *slot = (*slot).max(at);
+            let sent = &mut det.links[src][dst].sent;
+            *sent = (*sent).max(at);
         }
     }
 
@@ -419,7 +453,7 @@ impl Core<'_> {
     /// frame is an implicit heartbeat refreshing the peer's lease.
     pub(super) fn note_heard(&mut self, observer: NodeId, peer: NodeId, now: SimTime) {
         if let Some(det) = self.detector_mut() {
-            det.leases.heard(observer, peer, now);
+            det.heard(observer, peer, now);
         }
     }
 
@@ -452,10 +486,8 @@ impl Core<'_> {
             if peer == n || !self.monitors(n, peer) {
                 continue;
             }
-            let det = self.det();
-            if det.leases.status(n, peer) != PeerStatus::Down
-                && det.last_sent[n][peer] + every <= now
-            {
+            let link = self.det().links[n][peer];
+            if link.status != PeerStatus::Down && link.sent + every <= now {
                 self.rec().stats.heartbeats_sent += 1;
                 self.send_heartbeat(n, peer, now);
             }
@@ -464,8 +496,8 @@ impl Core<'_> {
             // stable (the crash planner rejects node 0).
             let det = self.det();
             if peer != MANAGER
-                && det.leases.status(n, peer) == PeerStatus::Alive
-                && det.leases.lease_expired(n, peer, now)
+                && det.status(n, peer) == PeerStatus::Alive
+                && det.lease_expired(n, peer, now)
             {
                 self.raise_suspicion(n, peer, now);
             }
@@ -503,8 +535,9 @@ impl Core<'_> {
     /// and hand the peer to the failure detector. The frame re-arms
     /// when the peer is cleared or resumes.
     pub(super) fn park_frame(&mut self, src: NodeId, dst: NodeId, seq: u64, now: SimTime) {
-        self.det().parked_frames.push((src, dst, seq));
-        self.rec().stats.frames_parked += 1;
+        let rec = self.rec();
+        rec.nodes[dst].parked_frames.push((src, seq));
+        rec.stats.frames_parked += 1;
         self.tracer.emit(
             now,
             src as u32,
@@ -522,7 +555,7 @@ impl Core<'_> {
     /// `peer` (lease expiry or retry exhaustion). The manager decides
     /// failures, so a non-manager observer reports to it.
     fn raise_suspicion(&mut self, observer: NodeId, peer: NodeId, now: SimTime) {
-        if !self.det().leases.suspect(observer, peer) {
+        if !self.det().suspect(observer, peer) {
             return;
         }
         let rec = self.rec();
@@ -566,7 +599,7 @@ impl Core<'_> {
     /// The manager told survivor `n` that `victim` is confirmed down.
     pub(super) fn on_recovery_start(&mut self, n: NodeId, victim: NodeId, at: SimTime) {
         self.charge_sync(n, at);
-        self.det().leases.mark_down(n, victim);
+        self.det().mark(n, victim, PeerStatus::Down);
     }
 
     /// Queues a [`Event::ConfirmFailure`] for `victim` after the
@@ -578,7 +611,7 @@ impl Core<'_> {
         if self.rec().is_frozen(victim)
             || victim == MANAGER
             || self.rec().nodes[victim].confirm_pending
-            || self.det().leases.status(MANAGER, victim) == PeerStatus::Down
+            || self.det().status(MANAGER, victim) == PeerStatus::Down
         {
             return;
         }
@@ -595,26 +628,27 @@ impl Core<'_> {
     /// that is actually up is cleared (a false alarm), and a dead one
     /// triggers coordinated recovery: survivors are told via
     /// [`MsgBody::RecoveryStart`], and a replacement restart is
-    /// scheduled unless the crash-restart plan already did.
+    /// scheduled unless the victim's crash restarts it (a node crashes
+    /// at most once, so its crash in the plan says which).
     pub(super) fn on_confirm_failure(&mut self, victim: NodeId, now: SimTime) {
         self.rec().nodes[victim].confirm_pending = false;
-        let restart_scheduled = match self.rec().suspension(victim) {
+        match self.rec().suspension(victim) {
             // A cut may have landed between the suspicion and this
             // deadline: the victim is unreachable, not dead. Leave its
             // state for the heal to reconcile.
             Some(Suspension::Frozen) => return,
             None => {
-                self.det().leases.clear(victim, now);
+                self.det().clear(victim, now);
                 self.unpark_frames_to(victim, now);
                 return;
             }
-            Some(Suspension::Crashed { restart_scheduled }) => restart_scheduled,
-        };
-        if self.det().leases.status(MANAGER, victim) == PeerStatus::Down {
+            Some(Suspension::Crashed) => {}
+        }
+        if self.det().status(MANAGER, victim) == PeerStatus::Down {
             return;
         }
-        self.det().leases.mark_down(MANAGER, victim);
-        let (epoch, _) = self.rec().last_ckpt[victim];
+        self.det().mark(MANAGER, victim, PeerStatus::Down);
+        let epoch = self.rec().nodes[victim].restore.epoch;
         self.tracer.emit(
             now,
             MANAGER as u32,
@@ -638,9 +672,10 @@ impl Core<'_> {
             );
             self.post(end, MANAGER, p, MsgBody::RecoveryStart { victim, epoch });
         }
-        if !restart_scheduled {
+        let crash = self.cfg.faults.crashes.iter().find(|c| c.node == victim);
+        if crash.is_none_or(|c| c.restart_after.is_none()) {
             let at = now + self.cfg.recovery.restart_base + self.recovery_cost(victim);
-            self.schedule_restart(victim, at);
+            self.sched.push(at, Event::Resume(victim));
         }
     }
 
@@ -667,7 +702,7 @@ impl Core<'_> {
             }
             self.suspend(x, Suspension::Frozen, now);
             self.rec().stats.partition_freezes += 1;
-            self.det().leases.mark_unreachable(MANAGER, x);
+            self.det().mark(MANAGER, x, PeerStatus::Unreachable);
             self.tracer.emit(
                 now,
                 x as u32,
@@ -708,25 +743,15 @@ impl Core<'_> {
     // Checkpoints and persistence
     // ------------------------------------------------------------------
 
-    /// Modeled time to bring `x` back from its last checkpoint:
-    /// restore plus replay. Restore reloads the checkpoint — with
-    /// persistence on, by reading the persisted image back at the
-    /// device's read bandwidth; otherwise at the flat per-page cost.
-    /// Replay re-executes `x`'s work since that checkpoint
+    /// Modeled time to bring `x` back from its restore source: reading
+    /// it back, plus replaying `x`'s work since it was taken
     /// (deterministic replay reaches the state at suspension; see
     /// [`Core::resume_node`]).
     fn recovery_cost(&self, x: NodeId) -> SimDuration {
-        let rc = &self.cfg.recovery;
         let busy = self.nodes[x].account.breakdown()[Category::Busy];
         let rec = self.recovery.as_ref().expect("recovery state");
-        let restore = match &rec.persist {
-            Some(per) => rc.persist.read_time(per.restore_bytes[x] as usize),
-            None => {
-                let (_, pages) = rec.last_ckpt[x];
-                rc.restore_per_page * pages
-            }
-        };
-        restore + busy.saturating_sub(rec.busy_at_ckpt[x])
+        let restore = rec.nodes[x].restore;
+        restore.read + busy.saturating_sub(restore.busy)
     }
 
     /// Takes node `n`'s barrier-aligned checkpoint and returns the
@@ -735,15 +760,16 @@ impl Core<'_> {
     /// consumes no randomness: the model treats the snapshot as
     /// copy-on-write work off the critical path, so a crash-free run's
     /// event timeline — and its `RunReport` digest, recovery fields
-    /// aside — is identical with checkpointing on or off. With
-    /// persistence on, the node's state is laid straight into its
-    /// segmented image, written through the durable two-slot commit
-    /// protocol, and the node stalls for the modeled persist cost.
+    /// aside — is identical with checkpointing on or off, and it reads
+    /// back at the flat per-page cost. With persistence on, the node's
+    /// state is laid straight into its segmented image, written
+    /// through the durable two-slot commit protocol, and the node
+    /// stalls for the modeled persist cost.
     pub(super) fn take_checkpoint(&mut self, n: NodeId, at: SimTime) -> SimTime {
         let epoch = self.barriers.epochs_done(n);
         let ckpt = NodeCheckpoint::new(n as u32, epoch, &self.nodes[n]);
         let (bytes, pages) = (ckpt.len() as u64, ckpt.pages() as u64);
-        let image = self.persist().is_some().then(|| ckpt.segmented());
+        let image = self.cfg.recovery.persist.enabled.then(|| ckpt.segmented());
         self.tracer.emit(
             at,
             n as u32,
@@ -754,44 +780,51 @@ impl Core<'_> {
                 bytes: bytes as u32,
             },
         );
-        let busy = self.nodes[n].account.breakdown()[Category::Busy];
+        let restore = Restore {
+            epoch,
+            busy: self.nodes[n].account.breakdown()[Category::Busy],
+            read: self.cfg.recovery.restore_per_page * pages,
+        };
         let rec = self.rec();
         rec.stats.checkpoints_taken += 1;
         rec.stats.checkpoint_bytes += bytes;
-        rec.busy_at_ckpt[n] = busy;
-        rec.last_ckpt[n] = (epoch, pages);
         match image {
-            Some(image) => self.persist_checkpoint(n, epoch, image, at),
-            None => at,
+            Some(image) => self.persist_checkpoint(n, restore, image, at),
+            None => {
+                rec.nodes[n].restore = restore;
+                at
+            }
         }
     }
 
-    /// Writes a checkpoint of `epoch` (`payload`, its segmented image)
-    /// to node `n`'s persistent device through the detectably
-    /// recoverable A/B protocol: payload into the persist's slot,
-    /// flush, fence; then the commit record, flush, fence. The drain
-    /// runs at the device's write bandwidth in the background, but the
-    /// protocol is synchronous at the barrier: the node stalls until
-    /// the commit fence completes, which is exactly the durability
-    /// overhead the model is after. Returns the stall end.
+    /// Writes the checkpoint `restore` describes (`payload`, its
+    /// segmented image) to node `n`'s persistent device through the
+    /// detectably recoverable A/B protocol: payload into the persist's
+    /// slot, flush, fence; then the commit record, flush, fence. The
+    /// drain runs at the device's write bandwidth in the background,
+    /// but the protocol is synchronous at the barrier: the node stalls
+    /// until the commit fence completes, which is exactly the
+    /// durability overhead the model is after. The slot and the node
+    /// then restore from the image at the device's read bandwidth.
+    /// Returns the stall end.
     fn persist_checkpoint(
         &mut self,
         n: NodeId,
-        epoch: u32,
+        restore: Restore,
         payload: Vec<u8>,
         at: SimTime,
     ) -> SimTime {
+        let cfg = self.cfg;
         let rec = self.rec();
-        let per = rec.persist.as_mut().expect("persist state");
-        per.seq[n] += 1;
-        let seq = per.seq[n];
-        let slot = slot_for_seq(seq);
-        let commit = CommitRecord::for_payload(epoch, seq, &payload).encode();
+        let durable = &mut rec.persist.as_mut().expect("persist state")[n];
+        durable.seq += 1;
+        let slot = slot_for_seq(durable.seq);
+        let commit = CommitRecord::for_payload(restore.epoch, durable.seq, &payload).encode();
         let image_bytes = (payload.len() + commit.len()) as u64;
         // Every call is made at the node's present; the payload's fence
         // holds the commit's drain back until the payload is durable.
         let committed = {
-            let dev = &mut per.devices[n];
+            let dev = &mut durable.device;
             dev.write_owned(payload_region(slot), 0, payload);
             dev.flush(at);
             dev.fence(at);
@@ -802,8 +835,12 @@ impl Core<'_> {
             dev.flush(at);
             dev.fence(at)
         };
-        per.busy_at_slot[n][slot] = rec.busy_at_ckpt[n];
-        per.restore_bytes[n] = image_bytes;
+        let restore = Restore {
+            read: cfg.recovery.persist.read_time(image_bytes as usize),
+            ..restore
+        };
+        durable.slots[slot] = restore;
+        rec.nodes[n].restore = restore;
         rec.stats.persist_bytes += image_bytes;
         rec.stats.flushes += 2;
         rec.stats.fences += 2;
@@ -813,7 +850,7 @@ impl Core<'_> {
             NO_THREAD,
             NO_CAUSE,
             TraceEvent::PersistCommit {
-                epoch,
+                epoch: restore.epoch,
                 bytes: image_bytes as u32,
             },
         );
@@ -834,45 +871,114 @@ impl Core<'_> {
     /// persist attempted counts as a `slot_fallback`.
     fn reload_from_device(&mut self, x: NodeId, now: SimTime) {
         let rec = self.rec();
-        let per = rec.persist.as_mut().expect("persist state");
-        let dev = &mut per.devices[x];
+        let durable = &mut rec.persist.as_mut().expect("persist state")[x];
+        let dev = &mut durable.device;
         dev.crash(now);
-        let states: Vec<SlotState> = (0..SLOT_COUNT)
-            .map(|s| classify_slot(dev.read(payload_region(s)), dev.read(commit_region(s))))
-            .collect();
-        rec.stats.torn_discards += states
-            .iter()
-            .filter(|s| matches!(s, SlotState::Torn))
-            .count() as u64;
-        let best = states
-            .into_iter()
-            .enumerate()
-            .filter_map(|(slot, s)| match s {
-                SlotState::Committed { seq, ckpt } => Some((seq, slot, ckpt)),
-                _ => None,
-            })
-            .max_by_key(|&(seq, ..)| seq);
-        match best {
-            Some((seq, slot, ckpt)) => {
-                if seq < per.seq[x] {
-                    rec.stats.slot_fallbacks += 1;
+        let mut best = None;
+        for slot in 0..SLOT_COUNT {
+            match classify_slot(
+                dev.read(payload_region(slot)),
+                dev.read(commit_region(slot)),
+            ) {
+                SlotState::Torn => rec.stats.torn_discards += 1,
+                SlotState::Committed { seq, ckpt } if best.is_none_or(|(s, _)| seq > s) => {
+                    debug_assert_eq!(ckpt.epoch, durable.slots[slot].epoch);
+                    best = Some((seq, slot));
                 }
-                // The slot classified as committed, so its commit
-                // record decodes and names the image's length.
-                let image = CommitRecord::decode(per.devices[x].read(commit_region(slot)))
-                    .expect("committed slot has an intact commit record")
-                    .payload_len as usize;
-                per.restore_bytes[x] = (image + COMMIT_LEN) as u64;
-                rec.busy_at_ckpt[x] = per.busy_at_slot[x][slot];
-                rec.last_ckpt[x] = (ckpt.epoch, ckpt.pages.len() as u64);
-            }
-            None => {
-                // Nothing committed yet (the crash predates the first
-                // durable checkpoint): recovery restarts from scratch.
-                per.restore_bytes[x] = 0;
-                rec.busy_at_ckpt[x] = SimDuration::ZERO;
-                rec.last_ckpt[x] = (0, 0);
+                _ => {}
             }
         }
+        // Nothing committed yet (the crash predates the first durable
+        // checkpoint): recovery restarts from scratch.
+        let mut restore = Restore::default();
+        if let Some((seq, slot)) = best {
+            if seq < durable.seq {
+                rec.stats.slot_fallbacks += 1;
+            }
+            restore = durable.slots[slot];
+        }
+        rec.nodes[x].restore = restore;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn us(n: u64) -> SimDuration {
+        SimDuration::from_micros(n)
+    }
+
+    /// Each part of the outage state exists only when the config asks
+    /// for it: a checkpoint cadence alone builds no detector, and only
+    /// persistence builds devices.
+    #[test]
+    fn recovery_state_follows_the_config() {
+        use crate::recovery::RecoveryConfig;
+        use rsdsm_simnet::PersistConfig;
+
+        let cadence_only = RecoveryConfig {
+            checkpoint_every: 2,
+            ..RecoveryConfig::off()
+        };
+        let durable = RecoveryConfig {
+            persist: PersistConfig::on(),
+            ..RecoveryConfig::on(2)
+        };
+        for (recovery, detector, persist) in [
+            (cadence_only, false, false),
+            (RecoveryConfig::on(2), true, false),
+            (durable, true, true),
+        ] {
+            let cfg = DsmConfig::paper_cluster(4).with_recovery(recovery);
+            let rec = Recovery::for_config(&cfg).expect("recovery state");
+            assert_eq!(rec.detector.is_some(), detector);
+            assert_eq!(rec.persist.is_some(), persist);
+        }
+        assert!(Recovery::for_config(&DsmConfig::paper_cluster(1024)).is_none());
+    }
+
+    #[test]
+    fn lease_expires_only_after_timeout() {
+        let mut d = Detector::new(3, us(100));
+        let t0 = SimTime::ZERO;
+        d.heard(0, 1, t0 + us(50));
+        assert!(!d.lease_expired(0, 1, t0 + us(150)));
+        assert!(d.lease_expired(0, 1, t0 + us(151)));
+    }
+
+    #[test]
+    fn hearing_from_a_suspect_clears_it() {
+        let mut d = Detector::new(2, us(10));
+        assert!(d.suspect(0, 1), "first suspicion is new");
+        assert!(!d.suspect(0, 1), "repeat suspicion is not");
+        assert_eq!(d.status(0, 1), PeerStatus::Suspected);
+        d.heard(0, 1, SimTime::ZERO + us(5));
+        assert_eq!(d.status(0, 1), PeerStatus::Alive);
+    }
+
+    #[test]
+    fn down_is_sticky_until_cleared() {
+        let mut d = Detector::new(2, us(10));
+        d.mark(0, 1, PeerStatus::Down);
+        d.heard(0, 1, SimTime::ZERO + us(1));
+        assert_eq!(d.status(0, 1), PeerStatus::Down);
+        d.clear(1, SimTime::ZERO + us(2));
+        assert_eq!(d.status(0, 1), PeerStatus::Alive);
+        assert!(!d.lease_expired(1, 0, SimTime::ZERO + us(3)));
+    }
+
+    #[test]
+    fn unreachable_is_sticky_and_not_a_new_suspicion() {
+        let mut d = Detector::new(2, us(10));
+        d.mark(0, 1, PeerStatus::Unreachable);
+        // A stray pre-cut frame does not clear the mark...
+        d.heard(0, 1, SimTime::ZERO + us(1));
+        assert_eq!(d.status(0, 1), PeerStatus::Unreachable);
+        // ...and lease expiry cannot start a suspicion episode on it.
+        assert!(!d.suspect(0, 1));
+        // Rejoin clears it like any other mark.
+        d.clear(1, SimTime::ZERO + us(2));
+        assert_eq!(d.status(0, 1), PeerStatus::Alive);
     }
 }

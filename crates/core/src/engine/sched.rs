@@ -229,6 +229,8 @@ pub(super) struct Sched<'a> {
     done: usize,
     /// Latest exit time so far: the run's finish once all are done.
     finish: SimTime,
+    /// The instant of the last popped event: the engine's present.
+    now: SimTime,
 }
 
 impl<'a> Sched<'a> {
@@ -249,17 +251,25 @@ impl<'a> Sched<'a> {
             cpus: std::iter::repeat_with(Cpu::default).take(nodes).collect(),
             done: 0,
             finish: SimTime::ZERO,
+            now: SimTime::ZERO,
         }
     }
 
     /// Schedules `event` at `at` (FIFO among events at the same time).
+    /// Simulated time never runs backwards: `at` is never before the
+    /// engine's present.
     pub(super) fn push(&mut self, at: SimTime, event: Event) {
+        debug_assert!(
+            at >= self.now,
+            "{event:?} scheduled at {at}, before the present {}",
+            self.now
+        );
         self.queue.push(at, event);
     }
 
     /// The earliest pending event.
     pub(super) fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.queue.pop()
+        self.queue.pop().inspect(|&(at, _)| self.now = at)
     }
 
     /// Whether every application thread has exited.

@@ -1,25 +1,21 @@
 //! Crash-stop failure detection and recovery policy.
 //!
 //! The paper's protocol assumes all nodes stay up for the whole run;
-//! this module supplies the pieces that let a run survive a scheduled
-//! [`NodeCrash`](rsdsm_simnet::NodeCrash):
+//! this module holds the policy types that let a run survive a
+//! scheduled [`NodeCrash`](rsdsm_simnet::NodeCrash):
 //!
 //! - [`RecoveryConfig`]: lease parameters, checkpoint cadence, and
 //!   modeled restart/restore costs.
-//! - [`FailureDetector`]: per-link leases refreshed by any arriving
-//!   frame (heartbeats piggyback on protocol traffic; explicit
-//!   heartbeat frames are sent only on idle links), surfacing
-//!   suspicion as a typed [`PeerStatus`] instead of silently
-//!   aborting on retry exhaustion.
+//! - [`PeerStatus`]: what a node believes about a peer's liveness.
 //! - [`RecoveryStats`]: counters reported in
 //!   [`RunReport`](crate::RunReport) and
 //!   [`fault_summary_line`](crate::RunReport::fault_summary_line).
 //!
-//! The engine owns the actual recovery sequencing (event parking,
-//! checkpoint capture at barriers, restart scheduling); see
-//! `DESIGN.md` §6e for the protocol.
+//! The engine's outage module owns the mechanism (the failure
+//! detector, event parking, checkpoint capture at barriers, restart
+//! scheduling); see `DESIGN.md` §6e for the protocol.
 
-use rsdsm_simnet::{NodeId, PersistConfig, SimDuration, SimTime};
+use rsdsm_simnet::{PersistConfig, SimDuration};
 
 /// What a node currently believes about a peer's liveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -167,135 +163,9 @@ pub struct RecoveryStats {
     pub slot_fallbacks: u64,
 }
 
-/// Per-link lease bookkeeping: when each node last heard from each
-/// peer, and what it currently believes about the peer.
-#[derive(Debug)]
-pub(crate) struct FailureDetector {
-    lease: SimDuration,
-    last_heard: Vec<Vec<SimTime>>,
-    status: Vec<Vec<PeerStatus>>,
-}
-
-impl FailureDetector {
-    /// A detector for `nodes` nodes with the given lease timeout; all
-    /// leases start fresh at time zero.
-    pub(crate) fn new(nodes: usize, lease: SimDuration) -> Self {
-        FailureDetector {
-            lease,
-            last_heard: vec![vec![SimTime::ZERO; nodes]; nodes],
-            status: vec![vec![PeerStatus::Alive; nodes]; nodes],
-        }
-    }
-
-    /// Records that `observer` heard from `peer` (any frame arrival
-    /// counts — this is the ack/data piggyback path). A suspected
-    /// peer that is heard from again is cleared back to alive; a
-    /// confirmed-down peer is not, until recovery completes.
-    pub(crate) fn heard(&mut self, observer: NodeId, peer: NodeId, now: SimTime) {
-        self.last_heard[observer][peer] = now;
-        if self.status[observer][peer] == PeerStatus::Suspected {
-            self.status[observer][peer] = PeerStatus::Alive;
-        }
-    }
-
-    /// True when `observer` has heard nothing from `peer` for longer
-    /// than the lease timeout.
-    pub(crate) fn lease_expired(&self, observer: NodeId, peer: NodeId, now: SimTime) -> bool {
-        now > self.last_heard[observer][peer] + self.lease
-    }
-
-    /// `observer`'s current belief about `peer`.
-    pub(crate) fn status(&self, observer: NodeId, peer: NodeId) -> PeerStatus {
-        self.status[observer][peer]
-    }
-
-    /// Marks `peer` suspected at `observer`. Returns `true` when this
-    /// starts a new suspicion episode (the peer was believed alive).
-    pub(crate) fn suspect(&mut self, observer: NodeId, peer: NodeId) -> bool {
-        if self.status[observer][peer] == PeerStatus::Alive {
-            self.status[observer][peer] = PeerStatus::Suspected;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Marks `peer` confirmed down at `observer`.
-    pub(crate) fn mark_down(&mut self, observer: NodeId, peer: NodeId) {
-        self.status[observer][peer] = PeerStatus::Down;
-    }
-
-    /// Marks `peer` unreachable at `observer` (on the far side of a
-    /// known cut). Sticky like `Down`: only [`FailureDetector::clear`]
-    /// resets it, at rejoin.
-    pub(crate) fn mark_unreachable(&mut self, observer: NodeId, peer: NodeId) {
-        self.status[observer][peer] = PeerStatus::Unreachable;
-    }
-
-    /// Clears all state about `peer` (it rejoined, or a suspicion was
-    /// resolved as false): every observer believes it alive with a
-    /// fresh lease, and `peer` itself gets fresh leases on everyone.
-    pub(crate) fn clear(&mut self, peer: NodeId, now: SimTime) {
-        let nodes = self.status.len();
-        for observer in 0..nodes {
-            self.status[observer][peer] = PeerStatus::Alive;
-            self.last_heard[observer][peer] = now;
-            self.last_heard[peer][observer] = now;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn us(n: u64) -> SimDuration {
-        SimDuration::from_micros(n)
-    }
-
-    #[test]
-    fn lease_expires_only_after_timeout() {
-        let mut d = FailureDetector::new(3, us(100));
-        let t0 = SimTime::ZERO;
-        d.heard(0, 1, t0 + us(50));
-        assert!(!d.lease_expired(0, 1, t0 + us(150)));
-        assert!(d.lease_expired(0, 1, t0 + us(151)));
-    }
-
-    #[test]
-    fn hearing_from_a_suspect_clears_it() {
-        let mut d = FailureDetector::new(2, us(10));
-        assert!(d.suspect(0, 1), "first suspicion is new");
-        assert!(!d.suspect(0, 1), "repeat suspicion is not");
-        assert_eq!(d.status(0, 1), PeerStatus::Suspected);
-        d.heard(0, 1, SimTime::ZERO + us(5));
-        assert_eq!(d.status(0, 1), PeerStatus::Alive);
-    }
-
-    #[test]
-    fn down_is_sticky_until_cleared() {
-        let mut d = FailureDetector::new(2, us(10));
-        d.mark_down(0, 1);
-        d.heard(0, 1, SimTime::ZERO + us(1));
-        assert_eq!(d.status(0, 1), PeerStatus::Down);
-        d.clear(1, SimTime::ZERO + us(2));
-        assert_eq!(d.status(0, 1), PeerStatus::Alive);
-        assert!(!d.lease_expired(1, 0, SimTime::ZERO + us(3)));
-    }
-
-    #[test]
-    fn unreachable_is_sticky_and_not_a_new_suspicion() {
-        let mut d = FailureDetector::new(2, us(10));
-        d.mark_unreachable(0, 1);
-        // A stray pre-cut frame does not clear the mark...
-        d.heard(0, 1, SimTime::ZERO + us(1));
-        assert_eq!(d.status(0, 1), PeerStatus::Unreachable);
-        // ...and lease expiry cannot start a suspicion episode on it.
-        assert!(!d.suspect(0, 1));
-        // Rejoin clears it like any other mark.
-        d.clear(1, SimTime::ZERO + us(2));
-        assert_eq!(d.status(0, 1), PeerStatus::Alive);
-    }
 
     #[test]
     fn default_config_is_off() {

@@ -124,6 +124,17 @@ fn rejected() -> Vec<(&'static str, DsmConfig, ConfigError)> {
             ConfigError::CrashesManager,
         ),
         (
+            "crash plan names one node twice",
+            with_crash(
+                with_crash(recovering(), crash(2)),
+                NodeCrash {
+                    at: ms(6),
+                    ..crash(2)
+                },
+            ),
+            ConfigError::NodeCrashedTwice { node: 2 },
+        ),
+        (
             "partition without recovery",
             with_cut(DsmConfig::paper_cluster(NODES), cut(vec![vec![2]], 1, 5)),
             ConfigError::PartitionWithoutRecovery,
