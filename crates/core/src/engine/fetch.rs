@@ -548,8 +548,19 @@ impl Core<'_> {
     /// Records the write notices of `rec` at node `n`, invalidating
     /// affected pages (skipping the node's own intervals).
     pub(super) fn record_interval(&mut self, n: NodeId, rec: &Arc<IntervalRecord>, at: SimTime) {
-        self.nodes[n].learn_interval(rec);
+        let fresh = self.nodes[n].learn_interval(rec);
         if rec.origin == n {
+            return;
+        }
+        // An interval the node already knew had every notice recorded
+        // when it was first learned. Only the directory drops notices,
+        // and it may take a late one now, so its walk stays.
+        if !fresh && !self.cfg.directory.enabled() {
+            let board = &self.nodes[n].board;
+            debug_assert!(rec
+                .pages
+                .iter()
+                .all(|&page| board.knows(page, rec.origin, rec.seq())));
             return;
         }
         for &page in &rec.pages {

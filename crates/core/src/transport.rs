@@ -36,9 +36,22 @@
 //! This module is the pure state machine; the engine owns the clock,
 //! charges CPU costs for every (re)transmission and ack, and puts the
 //! frames on the simulated network.
+//!
+//! # Index and costs
+//!
+//! Every reliable message touches its link four times (register,
+//! receive, ack, retry timer), so a link is found by two array reads:
+//! `slots[src][dst]` is its position in a list of the links used so
+//! far. A row is only as long as its `src`'s highest `dst`, so a
+//! 1024-node star costs one wide row and 1023 one-slot rows, not a
+//! square. A link's unacknowledged frames are a ring that starts at
+//! the oldest one: frame `seq` sits `seq - first_unacked` from the
+//! front, a send pushes at the back, and an ack empties its slot and
+//! drops the acked prefix. Nothing hashes and nothing walks a tree;
+//! only the receiver's out-of-order buffer is a map, and it is almost
+//! always empty.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
@@ -188,10 +201,16 @@ struct Inflight<B> {
 /// Both endpoints' state for one directed (src, dst) link.
 #[derive(Debug)]
 struct LinkState<B> {
-    /// Next sequence number the sender will assign.
-    next_seq: u64,
-    /// Unacknowledged frames, by sequence number.
-    inflight: BTreeMap<u64, Inflight<B>>,
+    /// Sequence number of the oldest unacknowledged frame: the one at
+    /// the front of `inflight`.
+    first_unacked: u64,
+    /// The sent frames from `first_unacked` on, frame `seq` at
+    /// `seq - first_unacked`; `None` once acked. The front is never
+    /// `None`, so the next sequence number to assign is
+    /// `first_unacked + inflight.len()`. A frame that is never acked
+    /// (parked toward a dead peer) holds the front, and the ring keeps
+    /// a slot for every frame sent after it until it is acked.
+    inflight: VecDeque<Option<Inflight<B>>>,
     /// Smoothed round-trip time observed from acks on this link.
     srtt: Option<SimDuration>,
     /// Next sequence number the receiver will deliver.
@@ -203,8 +222,8 @@ struct LinkState<B> {
 impl<B> Default for LinkState<B> {
     fn default() -> Self {
         LinkState {
-            next_seq: 0,
-            inflight: BTreeMap::new(),
+            first_unacked: 0,
+            inflight: VecDeque::new(),
             srtt: None,
             recv_next: 0,
             recv_buf: BTreeMap::new(),
@@ -221,29 +240,23 @@ impl<B> LinkState<B> {
             None => cfg.initial_rto,
         }
     }
-}
 
-/// Hasher of the link table: one rotate-xor-multiply per key word in
-/// place of SipHash over the 16-byte `(src, dst)` key, which every
-/// reliable message looks up four times (register, receive, ack,
-/// timer). The keys are node ids of the run's own cluster, never
-/// outside input, and nothing depends on the table's iteration order.
-#[derive(Debug, Default)]
-struct LinkHasher(u64);
+    /// Frame `seq`'s slot in the ring, if it was sent and is not part
+    /// of the acked prefix already dropped.
+    fn slot(&mut self, seq: u64) -> Option<&mut Option<Inflight<B>>> {
+        let at = usize::try_from(seq.checked_sub(self.first_unacked)?).ok()?;
+        self.inflight.get_mut(at)
+    }
 
-impl Hasher for LinkHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(b as usize);
+    /// Takes the unacknowledged frame `seq` out of the ring, then drops
+    /// the acked prefix so the front is the oldest unacked frame again.
+    fn take(&mut self, seq: u64) -> Option<Inflight<B>> {
+        let inf = self.slot(seq)?.take()?;
+        while let Some(None) = self.inflight.front() {
+            self.inflight.pop_front();
+            self.first_unacked += 1;
         }
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+        Some(inf)
     }
 }
 
@@ -289,18 +302,54 @@ pub enum Recv<B> {
 #[derive(Debug)]
 pub struct Transport<B> {
     cfg: TransportConfig,
-    links: HashMap<(NodeId, NodeId), LinkState<B>, BuildHasherDefault<LinkHasher>>,
+    /// Every link used so far, in first-use order.
+    links: Vec<LinkState<B>>,
+    /// `slots[src][dst]`: the position of link (src, dst) in `links`,
+    /// or [`NO_LINK`]. A row is only as long as its `src`'s highest
+    /// `dst` so far.
+    slots: Vec<Vec<u32>>,
     summary: TransportSummary,
 }
+
+/// The slot of a link not used yet.
+const NO_LINK: u32 = u32::MAX;
 
 impl<B: Clone> Transport<B> {
     /// Creates a transport with no links established yet.
     pub fn new(cfg: TransportConfig) -> Self {
         Transport {
             cfg,
-            links: HashMap::default(),
+            links: Vec::new(),
+            slots: Vec::new(),
             summary: TransportSummary::default(),
         }
+    }
+
+    /// Where link (src, dst) sits in `links`, if it has been used.
+    fn position(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        let at = *self.slots.get(src)?.get(dst)?;
+        (at != NO_LINK).then_some(at as usize)
+    }
+
+    /// Where link (src, dst) sits in `links`, set up empty on its first
+    /// use.
+    fn position_or_new(&mut self, src: NodeId, dst: NodeId) -> usize {
+        if self.slots.len() <= src {
+            self.slots.resize_with(src + 1, Vec::new);
+        }
+        let row = &mut self.slots[src];
+        if row.len() <= dst {
+            row.reserve_exact(dst + 1 - row.len());
+            row.resize(dst + 1, NO_LINK);
+        }
+        if row[dst] == NO_LINK {
+            row[dst] = u32::try_from(self.links.len())
+                .ok()
+                .filter(|&at| at != NO_LINK)
+                .expect("a link's position fits its slot");
+            self.links.push(LinkState::default());
+        }
+        row[dst] as usize
     }
 
     /// Accepts a reliable message for transmission on (src, dst):
@@ -313,19 +362,16 @@ impl<B: Clone> Transport<B> {
         body: B,
         now: SimTime,
     ) -> (u64, SimDuration) {
-        let link = self.links.entry((src, dst)).or_default();
-        let seq = link.next_seq;
-        link.next_seq += 1;
+        let at = self.position_or_new(src, dst);
+        let link = &mut self.links[at];
+        let seq = link.first_unacked + link.inflight.len() as u64;
         let rto = link.base_rto(&self.cfg);
-        link.inflight.insert(
-            seq,
-            Inflight {
-                body,
-                attempts: 1,
-                rto,
-                sent_at: now,
-            },
-        );
+        link.inflight.push_back(Some(Inflight {
+            body,
+            attempts: 1,
+            rto,
+            sent_at: now,
+        }));
         self.summary.data_frames += 1;
         self.summary.max_attempts = self.summary.max_attempts.max(1);
         (seq, rto)
@@ -333,9 +379,10 @@ impl<B: Clone> Transport<B> {
 
     /// Handles a fired retry timer for (src, dst, seq).
     pub fn on_timeout(&mut self, src: NodeId, dst: NodeId, seq: u64) -> TimeoutAction<B> {
-        let Some(link) = self.links.get_mut(&(src, dst)) else {
+        let Some(at) = self.position(src, dst) else {
             return TimeoutAction::Cancelled;
         };
+        let link = &mut self.links[at];
         // The backoff ceiling tracks the link's measured RTT so a
         // congested-but-lossless link keeps stretching the timer
         // instead of burning through the retry budget.
@@ -343,7 +390,7 @@ impl<B: Clone> Transport<B> {
             Some(s) => self.cfg.max_rto.max(s * 2),
             None => self.cfg.max_rto,
         };
-        let Some(inf) = link.inflight.get_mut(&seq) else {
+        let Some(Some(inf)) = link.slot(seq) else {
             self.summary.spurious_timeouts += 1;
             return TimeoutAction::Cancelled;
         };
@@ -368,9 +415,10 @@ impl<B: Clone> Transport<B> {
     /// so the engine can re-arm a retry timer. Returns the timeout to
     /// arm, or `None` when the frame was acked in the meantime.
     pub fn reset_frame(&mut self, src: NodeId, dst: NodeId, seq: u64) -> Option<SimDuration> {
-        let link = self.links.get_mut(&(src, dst))?;
+        let at = self.position(src, dst)?;
+        let link = &mut self.links[at];
         let rto = link.base_rto(&self.cfg);
-        let inf = link.inflight.get_mut(&seq)?;
+        let inf = link.slot(seq)?.as_mut()?;
         inf.attempts = 1;
         inf.rto = rto;
         Some(rto)
@@ -380,10 +428,11 @@ impl<B: Clone> Transport<B> {
     /// from the data receiver `dst`, feeding the link's RTT estimate.
     /// Stale and duplicate acks are ignored.
     pub fn on_ack(&mut self, src: NodeId, dst: NodeId, seq: u64, now: SimTime) {
-        let Some(link) = self.links.get_mut(&(src, dst)) else {
+        let Some(at) = self.position(src, dst) else {
             return;
         };
-        let Some(inf) = link.inflight.remove(&seq) else {
+        let link = &mut self.links[at];
+        let Some(inf) = link.take(seq) else {
             return;
         };
         let sample = now.saturating_since(inf.sent_at);
@@ -416,7 +465,8 @@ impl<B: Clone> Transport<B> {
     /// parked behind it with [`Transport::next_parked`] before
     /// receiving anything else on the link.
     pub fn receive(&mut self, src: NodeId, dst: NodeId, seq: u64, body: B) -> Recv<B> {
-        let link = self.links.entry((src, dst)).or_default();
+        let at = self.position_or_new(src, dst);
+        let link = &mut self.links[at];
         if seq < link.recv_next || link.recv_buf.contains_key(&seq) {
             self.summary.dup_frames_suppressed += 1;
             return Recv::Duplicate;
@@ -433,7 +483,8 @@ impl<B: Clone> Transport<B> {
     /// The next frame parked on (src, dst) whose turn has come, now
     /// delivered; `None` once the link's next in order has not arrived.
     pub fn next_parked(&mut self, src: NodeId, dst: NodeId) -> Option<B> {
-        let link = self.links.get_mut(&(src, dst))?;
+        let at = self.position(src, dst)?;
+        let link = &mut self.links[at];
         let body = link.recv_buf.remove(&link.recv_next)?;
         link.recv_next += 1;
         Some(body)
@@ -441,7 +492,8 @@ impl<B: Clone> Transport<B> {
 
     /// Frames currently awaiting acknowledgement across all links.
     pub fn inflight_frames(&self) -> usize {
-        self.links.values().map(|l| l.inflight.len()).sum()
+        let live = |l: &LinkState<B>| l.inflight.iter().flatten().count();
+        self.links.iter().map(live).sum()
     }
 
     /// The cumulative per-run tallies.
@@ -470,29 +522,6 @@ mod tests {
             max_rto: SimDuration::from_millis(4),
             max_retries: 2,
         }
-    }
-
-    /// The link table's hasher must tell apart the keys real clusters
-    /// produce: a 64-node full mesh and a 1024-node star, in both the
-    /// bucket bits (low) and the tag bits (top 7) hashbrown reads.
-    #[test]
-    fn link_hasher_spreads_mesh_and_star_keys() {
-        use std::collections::HashSet;
-        use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<LinkHasher>::default();
-        let mesh = (0..64usize).flat_map(|s| (0..64usize).map(move |d| (s, d)));
-        let star = (64..1024usize).flat_map(|i| [(i, 0), (0, i)]);
-        let hashes: Vec<u64> = mesh.chain(star).map(|key| build.hash_one(key)).collect();
-        let distinct: HashSet<u64> = hashes.iter().copied().collect();
-        assert_eq!(
-            distinct.len(),
-            hashes.len(),
-            "no two links collide outright"
-        );
-        let buckets: HashSet<u64> = hashes.iter().map(|h| h & 0xfff).collect();
-        assert!(buckets.len() > 2500, "low bits spread: {}", buckets.len());
-        let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
-        assert_eq!(tags.len(), 128, "every tag value occurs");
     }
 
     #[test]

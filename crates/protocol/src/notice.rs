@@ -227,6 +227,13 @@ impl NoticeBoard {
         }
     }
 
+    /// Whether the notice of `origin`'s interval `seq` for `page` is on
+    /// the board, applied or not.
+    pub fn knows(&self, page: PageId, origin: usize, seq: u32) -> bool {
+        self.page(page)
+            .is_some_and(|notices| notices.find(origin as u32, seq).is_some())
+    }
+
     /// Whether the diff of `origin`'s interval `seq` has already been
     /// applied to the local copy of `page`. Re-applying an old diff
     /// after newer ones is unsound (diffs are byte-sparse), so

@@ -1,8 +1,9 @@
 //! The steady state stays off the allocator: a warmed event queue
-//! pops and pushes without allocating at all, every suite kernel
-//! runs within a budget of allocator calls per simulated event, a
-//! checkpoint allocates its bytes at most once, and a corrupt one is
-//! rejected before it allocates.
+//! pops and pushes without allocating at all, and neither does a
+//! warmed reliable transport; a 1024-node star's link table stays
+//! small; every suite kernel runs within a budget of allocator calls
+//! per simulated event, a checkpoint allocates its bytes at most once,
+//! and a corrupt one is rejected before it allocates.
 //!
 //! Counting needs a `#[global_allocator]`, and implementing
 //! `GlobalAlloc` is `unsafe`: the impl below is the repository's one
@@ -17,6 +18,7 @@ use std::cell::Cell;
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocator call that hands out `bytes` bytes.
@@ -25,22 +27,31 @@ fn count(bytes: usize) {
     let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
+/// Moves this thread's live byte count by `delta`.
+fn hold(delta: i64) {
+    let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+}
+
 struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -52,7 +63,10 @@ mod common;
 
 use common::base;
 use rsdsm::apps::{Benchmark, Scale};
-use rsdsm::core::{Checkpoint, CheckpointError, PersistConfig, RecoveryConfig, RecoveryStats};
+use rsdsm::core::{
+    Checkpoint, CheckpointError, PersistConfig, RecoveryConfig, RecoveryStats, Recv, TimeoutAction,
+    Transport, TransportConfig,
+};
 use rsdsm::oracle::Technique;
 use rsdsm::protocol::VectorClock;
 use rsdsm::simnet::{DetRng, EventQueue, SimDuration, SimTime};
@@ -66,6 +80,11 @@ fn calls() -> u64 {
 /// Bytes those calls handed out (a `realloc` counts its new size).
 fn bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+/// Bytes this thread allocated and has not freed.
+fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// The engine's delta mix (`rsdsm_bench::queue_replay`): arrivals,
@@ -104,6 +123,69 @@ fn a_warm_event_queue_pops_and_pushes_without_allocating() {
         cycle(&mut queue);
     }
     assert_eq!(calls() - before, 0, "a warm wheel allocates nothing");
+}
+
+/// A link's frames move through a ring that a warm link reuses: a
+/// send, its ack (here out of order: each pair of frames is acked
+/// second first), the stale retry timer and the receiver's in-order
+/// delivery allocate nothing once every link has seen its window.
+#[test]
+fn a_warm_transport_registers_acks_and_times_out_without_allocating() {
+    // Frames in flight per link when each is acked.
+    const WINDOW: u64 = 8;
+    let links = [(0, 1), (1, 0), (2, 0), (0, 2)];
+    let mut transport: Transport<u64> = Transport::new(TransportConfig::default());
+    let mut now = SimTime::ZERO;
+    let step = |transport: &mut Transport<u64>, now: &mut SimTime| {
+        for (src, dst) in links {
+            *now += SimDuration::from_micros(20);
+            let (seq, _rto) = transport.register(src, dst, 0, *now);
+            let delivered = transport.receive(src, dst, seq, 0);
+            assert!(matches!(delivered, Recv::Deliver(_)));
+            transport.note_ack_sent();
+            if let Some(acked) = (seq ^ 1).checked_sub(WINDOW) {
+                transport.on_ack(src, dst, acked, *now);
+                let stale = transport.on_timeout(src, dst, acked);
+                assert!(matches!(stale, TimeoutAction::Cancelled));
+            }
+        }
+    };
+    for _ in 0..10_000 {
+        step(&mut transport, &mut now);
+    }
+    let before = calls();
+    for _ in 0..100_000 {
+        step(&mut transport, &mut now);
+    }
+    assert_eq!(calls() - before, 0, "a warm transport allocates nothing");
+    assert_eq!(transport.inflight_frames(), links.len() * WINDOW as usize);
+}
+
+/// The link table of a 1024-node star — every node sends to node 0
+/// and node 0 to every node, one acked frame each way — holds what its
+/// 2 046 links need and no square of the cluster. Measured when the
+/// bound was set: 540 348 B, about 264 B a link (its state and a
+/// four-slot ring). A table indexed by (src, dst) in full would hold
+/// 1024 × 1024 slots: 4 MiB even at 4 B a slot, and ~90 MiB at a
+/// link's state a slot.
+#[test]
+fn a_1024_node_star_keeps_its_link_table_small() {
+    const NODES: usize = 1024;
+    const BOUND: i64 = 1 << 20;
+    let before = live();
+    let mut transport: Transport<u64> = Transport::new(TransportConfig::default());
+    let now = SimTime::ZERO;
+    for node in 1..NODES {
+        for (src, dst) in [(node, 0), (0, node)] {
+            let (seq, _rto) = transport.register(src, dst, 0, now);
+            let delivered = transport.receive(src, dst, seq, 0);
+            assert!(matches!(delivered, Recv::Deliver(_)));
+            transport.on_ack(src, dst, seq, now + SimDuration::from_micros(50));
+        }
+    }
+    let held = live() - before;
+    println!("a {NODES}-node star's transport holds {held} B");
+    assert!(held < BOUND, "{held} B held, bound {BOUND} B");
 }
 
 /// Allocator calls per simulated event of each suite kernel at
