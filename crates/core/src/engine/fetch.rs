@@ -924,8 +924,8 @@ mod tests {
         let mut heap = Heap::new(2);
         let _v: crate::heap::SharedVec<u64> = heap.alloc(512, HomePolicy::Single(0));
         let nodes = vec![
-            NodeState::new(0, 2, 1, NodeMem::new(1, |_| true)),
-            NodeState::new(1, 2, 1, NodeMem::new(1, |_| false)),
+            NodeState::new(0, 2, NodeMem::new(1, |_| true)),
+            NodeState::new(1, 2, NodeMem::new(1, |_| false)),
         ];
         (heap, nodes)
     }

@@ -363,7 +363,7 @@ impl<'a> Core<'a> {
         let nodes = (0..cfg.nodes)
             .map(|n| {
                 let mem = NodeMem::new(total_pages, |p| heap.home(PageId::new(p as u32)) == n);
-                let mut ns = NodeState::new(n, cfg.nodes, tpn, mem);
+                let mut ns = NodeState::new(n, cfg.nodes, mem);
                 ns.prefetcher = Prefetcher::for_config(&cfg.prefetch, tpn);
                 ns
             })

@@ -14,7 +14,6 @@ use rsdsm_simnet::{FaultStats, Network, NodeId, Reliability, SimDuration, SimTim
 use super::{Core, Event};
 use crate::accounting::Category;
 use crate::config::{DsmConfig, MANAGER};
-use crate::lock::RemoteWaiter;
 use crate::msg::MsgBody;
 use crate::report::{NetSummary, SimError};
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
@@ -374,32 +373,12 @@ impl Core<'_> {
         match body {
             MsgBody::DiffRequest(req) => self.serve_diff_request(n, src, req, end),
             MsgBody::DiffReply(reply) => return self.handle_diff_reply(n, reply, end),
-            MsgBody::LockRequest {
-                lock,
-                requester,
-                vc,
-            } => self.on_lock_request(
-                n,
-                *lock,
-                RemoteWaiter {
-                    node: *requester,
-                    vc: vc.clone(),
-                },
-                end,
-            ),
-            MsgBody::LockForward {
-                lock,
-                requester,
-                vc,
-            } => self.on_lock_forward(
-                n,
-                *lock,
-                RemoteWaiter {
-                    node: *requester,
-                    vc: vc.clone(),
-                },
-                end,
-            ),
+            MsgBody::LockRequest { lock, waiter } => {
+                self.on_lock_request(n, *lock, waiter.clone(), end)
+            }
+            MsgBody::LockForward { lock, waiter } => {
+                self.on_lock_forward(n, *lock, waiter.clone(), end)
+            }
             MsgBody::LockGrant {
                 lock,
                 intervals,

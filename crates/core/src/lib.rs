@@ -38,7 +38,6 @@
 #![warn(unreachable_pub)]
 
 mod accounting;
-mod barrier;
 mod checkpoint;
 mod codec;
 mod conductor;

@@ -251,6 +251,18 @@ pub(crate) struct DiffReply {
     pub intervals: Vec<Arc<IntervalRecord>>,
 }
 
+/// An acquire request on its way to the token: the requesting node
+/// and its clock. It travels whole from the acquirer through the
+/// manager and every forward to the holder's queue, and the holder's
+/// grant reads the clock to select the notices to piggyback.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RemoteWaiter {
+    /// The requesting node.
+    pub node: NodeId,
+    /// The requester's vector clock.
+    pub vc: VectorClock,
+}
+
 /// Message bodies of the DSM protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum MsgBody {
@@ -262,21 +274,16 @@ pub(crate) enum MsgBody {
     LockRequest {
         /// The lock.
         lock: LockId,
-        /// The acquiring node.
-        requester: NodeId,
-        /// The acquirer's vector clock, so the granter can select the
-        /// write notices the acquirer lacks.
-        vc: VectorClock,
+        /// The acquirer.
+        waiter: RemoteWaiter,
     },
     /// Manager (or stale owner) forwarding an acquire request toward
     /// the current token holder.
     LockForward {
         /// The lock.
         lock: LockId,
-        /// The acquiring node.
-        requester: NodeId,
-        /// The acquirer's vector clock.
-        vc: VectorClock,
+        /// The acquirer.
+        waiter: RemoteWaiter,
     },
     /// The token plus piggybacked write notices, sent by the previous
     /// holder directly to the new one.
@@ -352,7 +359,9 @@ impl MsgBody {
                         + base.as_ref().map_or(0, BasePayload::wire_bytes)
                         + records(intervals)
                 }
-                MsgBody::LockRequest { vc, .. } | MsgBody::LockForward { vc, .. } => 4 * vc.len(),
+                MsgBody::LockRequest { waiter, .. } | MsgBody::LockForward { waiter, .. } => {
+                    4 * waiter.vc.len()
+                }
                 MsgBody::LockGrant { intervals, vc, .. }
                 | MsgBody::BarrierArrive { intervals, vc, .. }
                 | MsgBody::BarrierRelease { intervals, vc, .. } => {
@@ -449,8 +458,7 @@ mod tests {
         assert_eq!(pf.class().label(), "prefetch_request");
         let normal = MsgBody::LockRequest {
             lock: LockId(0),
-            requester: 1,
-            vc: vc(),
+            waiter: RemoteWaiter { node: 1, vc: vc() },
         };
         assert!(!normal.droppable(&cfg));
         assert_eq!(normal.class().label(), "lock_request");

@@ -3,7 +3,7 @@
 //! [`NodeState`] is everything the engine keeps for one node but its
 //! CPU (whose scheduling state is `engine/sched.rs`'s): vector clock,
 //! notice board, diff storage, one [`PageRecord`] per page with
-//! something in flight or cached ahead, locks, barriers, accounting —
+//! something in flight or cached ahead, locks, accounting —
 //! and the node's memory, [`NodeMem`]: the part application threads
 //! touch directly on the fast path (page data, validity, twins, and the
 //! two prefetch facts a thread checks before it bothers the engine).
@@ -25,7 +25,6 @@ use rsdsm_protocol::{Diff, IntervalLog, NoticeBoard, Page, PageId, PagePool, Vec
 use rsdsm_simnet::{NodeId, SimTime};
 
 use crate::accounting::NodeAccount;
-use crate::barrier::NodeBarrier;
 use crate::engine::prefetch::Prefetcher;
 use crate::lock::LockTable;
 use crate::msg::{wire_enum, BasePayload, DiffPayload, IntervalRecord};
@@ -347,9 +346,6 @@ pub(crate) struct NodeState {
     /// module can scan the log. Records are immutable and shared with
     /// the messages that carried them and every other node's log.
     known_intervals: IntervalLog,
-    /// Vector clock at the last barrier release (bounds what must be
-    /// sent to the barrier manager).
-    pub last_release_vc: VectorClock,
     /// One record per page with something in flight or cached ahead;
     /// see [`PageRecord`] for when an entry exists.
     pub records: HashMap<PageId, PageRecord>,
@@ -357,8 +353,6 @@ pub(crate) struct NodeState {
     pub prefetcher: Prefetcher,
     /// Lock state.
     pub locks: LockTable,
-    /// Barrier local-combining state.
-    pub barrier: NodeBarrier,
     /// CPU time account.
     pub account: NodeAccount,
     /// Page faults and remote misses.
@@ -377,9 +371,8 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
-    /// Fresh state for node `id` of `nodes`, with `threads_on_node`
-    /// application threads and `mem` as its memory.
-    pub(crate) fn new(id: NodeId, nodes: usize, threads_on_node: usize, mem: NodeMem) -> Self {
+    /// Fresh state for node `id` of `nodes`, with `mem` as its memory.
+    pub(crate) fn new(id: NodeId, nodes: usize, mem: NodeMem) -> Self {
         NodeState {
             id,
             mem,
@@ -389,11 +382,9 @@ impl NodeState {
             own_diffs: HashMap::new(),
             own_diff_bytes: 0,
             known_intervals: IntervalLog::new(),
-            last_release_vc: VectorClock::new(nodes),
             records: HashMap::new(),
             prefetcher: Prefetcher::Off,
             locks: LockTable::new(id, nodes),
-            barrier: NodeBarrier::new(threads_on_node),
             account: NodeAccount::new(),
             misses: MissSummary::default(),
             lock_stats: SyncSummary::default(),
@@ -597,7 +588,7 @@ mod tests {
 
     #[test]
     fn learn_interval_dedupes() {
-        let mut n = NodeState::new(0, 2, 1, NodeMem::default());
+        let mut n = NodeState::new(0, 2, NodeMem::default());
         let rec = record(1, 1, 2);
         assert!(n.learn_interval(&rec));
         assert!(!n.learn_interval(&rec));
@@ -608,7 +599,7 @@ mod tests {
 
     #[test]
     fn intervals_unknown_to_filters_by_domination() {
-        let mut n = NodeState::new(0, 2, 1, NodeMem::default());
+        let mut n = NodeState::new(0, 2, NodeMem::default());
         n.learn_interval(&record(1, 1, 2));
         n.learn_interval(&record(1, 2, 2));
         let mut knows_one = VectorClock::new(2);
@@ -622,7 +613,7 @@ mod tests {
 
     #[test]
     fn own_and_per_page_views_of_the_log() {
-        let mut n = NodeState::new(1, 2, 1, NodeMem::default());
+        let mut n = NodeState::new(1, 2, NodeMem::default());
         n.learn_interval(&record(0, 1, 2));
         n.learn_interval(&record(1, 1, 2));
         n.learn_interval(&record(1, 2, 2));

@@ -37,7 +37,7 @@
 //! Nothing is hashed and, on a coherent run, nothing is allocated.
 //!
 //! This is exact, not sampled, because of one rule: **a lock's
-//! `has_token` is writable only inside `lock.rs` and a node's clock
+//! `Token` is writable only inside `lock.rs` and a node's clock
 //! only inside `node.rs`, and every such write bumps a counter**
 //! ([`LockTable::token_moves`](crate::lock::LockTable::token_moves),
 //! [`NodeState::clock_version`]). A state the counters call unchanged
@@ -370,7 +370,8 @@ impl OracleState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lock::{ForwardOutcome, ReleaseOutcome, RemoteWaiter};
+    use crate::lock::{ForwardOutcome, ReleaseOutcome};
+    use crate::msg::RemoteWaiter;
     use crate::node::NodeMem;
     use proptest::prelude::*;
     use rsdsm_simnet::fnv1a;
@@ -399,7 +400,7 @@ mod tests {
 
     fn cluster(n: usize) -> Vec<NodeState> {
         (0..n)
-            .map(|id| NodeState::new(id, n, 1, NodeMem::default()))
+            .map(|id| NodeState::new(id, n, NodeMem::default()))
             .collect()
     }
 
@@ -489,7 +490,7 @@ mod tests {
 
     /// Grants `lock`'s token to `to` although nobody gave it up.
     fn forge_grant(nodes: &mut [NodeState], to: NodeId, lock: LockId) {
-        nodes[to].locks.handle_grant(lock);
+        nodes[to].locks.forge_token(lock);
     }
 
     #[test]
@@ -584,7 +585,6 @@ mod tests {
         Acquire,
         Release,
         Forward,
-        TakeRemote,
         ForgeGrant,
         Tick,
         Join,
@@ -592,7 +592,7 @@ mod tests {
         Quiet,
     }
 
-    const STEPS: [Step; 16] = [
+    const STEPS: [Step; 15] = [
         Step::Acquire,
         Step::Acquire,
         Step::Acquire,
@@ -602,7 +602,6 @@ mod tests {
         Step::Forward,
         Step::Forward,
         Step::Forward,
-        Step::TakeRemote,
         Step::Tick,
         Step::Join,
         Step::Quiet,
@@ -615,10 +614,11 @@ mod tests {
 
     /// Delivers a token a lock table decided to pass on (the engine
     /// would send a `LockGrant`), unless a forgery already put one
-    /// there.
+    /// there. The random traffic below grants to nodes that never
+    /// asked, so the token is forged in rather than granted.
     fn deliver(nodes: &mut [NodeState], lock: LockId, to: NodeId) {
         if !nodes[to].locks.has_token(lock) {
-            nodes[to].locks.handle_grant(lock);
+            forge_grant(nodes, to, lock);
         }
     }
 
@@ -665,11 +665,6 @@ mod tests {
                         if let ForwardOutcome::Grant(w) =
                             nodes[node].locks.handle_forward(lock, waiter)
                         {
-                            deliver(&mut nodes, lock, w.node);
-                        }
-                    }
-                    Step::TakeRemote => {
-                        if let Some(w) = nodes[node].locks.take_remote_if_free(lock) {
                             deliver(&mut nodes, lock, w.node);
                         }
                     }
@@ -726,7 +721,7 @@ mod tests {
                 };
                 let granted = nodes[from].locks.handle_forward(lock, waiter);
                 assert!(matches!(granted, ForwardOutcome::Grant(_)), "token is free");
-                nodes[to].locks.handle_grant(lock);
+                forge_grant(&mut nodes, to, lock);
                 st.check_event(&nodes, SimTime::from_nanos(step as u64));
                 assert!(st.violations.is_empty(), "n {n}: move {step}");
             }

@@ -505,14 +505,16 @@ impl<B: Clone> Transport<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::LockId;
+    use crate::msg::{LockId, RemoteWaiter};
     use rsdsm_protocol::VectorClock;
 
     fn body(tag: u32) -> MsgBody {
         MsgBody::LockRequest {
             lock: LockId(tag),
-            requester: 0,
-            vc: VectorClock::new(2),
+            waiter: RemoteWaiter {
+                node: 0,
+                vc: VectorClock::new(2),
+            },
         }
     }
 

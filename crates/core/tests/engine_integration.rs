@@ -1,8 +1,10 @@
-//! Integration tests driving the full DSM engine with small programs.
+//! Integration tests driving the full DSM engine with small programs,
+//! written as tasks (`tests/task_backing.rs` covers the OS-thread
+//! backing).
 
 use rsdsm_core::{
-    BarrierId, Category, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, LockId, PrefetchConfig,
-    SharedVec, SimError, Simulation, ThreadConfig, VerifyCtx,
+    BarrierId, Category, DsmConfig, DsmTask, Heap, HomePolicy, LockId, PrefetchConfig, SharedVec,
+    SimError, Simulation, TaskCtx, ThreadConfig, VerifyCtx,
 };
 use rsdsm_simnet::SimDuration;
 
@@ -12,7 +14,7 @@ struct BlockShare {
     elems_per_thread: usize,
 }
 
-impl DsmProgram for BlockShare {
+impl DsmTask for BlockShare {
     type Handles = SharedVec<f64>;
 
     fn name(&self) -> String {
@@ -23,27 +25,27 @@ impl DsmProgram for BlockShare {
         heap.alloc(self.elems_per_thread * 8 * 4, HomePolicy::Blocked)
     }
 
-    fn run(&self, ctx: &mut DsmCtx, data: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, data: &Self::Handles) {
         let t = ctx.thread_id();
         let n = ctx.num_threads();
         let chunk = data.len() / n;
         let vals: Vec<f64> = (0..chunk).map(|i| (t * chunk + i) as f64).collect();
-        ctx.write_slice(data, t * chunk, &vals);
-        ctx.barrier(BarrierId(0));
+        ctx.write_slice(data, t * chunk, &vals).await;
+        ctx.barrier(BarrierId(0)).await;
         // Read everything; prefetch annotations cover remote blocks.
         for other in 0..n {
             if other != t {
-                ctx.prefetch(data, other * chunk, (other + 1) * chunk);
+                ctx.prefetch(data, other * chunk, (other + 1) * chunk).await;
             }
         }
         let mut sum = 0.0;
         for other in 0..n {
-            let got = ctx.read_vec(data, other * chunk, chunk);
+            let got = ctx.read_vec(data, other * chunk, chunk).await;
             sum += got.iter().sum::<f64>();
         }
         let expect = (0..data.len()).map(|i| i as f64).sum::<f64>();
         assert!((sum - expect).abs() < 1e-6, "thread {t} read wrong data");
-        ctx.barrier(BarrierId(1));
+        ctx.barrier(BarrierId(1)).await;
     }
 
     fn verify(&self, mem: &VerifyCtx, data: &Self::Handles) -> bool {
@@ -56,7 +58,7 @@ struct LockCounter {
     rounds: usize,
 }
 
-impl DsmProgram for LockCounter {
+impl DsmTask for LockCounter {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -67,15 +69,15 @@ impl DsmProgram for LockCounter {
         heap.alloc(8, HomePolicy::Single(0))
     }
 
-    fn run(&self, ctx: &mut DsmCtx, counter: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, counter: &Self::Handles) {
         for _ in 0..self.rounds {
-            ctx.acquire(LockId(3));
-            let v = ctx.read(counter, 0);
+            ctx.acquire(LockId(3)).await;
+            let v = ctx.read(counter, 0).await;
             ctx.compute(SimDuration::from_micros(5));
-            ctx.write(counter, 0, v + 1);
-            ctx.release(LockId(3));
+            ctx.write(counter, 0, v + 1).await;
+            ctx.release(LockId(3)).await;
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
     }
 
     fn verify(&self, mem: &VerifyCtx, counter: &Self::Handles) -> bool {
@@ -87,7 +89,7 @@ impl DsmProgram for LockCounter {
 /// barriers — the multiple-writer protocol must merge their diffs.
 struct FalseSharing;
 
-impl DsmProgram for FalseSharing {
+impl DsmTask for FalseSharing {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -98,15 +100,16 @@ impl DsmProgram for FalseSharing {
         heap.alloc(512, HomePolicy::Single(0)) // exactly one page of u64
     }
 
-    fn run(&self, ctx: &mut DsmCtx, page: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, page: &Self::Handles) {
         let t = ctx.thread_id();
         if t < 2 {
             let half = 256;
             for i in 0..half {
-                ctx.write(page, t * half + i, (t as u64 + 1) * 1000 + i as u64);
+                ctx.write(page, t * half + i, (t as u64 + 1) * 1000 + i as u64)
+                    .await;
             }
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
         // Everyone validates the merged page.
         for i in 0..512 {
             let expect = if i < 256 {
@@ -114,9 +117,9 @@ impl DsmProgram for FalseSharing {
             } else {
                 2000 + (i - 256) as u64
             };
-            assert_eq!(ctx.read(page, i), expect, "thread {t} index {i}");
+            assert_eq!(ctx.read(page, i).await, expect, "thread {t} index {i}");
         }
-        ctx.barrier(BarrierId(1));
+        ctx.barrier(BarrierId(1)).await;
     }
 
     fn verify(&self, mem: &VerifyCtx, page: &Self::Handles) -> bool {
@@ -134,7 +137,7 @@ impl DsmProgram for FalseSharing {
 /// A program whose thread 1 never reaches the barrier.
 struct Lopsided;
 
-impl DsmProgram for Lopsided {
+impl DsmTask for Lopsided {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -145,9 +148,9 @@ impl DsmProgram for Lopsided {
         heap.alloc(1, HomePolicy::Single(0))
     }
 
-    fn run(&self, ctx: &mut DsmCtx, _h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, _h: &Self::Handles) {
         if ctx.thread_id() == 0 {
-            ctx.barrier(BarrierId(0));
+            ctx.barrier(BarrierId(0)).await;
         }
     }
 }
@@ -155,7 +158,7 @@ impl DsmProgram for Lopsided {
 /// A program that panics on one thread.
 struct Panicky;
 
-impl DsmProgram for Panicky {
+impl DsmTask for Panicky {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -166,11 +169,11 @@ impl DsmProgram for Panicky {
         heap.alloc(1, HomePolicy::Single(0))
     }
 
-    fn run(&self, ctx: &mut DsmCtx, _h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, _h: &Self::Handles) {
         if ctx.thread_id() == 1 {
             panic!("deliberate test panic");
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
     }
 }
 

@@ -258,7 +258,6 @@ pub struct Network {
     // Empty under the flat bus.
     up_free: Vec<SimTime>,
     down_free: Vec<SimTime>,
-    spine_down: Vec<bool>,
     down: Vec<bool>,
     rng: DetRng,
     stats: NetStats,
@@ -320,25 +319,12 @@ impl Network {
             ingress_free: vec![SimTime::ZERO; nodes],
             up_free: vec![SimTime::ZERO; racks * spines],
             down_free: vec![SimTime::ZERO; racks * spines],
-            spine_down: vec![false; spines],
             down: vec![false; nodes],
             stats: NetStats::new(nodes),
             faults: FaultInjector::new(FaultPlan::none()),
             last_route: Vec::new(),
             cfg,
         }
-    }
-
-    /// Marks a spine switch dead or alive. Cross-rack frames route
-    /// around dead spines; with every spine dead they are dropped
-    /// (intra-rack traffic is unaffected). No-op on the flat bus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spine` is out of range for the topology.
-    pub fn set_spine_down(&mut self, spine: usize, down: bool) {
-        assert!(spine < self.spine_down.len(), "spine id out of range");
-        self.spine_down[spine] = down;
     }
 
     /// The hop-by-hop charges of the most recent delivered frame
@@ -507,19 +493,8 @@ impl Network {
         }
         let spines = topo.spines();
         let (rs, rd) = (topo.rack_of(src), topo.rack_of(dst));
-        // Deterministic, symmetric spine choice; dead spines are
-        // routed around in preference order.
-        let preferred = topo.spine_for(rs, rd).expect("fabric routes cross a spine");
-        let Some(spine) = (0..spines)
-            .map(|i| (preferred + i) % spines)
-            .find(|&s| !self.spine_down[s])
-        else {
-            // With every spine dead the frame leaves the host and dies
-            // at the ToR, which has nowhere to forward it.
-            self.cross(now, [egress], reliability);
-            self.last_route.clear();
-            return None;
-        };
+        // Deterministic, symmetric spine choice.
+        let spine = topo.spine_for(rs, rd).expect("fabric routes cross a spine");
         let trunk_tx = topo.trunk_tx_time(self.cfg.bandwidth_bps, wire_bytes * 8);
         let up = (Link::Up(rs * spines + spine), trunk_tx);
         let down = (Link::Down(rd * spines + spine), trunk_tx);

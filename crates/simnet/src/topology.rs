@@ -90,7 +90,7 @@ impl Topology {
         self.rack_of(src) == self.rack_of(dst)
     }
 
-    /// The spine a cross-rack frame between these racks prefers.
+    /// The spine a cross-rack frame between these racks crosses.
     /// Symmetric in its arguments so a route and its reverse share a
     /// spine (and therefore a hop count and base latency).
     pub fn spine_for(&self, rack_a: usize, rack_b: usize) -> Option<usize> {

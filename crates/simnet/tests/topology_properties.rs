@@ -1,7 +1,8 @@
-//! Property-based tests of the rack-and-spine fabric: route symmetry,
-//! per-link charge conservation, dead-spine and partition behaviour,
-//! and the directory home assignment (via the dev-only `rsdsm-core`
-//! cycle, as in `transport_delivery.rs`).
+//! Property-based tests of the rack-and-spine fabric: route symmetry
+//! (which also holds every reliable frame to delivery, over 2 links
+//! inside a rack and 4 across), per-link charge conservation,
+//! partition behaviour, and the directory home assignment (via the
+//! dev-only `rsdsm-core` cycle, as in `transport_delivery.rs`).
 //!
 //! The vendored proptest shim has no `prop_map`/`prop_assume`, so
 //! fabrics are built from raw `(rack, spines, oversub)` draws in each
@@ -94,34 +95,6 @@ proptest! {
                 arrival,
                 "hop charges must sum to the frame's latency"
             );
-        }
-    }
-
-    /// Dead spines: a cross-rack frame is delivered exactly when some
-    /// spine is still up (routing around the dead ones), and dropped —
-    /// with an empty route — when the whole spine layer is down.
-    /// Intra-rack traffic never touches a spine and never notices.
-    #[test]
-    fn frames_never_cross_a_dead_spine_layer(
-        shape in (1usize..9, 1usize..5, 1u32..9),
-        nodes in 2usize..33,
-        dead in prop::collection::vec(any::<bool>(), 4),
-        draws in (0usize..32, 0usize..32),
-    ) {
-        let topology = Topology::rack_spine(shape.0, shape.1, shape.2);
-        let (src, dst) = pair(nodes, draws.0, draws.1);
-        let mut net = fabric_net(nodes, topology);
-        let spines = topology.spines();
-        for s in 0..spines {
-            net.set_spine_down(s, dead[s % dead.len()]);
-        }
-        let any_up = (0..spines).any(|s| !dead[s % dead.len()]);
-        let out = net.send(SimTime::ZERO, src, dst, 512, Reliability::Reliable, "t");
-        if topology.same_rack(src, dst) || any_up {
-            prop_assert!(out.arrival_time().is_some(), "route around dead spines");
-        } else {
-            prop_assert!(out.arrival_time().is_none(), "no path, no delivery");
-            prop_assert!(net.last_route().is_empty(), "dropped frames charge no hops");
         }
     }
 
