@@ -11,6 +11,8 @@
 //! * `diff_between` — the word-at-a-time bitmap scan vs the
 //!   byte-at-a-time reference, on sparse, dense and `f64`-per-word
 //!   pages.
+//! * `diff_apply` — the line-at-a-time masked blend vs copying the
+//!   diff's runs into place one at a time, on the same pages.
 //! * `queue_replay` — the timing-wheel event queue vs the binary-heap
 //!   reference on a million-event RADIX-shaped schedule.
 //! * `checkpoint_check` — the persistence device's word-wise check
@@ -27,12 +29,12 @@ use std::time::Instant;
 use rsdsm_bench::json::Json;
 use rsdsm_bench::{diff_shapes, queue_replay, ExpOpts};
 use rsdsm_core::{fnv1a, Checkpoint, CommitRecord, PageImage};
-use rsdsm_protocol::{Diff, VectorClock};
+use rsdsm_protocol::{Diff, Page, VectorClock};
 use rsdsm_simnet::{EventQueue, HeapQueue};
 
 /// One measured quantity, reported in nanoseconds.
 struct Sample {
-    name: &'static str,
+    name: String,
     /// Mean wall-clock per iteration, nanoseconds.
     nanos: f64,
     iters: u64,
@@ -57,59 +59,103 @@ fn median(mut ratios: Vec<f64>) -> f64 {
     ratios[ratios.len() / 2]
 }
 
+/// An optimized path and its reference, timed interleaved.
+struct Pair {
+    /// Each side's best round, ns/iter.
+    fast: f64,
+    slow: f64,
+    /// The median of the per-round `slow / fast` ratios.
+    ratio: f64,
+    /// Iterations each side ran.
+    iters: u64,
+}
+
+impl Pair {
+    /// Rows `{stem}_ns`, `{stem}_reference_ns` and `{stem}_speedup`.
+    fn record(self, samples: &mut Vec<Sample>, ratios: &mut Vec<(String, f64)>, stem: &str) {
+        for (suffix, nanos) in [("", self.fast), ("_reference", self.slow)] {
+            samples.push(Sample {
+                name: format!("{stem}{suffix}_ns"),
+                nanos,
+                iters: self.iters,
+            });
+        }
+        ratios.push((format!("{stem}_speedup"), self.ratio));
+    }
+}
+
+/// Times `new` and `reference` for `rounds` rounds of `iters`
+/// iterations each, alternating within every round.
+fn interleaved<A, B>(
+    iters: u64,
+    rounds: usize,
+    mut new: impl FnMut() -> A,
+    mut reference: impl FnMut() -> B,
+) -> Pair {
+    let (mut fast, mut slow) = (f64::INFINITY, f64::INFINITY);
+    let mut round_ratios = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let (n, r) = (time(iters, &mut new), time(iters, &mut reference));
+        fast = fast.min(n);
+        slow = slow.min(r);
+        round_ratios.push(r / n);
+    }
+    Pair {
+        fast,
+        slow,
+        ratio: median(round_ratios),
+        iters: iters * rounds as u64,
+    }
+}
+
+/// `Diff::apply` a run at a time: each of [`Diff::runs`] copied into
+/// place — how a diff kept as a run list is applied.
+fn apply_runs(diff: &Diff, page: &mut Page) {
+    let bytes = page.bytes_mut();
+    for (offset, run) in diff.runs() {
+        bytes[offset..offset + run.len()].copy_from_slice(run);
+    }
+}
+
 fn main() {
     let opts = ExpOpts::parse(ExpOpts::default(), "perf [--bench-json PATH]", |_, _| {
         Ok(false)
     });
     let mut samples: Vec<Sample> = Vec::new();
-    let mut ratios: Vec<(&'static str, f64)> = Vec::new();
+    let mut ratios: Vec<(String, f64)> = Vec::new();
 
-    // --- Diff::between: bitmap scan vs byte-at-a-time reference ---
-    // Both scans run interleaved, round by round, so whatever disturbs
+    // --- Diff::between and Diff::apply against their references ---
+    // Each pair runs interleaved, round by round, so whatever disturbs
     // the machine disturbs both: the best round is each side's time,
     // the median of the per-round ratios the speedup CI gates.
-    for (label_new, label_ref, label_ratio, (twin, current)) in [
-        (
-            "diff_between_sparse_ns",
-            "diff_between_sparse_reference_ns",
-            "diff_between_sparse_speedup",
-            diff_shapes::strided(256),
-        ),
-        (
-            "diff_between_dense_ns",
-            "diff_between_dense_reference_ns",
-            "diff_between_dense_speedup",
-            diff_shapes::strided(8),
-        ),
-        (
-            "diff_between_f64_ns",
-            "diff_between_f64_reference_ns",
-            "diff_between_f64_speedup",
-            diff_shapes::f64_words(),
-        ),
+    for (shape, (twin, current)) in [
+        ("sparse", diff_shapes::strided(256)),
+        ("dense", diff_shapes::strided(8)),
+        ("f64", diff_shapes::f64_words()),
     ] {
-        let iters = 1_000;
-        let rounds = 9;
-        let (mut fast, mut slow) = (f64::INFINITY, f64::INFINITY);
-        let mut round_ratios = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            let new = time(iters, || Diff::between(&twin, &current));
-            let reference = time(iters, || Diff::between_reference(&twin, &current));
-            fast = fast.min(new);
-            slow = slow.min(reference);
-            round_ratios.push(reference / new);
+        let between = interleaved(
+            1_000,
+            9,
+            || Diff::between(&twin, &current),
+            || Diff::between_reference(&twin, &current),
+        );
+        let diff = Diff::between(&twin, &current);
+        let (mut page, mut reference_page) = (twin.clone(), twin.clone());
+        // An apply takes about a tenth of a scan's time, so its rounds
+        // run ten times the iterations to last as long.
+        let apply = interleaved(
+            10_000,
+            9,
+            || diff.apply(&mut page),
+            || apply_runs(&diff, &mut reference_page),
+        );
+        assert_eq!(
+            page, reference_page,
+            "apply and the run-at-a-time apply diverged"
+        );
+        for (op, pair) in [("between", between), ("apply", apply)] {
+            pair.record(&mut samples, &mut ratios, &format!("diff_{op}_{shape}"));
         }
-        samples.push(Sample {
-            name: label_new,
-            nanos: fast,
-            iters: iters * rounds as u64,
-        });
-        samples.push(Sample {
-            name: label_ref,
-            nanos: slow,
-            iters: iters * rounds as u64,
-        });
-        ratios.push((label_ratio, median(round_ratios)));
     }
 
     // --- The device check vs byte FNV-1a, over a persisted image ---
@@ -129,27 +175,23 @@ fn main() {
         tokens: Vec::new(),
     }
     .encode_segmented();
-    let (iters, rounds) = (200, 9);
-    let (mut fast, mut slow) = (f64::INFINITY, f64::INFINITY);
-    let mut round_ratios = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let new = time(iters, || CommitRecord::for_payload(4, 1, &image));
-        let reference = time(iters, || fnv1a(&image));
-        fast = fast.min(new);
-        slow = slow.min(reference);
-        round_ratios.push(reference / new);
-    }
-    for (name, nanos) in [
-        ("checkpoint_check_64pages_ns", fast),
-        ("checkpoint_fnv1a_64pages_ns", slow),
-    ] {
-        samples.push(Sample {
-            name,
-            nanos,
-            iters: iters * rounds as u64,
-        });
-    }
-    ratios.push(("checkpoint_check_speedup", median(round_ratios)));
+    let check = interleaved(
+        200,
+        9,
+        || CommitRecord::for_payload(4, 1, &image),
+        || fnv1a(&image),
+    );
+    samples.push(Sample {
+        name: "checkpoint_check_64pages_ns".into(),
+        nanos: check.fast,
+        iters: check.iters,
+    });
+    samples.push(Sample {
+        name: "checkpoint_fnv1a_64pages_ns".into(),
+        nanos: check.slow,
+        iters: check.iters,
+    });
+    ratios.push(("checkpoint_check_speedup".into(), check.ratio));
 
     // --- Event-queue replay: timing wheel vs binary-heap reference ---
     // A million-step RADIX-shaped schedule (see
@@ -212,12 +254,12 @@ fn main() {
     .enumerate()
     {
         samples.push(Sample {
-            name,
+            name: name.into(),
             nanos: best_ns[i],
             iters: 2 * steps * rounds as u64,
         });
     }
-    ratios.push(("queue_replay_speedup", median_ratio));
+    ratios.push(("queue_replay_speedup".into(), median_ratio));
 
     // --- Report ---
     println!("perf:");
@@ -234,10 +276,10 @@ fn main() {
     if let Some(path) = &opts.bench_json {
         let samples = samples
             .iter()
-            .map(|s| (s.name, Json::num(format!("{:.1}", s.nanos))));
+            .map(|s| (s.name.as_str(), Json::num(format!("{:.1}", s.nanos))));
         let ratios = ratios
             .iter()
-            .map(|&(name, ratio)| (name, Json::num(format!("{ratio:.2}"))));
+            .map(|(name, ratio)| (name.as_str(), Json::num(format!("{ratio:.2}"))));
         Json::block(vec![
             ("samples_ns", Json::block(samples.collect())),
             ("speedups", Json::block(ratios.collect())),

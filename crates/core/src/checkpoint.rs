@@ -22,7 +22,9 @@
 //! streams in. A [`Checkpoint`] runs it over its own fields; the
 //! engine runs it over a node's live state, so a checkpoint without
 //! persistence is only measured, and a persisted one copies each page
-//! once, straight into its image.
+//! once, straight into its image. The counter takes a diff's share of
+//! the body from its run count and payload (`Sink::diff_runs`), so
+//! measuring walks no run.
 //!
 //! # Durable two-slot commit protocol
 //!
@@ -110,7 +112,7 @@ pub struct DiffRecord {
     pub page: u32,
     /// The creator's vector-clock element when the interval closed.
     pub seq: u32,
-    /// The run-length-encoded modifications.
+    /// The modifications, written to the image as runs.
     pub diff: Diff,
 }
 
@@ -242,6 +244,11 @@ impl Sink for Len {
     fn put(&mut self, bytes: &[u8]) {
         self.0 += bytes.len();
     }
+
+    /// A diff's runs counted from its totals, without walking them.
+    fn diff_runs(&mut self, diff: &Diff) {
+        self.0 += 4 + 8 * diff.run_count() + diff.payload_bytes();
+    }
 }
 
 /// Lays the segmented image down as the body streams in: the header
@@ -347,12 +354,7 @@ where
         for (page, seq, diff) in self.diffs.clone() {
             out.u32(page);
             out.u32(seq);
-            out.u32(diff.run_count() as u32);
-            for (offset, bytes) in diff.runs() {
-                out.u32(offset as u32);
-                out.u32(bytes.len() as u32);
-                out.put(bytes);
-            }
+            out.diff_runs(diff);
         }
         out.u32(self.intervals.len() as u32);
         for iv in self.intervals {
@@ -457,8 +459,9 @@ impl<'a> NodeCheckpoint<'a> {
         self.state.mem.pages.iter().filter(|e| e.ever_valid).count()
     }
 
-    /// Length of the `RCK1` body, counted without writing it. Order
-    /// does not change a length, so the diffs are counted unsorted.
+    /// Length of the `RCK1` body, counted without writing it: O(1)
+    /// per page and per diff. Order does not change a length, so the
+    /// diffs are counted unsorted.
     pub(crate) fn len(&self) -> usize {
         self.parts(self.diffs()).len()
     }
@@ -539,14 +542,24 @@ impl Checkpoint {
             if runs > c.remaining() / 8 {
                 return Err(CheckpointError::Corrupt("more diff runs than bytes"));
             }
+            // The encoder writes maximal runs, ascending: a run that
+            // is empty, or starts at or before the previous one's end,
+            // is not one of its images.
             let mut collected = Vec::with_capacity(runs);
+            let mut end = None;
             for _ in 0..runs {
                 let offset = c.u32()? as usize;
                 let len = c.u32()? as usize;
                 if offset + len > PAGE_SIZE {
                     return Err(CheckpointError::Corrupt("diff run extends past page"));
                 }
-                collected.push((offset, c.take(len)?.to_vec()));
+                if len == 0 || end.is_some_and(|end| offset <= end) {
+                    return Err(CheckpointError::Corrupt(
+                        "diff runs empty, out of order, overlapping or touching",
+                    ));
+                }
+                end = Some(offset + len);
+                collected.push((offset, c.take(len)?));
             }
             diffs.push(DiffRecord {
                 page,

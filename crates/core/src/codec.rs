@@ -3,6 +3,8 @@
 //! One bounds-checked reader and one writer trait; each format hands
 //! the reader the error it reports when the bytes run out.
 
+use rsdsm_protocol::Diff;
+
 /// Reads fields off the front of a byte string, never past its end.
 pub(crate) struct Cursor<'a, E> {
     /// The bytes not yet read.
@@ -57,6 +59,16 @@ pub(crate) trait Sink {
 
     fn u64(&mut self, v: u64) {
         self.put(&v.to_le_bytes());
+    }
+
+    /// `diff`'s run count, then each run as offset, length and bytes.
+    fn diff_runs(&mut self, diff: &Diff) {
+        self.u32(diff.run_count() as u32);
+        for (offset, bytes) in diff.runs() {
+            self.u32(offset as u32);
+            self.u32(bytes.len() as u32);
+            self.put(bytes);
+        }
     }
 }
 

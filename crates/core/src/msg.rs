@@ -39,9 +39,9 @@ pub(crate) struct DiffPayload {
     pub origin: NodeId,
     /// The interval's timestamp.
     pub stamp: Stamp,
-    /// The run-length-encoded modifications, shared zero-copy with
-    /// the sender's own diff record (cloning a payload bumps a
-    /// refcount, never copies the encoded bytes).
+    /// The modifications, sized on the wire as runs and shared
+    /// zero-copy with the sender's own diff record (cloning a payload
+    /// bumps a refcount, never copies the bytes).
     pub diff: Arc<Diff>,
 }
 

@@ -286,3 +286,49 @@ fn an_impossible_run_count_is_rejected() {
         Err(CheckpointError::Corrupt(_))
     ));
 }
+
+/// Diff runs the encoder never writes are corrupt, not a panic: a
+/// checkpoint holding one diff of two runs, 0..8 and 64..68, with a
+/// run's offset rewritten so that the second overlaps the first,
+/// touches it or comes before it.
+#[test]
+fn diff_runs_out_of_order_are_rejected() {
+    let ckpt = build_checkpoint(
+        0,
+        1,
+        &[0],
+        &[],
+        &[(5, 1, vec![(0, vec![0xAA; 8]), (56, vec![0xBB; 4])])],
+        &[],
+        &[],
+    );
+    let runs: Vec<(usize, usize)> = ckpt.diffs[0]
+        .diff
+        .runs()
+        .map(|(at, b)| (at, b.len()))
+        .collect();
+    assert_eq!(runs, [(0, 8), (64, 4)]);
+    let bytes = ckpt.encode();
+    assert_eq!(Checkpoint::decode(&bytes).as_ref(), Ok(&ckpt));
+    // Where a run's `(offset, length)` header sits in the image.
+    let header = |offset: u32, len: u32| {
+        let header: Vec<u8> = [offset, len].iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes
+            .windows(8)
+            .position(|w| w == header)
+            .expect("a run header")
+    };
+    let (first, second) = (header(0, 8), header(64, 4));
+    for (at, offset, shape) in [
+        (second, 4, "the second run overlaps the first"),
+        (second, 8, "the second run touches the first"),
+        (first, 100, "the second run comes first"),
+    ] {
+        let mut bad = bytes.clone();
+        bad[at..at + 4].copy_from_slice(&u32::to_le_bytes(offset));
+        assert!(
+            matches!(Checkpoint::decode(&bad), Err(CheckpointError::Corrupt(_))),
+            "{shape}"
+        );
+    }
+}

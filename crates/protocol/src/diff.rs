@@ -1,23 +1,26 @@
-//! Twins and run-length-encoded diffs — the multiple-writer protocol.
+//! Twins and diffs — the multiple-writer protocol.
 //!
 //! To avoid the ping-pong effects of false sharing, TreadMarks lets
 //! several processors write the same page concurrently. Before a node
 //! first writes a page in an interval it saves a clean copy (the
 //! *twin*); when another node needs the modifications, the writer
-//! compares the current page against the twin and run-length encodes
-//! the changed bytes into a [`Diff`]. Diffs from different writers of
-//! the same page touch disjoint bytes in race-free programs, so
-//! applying them in any order consistent with happens-before-1 yields
-//! the correct page.
+//! compares the current page against the twin and records the changed
+//! bytes in a [`Diff`]. Diffs from different writers of the same page
+//! touch disjoint bytes in race-free programs, so applying them in any
+//! order consistent with happens-before-1 yields the correct page.
 //!
-//! What the applications' diffs look like decides what creating and
-//! applying one must be good at: hundreds of runs of four to seven
-//! bytes on a page (an `f64` per word whose exponent kept its value),
-//! or nothing at all (a page rewritten with the values it held). So
-//! [`Diff::between`] works a word and a 64-byte line at a time and
-//! sizes its buffers before it fills them, and short runs are copied
-//! without a `memcpy` call — while a run still covers exactly the
-//! bytes that changed.
+//! What the applications' diffs look like decides how one is stored.
+//! A dense LU or OCEAN page changes every `f64` in four to seven bytes
+//! (its top byte or two kept their value): several runs on every
+//! 64-byte line, so a run list pays per run, over and over, for one
+//! changed line. SOR's and WATER's change a line or two of a page, or
+//! nothing at all. So a [`Diff`] keeps each *dirty line* — a line with
+//! a changed byte — whole: its 64 bytes, the unchanged ones zeroed, and
+//! a mask naming the changed ones. Creating, applying and comparing
+//! diffs then costs per dirty line, and the runs the wire format and
+//! the checkpoint image speak of are read off the masks on demand.
+//! Each dirty line costs 72 bytes, so a dense diff is about a third
+//! smaller than its run list and a sparse one larger.
 //!
 //! # Examples
 //!
@@ -28,7 +31,8 @@
 //! let mut current = twin.clone();
 //! current.write_u64(128, 7);
 //! let diff = Diff::between(&twin, &current);
-//! assert!(!diff.is_empty());
+//! assert_eq!((diff.run_count(), diff.payload_bytes()), (1, 1));
+//! assert_eq!(diff.runs().collect::<Vec<_>>(), [(128, &[7u8][..])]);
 //!
 //! let mut other = Page::new();
 //! diff.apply(&mut other);
@@ -39,36 +43,65 @@ use std::fmt;
 
 use crate::page::{Page, PAGE_SIZE};
 
-/// One contiguous run of modified bytes inside a page. The run's
-/// payload lives in [`Diff::payload`], at the position given by the
-/// cumulative lengths of the preceding runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DiffRun {
-    offset: u32,
-    len: u32,
-}
+/// Bytes one word of a changed-byte map covers — one bit each, so a
+/// map word is also one 64-byte cache line of the page.
+const LINE: usize = 64;
 
-/// A run-length-encoded record of the modifications made to one page
-/// during one interval.
+/// Lines in a page: one bit each of [`Diff`]'s line bitmap.
+const LINES: usize = PAGE_SIZE / LINE;
+const _: () = assert!(LINES == u64::BITS as usize, "a page's lines are one u64");
+
+/// The modifications made to one page during one interval, kept as the
+/// page's dirty 64-byte lines.
 ///
-/// Storage is flat: all runs' bytes are concatenated into one payload
-/// buffer, so building a diff costs O(1) allocations regardless of
-/// how fragmented the page's modifications are. (The earlier layout
-/// held one `Vec<u8>` per run, and on write-dense pages those
-/// hundreds of small allocations dominated the diff cost.)
+/// Everything is counted and sized from the page's changed-byte map,
+/// so a diff holds two exactly sized buffers and an empty one none.
+/// The changed bytes form maximal *runs*; their count and total length
+/// are kept, because they are what the diff costs on the wire.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    runs: Vec<DiffRun>,
-    payload: Vec<u8>,
+    /// Bit `i` is set iff line `i` of the page has a changed byte.
+    lines: u64,
+    /// One changed-byte mask per dirty line, in line order: bit `k`
+    /// names the line's byte `k`.
+    masks: Vec<u64>,
+    /// Each dirty line's 64 bytes, in line order. A byte its mask does
+    /// not name is zero, so equal diffs compare equal.
+    bytes: Vec<u8>,
+    /// Changed bytes: the masks' population count.
+    payload: u32,
+    /// Maximal runs of changed bytes.
+    runs: u32,
 }
 
 /// Fixed per-run encoding overhead used for message sizing (offset +
 /// length fields).
 const RUN_HEADER_BYTES: usize = 4;
 
-/// Bytes one word of the changed-byte map covers — one bit each, so a
-/// map word is also one 64-byte cache line of the page.
-const LINE: usize = 64;
+/// `SPREAD[m]` is the word mask of the bytes `m` names: byte `k` is
+/// all ones iff bit `k` of `m` is set. One byte of a line mask turns
+/// into the mask of the line's word it covers.
+static SPREAD: [u64; 256] = {
+    let mut table = [0; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut k = 0;
+        while k < 8 {
+            if m >> k & 1 == 1 {
+                table[m] |= 0xff << (8 * k);
+            }
+            k += 1;
+        }
+        m += 1;
+    }
+    table
+};
+
+/// The word mask of the bytes of word `w` of a line that `mask` names.
+#[inline]
+fn spread(mask: u64, w: usize) -> u64 {
+    SPREAD[(mask >> (8 * w)) as u8 as usize]
+}
 
 /// Folds the XOR of two page words to its non-zero-byte mask: bit `k`
 /// of the result is set iff byte `k` of `x` is non-zero — that is, iff
@@ -86,36 +119,21 @@ fn changed_bytes(x: u64) -> u64 {
     (flags >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
-/// Copies one run's bytes. Runs of at most eight bytes — an `f64` or
-/// `u32` element some of whose bytes changed: 95 % of the runs the
-/// applications produce — move as two overlapping fixed-width
-/// loads/stores instead of a `memcpy` call; still exactly `src.len()`
-/// bytes, so nothing beside the run is touched.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
+/// The indices of `bits`' set bits, ascending.
 #[inline]
-fn copy_run(dst: &mut [u8], src: &[u8]) {
-    let len = src.len();
-    assert_eq!(dst.len(), len, "a run and its destination differ in length");
-    /// Moves the first and the last `N` bytes; covers `N..=2N` bytes.
-    #[inline(always)]
-    fn ends<const N: usize>(dst: &mut [u8], src: &[u8]) {
-        let len = src.len();
-        let (head, tail): ([u8; N], [u8; N]) = (
-            src[..N].try_into().expect("N bytes"),
-            src[len - N..].try_into().expect("N bytes"),
-        );
-        dst[..N].copy_from_slice(&head);
-        dst[len - N..].copy_from_slice(&tail);
-    }
-    match len {
-        4..=8 => ends::<4>(dst, src),
-        2..=3 => ends::<2>(dst, src),
-        1 => dst[0] = src[0],
-        _ => dst.copy_from_slice(src),
-    }
+fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let at = (bits != 0).then(|| bits.trailing_zeros() as usize);
+        bits &= bits.wrapping_sub(1);
+        at
+    })
+}
+
+/// A line's eight little-endian words.
+#[inline]
+fn words(line: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    line.chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
 }
 
 impl Diff {
@@ -126,34 +144,29 @@ impl Diff {
     /// word to a bit per changed byte, building a 64-word map of the
     /// page (a 64-byte line that is clean — the overwhelmingly common
     /// case — costs eight XORs and one compare) and counting its set
-    /// bits and its 0→1 transitions: the payload's and the run list's
-    /// exact sizes. The second walks the map's edges — the bits that
-    /// differ from the bit before them, alternately a run's first byte
-    /// and the byte after its last — and copies each run into buffers
-    /// allocated once at those sizes. An empty diff allocates nothing.
+    /// bits and its 0→1 transitions: the payload and the runs. The
+    /// second copies each dirty line under its mask into buffers
+    /// allocated once at their exact sizes. An empty diff allocates
+    /// nothing.
     ///
-    /// Run boundaries are byte-precise: the diff carries exactly the
-    /// changed bytes and nothing else. That precision is what makes
-    /// concurrent diffs mergeable — in a race-free program different
-    /// writers' changed bytes are disjoint, so their diffs commute. A
-    /// diff that smuggled nearby *unchanged* twin bytes into a run
-    /// could overwrite another writer's concurrent modification with
-    /// stale data when merged.
+    /// The diff is byte-precise: it carries exactly the changed bytes
+    /// and nothing else. That precision is what makes concurrent diffs
+    /// mergeable — in a race-free program different writers' changed
+    /// bytes are disjoint, so their diffs commute. A diff that smuggled
+    /// nearby *unchanged* twin bytes in could overwrite another
+    /// writer's concurrent modification with stale data when merged.
     pub fn between(twin: &Page, current: &Page) -> Self {
         let t: &[u8; PAGE_SIZE] = twin.bytes().try_into().expect("a page of PAGE_SIZE");
         let c: &[u8; PAGE_SIZE] = current.bytes().try_into().expect("a page of PAGE_SIZE");
 
-        let mut map = [0u64; PAGE_SIZE / LINE];
-        let (mut payload_len, mut run_count) = (0, 0);
+        let mut map = [0u64; LINES];
+        let (mut payload, mut runs) = (0, 0);
         // The map bit before the current word's first.
         let mut before = 0;
         let lines = t.chunks_exact(LINE).zip(c.chunks_exact(LINE));
         for (bits, (t_line, c_line)) in map.iter_mut().zip(lines) {
             let mut xor = [0u64; LINE / 8];
-            let words = t_line.chunks_exact(8).zip(c_line.chunks_exact(8));
-            for (x, (t_word, c_word)) in xor.iter_mut().zip(words) {
-                let t_word = u64::from_le_bytes(t_word.try_into().expect("8 bytes"));
-                let c_word = u64::from_le_bytes(c_word.try_into().expect("8 bytes"));
+            for (x, (t_word, c_word)) in xor.iter_mut().zip(words(t_line).zip(words(c_line))) {
                 *x = t_word ^ c_word;
             }
             if xor.iter().fold(0, |any, x| any | x) == 0 {
@@ -163,57 +176,54 @@ impl Diff {
             for (w, &x) in xor.iter().enumerate() {
                 *bits |= changed_bytes(x) << (8 * w);
             }
-            payload_len += bits.count_ones() as usize;
-            run_count += (*bits & !(*bits << 1 | before)).count_ones() as usize;
+            payload += bits.count_ones();
+            runs += (*bits & !(*bits << 1 | before)).count_ones();
             before = *bits >> 63;
         }
-        if payload_len == 0 {
+        Diff::gather(&map, c, payload, runs)
+    }
+
+    /// The diff that writes `src`'s bytes wherever `map` has a bit set;
+    /// `payload` and `runs` are the map's set bits and maximal runs.
+    fn gather(map: &[u64; LINES], src: &[u8; PAGE_SIZE], payload: u32, runs: u32) -> Self {
+        if payload == 0 {
             return Diff::default();
         }
-
-        let mut runs = Vec::with_capacity(run_count);
-        let mut payload = vec![0u8; payload_len];
-        let mut filled = 0;
-        let mut close = |start: usize, end: usize| {
-            let len = end - start;
-            runs.push(DiffRun {
-                offset: start as u32,
-                len: len as u32,
-            });
-            copy_run(&mut payload[filled..filled + len], &c[start..end]);
-            filled += len;
-        };
-        // Where the open run started, while one is open.
-        let mut open = None;
-        for (line, &bits) in map.iter().enumerate() {
-            let before = u64::from(open.is_some());
-            let mut edges = bits ^ (bits << 1 | before);
-            while edges != 0 {
-                let at = line * LINE + edges.trailing_zeros() as usize;
-                edges &= edges - 1;
-                match open.take() {
-                    None => open = Some(at),
-                    Some(start) => close(start, at),
-                }
+        let lines = (0..LINES).fold(0, |lines, i| lines | u64::from(map[i] != 0) << i);
+        let dirty = lines.count_ones() as usize;
+        let mut masks = Vec::with_capacity(dirty);
+        let mut bytes = vec![0u8; dirty * LINE];
+        for (line, out) in set_bits(lines).zip(bytes.chunks_exact_mut(LINE)) {
+            let (mask, src) = (map[line], &src[line * LINE..][..LINE]);
+            masks.push(mask);
+            if mask == u64::MAX {
+                out.copy_from_slice(src);
+                continue;
+            }
+            for (w, (out, word)) in out.chunks_exact_mut(8).zip(words(src)).enumerate() {
+                out.copy_from_slice(&(word & spread(mask, w)).to_le_bytes());
             }
         }
-        if let Some(start) = open {
-            close(start, PAGE_SIZE);
+        Diff {
+            lines,
+            masks,
+            bytes,
+            payload,
+            runs,
         }
-        Diff { runs, payload }
     }
 
     /// The original byte-at-a-time scan, kept as the differential
     /// reference for property tests and for the `perf` pinner's
-    /// `diff_between_*_speedup` ratios. Produces byte-for-byte the same runs
-    /// as [`Diff::between`]. It also reproduces the original storage
-    /// behavior — one buffer allocation per run — so timing it against
-    /// [`Diff::between`] measures both the chunked scan and the flat
-    /// payload layout.
+    /// `diff_between_*_speedup` ratios. Produces the same diff as
+    /// [`Diff::between`]. It also keeps the original storage behavior
+    /// — one buffer allocation per run, then [`Diff::from_runs`] — so
+    /// timing it against [`Diff::between`] measures the scan and the
+    /// storage both.
     pub fn between_reference(twin: &Page, current: &Page) -> Self {
         let t = twin.bytes();
         let c = current.bytes();
-        let mut old_runs: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut old_runs: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut i = 0;
         while i < PAGE_SIZE {
             if t[i] != c[i] {
@@ -221,132 +231,198 @@ impl Diff {
                 while i < PAGE_SIZE && t[i] != c[i] {
                     i += 1;
                 }
-                old_runs.push((start as u32, c[start..i].to_vec()));
+                old_runs.push((start, c[start..i].to_vec()));
             } else {
                 i += 1;
             }
         }
-        Diff::from_runs(old_runs.into_iter().map(|(o, b)| (o as usize, b)))
+        Diff::from_runs(old_runs)
     }
 
     /// A diff covering the whole page (used when a node sends a full
     /// page copy on a first-touch fetch).
     pub fn full_page(page: &Page) -> Self {
         Diff {
-            runs: vec![DiffRun {
-                offset: 0,
-                len: PAGE_SIZE as u32,
-            }],
-            payload: page.bytes().to_vec(),
+            lines: u64::MAX,
+            masks: vec![u64::MAX; LINES],
+            bytes: page.bytes().to_vec(),
+            payload: PAGE_SIZE as u32,
+            runs: 1,
         }
     }
 
-    /// Applies the recorded modifications to `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a run extends past the page (corrupt diff).
+    /// Applies the recorded modifications to `page`: each dirty line
+    /// is blended in a word at a time under its mask, or copied whole
+    /// when every byte of it changed.
     pub fn apply(&self, page: &mut Page) {
-        if self.runs.is_empty() {
+        if self.lines == 0 {
             // Nothing to write: leave an unmaterialized page as it is.
             return;
         }
-        let bytes = page.bytes_mut();
-        let mut pos = 0;
-        for run in &self.runs {
-            let start = run.offset as usize;
-            let len = run.len as usize;
-            let src = &self.payload[pos..pos + len];
-            pos += len;
-            // One range check per run.
-            let Some(dst) = bytes.get_mut(start..start + len) else {
-                panic!("diff run at {start} extends past the page");
-            };
-            copy_run(dst, src);
+        let page = page.bytes_mut();
+        let dirty = set_bits(self.lines).zip(&self.masks);
+        for ((line, &mask), src) in dirty.zip(self.bytes.chunks_exact(LINE)) {
+            let dst = &mut page[line * LINE..][..LINE];
+            if mask == u64::MAX {
+                dst.copy_from_slice(src);
+                continue;
+            }
+            for (w, (dst, word)) in dst.chunks_exact_mut(8).zip(words(src)).enumerate() {
+                let old = u64::from_le_bytes((&*dst).try_into().expect("8 bytes"));
+                dst.copy_from_slice(&(old & !spread(mask, w) | word).to_le_bytes());
+            }
         }
     }
 
     /// True when the twin and current page were identical.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.lines == 0
     }
 
     /// Number of modified-byte runs.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.runs as usize
     }
 
     /// Number of modified bytes carried.
     pub fn payload_bytes(&self) -> usize {
-        self.payload.len()
+        self.payload as usize
     }
 
     /// Size of the encoded diff on the wire, for network cost
     /// modeling: payload plus per-run framing.
     pub fn encoded_bytes(&self) -> usize {
-        self.payload_bytes() + RUN_HEADER_BYTES * self.runs.len()
+        self.payload_bytes() + RUN_HEADER_BYTES * self.run_count()
     }
 
-    /// Iterates the modified-byte runs as `(offset, bytes)` pairs in
-    /// ascending offset order (checkpoint serialization).
+    /// Iterates the maximal modified-byte runs as `(offset, bytes)`
+    /// pairs in ascending offset order (checkpoint serialization),
+    /// read off the masks without allocating. A run that crosses into
+    /// the next line continues in the next dirty line's bytes, so each
+    /// is one slice.
     pub fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> + '_ {
-        let mut pos = 0;
-        self.runs.iter().map(move |r| {
-            let len = r.len as usize;
-            let bytes = &self.payload[pos..pos + len];
-            pos += len;
-            (r.offset as usize, bytes)
-        })
+        Runs {
+            diff: self,
+            ahead: self.lines,
+            line: 0,
+            loaded: 0,
+            rest: 0,
+        }
     }
 
     /// Rebuilds a diff from `(offset, bytes)` runs as produced by
     /// [`Diff::runs`] (checkpoint restore). Runs must stay inside the
-    /// page and be given in ascending, non-overlapping order.
-    pub fn from_runs(runs: impl IntoIterator<Item = (usize, Vec<u8>)>) -> Self {
-        let mut flat = Vec::new();
-        let mut payload = Vec::new();
-        for (offset, bytes) in runs {
-            assert!(offset + bytes.len() <= PAGE_SIZE, "run extends past page");
-            flat.push(DiffRun {
-                offset: offset as u32,
-                len: bytes.len() as u32,
-            });
-            payload.extend_from_slice(&bytes);
-        }
-        for pair in flat.windows(2) {
+    /// page and be given in ascending, non-overlapping order, and they
+    /// must be maximal — no run may end where the next begins — for
+    /// [`Diff::runs`] to give them back: the diff records changed
+    /// bytes, so touching runs are one run to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run extends past the page or starts before the
+    /// previous one ends.
+    pub fn from_runs<B: AsRef<[u8]>>(runs: impl IntoIterator<Item = (usize, B)>) -> Self {
+        let mut map = [0u64; LINES];
+        let mut src = [0u8; PAGE_SIZE];
+        let (mut payload, mut count) = (0, 0);
+        // Where the previous non-empty run ended.
+        let mut end = None;
+        for (offset, run) in runs {
+            let run = run.as_ref();
+            let stop = offset + run.len();
+            assert!(stop <= PAGE_SIZE, "run extends past page");
             assert!(
-                pair[0].offset + pair[0].len <= pair[1].offset,
+                end.is_none_or(|end| end <= offset),
                 "runs must be ascending and non-overlapping"
             );
+            if run.is_empty() {
+                continue;
+            }
+            src[offset..stop].copy_from_slice(run);
+            let mut at = offset;
+            while at < stop {
+                let (line, bit) = (at / LINE, at % LINE);
+                let n = (LINE - bit).min(stop - at);
+                map[line] |= u64::MAX >> (LINE - n) << bit;
+                at += n;
+            }
+            payload += run.len() as u32;
+            count += u32::from(end != Some(offset));
+            end = Some(stop);
         }
-        Diff {
-            runs: flat,
-            payload,
-        }
+        Diff::gather(&map, &src, payload, count)
     }
 
-    /// True if this diff's modified byte ranges overlap `other`'s.
+    /// True if this diff's modified bytes overlap `other`'s.
     ///
     /// Overlapping concurrent diffs indicate a data race in the
     /// application (two writers modified the same bytes between
     /// synchronizations).
     pub fn overlaps(&self, other: &Diff) -> bool {
-        // Runs are produced in ascending offset order; merge-scan.
-        let mut a = self.runs.iter().peekable();
-        let mut b = other.runs.iter().peekable();
-        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-            let (xs, xe) = (x.offset as usize, (x.offset + x.len) as usize);
-            let (ys, ye) = (y.offset as usize, (y.offset + y.len) as usize);
-            if xs < ye && ys < xe {
-                return true;
-            }
-            if xe <= ys {
-                a.next();
-            } else {
-                b.next();
-            }
+        set_bits(self.lines & other.lines).any(|line| {
+            let mask = |d: &Diff| d.masks[(d.lines & ((1 << line) - 1)).count_ones() as usize];
+            mask(self) & mask(other) != 0
+        })
+    }
+}
+
+/// [`Diff::runs`]' walk: the masks read as one page-long bit map.
+struct Runs<'a> {
+    diff: &'a Diff,
+    /// Dirty lines not yet loaded.
+    ahead: u64,
+    /// The loaded line.
+    line: usize,
+    /// Lines loaded so far: the loaded line's slot in `masks` is one
+    /// less.
+    loaded: usize,
+    /// The loaded line's changed bytes not yet walked.
+    rest: u64,
+}
+
+impl Runs<'_> {
+    /// Loads the next dirty line; `None` past the last.
+    fn load(&mut self) -> Option<()> {
+        if self.ahead == 0 {
+            return None;
         }
-        false
+        self.line = self.ahead.trailing_zeros() as usize;
+        self.ahead &= self.ahead - 1;
+        self.rest = self.diff.masks[self.loaded];
+        self.loaded += 1;
+        Some(())
+    }
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = (usize, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.rest == 0 {
+            self.load()?;
+        }
+        let first = self.rest.trailing_zeros() as usize;
+        let (offset, start) = (self.line * LINE + first, (self.loaded - 1) * LINE + first);
+        // Where the run ends in the loaded line.
+        let mut end = first;
+        loop {
+            end += (!(self.rest >> end)).trailing_zeros() as usize;
+            if end < LINE {
+                self.rest &= u64::MAX << end;
+                break;
+            }
+            // The run reaches the line's end: it goes on iff the next
+            // dirty line is the next line and its first byte changed.
+            self.rest = 0;
+            let adjacent = self.ahead != 0 && self.ahead.trailing_zeros() as usize == self.line + 1;
+            if !adjacent || self.diff.masks[self.loaded] & 1 == 0 {
+                break;
+            }
+            self.load();
+            end = 0;
+        }
+        let stop = (self.loaded - 1) * LINE + end;
+        Some((offset, &self.diff.bytes[start..stop]))
     }
 }
 
@@ -379,6 +455,7 @@ mod tests {
         let d = Diff::between(&p, &p.clone());
         assert!(d.is_empty());
         assert_eq!(d.payload_bytes(), 0);
+        assert_eq!(d.runs().count(), 0);
     }
 
     #[test]
@@ -435,6 +512,11 @@ mod tests {
         let a = Diff::between(&twin, &page_with(&[(0, u64::MAX)]));
         let b = Diff::between(&twin, &page_with(&[(4, u64::MAX)]));
         assert!(a.overlaps(&b), "byte ranges 0..8 and 4..12 overlap");
+        // Same line, disjoint bytes; and a line only one of them has.
+        let c = Diff::between(&twin, &page_with(&[(16, u64::MAX), (4000, 1)]));
+        assert!(!a.overlaps(&c) && !c.overlaps(&a));
+        let d = Diff::between(&twin, &page_with(&[(4000, 1)]));
+        assert!(c.overlaps(&d) && !b.overlaps(&d));
     }
 
     #[test]
@@ -445,6 +527,8 @@ mod tests {
         d.apply(&mut dst);
         assert_eq!(dst, src);
         assert_eq!(d.payload_bytes(), PAGE_SIZE);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(0, src.bytes())]);
+        assert_eq!(Diff::from_runs(d.runs()), d);
     }
 
     #[test]
@@ -532,10 +616,10 @@ mod tests {
     }
 
     #[test]
-    fn buffers_are_sized_exactly_before_the_walk() {
-        // Both buffers are allocated once, at sizes counted from the
-        // changed-byte map: no slack, so no regrowth while the runs
-        // are walked — and nothing at all for an empty diff.
+    fn buffers_are_sized_exactly() {
+        // One mask and 64 bytes per dirty line, allocated once at
+        // sizes counted from the changed-byte map: no slack — and
+        // nothing at all for an empty diff.
         let sparse = page_with(&[(0, 5), (1024, 6), (4088, 7)]);
         let mut dense = Page::new();
         for off in (0..PAGE_SIZE).step_by(8) {
@@ -551,18 +635,94 @@ mod tests {
         edges.bytes_mut()[PAGE_SIZE - 65..].fill(4);
         let mut full = Page::new();
         full.bytes_mut().fill(0xAB);
-        for (current, runs) in [(&sparse, 3), (&dense, 512), (&edges, 4), (&full, 1)] {
+        for (current, runs, dirty) in [
+            (&sparse, 3, 3),
+            (&dense, 512, 64),
+            (&edges, 4, 7),
+            (&full, 1, 64),
+        ] {
             let d = Diff::between(&Page::new(), current);
             assert_eq!(d, Diff::between_reference(&Page::new(), current));
             assert_eq!(d.run_count(), runs);
-            assert_eq!(d.runs.capacity(), d.runs.len());
-            assert_eq!(d.payload.capacity(), d.payload.len());
+            assert_eq!(d.lines.count_ones(), dirty);
+            assert_eq!(
+                (d.masks.len(), d.masks.capacity()),
+                (dirty as usize, dirty as usize)
+            );
+            assert_eq!(
+                (d.bytes.len(), d.bytes.capacity()),
+                (dirty as usize * LINE, dirty as usize * LINE)
+            );
         }
         for same in [&dense, &Page::new()] {
             let d = Diff::between(same, &same.clone());
             assert!(d.is_empty());
-            assert_eq!((d.runs.capacity(), d.payload.capacity()), (0, 0));
+            assert_eq!(d, Diff::default());
+            assert_eq!((d.masks.capacity(), d.bytes.capacity()), (0, 0));
         }
+        let empty = Diff::from_runs(Vec::<(usize, Vec<u8>)>::new());
+        assert_eq!((empty.masks.capacity(), empty.bytes.capacity()), (0, 0));
+    }
+
+    #[test]
+    fn unchanged_bytes_are_stored_as_zero() {
+        // Twin and page agree in most bytes of each dirty line, and
+        // both hold non-zero values there: the diff keeps only the
+        // changed ones, so two diffs with the same changes are equal
+        // whatever else the pages held.
+        let mut twin = Page::new();
+        twin.bytes_mut().fill(0x5A);
+        let mut current = twin.clone();
+        current.bytes_mut()[3] = 0;
+        current.bytes_mut()[70..75].fill(0xC3);
+        let d = Diff::between(&twin, &current);
+        assert_eq!(d.masks, [1 << 3, 0b11111 << 6]);
+        for (slot, (&mask, line)) in d.masks.iter().zip(d.bytes.chunks_exact(LINE)).enumerate() {
+            for (k, &byte) in line.iter().enumerate() {
+                let page_byte = current.bytes()[[0, LINE][slot] + k];
+                let want = if mask >> k & 1 == 1 { page_byte } else { 0 };
+                assert_eq!(byte, want, "line slot {slot}, byte {k}");
+            }
+        }
+        // The same changes over a twin that held other values.
+        let mut other_twin = Page::new();
+        other_twin.bytes_mut()[3] = 0x11;
+        let mut other = Page::new();
+        other.bytes_mut()[70..75].fill(0xC3);
+        assert_eq!(d, Diff::between(&other_twin, &other));
+    }
+
+    #[test]
+    fn runs_cross_line_seams_as_one_slice() {
+        let mut current = Page::new();
+        current.bytes_mut()[60..200].fill(1);
+        current.bytes_mut()[255..257].fill(2);
+        current.bytes_mut()[320] = 3;
+        current.bytes_mut()[PAGE_SIZE - 64..].fill(4);
+        let d = Diff::between(&Page::new(), &current);
+        let runs: Vec<(usize, usize)> = d.runs().map(|(at, bytes)| (at, bytes.len())).collect();
+        assert_eq!(runs, [(60, 140), (255, 2), (320, 1), (PAGE_SIZE - 64, 64)]);
+        for (at, bytes) in d.runs() {
+            assert_eq!(bytes, &current.bytes()[at..at + bytes.len()]);
+        }
+        assert_eq!(d.run_count(), runs.len());
+    }
+
+    #[test]
+    fn from_runs_merges_touching_runs() {
+        let touching =
+            Diff::from_runs([(4, vec![1, 2]), (6, vec![3]), (64, vec![]), (64, vec![4])]);
+        let maximal = Diff::from_runs([(4, vec![1, 2, 3]), (64, vec![4])]);
+        assert_eq!(touching, maximal);
+        assert_eq!((maximal.run_count(), maximal.payload_bytes()), (2, 4));
+        let runs: Vec<(usize, Vec<u8>)> = maximal.runs().map(|(at, b)| (at, b.to_vec())).collect();
+        assert_eq!(runs, [(4, vec![1, 2, 3]), (64, vec![4])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending and non-overlapping")]
+    fn from_runs_rejects_overlap() {
+        Diff::from_runs([(0, vec![1; 64]), (4, vec![2])]);
     }
 
     #[test]
@@ -581,13 +741,13 @@ mod tests {
     }
 
     #[test]
-    fn short_runs_copy_exactly_their_bytes() {
-        let src: Vec<u8> = (1..=40).collect();
-        for len in 0..=src.len() {
-            let mut dst = vec![0xEEu8; len + 2];
-            copy_run(&mut dst[1..=len], &src[..len]);
-            assert_eq!(&dst[1..=len], &src[..len]);
-            assert_eq!((dst[0], dst[len + 1]), (0xEE, 0xEE), "len {len}");
+    fn spread_is_the_inverse_of_the_changed_byte_mask() {
+        for pattern in 0..=u8::MAX {
+            let word = SPREAD[pattern as usize];
+            assert_eq!(changed_bytes(word), u64::from(pattern));
+            assert!(word.to_le_bytes().iter().all(|&b| b == 0 || b == 0xff));
+            let mask = u64::from(pattern) << 40;
+            assert_eq!(spread(mask, 5), word);
         }
     }
 

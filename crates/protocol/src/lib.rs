@@ -8,8 +8,9 @@
 //! - [`IntervalRecord`] / [`IntervalLog`]: closed intervals and a
 //!   node's indexed, never-pruned log of the ones it has learned.
 //! - [`Page`] / [`PageId`]: 4 KB coherence units.
-//! - [`Diff`]: run-length-encoded modification records produced by the
-//!   multiple-writer twin/diff mechanism.
+//! - [`Diff`]: the modification records of the multiple-writer
+//!   twin/diff mechanism, kept as a page's dirty 64-byte lines with a
+//!   changed-byte mask each, and read as runs for the wire.
 //! - [`WriteNotice`] / [`NoticeBoard`]: invalidation bookkeeping
 //!   propagated at acquire time.
 //!
@@ -28,8 +29,12 @@
 //! let mut working = twin.clone();
 //! working.write_u64(64, 99);
 //!
-//! // At release (or on a diff request) the writer encodes a diff...
+//! // At release (or on a diff request) the writer encodes a diff. It
+//! // keeps the one dirty 64-byte line, and reads back as the runs of
+//! // changed bytes: writing 99 changed only the `u64`'s low byte...
 //! let diff = Diff::between(&twin, &working);
+//! assert_eq!((diff.run_count(), diff.payload_bytes()), (1, 1));
+//! assert_eq!(diff.runs().collect::<Vec<_>>(), [(64, &[99u8][..])]);
 //!
 //! // ...which a faulting reader applies to its stale copy.
 //! let mut reader_copy = Page::new();

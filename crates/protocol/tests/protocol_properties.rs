@@ -143,6 +143,126 @@ proptest! {
     }
 }
 
+/// The maximal runs of bytes in which `twin` and `current` differ,
+/// found a byte at a time.
+fn changed_runs(twin: &Page, current: &Page) -> Vec<(usize, Vec<u8>)> {
+    let (t, c) = (twin.bytes(), current.bytes());
+    let mut runs: Vec<(usize, Vec<u8>)> = Vec::new();
+    for at in (0..PAGE_SIZE).filter(|&at| t[at] != c[at]) {
+        match runs.last_mut() {
+            Some((start, bytes)) if *start + bytes.len() == at => bytes.push(c[at]),
+            _ => runs.push((at, vec![c[at]])),
+        }
+    }
+    runs
+}
+
+/// Runs of 1–150 bytes to change, anywhere on a page.
+fn run_edits() -> impl Strategy<Value = Vec<(usize, usize, u8)>> {
+    prop::collection::vec((0..PAGE_SIZE, 1usize..=150, any::<u8>()), 0..24)
+}
+
+/// A twin holding `noise` and a page changed from it by `edits` —
+/// across 64-byte seams — and in its last `to_end` bytes, up to byte
+/// 4095.
+fn changed_pair(noise: &[u8], edits: &[(usize, usize, u8)], to_end: usize) -> (Page, Page) {
+    let twin = noise_page(noise);
+    let mut current = twin.clone();
+    for &(start, len, salt) in edits {
+        change(&mut current, start..start + len, salt);
+    }
+    change(&mut current, PAGE_SIZE - to_end..PAGE_SIZE, 0);
+    (twin, current)
+}
+
+// The line form against definitions made a byte at a time: its runs,
+// counts, rebuilding, overlap test and apply.
+proptest! {
+    /// `between` yields the byte scan's runs, and agrees with
+    /// `between_reference` in every count the wire and the checkpoint
+    /// image are sized from.
+    #[test]
+    fn line_form_runs_are_the_changed_runs(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+        edits in run_edits(),
+        to_end in 0usize..=70,
+    ) {
+        let (twin, current) = changed_pair(&noise, &edits, to_end);
+        let diff = Diff::between(&twin, &current);
+        let reference = Diff::between_reference(&twin, &current);
+        let expected = changed_runs(&twin, &current);
+        let runs: Vec<(usize, Vec<u8>)> = diff.runs().map(|(at, b)| (at, b.to_vec())).collect();
+        prop_assert_eq!(&runs, &expected);
+        let reference_runs: Vec<(usize, Vec<u8>)> =
+            reference.runs().map(|(at, b)| (at, b.to_vec())).collect();
+        prop_assert_eq!(&reference_runs, &expected);
+        let payload: usize = expected.iter().map(|(_, b)| b.len()).sum();
+        for d in [&diff, &reference] {
+            prop_assert_eq!(d.run_count(), expected.len());
+            prop_assert_eq!(d.payload_bytes(), payload);
+            prop_assert_eq!(d.encoded_bytes(), payload + 4 * expected.len());
+            prop_assert_eq!(d.is_empty(), expected.is_empty());
+        }
+        prop_assert_eq!(&diff, &reference);
+    }
+
+    /// A diff rebuilt from its own runs is the same diff.
+    #[test]
+    fn from_runs_rebuilds_the_diff(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+        edits in run_edits(),
+        to_end in 0usize..=70,
+    ) {
+        let (twin, current) = changed_pair(&noise, &edits, to_end);
+        let diff = Diff::between(&twin, &current);
+        prop_assert_eq!(Diff::from_runs(diff.runs()), diff);
+    }
+
+    /// Two diffs overlap iff some byte is changed in both.
+    #[test]
+    fn overlaps_is_byte_set_intersection(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+        a_edits in run_edits(),
+        b_edits in prop::collection::vec((0..PAGE_SIZE, 1usize..=40), 0..12),
+    ) {
+        let (twin, a) = changed_pair(&noise, &a_edits, 0);
+        let mut b = twin.clone();
+        for &(start, len) in &b_edits {
+            change(&mut b, start..start + len, 0);
+        }
+        let (da, db) = (Diff::between(&twin, &a), Diff::between(&twin, &b));
+        let changed = |runs: Vec<(usize, Vec<u8>)>| -> std::collections::BTreeSet<usize> {
+            runs.iter().flat_map(|(at, bytes)| *at..*at + bytes.len()).collect()
+        };
+        let both = changed(changed_runs(&twin, &a))
+            .intersection(&changed(changed_runs(&twin, &b)))
+            .count();
+        prop_assert_eq!(da.overlaps(&db), both > 0);
+        prop_assert_eq!(db.overlaps(&da), both > 0);
+    }
+
+    /// Applied onto any page, a diff writes exactly its changed bytes
+    /// and leaves every other byte as it was.
+    #[test]
+    fn apply_changes_exactly_the_diffs_bytes(
+        noise in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+        edits in run_edits(),
+        to_end in 0usize..=70,
+        third in prop::collection::vec(any::<u8>(), PAGE_SIZE),
+    ) {
+        let (twin, current) = changed_pair(&noise, &edits, to_end);
+        let diff = Diff::between(&twin, &current);
+        let third = noise_page(&third);
+        let mut expected = third.clone();
+        for (at, bytes) in changed_runs(&twin, &current) {
+            expected.bytes_mut()[at..at + bytes.len()].copy_from_slice(&bytes);
+        }
+        let mut applied = third.clone();
+        diff.apply(&mut applied);
+        prop_assert_eq!(applied, expected);
+    }
+}
+
 proptest! {
     /// Whether a page owns a buffer is unobservable: a page built
     /// lazily (unmaterialized when nothing was written) and the same
