@@ -406,11 +406,11 @@ impl<'a> NodeCheckpoint<'a> {
     /// `state`'s checkpoint as node `node` at barrier epoch `epoch`.
     ///
     /// Must be taken at a barrier release point: all local intervals
-    /// are closed there, so no twins exist and the page images are
-    /// exactly the post-merge state.
+    /// are closed there, so the dirty log is empty, no page holds a
+    /// twin, and the page images are exactly the post-merge state.
     pub(crate) fn new(node: u32, epoch: u32, state: &'a NodeState) -> Self {
         debug_assert!(
-            state.mem.pages.iter().all(|e| e.twin.is_none()),
+            state.mem.dirty.is_empty(),
             "open interval at a barrier checkpoint"
         );
         let mut tokens: Vec<LockId> = state.locks.held_tokens().collect();
@@ -445,8 +445,8 @@ impl<'a> NodeCheckpoint<'a> {
                 .pages
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.ever_valid)
-                .map(|(i, e)| (i as u32, e.valid, e.data.bytes())),
+                .filter(|(_, e)| e.has_copy())
+                .map(|(i, e)| (i as u32, e.is_valid(), e.data.bytes())),
             diffs,
             intervals: self.state.interval_log().records(),
             tokens: &self.tokens,
@@ -456,7 +456,7 @@ impl<'a> NodeCheckpoint<'a> {
     /// Pages the checkpoint holds: every page the node ever held a
     /// valid copy of.
     pub(crate) fn pages(&self) -> usize {
-        self.state.mem.pages.iter().filter(|e| e.ever_valid).count()
+        self.state.mem.pages.iter().filter(|e| e.has_copy()).count()
     }
 
     /// Length of the `RCK1` body, counted without writing it: O(1)

@@ -633,7 +633,7 @@ impl TaskCtx {
         m.prefetch.calls += 1;
         self.pending.prefetch += self.costs.prefetch_check;
         let entry = &m.pages[page.index()];
-        if entry.valid {
+        if entry.is_valid() {
             m.prefetch.unnecessary += 1;
             return false;
         }
@@ -687,7 +687,7 @@ impl TaskCtx {
     /// Charges fast-path access costs.
     async fn valid_page(&mut self, page: PageId, write: bool) -> &mut PageEntry {
         let mut retries = 0;
-        while !self.mem.pages[page.index()].valid {
+        while !self.mem.pages[page.index()].is_valid() {
             retries += 1;
             assert!(
                 retries < MAX_FAULT_RETRIES,
@@ -695,17 +695,11 @@ impl TaskCtx {
             );
             self.syscall(Syscall::Fault { page, write }).await;
         }
-        let m = &mut self.mem;
-        let entry = &mut m.pages[page.index()];
         self.pending.busy += self.costs.access_check;
-        if write && entry.twin.is_none() {
-            // The twin buffer comes from the node's page pool, not a
-            // fresh allocation.
-            entry.twin = Some(m.pool.take_arc_copy_of(&entry.data));
+        if write && self.mem.make_twin(page) {
             self.pending.dsm += self.costs.twin_create;
-            m.dirty.push(page);
         }
-        entry
+        &mut self.mem.pages[page.index()]
     }
 
     /// Yields to the driver: hands over `syscall`, the charges pending
@@ -1382,7 +1376,10 @@ mod tests {
             }
         );
         for mem in [&by_slice, &by_element] {
-            assert_eq!(mem.pages.iter().filter(|e| e.twin.is_some()).count(), TWINS);
+            assert_eq!(
+                mem.pages.iter().filter(|e| e.twin().is_some()).count(),
+                TWINS
+            );
             assert_eq!(mem.dirty.len(), TWINS);
         }
         // Which is one write and two reads of every page of every

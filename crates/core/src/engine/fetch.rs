@@ -248,22 +248,25 @@ impl Core<'_> {
             return;
         }
         // Migrate only while the page is pristine at its static home:
-        // the home never wrote it (no open twin, no dirty mark, no
-        // closed diffs). Non-home writers claim pages via their own
-        // faults before writing, so an unclaimed page can only have
-        // been written by the home itself.
+        // the home never wrote it — no closed interval names it, and
+        // its copy is valid and untwinned. (A split that sealed an
+        // open write early logged an interval.) Non-home writers claim
+        // pages via their own faults before writing, so an unclaimed
+        // page can only have been written by the home itself.
         let home_wrote = self.nodes[home]
             .intervals_naming(page)
             .any(|rec| rec.origin == home);
-        let home_mem = &mut self.nodes[home].mem;
-        if home_wrote || home_mem.pages[p].twin.is_some() || home_mem.dirty.contains(&page) {
+        let slot = &self.nodes[home].mem.pages[p];
+        if home_wrote || !slot.is_valid() || slot.twin().is_some() {
             return;
         }
-        home_mem.pages[p].valid = false;
-        home_mem.pages[p].ever_valid = false;
-        let entry = &mut self.nodes[n].mem.pages[p];
-        entry.valid = true;
-        entry.ever_valid = true;
+        let [from, to] = self.nodes.get_disjoint_mut([home, n]).expect("two nodes");
+        from.mem.migrate(page, &mut to.mem);
+        // A base the new home prefetched is older than the copy it
+        // now holds.
+        if let Some(record) = to.records.get_mut(&page) {
+            record.base = None;
+        }
         self.heap.set_home(page, n);
         self.nodes[n].directory.migrations += 1;
     }
@@ -279,7 +282,7 @@ impl Core<'_> {
             missing.retain(|(origin, s)| !record.has_diff(*origin, s.get(*origin)));
         }
         let need_base =
-            !node.mem.pages[page.index()].ever_valid && record.is_none_or(|r| r.base.is_none());
+            !node.mem.pages[page.index()].has_copy() && record.is_none_or(|r| r.base.is_none());
         (missing, need_base)
     }
 
@@ -366,8 +369,7 @@ impl Core<'_> {
             Some(record) => (record.base.take(), record.take_diffs()),
             None => (None, Vec::new()),
         };
-        // A fetch's own base wins; a prefetched one beside it could
-        // only ever be skipped, the page having been valid once.
+        // A fetch's own base wins over a prefetched one beside it.
         let base = base.or(cached_base);
         diffs.extend(extra);
         // Happens-before order, each stamp keyed once.
@@ -376,22 +378,18 @@ impl Core<'_> {
         ordered.sort_by_key(|&(key, _)| key);
 
         let mut apply_cost = SimDuration::ZERO;
-        // Diffs already incorporated in an applied base copy must NOT
-        // be re-applied: the base may also contain *newer* intervals
-        // (the home can be ahead of this node), and replaying an older
-        // diff over it would roll those bytes back.
-        let mut skip: HashSet<(NodeId, u32)> = HashSet::new();
+        // A base is only ever kept for a page with no copy (see
+        // `handle_diff_reply` and `first_touch`). What it incorporates
+        // is marked applied, so no diff below replays over it: the
+        // base may also contain *newer* intervals (the home can be
+        // ahead of this node), and replaying an older diff over it
+        // would roll those bytes back.
         if let Some(b) = base {
-            let entry = &mut node.mem.pages[page.index()];
-            if !entry.ever_valid {
-                entry.data.copy_from(&b.page);
-                entry.ever_valid = true;
-                for (origin, stamp) in &b.incorporated {
-                    node.board.mark_applied(page, *origin, stamp);
-                    skip.insert((*origin, stamp.get(*origin)));
-                }
-                apply_cost += self.cfg.costs.diff_apply(rsdsm_protocol::PAGE_SIZE);
+            node.mem.install_base(page, &b.page);
+            for (origin, stamp) in &b.incorporated {
+                node.board.mark_applied(page, *origin, stamp);
             }
+            apply_cost += self.cfg.costs.diff_apply(rsdsm_protocol::PAGE_SIZE);
         }
         // Pending notices this round has no diff for. A diff that one
         // of them happens before waits in the record: a prefetch reply
@@ -411,9 +409,7 @@ impl Core<'_> {
             .collect();
         for (_, cached) in ordered {
             let seq = cached.stamp.get(cached.origin);
-            if skip.contains(&(cached.origin, seq))
-                || node.board.is_applied(page, cached.origin, seq)
-            {
+            if node.board.is_applied(page, cached.origin, seq) {
                 // Already incorporated (via the base or an earlier
                 // fetch); re-applying a byte-sparse diff over newer
                 // data would roll those bytes back.
@@ -431,15 +427,7 @@ impl Core<'_> {
                 let covered = node.knows_interval(cached.origin, seq);
                 oracle.check_coverage(covered, n, page, cached.origin, &cached.stamp, end);
             }
-            let entry = &mut node.mem.pages[page.index()];
-            cached.diff.apply(&mut entry.data);
-            // Keep the twin consistent so our own diff stays minimal
-            // (incoming concurrent diffs touch disjoint bytes).
-            // `make_mut` un-shares a frame still referenced by an
-            // in-flight base reply (copy-on-write).
-            if let Some(twin) = &mut entry.twin {
-                cached.diff.apply(Arc::make_mut(twin));
-            }
+            node.mem.pages[page.index()].apply(&cached.diff);
             node.board.mark_applied(page, cached.origin, &cached.stamp);
             let cause =
                 self.tracer
@@ -479,47 +467,39 @@ impl Core<'_> {
     // ------------------------------------------------------------------
 
     /// Seals node `n`'s open writes to `pages` into one new interval:
-    /// ticks the clock, takes each page's twin and encodes the diff
-    /// against it, stores the diffs and logs the interval. `None` (and
-    /// no tick) when no listed page has a twin.
-    ///
-    /// A page may be listed with its twin gone, or twice: it is in
-    /// `mem.dirty` once per twin it got, and a prefetch served
-    /// mid-interval takes a twin early. The twin is the truth — a page
-    /// is diffed when its twin is taken, and only then.
+    /// ticks the clock, takes each dirty page's twin and encodes the
+    /// diff against it, stores the diffs and logs the interval. `None`
+    /// (and no tick) when no listed page is dirty. A listed page that
+    /// is not dirty — the dirty log's entry of a page a split sealed
+    /// early — is skipped.
     ///
     /// Charges nothing and traces nothing: the two callers differ in
     /// exactly that (what the seal costs on top, and whether its
     /// `DiffCreate` records are stamped before or after the charge).
     fn seal_interval(&mut self, n: NodeId, pages: &[PageId], at: SimTime) -> Option<Sealed> {
         let node = &mut self.nodes[n];
-        if !pages
+        let (sealed, twins): (Vec<PageId>, Vec<_>) = pages
             .iter()
-            .any(|p| node.mem.pages[p.index()].twin.is_some())
-        {
+            .filter_map(|&page| Some((page, node.mem.take_twin(page)?)))
+            .unzip();
+        if sealed.is_empty() {
             return None;
         }
         let seq = node.tick_clock();
         let stamp = Arc::new(node.vc().clone());
-        let m = &mut node.mem;
         let mut cost = SimDuration::ZERO;
-        let mut sealed = Vec::with_capacity(pages.len());
-        let mut diffs = Vec::with_capacity(pages.len());
-        for &page in pages {
-            let entry = &mut m.pages[page.index()];
-            let Some(twin) = entry.twin.take() else {
-                continue;
-            };
-            let diff = Arc::new(Diff::between(&twin, &entry.data));
+        let mut diffs = Vec::with_capacity(sealed.len());
+        for (&page, twin) in sealed.iter().zip(twins) {
+            let data = &node.mem.pages[page.index()].data;
+            let diff = Arc::new(Diff::between(&twin, data));
             if let Some(oracle) = &mut self.oracle {
-                oracle.check_roundtrip(&twin, &entry.data, &diff, n, page, at);
+                oracle.check_roundtrip(&twin, data, &diff, n, page, at);
             }
-            m.pool.put_arc(twin);
+            node.mem.pool.put_arc(twin);
             cost += self.cfg.costs.diff_create(diff.payload_bytes());
             node.own_diff_bytes += diff.encoded_bytes();
             node.own_diffs
                 .insert((page.index(), seq), Arc::clone(&diff));
-            sealed.push(page);
             diffs.push(diff);
         }
         let rec = Arc::new(IntervalRecord {
@@ -536,7 +516,12 @@ impl Core<'_> {
     /// when nothing is dirty.
     pub(super) fn close_interval(&mut self, n: NodeId, at: SimTime) -> SimTime {
         let dirty = std::mem::take(&mut self.nodes[n].mem.dirty);
-        let Some(sealed) = self.seal_interval(n, &dirty, at) else {
+        let sealed = self.seal_interval(n, &dirty, at);
+        debug_assert!(
+            self.nodes[n].mem.pages.iter().all(|e| e.twin().is_none()),
+            "a dirty page missing from node {n}'s dirty log"
+        );
+        let Some(sealed) = sealed else {
             return at;
         };
         for event in sealed.events() {
@@ -598,7 +583,7 @@ impl Core<'_> {
                         id,
                     );
                 }
-                self.nodes[n].mem.pages[page.index()].valid = false;
+                self.nodes[n].mem.invalidate(page);
             }
         }
     }
@@ -610,7 +595,7 @@ impl Core<'_> {
     fn interested(&self, n: NodeId, page: PageId) -> bool {
         let node = &self.nodes[n];
         self.heap.home(page) == n
-            || node.mem.pages[page.index()].ever_valid
+            || node.mem.pages[page.index()].has_copy()
             || node.records.contains_key(&page)
     }
 
@@ -684,10 +669,10 @@ impl Core<'_> {
             // twin, so a requester holding uncommitted mid-interval
             // bytes would end up with a mix of two values once the
             // interval's diff arrives.
-            let data = match &entry.twin {
-                // Zero-copy: the reply shares the twin frame. If this
-                // node writes the page again before the frame drains,
-                // `Arc::make_mut` in the write path un-shares it.
+            let data = match entry.twin() {
+                // Zero-copy: the reply shares the twin frame. A diff
+                // applied to the twin before the frame drains
+                // un-shares it (`Arc::make_mut`).
                 Some(twin) => Arc::clone(twin),
                 None => Arc::new(entry.data.clone()),
             };
@@ -772,11 +757,20 @@ impl Core<'_> {
             self.record_interval(n, rec, end);
         }
         let node = &mut self.nodes[n];
+        // A base is asked for only while the page has no copy. One
+        // that lands after the page gained a copy (a first-touch
+        // migration while the request was in flight, or a duplicate
+        // reply) is older than that copy and is dropped here, so a
+        // kept base always finds the slot empty.
+        let base = reply
+            .base
+            .as_ref()
+            .filter(|_| !node.mem.pages[page.index()].has_copy());
         let prefetch = reply.class.is_prefetch();
         if prefetch {
             node.mem.prefetch_replied(page);
             cache_unapplied(node, page, &reply.diffs);
-            if let Some(b) = &reply.base {
+            if let Some(b) = base {
                 node.records.entry(page).or_default().base = Some(b.clone());
             }
         }
@@ -797,8 +791,8 @@ impl Core<'_> {
         let fetch = slot.as_mut().expect("counted above");
         if !prefetch {
             fetch.collected.extend_from_slice(&reply.diffs);
-            if reply.base.is_some() {
-                fetch.base = reply.base.clone();
+            if base.is_some() {
+                fetch.base = base.cloned();
             }
         }
         fetch.outstanding -= 1;
@@ -902,7 +896,7 @@ pub(super) fn materialize(heap: &Heap, nodes: &[NodeState]) -> Vec<Page> {
                 continue;
             }
             let entry = &node.mem.pages[p];
-            if let Some(twin) = &entry.twin {
+            if let Some(twin) = entry.twin() {
                 Diff::between(twin, &entry.data).apply(&mut data);
             }
         }
@@ -990,16 +984,65 @@ mod tests {
         assert_eq!(pages[0].read_u64(8), 99, "incorporated diff not re-applied");
     }
 
+    /// A first-touch migration can hand node 1 its page while node 1's
+    /// prefetch of the page's base is still in flight, so the base
+    /// lands before or after the copy. Either way the base is older
+    /// than node 1's copy: it is dropped, and the writes node 1 made
+    /// as the page's new home survive the next apply.
+    #[test]
+    fn a_prefetched_base_never_lands_on_a_migrated_copy() {
+        use crate::config::DirectoryConfig;
+        use rsdsm_simnet::QueueBackend;
+
+        let cfg = DsmConfig::paper_cluster(2)
+            .with_directory(DirectoryConfig::on(DirectoryPolicy::FirstTouch));
+        let page = PageId::new(0);
+        let mut stale = Page::new();
+        stale.write_u64(0, 99);
+        let reply = DiffReply {
+            page,
+            diffs: Vec::new(),
+            base: Some(BasePayload {
+                page: Arc::new(stale),
+                incorporated: Vec::new(),
+            }),
+            class: FetchClass::Static,
+            intervals: Vec::new(),
+        };
+        for reply_first in [true, false] {
+            let (heap, _) = tiny_cluster();
+            let mut core = Core::new(&cfg, heap, Vec::new(), false, QueueBackend::default());
+            core.nodes[1].mem.prefetch_sent(page, 1);
+            if reply_first {
+                core.handle_diff_reply(1, &reply, SimTime::ZERO).unwrap();
+            }
+            core.first_touch(1, page);
+            assert_eq!(core.heap.home(page), 1, "the page migrated");
+            core.nodes[1].mem.pages[0].data.write_u64(0, 7);
+            if !reply_first {
+                core.handle_diff_reply(1, &reply, SimTime::ZERO).unwrap();
+            }
+            let kept = core.nodes[1]
+                .records
+                .get(&page)
+                .and_then(|r| r.base.as_ref());
+            assert!(kept.is_none(), "reply first: {reply_first}");
+            core.apply_with(1, page, Vec::new(), None, SimTime::ZERO);
+            assert_eq!(core.nodes[1].mem.pages[0].data.read_u64(0), 7);
+            assert_eq!(core.nodes[1].mem.prefetch_outstanding(), 0);
+        }
+    }
+
     #[test]
     fn materialize_applies_open_twins_last() {
         let (heap, mut nodes) = tiny_cluster();
         // Node 1 has an open interval: twin captures the pre-state,
         // data has uncommitted writes.
-        let twin = Page::new();
-        let mut data = Page::new();
-        data.write_u64(16, 5);
-        nodes[1].mem.pages[0].twin = Some(Arc::new(twin));
-        nodes[1].mem.pages[0].data = data;
+        let (page, mem) = (PageId::new(0), &mut nodes[1].mem);
+        mem.install_base(page, &Page::new());
+        mem.validate(page);
+        assert!(mem.make_twin(page));
+        mem.pages[0].data.write_u64(16, 5);
 
         let pages = materialize(&heap, &nodes);
         assert_eq!(pages[0].read_u64(16), 5, "open writes visible");

@@ -570,7 +570,7 @@ mod tests {
         let nobody = VectorClock::new(nodes);
         for node in &out.nodes {
             assert!(
-                node.mem.pages.iter().all(|p| p.valid),
+                node.mem.pages.iter().all(|p| p.is_valid()),
                 "every page was read"
             );
             assert!(node.intervals_unknown_to(&nobody).is_empty());
@@ -704,9 +704,9 @@ mod tests {
         let sim = Simulation::new(cfg);
         let (out, _) = sim.run_engine(&Incast, false).expect("incast runs");
         let slots = || out.nodes.iter().flat_map(|n| &n.mem.pages);
-        assert!(out.nodes[0].mem.pages.iter().all(|e| e.valid));
-        assert_eq!(slots().filter(|e| e.ever_valid).count(), 2 * PAGES - 1);
-        assert!(slots().all(|e| e.ever_valid || !e.data.is_materialized()));
+        assert!(out.nodes[0].mem.pages.iter().all(|e| e.is_valid()));
+        assert_eq!(slots().filter(|e| e.has_copy()).count(), 2 * PAGES - 1);
+        assert!(slots().all(|e| e.has_copy() || !e.data.is_materialized()));
         // Node 0's written copy; every page it merely read arrived as
         // its home's unmaterialized copy and stayed that way.
         assert_eq!(materialized(&out.nodes), 1);

@@ -185,7 +185,7 @@ impl Core<'_> {
         let adaptive = class == FetchClass::Adaptive;
         let mut end = now;
         for &page in pages {
-            if self.nodes[n].mem.pages[page.index()].valid {
+            if self.nodes[n].mem.pages[page.index()].is_valid() {
                 self.adaptive_cancel(n, class);
                 continue;
             }
@@ -485,7 +485,7 @@ impl Core<'_> {
         mem.prefetch.calls += history.len() as u64;
         mem.prefetch.unnecessary += history
             .iter()
-            .filter(|p| mem.pages[p.index()].valid)
+            .filter(|p| mem.pages[p.index()].is_valid())
             .count() as u64;
         let end = self.charge(
             n,

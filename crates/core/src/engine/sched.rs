@@ -414,7 +414,7 @@ impl Core<'_> {
         if self.tracer.is_on() {
             // Twins are created inside the conductor while the app
             // thread runs its burst — each one lengthens the dirty
-            // list, which nothing else touches meanwhile — and are
+            // log, which nothing else touches meanwhile — and are
             // traced here so their records land in the engine's
             // deterministic event order.
             for page in &self.nodes[n].mem.dirty[twinned..] {

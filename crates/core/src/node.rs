@@ -5,8 +5,17 @@
 //! notice board, diff storage, one [`PageRecord`] per page with
 //! something in flight or cached ahead, locks, accounting —
 //! and the node's memory, [`NodeMem`]: the part application threads
-//! touch directly on the fast path (page data, validity, twins, and the
-//! two prefetch facts a thread checks before it bothers the engine).
+//! touch directly on the fast path (page data, each page's
+//! [`PageState`], and the two prefetch facts a thread checks before it
+//! bothers the engine).
+//!
+//! A page's state moves only through [`NodeMem`]'s transitions: a
+//! base copy or a first-touch migration ends `Never`; notices make a
+//! copy stale and validation makes it current; the open interval's
+//! first write twins it onto the dirty log, and the seal takes the
+//! twin back. A model in this module's tests drives them at random
+//! against a reference that keeps three facts apart: a copy held,
+//! valid, twinned.
 //!
 //! Invariant: a node's memory is with exactly one party. It is the
 //! `mem` field here except while one of the node's threads runs, when
@@ -31,22 +40,47 @@ use crate::msg::{wire_enum, BasePayload, DiffPayload, IntervalRecord};
 use crate::report::{DirectorySummary, MissSummary, MtSummary, PrefetchSummary, SyncSummary};
 use crate::thread::ThreadId;
 
+/// Where one node's copy of a page stands under the multiple-writer
+/// protocol (§3.1): exactly the five states a run reaches.
+///
+/// - `Never`: no copy yet; the first access needs a base copy from
+///   the home. A base makes it `Held` (stale until the page's notices
+///   are applied), and a first-touch migration trades the home's clean
+///   copy for it.
+/// - `Held { valid, twin }`: a copy, current when `valid` (a notice
+///   clears it, validation sets it), with the open interval's `twin`
+///   from its first write until the interval is sealed. A twinned copy
+///   may be invalid: a lock grant records notices without closing the
+///   acquirer's open interval.
+///
+/// The twin is an `Arc` frame, so a base reply built from it shares it
+/// zero-copy; mutation goes through `Arc::make_mut`, which un-shares
+/// first.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum PageState {
+    #[default]
+    Never,
+    Held {
+        valid: bool,
+        twin: Option<Arc<Page>>,
+    },
+}
+
+impl PageState {
+    /// An untwinned copy.
+    fn copy(valid: bool) -> Self {
+        PageState::Held { valid, twin: None }
+    }
+}
+
 /// One page slot in a node's memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PageEntry {
-    /// The node's copy of the page contents (possibly stale when
-    /// invalid).
+    /// The node's copy of the page contents (possibly stale).
     pub data: Page,
-    /// Whether the copy may be accessed.
-    pub valid: bool,
-    /// Whether the node ever held a valid copy; first-touch fetches
-    /// need a full base copy from the home node.
-    pub ever_valid: bool,
-    /// Clean pre-modification copy; present exactly while the page is
-    /// dirty in the node's open interval. An `Arc` frame so a base
-    /// reply built from the twin shares it zero-copy; mutation goes
-    /// through `Arc::make_mut`, which un-shares first (copy-on-write).
-    pub twin: Option<Arc<Page>>,
+    /// Where the copy stands. Only [`NodeMem`]'s methods write it, so
+    /// a twinned slot is always on the dirty log.
+    state: PageState,
     /// Prefetch replies still outstanding for the page: every request
     /// sent counts until its reply, or the page's validation, retires
     /// it. Only [`NodeMem`]'s methods write it, so the node-wide total
@@ -58,18 +92,35 @@ pub(crate) struct PageEntry {
 }
 
 impl PageEntry {
-    fn new(valid: bool) -> Self {
-        PageEntry {
-            data: Page::new(),
-            valid,
-            ever_valid: valid,
-            twin: None,
-            pf_inflight: 0,
-            epoch_prefetched: false,
+    /// Whether the copy may be accessed.
+    pub(crate) fn is_valid(&self) -> bool {
+        matches!(self.state, PageState::Held { valid: true, .. })
+    }
+
+    /// Whether the node has (ever) held a copy.
+    pub(crate) fn has_copy(&self) -> bool {
+        matches!(self.state, PageState::Held { .. })
+    }
+
+    /// The open interval's twin, while the page has one.
+    pub(crate) fn twin(&self) -> Option<&Arc<Page>> {
+        match &self.state {
+            PageState::Held { twin, .. } => twin.as_ref(),
+            PageState::Never => None,
         }
     }
 
-    /// Prefetch replies still outstanding for the page.
+    /// Applies `diff` to the copy and to its twin, if any, so the
+    /// node's own diff stays minimal (concurrent diffs touch disjoint
+    /// bytes).
+    pub(crate) fn apply(&mut self, diff: &Diff) {
+        diff.apply(&mut self.data);
+        if let PageState::Held { twin: Some(t), .. } = &mut self.state {
+            diff.apply(Arc::make_mut(t));
+        }
+    }
+
+    /// Prefetch replies outstanding for the page.
     pub(crate) fn pf_inflight(&self) -> u32 {
         self.pf_inflight
     }
@@ -109,12 +160,16 @@ pub(crate) struct NodeMem {
     epoch_marked: Vec<PageId>,
     /// Rolling sequence for prefetch throttling.
     pub throttle_seq: u64,
-    /// Pages twinned since the last interval close, in twin-creation
-    /// order (may contain stale entries whose twin was already
-    /// dropped by a prefetch-induced interval split).
+    /// The dirty log: every page twinned since the last interval
+    /// close, in twin-creation order — the order the close seals them
+    /// in and the order their `TwinCreate` records are traced in. A
+    /// page a §3.1 prefetch split sealed early stays logged, and if it
+    /// is written again it is twinned again and logged a second time;
+    /// the close seals it at its first position. Every twinned slot is
+    /// on it.
     pub dirty: Vec<PageId>,
-    /// Free list recycling twin/checkpoint page buffers so the hot
-    /// write-fault path avoids an allocation.
+    /// Free list recycling twin frames so the hot write-fault path
+    /// avoids an allocation.
     pub pool: PagePool,
     /// The node's prefetch counters, the thread's and the engine's.
     pub prefetch: PrefetchSummary,
@@ -126,12 +181,66 @@ impl NodeMem {
     /// start valid and zero-filled). No slot owns a page buffer yet:
     /// a page materializes when it is first written.
     pub(crate) fn new(total_pages: usize, is_home: impl Fn(usize) -> bool) -> Self {
+        let slot = |p| PageEntry {
+            state: match is_home(p) {
+                true => PageState::copy(true),
+                false => PageState::Never,
+            },
+            ..PageEntry::default()
+        };
         NodeMem {
-            pages: (0..total_pages)
-                .map(|p| PageEntry::new(is_home(p)))
-                .collect(),
+            pages: (0..total_pages).map(slot).collect(),
             ..NodeMem::default()
         }
+    }
+
+    /// The open interval's first write to valid `page` twins it from
+    /// the pool and logs it. False when it already has a twin.
+    pub(crate) fn make_twin(&mut self, page: PageId) -> bool {
+        let entry = &mut self.pages[page.index()];
+        match &mut entry.state {
+            PageState::Held { valid: true, twin } if twin.is_none() => {
+                *twin = Some(self.pool.take_arc_copy_of(&entry.data));
+                self.dirty.push(page);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Seals `page`'s open writes: takes its twin, if any. The page
+    /// stays on the dirty log.
+    pub(crate) fn take_twin(&mut self, page: PageId) -> Option<Arc<Page>> {
+        match &mut self.pages[page.index()].state {
+            PageState::Held { twin, .. } => twin.take(),
+            PageState::Never => None,
+        }
+    }
+
+    /// A write notice for `page` invalidates whatever copy the node
+    /// holds; a twin stays, for the interval's seal.
+    pub(crate) fn invalidate(&mut self, page: PageId) {
+        if let PageState::Held { valid, .. } = &mut self.pages[page.index()].state {
+            *valid = false;
+        }
+    }
+
+    /// A base copy of `page` from its home arrives at a node that never
+    /// held one: a copy, invalid until the page's notices are applied.
+    pub(crate) fn install_base(&mut self, page: PageId, base: &Page) {
+        let entry = &mut self.pages[page.index()];
+        assert!(!entry.has_copy(), "a base copy over {page}'s copy");
+        entry.data.copy_from(base);
+        entry.state = PageState::copy(false);
+    }
+
+    /// A first-touch migration moves `page`'s home from this node,
+    /// whose copy is valid and untwinned, to `to`, which never held
+    /// one: the two slots trade states.
+    pub(crate) fn migrate(&mut self, page: PageId, to: &mut NodeMem) {
+        let (from, into) = (&mut self.pages[page.index()], &mut to.pages[page.index()]);
+        debug_assert!(from.is_valid() && from.twin().is_none() && !into.has_copy());
+        std::mem::swap(&mut from.state, &mut into.state);
     }
 
     /// Counts `requests` prefetch requests just sent for `page`.
@@ -155,11 +264,14 @@ impl NodeMem {
         self.pf_outstanding
     }
 
-    /// Marks `page` valid, which retires whatever prefetch replies it
-    /// still had outstanding.
+    /// Marks `page`'s copy valid — its notices are applied — which
+    /// retires whatever prefetch replies it still had outstanding.
     pub(crate) fn validate(&mut self, page: PageId) {
         let entry = &mut self.pages[page.index()];
-        entry.valid = true;
+        let PageState::Held { valid, .. } = &mut entry.state else {
+            panic!("{page} validated without a copy");
+        };
+        *valid = true;
         self.pf_outstanding -= std::mem::take(&mut entry.pf_inflight);
     }
 
@@ -485,15 +597,17 @@ mod tests {
     #[test]
     fn node_mem_homes_start_valid() {
         let mem = NodeMem::new(4, |p| p % 2 == 0);
-        assert!(mem.pages[0].valid && mem.pages[0].ever_valid);
-        assert!(!mem.pages[1].valid && !mem.pages[1].ever_valid);
-        assert!(mem.pages[2].twin.is_none());
+        assert!(mem.pages[0].is_valid() && mem.pages[0].has_copy());
+        assert!(!mem.pages[1].is_valid() && !mem.pages[1].has_copy());
+        assert!(mem.pages[0].twin().is_none());
     }
 
     #[test]
     fn slot_counts_and_node_total_move_together() {
         let (a, b) = (PageId::new(1), PageId::new(3));
         let mut mem = NodeMem::new(4, |_| false);
+        // A copy, not yet valid.
+        mem.install_base(a, &Page::new());
         mem.prefetch_sent(a, 2);
         mem.prefetch_sent(b, 1);
         mem.prefetch_sent(a, 1);
@@ -507,7 +621,7 @@ mod tests {
         // Validation retires whatever was still out; a straggler reply
         // after it has nothing left to retire.
         mem.validate(a);
-        assert!(mem.pages[1].valid);
+        assert!(mem.pages[1].is_valid());
         assert_eq!(
             (mem.pages[1].pf_inflight(), mem.prefetch_outstanding()),
             (0, 1)
@@ -524,6 +638,216 @@ mod tests {
         mem.end_epoch();
         assert!(mem.pages.iter().all(|e| !e.epoch_prefetched()));
         assert!(mem.epoch_marked.is_empty());
+    }
+
+    /// What a node's copy of a page was before it became one
+    /// [`PageState`] — the three facts the engine kept apart — as the
+    /// page-state model's reference.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Facts {
+        copy: bool,
+        valid: bool,
+        twinned: bool,
+    }
+
+    /// Nodes and pages of the modeled cluster; page `p` starts homed
+    /// at node `p % NODES`.
+    const NODES: usize = 3;
+    const PAGES: usize = 4;
+
+    /// The engine's page-state transitions over real node memories,
+    /// without messages, clocks or costs, beside the reference facts
+    /// and each slot's prefetch count. Each page's first word counts
+    /// its writes, so a twin can be checked against the copy it was
+    /// taken from.
+    struct Cluster {
+        mems: Vec<NodeMem>,
+        facts: Vec<[Facts; PAGES]>,
+        pf: Vec<[u32; PAGES]>,
+        /// The first word of each open twin, when it was taken.
+        twin_word: Vec<[u64; PAGES]>,
+        homes: [NodeId; PAGES],
+    }
+
+    impl Cluster {
+        fn new() -> Self {
+            let home = |n| std::array::from_fn(|p| p % NODES == n);
+            Cluster {
+                mems: (0..NODES)
+                    .map(|n| NodeMem::new(PAGES, |p| home(n)[p]))
+                    .collect(),
+                facts: (0..NODES)
+                    .map(|n| {
+                        home(n).map(|h| Facts {
+                            copy: h,
+                            valid: h,
+                            twinned: false,
+                        })
+                    })
+                    .collect(),
+                pf: vec![[0; PAGES]; NODES],
+                twin_word: vec![[0; PAGES]; NODES],
+                homes: std::array::from_fn(|p| p % NODES),
+            }
+        }
+
+        /// A thread's write: only a valid copy is written (an invalid
+        /// one faults first), and its first write twins it.
+        fn write(&mut self, n: NodeId, p: usize) {
+            let (mem, facts) = (&mut self.mems[n], &mut self.facts[n][p]);
+            if !mem.pages[p].is_valid() {
+                return;
+            }
+            let word = mem.pages[p].data.read_u64(0);
+            assert_eq!(mem.make_twin(PageId::new(p as u32)), !facts.twinned);
+            if !facts.twinned {
+                self.twin_word[n][p] = word;
+            }
+            facts.twinned = true;
+            mem.pages[p].data.write_u64(0, word + 1);
+        }
+
+        /// A completed fetch: a base copy from the home if the node
+        /// never held one, then a diff, then validation.
+        fn fetch(&mut self, n: NodeId, p: usize, value: u64) {
+            let page = PageId::new(p as u32);
+            let base = self.mems[self.homes[p]].pages[p].data.clone();
+            let (mem, facts) = (&mut self.mems[n], &mut self.facts[n][p]);
+            if !facts.copy {
+                mem.install_base(page, &base);
+                facts.copy = true;
+            }
+            let mut written = Page::new();
+            written.write_u64(8, value);
+            mem.pages[p].apply(&Diff::between(&Page::new(), &written));
+            let e = &mem.pages[p];
+            if let Some(twin) = e.twin() {
+                assert_eq!(
+                    twin.read_u64(8),
+                    e.data.read_u64(8),
+                    "a diff missed the twin"
+                );
+            }
+            mem.validate(page);
+            facts.valid = true;
+            self.pf[n][p] = 0;
+        }
+
+        /// Seals `pages` as an interval of node `n` does: each dirty
+        /// one gives up its twin, as taken.
+        fn seal(&mut self, n: NodeId, pages: &[PageId]) {
+            for &page in pages {
+                let p = page.index();
+                if let Some(twin) = self.mems[n].take_twin(page) {
+                    assert_eq!(twin.read_u64(0), self.twin_word[n][p]);
+                }
+                self.facts[n][p].twinned = false;
+            }
+        }
+
+        /// A first-touch migration of `p`'s home to `to`, where the
+        /// engine makes one: the home's copy is `Clean` and `to` never
+        /// held one.
+        fn migrate(&mut self, p: usize, to: NodeId) {
+            let from = self.homes[p];
+            let clean = Facts {
+                copy: true,
+                valid: true,
+                twinned: false,
+            };
+            if self.facts[from][p] != clean || self.facts[to][p].copy {
+                return;
+            }
+            let [a, b] = self.mems.get_disjoint_mut([from, to]).expect("two nodes");
+            a.migrate(PageId::new(p as u32), b);
+            self.facts[to][p] = clean;
+            self.facts[from][p] = Facts {
+                copy: false,
+                valid: false,
+                twinned: false,
+            };
+            self.homes[p] = to;
+        }
+
+        fn step(&mut self, op: u8, n: NodeId, p: usize, arg: u32) {
+            let page = PageId::new(p as u32);
+            match op {
+                0 | 1 => self.write(n, p),
+                2 => {
+                    self.mems[n].invalidate(page);
+                    self.facts[n][p].valid = false;
+                }
+                3 => self.fetch(n, p, arg as u64),
+                4 => {
+                    let dirty = std::mem::take(&mut self.mems[n].dirty);
+                    self.seal(n, &dirty);
+                }
+                5 => self.seal(n, &[page]),
+                6 => self.migrate(p, n),
+                7 => {
+                    let k = arg % 3 + 1;
+                    self.mems[n].prefetch_sent(page, k);
+                    self.pf[n][p] += k;
+                }
+                _ => {
+                    self.mems[n].prefetch_replied(page);
+                    self.pf[n][p] = self.pf[n][p].saturating_sub(1);
+                }
+            }
+        }
+
+        /// Each slot agrees with its facts and count, every dirty slot
+        /// is on its node's dirty log, and each node's outstanding
+        /// total is the sum of its slots' counts.
+        fn check(&self) {
+            for (n, mem) in self.mems.iter().enumerate() {
+                for (p, e) in mem.pages.iter().enumerate() {
+                    let facts = Facts {
+                        copy: e.has_copy(),
+                        valid: e.is_valid(),
+                        twinned: e.twin().is_some(),
+                    };
+                    let state = &e.state;
+                    assert_eq!(facts, self.facts[n][p], "node {n} page {p}: {state:?}");
+                    assert_eq!(e.pf_inflight(), self.pf[n][p]);
+                    let logged = mem.dirty.iter().any(|d| d.index() == p);
+                    assert!(
+                        !facts.twinned || logged,
+                        "node {n}'s dirty page {p} not logged"
+                    );
+                }
+                let total: u32 = mem.pages.iter().map(PageEntry::pf_inflight).sum();
+                assert_eq!(mem.prefetch_outstanding(), total);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// Random writes, notices, fetches, seals, splits, migrations
+        /// and prefetch counts over three nodes of four pages. At
+        /// every step each slot's state says what the three facts it
+        /// replaced said, every dirty slot is on the dirty log, the
+        /// prefetch counts add up, and no slot leaves `Never` but by a
+        /// base copy or a migration.
+        #[test]
+        fn page_state_model(
+            steps in proptest::collection::vec((0u8..9, 0..NODES, 0..PAGES, 0u32..100), 1..200),
+        ) {
+            let mut c = Cluster::new();
+            for (op, n, p, arg) in steps {
+                let never = |c: &Cluster| -> Vec<bool> {
+                    c.mems.iter().flat_map(|m| &m.pages).map(|e| !e.has_copy()).collect()
+                };
+                let before = never(&c);
+                c.step(op, n, p, arg);
+                c.check();
+                if op != 3 && op != 6 {
+                    proptest::prop_assert_eq!(never(&c), before, "op {} left Never", op);
+                }
+            }
+        }
     }
 
     fn payload(origin: NodeId, ticks: u32, diff: &Arc<Diff>) -> DiffPayload {

@@ -56,12 +56,14 @@ impl fmt::Display for PageId {
 /// What every unmaterialized page reads as.
 static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
-/// One page of shared data as held by a node.
-#[derive(Clone)]
+/// One page of shared data as held by a node. The default is
+/// [`Page::new`]'s zero page.
+#[derive(Clone, Default)]
 pub struct Page {
-    /// The page's own buffer, `PAGE_SIZE` long; `None` while the page
-    /// is unmaterialized (all zeros, never mutably accessed).
-    bytes: Option<Box<[u8]>>,
+    /// The page's own buffer; `None` while the page is unmaterialized
+    /// (all zeros, never mutably accessed). A thin pointer: a node's
+    /// page slot holds one beside its coherence state.
+    bytes: Option<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl Page {
@@ -81,15 +83,15 @@ impl Page {
     /// The page contents.
     pub fn bytes(&self) -> &[u8] {
         match &self.bytes {
-            Some(bytes) => bytes,
+            Some(bytes) => &bytes[..],
             None => &ZEROS,
         }
     }
 
     /// Mutable page contents (materializes the page).
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.bytes
-            .get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice())
+        let zeroed = || vec![0; PAGE_SIZE].try_into().expect("PAGE_SIZE bytes");
+        &mut self.bytes.get_or_insert_with(zeroed)[..]
     }
 
     /// Copies the entire contents of `other` into this page. A buffer
@@ -97,7 +99,7 @@ impl Page {
     /// unmaterialized); it gains one only when `other` has one.
     pub fn copy_from(&mut self, other: &Page) {
         match (&mut self.bytes, &other.bytes) {
-            (Some(dst), Some(src)) => dst.copy_from_slice(src),
+            (Some(dst), Some(src)) => **dst = **src,
             (Some(dst), None) => dst.fill(0),
             (None, Some(src)) => self.bytes = Some(src.clone()),
             (None, None) => {}
@@ -134,72 +136,32 @@ impl Page {
     }
 }
 
-/// A free list of page buffers, reused to avoid the allocation a
-/// materializing page pays on every twin, checkpoint image, and base
-/// copy. Each node keeps its own pool, so no synchronization is
-/// involved; the pool is bounded so a burst of twins cannot pin
-/// memory forever.
+/// A free list of twin frames, reused to avoid the allocation a
+/// materializing page pays on every twin. Each node keeps its own
+/// pool, so no synchronization is involved; the pool is bounded so a
+/// burst of twins cannot pin memory forever.
 ///
-/// Buffers come in two flavors that never mix: plain `Box<Page>`
-/// scratch copies, and `Arc<Page>` frames that the engine shares
-/// zero-copy between a twin and the message payloads built from it.
-/// An `Arc` frame is only recyclable once every clone has been
-/// dropped, so [`PagePool::put_arc`] quietly discards still-shared
-/// frames instead of holding a reference that would pin them.
+/// A frame is an `Arc<Page>`, which the engine shares zero-copy between
+/// a twin and the message payloads built from it. It is only
+/// recyclable once every clone has been dropped, so
+/// [`PagePool::put_arc`] quietly discards still-shared frames instead
+/// of holding a reference that would pin them.
 #[derive(Debug, Default)]
 pub struct PagePool {
-    // Boxed on purpose: callers store scratch pages as `Box<Page>`,
-    // and the pool must hand buffers in and out as pointer moves,
-    // never as page-sized memcpys.
-    #[allow(clippy::vec_box)]
-    free: Vec<Box<Page>>,
-    // Uniquely-owned Arc frames, kept separate so a recycled frame is
-    // always writable without a copy-on-write clone.
+    // Uniquely-owned frames only, so a recycled frame is always
+    // writable without a copy-on-write clone.
     free_arcs: Vec<Arc<Page>>,
 }
 
-/// Retained free pages per pool (per flavor); beyond this, returned
-/// pages are dropped. 1024 pages = 4 MiB per node, comfortably above
-/// the concurrent-twin high-water mark of every benchmark.
+/// Retained free frames per pool; beyond this, returned frames are
+/// dropped. 1024 pages = 4 MiB per node, comfortably above the
+/// concurrent-twin high-water mark of every benchmark.
 const POOL_MAX_FREE: usize = 1024;
 
 impl PagePool {
     /// An empty pool.
     pub fn new() -> Self {
         PagePool::default()
-    }
-
-    /// A page holding a copy of `src`: a recycled buffer when one is
-    /// free (overwritten, never zeroed first), a fresh allocation
-    /// otherwise.
-    pub fn take_copy_of(&mut self, src: &Page) -> Box<Page> {
-        match self.free.pop() {
-            Some(mut page) => {
-                page.copy_from(src);
-                page
-            }
-            None => Box::new(src.clone()),
-        }
-    }
-
-    /// A zero-filled page, recycled when possible.
-    pub fn take_zeroed(&mut self) -> Box<Page> {
-        match self.free.pop() {
-            Some(mut page) => {
-                page.copy_from(&Page::new());
-                page
-            }
-            None => Box::new(Page::new()),
-        }
-    }
-
-    /// Returns a page buffer to the pool (dropped once the pool holds
-    /// `POOL_MAX_FREE` = 1024 pages). The contents are irrelevant;
-    /// the next taker overwrites them.
-    pub fn put(&mut self, page: Box<Page>) {
-        if self.free.len() < POOL_MAX_FREE {
-            self.free.push(page);
-        }
     }
 
     /// An `Arc` frame holding a copy of `src`: a recycled
@@ -227,12 +189,6 @@ impl PagePool {
         if Arc::strong_count(&frame) == 1 && self.free_arcs.len() < POOL_MAX_FREE {
             self.free_arcs.push(frame);
         }
-    }
-}
-
-impl Default for Page {
-    fn default() -> Self {
-        Page::new()
     }
 }
 
@@ -303,13 +259,16 @@ mod tests {
         assert_eq!(Page::new(), rezeroed);
 
         let mut pool = PagePool::new();
-        let mut dirty = Box::new(Page::new());
+        let mut dirty = Page::new();
         dirty.write_u64(64, 7);
-        pool.put(dirty);
-        let recycled = pool.take_zeroed();
+        pool.put_arc(Arc::new(dirty));
+        let recycled = pool.take_arc_copy_of(&Page::new());
         assert!(recycled.is_materialized(), "the buffer was reused");
         assert_eq!(*recycled, Page::new());
-        assert!(!pool.take_zeroed().is_materialized(), "pool empty: fresh");
+        assert!(
+            !pool.take_arc_copy_of(&Page::new()).is_materialized(),
+            "pool empty: fresh"
+        );
 
         let mut written = Page::new();
         written.write_u64(0, 1);
@@ -335,12 +294,12 @@ mod tests {
         fresh.copy_from(&data);
         assert_eq!(fresh, data);
 
-        // A pooled buffer takes either kind of source.
+        // A pooled frame takes either kind of source.
         let mut pool = PagePool::new();
-        pool.put(Box::new(data.clone()));
-        assert_eq!(*pool.take_copy_of(&Page::new()), Page::new());
         pool.put_arc(Arc::new(data.clone()));
         assert_eq!(*pool.take_arc_copy_of(&Page::new()), Page::new());
+        pool.put_arc(Arc::new(fresh.clone()));
+        assert_eq!(*pool.take_arc_copy_of(&data), data);
         assert!(!pool.take_arc_copy_of(&Page::new()).is_materialized());
     }
 
