@@ -16,7 +16,7 @@
 use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, VerifyCtx};
 use rsdsm_simnet::SimDuration;
 
-use crate::util::{gen_f64, BarrierCycle};
+use crate::util::{gen_f64, BarrierCycle, Checked};
 
 /// Effective cost per floating-point operation (calibrated; includes
 /// the 1998 memory hierarchy).
@@ -133,22 +133,26 @@ impl LuApp {
         }
         a
     }
+}
 
-    /// Whether a final image (in the layout's order) is the
-    /// reference's, element by element within a relative 1e-6 (a NaN
-    /// is never within). Both layouts store a block's rows as runs of
-    /// `block` elements.
-    fn matches(&self, got: &[f64]) -> bool {
-        let expect = self.reference();
+impl Checked for LuApp {
+    /// The reference factorization in the layout's order. Both
+    /// layouts store a block's rows as runs of `block` elements.
+    fn expected(&self) -> Vec<f64> {
         let (n, b) = (self.n, self.block);
-        got.len() == n * n
-            && expect.chunks_exact(b).enumerate().all(|(run, want)| {
-                let at = self.idx(run * b / n, run * b % n);
-                got[at..at + b]
-                    .iter()
-                    .zip(want)
-                    .all(|(g, e)| (g - e).abs() <= 1e-6 * e.abs().max(1.0))
-            })
+        let mut image = vec![0.0; n * n];
+        for (run, want) in self.reference().chunks_exact(b).enumerate() {
+            let at = self.idx(run * b / n, run * b % n);
+            image[at..at + b].copy_from_slice(want);
+        }
+        image
+    }
+
+    /// Element by element within a relative 1e-6.
+    fn agrees(&self, got: &[f64], expect: &[f64]) -> bool {
+        got.iter()
+            .zip(expect)
+            .all(|(g, e)| (g - e).abs() <= 1e-6 * e.abs().max(1.0))
     }
 }
 

@@ -15,7 +15,7 @@ use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, Verif
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, BarrierCycle, StencilRows};
+use crate::util::{gen_f64, BarrierCycle, Checked, StencilRows};
 
 /// Simulated cost per 5-point stencil evaluation.
 const NS_PER_STENCIL: u64 = 1200;
@@ -370,10 +370,19 @@ impl DsmTask for OceanApp {
     }
 
     fn verify(&self, mem: &VerifyCtx, h: &Self::Handles) -> bool {
-        let expect = self.reference();
-        let got = mem.read_vec(&h.u, 0, self.n * self.n);
+        self.matches(&mem.read_vec(&h.u, 0, self.n * self.n))
+    }
+}
+
+impl Checked for OceanApp {
+    fn expected(&self) -> Vec<f64> {
+        self.reference()
+    }
+
+    /// Point by point within a relative 1e-9.
+    fn agrees(&self, got: &[f64], expect: &[f64]) -> bool {
         got.iter()
-            .zip(&expect)
+            .zip(expect)
             .all(|(a, b)| (a - b).abs() <= 1e-9 * b.abs().max(1.0))
     }
 }

@@ -12,7 +12,7 @@ use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, SharedVec, TaskCtx, Verif
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{BarrierCycle, StencilRows};
+use crate::util::{BarrierCycle, Checked, StencilRows};
 
 /// Simulated compute cost per cell update (a few flops plus index
 /// arithmetic on a 133 MHz PowerPC 604).
@@ -78,16 +78,18 @@ impl SorApp {
         }
         g
     }
+}
 
-    /// Whether a final grid is the reference's, cell by cell within
-    /// a relative 1e-12 (a NaN is never within).
-    fn matches(&self, got: &[f64]) -> bool {
-        let expect = self.reference();
-        got.len() == expect.len()
-            && got
-                .iter()
-                .zip(&expect)
-                .all(|(a, b)| (a - b).abs() <= 1e-12 * b.abs().max(1.0))
+impl Checked for SorApp {
+    fn expected(&self) -> Vec<f64> {
+        self.reference()
+    }
+
+    /// Cell by cell within a relative 1e-12.
+    fn agrees(&self, got: &[f64], expect: &[f64]) -> bool {
+        got.iter()
+            .zip(expect)
+            .all(|(a, b)| (a - b).abs() <= 1e-12 * b.abs().max(1.0))
     }
 }
 

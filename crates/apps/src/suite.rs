@@ -322,6 +322,17 @@ mod tests {
         assert_eq!(Benchmark::from_name("nope"), None);
     }
 
+    /// The golden executor's memory takes writes in place: it checks
+    /// on return that no page was twinned onto its dirty log.
+    #[test]
+    fn golden_runs_twin_nothing() {
+        let cfg = DsmConfig::paper_cluster(4);
+        for bench in [Benchmark::LuCont, Benchmark::WaterNsq] {
+            let golden = bench.golden(Scale::Test, &cfg, &[]).expect("golden run");
+            assert!(golden.verified, "{bench}");
+        }
+    }
+
     #[test]
     fn compiler_prefetch_matches_paper() {
         assert!(Benchmark::Fft.uses_compiler_prefetch());

@@ -1,6 +1,11 @@
 //! Shared helpers for the benchmark applications: block
-//! partitioning, complex arithmetic for FFT, and deterministic data
-//! generation.
+//! partitioning, complex arithmetic for FFT, deterministic data
+//! generation, and the verdict memo every reference-checked
+//! application verifies through.
+
+use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
+use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
 
 use rsdsm_core::{BarrierId, SharedVec, TaskCtx};
 use rsdsm_simnet::DetRng;
@@ -156,6 +161,10 @@ pub fn gen_u32(seed: u64, i: usize, bound: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lu::{LuApp, LuLayout};
+    use crate::{Benchmark, FftApp, OceanApp, SorApp, WaterNsqApp, WaterSpApp};
+    use proptest::prelude::*;
+    use rsdsm_core::{DsmConfig, Simulation, ThreadConfig};
 
     #[test]
     fn block_range_covers_everything() {
@@ -234,6 +243,169 @@ mod tests {
         let mut d = vec![Complex::default(); 12];
         fft_in_place(&mut d, false);
     }
+
+    /// Full checks run so far, per problem.
+    static FULL_CHECKS: LazyLock<Mutex<HashMap<String, usize>>> = LazyLock::new(Mutex::default);
+
+    pub(super) fn count_full_check(problem: &str) {
+        *FULL_CHECKS
+            .lock()
+            .expect("no test panics holding the count")
+            .entry(problem.to_owned())
+            .or_default() += 1;
+    }
+
+    fn full_checks(problem: &dyn Checked) -> usize {
+        let counts = FULL_CHECKS
+            .lock()
+            .expect("no test panics holding the count");
+        counts.get(&format!("{problem:?}")).copied().unwrap_or(0)
+    }
+
+    fn remembered(problem: &dyn Checked, image: &[f64]) -> bool {
+        accepted()
+            .get(&format!("{problem:?}"))
+            .is_some_and(|seen| seen.contains(&image_digest(image)))
+    }
+
+    /// The verdict of a fresh full check, past the memo.
+    fn full_check(app: &dyn Checked, got: &[f64]) -> bool {
+        let expect = app.expected();
+        got.len() == expect.len() && app.agrees(got, &expect)
+    }
+
+    /// Every reference-checked application, at sizes no other test
+    /// uses, so what the memo holds for them is this test's alone.
+    fn small_apps() -> Vec<Box<dyn Checked>> {
+        vec![
+            Box::new(FftApp::new(4)),
+            Box::new(LuApp::new(12, 4, LuLayout::Contiguous)),
+            Box::new(LuApp::new(12, 4, LuLayout::NonContiguous)),
+            Box::new(OceanApp::new(10, 1)),
+            Box::new(SorApp::new(7, 6, 2)),
+            Box::new(WaterNsqApp::new(9, 1)),
+            Box::new(WaterSpApp::new(9, 1)),
+        ]
+    }
+
+    /// A one-ulp change is accepted, a change past the tolerance, a
+    /// NaN and a short image are not: each twice, so the second call
+    /// takes the memo's hit path where there is one, and each as a
+    /// fresh full check rules.
+    #[test]
+    fn memo_verdicts_are_the_full_checks() {
+        for app in small_apps() {
+            let expect = app.expected();
+            let at = expect.len() / 2;
+            let with = |v: f64| {
+                let mut image = expect.clone();
+                image[at] = v;
+                image
+            };
+            let x = expect[at];
+            let cases = [
+                ("exact", expect.clone(), true),
+                ("one ulp", with(f64::from_bits(x.to_bits() + 1)), true),
+                ("past tolerance", with(x + 1e-3 * x.abs().max(1.0)), false),
+                ("NaN", with(f64::NAN), false),
+                ("short", expect[1..].to_vec(), false),
+            ];
+            for (what, image, verdict) in cases {
+                assert_eq!(full_check(&*app, &image), verdict, "{app:?}: {what}");
+                for call in 0..2 {
+                    assert_eq!(app.matches(&image), verdict, "{app:?}: {what}, call {call}");
+                }
+                assert_eq!(remembered(&*app, &image), verdict, "{app:?}: {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_image_is_checked_again_and_never_remembered() {
+        let app = SorApp::new(6, 7, 2);
+        let mut image = app.expected();
+        image[20] += 1.0;
+        for call in 1..=2 {
+            assert!(!app.matches(&image));
+            assert_eq!(full_checks(&app), call, "a rejection runs the full check");
+            assert!(!remembered(&app, &image));
+        }
+    }
+
+    #[test]
+    fn threads_verifying_one_problem_at_once_agree() {
+        let app = LuApp::new(20, 4, LuLayout::Contiguous);
+        let good = app.expected();
+        let mut bad = good.clone();
+        bad[100] = f64::NAN;
+        let start = std::sync::Barrier::new(4);
+        let verdicts: Vec<(bool, bool)> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (app.matches(&good), app.matches(&bad))
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("a verifying thread panicked"))
+                .collect()
+        });
+        assert_eq!(verdicts, vec![(true, false); 4]);
+        assert!(remembered(&app, &good) && !remembered(&app, &bad));
+    }
+
+    /// The paper's four bars of one problem make one image, bit for
+    /// bit the reference's for LU and SOR: the sweep computes each
+    /// reference once.
+    #[test]
+    fn a_sweep_over_the_techniques_computes_each_reference_once() {
+        let sweep = |bench: Benchmark, app: &dyn Checked, run: &dyn Fn(DsmConfig) -> bool| {
+            let base = DsmConfig::paper_cluster(4).with_seed(7);
+            for cfg in [
+                base.clone(),
+                base.clone().with_prefetch(bench.paper_prefetch()),
+                base.clone().with_threads(ThreadConfig::multithreaded(2)),
+                base.clone()
+                    .with_threads(ThreadConfig::combined(2))
+                    .with_prefetch(bench.combined_prefetch()),
+            ] {
+                assert!(run(cfg), "{app:?}");
+            }
+            assert_eq!(full_checks(app), 1, "{app:?}");
+        };
+        for (bench, layout) in [
+            (Benchmark::LuCont, LuLayout::Contiguous),
+            (Benchmark::LuNcont, LuLayout::NonContiguous),
+        ] {
+            let app = LuApp::new(40, 8, layout);
+            sweep(bench, &app, &|cfg| {
+                Simulation::new(cfg).run(&app).expect("LU runs").verified
+            });
+        }
+        let app = SorApp::new(40, 24, 2);
+        sweep(Benchmark::Sor, &app, &|cfg| {
+            Simulation::new(cfg).run(&app).expect("SOR runs").verified
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+        #[test]
+        fn flipping_any_bit_moves_the_digest(
+            words in prop::collection::vec(any::<u64>(), 1..48usize),
+            at in any::<usize>(),
+            bit in 0u32..64,
+        ) {
+            let image: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+            let mut flipped = image.clone();
+            let i = at % image.len();
+            flipped[i] = f64::from_bits(words[i] ^ 1 << bit);
+            prop_assert_ne!(image_digest(&image), image_digest(&flipped));
+        }
+    }
 }
 
 /// Issues successive global barriers over a small set of reusable
@@ -307,6 +479,15 @@ pub(crate) fn leapfrog(stride: usize, force: &[f64], vel: &mut [f64], pos: &mut 
     }
 }
 
+/// The three coordinates of every molecule, packed, from a run of
+/// molecules stored `stride` elements apart.
+pub(crate) fn unstride(stride: usize, strided: &[f64]) -> Vec<f64> {
+    strided
+        .chunks_exact(stride)
+        .flat_map(|mol| [mol[0], mol[1], mol[2]])
+        .collect()
+}
+
 /// WATER's softened repulsive pair force: `f(r) = k / (r^2 + eps)^2`
 /// along the separation vector.
 pub(crate) fn pair_force(dx: f64, dy: f64, dz: f64) -> [f64; 3] {
@@ -333,4 +514,99 @@ pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
 pub(crate) fn bits_digest(v: &[f64]) -> u64 {
     let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
     rsdsm_simnet::fnv1a(&bytes)
+}
+
+/// An application whose final image is checked against a sequential
+/// reference, value by value within a tolerance.
+///
+/// A check is a pure function of the problem and the image, and a
+/// sweep runs one problem under every technique, so
+/// [`matches`](Checked::matches) remembers, per problem, the digests of the
+/// images its full check accepted: an image seen before is accepted
+/// without recomputing the reference. The full check is the only way
+/// an image gets in, and a rejected image is never remembered, so
+/// every verdict is the full check's up to a 2^-64 digest collision —
+/// the same footing as the oracle's image digests.
+pub(crate) trait Checked: Debug {
+    /// The sequential reference as the values `verify` reads from a
+    /// final image, in the order it reads them.
+    fn expected(&self) -> Vec<f64>;
+
+    /// Whether `got` is within tolerance of `expect`, which has the
+    /// same length (a NaN is never within).
+    fn agrees(&self, got: &[f64], expect: &[f64]) -> bool;
+
+    /// Whether `got`, the values `verify` read from a final image, are
+    /// the reference's answer.
+    fn matches(&self, got: &[f64]) -> bool {
+        // The problem is the application's type and every parameter
+        // its reference depends on: all of it is in the Debug text.
+        let problem = format!("{self:?}");
+        let digest = image_digest(got);
+        if accepted()
+            .get(&problem)
+            .is_some_and(|seen| seen.contains(&digest))
+        {
+            return true;
+        }
+        // The full check, with the memo unlocked: a reference takes
+        // milliseconds, and the bins verify cells on parallel workers.
+        #[cfg(test)]
+        tests::count_full_check(&problem);
+        let expect = self.expected();
+        if got.len() != expect.len() || !self.agrees(got, &expect) {
+            return false;
+        }
+        let reference = image_digest(&expect);
+        let mut accepted = accepted();
+        let seen = accepted.entry(problem).or_default();
+        if seen.len() < MAX_DIGESTS {
+            seen.insert(digest);
+            seen.insert(reference);
+        }
+        true
+    }
+}
+
+/// Most digests one problem keeps: a sweep accepts a handful of
+/// distinct images per problem, and the cap bounds a process that
+/// runs one problem under unboundedly many seeds.
+const MAX_DIGESTS: usize = 1 << 12;
+
+/// Per problem (its Debug text), the digests of the images its full
+/// check accepted.
+static ACCEPTED: LazyLock<Mutex<HashMap<String, HashSet<u64>>>> = LazyLock::new(Mutex::default);
+
+fn accepted() -> MutexGuard<'static, HashMap<String, HashSet<u64>>> {
+    // Every update is one insert of a digest the full check accepted,
+    // so a panic elsewhere never leaves the map holding anything else.
+    ACCEPTED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A 64-bit digest of the bit patterns of `values`, a word at a time
+/// over four interleaved lanes (one dependency chain would bound it
+/// at a multiply's latency per word). Each step is a bijection of the
+/// running state for a fixed word and of the word for a fixed state,
+/// and the lanes fold in through the same step, so two images of one
+/// length that differ in a single value always digest apart.
+pub(crate) fn image_digest(values: &[f64]) -> u64 {
+    fn step(h: u64, word: u64) -> u64 {
+        (h ^ word.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .rotate_left(29)
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+    }
+    let mut lanes = [values.len() as u64, 1, 2, 3];
+    let quads = values.chunks_exact(4);
+    let rest = quads.remainder();
+    for quad in quads.chain([rest]) {
+        for (h, v) in lanes.iter_mut().zip(quad) {
+            *h = step(*h, v.to_bits());
+        }
+    }
+    let h = lanes.into_iter().fold(0, step);
+    // MurmurHash3's finalizer: a bijection that mixes every bit of
+    // the state into every bit of the digest.
+    let h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }

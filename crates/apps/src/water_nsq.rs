@@ -20,7 +20,7 @@ use rsdsm_core::{BarrierId, DsmTask, Heap, HomePolicy, LockId, SharedVec, TaskCt
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, leapfrog, pair_energy, pair_force, BarrierCycle};
+use crate::util::{gen_f64, leapfrog, pair_energy, pair_force, unstride, BarrierCycle, Checked};
 
 /// Simulated cost per pair-force evaluation (the real water potential
 /// is expensive — dozens of flops).
@@ -138,15 +138,6 @@ pub struct WaterNsqHandles {
     energy: SharedVec<f64>,
 }
 
-/// The three coordinates of every molecule, packed, from the strided
-/// shared layout.
-fn unstride(strided: &[f64]) -> Vec<f64> {
-    strided
-        .chunks_exact(STRIDE)
-        .flat_map(|mol| [mol[0], mol[1], mol[2]])
-        .collect()
-}
-
 /// Adds packed per-molecule triples to a strided run of molecules.
 fn add_strided(strided: &mut [f64], packed: &[f64]) {
     for (mol, add) in strided.chunks_exact_mut(STRIDE).zip(packed.chunks_exact(3)) {
@@ -261,7 +252,7 @@ impl DsmTask for WaterNsqApp {
             // consecutive same-block partners, and the non-binding
             // prefetch is hoisted above each acquire (§3.2).
             ctx.prefetch(&h.pos, 0, STRIDE * n).await;
-            let pos = unstride(&ctx.read_vec(&h.pos, 0, STRIDE * n).await);
+            let pos = unstride(STRIDE, &ctx.read_vec(&h.pos, 0, STRIDE * n).await);
             let mut local_e = 0.0f64;
             let blocks = n.div_ceil(MOLS_PER_LOCK);
             // Sweep partner blocks block-major: all of this thread's
@@ -335,16 +326,29 @@ impl DsmTask for WaterNsqApp {
     }
 
     fn verify(&self, mem: &VerifyCtx, h: &Self::Handles) -> bool {
-        let (expect_pos, expect_e) = self.reference();
-        let strided = mem.read_vec(&h.pos, 0, STRIDE * self.n);
-        let pos_ok = (0..self.n).all(|i| {
-            (0..3).all(|a| {
-                let got = strided[i * STRIDE + a];
-                let want = expect_pos[3 * i + a];
-                (got - want).abs() <= 1e-6 * want.abs().max(1.0)
-            })
-        });
-        let e = mem.read(&h.energy, 0);
+        let mut got = unstride(STRIDE, &mem.read_vec(&h.pos, 0, STRIDE * self.n));
+        got.push(mem.read(&h.energy, 0));
+        self.matches(&got)
+    }
+}
+
+impl Checked for WaterNsqApp {
+    /// Every molecule's three coordinates, then the potential energy.
+    fn expected(&self) -> Vec<f64> {
+        let (mut image, energy) = self.reference();
+        image.push(energy);
+        image
+    }
+
+    /// Coordinates within a relative 1e-6, and the energy too: locked
+    /// float sums depend on the critical-section order.
+    fn agrees(&self, got: &[f64], expect: &[f64]) -> bool {
+        let (&e, pos) = got.split_last().expect("an image ends with the energy");
+        let (&expect_e, expect_pos) = expect.split_last().expect("as does the reference");
+        let pos_ok = pos
+            .iter()
+            .zip(expect_pos)
+            .all(|(got, want)| (got - want).abs() <= 1e-6 * want.abs().max(1.0));
         let e_ok = (e - expect_e).abs() <= 1e-6 * expect_e.abs().max(1e-12);
         pos_ok && e_ok
     }

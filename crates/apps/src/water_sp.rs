@@ -16,7 +16,7 @@ use rsdsm_core::{
 use rsdsm_simnet::SimDuration;
 
 use crate::block_range;
-use crate::util::{gen_f64, leapfrog, pair_energy, pair_force, BarrierCycle};
+use crate::util::{gen_f64, leapfrog, pair_energy, pair_force, unstride, BarrierCycle, Checked};
 
 /// Simulated cost per pair-force evaluation.
 const NS_PER_PAIR: u64 = 21000;
@@ -360,15 +360,21 @@ impl DsmTask for WaterSpApp {
     }
 
     fn verify(&self, mem: &VerifyCtx, h: &Self::Handles) -> bool {
-        let expect = self.reference();
-        let strided = mem.read_vec(&h.pos, 0, STRIDE * self.n);
-        (0..self.n).all(|i| {
-            (0..3).all(|a| {
-                let got = strided[i * STRIDE + a];
-                let want = expect[3 * i + a];
-                (got - want).abs() <= 1e-6 * want.abs().max(1.0)
-            })
-        })
+        self.matches(&unstride(STRIDE, &mem.read_vec(&h.pos, 0, STRIDE * self.n)))
+    }
+}
+
+impl Checked for WaterSpApp {
+    /// Every molecule's three coordinates.
+    fn expected(&self) -> Vec<f64> {
+        self.reference()
+    }
+
+    /// Coordinate by coordinate within a relative 1e-6.
+    fn agrees(&self, got: &[f64], expect: &[f64]) -> bool {
+        got.iter()
+            .zip(expect)
+            .all(|(got, want)| (got - want).abs() <= 1e-6 * want.abs().max(1.0))
     }
 }
 

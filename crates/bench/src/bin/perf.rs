@@ -20,7 +20,8 @@
 //!   one 64-page segmented image.
 //!
 //! Each pair reports each side's best round and the median of the
-//! per-round ratios.
+//! per-round ratios; the sparse diff rows report the median of those
+//! over seven copies of the pages at different heap offsets.
 //!
 //! Usage: `perf [--bench-json PATH]`. No simulation runs.
 
@@ -71,6 +72,18 @@ struct Pair {
 }
 
 impl Pair {
+    /// The median of each number over `pairs`, timed on copies of one
+    /// input.
+    fn median_of(pairs: Vec<Pair>) -> Pair {
+        let of = |f: fn(&Pair) -> f64| median(pairs.iter().map(f).collect());
+        Pair {
+            fast: of(|p| p.fast),
+            slow: of(|p| p.slow),
+            ratio: of(|p| p.ratio),
+            iters: pairs.iter().map(|p| p.iters).sum(),
+        }
+    }
+
     /// Rows `{stem}_ns`, `{stem}_reference_ns` and `{stem}_speedup`.
     fn record(self, samples: &mut Vec<Sample>, ratios: &mut Vec<(String, f64)>, stem: &str) {
         for (suffix, nanos) in [("", self.fast), ("_reference", self.slow)] {
@@ -127,34 +140,46 @@ fn main() {
     // --- Diff::between and Diff::apply against their references ---
     // Each pair runs interleaved, round by round, so whatever disturbs
     // the machine disturbs both: the best round is each side's time,
-    // the median of the per-round ratios the speedup CI gates.
-    for (shape, (twin, current)) in [
-        ("sparse", diff_shapes::strided(256)),
-        ("dense", diff_shapes::strided(8)),
-        ("f64", diff_shapes::f64_words()),
-    ] {
-        let between = interleaved(
-            1_000,
-            9,
-            || Diff::between(&twin, &current),
-            || Diff::between_reference(&twin, &current),
-        );
-        let diff = Diff::between(&twin, &current);
-        let (mut page, mut reference_page) = (twin.clone(), twin.clone());
-        // An apply takes about a tenth of a scan's time, so its rounds
-        // run ten times the iterations to last as long.
-        let apply = interleaved(
-            10_000,
-            9,
-            || diff.apply(&mut page),
-            || apply_runs(&diff, &mut reference_page),
-        );
-        assert_eq!(
-            page, reference_page,
-            "apply and the run-at-a-time apply diverged"
-        );
-        for (op, pair) in [("between", between), ("apply", apply)] {
-            pair.record(&mut samples, &mut ratios, &format!("diff_{op}_{shape}"));
+    // the median of the per-round ratios the speedup CI gates. The
+    // sparse shape's few runs take so little time that where its page
+    // buffers sit shows in it, so it is timed on several copies, each
+    // behind a spacer of a different size, all held at once so no copy
+    // reuses another's memory; each number is the copies' median.
+    type MakePages = fn() -> (Page, Page);
+    let shapes: [(&str, usize, MakePages); 3] = [
+        ("sparse", 7, || diff_shapes::strided(256)),
+        ("dense", 1, || diff_shapes::strided(8)),
+        ("f64", 1, diff_shapes::f64_words),
+    ];
+    for (shape, copies, make) in shapes {
+        let placed: Vec<(Vec<u8>, (Page, Page))> = (0..copies)
+            .map(|k| (vec![0; 1 + 328 * k], make()))
+            .collect();
+        let (mut between, mut apply) = (Vec::new(), Vec::new());
+        for (_, (twin, current)) in &placed {
+            between.push(interleaved(
+                1_000,
+                9,
+                || Diff::between(twin, current),
+                || Diff::between_reference(twin, current),
+            ));
+            let diff = Diff::between(twin, current);
+            let (mut page, mut reference_page) = (twin.clone(), twin.clone());
+            // An apply takes about a tenth of a scan's time, so its
+            // rounds run ten times the iterations to last as long.
+            apply.push(interleaved(
+                10_000,
+                9,
+                || diff.apply(&mut page),
+                || apply_runs(&diff, &mut reference_page),
+            ));
+            assert_eq!(
+                page, reference_page,
+                "apply and the run-at-a-time apply diverged"
+            );
+        }
+        for (op, pairs) in [("between", between), ("apply", apply)] {
+            Pair::median_of(pairs).record(&mut samples, &mut ratios, &format!("diff_{op}_{shape}"));
         }
     }
 

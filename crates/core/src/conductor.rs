@@ -917,9 +917,9 @@ mod tests {
     }
 
     /// Runs `app` on `threads` threads of one node — OS threads or
-    /// tasks, by `B` — under `drive`, which also gets one flat,
-    /// all-valid memory to lend out (the golden model's arrangement:
-    /// no faults, every syscall a no-op).
+    /// tasks, by `B` — under `drive`, which also gets one all-valid
+    /// memory to lend out (no faults, every syscall a no-op; unlike
+    /// the golden model's flat memory, a first write twins its page).
     fn run_on<B, P: Runnable<B>, R>(
         app: &P,
         threads: usize,

@@ -111,9 +111,17 @@ pub fn golden_run<B, P: Runnable<B>>(
         |links| run_schedule(links, total_pages, &mut replay),
     )?;
 
-    let pages: Vec<Page> = mem.pages.into_iter().map(|e| e.data).collect();
+    // Flat memory takes writes in place: a twin would be on the log.
+    assert!(
+        mem.dirty.is_empty(),
+        "golden memory twinned {:?}",
+        mem.dirty
+    );
+    // Verify first, then keep the one image: nothing needs a copy.
+    let image = VerifyCtx::new(mem.pages.into_iter().map(|e| e.data).collect());
+    let verified = app.verify(&image, &handles);
+    let pages = image.into_pages();
     let image_digest = digest_pages(&pages);
-    let verified = app.verify(&VerifyCtx::new(pages.clone()), &handles);
     Ok(GoldenRun {
         pages,
         image_digest,
@@ -130,8 +138,8 @@ fn run_schedule(
     replay: &mut HashMap<LockId, VecDeque<usize>>,
 ) -> Result<NodeMem, String> {
     // One flat memory, every page valid from the start: no faults, no
-    // twins needed for correctness (writes land directly), no DSM.
-    let mut mem = NodeMem::new(total_pages, |_| true);
+    // twins (writes land directly), no DSM.
+    let mut mem = NodeMem::flat(total_pages);
     let total_threads = links.len();
     let mut states = vec![GState::Ready; total_threads];
     let mut locks: HashMap<LockId, GLock> = HashMap::new();

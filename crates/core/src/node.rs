@@ -41,7 +41,8 @@ use crate::report::{DirectorySummary, MissSummary, MtSummary, PrefetchSummary, S
 use crate::thread::ThreadId;
 
 /// Where one node's copy of a page stands under the multiple-writer
-/// protocol (§3.1): exactly the five states a run reaches.
+/// protocol (§3.1): exactly the five states a run reaches, and the
+/// golden model's one.
 ///
 /// - `Never`: no copy yet; the first access needs a base copy from
 ///   the home. A base makes it `Held` (stale until the page's notices
@@ -52,6 +53,9 @@ use crate::thread::ThreadId;
 ///   from its first write until the interval is sealed. A twinned copy
 ///   may be invalid: a lock grant records notices without closing the
 ///   acquirer's open interval.
+/// - `Flat`: the golden model's memory (`NodeMem::flat`), with no
+///   protocol at all: always valid, and a write twins nothing, since
+///   nothing is ever sealed into a diff.
 ///
 /// The twin is an `Arc` frame, so a base reply built from it shares it
 /// zero-copy; mutation goes through `Arc::make_mut`, which un-shares
@@ -64,6 +68,7 @@ pub(crate) enum PageState {
         valid: bool,
         twin: Option<Arc<Page>>,
     },
+    Flat,
 }
 
 impl PageState {
@@ -94,19 +99,22 @@ pub(crate) struct PageEntry {
 impl PageEntry {
     /// Whether the copy may be accessed.
     pub(crate) fn is_valid(&self) -> bool {
-        matches!(self.state, PageState::Held { valid: true, .. })
+        matches!(
+            self.state,
+            PageState::Held { valid: true, .. } | PageState::Flat
+        )
     }
 
     /// Whether the node has (ever) held a copy.
     pub(crate) fn has_copy(&self) -> bool {
-        matches!(self.state, PageState::Held { .. })
+        matches!(self.state, PageState::Held { .. } | PageState::Flat)
     }
 
     /// The open interval's twin, while the page has one.
     pub(crate) fn twin(&self) -> Option<&Arc<Page>> {
         match &self.state {
             PageState::Held { twin, .. } => twin.as_ref(),
-            PageState::Never => None,
+            PageState::Never | PageState::Flat => None,
         }
     }
 
@@ -194,8 +202,22 @@ impl NodeMem {
         }
     }
 
+    /// The golden model's memory of `total_pages`: every page valid
+    /// from the start, and no write ever twinned or logged.
+    pub(crate) fn flat(total_pages: usize) -> Self {
+        let slot = || PageEntry {
+            state: PageState::Flat,
+            ..PageEntry::default()
+        };
+        NodeMem {
+            pages: (0..total_pages).map(|_| slot()).collect(),
+            ..NodeMem::default()
+        }
+    }
+
     /// The open interval's first write to valid `page` twins it from
-    /// the pool and logs it. False when it already has a twin.
+    /// the pool and logs it. False when it already has a twin, and in
+    /// flat memory.
     pub(crate) fn make_twin(&mut self, page: PageId) -> bool {
         let entry = &mut self.pages[page.index()];
         match &mut entry.state {
@@ -213,7 +235,7 @@ impl NodeMem {
     pub(crate) fn take_twin(&mut self, page: PageId) -> Option<Arc<Page>> {
         match &mut self.pages[page.index()].state {
             PageState::Held { twin, .. } => twin.take(),
-            PageState::Never => None,
+            PageState::Never | PageState::Flat => None,
         }
     }
 
@@ -600,6 +622,17 @@ mod tests {
         assert!(mem.pages[0].is_valid() && mem.pages[0].has_copy());
         assert!(!mem.pages[1].is_valid() && !mem.pages[1].has_copy());
         assert!(mem.pages[0].twin().is_none());
+    }
+
+    #[test]
+    fn flat_memory_is_valid_and_twins_nothing() {
+        let mut mem = NodeMem::flat(3);
+        for p in 0..3 {
+            assert!(mem.pages[p].is_valid() && mem.pages[p].has_copy());
+            assert!(!mem.make_twin(PageId::new(p as u32)));
+            assert!(mem.pages[p].twin().is_none());
+        }
+        assert!(mem.dirty.is_empty());
     }
 
     #[test]
