@@ -38,6 +38,7 @@
 #![warn(unreachable_pub)]
 
 mod accounting;
+mod blocking;
 mod checkpoint;
 mod codec;
 mod conductor;
@@ -59,11 +60,12 @@ mod trace;
 mod transport;
 
 pub use accounting::{Breakdown, Category, IdleReason, NodeAccount, NormalizedBreakdown};
+pub use blocking::{AsThread, DsmCtx, DsmProgram};
 pub use checkpoint::{
     classify_slot, Checkpoint, CheckpointError, CommitRecord, DiffRecord, PageImage, SlotState,
     SLOT_REGIONS,
 };
-pub use conductor::{DsmCtx, TaskCtx};
+pub use conductor::TaskCtx;
 pub use config::{
     ConfigError, DirectoryConfig, DirectoryPolicy, DsmConfig, PrefetchConfig, PrefetchMode,
     ThreadConfig,
@@ -78,7 +80,7 @@ pub use oracle::{GrantRecord, InvariantKind, OracleConfig, OracleOutcome, Violat
 pub use prefetch::{
     AdaptiveStats, StrideDetector, ThrottleChange, ThrottleController, TrendChange,
 };
-pub use program::{AsTask, AsThread, DsmProgram, DsmTask, Runnable, VerifyCtx};
+pub use program::{AsTask, DsmTask, Runnable, VerifyCtx};
 pub use recovery::{RecoveryConfig, RecoveryStats};
 pub use report::{
     DirectorySummary, MissSummary, MtSummary, NetSummary, PrefetchSummary, RunReport, SimError,

@@ -544,16 +544,16 @@ mod tests {
     /// false`.
     #[test]
     fn a_broken_runs_report_is_deterministic() {
-        use crate::{DsmConfig, DsmCtx, DsmProgram, Heap, Simulation};
+        use crate::{DsmConfig, DsmTask, Heap, Simulation, TaskCtx};
 
         struct Idle;
-        impl DsmProgram for Idle {
+        impl DsmTask for Idle {
             type Handles = ();
             fn name(&self) -> String {
                 "idle".into()
             }
             fn allocate(&self, _: &mut Heap) {}
-            fn run(&self, _: &mut DsmCtx, _: &()) {}
+            async fn run(&self, _: &mut TaskCtx, _: &()) {}
         }
         let cfg = DsmConfig::paper_cluster(2).with_oracle(OracleConfig::full());
         let mut report = Simulation::new(cfg).run(&Idle).expect("idle runs");

@@ -1,23 +1,21 @@
 //! The application programming model.
 //!
-//! A benchmark is a type implementing [`DsmTask`] (or its synchronous
-//! twin, [`DsmProgram`]): it allocates its shared arrays up front, then
-//! every simulated thread executes `run` with its own context. After
-//! the run the engine materializes the authoritative final memory
-//! image and calls `verify` so every experiment double-checks its
-//! numeric result.
+//! A benchmark is a type implementing [`DsmTask`]: it allocates its
+//! shared arrays up front, then every simulated thread executes `run`
+//! with its own context. After the run the engine materializes the
+//! authoritative final memory image and calls `verify` so every
+//! experiment double-checks its numeric result.
 //!
-//! Which of the two traits a program implements decides what its
-//! simulated threads are on the host — and nothing else does: there is
-//! no switch. A [`DsmTask`]'s `run` is a future, stepped on the
-//! engine's own thread; a [`DsmProgram`]'s is synchronous code, which
-//! needs (and gets) a parked OS thread per simulated thread. The
-//! simulation is the same either way — same syscalls in the same
-//! order with the same charges, so the same report and trace digests
-//! — but a task's hand-off costs no context switch, so new programs
-//! should be tasks. [`Runnable`] is what [`Simulation::run`] and
-//! [`golden_run`] accept: either.
+//! A [`DsmTask`]'s `run` is a future, stepped on the engine's own
+//! thread. Its blocking form, [`DsmProgram`], is kept for the programs
+//! of `benchmark/src/surface.rs`: its `run` is synchronous code, which
+//! gets a parked OS thread per simulated thread (`blocking.rs`). The simulation is
+//! the same either way — same syscalls in the same order with the same
+//! charges, so the same report and trace digests — but a task's
+//! hand-off costs no context switch. [`Runnable`] is what
+//! [`Simulation::run`] and [`golden_run`] accept: either.
 //!
+//! [`DsmProgram`]: crate::DsmProgram
 //! [`Simulation::run`]: crate::Simulation::run
 //! [`golden_run`]: crate::golden_run
 
@@ -25,7 +23,8 @@ use std::future::Future;
 
 use rsdsm_protocol::Page;
 
-use crate::conductor::{DsmCtx, TaskCtx, ThreadBody};
+use crate::blocking::Scope;
+use crate::conductor::{Task, TaskCtx};
 use crate::heap::{page_bytes, Heap, Pod, SharedVec};
 
 /// A parallel application runnable on the simulated DSM, written as a
@@ -113,99 +112,19 @@ pub trait DsmTask {
     }
 }
 
-/// A parallel application runnable on the simulated DSM, written as
-/// synchronous code: every simulated thread is an OS thread, parked
-/// except while the engine runs its burst. The twin of [`DsmTask`]
-/// for code that cannot be `async`; a run costs two context switches
-/// per syscall more than the task's.
-///
-/// # Examples
-///
-/// A two-thread program that sums a shared array:
-///
-/// ```
-/// use rsdsm_core::{
-///     BarrierId, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, Simulation,
-///     VerifyCtx,
-/// };
-///
-/// struct Sum;
-///
-/// impl DsmProgram for Sum {
-///     type Handles = (SharedVec<f64>, SharedVec<f64>);
-///
-///     fn name(&self) -> String {
-///         "sum".into()
-///     }
-///
-///     fn allocate(&self, heap: &mut Heap) -> Self::Handles {
-///         (
-///             heap.alloc(1024, HomePolicy::Single(0)),
-///             heap.alloc(2, HomePolicy::Single(0)),
-///         )
-///     }
-///
-///     fn run(&self, ctx: &mut DsmCtx, (data, partial): &Self::Handles) {
-///         let t = ctx.thread_id();
-///         let n = ctx.num_threads();
-///         let chunk = data.len() / n;
-///         if t == 0 {
-///             for i in 0..data.len() {
-///                 ctx.write(data, i, 1.0);
-///             }
-///         }
-///         ctx.barrier(BarrierId(0));
-///         let mine: f64 = ctx.read_vec(data, t * chunk, chunk).iter().sum();
-///         ctx.write(partial, t, mine);
-///         ctx.barrier(BarrierId(1));
-///     }
-///
-///     fn verify(&self, mem: &VerifyCtx, (_, partial): &Self::Handles) -> bool {
-///         (mem.read(partial, 0) + mem.read(partial, 1) - 1024.0).abs() < 1e-9
-///     }
-/// }
-///
-/// let report = Simulation::new(DsmConfig::paper_cluster(2))
-///     .run(&Sum)
-///     .expect("run succeeds");
-/// assert!(report.verified);
-/// ```
-pub trait DsmProgram: Sync {
-    /// Handles to the program's shared allocations, lent to every
-    /// thread.
-    type Handles: Clone + Send + Sync;
-
-    /// Human-readable benchmark name.
-    fn name(&self) -> String;
-
-    /// Allocates the program's shared arrays.
-    fn allocate(&self, heap: &mut Heap) -> Self::Handles;
-
-    /// The body executed by every application thread.
-    fn run(&self, ctx: &mut DsmCtx, handles: &Self::Handles);
-
-    /// Checks the final memory image. The default accepts anything.
-    fn verify(&self, mem: &VerifyCtx, handles: &Self::Handles) -> bool {
-        let _ = (mem, handles);
-        true
-    }
-}
-
 /// [`Runnable`] by way of [`DsmTask`]: simulated threads are futures
 /// polled on the engine's thread.
 #[derive(Debug)]
 pub enum AsTask {}
 
-/// [`Runnable`] by way of [`DsmProgram`]: simulated threads are parked
-/// OS threads.
-#[derive(Debug)]
-pub enum AsThread {}
-
 /// What the engine and the golden executor run: a [`DsmTask`] or a
 /// [`DsmProgram`]. Implemented for every type that implements one of
 /// the two (`Backing` is then [`AsTask`] or [`AsThread`], inferred at
 /// the call) and sealed: its methods are the program's own, plus one
-/// that nothing outside this crate can write.
+/// that nothing outside this crate can call.
+///
+/// [`DsmProgram`]: crate::DsmProgram
+/// [`AsThread`]: crate::AsThread
 pub trait Runnable<Backing> {
     /// The program's `Handles`.
     type Handles;
@@ -222,10 +141,12 @@ pub trait Runnable<Backing> {
     #[doc(hidden)]
     fn verify(&self, mem: &VerifyCtx, handles: &Self::Handles) -> bool;
 
-    /// One simulated thread's `run`, over `ctx`, in the form its
-    /// backing executes.
+    /// One simulated thread's `run`, over `ctx`, as the future its
+    /// driver polls; a [`DsmProgram`](crate::DsmProgram)'s starts its
+    /// OS thread with `os`.
     #[doc(hidden)]
-    fn body<'a>(&'a self, ctx: TaskCtx, handles: &'a Self::Handles) -> ThreadBody<'a>;
+    fn body<'a>(&'a self, ctx: TaskCtx, handles: &'a Self::Handles, os: &Scope<'_, 'a>)
+        -> Task<'a>;
 }
 
 /// Zero-cost read access to the authoritative final memory image,

@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rsdsm_apps::{Benchmark, Scale};
 use rsdsm_core::{
-    ConfigError, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy,
-    NodeCrash, OracleConfig, Partition, PersistConfig, RecoveryConfig, SharedVec, SimError,
-    Simulation, ThreadConfig, VerifyCtx,
+    ConfigError, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmTask, Heap, HomePolicy, NodeCrash,
+    OracleConfig, Partition, PersistConfig, RecoveryConfig, SharedVec, SimError, Simulation,
+    TaskCtx, ThreadConfig, VerifyCtx,
 };
 use rsdsm_simnet::{NetConfig, SimDuration, SimTime};
 
@@ -179,7 +179,7 @@ struct Probe {
     touched: AtomicBool,
 }
 
-impl DsmProgram for Probe {
+impl DsmTask for Probe {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -191,7 +191,7 @@ impl DsmProgram for Probe {
         heap.alloc(8, HomePolicy::Single(0))
     }
 
-    fn run(&self, _ctx: &mut DsmCtx, _v: &Self::Handles) {
+    async fn run(&self, _ctx: &mut TaskCtx, _v: &Self::Handles) {
         self.touched.store(true, Ordering::SeqCst);
     }
 

@@ -2,8 +2,8 @@
 //! safety limits, barrier identifier reuse, and home policies.
 
 use rsdsm_core::{
-    BarrierId, Category, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, SharedVec, SimError,
-    Simulation, VerifyCtx,
+    BarrierId, Category, DsmConfig, DsmTask, Heap, HomePolicy, SharedVec, SimError, Simulation,
+    TaskCtx, VerifyCtx,
 };
 use rsdsm_simnet::SimDuration;
 
@@ -13,7 +13,7 @@ struct Churner {
     rounds: usize,
 }
 
-impl DsmProgram for Churner {
+impl DsmTask for Churner {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -24,7 +24,7 @@ impl DsmProgram for Churner {
         heap.alloc(4096, HomePolicy::Blocked)
     }
 
-    fn run(&self, ctx: &mut DsmCtx, data: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, data: &Self::Handles) {
         let t = ctx.thread_id();
         let n = ctx.num_threads();
         let chunk = data.len() / n;
@@ -32,14 +32,14 @@ impl DsmProgram for Churner {
             let vals: Vec<u64> = (0..chunk)
                 .map(|i| (round * 1000 + t * 10 + i) as u64)
                 .collect();
-            ctx.write_slice(data, t * chunk, &vals);
+            ctx.write_slice(data, t * chunk, &vals).await;
             // Reuse two alternating barrier ids across all rounds.
-            ctx.barrier(BarrierId(round as u32 % 2));
+            ctx.barrier(BarrierId(round as u32 % 2)).await;
             // Read a neighbour's chunk so diffs actually travel.
             let other = (t + 1) % n;
-            let got = ctx.read_vec(data, other * chunk, chunk);
+            let got = ctx.read_vec(data, other * chunk, chunk).await;
             assert_eq!(got[0], (round * 1000 + other * 10) as u64);
-            ctx.barrier(BarrierId(2 + round as u32 % 2));
+            ctx.barrier(BarrierId(2 + round as u32 % 2)).await;
         }
     }
 
@@ -82,7 +82,7 @@ fn simulated_time_limit_aborts_cleanly() {
 /// Round-robin homed pages spread first-touch fetches across nodes.
 struct RoundRobinReader;
 
-impl DsmProgram for RoundRobinReader {
+impl DsmTask for RoundRobinReader {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -93,15 +93,15 @@ impl DsmProgram for RoundRobinReader {
         heap.alloc(4096, HomePolicy::RoundRobin)
     }
 
-    fn run(&self, ctx: &mut DsmCtx, data: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, data: &Self::Handles) {
         if ctx.thread_id() == 0 {
             let vals: Vec<u64> = (0..data.len() as u64).collect();
-            ctx.write_slice(data, 0, &vals);
+            ctx.write_slice(data, 0, &vals).await;
         }
-        ctx.barrier(BarrierId(0));
-        let sum: u64 = ctx.read_vec(data, 0, data.len()).iter().sum();
+        ctx.barrier(BarrierId(0)).await;
+        let sum: u64 = ctx.read_vec(data, 0, data.len()).await.iter().sum();
         assert_eq!(sum, (data.len() as u64 - 1) * data.len() as u64 / 2);
-        ctx.barrier(BarrierId(1));
+        ctx.barrier(BarrierId(1)).await;
     }
 }
 

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use rsdsm_core::{
-    golden_run, BarrierId, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, LockId, OracleConfig,
-    PrefetchConfig, SharedVec, Simulation, ThreadConfig, VerifyCtx, PAGE_SIZE,
+    golden_run, BarrierId, DsmConfig, DsmTask, Heap, HomePolicy, LockId, OracleConfig,
+    PrefetchConfig, SharedVec, Simulation, TaskCtx, ThreadConfig, VerifyCtx, PAGE_SIZE,
 };
 use rsdsm_simnet::{DetRng, SimDuration};
 
@@ -35,7 +35,7 @@ struct FuzzHandles {
 
 const NUM_COUNTERS: usize = 3;
 
-impl DsmProgram for FuzzProgram {
+impl DsmTask for FuzzProgram {
     type Handles = FuzzHandles;
 
     fn name(&self) -> String {
@@ -51,21 +51,22 @@ impl DsmProgram for FuzzProgram {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let n = ctx.num_threads();
         let mut rng = DetRng::new(self.seed ^ 0xF022 ^ t as u64);
         let my_base = t * self.slots_per_thread;
 
         if t == 0 {
-            ctx.write_slice(&h.counters, 0, &[0u64; NUM_COUNTERS]);
+            ctx.write_slice(&h.counters, 0, &[0u64; NUM_COUNTERS]).await;
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
 
         for phase in 0..self.phases {
             // Write my slots for this phase (sub-page, false shared).
             for k in 0..self.slots_per_thread {
-                ctx.write(&h.slots, my_base + k, pattern(self.seed, phase, t, k));
+                ctx.write(&h.slots, my_base + k, pattern(self.seed, phase, t, k))
+                    .await;
             }
             ctx.compute(SimDuration::from_micros(rng.next_range(10, 200)));
 
@@ -73,16 +74,16 @@ impl DsmProgram for FuzzProgram {
             for _ in 0..self.counter_rounds {
                 let c = rng.next_below(NUM_COUNTERS as u64) as usize;
                 if rng.chance(0.5) {
-                    ctx.prefetch(&h.counters, c, c + 1);
+                    ctx.prefetch(&h.counters, c, c + 1).await;
                 }
-                ctx.acquire(LockId(40 + c as u32));
-                let v = ctx.read(&h.counters, c);
+                ctx.acquire(LockId(40 + c as u32)).await;
+                let v = ctx.read(&h.counters, c).await;
                 ctx.compute(SimDuration::from_micros(3));
-                ctx.write(&h.counters, c, v + 1);
-                ctx.release(LockId(40 + c as u32));
+                ctx.write(&h.counters, c, v + 1).await;
+                ctx.release(LockId(40 + c as u32)).await;
             }
 
-            ctx.barrier(BarrierId(1 + 2 * phase as u32));
+            ctx.barrier(BarrierId(1 + 2 * phase as u32)).await;
 
             // Read a random selection of other threads' slots; every
             // value must be this phase's pattern (release consistency
@@ -92,16 +93,16 @@ impl DsmProgram for FuzzProgram {
                 let k = rng.next_below(self.slots_per_thread as u64) as usize;
                 if rng.chance(self.prefetch_ratio) {
                     let idx = other * self.slots_per_thread + k;
-                    ctx.prefetch(&h.slots, idx, idx + 1);
+                    ctx.prefetch(&h.slots, idx, idx + 1).await;
                 }
-                let got = ctx.read(&h.slots, other * self.slots_per_thread + k);
+                let got = ctx.read(&h.slots, other * self.slots_per_thread + k).await;
                 let want = pattern(self.seed, phase, other, k);
                 assert_eq!(
                     got, want,
                     "phase {phase}: thread {t} read slot ({other},{k}) stale"
                 );
             }
-            ctx.barrier(BarrierId(2 + 2 * phase as u32));
+            ctx.barrier(BarrierId(2 + 2 * phase as u32)).await;
         }
     }
 
@@ -165,7 +166,7 @@ fn counter_total(program: &FuzzProgram, report: &rsdsm_core::RunReport) -> u64 {
     // iff no increment was lost; we detect loss through the in-run
     // assertions plus this recount using a verifying wrapper.
     struct Recount<'a>(&'a FuzzProgram, std::sync::Mutex<u64>);
-    impl DsmProgram for Recount<'_> {
+    impl DsmTask for Recount<'_> {
         type Handles = FuzzHandles;
         fn name(&self) -> String {
             "recount".into()
@@ -173,8 +174,8 @@ fn counter_total(program: &FuzzProgram, report: &rsdsm_core::RunReport) -> u64 {
         fn allocate(&self, heap: &mut Heap) -> Self::Handles {
             self.0.allocate(heap)
         }
-        fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
-            self.0.run(ctx, h);
+        async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
+            self.0.run(ctx, h).await;
         }
         fn verify(&self, mem: &VerifyCtx, h: &Self::Handles) -> bool {
             let total: u64 = (0..NUM_COUNTERS).map(|c| mem.read(&h.counters, c)).sum();
@@ -269,7 +270,7 @@ fn bulk_pattern(seed: u64, phase: usize, k: usize) -> u64 {
     DetRng::new(seed ^ 0xB0_14 ^ ((phase as u64) << 32) ^ k as u64).next_u64()
 }
 
-impl DsmProgram for MergeProgram {
+impl DsmTask for MergeProgram {
     type Handles = MergeHandles;
 
     fn name(&self) -> String {
@@ -284,11 +285,11 @@ impl DsmProgram for MergeProgram {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let n = ctx.num_threads();
         assert_eq!(n, self.threads, "harness wired the wrong thread count");
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
 
         for phase in 0..self.phases {
             // (a) Concurrent same-page writes: thread t owns slots
@@ -297,39 +298,41 @@ impl DsmProgram for MergeProgram {
             // in bytes.
             let mut k = t;
             while k < SLOTS {
-                ctx.write(&h.shared, k, pattern(self.seed, phase, t, k));
+                ctx.write(&h.shared, k, pattern(self.seed, phase, t, k))
+                    .await;
                 k += n;
             }
 
             // (c) Full-page diff: one thread rewrites every byte.
             if t == phase % n {
                 for k in 0..SLOTS {
-                    ctx.write(&h.bulk, k, bulk_pattern(self.seed, phase, k));
+                    ctx.write(&h.bulk, k, bulk_pattern(self.seed, phase, k))
+                        .await;
                 }
             }
 
             // Close the interval so the next one holds only the
             // net-zero write below.
-            ctx.acquire(LockId(90 + t as u32));
-            ctx.release(LockId(90 + t as u32));
+            ctx.acquire(LockId(90 + t as u32)).await;
+            ctx.release(LockId(90 + t as u32)).await;
 
             // (b) Empty diff: dirty the scratch page without changing
             // it (the slot always holds 0), so this interval closes
             // with a zero-run diff.
-            ctx.write(&h.scratch, t, 0u64);
+            ctx.write(&h.scratch, t, 0u64).await;
 
-            ctx.barrier(BarrierId(1 + 2 * phase as u32));
+            ctx.barrier(BarrierId(1 + 2 * phase as u32)).await;
 
             // Everyone checks the fully merged page contents.
             for k in 0..SLOTS {
-                let got = ctx.read(&h.shared, k);
+                let got = ctx.read(&h.shared, k).await;
                 let want = pattern(self.seed, phase, k % n, k);
                 assert_eq!(got, want, "phase {phase}: thread {t} shared slot {k} stale");
-                let got = ctx.read(&h.bulk, k);
+                let got = ctx.read(&h.bulk, k).await;
                 let want = bulk_pattern(self.seed, phase, k);
                 assert_eq!(got, want, "phase {phase}: thread {t} bulk slot {k} stale");
             }
-            ctx.barrier(BarrierId(2 + 2 * phase as u32));
+            ctx.barrier(BarrierId(2 + 2 * phase as u32)).await;
         }
     }
 

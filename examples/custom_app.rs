@@ -1,14 +1,16 @@
 //! Writing your own application against the DSM: a parallel
 //! histogram-equalization kernel with prefetch annotations and result
-//! verification, run under every latency-tolerance mode.
+//! verification, run under every latency-tolerance mode. Like
+//! `task_app`, it is a task: every `ctx` operation that can reach the
+//! engine is awaited, and the arithmetic between them is plain Rust.
 //!
 //! ```text
 //! cargo run --release --example custom_app
 //! ```
 
 use rsdsm::core::{
-    BarrierId, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, LockId, PrefetchConfig, SharedVec,
-    Simulation, ThreadConfig, VerifyCtx,
+    BarrierId, DsmConfig, DsmTask, Heap, HomePolicy, LockId, PrefetchConfig, SharedVec, Simulation,
+    TaskCtx, ThreadConfig, VerifyCtx,
 };
 use rsdsm::simnet::SimDuration;
 
@@ -37,24 +39,29 @@ impl HistogramEq {
         ((v * v) * self.bins as f64) as u32
     }
 
-    fn reference(&self) -> Vec<u32> {
+    /// The histogram of `pixels`.
+    fn histogram(&self, pixels: impl IntoIterator<Item = u32>) -> Vec<u64> {
         let mut hist = vec![0u64; self.bins];
-        for i in 0..self.pixels {
-            hist[self.pixel(i) as usize] += 1;
+        for px in pixels {
+            hist[px as usize] += 1;
         }
+        hist
+    }
+
+    /// The remap table of the whole image's histogram: each bin to its
+    /// cumulative share of the pixels.
+    fn remap(&self, hist: &[u64]) -> Vec<u32> {
         let mut remap = vec![0u32; self.bins];
         let mut cum = 0u64;
         for (b, h) in hist.iter().enumerate() {
             cum += h;
             remap[b] = ((cum * (self.bins as u64 - 1)) / self.pixels as u64) as u32;
         }
-        (0..self.pixels)
-            .map(|i| remap[self.pixel(i) as usize])
-            .collect()
+        remap
     }
 }
 
-impl DsmProgram for HistogramEq {
+impl DsmTask for HistogramEq {
     type Handles = Handles;
 
     fn name(&self) -> String {
@@ -69,7 +76,7 @@ impl DsmProgram for HistogramEq {
         }
     }
 
-    fn run(&self, ctx: &mut DsmCtx, h: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, h: &Self::Handles) {
         let t = ctx.thread_id();
         let n = ctx.num_threads();
         let (p0, p1) = rsdsm::apps::block_range(self.pixels, t, n);
@@ -77,58 +84,50 @@ impl DsmProgram for HistogramEq {
         // Master initialization (and zeroing the shared histogram).
         if t == 0 {
             let img: Vec<u32> = (0..self.pixels).map(|i| self.pixel(i)).collect();
-            ctx.write_slice(&h.image, 0, &img);
-            ctx.write_slice(&h.hist, 0, &vec![0u64; self.bins]);
+            ctx.write_slice(&h.image, 0, &img).await;
+            ctx.write_slice(&h.hist, 0, &vec![0u64; self.bins]).await;
         }
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
 
         // Local histogram of my block (first touch: prefetch it).
-        ctx.prefetch(&h.image, p0, p1);
-        let mine = ctx.read_vec(&h.image, p0, p1 - p0);
-        let mut local = vec![0u64; self.bins];
-        for &px in &mine {
-            local[px as usize] += 1;
-        }
+        ctx.prefetch(&h.image, p0, p1).await;
+        let mine = ctx.read_vec(&h.image, p0, p1 - p0).await;
+        let local = self.histogram(mine.iter().copied());
         ctx.compute(SimDuration::from_nanos(mine.len() as u64 * 40));
 
         // Merge under the lock; the prefetch is hoisted above the
         // acquire, as the paper does for WATER-NSQ (§3.2).
-        ctx.prefetch(&h.hist, 0, self.bins);
-        ctx.acquire(HIST_LOCK);
-        let mut global = ctx.read_vec(&h.hist, 0, self.bins);
+        ctx.prefetch(&h.hist, 0, self.bins).await;
+        ctx.acquire(HIST_LOCK).await;
+        let mut global = ctx.read_vec(&h.hist, 0, self.bins).await;
         for (g, l) in global.iter_mut().zip(&local) {
             *g += *l;
         }
-        ctx.write_slice(&h.hist, 0, &global);
-        ctx.release(HIST_LOCK);
-        ctx.barrier(BarrierId(1));
+        ctx.write_slice(&h.hist, 0, &global).await;
+        ctx.release(HIST_LOCK).await;
+        ctx.barrier(BarrierId(1)).await;
 
         // Thread 0 computes the remap table from the full histogram.
         if t == 0 {
-            let hist = ctx.read_vec(&h.hist, 0, self.bins);
-            let mut remap = vec![0u32; self.bins];
-            let mut cum = 0u64;
-            for (b, hv) in hist.iter().enumerate() {
-                cum += hv;
-                remap[b] = ((cum * (self.bins as u64 - 1)) / self.pixels as u64) as u32;
-            }
+            let remap = self.remap(&ctx.read_vec(&h.hist, 0, self.bins).await);
             ctx.compute(SimDuration::from_micros(self.bins as u64));
-            ctx.write_slice(&h.remap, 0, &remap);
+            ctx.write_slice(&h.remap, 0, &remap).await;
         }
-        ctx.barrier(BarrierId(2));
+        ctx.barrier(BarrierId(2)).await;
 
         // Everyone remaps its block through the shared table.
-        ctx.prefetch(&h.remap, 0, self.bins);
-        let remap = ctx.read_vec(&h.remap, 0, self.bins);
+        ctx.prefetch(&h.remap, 0, self.bins).await;
+        let remap = ctx.read_vec(&h.remap, 0, self.bins).await;
         let out: Vec<u32> = mine.iter().map(|&px| remap[px as usize]).collect();
         ctx.compute(SimDuration::from_nanos(out.len() as u64 * 30));
-        ctx.write_slice(&h.image, p0, &out);
-        ctx.barrier(BarrierId(3));
+        ctx.write_slice(&h.image, p0, &out).await;
+        ctx.barrier(BarrierId(3)).await;
     }
 
+    /// Every pixel is its remap through the sequential histogram.
     fn verify(&self, mem: &VerifyCtx, h: &Self::Handles) -> bool {
-        let expect = self.reference();
-        (0..self.pixels).all(|i| mem.read(&h.image, i) == expect[i])
+        let remap = self.remap(&self.histogram((0..self.pixels).map(|i| self.pixel(i))));
+        (0..self.pixels).all(|i| mem.read(&h.image, i) == remap[self.pixel(i) as usize])
     }
 }
 

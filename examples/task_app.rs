@@ -1,9 +1,8 @@
 //! Writing your own application as a *task*: a parallel prefix sum
 //! whose simulated threads are futures the engine polls on its own
 //! thread — no OS thread per simulated thread, no context switch per
-//! fault, lock or barrier. `custom_app` is the same exercise written
-//! synchronously; the simulation is the same either way, the host
-//! cost is not.
+//! fault, lock or barrier. `custom_app` is a second application in
+//! the same form.
 //!
 //! ```text
 //! cargo run --release --example task_app

@@ -16,8 +16,8 @@ use common::{base, for_each_cell};
 use rsdsm::apps::Benchmark::{self, Fft, Radix};
 use rsdsm::apps::Scale;
 use rsdsm::core::{
-    BarrierId, DirectoryConfig, DirectoryPolicy, DsmCtx, DsmProgram, Heap, HomePolicy,
-    RecoveryConfig, SharedVec, Simulation, Topology, PAGE_SIZE,
+    BarrierId, DirectoryConfig, DirectoryPolicy, DsmTask, Heap, HomePolicy, RecoveryConfig,
+    SharedVec, Simulation, TaskCtx, Topology, PAGE_SIZE,
 };
 use rsdsm::oracle::Technique::{self, Base, Combined, Prefetch};
 use rsdsm::simnet::SimDuration;
@@ -70,7 +70,7 @@ fn full_matrix_big_tiers() {
 /// An idle program long enough to cover many heartbeat rounds.
 struct IdleRounds;
 
-impl DsmProgram for IdleRounds {
+impl DsmTask for IdleRounds {
     type Handles = SharedVec<u64>;
 
     fn name(&self) -> String {
@@ -81,9 +81,9 @@ impl DsmProgram for IdleRounds {
         heap.alloc(PAGE_SIZE / 8, HomePolicy::Single(0))
     }
 
-    fn run(&self, ctx: &mut DsmCtx, _v: &Self::Handles) {
+    async fn run(&self, ctx: &mut TaskCtx, _v: &Self::Handles) {
         ctx.compute(SimDuration::from_millis(100));
-        ctx.barrier(BarrierId(0));
+        ctx.barrier(BarrierId(0)).await;
     }
 }
 
