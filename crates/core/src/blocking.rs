@@ -165,6 +165,8 @@ impl<P: DsmProgram> Runnable<AsThread> for P {
         // path, cost `storm1024` a page of stack per thread.
         let ctx = Box::new(DsmCtx { ctx, driver });
         let thread = os.0.spawn(move || shim(ctx, self, h)).thread().clone();
+        #[cfg(test)]
+        tests::SPAWNED.with_borrow_mut(|spawned| spawned.push(thread.clone()));
         Box::pin(OsThread(Peer { thread, baton }))
     }
 }
@@ -291,18 +293,6 @@ fn now<F: Future>(op: F, driver: &Peer) -> F::Output {
     }
 }
 
-/// Declares, for each operation of [`TaskCtx`] that can reach the
-/// driver, the [`DsmCtx`] method of the same name: the same signature
-/// without the `async`, run to completion by [`now`].
-macro_rules! blocking {
-    ($($(#[$doc:meta])* fn $op:ident$(<$t:ident>)?($($arg:ident: $ty:ty),*) $(-> $out:ty)?;)*) => {$(
-        $(#[$doc])*
-        pub fn $op$(<$t: Pod>)?(&mut self, $($arg: $ty),*) $(-> $out)? {
-            now(self.ctx.$op($($arg),*), &self.driver)
-        }
-    )*};
-}
-
 /// The per-thread handle to the simulated DSM, for a synchronous
 /// program.
 ///
@@ -337,28 +327,52 @@ impl DsmCtx {
         self.ctx.compute(dur);
     }
 
-    blocking! {
-        /// Reads element `i` of a shared array; see [`TaskCtx::read`].
-        fn read<T>(v: &SharedVec<T>, i: usize) -> T;
-        /// Writes element `i` of a shared array; see [`TaskCtx::write`].
-        fn write<T>(v: &SharedVec<T>, i: usize, value: T);
-        /// Reads elements `start..start + out.len()` into `out`; see
-        /// [`TaskCtx::read_slice`].
-        fn read_slice<T>(v: &SharedVec<T>, start: usize, out: &mut [T]);
-        /// Writes `values` to elements `start..start + values.len()`; see
-        /// [`TaskCtx::write_slice`].
-        fn write_slice<T>(v: &SharedVec<T>, start: usize, values: &[T]);
-        /// Reads a range as a new vector; see [`TaskCtx::read_vec`].
-        fn read_vec<T>(v: &SharedVec<T>, start: usize, len: usize) -> Vec<T>;
-        /// Acquires a lock, blocking until granted.
-        fn acquire(lock: LockId);
-        /// Releases a lock this thread holds; see [`TaskCtx::release`].
-        fn release(lock: LockId);
-        /// Arrives at a barrier, blocking until all threads arrive.
-        fn barrier(id: BarrierId);
-        /// Issues non-binding prefetches for the pages backing elements
-        /// `start..end` of `v`; see [`TaskCtx::prefetch`].
-        fn prefetch<T>(v: &SharedVec<T>, start: usize, end: usize);
+    /// Reads element `i` of a shared array; see [`TaskCtx::read`].
+    pub fn read<T: Pod>(&mut self, v: &SharedVec<T>, i: usize) -> T {
+        now(self.ctx.read(v, i), &self.driver)
+    }
+
+    /// Writes element `i` of a shared array; see [`TaskCtx::write`].
+    pub fn write<T: Pod>(&mut self, v: &SharedVec<T>, i: usize, value: T) {
+        now(self.ctx.write(v, i, value), &self.driver);
+    }
+
+    /// Reads elements `start..start + out.len()` into `out`; see
+    /// [`TaskCtx::read_slice`].
+    pub fn read_slice<T: Pod>(&mut self, v: &SharedVec<T>, start: usize, out: &mut [T]) {
+        now(self.ctx.read_slice(v, start, out), &self.driver);
+    }
+
+    /// Writes `values` to elements `start..start + values.len()`; see
+    /// [`TaskCtx::write_slice`].
+    pub fn write_slice<T: Pod>(&mut self, v: &SharedVec<T>, start: usize, values: &[T]) {
+        now(self.ctx.write_slice(v, start, values), &self.driver);
+    }
+
+    /// Reads a range as a new vector; see [`TaskCtx::read_vec`].
+    pub fn read_vec<T: Pod>(&mut self, v: &SharedVec<T>, start: usize, len: usize) -> Vec<T> {
+        now(self.ctx.read_vec(v, start, len), &self.driver)
+    }
+
+    /// Acquires a lock, blocking until granted.
+    pub fn acquire(&mut self, lock: LockId) {
+        now(self.ctx.acquire(lock), &self.driver);
+    }
+
+    /// Releases a lock this thread holds; see [`TaskCtx::release`].
+    pub fn release(&mut self, lock: LockId) {
+        now(self.ctx.release(lock), &self.driver);
+    }
+
+    /// Arrives at a barrier, blocking until all threads arrive.
+    pub fn barrier(&mut self, id: BarrierId) {
+        now(self.ctx.barrier(id), &self.driver);
+    }
+
+    /// Issues non-binding prefetches for the pages backing elements
+    /// `start..end` of `v`; see [`TaskCtx::prefetch`].
+    pub fn prefetch<T: Pod>(&mut self, v: &SharedVec<T>, start: usize, end: usize) {
+        now(self.ctx.prefetch(v, start, end), &self.driver);
     }
 
     /// Emulates compiler-issued prefetch checks on private data; see
@@ -370,6 +384,7 @@ impl DsmCtx {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, Once, PoisonError};
     use std::thread::ThreadId as OsThreadId;
@@ -471,11 +486,17 @@ mod tests {
         random_resume_order_completes::<AsThread>();
     }
 
+    thread_local! {
+        /// The OS threads [`AsThread`] spawned on this driver thread, in
+        /// spawn order.
+        pub(super) static SPAWNED: RefCell<Vec<Thread>> = const { RefCell::new(Vec::new()) };
+    }
+
     /// Rule 3. The driver leaves itself a wake token before every
     /// burst, so its first `park` returns with its own resume still in
     /// the slot; and a helper wakes the driver and every application
-    /// thread that has started — parked on a call not taken yet, or on
-    /// its answer — in a tight loop for the whole run.
+    /// thread — parked on a call not taken yet, on its answer, or never
+    /// resumed — in a tight loop for the whole run.
     #[test]
     fn spurious_wakeups_change_nothing() {
         let started = Mutex::new(Vec::new());
@@ -485,13 +506,14 @@ mod tests {
         };
         let (mem, syscalls) = run_on::<AsThread, _, _>(&app, THREADS, |mut links, mut mem| {
             let driver = thread::current();
+            let threads = SPAWNED.take();
+            assert_eq!(threads.len(), THREADS);
             let stop = AtomicBool::new(false);
             let syscalls = thread::scope(|s| {
                 s.spawn(|| {
                     while !stop.load(Ordering::SeqCst) {
                         driver.unpark();
-                        let started = started.lock().unwrap_or_else(PoisonError::into_inner);
-                        started.iter().for_each(Thread::unpark);
+                        threads.iter().for_each(Thread::unpark);
                     }
                 });
                 let syscalls = drive_randomly(&mut links, &mut mem, || thread::current().unpark());

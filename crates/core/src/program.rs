@@ -9,10 +9,10 @@
 //! A [`DsmTask`]'s `run` is a future, stepped on the engine's own
 //! thread. Its blocking form, [`DsmProgram`], is kept for the programs
 //! of `benchmark/src/surface.rs`: its `run` is synchronous code, which
-//! gets a parked OS thread per simulated thread (`blocking.rs`). The simulation is
-//! the same either way — same syscalls in the same order with the same
-//! charges, so the same report and trace digests — but a task's
-//! hand-off costs no context switch. [`Runnable`] is what
+//! gets a parked OS thread per simulated thread (`blocking.rs`). The
+//! simulation is the same either way — same syscalls in the same order
+//! with the same charges, so the same report and trace digests — but a
+//! task's hand-off costs no context switch. [`Runnable`] is what
 //! [`Simulation::run`] and [`golden_run`] accept: either.
 //!
 //! [`DsmProgram`]: crate::DsmProgram

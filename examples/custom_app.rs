@@ -39,25 +39,20 @@ impl HistogramEq {
         ((v * v) * self.bins as f64) as u32
     }
 
-    /// The histogram of `pixels`.
-    fn histogram(&self, pixels: impl IntoIterator<Item = u32>) -> Vec<u64> {
+    fn reference(&self) -> Vec<u32> {
         let mut hist = vec![0u64; self.bins];
-        for px in pixels {
-            hist[px as usize] += 1;
+        for i in 0..self.pixels {
+            hist[self.pixel(i) as usize] += 1;
         }
-        hist
-    }
-
-    /// The remap table of the whole image's histogram: each bin to its
-    /// cumulative share of the pixels.
-    fn remap(&self, hist: &[u64]) -> Vec<u32> {
         let mut remap = vec![0u32; self.bins];
         let mut cum = 0u64;
         for (b, h) in hist.iter().enumerate() {
             cum += h;
             remap[b] = ((cum * (self.bins as u64 - 1)) / self.pixels as u64) as u32;
         }
-        remap
+        (0..self.pixels)
+            .map(|i| remap[self.pixel(i) as usize])
+            .collect()
     }
 }
 
@@ -92,7 +87,10 @@ impl DsmTask for HistogramEq {
         // Local histogram of my block (first touch: prefetch it).
         ctx.prefetch(&h.image, p0, p1).await;
         let mine = ctx.read_vec(&h.image, p0, p1 - p0).await;
-        let local = self.histogram(mine.iter().copied());
+        let mut local = vec![0u64; self.bins];
+        for &px in &mine {
+            local[px as usize] += 1;
+        }
         ctx.compute(SimDuration::from_nanos(mine.len() as u64 * 40));
 
         // Merge under the lock; the prefetch is hoisted above the
@@ -109,7 +107,13 @@ impl DsmTask for HistogramEq {
 
         // Thread 0 computes the remap table from the full histogram.
         if t == 0 {
-            let remap = self.remap(&ctx.read_vec(&h.hist, 0, self.bins).await);
+            let hist = ctx.read_vec(&h.hist, 0, self.bins).await;
+            let mut remap = vec![0u32; self.bins];
+            let mut cum = 0u64;
+            for (b, hv) in hist.iter().enumerate() {
+                cum += hv;
+                remap[b] = ((cum * (self.bins as u64 - 1)) / self.pixels as u64) as u32;
+            }
             ctx.compute(SimDuration::from_micros(self.bins as u64));
             ctx.write_slice(&h.remap, 0, &remap).await;
         }
@@ -124,10 +128,9 @@ impl DsmTask for HistogramEq {
         ctx.barrier(BarrierId(3)).await;
     }
 
-    /// Every pixel is its remap through the sequential histogram.
     fn verify(&self, mem: &VerifyCtx, h: &Self::Handles) -> bool {
-        let remap = self.remap(&self.histogram((0..self.pixels).map(|i| self.pixel(i))));
-        (0..self.pixels).all(|i| mem.read(&h.image, i) == remap[self.pixel(i) as usize])
+        let expect = self.reference();
+        (0..self.pixels).all(|i| mem.read(&h.image, i) == expect[i])
     }
 }
 
