@@ -258,7 +258,6 @@ fn main() {
                     Json::num(r.net.max_queue_delay.as_micros()),
                 ),
                 ("dir_home_hits", Json::num(r.directory.home_hits)),
-                ("dir_migrations", Json::num(r.directory.migrations)),
                 ("pf_reply_drops", Json::num(r.prefetch.reply_drops)),
                 ("retransmissions", Json::num(r.transport.retransmissions)),
             ])

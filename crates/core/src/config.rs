@@ -142,29 +142,21 @@ impl PrefetchConfig {
 ///
 /// With the directory off (the default), homes come from each
 /// application's [`HomePolicy`](crate::HomePolicy) allocation layout,
-/// exactly as the paper's runs; these policies override that layout
-/// cluster-wide so home placement can be studied independently of the
-/// applications.
+/// exactly as the paper's runs; on, this policy overrides that layout
+/// cluster-wide at startup, so home placement can be studied
+/// independently of the applications. Homes never move during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirectoryPolicy {
     /// Home = FNV-1a hash of the page index, modulo the cluster size.
     /// Spreads directory load uniformly and destroys locality.
     Hash,
-    /// Contiguous equal blocks of the whole page space, one per node.
-    /// Preserves spatial locality at the cost of hot blocks.
-    Block,
-    /// Pages start hash-homed, then migrate to the first node that
-    /// touches them — before any other node has seen the page — so a
-    /// node that privately initializes a region ends up its home.
-    FirstTouch,
 }
 
 impl DirectoryPolicy {
-    /// The static (pre-migration) home this policy assigns `page` in
-    /// a heap of `total_pages` pages across `nodes` nodes: a pure,
-    /// total, deterministic function of its arguments, so home lookup
-    /// never needs coordination. First-touch starts from the hash
-    /// assignment and migrates at runtime.
+    /// The home this policy assigns `page` in a heap of `total_pages`
+    /// pages across `nodes` nodes: a pure, total, deterministic
+    /// function of its arguments, so home lookup never needs
+    /// coordination.
     ///
     /// # Panics
     ///
@@ -173,10 +165,7 @@ impl DirectoryPolicy {
         assert!(nodes > 0, "cluster needs at least one node");
         assert!(page < total_pages, "page outside the heap");
         match self {
-            DirectoryPolicy::Hash | DirectoryPolicy::FirstTouch => {
-                (fnv1a(&(page as u64).to_le_bytes()) % nodes as u64) as NodeId
-            }
-            DirectoryPolicy::Block => (page * nodes / total_pages).min(nodes - 1),
+            DirectoryPolicy::Hash => (fnv1a(&(page as u64).to_le_bytes()) % nodes as u64) as NodeId,
         }
     }
 }

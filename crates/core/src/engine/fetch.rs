@@ -1,6 +1,5 @@
-//! Page faults and the data they move: fetches, diff service,
-//! interval close/record, and — with the directory layer on — the
-//! first-touch home window.
+//! Page faults and the data they move: fetches, diff service, and
+//! interval close/record.
 //!
 //! Invariants: a page is validated only once every write notice the
 //! node holds for it is applied (or provably incorporated in an
@@ -22,7 +21,6 @@ use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use super::Core;
 use crate::accounting::Category;
-use crate::config::{DirectoryPolicy, DsmConfig};
 use crate::heap::Heap;
 use crate::msg::{
     BasePayload, DiffPayload, DiffReply, DiffRequest, FetchClass, IntervalRecord, MsgBody,
@@ -31,23 +29,6 @@ use crate::node::{Fault, Fetch, MissClass, NodeState};
 use crate::report::SimError;
 use crate::thread::{BlockReason, ThreadId};
 use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
-
-/// Directory-layer state: which pages some node has touched (faulted
-/// on or been served). A page's first-touch migration window closes
-/// when its flag sets.
-pub(super) struct Directory {
-    claimed: Vec<bool>,
-}
-
-impl Directory {
-    /// `Some` (nothing claimed yet) when `cfg` turns the directory
-    /// layer on.
-    pub(super) fn for_config(cfg: &DsmConfig, heap: &Heap) -> Option<Self> {
-        cfg.directory.enabled().then(|| Directory {
-            claimed: vec![false; heap.page_count()],
-        })
-    }
-}
 
 /// Keeps reply diffs in the page's record for use at access time,
 /// dropping any a faster fault path already applied — replaying those
@@ -123,8 +104,6 @@ impl Core<'_> {
             f.waiters.push(tid);
             return self.block(tid, n, BlockReason::Memory, end);
         }
-
-        self.first_touch(n, page);
 
         let (missing, need_base) = self.missing_for(n, page);
         let node = &mut self.nodes[n];
@@ -225,50 +204,6 @@ impl Core<'_> {
             fault,
             joined,
         });
-    }
-
-    /// First-touch accounting: the first node to fault on (or be
-    /// served) a page claims it. Under the `FirstTouch` policy an
-    /// unclaimed page that is still pristine at its static home
-    /// migrates its home to the first toucher, turning the fault
-    /// into a local hit and homing the page where it is used.
-    fn first_touch(&mut self, n: NodeId, page: PageId) {
-        let p = page.index();
-        let Some(dir) = self.directory.as_mut() else {
-            return;
-        };
-        if std::mem::replace(&mut dir.claimed[p], true) {
-            return;
-        }
-        if self.cfg.directory.policy() != Some(DirectoryPolicy::FirstTouch) {
-            return;
-        }
-        let home = self.heap.home(page);
-        if home == n {
-            return;
-        }
-        // Migrate only while the page is pristine at its static home:
-        // the home never wrote it — no closed interval names it, and
-        // its copy is valid and untwinned. (A split that sealed an
-        // open write early logged an interval.) Non-home writers claim
-        // pages via their own faults before writing, so an unclaimed
-        // page can only have been written by the home itself.
-        let home_wrote = self.nodes[home]
-            .intervals_naming(page)
-            .any(|rec| rec.origin == home);
-        let slot = &self.nodes[home].mem.pages[p];
-        if home_wrote || !slot.is_valid() || slot.twin().is_some() {
-            return;
-        }
-        let [from, to] = self.nodes.get_disjoint_mut([home, n]).expect("two nodes");
-        from.mem.migrate(page, &mut to.mem);
-        // A base the new home prefetched is older than the copy it
-        // now holds.
-        if let Some(record) = to.records.get_mut(&page) {
-            record.base = None;
-        }
-        self.heap.set_home(page, n);
-        self.nodes[n].directory.migrations += 1;
     }
 
     /// The diffs node `n` still needs for `page` — its pending notices
@@ -379,7 +314,7 @@ impl Core<'_> {
 
         let mut apply_cost = SimDuration::ZERO;
         // A base is only ever kept for a page with no copy (see
-        // `handle_diff_reply` and `first_touch`). What it incorporates
+        // `handle_diff_reply`). What it incorporates
         // is marked applied, so no diff below replays over it: the
         // base may also contain *newer* intervals (the home can be
         // ahead of this node), and replaying an older diff over it
@@ -616,12 +551,8 @@ impl Core<'_> {
         let mut end = at;
         let mut reply_diffs = Vec::new();
 
-        if let Some(dir) = self.directory.as_mut() {
-            // Any served copy closes the page's first-touch window.
-            dir.claimed[page.index()] = true;
-            if self.heap.home(page) == m {
-                self.nodes[m].directory.home_hits += 1;
-            }
+        if self.cfg.directory.enabled() && self.heap.home(page) == m {
+            self.nodes[m].directory.home_hits += 1;
         }
 
         if class.splits_interval() {
@@ -758,8 +689,8 @@ impl Core<'_> {
         }
         let node = &mut self.nodes[n];
         // A base is asked for only while the page has no copy. One
-        // that lands after the page gained a copy (a first-touch
-        // migration while the request was in flight, or a duplicate
+        // that lands after the page gained a copy (a prefetch's reply
+        // after a demand fetch installed the base, or a duplicate
         // reply) is older than that copy and is dropped here, so a
         // kept base always finds the slot empty.
         let base = reply
@@ -909,6 +840,7 @@ pub(super) fn materialize(heap: &Heap, nodes: &[NodeState]) -> Vec<Page> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DsmConfig;
     use crate::heap::HomePolicy;
     use crate::node::NodeMem;
 
@@ -984,18 +916,17 @@ mod tests {
         assert_eq!(pages[0].read_u64(8), 99, "incorporated diff not re-applied");
     }
 
-    /// A first-touch migration can hand node 1 its page while node 1's
-    /// prefetch of the page's base is still in flight, so the base
-    /// lands before or after the copy. Either way the base is older
-    /// than node 1's copy: it is dropped, and the writes node 1 made
-    /// as the page's new home survive the next apply.
+    /// A base reply can land on a page that already holds a copy: a
+    /// prefetch's reply after a demand fetch installed the page's base,
+    /// or a duplicated datagram of a prefetch reply whose first copy
+    /// the fault already used. Either way the base is older than node
+    /// 1's copy: it is dropped, and the writes node 1 made since
+    /// survive the next apply.
     #[test]
-    fn a_prefetched_base_never_lands_on_a_migrated_copy() {
-        use crate::config::DirectoryConfig;
+    fn a_late_base_never_lands_on_a_copy() {
         use rsdsm_simnet::QueueBackend;
 
-        let cfg = DsmConfig::paper_cluster(2)
-            .with_directory(DirectoryConfig::on(DirectoryPolicy::FirstTouch));
+        let cfg = DsmConfig::paper_cluster(2);
         let page = PageId::new(0);
         let mut stale = Page::new();
         stale.write_u64(0, 99);
@@ -1009,24 +940,30 @@ mod tests {
             class: FetchClass::Static,
             intervals: Vec::new(),
         };
-        for reply_first in [true, false] {
+        for duplicate in [false, true] {
             let (heap, _) = tiny_cluster();
-            let mut core = Core::new(&cfg, heap, Vec::new(), false, QueueBackend::default());
+            let mut core = Core::new(&cfg, &heap, Vec::new(), false, QueueBackend::default());
             core.nodes[1].mem.prefetch_sent(page, 1);
-            if reply_first {
+            // The copy node 1 validates: the prefetch reply's own base
+            // (whose duplicate comes later), or a demand fetch's.
+            let demand_base = if duplicate {
                 core.handle_diff_reply(1, &reply, SimTime::ZERO).unwrap();
-            }
-            core.first_touch(1, page);
-            assert_eq!(core.heap.home(page), 1, "the page migrated");
+                None
+            } else {
+                Some(BasePayload {
+                    page: Arc::new(Page::new()),
+                    incorporated: Vec::new(),
+                })
+            };
+            core.apply_with(1, page, Vec::new(), demand_base, SimTime::ZERO);
+            core.validate_page(1, page);
             core.nodes[1].mem.pages[0].data.write_u64(0, 7);
-            if !reply_first {
-                core.handle_diff_reply(1, &reply, SimTime::ZERO).unwrap();
-            }
+            core.handle_diff_reply(1, &reply, SimTime::ZERO).unwrap();
             let kept = core.nodes[1]
                 .records
                 .get(&page)
                 .and_then(|r| r.base.as_ref());
-            assert!(kept.is_none(), "reply first: {reply_first}");
+            assert!(kept.is_none(), "duplicate: {duplicate}");
             core.apply_with(1, page, Vec::new(), None, SimTime::ZERO);
             assert_eq!(core.nodes[1].mem.pages[0].data.read_u64(0), 7);
             assert_eq!(core.nodes[1].mem.prefetch_outstanding(), 0);

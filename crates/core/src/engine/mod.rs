@@ -42,7 +42,7 @@ use crate::thread::ThreadId;
 use crate::trace::{Trace, Tracer};
 use crate::transport::{Packet, TransportSummary};
 
-use self::fetch::{materialize, Directory};
+use self::fetch::materialize;
 use self::outage::Recovery;
 use self::prefetch::Prefetcher;
 use self::sched::{Sched, ThreadPeer};
@@ -166,11 +166,11 @@ impl Simulation {
         traced: bool,
     ) -> Result<(RunReport, Option<Trace>), SimError> {
         let cfg = &self.cfg;
-        let (out, handles) = self.run_engine(app, traced)?;
+        let (out, heap, handles) = self.run_engine(app, traced)?;
 
         // Verify first, then hand the one image on to the oracle's
         // outcome: nothing needs a second copy of it.
-        let image = VerifyCtx::new(materialize(&out.heap, &out.nodes));
+        let image = VerifyCtx::new(materialize(&heap, &out.nodes));
         let verified = app.verify(&image, &handles);
         let pages = image.into_pages();
         let oracle = out.oracle.map(|state| OracleOutcome {
@@ -234,16 +234,16 @@ impl Simulation {
         &self,
         app: &P,
         traced: bool,
-    ) -> Result<(Outcome, P::Handles), SimError> {
+    ) -> Result<(Outcome, Heap, P::Handles), SimError> {
         let cfg = &self.cfg;
         cfg.validate().map_err(SimError::Config)?;
         let mut heap = Heap::for_config(cfg);
         let handles = app.allocate(&mut heap);
         if let Some(policy) = cfg.directory.policy() {
             // Directory-sharded homes: override the application's
-            // layout with the configured static partition of the page
-            // space (first-touch starts from the hash partition and
-            // migrates at run time).
+            // layout with the configured partition of the page space,
+            // here and only here — the engine borrows the heap, so
+            // homes are fixed for the run.
             let total = heap.page_count();
             for p in 0..total {
                 let page = PageId::new(p as u32);
@@ -259,14 +259,14 @@ impl Simulation {
             cfg.total_threads(),
             |t| t / tpn,
             |links| {
-                let mut core = Core::new(cfg, heap, links, traced, self.backend);
+                let mut core = Core::new(cfg, &heap, links, traced, self.backend);
                 // On error, returning drops the core and with it the
                 // links, which unwinds any thread still parked.
                 let finish = core.run_loop()?;
                 Ok(core.into_outcome(finish))
             },
         )?;
-        Ok((out, handles))
+        Ok((out, heap, handles))
     }
 }
 
@@ -282,7 +282,6 @@ fn sum<T: AddAssign + Default>(nodes: &[NodeState], count: impl Fn(&NodeState) -
 /// What a completed run hands back to [`Simulation::run_engine`].
 struct Outcome {
     finish: SimTime,
-    heap: Heap,
     nodes: Vec<NodeState>,
     net: NetSummary,
     transport: TransportSummary,
@@ -297,10 +296,8 @@ struct Outcome {
 /// each subsystem's own state keeps its fields private to its module.
 struct Core<'a> {
     cfg: &'a DsmConfig,
-    /// Owned (not borrowed) so the directory layer can migrate page
-    /// homes at run time; returned to `run_engine` so materialization
-    /// reads the final home assignment.
-    heap: Heap,
+    /// The run's page homes, fixed before the engine starts.
+    heap: &'a Heap,
     /// Events popped from the queue — the scaling suite's
     /// events-per-second numerator.
     events_processed: u64,
@@ -308,9 +305,6 @@ struct Core<'a> {
     sched: Sched<'a>,
     wire: Wire,
     barriers: Barriers,
-    /// First-touch window per page; `None` unless the directory layer
-    /// is on.
-    directory: Option<Directory>,
     /// The consistency oracle (invariant violations, lock-grant
     /// trace); `None` unless the config turns it on.
     oracle: Option<OracleState>,
@@ -330,7 +324,7 @@ impl<'a> Core<'a> {
     /// the first heartbeat ticks.
     fn new(
         cfg: &'a DsmConfig,
-        heap: Heap,
+        heap: &'a Heap,
         threads: Vec<ThreadLink<'a>>,
         traced: bool,
         backend: QueueBackend,
@@ -370,7 +364,6 @@ impl<'a> Core<'a> {
             .collect();
         Core {
             cfg,
-            directory: Directory::for_config(cfg, &heap),
             heap,
             events_processed: 0,
             nodes,
@@ -454,7 +447,6 @@ impl<'a> Core<'a> {
         let (net, transport, fault_injection) = self.wire.summaries();
         Outcome {
             finish,
-            heap: self.heap,
             nodes: self.nodes,
             net,
             transport,
@@ -472,14 +464,14 @@ mod tests {
     use super::*;
     use crate::config::{PrefetchConfig, PrefetchMode};
 
-    fn core(cfg: &DsmConfig) -> Core<'_> {
+    fn core<'a>(cfg: &'a DsmConfig, heap: &'a Heap) -> Core<'a> {
         let backend = QueueBackend::default();
-        Core::new(cfg, Heap::new(cfg.nodes), Vec::new(), false, backend)
+        Core::new(cfg, heap, Vec::new(), false, backend)
     }
 
     /// "Off means absent": the paper's configuration builds no
-    /// recovery, failure-detector, persistence, directory, oracle or
-    /// adaptive state at all, at any cluster size — in particular none
+    /// recovery, failure-detector, persistence, oracle or adaptive
+    /// state at all, at any cluster size — in particular none
     /// of the N×N lease tables a recovery-enabled run carries, nor the
     /// oracle's N clocks of N entries.
     #[test]
@@ -487,13 +479,13 @@ mod tests {
         use crate::oracle::OracleConfig;
 
         let cfg = DsmConfig::paper_cluster(1024);
-        let paper = core(&cfg);
+        let heap = Heap::new(cfg.nodes);
+        let paper = core(&cfg, &heap);
         assert!(paper.recovery.is_none());
-        assert!(paper.directory.is_none());
         assert!(paper.oracle.is_none());
         assert!(paper.nodes.iter().all(|n| n.records.is_empty()));
         let checked = cfg.clone().with_oracle(OracleConfig::full());
-        assert!(core(&checked).oracle.is_some());
+        assert!(core(&checked, &heap).oracle.is_some());
         assert!(paper
             .nodes
             .iter()
@@ -517,7 +509,8 @@ mod tests {
         ] {
             let mode = pf.mode;
             let cfg = DsmConfig::paper_cluster(4).with_prefetch(pf);
-            for node in &core(&cfg).nodes {
+            let heap = Heap::new(cfg.nodes);
+            for node in &core(&cfg, &heap).nodes {
                 assert_eq!(
                     matches!(node.prefetcher, Prefetcher::History(_)),
                     mode == PrefetchMode::History,
@@ -566,7 +559,7 @@ mod tests {
 
         let nodes = 256;
         let sim = Simulation::new(DsmConfig::paper_cluster(nodes));
-        let (out, _) = sim.run_engine(&HotSpot, false).expect("hot spot runs");
+        let (out, ..) = sim.run_engine(&HotSpot, false).expect("hot spot runs");
         let nobody = VectorClock::new(nodes);
         for node in &out.nodes {
             assert!(
@@ -626,7 +619,7 @@ mod tests {
 
         let cfg = DsmConfig::paper_cluster(8).with_oracle(OracleConfig::full());
         let sim = Simulation::new(cfg);
-        let (out, _) = sim.run_engine(&Accumulate, false).expect("accumulate runs");
+        let (out, ..) = sim.run_engine(&Accumulate, false).expect("accumulate runs");
         let oracle = out.oracle.expect("oracle on");
         assert_eq!(oracle.violations, []);
         let token_moves: u64 = out.nodes.iter().map(|n| n.locks.token_moves()).sum();
@@ -687,7 +680,7 @@ mod tests {
         let cfg = DsmConfig::paper_cluster(nodes).with_prefetch(PrefetchConfig::hand());
         let mut heap = Heap::new(nodes);
         DsmTask::allocate(&Incast, &mut heap);
-        let fresh = Core::new(&cfg, heap, Vec::new(), false, QueueBackend::default());
+        let fresh = Core::new(&cfg, &heap, Vec::new(), false, QueueBackend::default());
         assert_eq!(fresh.nodes.len() * fresh.nodes[0].mem.pages.len(), 65_536);
         // A slot is 32 bytes however much the node knows about the
         // page, and the memory that changes hands twice per syscall
@@ -702,7 +695,7 @@ mod tests {
         drop(fresh);
 
         let sim = Simulation::new(cfg);
-        let (out, _) = sim.run_engine(&Incast, false).expect("incast runs");
+        let (out, ..) = sim.run_engine(&Incast, false).expect("incast runs");
         let slots = || out.nodes.iter().flat_map(|n| &n.mem.pages);
         assert!(out.nodes[0].mem.pages.iter().all(|e| e.is_valid()));
         assert_eq!(slots().filter(|e| e.has_copy()).count(), 2 * PAGES - 1);
@@ -773,7 +766,7 @@ mod tests {
             cfg.total_threads(),
             |t| t / tpn,
             |links| {
-                let mut core = Core::new(&cfg, heap, links, false, QueueBackend::default());
+                let mut core = Core::new(&cfg, &heap, links, false, QueueBackend::default());
                 let finish = core.run_loop().expect("the run completes");
                 let mut devices = core.persisted();
                 for (dev, _) in &mut devices {

@@ -246,8 +246,8 @@ impl Heap {
     }
 
     /// Reassigns the home of `page` — the directory layer's hook for
-    /// policy overrides at startup and first-touch migration at run
-    /// time.
+    /// its policy override at startup. A run's homes are fixed once it
+    /// starts: the engine only borrows the heap.
     ///
     /// # Panics
     ///

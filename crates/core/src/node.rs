@@ -9,9 +9,9 @@
 //! [`PageState`], and the two prefetch facts a thread checks before it
 //! bothers the engine).
 //!
-//! A page's state moves only through [`NodeMem`]'s transitions: a
-//! base copy or a first-touch migration ends `Never`; notices make a
-//! copy stale and validation makes it current; the open interval's
+//! A page's state moves only through [`NodeMem`]'s transitions: only
+//! a base copy ends `Never`; notices make a copy stale and validation
+//! makes it current; the open interval's
 //! first write twins it onto the dirty log, and the seal takes the
 //! twin back. A model in this module's tests drives them at random
 //! against a reference that keeps three facts apart: a copy held,
@@ -45,9 +45,8 @@ use crate::thread::ThreadId;
 /// golden model's one.
 ///
 /// - `Never`: no copy yet; the first access needs a base copy from
-///   the home. A base makes it `Held` (stale until the page's notices
-///   are applied), and a first-touch migration trades the home's clean
-///   copy for it.
+///   the home, whose slot starts `Held` and valid. A base makes it
+///   `Held` (stale until the page's notices are applied).
 /// - `Held { valid, twin }`: a copy, current when `valid` (a notice
 ///   clears it, validation sets it), with the open interval's `twin`
 ///   from its first write until the interval is sealed. A twinned copy
@@ -254,15 +253,6 @@ impl NodeMem {
         assert!(!entry.has_copy(), "a base copy over {page}'s copy");
         entry.data.copy_from(base);
         entry.state = PageState::copy(false);
-    }
-
-    /// A first-touch migration moves `page`'s home from this node,
-    /// whose copy is valid and untwinned, to `to`, which never held
-    /// one: the two slots trade states.
-    pub(crate) fn migrate(&mut self, page: PageId, to: &mut NodeMem) {
-        let (from, into) = (&mut self.pages[page.index()], &mut to.pages[page.index()]);
-        debug_assert!(from.is_valid() && from.twin().is_none() && !into.has_copy());
-        std::mem::swap(&mut from.state, &mut into.state);
     }
 
     /// Counts `requests` prefetch requests just sent for `page`.
@@ -683,8 +673,8 @@ mod tests {
         twinned: bool,
     }
 
-    /// Nodes and pages of the modeled cluster; page `p` starts homed
-    /// at node `p % NODES`.
+    /// Nodes and pages of the modeled cluster; page `p` is homed at
+    /// node `p % NODES`.
     const NODES: usize = 3;
     const PAGES: usize = 4;
 
@@ -699,7 +689,6 @@ mod tests {
         pf: Vec<[u32; PAGES]>,
         /// The first word of each open twin, when it was taken.
         twin_word: Vec<[u64; PAGES]>,
-        homes: [NodeId; PAGES],
     }
 
     impl Cluster {
@@ -720,7 +709,6 @@ mod tests {
                     .collect(),
                 pf: vec![[0; PAGES]; NODES],
                 twin_word: vec![[0; PAGES]; NODES],
-                homes: std::array::from_fn(|p| p % NODES),
             }
         }
 
@@ -744,7 +732,7 @@ mod tests {
         /// never held one, then a diff, then validation.
         fn fetch(&mut self, n: NodeId, p: usize, value: u64) {
             let page = PageId::new(p as u32);
-            let base = self.mems[self.homes[p]].pages[p].data.clone();
+            let base = self.mems[p % NODES].pages[p].data.clone();
             let (mem, facts) = (&mut self.mems[n], &mut self.facts[n][p]);
             if !facts.copy {
                 mem.install_base(page, &base);
@@ -778,30 +766,6 @@ mod tests {
             }
         }
 
-        /// A first-touch migration of `p`'s home to `to`, where the
-        /// engine makes one: the home's copy is `Clean` and `to` never
-        /// held one.
-        fn migrate(&mut self, p: usize, to: NodeId) {
-            let from = self.homes[p];
-            let clean = Facts {
-                copy: true,
-                valid: true,
-                twinned: false,
-            };
-            if self.facts[from][p] != clean || self.facts[to][p].copy {
-                return;
-            }
-            let [a, b] = self.mems.get_disjoint_mut([from, to]).expect("two nodes");
-            a.migrate(PageId::new(p as u32), b);
-            self.facts[to][p] = clean;
-            self.facts[from][p] = Facts {
-                copy: false,
-                valid: false,
-                twinned: false,
-            };
-            self.homes[p] = to;
-        }
-
         fn step(&mut self, op: u8, n: NodeId, p: usize, arg: u32) {
             let page = PageId::new(p as u32);
             match op {
@@ -816,8 +780,7 @@ mod tests {
                     self.seal(n, &dirty);
                 }
                 5 => self.seal(n, &[page]),
-                6 => self.migrate(p, n),
-                7 => {
+                6 => {
                     let k = arg % 3 + 1;
                     self.mems[n].prefetch_sent(page, k);
                     self.pf[n][p] += k;
@@ -858,15 +821,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 512, ..Default::default() })]
 
-        /// Random writes, notices, fetches, seals, splits, migrations
-        /// and prefetch counts over three nodes of four pages. At
-        /// every step each slot's state says what the three facts it
-        /// replaced said, every dirty slot is on the dirty log, the
-        /// prefetch counts add up, and no slot leaves `Never` but by a
-        /// base copy or a migration.
+        /// Random writes, notices, fetches, seals, splits and prefetch
+        /// counts over three nodes of four pages. At every step each
+        /// slot's state says what the three facts it replaced said,
+        /// every dirty slot is on the dirty log, the prefetch counts
+        /// add up, and no slot leaves `Never` but by a base copy.
         #[test]
         fn page_state_model(
-            steps in proptest::collection::vec((0u8..9, 0..NODES, 0..PAGES, 0u32..100), 1..200),
+            steps in proptest::collection::vec((0u8..8, 0..NODES, 0..PAGES, 0u32..100), 1..200),
         ) {
             let mut c = Cluster::new();
             for (op, n, p, arg) in steps {
@@ -876,7 +838,7 @@ mod tests {
                 let before = never(&c);
                 c.step(op, n, p, arg);
                 c.check();
-                if op != 3 && op != 6 {
+                if op != 3 {
                     proptest::prop_assert_eq!(never(&c), before, "op {} left Never", op);
                 }
             }

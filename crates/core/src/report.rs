@@ -274,8 +274,6 @@ summary! {
         pub forwards: u64,
         /// Write notices dropped at nodes with no interest in the page.
         pub pruned: u64,
-        /// First-touch home migrations performed.
-        pub migrations: u64,
     }
 }
 
@@ -352,7 +350,7 @@ pub struct RunReport {
     /// Garbage-collection passes across all nodes.
     pub gc_passes: u64,
     /// Directory-layer tallies (home hits, heal forwards, pruned
-    /// notices, first-touch migrations); all zero unless the run's
+    /// notices); all zero unless the run's
     /// [`DirectoryConfig`](crate::DirectoryConfig) is on.
     pub directory: DirectorySummary,
     /// Simulation events the engine loop processed — the scaling
@@ -452,8 +450,7 @@ impl RunReport {
         let t = &self.transport;
         let r = &self.recovery;
         let d = &self.directory;
-        let dir_active = self.config.directory.enabled()
-            && d.home_hits + d.forwards + d.pruned + d.migrations > 0;
+        let dir_active = self.config.directory.enabled() && d.home_hits + d.forwards + d.pruned > 0;
         let quiet = f.injected_drops == 0
             && f.duplicates == 0
             && f.reordered == 0
@@ -520,8 +517,8 @@ impl RunReport {
             write!(
                 line,
                 "; directory: {} home hits, {} heal forwards, \
-                 {} notices pruned, {} migrations",
-                d.home_hits, d.forwards, d.pruned, d.migrations,
+                 {} notices pruned",
+                d.home_hits, d.forwards, d.pruned,
             )
             .expect("write to String");
         }
@@ -676,7 +673,6 @@ mod tests {
             home_hits: 1,
             forwards: 2,
             pruned: 3,
-            migrations: 4,
         });
         merges_whole(MtSummary {
             switches: 1,

@@ -21,10 +21,13 @@
 //! - The timeout adapts to the link: every acknowledgement feeds a
 //!   smoothed round-trip-time estimate, and both the timeout for new
 //!   frames and the backoff ceiling are floored at twice that
-//!   estimate. Without this, congestion-induced queueing delay (which
-//!   on the modeled FIFO links can reach seconds under hot-spotting)
-//!   would masquerade as loss and exhaust the retry budget even on a
-//!   fault-free network. Samples from retransmitted frames are
+//!   estimate, so queueing delay (which on the modeled FIFO links can
+//!   reach seconds under hot-spotting) passes less often for loss.
+//!   The floor does not make a fault-free network quiet: a link with
+//!   no sample yet backs off from `initial_rto` to `max_rto`, LU-CONT
+//!   on the paper's 8 nodes retransmits, and RADIX on 256 nodes of a
+//!   fault-free flat bus exhausts its retry budget (ROADMAP item 6
+//!   has the numbers and the fix). Samples from retransmitted frames are
 //!   ambiguous (Karn's problem) but are measured from the *first*
 //!   transmission and therefore only ever overestimate, so they are
 //!   allowed to raise the estimate and never to lower it.
@@ -80,14 +83,18 @@ pub(crate) const ACK_BYTES: u32 = 28;
 impl Default for TransportConfig {
     /// Defaults sized for the simulated 155 Mbps ATM LAN: the initial
     /// timeout sits an order of magnitude above the ~0.5 ms remote
-    /// miss round trip, so fault-free runs at calibrated load never
-    /// retransmit. The backoff ceiling is deliberately large — with
-    /// 12 retries it tolerates ~10 s of total silence before giving
-    /// up — because hot-spot congestion can park acknowledgements
-    /// behind seconds of queued data on a FIFO link; a frame must
-    /// only be declared dead on genuine loss, never on queueing
-    /// delay (TCP's give-up threshold is minutes for the same
-    /// reason).
+    /// miss round trip of an idle network. Queueing delay still
+    /// outlasts it: fault-free runs at calibrated load retransmit
+    /// (LU-CONT on 8 nodes at default scale, 430 of 4 758 data
+    /// frames). The backoff ceiling is deliberately large — with 12
+    /// retries it tolerates ~10 s of total silence before giving up —
+    /// because hot-spot congestion can park acknowledgements behind
+    /// seconds of queued data on a FIFO link, and a frame should be
+    /// declared dead on loss, not on queueing delay (TCP's give-up
+    /// threshold is minutes for the same reason). That aim is not met
+    /// everywhere: RADIX on 256 fault-free nodes queues longer than
+    /// that on a link with no RTT sample and gives up. ROADMAP item 6
+    /// is the fix.
     fn default() -> Self {
         TransportConfig {
             initial_rto: SimDuration::from_millis(4),

@@ -7,6 +7,7 @@
 //! The panic hook is process-wide, so this file holds exactly one
 //! test.
 
+use std::panic::PanicHookInfo;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -89,10 +90,15 @@ impl DsmProgram for StrayRelease {
 
 #[test]
 fn a_failed_run_reports_once_from_the_main_thread() {
+    // Count every panic, then hand it on to the hook that was there,
+    // so a failing assertion below still prints its message.
     let hook_calls = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&hook_calls);
-    std::panic::set_hook(Box::new(move |_| {
+    let previous: Arc<dyn Fn(&PanicHookInfo<'_>) + Sync + Send> =
+        Arc::from(std::panic::take_hook());
+    let (counter, chained) = (Arc::clone(&hook_calls), Arc::clone(&previous));
+    std::panic::set_hook(Box::new(move |info| {
         counter.fetch_add(1, Ordering::SeqCst);
+        chained(info);
     }));
 
     // 85 % loss: some frame runs out of retries. Eight threads are
@@ -146,4 +152,5 @@ fn a_failed_run_reports_once_from_the_main_thread() {
         other => panic!("expected AppThread, got {other:?}"),
     }
     assert_eq!(hook_calls.load(Ordering::SeqCst), 1);
+    std::panic::set_hook(Box::new(move |info| previous(info)));
 }

@@ -36,7 +36,7 @@ fn adaptive_radix(name: &str, pins: &'static str) -> Row {
 #[test]
 fn report_digest_is_pinned() {
     let pins = "
-        digest: 0xc692b3f05b6579ca
+        digest: 0x533fb0c43459079
         events: 8040";
     adaptive_radix("report_digest_is_pinned", pins).check()
 }

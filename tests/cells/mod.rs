@@ -382,8 +382,8 @@ pub fn fabric() -> Topology {
     Topology::rack_spine(8, 2, 4)
 }
 
-/// `nodes` on the fabric with homes sharded by `policy`.
-pub fn on_fabric(nodes: usize, policy: DirectoryPolicy) -> DsmConfig {
+/// `nodes` on the fabric with homes sharded by hash.
+pub fn on_fabric(nodes: usize) -> DsmConfig {
     let cfg = base(nodes).with_topology(fabric());
-    cfg.with_directory(DirectoryConfig::on(policy))
+    cfg.with_directory(DirectoryConfig::on(DirectoryPolicy::Hash))
 }

@@ -16,33 +16,32 @@ use common::{base, for_each_cell};
 use rsdsm::apps::Benchmark::{self, Fft, Radix};
 use rsdsm::apps::Scale;
 use rsdsm::core::{
-    BarrierId, DirectoryConfig, DirectoryPolicy, DsmTask, Heap, HomePolicy, RecoveryConfig,
-    SharedVec, Simulation, TaskCtx, Topology, PAGE_SIZE,
+    BarrierId, DirectoryConfig, DsmTask, Heap, HomePolicy, RecoveryConfig, SharedVec, Simulation,
+    TaskCtx, Topology, PAGE_SIZE,
 };
 use rsdsm::oracle::Technique::{self, Base, Combined, Prefetch};
 use rsdsm::simnet::SimDuration;
 use rsdsm_bench::pool::full_grid;
-use DirectoryPolicy::{Block, FirstTouch, Hash};
 
 /// A fabric cell under the full oracle obligation. The golden executor
 /// knows nothing of topologies or directories, so a pass means the
 /// scaled-out cluster computes what a sequential machine would.
-fn fabric_row(nodes: usize, bench: Benchmark, tech: Technique, policy: DirectoryPolicy) -> Row {
-    let name = format!("fabric_{bench}_{}_{policy:?}_{nodes}", tech.label());
+fn fabric_row(nodes: usize, bench: Benchmark, tech: Technique) -> Row {
+    let name = format!("fabric_{bench}_{}_{nodes}", tech.label());
     let prog = Prog::App(bench, Scale::Test, tech);
     Row {
         oracle: true,
-        ..Row::new(name, prog, on_fabric(nodes, policy))
+        ..Row::new(name, prog, on_fabric(nodes))
     }
 }
 
 #[test]
 fn oracle_holds_at_64_nodes_on_the_fabric() {
     let rows = vec![
-        fabric_row(64, Radix, Base, Hash),
-        fabric_row(64, Radix, Prefetch, FirstTouch),
-        fabric_row(64, Fft, Base, Block),
-        fabric_row(32, Radix, Combined, Hash),
+        fabric_row(64, Radix, Base),
+        fabric_row(64, Radix, Prefetch),
+        fabric_row(64, Fft, Base),
+        fabric_row(32, Radix, Combined),
     ];
     for_each_cell(rows, Row::check);
 }
@@ -53,16 +52,11 @@ fn oracle_holds_at_64_nodes_on_the_fabric() {
 #[test]
 fn full_matrix_big_tiers() {
     if full_grid("scaling") {
-        let hot_spot = |policy| Row {
+        let hot_spot = Row {
             holds: holds!(|r| r.events_processed > 0),
-            ..Row::new(
-                format!("hot_spot_{policy:?}_1024"),
-                Prog::HotSpot,
-                on_fabric(1024, policy),
-            )
+            ..Row::new("hot_spot_1024", Prog::HotSpot, on_fabric(1024))
         };
-        let mut rows = Vec::from([Hash, FirstTouch].map(hot_spot));
-        rows.push(fabric_row(256, Fft, Base, Hash));
+        let rows = vec![hot_spot, fabric_row(256, Fft, Base)];
         for_each_cell(rows, Row::check);
     }
 }
@@ -127,7 +121,7 @@ fn directory_counters_engage_at_64_nodes() {
             |r| r.directory.home_hits > 0,
             summary(r).contains("directory:")
         ),
-        ..Row::new(name, Prog::HotSpot, on_fabric(64, Hash))
+        ..Row::new(name, Prog::HotSpot, on_fabric(64))
     }
     .check()
 }

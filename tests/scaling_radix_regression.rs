@@ -20,26 +20,24 @@ mod common;
 use cells::{on_fabric, Row};
 use common::base;
 use rsdsm::apps::Benchmark::Radix;
-use rsdsm::core::DirectoryPolicy::Hash;
 use rsdsm::core::{DsmConfig, ThreadConfig};
 
 /// 64-node fabric RADIX, held to `pins`.
 fn scaled_radix(name: &str, pins: &'static str) -> Row {
     Row {
         pins,
-        ..Row::app(name, Radix, on_fabric(64, Hash))
+        ..Row::app(name, Radix, on_fabric(64))
     }
 }
 
 #[test]
 fn report_digest_is_pinned() {
     let pins = "
-        digest: 0x8a72d2cbe21c5a60
+        digest: 0x2caa0b25b8afd45
         events: 134738";
     scaled_radix("report_digest_is_pinned", pins).check()
 }
 
-/// Hash homes never migrate: the zero is pinned with the block.
 #[test]
 fn directory_counters_are_pinned() {
     let pins = "directory: home_hits: 597, forwards: 3148, pruned: 3993";
@@ -52,7 +50,7 @@ fn fault_summary_line_is_pinned() {
         summary: faults: 0 msgs dropped, 0 duplicated, 0 reordered; \
           transport: 20327 retransmissions (max 6 attempts/frame), \
           20311 duplicate frames suppressed; prefetch: 0 requests lost, 0 replies lost; \
-          directory: 597 home hits, 3148 heal forwards, 3993 notices pruned, 0 migrations";
+          directory: 597 home hits, 3148 heal forwards, 3993 notices pruned";
     scaled_radix("fault_summary_line_is_pinned", pins).check()
 }
 
