@@ -34,6 +34,9 @@ use crate::trace::{TraceEvent, NO_CAUSE, NO_THREAD};
 /// dropping any a faster fault path already applied — replaying those
 /// later would corrupt the page. The page may already be valid (a
 /// straggler reply): the diffs are kept all the same.
+///
+/// Reads only what is applied, so it leaves an untracked page
+/// untracked: nothing is applied on a page before the board tracks it.
 fn cache_unapplied(node: &mut NodeState, page: PageId, diffs: &[DiffPayload]) {
     for d in diffs {
         if !node.board.is_applied(page, d.origin, d.stamp.get(d.origin)) {
@@ -209,7 +212,8 @@ impl Core<'_> {
     /// The diffs node `n` still needs for `page` — its pending notices
     /// minus the diffs its record caches, as `(origin, stamp)` pairs
     /// ascending by origin — plus whether a base copy is needed.
-    pub(super) fn missing_for(&self, n: NodeId, page: PageId) -> (Vec<(NodeId, Stamp)>, bool) {
+    pub(super) fn missing_for(&mut self, n: NodeId, page: PageId) -> (Vec<(NodeId, Stamp)>, bool) {
+        self.track_notices(n, page);
         let node = &self.nodes[n];
         let record = node.records.get(&page);
         let mut missing = node.board.pending_by_origin(page);
@@ -299,6 +303,7 @@ impl Core<'_> {
         base: Option<BasePayload>,
         mut end: SimTime,
     ) -> SimTime {
+        self.track_notices(n, page);
         let node = &mut self.nodes[n];
         let (cached_base, mut diffs) = match node.records.get_mut(&page) {
             Some(record) => (record.base.take(), record.take_diffs()),
@@ -443,6 +448,7 @@ impl Core<'_> {
             pages: sealed,
         });
         node.learn_interval(&rec);
+        self.page_index.seal(&rec);
         Some(Sealed { rec, diffs, cost })
     }
 
@@ -472,15 +478,17 @@ impl Core<'_> {
         if rec.origin == n {
             return;
         }
+        let directory = self.cfg.directory.enabled();
         // An interval the node already knew had every notice recorded
-        // when it was first learned. Only the directory drops notices,
-        // and it may take a late one now, so its walk stays.
-        if !fresh && !self.cfg.directory.enabled() {
+        // when it was first learned: on the board, or in the log for a
+        // page the board does not track yet. Only the directory drops
+        // notices, and it may take a late one now, so its walk stays.
+        if !fresh && !directory {
             let board = &self.nodes[n].board;
             debug_assert!(rec
                 .pages
                 .iter()
-                .all(|&page| board.knows(page, rec.origin, rec.seq())));
+                .all(|&page| !board.tracks(page) || board.knows(page, rec.origin, rec.seq())));
             return;
         }
         for &page in &rec.pages {
@@ -489,14 +497,17 @@ impl Core<'_> {
             // notices are only tracked for pages this node has an
             // interest in. A pruned page's first touch is a base
             // fetch from its home, which re-serves the history.
-            if self.cfg.directory.enabled() && !self.interested(n, page) {
+            if directory && !self.interested(n, page) {
                 self.nodes[n].directory.pruned += 1;
                 continue;
             }
-            if self.nodes[n]
-                .board
-                .record_stamp(page, rec.origin, &rec.stamp)
-            {
+            // Without the directory, a page the board does not track
+            // keeps its notices in the log until its first board
+            // operation seeds them (`track_notices`). A fresh
+            // interval's notice is new there all the same.
+            let board = &mut self.nodes[n].board;
+            let untracked = !directory && !board.tracks(page);
+            if untracked || board.record_stamp(page, rec.origin, &rec.stamp) {
                 if self.tracer.is_on() {
                     let seq = rec.seq();
                     let id = self.tracer.emit(
@@ -520,6 +531,19 @@ impl Core<'_> {
                 }
                 self.nodes[n].mem.invalidate(page);
             }
+        }
+    }
+
+    /// Makes node `n`'s board track `page` before a board operation
+    /// on it, seeding the page from the node's log on first use
+    /// ([`NodeState::track_notices`]). Directory runs record their
+    /// notices eagerly for the pages they are [`interested`] in, so
+    /// there is nothing to seed.
+    ///
+    /// [`interested`]: Core::interested
+    fn track_notices(&mut self, n: NodeId, page: PageId) {
+        if !self.cfg.directory.enabled() {
+            self.nodes[n].track_notices(&self.page_index, page);
         }
     }
 
@@ -607,10 +631,12 @@ impl Core<'_> {
                 Some(twin) => Arc::clone(twin),
                 None => Arc::new(entry.data.clone()),
             };
+            // Nothing is applied on a page the board does not track,
+            // so `applied_for` needs no seeding.
             let node = &self.nodes[m];
             let mut incorporated = node.board.applied_for(page);
             incorporated.extend(
-                node.intervals_naming(page)
+                node.intervals_naming(&self.page_index, page)
                     .filter(|rec| rec.origin == m)
                     .map(|rec| (m, Arc::clone(&rec.stamp))),
             );
@@ -634,7 +660,7 @@ impl Core<'_> {
             let before = intervals.len();
             intervals.extend(
                 self.nodes[m]
-                    .intervals_naming(page)
+                    .intervals_naming(&self.page_index, page)
                     .filter(|rec| rec.origin != requester && req.vc.dominates(&rec.stamp))
                     .cloned(),
             );

@@ -26,7 +26,7 @@ mod wire;
 
 use std::ops::AddAssign;
 
-use rsdsm_protocol::PageId;
+use rsdsm_protocol::{PageId, PageIndex};
 use rsdsm_simnet::{FaultStats, NodeId, QueueBackend, SimDuration, SimTime};
 
 use crate::accounting::IdleReason;
@@ -302,6 +302,9 @@ struct Core<'a> {
     /// events-per-second numerator.
     events_processed: u64,
     nodes: Vec<NodeState>,
+    /// Every interval sealed in the run, by the pages it names; read
+    /// through a node's own log (`NodeState::intervals_naming`).
+    page_index: PageIndex,
     sched: Sched<'a>,
     wire: Wire,
     barriers: Barriers,
@@ -367,6 +370,7 @@ impl<'a> Core<'a> {
             heap,
             events_processed: 0,
             nodes,
+            page_index: PageIndex::new(),
             sched,
             wire: Wire::new(cfg),
             barriers: Barriers::new(cfg.nodes),
@@ -812,5 +816,94 @@ mod tests {
             }
         }
         assert!(diffs > 1 && intervals > 0, "the images hold protocol state");
+    }
+
+    /// With the directory off, a node's notice board tracks only the
+    /// pages it has a stake in: every other notice waits in its
+    /// interval log. The shape is SOR's (restated for the reason
+    /// above): the grid is homed on node 0, which writes it all; each
+    /// node then relaxes its band of rows, reading its neighbours'
+    /// halo rows, under O and under hand prefetching. After the run
+    /// no node tracks a page it never homed, faulted or prefetched,
+    /// and notices did arrive for pages no board tracks.
+    #[test]
+    fn boards_track_only_the_pages_a_node_uses() {
+        use crate::heap::{HomePolicy, SharedVec};
+        use crate::msg::BarrierId;
+        use crate::trace::TraceEvent;
+        use crate::{DsmTask, TaskCtx};
+        use rsdsm_protocol::PAGE_SIZE;
+        use std::collections::HashSet;
+
+        const WORDS: usize = PAGE_SIZE / 8;
+        const NODES: usize = 8;
+        /// One page a row; two interior rows a node.
+        const ROWS: usize = 2 * NODES + 2;
+        struct Sor;
+        impl DsmTask for Sor {
+            type Handles = SharedVec<u64>;
+            fn name(&self) -> String {
+                "sor".into()
+            }
+            fn allocate(&self, heap: &mut Heap) -> Self::Handles {
+                heap.alloc(ROWS * WORDS, HomePolicy::Single(0))
+            }
+            async fn run(&self, ctx: &mut TaskCtx, grid: &Self::Handles) {
+                let me = ctx.thread_id();
+                if me == 0 {
+                    for row in 0..ROWS {
+                        ctx.write(grid, row * WORDS, row as u64).await;
+                    }
+                }
+                ctx.barrier(BarrierId(0)).await;
+                let (first, last) = (1 + 2 * me, 2 + 2 * me);
+                for sweep in 0..4u64 {
+                    ctx.prefetch(grid, (first - 1) * WORDS, first * WORDS).await;
+                    ctx.prefetch(grid, (last + 1) * WORDS, (last + 2) * WORDS)
+                        .await;
+                    for row in first..=last {
+                        let above = ctx.read(grid, (row - 1) * WORDS).await;
+                        let below = ctx.read(grid, (row + 1) * WORDS).await;
+                        let value = above.wrapping_add(below).wrapping_add(sweep);
+                        ctx.write(grid, row * WORDS, value).await;
+                    }
+                    ctx.barrier(BarrierId(0)).await;
+                }
+            }
+        }
+
+        for cfg in [
+            DsmConfig::paper_cluster(NODES),
+            DsmConfig::paper_cluster(NODES).with_prefetch(PrefetchConfig::hand()),
+        ] {
+            let sim = Simulation::new(cfg);
+            let (out, heap, _) = sim.run_engine(&Sor, true).expect("sor runs");
+            let mut used: HashSet<(usize, u32)> = HashSet::new();
+            let mut noticed: HashSet<(usize, u32)> = HashSet::new();
+            for rec in &out.trace.records {
+                let node = rec.node as usize;
+                match rec.event {
+                    TraceEvent::FaultBegin { page, .. } | TraceEvent::PrefetchIssue { page } => {
+                        used.insert((node, page));
+                    }
+                    TraceEvent::WriteNotice { page, .. } => {
+                        noticed.insert((node, page));
+                    }
+                    _ => {}
+                }
+            }
+            let tracks = |node: usize, page: u32| out.nodes[node].board.tracks(PageId::new(page));
+            for node in 0..NODES {
+                for page in 0..heap.page_count() as u32 {
+                    let homed = heap.home(PageId::new(page)) == node;
+                    assert!(
+                        !tracks(node, page) || homed || used.contains(&(node, page)),
+                        "node {node} tracks page {page} it never used"
+                    );
+                }
+            }
+            let untracked = noticed.iter().filter(|&&(n, p)| !tracks(n, p)).count();
+            assert!(untracked > 0, "every noticed page was tracked");
+        }
     }
 }

@@ -30,7 +30,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use rsdsm_protocol::{Diff, IntervalLog, NoticeBoard, Page, PageId, PagePool, VectorClock};
+use rsdsm_protocol::{
+    Diff, IntervalLog, NoticeBoard, Page, PageId, PageIndex, PagePool, VectorClock,
+};
 use rsdsm_simnet::{NodeId, SimTime};
 
 use crate::accounting::NodeAccount;
@@ -456,7 +458,9 @@ pub(crate) struct NodeState {
     vc: VectorClock,
     /// Writes of `vc` so far; never decreases.
     clock_version: u64,
-    /// Write notices known locally.
+    /// Write notices of the pages the node tracks; with the directory
+    /// off, the rest wait in `known_intervals` until
+    /// [`NodeState::track_notices`] seeds their page.
     pub board: NoticeBoard,
     /// Diffs this node created, keyed by (page index, own sequence).
     /// `Arc`-shared with every reply payload serving them, so a hot
@@ -571,12 +575,33 @@ impl NodeState {
     }
 
     /// The known intervals (any origin) that dirtied `page`, in the
-    /// order learned.
-    pub(crate) fn intervals_naming(
-        &self,
+    /// order learned, found through the cluster's `index`.
+    pub(crate) fn intervals_naming<'a>(
+        &'a self,
+        index: &PageIndex,
         page: PageId,
-    ) -> impl Iterator<Item = &Arc<IntervalRecord>> {
-        self.known_intervals.naming(page)
+    ) -> impl Iterator<Item = &'a Arc<IntervalRecord>> + 'a {
+        index.naming(page, &self.known_intervals)
+    }
+
+    /// Makes the board track `page` once the log holds a notice for
+    /// it, seeding the page's record with every remote interval the
+    /// node knows that names the page, pending, in the order learned
+    /// (`NoticeBoard::seed`). A page no remote interval names stays
+    /// untracked: the board answers for it as an empty record would,
+    /// and marking something applied on it starts its record.
+    pub(crate) fn track_notices(&mut self, index: &PageIndex, page: PageId) {
+        if self.board.tracks(page) {
+            return;
+        }
+        let mut remote = index
+            .naming(page, &self.known_intervals)
+            .filter(|rec| rec.origin != self.id)
+            .peekable();
+        if remote.peek().is_some() {
+            self.board
+                .seed(page, remote.map(|rec| (rec.origin, &rec.stamp)));
+        }
     }
 
     /// The intervals this node itself closed, oldest first.
@@ -930,21 +955,39 @@ mod tests {
         assert_eq!(n.intervals_unknown_to(&knows_none).len(), 2);
     }
 
+    /// A page's first board use seeds it with the remote intervals the
+    /// log knows naming it, in the order learned; the node's own
+    /// intervals and intervals only the index has are not notices, and
+    /// a page with none stays untracked.
     #[test]
-    fn own_and_per_page_views_of_the_log() {
-        let mut n = NodeState::new(1, 2, NodeMem::default());
-        n.learn_interval(&record(0, 1, 2));
-        n.learn_interval(&record(1, 1, 2));
-        n.learn_interval(&record(1, 2, 2));
-        let seqs = |it: &mut dyn Iterator<Item = &Arc<IntervalRecord>>| -> Vec<(NodeId, u32)> {
-            it.map(|r| (r.origin, r.seq())).collect()
-        };
-        assert_eq!(seqs(&mut n.own_intervals()), [(1, 1), (1, 2)]);
-        assert_eq!(
-            seqs(&mut n.intervals_naming(PageId::new(0))),
-            [(0, 1), (1, 1), (1, 2)]
-        );
-        assert_eq!(n.intervals_naming(PageId::new(1)).count(), 0);
+    fn tracking_a_page_seeds_its_remote_notices_in_learn_order() {
+        let mut n = NodeState::new(1, 3, NodeMem::default());
+        let mut index = PageIndex::new();
+        let recs = [
+            record(2, 1, 3),
+            record(1, 1, 3),
+            record(0, 1, 3),
+            record(0, 2, 3),
+        ];
+        for rec in &recs {
+            index.seal(rec);
+        }
+        for rec in &recs[..3] {
+            n.learn_interval(rec);
+        }
+        let page = PageId::new(0);
+        assert!(!n.board.tracks(page));
+        n.track_notices(&index, page);
+        let pending: Vec<(NodeId, u32)> =
+            n.board.pending(page).map(|(o, s)| (o, s.get(o))).collect();
+        assert_eq!(pending, [(2, 1), (0, 1)]);
+        // Tracked from now on: a second call seeds nothing.
+        n.learn_interval(&recs[3]);
+        n.track_notices(&index, page);
+        assert_eq!(n.board.pending(page).count(), 2);
+        // Nothing to seed: the page stays untracked.
+        n.track_notices(&index, PageId::new(1));
+        assert!(!n.board.tracks(PageId::new(1)));
     }
 
     /// `RTR1` wire codes and exporter labels: pinned literally.

@@ -1,14 +1,22 @@
-//! Interval records and a node's indexed log of them.
+//! Interval records, a node's indexed log of them, and the cluster's
+//! one index of them by page.
 //!
 //! Every release closes an *interval*; the [`IntervalRecord`] naming
 //! the pages it dirtied is the unit of write-notice propagation. A
 //! node keeps every record it ever learns — its own and received — in
-//! an [`IntervalLog`], and answers three questions from it on every
+//! an [`IntervalLog`], and answers two questions from it on every
 //! grant, barrier message and diff reply: which records a peer's
-//! clock does not cover, whether a given interval is known, and which
-//! records name a given page. The log is never pruned, so each answer
-//! comes from an index and costs in proportion to its size, not to
-//! the length of the run.
+//! clock does not cover, and whether a given interval is known. The
+//! log is never pruned, so each answer comes from an index and costs
+//! in proportion to its size, not to the length of the run.
+//!
+//! The third question — which known records name a given page — is
+//! asked far less often (once when a node first operates on a page's
+//! notices, and once per base copy a home serves), so it is answered
+//! from one [`PageIndex`] for the whole cluster instead of an index
+//! in every log: the index says which intervals ever named the page,
+//! and the asking node's log says which of them it knows and in what
+//! order it learned them.
 //!
 //! An interval's identity is `(origin, seq)`: the writer and the
 //! writer's own component of the stamp, which it ticked to close the
@@ -17,18 +25,23 @@
 //!
 //! # Index and costs
 //!
-//! Two indexes, each a slot table (4 bytes per key up to the highest
-//! key a record names) into a compact list of per-key lists, so an
-//! origin or page no record names holds no list:
+//! The log keeps one index, a slot table (4 bytes per origin up to
+//! the highest origin a record names) into a compact list per origin:
+//! `(seq, position)` pairs ascending by `seq`, so an origin no record
+//! names holds no list. [`learn`](IntervalLog::learn) appends (a relay
+//! that overtook an older record inserts), [`knows`](IntervalLog::knows)
+//! is a binary search, [`of_origin`](IntervalLog::of_origin) a walk of
+//! the list, and [`unknown_to`](IntervalLog::unknown_to) takes each
+//! named origin's tail above the clock and sorts the positions.
 //!
-//! * per origin, `(seq, position)` pairs ascending by `seq` —
-//!   [`learn`](IntervalLog::learn) appends (a relay that overtook an
-//!   older record inserts), [`knows`](IntervalLog::knows) is a binary
-//!   search, [`of_origin`](IntervalLog::of_origin) a walk of the list,
-//!   and [`unknown_to`](IntervalLog::unknown_to) takes each named
-//!   origin's tail above the clock and sorts the positions;
-//! * per page, the positions of the records naming it, ascending —
-//!   [`naming`](IntervalLog::naming) walks it.
+//! The [`PageIndex`] is a slot table by page into one list of
+//! `(origin, seq)` identities per page, in seal order: 8 bytes per
+//! (page, sealed interval) for the whole cluster, where a per-log page
+//! index held 4 bytes per (node, page, learned interval).
+//! [`seal`](PageIndex::seal) appends an interval once, when its writer
+//! closes it; [`naming`](PageIndex::naming) looks each of the page's
+//! identities up in the asking log (a binary search each) and sorts the
+//! positions it finds.
 //!
 //! Nothing is hashed, and no query allocates unless it returns records.
 
@@ -64,21 +77,19 @@ impl IntervalRecord {
     }
 }
 
-/// Every interval a node has learned, in the order learned, with an
-/// index per question asked of it.
+/// Every interval a node has learned, in the order learned, indexed
+/// by origin.
 ///
-/// Invariants: at most one record per `(origin, seq)`; the indexes
-/// cover exactly the records in the log; and nothing is held for an
-/// origin or page no record names — a 1024-node cluster that never
-/// closes an interval carries 1024 empty logs, not 1024² empty lists.
+/// Invariants: at most one record per `(origin, seq)`; the index
+/// covers exactly the records in the log; and nothing is held for an
+/// origin no record names — a 1024-node cluster that never closes an
+/// interval carries 1024 empty logs, not 1024² empty lists.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalLog {
     records: Vec<Arc<IntervalRecord>>,
     /// Per origin with at least one record: the origin, and its
     /// `(seq, position in records)` pairs ascending by `seq`.
     by_origin: SlotIndex<(usize, Vec<(u32, u32)>)>,
-    /// Per page some record names: positions in `records`, ascending.
-    by_page: SlotIndex<Vec<u32>>,
 }
 
 impl IntervalLog {
@@ -110,22 +121,20 @@ impl IntervalLog {
         }
         let pos = u32::try_from(self.records.len()).expect("interval log fits u32 positions");
         of_origin.insert(at, (seq, pos));
-        for &page in &rec.pages {
-            let naming = self.by_page.get_or_insert_with(page.index(), Vec::new);
-            // A record listing a page twice still names it once.
-            if naming.last() != Some(&pos) {
-                naming.push(pos);
-            }
-        }
         self.records.push(Arc::clone(rec));
         true
     }
 
+    /// Where `origin`'s interval `seq` sits in the log, if it is there.
+    fn position(&self, origin: usize, seq: u32) -> Option<u32> {
+        let seqs = self.seqs_of(origin);
+        let at = seqs.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
+        Some(seqs[at].1)
+    }
+
     /// Whether `origin`'s interval `seq` is in the log.
     pub fn knows(&self, origin: usize, seq: u32) -> bool {
-        self.seqs_of(origin)
-            .binary_search_by_key(&seq, |&(s, _)| s)
-            .is_ok()
+        self.position(origin, seq).is_some()
     }
 
     /// The records `vc` does not cover, in log order: the write
@@ -162,15 +171,6 @@ impl IntervalLog {
         unknown
     }
 
-    /// The records that name `page`, in log order.
-    pub fn naming(&self, page: PageId) -> impl Iterator<Item = &Arc<IntervalRecord>> {
-        let positions = self
-            .by_page
-            .get(page.index())
-            .map_or(&[][..], Vec::as_slice);
-        positions.iter().map(|&pos| &self.records[pos as usize])
-    }
-
     /// `origin`'s records, ascending by `seq`.
     pub fn of_origin(&self, origin: usize) -> impl Iterator<Item = &Arc<IntervalRecord>> {
         self.seqs_of(origin)
@@ -183,10 +183,62 @@ impl IntervalLog {
         &self.records
     }
 
-    /// Number of origins and pages the indexes hold a list for — zero
-    /// for a log that never learned a record.
+    /// Number of origins the index holds a list for — zero for a log
+    /// that never learned a record.
     pub fn indexed_keys(&self) -> usize {
-        self.by_origin.len() + self.by_page.len()
+        self.by_origin.len()
+    }
+}
+
+/// Every interval sealed in a cluster, by the pages it names: one
+/// index for all nodes, appended to once per sealed interval.
+///
+/// It holds identities, not records. Which intervals a node knows,
+/// and in what order it learned them, only that node's
+/// [`IntervalLog`] says, so the index is read through a log
+/// ([`PageIndex::naming`]); it only says where to look.
+#[derive(Debug, Clone, Default)]
+pub struct PageIndex {
+    /// Per page some sealed interval names: `(origin, seq)`, in seal
+    /// order.
+    by_page: SlotIndex<Vec<(u32, u32)>>,
+}
+
+impl PageIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        PageIndex::default()
+    }
+
+    /// Indexes `rec`, which its writer just sealed, under every page
+    /// it names.
+    pub fn seal(&mut self, rec: &IntervalRecord) {
+        let id = (rec.origin as u32, rec.seq());
+        for &page in &rec.pages {
+            let naming = self.by_page.get_or_insert_with(page.index(), Vec::new);
+            // A record listing a page twice still names it once.
+            if naming.last() != Some(&id) {
+                naming.push(id);
+            }
+        }
+    }
+
+    /// The records of `log` that name `page`, in `log`'s order.
+    pub fn naming<'a>(
+        &self,
+        page: PageId,
+        log: &'a IntervalLog,
+    ) -> impl Iterator<Item = &'a Arc<IntervalRecord>> + 'a {
+        let ids = self
+            .by_page
+            .get(page.index())
+            .map_or(&[][..], Vec::as_slice);
+        let mut positions: Vec<u32> = ids
+            .iter()
+            .filter_map(|&(origin, seq)| log.position(origin as usize, seq))
+            .collect();
+        positions.sort_unstable();
+        positions.into_iter().map(|pos| &log.records[pos as usize])
     }
 }
 
@@ -241,28 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn naming_lists_a_pages_records_in_log_order() {
-        let mut log = IntervalLog::new();
-        log.learn(&record(0, 1, 3, &[4, 7]));
-        log.learn(&record(2, 1, 3, &[7]));
-        log.learn(&record(0, 2, 3, &[4, 4]));
-        let ids = |page| -> Vec<(usize, u32)> {
-            log.naming(PageId::new(page))
-                .map(|r| (r.origin, r.seq()))
-                .collect()
-        };
-        assert_eq!(ids(4), [(0, 1), (0, 2)]);
-        assert_eq!(ids(7), [(0, 1), (2, 1)]);
-        assert!(ids(5).is_empty());
-    }
-
-    #[test]
     fn an_empty_log_indexes_nothing() {
         let log = IntervalLog::new();
         assert_eq!(log.indexed_keys(), 0);
         assert!(log.unknown_to(&VectorClock::new(1024)).is_empty());
-        assert_eq!(log.naming(PageId::new(0)).count(), 0);
         assert_eq!(log.of_origin(3).count(), 0);
+        let index = PageIndex::new();
+        assert_eq!(index.naming(PageId::new(0), &log).count(), 0);
         assert_eq!(log.indexed_keys(), 0, "queries build nothing");
     }
 

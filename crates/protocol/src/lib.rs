@@ -5,8 +5,9 @@
 //!
 //! - [`VectorClock`]: distributed timestamps and the happens-before-1
 //!   partial order that orders intervals.
-//! - [`IntervalRecord`] / [`IntervalLog`]: closed intervals and a
-//!   node's indexed, never-pruned log of the ones it has learned.
+//! - [`IntervalRecord`] / [`IntervalLog`] / [`PageIndex`]: closed
+//!   intervals, a node's indexed, never-pruned log of the ones it has
+//!   learned, and the cluster's one index of them by page.
 //! - [`Page`] / [`PageId`]: 4 KB coherence units.
 //! - [`Diff`]: the modification records of the multiple-writer
 //!   twin/diff mechanism, kept as a page's dirty 64-byte lines with a
@@ -55,6 +56,6 @@ mod slots;
 
 pub use clock::{HbKey, Stamp, VectorClock};
 pub use diff::Diff;
-pub use interval::{IntervalLog, IntervalRecord};
+pub use interval::{IntervalLog, IntervalRecord, PageIndex};
 pub use notice::{NoticeBoard, WriteNotice};
 pub use page::{Page, PageId, PagePool, PAGE_SIZE};

@@ -10,13 +10,33 @@
 //! [`NoticeBoard`] is a node's record of the notices it knows about
 //! and which of them have already been satisfied by an applied diff.
 //!
+//! # Which notices are on the board
+//!
+//! Only those of the pages the board *tracks*. Until a page is
+//! tracked its notices wait in the node's interval log, where they are
+//! recorded anyway, and the engine only invalidates the page's copy
+//! when one arrives. The first board operation on the page — the
+//! first time the node asks what is pending for it or applies to it —
+//! [`seed`](NoticeBoard::seed)s the page's record with every remote
+//! interval the log knows that names the page, pending and in the
+//! order the log learned them: exactly the record that recording
+//! every notice on arrival would have built, because nothing can be
+//! marked applied on a page before its first operation. With nothing
+//! to seed the page stays untracked, which answers as an empty record
+//! would, until a notice arrives for it or something is marked applied
+//! on it. From then on each notice is recorded as it arrives. So a node pays per page only for the pages it uses; most
+//! notices name pages their receiver never touches. Which intervals
+//! name a page is the cluster's one
+//! [`PageIndex`](crate::PageIndex) (see `interval.rs` for its cost),
+//! read through the node's log.
+//!
 //! # Index and costs
 //!
 //! The board is indexed by [`PageId::index`]: a slot table (4 bytes
-//! per page up to the highest page any notice names) points into a
-//! compact list of per-page records, so a page no notice names costs
-//! its slot and nothing else. A page's record keeps every notice in
-//! arrival order, and beside it
+//! per page up to the highest page it tracks) points into a compact
+//! list of per-page records, so an untracked page costs its slot and
+//! nothing else. A page's record keeps every notice in arrival order,
+//! and beside it
 //!
 //! * the highest `seq` per origin that named the page (a short list
 //!   sorted by origin), so a fresh notice — one above its origin's
@@ -149,7 +169,7 @@ impl PageNotices {
 /// Invariant: at most one entry per (page, origin, seq).
 #[derive(Debug, Clone, Default)]
 pub struct NoticeBoard {
-    /// One record per page some notice names, by page index.
+    /// One record per tracked page, by page index.
     pages: SlotIndex<PageNotices>,
 }
 
@@ -159,15 +179,39 @@ impl NoticeBoard {
         NoticeBoard::default()
     }
 
-    /// The record of `page`, if any notice names it.
+    /// The record of `page`, if the board tracks it.
     fn page(&self, page: PageId) -> Option<&PageNotices> {
         self.pages.get(page.index())
     }
 
-    /// The record of `page`, created empty if no notice named it yet.
+    /// The record of `page`, created empty if the board did not track
+    /// it yet.
     fn page_mut(&mut self, page: PageId) -> &mut PageNotices {
         self.pages
             .get_or_insert_with(page.index(), PageNotices::default)
+    }
+
+    /// Whether the board holds a record for `page`.
+    pub fn tracks(&self, page: PageId) -> bool {
+        self.page(page).is_some()
+    }
+
+    /// Starts tracking `page` with `notices`, as `(origin, stamp)`
+    /// pairs of distinct intervals, all pending, in the order given —
+    /// the notices that waited in the interval log until the page's
+    /// first board operation. The stamps are shared, not copied.
+    pub fn seed<'a>(
+        &mut self,
+        page: PageId,
+        notices: impl IntoIterator<Item = (usize, &'a Stamp)>,
+    ) {
+        debug_assert!(!self.tracks(page), "{page} is seeded once");
+        let record = self.page_mut(page);
+        for (origin, stamp) in notices {
+            let (origin, seq) = (origin as u32, stamp.get(origin));
+            debug_assert!(record.find(origin, seq).is_none(), "seeded twice");
+            record.push(origin, seq, stamp, false);
+        }
     }
 
     /// Records a notice received at acquire time (or piggybacked on a
@@ -354,6 +398,7 @@ mod tests {
         assert!(board.pending_by_origin(PageId::new(70)).is_empty());
         assert!(board.applied_for(PageId::new(3)).is_empty());
         assert!(!board.is_applied(PageId::new(70), 0, 1));
+        assert!(!board.tracks(PageId::new(3)));
         assert_eq!(board.pages.len(), 1, "queries create nothing");
     }
 

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rsdsm_protocol::{
-    Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, Stamp, VectorClock, WriteNotice,
-    PAGE_SIZE,
+    Diff, IntervalLog, IntervalRecord, NoticeBoard, Page, PageId, PageIndex, Stamp, VectorClock,
+    WriteNotice, PAGE_SIZE,
 };
 
 /// Arbitrary page contents described sparsely as (offset, value) byte writes.
@@ -574,7 +574,9 @@ proptest! {
     /// the last node never closes an interval. Every log must then
     /// answer `unknown_to` for every clock exactly as the linear
     /// filter over its records does (same records, same order), and
-    /// `naming` / `knows` as the scans do.
+    /// `of_origin` / `knows` as the scans do. (Which records name a
+    /// page is the [`PageIndex`]'s question:
+    /// `page_index_views_match_linear_scans`.)
     #[test]
     fn interval_log_matches_linear_scans(
         ops in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, any::<u64>()), 1..120),
@@ -646,10 +648,6 @@ proptest! {
                     "unknown_to({}) differs from the linear filter",
                     vc
                 );
-            }
-            for page in (0..PAGES).map(PageId::new) {
-                let scan = list.iter().filter(|r| r.pages.contains(&page));
-                prop_assert!(log.naming(page).map(Arc::as_ptr).eq(scan.map(Arc::as_ptr)));
             }
             for (origin, clock) in clocks.iter().enumerate() {
                 let scan = list.iter().filter(|r| r.origin == origin);
@@ -733,13 +731,12 @@ impl MapBoard {
 }
 
 /// The interval log as it was before its index: a `BTreeMap` of
-/// per-origin `(seq, position)` lists and a `HashMap` of per-page
-/// position lists. The differential reference of [`IntervalLog`].
+/// per-origin `(seq, position)` lists. The differential reference of
+/// [`IntervalLog`].
 #[derive(Default)]
 struct MapLog {
     records: Vec<Arc<IntervalRecord>>,
     by_origin: BTreeMap<usize, Vec<(u32, u32)>>,
-    by_page: HashMap<PageId, Vec<u32>>,
 }
 
 impl MapLog {
@@ -752,12 +749,6 @@ impl MapLog {
         }
         let pos = self.records.len() as u32;
         of_origin.insert(at, (seq, pos));
-        for &page in &rec.pages {
-            let naming = self.by_page.entry(page).or_default();
-            if naming.last() != Some(&pos) {
-                naming.push(pos);
-            }
-        }
         self.records.push(Arc::clone(rec));
         true
     }
@@ -781,11 +772,6 @@ impl MapLog {
             .collect()
     }
 
-    fn naming(&self, page: PageId) -> impl Iterator<Item = &Arc<IntervalRecord>> {
-        let positions = self.by_page.get(&page).map_or(&[][..], Vec::as_slice);
-        positions.iter().map(|&pos| &self.records[pos as usize])
-    }
-
     fn of_origin(&self, origin: usize) -> impl Iterator<Item = &Arc<IntervalRecord>> {
         let of_origin = self.by_origin.get(&origin).map_or(&[][..], Vec::as_slice);
         of_origin
@@ -794,7 +780,7 @@ impl MapLog {
     }
 
     fn indexed_keys(&self) -> usize {
-        self.by_origin.len() + self.by_page.len()
+        self.by_origin.len()
     }
 }
 
@@ -817,6 +803,16 @@ proptest! {
     /// interval piggybacked twice, sometimes in a fresh copy of its
     /// stamp), and after their diff was already applied; pages are
     /// scattered over a range the board has to grow into.
+    ///
+    /// A third, deferred board takes no notice for a page until the
+    /// page's first operation (marking applied, or asking what is
+    /// applied or pending) with a notice waiting. Until then the
+    /// page's notices wait in a log, deduplicated there, and that
+    /// operation first seeds the page from the log; marking applied
+    /// on a page with nothing waiting starts its record directly. From then on the deferred board must give
+    /// every answer the eager board gives, in the same order; before
+    /// it, the eager board must hold nothing applied for the page and
+    /// exactly the log's notices pending, in arrival order.
     #[test]
     fn notice_board_matches_the_hash_map_reference(
         ops in prop::collection::vec((0u8..6, 0usize..5, 0usize..4, 1u32..7, any::<bool>()), 1..200),
@@ -832,6 +828,19 @@ proptest! {
             .collect();
         let mut board = NoticeBoard::new();
         let mut reference = MapBoard::default();
+        let mut deferred = NoticeBoard::new();
+        // The notices of each page `deferred` does not track yet, in
+        // arrival order.
+        let mut waiting: HashMap<PageId, Vec<(usize, Stamp)>> = HashMap::new();
+        let track = |deferred: &mut NoticeBoard,
+                     waiting: &mut HashMap<PageId, Vec<(usize, Stamp)>>,
+                     page: PageId| {
+            // As the engine does: a page with nothing waiting stays
+            // untracked until marking something applied starts it.
+            if let Some(notices) = waiting.remove(&page) {
+                deferred.seed(page, notices.iter().map(|(o, s)| (*o, s)));
+            }
+        };
         for &(kind, page, origin, seq, fresh_copy) in &ops {
             let page = PageId::new(PAGES[page]);
             let stamp = if fresh_copy {
@@ -840,47 +849,163 @@ proptest! {
                 Arc::clone(&shared[&(origin, seq)])
             };
             match kind {
-                0 | 1 => prop_assert_eq!(
-                    board.record_stamp(page, origin, &stamp),
-                    reference.record_stamp(page, origin, &stamp)
-                ),
+                0 | 1 => {
+                    let new = board.record_stamp(page, origin, &stamp);
+                    prop_assert_eq!(new, reference.record_stamp(page, origin, &stamp));
+                    let deferred_new = if deferred.tracks(page) {
+                        deferred.record_stamp(page, origin, &stamp)
+                    } else {
+                        let log = waiting.entry(page).or_default();
+                        let known = log.iter().any(|(o, s)| *o == origin && s.get(origin) == seq);
+                        if !known {
+                            log.push((origin, stamp));
+                        }
+                        !known
+                    };
+                    prop_assert_eq!(deferred_new, new);
+                }
                 2 => {
                     board.mark_applied(page, origin, &stamp);
                     reference.mark_applied(page, origin, &stamp);
+                    track(&mut deferred, &mut waiting, page);
+                    deferred.mark_applied(page, origin, &stamp);
                 }
-                3 => prop_assert_eq!(
-                    board.is_applied(page, origin, seq),
-                    reference.is_applied(page, origin, seq)
-                ),
+                3 => {
+                    let applied = board.is_applied(page, origin, seq);
+                    prop_assert_eq!(applied, reference.is_applied(page, origin, seq));
+                    track(&mut deferred, &mut waiting, page);
+                    prop_assert_eq!(deferred.is_applied(page, origin, seq), applied);
+                }
+                4 => track(&mut deferred, &mut waiting, page),
                 _ => {}
             }
             for page in PAGES.map(PageId::new) {
                 let nested = reference.pending_by_origin(page);
+                let pending = stamp_ids(board.pending_by_origin(page).iter().map(|(o, s)| (*o, s)));
+                let applied = stamp_ids(board.applied_for(page).iter().map(|(o, s)| (*o, s)));
                 prop_assert_eq!(
-                    stamp_ids(board.pending_by_origin(page).iter().map(|(o, s)| (*o, s))),
-                    stamp_ids(nested.iter().flat_map(|(o, ss)| ss.iter().map(move |s| (*o, s))))
+                    &pending,
+                    &stamp_ids(nested.iter().flat_map(|(o, ss)| ss.iter().map(move |s| (*o, s))))
                 );
                 prop_assert_eq!(
-                    stamp_ids(board.applied_for(page).iter().map(|(o, s)| (*o, s))),
-                    stamp_ids(reference.applied_for(page).iter().map(|(o, s)| (*o, s)))
+                    &applied,
+                    &stamp_ids(reference.applied_for(page).iter().map(|(o, s)| (*o, s)))
                 );
+                if deferred.tracks(page) {
+                    prop_assert_eq!(
+                        stamp_ids(deferred.pending_by_origin(page).iter().map(|(o, s)| (*o, s))),
+                        pending
+                    );
+                    prop_assert_eq!(
+                        stamp_ids(deferred.applied_for(page).iter().map(|(o, s)| (*o, s))),
+                        applied
+                    );
+                } else {
+                    prop_assert!(applied.is_empty(), "applied before the first operation");
+                    let log = waiting.get(&page).map_or(&[][..], Vec::as_slice);
+                    prop_assert_eq!(
+                        stamp_ids(board.pending(page)),
+                        stamp_ids(log.iter().map(|(o, s)| (*o, s)))
+                    );
+                }
             }
         }
         for page in PAGES.map(PageId::new) {
+            track(&mut deferred, &mut waiting, page);
+            prop_assert_eq!(
+                stamp_ids(deferred.pending_by_origin(page).iter().map(|(o, s)| (*o, s))),
+                stamp_ids(board.pending_by_origin(page).iter().map(|(o, s)| (*o, s)))
+            );
             for origin in 0..4 {
                 for seq in 0..8 {
-                    prop_assert_eq!(
-                        board.is_applied(page, origin, seq),
-                        reference.is_applied(page, origin, seq)
-                    );
+                    let applied = board.is_applied(page, origin, seq);
+                    prop_assert_eq!(applied, reference.is_applied(page, origin, seq));
+                    prop_assert_eq!(deferred.is_applied(page, origin, seq), applied);
                 }
             }
         }
     }
 
+    /// The cluster's one [`PageIndex`], read through a node's log,
+    /// lists exactly that log's records naming the page, in the order
+    /// the log learned them — its own and received, relayed out of
+    /// sequence order, as fresh copies, and in duplicate. Three nodes
+    /// close intervals (some listing a page twice, which still names
+    /// it once), relay arbitrary subsets of their logs in arbitrary
+    /// order and grant; one page is never named.
+    #[test]
+    fn page_index_views_match_linear_scans(
+        ops in prop::collection::vec((0u8..3, 0usize..3, 0usize..3, any::<u64>()), 1..100),
+    ) {
+        const NODES: usize = 3;
+        // Records name pages below `PAGES`; page `PAGES` is never named.
+        const PAGES: u32 = 5;
+        let mut clocks: Vec<VectorClock> = (0..NODES).map(|_| VectorClock::new(NODES)).collect();
+        let mut logs: Vec<IntervalLog> = (0..NODES).map(|_| IntervalLog::new()).collect();
+        let mut index = PageIndex::new();
+        for &(kind, a, b, bits) in &ops {
+            match kind {
+                0 => {
+                    clocks[a].tick(a);
+                    let mut pages: Vec<PageId> = (0..PAGES)
+                        .filter(|p| bits >> p & 1 == 1)
+                        .map(PageId::new)
+                        .collect();
+                    if bits >> 8 & 1 == 1 {
+                        if let Some(&last) = pages.last() {
+                            pages.push(last);
+                        }
+                    }
+                    let rec = Arc::new(IntervalRecord {
+                        origin: a,
+                        stamp: Arc::new(clocks[a].clone()),
+                        pages,
+                    });
+                    logs[a].learn(&rec);
+                    index.seal(&rec);
+                }
+                1 => {
+                    let mut relayed: Vec<Arc<IntervalRecord>> = logs[a]
+                        .records()
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| bits >> (i % 62) & 1 == 1)
+                        .map(|(_, r)| if bits >> 62 & 1 == 1 { Arc::new(IntervalRecord::clone(r)) } else { Arc::clone(r) })
+                        .collect();
+                    if bits >> 63 == 1 {
+                        relayed.reverse();
+                    }
+                    for rec in &relayed {
+                        logs[b].learn(rec);
+                    }
+                }
+                _ => {
+                    for rec in logs[a].unknown_to(&clocks[b]) {
+                        logs[b].learn(&rec);
+                    }
+                    let granter = clocks[a].clone();
+                    clocks[b].join(&granter);
+                }
+            }
+            for log in &logs {
+                for page in (0..=PAGES).map(PageId::new) {
+                    let scan = log.records().iter().filter(|r| r.pages.contains(&page));
+                    prop_assert!(
+                        index.naming(page, log).map(Arc::as_ptr).eq(scan.map(Arc::as_ptr)),
+                        "{} differs from the scan",
+                        page
+                    );
+                }
+            }
+        }
+        for log in &logs {
+            prop_assert_eq!(index.naming(PageId::new(PAGES), log).count(), 0);
+        }
+    }
+
     /// [`IntervalLog`] answers every question exactly as the
-    /// `BTreeMap` / `HashMap` log it replaced — `learn`, `knows`,
-    /// `unknown_to`, `naming`, `of_origin` and `indexed_keys`, after
+    /// `BTreeMap` log it replaced — `learn`, `knows`, `unknown_to`,
+    /// `of_origin` and `indexed_keys`, after
     /// every operation. The cluster below closes intervals, relays
     /// arbitrary subsets of its logs in arbitrary order (sequence
     /// numbers out of order, duplicates, fresh copies of a record)
@@ -948,9 +1073,6 @@ proptest! {
                         .iter()
                         .map(Arc::as_ptr)
                         .eq(reference.unknown_to(vc).iter().map(Arc::as_ptr)));
-                }
-                for page in PAGES.map(PageId::new) {
-                    prop_assert!(log.naming(page).map(Arc::as_ptr).eq(reference.naming(page).map(Arc::as_ptr)));
                 }
                 for (origin, clock) in clocks.iter().enumerate() {
                     prop_assert!(log

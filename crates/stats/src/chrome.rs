@@ -13,7 +13,7 @@
 //! trace alone.
 
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use rsdsm_core::{Trace, TraceEvent, TraceRecord, TraceValue, NO_THREAD};
 
@@ -30,16 +30,35 @@ fn track(thread: u32, tpn: u32) -> u32 {
     }
 }
 
-/// Sim-time nanoseconds displayed as `ts` wants them: fractional
+/// Appends sim-time nanoseconds as `ts` wants them: fractional
 /// microseconds, fixed to 3 decimals so formatting is deterministic.
-/// A `Display` value, so each timestamp is written straight into the
-/// output buffer.
-struct TsUs(u64);
-
-impl fmt::Display for TsUs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+fn push_ts(out: &mut String, ns: u64) {
+    push_uint(out, ns / 1000);
+    out.push('.');
+    let frac = ns % 1000;
+    for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + digit as u8));
     }
+}
+
+/// Appends a record's head up to its duration or name: its phase
+/// (`"X"`, or `"i"` with its scope), process, track and timestamp.
+fn push_head(out: &mut String, phase: &str, pid: u32, tid: u32, ns: u64) {
+    out.extend(["{\"ph\":", phase, ",\"pid\":"]);
+    push_uint(out, pid.into());
+    out.push_str(",\"tid\":");
+    push_uint(out, tid.into());
+    out.push_str(",\"ts\":");
+    push_ts(out, ns);
+}
+
+/// Opens a record's `args` with its id and causal-link id; the
+/// event's fields follow, and the caller closes both objects.
+fn push_ids(out: &mut String, id: u64, cause: u64) {
+    out.push_str(",\"args\":{\"id\":");
+    push_uint(out, id);
+    out.push_str(",\"cause\":");
+    push_uint(out, cause);
 }
 
 /// Appends one `args` entry: a code field's label as a string, any
@@ -137,15 +156,13 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             TraceEvent::FaultBegin { page, .. } if fault_ends.contains_key(&id) => {
                 let end = fault_ends[&id];
                 sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                     \"name\":\"fault p{page}\",\"args\":{{\"id\":{id},\"cause\":{}",
-                    rec.node,
-                    TsUs(ns),
-                    TsUs(end.at.as_nanos().saturating_sub(ns)),
-                    rec.cause,
-                );
+                push_head(&mut out, "\"X\"", rec.node, tid, ns);
+                out.push_str(",\"dur\":");
+                push_ts(&mut out, end.at.as_nanos().saturating_sub(ns));
+                out.push_str(",\"name\":\"fault p");
+                push_uint(&mut out, (*page).into());
+                out.push('"');
+                push_ids(&mut out, id, rec.cause);
                 rec.event
                     .for_each_field(|name, value| arg(&mut out, name, value));
                 end.event.for_each_field(|name, value| {
@@ -159,15 +176,9 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             TraceEvent::FaultEnd { .. } if rec.cause != 0 => {}
             event => {
                 sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{tid},\"ts\":{},\
-                     \"name\":\"{}\",\"args\":{{\"id\":{id},\"cause\":{}",
-                    rec.node,
-                    TsUs(ns),
-                    event.label(),
-                    rec.cause
-                );
+                push_head(&mut out, "\"i\",\"s\":\"t\"", rec.node, tid, ns);
+                out.extend([",\"name\":\"", event.label(), "\""]);
+                push_ids(&mut out, id, rec.cause);
                 event.for_each_field(|name, value| arg(&mut out, name, value));
                 out.push_str("}}");
             }
@@ -364,6 +375,16 @@ mod tests {
             nodes: 2,
             threads_per_node: 2,
             records,
+        }
+    }
+
+    /// Timestamps are microseconds with exactly three decimals.
+    #[test]
+    fn timestamps_keep_three_decimals() {
+        for ns in [0, 5, 40, 999, 1_000, 1_007, 123_456_789, u64::MAX] {
+            let mut out = String::new();
+            push_ts(&mut out, ns);
+            assert_eq!(out, format!("{}.{:03}", ns / 1000, ns % 1000));
         }
     }
 
