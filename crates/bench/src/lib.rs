@@ -666,7 +666,7 @@ impl Ran {
         if opts.fault_loss > 0.0
             || !opts.crashes.is_empty()
             || !opts.partitions.is_empty()
-            || opts.persist
+            || opts.checkpoint_every > 0
         {
             let line = report.fault_summary_line();
             let line = line.as_deref().unwrap_or("faults: none observed");

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use rsdsm_simnet::{fnv1a, FaultPlan, NetConfig, NodeId, SimDuration, Topology};
+use rsdsm_simnet::{fnv1a, FaultPlan, NetConfig, NodeId, PersistConfig, SimDuration, Topology};
 
 use crate::costs::CostModel;
 use crate::oracle::OracleConfig;
@@ -272,6 +272,10 @@ pub enum ConfigError {
     /// Recovery enabled with a zero heartbeat period: the failure
     /// detector's tick would re-arm at the same instant forever.
     ZeroHeartbeatPeriod,
+    /// A crash schedule without recovery enabled: nothing would
+    /// detect the crash, confirm it or bring the node back, so the
+    /// run could only abort once a frame to it exhausts its retries.
+    CrashWithoutDetection,
     /// A crash schedule with recovery enabled but no checkpoint
     /// cadence: the victim would recover from nothing.
     CrashWithoutCadence,
@@ -347,6 +351,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "recovery needs a nonzero heartbeat period (heartbeat_every == 0): \
                  the failure detector's tick would never advance"
+            ),
+            ConfigError::CrashWithoutDetection => write!(
+                f,
+                "a crash schedule needs recovery enabled: failure detection, \
+                 confirmation and restart all live there"
             ),
             ConfigError::CrashWithoutCadence => write!(
                 f,
@@ -520,7 +529,8 @@ impl DsmConfig {
     }
 
     /// Checks the cluster shape, then the fault plan and recovery
-    /// settings against each other and the cluster size.
+    /// settings against each other and the cluster size, and returns
+    /// the [`RunPlan`] the engine runs: the only way to build one.
     /// [`Simulation::run`](crate::Simulation::run) calls this before
     /// spawning any thread; front ends call it to reject a bad flag
     /// combination with the same message.
@@ -528,7 +538,7 @@ impl DsmConfig {
     /// # Errors
     ///
     /// The first [`ConfigError`] found: shape first, then plan order.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub fn validate(&self) -> Result<RunPlan<'_>, ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::NoNodes);
         }
@@ -538,17 +548,20 @@ impl DsmConfig {
         if self.net.bandwidth_bps == 0 {
             return Err(ConfigError::ZeroBandwidth);
         }
-        if self.recovery.enabled && self.recovery.heartbeat_every.is_zero() {
+        let rc = &self.recovery;
+        if rc.enabled && rc.heartbeat_every.is_zero() {
             return Err(ConfigError::ZeroHeartbeatPeriod);
         }
         let faults = &self.faults;
-        if self.recovery.enabled
-            && self.recovery.checkpoint_every == 0
-            && !faults.crashes.is_empty()
-        {
-            return Err(ConfigError::CrashWithoutCadence);
+        if !faults.crashes.is_empty() {
+            if !rc.enabled {
+                return Err(ConfigError::CrashWithoutDetection);
+            }
+            if rc.checkpoint_every == 0 {
+                return Err(ConfigError::CrashWithoutCadence);
+            }
         }
-        if self.recovery.persist.enabled && self.recovery.checkpoint_every == 0 {
+        if rc.persist.enabled && rc.checkpoint_every == 0 {
             return Err(ConfigError::PersistWithoutCadence);
         }
         let in_range = |node: NodeId| {
@@ -571,7 +584,7 @@ impl DsmConfig {
             }
         }
         for (i, p) in faults.partitions.iter().enumerate() {
-            if !self.recovery.enabled {
+            if !rc.enabled {
                 return Err(ConfigError::PartitionWithoutRecovery);
             }
             if !faults.crashes.is_empty() {
@@ -604,7 +617,24 @@ impl DsmConfig {
                 return Err(ConfigError::OverlappingPartitions);
             }
         }
-        Ok(())
+        let cadence = rc.cadence();
+        let recovery = if rc.enabled {
+            RecoveryPlan::Detect {
+                detection: Detection {
+                    heartbeat: rc.heartbeat_every,
+                    lease: rc.lease_timeout,
+                    grace: rc.confirm_grace,
+                    restart_base: rc.restart_base,
+                },
+                cadence,
+            }
+        } else {
+            cadence.map_or(RecoveryPlan::Off, RecoveryPlan::Checkpoint)
+        };
+        Ok(RunPlan {
+            cfg: self,
+            recovery,
+        })
     }
 
     /// Total application threads in the run.
@@ -613,9 +643,88 @@ impl DsmConfig {
     }
 }
 
+/// A configuration [`DsmConfig::validate`] accepted, in the form the
+/// engine runs it: the config, and what its recovery settings amount
+/// to as one `RecoveryPlan` holding only values the engine reads.
+/// Its fields are private and `validate` is its only constructor, so
+/// the engine never runs a configuration it has not checked.
+#[derive(Debug)]
+pub struct RunPlan<'a> {
+    cfg: &'a DsmConfig,
+    recovery: RecoveryPlan,
+}
+
+impl<'a> RunPlan<'a> {
+    /// The configuration this plan runs.
+    pub(crate) fn config(&self) -> &'a DsmConfig {
+        self.cfg
+    }
+
+    /// What the run detects, checkpoints and persists.
+    pub(crate) fn recovery(&self) -> RecoveryPlan {
+        self.recovery
+    }
+}
+
+/// What a run does about failures: one variant for each combination
+/// of recovery settings [`DsmConfig::validate`] accepts. Off is the
+/// absence of a value; persistence without a cadence, and detection
+/// periods on a run that does not detect, cannot be written down.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum RecoveryPlan {
+    /// No detection, no checkpoints: the engine holds no recovery
+    /// state, and retry exhaustion aborts the run.
+    Off,
+    /// Checkpoints at a cadence with no detector (`--checkpoint-every`
+    /// alone): their cost is measured on a fault-free run.
+    Checkpoint(Cadence),
+    /// Failure detection, with the checkpoints a crashed or frozen
+    /// node restores from. Every crash or cut runs under this.
+    Detect {
+        /// The detector's periods.
+        detection: Detection,
+        /// `None` only without crashes: a frozen node then replays
+        /// from the start.
+        cadence: Option<Cadence>,
+    },
+}
+
+/// The failure detector's periods (see [`RecoveryConfig`] for each).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Detection {
+    pub(crate) heartbeat: SimDuration,
+    pub(crate) lease: SimDuration,
+    pub(crate) grace: SimDuration,
+    pub(crate) restart_base: SimDuration,
+}
+
+/// A checkpoint cadence: every how many barrier epochs, and where
+/// each checkpoint goes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Cadence {
+    /// Barrier epochs between checkpoints; never zero.
+    pub(crate) every: u32,
+    pub(crate) store: Store,
+}
+
+/// Where a checkpoint is kept.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Store {
+    /// Measured only, and read back at a flat cost per page.
+    Memory {
+        /// The read-back cost of one page.
+        restore_per_page: SimDuration,
+    },
+    /// Written to each node's persistent device through the two-slot
+    /// commit protocol, and read back at the device's read bandwidth.
+    Device(PersistConfig),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rsdsm_simnet::SimTime;
 
     #[test]
     fn paper_cluster_defaults() {
@@ -682,6 +791,102 @@ mod tests {
         .map(|m| m.label())
         .collect();
         assert_eq!(labels, vec!["O", "P", "H", "A", "A+P"]);
+    }
+
+    /// `validate` is total. Over 0–9 nodes of 0–3 threads, zero and
+    /// nonzero bandwidth, every shape of `RecoveryConfig`, and up to
+    /// two crashes and two cuts naming nodes up to one past the
+    /// cluster, it returns a plan or a `ConfigError` and never panics.
+    /// A plan's recovery is the variant written out below, every crash
+    /// or cut runs under a detector, and every variant is reached.
+    #[test]
+    fn validate_is_total() {
+        let mut rng = proptest::TestRng::from_name("validate_is_total");
+        let ms = SimDuration::from_millis;
+        // Plans seen: off, checkpoint, detect without and with a cadence.
+        let mut seen = [0u32; 4];
+        for _ in 0..4096 {
+            let (nodes, threads, bandwidth) =
+                (0usize..=9, 0usize..=3, any::<bool>()).generate(&mut rng);
+            let (enabled, every, heartbeat, persist) =
+                (any::<bool>(), 0u32..=3, any::<bool>(), any::<bool>()).generate(&mut rng);
+            let crash = (0usize..=10, 0u64..=4, any::<bool>());
+            let crashes = prop::collection::vec(crash, 0..=2).generate(&mut rng);
+            let cut = (0usize..=10, 0usize..=10, any::<bool>(), 0u64..=8, 0u64..=4);
+            let cuts = prop::collection::vec(cut, 0..=2).generate(&mut rng);
+
+            let node = |n: usize| n % (nodes + 2);
+            let mut cfg =
+                DsmConfig::paper_cluster(nodes).with_threads(ThreadConfig::combined(threads));
+            cfg.net.bandwidth_bps *= u64::from(bandwidth);
+            cfg.recovery = RecoveryConfig {
+                enabled,
+                checkpoint_every: every,
+                heartbeat_every: ms(u64::from(heartbeat)),
+                persist: PersistConfig {
+                    enabled: persist,
+                    ..PersistConfig::on()
+                },
+                ..RecoveryConfig::off()
+            };
+            for &(n, at, restarts) in &crashes {
+                cfg.faults = cfg.faults.with_node_crash(rsdsm_simnet::NodeCrash {
+                    node: node(n),
+                    at: SimTime::ZERO + ms(at),
+                    restart_after: restarts.then(|| ms(5)),
+                });
+            }
+            for &(a, b, split, at, heal) in &cuts {
+                let groups = if split {
+                    vec![vec![node(a)], vec![node(b)]]
+                } else {
+                    vec![vec![node(a), node(b)]]
+                };
+                let cut = rsdsm_simnet::Partition::cut(groups, SimTime::ZERO + ms(at), ms(heal));
+                cfg.faults = cfg.faults.with_partition(cut);
+            }
+
+            // A rejection is a typed error; only a plan has more to show.
+            let Ok(plan) = cfg.validate() else {
+                continue;
+            };
+            let cadence = (every > 0).then_some(Cadence {
+                every,
+                store: if persist {
+                    Store::Device(cfg.recovery.persist)
+                } else {
+                    Store::Memory {
+                        restore_per_page: cfg.recovery.restore_per_page,
+                    }
+                },
+            });
+            let want = match (enabled, cadence) {
+                (false, None) => RecoveryPlan::Off,
+                (false, Some(cadence)) => RecoveryPlan::Checkpoint(cadence),
+                (true, cadence) => RecoveryPlan::Detect {
+                    detection: Detection {
+                        heartbeat: cfg.recovery.heartbeat_every,
+                        lease: cfg.recovery.lease_timeout,
+                        grace: cfg.recovery.confirm_grace,
+                        restart_base: cfg.recovery.restart_base,
+                    },
+                    cadence,
+                },
+            };
+            assert_eq!(plan.recovery(), want, "{cfg:?}");
+            assert!(nodes > 0 && threads > 0 && bandwidth);
+            assert!(!persist || every > 0, "persistence without a cadence");
+            assert!(!enabled || heartbeat, "a detector with a zero period");
+            let detects = matches!(want, RecoveryPlan::Detect { .. });
+            assert!(crashes.is_empty() || (detects && every > 0), "{cfg:?}");
+            assert!(cuts.is_empty() || detects, "{cfg:?}");
+            seen[match want {
+                RecoveryPlan::Off => 0,
+                RecoveryPlan::Checkpoint(_) => 1,
+                RecoveryPlan::Detect { cadence, .. } => 2 + usize::from(cadence.is_some()),
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "plans seen: {seen:?}");
     }
 
     #[test]

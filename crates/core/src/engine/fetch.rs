@@ -968,7 +968,8 @@ mod tests {
         };
         for duplicate in [false, true] {
             let (heap, _) = tiny_cluster();
-            let mut core = Core::new(&cfg, &heap, Vec::new(), false, QueueBackend::default());
+            let plan = cfg.validate().expect("a valid config");
+            let mut core = Core::new(&plan, &heap, Vec::new(), false, QueueBackend::default());
             core.nodes[1].mem.prefetch_sent(page, 1);
             // The copy node 1 validates: the prefetch reply's own base
             // (whose duplicate comes later), or a demand fetch's.

@@ -31,7 +31,7 @@ use rsdsm_simnet::{FaultStats, NodeId, QueueBackend, SimDuration, SimTime};
 
 use crate::accounting::IdleReason;
 use crate::conductor::{lockstep, ThreadLink};
-use crate::config::DsmConfig;
+use crate::config::{DsmConfig, RecoveryPlan, RunPlan};
 use crate::heap::Heap;
 use crate::node::{NodeMem, NodeState};
 use crate::oracle::{digest_pages, OracleOutcome, OracleState};
@@ -236,7 +236,7 @@ impl Simulation {
         traced: bool,
     ) -> Result<(Outcome, Heap, P::Handles), SimError> {
         let cfg = &self.cfg;
-        cfg.validate().map_err(SimError::Config)?;
+        let plan = cfg.validate().map_err(SimError::Config)?;
         let mut heap = Heap::for_config(cfg);
         let handles = app.allocate(&mut heap);
         if let Some(policy) = cfg.directory.policy() {
@@ -259,7 +259,7 @@ impl Simulation {
             cfg.total_threads(),
             |t| t / tpn,
             |links| {
-                let mut core = Core::new(cfg, &heap, links, traced, self.backend);
+                let mut core = Core::new(&plan, &heap, links, traced, self.backend);
                 // On error, returning drops the core and with it the
                 // links, which unwinds any thread still parked.
                 let finish = core.run_loop()?;
@@ -312,8 +312,7 @@ struct Core<'a> {
     /// trace); `None` unless the config turns it on.
     oracle: Option<OracleState>,
     /// Crash/partition suspension, failure detection, checkpoints and
-    /// persistence; `None` unless the fault plan schedules an outage
-    /// or the config enables recovery or a checkpoint cadence.
+    /// persistence; `None` when the plan's recovery is off.
     recovery: Option<Recovery>,
     /// Structured event tracing (see [`crate::trace`]); inert unless
     /// the run was started via [`Simulation::run_traced`].
@@ -321,17 +320,17 @@ struct Core<'a> {
 }
 
 impl<'a> Core<'a> {
-    /// Builds the engine for a configuration that already passed
-    /// [`DsmConfig::validate`], and schedules the run's initial
+    /// Builds the engine for a plan, and schedules the run's initial
     /// events: thread starts, the fault plan's crashes and cuts, and
     /// the first heartbeat ticks.
     fn new(
-        cfg: &'a DsmConfig,
+        plan: &RunPlan<'a>,
         heap: &'a Heap,
         threads: Vec<ThreadLink<'a>>,
         traced: bool,
         backend: QueueBackend,
     ) -> Self {
+        let cfg = plan.config();
         let tpn = cfg.threads.threads_per_node;
         let threads = threads.into_iter().map(ThreadPeer::new).collect();
         let extra = cfg.faults.crashes.len() + cfg.nodes + 64;
@@ -348,12 +347,9 @@ impl<'a> Core<'a> {
         for (i, p) in cfg.faults.partitions.iter().enumerate() {
             sched.push(p.at, Event::PartitionStart(i));
         }
-        if cfg.recovery.enabled {
+        if let RecoveryPlan::Detect { detection, .. } = plan.recovery() {
             for n in 0..cfg.nodes {
-                sched.push(
-                    SimTime::ZERO + cfg.recovery.heartbeat_every,
-                    Event::HeartbeatTick(n),
-                );
+                sched.push(SimTime::ZERO + detection.heartbeat, Event::HeartbeatTick(n));
             }
         }
         let total_pages = heap.page_count();
@@ -375,7 +371,7 @@ impl<'a> Core<'a> {
             wire: Wire::new(cfg),
             barriers: Barriers::new(cfg.nodes),
             oracle: cfg.oracle.enabled().then(|| OracleState::new(cfg.nodes)),
-            recovery: Recovery::for_config(cfg),
+            recovery: Recovery::for_plan(cfg.nodes, plan.recovery()),
             tracer: Tracer::new(traced, cfg.nodes as u32, tpn as u32),
         }
     }
@@ -469,8 +465,8 @@ mod tests {
     use crate::config::{PrefetchConfig, PrefetchMode};
 
     fn core<'a>(cfg: &'a DsmConfig, heap: &'a Heap) -> Core<'a> {
-        let backend = QueueBackend::default();
-        Core::new(cfg, heap, Vec::new(), false, backend)
+        let plan = cfg.validate().expect("a valid config");
+        Core::new(&plan, heap, Vec::new(), false, QueueBackend::default())
     }
 
     /// "Off means absent": the paper's configuration builds no
@@ -684,7 +680,7 @@ mod tests {
         let cfg = DsmConfig::paper_cluster(nodes).with_prefetch(PrefetchConfig::hand());
         let mut heap = Heap::new(nodes);
         DsmTask::allocate(&Incast, &mut heap);
-        let fresh = Core::new(&cfg, &heap, Vec::new(), false, QueueBackend::default());
+        let fresh = core(&cfg, &heap);
         assert_eq!(fresh.nodes.len() * fresh.nodes[0].mem.pages.len(), 65_536);
         // A slot is 32 bytes however much the node knows about the
         // page, and the memory that changes hands twice per syscall
@@ -755,13 +751,15 @@ mod tests {
             }
         }
 
+        let device = PersistConfig::on();
         let cfg = DsmConfig::paper_cluster(NODES).with_recovery(RecoveryConfig {
-            persist: PersistConfig::on(),
+            persist: device,
             ..RecoveryConfig::on(2)
         });
         let mut heap = Heap::new(NODES);
         let handles = DsmTask::allocate(&Phases, &mut heap);
         let tpn = cfg.threads.threads_per_node;
+        let plan = cfg.validate().expect("a valid config");
         let devices = lockstep(
             &Phases,
             &handles,
@@ -770,7 +768,7 @@ mod tests {
             cfg.total_threads(),
             |t| t / tpn,
             |links| {
-                let mut core = Core::new(&cfg, &heap, links, false, QueueBackend::default());
+                let mut core = Core::new(&plan, &heap, links, false, QueueBackend::default());
                 let finish = core.run_loop().expect("the run completes");
                 let mut devices = core.persisted();
                 for (dev, _) in &mut devices {
@@ -798,7 +796,7 @@ mod tests {
                 // without decoding the commit record again.
                 assert_eq!(
                     *kept,
-                    (ckpt.epoch, cfg.recovery.persist.read_time(len + COMMIT_LEN)),
+                    (ckpt.epoch, device.read_time(len + COMMIT_LEN)),
                     "node {node} slot {slot}"
                 );
                 assert_eq!(

@@ -13,10 +13,10 @@
 //! is parked and replayed exactly once, in order, time-shifted); a
 //! node is suspended at most once at a time; the manager never
 //! confirms a frozen node as failed; and all of this state exists
-//! only when the config or fault plan needs it — [`Recovery::for_config`]
-//! returns `None` for a plain run, the detector's N×N link table
-//! appears only with `recovery.enabled`, and the devices only with
-//! `recovery.persist.enabled`.
+//! only when the run's plan needs it — [`Recovery::for_plan`] returns
+//! `None` for [`RecoveryPlan::Off`], the detector's N×N link table
+//! appears only under [`RecoveryPlan::Detect`], and the devices only
+//! with a cadence whose [`Store`] is a device.
 
 use rsdsm_simnet::{NodeId, PersistDevice, SimDuration, SimTime, Topology};
 
@@ -26,7 +26,7 @@ use crate::checkpoint::{
     classify_slot, commit_region, payload_region, slot_for_seq, CommitRecord, NodeCheckpoint,
     SlotState, SLOT_COUNT, SLOT_REGIONS,
 };
-use crate::config::{DsmConfig, MANAGER};
+use crate::config::{Cadence, Detection, RecoveryPlan, Store, MANAGER};
 use crate::msg::MsgBody;
 use crate::recovery::{PeerStatus, RecoveryStats};
 use crate::report::SimError;
@@ -90,15 +90,17 @@ struct NodeOutage {
 }
 
 /// Outage, checkpoint and recovery state; exists only for runs that
-/// can use it (see [`Recovery::for_config`]).
+/// can use it (see [`Recovery::for_plan`]).
 pub(super) struct Recovery {
     nodes: Vec<NodeOutage>,
     /// Counters surfaced in [`RunReport`](crate::RunReport).
     stats: RecoveryStats,
-    /// Failure detection; `Some` iff `recovery.enabled`.
+    /// Failure detection; `Some` iff the plan detects.
     detector: Option<Detector>,
-    /// One durable device per node; `Some` iff
-    /// `recovery.persist.enabled`.
+    /// The plan's checkpoint cadence, if it has one.
+    cadence: Option<Cadence>,
+    /// One durable device per node; `Some` iff the cadence stores to a
+    /// device.
     persist: Option<Vec<Durable>>,
 }
 
@@ -118,8 +120,8 @@ struct Link {
 /// frame (explicit heartbeats go only on idle links), surfacing
 /// suspicion as a typed [`PeerStatus`].
 #[derive(Debug)]
-struct Detector {
-    lease: SimDuration,
+pub(super) struct Detector {
+    periods: Detection,
     /// `links[observer][peer]`.
     links: Vec<Vec<Link>>,
     /// Consecutive idle manager ticks (see [`IDLE_TICK_LIMIT`]).
@@ -129,11 +131,11 @@ struct Detector {
 }
 
 impl Detector {
-    /// A detector for `nodes` nodes with the given lease timeout; all
-    /// leases start fresh at time zero.
-    fn new(nodes: usize, lease: SimDuration) -> Self {
+    /// A detector for `nodes` nodes with the given periods; all leases
+    /// start fresh at time zero.
+    fn new(nodes: usize, periods: Detection) -> Self {
         Detector {
-            lease,
+            periods,
             links: vec![vec![Link::default(); nodes]; nodes],
             idle_tick_rounds: 0,
             progressed: false,
@@ -155,7 +157,7 @@ impl Detector {
     /// True when `observer` has heard nothing from `peer` for longer
     /// than the lease timeout.
     fn lease_expired(&self, observer: NodeId, peer: NodeId, now: SimTime) -> bool {
-        now > self.links[observer][peer].heard + self.lease
+        now > self.links[observer][peer].heard + self.periods.lease
     }
 
     /// `observer`'s current belief about `peer`.
@@ -204,29 +206,35 @@ struct Durable {
 }
 
 impl Recovery {
-    /// The state `cfg` needs, if any: a fault plan with crashes or
-    /// cuts, failure detection, or a checkpoint cadence. A plain run
-    /// gets `None` and pays for none of it.
-    pub(super) fn for_config(cfg: &DsmConfig) -> Option<Self> {
-        let n = cfg.nodes;
-        let rc = &cfg.recovery;
-        let needed = rc.enabled
-            || rc.checkpoint_every > 0
-            || !cfg.faults.crashes.is_empty()
-            || !cfg.faults.partitions.is_empty();
-        needed.then(|| Recovery {
-            nodes: (0..n).map(|_| NodeOutage::default()).collect(),
-            stats: RecoveryStats::default(),
-            detector: rc.enabled.then(|| Detector::new(n, rc.lease_timeout)),
-            persist: rc.persist.enabled.then(|| {
+    /// The state a plan of `n` nodes needs: a detector when it
+    /// detects, devices when its cadence stores to one. A plan whose
+    /// recovery is off gets `None` and pays for none of it.
+    pub(super) fn for_plan(n: usize, plan: RecoveryPlan) -> Option<Self> {
+        let (detector, cadence) = match plan {
+            RecoveryPlan::Off => return None,
+            RecoveryPlan::Checkpoint(cadence) => (None, Some(cadence)),
+            RecoveryPlan::Detect { detection, cadence } => {
+                (Some(Detector::new(n, detection)), cadence)
+            }
+        };
+        let persist = match cadence.map(|c| c.store) {
+            Some(Store::Device(device)) => Some(
                 (0..n)
                     .map(|_| Durable {
-                        device: PersistDevice::new(SLOT_REGIONS, rc.persist),
+                        device: PersistDevice::new(SLOT_REGIONS, device),
                         seq: 0,
                         slots: [Restore::default(); SLOT_COUNT],
                     })
-                    .collect()
-            }),
+                    .collect(),
+            ),
+            _ => None,
+        };
+        Some(Recovery {
+            nodes: (0..n).map(|_| NodeOutage::default()).collect(),
+            stats: RecoveryStats::default(),
+            detector,
+            cadence,
+            persist,
         })
     }
 
@@ -258,15 +266,20 @@ impl Core<'_> {
     }
 
     /// Detector state, if this run detects failures.
-    fn detector_mut(&mut self) -> Option<&mut Detector> {
+    pub(super) fn detector_mut(&mut self) -> Option<&mut Detector> {
         self.recovery.as_mut()?.detector.as_mut()
     }
 
-    /// Detector state, for handlers only reached with
-    /// `recovery.enabled`.
+    /// Detector state, for handlers only reached when the plan
+    /// detects failures.
     fn det(&mut self) -> &mut Detector {
         self.detector_mut()
-            .expect("detector events are scheduled only with recovery enabled")
+            .expect("detector events are scheduled only when the plan detects")
+    }
+
+    /// The run's checkpoint cadence, if it has one.
+    pub(super) fn cadence(&self) -> Option<Cadence> {
+        self.recovery.as_ref()?.cadence
     }
 
     /// Every node's persistent device, with the epoch and read time of
@@ -332,8 +345,8 @@ impl Core<'_> {
     /// A scheduled crash fires: the NIC goes dead (subsequent frames
     /// to and from the node are dropped by the network) and the
     /// node's local activity freezes. For crash-restart faults the
-    /// resume is scheduled immediately — outage plus, when recovery
-    /// is on, the modeled restore and replay costs.
+    /// resume is scheduled immediately — outage plus the modeled
+    /// restore and replay costs.
     pub(super) fn on_crash(&mut self, x: NodeId, restart_after: Option<SimDuration>, now: SimTime) {
         self.tracer.emit(
             now,
@@ -350,17 +363,11 @@ impl Core<'_> {
         // With persistence, the crash instant decides what survives
         // on the device — and therefore which image (and cost) the
         // restart below is scheduled against.
-        if self.cfg.recovery.persist.enabled {
+        if self.rec().persist.is_some() {
             self.reload_from_device(x, now);
         }
         if let Some(outage) = restart_after {
-            let at = if self.cfg.recovery.enabled {
-                now + outage + self.recovery_cost(x)
-            } else {
-                // Recovery disabled: a pure outage. The run survives
-                // only if the retry budget outlasts it.
-                now + outage
-            };
+            let at = now + outage + self.recovery_cost(x);
             self.sched.push(at, Event::Resume(x));
         }
     }
@@ -462,7 +469,7 @@ impl Core<'_> {
     /// The manager's tick doubles as the engine's liveness watchdog
     /// (the recurring ticks defeat the queue-drained deadlock check).
     pub(super) fn on_heartbeat_tick(&mut self, n: NodeId, now: SimTime) -> Result<(), SimError> {
-        let every = self.cfg.recovery.heartbeat_every;
+        let every = self.det().periods.heartbeat;
         self.sched.push(now + every, Event::HeartbeatTick(n));
         if n == MANAGER {
             let det = self.det();
@@ -616,10 +623,8 @@ impl Core<'_> {
             return;
         }
         self.rec().nodes[victim].confirm_pending = true;
-        self.sched.push(
-            now + self.cfg.recovery.confirm_grace,
-            Event::ConfirmFailure(victim),
-        );
+        let grace = self.det().periods.grace;
+        self.sched.push(now + grace, Event::ConfirmFailure(victim));
     }
 
     /// The manager's confirmation deadline for a suspect. The
@@ -674,7 +679,7 @@ impl Core<'_> {
         }
         let crash = self.cfg.faults.crashes.iter().find(|c| c.node == victim);
         if crash.is_none_or(|c| c.restart_after.is_none()) {
-            let at = now + self.cfg.recovery.restart_base + self.recovery_cost(victim);
+            let at = now + self.det().periods.restart_base + self.recovery_cost(victim);
             self.sched.push(at, Event::Resume(victim));
         }
     }
@@ -754,22 +759,26 @@ impl Core<'_> {
         restore.read + busy.saturating_sub(restore.busy)
     }
 
-    /// Takes node `n`'s barrier-aligned checkpoint and returns the
-    /// time the node resumes. Without persistence the checkpoint is
+    /// Takes node `n`'s barrier-aligned checkpoint into `store` and
+    /// returns the time the node resumes. In memory the checkpoint is
     /// only measured, and deliberately charges no CPU time and
     /// consumes no randomness: the model treats the snapshot as
     /// copy-on-write work off the critical path, so a crash-free run's
     /// event timeline — and its `RunReport` digest, recovery fields
     /// aside — is identical with checkpointing on or off, and it reads
-    /// back at the flat per-page cost. With persistence on, the node's
-    /// state is laid straight into its segmented image, written
-    /// through the durable two-slot commit protocol, and the node
-    /// stalls for the modeled persist cost.
-    pub(super) fn take_checkpoint(&mut self, n: NodeId, at: SimTime) -> SimTime {
+    /// back at the flat per-page cost. On a device, the node's state
+    /// is laid straight into its segmented image, written through the
+    /// durable two-slot commit protocol, and the node stalls for the
+    /// modeled persist cost.
+    pub(super) fn take_checkpoint(&mut self, n: NodeId, store: Store, at: SimTime) -> SimTime {
         let epoch = self.barriers.epochs_done(n);
         let ckpt = NodeCheckpoint::new(n as u32, epoch, &self.nodes[n]);
         let (bytes, pages) = (ckpt.len() as u64, ckpt.pages() as u64);
-        let image = self.cfg.recovery.persist.enabled.then(|| ckpt.segmented());
+        // The device path sets the read time from the image it writes.
+        let (read, image) = match store {
+            Store::Memory { restore_per_page } => (restore_per_page * pages, None),
+            Store::Device(_) => (SimDuration::ZERO, Some(ckpt.segmented())),
+        };
         self.tracer.emit(
             at,
             n as u32,
@@ -783,7 +792,7 @@ impl Core<'_> {
         let restore = Restore {
             epoch,
             busy: self.nodes[n].account.breakdown()[Category::Busy],
-            read: self.cfg.recovery.restore_per_page * pages,
+            read,
         };
         let rec = self.rec();
         rec.stats.checkpoints_taken += 1;
@@ -814,7 +823,6 @@ impl Core<'_> {
         payload: Vec<u8>,
         at: SimTime,
     ) -> SimTime {
-        let cfg = self.cfg;
         let rec = self.rec();
         let durable = &mut rec.persist.as_mut().expect("persist state")[n];
         durable.seq += 1;
@@ -836,7 +844,7 @@ impl Core<'_> {
             dev.fence(at)
         };
         let restore = Restore {
-            read: cfg.recovery.persist.read_time(image_bytes as usize),
+            read: durable.device.config().read_time(image_bytes as usize),
             ..restore
         };
         durable.slots[slot] = restore;
@@ -909,38 +917,56 @@ mod tests {
         SimDuration::from_micros(n)
     }
 
-    /// Each part of the outage state exists only when the config asks
-    /// for it: a checkpoint cadence alone builds no detector, and only
-    /// persistence builds devices.
+    /// Detector periods with the given lease.
+    fn detection(lease: SimDuration) -> Detection {
+        Detection {
+            heartbeat: us(10),
+            lease,
+            grace: us(10),
+            restart_base: us(500),
+        }
+    }
+
+    /// Each part of the outage state exists only when the plan holds
+    /// it: a cadence alone builds no detector, a detector needs no
+    /// cadence, and only a cadence that stores to a device builds
+    /// devices.
     #[test]
-    fn recovery_state_follows_the_config() {
-        use crate::recovery::RecoveryConfig;
+    fn recovery_state_follows_the_plan() {
         use rsdsm_simnet::PersistConfig;
 
-        let cadence_only = RecoveryConfig {
-            checkpoint_every: 2,
-            ..RecoveryConfig::off()
+        let memory = Cadence {
+            every: 2,
+            store: Store::Memory {
+                restore_per_page: us(20),
+            },
         };
-        let durable = RecoveryConfig {
-            persist: PersistConfig::on(),
-            ..RecoveryConfig::on(2)
+        let device = Cadence {
+            store: Store::Device(PersistConfig::on()),
+            ..memory
         };
-        for (recovery, detector, persist) in [
-            (cadence_only, false, false),
-            (RecoveryConfig::on(2), true, false),
-            (durable, true, true),
+        let detect = |cadence| RecoveryPlan::Detect {
+            detection: detection(us(50)),
+            cadence,
+        };
+        for (plan, detector, persist) in [
+            (RecoveryPlan::Checkpoint(memory), false, false),
+            (RecoveryPlan::Checkpoint(device), false, true),
+            (detect(None), true, false),
+            (detect(Some(memory)), true, false),
+            (detect(Some(device)), true, true),
         ] {
-            let cfg = DsmConfig::paper_cluster(4).with_recovery(recovery);
-            let rec = Recovery::for_config(&cfg).expect("recovery state");
-            assert_eq!(rec.detector.is_some(), detector);
-            assert_eq!(rec.persist.is_some(), persist);
+            let rec = Recovery::for_plan(4, plan).expect("recovery state");
+            assert_eq!(rec.detector.is_some(), detector, "{plan:?}");
+            assert_eq!(rec.persist.is_some(), persist, "{plan:?}");
+            assert_eq!(rec.cadence.is_some(), plan != detect(None), "{plan:?}");
         }
-        assert!(Recovery::for_config(&DsmConfig::paper_cluster(1024)).is_none());
+        assert!(Recovery::for_plan(1024, RecoveryPlan::Off).is_none());
     }
 
     #[test]
     fn lease_expires_only_after_timeout() {
-        let mut d = Detector::new(3, us(100));
+        let mut d = Detector::new(3, detection(us(100)));
         let t0 = SimTime::ZERO;
         d.heard(0, 1, t0 + us(50));
         assert!(!d.lease_expired(0, 1, t0 + us(150)));
@@ -949,7 +975,7 @@ mod tests {
 
     #[test]
     fn hearing_from_a_suspect_clears_it() {
-        let mut d = Detector::new(2, us(10));
+        let mut d = Detector::new(2, detection(us(10)));
         assert!(d.suspect(0, 1), "first suspicion is new");
         assert!(!d.suspect(0, 1), "repeat suspicion is not");
         assert_eq!(d.status(0, 1), PeerStatus::Suspected);
@@ -959,7 +985,7 @@ mod tests {
 
     #[test]
     fn down_is_sticky_until_cleared() {
-        let mut d = Detector::new(2, us(10));
+        let mut d = Detector::new(2, detection(us(10)));
         d.mark(0, 1, PeerStatus::Down);
         d.heard(0, 1, SimTime::ZERO + us(1));
         assert_eq!(d.status(0, 1), PeerStatus::Down);
@@ -970,7 +996,7 @@ mod tests {
 
     #[test]
     fn unreachable_is_sticky_and_not_a_new_suspicion() {
-        let mut d = Detector::new(2, us(10));
+        let mut d = Detector::new(2, detection(us(10)));
         d.mark(0, 1, PeerStatus::Unreachable);
         // A stray pre-cut frame does not clear the mark...
         d.heard(0, 1, SimTime::ZERO + us(1));

@@ -524,9 +524,8 @@ impl Core<'_> {
                 epoch,
             },
         );
-        let every = self.cfg.recovery.checkpoint_every;
-        if every > 0 && epoch.is_multiple_of(every) {
-            end = self.take_checkpoint(n, end);
+        if let Some(cadence) = self.cadence().filter(|c| epoch.is_multiple_of(c.every)) {
+            end = self.take_checkpoint(n, cadence.store, end);
         }
         let end = self.prefetch_at_sync(n, SyncKey::Barrier(id), None, end);
         let woken = self.barriers.release(n, id);

@@ -232,7 +232,7 @@ impl Core<'_> {
                 // it hosts the coordination state recovery itself
                 // needs. A cut severing the path to it is the one
                 // exception — the frame parks and re-arms at the heal.
-                if !self.cfg.recovery.enabled
+                if self.detector_mut().is_none()
                     || (dst == MANAGER && !self.wire.net.link_cut(now, src, dst))
                 {
                     return Err(SimError::Transport(format!(

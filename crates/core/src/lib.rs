@@ -68,7 +68,7 @@ pub use checkpoint::{
 pub use conductor::TaskCtx;
 pub use config::{
     ConfigError, DirectoryConfig, DirectoryPolicy, DsmConfig, PrefetchConfig, PrefetchMode,
-    ThreadConfig,
+    RunPlan, ThreadConfig,
 };
 pub use costs::CostModel;
 pub use engine::Simulation;

@@ -17,6 +17,8 @@
 
 use rsdsm_simnet::{PersistConfig, SimDuration};
 
+use crate::config::{Cadence, Store};
+
 /// What a node currently believes about a peer's liveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum PeerStatus {
@@ -36,7 +38,9 @@ pub(crate) enum PeerStatus {
     Down,
 }
 
-/// Tunables for failure detection, checkpointing, and recovery.
+/// Tunables for failure detection, checkpointing, and recovery: the
+/// public input that [`DsmConfig::validate`](crate::DsmConfig::validate)
+/// turns into the one recovery value a run's plan holds.
 ///
 /// Defaults to [`RecoveryConfig::off`]: no heartbeats, no
 /// checkpoints, and retry exhaustion aborts the run exactly as
@@ -45,10 +49,10 @@ pub(crate) enum PeerStatus {
 /// last barrier-aligned checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Master switch for heartbeats, detection, and restart. Crash
-    /// events in the fault plan take effect regardless; this governs
-    /// whether the system reacts to them or (as before) aborts once
-    /// retries are exhausted.
+    /// Switch for heartbeats, detection, and restart. A fault plan
+    /// with crashes or cuts needs it: `validate` rejects a crash
+    /// without it (`CrashWithoutDetection`), and a cut without it
+    /// (`PartitionWithoutRecovery`).
     pub enabled: bool,
     /// Take a checkpoint every this many barrier epochs (0 = never).
     /// Independent of `enabled` so checkpoint overhead can be
@@ -73,7 +77,7 @@ pub struct RecoveryConfig {
     /// Modeled per-page cost of reloading the last checkpoint on the
     /// restarted node. Used only when `persist` is disabled; with
     /// persistence on, the restore cost comes from the device read
-    /// model instead.
+    /// model instead, and the plan drops this value.
     pub restore_per_page: SimDuration,
     /// Durable-checkpoint persistence: when enabled, checkpoints are
     /// written to a modeled per-node persistent device through the
@@ -107,6 +111,22 @@ impl RecoveryConfig {
             checkpoint_every,
             ..RecoveryConfig::off()
         }
+    }
+
+    /// The checkpoint cadence these settings ask for, with where each
+    /// checkpoint goes; `None` without one, whatever `persist` says.
+    pub(crate) fn cadence(&self) -> Option<Cadence> {
+        let store = if self.persist.enabled {
+            Store::Device(self.persist)
+        } else {
+            Store::Memory {
+                restore_per_page: self.restore_per_page,
+            }
+        };
+        (self.checkpoint_every > 0).then_some(Cadence {
+            every: self.checkpoint_every,
+            store,
+        })
     }
 }
 

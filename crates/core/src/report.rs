@@ -5,7 +5,7 @@ use std::fmt;
 use rsdsm_simnet::{FaultStats, NetStats, SimDuration};
 
 use crate::accounting::Breakdown;
-use crate::config::{ConfigError, DsmConfig};
+use crate::config::{ConfigError, DsmConfig, Store};
 use crate::node::MissClass;
 use crate::oracle::{FnvWriter, OracleOutcome};
 use crate::prefetch::AdaptiveStats;
@@ -444,7 +444,7 @@ impl RunReport {
 
     /// One-line drop/retry/duplicate summary for the figure and table
     /// binaries; `None` when the run saw no losses, no injected
-    /// faults, and no retransmissions.
+    /// faults, no retransmissions, and took no checkpoint.
     pub fn fault_summary_line(&self) -> Option<String> {
         let f = &self.fault_injection;
         let t = &self.transport;
@@ -459,6 +459,7 @@ impl RunReport {
             && self.net.drops == 0
             && r.crashes == 0
             && r.suspicions == 0
+            && r.checkpoints_taken == 0
             && r.partitions == 0
             && !dir_active
             && !self.config.prefetch.mode.is_adaptive();
@@ -522,9 +523,11 @@ impl RunReport {
             )
             .expect("write to String");
         }
-        // Gated on the config switch, not the counters: a run without
-        // persistence must emit the exact pre-persistence line.
-        if self.config.recovery.persist.enabled {
+        // Gated on the plan's cadence having a device, not on the
+        // counters: a run without one must emit the exact
+        // pre-persistence line.
+        let store = self.config.recovery.cadence().map(|c| c.store);
+        if matches!(store, Some(Store::Device(_))) {
             write!(
                 line,
                 "; persist: {} bytes, {} flushes, {} fences, \

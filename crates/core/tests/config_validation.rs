@@ -87,6 +87,11 @@ fn rejected() -> Vec<(&'static str, DsmConfig, ConfigError)> {
             ConfigError::ZeroHeartbeatPeriod,
         ),
         (
+            "crash without failure detection",
+            with_crash(DsmConfig::paper_cluster(NODES), crash(1)),
+            ConfigError::CrashWithoutDetection,
+        ),
+        (
             "crash with recovery on but no checkpoint cadence",
             with_crash(
                 DsmConfig::paper_cluster(NODES).with_recovery(RecoveryConfig::on(0)),
@@ -203,7 +208,7 @@ impl DsmTask for Probe {
 #[test]
 fn every_config_error_has_a_minimal_config() {
     for (what, cfg, want) in rejected() {
-        assert_eq!(cfg.validate(), Err(want.clone()), "{what}");
+        assert_eq!(cfg.validate().err(), Some(want.clone()), "{what}");
         assert!(!want.to_string().is_empty(), "{what}: empty message");
 
         let probe = Probe::default();
@@ -235,11 +240,9 @@ fn valid_plans_pass() {
         DsmConfig::paper_cluster(NODES),
         recovering(),
         with_crash(recovering(), crash(NODES - 1)),
-        // A crash with recovery off is a pure outage: no cadence needed.
-        with_crash(DsmConfig::paper_cluster(NODES), crash(1)),
         adjacent_windows,
     ] {
-        assert_eq!(cfg.validate(), Ok(()));
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -258,7 +261,8 @@ fn every_directory_and_oracle_value_is_legal() {
             let cfg = DsmConfig::paper_cluster(NODES)
                 .with_directory(directory)
                 .with_oracle(oracle);
-            assert_eq!(cfg.validate(), Ok(()), "{directory:?} {oracle:?}");
+            cfg.validate()
+                .unwrap_or_else(|e| panic!("{directory:?} {oracle:?}: {e}"));
             let report = Benchmark::Radix
                 .run(Scale::Test, cfg)
                 .unwrap_or_else(|e| panic!("{directory:?} {oracle:?}: {e}"));

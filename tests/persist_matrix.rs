@@ -106,10 +106,12 @@ fn full_matrix_crash_at_any_point() {
     }
 }
 
-/// The `persist:` summary segment is gated on the config switch: a
-/// persistence-off crash run emits the exact pre-persistence line (the
-/// byte-compatibility every pinned summary relies on); a
-/// persistence-on run appends the device counters.
+/// The `persist:` summary segment is gated on the plan's cadence
+/// having a device: a persistence-off crash run emits the exact
+/// pre-persistence line (the byte-compatibility every pinned summary
+/// relies on); a persistence-on run appends the device counters, and
+/// so does a fault-free run that only checkpoints to its device — a
+/// run that took checkpoints is never summarised as quiet.
 #[test]
 fn summary_segment_gated_on_config() {
     let crash = Some((Fault::Crash(None), Aim::At(SimTime::from_millis(2))));
@@ -133,7 +135,22 @@ fn summary_segment_gated_on_config() {
             base(4).with_recovery(persist_recovery()),
         )
     };
-    for_each_cell(vec![off, on], Row::check);
+    let fault_free = Row {
+        holds: holds!(
+            |r| r.recovery.checkpoints_taken > 0,
+            summary(r).contains("; recovery: 0 crashes"),
+            summary(r).contains("; persist: "),
+        ),
+        ..Row::app(
+            "persist_fault_free_summary",
+            Radix,
+            base(4).with_recovery(RecoveryConfig {
+                enabled: false,
+                ..persist_recovery()
+            }),
+        )
+    };
+    for_each_cell(vec![off, on, fault_free], Row::check);
 }
 
 /// Device parameters are inert while persistence is off: they charge,
