@@ -170,39 +170,37 @@ impl DirectoryPolicy {
     }
 }
 
-/// Directory-style metadata sharding (scale-out mode): off, or on
-/// under one [`DirectoryPolicy`] — there is no policy to carry while
+/// Directory home placement (scale-out mode): off, or on under one
+/// [`DirectoryPolicy`] — there is no policy to carry while
 /// it is off.
 ///
-/// Off by default: every node tracks every write notice, exactly the
-/// paper's protocol. On, each node records write notices only for
-/// pages it is *interested* in — pages it homes, caches, or is
-/// fetching — and page homes serve first-fetch requesters the pruned
-/// history along with the base copy, so a cold reader recovers exactly
-/// the notices it skipped. Lock management is already home-distributed
-/// (manager = lock id modulo cluster size) and unaffected.
+/// Off by default: homes come from each application's allocation
+/// layout, exactly as the paper's runs. On, the policy places every
+/// page's home at startup, and fetch requests that reach a page's home
+/// are counted ([`DirectorySummary`](crate::DirectorySummary)). Write
+/// notices are recorded the same way either way. Lock management is
+/// already home-distributed (manager = lock id modulo cluster size)
+/// and unaffected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DirectoryConfig(Option<DirectoryPolicy>);
 
 impl DirectoryConfig {
-    /// Directory sharding off: the paper's all-to-all metadata
-    /// protocol.
+    /// Directory off: homes follow the application's layout.
     pub fn off() -> Self {
         DirectoryConfig(None)
     }
 
-    /// Sharding on with the given home-assignment policy.
+    /// Homes placed by the given policy.
     pub fn on(policy: DirectoryPolicy) -> Self {
         DirectoryConfig(Some(policy))
     }
 
-    /// The home-assignment policy, `None` while sharding is off.
+    /// The home-assignment policy, `None` while the directory is off.
     pub fn policy(self) -> Option<DirectoryPolicy> {
         self.0
     }
 
-    /// Whether interest-based notice pruning and home-served history
-    /// healing run.
+    /// Whether the policy places the run's homes.
     pub fn enabled(self) -> bool {
         self.0.is_some()
     }
@@ -441,9 +439,9 @@ pub struct DsmConfig {
     /// crash recovery. Off ([`RecoveryConfig::off`]) by default —
     /// retry exhaustion aborts the run as before.
     pub recovery: RecoveryConfig,
-    /// Directory-style metadata sharding by page home. Off
-    /// ([`DirectoryConfig::off`]) by default — every node tracks
-    /// every write notice, as in the paper.
+    /// Hash-placed page homes. Off ([`DirectoryConfig::off`]) by
+    /// default — homes follow the application's layout, as in the
+    /// paper.
     pub directory: DirectoryConfig,
 }
 
@@ -522,7 +520,7 @@ impl DsmConfig {
         self
     }
 
-    /// Sets the directory-sharding mode (builder style).
+    /// Sets the directory's home placement (builder style).
     pub fn with_directory(mut self, directory: DirectoryConfig) -> Self {
         self.directory = directory;
         self

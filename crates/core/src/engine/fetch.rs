@@ -213,7 +213,7 @@ impl Core<'_> {
     /// minus the diffs its record caches, as `(origin, stamp)` pairs
     /// ascending by origin — plus whether a base copy is needed.
     pub(super) fn missing_for(&mut self, n: NodeId, page: PageId) -> (Vec<(NodeId, Stamp)>, bool) {
-        self.track_notices(n, page);
+        self.nodes[n].track_notices(&self.page_index, page);
         let node = &self.nodes[n];
         let record = node.records.get(&page);
         let mut missing = node.board.pending_by_origin(page);
@@ -303,7 +303,7 @@ impl Core<'_> {
         base: Option<BasePayload>,
         mut end: SimTime,
     ) -> SimTime {
-        self.track_notices(n, page);
+        self.nodes[n].track_notices(&self.page_index, page);
         let node = &mut self.nodes[n];
         let (cached_base, mut diffs) = match node.records.get_mut(&page) {
             Some(record) => (record.base.take(), record.take_diffs()),
@@ -478,12 +478,10 @@ impl Core<'_> {
         if rec.origin == n {
             return;
         }
-        let directory = self.cfg.directory.enabled();
         // An interval the node already knew had every notice recorded
         // when it was first learned: on the board, or in the log for a
-        // page the board does not track yet. Only the directory drops
-        // notices, and it may take a late one now, so its walk stays.
-        if !fresh && !directory {
+        // page the board does not track yet.
+        if !fresh {
             let board = &self.nodes[n].board;
             debug_assert!(rec
                 .pages
@@ -492,21 +490,12 @@ impl Core<'_> {
             return;
         }
         for &page in &rec.pages {
-            // Directory sharding: interval *knowledge* (the vector
-            // clocks above) is always full, but per-page write
-            // notices are only tracked for pages this node has an
-            // interest in. A pruned page's first touch is a base
-            // fetch from its home, which re-serves the history.
-            if directory && !self.interested(n, page) {
-                self.nodes[n].directory.pruned += 1;
-                continue;
-            }
-            // Without the directory, a page the board does not track
-            // keeps its notices in the log until its first board
-            // operation seeds them (`track_notices`). A fresh
-            // interval's notice is new there all the same.
+            // A page the board does not track keeps its notices in the
+            // log until its first board operation seeds them
+            // (`track_notices`). A fresh interval's notice is new
+            // there all the same.
             let board = &mut self.nodes[n].board;
-            let untracked = !directory && !board.tracks(page);
+            let untracked = !board.tracks(page);
             if untracked || board.record_stamp(page, rec.origin, &rec.stamp) {
                 if self.tracer.is_on() {
                     let seq = rec.seq();
@@ -532,30 +521,6 @@ impl Core<'_> {
                 self.nodes[n].mem.invalidate(page);
             }
         }
-    }
-
-    /// Makes node `n`'s board track `page` before a board operation
-    /// on it, seeding the page from the node's log on first use
-    /// ([`NodeState::track_notices`]). Directory runs record their
-    /// notices eagerly for the pages they are [`interested`] in, so
-    /// there is nothing to seed.
-    ///
-    /// [`interested`]: Core::interested
-    fn track_notices(&mut self, n: NodeId, page: PageId) {
-        if !self.cfg.directory.enabled() {
-            self.nodes[n].track_notices(&self.page_index, page);
-        }
-    }
-
-    /// Whether node `n` must track write notices for `page`: it
-    /// homes the page, has (ever) held a copy, or has a record for it
-    /// (a fetch in flight, prefetched state). Anything else may drop
-    /// the notice.
-    fn interested(&self, n: NodeId, page: PageId) -> bool {
-        let node = &self.nodes[n];
-        self.heap.home(page) == n
-            || node.mem.pages[page.index()].has_copy()
-            || node.records.contains_key(&page)
     }
 
     /// Services a diff (or prefetch) request at node `m`.
@@ -648,24 +613,7 @@ impl Core<'_> {
             None
         };
 
-        let mut intervals = self.nodes[m].intervals_unknown_to(&req.vc);
-        if want_base && self.cfg.directory.enabled() {
-            // Heal a pruned requester: a first touch needs the page's
-            // full notice history, including intervals the
-            // requester's clock already covers (knowledge it learned
-            // but whose notices it pruned). Records are re-served
-            // whole — never synthesized per-page slices — so a
-            // requester that genuinely never saw one learns every
-            // page it names.
-            let before = intervals.len();
-            intervals.extend(
-                self.nodes[m]
-                    .intervals_naming(&self.page_index, page)
-                    .filter(|rec| rec.origin != requester && req.vc.dominates(&rec.stamp))
-                    .cloned(),
-            );
-            self.nodes[m].directory.forwards += (intervals.len() - before) as u64;
-        }
+        let intervals = self.nodes[m].intervals_unknown_to(&req.vc);
         end = self.charge(m, end, self.cfg.costs.msg_send, Category::DsmOverhead, None);
         let sent = self.post(
             end,

@@ -116,11 +116,6 @@ impl Simulation {
         }
     }
 
-    /// The configuration this simulation runs with.
-    pub fn config(&self) -> &DsmConfig {
-        &self.cfg
-    }
-
     /// Selects the event-queue implementation the engine runs on.
     ///
     /// The timing wheel ([`QueueBackend::Wheel`]) is the default;
@@ -816,14 +811,14 @@ mod tests {
         assert!(diffs > 1 && intervals > 0, "the images hold protocol state");
     }
 
-    /// With the directory off, a node's notice board tracks only the
-    /// pages it has a stake in: every other notice waits in its
-    /// interval log. The shape is SOR's (restated for the reason
-    /// above): the grid is homed on node 0, which writes it all; each
-    /// node then relaxes its band of rows, reading its neighbours'
-    /// halo rows, under O and under hand prefetching. After the run
-    /// no node tracks a page it never homed, faulted or prefetched,
-    /// and notices did arrive for pages no board tracks.
+    /// A node's notice board tracks only the pages it has a stake in:
+    /// every other notice waits in its interval log. The shape is
+    /// SOR's (restated for the reason above): the grid is homed on
+    /// node 0, which writes it all; each node then relaxes its band of
+    /// rows, reading its neighbours' halo rows, under O and under hand
+    /// prefetching. After the run no node tracks a page it never
+    /// homed, faulted or prefetched, and notices did arrive for pages
+    /// no board tracks.
     #[test]
     fn boards_track_only_the_pages_a_node_uses() {
         use crate::heap::{HomePolicy, SharedVec};

@@ -458,9 +458,9 @@ pub(crate) struct NodeState {
     vc: VectorClock,
     /// Writes of `vc` so far; never decreases.
     clock_version: u64,
-    /// Write notices of the pages the node tracks; with the directory
-    /// off, the rest wait in `known_intervals` until
-    /// [`NodeState::track_notices`] seeds their page.
+    /// Write notices of the pages the node tracks; the rest wait in
+    /// `known_intervals` until [`NodeState::track_notices`] seeds
+    /// their page.
     pub board: NoticeBoard,
     /// Diffs this node created, keyed by (page index, own sequence).
     /// `Arc`-shared with every reply payload serving them, so a hot

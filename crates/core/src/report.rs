@@ -264,16 +264,11 @@ impl PrefetchSummary {
 
 summary! {
     /// Directory-layer measurements (the scale-out suite's hot-spot
-    /// analysis). All zero when [`DirectoryConfig`](crate::DirectoryConfig)
+    /// analysis). Zero when [`DirectoryConfig`](crate::DirectoryConfig)
     /// is off.
     pub struct DirectorySummary {
         /// Fetch requests served by the page's home node.
         pub home_hits: u64,
-        /// Full interval records re-served by homes to heal requesters
-        /// whose pruned notice boards lacked a page's history.
-        pub forwards: u64,
-        /// Write notices dropped at nodes with no interest in the page.
-        pub pruned: u64,
     }
 }
 
@@ -349,8 +344,7 @@ pub struct RunReport {
     pub recovery: RecoveryStats,
     /// Garbage-collection passes across all nodes.
     pub gc_passes: u64,
-    /// Directory-layer tallies (home hits, heal forwards, pruned
-    /// notices); all zero unless the run's
+    /// Directory-layer tallies (home hits); zero unless the run's
     /// [`DirectoryConfig`](crate::DirectoryConfig) is on.
     pub directory: DirectorySummary,
     /// Simulation events the engine loop processed — the scaling
@@ -450,7 +444,6 @@ impl RunReport {
         let t = &self.transport;
         let r = &self.recovery;
         let d = &self.directory;
-        let dir_active = self.config.directory.enabled() && d.home_hits + d.forwards + d.pruned > 0;
         let quiet = f.injected_drops == 0
             && f.duplicates == 0
             && f.reordered == 0
@@ -461,7 +454,7 @@ impl RunReport {
             && r.suspicions == 0
             && r.checkpoints_taken == 0
             && r.partitions == 0
-            && !dir_active
+            && d.home_hits == 0
             && !self.config.prefetch.mode.is_adaptive();
         if quiet {
             return None;
@@ -515,13 +508,7 @@ impl RunReport {
         // Gated on the config switch, not the counters: a run without
         // the directory layer must emit the exact pre-directory line.
         if self.config.directory.enabled() {
-            write!(
-                line,
-                "; directory: {} home hits, {} heal forwards, \
-                 {} notices pruned",
-                d.home_hits, d.forwards, d.pruned,
-            )
-            .expect("write to String");
+            write!(line, "; directory: {} home hits", d.home_hits).expect("write to String");
         }
         // Gated on the plan's cadence having a device, not on the
         // counters: a run without one must emit the exact
@@ -672,11 +659,7 @@ mod tests {
             invalidated: 12,
             no_pf: 13,
         });
-        merges_whole(DirectorySummary {
-            home_hits: 1,
-            forwards: 2,
-            pruned: 3,
-        });
+        merges_whole(DirectorySummary { home_hits: 1 });
         merges_whole(MtSummary {
             switches: 1,
             run_length_sum: ns(2),

@@ -36,7 +36,7 @@ fn adaptive_radix(name: &str, pins: &'static str) -> Row {
 #[test]
 fn report_digest_is_pinned() {
     let pins = "
-        digest: 0x533fb0c43459079
+        digest: 0xb3da05fabc57e4a7
         events: 8040";
     adaptive_radix("report_digest_is_pinned", pins).check()
 }

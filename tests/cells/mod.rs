@@ -45,8 +45,8 @@ pub const HEAL_AFTER: SimDuration = SimDuration::from_millis(5);
 pub enum Prog {
     /// A suite kernel under one of the paper's techniques.
     App(Benchmark, Scale, Technique),
-    /// The hot-spot micro-program (never traced).
-    HotSpot,
+    /// A task program, run by the function (never traced).
+    Task(fn(DsmConfig) -> Result<RunReport, SimError>),
 }
 
 /// A run's report and, when traced, its trace.
@@ -59,7 +59,7 @@ impl Prog {
                 .run_traced(s, t.configure(b, cfg))
                 .map(|(r, trace)| (r, Some(trace))),
             Prog::App(b, s, t) => b.run(s, t.configure(b, cfg)).map(|r| (r, None)),
-            Prog::HotSpot => Simulation::new(cfg).run(&HotSpot).map(|r| (r, None)),
+            Prog::Task(run) => run(cfg).map(|r| (r, None)),
         }
     }
 }
@@ -374,6 +374,11 @@ pub fn aimed_grid(
         }
     }
     for_each_cell(rows, Row::check);
+}
+
+/// The hot-spot micro-program on `cfg`.
+pub fn hot_spot(cfg: DsmConfig) -> Result<RunReport, SimError> {
+    Simulation::new(cfg).run(&HotSpot)
 }
 
 /// The scaling suite's fabric: racks of 8, two spines, 4:1

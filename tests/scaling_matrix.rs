@@ -2,7 +2,8 @@
 //! directory-sharded homes carry the full oracle obligation at 64
 //! nodes, the flat-bus default changes nothing, failure monitoring on
 //! the fabric sends O(N) heartbeats per idle round instead of O(N²),
-//! and the 256/1024-node tiers complete under the wheel engine.
+//! hash-placed homes lose no write, and the 256/1024-node tiers
+//! complete under the wheel engine.
 //!
 //! `cargo test` runs the 64-node cells; `RSDSM_MATRIX=scaling` (or
 //! `full`) adds the 256- and 1024-node tiers.
@@ -11,15 +12,16 @@
 mod cells;
 mod common;
 
-use cells::{digest, fabric, on_fabric, summary, Prog, Row};
+use cells::{digest, fabric, hot_spot, on_fabric, summary, Prog, Row};
 use common::{base, for_each_cell};
-use rsdsm::apps::Benchmark::{self, Fft, Radix};
+use rsdsm::apps::Benchmark::{self, Fft, Radix, WaterNsq};
 use rsdsm::apps::Scale;
 use rsdsm::core::{
-    BarrierId, DirectoryConfig, DsmTask, Heap, HomePolicy, RecoveryConfig, SharedVec, Simulation,
-    TaskCtx, Topology, PAGE_SIZE,
+    BarrierId, DirectoryConfig, DirectoryPolicy, DsmConfig, DsmTask, Heap, HomePolicy, LockId,
+    RecoveryConfig, RunReport, SharedVec, SimError, Simulation, TaskCtx, Topology, VerifyCtx,
+    PAGE_SIZE,
 };
-use rsdsm::oracle::Technique::{self, Base, Combined, Prefetch};
+use rsdsm::oracle::Technique::{self, Base, Combined, Multithread, Prefetch};
 use rsdsm::simnet::SimDuration;
 use rsdsm_bench::pool::full_grid;
 
@@ -54,7 +56,7 @@ fn full_matrix_big_tiers() {
     if full_grid("scaling") {
         let hot_spot = Row {
             holds: holds!(|r| r.events_processed > 0),
-            ..Row::new("hot_spot_1024", Prog::HotSpot, on_fabric(1024))
+            ..Row::new("hot_spot_1024", Prog::Task(hot_spot), on_fabric(1024))
         };
         let rows = vec![hot_spot, fabric_row(256, Fft, Base)];
         for_each_cell(rows, Row::check);
@@ -121,9 +123,98 @@ fn directory_counters_engage_at_64_nodes() {
             |r| r.directory.home_hits > 0,
             summary(r).contains("directory:")
         ),
-        ..Row::new(name, Prog::HotSpot, on_fabric(64))
+        ..Row::new(name, Prog::Task(hot_spot), on_fabric(64))
     }
     .check()
+}
+
+/// `nodes` on the flat bus with homes placed by hash.
+fn hashed(nodes: usize) -> DsmConfig {
+    base(nodes).with_directory(DirectoryConfig::on(DirectoryPolicy::Hash))
+}
+
+/// WATER-NSQ under hash-placed homes keeps every write, under the full
+/// oracle obligation: a reader faulting in a page fetches a diff from
+/// every writer it holds a notice of, wherever the page's home is.
+#[test]
+fn hashed_homes_keep_water_nsq_writes() {
+    let rows = [Base, Multithread].map(|tech| Row {
+        oracle: true,
+        ..Row::new(
+            format!("hashed_water-nsq_{}_8", tech.label()),
+            Prog::App(WaterNsq, Scale::Test, tech),
+            hashed(8),
+        )
+    });
+    for_each_cell(rows.into(), Row::check);
+}
+
+/// Values in the pages [`LockedCopy`] hands over: 16 pages of `u64`.
+const COPIED: usize = 16 * PAGE_SIZE / 8;
+
+/// A lock-only hand-off on 3 nodes: node 1 writes 16 pages under lock
+/// 0; node 2, well after, takes the lock and copies the pages into an
+/// array of its own. Only the lock carries node 1's writes to node 2,
+/// and node 0, which homes some of the pages under `Hash`, never hears
+/// of them.
+struct LockedCopy;
+
+#[derive(Clone, Copy)]
+struct Pages {
+    src: SharedVec<u64>,
+    dst: SharedVec<u64>,
+}
+
+impl DsmTask for LockedCopy {
+    type Handles = Pages;
+
+    fn name(&self) -> String {
+        "locked-copy".into()
+    }
+
+    fn allocate(&self, heap: &mut Heap) -> Pages {
+        Pages {
+            src: heap.alloc(COPIED, HomePolicy::Single(0)),
+            dst: heap.alloc(COPIED, HomePolicy::Single(2)),
+        }
+    }
+
+    async fn run(&self, ctx: &mut TaskCtx, h: &Pages) {
+        let lock = LockId(0);
+        match ctx.node() {
+            1 => {
+                ctx.acquire(lock).await;
+                let values: Vec<u64> = (1..=COPIED as u64).collect();
+                ctx.write_slice(&h.src, 0, &values).await;
+                ctx.release(lock).await;
+            }
+            2 => {
+                ctx.compute(SimDuration::from_millis(200));
+                ctx.acquire(lock).await;
+                let values = ctx.read_vec(&h.src, 0, COPIED).await;
+                ctx.release(lock).await;
+                ctx.write_slice(&h.dst, 0, &values).await;
+            }
+            _ => {}
+        }
+        ctx.barrier(BarrierId(0)).await;
+    }
+
+    fn verify(&self, mem: &VerifyCtx, h: &Pages) -> bool {
+        (0..COPIED).all(|i| mem.read(&h.dst, i) == i as u64 + 1)
+    }
+}
+
+fn locked_copy(cfg: DsmConfig) -> Result<RunReport, SimError> {
+    Simulation::new(cfg).run(&LockedCopy)
+}
+
+/// A reader that learns of a write only through a lock fetches it,
+/// even from a page whose home never heard of the write.
+#[test]
+fn a_lock_carries_writes_past_a_page_home() {
+    let name = "a_lock_carries_writes_past_a_page_home";
+    Row::new(name, Prog::Task(locked_copy), hashed(3)).check()
 }
 
 /// The topology and directory defaults spelled out reproduce the

@@ -1,6 +1,6 @@
 //! Pinned rows for the scale-out stack (DESIGN §8): RADIX on 64 nodes
 //! of the rack-and-spine fabric with hash-sharded homes, the report
-//! digest, the directory counters and the summary line pinned. The 20k
+//! digest, the directory counter and the summary line pinned. The 19k
 //! fault-free retransmissions are real: the 4:1 oversubscribed trunks
 //! delay frames past their RTOs under RADIX's interval traffic.
 //!
@@ -33,14 +33,14 @@ fn scaled_radix(name: &str, pins: &'static str) -> Row {
 #[test]
 fn report_digest_is_pinned() {
     let pins = "
-        digest: 0x2caa0b25b8afd45
-        events: 134738";
+        digest: 0x1ccf24a3f1ef9585
+        events: 133167";
     scaled_radix("report_digest_is_pinned", pins).check()
 }
 
 #[test]
 fn directory_counters_are_pinned() {
-    let pins = "directory: home_hits: 597, forwards: 3148, pruned: 3993";
+    let pins = "directory: home_hits: 595";
     scaled_radix("directory_counters_are_pinned", pins).check()
 }
 
@@ -48,9 +48,9 @@ fn directory_counters_are_pinned() {
 fn fault_summary_line_is_pinned() {
     let pins = "
         summary: faults: 0 msgs dropped, 0 duplicated, 0 reordered; \
-          transport: 20327 retransmissions (max 6 attempts/frame), \
-          20311 duplicate frames suppressed; prefetch: 0 requests lost, 0 replies lost; \
-          directory: 597 home hits, 3148 heal forwards, 3993 notices pruned";
+          transport: 18819 retransmissions (max 6 attempts/frame), \
+          18796 duplicate frames suppressed; prefetch: 0 requests lost, 0 replies lost; \
+          directory: 595 home hits";
     scaled_radix("fault_summary_line_is_pinned", pins).check()
 }
 
